@@ -75,7 +75,7 @@ func fixture(b *testing.B) *tpch.Benchmark {
 // under the three schemes. The benchmark time is the wall (CPU) time; the
 // modeled device milliseconds and megabytes are attached as metrics, since
 // the paper's cold runs are I/O-bound and ours are CPU-bound at laptop
-// scale (see EXPERIMENTS.md).
+// scale (see bench/README.md).
 func BenchmarkFig2ExecutionTime(b *testing.B) {
 	bench := fixture(b)
 	for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {

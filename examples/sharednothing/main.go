@@ -42,7 +42,7 @@ func main() {
 	// Partition knob ships each worker its block of every scatter-scanned
 	// table and lowers the scans to shipped row-range units.
 	q := tpch.Query(3)
-	serial, sst, _, err := tpch.RunQueryShards(db, q, 1, 1)
+	serial, sst, _, err := tpch.RunQueryOpts(db, q, tpch.RunOptions{Workers: 1, Shards: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -62,6 +62,64 @@ type aggState struct {
 // (group, aggregate) pair.
 const aggStateBytes = 48
 
+// update folds row r of the aggregate's evaluated argument vector (nil for
+// COUNT(*)) into the state and returns the footprint growth of its
+// COUNT(DISTINCT) set in bytes, 0 for every other function.
+func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) int64 {
+	switch f {
+	case AggCount:
+		st.count++
+	case AggCountDistinct:
+		if st.distinct == nil {
+			st.distinct = newDistinctSet(arg.Kind)
+		}
+		return st.distinct.Add(arg, r)
+	case AggSum, AggAvg:
+		switch arg.Kind {
+		case vector.Int64:
+			st.i64 += arg.I64[r]
+			st.f64 += float64(arg.I64[r])
+		case vector.Float64:
+			st.f64 += arg.F64[r]
+		}
+		st.count++
+	case AggMin, AggMax:
+		updateMinMax(st, arg, r, f == AggMin)
+	}
+	return 0
+}
+
+// render appends the aggregate's result to its output column.
+func (st *aggState) render(f AggFunc, col *vector.Vector) {
+	switch f {
+	case AggCount:
+		col.AppendInt64(st.count)
+	case AggCountDistinct:
+		col.AppendInt64(int64(st.distinct.Len()))
+	case AggAvg:
+		if st.count == 0 {
+			col.AppendFloat64(0)
+		} else {
+			col.AppendFloat64(st.f64 / float64(st.count))
+		}
+	case AggSum:
+		if col.Kind == vector.Int64 {
+			col.AppendInt64(st.i64)
+		} else {
+			col.AppendFloat64(st.f64)
+		}
+	case AggMin, AggMax:
+		switch col.Kind {
+		case vector.Int64:
+			col.AppendInt64(st.i64)
+		case vector.Float64:
+			col.AppendFloat64(st.f64)
+		case vector.String:
+			col.AppendString(st.str)
+		}
+	}
+}
+
 // aggTable is one hash-aggregation state: the open-addressing group index,
 // the flat state array, the materialized group keys, and per-row scratch.
 // The serial operator owns one; each parallel worker owns its own (workers
@@ -144,27 +202,7 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 		}
 		states := t.states[int(g)*nAggs : (int(g)+1)*nAggs]
 		for i, a := range t.aggs {
-			st := &states[i]
-			switch a.Func {
-			case AggCount:
-				st.count++
-			case AggCountDistinct:
-				if st.distinct == nil {
-					st.distinct = newDistinctSet(t.argVecs[i].Kind)
-				}
-				t.distBytes += st.distinct.Add(t.argVecs[i], r)
-			case AggSum, AggAvg:
-				switch t.argVecs[i].Kind {
-				case vector.Int64:
-					st.i64 += t.argVecs[i].I64[r]
-					st.f64 += float64(t.argVecs[i].I64[r])
-				case vector.Float64:
-					st.f64 += t.argVecs[i].F64[r]
-				}
-				st.count++
-			case AggMin, AggMax:
-				updateMinMax(st, t.argVecs[i], r, a.Func == AggMin)
-			}
+			t.distBytes += states[i].update(a.Func, t.argVecs[i], r)
 		}
 	}
 }
@@ -329,35 +367,7 @@ func (h *HashAggregate) emitGroups(tables []*aggTable, order []groupRef) {
 		states := t.states[ref.group*nAggs : (ref.group+1)*nAggs]
 		t.keyBuf.WriteRow(out, ref.group, 0)
 		for i, a := range h.Aggs {
-			col := out.Cols[nk+i]
-			st := states[i]
-			switch a.Func {
-			case AggCount:
-				col.AppendInt64(st.count)
-			case AggCountDistinct:
-				col.AppendInt64(int64(st.distinct.Len()))
-			case AggAvg:
-				if st.count == 0 {
-					col.AppendFloat64(0)
-				} else {
-					col.AppendFloat64(st.f64 / float64(st.count))
-				}
-			case AggSum:
-				if col.Kind == vector.Int64 {
-					col.AppendInt64(st.i64)
-				} else {
-					col.AppendFloat64(st.f64)
-				}
-			case AggMin, AggMax:
-				switch col.Kind {
-				case vector.Int64:
-					col.AppendInt64(st.i64)
-				case vector.Float64:
-					col.AppendFloat64(st.f64)
-				case vector.String:
-					col.AppendString(st.str)
-				}
-			}
+			states[i].render(a.Func, out.Cols[nk+i])
 		}
 		if out.Len() >= vector.BatchSize {
 			emit()
@@ -649,22 +659,26 @@ func (h *HashAggregate) Close() error {
 
 // StreamAggregate aggregates an input already sorted on its grouping
 // columns with O(1) state — the "streaming aggregate applied by the PK
-// scheme" that wins Q18 in the paper.
+// scheme" that wins Q18 in the paper. A group closes when the next row's key
+// differs from the buffered key of the open group; output is cut at
+// BatchSize, resuming inside the current child batch on the next call.
 type StreamAggregate struct {
 	Child   Operator
 	GroupBy []string
 	Aggs    []AggSpec
 
-	schema  expr.Schema
-	keyIdx  []int
-	enc     *keyEncoder
-	curKey  []byte
-	haveKey bool
-	keyRow  *Buffer
-	states  []aggState
-	argVecs []*vector.Vector
-	out     *vector.Batch
-	done    bool
+	schema   expr.Schema
+	keyIdx   []int
+	keyCols  []int   // keyRow's columns: all of them
+	keyRow   *Buffer // the open group's key, one row while haveKey
+	haveKey  bool
+	states   []aggState
+	argVecs  []*vector.Vector
+	out      *vector.Batch
+	cur      *vector.Batch // child batch being consumed; rows [row, Len) pending
+	row      int
+	keyBatch vector.Batch // cur's key columns, in keyRow's layout
+	done     bool
 }
 
 // Schema implements Operator.
@@ -694,8 +708,9 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 		}
 		s.schema = append(s.schema, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
 	}
-	s.enc = newKeyEncoder(s.keyIdx)
+	s.keyCols = identityCols(len(s.keyIdx))
 	s.keyRow = NewBuffer(keySchema)
+	s.keyBatch.Cols = make([]*vector.Vector, len(s.keyIdx))
 	s.states = make([]aggState, len(s.Aggs))
 	s.argVecs = make([]*vector.Vector, len(s.Aggs))
 	for i, a := range s.Aggs {
@@ -707,113 +722,66 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 	return nil
 }
 
-// emitGroup appends the finished group to the output batch.
+// emitGroup appends the open group to the output batch and closes it.
 func (s *StreamAggregate) emitGroup() {
-	nk := len(s.keyIdx)
 	s.keyRow.WriteRow(s.out, 0, 0)
 	for i, a := range s.Aggs {
-		col := s.out.Cols[nk+i]
-		st := s.states[i]
-		switch a.Func {
-		case AggCount:
-			col.AppendInt64(st.count)
-		case AggCountDistinct:
-			col.AppendInt64(int64(st.distinct.Len()))
-		case AggAvg:
-			if st.count == 0 {
-				col.AppendFloat64(0)
-			} else {
-				col.AppendFloat64(st.f64 / float64(st.count))
-			}
-		case AggSum:
-			if col.Kind == vector.Int64 {
-				col.AppendInt64(st.i64)
-			} else {
-				col.AppendFloat64(st.f64)
-			}
-		case AggMin, AggMax:
-			switch col.Kind {
-			case vector.Int64:
-				col.AppendInt64(st.i64)
-			case vector.Float64:
-				col.AppendFloat64(st.f64)
-			case vector.String:
-				col.AppendString(st.str)
-			}
-		}
+		s.states[i].render(a.Func, s.out.Cols[len(s.keyIdx)+i])
+		s.states[i] = aggState{}
 	}
-	s.states = make([]aggState, len(s.Aggs))
 	s.keyRow.Reset()
+	s.haveKey = false
 }
 
 // Next implements Operator.
 func (s *StreamAggregate) Next() (*vector.Batch, error) {
 	s.out.Reset()
 	for {
-		if s.done {
-			if s.out.Len() > 0 {
-				return s.out, nil
+		if s.cur == nil {
+			if s.done {
+				if s.out.Len() > 0 {
+					return s.out, nil
+				}
+				return nil, nil
 			}
-			return nil, nil
-		}
-		b, err := s.Child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			s.done = true
-			if s.haveKey {
-				s.emitGroup()
+			b, err := s.Child.Next()
+			if err != nil {
+				return nil, err
 			}
-			continue
-		}
-		for i, a := range s.Aggs {
-			if a.Arg != nil {
-				s.argVecs[i].Reset()
-				a.Arg.Eval(b, s.argVecs[i])
-			}
-		}
-		keyBatch := vector.Batch{Cols: make([]*vector.Vector, len(s.keyIdx))}
-		for c, ki := range s.keyIdx {
-			keyBatch.Cols[c] = b.Cols[ki]
-		}
-		for r := 0; r < b.Len(); r++ {
-			key := s.enc.encode(b, r)
-			if !s.haveKey || string(key) != string(s.curKey) {
+			if b == nil {
+				s.done = true
 				if s.haveKey {
 					s.emitGroup()
 				}
-				s.curKey = append(s.curKey[:0], key...)
-				s.haveKey = true
-				s.keyRow.AppendRow(&keyBatch, r)
+				continue
 			}
 			for i, a := range s.Aggs {
-				st := &s.states[i]
-				switch a.Func {
-				case AggCount:
-					st.count++
-				case AggCountDistinct:
-					if st.distinct == nil {
-						st.distinct = newDistinctSet(s.argVecs[i].Kind)
-					}
-					st.distinct.Add(s.argVecs[i], r)
-				case AggSum, AggAvg:
-					switch s.argVecs[i].Kind {
-					case vector.Int64:
-						st.i64 += s.argVecs[i].I64[r]
-						st.f64 += float64(s.argVecs[i].I64[r])
-					case vector.Float64:
-						st.f64 += s.argVecs[i].F64[r]
-					}
-					st.count++
-				case AggMin, AggMax:
-					updateMinMax(st, s.argVecs[i], r, a.Func == AggMin)
+				if a.Arg != nil {
+					s.argVecs[i].Reset()
+					a.Arg.Eval(b, s.argVecs[i])
 				}
 			}
+			for c, ki := range s.keyIdx {
+				s.keyBatch.Cols[c] = b.Cols[ki]
+			}
+			s.cur, s.row = b, 0
 		}
-		if s.out.Len() >= vector.BatchSize {
-			return s.out, nil
+		for ; s.row < s.cur.Len(); s.row++ {
+			if s.haveKey && !keysEqualBatchBuf(s.cur, s.keyIdx, s.row, s.keyRow, s.keyCols, 0) {
+				s.emitGroup()
+				if s.out.Len() >= vector.BatchSize {
+					return s.out, nil // resumes at this row, which opens the next group
+				}
+			}
+			if !s.haveKey {
+				s.keyRow.AppendRow(&s.keyBatch, s.row)
+				s.haveKey = true
+			}
+			for i, a := range s.Aggs {
+				s.states[i].update(a.Func, s.argVecs[i], s.row)
+			}
 		}
+		s.cur = nil
 	}
 }
 

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
-
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
@@ -117,36 +115,4 @@ func (b *Buffer) Batches(fn func(*vector.Batch) error) error {
 		}
 	}
 	return nil
-}
-
-// keyEncoder encodes the values of selected columns of a batch row into a
-// compact byte key for hash maps. Encodings are order-preserving only for
-// equality (hash) use.
-type keyEncoder struct {
-	cols    []int
-	scratch []byte
-}
-
-func newKeyEncoder(cols []int) *keyEncoder {
-	return &keyEncoder{cols: cols, scratch: make([]byte, 0, 64)}
-}
-
-// encode returns the key of row i; the returned slice is valid until the
-// next call.
-func (k *keyEncoder) encode(b *vector.Batch, i int) []byte {
-	k.scratch = k.scratch[:0]
-	for _, c := range k.cols {
-		col := b.Cols[c]
-		switch col.Kind {
-		case vector.Int64:
-			k.scratch = binary.LittleEndian.AppendUint64(k.scratch, uint64(col.I64[i]))
-		case vector.Float64:
-			// Normalized bits so -0.0 and +0.0 encode as the same key.
-			k.scratch = binary.LittleEndian.AppendUint64(k.scratch, vector.FloatKeyBits(col.F64[i]))
-		case vector.String:
-			k.scratch = binary.LittleEndian.AppendUint32(k.scratch, uint32(len(col.Str[i])))
-			k.scratch = append(k.scratch, col.Str[i]...)
-		}
-	}
-	return k.scratch
 }

@@ -11,6 +11,21 @@
 // memory tracker; the paper's Figure 2 (cold time) and Figure 3 (peak query
 // memory) series are produced from exactly these two meters.
 //
+// # One join kernel
+//
+// Every hash join in the engine — serial and pooled HashJoin, the serial
+// SandwichHashJoin, and Fragment.Run (the pooled and remote sandwich group
+// join) — builds and probes through one kernel, joinProbe (hashjoin.go): it
+// is the only code that walks a match chain, evaluates a join residual, or
+// null-extends an outer miss, and it stops whenever the batch it is filling
+// reaches BatchSize, resuming mid-probe-row on the next call. The callers
+// differ only in who owns that batch: the serial operators fill one reused
+// batch (HashJoin across probe batches, flushing on full, group change and
+// end of input; the sandwich per probe batch), the pool and fragment forms
+// fill a fresh batch per emit and cut at every probe-batch end. So every
+// form returns the same rows in the same order, and the serial sandwich and
+// Fragment.Run return the same batch sequence.
+//
 // # Morsel-driven parallelism
 //
 // Parallel execution runs on one scheduler per query: the Context owns a
@@ -35,11 +50,10 @@
 //     tasks own their hash state exclusively and never share mutable state;
 //     partition jobs of one aggregation partition run strictly one at a
 //     time, in routing order.
-//   - Each pool worker owns its per-worker scratch (probe hashes, match
-//     lists, output batches, expression scratch), indexed by the worker id
-//     the scheduler passes to every task. Bound expressions are safe to
-//     share — Eval allocates per-call scratch and nodes are immutable after
-//     Bind.
+//   - Each pool worker owns its per-worker scratch (for a join, its own
+//     joinProbe over the shared build side), indexed by the worker id the
+//     scheduler passes to every task. Bound expressions are safe to share —
+//     Eval allocates per-call scratch and nodes are immutable after Bind.
 //   - Every parallel operator merges task output order-preservingly through
 //     the exchange (morsel order for scans, input-batch order for joins,
 //     group order for sandwich pipelines, global first-seen group order for

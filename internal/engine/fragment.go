@@ -107,6 +107,9 @@ func (f *Fragment) Prepare() error {
 	if f.Kind == FragScan {
 		return f.prepareScan()
 	}
+	if len(f.ProbeKeys) != len(f.BuildKeys) {
+		return fmt.Errorf("engine: join fragment: %d probe keys vs %d build keys", len(f.ProbeKeys), len(f.BuildKeys))
+	}
 	var err error
 	f.probeIdx, err = keyIndexes(f.Probe, f.ProbeKeys)
 	if err != nil {
@@ -178,13 +181,16 @@ func (f *Fragment) prepareScan() error {
 func (f *Fragment) OutSchema() expr.Schema { return f.out }
 
 // Run executes one group unit: build the group's private hash table from the
-// unit's build batches, then probe the unit's probe batches exactly like the
-// serial sandwich join — same row order, same BatchSize flush boundaries,
-// same per-probe-batch cuts — so the merged output is byte-identical to the
-// serial join's no matter which box ran the group. It touches only the unit,
-// per-call state, and the fragment's frozen configuration (read-only after
-// Prepare), so concurrent Runs of one fragment are safe — on a local pool
-// task, a simulated remote, or a worker daemon's scheduler alike.
+// unit's build batches, then probe the unit's probe batches through the same
+// join kernel the serial sandwich join drives — same row order, and fresh
+// output batches cut where the serial join returns its reused one (at
+// BatchSize and at every probe-batch end) — so the merged output is the
+// serial join's batch sequence no matter which box ran the group, which is
+// what lets the failover layer's delivered-prefix replay splice a
+// half-joined unit. It touches only the unit, per-call state, and the
+// fragment's frozen configuration (read-only after Prepare), so concurrent
+// Runs of one fragment are safe — on a local pool task, a simulated remote,
+// or a worker daemon's scheduler alike.
 func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if !f.prepared {
 		return fmt.Errorf("engine: fragment run before Prepare")
@@ -192,128 +198,18 @@ func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if f.Kind == FragScan {
 		return f.runScan(g, emit)
 	}
-	buf := NewBuffer(f.Build)
-	table := newPartJoinTable(1)
-	var buildHashes []uint64
-	var buildRow int32
-	buildEq := func(head int32) bool {
-		return keysEqualBufBuf(buf, f.buildIdx, int(buildRow), int(head))
-	}
+	p := f.newProbe(NewBuffer(f.Build), newPartJoinTable(1))
 	for _, b := range g.Build {
-		base := int32(buf.Len())
-		buf.AppendBatch(b)
-		buildHashes = vector.HashKeys(b, f.buildIdx, buildHashes)
-		for i := 0; i < b.Len(); i++ {
-			buildRow = base + int32(i)
-			table.Insert(buildHashes[i], buildRow, buildEq)
-		}
+		p.insertBatch(b)
 	}
-	tableBytes := buf.Bytes() + table.Bytes()
+	tableBytes := p.buf.Bytes() + p.table.Bytes()
 	f.Mem.Grow(tableBytes)
 	defer f.Mem.Shrink(tableBytes)
 	if f.NoteGroup != nil {
-		f.NoteGroup(int64(buf.Len()))
+		f.NoteGroup(int64(p.buf.Len()))
 	}
-
-	var combined *vector.Batch
-	var resVec *vector.Vector
-	if f.Residual != nil {
-		cs := append(append(expr.Schema{}, f.Probe...), f.Build...)
-		combined = vector.NewBatch(cs.Kinds())
-		resVec = expr.NewScratch(vector.Int64)
-	}
-	var probeBatch *vector.Batch
-	var probeRow int
-	probeEq := func(head int32) bool {
-		return keysEqualBatchBuf(probeBatch, f.probeIdx, probeRow, buf, f.buildIdx, int(head))
-	}
-	residualOK := func(b *vector.Batch, li int, bi int32) bool {
-		if f.Residual == nil {
-			return true
-		}
-		combined.Reset()
-		nl := len(b.Cols)
-		for c := 0; c < nl; c++ {
-			combined.Cols[c].AppendFrom(b.Cols[c], li)
-		}
-		buf.WriteRow(combined, int(bi), nl)
-		resVec.Reset()
-		f.Residual.Eval(combined, resVec)
-		return resVec.I64[0] != 0
-	}
-
-	var probeHashes []uint64
-	var matches []int32
-	kinds := f.out.Kinds()
 	for _, b := range g.Probe {
-		probeBatch = b
-		newOut := func() *vector.Batch {
-			out := vector.NewBatch(kinds)
-			out.Grouped = true
-			out.GroupID = b.GroupID
-			return out
-		}
-		out := newOut()
-		nl := len(b.Cols)
-		probeHashes = vector.HashKeys(b, f.probeIdx, probeHashes)
-		for r := 0; r < b.Len(); r++ {
-			probeRow = r
-			head := table.Lookup(probeHashes[r], probeEq)
-			if f.Type == SemiJoin || f.Type == AntiJoin {
-				hit := false
-				for bi := head; bi >= 0; bi = table.ChainNext(bi) {
-					if residualOK(b, r, bi) {
-						hit = true
-						break
-					}
-				}
-				if hit == (f.Type == SemiJoin) {
-					out.AppendRow(b, r)
-				}
-				if out.Len() >= vector.BatchSize {
-					emit(out)
-					out = newOut()
-				}
-				continue
-			}
-			matches = table.Matches(head, matches[:0])
-			emitted := false
-			for _, bi := range matches {
-				if !residualOK(b, r, bi) {
-					continue
-				}
-				for c := 0; c < nl; c++ {
-					out.Cols[c].AppendFrom(b.Cols[c], r)
-				}
-				buf.WriteRow(out, int(bi), nl)
-				if f.Type == LeftOuterJoin {
-					out.Cols[len(out.Cols)-1].AppendInt64(1)
-				}
-				emitted = true
-				if out.Len() >= vector.BatchSize {
-					emit(out)
-					out = newOut()
-				}
-			}
-			if !emitted && f.Type == LeftOuterJoin {
-				for c := 0; c < nl; c++ {
-					out.Cols[c].AppendFrom(b.Cols[c], r)
-				}
-				for c := range f.Build {
-					appendZero(out.Cols[nl+c])
-				}
-				out.Cols[len(out.Cols)-1].AppendInt64(0)
-			}
-			if out.Len() >= vector.BatchSize {
-				emit(out)
-				out = newOut()
-			}
-		}
-		// Serial Next flushes at every probe-batch boundary; replicate the
-		// cut so batch shapes match byte-for-byte.
-		if out.Len() > 0 {
-			emit(out)
-		}
+		p.emitAll(b, emit)
 	}
 	return nil
 }

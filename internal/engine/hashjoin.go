@@ -28,6 +28,188 @@ const (
 // (the planner rewrites COUNT(right.col) accordingly).
 const MatchedColName = "__matched"
 
+// joinProbe is the engine's one hash-join kernel: every join operator —
+// serial and pooled HashJoin, serial SandwichHashJoin, Fragment.Run — builds
+// through insertBatch and probes through begin/fill, so row order, residual
+// evaluation and the BatchSize cut are the same code whoever runs the join.
+// It holds a prepared Fragment's frozen join configuration, a build side
+// (buf, table) that may be shared read-only between the probes of one pooled
+// join, and its own scratch and cursor, so one joinProbe serves one goroutine
+// at a time. Callers differ only in who owns the output batch and when it is
+// flushed: fill appends to whatever batch it is handed and never tags it.
+type joinProbe struct {
+	typ                JoinType
+	probeIdx, buildIdx []int
+	residual           expr.Expr // bound by Fragment.Prepare; nil for none
+	outKinds           []vector.Kind
+
+	buf   *Buffer
+	table *partJoinTable
+
+	hashes   []uint64 // key hashes of the batch last given to insertBatch or begin
+	matches  []int32
+	combined *vector.Batch // one-row probe+build input of the residual
+	resVec   *vector.Vector
+	buildRow int32
+	buildEq  func(int32) bool
+	probeEq  func(int32) bool
+
+	// Probe cursor: the next output row derives from row `row` of in; while
+	// looked is set, matches[matchPos:] is what is left of that row's chain.
+	in       *vector.Batch
+	row      int
+	looked   bool
+	matchPos int
+	emitted  bool
+}
+
+// newProbe returns a kernel over the prepared join fragment's configuration
+// and the given build side.
+func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
+	p := &joinProbe{
+		typ: f.Type, probeIdx: f.probeIdx, buildIdx: f.buildIdx, residual: f.Residual,
+		outKinds: f.out.Kinds(), buf: buf, table: table,
+	}
+	p.buildEq = func(head int32) bool {
+		return keysEqualBufBuf(p.buf, p.buildIdx, int(p.buildRow), int(head))
+	}
+	p.probeEq = func(head int32) bool {
+		return keysEqualBatchBuf(p.in, p.probeIdx, p.row, p.buf, p.buildIdx, int(head))
+	}
+	if f.Residual != nil {
+		p.combined = vector.NewBatch(append(f.Probe.Kinds(), f.Build.Kinds()...))
+		p.resVec = expr.NewScratch(vector.Int64)
+	}
+	return p
+}
+
+// insertBatch appends b to the build side and indexes its rows, hashing the
+// key columns vector-at-a-time. It is the serial, incremental build; it must
+// not run between a begin and the fill that reports that batch done (the
+// hash scratch is shared).
+func (p *joinProbe) insertBatch(b *vector.Batch) {
+	base := int32(p.buf.Len())
+	p.buf.AppendBatch(b)
+	p.hashes = vector.HashKeys(b, p.buildIdx, p.hashes)
+	for i, h := range p.hashes {
+		p.buildRow = base + int32(i)
+		p.table.Insert(h, p.buildRow, p.buildEq)
+	}
+}
+
+// begin positions the cursor at the first row of probe batch in, which must
+// stay valid until fill reports it done.
+func (p *joinProbe) begin(in *vector.Batch) {
+	p.in, p.row, p.looked = in, 0, false
+	p.hashes = vector.HashKeys(in, p.probeIdx, p.hashes)
+}
+
+// fill appends join output for the batch given to begin to out and reports
+// whether that batch is exhausted. It stops early, reporting false, only when
+// out holds BatchSize rows — checked before every appended row for every join
+// type, so out never exceeds BatchSize — and the next call resumes exactly
+// there, inside a probe row's match list if need be.
+func (p *joinProbe) fill(out *vector.Batch) bool {
+	for n := p.in.Len(); p.row < n; p.row++ {
+		if out.Len() >= vector.BatchSize {
+			return false
+		}
+		if !p.looked {
+			head := p.table.Lookup(p.hashes[p.row], p.probeEq)
+			if p.typ == SemiJoin || p.typ == AntiJoin {
+				// Existence only: walk the chain without materializing it,
+				// stopping at the first build row that passes the residual.
+				hit := false
+				for bi := head; bi >= 0; bi = p.table.ChainNext(bi) {
+					if p.residualOK(bi) {
+						hit = true
+						break
+					}
+				}
+				if hit == (p.typ == SemiJoin) {
+					out.AppendRow(p.in, p.row)
+				}
+				continue
+			}
+			p.matches = p.table.Matches(head, p.matches[:0])
+			p.matchPos, p.emitted, p.looked = 0, false, true
+		}
+		for ; p.matchPos < len(p.matches); p.matchPos++ {
+			if out.Len() >= vector.BatchSize {
+				return false
+			}
+			bi := p.matches[p.matchPos]
+			if !p.residualOK(bi) {
+				continue
+			}
+			p.copyProbeRow(out)
+			p.buf.WriteRow(out, int(bi), len(p.in.Cols))
+			if p.typ == LeftOuterJoin {
+				out.Cols[len(out.Cols)-1].AppendInt64(1)
+			}
+			p.emitted = true
+		}
+		if !p.emitted && p.typ == LeftOuterJoin {
+			// Outer miss: null-extend (zero values, matched=0). No row of
+			// this probe row was appended, so the room checked above holds.
+			p.copyProbeRow(out)
+			for _, c := range out.Cols[len(p.in.Cols) : len(out.Cols)-1] {
+				appendZero(c)
+			}
+			out.Cols[len(out.Cols)-1].AppendInt64(0)
+		}
+		p.looked = false
+	}
+	return true
+}
+
+// copyProbeRow appends the cursor's probe row to the leading columns of dst.
+func (p *joinProbe) copyProbeRow(dst *vector.Batch) {
+	for c, col := range p.in.Cols {
+		dst.Cols[c].AppendFrom(col, p.row)
+	}
+}
+
+// residualOK evaluates the residual over the cursor's probe row and build
+// row bi — the one place a join residual is evaluated.
+func (p *joinProbe) residualOK(bi int32) bool {
+	if p.residual == nil {
+		return true
+	}
+	p.combined.Reset()
+	p.copyProbeRow(p.combined)
+	p.buf.WriteRow(p.combined, int(bi), len(p.in.Cols))
+	p.resVec.Reset()
+	p.residual.Eval(p.combined, p.resVec)
+	return p.resVec.I64[0] != 0
+}
+
+// emitAll probes in completely into freshly allocated batches that inherit
+// in's group tags, cutting at BatchSize and at the end of in — the form the
+// exchange's consumers need, since they take ownership of what emit receives.
+func (p *joinProbe) emitAll(in *vector.Batch, emit func(*vector.Batch)) {
+	p.begin(in)
+	for done := false; !done; {
+		out := vector.NewBatch(p.outKinds)
+		out.Grouped, out.GroupID = in.Grouped, in.GroupID
+		done = p.fill(out)
+		if out.Len() > 0 {
+			emit(out)
+		}
+	}
+}
+
+func appendZero(v *vector.Vector) {
+	switch v.Kind {
+	case vector.Int64:
+		v.AppendInt64(0)
+	case vector.Float64:
+		v.AppendFloat64(0)
+	case vector.String:
+		v.AppendString("")
+	}
+}
+
 // HashJoin joins its probe (Left) and build (Right) children on key
 // equality. The entire build side is materialized into a hash table — the
 // memory behaviour the paper's Figure 3 measures and that the sandwich
@@ -35,13 +217,16 @@ const MatchedColName = "__matched"
 // filters matches (used for decorrelated EXISTS subqueries with extra
 // conditions, e.g. TPC-H Q21).
 //
-// With a scheduler handle injected, the build side is inserted
+// Serially the operator owns one output batch and lets the join kernel fill
+// it across probe batches, returning it when it reaches BatchSize, when the
+// probe stream's group tag changes (output stays group-pure), or at end of
+// input. With a scheduler handle injected, the build side is inserted
 // partition-parallel (each build task owns a slice of the hash space) and
 // probe batches fan out as tasks on the query's shared worker pool, where
-// each pool worker holds its own hash, match and output scratch; the
-// buffered build rows and slot/chain arrays are read-only during probe, and
-// output merges in probe-batch order, so results are byte-identical to the
-// serial execution.
+// each pool worker runs its own kernel over the shared build side (read-only
+// during probe) into fresh batches cut at every probe-batch end; output
+// merges in probe-batch order, so both forms return the same rows in the
+// same order and differ only in where batches are cut.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []string
@@ -53,29 +238,17 @@ type HashJoin struct {
 
 	schema   expr.Schema
 	ctx      *Context
+	frag     *Fragment // the join's prepared configuration
 	built    bool
 	buf      *Buffer
 	table    *partJoinTable
 	memBytes int64 // bytes charged to ctx.Mem for buf + table (+ staged hashes)
 
-	leftKeyIdx  []int
-	rightKeyIdx []int
-	out         *vector.Batch
-
-	// probe iteration state (serial path)
-	cur         *vector.Batch
-	curRow      int
-	probeHashes []uint64
-	looked      bool
-	matches     []int32 // reused scratch, valid while looked
-	matchPos    int
-	probeEq     func(int32) bool
-	buildEq     func(int32) bool
-	buildRow    int32
-
-	// residual scratch (serial path)
-	combined *vector.Batch
-	resVec   *vector.Vector
+	// Serial path: the kernel, the reused output batch, and the probe batch
+	// the kernel is positioned in (nil: fetch the next one).
+	probe *joinProbe
+	out   *vector.Batch
+	cur   *vector.Batch
 
 	ex *exchange // parallel probe, nil on the serial path
 }
@@ -92,42 +265,15 @@ func (j *HashJoin) Open(ctx *Context) error {
 	if err := j.Right.Open(ctx); err != nil {
 		return err
 	}
-	ls, rs := j.Left.Schema(), j.Right.Schema()
-	switch j.Type {
-	case InnerJoin:
-		j.schema = append(append(expr.Schema{}, ls...), rs...)
-	case LeftOuterJoin:
-		j.schema = append(append(expr.Schema{}, ls...), rs...)
-		j.schema = append(j.schema, expr.ColMeta{Name: MatchedColName, Kind: vector.Int64})
-	case SemiJoin, AntiJoin:
-		j.schema = append(expr.Schema{}, ls...)
+	j.frag = &Fragment{
+		Probe: j.Left.Schema(), Build: j.Right.Schema(),
+		ProbeKeys: j.LeftKeys, BuildKeys: j.RightKeys,
+		Type: j.Type, Residual: j.Residual,
 	}
-	var err error
-	j.leftKeyIdx, err = keyIndexes(ls, j.LeftKeys)
-	if err != nil {
-		return errOp("hash join probe keys", err)
+	if err := j.frag.Prepare(); err != nil {
+		return err
 	}
-	if len(j.LeftKeys) != len(j.RightKeys) {
-		return fmt.Errorf("engine: hash join: %d probe keys vs %d build keys", len(j.LeftKeys), len(j.RightKeys))
-	}
-	if j.Residual != nil {
-		combined := append(append(expr.Schema{}, ls...), rs...)
-		if err := expr.Bind(j.Residual, combined); err != nil {
-			return errOp("hash join residual", err)
-		}
-		j.combined = vector.NewBatch(combined.Kinds())
-		j.resVec = expr.NewScratch(vector.Int64)
-	}
-	j.rightKeyIdx, err = keyIndexes(rs, j.RightKeys)
-	if err != nil {
-		return errOp("hash join build keys", err)
-	}
-	j.probeEq = func(head int32) bool {
-		return keysEqualBatchBuf(j.cur, j.leftKeyIdx, j.curRow, j.buf, j.rightKeyIdx, int(head))
-	}
-	j.buildEq = func(head int32) bool {
-		return keysEqualBufBuf(j.buf, j.rightKeyIdx, int(j.buildRow), int(head))
-	}
+	j.schema = j.frag.OutSchema()
 	j.out = vector.NewBatch(j.schema.Kinds())
 	return nil
 }
@@ -173,16 +319,19 @@ func (j *HashJoin) charge(extra int64) {
 	j.memBytes = foot
 }
 
-// build materializes the right child into the hash table, hashing each
-// batch's key columns vector-at-a-time. The charged footprint is exact: the
-// buffered rows plus the table's flat slot and chain arrays. With more than
-// one worker the drained rows are staged with their hashes and the
-// partition-parallel insert runs afterwards; each partition is owned by
-// exactly one worker, so insertion needs no locks.
+// build materializes the right child into the hash table. The charged
+// footprint is exact: the buffered rows plus the table's flat slot and chain
+// arrays. With more than one worker the drained rows are staged with their
+// hashes and the partition-parallel insert runs afterwards; each partition
+// is owned by exactly one worker, so insertion needs no locks.
 func (j *HashJoin) build() error {
 	workers := j.workers()
 	j.buf = NewBuffer(j.Right.Schema())
 	j.table = newPartJoinTable(workers)
+	if workers == 1 {
+		j.probe = j.frag.newProbe(j.buf, j.table)
+	}
+	buildIdx := j.frag.buildIdx
 	var stage []uint64
 	var hashes []uint64
 	for {
@@ -193,17 +342,13 @@ func (j *HashJoin) build() error {
 		if b == nil {
 			break
 		}
-		base := int32(j.buf.Len())
-		j.buf.AppendBatch(b)
-		hashes = vector.HashKeys(b, j.rightKeyIdx, hashes)
 		if workers == 1 {
-			for i := 0; i < b.Len(); i++ {
-				j.buildRow = base + int32(i)
-				j.table.Insert(hashes[i], j.buildRow, j.buildEq)
-			}
+			j.probe.insertBatch(b)
 			j.charge(0)
 			continue
 		}
+		j.buf.AppendBatch(b)
+		hashes = vector.HashKeys(b, buildIdx, hashes)
 		stage = append(stage, hashes...)
 		j.charge(8 * int64(cap(stage)))
 	}
@@ -223,7 +368,7 @@ func (j *HashJoin) build() error {
 				defer wg.Done()
 				var row int32
 				eq := func(head int32) bool {
-					return keysEqualBufBuf(j.buf, j.rightKeyIdx, int(row), int(head))
+					return keysEqualBufBuf(j.buf, buildIdx, int(row), int(head))
 				}
 				for r, h := range stage {
 					if p := j.table.PartOf(h); p%workers == w {
@@ -241,28 +386,6 @@ func (j *HashJoin) build() error {
 	return nil
 }
 
-// residualOK evaluates the residual for a (left row, build row) pair.
-func (j *HashJoin) residualOK(left *vector.Batch, li int, bi int32) bool {
-	if j.Residual == nil {
-		return true
-	}
-	return j.residualOKScratch(left, li, bi, j.combined, j.resVec)
-}
-
-// residualOKScratch is residualOK over caller-owned scratch, shared by the
-// serial path and the per-worker probe states.
-func (j *HashJoin) residualOKScratch(left *vector.Batch, li int, bi int32, combined *vector.Batch, resVec *vector.Vector) bool {
-	combined.Reset()
-	nl := len(left.Cols)
-	for c := 0; c < nl; c++ {
-		combined.Cols[c].AppendFrom(left.Cols[c], li)
-	}
-	j.buf.WriteRow(combined, int(bi), nl)
-	resVec.Reset()
-	j.Residual.Eval(combined, resVec)
-	return resVec.I64[0] != 0
-}
-
 // Next implements Operator.
 func (j *HashJoin) Next() (*vector.Batch, error) {
 	if !j.built {
@@ -278,8 +401,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 	}
 	j.out.Reset()
 	if j.cur != nil {
-		j.out.Grouped = j.cur.Grouped
-		j.out.GroupID = j.cur.GroupID
+		j.out.Grouped, j.out.GroupID = j.cur.Grouped, j.cur.GroupID
 	}
 	for {
 		if j.cur == nil {
@@ -296,244 +418,37 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 			if b.Len() == 0 {
 				continue
 			}
+			j.cur = b
+			j.probe.begin(b)
 			// Group boundary: flush so output batches stay group-pure.
 			if j.out.Len() > 0 && (b.Grouped != j.out.Grouped || b.GroupID != j.out.GroupID) {
-				j.cur, j.curRow, j.matchPos = b, 0, 0
-				j.looked = false
-				j.probeHashes = vector.HashKeys(b, j.leftKeyIdx, j.probeHashes)
 				return j.out, nil
 			}
-			j.cur, j.curRow, j.matchPos = b, 0, 0
-			j.looked = false
-			j.probeHashes = vector.HashKeys(b, j.leftKeyIdx, j.probeHashes)
-			j.out.Grouped = b.Grouped
-			j.out.GroupID = b.GroupID
+			j.out.Grouped, j.out.GroupID = b.Grouped, b.GroupID
 		}
-		for j.curRow < j.cur.Len() {
-			if !j.looked {
-				head := j.table.Lookup(j.probeHashes[j.curRow], j.probeEq)
-				// Semi/anti (and the outer-join miss test) only need
-				// existence: walk the chain directly, short-circuiting on
-				// the first row that passes the residual.
-				switch j.Type {
-				case SemiJoin:
-					if j.chainAnyMatch(head) {
-						j.out.AppendRow(j.cur, j.curRow)
-					}
-					j.advanceRow()
-					continue
-				case AntiJoin:
-					if !j.chainAnyMatch(head) {
-						j.out.AppendRow(j.cur, j.curRow)
-					}
-					j.advanceRow()
-					continue
-				case LeftOuterJoin:
-					if !j.chainAnyMatch(head) {
-						j.emitOuter()
-						j.advanceRow()
-						continue
-					}
-				}
-				j.matches = j.table.Matches(head, j.matches[:0])
-				j.looked = true
-				j.matchPos = 0
-			}
-			// Inner (and matched outer): emit remaining matches.
-			for j.matchPos < len(j.matches) {
-				bi := j.matches[j.matchPos]
-				j.matchPos++
-				if !j.residualOK(j.cur, j.curRow, bi) {
-					continue
-				}
-				nl := len(j.cur.Cols)
-				for c := 0; c < nl; c++ {
-					j.out.Cols[c].AppendFrom(j.cur.Cols[c], j.curRow)
-				}
-				j.buf.WriteRow(j.out, int(bi), nl)
-				if j.Type == LeftOuterJoin {
-					j.out.Cols[len(j.out.Cols)-1].AppendInt64(1)
-				}
-				if j.out.Len() >= vector.BatchSize {
-					return j.out, nil
-				}
-			}
-			j.advanceRow()
-			if j.out.Len() >= vector.BatchSize {
-				return j.out, nil
-			}
+		if j.probe.fill(j.out) {
+			j.cur = nil
 		}
-		j.cur = nil
 		if j.out.Len() >= vector.BatchSize {
 			return j.out, nil
 		}
 	}
 }
 
-// probeWorker is the per-worker probe state of the parallel path: hash and
-// match scratch, an equality closure over the worker's current row, and
-// residual scratch. The shared build table and buffer are read-only here.
-type probeWorker struct {
-	j        *HashJoin
-	hashes   []uint64
-	matches  []int32
-	cur      *vector.Batch
-	curRow   int
-	eq       func(int32) bool
-	combined *vector.Batch
-	resVec   *vector.Vector
-}
-
-func (j *HashJoin) newProbeWorker() *probeWorker {
-	w := &probeWorker{j: j}
-	w.eq = func(head int32) bool {
-		return keysEqualBatchBuf(w.cur, j.leftKeyIdx, w.curRow, j.buf, j.rightKeyIdx, int(head))
-	}
-	if j.Residual != nil {
-		combined := append(append(expr.Schema{}, j.Left.Schema()...), j.Right.Schema()...)
-		w.combined = vector.NewBatch(combined.Kinds())
-		w.resVec = expr.NewScratch(vector.Int64)
-	}
-	return w
-}
-
-func (w *probeWorker) residualOK(bi int32) bool {
-	if w.j.Residual == nil {
-		return true
-	}
-	return w.j.residualOKScratch(w.cur, w.curRow, bi, w.combined, w.resVec)
-}
-
-func (w *probeWorker) chainAnyMatch(head int32) bool {
-	for bi := head; bi >= 0; bi = w.j.table.ChainNext(bi) {
-		if w.residualOK(bi) {
-			return true
-		}
-	}
-	return false
-}
-
-// probeBatch probes one input batch completely, emitting output batches of
-// at most BatchSize rows. Output batches inherit the input batch's group
-// tags, so grouped streams stay group-pure.
-func (w *probeWorker) probeBatch(in *vector.Batch, emit func(*vector.Batch)) {
-	j := w.j
-	w.cur = in
-	w.hashes = vector.HashKeys(in, j.leftKeyIdx, w.hashes)
-	kinds := j.schema.Kinds()
-	newOut := func() *vector.Batch {
-		out := vector.NewBatch(kinds)
-		out.GroupID = in.GroupID
-		out.Grouped = in.Grouped
-		return out
-	}
-	out := newOut()
-	nl := len(in.Cols)
-	for r := 0; r < in.Len(); r++ {
-		w.curRow = r
-		head := j.table.Lookup(w.hashes[r], w.eq)
-		switch j.Type {
-		case SemiJoin:
-			if w.chainAnyMatch(head) {
-				out.AppendRow(in, r)
-			}
-		case AntiJoin:
-			if !w.chainAnyMatch(head) {
-				out.AppendRow(in, r)
-			}
-		case LeftOuterJoin, InnerJoin:
-			if j.Type == LeftOuterJoin && !w.chainAnyMatch(head) {
-				for c := 0; c < nl; c++ {
-					out.Cols[c].AppendFrom(in.Cols[c], r)
-				}
-				for i := 0; i < len(j.schema)-nl-1; i++ {
-					appendZero(out.Cols[nl+i])
-				}
-				out.Cols[len(out.Cols)-1].AppendInt64(0)
-				break
-			}
-			w.matches = j.table.Matches(head, w.matches[:0])
-			for _, bi := range w.matches {
-				if !w.residualOK(bi) {
-					continue
-				}
-				for c := 0; c < nl; c++ {
-					out.Cols[c].AppendFrom(in.Cols[c], r)
-				}
-				j.buf.WriteRow(out, int(bi), nl)
-				if j.Type == LeftOuterJoin {
-					out.Cols[len(out.Cols)-1].AppendInt64(1)
-				}
-				if out.Len() >= vector.BatchSize {
-					emit(out)
-					out = newOut()
-				}
-			}
-		}
-		if out.Len() >= vector.BatchSize {
-			emit(out)
-			out = newOut()
-		}
-	}
-	if out.Len() > 0 {
-		emit(out)
-	}
-}
-
 // startParallelProbe fans probe batches out as tasks on the shared
-// scheduler through the order-preserving exchange.
+// scheduler through the order-preserving exchange; pool worker w probes with
+// its own kernel over the shared, now read-only build side.
 func (j *HashJoin) startParallelProbe() {
 	workers := j.workers()
-	states := make([]*probeWorker, workers)
-	for w := range states {
-		states[w] = j.newProbeWorker()
+	probes := make([]*joinProbe, workers)
+	for w := range probes {
+		probes[w] = j.frag.newProbe(j.buf, j.table)
 	}
 	j.ex = newExchange(j.ctx.Mem, j.Sched, 2*workers)
 	j.ex.runStream(j.Left.Next, func(in *vector.Batch, w int, emit func(*vector.Batch)) error {
-		states[w].probeBatch(in, emit)
+		probes[w].emitAll(in, emit)
 		return nil
 	})
-}
-
-// chainAnyMatch reports whether any build row in head's chain passes the
-// residual for the current probe row.
-func (j *HashJoin) chainAnyMatch(head int32) bool {
-	for bi := head; bi >= 0; bi = j.table.ChainNext(bi) {
-		if j.residualOK(j.cur, j.curRow, bi) {
-			return true
-		}
-	}
-	return false
-}
-
-// emitOuter emits the current left row null-extended (zero values, matched=0).
-func (j *HashJoin) emitOuter() {
-	nl := len(j.cur.Cols)
-	for c := 0; c < nl; c++ {
-		j.out.Cols[c].AppendFrom(j.cur.Cols[c], j.curRow)
-	}
-	rs := j.Right.Schema()
-	for c := range rs {
-		appendZero(j.out.Cols[nl+c])
-	}
-	j.out.Cols[len(j.out.Cols)-1].AppendInt64(0)
-}
-
-func appendZero(v *vector.Vector) {
-	switch v.Kind {
-	case vector.Int64:
-		v.AppendInt64(0)
-	case vector.Float64:
-		v.AppendFloat64(0)
-	case vector.String:
-		v.AppendString("")
-	}
-}
-
-// advanceRow moves to the next probe row.
-func (j *HashJoin) advanceRow() {
-	j.curRow++
-	j.looked = false
 }
 
 // Close implements Operator.

@@ -21,15 +21,18 @@ import (
 // the condition the BDCC planner establishes before placing this operator;
 // rows can then never match across different groups.
 //
-// With a scheduler handle injected, the join pipelines across group
-// boundaries: a feeder goroutine aligns the two group streams serially (the
-// group cursor is inherently sequential) and hands each aligned group —
-// cloned probe and build batches — to a task on the query's shared worker
-// pool that builds the group's private hash table and probes it, with the
-// exchange window bounding the cross-group lookahead. Per-group output
-// replicates the serial flush boundaries exactly and groups merge in stream
-// order, so results stay byte-identical; peak memory is bounded by the
-// lookahead window's groups instead of a single group.
+// Serially the operator streams: one group cursor aligns the two inputs, the
+// join kernel builds the current group's table and fills the operator's one
+// reused output batch per probe batch, returned at BatchSize and at every
+// probe-batch end. With a scheduler handle (or a backend set) injected, the
+// join pipelines across group boundaries instead: a feeder goroutine drives
+// the same group cursor and hands each aligned group — cloned probe and build
+// batches — to a task on the query's shared worker pool (or to a backend)
+// that runs Fragment.Run, the same kernel into fresh batches with the same
+// cuts, with the exchange window bounding the cross-group lookahead. Groups
+// merge in stream order, so both forms return identical batch sequences;
+// pipelined peak memory is bounded by the lookahead window's groups instead
+// of a single group.
 type SandwichHashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []string
@@ -61,36 +64,21 @@ type SandwichHashJoin struct {
 	ctx    *Context
 	frag   *Fragment
 
-	buf      *Buffer
-	table    *partJoinTable
-	memBytes int64
+	// Serial path: the kernel over the current group's build side, the
+	// reused output batch, and the probe batch the kernel is positioned in
+	// (nil: fetch the next one).
+	probe    *joinProbe
+	memBytes int64 // bytes charged to ctx.Mem for the current group's build side
+	out      *vector.Batch
+	cur      *vector.Batch
 
-	leftKeyIdx  []int
-	rightKeyIdx []int
-
-	// per-batch hash scratch and collision-verification closures
-	probeHashes []uint64
-	buildHashes []uint64
-	matches     []int32
-	matchPos    int
-	looked      bool
-	emitted     bool
-	probeBatch  *vector.Batch
-	probeRow    int
-	buildRow    int32
-	probeEq     func(int32) bool
-	buildEq     func(int32) bool
-
-	// right lookahead
+	// Group cursor, shared by the serial path and the feeder: the build
+	// lookahead and the aligned group of the last probe batch pulled.
 	rb     *vector.Batch // buffered copy of the lookahead batch
 	rbOK   bool
 	rEOF   bool
-	curGID uint64 // group currently materialized in buf
+	curGID uint64
 	haveG  bool
-
-	out      *vector.Batch
-	combined *vector.Batch
-	resVec   *vector.Vector
 
 	maxMu    sync.Mutex
 	maxGroup int64
@@ -113,8 +101,8 @@ func (j *SandwichHashJoin) Open(ctx *Context) error {
 	ls, rs := j.Left.Schema(), j.Right.Schema()
 	// The fragment is the join's frozen group-join configuration — the plan
 	// piece a backend set ships to remote workers at query setup. The serial
-	// path shares its bound state (schema, key indexes, residual) so both
-	// forms execute one configuration.
+	// path's kernel is made from the same prepared fragment, so both forms
+	// execute one configuration.
 	j.frag = &Fragment{
 		Probe: ls, Build: rs,
 		ProbeKeys: j.LeftKeys, BuildKeys: j.RightKeys,
@@ -128,21 +116,7 @@ func (j *SandwichHashJoin) Open(ctx *Context) error {
 		return err
 	}
 	j.schema = j.frag.OutSchema()
-	j.leftKeyIdx = j.frag.probeIdx
-	j.rightKeyIdx = j.frag.buildIdx
-	if j.Residual != nil {
-		combined := append(append(expr.Schema{}, ls...), rs...)
-		j.combined = vector.NewBatch(combined.Kinds())
-		j.resVec = expr.NewScratch(vector.Int64)
-	}
-	j.probeEq = func(head int32) bool {
-		return keysEqualBatchBuf(j.probeBatch, j.leftKeyIdx, j.probeRow, j.buf, j.rightKeyIdx, int(head))
-	}
-	j.buildEq = func(head int32) bool {
-		return keysEqualBufBuf(j.buf, j.rightKeyIdx, int(j.buildRow), int(head))
-	}
-	j.buf = NewBuffer(rs)
-	j.table = newPartJoinTable(1)
+	j.probe = j.frag.newProbe(NewBuffer(rs), newPartJoinTable(1))
 	j.rb = vector.NewBatch(rs.Kinds())
 	j.out = vector.NewBatch(j.schema.Kinds())
 	return nil
@@ -175,44 +149,71 @@ func (j *SandwichHashJoin) fetchRight() error {
 	}
 }
 
-// buildGroup materializes the right group gid (if present) into the hash
-// table, discarding right groups with smaller identifiers.
-func (j *SandwichHashJoin) buildGroup(gid uint64) error {
-	j.ctx.Mem.Shrink(j.memBytes)
-	j.memBytes = 0
-	j.buf.Reset()
-	j.table.Reset()
-	j.haveG = true
-	j.curGID = gid
+// nextProbe is the probe half of the group cursor: it returns the next
+// non-empty probe batch, leaves its aligned group identifier in curGID, and
+// reports whether that group differs from the previous batch's. The stream
+// must be grouped and ascending. A nil batch means end of stream.
+func (j *SandwichHashJoin) nextProbe() (b *vector.Batch, fresh bool, err error) {
+	for {
+		b, err = j.Left.Next()
+		if err != nil || b == nil {
+			return nil, false, err
+		}
+		if b.Len() > 0 {
+			break
+		}
+	}
+	if !b.Grouped {
+		return nil, false, fmt.Errorf("engine: sandwich join probe input is not a group stream")
+	}
+	gid := b.GroupID >> j.ProbeShift
+	if j.haveG && gid < j.curGID {
+		return nil, false, fmt.Errorf("engine: sandwich join probe groups not ascending (%d after %d)", gid, j.curGID)
+	}
+	fresh = !j.haveG || gid != j.curGID
+	j.haveG, j.curGID = true, gid
+	return b, fresh, nil
+}
+
+// eachBuildBatch is the build half of the group cursor: it discards build
+// groups below gid, passes every batch of group gid (possibly none) to fn,
+// and stops at the first batch above gid, which stays in the lookahead. fn
+// must not retain the batch.
+func (j *SandwichHashJoin) eachBuildBatch(gid uint64, fn func(*vector.Batch)) error {
 	for {
 		if !j.rbOK {
 			if j.rEOF {
-				break
+				return nil
 			}
 			if err := j.fetchRight(); err != nil {
 				return err
 			}
 			continue
 		}
-		if j.rb.GroupID>>j.BuildShift < gid {
-			j.rbOK = false
-			continue
-		}
-		if j.rb.GroupID>>j.BuildShift > gid {
-			break
-		}
-		base := int32(j.buf.Len())
-		j.buf.AppendBatch(j.rb)
-		j.buildHashes = vector.HashKeys(j.rb, j.rightKeyIdx, j.buildHashes)
-		for i := 0; i < j.rb.Len(); i++ {
-			j.buildRow = base + int32(i)
-			j.table.Insert(j.buildHashes[i], j.buildRow, j.buildEq)
+		switch g := j.rb.GroupID >> j.BuildShift; {
+		case g > gid:
+			return nil
+		case g == gid:
+			fn(j.rb)
 		}
 		j.rbOK = false
 	}
-	j.memBytes = j.buf.Bytes() + j.table.Bytes()
+}
+
+// buildGroup materializes the right group gid (if present) into the hash
+// table, replacing the previous group.
+func (j *SandwichHashJoin) buildGroup(gid uint64) error {
+	j.ctx.Mem.Shrink(j.memBytes)
+	j.memBytes = 0
+	p := j.probe
+	p.buf.Reset()
+	p.table.Reset()
+	if err := j.eachBuildBatch(gid, p.insertBatch); err != nil {
+		return err
+	}
+	j.memBytes = p.buf.Bytes() + p.table.Bytes()
 	j.ctx.Mem.Grow(j.memBytes)
-	j.noteGroupRows(int64(j.buf.Len()))
+	j.noteGroupRows(int64(p.buf.Len()))
 	return nil
 }
 
@@ -226,29 +227,13 @@ func (j *SandwichHashJoin) noteGroupRows(n int64) {
 	j.maxMu.Unlock()
 }
 
-// residualOK mirrors HashJoin.residualOK for the buffered group.
-func (j *SandwichHashJoin) residualOK(left *vector.Batch, li int, bi int32) bool {
-	if j.Residual == nil {
-		return true
-	}
-	j.combined.Reset()
-	nl := len(left.Cols)
-	for c := 0; c < nl; c++ {
-		j.combined.Cols[c].AppendFrom(left.Cols[c], li)
-	}
-	j.buf.WriteRow(j.combined, int(bi), nl)
-	j.resVec.Reset()
-	j.Residual.Eval(j.combined, j.resVec)
-	return j.resVec.I64[0] != 0
-}
-
 // startParallelGroups starts the cross-group pipeline: a feeder goroutine
-// aligns the two group streams exactly like the serial cursor (discarding
-// build groups without probe rows, erroring on non-grouped or descending
-// input) and hands each aligned group — a self-contained GroupUnit of
-// cloned batches — either to a group-join task on the local pool or, when a
-// backend set is injected, to the backend its group hash routes to. The
-// exchange window is the bounded lookahead in both forms.
+// drives the group cursor (so it discards build groups without probe rows and
+// errors on non-grouped or descending input exactly like the serial path) and
+// hands each aligned group — a self-contained GroupUnit of cloned batches —
+// either to a group-join task on the local pool or, when a backend set is
+// injected, to the backend its group hash routes to. The exchange window is
+// the bounded lookahead in both forms.
 func (j *SandwichHashJoin) startParallelGroups() {
 	// Lookahead is deliberately tighter than the scan/probe window: each
 	// in-flight group holds cloned probe and build batches plus a private
@@ -271,119 +256,52 @@ func (j *SandwichHashJoin) startParallelGroups() {
 	e.wg.Add(1)
 	go func() { // feeder: the only puller of both children
 		defer e.wg.Done()
-		var pendingLeft *vector.Batch // cloned lookahead of the next group
-		leftEOF := false
-		haveG := false
-		var curGID uint64
+		var next *GroupUnit // the following group, holding its first probe batch
+		eof := false
 		for {
 			job, ok := e.claim()
 			if !ok {
 				return
 			}
-			if pendingLeft == nil && leftEOF {
+			// Gather the probe group: every batch up to the first one of the
+			// following group, cloned off the child's reuse cycle.
+			grp := next
+			next = nil
+			for next == nil && !eof {
+				b, fresh, err := j.nextProbe()
+				switch {
+				case err != nil:
+					e.setErr(err)
+					return
+				case b == nil:
+					eof = true
+				case grp == nil:
+					grp = &GroupUnit{GID: j.curGID, Probe: []*vector.Batch{b.Clone()}}
+				case fresh:
+					next = &GroupUnit{GID: j.curGID, Probe: []*vector.Batch{b.Clone()}}
+				default:
+					grp.Probe = append(grp.Probe, b.Clone())
+				}
+			}
+			if grp == nil {
 				e.seal(job)
 				return
 			}
-			g := &GroupUnit{}
-			// Gather the probe group: batches whose shifted gid matches the
-			// first non-empty batch seen.
-			var gid uint64
-			if pendingLeft != nil {
-				gid = pendingLeft.GroupID >> j.ProbeShift
-				g.Probe = append(g.Probe, pendingLeft)
-				pendingLeft = nil
-			} else {
-				for {
-					b, err := j.Left.Next()
-					if err != nil {
-						e.setErr(err)
-						return
-					}
-					if b == nil {
-						e.seal(job)
-						return
-					}
-					if b.Len() == 0 {
-						continue
-					}
-					if !b.Grouped {
-						e.setErr(fmt.Errorf("engine: sandwich join probe input is not a group stream"))
-						return
-					}
-					gid = b.GroupID >> j.ProbeShift
-					if haveG && gid < curGID {
-						e.setErr(fmt.Errorf("engine: sandwich join probe groups not ascending (%d after %d)", gid, curGID))
-						return
-					}
-					g.Probe = append(g.Probe, b.Clone())
-					break
-				}
+			var buildRows int64
+			if err := j.eachBuildBatch(grp.GID, func(b *vector.Batch) {
+				grp.Build = append(grp.Build, b.Clone())
+				buildRows += int64(b.Len())
+			}); err != nil {
+				e.setErr(err)
+				return
 			}
-			haveG = true
-			curGID = gid
-			g.GID = gid
-			for {
-				b, err := j.Left.Next()
-				if err != nil {
-					e.setErr(err)
-					return
-				}
-				if b == nil {
-					leftEOF = true
-					break
-				}
-				if b.Len() == 0 {
-					continue
-				}
-				if !b.Grouped {
-					e.setErr(fmt.Errorf("engine: sandwich join probe input is not a group stream"))
-					return
-				}
-				if next := b.GroupID >> j.ProbeShift; next != gid {
-					if next < gid {
-						e.setErr(fmt.Errorf("engine: sandwich join probe groups not ascending (%d after %d)", next, gid))
-						return
-					}
-					pendingLeft = b.Clone()
-					break
-				}
-				g.Probe = append(g.Probe, b.Clone())
-			}
-			// Align the build cursor: discard groups below gid, clone the
-			// matching group's batches (possibly none).
-			for {
-				if !j.rbOK {
-					if j.rEOF {
-						break
-					}
-					if err := j.fetchRight(); err != nil {
-						e.setErr(err)
-						return
-					}
-					continue
-				}
-				if j.rb.GroupID>>j.BuildShift < gid {
-					j.rbOK = false
-					continue
-				}
-				if j.rb.GroupID>>j.BuildShift > gid {
-					break
-				}
-				g.Build = append(g.Build, j.rb.Clone())
-				j.rbOK = false
-			}
-			grpBytes := g.Bytes()
+			grpBytes := grp.Bytes()
 			j.ctx.Mem.Grow(grpBytes)
-			grp := g
 			if len(j.Backends) > 0 {
 				// The remote's decoded fragment has no NoteGroup hook, so
 				// the MaxGroupRows diagnostic is recorded here from the
 				// shipped unit — its build batches are exactly the rows the
 				// remote will materialize.
-				var buildRows int64
-				for _, b := range grp.Build {
-					buildRows += int64(b.Len())
-				}
 				j.noteGroupRows(buildRows)
 				// Sharded form: ship the unit to the backend the router
 				// places it on (by group hash, or by cumulative size under
@@ -391,7 +309,7 @@ func (j *SandwichHashJoin) startParallelGroups() {
 				// batches back and the exchange merges them under this
 				// job's index, so delivery order — and therefore the
 				// result — is independent of which backend ran the group.
-				bk := j.Backends[j.Route(gid, grpBytes)]
+				bk := j.Backends[j.Route(grp.GID, grpBytes)]
 				e.beginJob()
 				bk.RunGroup(grp, j.frag,
 					func(b *vector.Batch) { e.post(job, b) },
@@ -413,13 +331,10 @@ func (j *SandwichHashJoin) startParallelGroups() {
 	}()
 }
 
-// Next implements Operator. Output batches never exceed BatchSize rows: a
-// probe row whose match list would overflow the batch flushes mid-row and
-// resumes from the recorded match position on the following call — without
-// this, one large build group with many matches per probe row would grow the
-// output without bound, breaking the batch-size invariant downstream
-// operators size their scratch by. Flushed batches stay group-pure (they
-// always derive from a single probe batch).
+// Next implements Operator. Output batches never exceed BatchSize rows — the
+// kernel stops mid-probe-row when a match list would overflow the batch and
+// resumes there on the following call — and stay group-pure (each derives
+// from a single probe batch).
 func (j *SandwichHashJoin) Next() (*vector.Batch, error) {
 	if j.Sched != nil || len(j.Backends) > 0 {
 		if j.ex == nil {
@@ -427,111 +342,25 @@ func (j *SandwichHashJoin) Next() (*vector.Batch, error) {
 		}
 		return j.ex.nextBatch()
 	}
-	return j.nextSerial()
-}
-
-func (j *SandwichHashJoin) nextSerial() (*vector.Batch, error) {
-	j.out.Reset()
-	if j.probeBatch != nil {
-		// Resuming mid-batch after a flush: restore the group tag.
-		j.out.Grouped = true
-		j.out.GroupID = j.probeBatch.GroupID
-	}
 	for {
-		if j.probeBatch == nil {
-			b, err := j.Left.Next()
-			if err != nil {
+		if j.cur == nil {
+			b, fresh, err := j.nextProbe()
+			if err != nil || b == nil {
 				return nil, err
 			}
-			if b == nil {
-				return nil, nil
-			}
-			if b.Len() == 0 {
-				continue
-			}
-			if !b.Grouped {
-				return nil, fmt.Errorf("engine: sandwich join probe input is not a group stream")
-			}
-			gid := b.GroupID >> j.ProbeShift
-			if !j.haveG || j.curGID != gid {
-				if j.haveG && gid < j.curGID {
-					return nil, fmt.Errorf("engine: sandwich join probe groups not ascending (%d after %d)", gid, j.curGID)
-				}
-				if err := j.buildGroup(gid); err != nil {
+			if fresh {
+				if err := j.buildGroup(j.curGID); err != nil {
 					return nil, err
 				}
 			}
-			j.probeBatch = b
-			j.probeRow = 0
-			j.looked = false
-			j.probeHashes = vector.HashKeys(b, j.leftKeyIdx, j.probeHashes)
-			j.out.Reset()
-			j.out.Grouped = true
-			j.out.GroupID = b.GroupID
+			j.cur = b
+			j.probe.begin(b)
 		}
-		b := j.probeBatch
-		nl := len(b.Cols)
-		for j.probeRow < b.Len() {
-			r := j.probeRow
-			if !j.looked {
-				head := j.table.Lookup(j.probeHashes[r], j.probeEq)
-				if j.Type == SemiJoin || j.Type == AntiJoin {
-					// Existence only: walk the chain without materializing it.
-					hit := false
-					for bi := head; bi >= 0; bi = j.table.ChainNext(bi) {
-						if j.residualOK(b, r, bi) {
-							hit = true
-							break
-						}
-					}
-					if hit == (j.Type == SemiJoin) {
-						j.out.AppendRow(b, r)
-					}
-					j.probeRow++
-					if j.out.Len() >= vector.BatchSize {
-						return j.out, nil
-					}
-					continue
-				}
-				j.matches = j.table.Matches(head, j.matches[:0])
-				j.matchPos = 0
-				j.emitted = false
-				j.looked = true
-			}
-			for j.matchPos < len(j.matches) {
-				bi := j.matches[j.matchPos]
-				j.matchPos++
-				if !j.residualOK(b, r, bi) {
-					continue
-				}
-				for c := 0; c < nl; c++ {
-					j.out.Cols[c].AppendFrom(b.Cols[c], r)
-				}
-				j.buf.WriteRow(j.out, int(bi), nl)
-				if j.Type == LeftOuterJoin {
-					j.out.Cols[len(j.out.Cols)-1].AppendInt64(1)
-				}
-				j.emitted = true
-				if j.out.Len() >= vector.BatchSize {
-					return j.out, nil
-				}
-			}
-			if !j.emitted && j.Type == LeftOuterJoin {
-				for c := 0; c < nl; c++ {
-					j.out.Cols[c].AppendFrom(b.Cols[c], r)
-				}
-				for c := range j.Right.Schema() {
-					appendZero(j.out.Cols[nl+c])
-				}
-				j.out.Cols[len(j.out.Cols)-1].AppendInt64(0)
-			}
-			j.probeRow++
-			j.looked = false
-			if j.out.Len() >= vector.BatchSize {
-				return j.out, nil
-			}
+		j.out.Reset()
+		j.out.Grouped, j.out.GroupID = true, j.cur.GroupID
+		if j.probe.fill(j.out) {
+			j.cur = nil
 		}
-		j.probeBatch = nil
 		if j.out.Len() > 0 {
 			return j.out, nil
 		}

@@ -11,8 +11,9 @@
 // plus its bytes at sequential bandwidth, so a run of AR bytes lands at the
 // calibrated random/sequential efficiency.
 //
-// All reproduction "cold time" numbers in EXPERIMENTS.md are produced by this
-// model; wall-clock CPU time is reported separately by the harness.
+// All reproduction "cold time" and device numbers (mb_read and the iosim.*
+// metrics in bench/README.md) are produced by this model; wall-clock CPU time
+// is reported separately by the harness.
 package iosim
 
 import (

@@ -149,7 +149,7 @@ func TestChaosSustainedLoad(t *testing.T) {
 	queries := []QueryDef{Query(9), Query(13)}
 	serial := map[string]*engine.Result{}
 	for _, q := range queries {
-		res, _, _, err := RunQueryShards(db, q, 1, 1)
+		res, _, _, err := RunQueryOpts(db, q, RunOptions{Workers: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

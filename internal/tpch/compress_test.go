@@ -45,7 +45,7 @@ func TestCompressionEquivalence(t *testing.T) {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				want, _, _, err := RunQueryShards(raw.DBs[scheme], q, 1, 1)
+				want, _, _, err := RunQueryOpts(raw.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
 				if err != nil {
 					t.Fatalf("%s raw under %s: %v", q.Name, scheme, err)
 				}
@@ -55,7 +55,7 @@ func TestCompressionEquivalence(t *testing.T) {
 				}
 				for _, cell := range cells {
 					label := fmt.Sprintf("workers=%d shards=%d", cell.workers, cell.shards)
-					got, _, _, err := RunQueryShards(comp.DBs[scheme], q, cell.workers, cell.shards)
+					got, _, _, err := RunQueryOpts(comp.DBs[scheme], q, RunOptions{Workers: cell.workers, Shards: cell.shards})
 					if err != nil {
 						t.Fatalf("%s compressed under %s %s: %v", q.Name, scheme, label, err)
 					}
@@ -109,11 +109,11 @@ func TestCompressionWinsOnClustered(t *testing.T) {
 	}
 	var rawRead, compRead int64
 	for _, q := range Queries {
-		_, rst, _, err := RunQueryShards(raw.DBs[plan.BDCC], q, 1, 1)
+		_, rst, _, err := RunQueryOpts(raw.DBs[plan.BDCC], q, RunOptions{Workers: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cst, _, err := RunQueryShards(comp.DBs[plan.BDCC], q, 1, 1)
+		_, cst, _, err := RunQueryOpts(comp.DBs[plan.BDCC], q, RunOptions{Workers: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestCompressionWireSavings(t *testing.T) {
 	comp := compressedFixture(t)
 	var saved int64
 	for _, q := range Queries {
-		_, st, _, err := RunQueryShards(comp.DBs[plan.BDCC], q, 2, 2)
+		_, st, _, err := RunQueryOpts(comp.DBs[plan.BDCC], q, RunOptions{Workers: 2, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -113,25 +113,6 @@ type subMemo struct {
 	mats    []*engine.Result
 }
 
-// NewEnv returns an environment with fresh meters.
-func NewEnv(db *plan.DB) *Env {
-	return &Env{DB: db, Ctx: engine.NewContext(db.Device)}
-}
-
-// NewEnvWorkers returns an environment with fresh meters and the
-// morsel-parallelism knob set (values below 2 mean serial).
-func NewEnvWorkers(db *plan.DB, workers int) *Env {
-	return NewEnvOpts(db, RunOptions{Workers: workers})
-}
-
-// NewEnvShards returns an environment with both execution knobs set:
-// workers (local pool size) and shards (backend count; values below 2 mean
-// single-box). The caller owns the environment's backend set — Close the
-// env (or Ctx.CloseBackends) after the query.
-func NewEnvShards(db *plan.DB, workers, shards int) *Env {
-	return NewEnvOpts(db, RunOptions{Workers: workers, Shards: shards})
-}
-
 // NewEnvOpts returns an environment with the full knob set applied — the
 // one place every front end's knob wiring goes through (engine.Options). The
 // database is pinned here: one snapshot serves the whole query, including
@@ -277,29 +258,16 @@ type RunOptions = engine.Options
 // RunQuery executes one query against one database and reports results and
 // meters, serially (the paper's measurement setup).
 func RunQuery(db *plan.DB, q QueryDef) (*engine.Result, *Stats, []string, error) {
-	return RunQueryWorkers(db, q, 0)
+	return RunQueryOpts(db, q, RunOptions{})
 }
 
-// RunQueryWorkers is RunQuery with the morsel-parallelism knob: workers
-// below 2 mean serial, engine.DefaultWorkers() uses all cores. Results are
-// byte-identical across worker counts.
-func RunQueryWorkers(db *plan.DB, q QueryDef, workers int) (*engine.Result, *Stats, []string, error) {
-	return RunQueryShards(db, q, workers, 0)
-}
-
-// RunQueryShards is RunQueryWorkers with the scale-out knob: shards below 2
-// mean single-box; with shards ≥ 2 the planner installs a backend set and
-// BDCC group streams shard across it. Results are byte-identical across
-// both knobs; the run's network activity is reported in Stats.Net. The
-// per-query backend set is closed before returning.
-func RunQueryShards(db *plan.DB, q QueryDef, workers, shards int) (*engine.Result, *Stats, []string, error) {
-	return RunQueryOpts(db, q, RunOptions{Workers: workers, Shards: shards})
-}
-
-// RunQueryOpts is the full-knob query runner: workers, shards, real worker
-// addresses (dialed TCP backends instead of simulated remotes), and the
-// placement policy. Results are byte-identical across every knob cell —
-// including runs where a worker dies mid-query and its units fail over.
+// RunQueryOpts is the full-knob query runner: workers (below 2 mean serial),
+// shards (below 2 mean single-box; otherwise the planner installs a backend
+// set that BDCC group streams shard across, closed before returning, with the
+// network activity reported in Stats.Net), real worker addresses (dialed TCP
+// backends instead of simulated remotes), and the placement policy. Results
+// are byte-identical across every knob cell — including runs where a worker
+// dies mid-query and its units fail over.
 func RunQueryOpts(db *plan.DB, q QueryDef, opt RunOptions) (*engine.Result, *Stats, []string, error) {
 	env := NewEnvOpts(db, opt)
 	db = env.DB // the pinned snapshot

@@ -122,12 +122,12 @@ func TestIngestQueryEquivalence(t *testing.T) {
 					t.Fatalf("%s (rebuild): %v", cell, err)
 				}
 				assertSameResult(t, cell+" vs from-scratch rebuild", got, want)
-				par, _, _, err := RunQueryWorkers(sdb, q, 4)
+				par, _, _, err := RunQueryOpts(sdb, q, RunOptions{Workers: 4})
 				if err != nil {
 					t.Fatalf("%s (parallel): %v", cell, err)
 				}
 				assertSameResult(t, cell+" parallel vs serial", par, got)
-				sh, _, _, err := RunQueryShards(sdb, q, 2, 2)
+				sh, _, _, err := RunQueryOpts(sdb, q, RunOptions{Workers: 2, Shards: 2})
 				if err != nil {
 					t.Fatalf("%s (sharded): %v", cell, err)
 				}

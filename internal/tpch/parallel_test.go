@@ -15,11 +15,11 @@ import (
 func TestQ13ParallelMemoryEffect(t *testing.T) {
 	b := benchmarkFixture(t)
 	for _, workers := range []int{1, 4} {
-		_, stB, _, err := RunQueryWorkers(b.DBs[plan.BDCC], Query(13), workers)
+		_, stB, _, err := RunQueryOpts(b.DBs[plan.BDCC], Query(13), RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stP, _, err := RunQueryWorkers(b.DBs[plan.Plain], Query(13), workers)
+		_, stP, _, err := RunQueryOpts(b.DBs[plan.Plain], Query(13), RunOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,13 +55,13 @@ func TestWorkersEquivalence(t *testing.T) {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				serial, _, _, err := RunQueryShards(b.DBs[scheme], q, 1, 1)
+				serial, _, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
 				if err != nil {
 					t.Fatalf("%s under %s workers=1 shards=1: %v", q.Name, scheme, err)
 				}
 				for _, cell := range equivalenceMatrix[1:] {
 					label := fmt.Sprintf("workers=%d shards=%d", cell.workers, cell.shards)
-					par, _, _, err := RunQueryShards(b.DBs[scheme], q, cell.workers, cell.shards)
+					par, _, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: cell.workers, Shards: cell.shards})
 					if err != nil {
 						t.Fatalf("%s under %s %s: %v", q.Name, scheme, label, err)
 					}
@@ -101,14 +101,14 @@ func TestShardNetAccounting(t *testing.T) {
 	b := benchmarkFixture(t)
 	var sharded int64
 	for _, q := range Queries {
-		_, stSingle, _, err := RunQueryShards(b.DBs[plan.BDCC], q, 2, 1)
+		_, stSingle, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 2, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stSingle.Net.Runs != 0 || stSingle.Net.Time != 0 {
 			t.Fatalf("%s single-box run recorded network activity: %+v", q.Name, stSingle.Net)
 		}
-		_, stShard, _, err := RunQueryShards(b.DBs[plan.BDCC], q, 2, 2)
+		_, stShard, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 2, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestShardNetAccounting(t *testing.T) {
 	if sharded == 0 {
 		t.Fatal("no BDCC query shipped any group over the transport at shards=2")
 	}
-	_, stPlain, _, err := RunQueryShards(b.DBs[plan.Plain], Query(13), 2, 4)
+	_, stPlain, _, err := RunQueryOpts(b.DBs[plan.Plain], Query(13), RunOptions{Workers: 2, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestColdTimeOverlapsGroupedScanIO(t *testing.T) {
 	b := benchmarkFixture(t)
 	var hiddenPar time.Duration
 	for _, q := range Queries {
-		_, stSer, _, err := RunQueryWorkers(b.DBs[plan.BDCC], q, 1)
+		_, stSer, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestColdTimeOverlapsGroupedScanIO(t *testing.T) {
 		if stSer.Cold != stSer.IO.Time+stSer.Wall {
 			t.Fatalf("%s serial cold %v != io %v + wall %v", q.Name, stSer.Cold, stSer.IO.Time, stSer.Wall)
 		}
-		_, stPar, _, err := RunQueryWorkers(b.DBs[plan.BDCC], q, 4)
+		_, stPar, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,14 +170,14 @@ func TestColdTimeOverlapsGroupedScanIO(t *testing.T) {
 // feed tpchbench -v: parallel runs record tasks, serial runs record none.
 func TestSchedulerStatsReported(t *testing.T) {
 	b := benchmarkFixture(t)
-	_, stPar, _, err := RunQueryWorkers(b.DBs[plan.BDCC], Query(13), 4)
+	_, stPar, _, err := RunQueryOpts(b.DBs[plan.BDCC], Query(13), RunOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stPar.Sched.Tasks == 0 {
 		t.Fatal("parallel Q13 recorded no scheduler tasks")
 	}
-	_, stSer, _, err := RunQueryWorkers(b.DBs[plan.BDCC], Query(13), 1)
+	_, stSer, _, err := RunQueryOpts(b.DBs[plan.BDCC], Query(13), RunOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestPartitionedEquivalence(t *testing.T) {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				serial, sst, _, err := RunQueryShards(b.DBs[scheme], q, 1, 1)
+				serial, sst, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
 				if err != nil {
 					t.Fatalf("%s under %s serial: %v", q.Name, scheme, err)
 				}
@@ -103,7 +103,7 @@ func TestPartitionedSimEquivalence(t *testing.T) {
 	b := benchmarkFixture(t)
 	for _, qn := range []int{3, 9, 19} {
 		q := Query(qn)
-		serial, _, _, err := RunQueryShards(b.DBs[plan.BDCC], q, 1, 1)
+		serial, _, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 1, Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +137,7 @@ func TestPartitionedFailoverMidScan(t *testing.T) {
 	for _, qn := range []int{3, 19} {
 		q := Query(qn)
 		t.Run(q.Name, func(t *testing.T) {
-			serial, _, _, err := RunQueryShards(b.DBs[plan.BDCC], q, 1, 1)
+			serial, _, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 1, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -61,7 +61,7 @@ func TestRemoteEquivalence(t *testing.T) {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {
 			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				serial, _, _, err := RunQueryShards(b.DBs[scheme], q, 1, 1)
+				serial, _, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
 				if err != nil {
 					t.Fatalf("%s under %s serial: %v", q.Name, scheme, err)
 				}
@@ -125,7 +125,7 @@ func TestRemoteReadmissionMidQuery(t *testing.T) {
 		for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
 			scheme := scheme
 			t.Run(fmt.Sprintf("%s/%s", q.Name, scheme), func(t *testing.T) {
-				serial, _, _, err := RunQueryShards(b.DBs[scheme], q, 1, 1)
+				serial, _, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -268,7 +268,7 @@ func TestRemoteFailoverMidQuery(t *testing.T) {
 	for _, qn := range []int{9, 13} {
 		q := Query(qn)
 		t.Run(q.Name, func(t *testing.T) {
-			serial, _, _, err := RunQueryShards(b.DBs[plan.BDCC], q, 1, 1)
+			serial, _, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 1, Shards: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
