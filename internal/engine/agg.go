@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -123,7 +124,9 @@ func (st *aggState) render(f AggFunc, col *vector.Vector) {
 // aggTable is one hash-aggregation state: the open-addressing group index,
 // the flat state array, the materialized group keys, and per-row scratch.
 // The serial operator owns one; each parallel worker owns its own (workers
-// aggregate disjoint key partitions, so tables never share mutable state).
+// aggregate disjoint key partitions, so tables never share mutable state —
+// which includes the aggregate arguments: every table evaluates its own
+// clones of the bound trees).
 type aggTable struct {
 	aggs       []AggSpec
 	keyIdx     []int
@@ -139,22 +142,22 @@ type aggTable struct {
 	eqBatch    *vector.Batch
 	eqRow      int
 	groupEq    func(int32) bool
-	argVecs    []*vector.Vector
+	argVecs    []*vector.Vector // per batch: each argument's values (nil for COUNT(*))
+	keyBatch   vector.Batch     // per batch: the key columns, in keyBuf's layout
 }
 
 func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable {
-	t := &aggTable{aggs: aggs, keyIdx: keyIdx}
+	t := &aggTable{aggs: slices.Clone(aggs), keyIdx: keyIdx}
+	for i := range t.aggs {
+		t.aggs[i].Arg = expr.Clone(t.aggs[i].Arg)
+	}
 	t.keyBuf = NewBuffer(keySchema)
 	t.keyBufCols = identityCols(len(keyIdx))
 	t.groupEq = func(g int32) bool {
 		return keysEqualBatchBuf(t.eqBatch, t.keyIdx, t.eqRow, t.keyBuf, t.keyBufCols, int(g))
 	}
 	t.argVecs = make([]*vector.Vector, len(aggs))
-	for i, a := range aggs {
-		if a.Arg != nil {
-			t.argVecs[i] = expr.NewScratch(a.Arg.Kind())
-		}
-	}
+	t.keyBatch.Cols = make([]*vector.Vector, len(keyIdx))
 	return t
 }
 
@@ -167,13 +170,11 @@ func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable 
 func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) {
 	for i, a := range t.aggs {
 		if a.Arg != nil {
-			t.argVecs[i].Reset()
-			a.Arg.Eval(b, t.argVecs[i])
+			t.argVecs[i] = expr.Values(a.Arg, b)
 		}
 	}
-	keyBatch := vector.Batch{Cols: make([]*vector.Vector, len(t.keyIdx))}
 	for c, ki := range t.keyIdx {
-		keyBatch.Cols[c] = b.Cols[ki]
+		t.keyBatch.Cols[c] = b.Cols[ki]
 	}
 	if hashes == nil {
 		t.hashes = vector.HashKeys(b, t.keyIdx, t.hashes)
@@ -192,7 +193,7 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 			g = int32(t.nGroups)
 			t.nGroups++
 			t.table.Insert(slot, hashes[r], g)
-			t.keyBuf.AppendRow(&keyBatch, r)
+			t.keyBuf.AppendRow(&t.keyBatch, r)
 			if rowIdx != nil {
 				t.firstRows = append(t.firstRows, rowIdx[r])
 			}
@@ -713,11 +714,6 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 	s.keyBatch.Cols = make([]*vector.Vector, len(s.keyIdx))
 	s.states = make([]aggState, len(s.Aggs))
 	s.argVecs = make([]*vector.Vector, len(s.Aggs))
-	for i, a := range s.Aggs {
-		if a.Arg != nil {
-			s.argVecs[i] = expr.NewScratch(a.Arg.Kind())
-		}
-	}
 	s.out = vector.NewBatch(s.schema.Kinds())
 	return nil
 }
@@ -757,8 +753,7 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 			}
 			for i, a := range s.Aggs {
 				if a.Arg != nil {
-					s.argVecs[i].Reset()
-					a.Arg.Eval(b, s.argVecs[i])
+					s.argVecs[i] = expr.Values(a.Arg, b)
 				}
 			}
 			for c, ki := range s.keyIdx {

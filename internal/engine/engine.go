@@ -52,8 +52,14 @@
 //     time, in routing order.
 //   - Each pool worker owns its per-worker scratch (for a join, its own
 //     joinProbe over the shared build side), indexed by the worker id the
-//     scheduler passes to every task. Bound expressions are safe to share —
-//     Eval allocates per-call scratch and nodes are immutable after Bind.
+//     scheduler passes to every task. That includes expressions: a bound
+//     tree owns the scratch its kernels write into, so it is single-goroutine
+//     state, and whoever fans an operator out gives every concurrent
+//     evaluator an expr.Clone of the operator's bound tree — startMorselScan
+//     one filter per pool worker, Fragment.newProbe one residual per
+//     joinProbe, Fragment.runScan one filter per call, newAggTable the
+//     aggregate arguments per partition table. The operator's own tree is
+//     evaluated only by the goroutine that drives its Next.
 //   - Every parallel operator merges task output order-preservingly through
 //     the exchange (morsel order for scans, input-batch order for joins,
 //     group order for sandwich pipelines, global first-seen group order for
@@ -87,10 +93,11 @@
 //     for the group join, input schemas, join keys, join type, and
 //     residual; for the partitioned scatter scan, the table name, output
 //     schema, and filter. Fragment.Run touches only its unit, per-call
-//     state, and the fragment's frozen bound state (read-only after
-//     Prepare), so it runs identically on a local pool task, an in-process
-//     simulated remote, or a bdccworker daemon that received the fragment
-//     over the wire. Hash-table memory is metered on the box that builds it
+//     state (its own clone of the bound residual or filter included), and
+//     the fragment's frozen bound state (read-only after Prepare, never
+//     evaluated directly), so it runs identically on a local pool task, an
+//     in-process simulated remote, or a bdccworker daemon that received the
+//     fragment over the wire. Hash-table memory is metered on the box that builds it
 //     (the fragment's Mem hook): the query's tracker locally, the worker's
 //     tracker remotely; scan device reads likewise charge the box that
 //     performs them (the fragment's Acct locally, per-unit ScanStats

@@ -187,10 +187,11 @@ func (f *Fragment) OutSchema() expr.Schema { return f.out }
 // BatchSize and at every probe-batch end) — so the merged output is the
 // serial join's batch sequence no matter which box ran the group, which is
 // what lets the failover layer's delivered-prefix replay splice a
-// half-joined unit. It touches only the unit, per-call state, and the
-// fragment's frozen configuration (read-only after Prepare), so concurrent
-// Runs of one fragment are safe — on a local pool task, a simulated remote,
-// or a worker daemon's scheduler alike.
+// half-joined unit. It touches only the unit, per-call state (the kernel
+// evaluates its own clone of the bound residual), and the fragment's frozen
+// configuration (read-only after Prepare), so concurrent Runs of one fragment
+// are safe — on a local pool task, a simulated remote, or a worker daemon's
+// scheduler alike.
 func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if !f.prepared {
 		return fmt.Errorf("engine: fragment run before Prepare")
@@ -268,14 +269,11 @@ func (f *Fragment) runScan(g *GroupUnit, emit func(*vector.Batch)) error {
 	r := storage.NewReaderPush(f.scanTab, f.scanIdx, ranges, f.Acct, nil)
 	kinds := f.out.Kinds()
 	raw := vector.NewBatch(kinds)
-	var pred *vector.Vector
-	if f.Residual != nil {
-		pred = expr.NewScratch(vector.Int64)
-	}
+	pred := expr.Clone(f.Residual) // concurrent Runs each evaluate their own
 	for r.Next(raw) {
 		out := vector.NewBatch(kinds)
-		if f.Residual != nil {
-			filterInto(f.Residual, pred, raw, out)
+		if pred != nil {
+			filterInto(pred, raw, out)
 		} else {
 			out.AppendBatch(raw)
 		}

@@ -40,7 +40,7 @@ const MatchedColName = "__matched"
 type joinProbe struct {
 	typ                JoinType
 	probeIdx, buildIdx []int
-	residual           expr.Expr // bound by Fragment.Prepare; nil for none
+	residual           expr.Expr // this kernel's clone of the fragment's bound residual; nil for none
 	outKinds           []vector.Kind
 
 	buf   *Buffer
@@ -49,7 +49,6 @@ type joinProbe struct {
 	hashes   []uint64 // key hashes of the batch last given to insertBatch or begin
 	matches  []int32
 	combined *vector.Batch // one-row probe+build input of the residual
-	resVec   *vector.Vector
 	buildRow int32
 	buildEq  func(int32) bool
 	probeEq  func(int32) bool
@@ -67,7 +66,7 @@ type joinProbe struct {
 // and the given build side.
 func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 	p := &joinProbe{
-		typ: f.Type, probeIdx: f.probeIdx, buildIdx: f.buildIdx, residual: f.Residual,
+		typ: f.Type, probeIdx: f.probeIdx, buildIdx: f.buildIdx, residual: expr.Clone(f.Residual),
 		outKinds: f.out.Kinds(), buf: buf, table: table,
 	}
 	p.buildEq = func(head int32) bool {
@@ -77,8 +76,10 @@ func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 		return keysEqualBatchBuf(p.in, p.probeIdx, p.row, p.buf, p.buildIdx, int(head))
 	}
 	if f.Residual != nil {
-		p.combined = vector.NewBatch(append(f.Probe.Kinds(), f.Build.Kinds()...))
-		p.resVec = expr.NewScratch(vector.Int64)
+		p.combined = &vector.Batch{}
+		for _, k := range append(f.Probe.Kinds(), f.Build.Kinds()...) {
+			p.combined.Cols = append(p.combined.Cols, vector.NewVector(k, 1))
+		}
 	}
 	return p
 }
@@ -179,9 +180,7 @@ func (p *joinProbe) residualOK(bi int32) bool {
 	p.combined.Reset()
 	p.copyProbeRow(p.combined)
 	p.buf.WriteRow(p.combined, int(bi), len(p.in.Cols))
-	p.resVec.Reset()
-	p.residual.Eval(p.combined, p.resVec)
-	return p.resVec.I64[0] != 0
+	return len(expr.Select(p.residual, p.combined, nil)) != 0
 }
 
 // emitAll probes in completely into freshly allocated batches that inherit

@@ -47,9 +47,9 @@ func drain(t *testing.T, ctx *Context, op Operator) ([]string, []batchShape) {
 func batchRows(b *vector.Batch) []string {
 	rows := make([]string, b.Len())
 	for r := range rows {
-		vals := make([]int64, len(b.Cols))
+		vals := make([]string, len(b.Cols))
 		for c, col := range b.Cols {
-			vals[c] = col.I64[r]
+			vals[c] = col.GetString(r)
 		}
 		rows[r] = fmt.Sprint(vals)
 	}
@@ -74,12 +74,26 @@ func groupedSource(schema expr.Schema, gids []uint64, batches []*vector.Batch) *
 // cursor must discard. Key 21 has 2*BatchSize+300 more build rows and three
 // probe rows, so one probe row's match list overflows an output batch with
 // or without the residual (rpay > 40, which drops about two build rows in
-// five and every build row of key 2).
+// five and every build row of key 2). The build side's string column rtag
+// spells the same condition ("hi…" where rpay > 40, "lo…" elsewhere), so a
+// LIKE/IN residual over it must select exactly the rows the comparison does.
 func kernelStreams() (probe, build func() *source, units func() []*GroupUnit) {
 	const hot = 21
-	ls, rs := intSchema("lkey", "lid"), intSchema("rkey", "rpay")
+	ls := intSchema("lkey", "lid")
+	rs := append(intSchema("rkey", "rpay"), expr.ColMeta{Name: "rtag", Kind: vector.String})
 	var pg, bg []uint64
 	var pb, bb []*vector.Batch
+	mkBuild := func(keys, pays []int64) *vector.Batch {
+		b := makeBatch(rs, keys, pays)
+		for _, pay := range pays {
+			tag := fmt.Sprintf("lo%d", pay)
+			if pay > 40 {
+				tag = fmt.Sprintf("hi%d", pay)
+			}
+			b.Cols[2].AppendString(tag)
+		}
+		return b
+	}
 	for g, lid := int64(0), int64(0); g < 4; g++ {
 		for half := 0; half < 2; half++ {
 			var keys, ids []int64
@@ -116,8 +130,8 @@ func kernelStreams() (probe, build func() *source, units func() []*GroupUnit) {
 			n++
 		}
 		cut := len(keys) / 2
-		bb, bg = append(bb, makeBatch(rs, keys[:cut], pays[:cut])), append(bg, uint64(g))
-		bb, bg = append(bb, makeBatch(rs, keys[cut:], pays[cut:])), append(bg, uint64(g))
+		bb, bg = append(bb, mkBuild(keys[:cut], pays[:cut])), append(bg, uint64(g))
+		bb, bg = append(bb, mkBuild(keys[cut:], pays[cut:])), append(bg, uint64(g))
 	}
 	probe = func() *source { return groupedSource(ls, pg, pb) }
 	build = func() *source { return groupedSource(rs, bg, bb) }
@@ -145,22 +159,28 @@ func kernelStreams() (probe, build func() *source, units func() []*GroupUnit) {
 // TestJoinKernelContract pins what every caller of the join kernel must
 // agree on: serial HashJoin, pooled HashJoin, serial sandwich, pooled
 // sandwich and a direct Fragment.Run over hand-built units return the same
-// rows in the same order for every join type, with and without a residual,
-// including a probe row whose match list overflows one output batch; and
+// rows in the same order for every join type, without a residual, with a
+// comparison and with a LIKE/IN residual (the one-row evaluation path of every
+// node kind a residual carries), including a probe row whose match list
+// overflows one output batch; the two residuals select the same rows; and
 // the serial sandwich and Fragment.Run cut their output into the same
 // (rows, group) batch sequence — the property the failover layer's
 // delivered-prefix replay relies on when it re-runs a half-delivered unit.
 func TestJoinKernelContract(t *testing.T) {
 	probe, build, units := kernelStreams()
 	for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
-		for _, residual := range []bool{false, true} {
-			typ, residual := typ, residual
-			t.Run(fmt.Sprintf("type=%d/residual=%v", typ, residual), func(t *testing.T) {
+		var cmpRows []string // what the comparison residual returned for this join type
+		for _, residual := range []string{"false", "true", "like-in"} {
+			t.Run(fmt.Sprintf("type=%d/residual=%s", typ, residual), func(t *testing.T) {
 				mkRes := func() expr.Expr {
-					if !residual {
-						return nil
+					switch residual {
+					case "true":
+						return expr.NewCmp(expr.GT, expr.C("rpay"), expr.Int(40))
+					case "like-in":
+						return expr.NewAnd(expr.NewLike(expr.C("rtag"), "hi_%"),
+							expr.NewNotIn(expr.C("rpay"), expr.Int(0), expr.Int(7), expr.Int(40)))
 					}
-					return expr.NewCmp(expr.GT, expr.C("rpay"), expr.Int(40))
+					return nil
 				}
 				hash := func(ctx *Context) Operator {
 					return &HashJoin{Left: probe(), Right: build(),
@@ -174,6 +194,14 @@ func TestJoinKernelContract(t *testing.T) {
 				}
 				ctx := parCtx(1)
 				want, wantShapes := drain(t, ctx, sandwich(ctx))
+				switch residual {
+				case "true":
+					cmpRows = want
+				case "like-in":
+					if fmt.Sprint(want) != fmt.Sprint(cmpRows) {
+						t.Fatalf("LIKE/IN residual returned %d rows that differ from the comparison residual's %d", len(want), len(cmpRows))
+					}
+				}
 				if (typ == InnerJoin || typ == LeftOuterJoin) && len(want) < 3*vector.BatchSize {
 					t.Fatalf("only %d rows — no match list overflows a batch", len(want))
 				}

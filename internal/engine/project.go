@@ -13,8 +13,7 @@ type Filter struct {
 	Child Operator
 	Pred  expr.Expr
 
-	out     *vector.Batch
-	scratch *vector.Vector
+	out *vector.Batch
 }
 
 // Schema implements Operator.
@@ -29,7 +28,6 @@ func (f *Filter) Open(ctx *Context) error {
 		return errOp("filter", err)
 	}
 	f.out = vector.NewBatch(f.Child.Schema().Kinds())
-	f.scratch = expr.NewScratch(vector.Int64)
 	return nil
 }
 
@@ -41,7 +39,7 @@ func (f *Filter) Next() (*vector.Batch, error) {
 			return nil, err
 		}
 		f.out.Reset()
-		filterInto(f.Pred, f.scratch, b, f.out)
+		filterInto(f.Pred, b, f.out)
 		if f.out.Len() > 0 {
 			return f.out, nil
 		}

@@ -39,13 +39,12 @@ type TableScan struct {
 	// serial scan's. nil means serial execution.
 	Sched *Sched
 
-	schema  expr.Schema
-	colIdx  []int
-	ctx     *Context
-	reader  *storage.Reader
-	out     *vector.Batch
-	raw     *vector.Batch
-	predVec *vector.Vector
+	schema expr.Schema
+	colIdx []int
+	ctx    *Context
+	reader *storage.Reader
+	out    *vector.Batch
+	raw    *vector.Batch
 
 	morsels []scanMorsel
 	io      *scanIO
@@ -141,16 +140,17 @@ func (io *scanIO) close() {
 }
 
 // startMorselScan fans readers over the morsel list via the shared
-// scheduler: each pool worker owns a raw batch and predicate scratch,
-// emitted batches are fresh (consumer-owned), tagged per morsel, and merged
-// in morsel order. io, when non-nil, drives the asynchronous read model.
+// scheduler: each pool worker owns a raw batch and its own clone of the
+// filter (a bound tree is single-goroutine state), emitted batches are fresh
+// (consumer-owned), tagged per morsel, and merged in morsel order. io, when
+// non-nil, drives the asynchronous read model.
 func startMorselScan(ctx *Context, sched *Sched, tab *storage.Table, colIdx []int, kinds []vector.Kind, filter expr.Expr, push []storage.PushPred, morsels []scanMorsel, io *scanIO) *exchange {
 	workers := sched.Workers()
 	raws := make([]*vector.Batch, workers)
-	preds := make([]*vector.Vector, workers)
+	filters := make([]expr.Expr, workers)
 	for w := range raws {
 		raws[w] = vector.NewBatch(kinds)
-		preds[w] = expr.NewScratch(vector.Int64)
+		filters[w] = expr.Clone(filter)
 	}
 	ex := newExchange(ctx.Mem, sched, 2*workers)
 	if io != nil {
@@ -166,7 +166,7 @@ func startMorselScan(ctx *Context, sched *Sched, tab *storage.Table, colIdx []in
 				outs[w] = vector.NewBatch(kinds)
 			}
 			out := outs[w]
-			filterInto(filter, preds[w], raws[w], out)
+			filterInto(filters[w], raws[w], out)
 			if out.Len() > 0 {
 				out.GroupID = m.gid
 				out.Grouped = m.grouped
@@ -208,7 +208,6 @@ func (s *TableScan) Open(ctx *Context) error {
 		if err := expr.Bind(s.Filter, schema); err != nil {
 			return errOp("scan filter", err)
 		}
-		s.predVec = expr.NewScratch(vector.Int64)
 		s.out = vector.NewBatch(schema.Kinds())
 	}
 	if s.Rename != nil {
@@ -260,7 +259,7 @@ func (s *TableScan) Next() (*vector.Batch, error) {
 			return s.raw, nil
 		}
 		s.out.Reset()
-		filterInto(s.Filter, s.predVec, s.raw, s.out)
+		filterInto(s.Filter, s.raw, s.out)
 		if s.out.Len() > 0 {
 			return s.out, nil
 		}
@@ -277,14 +276,13 @@ func (s *TableScan) Close() error {
 	return nil
 }
 
-// filterInto evaluates pred on in and appends passing rows to out.
-func filterInto(pred expr.Expr, scratch *vector.Vector, in *vector.Batch, out *vector.Batch) {
-	scratch.Reset()
-	pred.Eval(in, scratch)
-	for i, v := range scratch.I64 {
-		if v != 0 {
-			out.AppendRow(in, i)
-		}
+// filterInto appends the rows of in that pass pred to out: the predicate
+// narrows a selection and the survivors are gathered column-at-a-time.
+func filterInto(pred expr.Expr, in *vector.Batch, out *vector.Batch) {
+	if sel := expr.Select(pred, in, nil); len(sel) == in.Len() {
+		out.AppendBatch(in)
+	} else {
+		out.AppendSelected(in, sel)
 	}
 	out.GroupID = in.GroupID
 	out.Grouped = in.Grouped
@@ -344,14 +342,13 @@ type GroupedScan struct {
 	// filter at the execution site.
 	Part *PartScanPlan
 
-	schema  expr.Schema
-	colIdx  []int
-	ctx     *Context
-	gi      int
-	reader  *storage.Reader
-	raw     *vector.Batch
-	out     *vector.Batch
-	predVec *vector.Vector
+	schema expr.Schema
+	colIdx []int
+	ctx    *Context
+	gi     int
+	reader *storage.Reader
+	raw    *vector.Batch
+	out    *vector.Batch
 
 	morsels []scanMorsel
 	io      *scanIO
@@ -380,7 +377,6 @@ func (s *GroupedScan) Open(ctx *Context) error {
 		if err := expr.Bind(s.Filter, schema); err != nil {
 			return errOp("grouped scan filter", err)
 		}
-		s.predVec = expr.NewScratch(vector.Int64)
 	}
 	if s.Rename != nil {
 		if len(s.Rename) != len(s.schema) {
@@ -496,7 +492,7 @@ func (s *GroupedScan) Next() (*vector.Batch, error) {
 			return s.raw, nil
 		}
 		s.out.Reset()
-		filterInto(s.Filter, s.predVec, s.raw, s.out)
+		filterInto(s.Filter, s.raw, s.out)
 		if s.out.Len() > 0 {
 			return s.out, nil
 		}

@@ -6,10 +6,10 @@ import (
 	"bdcc/internal/vector"
 )
 
-// Bind resolves column references in e against schema and computes result
-// kinds, mutating the tree in place. Expressions must be bound before Eval
-// and must not be re-bound against a different schema (plan builders
-// construct fresh trees per execution).
+// Bind resolves column references in e against schema, computes result kinds
+// and picks each node's kernel, mutating the tree in place. Expressions must
+// be bound before Eval and must not be re-bound against a different schema
+// (plan builders construct fresh trees per execution).
 func Bind(e Expr, schema Schema) error {
 	switch n := e.(type) {
 	case *Col:
@@ -30,6 +30,10 @@ func Bind(e Expr, schema Schema) error {
 			return fmt.Errorf("expr: comparison kind mismatch %s %s %s (%s vs %s)",
 				n.L, n.Op, n.R, n.L.Kind(), n.R.Kind())
 		}
+		if n.Op > GE {
+			return fmt.Errorf("expr: unknown comparison operator %d", n.Op)
+		}
+		n.prepare()
 		return nil
 	case *And:
 		return bindAll(schema, n.Args...)
@@ -44,11 +48,15 @@ func Bind(e Expr, schema Schema) error {
 		if n.L.Kind() == vector.String || n.R.Kind() == vector.String {
 			return fmt.Errorf("expr: arithmetic on string operand in %s", n)
 		}
+		if n.Op > Div {
+			return fmt.Errorf("expr: unknown arithmetic operator %d", n.Op)
+		}
 		if n.L.Kind() == vector.Float64 || n.R.Kind() == vector.Float64 {
 			n.kind = vector.Float64
 		} else {
 			n.kind = vector.Int64
 		}
+		n.prepare()
 		return nil
 	case *Case:
 		if err := bindAll(schema, n.When, n.Then, n.Else); err != nil {
@@ -77,6 +85,7 @@ func Bind(e Expr, schema Schema) error {
 				return fmt.Errorf("expr: IN list kind mismatch in %s", n)
 			}
 		}
+		n.prepare()
 		return nil
 	case *Like:
 		if err := Bind(n.Arg, schema); err != nil {
@@ -85,6 +94,7 @@ func Bind(e Expr, schema Schema) error {
 		if n.Arg.Kind() != vector.String {
 			return fmt.Errorf("expr: LIKE on non-string in %s", n)
 		}
+		n.prepare()
 		return nil
 	}
 	return fmt.Errorf("expr: cannot bind %T", e)
@@ -97,6 +107,121 @@ func bindAll(schema Schema, es ...Expr) error {
 		}
 	}
 	return nil
+}
+
+// prepare derives the comparison's bound form from its bound operands: a
+// constant goes to the right (flipping the operator), and a vector⊕vector
+// > or <= swaps its operands, so the kernels need only <, = and, against a
+// constant, >.
+func (c *Cmp) prepare() {
+	op := c.Op
+	c.l, c.r = c.L, c.R
+	if isConst(c.l) && !isConst(c.r) {
+		c.l, c.r, op = c.r, c.l, flip(op)
+	}
+	k, _ := c.r.(*Const)
+	if k == nil && (op == GT || op == LE) {
+		c.l, c.r, op = c.r, c.l, flip(op)
+	}
+	switch c.l.Kind() {
+	case vector.Int64:
+		c.kern = bindCmp(op, i64s, k, constI, eqC[int64], eqV[int64])
+	case vector.Float64:
+		c.kern = bindCmp(op, f64s, k, constF, eq3C, eq3V)
+	case vector.String:
+		c.kern = bindCmp(op, strs, k, constS, eqC[string], eqV[string])
+	}
+}
+
+// prepare derives the arithmetic node's bound form: operands of the result
+// kind, the constant of + and * on the right, and the kernel.
+func (a *Arith) prepare() {
+	a.l, a.r = a.promote(a.L), a.promote(a.R)
+	if isConst(a.l) && !isConst(a.r) && (a.Op == Add || a.Op == Mul) {
+		a.l, a.r = a.r, a.l
+	}
+	rc, _ := a.r.(*Const)
+	lc, _ := a.l.(*Const)
+	if rc != nil {
+		lc = nil // constant ⊕ constant: the left one is evaluated as a vector
+	}
+	if a.kind == vector.Int64 {
+		a.kern = bindArith(a.Op, i64s, constI, lc, rc)
+	} else {
+		a.kern = bindArith(a.Op, f64s, constF, lc, rc)
+	}
+}
+
+// promote returns operand e in the node's kind: an Int64 operand of a
+// Float64 node becomes a Float64 constant or a toFloat over e.
+func (a *Arith) promote(e Expr) Expr {
+	if e.Kind() == a.kind {
+		return e
+	}
+	if k, ok := e.(*Const); ok {
+		return Float(float64(k.I))
+	}
+	return &toFloat{arg: e}
+}
+
+func (in *InList) prepare() {
+	switch in.Arg.Kind() {
+	case vector.Int64:
+		in.kern = bindIn(in, i64s, constI)
+	case vector.Float64:
+		in.kern = bindIn(in, f64s, constF)
+	case vector.String:
+		in.kern = bindIn(in, strs, constS)
+	}
+}
+
+// Clone returns a deep copy of the bound tree e with scratch of its own, so
+// that two goroutines can evaluate the same expression at once — each on its
+// clone. The copy is bound like e; nil clones to nil.
+func Clone(e Expr) Expr {
+	switch n := e.(type) {
+	case *Col:
+		return &Col{Name: n.Name, Index: n.Index, kind: n.kind}
+	case *Const:
+		return &Const{K: n.K, I: n.I, F: n.F, S: n.S}
+	case *Cmp:
+		c := &Cmp{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
+		c.prepare()
+		return c
+	case *And:
+		return &And{Args: cloneAll(n.Args)}
+	case *Or:
+		return &Or{Args: cloneAll(n.Args)}
+	case *Not:
+		return &Not{Arg: Clone(n.Arg)}
+	case *Arith:
+		c := &Arith{Op: n.Op, L: Clone(n.L), R: Clone(n.R), kind: n.kind}
+		c.prepare()
+		return c
+	case *Case:
+		return &Case{When: Clone(n.When), Then: Clone(n.Then), Else: Clone(n.Else)}
+	case *Year:
+		return &Year{Arg: Clone(n.Arg)}
+	case *Substr:
+		return &Substr{Arg: Clone(n.Arg), Start: n.Start, Length: n.Length}
+	case *InList:
+		c := &InList{Arg: Clone(n.Arg), Values: n.Values, Negate: n.Negate}
+		c.prepare()
+		return c
+	case *Like:
+		c := &Like{Arg: Clone(n.Arg), Pattern: n.Pattern, Negate: n.Negate}
+		c.prepare()
+		return c
+	}
+	return nil
+}
+
+func cloneAll(es []Expr) []Expr {
+	out := make([]Expr, len(es))
+	for i, e := range es {
+		out[i] = Clone(e)
+	}
+	return out
 }
 
 // Conjuncts flattens nested ANDs into a list of conjuncts. A nil expression

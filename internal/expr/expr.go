@@ -1,10 +1,30 @@
 // Package expr implements the scalar expression language of the engine:
-// typed expression trees that evaluate vectorized (one output vector per
-// input batch), plus the static analysis the BDCC query rewriter relies on
-// (conjunct splitting and extraction of value intervals per column, which the
-// rewriter maps onto dimension bin ranges and MinMax pages).
+// typed expression trees that evaluate vectorized, plus the static analysis
+// the BDCC query rewriter relies on (conjunct splitting and extraction of
+// value intervals per column, which the rewriter maps onto dimension bin
+// ranges and MinMax pages).
 //
 // Boolean results are represented as Int64 vectors holding 0 or 1.
+//
+// # Evaluation
+//
+// Every node evaluates through one internal entry, eval(b, sel): sel lists
+// the row ids of b to evaluate (nil means all of them), and the result is
+// dense over sel — value i belongs to row sel[i]. A computed node writes into
+// scratch it owns, grown on demand to the number of rows evaluated and reused
+// from batch to batch; a column reference returns the batch's own vector, read
+// through sel, so no operand is copied and no constant operand is broadcast.
+// Cmp, Arith and InList dispatch once per batch to a kernel picked at Bind for
+// their kind, operator and operand shape (vector⊕constant or vector⊕vector).
+// Boolean nodes can also narrow a selection (filter): a comparison emits the
+// surviving row ids directly and And hands conjunct k only the survivors of
+// the conjuncts before it; Or, Not, Case and Like compute a 0/1 vector over
+// the current selection. Select and Values are the exported forms of the two,
+// and Expr.Eval is the nil-selection form that appends to a caller's vector.
+//
+// Because a bound node owns its scratch, a bound tree is single-goroutine
+// state, and a result is valid only until the tree is evaluated again. Clone
+// gives each concurrent evaluator a tree of its own.
 package expr
 
 import (
@@ -52,7 +72,8 @@ func (s Schema) Names() []string {
 
 // Expr is a scalar expression. Expressions are built unbound (column
 // references by name), bound against a Schema with Bind, and then evaluated
-// against batches conforming to that schema.
+// against batches conforming to that schema. The node set is closed: the
+// types of this package.
 type Expr interface {
 	// Kind returns the result kind. Only valid after Bind.
 	Kind() vector.Kind
@@ -61,6 +82,15 @@ type Expr interface {
 	Eval(b *vector.Batch, out *vector.Vector)
 	// String renders the expression for EXPLAIN output.
 	String() string
+
+	// eval evaluates the rows of b listed in sel (all rows when sel is nil).
+	// Value i of the result is v[idx[i]] when idx is non-nil and v[i]
+	// otherwise, where v then holds exactly the evaluated rows. idx is non-nil
+	// only for a bare column read through the selection (idx is sel and v the
+	// batch's column); every other result is the node's own scratch.
+	eval(b *vector.Batch, sel []int32) (v *vector.Vector, idx []int32)
+	// scr returns the node's scratch.
+	scr() *scratch
 }
 
 // CmpOp enumerates comparison operators.
@@ -124,6 +154,7 @@ type Col struct {
 	Name  string
 	Index int
 	kind  vector.Kind
+	scratch
 }
 
 // C returns an unbound column reference.
@@ -136,17 +167,7 @@ func (c *Col) Kind() vector.Kind { return c.kind }
 func (c *Col) String() string { return c.Name }
 
 // Eval implements Expr.
-func (c *Col) Eval(b *vector.Batch, out *vector.Vector) {
-	src := b.Cols[c.Index]
-	switch c.kind {
-	case vector.Int64:
-		out.I64 = append(out.I64, src.I64...)
-	case vector.Float64:
-		out.F64 = append(out.F64, src.F64...)
-	case vector.String:
-		out.Str = append(out.Str, src.Str...)
-	}
-}
+func (c *Col) Eval(b *vector.Batch, out *vector.Vector) { appendValues(c, b, out) }
 
 // Const is a literal value.
 type Const struct {
@@ -154,6 +175,7 @@ type Const struct {
 	I int64
 	F float64
 	S string
+	scratch
 }
 
 // Int returns an int64 literal.
@@ -184,28 +206,21 @@ func (c *Const) String() string {
 }
 
 // Eval implements Expr.
-func (c *Const) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
-	switch c.K {
-	case vector.Int64:
-		for i := 0; i < n; i++ {
-			out.I64 = append(out.I64, c.I)
-		}
-	case vector.Float64:
-		for i := 0; i < n; i++ {
-			out.F64 = append(out.F64, c.F)
-		}
-	case vector.String:
-		for i := 0; i < n; i++ {
-			out.Str = append(out.Str, c.S)
-		}
-	}
-}
+func (c *Const) Eval(b *vector.Batch, out *vector.Vector) { appendValues(c, b, out) }
 
-// Cmp is a binary comparison producing a boolean (Int64 0/1).
+// Cmp is a binary comparison producing a boolean (Int64 0/1). Its semantics
+// are those of vector.Vector.Compare: a three-way comparison built from <
+// and >, under which a NaN operand compares equal to anything.
 type Cmp struct {
 	Op   CmpOp
 	L, R Expr
+
+	// Bound form (prepare): operands normalised so that a constant is on the
+	// right and vector⊕vector uses only =, <>, <, <=; kern is the kernel for
+	// the operand kind, the normalised operator and the operand shape.
+	l, r Expr
+	kern filterKernel
+	scratch
 }
 
 // NewCmp returns the comparison l op r.
@@ -221,35 +236,13 @@ func (c *Cmp) Kind() vector.Kind { return vector.Int64 }
 func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
 
 // Eval implements Expr.
-func (c *Cmp) Eval(b *vector.Batch, out *vector.Vector) {
-	lv := NewScratch(c.L.Kind())
-	rv := NewScratch(c.R.Kind())
-	c.L.Eval(b, lv)
-	c.R.Eval(b, rv)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		cmp := lv.Compare(i, rv, i)
-		var r bool
-		switch c.Op {
-		case EQ:
-			r = cmp == 0
-		case NE:
-			r = cmp != 0
-		case LT:
-			r = cmp < 0
-		case LE:
-			r = cmp <= 0
-		case GT:
-			r = cmp > 0
-		case GE:
-			r = cmp >= 0
-		}
-		out.I64 = append(out.I64, b2i(r))
-	}
-}
+func (c *Cmp) Eval(b *vector.Batch, out *vector.Vector) { appendValues(c, b, out) }
 
 // And is an n-ary conjunction.
-type And struct{ Args []Expr }
+type And struct {
+	Args []Expr
+	scratch
+}
 
 // NewAnd returns the conjunction of args (which must be boolean-valued).
 func NewAnd(args ...Expr) *And { return &And{Args: args} }
@@ -261,25 +254,13 @@ func (a *And) Kind() vector.Kind { return vector.Int64 }
 func (a *And) String() string { return nary("AND", a.Args) }
 
 // Eval implements Expr.
-func (a *And) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
-	acc := make([]int64, n)
-	for i := range acc {
-		acc[i] = 1
-	}
-	tmp := NewScratch(vector.Int64)
-	for _, arg := range a.Args {
-		tmp.Reset()
-		arg.Eval(b, tmp)
-		for i := 0; i < n; i++ {
-			acc[i] &= tmp.I64[i]
-		}
-	}
-	out.I64 = append(out.I64, acc...)
-}
+func (a *And) Eval(b *vector.Batch, out *vector.Vector) { appendValues(a, b, out) }
 
 // Or is an n-ary disjunction.
-type Or struct{ Args []Expr }
+type Or struct {
+	Args []Expr
+	scratch
+}
 
 // NewOr returns the disjunction of args.
 func NewOr(args ...Expr) *Or { return &Or{Args: args} }
@@ -291,22 +272,13 @@ func (o *Or) Kind() vector.Kind { return vector.Int64 }
 func (o *Or) String() string { return nary("OR", o.Args) }
 
 // Eval implements Expr.
-func (o *Or) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
-	acc := make([]int64, n)
-	tmp := NewScratch(vector.Int64)
-	for _, arg := range o.Args {
-		tmp.Reset()
-		arg.Eval(b, tmp)
-		for i := 0; i < n; i++ {
-			acc[i] |= tmp.I64[i]
-		}
-	}
-	out.I64 = append(out.I64, acc...)
-}
+func (o *Or) Eval(b *vector.Batch, out *vector.Vector) { appendValues(o, b, out) }
 
 // Not negates a boolean expression.
-type Not struct{ Arg Expr }
+type Not struct {
+	Arg Expr
+	scratch
+}
 
 // NewNot returns NOT arg.
 func NewNot(arg Expr) *Not { return &Not{Arg: arg} }
@@ -318,13 +290,7 @@ func (n *Not) Kind() vector.Kind { return vector.Int64 }
 func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Arg) }
 
 // Eval implements Expr.
-func (n *Not) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.Int64)
-	n.Arg.Eval(b, tmp)
-	for _, v := range tmp.I64 {
-		out.I64 = append(out.I64, 1-v)
-	}
-}
+func (n *Not) Eval(b *vector.Batch, out *vector.Vector) { appendValues(n, b, out) }
 
 // Arith is a binary arithmetic expression. Mixed int/float operands promote
 // to float.
@@ -332,6 +298,14 @@ type Arith struct {
 	Op   ArithOp
 	L, R Expr
 	kind vector.Kind
+
+	// Bound form (prepare): operands of the result kind (an Int64 operand of
+	// a Float64 node is wrapped in toFloat, a constant promoted), a constant
+	// of a commutative operator moved to the right, and the kernel for the
+	// kind, operator and operand shape.
+	l, r Expr
+	kern arithKernel
+	scratch
 }
 
 // NewArith returns l op r.
@@ -344,64 +318,14 @@ func (a *Arith) Kind() vector.Kind { return a.kind }
 func (a *Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
 
 // Eval implements Expr.
-func (a *Arith) Eval(b *vector.Batch, out *vector.Vector) {
-	n := b.Len()
-	if a.kind == vector.Int64 {
-		lv, rv := NewScratch(vector.Int64), NewScratch(vector.Int64)
-		a.L.Eval(b, lv)
-		a.R.Eval(b, rv)
-		for i := 0; i < n; i++ {
-			var v int64
-			switch a.Op {
-			case Add:
-				v = lv.I64[i] + rv.I64[i]
-			case Sub:
-				v = lv.I64[i] - rv.I64[i]
-			case Mul:
-				v = lv.I64[i] * rv.I64[i]
-			case Div:
-				v = lv.I64[i] / rv.I64[i]
-			}
-			out.I64 = append(out.I64, v)
-		}
-		return
-	}
-	lf := evalAsFloat(a.L, b)
-	rf := evalAsFloat(a.R, b)
-	for i := 0; i < n; i++ {
-		var v float64
-		switch a.Op {
-		case Add:
-			v = lf[i] + rf[i]
-		case Sub:
-			v = lf[i] - rf[i]
-		case Mul:
-			v = lf[i] * rf[i]
-		case Div:
-			v = lf[i] / rf[i]
-		}
-		out.F64 = append(out.F64, v)
-	}
-}
-
-func evalAsFloat(e Expr, b *vector.Batch) []float64 {
-	tmp := NewScratch(e.Kind())
-	e.Eval(b, tmp)
-	if e.Kind() == vector.Float64 {
-		return tmp.F64
-	}
-	fs := make([]float64, len(tmp.I64))
-	for i, v := range tmp.I64 {
-		fs[i] = float64(v)
-	}
-	return fs
-}
+func (a *Arith) Eval(b *vector.Batch, out *vector.Vector) { appendValues(a, b, out) }
 
 // Case is CASE WHEN cond THEN a ELSE b END. Then and Else must share a kind.
 type Case struct {
 	When Expr
 	Then Expr
 	Else Expr
+	scratch
 }
 
 // NewCase returns the conditional expression.
@@ -416,25 +340,13 @@ func (c *Case) String() string {
 }
 
 // Eval implements Expr.
-func (c *Case) Eval(b *vector.Batch, out *vector.Vector) {
-	cond := NewScratch(vector.Int64)
-	c.When.Eval(b, cond)
-	tv := NewScratch(c.Then.Kind())
-	ev := NewScratch(c.Else.Kind())
-	c.Then.Eval(b, tv)
-	c.Else.Eval(b, ev)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		if cond.I64[i] != 0 {
-			out.AppendFrom(tv, i)
-		} else {
-			out.AppendFrom(ev, i)
-		}
-	}
-}
+func (c *Case) Eval(b *vector.Batch, out *vector.Vector) { appendValues(c, b, out) }
 
 // Year extracts the calendar year from a date (Int64 day number) expression.
-type Year struct{ Arg Expr }
+type Year struct {
+	Arg Expr
+	scratch
+}
 
 // NewYear returns EXTRACT(YEAR FROM arg).
 func NewYear(arg Expr) *Year { return &Year{Arg: arg} }
@@ -446,19 +358,14 @@ func (y *Year) Kind() vector.Kind { return vector.Int64 }
 func (y *Year) String() string { return fmt.Sprintf("YEAR(%s)", y.Arg) }
 
 // Eval implements Expr.
-func (y *Year) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.Int64)
-	y.Arg.Eval(b, tmp)
-	for _, d := range tmp.I64 {
-		out.I64 = append(out.I64, vector.DateYear(d))
-	}
-}
+func (y *Year) Eval(b *vector.Batch, out *vector.Vector) { appendValues(y, b, out) }
 
 // Substr is SUBSTRING(arg FROM start FOR length) with 1-based start.
 type Substr struct {
 	Arg    Expr
 	Start  int
 	Length int
+	scratch
 }
 
 // NewSubstr returns the substring expression.
@@ -475,30 +382,16 @@ func (s *Substr) String() string {
 }
 
 // Eval implements Expr.
-func (s *Substr) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.String)
-	s.Arg.Eval(b, tmp)
-	for _, v := range tmp.Str {
-		lo := s.Start - 1
-		if lo < 0 {
-			lo = 0
-		}
-		hi := lo + s.Length
-		if lo > len(v) {
-			lo = len(v)
-		}
-		if hi > len(v) {
-			hi = len(v)
-		}
-		out.Str = append(out.Str, v[lo:hi])
-	}
-}
+func (s *Substr) Eval(b *vector.Batch, out *vector.Vector) { appendValues(s, b, out) }
 
 // InList tests membership of Arg in a set of constants of the same kind.
 type InList struct {
 	Arg    Expr
 	Values []*Const
 	Negate bool
+
+	kern filterKernel // bound form (prepare): the membership kernel for Arg's kind
+	scratch
 }
 
 // NewIn returns arg IN (values...).
@@ -522,44 +415,18 @@ func (in *InList) String() string {
 }
 
 // Eval implements Expr.
-func (in *InList) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(in.Arg.Kind())
-	in.Arg.Eval(b, tmp)
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		hit := false
-		for _, c := range in.Values {
-			switch tmp.Kind {
-			case vector.Int64:
-				hit = tmp.I64[i] == c.I
-			case vector.Float64:
-				hit = tmp.F64[i] == c.F
-			case vector.String:
-				hit = tmp.Str[i] == c.S
-			}
-			if hit {
-				break
-			}
-		}
-		out.I64 = append(out.I64, b2i(hit != in.Negate))
-	}
-}
+func (in *InList) Eval(b *vector.Batch, out *vector.Vector) { appendValues(in, b, out) }
 
 // Between is lo <= arg AND arg <= hi, as a single analyzable node.
 func Between(arg Expr, lo, hi Expr) Expr {
 	return NewAnd(NewCmp(GE, arg, lo), NewCmp(LE, arg, hi))
 }
 
-// NewScratch returns an empty scratch vector of kind k sized for one batch.
+// NewScratch returns an empty vector of kind k sized for one batch, for
+// callers of Expr.Eval. Evaluation itself never calls it: bound nodes own
+// their scratch.
 func NewScratch(k vector.Kind) *vector.Vector {
 	return vector.NewVector(k, vector.BatchSize)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func nary(op string, args []Expr) string {

@@ -151,6 +151,9 @@ func TestBindErrors(t *testing.T) {
 		NewSubstr(C("x"), 1, 2),
 		NewIn(C("x"), Str("a")),
 		NewCase(NewCmp(EQ, C("x"), Int(1)), Int(1), Str("a")),
+		// Operator bytes a decoded tree can carry but no kernel exists for.
+		NewCmp(GE+1, C("x"), Int(1)),
+		NewArith(Div+1, C("x"), Int(1)),
 	}
 	for _, e := range cases {
 		if err := Bind(e, schema); err == nil {

@@ -13,6 +13,11 @@ type Like struct {
 	Arg     Expr
 	Pattern string
 	Negate  bool
+
+	// Bound form (prepare): the pattern compiled once, not per batch.
+	segs                       []likeSeg
+	anchoredStart, anchoredEnd bool
+	scratch
 }
 
 // NewLike returns arg LIKE pattern.
@@ -36,13 +41,27 @@ func (l *Like) String() string {
 }
 
 // Eval implements Expr.
-func (l *Like) Eval(b *vector.Batch, out *vector.Vector) {
-	tmp := NewScratch(vector.String)
-	l.Arg.Eval(b, tmp)
-	segs, anchoredStart, anchoredEnd := compileLike(l.Pattern)
-	for _, s := range tmp.Str {
-		out.I64 = append(out.I64, b2i(matchLike(s, segs, anchoredStart, anchoredEnd) != l.Negate))
+func (l *Like) Eval(b *vector.Batch, out *vector.Vector) { appendValues(l, b, out) }
+
+func (l *Like) prepare() { l.segs, l.anchoredStart, l.anchoredEnd = compileLike(l.Pattern) }
+
+func (l *Like) eval(b *vector.Batch, sel []int32) (*vector.Vector, []int32) {
+	out := sized(&l.vec, vector.Int64, rows(b, sel)).I64
+	v, idx := l.Arg.eval(b, sel)
+	if idx != nil {
+		for i, r := range idx {
+			out[i] = l.match(v.Str[r])
+		}
+	} else {
+		for i, s := range v.Str {
+			out[i] = l.match(s)
+		}
 	}
+	return &l.vec, nil
+}
+
+func (l *Like) match(s string) int64 {
+	return int64(b2i(matchLike(s, l.segs, l.anchoredStart, l.anchoredEnd) != l.Negate))
 }
 
 // likeSeg is one literal segment between % wildcards; runes '_' inside a

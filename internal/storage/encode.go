@@ -3,6 +3,7 @@ package storage
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"bdcc/internal/vector"
@@ -118,6 +119,8 @@ type ChunkBuf struct {
 	I64 []int64
 	F64 []float64
 	Str []string
+
+	codes []uint64 // unpacked dictionary codes of the chunk being decoded
 }
 
 // encodeColumn builds the encoded form of c at the given chunk granularity
@@ -228,9 +231,7 @@ func encodeI64Chunk(v []int64) Chunk {
 	case EncFOR:
 		ch.Base, ch.BitW = mn, bitw
 		ch.Packed = make([]byte, vector.BitPackLen(rows, bitw))
-		for i, x := range v {
-			vector.BitPackPut(ch.Packed, i, bitw, uint64(x)-uint64(mn))
-		}
+		vector.BitPack(ch.Packed, rows, bitw, func(i int) uint64 { return uint64(v[i]) - uint64(mn) })
 	}
 	return ch
 }
@@ -340,9 +341,7 @@ func (e *ColumnEncoding) encodeStrChunk(v []string, dictCode map[string]uint32) 
 	case EncDict:
 		ch.BitW = e.DictBits
 		ch.Packed = make([]byte, vector.BitPackLen(rows, e.DictBits))
-		for i, s := range v {
-			vector.BitPackPut(ch.Packed, i, e.DictBits, uint64(dictCode[s]))
-		}
+		vector.BitPack(ch.Packed, rows, e.DictBits, func(i int) uint64 { return uint64(dictCode[v[i]]) })
 	}
 	return ch
 }
@@ -357,50 +356,59 @@ func (c *Column) DecodeChunk(ci int, buf *ChunkBuf) {
 	ch := &c.Enc.Chunks[ci]
 	switch c.Kind {
 	case vector.Int64:
-		buf.I64 = buf.I64[:0]
+		buf.I64 = slices.Grow(buf.I64[:0], ch.Rows)[:ch.Rows]
 		switch ch.Enc {
 		case EncRaw:
-			buf.I64 = append(buf.I64, c.I64[ch.Start:ch.Start+ch.Rows]...)
+			copy(buf.I64, c.I64[ch.Start:])
 		case EncRLE:
-			for r, val := range ch.RunI {
-				for k := int32(0); k < ch.RunN[r]; k++ {
-					buf.I64 = append(buf.I64, val)
-				}
-			}
+			fillRuns(buf.I64, ch.RunI, ch.RunN)
 		case EncFOR:
-			for i := 0; i < ch.Rows; i++ {
-				buf.I64 = append(buf.I64, int64(uint64(ch.Base)+vector.BitPackGet(ch.Packed, i, ch.BitW)))
+			vector.BitUnpack(buf.I64, ch.Packed, 0, ch.BitW)
+			for i := range buf.I64 {
+				buf.I64[i] += ch.Base
 			}
 		}
 	case vector.Float64:
-		buf.F64 = buf.F64[:0]
+		buf.F64 = slices.Grow(buf.F64[:0], ch.Rows)[:ch.Rows]
 		switch ch.Enc {
 		case EncRaw:
-			buf.F64 = append(buf.F64, c.F64[ch.Start:ch.Start+ch.Rows]...)
+			copy(buf.F64, c.F64[ch.Start:])
 		case EncRLE:
+			pos := 0
 			for r, b := range ch.RunF {
-				val := math.Float64frombits(b)
-				for k := int32(0); k < ch.RunN[r]; k++ {
-					buf.F64 = append(buf.F64, val)
+				run := buf.F64[pos : pos+int(ch.RunN[r])]
+				for k := range run {
+					run[k] = math.Float64frombits(b)
 				}
+				pos += len(run)
 			}
 		}
 	case vector.String:
-		buf.Str = buf.Str[:0]
+		buf.Str = slices.Grow(buf.Str[:0], ch.Rows)[:ch.Rows]
 		switch ch.Enc {
 		case EncRaw:
-			buf.Str = append(buf.Str, c.Str[ch.Start:ch.Start+ch.Rows]...)
+			copy(buf.Str, c.Str[ch.Start:])
 		case EncRLE:
-			for r, val := range ch.RunS {
-				for k := int32(0); k < ch.RunN[r]; k++ {
-					buf.Str = append(buf.Str, val)
-				}
-			}
+			fillRuns(buf.Str, ch.RunS, ch.RunN)
 		case EncDict:
-			for i := 0; i < ch.Rows; i++ {
-				buf.Str = append(buf.Str, c.Enc.Dict[vector.BitPackGet(ch.Packed, i, ch.BitW)])
+			buf.codes = slices.Grow(buf.codes[:0], ch.Rows)[:ch.Rows]
+			vector.BitUnpack(buf.codes, ch.Packed, 0, ch.BitW)
+			for i, code := range buf.codes {
+				buf.Str[i] = c.Enc.Dict[code]
 			}
 		}
+	}
+}
+
+// fillRuns expands run-length pairs into dst, whose length is the runs' sum.
+func fillRuns[T any](dst []T, vals []T, lens []int32) {
+	pos := 0
+	for r, val := range vals {
+		run := dst[pos : pos+int(lens[r])]
+		for k := range run {
+			run[k] = val
+		}
+		pos += len(run)
 	}
 }
 
@@ -500,15 +508,20 @@ func (ch *Chunk) pruneCodes(dict []string, iv Interval, lo, hi int, dst []RowRan
 		return dst
 	}
 	spanLo := -1
-	for i := lo; i < hi; i++ {
-		code := vector.BitPackGet(ch.Packed, i-ch.Start, ch.BitW)
-		if code >= loCode && code <= hiCode {
-			if spanLo < 0 {
-				spanLo = i
+	var blk [256]uint64
+	for base := lo; base < hi; base += len(blk) {
+		codes := blk[:min(len(blk), hi-base)]
+		vector.BitUnpack(codes, ch.Packed, base-ch.Start, ch.BitW)
+		for k, code := range codes {
+			i := base + k
+			if code >= loCode && code <= hiCode {
+				if spanLo < 0 {
+					spanLo = i
+				}
+			} else if spanLo >= 0 {
+				dst = appendSpan(dst, spanLo, i)
+				spanLo = -1
 			}
-		} else if spanLo >= 0 {
-			dst = appendSpan(dst, spanLo, i)
-			spanLo = -1
 		}
 	}
 	if spanLo >= 0 {

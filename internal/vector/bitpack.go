@@ -1,20 +1,86 @@
 package vector
 
+import "encoding/binary"
+
 // Bit-packing primitives shared by the storage chunk encoder and the batch
 // wire codec: n values of bitw bits each, laid out LSB-first in a byte
 // stream. bitw 0 is the degenerate all-zero stream (no bytes at all), which
 // both frame-of-reference chunks with a single value and dictionary chunks
 // over a one-entry dictionary produce.
+//
+// BitPack and BitUnpack move values a 64-bit word at a time; the
+// byte-at-a-time bitPut and bitGet define the layout and finish the last few
+// values of a stream, where a whole word no longer fits.
 
 // BitPackLen returns the byte length of n packed values of bitw bits.
 func BitPackLen(n int, bitw uint8) int {
 	return (n*int(bitw) + 7) / 8
 }
 
-// BitPackPut writes value v (truncated to bitw bits) at index i of the
-// packed stream dst. dst must be zeroed at the target bits (freshly
-// allocated, or written strictly left to right).
-func BitPackPut(dst []byte, i int, bitw uint8, v uint64) {
+// BitPack writes the n values val(0), …, val(n-1), each truncated to bitw
+// bits, as the packed stream dst, which must be zeroed and BitPackLen(n, bitw)
+// bytes long.
+func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
+	if bitw == 0 {
+		return
+	}
+	w := uint(bitw)
+	mask := ^uint64(0) >> (64 - w)
+	bit := uint(0)
+	for i := 0; i < n; i++ {
+		idx, off := int(bit>>3), bit&7
+		if v := val(i) & mask; idx+8 > len(dst) {
+			bitPut(dst, i, bitw, v)
+		} else {
+			binary.LittleEndian.PutUint64(dst[idx:], binary.LittleEndian.Uint64(dst[idx:])|v<<off)
+			if off+w > 64 {
+				dst[idx+8] |= byte(v >> (64 - off))
+			}
+		}
+		bit += w
+	}
+}
+
+// BitUnpack reads the len(dst) values at indexes start, start+1, … of the
+// packed stream src into dst. One 64-bit load serves every value that lies
+// wholly inside it — dozens at the narrow widths dictionary codes have.
+func BitUnpack[T int64 | uint64](dst []T, src []byte, start int, bitw uint8) {
+	if bitw == 0 {
+		clear(dst)
+		return
+	}
+	w := uint(bitw)
+	mask := ^uint64(0) >> (64 - w)
+	var whole [8]int // values lying wholly inside a word loaded at bit offset 0…7
+	for off := range whole {
+		whole[off] = (64 - off) / int(w)
+	}
+	bit := uint(start) * w
+	for i := 0; i < len(dst); {
+		idx, off := int(bit>>3), bit&7
+		if idx+8 > len(src) {
+			dst[i] = T(bitGet(src, start+i, bitw))
+			i, bit = i+1, bit+w
+			continue
+		}
+		v := binary.LittleEndian.Uint64(src[idx:]) >> off
+		if off+w > 64 { // the value's top bits sit in a ninth byte
+			dst[i] = T((v | uint64(src[idx+8])<<(64-off)) & mask)
+			i, bit = i+1, bit+w
+			continue
+		}
+		run := dst[i:min(len(dst), i+whole[off])]
+		for k := range run {
+			run[k] = T(v & mask)
+			v >>= w
+		}
+		i, bit = i+len(run), bit+uint(len(run))*w
+	}
+}
+
+// bitPut writes value v (truncated to bitw bits) at index i of the packed
+// stream dst, whose target bits must be zero.
+func bitPut(dst []byte, i int, bitw uint8, v uint64) {
 	bit := i * int(bitw)
 	for put := 0; put < int(bitw); {
 		idx := (bit + put) / 8
@@ -28,8 +94,8 @@ func BitPackPut(dst []byte, i int, bitw uint8, v uint64) {
 	}
 }
 
-// BitPackGet reads the bitw-bit value at index i of the packed stream src.
-func BitPackGet(src []byte, i int, bitw uint8) uint64 {
+// bitGet reads the bitw-bit value at index i of the packed stream src.
+func bitGet(src []byte, i int, bitw uint8) uint64 {
 	bit := i * int(bitw)
 	var v uint64
 	for got := 0; got < int(bitw); {

@@ -1,0 +1,48 @@
+package vector
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// TestBitPackBulkMatchesPerValue is the bulk routines' property: for every
+// bit width 0…64, every length 0…130 and a spread of non-zero start offsets,
+// BitPack produces the very bytes bitPut produces value by value, and
+// BitUnpack — into uint64 and int64 alike — reads back what bitGet reads,
+// over the whole stream and over every sub-run [start, start+n).
+func TestBitPackBulkMatchesPerValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for bitw := 0; bitw <= 64; bitw++ {
+		w := uint8(bitw)
+		for n := 0; n <= 130; n++ {
+			vals := make([]uint64, n)
+			for i := range vals {
+				vals[i] = rng.Uint64() // wider than bitw on purpose: packing truncates
+			}
+			want := make([]byte, BitPackLen(n, w))
+			for i, v := range vals {
+				bitPut(want, i, w, v)
+			}
+			got := make([]byte, len(want))
+			BitPack(got, n, w, func(i int) uint64 { return vals[i] })
+			if !bytes.Equal(got, want) {
+				t.Fatalf("bitw=%d n=%d: BitPack differs from bitPut", bitw, n)
+			}
+			for _, start := range []int{0, 1, 3, 7, 8, 63, 64, n / 2, n} {
+				if start > n {
+					continue
+				}
+				u := make([]uint64, n-start)
+				s := make([]int64, n-start)
+				BitUnpack(u, want, start, w)
+				BitUnpack(s, want, start, w)
+				for i := range u {
+					if ref := bitGet(want, start+i, w); u[i] != ref || uint64(s[i]) != ref {
+						t.Fatalf("bitw=%d n=%d start=%d: value %d = %d / %d, bitGet reads %d", bitw, n, start, i, u[i], s[i], ref)
+					}
+				}
+			}
+		}
+	}
+}

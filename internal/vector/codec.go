@@ -150,9 +150,7 @@ func encodeI64Col(buf []byte, v []int64) []byte {
 		buf = append(buf, bitw)
 		off := len(buf)
 		buf = append(buf, make([]byte, BitPackLen(n, bitw))...)
-		for i, x := range v {
-			BitPackPut(buf[off:], i, bitw, uint64(x)-uint64(mn))
-		}
+		BitPack(buf[off:], n, bitw, func(i int) uint64 { return uint64(v[i]) - uint64(mn) })
 	}
 	return buf
 }
@@ -272,9 +270,7 @@ func encodeStrCol(buf []byte, v []string) []byte {
 		buf = append(buf, bitw)
 		off := len(buf)
 		buf = append(buf, make([]byte, BitPackLen(n, bitw))...)
-		for i, s := range v {
-			BitPackPut(buf[off:], i, bitw, uint64(distinct[s]))
-		}
+		BitPack(buf[off:], n, bitw, func(i int) uint64 { return uint64(distinct[v[i]]) })
 	}
 	return buf
 }
@@ -485,8 +481,9 @@ func decodeFORCol(data []byte, pos int, v *Vector, n int) (int, error) {
 		return pos, err
 	}
 	v.I64 = v.I64[:n]
+	BitUnpack(v.I64, data[pos:pos+packed], 0, bitw)
 	for j := range v.I64 {
-		v.I64[j] = int64(base + BitPackGet(data[pos:], j, bitw))
+		v.I64[j] += int64(base)
 	}
 	pos += packed
 	return pos, nil
@@ -534,12 +531,16 @@ func decodeDictCol(data []byte, pos int, v *Vector, n int) (int, error) {
 	if err := need(packed); err != nil {
 		return pos, err
 	}
-	for j := 0; j < n; j++ {
-		code := BitPackGet(data[pos:], j, bitw)
-		if code >= uint64(dn) {
-			return pos, fmt.Errorf("vector: dict column code %d outside dictionary of %d", code, dn)
+	var blk [256]uint64
+	for lo := 0; lo < n; lo += len(blk) {
+		codes := blk[:min(len(blk), n-lo)]
+		BitUnpack(codes, data[pos:pos+packed], lo, bitw)
+		for _, code := range codes {
+			if code >= uint64(dn) {
+				return pos, fmt.Errorf("vector: dict column code %d outside dictionary of %d", code, dn)
+			}
+			v.Str = append(v.Str, dict[code])
 		}
-		v.Str = append(v.Str, dict[code])
 	}
 	pos += packed
 	return pos, nil
