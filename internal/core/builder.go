@@ -15,6 +15,9 @@ type Database struct {
 	Design     *Design
 	Dimensions map[string]*Dimension
 	Tables     map[string]*BDCCTable
+	// keyBins holds the key→bin index of every path hop of the design (see
+	// KeyBins), by keyBinsKey.
+	keyBins map[string]*KeyBins
 }
 
 // Builder materializes a Design over stored tables: it creates each
@@ -49,22 +52,15 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 		}
 		db.Dimensions[spec.Name] = dim
 	}
+	ub := newUseBins(res, db)
 	for _, td := range design.Tables {
 		data, err := res.Table(td.Table)
 		if err != nil {
 			return nil, err
 		}
-		uses := make([]UseBinding, len(td.Uses))
-		for i, us := range td.Uses {
-			dim := db.Dimensions[us.Dim]
-			if dim == nil {
-				return nil, fmt.Errorf("core: table %s uses unknown dimension %s", td.Table, us.Dim)
-			}
-			bins, err := binsForUse(res, db, td.Table, us)
-			if err != nil {
-				return nil, err
-			}
-			uses[i] = UseBinding{Dim: dim, Path: us.Path, BinNos: bins}
+		uses, err := ub.bind(td.Table, 0)
+		if err != nil {
+			return nil, err
 		}
 		opt := b.Options
 		if fb, ok := b.ForceBitsPerTable[td.Table]; ok {
@@ -78,6 +74,10 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 			return nil, err
 		}
 		db.Tables[td.Table] = bt
+	}
+	var err error
+	if db.keyBins, err = ub.keyBins("", 0); err != nil {
+		return nil, err
 	}
 	return db, nil
 }

@@ -14,8 +14,14 @@
 //   - the semi-automatic schema design Algorithm 2 that derives a co-clustered
 //     schema from classic DDL with CREATE INDEX hints (alg2.go);
 //   - scatter-scan order computation over count tables, the access method
-//     that feeds the sandwich operators (scatter.go); and
-//   - small-group relocation after bulk load ("puff pastry" handling).
+//     that feeds the sandwich operators (scatter.go);
+//   - small-group relocation after bulk load ("puff pastry" handling); and
+//   - what query rewriting looks bins up in (binset.go, keybins.go): BinSet,
+//     a bitset over one dimension's bins (nil = unrestricted, never mutated
+//     after construction), and per path hop a KeyBins index from the
+//     referenced table's key to the bin reached over the rest of the path —
+//     built once with the design from the bins the table bindings compute
+//     anyway, extended per append, rebuilt by a merge, immutable per version.
 package core
 
 import (

@@ -25,24 +25,7 @@ import (
 // point at other appended rows. Rows before `from` are skipped (bins start at
 // row `from` of the table); pass 0 to bind every row.
 func BindUses(db *Database, schema *catalog.Schema, tables map[string]*storage.Table, table string, from int) ([]UseBinding, error) {
-	td := db.Design.Table(table)
-	if td == nil {
-		return nil, fmt.Errorf("core: table %s has no BDCC design", table)
-	}
-	res := NewResolver(schema, tables)
-	uses := make([]UseBinding, len(td.Uses))
-	for i, us := range td.Uses {
-		dim := db.Dimensions[us.Dim]
-		if dim == nil {
-			return nil, fmt.Errorf("core: table %s uses unknown dimension %s", table, us.Dim)
-		}
-		bins, err := binsForUse(res, db, table, us)
-		if err != nil {
-			return nil, err
-		}
-		uses[i] = UseBinding{Dim: dim, Path: us.Path, BinNos: bins[from:]}
-	}
-	return uses, nil
+	return newUseBins(NewResolver(schema, tables), db).bind(table, from)
 }
 
 // DeltaKeys encodes the _bdcc_ keys of delta rows at the table's full load
@@ -219,16 +202,18 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 		Dimensions: old.Dimensions,
 		Tables:     make(map[string]*BDCCTable),
 	}
+	res := NewResolver(schema, tables)
+	ub := newUseBins(res, db)
 	for _, td := range old.Design.Tables {
 		base := old.Tables[td.Table]
 		if base == nil {
 			return nil, fmt.Errorf("core: rebuild: table %s designed but not materialized", td.Table)
 		}
-		data, err := NewResolver(schema, tables).Table(td.Table)
+		data, err := res.Table(td.Table)
 		if err != nil {
 			return nil, err
 		}
-		uses, err := BindUses(db, schema, tables, td.Table, 0)
+		uses, err := ub.bind(td.Table, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -247,6 +232,10 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 			return nil, err
 		}
 		db.Tables[td.Table] = bt
+	}
+	var err error
+	if db.keyBins, err = ub.keyBins("", 0); err != nil {
+		return nil, err
 	}
 	return db, nil
 }

@@ -94,16 +94,11 @@ func (t *BDCCTable) SelectBins(u *DimensionUse, lo, hi uint64) []CountEntry {
 // SelectBinSet restricts the count table to groups whose bits of use u match
 // the (reduced) bin prefix of any bin number in the set. The set members are
 // at the dimension's full granularity.
-func (t *BDCCTable) SelectBinSet(u *DimensionUse, bins map[uint64]bool) []CountEntry {
-	avail := Ones(u.Mask)
-	shift := uint(u.Dim.Bits() - avail)
-	reduced := make(map[uint64]bool, len(bins))
-	for b := range bins {
-		reduced[b>>shift] = true
-	}
+func (t *BDCCTable) SelectBinSet(u *DimensionUse, bins BinSet) []CountEntry {
+	reduced := bins.reduce(uint(u.Dim.Bits() - Ones(u.Mask)))
 	var out []CountEntry
 	for _, e := range t.Count {
-		if reduced[GatherBits(e.Key, u.Mask, t.Bits)] {
+		if reduced.Has(GatherBits(e.Key, u.Mask, t.Bits)) {
 			out = append(out, e)
 		}
 	}

@@ -3,6 +3,7 @@ package plan
 import (
 	"sync"
 
+	"bdcc/internal/core"
 	"bdcc/internal/engine"
 )
 
@@ -45,7 +46,7 @@ type Memo struct {
 // (restrict.go's sharing contract) and each replay wraps res in its own
 // read-only engine.Values.
 type preExecMemo struct {
-	raw map[string]binSet
+	raw map[string]core.BinSet
 	res *engine.Result
 }
 

@@ -258,26 +258,15 @@ func (ing *Ingest) publishViews(table string, batch *storage.Table) error {
 		next.tables[table] = sorted
 	case BDCC:
 		next.tables[table] = combined
-		if bt := clusteredTable(next.clustered, table); bt != nil {
+		if next.clustered != nil {
 			// Splice only the newest batch into the previous view — it
 			// already holds the older delta rows. Bindings resolve over the
 			// combined raw tables so fresh rows may reference fresh parents.
 			from := combined.Rows() - batch.Rows()
-			if from != int(bt.Rows()) {
-				return fmt.Errorf("plan: ingest view of %s holds %d rows, combined base has %d", table, bt.Rows(), from)
-			}
-			uses, err := core.BindUses(next.clustered, db.Schema, next.raw, table, from)
+			next.clustered, err = next.clustered.AppendRows(db.Schema, next.raw, table, from, batch, ing.opt.Build)
 			if err != nil {
 				return err
 			}
-			merged, err := core.MergeBDCCTable(bt, batch, uses, ing.opt.Build)
-			if err != nil {
-				return err
-			}
-			if err := merged.Validate(); err != nil {
-				return err
-			}
-			next.clustered = cloneClustered(next.clustered, table, merged)
 		}
 		if consBT := clusteredTable(ing.consClustered, table); consBT != nil {
 			// Drift measures all visible delta rows against the consolidated
@@ -351,30 +340,20 @@ func (ing *Ingest) Merge() error {
 			newTables[table] = sorted
 		case BDCC:
 			newTables[table] = combined
-			bt := clusteredTable(newClustered, table)
-			if bt == nil {
+			if newClustered == nil {
 				continue
-			}
-			from := combined.Rows() - k
-			uses, err := core.BindUses(newClustered, db.Schema, newRaw, table, from)
-			if err != nil {
-				return ing.failMerge(err)
 			}
 			dtab, err := ing.deltas[table].Prefix(k)
 			if err != nil {
 				return ing.failMerge(err)
 			}
-			mt, err := core.MergeBDCCTable(bt, dtab, uses, ing.opt.Build)
+			newClustered, err = newClustered.AppendRows(db.Schema, newRaw, table, combined.Rows()-k, dtab, ing.opt.Build)
 			if err != nil {
 				return ing.failMerge(err)
 			}
-			if err := mt.Validate(); err != nil {
-				return ing.failMerge(err)
+			if bt := newClustered.Tables[table]; bt != nil && ing.compressed[table] {
+				bt.Data.Compress()
 			}
-			if ing.compressed[table] {
-				mt.Data.Compress()
-			}
-			newClustered = cloneClustered(newClustered, table, mt)
 		}
 	}
 	for table, k := range merged {
@@ -472,15 +451,4 @@ func clusteredTable(db *core.Database, name string) *core.BDCCTable {
 		return nil
 	}
 	return db.Tables[name]
-}
-
-// cloneClustered swaps one table of a materialized design, sharing
-// everything else.
-func cloneClustered(db *core.Database, name string, bt *core.BDCCTable) *core.Database {
-	out := &core.Database{Design: db.Design, Dimensions: db.Dimensions, Tables: make(map[string]*core.BDCCTable, len(db.Tables))}
-	for n, t := range db.Tables {
-		out.Tables[n] = t
-	}
-	out.Tables[name] = bt
-	return out
 }

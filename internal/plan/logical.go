@@ -19,6 +19,16 @@
 //
 // One logical plan per query is written once; lowering it under the three
 // schemes is what makes the reproduction's comparisons apples-to-apples.
+//
+// Planning-time bin lookups. A restriction is a core.BinSet per dimension
+// use: a bitset over the dimension's bins, absent (nil) when the use is
+// unrestricted, never mutated once built — intersections make a fresh set,
+// so restrictions, recorded memos and concurrent replays alias sets freely.
+// The planner owns no value→bin state of its own: a pre-executed key set
+// becomes bins through the core.KeyBins indexes of the core.Database the
+// planner's DB (or pinned snapshot) already holds, so planning allocates
+// nothing that grows with a reference table and two planners never repeat
+// each other's work.
 package plan
 
 import (

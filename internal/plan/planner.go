@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"bdcc/internal/core"
 	"bdcc/internal/engine"
@@ -26,8 +26,6 @@ type Planner struct {
 	// Log collects EXPLAIN-style decisions.
 	Log []string
 
-	res        *core.Resolver
-	binMaps    map[string]map[int64]uint64
 	scanChoice map[*Scan]*useChoice
 	alignment  map[*Join]*sharedPair
 	joinPairs  map[*Join][]sharedPair
@@ -50,18 +48,10 @@ func NewPlanner(db *DB, ctx *engine.Context) *Planner {
 		Ctx:                  ctx,
 		PropagationThreshold: 300_000,
 		PreExecRowCap:        65_536,
-		binMaps:              make(map[string]map[int64]uint64),
 		scanChoice:           make(map[*Scan]*useChoice),
 		alignment:            make(map[*Join]*sharedPair),
 		joinPairs:            make(map[*Join][]sharedPair),
 	}
-}
-
-func (p *Planner) resolver() *core.Resolver {
-	if p.res == nil {
-		p.res = core.NewResolver(p.DB.Schema, p.DB.Tables)
-	}
-	return p.res
 }
 
 func (p *Planner) logf(format string, args ...any) {
@@ -512,7 +502,7 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 			if bins, ok := buildInfo.restr[useKey(pr.uR)]; ok {
 				transferred[useKey(pr.uP)] = bins
 				p.logf("join: propagate %s restriction (%d bins) from %s to probe",
-					pr.uR.Dim.Name, len(bins), pr.uR.Dim.Table)
+					pr.uR.Dim.Name, bins.Count(), pr.uR.Dim.Table)
 			}
 		}
 		// Key-set propagation from small build sides (pre-execution).
@@ -598,23 +588,6 @@ func hasOrderPrefix(order []string, col string) bool {
 	return len(order) > 0 && order[0] == col
 }
 
-// mergeTransferredBins intersects bins into transferred under key k,
-// allocating a fresh merged set on overlap so neither input is mutated —
-// the recorded bin sets of a memo replay alias into transferred safely.
-func mergeTransferredBins(transferred restrictions, k string, bins binSet) {
-	if cur, ok := transferred[k]; ok {
-		merged := make(binSet)
-		for b := range cur {
-			if bins[b] {
-				merged[b] = true
-			}
-		}
-		transferred[k] = merged
-	} else {
-		transferred[k] = bins
-	}
-}
-
 // preExecPropagate executes a small build subtree to convert its join-key
 // set into probe-side bin restrictions. For sandwich joins the subtree runs
 // once more in grouped form, so the planning run is charged to neither the
@@ -632,8 +605,8 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 			return buildOp, nil
 		}
 		for k, bins := range pe.raw {
-			mergeTransferredBins(transferred, k, bins)
-			p.logf("join: replayed pre-executed build restriction %s (%d bins)", k, len(bins))
+			transferred.and(k, bins)
+			p.logf("join: replayed pre-executed build restriction %s (%d bins)", k, bins.Count())
 		}
 		if pe.res != nil {
 			return &engine.Values{Rows: pe.res}, nil
@@ -659,7 +632,6 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 		scratch := &Planner{
 			DB: p.DB, Ctx: &engine.Context{},
 			PropagationThreshold: 0, PreExecRowCap: p.PreExecRowCap,
-			binMaps:    p.binMaps,
 			scanChoice: map[*Scan]*useChoice{},
 			alignment:  map[*Join]*sharedPair{},
 			joinPairs:  map[*Join][]sharedPair{},
@@ -691,20 +663,17 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 		vals := distinctInt64(res.Cols[ci].I64)
 		equated := make(map[string]bool)
 		equatedPairs(j.Left, equated)
-		raw := make(map[string]binSet)
+		raw := make(map[string]core.BinSet)
 		for _, u := range bt.Uses {
-			bins, err := p.binsForKeyValues(u, probeCol, vals, equated)
-			if err != nil {
-				return buildOp, err
-			}
+			bins := p.binsForKeyValues(u, probeCol, vals, equated)
 			if bins == nil {
 				continue
 			}
 			k := useKey(u)
 			raw[k] = bins
-			mergeTransferredBins(transferred, k, bins)
+			transferred.and(k, bins)
 			p.logf("join: pre-executed build (%d keys) restricts %s via %s to %d bins",
-				len(vals), probeBase.Table, k, len(bins))
+				len(vals), probeBase.Table, k, bins.Count())
 		}
 		rec.raw = raw
 	}
@@ -751,16 +720,11 @@ func (p *Planner) subtreeSmall(n Node) bool {
 	return small
 }
 
+// distinctInt64 returns the distinct values in ascending order.
 func distinctInt64(vals []int64) []int64 {
-	out := append([]int64(nil), vals...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != dedup[len(dedup)-1] {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
+	out := slices.Clone(vals)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // lowerAgg plans an aggregation: sandwich (flush-per-group) when the stream

@@ -1,44 +1,39 @@
 package plan
 
 import (
-	"fmt"
-
 	"bdcc/internal/core"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
-
-// binSet is a set of dimension bin numbers at the dimension's full
-// granularity. A nil binSet means "unrestricted".
-type binSet map[uint64]bool
 
 // restrictions maps dimension uses (by useKey, anchored at one base table)
 // to the bin sets their rows are known to fall into. These are the planner's
 // currency for the paper's selection pushdown and selection propagation:
 // they are produced at scans from predicates on dimension keys, transferred
 // across joins whose foreign-key paths connect matched uses, and finally
-// consumed by the count-table restriction of BDCC scans.
-type restrictions map[string]binSet
+// consumed by the count-table restriction of BDCC scans. Bin sets are
+// core.BinSet bitsets: absent means unrestricted, and a stored set is never
+// mutated — restrictions, memos and replays alias them.
+type restrictions map[string]core.BinSet
 
 // useKey identifies a dimension use within its base table.
 func useKey(u *core.DimensionUse) string {
 	return u.Dim.Name + "|" + u.PathString()
 }
 
+// and restricts use k to bins, intersecting with what is already known
+// there into a fresh set so neither input is mutated.
+func (r restrictions) and(k string, bins core.BinSet) {
+	if cur, ok := r[k]; ok {
+		bins = cur.And(bins)
+	}
+	r[k] = bins
+}
+
 // intersectInto merges other into r, intersecting overlapping entries.
 func (r restrictions) intersectInto(other restrictions) {
 	for k, bins := range other {
-		if cur, ok := r[k]; ok {
-			merged := make(binSet)
-			for b := range cur {
-				if bins[b] {
-					merged[b] = true
-				}
-			}
-			r[k] = merged
-			continue
-		}
-		r[k] = bins
+		r.and(k, bins)
 	}
 }
 
@@ -52,9 +47,9 @@ func (r restrictions) clone() restrictions {
 	return out
 }
 
-// binsForLeadingRange converts a closed interval on the leading key column
-// of a dimension into the covering bin set. Either bound may be nil.
-func binsForLeadingRange(dim *core.Dimension, kind vector.Kind, loI, hiI *int64, loS, hiS *string) binSet {
+// addLeadingRange adds to set the bins covering a closed interval on the
+// leading key column of a dimension. Either bound may be nil.
+func addLeadingRange(set core.BinSet, dim *core.Dimension, kind vector.Kind, loI, hiI *int64, loS, hiS *string) {
 	var lo, hi *core.KeyVal
 	mk := func(i *int64, s *string, closeHi bool) *core.KeyVal {
 		if i == nil && s == nil {
@@ -78,12 +73,7 @@ func binsForLeadingRange(dim *core.Dimension, kind vector.Kind, loI, hiI *int64,
 	} else {
 		lo, hi = mk(loI, nil, false), mk(hiI, nil, true)
 	}
-	bLo, bHi := dim.BinRange(lo, hi)
-	out := make(binSet, bHi-bLo+1)
-	for b := bLo; b <= bHi; b++ {
-		out[b] = true
-	}
-	return out
+	set.AddRange(dim.BinRange(lo, hi))
 }
 
 // localScanRestrictions derives static restrictions from a scan filter: for
@@ -111,7 +101,9 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 			if r.HasHi {
 				hiI, hiS = &r.HiI, &r.HiS
 			}
-			out[useKey(u)] = binsForLeadingRange(u.Dim, r.Kind, loI, hiI, loS, hiS)
+			bins := core.NewBinSet(u.Dim.NumBins())
+			addLeadingRange(bins, u.Dim, r.Kind, loI, hiI, loS, hiS)
+			out[useKey(u)] = bins
 		}
 		// IN lists with several constants escape ImpliedRanges; handle them
 		// directly.
@@ -124,33 +116,16 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 			if !ok || col.Name != lead {
 				continue
 			}
-			bins := make(binSet)
+			bins := core.NewBinSet(u.Dim.NumBins())
 			for _, v := range in.Values {
-				var vb binSet
 				switch v.K {
 				case vector.Int64:
-					vb = binsForLeadingRange(u.Dim, vector.Int64, &v.I, &v.I, nil, nil)
+					addLeadingRange(bins, u.Dim, vector.Int64, &v.I, &v.I, nil, nil)
 				case vector.String:
-					vb = binsForLeadingRange(u.Dim, vector.String, nil, nil, &v.S, &v.S)
-				default:
-					continue
-				}
-				for b := range vb {
-					bins[b] = true
+					addLeadingRange(bins, u.Dim, vector.String, nil, nil, &v.S, &v.S)
 				}
 			}
-			k := useKey(u)
-			if cur, restricted := out[k]; restricted {
-				merged := make(binSet)
-				for b := range cur {
-					if bins[b] {
-						merged[b] = true
-					}
-				}
-				out[k] = merged
-			} else {
-				out[k] = bins
-			}
+			out.and(useKey(u), bins)
 		}
 	}
 	return out
@@ -166,27 +141,27 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 // those pairs. This is how a pre-executed dimension-side subtree's
 // selection becomes a count-table restriction — the paper's "a region
 // equi-selection determines a consecutive D_NATION bin range" generalized
-// to arbitrary key sets at any depth of the dimension path.
-func (p *Planner) binsForKeyValues(u *core.DimensionUse, probeCol string, vals []int64, equated map[string]bool) (binSet, error) {
+// to arbitrary key sets at any depth of the dimension path. vals ascend. The
+// key→bin mapping of a hop is the materialized design's (core.KeyBins): the
+// lookup allocates the bin set and nothing that grows with the reference
+// table. nil means the values say nothing about this use.
+func (p *Planner) binsForKeyValues(u *core.DimensionUse, probeCol string, vals []int64, equated map[string]bool) core.BinSet {
 	dim := u.Dim
 	if len(u.Path) == 0 {
 		if probeCol != dim.Key[0] {
-			return nil, nil
+			return nil
 		}
-		bins := make(binSet)
+		bins := core.NewBinSet(dim.NumBins())
 		for _, v := range vals {
-			vb := binsForLeadingRange(dim, vector.Int64, &v, &v, nil, nil)
-			for b := range vb {
-				bins[b] = true
-			}
+			addLeadingRange(bins, dim, vector.Int64, &v, &v, nil, nil)
 		}
-		return bins, nil
+		return bins
 	}
 	hop := -1
 	for h, fkName := range u.Path {
 		fk := p.DB.Schema.FK(fkName)
 		if fk == nil {
-			return nil, nil
+			return nil
 		}
 		if len(fk.Cols) == 1 && fk.Cols[0] == probeCol {
 			hop = h
@@ -194,7 +169,7 @@ func (p *Planner) binsForKeyValues(u *core.DimensionUse, probeCol string, vals [
 		}
 	}
 	if hop < 0 {
-		return nil, nil
+		return nil
 	}
 	// Verify the hops leading to probeCol are joined within the probe
 	// subtree (otherwise probeCol's values say nothing about the base
@@ -203,59 +178,17 @@ func (p *Planner) binsForKeyValues(u *core.DimensionUse, probeCol string, vals [
 		fk := p.DB.Schema.FK(u.Path[h])
 		for i := range fk.Cols {
 			if !equated[fk.Cols[i]+"="+fk.RefCols[i]] {
-				return nil, nil
+				return nil
 			}
 		}
 	}
-	m, err := p.valueBinMap(u, hop)
-	if err != nil || m == nil {
-		return nil, err
+	idx := p.DB.Clustered.KeyBins(dim.Name, u.Path[hop:])
+	if idx == nil {
+		return nil
 	}
-	bins := make(binSet)
-	for _, v := range vals {
-		if b, ok := m[v]; ok {
-			bins[b] = true
-		}
-	}
-	return bins, nil
-}
-
-// valueBinMap returns (building and caching on first use) the map from hop
-// h's reference key value to the dimension bin reached over the rest of the
-// use's path.
-func (p *Planner) valueBinMap(u *core.DimensionUse, hop int) (map[int64]uint64, error) {
-	fk := p.DB.Schema.FK(u.Path[hop])
-	key := u.Dim.Name + "|" + fk.Name
-	if m, ok := p.binMaps[key]; ok {
-		return m, nil
-	}
-	ref, ok := p.DB.Tables[fk.RefTable]
-	if !ok {
-		return nil, fmt.Errorf("plan: no stored table %q", fk.RefTable)
-	}
-	refCol, err := ref.Column(fk.RefCols[0])
-	if err != nil {
-		return nil, err
-	}
-	if refCol.Kind != vector.Int64 {
-		return nil, nil
-	}
-	hostRows, err := p.resolver().HostRows(fk.RefTable, u.Path[hop+1:])
-	if err != nil {
-		return nil, err
-	}
-	dim := u.Dim
-	host := p.DB.Tables[dim.Table]
-	hostKeys, err := core.KeyValues(host, dim.Key)
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[int64]uint64, len(refCol.I64))
-	for i, v := range refCol.I64 {
-		m[v] = dim.BinOf(hostKeys[hostRows[i]])
-	}
-	p.binMaps[key] = m
-	return m, nil
+	bins := core.NewBinSet(dim.NumBins())
+	idx.AddBins(bins, vals)
+	return bins
 }
 
 // equatedPairs collects the column equalities established by equi-joins in
