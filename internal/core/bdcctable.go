@@ -174,7 +174,7 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 	}
 	stats := CollectGroupStats(sortedKeys, fullBits)
 	// (iii) choose the count-table granularity against the densest column.
-	minRows := efficientRows(sorted, opt.Device)
+	minRows := efficientRows(sorted.DensestColumn().Width(), opt.Device)
 	b := opt.ForceBits
 	if b == 0 {
 		b = chooseGranularity(sortedKeys, fullBits, minRows, opt.MajorityFrac, n)
@@ -215,18 +215,20 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 		i = j
 	}
 	if !opt.DisableRelocation {
-		if err := t.relocateSmallGroups(minRows); err != nil {
-			return nil, err
+		if small := t.relocateSmallGroups(minRows); small != nil {
+			if t.Data, err = t.Data.AppendRows(small); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return t, nil
 }
 
 // efficientRows converts the device's efficient random access size into a
-// minimum group row count against the densest column: a group qualifies when
-// it rounds to at least one AR unit (≥ AR/2 bytes) in that column.
-func efficientRows(t *storage.Table, dev iosim.Device) int64 {
-	w := t.DensestColumn().Width()
+// minimum group row count against the densest column, of modeled width w: a
+// group qualifies when it rounds to at least one AR unit (≥ AR/2 bytes) in
+// that column.
+func efficientRows(w float64, dev iosim.Device) int64 {
 	if w <= 0 {
 		w = 1
 	}
@@ -256,11 +258,13 @@ func chooseGranularity(sortedKeys []uint64, fullBits int, minRows int64, frac fl
 // relocateSmallGroups implements the paper's post-load step: groups smaller
 // than the efficient size are copied, in count-table order, to a consecutive
 // area appended to the table; their count-table entries are re-pointed there
-// and flagged. Relocation is skipped when small groups hold more than 20% of
-// the data ("the low percentage of data in very small groups") — in that
-// case the chosen granularity already guarantees efficient groups for the
-// majority and relocating would double too much of the table.
-func (t *BDCCTable) relocateSmallGroups(minRows int64) error {
+// and flagged. The copy itself is the caller's: the result is the groups'
+// extents, whose rows go once more behind the table's baseRows rows (nil:
+// nothing to relocate). Relocation is skipped when small groups hold more
+// than 20% of the data ("the low percentage of data in very small groups") —
+// in that case the chosen granularity already guarantees efficient groups for
+// the majority and relocating would double too much of the table.
+func (t *BDCCTable) relocateSmallGroups(minRows int64) storage.RowRanges {
 	var small storage.RowRanges
 	var smallTuples int64
 	for _, e := range t.Count {
@@ -272,11 +276,6 @@ func (t *BDCCTable) relocateSmallGroups(minRows int64) error {
 	if smallTuples == 0 || float64(smallTuples) > 0.2*float64(t.baseRows) {
 		return nil
 	}
-	data, err := t.Data.AppendRows(small)
-	if err != nil {
-		return err
-	}
-	t.Data = data
 	t.RelocatedRows = smallTuples
 	next := t.baseRows
 	for i := range t.Count {
@@ -286,7 +285,7 @@ func (t *BDCCTable) relocateSmallGroups(minRows int64) error {
 			next += t.Count[i].Count
 		}
 	}
-	return nil
+	return small
 }
 
 // Rows returns the logical row count (excluding relocated copies).

@@ -36,12 +36,13 @@ type Builder struct {
 
 // Build materializes the design.
 func (b *Builder) Build(design *Design) (*Database, error) {
-	res := NewResolver(b.Schema, b.Tables)
 	db := &Database{
 		Design:     design,
 		Dimensions: make(map[string]*Dimension),
 		Tables:     make(map[string]*BDCCTable),
 	}
+	ub := newUseBins(b.Schema, b.Tables, db)
+	res := ub.resolver()
 	for _, spec := range design.Dimensions {
 		dim, err := b.createDimension(design, spec, res)
 		if err != nil {
@@ -52,13 +53,12 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 		}
 		db.Dimensions[spec.Name] = dim
 	}
-	ub := newUseBins(res, db)
 	for _, td := range design.Tables {
 		data, err := res.Table(td.Table)
 		if err != nil {
 			return nil, err
 		}
-		uses, err := ub.bind(td.Table, 0)
+		uses, err := ub.bind(td.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -76,7 +76,7 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 		db.Tables[td.Table] = bt
 	}
 	var err error
-	if db.keyBins, err = ub.keyBins("", 0); err != nil {
+	if db.keyBins, err = ub.keyBins(""); err != nil {
 		return nil, err
 	}
 	return db, nil

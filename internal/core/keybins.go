@@ -101,27 +101,76 @@ func keyBinsKey(dim string, path []string) string {
 	return dim + "|" + strings.Join(path, ".")
 }
 
-// useBins resolves per-row dimension bins over one set of stored tables with
-// the database's dimensions, once per (table, dimension, path): the key→bin
-// indexes are assembled from the bins the table bindings already computed.
+// bin returns the bin of key k.
+func (x *KeyBins) bin(k int64) (uint64, bool) {
+	i, ok := slices.BinarySearch(x.Keys, k)
+	if !ok {
+		return 0, false
+	}
+	return x.Bins[i], true
+}
+
+// useBins resolves per-row dimension bins with the database's dimensions,
+// once per (table, dimension, path). Over whole stored tables (batch nil)
+// it walks the foreign-key paths with a Resolver, and the key→bin indexes
+// are assembled from the bins the table bindings already computed. Over a
+// freshly appended batch it reads those indexes instead, so binding costs
+// the batch and not the tables its paths cross.
 type useBins struct {
-	res  *Resolver
-	db   *Database
-	memo map[string][]uint64
+	schema *catalog.Schema
+	tables map[string]*storage.Table
+	db     *Database
+	memo   map[string][]uint64
+	res    *Resolver // over tables; built on first use
+
+	// batch holds rows [from, n) of tables[batchTable] and restricts the
+	// binder to them.
+	batch      *storage.Table
+	batchTable string
+	from       int
 }
 
-func newUseBins(res *Resolver, db *Database) *useBins {
-	return &useBins{res: res, db: db, memo: make(map[string][]uint64)}
+func newUseBins(schema *catalog.Schema, tables map[string]*storage.Table, db *Database) *useBins {
+	return &useBins{schema: schema, tables: tables, db: db, memo: make(map[string][]uint64)}
 }
 
-// of returns, for every row of table, the bin of dimension us.Dim reached
-// over us.Path.
+// newBatchBins returns the binder of batch, rows [from, n) of tables[table].
+func newBatchBins(schema *catalog.Schema, tables map[string]*storage.Table, db *Database, table string, from int, batch *storage.Table) *useBins {
+	b := newUseBins(schema, tables, db)
+	b.batch, b.batchTable, b.from = batch, table, from
+	return b
+}
+
+func (b *useBins) resolver() *Resolver {
+	if b.res == nil {
+		b.res = NewResolver(b.schema, b.tables)
+	}
+	return b.res
+}
+
+// rows returns the rows of table the binder covers; a batch binder is only
+// ever asked for its own table.
+func (b *useBins) rows(table string) (*storage.Table, error) {
+	if b.batch != nil {
+		return b.batch, nil
+	}
+	return b.resolver().Table(table)
+}
+
+// of returns, for every covered row of table, the bin of dimension us.Dim
+// reached over us.Path.
 func (b *useBins) of(table string, us UseSpec) ([]uint64, error) {
 	k := table + "|" + keyBinsKey(us.Dim, us.Path)
 	if bins, ok := b.memo[k]; ok {
 		return bins, nil
 	}
-	bins, err := binsForUse(b.res, b.db, table, us)
+	var bins []uint64
+	var err error
+	if b.batch == nil {
+		bins, err = binsForUse(b.resolver(), b.db, table, us)
+	} else {
+		bins, err = b.batchBins(us)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +178,55 @@ func (b *useBins) of(table string, us UseSpec) ([]uint64, error) {
 	return bins, nil
 }
 
-// bind returns the use bindings of one designed table for its rows from row
-// `from` on.
-func (b *useBins) bind(table string, from int) ([]UseBinding, error) {
+// batchBins bins the batch's rows for one use: a local dimension bins the
+// batch's own key columns, a path leaves over its first foreign key through
+// the key→bin index of that hop. A key the index does not hold is a dangling
+// reference — parents arrive, and extend the index, before their children.
+// Only a hop without an index (a composite or non-int64 foreign key) walks
+// the stored tables.
+func (b *useBins) batchBins(us UseSpec) ([]uint64, error) {
+	dim := b.db.Dimensions[us.Dim]
+	if len(us.Path) == 0 {
+		keys, err := KeyValues(b.batch, dim.Key)
+		if err != nil {
+			return nil, err
+		}
+		bins := make([]uint64, len(keys))
+		for i, k := range keys {
+			bins[i] = dim.BinOf(k)
+		}
+		return bins, nil
+	}
+	idx := b.db.KeyBins(us.Dim, us.Path)
+	if idx == nil {
+		bins, err := binsForUse(b.resolver(), b.db, b.batchTable, us)
+		if err != nil {
+			return nil, err
+		}
+		return bins[b.from:], nil
+	}
+	fk := b.schema.FK(us.Path[0]) // the index was built over it
+	col, err := b.batch.Column(fk.Cols[0])
+	if err != nil {
+		return nil, err
+	}
+	if col.Kind != vector.Int64 {
+		return nil, fmt.Errorf("core: foreign key %s: only int64 single-column keys supported, got %s", fk.Name, col.Kind)
+	}
+	bins := make([]uint64, len(col.I64))
+	for i, v := range col.I64 {
+		bin, ok := idx.bin(v)
+		if !ok {
+			return nil, fmt.Errorf("core: foreign key %s: value %d of %s.%s has no match in %s.%s",
+				fk.Name, v, fk.Table, fk.Cols[0], fk.RefTable, fk.RefCols[0])
+		}
+		bins[i] = bin
+	}
+	return bins, nil
+}
+
+// bind returns the use bindings of one designed table for its covered rows.
+func (b *useBins) bind(table string) ([]UseBinding, error) {
 	td := b.db.Design.Table(table)
 	if td == nil {
 		return nil, fmt.Errorf("core: table %s has no BDCC design", table)
@@ -146,20 +241,20 @@ func (b *useBins) bind(table string, from int) ([]UseBinding, error) {
 		if err != nil {
 			return nil, err
 		}
-		uses[i] = UseBinding{Dim: dim, Path: us.Path, BinNos: bins[from:]}
+		uses[i] = UseBinding{Dim: dim, Path: us.Path, BinNos: bins}
 	}
 	return uses, nil
 }
 
 // keyBins returns, for every hop of the design whose foreign key references
 // refTable ("" means any table) by a single int64 column, the database's
-// index extended by the referenced table's rows from row `from` on.
-func (b *useBins) keyBins(refTable string, from int) (map[string]*KeyBins, error) {
+// index extended by the keys and bins of the referenced table's covered rows.
+func (b *useBins) keyBins(refTable string) (map[string]*KeyBins, error) {
 	out := make(map[string]*KeyBins)
 	for _, td := range b.db.Design.Tables {
 		for _, us := range td.Uses {
 			for h, fkName := range us.Path {
-				fk := b.res.schema.FK(fkName)
+				fk := b.schema.FK(fkName)
 				if fk == nil || len(fk.RefCols) != 1 || (refTable != "" && fk.RefTable != refTable) {
 					continue
 				}
@@ -167,7 +262,7 @@ func (b *useBins) keyBins(refTable string, from int) (map[string]*KeyBins, error
 				if out[k] != nil {
 					continue
 				}
-				ref, err := b.res.Table(fk.RefTable)
+				ref, err := b.rows(fk.RefTable)
 				if err != nil {
 					return nil, err
 				}
@@ -182,31 +277,35 @@ func (b *useBins) keyBins(refTable string, from int) (map[string]*KeyBins, error
 				if err != nil {
 					return nil, err
 				}
-				out[k] = b.db.keyBins[k].extended(keys.I64[from:], bins[from:])
+				out[k] = b.db.keyBins[k].extended(keys.I64, bins)
 			}
 		}
 	}
 	return out, nil
 }
 
-// AppendRows returns the database that additionally holds rows [from, n) of
-// tables[table], which delta carries: the table's clustering takes them by
-// the MergeBDCCTable splice (when the table has a design) and every key→bin
-// index whose hop references the table gains their keys. tables are the
-// combined stored tables, so fresh rows may reference fresh parents.
+// AppendRows returns the database that additionally holds batch, rows
+// [from, n) of tables[table]: the table's clustering takes them by the
+// MergeBDCCTable splice (when the table has a design) and every key→bin
+// index whose hop references the table gains their keys. This is the one
+// place an append is priced, and the price is the batch plus one copy of the
+// appended table's clustered view: the batch's bins come from its own key
+// columns and from the indexes (see batchBins), so no other table is read —
+// tables, the combined stored tables, serve only a hop that has no index.
+// Parents must be appended before the children that reference them.
 // Everything else is shared with db, which is not modified.
-func (db *Database) AppendRows(schema *catalog.Schema, tables map[string]*storage.Table, table string, from int, delta *storage.Table, opt BuildOptions) (*Database, error) {
-	b := newUseBins(NewResolver(schema, tables), db)
+func (db *Database) AppendRows(schema *catalog.Schema, tables map[string]*storage.Table, table string, from int, batch *storage.Table, opt BuildOptions) (*Database, error) {
+	b := newBatchBins(schema, tables, db, table, from, batch)
 	out := *db
 	if bt := db.Tables[table]; bt != nil {
 		if int(bt.Rows()) != from {
 			return nil, fmt.Errorf("core: clustered %s holds %d rows, append starts at row %d", table, bt.Rows(), from)
 		}
-		uses, err := b.bind(table, from)
+		uses, err := b.bind(table)
 		if err != nil {
 			return nil, err
 		}
-		merged, err := MergeBDCCTable(bt, delta, uses, opt)
+		merged, err := MergeBDCCTable(bt, batch, uses, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +315,7 @@ func (db *Database) AppendRows(schema *catalog.Schema, tables map[string]*storag
 		out.Tables = maps.Clone(db.Tables)
 		out.Tables[table] = merged
 	}
-	ext, err := b.keyBins(table, from)
+	ext, err := b.keyBins(table)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/iosim"
@@ -25,7 +26,21 @@ import (
 // point at other appended rows. Rows before `from` are skipped (bins start at
 // row `from` of the table); pass 0 to bind every row.
 func BindUses(db *Database, schema *catalog.Schema, tables map[string]*storage.Table, table string, from int) ([]UseBinding, error) {
-	return newUseBins(NewResolver(schema, tables), db).bind(table, from)
+	uses, err := newUseBins(schema, tables, db).bind(table)
+	for i := range uses {
+		uses[i].BinNos = uses[i].BinNos[from:]
+	}
+	return uses, err
+}
+
+// BindBatch is BindUses for a freshly appended batch — rows [from, n) of
+// tables[table] — at the cost of the batch: bins come from the batch's own
+// key columns and from the database's key→bin indexes, which must already
+// hold the keys of the rows the batch references (parents are appended
+// first). It is what AppendRows binds with; BindUses, which walks the stored
+// tables, stays the reference it is tested against.
+func BindBatch(db *Database, schema *catalog.Schema, tables map[string]*storage.Table, table string, from int, batch *storage.Table) ([]UseBinding, error) {
+	return newBatchBins(schema, tables, db, table, from, batch).bind(table)
 }
 
 // DeltaKeys encodes the _bdcc_ keys of delta rows at the table's full load
@@ -66,18 +81,19 @@ func DeltaKeys(base *BDCCTable, uses []UseBinding) ([]uint64, error) {
 //
 //	(i)   encode the delta rows' _bdcc_ keys with the frozen masks and sort
 //	      them (stably, so arrival order breaks ties);
-//	(ii)  merge the run into the retained sorted key order by a single linear
-//	      pass — base rows win ties, matching what a stable re-sort of
-//	      base-then-delta insertion order would produce — and permute the
-//	      concatenated data once into the merged order;
-//	(iii) update T_COUNT arithmetically: per-cell delta counts are added to
+//	(ii)  update T_COUNT arithmetically: per-cell delta counts are added to
 //	      the existing entries (new cells are inserted in key order) and
 //	      offsets re-derived by prefix sum, with no re-aggregation of base
 //	      rows;
-//	(iv)  re-run small-group relocation over the merged table.
+//	(iii) re-decide small-group relocation over the merged counts;
+//	(iv)  merge the run into the retained sorted key order by a single linear
+//	      pass — base rows win ties, matching what a stable re-sort of
+//	      base-then-delta insertion order would produce — and gather the
+//	      merged rows, relocation area included, straight from (base, delta):
+//	      the table is copied once and its zonemap built once.
 //
-// The merged table is uncompressed (Concat yields raw columns); callers
-// consolidating a compressed base re-encode the result explicitly.
+// The merged table is uncompressed; callers consolidating a compressed base
+// re-encode the result explicitly.
 func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, opt BuildOptions) (*BDCCTable, error) {
 	if opt.Device.PageSize == 0 {
 		opt.Device = iosim.PaperSSD()
@@ -97,31 +113,7 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 	}
 	// (i) sort the delta run.
 	deltaPerm := storage.SortPerm(deltaKeys)
-	// (ii) one-pass merge into the retained order. Concat indexes rows
-	// [0,n) as the sorted base and [n,n+k) as the delta in arrival order.
-	concat, err := storage.Concat(base.Data, n, delta)
-	if err != nil {
-		return nil, err
-	}
-	perm := make([]int32, 0, n+k)
-	mergedKeys := make([]uint64, 0, n+k)
-	bi, dj := 0, 0
-	for bi < n || dj < k {
-		if bi < n && (dj >= k || base.SortedKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
-			mergedKeys = append(mergedKeys, base.SortedKeys[bi])
-			perm = append(perm, int32(bi))
-			bi++
-		} else {
-			mergedKeys = append(mergedKeys, deltaKeys[deltaPerm[dj]])
-			perm = append(perm, int32(n)+deltaPerm[dj])
-			dj++
-		}
-	}
-	merged, err := concat.Permute(perm)
-	if err != nil {
-		return nil, err
-	}
-	// (iii) count-table arithmetic at the frozen granularity.
+	// (ii) count-table arithmetic at the frozen granularity.
 	shift := uint(base.FullBits - base.Bits)
 	var deltaGroups []CountEntry
 	for i := 0; i < k; {
@@ -133,16 +125,12 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 		deltaGroups = append(deltaGroups, CountEntry{Key: g, Count: int64(j - i)})
 		i = j
 	}
-	count := mergeCounts(base.Count, deltaGroups)
 	t := &BDCCTable{
-		Name:       base.Name,
-		Data:       merged,
-		Bits:       base.Bits,
-		FullBits:   base.FullBits,
-		Count:      count,
-		Stats:      CollectGroupStats(mergedKeys, base.FullBits),
-		SortedKeys: mergedKeys,
-		baseRows:   int64(n + k),
+		Name:     base.Name,
+		Bits:     base.Bits,
+		FullBits: base.FullBits,
+		Count:    mergeCounts(base.Count, deltaGroups),
+		baseRows: int64(n + k),
 	}
 	for _, u := range base.Uses {
 		t.Uses = append(t.Uses, &DimensionUse{
@@ -152,12 +140,35 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 			FullMask: u.FullMask,
 		})
 	}
-	// (iv) fresh relocation decisions over the merged table.
+	// (iii) fresh relocation decisions over the merged counts; the rows are
+	// copied by the gather below.
+	var small storage.RowRanges
 	if !opt.DisableRelocation {
-		if err := t.relocateSmallGroups(efficientRows(merged, opt.Device)); err != nil {
-			return nil, err
+		small = t.relocateSmallGroups(efficientRows(storage.ConcatWidth(base.Data, n, delta), opt.Device))
+	}
+	// (iv) one-pass merge into the retained order. src indexes rows [0,n) as
+	// the sorted base and [n,n+k) as the delta in arrival order.
+	src := make([]int32, 0, n+k+small.Rows())
+	t.SortedKeys = make([]uint64, 0, n+k)
+	bi, dj := 0, 0
+	for bi < n || dj < k {
+		if bi < n && (dj >= k || base.SortedKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
+			t.SortedKeys = append(t.SortedKeys, base.SortedKeys[bi])
+			src = append(src, int32(bi))
+			bi++
+		} else {
+			t.SortedKeys = append(t.SortedKeys, deltaKeys[deltaPerm[dj]])
+			src = append(src, int32(n)+deltaPerm[dj])
+			dj++
 		}
 	}
+	for _, r := range small {
+		src = append(src, src[r.Start:r.End]...)
+	}
+	if t.Data, err = storage.Splice(base.Data, n, delta, src); err != nil {
+		return nil, err
+	}
+	t.Stats = CollectGroupStats(t.SortedKeys, base.FullBits)
 	return t, nil
 }
 
@@ -202,8 +213,8 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 		Dimensions: old.Dimensions,
 		Tables:     make(map[string]*BDCCTable),
 	}
-	res := NewResolver(schema, tables)
-	ub := newUseBins(res, db)
+	ub := newUseBins(schema, tables, db)
+	res := ub.resolver()
 	for _, td := range old.Design.Tables {
 		base := old.Tables[td.Table]
 		if base == nil {
@@ -213,7 +224,7 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 		if err != nil {
 			return nil, err
 		}
-		uses, err := ub.bind(td.Table, 0)
+		uses, err := ub.bind(td.Table)
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +245,7 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 		db.Tables[td.Table] = bt
 	}
 	var err error
-	if db.keyBins, err = ub.keyBins("", 0); err != nil {
+	if db.keyBins, err = ub.keyBins(""); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -275,35 +286,77 @@ func (r DriftReport) String() string {
 // DriftStats compares the cell-size histogram of un-merged delta keys (at
 // full granularity) against the base count table.
 func DriftStats(base *BDCCTable, deltaKeys []uint64) DriftReport {
-	r := DriftReport{Table: base.Name, BaseRows: base.baseRows, DeltaRows: int64(len(deltaKeys))}
-	if len(deltaKeys) == 0 {
-		return r
-	}
 	shift := uint(base.FullBits - base.Bits)
-	deltaCells := make(map[uint64]int64, len(base.Count))
-	for _, k := range deltaKeys {
-		deltaCells[k>>shift]++
+	cells := make([]uint64, len(deltaKeys))
+	for i, k := range deltaKeys {
+		cells[i] = k >> shift
 	}
-	baseCells := make(map[uint64]int64, len(base.Count))
-	for _, e := range base.Count {
-		baseCells[e.Key] = e.Count
+	slices.Sort(cells)
+	var delta []CountEntry
+	for i := 0; i < len(cells); {
+		j := i
+		for j < len(cells) && cells[j] == cells[i] {
+			j++
+		}
+		delta = append(delta, CountEntry{Key: cells[i], Count: int64(j - i)})
+		i = j
+	}
+	return driftReport(base, delta)
+}
+
+// DriftSince reports the drift of the rows spliced into t since it was base
+// (t descends from base by MergeBDCCTable, so its count table is base's plus
+// the delta's per-cell counts): the same report DriftStats gives over those
+// rows' keys, read off the two count tables without touching a row.
+func (t *BDCCTable) DriftSince(base *BDCCTable) DriftReport {
+	var delta []CountEntry
+	bi := 0
+	for _, e := range t.Count {
+		for bi < len(base.Count) && base.Count[bi].Key < e.Key {
+			bi++
+		}
+		var had int64
+		if bi < len(base.Count) && base.Count[bi].Key == e.Key {
+			had = base.Count[bi].Count
+		}
+		if e.Count > had {
+			delta = append(delta, CountEntry{Key: e.Key, Count: e.Count - had})
+		}
+	}
+	return driftReport(base, delta)
+}
+
+// driftReport compares the delta's per-cell row counts, in key order, with
+// the base count table — which is the base histogram, keyed and ordered.
+func driftReport(base *BDCCTable, delta []CountEntry) DriftReport {
+	r := DriftReport{Table: base.Name, BaseRows: base.baseRows}
+	for _, d := range delta {
+		r.DeltaRows += d.Count
+	}
+	if r.DeltaRows == 0 {
+		return r
 	}
 	var dist float64
 	var hottest int64
-	for cell, cnt := range deltaCells {
-		if cnt > hottest {
-			hottest = cnt
+	bi := 0
+	for _, d := range delta {
+		for ; bi < len(base.Count) && base.Count[bi].Key < d.Key; bi++ {
+			dist += float64(base.Count[bi].Count) / float64(r.BaseRows)
 		}
-		if baseCells[cell] == 0 {
+		var had int64
+		if bi < len(base.Count) && base.Count[bi].Key == d.Key {
+			had = base.Count[bi].Count
+			bi++
+		}
+		if had == 0 {
 			r.NewCells++
-			r.NewCellRows += cnt
+			r.NewCellRows += d.Count
 		}
-		dist += math.Abs(float64(cnt)/float64(r.DeltaRows) - float64(baseCells[cell])/float64(r.BaseRows))
+		hottest = max(hottest, d.Count)
+		dist += math.Abs(float64(d.Count)/float64(r.DeltaRows) - float64(had)/float64(r.BaseRows))
 	}
-	for cell, cnt := range baseCells {
-		if deltaCells[cell] == 0 {
-			dist += float64(cnt) / float64(r.BaseRows)
-		}
+	for ; bi < len(base.Count); bi++ {
+		dist += float64(base.Count[bi].Count) / float64(r.BaseRows)
 	}
 	r.HotCellFrac = float64(hottest) / float64(r.DeltaRows)
 	r.Distance = dist / 2

@@ -3,8 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"bdcc/internal/iosim"
 	"bdcc/internal/storage"
 )
 
@@ -301,5 +305,249 @@ func TestDriftStats(t *testing.T) {
 	}
 	if none := DriftStats(base, nil); none.Drifted(0) || none.Distance != 0 {
 		t.Fatalf("empty delta reports drift: %v", none)
+	}
+}
+
+// spliceTable builds rows of (k, payload, f, s): an int64 clustering key, a
+// globally numbered payload, a float and a string whose length varies with
+// the payload — so the string column's modeled width, and with it the page
+// geometry and the relocation threshold, moves when rows are added.
+func spliceTable(keys []int64, off int) *storage.Table {
+	pay := make([]int64, len(keys))
+	f := make([]float64, len(keys))
+	s := make([]string, len(keys))
+	for i := range keys {
+		pay[i] = int64(off + i)
+		f[i] = float64((off+i)%97) / 7
+		s[i] = strings.Repeat(string(rune('a'+(off+i)%23)), 8+(off+i)%40)
+	}
+	return storage.MustNewTable("t", 4<<10,
+		storage.NewInt64Column("k", keys), storage.NewInt64Column("payload", pay),
+		storage.NewFloat64Column("f", f), storage.NewStringColumn("s", s))
+}
+
+// refMergeConcatPermute is the splice as it was before it became one gather:
+// concatenate, permute into the merged order, re-aggregate the count table
+// from the merged keys, and relocate by copying row ranges once more — three
+// table copies, kept as the reference the one-pass splice is held to.
+func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, uses []UseBinding, opt BuildOptions) *BDCCTable {
+	t.Helper()
+	n, k := int(base.baseRows), delta.Rows()
+	deltaKeys, err := DeltaKeys(base, uses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltaPerm := storage.SortPerm(deltaKeys)
+	concat, err := storage.Concat(base.Data, n, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perm []int32
+	var mergedKeys []uint64
+	for bi, dj := 0, 0; bi < n || dj < k; {
+		if bi < n && (dj >= k || base.SortedKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
+			mergedKeys = append(mergedKeys, base.SortedKeys[bi])
+			perm = append(perm, int32(bi))
+			bi++
+		} else {
+			mergedKeys = append(mergedKeys, deltaKeys[deltaPerm[dj]])
+			perm = append(perm, int32(n)+deltaPerm[dj])
+			dj++
+		}
+	}
+	merged, err := concat.Permute(perm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := &BDCCTable{Name: base.Name, Data: merged, Bits: base.Bits, FullBits: base.FullBits,
+		Stats: CollectGroupStats(mergedKeys, base.FullBits), SortedKeys: mergedKeys, baseRows: int64(n + k)}
+	shift := uint(base.FullBits - base.Bits)
+	for i := 0; i < n+k; {
+		j := i
+		for j < n+k && mergedKeys[j]>>shift == mergedKeys[i]>>shift {
+			j++
+		}
+		out.Count = append(out.Count, CountEntry{Key: mergedKeys[i] >> shift, Count: int64(j - i), Offset: int64(i)})
+		i = j
+	}
+	if !opt.DisableRelocation {
+		if small := out.relocateSmallGroups(efficientRows(merged.DensestColumn().Width(), iosim.PaperSSD())); small != nil {
+			if out.Data, err = out.Data.AppendRows(small); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
+// sameStoredTable compares two stored tables value for value, and their page
+// geometry and zonemaps through what a scan can observe of them.
+func sameStoredTable(t *testing.T, got, want *storage.Table) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Compressed() != want.Compressed() {
+		t.Fatalf("%d rows (compressed %v), want %d (%v)", got.Rows(), got.Compressed(), want.Rows(), want.Compressed())
+	}
+	all := make([]int, len(want.Cols))
+	for i, w := range want.Cols {
+		all[i] = i
+		g := got.Cols[i]
+		if g.Name != w.Name || g.Kind != w.Kind || g.Width() != w.Width() || got.Pages(g) != want.Pages(w) {
+			t.Fatalf("column %d: %s %s width %v in %d pages, want %s %s width %v in %d", i,
+				g.Kind, g.Name, g.Width(), got.Pages(g), w.Kind, w.Name, w.Width(), want.Pages(w))
+		}
+		if !slices.Equal(g.I64, w.I64) || !slices.Equal(g.Str, w.Str) ||
+			!slices.EqualFunc(g.F64, w.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("column %s differs", w.Name)
+		}
+	}
+	ivs := map[string][]storage.Interval{
+		"k":       {{Lo: storage.Bound{Set: true, I: 40}, Hi: storage.Bound{Set: true, I: 44}}, {Lo: storage.Bound{Set: true, I: 250}}},
+		"payload": {{Hi: storage.Bound{Set: true, I: 900}}, {Lo: storage.Bound{Set: true, I: int64(want.Rows()) - 300}}},
+		"f":       {{Lo: storage.Bound{Set: true, F: 13.5}}, {Hi: storage.Bound{Set: true, F: 0.1}}},
+		"s":       {{Lo: storage.Bound{Set: true, S: "v"}}, {Lo: storage.Bound{Set: true, S: "c"}, Hi: storage.Bound{Set: true, S: "cz"}}},
+	}
+	for name, list := range ivs {
+		for _, iv := range list {
+			if g, w := got.PruneZonemap(name, iv, nil), want.PruneZonemap(name, iv, nil); !slices.Equal(g, w) {
+				t.Fatalf("zonemap of %s prunes %+v to %v, want %v", name, iv, g, w)
+			}
+		}
+	}
+	gr, gp, gb := got.ReadStats(all, storage.FullRange(got.Rows()))
+	wr, wp, wb := want.ReadStats(all, storage.FullRange(want.Rows()))
+	if gr != wr || gp != wp || gb != wb {
+		t.Fatalf("full read is %d runs / %d pages / %d bytes, want %d / %d / %d", gr, gp, gb, wr, wp, wb)
+	}
+}
+
+// TestSpliceMatchesConcatPermute holds the one-gather MergeBDCCTable to the
+// Concat + Permute + AppendRows reference: same columns, same observable
+// zonemaps and page geometry, same count table with offsets and relocation
+// flags, same retained keys and statistics — over an ordinary batch, an empty
+// one, one landing only in cells the base never populated, one that only ties
+// with base keys, with and without a relocation area, over raw and
+// compressed bases, and chained so a spliced table is spliced again.
+func TestSpliceMatchesConcatPermute(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	obs := make([]WeightedKey, 256)
+	for i := range obs {
+		obs[i] = WeightedKey{Val: IntKey(int64(i)), Weight: 1}
+	}
+	dim, err := CreateDimension("d_k", "t", []string{"k"}, obs, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := func(tab *storage.Table) []UseBinding {
+		return []UseBinding{{Dim: dim, BinNos: binsOf(dim, tab, 0)}}
+	}
+	draw := func(n int, f func() int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = f()
+		}
+		return out
+	}
+	// Most base rows sit in four fat cells, the rest are spread thin over the
+	// lower half of the domain: the thin cells are what relocation copies.
+	const nBase = 24000
+	baseKeys := draw(nBase, func() int64 {
+		if rng.Intn(8) > 0 {
+			return int64(4 * rng.Intn(4))
+		}
+		return rng.Int63n(128)
+	})
+	relocated := false
+	for _, tc := range []struct {
+		name     string
+		batches  [][]int64
+		compress bool
+		opt      BuildOptions
+	}{
+		{"random", [][]int64{draw(700, func() int64 { return rng.Int63n(300) })}, false, BuildOptions{}},
+		{"random-compressed-base", [][]int64{draw(700, func() int64 { return rng.Int63n(300) })}, true, BuildOptions{}},
+		{"empty-batch", [][]int64{nil}, false, BuildOptions{}},
+		{"all-new-cells", [][]int64{draw(300, func() int64 { return 128 + rng.Int63n(128) })}, true, BuildOptions{}},
+		{"ties-only", [][]int64{draw(500, func() int64 { return int64(4 * rng.Intn(4)) })}, false, BuildOptions{}},
+		{"no-relocation", [][]int64{draw(700, func() int64 { return rng.Int63n(300) })}, true, BuildOptions{DisableRelocation: true}},
+		{"chained", [][]int64{draw(200, func() int64 { return rng.Int63n(256) }), nil, draw(400, func() int64 { return rng.Int63n(64) })}, false, BuildOptions{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseTab := spliceTable(baseKeys, 0)
+			if tc.compress {
+				baseTab.Compress()
+			}
+			cur, err := BuildBDCCTable("t", baseTab, uses(baseTab), tc.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := nBase
+			for _, keys := range tc.batches {
+				batch := spliceTable(keys, off)
+				off += len(keys)
+				want := refMergeConcatPermute(t, cur, batch, uses(batch), tc.opt)
+				got, err := MergeBDCCTable(cur, batch, uses(batch), tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if got.Bits != want.Bits || got.FullBits != want.FullBits || got.Rows() != want.Rows() || got.RelocatedRows != want.RelocatedRows {
+					t.Fatalf("granularity %d/%d, %d rows + %d relocated; want %d/%d, %d + %d", got.Bits, got.FullBits,
+						got.Rows(), got.RelocatedRows, want.Bits, want.FullBits, want.Rows(), want.RelocatedRows)
+				}
+				if !slices.Equal(got.Count, want.Count) {
+					t.Fatalf("count tables differ: %d vs %d entries", len(got.Count), len(want.Count))
+				}
+				if !slices.Equal(got.SortedKeys, want.SortedKeys) {
+					t.Fatal("retained keys differ")
+				}
+				if !reflect.DeepEqual(got.Stats, want.Stats) {
+					t.Fatal("group statistics differ")
+				}
+				sameStoredTable(t, got.Data, want.Data)
+				relocated = relocated || got.RelocatedRows > 0
+				cur = got
+			}
+		})
+	}
+	if !relocated {
+		t.Fatal("no case produced a relocation area")
+	}
+}
+
+// TestGroupStatsMatchPerGranularitySweep holds the one-pass histogram
+// collector to the definition: one sweep over the keys per granularity.
+func TestGroupStatsMatchPerGranularitySweep(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, tc := range []struct{ n, bits int }{{0, 5}, {1, 1}, {1, 7}, {500, 3}, {4000, 12}, {4000, 30}} {
+		keys := make([]uint64, tc.n)
+		for i := range keys {
+			keys[i] = uint64(rng.Int63n(1 << uint(tc.bits)))
+			if rng.Intn(3) == 0 {
+				keys[i] &^= 0xF // long runs that only differ in high bits
+			}
+		}
+		slices.Sort(keys)
+		want := make([]*GroupStats, tc.bits)
+		for g := 1; g <= tc.bits; g++ {
+			gs := &GroupStats{Granularity: g}
+			shift := uint(tc.bits - g)
+			var run int64
+			for i := range keys {
+				if i > 0 && keys[i]>>shift != keys[i-1]>>shift {
+					gs.addGroup(run)
+					run = 0
+				}
+				run++
+			}
+			if run > 0 {
+				gs.addGroup(run)
+			}
+			want[g-1] = gs
+		}
+		if got := CollectGroupStats(keys, tc.bits); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d keys at %d bits: one-pass statistics differ from the per-granularity sweep", tc.n, tc.bits)
+		}
 	}
 }

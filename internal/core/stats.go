@@ -104,24 +104,25 @@ func TuplesInLargeGroups(keys []uint64, fullBits, g int, minRows int64) int64 {
 
 // CollectGroupStats computes, from the sorted full-granularity keys of a
 // table, the group-size histogram at every granularity 1..fullBits. keys
-// must be ascending. The result is indexed by granularity-1.
+// must be ascending. The result is indexed by granularity-1. One pass: two
+// neighbouring keys that first differ at bit d (from the low end) close a
+// group at exactly the granularities that keep that bit, so the work is the
+// rows plus the groups, not rows × granularities.
 func CollectGroupStats(keys []uint64, fullBits int) []*GroupStats {
 	out := make([]*GroupStats, fullBits)
-	for g := 1; g <= fullBits; g++ {
-		gs := &GroupStats{Granularity: g}
-		shift := uint(fullBits - g)
-		var run int64
-		for i := range keys {
-			if i > 0 && keys[i]>>shift != keys[i-1]>>shift {
-				gs.addGroup(run)
-				run = 0
-			}
-			run++
+	for g := range out {
+		out[g] = &GroupStats{Granularity: g + 1}
+	}
+	start := make([]int, fullBits) // first row of the open group, by granularity-1
+	for i := 1; i <= len(keys); i++ {
+		d := fullBits // the end of the table closes every granularity's group
+		if i < len(keys) {
+			d = bits.Len64(keys[i] ^ keys[i-1])
 		}
-		if run > 0 {
-			gs.addGroup(run)
+		for g := max(fullBits-d, 0); g < fullBits; g++ {
+			out[g].addGroup(int64(i - start[g]))
+			start[g] = i
 		}
-		out[g-1] = gs
 	}
 	return out
 }

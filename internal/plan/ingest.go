@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,14 +14,16 @@ import (
 
 // Ingest attaches an append path to a DB. Each table gets a row-oriented
 // delta store (storage.Delta); every append publishes a fresh immutable view
-// of the affected table — base plus the visible delta prefix, in the scheme's
-// own layout — behind an atomic pointer. Queries pin one such version at plan
-// time (DB.Snapshot) and never block on writers; writers serialize on a
-// mutex and never mutate a published version, so a pinned snapshot stays
-// valid across any number of later appends and merges. A background merge
-// consolidates the delta into the base layout (re-sorting, re-clustering via
-// the incremental core.MergeBDCCTable splice, and re-compressing when the
-// base was compressed) and publishes the consolidated version the same way.
+// of the affected table — base plus the visible delta, in the scheme's own
+// layout — behind an atomic pointer, built from the previous view and the
+// batch at the cost of the batch and one copy of that table's views. Queries
+// pin one such version at plan time (DB.Snapshot) and never block on writers;
+// writers serialize on a mutex and never mutate a published version, so a
+// pinned snapshot stays valid across any number of later appends and merges.
+// A background merge consolidates the delta into the base layout (re-sorting,
+// re-clustering via the incremental core.MergeBDCCTable splice, and
+// re-compressing when the base was compressed) and publishes the consolidated
+// version the same way.
 type Ingest struct {
 	db  *DB
 	opt IngestOptions
@@ -107,6 +112,9 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 		}
 		ing.compressed[name] = t.Compressed()
 	}
+	// The loaded base is version 0: from here on a Snapshot is always pinned,
+	// never the live DB whose views the next append replaces.
+	ing.cur.Store(&snapState{raw: raw, tables: db.Tables, clustered: db.Clustered, deltaRows: map[string]int{}})
 	db.ing = ing
 	return ing, nil
 }
@@ -124,9 +132,6 @@ func (db *DB) Snapshot() *DB {
 		return db
 	}
 	s := db.ing.cur.Load()
-	if s == nil {
-		return db
-	}
 	c := *db
 	c.Tables = s.tables
 	c.Clustered = s.clustered
@@ -141,9 +146,7 @@ func (db *DB) Epoch() int64 {
 		return db.snap.epoch
 	}
 	if db.ing != nil {
-		if s := db.ing.cur.Load(); s != nil {
-			return s.epoch
-		}
+		return db.ing.cur.Load().epoch
 	}
 	return 0
 }
@@ -154,18 +157,19 @@ func (db *DB) PendingDeltaRows() int64 {
 		return db.snap.totalDelta
 	}
 	if db.ing != nil {
-		if s := db.ing.cur.Load(); s != nil {
-			return s.totalDelta
-		}
+		return db.ing.cur.Load().totalDelta
 	}
 	return 0
 }
 
 // Append ingests rows into one table and publishes the version making them
 // visible. Rows must arrive referential-parents-first: a batch may reference
-// keys appended earlier or in the same call's table, but not keys of another
-// table's future batch (foreign-key resolution over base + visible delta
-// fails on dangling references).
+// keys appended earlier, but not keys of another table's future batch — the
+// BDCC scheme bins a batch through the key→bin indexes its parents' appends
+// extended, and a key they do not hold is a dangling reference. An append is
+// atomic: the next version is built before the batch is stored, so a rejected
+// batch leaves the delta store, the counters and the published version
+// exactly as it found them.
 func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -178,16 +182,26 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 		delta = storage.NewDelta(base)
 		ing.deltas[table] = delta
 	}
+	next, err := ing.nextViews(table, rows)
+	if err != nil {
+		return err
+	}
 	visible, err := delta.Append(rows)
 	if err != nil {
 		return err
 	}
-	if err := ing.publishViews(table, rows); err != nil {
-		return err
-	}
+	ing.epoch = next.epoch
+	ing.cur.Store(next)
 	trigger := ing.opt.Limit > 0 && visible >= ing.opt.Limit
-	if r, ok := ing.drift[table]; ok && ing.opt.DriftThreshold > 0 && r.Drifted(ing.opt.DriftThreshold) {
-		trigger = true
+	if consBT := clusteredTable(ing.consClustered, table); consBT != nil {
+		// Drift measures all visible delta rows against the consolidated
+		// clustering: the view's count table is the consolidated one plus
+		// their per-cell counts.
+		r := next.clustered.Tables[table].DriftSince(consBT)
+		ing.drift[table] = r
+		if ing.opt.DriftThreshold > 0 && r.Drifted(ing.opt.DriftThreshold) {
+			trigger = true
+		}
 	}
 	if trigger && !ing.merging {
 		ing.merging = true
@@ -200,160 +214,129 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	return nil
 }
 
-// publishViews rebuilds the affected table's views over the consolidated
-// base plus its whole visible delta and publishes the next version; batch is
-// the newly appended tail. Caller holds mu.
-func (ing *Ingest) publishViews(table string, batch *storage.Table) error {
-	delta := ing.deltas[table]
-	k := delta.Rows()
-	dtab, err := delta.Prefix(k)
-	if err != nil {
-		return err
-	}
-	combined, err := storage.Concat(ing.consRaw[table], ing.consRaw[table].Rows(), dtab)
-	if err != nil {
-		return err
-	}
+// nextViews builds the version that additionally holds batch at the end of
+// table: every view of the other tables is shared with the current version,
+// the table's insertion-order view is extended by the batch, and the scheme's
+// own layout follows — PK re-sorts, BDCC splices the batch into the previous
+// clustered view (which already holds the older delta rows) at the cost of
+// the batch and one copy of that view. Nothing is published or stored.
+// Caller holds mu.
+func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, error) {
 	prev := ing.cur.Load()
 	next := &snapState{
-		epoch:     ing.epoch + 1,
-		raw:       make(map[string]*storage.Table),
-		tables:    make(map[string]*storage.Table),
-		deltaRows: make(map[string]int),
-		clustered: ing.consClustered,
+		epoch:      ing.epoch + 1,
+		raw:        maps.Clone(prev.raw),
+		tables:     maps.Clone(prev.tables),
+		clustered:  prev.clustered,
+		deltaRows:  maps.Clone(prev.deltaRows),
+		totalDelta: prev.totalDelta + int64(batch.Rows()),
 	}
-	if prev != nil {
-		for n, t := range prev.raw {
-			next.raw[n] = t
-		}
-		for n, t := range prev.tables {
-			next.tables[n] = t
-		}
-		for n, r := range prev.deltaRows {
-			next.deltaRows[n] = r
-		}
-		next.clustered = prev.clustered
-	} else {
-		for n, t := range ing.consRaw {
-			next.raw[n] = t
-		}
-		for n, t := range ing.consTables {
-			next.tables[n] = t
-		}
+	next.deltaRows[table] += batch.Rows()
+	from := prev.raw[table].Rows()
+	combined, err := storage.Concat(prev.raw[table], from, batch)
+	if err != nil {
+		return nil, err
 	}
 	next.raw[table] = combined
-	next.deltaRows[table] = k
-	for _, r := range next.deltaRows {
-		next.totalDelta += int64(r)
-	}
+	next.tables[table] = combined
 	db := ing.db
 	switch db.Scheme {
-	case Plain:
-		next.tables[table] = combined
 	case PK:
-		sorted, err := pkSort(db, table, combined)
-		if err != nil {
-			return err
-		}
-		next.tables[table] = sorted
+		next.tables[table], err = pkSort(db, table, combined)
 	case BDCC:
-		next.tables[table] = combined
 		if next.clustered != nil {
-			// Splice only the newest batch into the previous view — it
-			// already holds the older delta rows. Bindings resolve over the
-			// combined raw tables so fresh rows may reference fresh parents.
-			from := combined.Rows() - batch.Rows()
 			next.clustered, err = next.clustered.AppendRows(db.Schema, next.raw, table, from, batch, ing.opt.Build)
-			if err != nil {
-				return err
-			}
-		}
-		if consBT := clusteredTable(ing.consClustered, table); consBT != nil {
-			// Drift measures all visible delta rows against the consolidated
-			// clustering, whose count table has not absorbed them yet.
-			r, err := core.DriftFor(ing.consClustered, db.Schema, next.raw, table, ing.consRaw[table].Rows())
-			if err != nil {
-				return err
-			}
-			ing.drift[table] = r
 		}
 	}
-	ing.epoch = next.epoch
-	ing.cur.Store(next)
-	return nil
+	if err != nil {
+		return nil, err
+	}
+	return next, nil
+}
+
+// mergeOrder lists the tables holding un-merged rows, every table after the
+// tables it references: consolidating a child bins its delta through the
+// indexes its parents' consolidation extended.
+func (ing *Ingest) mergeOrder() ([]string, error) {
+	topo, err := ing.db.Schema.TopoOrder()
+	if err != nil && ing.consClustered != nil {
+		return nil, err // without a clustering nothing is binned and any order will do
+	}
+	pos := make(map[string]int, len(topo))
+	for i, n := range topo {
+		pos[n] = i + 1
+	}
+	var order []string
+	for table, delta := range ing.deltas {
+		if delta.Rows() > 0 {
+			order = append(order, table)
+		}
+	}
+	// Tables the schema does not know reference nothing: any place will do.
+	slices.SortFunc(order, func(a, b string) int {
+		return cmp.Or(cmp.Compare(pos[a], pos[b]), cmp.Compare(a, b))
+	})
+	return order, nil
 }
 
 // Merge consolidates every table's visible delta into the base layout and
 // publishes the merged version: combined insertion-order raw tables become
 // the new base, scheme views are rebuilt fresh (so no published table is ever
 // mutated) and re-compressed when the base was compressed, and the merged
-// delta prefix is truncated. Readers keep whatever version they pinned.
+// delta prefix is truncated. Tables consolidate parents first, as they were
+// appended. Readers keep whatever version they pinned.
 func (ing *Ingest) Merge() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	defer func() { ing.merging = false }()
 	db := ing.db
-	newRaw := make(map[string]*storage.Table, len(ing.consRaw))
-	newTables := make(map[string]*storage.Table, len(ing.consTables))
-	for n, t := range ing.consRaw {
-		newRaw[n] = t
-	}
-	for n, t := range ing.consTables {
-		newTables[n] = t
-	}
+	newRaw := maps.Clone(ing.consRaw)
+	newTables := maps.Clone(ing.consTables)
 	newClustered := ing.consClustered
+	order, err := ing.mergeOrder()
+	if err != nil {
+		return ing.failMerge(err)
+	}
 	var total int64
 	merged := make(map[string]int)
-	for table, delta := range ing.deltas {
-		k := delta.Rows()
-		if k == 0 {
-			continue
-		}
-		dtab, err := delta.Prefix(k)
+	for _, table := range order {
+		k := ing.deltas[table].Rows()
+		dtab, err := ing.deltas[table].Prefix(k)
 		if err != nil {
 			return ing.failMerge(err)
 		}
-		combined, err := storage.Concat(ing.consRaw[table], ing.consRaw[table].Rows(), dtab)
+		from := ing.consRaw[table].Rows()
+		combined, err := storage.Concat(ing.consRaw[table], from, dtab)
 		if err != nil {
 			return ing.failMerge(err)
 		}
 		newRaw[table] = combined
+		newTables[table] = combined
 		merged[table] = k
 		total += int64(k)
-	}
-	for table, k := range merged {
-		combined := newRaw[table]
+		// stored is the scheme's own layout of the table, re-compressed when
+		// the base was.
+		stored := combined
 		switch db.Scheme {
-		case Plain:
-			newTables[table] = combined
-			if ing.compressed[table] {
-				combined.Compress()
-			}
 		case PK:
-			sorted, err := pkSort(db, table, combined)
-			if err != nil {
+			if stored, err = pkSort(db, table, combined); err != nil {
 				return ing.failMerge(err)
 			}
-			if ing.compressed[table] {
-				sorted.Compress()
-			}
-			newTables[table] = sorted
+			newTables[table] = stored
 		case BDCC:
-			newTables[table] = combined
-			if newClustered == nil {
-				continue
+			stored = nil
+			if newClustered != nil {
+				newClustered, err = newClustered.AppendRows(db.Schema, newRaw, table, from, dtab, ing.opt.Build)
+				if err != nil {
+					return ing.failMerge(err)
+				}
+				if bt := newClustered.Tables[table]; bt != nil {
+					stored = bt.Data
+				}
 			}
-			dtab, err := ing.deltas[table].Prefix(k)
-			if err != nil {
-				return ing.failMerge(err)
-			}
-			newClustered, err = newClustered.AppendRows(db.Schema, newRaw, table, combined.Rows()-k, dtab, ing.opt.Build)
-			if err != nil {
-				return ing.failMerge(err)
-			}
-			if bt := newClustered.Tables[table]; bt != nil && ing.compressed[table] {
-				bt.Data.Compress()
-			}
+		}
+		if stored != nil && ing.compressed[table] {
+			stored.Compress()
 		}
 	}
 	for table, k := range merged {
@@ -368,9 +351,7 @@ func (ing *Ingest) Merge() error {
 		ing.merges++
 		ing.mergedRows += total
 		ing.epoch++
-		for t := range ing.drift {
-			delete(ing.drift, t)
-		}
+		clear(ing.drift)
 		ing.cur.Store(&snapState{
 			epoch:     ing.epoch,
 			raw:       newRaw,

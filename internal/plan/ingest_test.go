@@ -1,0 +1,94 @@
+package plan
+
+import (
+	"runtime"
+	"testing"
+
+	"bdcc/internal/storage"
+)
+
+// factBatch is n fresh rows of the diamond's fact table, numbered from row
+// `from` on, each referencing an existing row of r.
+func factBatch(from, n, nR int) *storage.Table {
+	id := make([]int64, n)
+	ref := make([]int64, n)
+	amount := make([]int64, n)
+	for i := range id {
+		id[i] = int64(from + i)
+		ref[i] = int64((from + i) * 13 % nR)
+		amount[i] = int64(i % 10)
+	}
+	return storage.MustNewTable("t", 4096,
+		storage.NewInt64Column("t_id", id), storage.NewInt64Column("t_r", ref), storage.NewInt64Column("t_amount", amount))
+}
+
+// TestAppendBindsOnlyTheBatch pins what an append costs: the batch, plus one
+// copy of each view of the appended table. One Ingest.Append of 100 fact rows
+// allocates the same whether the reference table its two dimension paths
+// cross holds 20 000 rows or 200 000 — the batch is binned through the
+// key→bin indexes, never by resolving the stored tables — and stays under
+// three times the appended table's own bytes (its insertion-order view, its
+// clustered view, and that view's retained keys and merge order), so neither
+// the full re-bind nor a second or third table copy can come back unnoticed.
+// With the resolver walk and Concat + Permute + AppendRows the same append
+// allocated 7.2× the table at 20 000 reference rows and 16.5× at 200 000.
+func TestAppendBindsOnlyTheBatch(t *testing.T) {
+	const nT, batchRows = 50_000, 100
+	tableBytes := uint64(nT * 3 * 8)
+	var got [2]uint64
+	for i, nR := range []int{20_000, 200_000} {
+		bdcc, _ := diamondDB(t, nR, nT, nR/8)
+		ing, err := bdcc.EnableIngest(IngestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = ^uint64(0)
+		for round := 0; round < 5; round++ {
+			batch := factBatch(nT+round*batchRows, batchRows, nR)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := ing.Append("t", batch); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got[i] = min(got[i], after.TotalAlloc-before.TotalAlloc)
+		}
+		t.Logf("%d reference rows: Append allocates %d KB, the fact table holds %d KB", nR, got[i]>>10, tableBytes>>10)
+		if got[i] > 3*tableBytes {
+			t.Errorf("%d reference rows: Append allocates %d B, more than 3× the appended table's %d B", nR, got[i], tableBytes)
+		}
+		if rows := bdcc.Snapshot().BDCCTable("t").Rows(); rows != nT+5*batchRows {
+			t.Fatalf("clustered view holds %d rows after the appends, want %d", rows, nT+5*batchRows)
+		}
+	}
+	if got[1] > got[0]+got[0]/4 || got[0] > got[1]+got[1]/4 {
+		t.Errorf("Append allocation follows the reference table: %d B at 20 000 rows, %d B at 200 000", got[0], got[1])
+	}
+}
+
+// TestSnapshotBeforeFirstAppendIsPinned: a snapshot taken after ingest was
+// enabled but before anything was appended is version 0, pinned like any
+// other. It used to be the live DB itself, so a reader that took it and then
+// ran a query — which pins again — could read a later version than the one
+// it held (TestIngestSoak failed on exactly that, about once in twenty runs).
+func TestSnapshotBeforeFirstAppendIsPinned(t *testing.T) {
+	const nR, nT = 64, 4096
+	bdcc, _ := diamondDB(t, nR, nT, 8)
+	ing, err := bdcc.EnableIngest(IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	early := bdcc.Snapshot()
+	if early == bdcc || early.Snapshot() != early {
+		t.Fatal("the snapshot before the first append is not pinned")
+	}
+	if err := ing.Append("t", factBatch(nT, 10, nR)); err != nil {
+		t.Fatal(err)
+	}
+	if early.Epoch() != 0 || early.PendingDeltaRows() != 0 || early.Tables["t"].Rows() != nT || early.BDCCTable("t").Rows() != nT {
+		t.Fatalf("the early snapshot moved: epoch %d, %d pending, %d rows", early.Epoch(), early.PendingDeltaRows(), early.Tables["t"].Rows())
+	}
+	if now := bdcc.Snapshot(); now.Epoch() != 1 || now.Tables["t"].Rows() != nT+10 || now.BDCCTable("t").Rows() != nT+10 {
+		t.Fatalf("the current version: epoch %d, %d rows", now.Epoch(), now.Tables["t"].Rows())
+	}
+}

@@ -29,6 +29,14 @@
 // planner's DB (or pinned snapshot) already holds, so planning allocates
 // nothing that grows with a reference table and two planners never repeat
 // each other's work.
+//
+// Ingest (ingest.go). An Ingest appends batches to a DB and publishes one
+// immutable version per append or merge; DB.Snapshot pins one. An append
+// costs the batch plus one copy of each view of the appended table — the
+// insertion-order view extended by the batch, the scheme's own layout by
+// core.Database.AppendRows (BDCC) or a re-sort (PK) — is atomic (a rejected
+// batch leaves store, counters and published version untouched), and, like
+// Merge, handles parents before the children that reference them.
 package plan
 
 import (

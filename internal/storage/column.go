@@ -79,20 +79,25 @@ func (c *Column) finish() {
 		for _, s := range c.Str {
 			total += len(s)
 		}
-		if n := len(c.Str); n > 0 {
-			c.width = float64(total) / float64(n)
-		}
-		if c.width < 1 {
-			c.width = 1
-		}
+		c.width = strWidth(total, len(c.Str))
 	}
+}
+
+// strWidth is the modeled width of a string column of n values and total
+// bytes: the average length, at least 1.
+func strWidth(total, n int) float64 {
+	if n == 0 {
+		return 1
+	}
+	return max(float64(total)/float64(n), 1)
 }
 
 // encode builds the chunk-encoded form at the given granularity (rows per
 // page at raw width) and points the modeled width at the encoded bytes.
-// finish() keeps the raw-mode width behavior untouched.
-func (c *Column) encode(chunkRows int) {
-	c.Enc = encodeColumn(c, chunkRows)
+// finish() keeps the raw-mode width behavior untouched. dict is scratch the
+// table's string columns share.
+func (c *Column) encode(chunkRows int, dict *vector.StrDict) {
+	c.Enc = encodeColumn(c, chunkRows, dict)
 	if n := c.Len(); n > 0 && c.Enc.EncodedBytes > 0 {
 		c.width = float64(c.Enc.EncodedBytes) / float64(n)
 	}
@@ -121,6 +126,18 @@ func (c *Column) permute(perm []int32) *Column {
 		}
 	}
 	return out
+}
+
+// reserve gives an empty column room for n values.
+func (c *Column) reserve(n int) {
+	switch c.Kind {
+	case vector.Int64:
+		c.I64 = make([]int64, 0, n)
+	case vector.Float64:
+		c.F64 = make([]float64, 0, n)
+	case vector.String:
+		c.Str = make([]string, 0, n)
+	}
 }
 
 // appendRows appends rows [lo,hi) of src to c (same kind).

@@ -13,7 +13,7 @@ import (
 // This file implements the ingest side of storage: a row-oriented delta
 // store per table. Appended rows are encoded into self-validating segments
 // (the delta's "on-disk" format, see EncodeDeltaSegment) and decoded back
-// into columnar form when a snapshot view over base + delta is built. The
+// into columnar form when a merge consolidates base + delta. The
 // delta is deliberately row-oriented and unencoded: fresh rows arrive one
 // transaction at a time and are rewritten into clustered, compressed form by
 // the background merge, so paying columnar encoding on the append path would
@@ -25,7 +25,8 @@ var deltaSegMagic = [4]byte{'B', 'D', 'L', '1'}
 // Delta is the append store of one table: a bounded sequence of encoded row
 // segments sharing the base table's schema. Appends are serialized by an
 // internal mutex; readers never touch the Delta directly — they read the
-// immutable snapshot tables built from Prefix at append/merge time.
+// immutable snapshot tables built from the batch at append time and from
+// Prefix at merge time.
 type Delta struct {
 	name     string
 	cols     []string
@@ -107,7 +108,8 @@ func (d *Delta) checkSchema(t *Table) error {
 
 // Prefix decodes the first k rows into an uncompressed columnar table in
 // arrival order. k must fall on a segment boundary — appends are atomic, so
-// every snapshot's visible count does.
+// every snapshot's visible count does. Only a merge (and the tests) decode
+// the store: an append extends the views by the columnar batch it was handed.
 func (d *Delta) Prefix(k int) (*Table, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -286,25 +288,110 @@ func DecodeDeltaSegment(data []byte, cols []string, kinds []vector.Kind, pageSiz
 // followed by every row of b; schemas must match by name, kind and order.
 // Snapshot views layer freshly ingested rows behind the base this way —
 // consolidation re-encodes explicitly when the merge commits, so the un-merged
-// tail is always served (and its I/O charged) at raw width.
+// tail is always served (and its I/O charged) at raw width. When all of a is
+// kept, its zones — up to the page b continues — are carried over, not
+// recomputed.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
-	if aRows < 0 || aRows > a.Rows() {
-		return nil, fmt.Errorf("storage: concat keeps %d of table %q's %d rows", aRows, a.Name, a.Rows())
+	if err := checkConcat(a, aRows, b); err != nil {
+		return nil, err
 	}
-	if len(a.Cols) != len(b.Cols) {
-		return nil, fmt.Errorf("storage: concat of %q and %q: %d vs %d columns", a.Name, b.Name, len(a.Cols), len(b.Cols))
+	cols := make([]*Column, len(a.Cols))
+	for i, c := range a.Cols {
+		nc := &Column{Name: c.Name, Kind: c.Kind}
+		nc.reserve(aRows + b.Rows())
+		nc.appendRows(c, 0, aRows)
+		nc.appendRows(b.Cols[i], 0, b.Rows())
+		cols[i] = nc
+	}
+	var prev *Table
+	if aRows == a.Rows() {
+		prev = a
+	}
+	return newTable(a.Name, a.PageSize, cols, prev)
+}
+
+// Splice returns the uncompressed table whose row i is row src[i] of the
+// concatenation Concat(a, aRows, b) would build: one copy and one zonemap
+// build where Concat followed by Permute (and AppendRows, when src repeats
+// rows) makes three of each. src may have any length.
+func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
+	if err := checkConcat(a, aRows, b); err != nil {
+		return nil, err
 	}
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
 		o := b.Cols[i]
-		if c.Name != o.Name || c.Kind != o.Kind {
-			return nil, fmt.Errorf("storage: concat of %q: column %d is %s %s vs %s %s",
-				a.Name, i, c.Kind, c.Name, o.Kind, o.Name)
-		}
 		nc := &Column{Name: c.Name, Kind: c.Kind}
-		nc.appendRows(c, 0, aRows)
-		nc.appendRows(o, 0, b.Rows())
+		switch c.Kind {
+		case vector.Int64:
+			nc.I64 = gather(c.I64[:aRows], o.I64, src)
+		case vector.Float64:
+			nc.F64 = gather(c.F64[:aRows], o.F64, src)
+		case vector.String:
+			nc.Str = gather(c.Str[:aRows], o.Str, src)
+		}
 		cols[i] = nc
 	}
 	return NewTable(a.Name, a.PageSize, cols...)
+}
+
+// gather returns out with out[i] = (a followed by b)[src[i]]. Runs of
+// consecutive rows of a — the retained order between two spliced-in rows —
+// move as one block copy.
+func gather[T any](a, b []T, src []int32) []T {
+	out := make([]T, len(src))
+	n := int32(len(a))
+	for i := 0; i < len(src); {
+		p := src[i]
+		if p >= n {
+			out[i] = b[p-n]
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(src) && src[j] == src[j-1]+1 && src[j] < n {
+			j++
+		}
+		copy(out[i:j], a[p:])
+		i = j
+	}
+	return out
+}
+
+// ConcatWidth returns the modeled width of the densest column of the table
+// Concat(a, aRows, b) would build, without building it.
+func ConcatWidth(a *Table, aRows int, b *Table) float64 {
+	var widest float64
+	for i, c := range a.Cols {
+		w := 8.0
+		if c.Kind == vector.String {
+			total := 0
+			for _, s := range c.Str[:aRows] {
+				total += len(s)
+			}
+			for _, s := range b.Cols[i].Str {
+				total += len(s)
+			}
+			w = strWidth(total, aRows+b.Rows())
+		}
+		widest = max(widest, w)
+	}
+	return widest
+}
+
+func checkConcat(a *Table, aRows int, b *Table) error {
+	if aRows < 0 || aRows > a.Rows() {
+		return fmt.Errorf("storage: concat keeps %d of table %q's %d rows", aRows, a.Name, a.Rows())
+	}
+	if len(a.Cols) != len(b.Cols) {
+		return fmt.Errorf("storage: concat of %q and %q: %d vs %d columns", a.Name, b.Name, len(a.Cols), len(b.Cols))
+	}
+	for i, c := range a.Cols {
+		o := b.Cols[i]
+		if c.Name != o.Name || c.Kind != o.Kind {
+			return fmt.Errorf("storage: concat of %q: column %d is %s %s vs %s %s",
+				a.Name, i, c.Kind, c.Name, o.Kind, o.Name)
+		}
+	}
+	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -213,4 +215,128 @@ func TestConcatMatchesCompressedBase(t *testing.T) {
 		t.Fatalf("concat raw: %v", err)
 	}
 	sameRows(t, got, want)
+}
+
+// freshCopy rebuilds a table from copies of its raw columns: widths and
+// zonemaps computed from scratch, nothing carried over.
+func freshCopy(t *testing.T, tab *Table) *Table {
+	t.Helper()
+	cols := make([]*Column, len(tab.Cols))
+	for i, c := range tab.Cols {
+		nc := &Column{Name: c.Name, Kind: c.Kind}
+		nc.appendRows(c, 0, tab.Rows())
+		cols[i] = nc
+	}
+	out, err := NewTable(tab.Name, tab.PageSize, cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func sameZones(t *testing.T, label string, got, want *Table) {
+	t.Helper()
+	sameRows(t, got, want)
+	for i := range want.Cols {
+		if got.Cols[i].width != want.Cols[i].width {
+			t.Fatalf("%s: column %s width %v, want %v", label, want.Cols[i].Name, got.Cols[i].width, want.Cols[i].width)
+		}
+		if !reflect.DeepEqual(got.zones[i], want.zones[i]) {
+			t.Fatalf("%s: zonemap of %s differs from one built from scratch", label, want.Cols[i].Name)
+		}
+	}
+}
+
+// TestConcatCarriesZones: a Concat that keeps all of its first operand
+// carries that table's full-page zones over instead of recomputing them, and
+// the result is indistinguishable from a table built from scratch — over a
+// raw and a compressed base, when a string column's average length (hence
+// its rows per page) moves, when the base ends mid-page, and across a chain
+// of appends.
+func TestConcatCarriesZones(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		for _, n := range []int{0, 1, 512, 700, 5000} {
+			base := deltaFixture(t, "c", n, 21)
+			if compress {
+				base.Compress()
+			}
+			cur := base
+			for step, k := range []int{1, 40, 3, 900} {
+				tail := deltaFixture(t, "c", k, int64(30+step))
+				if step == 3 {
+					// Long notes move the column's average length.
+					for i := range tail.Cols[2].Str {
+						tail.Cols[2].Str[i] += strings.Repeat("y", 40)
+					}
+				}
+				next, err := Concat(cur, cur.Rows(), tail)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameZones(t, fmt.Sprintf("compressed=%v base=%d step=%d", compress, n, step), next, freshCopy(t, next))
+				cur = next
+			}
+		}
+	}
+	// A partial prefix carries nothing over and is still right.
+	base := deltaFixture(t, "c", 3000, 5)
+	got, err := Concat(base, 1234, deltaFixture(t, "c", 77, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameZones(t, "partial prefix", got, freshCopy(t, got))
+}
+
+// TestSpliceGathers: Splice equals Concat followed by Permute (and by
+// AppendRows where the source list repeats rows), zonemaps included, for
+// every column kind over raw and compressed bases.
+func TestSpliceGathers(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, compress := range []bool{false, true} {
+		a := deltaFixture(t, "c", 2000, 1)
+		if compress {
+			a.Compress()
+		}
+		b := deltaFixture(t, "c", 150, 2)
+		const keep = 1900 // a's tail is not part of the concatenation
+		perm := rng.Perm(keep + b.Rows())
+		// Long runs of consecutive rows of a, as a merge leaves them.
+		slices.Sort(perm[:1500])
+		src := make([]int32, 0, len(perm)+60)
+		for _, p := range perm {
+			src = append(src, int32(p))
+		}
+		concat, err := Concat(a, keep, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := concat.Permute(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Splice(a, keep, b, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameZones(t, "permutation", got, want)
+		if ConcatWidth(a, keep, b) != concat.DensestColumn().Width() {
+			t.Fatalf("ConcatWidth = %v, the concatenation's densest column is %v wide", ConcatWidth(a, keep, b), concat.DensestColumn().Width())
+		}
+		ranges := RowRanges{{100, 130}, {1700, 1730}}
+		want, err = want.AppendRows(ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range ranges {
+			src = append(src, src[r.Start:r.End]...)
+		}
+		got, err = Splice(a, keep, b, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameZones(t, "with repeated rows", got, want)
+	}
+	if _, err := Splice(deltaFixture(t, "c", 5, 1), 9, deltaFixture(t, "c", 5, 2), nil); err == nil {
+		t.Fatal("Splice kept more rows than its first table has")
+	}
 }

@@ -125,12 +125,12 @@ type ChunkBuf struct {
 
 // encodeColumn builds the encoded form of c at the given chunk granularity
 // (rows per uncompressed page, so chunks are page-aligned at raw width).
-func encodeColumn(c *Column, chunkRows int) *ColumnEncoding {
+func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict) *ColumnEncoding {
 	n := c.Len()
 	e := &ColumnEncoding{ChunkRows: chunkRows}
-	var dictCode map[string]uint32
+	var codes []uint32 // per-row dictionary codes; nil: no dictionary
 	if c.Kind == vector.String && n > 0 {
-		dictCode = e.buildDict(c.Str)
+		codes = e.buildDict(c.Str, dict)
 	}
 	for start := 0; start < n; start += chunkRows {
 		end := min(start+chunkRows, n)
@@ -141,7 +141,11 @@ func encodeColumn(c *Column, chunkRows int) *ColumnEncoding {
 		case vector.Float64:
 			ch = encodeF64Chunk(c.F64[start:end])
 		case vector.String:
-			ch = e.encodeStrChunk(c.Str[start:end], dictCode)
+			var chunkCodes []uint32
+			if codes != nil {
+				chunkCodes = codes[start:end]
+			}
+			ch = e.encodeStrChunk(c.Str[start:end], chunkCodes)
 		}
 		ch.Start, ch.Rows = start, end-start
 		e.Chunks = append(e.Chunks, ch)
@@ -166,38 +170,25 @@ func encodeColumn(c *Column, chunkRows int) *ColumnEncoding {
 
 // buildDict collects the column's sorted dictionary when it is viable: few
 // enough distinct values, and dictionary plus packed codes modeled smaller
-// than the raw column. It returns the value→code map the chunk encoder
-// packs with, or nil when the column should not dictionary-encode.
-func (e *ColumnEncoding) buildDict(vals []string) map[string]uint32 {
-	distinct := make(map[string]uint32, 1024)
+// than the raw column. Both tests need only the distinct values' count and
+// byte sum, so they run before the dictionary is sorted — a column that will
+// not dictionary-encode never pays for the sort. It returns the dictionary
+// code of every row, or nil when the column should not dictionary-encode.
+func (e *ColumnEncoding) buildDict(vals []string, d *vector.StrDict) []uint32 {
+	if !d.Collect(vals, maxDictEntries) {
+		return nil
+	}
 	var rawBytes int64
 	for _, s := range vals {
 		rawBytes += int64(len(s))
-		if len(distinct) <= maxDictEntries {
-			distinct[s] = 0
-		}
 	}
-	if len(distinct) > maxDictEntries {
-		return nil
-	}
-	dict := make([]string, 0, len(distinct))
-	for s := range distinct {
-		dict = append(dict, s)
-	}
-	sort.Strings(dict)
-	bitw := uint8(bits.Len(uint(len(dict) - 1)))
-	var dictBytes int64
-	for _, s := range dict {
-		dictBytes += int64(4 + len(s))
-	}
+	bitw := uint8(bits.Len(uint(d.Len() - 1)))
+	dictBytes := int64(4*d.Len() + d.Bytes)
 	if dictBytes+int64(vector.BitPackLen(len(vals), bitw)) >= rawBytes {
 		return nil
 	}
-	e.Dict, e.DictBits, e.DictBytes = dict, bitw, dictBytes
-	for code, s := range dict {
-		distinct[s] = uint32(code)
-	}
-	return distinct
+	e.Dict, e.DictBits, e.DictBytes = d.Sort(), bitw, dictBytes
+	return d.IDs
 }
 
 func encodeI64Chunk(v []int64) Chunk {
@@ -293,7 +284,7 @@ func encodeF64Chunk(v []float64) Chunk {
 // encodeStrChunk costs the candidates in one run walk (run values cover
 // every distinct value of the chunk, so the chunk's Min/Max fall out of the
 // walk without a dedicated row loop).
-func (e *ColumnEncoding) encodeStrChunk(v []string, dictCode map[string]uint32) Chunk {
+func (e *ColumnEncoding) encodeStrChunk(v []string, codes []uint32) Chunk {
 	rows := len(v)
 	runs := 1
 	var rawB, rleB int64
@@ -314,7 +305,7 @@ func (e *ColumnEncoding) encodeStrChunk(v []string, dictCode map[string]uint32) 
 		}
 	}
 	ch := Chunk{Enc: EncRaw, Bytes: rawB, MinS: mn, MaxS: mx}
-	if dictCode != nil {
+	if codes != nil {
 		if dictB := int64(vector.BitPackLen(rows, e.DictBits)); dictB < ch.Bytes {
 			ch.Enc, ch.Bytes = EncDict, dictB
 		}
@@ -341,7 +332,7 @@ func (e *ColumnEncoding) encodeStrChunk(v []string, dictCode map[string]uint32) 
 	case EncDict:
 		ch.BitW = e.DictBits
 		ch.Packed = make([]byte, vector.BitPackLen(rows, e.DictBits))
-		vector.BitPack(ch.Packed, rows, e.DictBits, func(i int) uint64 { return uint64(dictCode[v[i]]) })
+		vector.BitPack(ch.Packed, rows, e.DictBits, func(i int) uint64 { return uint64(codes[i]) })
 	}
 	return ch
 }

@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"bdcc/internal/vector"
@@ -31,7 +35,7 @@ func roundTripI64(t *testing.T, name string, vals []int64, chunkRows int) *Colum
 	t.Helper()
 	c := NewInt64Column("v", vals)
 	c.finish()
-	c.encode(chunkRows)
+	c.encode(chunkRows, &vector.StrDict{})
 	got, _, _ := decodeAll(c)
 	if len(got) != len(vals) {
 		t.Fatalf("%s: decoded %d values, want %d", name, len(got), len(vals))
@@ -126,7 +130,7 @@ func TestFloat64ChunkRoundTripBitExact(t *testing.T) {
 	for _, chunkRows := range []int{512, 13, 1} {
 		c := NewFloat64Column("f", vals)
 		c.finish()
-		c.encode(chunkRows)
+		c.encode(chunkRows, &vector.StrDict{})
 		_, got, _ := decodeAll(c)
 		if len(got) != len(vals) {
 			t.Fatalf("chunk=%d: decoded %d values, want %d", chunkRows, len(got), len(vals))
@@ -175,7 +179,7 @@ func TestStringChunkRoundTrip(t *testing.T) {
 		for _, chunkRows := range []int{512, 31, 1} {
 			c := NewStringColumn("s", tc.vals)
 			c.finish()
-			c.encode(chunkRows)
+			c.encode(chunkRows, &vector.StrDict{})
 			_, _, got := decodeAll(c)
 			if len(got) != len(tc.vals) {
 				t.Fatalf("%s chunk=%d: decoded %d values, want %d", tc.name, chunkRows, len(got), len(tc.vals))
@@ -468,5 +472,141 @@ func TestCompressionPropagates(t *testing.T) {
 	}
 	if prt.Compressed() || prt.MustColumn("v").Enc != nil {
 		t.Fatal("Permute invented compression on a raw table")
+	}
+}
+
+// refStrColumn is the string-column encoder as it was before dictionary
+// viability was decided on counts: collect the distinct values (up to the
+// cap), sort them, only then test dictionary + codes against raw, and pack
+// codes by hashing every value again. It returns what Compress must still
+// produce: the column dictionary and each chunk's encoding, size and payload.
+func refStrColumn(vals []string, chunkRows int) (dict []string, bitw uint8, dictBytes int64, chunks []Chunk) {
+	distinct := make(map[string]uint32, 1024)
+	var rawBytes int64
+	for _, s := range vals {
+		rawBytes += int64(len(s))
+		if len(distinct) <= maxDictEntries {
+			distinct[s] = 0
+		}
+	}
+	var code map[string]uint32
+	if len(distinct) <= maxDictEntries {
+		for s := range distinct {
+			dict = append(dict, s)
+			dictBytes += int64(4 + len(s))
+		}
+		sort.Strings(dict)
+		bitw = uint8(bits.Len(uint(len(dict) - 1)))
+		if dictBytes+int64(vector.BitPackLen(len(vals), bitw)) < rawBytes {
+			code = distinct
+			for c, s := range dict {
+				code[s] = uint32(c)
+			}
+		}
+	}
+	for start := 0; start < len(vals); start += chunkRows {
+		v := vals[start:min(start+chunkRows, len(vals))]
+		var rawB, rleB int64
+		var runS []string
+		var runN []int32
+		for i, s := range v {
+			rawB += int64(len(s))
+			if i == 0 || s != v[i-1] {
+				rleB += int64(8 + len(s))
+				runS = append(runS, s)
+				runN = append(runN, 0)
+			}
+			runN[len(runN)-1]++
+		}
+		ch := Chunk{Enc: EncRaw, Bytes: rawB, Start: start, Rows: len(v)}
+		if code != nil {
+			if dictB := int64(vector.BitPackLen(len(v), bitw)); dictB < ch.Bytes {
+				ch.Enc, ch.Bytes = EncDict, dictB
+			}
+		}
+		if rleB < ch.Bytes {
+			ch.Enc, ch.Bytes = EncRLE, rleB
+		}
+		switch ch.Enc {
+		case EncRLE:
+			ch.RunS, ch.RunN = runS, runN
+		case EncDict:
+			ch.BitW = bitw
+			ch.Packed = make([]byte, vector.BitPackLen(len(v), bitw))
+			vector.BitPack(ch.Packed, len(v), bitw, func(i int) uint64 { return uint64(code[v[i]]) })
+		}
+		chunks = append(chunks, ch)
+	}
+	dictUsed := false
+	for _, ch := range chunks {
+		dictUsed = dictUsed || ch.Enc == EncDict
+	}
+	if !dictUsed {
+		dict, bitw, dictBytes = nil, 0, 0
+	}
+	return dict, bitw, dictBytes, chunks
+}
+
+// TestDictEncodingUnchanged: Table.Compress yields, column for column and
+// chunk for chunk, what the sort-first encoder yielded — over columns with a
+// handful of values, a few thousand, all distinct, clustered runs, and
+// 65 536 / 65 537 distinct values (the dictionary cap) — with all columns of
+// a table sharing one scratch.
+func TestDictEncodingUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	col := func(n int, f func(i int) string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	const n = 140000
+	modes := []string{"MAIL", "SHIP", "AIR", "TRUCK", "RAIL", "FOB", "REG AIR"}
+	cols := []*Column{
+		NewStringColumn("past_the_cap", col(n, func(i int) string { return fmt.Sprintf("value-%014d", (i*31)%(maxDictEntries+1)) })),
+		NewStringColumn("low", col(n, func(int) string { return modes[rng.Intn(7)] })),
+		NewStringColumn("low_runs", col(n, func(i int) string { return []string{"A", "N", "R"}[i/9000%3] })),
+		NewStringColumn("mid", col(n, func(int) string { return fmt.Sprintf("Clerk#%09d", rng.Intn(2000)) })),
+		NewStringColumn("at_the_cap", col(n, func(i int) string { return fmt.Sprintf("value-%014d", (i*31)%maxDictEntries) })),
+		NewStringColumn("short_unique", col(n, func(i int) string { return fmt.Sprint(i % 3000) })),
+		NewStringColumn("all_distinct", col(n, func(i int) string { return fmt.Sprintf("comment %d about nothing in particular", i) })),
+		NewStringColumn("one_value", col(n, func(int) string { return "DELIVER IN PERSON" })),
+	}
+	tab := MustNewTable("d", 4<<10, cols...)
+	tab.Compress()
+	sawDict, sawNone := false, false
+	for _, c := range tab.Cols {
+		e := c.Enc
+		dict, bitw, dictBytes, chunks := refStrColumn(c.Str, e.ChunkRows)
+		if !slices.Equal(e.Dict, dict) || e.DictBits != bitw || e.DictBytes != dictBytes {
+			t.Fatalf("%s: dictionary of %d entries at %d bits (%d B), the sort-first encoder keeps %d at %d bits (%d B)",
+				c.Name, len(e.Dict), e.DictBits, e.DictBytes, len(dict), bitw, dictBytes)
+		}
+		if len(e.Chunks) != len(chunks) {
+			t.Fatalf("%s: %d chunks, want %d", c.Name, len(e.Chunks), len(chunks))
+		}
+		for i, w := range chunks {
+			g := e.Chunks[i]
+			if g.Enc != w.Enc || g.Bytes != w.Bytes || g.Start != w.Start || g.Rows != w.Rows || g.BitW != w.BitW ||
+				!bytes.Equal(g.Packed, w.Packed) || !slices.Equal(g.RunS, w.RunS) || !slices.Equal(g.RunN, w.RunN) {
+				t.Fatalf("%s chunk %d: %s in %d B, the sort-first encoder writes %s in %d B (or the payloads differ)",
+					c.Name, i, g.Enc, g.Bytes, w.Enc, w.Bytes)
+			}
+		}
+		sawDict = sawDict || dict != nil
+		sawNone = sawNone || dict == nil
+		if _, _, got := decodeAll(c); !slices.Equal(got, c.Str) {
+			t.Fatalf("%s does not decode back to its values", c.Name)
+		}
+	}
+	if !sawDict || !sawNone {
+		t.Fatalf("the columns must fall on both sides of the dictionary decision (kept %v, rejected %v)", sawDict, sawNone)
+	}
+	if d := tab.MustColumn("at_the_cap").Enc.Dict; len(d) != maxDictEntries {
+		t.Fatalf("a column of exactly %d distinct values keeps a dictionary of %d", maxDictEntries, len(d))
+	}
+	if d := tab.MustColumn("past_the_cap").Enc.Dict; d != nil {
+		t.Fatalf("a column of %d distinct values keeps a dictionary", maxDictEntries+1)
 	}
 }

@@ -147,17 +147,3 @@ func (rs RowRanges) Clamp(n int) RowRanges {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

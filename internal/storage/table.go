@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bdcc/internal/iosim"
+	"bdcc/internal/vector"
 )
 
 // Table is a stored columnar table. Columns are laid out independently in
@@ -28,6 +29,13 @@ type Table struct {
 // per-page zonemaps, and validates that all columns have equal length.
 // pageSize must be positive; the paper's setup uses 32 KB.
 func NewTable(name string, pageSize int64, cols ...*Column) (*Table, error) {
+	return newTable(name, pageSize, cols, nil)
+}
+
+// newTable is NewTable for columns whose leading rows are, column for
+// column, all the rows of prev (nil: none): prev's zonemap pages are carried
+// over instead of being recomputed (see buildZonemap).
+func newTable(name string, pageSize int64, cols []*Column, prev *Table) (*Table, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("storage: table %q: page size %d must be positive", name, pageSize)
 	}
@@ -48,7 +56,11 @@ func NewTable(name string, pageSize int64, cols ...*Column) (*Table, error) {
 	}
 	t.zones = make([]zonemap, len(cols))
 	for i, c := range cols {
-		t.zones[i] = buildZonemap(c, t.rowsPerPage(c))
+		var carry *zonemap
+		if prev != nil {
+			carry = &prev.zones[i]
+		}
+		t.zones[i] = buildZonemap(c, t.rowsPerPage(c), carry)
 	}
 	return t, nil
 }
@@ -62,9 +74,10 @@ func NewTable(name string, pageSize int64, cols ...*Column) (*Table, error) {
 // Idempotent; safe to call on a table already compressed.
 func (t *Table) Compress() {
 	t.compressed = true
+	var dict vector.StrDict
 	for i, c := range t.Cols {
 		c.finish() // chunk granularity is page-aligned at the raw width
-		c.encode(t.rowsPerPage(c))
+		c.encode(t.rowsPerPage(c), &dict)
 		t.zones[i] = zonemapFromChunks(c)
 	}
 }

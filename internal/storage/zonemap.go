@@ -48,31 +48,45 @@ func minMaxOrd[T cmp.Ordered](vals []T) (mn, mx T) {
 	return mn, mx
 }
 
-// pageMinMax computes per-page bounds of vals at the given granularity.
-func pageMinMax[T cmp.Ordered](vals []T, rowsPerPage, pages int) (mns, mxs []T) {
+// pageMinMax computes per-page bounds of vals at the given granularity. The
+// bounds of the leading len(keepMin) pages are copied from keepMin/keepMax
+// instead of being recomputed.
+func pageMinMax[T cmp.Ordered](vals []T, rowsPerPage, pages int, keepMin, keepMax []T) (mns, mxs []T) {
 	mns = make([]T, pages)
 	mxs = make([]T, pages)
-	for p := 0; p < pages; p++ {
+	keep := copy(mns, keepMin)
+	copy(mxs, keepMax)
+	for p := keep; p < pages; p++ {
 		lo, hi := p*rowsPerPage, min((p+1)*rowsPerPage, len(vals))
 		mns[p], mxs[p] = minMaxOrd(vals[lo:hi])
 	}
 	return mns, mxs
 }
 
-func buildZonemap(c *Column, rowsPerPage int) zonemap {
+// buildZonemap computes the zonemap of c. When the column's leading rows are
+// the rows prev was built over, prev's zones are carried over — all but the
+// last, the only page that may have been partial — provided the page geometry
+// did not move (a string column's rows-per-page follows its average length).
+func buildZonemap(c *Column, rowsPerPage int, prev *zonemap) zonemap {
 	if c.Enc != nil {
 		return zonemapFromChunks(c)
 	}
 	n := c.Len()
 	pages := (n + rowsPerPage - 1) / rowsPerPage
 	z := zonemap{rowsPerPage: rowsPerPage}
+	keep := 0
+	if prev != nil && prev.rowsPerPage == rowsPerPage {
+		keep = max(prev.pages()-1, 0)
+	} else {
+		prev = &zonemap{}
+	}
 	switch c.Kind {
 	case vector.Int64:
-		z.minI, z.maxI = pageMinMax(c.I64, rowsPerPage, pages)
+		z.minI, z.maxI = pageMinMax(c.I64, rowsPerPage, pages, prev.minI[:keep], prev.maxI[:keep])
 	case vector.Float64:
-		z.minF, z.maxF = pageMinMax(c.F64, rowsPerPage, pages)
+		z.minF, z.maxF = pageMinMax(c.F64, rowsPerPage, pages, prev.minF[:keep], prev.maxF[:keep])
 	case vector.String:
-		z.minS, z.maxS = pageMinMax(c.Str, rowsPerPage, pages)
+		z.minS, z.maxS = pageMinMax(c.Str, rowsPerPage, pages, prev.minS[:keep], prev.maxS[:keep])
 	}
 	return z
 }

@@ -3,7 +3,9 @@ package tpch
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -483,4 +485,270 @@ func TestIngestSoak(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// tailRows copies rows [from, n) of a stored table into a table of its own.
+func tailRows(tab *storage.Table, from int) *storage.Table {
+	cols := make([]*storage.Column, len(tab.Cols))
+	for i, c := range tab.Cols {
+		switch c.Kind {
+		case vector.Int64:
+			cols[i] = storage.NewInt64Column(c.Name, slices.Clone(c.I64[from:]))
+		case vector.Float64:
+			cols[i] = storage.NewFloat64Column(c.Name, slices.Clone(c.F64[from:]))
+		case vector.String:
+			cols[i] = storage.NewStringColumn(c.Name, slices.Clone(c.Str[from:]))
+		}
+	}
+	return storage.MustNewTable(tab.Name, tab.PageSize, cols...)
+}
+
+func sameBindings(t *testing.T, label string, got, want []core.UseBinding) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d bindings, the resolver gives %d", label, len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Dim != w.Dim || !slices.Equal(g.Path, w.Path) {
+			t.Fatalf("%s: binding %d is %s over %v, the resolver's is %s over %v", label, i, g.Dim.Name, g.Path, w.Dim.Name, w.Path)
+		}
+		if !slices.Equal(g.BinNos, w.BinNos) {
+			t.Fatalf("%s: use %d (%s over %v): bins from the indexes differ from the resolver's", label, i, w.Dim.Name, w.Path)
+		}
+	}
+}
+
+// TestIndexBinningMatchesResolver holds the append path's binding — the
+// batch's own key columns and the key→bin indexes (core.BindBatch) — to the
+// reference that walks the stored tables (core.BindUses over the combined
+// tables): for every designed table and use with its trailing rows taken as
+// a batch, and for orders and lineitem over three real arrival batches that
+// mix backfilled and post-window dates and whose lineitems reference orders
+// of the same batch. A child bound before its parents arrived is the
+// dangling reference, reported as the resolver reports it.
+func TestIndexBinningMatchesResolver(t *testing.T) {
+	b, err := NewBenchmark(0.01, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EnableIngest(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	db := b.DBs[plan.BDCC]
+	uses := 0
+	for _, td := range db.Clustered.Design.Tables {
+		tab := b.Data.Tables[td.Table]
+		from := tab.Rows() - min(64, tab.Rows())
+		got, err := core.BindBatch(db.Clustered, b.Schema, b.Data.Tables, td.Table, from, tailRows(tab, from))
+		if err != nil {
+			t.Fatalf("%s: %v", td.Table, err)
+		}
+		want, err := core.BindUses(db.Clustered, b.Schema, b.Data.Tables, td.Table, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBindings(t, "trailing rows of "+td.Table, got, want)
+		uses += len(want)
+	}
+	if uses != 12 {
+		t.Errorf("bound %d uses of the TPC-H design, want 12", uses)
+	}
+
+	gen := NewDeltaGen(b.Data, 5)
+	var batches []*DeltaBatch
+	fresh, backfilled := 0, 0
+	for i := 0; i < 3; i++ {
+		batch := gen.Next(60)
+		for _, d := range batch.Orders.MustColumn("o_orderdate").I64 {
+			if d > vector.ParseDate("1998-08-02") {
+				fresh++
+			} else {
+				backfilled++
+			}
+		}
+		before := combinedWith(t, b.Data, batches)
+		batches = append(batches, batch)
+		after := combinedWith(t, b.Data, batches)
+		ordFrom, liFrom := before["orders"].Rows(), before["lineitem"].Rows()
+
+		// The batch's orders have not arrived: its lineitems dangle.
+		_, err := core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "lineitem", liFrom, batch.Lineitem)
+		if err == nil || !strings.Contains(err.Error(), "foreign key fk_l_o: value") || !strings.Contains(err.Error(), "has no match in orders.o_orderkey") {
+			t.Fatalf("batch %d: lineitems bound before their orders: %v", i, err)
+		}
+		got, err := core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "orders", ordFrom, batch.Orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := core.BindUses(db.Clustered, b.Schema, after, "orders", ordFrom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBindings(t, fmt.Sprintf("orders of batch %d", i), got, want)
+		if err := db.Ingest().Append("orders", batch.Orders); err != nil {
+			t.Fatal(err)
+		}
+		got, err = core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "lineitem", liFrom, batch.Lineitem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = core.BindUses(db.Clustered, b.Schema, after, "lineitem", liFrom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBindings(t, fmt.Sprintf("lineitems of batch %d", i), got, want)
+		if err := db.Ingest().Append("lineitem", batch.Lineitem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh == 0 || backfilled == 0 {
+		t.Fatalf("arrivals must mix post-window (%d) and backfilled (%d) order dates", fresh, backfilled)
+	}
+}
+
+// TestIncrementalDriftMatchesDriftFor: the drift report an append publishes —
+// read off the view's and the consolidated base's count tables — equals,
+// field for field, core.DriftFor recomputed from scratch (re-binding every
+// delta row over the combined tables), after each append and again on top of
+// a merged base.
+func TestIncrementalDriftMatchesDriftFor(t *testing.T) {
+	b, err := NewBenchmark(0.01, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EnableIngest(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	db := b.DBs[plan.BDCC]
+	gen := NewDeltaGen(b.Data, 12)
+	gen.Backfill = 0.3
+	var batches []*DeltaBatch
+	cons := db.Clustered
+	consRows := map[string]int{"orders": b.Data.Tables["orders"].Rows(), "lineitem": b.Data.Tables["lineitem"].Rows()}
+	appendAndCheck := func(label string) {
+		t.Helper()
+		batch := gen.Next(50)
+		batches = append(batches, batch)
+		if err := b.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		combined := combinedWith(t, b.Data, batches)
+		published := db.Ingest().Stats().Drift
+		for table, from := range consRows {
+			want, err := core.DriftFor(cons, b.Schema, combined, table, from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := published[table]; !ok || got != want {
+				t.Fatalf("%s, %s: published drift %+v, DriftFor from scratch %+v", label, table, got, want)
+			}
+			if want.DeltaRows != int64(combined[table].Rows()-from) || want.Distance <= 0 {
+				t.Fatalf("%s, %s: reference report is degenerate: %+v", label, table, want)
+			}
+		}
+	}
+	for i := 1; i <= 3; i++ {
+		appendAndCheck(fmt.Sprintf("append %d", i))
+	}
+	if err := b.MergeAll(); err != nil {
+		t.Fatal(err)
+	}
+	if d := db.Ingest().Stats().Drift; len(d) != 0 {
+		t.Fatalf("drift reports survive the merge: %v", d)
+	}
+	cons = db.Snapshot().Clustered
+	for table := range consRows {
+		consRows[table] = db.Snapshot().Tables[table].Rows()
+	}
+	for i := 4; i <= 5; i++ {
+		appendAndCheck(fmt.Sprintf("append %d, over the merged base", i))
+	}
+}
+
+// TestIngestRejectedAppendLeavesNoTrace is the regression test for the
+// wedge: a lineitem batch whose orders never arrived is rejected with the
+// dangling foreign key, and used to stay in the delta store — every later
+// lineitem append then failed ("clustered lineitem holds … rows, append
+// starts at row …") and the store's row count disagreed with the published
+// version's. A rejected append must leave delta store, counters and
+// published version exactly as it found them, on an empty delta and on top
+// of earlier batches, and the stream must go on: the following valid batches
+// succeed, and views and merged base equal the from-scratch rebuild.
+func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
+	b, err := NewBenchmark(0.01, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EnableIngest(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	db := b.DBs[plan.BDCC]
+	ing := db.Ingest()
+	gen := NewDeltaGen(b.Data, 8)
+	lost, first, second := gen.Next(5), gen.Next(30), gen.Next(30)
+
+	reject := func(label string) {
+		t.Helper()
+		before, epoch, pending, view := ing.Stats(), db.Epoch(), db.PendingDeltaRows(), db.Snapshot().Clustered
+		err := ing.Append("lineitem", lost.Lineitem)
+		if err == nil || !strings.Contains(err.Error(), "foreign key fk_l_o") || !strings.Contains(err.Error(), "has no match") {
+			t.Fatalf("%s: orphaned lineitems were not rejected as dangling: %v", label, err)
+		}
+		after := ing.Stats()
+		if after.DeltaRows != before.DeltaRows || after.AppendedRows != before.AppendedRows || after.Epoch != before.Epoch {
+			t.Fatalf("%s: the rejected append moved the counters: %+v -> %+v", label, before, after)
+		}
+		if db.Epoch() != epoch || db.PendingDeltaRows() != pending || db.Snapshot().Clustered != view {
+			t.Fatalf("%s: the rejected append published a version", label)
+		}
+		if after.DeltaRows != db.PendingDeltaRows() {
+			t.Fatalf("%s: the delta stores hold %d rows, the published version shows %d", label, after.DeltaRows, db.PendingDeltaRows())
+		}
+	}
+	sameClustering := func(label string, batches []*DeltaBatch) {
+		t.Helper()
+		combined := combinedWith(t, b.Data, batches)
+		reb, err := core.RebuildWithDesign(db.Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Snapshot()
+		for _, name := range []string{"orders", "lineitem"} {
+			got, want := snap.BDCCTable(name), reb.Tables[name]
+			if !slices.Equal(got.Count, want.Count) || !slices.Equal(got.SortedKeys, want.SortedKeys) || got.Data.Rows() != want.Data.Rows() {
+				t.Fatalf("%s: clustered %s differs from the from-scratch rebuild", label, name)
+			}
+		}
+		ref := &plan.DB{Scheme: plan.BDCC, Schema: b.Schema, Tables: combined, Clustered: reb, Device: db.Device}
+		for _, num := range []int{3, 10, 18} {
+			got, _, _, err := RunQuery(snap, Query(num))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, _, err := RunQuery(ref, Query(num))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResult(t, fmt.Sprintf("%s, %s vs from-scratch rebuild", label, Query(num).Name), got, want)
+		}
+	}
+
+	reject("on an empty delta")
+	if err := b.AppendBatch(first); err != nil {
+		t.Fatalf("the batch after a rejected one: %v", err)
+	}
+	reject("on top of one batch")
+	if err := b.AppendBatch(second); err != nil {
+		t.Fatalf("the batch after a second rejected one: %v", err)
+	}
+	want := int64(first.Orders.Rows() + first.Lineitem.Rows() + second.Orders.Rows() + second.Lineitem.Rows())
+	if st := ing.Stats(); st.DeltaRows != want || db.PendingDeltaRows() != want || st.AppendedRows != want {
+		t.Fatalf("after two valid batches: store %d rows, version %d, lifetime %d; want %d", st.DeltaRows, db.PendingDeltaRows(), st.AppendedRows, want)
+	}
+	sameClustering("un-merged views", []*DeltaBatch{first, second})
+	if err := b.MergeAll(); err != nil {
+		t.Fatal(err)
+	}
+	sameClustering("after the merge", []*DeltaBatch{first, second})
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // This file is the batch wire codec: the byte form in which batches cross a
@@ -61,6 +61,7 @@ func (b *Batch) Encode(buf []byte) []byte {
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, b.GroupID)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(b.Cols)))
+	var dict StrDict // scratch shared by the batch's string columns
 	for _, c := range b.Cols {
 		buf = append(buf, byte(c.Kind))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Len()))
@@ -70,7 +71,7 @@ func (b *Batch) Encode(buf []byte) []byte {
 		case Float64:
 			buf = encodeF64Col(buf, c.F64)
 		case String:
-			buf = encodeStrCol(buf, c.Str)
+			buf = encodeStrCol(buf, c.Str, &dict)
 		}
 	}
 	return buf
@@ -196,31 +197,89 @@ func encodeF64Col(buf []byte, v []float64) []byte {
 	return buf
 }
 
+// StrDict is the scratch both dictionary encoders — the wire codec here and
+// storage's chunk encoder — number a string column's distinct values with,
+// in one scan, before deciding on a dictionary: viability needs only Len and
+// Bytes, so a column that will not dictionary-encode never pays for sorting
+// its values, and one that will takes its codes from IDs instead of hashing
+// every value a second time. The zero value is ready; Collect reuses its
+// memory from one column to the next.
+type StrDict struct {
+	// IDs[i] is the number of row i's value: by first occurrence after
+	// Collect, by value order after Sort.
+	IDs []uint32
+	// Bytes is the summed length of the distinct values.
+	Bytes int
+
+	ids map[string]uint32
+}
+
+// Collect scans vals. With limit > 0 it gives up, returning false, as soon as
+// more than limit distinct values were seen.
+func (d *StrDict) Collect(vals []string, limit int) bool {
+	if d.ids == nil {
+		d.ids = make(map[string]uint32, 64)
+	}
+	clear(d.ids)
+	if cap(d.IDs) < len(vals) {
+		d.IDs = make([]uint32, len(vals))
+	}
+	d.IDs = d.IDs[:len(vals)]
+	d.Bytes = 0
+	for i, s := range vals {
+		id, ok := d.ids[s]
+		if !ok {
+			if limit > 0 && len(d.ids) == limit {
+				return false
+			}
+			id = uint32(len(d.ids))
+			d.ids[s] = id
+			d.Bytes += len(s)
+		}
+		d.IDs[i] = id
+	}
+	return true
+}
+
+// Len returns the number of distinct values collected.
+func (d *StrDict) Len() int { return len(d.ids) }
+
+// Sort returns the distinct values in ascending order and renumbers IDs to
+// match, so that code order is value order.
+func (d *StrDict) Sort() []string {
+	vals := make([]string, 0, len(d.ids))
+	for s := range d.ids {
+		vals = append(vals, s)
+	}
+	slices.Sort(vals)
+	code := make([]uint32, len(vals))
+	for c, s := range vals {
+		code[d.ids[s]] = uint32(c)
+	}
+	for i, id := range d.IDs {
+		d.IDs[i] = code[id]
+	}
+	return vals
+}
+
 // encodeStrCol writes one string column: raw, a per-batch sorted dictionary
-// with bit-packed codes, or RLE — whichever models smallest.
-func encodeStrCol(buf []byte, v []string) []byte {
+// with bit-packed codes, or RLE — whichever models smallest. The candidates
+// are costed from counts; the dictionary is sorted only if it wins.
+func encodeStrCol(buf []byte, v []string, dict *StrDict) []byte {
 	n := len(v)
 	if n == 0 {
 		return append(buf, wireRaw)
 	}
 	rawB, rleB := 0, 0
-	distinct := make(map[string]uint32, 64)
 	for i, s := range v {
 		rawB += 4 + len(s)
 		if i == 0 || s != v[i-1] {
 			rleB += 8 + len(s)
 		}
-		distinct[s] = 0
 	}
-	dict := make([]string, 0, len(distinct))
-	dictB := 4 + 1
-	for s := range distinct {
-		dict = append(dict, s)
-		dictB += 4 + len(s)
-	}
-	sort.Strings(dict)
-	bitw := uint8(bits.Len(uint(len(dict) - 1)))
-	dictB += BitPackLen(n, bitw)
+	dict.Collect(v, 0)
+	bitw := uint8(bits.Len(uint(dict.Len() - 1)))
+	dictB := 4 + 1 + 4*dict.Len() + dict.Bytes + BitPackLen(n, bitw)
 	tag, best := wireRaw, rawB
 	if dictB < best {
 		tag, best = wireDict, dictB
@@ -259,18 +318,16 @@ func encodeStrCol(buf []byte, v []string) []byte {
 		}
 		appendRun(cur, cnt)
 	case wireDict:
-		for code, s := range dict {
-			distinct[s] = uint32(code)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
-		for _, s := range dict {
+		vals := dict.Sort()
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals)))
+		for _, s := range vals {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 			buf = append(buf, s...)
 		}
 		buf = append(buf, bitw)
 		off := len(buf)
 		buf = append(buf, make([]byte, BitPackLen(n, bitw))...)
-		BitPack(buf[off:], n, bitw, func(i int) uint64 { return uint64(distinct[v[i]]) })
+		BitPack(buf[off:], n, bitw, func(i int) uint64 { return uint64(dict.IDs[i]) })
 	}
 	return buf
 }

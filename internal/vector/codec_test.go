@@ -1,7 +1,14 @@
 package vector
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"math/bits"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -235,6 +242,141 @@ func BenchmarkBatchCodecRaw(b *testing.B) {
 		buf = batch.Encode(buf[:0])
 		if _, _, err := DecodeBatch(buf); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// refEncodeStrCol is the string-column encoder as it was before viability
+// was decided on counts: collect the distinct values, sort them, only then
+// cost the candidates, and pack dictionary codes by hashing every value a
+// second time. Encode's output must not have moved by a byte.
+func refEncodeStrCol(buf []byte, v []string) []byte {
+	n := len(v)
+	if n == 0 {
+		return append(buf, wireRaw)
+	}
+	rawB, rleB := 0, 0
+	distinct := make(map[string]uint32, 64)
+	for i, s := range v {
+		rawB += 4 + len(s)
+		if i == 0 || s != v[i-1] {
+			rleB += 8 + len(s)
+		}
+		distinct[s] = 0
+	}
+	dict := make([]string, 0, len(distinct))
+	dictB := 4 + 1
+	for s := range distinct {
+		dict = append(dict, s)
+		dictB += 4 + len(s)
+	}
+	sort.Strings(dict)
+	bitw := uint8(bits.Len(uint(len(dict) - 1)))
+	dictB += BitPackLen(n, bitw)
+	tag, best := wireRaw, rawB
+	if dictB < best {
+		tag, best = wireDict, dictB
+	}
+	if rleB < best {
+		tag = wireRLE
+	}
+	buf = append(buf, byte(tag))
+	switch tag {
+	case wireRaw:
+		for _, s := range v {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			buf = append(buf, s...)
+		}
+	case wireRLE:
+		var runs [][2]int // start, length
+		for i := range v {
+			if i == 0 || v[i] != v[i-1] {
+				runs = append(runs, [2]int{i, 0})
+			}
+			runs[len(runs)-1][1]++
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(runs)))
+		for _, r := range runs {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v[r[0]])))
+			buf = append(buf, v[r[0]]...)
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(r[1]))
+		}
+	case wireDict:
+		for code, s := range dict {
+			distinct[s] = uint32(code)
+		}
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
+		for _, s := range dict {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			buf = append(buf, s...)
+		}
+		buf = append(buf, bitw)
+		off := len(buf)
+		buf = append(buf, make([]byte, BitPackLen(n, bitw))...)
+		BitPack(buf[off:], n, bitw, func(i int) uint64 { return uint64(distinct[v[i]]) })
+	}
+	return buf
+}
+
+// dictTestColumns are string columns on both sides of every dictionary
+// decision: a handful of values, a few thousand, all distinct, clustered
+// runs, and 65 536 / 65 537 distinct values — the storage encoder's cap.
+func dictTestColumns() map[string][]string {
+	rng := rand.New(rand.NewSource(41))
+	col := func(n int, f func(i int) string) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	return map[string][]string{
+		"empty":     nil,
+		"one-value": col(500, func(int) string { return "DELIVER IN PERSON" }),
+		"low": col(30000, func(int) string {
+			return []string{"MAIL", "SHIP", "AIR", "TRUCK", "RAIL", "FOB", "REG AIR"}[rng.Intn(7)]
+		}),
+		"low-runs":     col(30000, func(i int) string { return []string{"A", "N", "R"}[i/9000%3] }),
+		"mid":          col(30000, func(int) string { return fmt.Sprintf("Clerk#%09d", rng.Intn(2000)) }),
+		"all-distinct": col(30000, func(i int) string { return fmt.Sprintf("comment %d about nothing in particular", i*7919%30000) }),
+		"short-unique": col(3000, func(i int) string { return fmt.Sprint(i) }),
+		"at-the-cap":   col(140000, func(i int) string { return fmt.Sprintf("value-%014d", (i*31)%65536) }),
+		"past-the-cap": col(140000, func(i int) string { return fmt.Sprintf("value-%014d", (i*31)%65537) }),
+	}
+}
+
+// TestDictEncodingUnchanged: Batch.Encode produces the bytes the sort-first
+// encoder produced, whether or not the dictionary wins, and they decode back.
+func TestDictEncodingUnchanged(t *testing.T) {
+	for name, vals := range dictTestColumns() {
+		b := NewBatch([]Kind{String, String})
+		for _, s := range vals {
+			b.Cols[0].AppendString(s)
+		}
+		// A second column through the same scratch, in another order.
+		for i := range vals {
+			b.Cols[1].AppendString(vals[len(vals)-1-i])
+		}
+		got := b.Encode(nil)
+		want := []byte{0}
+		want = binary.LittleEndian.AppendUint64(want, 0)
+		want = binary.LittleEndian.AppendUint16(want, 2)
+		for _, c := range b.Cols {
+			want = append(want, byte(String))
+			want = binary.LittleEndian.AppendUint32(want, uint32(len(vals)))
+			want = refEncodeStrCol(want, c.Str)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Encode wrote %d bytes that differ from the sort-first encoder's %d", name, len(got), len(want))
+		}
+		back, n, err := DecodeBatch(got)
+		if err != nil || n != len(got) {
+			t.Fatalf("%s: decode: %v (%d of %d bytes)", name, err, n, len(got))
+		}
+		for c := range b.Cols {
+			if !slices.Equal(back.Cols[c].Str, b.Cols[c].Str) {
+				t.Fatalf("%s: column %d does not survive the round trip", name, c)
+			}
 		}
 	}
 }
