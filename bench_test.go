@@ -184,6 +184,7 @@ func BenchmarkHashJoinBuildProbe(b *testing.B) {
 	for _, workers := range []int{1, benchWorkers()} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			var rows int
 			for i := 0; i < b.N; i++ {
 				ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
@@ -218,6 +219,7 @@ func BenchmarkHashAgg(b *testing.B) {
 	for _, workers := range []int{1, benchWorkers()} {
 		workers := workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
 				a := &engine.HashAggregate{

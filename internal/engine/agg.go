@@ -122,57 +122,51 @@ func (st *aggState) render(f AggFunc, col *vector.Vector) {
 }
 
 // aggTable is one hash-aggregation state: the open-addressing group index,
-// the flat state array, the materialized group keys, and per-row scratch.
+// the flat state array, the materialized group keys, and per-batch scratch.
 // The serial operator owns one; each parallel worker owns its own (workers
 // aggregate disjoint key partitions, so tables never share mutable state —
 // which includes the aggregate arguments: every table evaluates its own
-// clones of the bound trees).
+// clones of the bound trees). A batch is folded in two passes: find-or-insert
+// resolves every row to its group id in one loop picked by the key shape,
+// then each aggregate runs one typed loop over (group ids, argument values).
+// states and firstRows are charged by capacity, so they grow only by one-row
+// appends — the geometry TestHashTableFootprintPinned pins.
 type aggTable struct {
-	aggs       []AggSpec
-	keyIdx     []int
-	table      oaTable    // key hash -> group id
-	states     []aggState // flat, group g's states at [g*len(aggs) : (g+1)*len(aggs)]
-	nGroups    int        // group count (keyBuf.Len() is 0 for zero-column keys)
-	keyBuf     *Buffer    // one row per group, in first-seen (emission) order
-	firstRows  []int64    // per group: global row index of the first-seen row
-	memBytes   int64      // bytes charged to the memory tracker
-	hashes     []uint64   // per-batch key hash scratch
-	distBytes  int64      // footprint of all COUNT(DISTINCT) sets
-	keyBufCols []int
-	eqBatch    *vector.Batch
-	eqRow      int
-	groupEq    func(int32) bool
-	argVecs    []*vector.Vector // per batch: each argument's values (nil for COUNT(*))
-	keyBatch   vector.Batch     // per batch: the key columns, in keyBuf's layout
+	aggs      []AggSpec
+	keyIdx    []int
+	table     oaTable      // key -> group id
+	eq        keyEq        // batch rows against keyBuf rows
+	states    []aggState   // flat, group g's states at [g*len(aggs) : (g+1)*len(aggs)]
+	nGroups   int          // group count (keyBuf.Len() is 0 for zero-column keys)
+	keyBuf    *Buffer      // one row per group, in first-seen (emission) order
+	firstRows []int64      // per group: global row index of the first-seen row
+	memBytes  int64        // bytes charged to the memory tracker
+	hashes    []uint64     // per-batch key hash scratch
+	gids      []int32      // per batch: each row's group id
+	distBytes int64        // footprint of all COUNT(DISTINCT) sets
+	keyBatch  vector.Batch // per batch: the key columns, in keyBuf's layout
 }
 
 func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable {
-	t := &aggTable{aggs: slices.Clone(aggs), keyIdx: keyIdx}
+	t := &aggTable{aggs: slices.Clone(aggs), keyIdx: keyIdx, eq: newKeyEq(len(keyIdx))}
 	for i := range t.aggs {
 		t.aggs[i].Arg = expr.Clone(t.aggs[i].Arg)
 	}
+	t.table.keyed = keyedShape(keySchema.Kinds())
 	t.keyBuf = NewBuffer(keySchema)
-	t.keyBufCols = identityCols(len(keyIdx))
-	t.groupEq = func(g int32) bool {
-		return keysEqualBatchBuf(t.eqBatch, t.keyIdx, t.eqRow, t.keyBuf, t.keyBufCols, int(g))
-	}
-	t.argVecs = make([]*vector.Vector, len(aggs))
 	t.keyBatch.Cols = make([]*vector.Vector, len(keyIdx))
 	return t
 }
 
 // accumulate folds one batch into the table: the key columns are hashed
-// vector-at-a-time (or taken pre-hashed from a routing feeder), then each
-// row resolves (or claims) its group id in the open-addressing table, with
-// collisions verified against the materialized group keys in keyBuf.
-// rowIdx, when non-nil, carries each row's global input row index so
-// parallel workers can reconstruct the serial first-seen emission order.
+// vector-at-a-time (or taken pre-hashed from a routing feeder), every row
+// resolves (or claims) its group id, and then each aggregate folds its
+// evaluated argument into the groups' states in one loop whose (function,
+// kind) dispatch sits outside it. Rows reach a group's state in input order
+// whatever the loop structure, so float sums keep their bits. rowIdx, when
+// non-nil, carries each row's global input row index so parallel workers can
+// reconstruct the serial first-seen emission order.
 func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) {
-	for i, a := range t.aggs {
-		if a.Arg != nil {
-			t.argVecs[i] = expr.Values(a.Arg, b)
-		}
-	}
 	for c, ki := range t.keyIdx {
 		t.keyBatch.Cols[c] = b.Cols[ki]
 	}
@@ -180,30 +174,109 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 		t.hashes = vector.HashKeys(b, t.keyIdx, t.hashes)
 		hashes = t.hashes
 	}
-	t.eqBatch = b
-	nAggs := len(t.aggs)
-	for r := 0; r < b.Len(); r++ {
-		t.eqRow = r
-		t.table.Reserve()
-		slot, found := t.table.FindSlot(hashes[r], t.groupEq)
-		var g int32
-		if found {
-			g = t.table.Payload(slot)
-		} else {
-			g = int32(t.nGroups)
-			t.nGroups++
-			t.table.Insert(slot, hashes[r], g)
-			t.keyBuf.AppendRow(&t.keyBatch, r)
-			if rowIdx != nil {
-				t.firstRows = append(t.firstRows, rowIdx[r])
+	t.gids = sized(t.gids, len(hashes))
+	bindKeyCols(t.eq.sought, b.Cols, t.keyIdx)
+	if t.table.keyed {
+		for r, key := range t.eq.sought[0].I64 {
+			t.table.Reserve()
+			slot, found := t.table.FindKey(hashes[r], key)
+			if !found {
+				t.table.Insert(slot, uint64(key), t.newGroup(r, rowIdx))
 			}
-			for i := 0; i < nAggs; i++ {
-				t.states = append(t.states, aggState{})
-			}
+			t.gids[r] = t.table.vals[slot]
 		}
-		states := t.states[int(g)*nAggs : (int(g)+1)*nAggs]
-		for i, a := range t.aggs {
-			t.distBytes += states[i].update(a.Func, t.argVecs[i], r)
+	} else {
+		bindKeyCols(t.eq.stored, t.keyBuf.cols, nil)
+		for r, h := range hashes {
+			t.table.Reserve()
+			slot, found := t.table.FindSlot(h, &t.eq, r)
+			if !found {
+				t.table.Insert(slot, h, t.newGroup(r, rowIdx))
+				bindKeyCols(t.eq.stored, t.keyBuf.cols, nil)
+			}
+			t.gids[r] = t.table.vals[slot]
+		}
+	}
+	for i, a := range t.aggs {
+		var arg *vector.Vector
+		if a.Arg != nil {
+			arg = expr.Values(a.Arg, b)
+		}
+		t.fold(i, a.Func, arg)
+	}
+}
+
+// newGroup opens a group for row r of the batch being accumulated and
+// returns its id.
+func (t *aggTable) newGroup(r int, rowIdx []int64) int32 {
+	t.keyBuf.AppendRow(&t.keyBatch, r)
+	if rowIdx != nil {
+		t.firstRows = append(t.firstRows, rowIdx[r])
+	}
+	for range t.aggs {
+		t.states = append(t.states, aggState{})
+	}
+	t.nGroups++
+	return int32(t.nGroups - 1)
+}
+
+// fold folds the batch's values of aggregate i (nil for COUNT(*)) into the
+// states of the groups in t.gids, row by row in input order.
+func (t *aggTable) fold(i int, f AggFunc, arg *vector.Vector) {
+	n, states := len(t.aggs), t.states
+	switch {
+	case f == AggCount:
+		for _, g := range t.gids {
+			states[int(g)*n+i].count++
+		}
+	case f == AggCountDistinct:
+		for r, g := range t.gids {
+			t.distBytes += states[int(g)*n+i].update(f, arg, r)
+		}
+	case f == AggMin || f == AggMax:
+		foldMinMax(states, n, i, t.gids, arg, f == AggMin)
+	case arg.Kind == vector.Int64: // SUM, AVG
+		for r, g := range t.gids {
+			st, x := &states[int(g)*n+i], arg.I64[r]
+			st.i64 += x
+			st.f64 += float64(x)
+			st.count++
+		}
+	case arg.Kind == vector.Float64:
+		for r, g := range t.gids {
+			st := &states[int(g)*n+i]
+			st.f64 += arg.F64[r]
+			st.count++
+		}
+	}
+}
+
+// foldMinMax is fold for MIN and MAX: one loop per argument kind.
+func foldMinMax(states []aggState, n, i int, gids []int32, arg *vector.Vector, isMin bool) {
+	switch arg.Kind {
+	case vector.Int64:
+		for r, g := range gids {
+			st, x := &states[int(g)*n+i], arg.I64[r]
+			if st.count == 0 || (isMin && x < st.i64) || (!isMin && x > st.i64) {
+				st.i64 = x
+			}
+			st.count++
+		}
+	case vector.Float64:
+		for r, g := range gids {
+			st, x := &states[int(g)*n+i], arg.F64[r]
+			if st.count == 0 || (isMin && x < st.f64) || (!isMin && x > st.f64) {
+				st.f64 = x
+			}
+			st.count++
+		}
+	case vector.String:
+		for r, g := range gids {
+			st, x := &states[int(g)*n+i], arg.Str[r]
+			if st.count == 0 || (isMin && x < st.str) || (!isMin && x > st.str) {
+				st.str = x
+			}
+			st.count++
 		}
 	}
 }
@@ -294,6 +367,7 @@ type HashAggregate struct {
 	agg    *aggTable
 
 	pending []*vector.Batch // flushed output waiting to be returned
+	sel     []int32         // emitBatch's gather scratch
 	done    bool
 	haveGID bool
 	curGID  uint64
@@ -341,40 +415,37 @@ func (h *HashAggregate) workers() int {
 	return h.Sched.Workers()
 }
 
-// emitGroups renders groups of src (in the given order) into pending
-// batches; order nil means src's insertion order. Flushed batches of a
-// FlushOnGroup aggregation keep the group tag, so a sandwich aggregation's
-// output remains a group stream and enclosing sandwich operators can align
-// on it.
-func (h *HashAggregate) emitGroups(tables []*aggTable, order []groupRef) {
+// emitBatch renders the groups refs (at most BatchSize) into one pending
+// batch, column by column: each key column is one gather per run of groups
+// from one table (a serial flush is one run, the parallel merge interleaves
+// its partitions' tables), each aggregate one loop over the groups' states.
+// Flushed batches of a FlushOnGroup aggregation keep the group tag, so a
+// sandwich aggregation's output remains a group stream and enclosing sandwich
+// operators can align on it.
+func (h *HashAggregate) emitBatch(tables []*aggTable, refs []groupRef) {
 	nk := len(h.keyIdx)
 	nAggs := len(h.Aggs)
-	tag := func(b *vector.Batch) {
-		if h.FlushOnGroup && h.haveGID {
-			b.Grouped = true
-			b.GroupID = h.curGID
-		}
-	}
 	out := vector.NewBatch(h.schema.Kinds())
-	emit := func() {
-		if out.Len() > 0 {
-			tag(out)
-			h.pending = append(h.pending, out)
-			out = vector.NewBatch(h.schema.Kinds())
+	for lo := 0; lo < len(refs) && nk > 0; {
+		h.sel = h.sel[:0]
+		hi := lo
+		for ; hi < len(refs) && refs[hi].table == refs[lo].table; hi++ {
+			h.sel = append(h.sel, int32(refs[hi].group))
+		}
+		for c := 0; c < nk; c++ {
+			out.Cols[c].AppendSelected(tables[refs[lo].table].keyBuf.cols[c], h.sel)
+		}
+		lo = hi
+	}
+	for i, a := range h.Aggs {
+		for _, ref := range refs {
+			tables[ref.table].states[ref.group*nAggs+i].render(a.Func, out.Cols[nk+i])
 		}
 	}
-	for _, ref := range order {
-		t := tables[ref.table]
-		states := t.states[ref.group*nAggs : (ref.group+1)*nAggs]
-		t.keyBuf.WriteRow(out, ref.group, 0)
-		for i, a := range h.Aggs {
-			states[i].render(a.Func, out.Cols[nk+i])
-		}
-		if out.Len() >= vector.BatchSize {
-			emit()
-		}
+	if h.FlushOnGroup && h.haveGID {
+		out.Grouped, out.GroupID = true, h.curGID
 	}
-	emit()
+	h.pending = append(h.pending, out)
 }
 
 // groupRef addresses one group of one aggTable during emission.
@@ -384,16 +455,17 @@ type groupRef struct {
 	firstRow int64
 }
 
-// flush converts the hash table into pending output batches and clears it.
+// flush converts the hash table into pending output batches, groups in
+// insertion order, and clears it.
 func (h *HashAggregate) flush() {
-	if h.agg.nGroups == 0 {
-		return
+	tables := []*aggTable{h.agg}
+	refs := make([]groupRef, 0, min(vector.BatchSize, h.agg.nGroups))
+	for g := 0; g < h.agg.nGroups; {
+		for refs = refs[:0]; g < h.agg.nGroups && len(refs) < vector.BatchSize; g++ {
+			refs = append(refs, groupRef{group: g})
+		}
+		h.emitBatch(tables, refs)
 	}
-	order := make([]groupRef, h.agg.nGroups)
-	for g := range order {
-		order[g] = groupRef{group: g}
-	}
-	h.emitGroups([]*aggTable{h.agg}, order)
 	h.agg.release(h.ctx.Mem)
 }
 
@@ -599,7 +671,9 @@ func (h *HashAggregate) runParallel() error {
 		}
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].firstRow < order[j].firstRow })
-	h.emitGroups(tables, order)
+	for ; len(order) > 0; order = order[min(vector.BatchSize, len(order)):] {
+		h.emitBatch(tables, order[:min(vector.BatchSize, len(order))])
+	}
 	for _, t := range tables {
 		t.release(h.ctx.Mem)
 	}
@@ -670,8 +744,8 @@ type StreamAggregate struct {
 
 	schema   expr.Schema
 	keyIdx   []int
-	keyCols  []int   // keyRow's columns: all of them
 	keyRow   *Buffer // the open group's key, one row while haveKey
+	eq       keyEq   // cur's rows against keyRow's row
 	haveKey  bool
 	states   []aggState
 	argVecs  []*vector.Vector
@@ -709,8 +783,8 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 		}
 		s.schema = append(s.schema, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
 	}
-	s.keyCols = identityCols(len(s.keyIdx))
 	s.keyRow = NewBuffer(keySchema)
+	s.eq = newKeyEq(len(s.keyIdx))
 	s.keyBatch.Cols = make([]*vector.Vector, len(s.keyIdx))
 	s.states = make([]aggState, len(s.Aggs))
 	s.argVecs = make([]*vector.Vector, len(s.Aggs))
@@ -759,10 +833,11 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 			for c, ki := range s.keyIdx {
 				s.keyBatch.Cols[c] = b.Cols[ki]
 			}
+			bindKeyCols(s.eq.sought, b.Cols, s.keyIdx)
 			s.cur, s.row = b, 0
 		}
 		for ; s.row < s.cur.Len(); s.row++ {
-			if s.haveKey && !keysEqualBatchBuf(s.cur, s.keyIdx, s.row, s.keyRow, s.keyCols, 0) {
+			if s.haveKey && !s.eq.equal(s.row, 0) {
 				s.emitGroup()
 				if s.out.Len() >= vector.BatchSize {
 					return s.out, nil // resumes at this row, which opens the next group
@@ -770,6 +845,7 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 			}
 			if !s.haveKey {
 				s.keyRow.AppendRow(&s.keyBatch, s.row)
+				bindKeyCols(s.eq.stored, s.keyRow.cols, nil)
 				s.haveKey = true
 			}
 			for i, a := range s.Aggs {

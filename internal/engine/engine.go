@@ -26,6 +26,20 @@
 // form returns the same rows in the same order, and the serial sandwich and
 // Fragment.Run return the same batch sequence.
 //
+// The kernel and the aggregation table (aggTable, agg.go) work a batch at a
+// time. The key shape is picked once, at Fragment.Prepare and
+// HashAggregate.Open: a single Int64 key is stored in the hash-table slot and
+// compared there; any other key is verified through a comparator bound to the
+// typed key columns (keyEq, hashtable.go). Per batch, the kernels hash the key
+// columns, resolve every row against the table in one loop, and then move
+// data column-wise: a join fills its output in windows of (probe row, build
+// row) pairs — one residual evaluation and one gather per column per window —
+// and an aggregation runs one typed loop per aggregate over (group ids,
+// argument values). Buffers are charged by logical bytes and double their
+// capacity; the arrays charged by capacity (chain array, aggregate states,
+// first-seen rows) and the slot arrays keep a pinned geometry, because
+// their footprint is Figure 3 (TestHashTableFootprintPinned).
+//
 // # Morsel-driven parallelism
 //
 // Parallel execution runs on one scheduler per query: the Context owns a
@@ -511,15 +525,7 @@ func Run(ctx *Context, op Operator) (*Result, error) {
 			return res, nil
 		}
 		for c, col := range res.Cols {
-			src := b.Cols[c]
-			switch col.Kind {
-			case vector.Int64:
-				col.I64 = append(col.I64, src.I64...)
-			case vector.Float64:
-				col.F64 = append(col.F64, src.F64...)
-			case vector.String:
-				col.Str = append(col.Str, src.Str...)
-			}
+			col.AppendVector(b.Cols[c]) // doubling, like a Buffer
 		}
 	}
 }

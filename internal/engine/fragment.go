@@ -93,6 +93,7 @@ type Fragment struct {
 	Acct *iosim.Accountant
 
 	probeIdx, buildIdx []int
+	keyed              bool // the join key is a single Int64: hash tables store it in the slot
 	out                expr.Schema
 	prepared           bool
 	scanTab            *storage.Table
@@ -119,6 +120,14 @@ func (f *Fragment) Prepare() error {
 	if err != nil {
 		return errOp("fragment build keys", err)
 	}
+	kinds := make([]vector.Kind, len(f.probeIdx))
+	for c, pi := range f.probeIdx {
+		kinds[c] = f.Probe[pi].Kind
+		if bk := f.Build[f.buildIdx[c]].Kind; bk != kinds[c] {
+			return fmt.Errorf("engine: join fragment: key %s is %v, key %s is %v", f.ProbeKeys[c], kinds[c], f.BuildKeys[c], bk)
+		}
+	}
+	f.keyed = keyedShape(kinds)
 	switch f.Type {
 	case InnerJoin:
 		f.out = append(append(expr.Schema{}, f.Probe...), f.Build...)
@@ -199,7 +208,7 @@ func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if f.Kind == FragScan {
 		return f.runScan(g, emit)
 	}
-	p := f.newProbe(NewBuffer(f.Build), newPartJoinTable(1))
+	p := f.newProbe(NewBuffer(f.Build), newPartJoinTable(1, f.keyed))
 	for _, b := range g.Build {
 		p.insertBatch(b)
 	}

@@ -110,22 +110,37 @@ func TestKeyIdentityStrings(t *testing.T) {
 }
 
 // TestKeyIdentityIntsAndFloats verifies negative ints hash/compare
-// correctly and that -0.0 and +0.0 are one grouping key for both the
-// aggregation and join paths.
+// correctly — as a single Int64 key (the keyed table shape) and with a
+// constant second key column (the bound-comparator shape) — and that -0.0
+// and +0.0 are one grouping key for both the aggregation and join paths.
 func TestKeyIdentityIntsAndFloats(t *testing.T) {
 	ints := []int64{-1, 1, math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64}
-	data := mkResult([]string{"k"}, i64Vec(ints...))
-	agg := &HashAggregate{
-		Child:   &Values{Rows: data},
-		GroupBy: []string{"k"},
-		Aggs:    []AggSpec{{Name: "c", Func: AggCount}},
-	}
-	res, err := Run(testCtx(), agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows() != 5 {
-		t.Fatalf("int agg found %d groups, want 5", res.Rows())
+	for _, keys := range [][]string{{"k"}, {"k", "one"}} {
+		data := func() *Result {
+			return mkResult([]string{"k", "one"}, i64Vec(ints...), i64Vec(make([]int64, len(ints))...))
+		}
+		agg := &HashAggregate{
+			Child:   &Values{Rows: data()},
+			GroupBy: keys,
+			Aggs:    []AggSpec{{Name: "c", Func: AggCount}},
+		}
+		res, err := Run(testCtx(), agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows() != 5 {
+			t.Fatalf("keys %v: int agg found %d groups, want 5", keys, res.Rows())
+		}
+		// Self-join: -1 and MinInt64 occur twice, the other three once.
+		join := &HashJoin{Left: &Values{Rows: data()}, Right: &Values{Rows: data()},
+			LeftKeys: keys, RightKeys: keys, Type: InnerJoin}
+		jres, err := Run(testCtx(), join)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jres.Rows() != 2*2*2+3 {
+			t.Fatalf("keys %v: int self-join produced %d rows, want 11", keys, jres.Rows())
+		}
 	}
 
 	negZero := math.Copysign(0, -1)
@@ -183,97 +198,136 @@ func TestJoinAggGroupingAgree(t *testing.T) {
 	mk := func() *Result {
 		return mkResult([]string{"a", "b", "c"}, i64Vec(ks...), f64Vec(kf...), strVec(kstr...))
 	}
-	agg := &HashAggregate{
-		Child:   &Values{Rows: mk()},
-		GroupBy: []string{"a", "b", "c"},
-		Aggs:    []AggSpec{{Name: "c", Func: AggCount}},
-	}
-	ares, err := Run(testCtx(), agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	semi := &HashJoin{
-		Left:     &Values{Rows: mk()},
-		Right:    &Values{Rows: mk()},
-		LeftKeys: []string{"a", "b", "c"}, RightKeys: []string{"a", "b", "c"},
-		Type: SemiJoin,
-	}
-	sres, err := Run(testCtx(), semi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sres.Rows() != n {
-		t.Fatalf("self semi-join kept %d of %d rows", sres.Rows(), n)
-	}
-	// Anti-join against the distinct groups must eliminate everything.
-	anti := &HashJoin{
-		Left:     &Values{Rows: mk()},
-		Right:    &Values{Rows: mkResult([]string{"a", "b", "c"}, ares.Cols[0], ares.Cols[1], ares.Cols[2])},
-		LeftKeys: []string{"a", "b", "c"}, RightKeys: []string{"a", "b", "c"},
-		Type: AntiJoin,
-	}
-	antres, err := Run(testCtx(), anti)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if antres.Rows() != 0 {
-		t.Fatalf("anti-join against own distinct keys kept %d rows, want 0", antres.Rows())
+	// The mixed three-column key goes through the bound comparator, the
+	// single Int64 key through the keyed tables.
+	for _, keys := range [][]string{{"a", "b", "c"}, {"a"}} {
+		agg := &HashAggregate{
+			Child:   &Values{Rows: mk()},
+			GroupBy: keys,
+			Aggs:    []AggSpec{{Name: "c", Func: AggCount}},
+		}
+		ares, err := Run(testCtx(), agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) == 1 && ares.Rows() != 37 {
+			t.Fatalf("keys %v: %d groups, want 37", keys, ares.Rows())
+		}
+		semi := &HashJoin{
+			Left:     &Values{Rows: mk()},
+			Right:    &Values{Rows: mk()},
+			LeftKeys: keys, RightKeys: keys,
+			Type: SemiJoin,
+		}
+		sres, err := Run(testCtx(), semi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sres.Rows() != n {
+			t.Fatalf("keys %v: self semi-join kept %d of %d rows", keys, sres.Rows(), n)
+		}
+		// Anti-join against the distinct groups must eliminate everything.
+		anti := &HashJoin{
+			Left:     &Values{Rows: mk()},
+			Right:    &Values{Rows: &Result{Schema: ares.Schema[:len(keys)], Cols: ares.Cols[:len(keys)]}},
+			LeftKeys: keys, RightKeys: keys,
+			Type: AntiJoin,
+		}
+		antres, err := Run(testCtx(), anti)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if antres.Rows() != 0 {
+			t.Fatalf("keys %v: anti-join against own distinct keys kept %d rows, want 0", keys, antres.Rows())
+		}
 	}
 }
 
+// int64KeyEq returns a comparator whose sought and stored side are both keys;
+// a test pairs it with a keyed table or forces the generic (hash-storing) one.
+func int64KeyEq(keys *vector.Vector) keyEq {
+	eq := newKeyEq(1)
+	bindKeyCols(eq.sought, []*vector.Vector{keys}, []int{0})
+	bindKeyCols(eq.stored, []*vector.Vector{keys}, []int{0})
+	return eq
+}
+
 // TestOATableGrowth drives the open-addressing core through several
-// doublings and checks every key stays reachable.
+// doublings, in both key shapes, and checks every key stays reachable.
 func TestOATableGrowth(t *testing.T) {
-	var table oaTable
-	keys := make([]int64, 10000)
-	for i := range keys {
-		keys[i] = int64(i * 7)
+	keys := vector.NewVector(vector.Int64, 10000)
+	for i := 0; i < 10000; i++ {
+		keys.AppendInt64(int64(i * 7))
 	}
-	hash := func(k int64) uint64 { return vector.Mix64(uint64(k)) }
-	for i, k := range keys {
-		k := k
-		table.Reserve()
-		slot, found := table.FindSlot(hash(k), func(v int32) bool { return keys[v] == k })
-		if found {
-			t.Fatalf("key %d found before insert", k)
+	for _, keyed := range []bool{true, false} {
+		table := oaTable{keyed: keyed}
+		eq := int64KeyEq(keys)
+		// find looks row i's key up; a hash-storing table works under any
+		// hash, a keyed one rehashes its keys on growth and needs the real one.
+		find := func(i int) (slot int, found bool, tag uint64) {
+			k := keys.I64[i]
+			if keyed {
+				slot, found = table.FindKey(vector.HashInt64(k), k)
+				return slot, found, uint64(k)
+			}
+			h := vector.Mix64(uint64(k))
+			slot, found = table.FindSlot(h, &eq, i)
+			return slot, found, h
 		}
-		table.Insert(slot, hash(k), int32(i))
-	}
-	if table.Len() != len(keys) {
-		t.Fatalf("table holds %d keys, want %d", table.Len(), len(keys))
-	}
-	for i, k := range keys {
-		k := k
-		slot, found := table.FindSlot(hash(k), func(v int32) bool { return keys[v] == k })
-		if !found || table.Payload(slot) != int32(i) {
-			t.Fatalf("key %d: found=%v payload=%d, want %d", k, found, table.Payload(slot), i)
+		for i, k := range keys.I64 {
+			table.Reserve()
+			slot, found, tag := find(i)
+			if found {
+				t.Fatalf("keyed=%v: key %d found before insert", keyed, k)
+			}
+			table.Insert(slot, tag, int32(i))
 		}
-	}
-	if table.Bytes() <= 0 {
-		t.Fatal("table reports non-positive footprint")
+		if table.Len() != keys.Len() {
+			t.Fatalf("keyed=%v: table holds %d keys, want %d", keyed, table.Len(), keys.Len())
+		}
+		for i, k := range keys.I64 {
+			slot, found, _ := find(i)
+			if !found || table.vals[slot] != int32(i) {
+				t.Fatalf("keyed=%v: key %d: found=%v payload=%d, want %d", keyed, k, found, table.vals[slot], i)
+			}
+		}
+		if table.Bytes() <= 0 {
+			t.Fatal("table reports non-positive footprint")
+		}
 	}
 }
 
 // TestJoinTableCollisionChains forces every key onto one hash value so
-// distinct keys must be separated by the equality predicate alone, and
+// distinct keys must be separated by the bound comparator alone, and
 // duplicate keys must chain in insertion order (single-partition build).
 func TestJoinTableCollisionChains(t *testing.T) {
-	jt := newPartJoinTable(1)
+	jt := newPartJoinTable(1, false)
 	const h = uint64(0xDEADBEEF)
 	// Row r holds key r/3: three duplicate rows per key, 100 distinct keys.
-	key := func(r int32) int32 { return r / 3 }
-	for r := int32(0); r < 300; r++ {
-		r := r
-		jt.Insert(h, r, func(head int32) bool { return key(head) == key(r) })
+	build := vector.NewVector(vector.Int64, 300)
+	hashes := make([]uint64, 300)
+	for r := range hashes {
+		build.AppendInt64(int64(r / 3))
+		hashes[r] = h
 	}
+	eq := int64KeyEq(build)
+	jt.ExtendChains(300)
+	jt.insertRows(hashes, 0, &eq, 0, 1)
+	// Probe every key and, last, an absent one.
+	probe := vector.NewVector(vector.Int64, 101)
+	for k := int64(0); k < 100; k++ {
+		probe.AppendInt64(k)
+	}
+	probe.AppendInt64(1000)
+	bindKeyCols(eq.sought, []*vector.Vector{probe}, []int{0})
+	heads := make([]int32, 101)
+	jt.lookupRows(hashes[:101], &eq, heads)
 	var scratch []int32
 	for k := int32(0); k < 100; k++ {
-		k := k
-		head := jt.Lookup(h, func(head int32) bool { return key(head) == k })
-		if head < 0 {
+		if heads[k] < 0 {
 			t.Fatalf("key %d not found", k)
 		}
-		scratch = jt.Matches(head, scratch[:0])
+		scratch = jt.Matches(heads[k], scratch[:0])
 		if len(scratch) != 3 {
 			t.Fatalf("key %d: %d matches, want 3", k, len(scratch))
 		}
@@ -283,7 +337,7 @@ func TestJoinTableCollisionChains(t *testing.T) {
 			}
 		}
 	}
-	if jt.Lookup(h, func(int32) bool { return false }) != -1 {
+	if heads[100] != -1 {
 		t.Fatal("lookup of absent key did not return -1")
 	}
 }

@@ -37,6 +37,14 @@ const MatchedColName = "__matched"
 // join, and its own scratch and cursor, so one joinProbe serves one goroutine
 // at a time. Callers differ only in who owns the output batch and when it is
 // flushed: fill appends to whatever batch it is handed and never tags it.
+//
+// Per-row work is typed straight-line code and the rest happens once per
+// batch: insertBatch and begin hash the key columns and resolve every row
+// against the table in one loop picked by the key shape; fill then works in
+// windows — as many (probe row, build row) candidate pairs as the output
+// batch has room for, the residual evaluated once over the window's gathered
+// pairs, the surviving pairs emitted by join type with one column gather per
+// column. After a first batch has sized the scratch, probing allocates nothing.
 type joinProbe struct {
 	typ                JoinType
 	probeIdx, buildIdx []int
@@ -46,20 +54,27 @@ type joinProbe struct {
 	buf   *Buffer
 	table *partJoinTable
 
-	hashes   []uint64 // key hashes of the batch last given to insertBatch or begin
-	matches  []int32
-	combined *vector.Batch // one-row probe+build input of the residual
-	buildRow int32
-	buildEq  func(int32) bool
-	probeEq  func(int32) bool
+	hashes   []uint64      // key hashes of the batch last given to insertBatch or begin
+	buildEq  keyEq         // build rows against build rows (insertBatch)
+	probeEq  keyEq         // rows of in against build rows (begin)
+	heads    []int32       // per row of in: the head of its key's chain, -1 for none
+	hits     []bool        // per row of in: a candidate passed the residual (outer, semi, anti)
+	combined *vector.Batch // the window's pairs as probe+build rows: the residual's input
 
-	// Probe cursor: the next output row derives from row `row` of in; while
-	// looked is set, matches[matchPos:] is what is left of that row's chain.
+	// The window: pairs (pairP[i], pairB[i]) of probe row and build row, in
+	// emission order; a build row of -1 is an outer miss. Without a residual
+	// gather writes what is emitted; with one it writes candidates and filter
+	// rewrites the window (through nextP, nextB where it cannot do so in
+	// place) into what is emitted.
+	pairP, pairB, nextP, nextB []int32
+
+	// Probe cursor: the next window starts at row `row` of in; while looked
+	// is set, matches[matchPos:] is what is left of that row's chain.
 	in       *vector.Batch
 	row      int
 	looked   bool
+	matches  []int32
 	matchPos int
-	emitted  bool
 }
 
 // newProbe returns a kernel over the prepared join fragment's configuration
@@ -68,18 +83,10 @@ func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 	p := &joinProbe{
 		typ: f.Type, probeIdx: f.probeIdx, buildIdx: f.buildIdx, residual: expr.Clone(f.Residual),
 		outKinds: f.out.Kinds(), buf: buf, table: table,
-	}
-	p.buildEq = func(head int32) bool {
-		return keysEqualBufBuf(p.buf, p.buildIdx, int(p.buildRow), int(head))
-	}
-	p.probeEq = func(head int32) bool {
-		return keysEqualBatchBuf(p.in, p.probeIdx, p.row, p.buf, p.buildIdx, int(head))
+		buildEq: newKeyEq(len(f.probeIdx)), probeEq: newKeyEq(len(f.probeIdx)),
 	}
 	if f.Residual != nil {
-		p.combined = &vector.Batch{}
-		for _, k := range append(f.Probe.Kinds(), f.Build.Kinds()...) {
-			p.combined.Cols = append(p.combined.Cols, vector.NewVector(k, 1))
-		}
+		p.combined = vector.NewBatch(append(f.Probe.Kinds(), f.Build.Kinds()...))
 	}
 	return p
 }
@@ -92,95 +99,191 @@ func (p *joinProbe) insertBatch(b *vector.Batch) {
 	base := int32(p.buf.Len())
 	p.buf.AppendBatch(b)
 	p.hashes = vector.HashKeys(b, p.buildIdx, p.hashes)
-	for i, h := range p.hashes {
-		p.buildRow = base + int32(i)
-		p.table.Insert(h, p.buildRow, p.buildEq)
-	}
+	bindKeyCols(p.buildEq.sought, p.buf.cols, p.buildIdx)
+	bindKeyCols(p.buildEq.stored, p.buf.cols, p.buildIdx)
+	p.table.ExtendChains(len(p.hashes))
+	p.table.insertRows(p.hashes, base, &p.buildEq, 0, 1)
 }
 
 // begin positions the cursor at the first row of probe batch in, which must
-// stay valid until fill reports it done.
+// stay valid until fill reports it done, and resolves every row of in to its
+// chain head.
 func (p *joinProbe) begin(in *vector.Batch) {
 	p.in, p.row, p.looked = in, 0, false
 	p.hashes = vector.HashKeys(in, p.probeIdx, p.hashes)
+	bindKeyCols(p.probeEq.sought, in.Cols, p.probeIdx)
+	bindKeyCols(p.probeEq.stored, p.buf.cols, p.buildIdx)
+	p.heads = sized(p.heads, in.Len())
+	p.table.lookupRows(p.hashes, &p.probeEq, p.heads)
+	if p.residual != nil && p.typ != InnerJoin {
+		p.hits = sized(p.hits, in.Len())
+		clear(p.hits)
+	}
 }
 
 // fill appends join output for the batch given to begin to out and reports
 // whether that batch is exhausted. It stops early, reporting false, only when
-// out holds BatchSize rows — checked before every appended row for every join
-// type, so out never exceeds BatchSize — and the next call resumes exactly
-// there, inside a probe row's match list if need be.
+// out holds BatchSize rows — no window is larger than the room out has left,
+// for every join type, so out never exceeds BatchSize — and the next call
+// resumes exactly there, inside a probe row's match list if need be.
 func (p *joinProbe) fill(out *vector.Batch) bool {
-	for n := p.in.Len(); p.row < n; p.row++ {
-		if out.Len() >= vector.BatchSize {
+	for n := p.in.Len(); p.row < n; {
+		room := vector.BatchSize - out.Len()
+		if room <= 0 {
 			return false
 		}
-		if !p.looked {
-			head := p.table.Lookup(p.hashes[p.row], p.probeEq)
-			if p.typ == SemiJoin || p.typ == AntiJoin {
-				// Existence only: walk the chain without materializing it,
-				// stopping at the first build row that passes the residual.
-				hit := false
-				for bi := head; bi >= 0; bi = p.table.ChainNext(bi) {
-					if p.residualOK(bi) {
-						hit = true
-						break
-					}
-				}
-				if hit == (p.typ == SemiJoin) {
-					out.AppendRow(p.in, p.row)
-				}
-				continue
-			}
-			p.matches = p.table.Matches(head, p.matches[:0])
-			p.matchPos, p.emitted, p.looked = 0, false, true
+		first := p.row
+		p.gather(room)
+		if p.residual != nil {
+			p.filter(first)
 		}
-		for ; p.matchPos < len(p.matches); p.matchPos++ {
-			if out.Len() >= vector.BatchSize {
-				return false
-			}
-			bi := p.matches[p.matchPos]
-			if !p.residualOK(bi) {
-				continue
-			}
-			p.copyProbeRow(out)
-			p.buf.WriteRow(out, int(bi), len(p.in.Cols))
-			if p.typ == LeftOuterJoin {
-				out.Cols[len(out.Cols)-1].AppendInt64(1)
-			}
-			p.emitted = true
-		}
-		if !p.emitted && p.typ == LeftOuterJoin {
-			// Outer miss: null-extend (zero values, matched=0). No row of
-			// this probe row was appended, so the room checked above holds.
-			p.copyProbeRow(out)
-			for _, c := range out.Cols[len(p.in.Cols) : len(out.Cols)-1] {
-				appendZero(c)
-			}
-			out.Cols[len(out.Cols)-1].AppendInt64(0)
-		}
-		p.looked = false
+		p.emit(out)
 	}
 	return true
 }
 
-// copyProbeRow appends the cursor's probe row to the leading columns of dst.
-func (p *joinProbe) copyProbeRow(dst *vector.Batch) {
-	for c, col := range p.in.Cols {
-		dst.Cols[c].AppendFrom(col, p.row)
+// gather advances the cursor, collecting the next window in probe-row order
+// and, within a probe row, build insertion order. Every window is bounded by
+// the rows it can put out: an inner or outer window holds at most room pairs
+// (an outer probe row without candidates counts as one); a semi or anti
+// window completes at most room probe rows and, with a residual, holds at
+// most BatchSize candidates. A chain that does not fit is continued by the
+// next window.
+func (p *joinProbe) gather(room int) {
+	p.pairP, p.pairB = p.pairP[:0], p.pairB[:0]
+	n := len(p.heads)
+	existence := p.typ == SemiJoin || p.typ == AntiJoin
+	if existence && p.residual == nil {
+		for want := p.typ == SemiJoin; p.row < n && len(p.pairP) < room; p.row++ {
+			if (p.heads[p.row] >= 0) == want {
+				p.pairP = append(p.pairP, int32(p.row))
+			}
+		}
+		return
+	}
+	pairs, rows := room, n
+	if existence {
+		pairs, rows = vector.BatchSize, room
+	}
+	outer := p.typ == LeftOuterJoin
+	for p.row < n && pairs > 0 && rows > 0 {
+		row := int32(p.row)
+		if !p.looked {
+			head := p.heads[row]
+			if head < 0 || p.table.next[head] < 0 { // no candidate, or one
+				// An outer probe row without candidates is a miss and takes a
+				// row of room: the pair (row, -1) right away without a
+				// residual, one of filter's misses with one.
+				if head >= 0 || (outer && p.residual == nil) {
+					p.pairP, p.pairB = append(p.pairP, row), append(p.pairB, head)
+				}
+				if head >= 0 || outer {
+					pairs--
+				}
+				p.row++
+				rows--
+				continue
+			}
+			p.matches = p.table.Matches(head, p.matches[:0])
+			p.matchPos, p.looked = 0, true
+		}
+		k := min(pairs, len(p.matches)-p.matchPos)
+		p.pairB = append(p.pairB, p.matches[p.matchPos:p.matchPos+k]...)
+		for i := 0; i < k; i++ {
+			p.pairP = append(p.pairP, row)
+		}
+		pairs -= k
+		if p.matchPos += k; p.matchPos == len(p.matches) {
+			p.looked = false
+			p.row++
+			rows--
+		}
 	}
 }
 
-// residualOK evaluates the residual over the cursor's probe row and build
-// row bi — the one place a join residual is evaluated.
-func (p *joinProbe) residualOK(bi int32) bool {
-	if p.residual == nil {
-		return true
+// filter evaluates the residual over the window's candidates — the one place
+// a join residual is evaluated — and rewrites the window into what the join
+// type emits: the surviving pairs, plus a miss for every outer probe row the
+// window completed (rows first up to the cursor) without a survivor in this
+// or an earlier window; or the semi (anti) probe rows completed with
+// (without) one.
+func (p *joinProbe) filter(first int) {
+	var sel []int32
+	if len(p.pairP) > 0 {
+		p.combined.Reset()
+		np := len(p.in.Cols)
+		for c, col := range p.in.Cols {
+			p.combined.Cols[c].AppendSelected(col, p.pairP)
+		}
+		for c, col := range p.buf.cols {
+			p.combined.Cols[np+c].AppendSelected(col, p.pairB)
+		}
+		sel = expr.Select(p.residual, p.combined, nil)
 	}
-	p.combined.Reset()
-	p.copyProbeRow(p.combined)
-	p.buf.WriteRow(p.combined, int(bi), len(p.in.Cols))
-	return len(expr.Select(p.residual, p.combined, nil)) != 0
+	if p.typ == InnerJoin {
+		for i, s := range sel {
+			p.pairP[i], p.pairB[i] = p.pairP[s], p.pairB[s]
+		}
+		p.pairP, p.pairB = p.pairP[:len(sel)], p.pairB[:len(sel)]
+		return
+	}
+	for _, s := range sel {
+		p.hits[p.pairP[s]] = true
+	}
+	p.nextP, p.nextB = p.nextP[:0], p.nextB[:0]
+	if p.typ == LeftOuterJoin {
+		// Rows before the cursor are complete; the cursor's own row has pairs
+		// in the window while its chain is being continued.
+		for r, i := first, 0; r <= p.row && r < len(p.heads); r++ {
+			for ; i < len(p.pairP) && int(p.pairP[i]) == r; i++ {
+				if len(sel) > 0 && int(sel[0]) == i {
+					p.nextP, p.nextB = append(p.nextP, int32(r)), append(p.nextB, p.pairB[i])
+					sel = sel[1:]
+				}
+			}
+			if r < p.row && !p.hits[r] {
+				p.nextP, p.nextB = append(p.nextP, int32(r)), append(p.nextB, -1)
+			}
+		}
+	} else {
+		for r, want := first, p.typ == SemiJoin; r < p.row; r++ {
+			if p.hits[r] == want {
+				p.nextP = append(p.nextP, int32(r))
+			}
+		}
+	}
+	p.pairP, p.nextP = p.nextP, p.pairP
+	p.pairB, p.nextB = p.nextB, p.pairB
+}
+
+// emit appends the window to out, one gather per column.
+func (p *joinProbe) emit(out *vector.Batch) {
+	if len(p.pairP) == 0 {
+		return
+	}
+	for c, col := range p.in.Cols {
+		out.Cols[c].AppendSelected(col, p.pairP)
+	}
+	np := len(p.in.Cols)
+	switch p.typ {
+	case InnerJoin:
+		for c, col := range p.buf.cols {
+			out.Cols[np+c].AppendSelected(col, p.pairB)
+		}
+	case LeftOuterJoin:
+		// Outer miss: null-extend (zero values, matched=0).
+		for c, col := range p.buf.cols {
+			out.Cols[np+c].AppendSelectedOrZero(col, p.pairB)
+		}
+		matched := out.Cols[len(out.Cols)-1]
+		for _, b := range p.pairB {
+			if b >= 0 {
+				matched.I64 = append(matched.I64, 1)
+			} else {
+				matched.I64 = append(matched.I64, 0)
+			}
+		}
+	}
 }
 
 // emitAll probes in completely into freshly allocated batches that inherit
@@ -195,17 +298,6 @@ func (p *joinProbe) emitAll(in *vector.Batch, emit func(*vector.Batch)) {
 		if out.Len() > 0 {
 			emit(out)
 		}
-	}
-}
-
-func appendZero(v *vector.Vector) {
-	switch v.Kind {
-	case vector.Int64:
-		v.AppendInt64(0)
-	case vector.Float64:
-		v.AppendFloat64(0)
-	case vector.String:
-		v.AppendString("")
 	}
 }
 
@@ -326,7 +418,7 @@ func (j *HashJoin) charge(extra int64) {
 func (j *HashJoin) build() error {
 	workers := j.workers()
 	j.buf = NewBuffer(j.Right.Schema())
-	j.table = newPartJoinTable(workers)
+	j.table = newPartJoinTable(workers, j.frag.keyed)
 	if workers == 1 {
 		j.probe = j.frag.newProbe(j.buf, j.table)
 	}
@@ -365,16 +457,10 @@ func (j *HashJoin) build() error {
 			wg.Add(1)
 			j.Sched.Submit(-1, func(int) {
 				defer wg.Done()
-				var row int32
-				eq := func(head int32) bool {
-					return keysEqualBufBuf(j.buf, buildIdx, int(row), int(head))
-				}
-				for r, h := range stage {
-					if p := j.table.PartOf(h); p%workers == w {
-						row = int32(r)
-						j.table.InsertPresized(h, row, eq)
-					}
-				}
+				eq := newKeyEq(len(buildIdx))
+				bindKeyCols(eq.sought, j.buf.cols, buildIdx)
+				bindKeyCols(eq.stored, j.buf.cols, buildIdx)
+				j.table.insertRows(stage, 0, &eq, w, workers)
 			})
 		}
 		wg.Wait()

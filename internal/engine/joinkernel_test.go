@@ -160,9 +160,10 @@ func kernelStreams() (probe, build func() *source, units func() []*GroupUnit) {
 // agree on: serial HashJoin, pooled HashJoin, serial sandwich, pooled
 // sandwich and a direct Fragment.Run over hand-built units return the same
 // rows in the same order for every join type, without a residual, with a
-// comparison and with a LIKE/IN residual (the one-row evaluation path of every
-// node kind a residual carries), including a probe row whose match list
-// overflows one output batch; the two residuals select the same rows; and
+// comparison and with a LIKE/IN residual (the window evaluation path — one
+// Select over a window's gathered candidate pairs — of every node kind a
+// residual carries), including a probe row whose match list overflows one
+// output batch; the two residuals select the same rows; and
 // the serial sandwich and Fragment.Run cut their output into the same
 // (rows, group) batch sequence — the property the failover layer's
 // delivered-prefix replay relies on when it re-runs a half-delivered unit.

@@ -290,48 +290,60 @@ func TestHashJoinMemAccountingBalanced(t *testing.T) {
 
 // TestPartJoinTable exercises the partitioned join table directly: chains
 // stay in insertion order per key under both the incremental and the
-// presized (parallel) insert paths, across partition counts.
+// presized, striped (parallel) insert paths, across partition counts and in
+// both key shapes.
 func TestPartJoinTable(t *testing.T) {
 	const n = 3000
-	key := func(r int32) int64 { return int64(r) % 500 }
-	hash := func(r int32) uint64 { return vector.Mix64(uint64(key(r))) }
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, presized := range []bool{false, true} {
-			pt := newPartJoinTable(workers)
-			if presized {
-				pt.GrowChains(n)
-				for r := int32(0); r < n; r++ {
-					r := r
-					pt.InsertPresized(hash(r), r, func(head int32) bool { return key(head) == key(r) })
-				}
-			} else {
-				for r := int32(0); r < n; r++ {
-					r := r
-					pt.Insert(hash(r), r, func(head int32) bool { return key(head) == key(r) })
-				}
+	keys := vector.NewVector(vector.Int64, n)
+	for r := int64(0); r < n; r++ {
+		keys.AppendInt64(r % 500)
+	}
+	for _, keyed := range []bool{true, false} {
+		hashes := make([]uint64, n)
+		for r, k := range keys.I64 {
+			if hashes[r] = vector.HashInt64(k); !keyed {
+				hashes[r] = vector.Mix64(uint64(k)) // a hash-storing table works under any hash
 			}
-			if pt.Len() != n {
-				t.Fatalf("workers=%d presized=%v: table indexes %d rows, want %d", workers, presized, pt.Len(), n)
-			}
-			var scratch []int32
-			for k := int64(0); k < 500; k++ {
-				k := k
-				head := pt.Lookup(vector.Mix64(uint64(k)), func(head int32) bool { return key(head) == k })
-				if head < 0 {
-					t.Fatalf("workers=%d presized=%v: key %d not found", workers, presized, k)
-				}
-				scratch = pt.Matches(head, scratch[:0])
-				if len(scratch) != n/500 {
-					t.Fatalf("key %d: %d matches, want %d", k, len(scratch), n/500)
-				}
-				for i := 1; i < len(scratch); i++ {
-					if scratch[i] <= scratch[i-1] {
-						t.Fatalf("key %d: matches not in insertion order: %v", k, scratch)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			for _, presized := range []bool{false, true} {
+				label := fmt.Sprintf("keyed=%v workers=%d presized=%v", keyed, workers, presized)
+				pt := newPartJoinTable(workers, keyed)
+				eq := int64KeyEq(keys)
+				if presized {
+					pt.GrowChains(n)
+					for w := 0; w < workers; w++ {
+						pt.insertRows(hashes, 0, &eq, w, workers)
+					}
+				} else {
+					for lo := 0; lo < n; lo += 1000 {
+						pt.ExtendChains(1000)
+						pt.insertRows(hashes[lo:lo+1000], int32(lo), &eq, 0, 1)
 					}
 				}
-			}
-			if pt.Bytes() <= 0 {
-				t.Fatal("partitioned table reports non-positive footprint")
+				if pt.Len() != n {
+					t.Fatalf("%s: table indexes %d rows, want %d", label, pt.Len(), n)
+				}
+				heads := make([]int32, 500)
+				pt.lookupRows(hashes[:500], &eq, heads) // rows 0..499 hold keys 0..499
+				var scratch []int32
+				for k, head := range heads {
+					if head < 0 {
+						t.Fatalf("%s: key %d not found", label, k)
+					}
+					scratch = pt.Matches(head, scratch[:0])
+					if len(scratch) != n/500 {
+						t.Fatalf("%s: key %d: %d matches, want %d", label, k, len(scratch), n/500)
+					}
+					for i, r := range scratch {
+						if keys.I64[r] != int64(k) || (i > 0 && r <= scratch[i-1]) {
+							t.Fatalf("%s: key %d: matches not its rows in insertion order: %v", label, k, scratch)
+						}
+					}
+				}
+				if pt.Bytes() <= 0 {
+					t.Fatal("partitioned table reports non-positive footprint")
+				}
 			}
 		}
 	}

@@ -116,7 +116,7 @@ func (j *SandwichHashJoin) Open(ctx *Context) error {
 		return err
 	}
 	j.schema = j.frag.OutSchema()
-	j.probe = j.frag.newProbe(NewBuffer(rs), newPartJoinTable(1))
+	j.probe = j.frag.newProbe(NewBuffer(rs), newPartJoinTable(1, j.frag.keyed))
 	j.rb = vector.NewBatch(rs.Kinds())
 	j.out = vector.NewBatch(j.schema.Kinds())
 	return nil

@@ -102,13 +102,11 @@ func (s *Sort) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	s.out.Reset()
-	for s.pos < len(s.perm) && s.out.Len() < vector.BatchSize {
-		row := int(s.perm[s.pos])
-		for c := range s.out.Cols {
-			s.out.Cols[c].AppendFrom(s.buf.Col(c), row)
-		}
-		s.pos++
+	hi := min(s.pos+vector.BatchSize, len(s.perm))
+	for c, col := range s.out.Cols {
+		col.AppendSelected(s.buf.Col(c), s.perm[s.pos:hi])
 	}
+	s.pos = hi
 	return s.out, nil
 }
 
@@ -119,8 +117,11 @@ func (s *Sort) Close() error {
 	return s.Child.Close()
 }
 
-// TopN emits the first N rows of the sorted order while holding at most 2N
-// rows, the standard bounded-memory top-k strategy.
+// TopN emits the first N rows of the sorted order. It is Sort followed by
+// Limit: the whole input is materialized, sorted and charged to the memory
+// tracker like any sort buffer, and only the emission stops at N — there is
+// no bounded reservoir, so N bounds neither the memory held nor the peak
+// charged.
 type TopN struct {
 	Child Operator
 	By    []SortSpec
@@ -137,8 +138,7 @@ func (t *TopN) Schema() expr.Schema { return t.Child.Schema() }
 func (t *TopN) Open(ctx *Context) error {
 	// A bounded reservoir would complicate the code for no observable
 	// effect at reproduction scale: TPC-H LIMIT queries sort aggregate
-	// results that are already small. Implemented as Sort+Limit with the
-	// sort buffer charged normally.
+	// results that are already small.
 	t.sorter = &Sort{Child: t.Child, By: t.By}
 	t.inner = &Limit{Child: t.sorter, N: t.N}
 	return t.inner.Open(ctx)

@@ -63,7 +63,7 @@ func HashKeys(b *Batch, cols []int, dst []uint64) []uint64 {
 	}
 	if len(cols) == 1 && b.Cols[cols[0]].Kind == Int64 {
 		for i, v := range b.Cols[cols[0]].I64 {
-			dst[i] = Mix64(hashInit ^ uint64(v))
+			dst[i] = HashInt64(v)
 		}
 		return dst
 	}
@@ -90,12 +90,15 @@ func HashKeys(b *Batch, cols []int, dst []uint64) []uint64 {
 	return dst
 }
 
+// HashInt64 is the hash HashKeys gives a single-column Int64 key of value x.
+func HashInt64(x int64) uint64 { return Mix64(hashInit ^ uint64(x)) }
+
 // HashValue hashes value r of v, consistently with HashKeys over the
 // single-column key [r].
 func (v *Vector) HashValue(r int) uint64 {
 	switch v.Kind {
 	case Int64:
-		return Mix64(hashInit ^ uint64(v.I64[r]))
+		return HashInt64(v.I64[r])
 	case Float64:
 		return Mix64(hashInit ^ normFloatBits(v.F64[r]))
 	case String:

@@ -6,6 +6,7 @@ package vector
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 )
@@ -119,6 +120,88 @@ func (v *Vector) AppendFrom(src *Vector, i int) {
 	}
 }
 
+// reserveDoubling returns dst with room for n more values: out of capacity it
+// at least doubles, so an accumulator that grows to table size is copied about
+// twice over its life, where append's 1.25× steps on large slices copy it
+// about five times.
+func reserveDoubling[T any](dst []T, n int) []T {
+	if need := len(dst) + n; need > cap(dst) {
+		grown := make([]T, len(dst), max(2*cap(dst), need))
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst
+}
+
+// Reserve makes room for n more values, doubling v's capacity when it runs
+// out; the appends that follow then never reallocate.
+func (v *Vector) Reserve(n int) {
+	switch v.Kind {
+	case Int64:
+		v.I64 = reserveDoubling(v.I64, n)
+	case Float64:
+		v.F64 = reserveDoubling(v.F64, n)
+	case String:
+		v.Str = reserveDoubling(v.Str, n)
+	}
+}
+
+// AppendVector appends all values of src (same kind) to v, growing by
+// Reserve's rule.
+func (v *Vector) AppendVector(src *Vector) {
+	v.Reserve(src.Len())
+	switch v.Kind {
+	case Int64:
+		v.I64 = append(v.I64, src.I64...)
+	case Float64:
+		v.F64 = append(v.F64, src.F64...)
+	case String:
+		v.Str = append(v.Str, src.Str...)
+	}
+}
+
+// gatherAppend appends src[r] for every r in sel; with orZero set, a negative
+// r appends the zero value instead.
+func gatherAppend[T any](dst, src []T, sel []int32, orZero bool) []T {
+	n := len(dst)
+	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
+	out := dst[n:]
+	if orZero {
+		var zero T
+		for i, r := range sel {
+			if r < 0 {
+				out[i] = zero
+			} else {
+				out[i] = src[r]
+			}
+		}
+		return dst
+	}
+	for i, r := range sel {
+		out[i] = src[r]
+	}
+	return dst
+}
+
+func (v *Vector) gather(src *Vector, sel []int32, orZero bool) {
+	switch v.Kind {
+	case Int64:
+		v.I64 = gatherAppend(v.I64, src.I64, sel, orZero)
+	case Float64:
+		v.F64 = gatherAppend(v.F64, src.F64, sel, orZero)
+	case String:
+		v.Str = gatherAppend(v.Str, src.Str, sel, orZero)
+	}
+}
+
+// AppendSelected appends the values of src (same kind) listed in sel to v:
+// one type dispatch per call, none per value.
+func (v *Vector) AppendSelected(src *Vector, sel []int32) { v.gather(src, sel, false) }
+
+// AppendSelectedOrZero is AppendSelected where a negative entry of sel
+// appends the kind's zero value — the null-extension of an outer join miss.
+func (v *Vector) AppendSelectedOrZero(src *Vector, sel []int32) { v.gather(src, sel, true) }
+
 // GetString renders value i as a display string (used by result formatting).
 func (v *Vector) GetString(i int) string {
 	switch v.Kind {
@@ -220,15 +303,7 @@ func (b *Batch) AppendRow(src *Batch, i int) {
 // explicitly.
 func (b *Batch) AppendBatch(src *Batch) {
 	for c, col := range b.Cols {
-		s := src.Cols[c]
-		switch col.Kind {
-		case Int64:
-			col.I64 = append(col.I64, s.I64...)
-		case Float64:
-			col.F64 = append(col.F64, s.F64...)
-		case String:
-			col.Str = append(col.Str, s.Str...)
-		}
+		col.AppendVector(src.Cols[c])
 	}
 }
 
@@ -268,21 +343,7 @@ func (b *Batch) Clone() *Batch {
 // time (one type dispatch per column, not per row). Schemas must match.
 func (b *Batch) AppendSelected(src *Batch, sel []int32) {
 	for c, col := range b.Cols {
-		s := src.Cols[c]
-		switch col.Kind {
-		case Int64:
-			for _, r := range sel {
-				col.I64 = append(col.I64, s.I64[r])
-			}
-		case Float64:
-			for _, r := range sel {
-				col.F64 = append(col.F64, s.F64[r])
-			}
-		case String:
-			for _, r := range sel {
-				col.Str = append(col.Str, s.Str[r])
-			}
-		}
+		col.AppendSelected(src.Cols[c], sel)
 	}
 }
 

@@ -172,3 +172,34 @@ func TestBatchCloneDetached(t *testing.T) {
 		t.Fatal("clone reports zero footprint")
 	}
 }
+
+// TestVectorAppendVectorAndSelected covers the column-level appends the
+// engine's buffers and gathers are built from: AppendVector keeps every value
+// across its capacity doublings, AppendSelected gathers by row id, and
+// AppendSelectedOrZero turns a negative id into the kind's zero value.
+func TestVectorAppendVectorAndSelected(t *testing.T) {
+	src := NewVector(Int64, 0)
+	for i := int64(0); i < 300; i++ {
+		src.AppendInt64(i)
+	}
+	acc := NewVector(Int64, 0)
+	for round := 0; round < 20; round++ {
+		before := cap(acc.I64)
+		acc.AppendVector(src)
+		if c := cap(acc.I64); c != before && before > 0 && c < 2*before {
+			t.Fatalf("capacity grew %d -> %d, less than doubling", before, c)
+		}
+	}
+	if acc.Len() != 6000 || acc.I64[299] != 299 || acc.I64[5999] != 299 || acc.I64[300] != 0 {
+		t.Fatalf("AppendVector lost values: len %d", acc.Len())
+	}
+	strs := NewVector(String, 0)
+	strs.AppendString("a")
+	strs.AppendString("b")
+	out := NewVector(String, 0)
+	out.AppendSelected(strs, []int32{1, 0, 1})
+	out.AppendSelectedOrZero(strs, []int32{-1, 0})
+	if got := fmt.Sprint(out.Str); got != "[b a b  a]" {
+		t.Fatalf("gathered %s", got)
+	}
+}
