@@ -18,10 +18,11 @@
 // tpchbench -partition, each query additionally ships this daemon its
 // partition of every scatter-scanned base table at setup and the daemon
 // serves scan units from that local copy (docs/PARTITIONING.md); the
-// -part-limit-mb knob caps the decoded bytes a session may park in shipped
-// partitions — an over-limit table fails its scans (the query re-scans
-// those units on the coordinator) without dropping the session. See
-// docs/OPERATIONS.md for deployment, failover behavior, and metering.
+// -part-limit-mb knob caps the bytes a session's shipped partitions keep
+// resident (they are adopted as shipped, not decoded) — an over-limit table
+// fails its scans (the query re-scans those units on the coordinator)
+// without dropping the session. See docs/OPERATIONS.md for deployment,
+// failover behavior, and metering.
 package main
 
 import (
@@ -42,7 +43,7 @@ func main() {
 	workers := flag.Int("workers", engine.DefaultWorkers(), "scheduler pool goroutines")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain; sessions still running after it are abandoned (0 waits forever)")
 	token := flag.String("auth-token", "", "shared secret sessions must present in their hello (constant-time compare; mismatch drops the connection)")
-	partLimit := flag.Int64("part-limit-mb", 0, "cap in MB on decoded shipped-partition bytes per session (0 = unlimited); over-limit tables fail their scans back to the coordinator")
+	partLimit := flag.Int64("part-limit-mb", 0, "cap in MB on the bytes a session's shipped partitions keep resident — adopted column frames plus their dictionary, run and raw-chunk strings (0 = unlimited); over-limit tables fail their scans back to the coordinator")
 	verbose := flag.Bool("v", false, "log a status line per completed unit batch (every 1000 units)")
 	flag.Parse()
 

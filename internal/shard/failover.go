@@ -225,7 +225,7 @@ func (b *failoverBackend) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, e
 // simply never receive partitions, and their scan units fail Prepare as
 // work errors.
 type partShipper interface {
-	ShipPartition(key string, manifest []byte, data [][]byte, saved []int64) error
+	ShipPartition(key string, manifest []byte, data [][]byte, saved int64) error
 	SetScanIO(fn func(runs, pages, bytes int64))
 }
 

@@ -25,25 +25,12 @@ import (
 // docs/WIRE.md.
 
 // Protocol identity. ProtoMagic opens every session's hello frame;
-// ProtoVersion is negotiated in the hello exchange and must match exactly
-// (see docs/WIRE.md for the versioning rules). Version 2 added the
-// ping/pong liveness pair — an old worker would drop a pinged session, so
-// the version was bumped rather than kept additive. Version 3 added the
-// shared-secret auth token to the client hello (compared constant-time by
-// the worker, mismatch drops the session without a reply); the payload
-// grew, so again a bump, not an addition. Version 4 changed the batch wire
-// form itself (a per-column encoding tag byte with RLE/FOR/dictionary
-// compressed payloads) — an old peer would misparse every unit and result
-// batch, so once more a bump, not an addition. Version 5 made the workers
-// shared-nothing: the client ships base-table partitions (framePartTable
-// manifest + framePartData row batches), the setup payload gained a
-// fragment-kind byte and table name (scan fragments), the unit payload
-// gained a scan-range list, and the done payload gained a status byte plus
-// optional per-unit scan read stats — four payload-layout changes, so once
-// more a bump, not an addition.
+// ProtoVersion is negotiated in the hello exchange and must match exactly:
+// any change to a payload layout is a new version, never an addition an old
+// peer could misparse (docs/WIRE.md describes the protocol as it stands).
 const (
 	ProtoMagic   = "BDCW"
-	ProtoVersion = 5
+	ProtoVersion = 6
 )
 
 // Transport frame types. Every frame is one message on the stream:
@@ -57,7 +44,7 @@ const (
 	framePing      = byte(6) // query → worker: liveness probe; id = ping id
 	framePong      = byte(7) // worker → query: ping echo; id = the ping's id
 	framePartTable = byte(8) // query → worker: partition manifest; id = partition id
-	framePartData  = byte(9) // query → worker: partition row batch; id = partition id
+	framePartData  = byte(9) // query → worker: one column frame of a partition; id = partition id
 )
 
 const frameHeader = 4 + 8 + 1
@@ -113,6 +100,24 @@ func writeFrame(conn net.Conn, acct *iosim.Accountant, id uint64, typ byte, fram
 	}
 	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
 	_, err := conn.Write(frame)
+	return err
+}
+
+// writeShared sends payload as one frame without owning it: the header goes
+// out from a buffer of its own and the payload from where it lies (one
+// writev on a TCP connection), so bytes shared by many sessions — a table
+// version's serialised partitions — are never copied behind a fresh header.
+// Callers hold their direction's write mutex.
+func writeShared(conn net.Conn, acct *iosim.Accountant, id uint64, typ byte, payload []byte) error {
+	bufs := net.Buffers{frameBuf(), payload}
+	binary.LittleEndian.PutUint32(bufs[0], uint32(len(payload)))
+	binary.LittleEndian.PutUint64(bufs[0][4:], id)
+	bufs[0][12] = typ
+	if acct != nil {
+		acct.AddRun(1, int64(frameHeader+len(payload)))
+	}
+	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
+	_, err := bufs.WriteTo(conn)
 	return err
 }
 
@@ -180,7 +185,7 @@ type client struct {
 	nextPing uint64
 	broken   error
 	closed   bool
-	// onScanIO, when set, receives the per-unit modeled read stats a v5 done
+	// onScanIO, when set, receives the per-unit modeled read stats a done
 	// frame carries for scan units — the worker's local device reads, fed
 	// into the query's per-worker scan accountant.
 	onScanIO func(runs, pages, bytes int64)
@@ -262,15 +267,14 @@ func (c *client) SetScanIO(fn func(runs, pages, bytes int64)) {
 }
 
 // ShipPartition sends one table partition to the worker: the manifest
-// payload, then the row-batch payloads, each as its own frame sharing the
-// partition id. key identifies the shipment's content (table name + scheme
-// revision); a partition already shipped under the same key on this session
-// is skipped, so a plan-time ship racing a re-admission re-ship crosses the
-// wire once. saved[i] is batch i's raw-minus-encoded wire saving, credited
-// to the network accountant like any other compressed frame. The payload
-// slices are copied per send (writeFrame patches a header in place, and the
-// caller shares the payloads across sessions).
-func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved []int64) error {
+// payload, then the column-frame payloads, each as its own frame sharing the
+// partition id. key identifies the shipment's content (table name, worker,
+// worker count); a partition already shipped under the same key on this
+// session is skipped, so a plan-time ship racing a re-admission re-ship
+// crosses the wire once. saved is the partition's raw-minus-shipped byte
+// saving, credited to the network accountant like any other compressed
+// frame's. The payloads are shared across sessions and only read here.
+func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved int64) error {
 	c.mu.Lock()
 	if err := c.unusable(); err != nil {
 		c.mu.Unlock()
@@ -284,23 +288,21 @@ func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved
 	}
 	id := c.nextPart
 	c.nextPart++
-	if err := writeFrame(c.conn, c.net, id, framePartTable, append(frameBuf(), manifest...)); err != nil {
-		c.wmu.Unlock()
-		c.fail(fmt.Errorf("ship partition manifest: %w", err))
+	err := writeShared(c.conn, c.net, id, framePartTable, manifest)
+	for i := 0; err == nil && i < len(data); i++ {
+		err = writeShared(c.conn, c.net, id, framePartData, data[i])
+	}
+	if err == nil {
+		c.parts[key] = id
+	}
+	c.wmu.Unlock()
+	if err != nil {
+		c.fail(fmt.Errorf("ship partition: %w", err))
 		return fmt.Errorf("%w: %s: ship partition: %v", ErrBackendDown, c.name, err)
 	}
-	for i, d := range data {
-		if err := writeFrame(c.conn, c.net, id, framePartData, append(frameBuf(), d...)); err != nil {
-			c.wmu.Unlock()
-			c.fail(fmt.Errorf("ship partition data: %w", err))
-			return fmt.Errorf("%w: %s: ship partition: %v", ErrBackendDown, c.name, err)
-		}
-		if saved[i] > 0 && c.net != nil {
-			c.net.AddSaved(saved[i])
-		}
+	if saved > 0 && c.net != nil {
+		c.net.AddSaved(saved)
 	}
-	c.parts[key] = id
-	c.wmu.Unlock()
 	return nil
 }
 
@@ -568,12 +570,10 @@ func (c *client) readLoop() {
 			case frameBatch:
 				cl.emit(b)
 			case frameDone:
-				// v5 done payload: status byte (0 success, 1 work error),
+				// Done payload: status byte (0 success, 1 work error),
 				// then — success only, scan units only — 24 bytes of
 				// little-endian per-unit scan read stats (runs, pages,
-				// bytes); on failure the error text. The status byte also
-				// removes v4's ambiguity between success and an empty error
-				// string.
+				// bytes); on failure the error text.
 				switch {
 				case len(payload) < 1:
 					c.dmu.Unlock()
@@ -694,8 +694,10 @@ func NewServer(workers int) *Server {
 // mismatch drops the connection without a reply.
 func (s *Server) SetAuthToken(token string) { s.token = token }
 
-// SetPartLimit caps the decoded bytes of shipped table partitions one
-// session may hold (0, the default, means unlimited). Crossing the cap
+// SetPartLimit caps the bytes the shipped table partitions of one session
+// keep resident — the received column frames its adopted tables point into,
+// plus their dictionary, run and raw-chunk strings (0, the default, means
+// unlimited). Crossing the cap
 // poisons the affected table, failing its scan units as work errors without
 // dropping the session — back-pressure for a coordinator shipping more data
 // than the worker box should hold. Set before serving.
@@ -777,9 +779,8 @@ func (s *Server) session(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{})
 	// Authenticate before replying: a peer with the wrong shared secret
 	// learns nothing — not the version, not that anything listens here
-	// beyond TCP. The token field is v3's addition; a well-formed older
-	// hello simply has no token bytes, which only matches a server that
-	// requires none (and is then dropped by the version check below).
+	// beyond TCP. A hello too short to hold a token presents none, which
+	// only matches a server that requires none.
 	var token []byte
 	if rest := payload[len(ProtoMagic)+2:]; len(rest) >= 2 {
 		if n := int(binary.LittleEndian.Uint16(rest)); len(rest) >= 2+n {

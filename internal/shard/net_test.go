@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -400,28 +401,48 @@ func TestDialFailureIsBackendDown(t *testing.T) {
 // worker answers a mismatched client hello with its own version and drops
 // the session without executing anything.
 func TestHelloVersionMismatch(t *testing.T) {
-	_, addr := startWorker(t, 1)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	// A peer of the previous protocol (5: partitions shipped as row batches)
+	// or of any other version meets a worker of this one: the worker replies
+	// with its real version, then drops the session.
+	for _, v := range []uint16{ProtoVersion - 1, ProtoVersion + 41} {
+		_, addr := startWorker(t, 1)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello := append(frameBuf(), ProtoMagic...)
+		hello = binary.LittleEndian.AppendUint16(hello, v)
+		if err := writeFrame(conn, nil, 0, frameHello, hello); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, typ, payload, err := readFrame(conn, nil)
+		if err != nil {
+			t.Fatalf("no hello reply before drop: %v", err)
+		}
+		if typ != frameHello || binary.LittleEndian.Uint16(payload) != ProtoVersion {
+			t.Fatalf("hello reply type %d version %d, want the worker's real version %d",
+				typ, binary.LittleEndian.Uint16(payload), ProtoVersion)
+		}
+		if _, _, _, err := readFrame(conn, nil); err != io.EOF {
+			t.Fatalf("worker kept a version-%d session open (read returned %v, want EOF)", v, err)
+		}
 	}
-	defer conn.Close()
-	hello := append(frameBuf(), ProtoMagic...)
-	hello = binary.LittleEndian.AppendUint16(hello, ProtoVersion+41)
-	if err := writeFrame(conn, nil, 0, frameHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	_, typ, payload, err := readFrame(conn, nil)
-	if err != nil {
-		t.Fatalf("no hello reply before drop: %v", err)
-	}
-	if typ != frameHello || binary.LittleEndian.Uint16(payload) != ProtoVersion {
-		t.Fatalf("hello reply type %d version %d, want the worker's real version %d",
-			typ, binary.LittleEndian.Uint16(payload), ProtoVersion)
-	}
-	if _, _, _, err := readFrame(conn, nil); err != io.EOF {
-		t.Fatalf("worker kept a mismatched session open (read returned %v, want EOF)", err)
+	// The other way round: this client meets a worker that answers with the
+	// previous version, and refuses the session naming both.
+	local, remote := net.Pipe()
+	go func() {
+		defer remote.Close()
+		if _, _, _, err := readFrame(remote, nil); err != nil {
+			return
+		}
+		reply := binary.LittleEndian.AppendUint16(frameBuf(), ProtoVersion-1)
+		writeFrame(remote, nil, 0, frameHello, binary.LittleEndian.AppendUint16(reply, 1))
+	}()
+	_, err := newClient(local, "old-worker", "", nil)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, this build speaks %d", ProtoVersion-1, ProtoVersion)) {
+		t.Fatalf("a version-%d worker was accepted or misreported: %v", ProtoVersion-1, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -248,12 +249,21 @@ func shipTestTable(t *testing.T, rows int, compress bool) *storage.Table {
 	return tab
 }
 
+func mustShip(t testing.TB, tab *storage.Table, segs storage.RowRanges) *partShipment {
+	t.Helper()
+	ship, err := buildPartShipment("lineitem/0@2", tab, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ship
+}
+
 func TestPartShipmentRoundtrip(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		t.Run(fmt.Sprintf("compress=%v", compress), func(t *testing.T) {
 			tab := shipTestTable(t, 500, compress)
 			segs := storage.RowRanges{{Start: 40, End: 160}, {Start: 200, End: 210}, {Start: 480, End: 500}}
-			ship := buildPartShipment("lineitem/0@2", tab, segs)
+			ship := mustShip(t, tab, segs)
 
 			store := newPartStore(0)
 			if err := store.addManifest(1, ship.manifest); err != nil {
@@ -305,8 +315,8 @@ func TestPartShipmentRoundtrip(t *testing.T) {
 
 func TestPartStoreLimitPoisonsNotDrops(t *testing.T) {
 	tab := shipTestTable(t, 400, false)
-	ship := buildPartShipment("lineitem/0@2", tab, storage.FullRange(tab.Rows()))
-	store := newPartStore(64) // far below the shipment's decoded bytes
+	ship := mustShip(t, tab, storage.FullRange(tab.Rows()))
+	store := newPartStore(64) // far below what any of the shipment's frames parks
 	if err := store.addManifest(7, ship.manifest); err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +335,7 @@ func TestPartStoreLimitPoisonsNotDrops(t *testing.T) {
 
 func TestPartStoreDuplicateTableKeepsFirst(t *testing.T) {
 	tab := shipTestTable(t, 100, false)
-	ship := buildPartShipment("lineitem/0@2", tab, storage.FullRange(tab.Rows()))
+	ship := mustShip(t, tab, storage.FullRange(tab.Rows()))
 	store := newPartStore(0)
 	if err := store.addManifest(1, ship.manifest); err != nil {
 		t.Fatal(err)
@@ -362,6 +372,70 @@ func TestPartStoreDuplicateTableKeepsFirst(t *testing.T) {
 	}
 }
 
+// TestPartStoreRejectsDamagedFrames: a column frame that is corrupted, out of
+// order, of a kind the manifest did not declare, or past the manifest's row
+// total is protocol corruption — the session drops, as it did for a bad row
+// batch — and frames trailing a completed transfer drain silently.
+func TestPartStoreRejectsDamagedFrames(t *testing.T) {
+	for _, compress := range []bool{false, true} {
+		tab := shipTestTable(t, 300, compress)
+		ship := mustShip(t, tab, storage.RowRanges{{Start: 10, End: 250}})
+		if len(ship.data) != 2 {
+			t.Fatalf("%d frames for two columns", len(ship.data))
+		}
+		open := func() *partStore {
+			store := newPartStore(0)
+			if err := store.addManifest(1, ship.manifest); err != nil {
+				t.Fatal(err)
+			}
+			return store
+		}
+		flipped := append([]byte(nil), ship.data[0]...)
+		flipped[len(flipped)/2] ^= 0x10
+		if err := open().addData(1, flipped); err == nil {
+			t.Fatal("a frame failing its checksum was adopted")
+		}
+		if err := open().addData(1, ship.data[0][:len(ship.data[0])-1]); err == nil {
+			t.Fatal("a truncated frame was adopted")
+		}
+		if err := open().addData(1, ship.data[1]); err == nil {
+			t.Fatal("the string column's frame was adopted as the int64 column's")
+		}
+		if err := open().addData(2, ship.data[0]); err == nil {
+			t.Fatal("a frame for an unannounced transfer was accepted")
+		}
+		store := open()
+		if err := store.addData(1, ship.data[0]); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.addData(1, ship.data[0]); err == nil {
+			t.Fatal("the int64 column's frame was adopted twice")
+		}
+		if _, err := store.source("lineitem"); err == nil {
+			t.Fatal("a partition one column short is being served")
+		}
+		if err := store.addData(1, ship.data[1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.addData(1, ship.data[1]); err != nil {
+			t.Fatalf("a frame trailing a completed transfer must drain, not drop the session: %v", err)
+		}
+		if st, err := store.source("lineitem"); err != nil || st.Tab.Rows() != 240 {
+			t.Fatalf("completed partition: %v", err)
+		}
+		// The manifest of a shorter shipment over the longer one's frames:
+		// more rows arrive than were declared.
+		short := mustShip(t, tab, storage.RowRanges{{Start: 10, End: 200}})
+		store = newPartStore(0)
+		if err := store.addManifest(1, short.manifest); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.addData(1, ship.data[0]); err == nil {
+			t.Fatal("frames carrying more rows than the manifest declares were adopted")
+		}
+	}
+}
+
 func TestPartManifestRejectsCorruption(t *testing.T) {
 	tab := shipTestTable(t, 50, false)
 	good := encodePartManifest(tab, storage.RowRanges{{Start: 0, End: 50}}, nil)
@@ -378,5 +452,11 @@ func TestPartManifestRejectsCorruption(t *testing.T) {
 	// hand-built payload fail. The simplest corruption: chop one segment off.
 	if _, err := decodePartManifest(bad[:len(bad)-16]); err == nil {
 		t.Fatal("segment section shorter than its count must be rejected")
+	}
+	// The kind byte of the first column ("id", int64) follows its name.
+	unknown := append([]byte(nil), good...)
+	unknown[bytes.Index(unknown, []byte("id"))+2] = 7
+	if _, err := decodePartManifest(unknown); err == nil {
+		t.Fatal("a column of unknown kind must be rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -11,27 +12,31 @@ import (
 )
 
 // Partition shipping: the wire form and both ends of the base-table
-// partition transfer that makes workers shared-nothing (protocol v5, frames
+// partition transfer that makes workers shared-nothing (frames
 // framePartTable and framePartData; see docs/WIRE.md and
 // docs/PARTITIONING.md).
 //
 // Manifest payload layout (little endian):
 //
 //	table name        (u32 length + bytes)
-//	u8  compressed    (1 = the worker compresses its rebuilt copy)
+//	u8  compressed    (1 = the partition is a compressed table)
 //	u64 page size
 //	u64 total rows
 //	u16 column count, then per column: name (u32 length + bytes), u8 kind
 //	u32 segment count, then per segment: u64 start + u64 end
-//	    (coordinator row space, in ship order — the order the data frames'
-//	    rows concatenate in, and the order RangeMap assumes)
+//	    (coordinator row space, in ship order — the order the partition's
+//	    rows are stored in, and the order RangeMap assumes)
 //
-// Each data frame carries one vector.Batch in its standard wire form. The
-// transfer has no explicit end: the worker finalizes the partition the
-// moment the accumulated row count reaches the manifest's total, and a scan
-// fragment referencing a table still short of its total fails Prepare —
-// which cannot happen on a correct client, since ShipPartition writes every
-// frame before any unit ships.
+// Each data frame carries one column frame of the partition in storage's
+// byte form (storage.Table.Frames): the coordinator builds the worker's local
+// table — the segments' rows in ship order, compressed when the original is —
+// once per table version, and ships its encoded chunks as they are. The
+// worker verifies and adopts them (storage.TableAdopter); it neither decodes
+// nor compresses. The transfer has no explicit end: the worker publishes the
+// partition the moment its last column completes, and a scan fragment
+// referencing a table still short of that fails Prepare — which cannot happen
+// on a correct client, since ShipPartition writes every frame before any unit
+// ships.
 
 // partManifest is the decoded manifest of one shipped partition.
 type partManifest struct {
@@ -98,6 +103,9 @@ func decodePartManifest(data []byte) (*partManifest, error) {
 		if len(data) < 1 {
 			return nil, fmt.Errorf("shard: truncated partition manifest column kind")
 		}
+		if data[0] > byte(vector.String) {
+			return nil, fmt.Errorf("shard: partition column %q has unknown kind %d", cname, data[0])
+		}
 		m.Cols = append(m.Cols, expr.ColMeta{Name: cname, Kind: vector.Kind(data[0])})
 		data = data[1:]
 	}
@@ -134,17 +142,9 @@ func decodePartManifest(data []byte) (*partManifest, error) {
 // partRecv is one in-flight partition transfer on a worker session.
 type partRecv struct {
 	m     *partManifest
-	rows  int64
+	adopt *storage.TableAdopter
 	bytes int64
-	cols  []partCol
-	skip  bool // duplicate or poisoned: drain remaining data frames silently
-}
-
-// partCol accumulates one column's values across the transfer's batches.
-type partCol struct {
-	i64 []int64
-	f64 []float64
-	str []string
+	skip  bool // duplicate, poisoned or complete: drain remaining data frames silently
 }
 
 // partStore is a worker session's registry of shipped table partitions: the
@@ -155,7 +155,10 @@ type partCol struct {
 // captures at Prepare is immutable afterwards and safe on scheduler
 // goroutines.
 type partStore struct {
-	limit int64 // decoded-byte cap across the session's partitions; 0 = none
+	// limit caps the bytes the session's partitions keep resident — the
+	// received frames the adopted columns point into, plus the strings their
+	// heaps became (dictionary, run and raw-chunk values); 0 = none.
+	limit int64
 	used  int64
 	byID  map[uint64]*partRecv
 	tabs  map[string]engine.ScanTable
@@ -172,7 +175,7 @@ func newPartStore(limit int64) *partStore {
 }
 
 // addManifest registers one partition transfer. Duplicates (a table already
-// finalized, typically a plan-time ship racing a re-admission re-ship the
+// published, typically a plan-time ship racing a re-admission re-ship the
 // client-side dedup didn't see) keep the first copy and drain the new
 // transfer. The returned error means protocol corruption — the session
 // drops.
@@ -185,26 +188,23 @@ func (p *partStore) addManifest(id uint64, payload []byte) error {
 		return fmt.Errorf("shard: partition id %d reused", id)
 	}
 	r := &partRecv{m: m}
+	p.byID[id] = r
 	if _, have := p.tabs[m.Table]; have {
 		r.skip = true
 	} else if _, poisoned := p.errs[m.Table]; poisoned {
 		r.skip = true
-	} else {
-		r.cols = make([]partCol, len(m.Cols))
-		if m.Rows == 0 {
-			p.byID[id] = r
-			return p.finalize(r)
-		}
+	} else if r.adopt, err = storage.NewTableAdopter(m.Table, m.PageSize, int(m.Rows), m.Compressed, m.Cols.Names(), m.Cols.Kinds()); err != nil {
+		p.poison(r, err)
 	}
-	p.byID[id] = r
 	return nil
 }
 
-// addData appends one data frame's batch to its transfer, finalizing the
-// partition when the manifest's row total is reached. The returned error
-// means protocol corruption; resource-limit and schema problems instead
-// poison the table, failing its scans as work errors without dropping the
-// session.
+// addData verifies one column frame and adopts it into its transfer,
+// publishing the partition when the last column completes. The returned
+// error means protocol corruption — a frame that fails its checksum or its
+// structure, a kind the manifest did not declare, rows past the manifest's
+// total; the resource limit instead poisons the table, failing its scans as
+// work errors without dropping the session.
 func (p *partStore) addData(id uint64, payload []byte) error {
 	r := p.byID[id]
 	if r == nil {
@@ -213,81 +213,26 @@ func (p *partStore) addData(id uint64, payload []byte) error {
 	if r.skip {
 		return nil
 	}
-	b, n, err := vector.DecodeBatch(payload)
+	resident, done, err := r.adopt.Add(payload)
 	if err != nil {
-		return fmt.Errorf("shard: partition batch: %w", err)
+		return fmt.Errorf("shard: partition frame: %w", err)
 	}
-	if n != len(payload) {
-		return fmt.Errorf("shard: %d trailing bytes after partition batch", len(payload)-n)
-	}
-	if len(b.Cols) != len(r.m.Cols) {
-		return fmt.Errorf("shard: partition batch for %q has %d columns, manifest %d", r.m.Table, len(b.Cols), len(r.m.Cols))
-	}
-	if p.limit > 0 && p.used+b.Bytes() > p.limit {
+	p.used += resident
+	r.bytes += resident
+	if p.limit > 0 && p.used > p.limit {
 		p.poison(r, fmt.Errorf("shard: partition for %q exceeds the worker's %d-byte partition limit", r.m.Table, p.limit))
 		return nil
 	}
-	for i, v := range b.Cols {
-		if v.Kind != r.m.Cols[i].Kind {
-			return fmt.Errorf("shard: partition batch column %d of %q is kind %d, manifest says %d", i, r.m.Table, v.Kind, r.m.Cols[i].Kind)
-		}
-		switch v.Kind {
-		case vector.Int64:
-			r.cols[i].i64 = append(r.cols[i].i64, v.I64...)
-		case vector.Float64:
-			r.cols[i].f64 = append(r.cols[i].f64, v.F64...)
-		case vector.String:
-			r.cols[i].str = append(r.cols[i].str, v.Str...)
-		}
+	if !done {
+		return nil
 	}
-	p.used += b.Bytes()
-	r.bytes += b.Bytes()
-	r.rows += int64(b.Len())
-	if r.rows > r.m.Rows {
-		return fmt.Errorf("shard: partition for %q received %d rows, manifest declares %d", r.m.Table, r.rows, r.m.Rows)
-	}
-	if r.rows == r.m.Rows {
-		return p.finalize(r)
-	}
-	return nil
-}
-
-// finalize rebuilds the partition as a local table — compressed when the
-// coordinator's original was — and publishes it with its coordinator→local
-// range mapping.
-func (p *partStore) finalize(r *partRecv) error {
-	cols := make([]*storage.Column, len(r.m.Cols))
-	for i, c := range r.m.Cols {
-		switch c.Kind {
-		case vector.Int64:
-			if r.cols[i].i64 == nil {
-				r.cols[i].i64 = []int64{}
-			}
-			cols[i] = storage.NewInt64Column(c.Name, r.cols[i].i64)
-		case vector.Float64:
-			if r.cols[i].f64 == nil {
-				r.cols[i].f64 = []float64{}
-			}
-			cols[i] = storage.NewFloat64Column(c.Name, r.cols[i].f64)
-		case vector.String:
-			if r.cols[i].str == nil {
-				r.cols[i].str = []string{}
-			}
-			cols[i] = storage.NewStringColumn(c.Name, r.cols[i].str)
-		default:
-			return fmt.Errorf("shard: partition column %q has unknown kind %d", c.Name, c.Kind)
-		}
-	}
-	tab, err := storage.NewTable(r.m.Table, r.m.PageSize, cols...)
+	tab, err := r.adopt.Table()
 	if err != nil {
 		p.poison(r, err)
 		return nil
 	}
-	if r.m.Compressed {
-		tab.Compress()
-	}
 	p.tabs[r.m.Table] = engine.ScanTable{Tab: tab, Map: NewRangeMap(r.m.Segs).Map}
-	r.cols, r.skip = nil, true
+	r.adopt, r.skip = nil, true
 	return nil
 }
 
@@ -296,7 +241,7 @@ func (p *partStore) finalize(r *partRecv) error {
 func (p *partStore) poison(r *partRecv, err error) {
 	p.errs[r.m.Table] = err
 	p.used -= r.bytes
-	r.cols, r.skip = nil, true
+	r.bytes, r.adopt, r.skip = 0, nil, true
 }
 
 // source is the engine.ScanSource a scan fragment resolves its table
@@ -311,35 +256,87 @@ func (p *partStore) source(table string) (engine.ScanTable, error) {
 	return engine.ScanTable{}, fmt.Errorf("shard: no partition of %q shipped on this session", table)
 }
 
-// partShipment is the encoded, reusable form of one worker's partition of
-// one table: the payload bytes ShipPartition frames per session. Payloads
-// are shared read-only across sessions (each send copies behind a fresh
-// frame header).
+// partFrameBytes is the size at which a column frame of a shipment is closed
+// (storage.Table.Frames): large enough that a partition is a few dozen
+// messages, small enough that no frame approaches maxFramePayload or
+// frameWriteTimeout however large the table.
+const partFrameBytes = 4 << 20
+
+// partShipment is the serialised form of one worker's partition of one
+// table: the payload bytes ShipPartition frames per session. It is built once
+// per table version (shipmentsOf) and shared read-only by every set, session
+// and re-ship from then on.
 type partShipment struct {
 	key      string
 	manifest []byte
 	data     [][]byte
-	saved    []int64
+	saved    int64 // the partition's raw bytes less its frames', credited as wire savings
 }
 
-// buildPartShipment extracts the given segments of tab (all columns, ship
-// order) and encodes them as a shipment. The extraction reads through a
-// plain reader with no accountant: shipping is network work, metered on the
-// frames by the session's network accountant, not modeled device IO.
-func buildPartShipment(key string, tab *storage.Table, segs storage.RowRanges) *partShipment {
-	s := &partShipment{key: key, manifest: encodePartManifest(tab, segs, nil)}
-	cols := make([]int, len(tab.Cols))
-	kinds := make([]vector.Kind, len(tab.Cols))
-	for i, c := range tab.Cols {
-		cols[i] = i
-		kinds[i] = c.Kind
+// buildPartShipment builds the table a worker holds — the given segments of
+// tab in ship order, compressed when tab is, exactly the rows and the order
+// the worker's RangeMap assumes — and serialises it. The local table itself
+// is dropped: the chunks live on in the frames. Extraction is a copy of the
+// coordinator's in-memory arrays, not a scan: shipping is network work,
+// metered on the frames by the session's network accountant, not modeled
+// device IO.
+func buildPartShipment(key string, tab *storage.Table, segs storage.RowRanges) (*partShipment, error) {
+	local, err := tab.Extract(segs)
+	if err != nil {
+		return nil, err
 	}
-	r := storage.NewReader(tab, cols, segs, nil)
-	b := vector.NewBatch(kinds)
-	for r.Next(b) {
-		pl := b.Encode(nil)
-		s.data = append(s.data, pl)
-		s.saved = append(s.saved, int64(b.RawWireSize()-len(pl)))
+	s := &partShipment{key: key, manifest: encodePartManifest(tab, segs, nil), data: local.Frames(partFrameBytes)}
+	s.saved = local.CompressionStats().RawBytes
+	for _, d := range s.data {
+		s.saved -= int64(len(d))
 	}
-	return s
+	return s, nil
+}
+
+// shipKey keys a table version's memoised shipments by the number of workers
+// they were cut for.
+type shipKey int
+
+// shipmentsOf returns the shipments of tab for p's workers, building them the
+// first time this version of the table is partitioned that many ways. A
+// shipment is a pure function of the table's rows and the placement, and a
+// stored table never changes, so the memo hangs off the table itself
+// (storage.Table.Derived): an append or a merge publishes a new table and
+// starts empty, a superseded version is collected with its shipments, and
+// every set, session and planner sharing a version shares one build. The
+// manifests are compared on a hit because the placement is the caller's: a
+// version paired with other count entries gets a build of its own.
+func shipmentsOf(tab *storage.Table, p *Partitioning) ([]*partShipment, error) {
+	var err error
+	build := func() any {
+		ships := make([]*partShipment, p.Workers)
+		for w := range ships {
+			key := fmt.Sprintf("%s/%d@%d", p.Table, w, p.Workers)
+			if ships[w], err = buildPartShipment(key, tab, p.Segments(w)); err != nil {
+				return nil // not kept
+			}
+		}
+		return ships
+	}
+	ships, _ := tab.Derived(shipKey(p.Workers), build).([]*partShipment)
+	for w, s := range ships {
+		if !bytes.Equal(s.manifest, encodePartManifest(tab, p.Segments(w), nil)) {
+			ships, _ = build().([]*partShipment)
+			break
+		}
+	}
+	return ships, err
+}
+
+// MemoisedShipments returns, per worker, the column frames memoised on this
+// version of tab for a set of that many workers — nil when none has been
+// built. These are the very slices every session is sent, so a test or a
+// diagnostic tells a shared build from a repeated one by their identity.
+func MemoisedShipments(tab *storage.Table, workers int) [][][]byte {
+	ships, _ := tab.Derived(shipKey(workers), func() any { return nil }).([]*partShipment)
+	var out [][][]byte
+	for _, s := range ships {
+		out = append(out, s.data)
+	}
+	return out
 }

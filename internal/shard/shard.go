@@ -53,9 +53,11 @@
 //     replied parallelism so the engine can size its in-flight lookahead.
 //   - Partitions: before any scan fragment references a table, the client
 //     ships the worker its partition of it — one manifest frame (segments,
-//     schema, total rows) and a stream of row-batch frames, finalized the
-//     moment the row total is reached. Shipments are deduplicated per
-//     session by content key; join-only queries skip this step entirely.
+//     schema, total rows) and the column frames of the worker's local table,
+//     serialised once per table version and adopted by the worker as they
+//     are, published the moment the last column completes. Shipments are
+//     deduplicated per session by content key; join-only queries skip this
+//     step entirely.
 //   - Setup: the first unit of each operator is preceded by the operator's
 //     serialized plan fragment (one frameSetup per fragment, identified by
 //     a client-assigned id). The worker Prepares the decoded fragment once
@@ -255,12 +257,14 @@ func newSet(n int, acct *iosim.Accountant) *Set {
 
 // PartitionTable partitions the named base table across the set's workers by
 // its BDCC count entries and ships each worker its partition — manifest plus
-// row batches over the session, deduplicated per session by content key, so
-// a second query over the same set reuses both the placement and the already
-// shipped data. The returned Partitioning is the placement the planner
-// splits scatter groups with; it is cached per table name, and shipping
-// failures are deliberately absorbed (a broken session fails its units with
-// ErrBackendDown and re-admission re-ships).
+// the column frames of the worker's local table, serialised once per table
+// version (shipmentsOf) and from then on only copied onto sessions. The
+// returned Partitioning is the placement the planner splits scatter groups
+// with; it is cached per table name, and shipping failures are deliberately
+// absorbed (a broken session fails its units with ErrBackendDown and
+// re-admission re-ships). Entries that do not describe tab are a planner bug:
+// nothing ships, and the table's scan units fail on the workers as work
+// errors.
 func (s *Set) PartitionTable(name string, tab *storage.Table, entries []core.CountEntry) *Partitioning {
 	s.mu.Lock()
 	if p, ok := s.parts[name]; ok {
@@ -268,16 +272,12 @@ func (s *Set) PartitionTable(name string, tab *storage.Table, entries []core.Cou
 		return p
 	}
 	s.mu.Unlock()
-	// Built outside the lock — extraction and encoding are heavy, and Route
-	// must not stall behind them. A concurrent builder of the same table is
-	// resolved below (first registration wins; the loser's shipments are
-	// dropped, and per-session dedup absorbs any frames it already sent).
+	// Built outside the lock — a table version's first shipment is heavy, and
+	// Route must not stall behind it. A concurrent caller is resolved below
+	// (first registration wins; per-session dedup absorbs any frames the
+	// loser already sent).
 	p := NewPartitioning(name, entries, len(s.backends))
-	ships := make([]*partShipment, len(s.backends))
-	for w := range ships {
-		key := fmt.Sprintf("%s/%d@%d", name, w, len(s.backends))
-		ships[w] = buildPartShipment(key, tab, p.Segments(w))
-	}
+	ships, err := shipmentsOf(tab, p)
 	s.mu.Lock()
 	if prev, ok := s.parts[name]; ok {
 		s.mu.Unlock()
@@ -285,16 +285,10 @@ func (s *Set) PartitionTable(name string, tab *storage.Table, entries []core.Cou
 	}
 	s.parts[name] = p
 	s.mu.Unlock()
-	s.f.shipPartition(name, ships)
+	if err == nil {
+		s.f.shipPartition(name, ships)
+	}
 	return p
-}
-
-// Partitioning returns the cached placement of a table PartitionTable
-// already processed, or nil.
-func (s *Set) Partitioning(name string) *Partitioning {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.parts[name]
 }
 
 // EnableScanIO equips every worker slot with a scan-read accountant over

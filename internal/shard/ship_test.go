@@ -1,0 +1,319 @@
+package shard_test
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+
+	"bdcc/internal/core"
+	"bdcc/internal/plan"
+	"bdcc/internal/shard"
+	"bdcc/internal/storage"
+	"bdcc/internal/tpch"
+	"bdcc/internal/vector"
+)
+
+// rebuiltPartition is the worker's partition as the receiving end used to
+// build it, kept here as the reference the adopted table is held to: the
+// segments read through a reader a batch at a time, each batch through the
+// wire codec, the decoded batches concatenated, then NewTable and — when the
+// original is compressed — Compress.
+func rebuiltPartition(t testing.TB, tab *storage.Table, segs storage.RowRanges) *storage.Table {
+	t.Helper()
+	all := make([]int, len(tab.Cols))
+	cols := make([]*storage.Column, len(tab.Cols))
+	for i, c := range tab.Cols {
+		all[i] = i
+		cols[i] = &storage.Column{Name: c.Name, Kind: c.Kind}
+	}
+	r := storage.NewReader(tab, all, segs, nil)
+	b := vector.NewBatch(r.Kinds())
+	for len(segs) > 0 && r.Next(b) {
+		wire := b.Encode(nil)
+		got, n, err := vector.DecodeBatch(wire)
+		if err != nil || n != len(wire) {
+			t.Fatalf("batch codec: %v (%d of %d bytes)", err, n, len(wire))
+		}
+		for i, v := range got.Cols {
+			cols[i].I64 = append(cols[i].I64, v.I64...)
+			cols[i].F64 = append(cols[i].F64, v.F64...)
+			cols[i].Str = append(cols[i].Str, v.Str...)
+		}
+	}
+	out, err := storage.NewTable(tab.Name, tab.PageSize, cols...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Compressed() {
+		out.Compress()
+	}
+	return out
+}
+
+func bitsOf(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, x := range v {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// samePartition fails unless got is the table want is in everything a scan
+// and the I/O model can see: every chunk, dictionaries, widths, pages,
+// ReadStats over random ranges, and reader output batch by batch.
+func samePartition(t *testing.T, got, want *storage.Table) {
+	t.Helper()
+	if got.Rows() != want.Rows() || got.Compressed() != want.Compressed() || got.PageSize != want.PageSize ||
+		len(got.Cols) != len(want.Cols) || got.DensestColumn().Name != want.DensestColumn().Name {
+		t.Fatalf("%d rows × %d columns compressed=%v, want %d × %d %v", got.Rows(), len(got.Cols), got.Compressed(),
+			want.Rows(), len(want.Cols), want.Compressed())
+	}
+	all := make([]int, len(want.Cols))
+	for i, w := range want.Cols {
+		all[i] = i
+		g := got.Cols[i]
+		if g.Name != w.Name || g.Kind != w.Kind || g.Width() != w.Width() || got.Pages(g) != want.Pages(w) {
+			t.Fatalf("column %s: width %v in %d pages, want %v in %d", w.Name, g.Width(), got.Pages(g), w.Width(), want.Pages(w))
+		}
+		if (g.Enc == nil) != (w.Enc == nil) {
+			t.Fatalf("column %s: encoded %v, want %v", w.Name, g.Enc != nil, w.Enc != nil)
+		}
+		if w.Enc == nil {
+			continue
+		}
+		if g.I64 != nil || g.F64 != nil || g.Str != nil {
+			t.Fatalf("column %s: the adopted column retains raw arrays", w.Name)
+		}
+		ge, we := g.Enc, w.Enc
+		if ge.ChunkRows != we.ChunkRows || !slices.Equal(ge.Dict, we.Dict) || ge.DictBits != we.DictBits ||
+			ge.DictBytes != we.DictBytes || ge.RawBytes != we.RawBytes || ge.EncodedBytes != we.EncodedBytes ||
+			ge.Counts != we.Counts || len(ge.Chunks) != len(we.Chunks) {
+			t.Fatalf("column %s: encoding totals differ", w.Name)
+		}
+		for k := range we.Chunks {
+			gc, wc := &ge.Chunks[k], &we.Chunks[k]
+			if gc.Enc != wc.Enc || gc.Start != wc.Start || gc.Rows != wc.Rows || gc.Bytes != wc.Bytes ||
+				gc.Base != wc.Base || gc.BitW != wc.BitW || !bytes.Equal(gc.Packed, wc.Packed) ||
+				!slices.Equal(gc.RunN, wc.RunN) || !slices.Equal(gc.RunI, wc.RunI) ||
+				!slices.Equal(gc.RunF, wc.RunF) || !slices.Equal(gc.RunS, wc.RunS) ||
+				!slices.Equal(gc.ValI, wc.ValI) || !slices.Equal(bitsOf(gc.ValF), bitsOf(wc.ValF)) ||
+				!slices.Equal(gc.ValS, wc.ValS) ||
+				gc.MinI != wc.MinI || gc.MaxI != wc.MaxI || gc.MinS != wc.MinS || gc.MaxS != wc.MaxS ||
+				math.Float64bits(gc.MinF) != math.Float64bits(wc.MinF) ||
+				math.Float64bits(gc.MaxF) != math.Float64bits(wc.MaxF) {
+				t.Fatalf("column %s chunk %d (%s): differs from the rebuilt chunk (%s)", w.Name, k, gc.Enc, wc.Enc)
+			}
+		}
+	}
+	kinds := storage.NewReader(want, all, nil, nil).Kinds()
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 6 && want.Rows() > 0; trial++ {
+		var ranges storage.RowRanges // nil first: the full table
+		for lo := 0; trial > 0 && lo < want.Rows(); {
+			lo += rng.Intn(3000)
+			hi := min(lo+1+rng.Intn(4000), want.Rows())
+			if lo < hi {
+				ranges = append(ranges, storage.RowRange{Start: lo, End: hi})
+			}
+			lo = hi
+		}
+		cols := all
+		if trial%2 == 1 {
+			cols = all[trial%len(all):]
+		}
+		gr, gp, gb := got.ReadStats(cols, ranges)
+		wr, wp, wb := want.ReadStats(cols, ranges)
+		if gr != wr || gp != wp || gb != wb {
+			t.Fatalf("ReadStats %d runs / %d pages / %d bytes, the rebuilt table charges %d / %d / %d", gr, gp, gb, wr, wp, wb)
+		}
+		rg, rw := storage.NewReader(got, all, ranges, nil), storage.NewReader(want, all, ranges, nil)
+		bg, bw := vector.NewBatch(kinds), vector.NewBatch(kinds)
+		for rw.Next(bw) {
+			if !rg.Next(bg) || bg.Len() != bw.Len() {
+				t.Fatalf("reader batch of %d rows, want %d", bg.Len(), bw.Len())
+			}
+			for i := range bw.Cols {
+				if !slices.Equal(bg.Cols[i].I64, bw.Cols[i].I64) || !slices.Equal(bg.Cols[i].Str, bw.Cols[i].Str) ||
+					!slices.Equal(bitsOf(bg.Cols[i].F64), bitsOf(bw.Cols[i].F64)) {
+					t.Fatalf("reader output differs in column %s", want.Cols[i].Name)
+				}
+			}
+		}
+		if rg.Next(bg) {
+			t.Fatal("reader produces batches past the rebuilt table's last")
+		}
+	}
+}
+
+// TestShippedPartitionMatchesRebuilt: the table a worker adopts from the
+// coordinator's column frames is the table it used to rebuild from row
+// batches — which is what keeps every worker's modeled reads where they
+// were. Over lineitem and orders, two and three workers, compressed and not.
+func TestShippedPartitionMatchesRebuilt(t *testing.T) {
+	for _, compress := range []bool{true, false} {
+		b, err := tpch.NewBenchmarkCompressed(0.005, compress, plan.BDCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db := b.DBs[plan.BDCC]
+		for _, name := range []string{"lineitem", "orders"} {
+			tab, err := db.StoredTable(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{2, 3} {
+				p := shard.NewPartitioning(name, db.BDCCTable(name).Count, workers)
+				ships, err := shard.ShipmentsOf(tab, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for w, s := range ships {
+					t.Run(fmt.Sprintf("%s/compress=%v/%d-of-%d", name, compress, w, workers), func(t *testing.T) {
+						got, err := shard.Adopt(s)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got.Rows() == 0 {
+							t.Fatal("an empty partition proves nothing")
+						}
+						samePartition(t, got, rebuiltPartition(t, tab, p.Segments(w)))
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestShipmentsSharedAcrossCallers: however many planners partition one
+// table version at once, all of them ship the one published build; other
+// worker counts and other versions have builds of their own.
+func TestShipmentsSharedAcrossCallers(t *testing.T) {
+	li, entries := lineitem(t, 0.002)
+	p := shard.NewPartitioning("lineitem", entries, 2)
+	const callers = 8
+	got := make([][]shard.Shipped, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ships, err := shard.ShipmentsOf(li, shard.NewPartitioning("lineitem", entries, 2))
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = ships
+		}()
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		for w := range got[0] {
+			if &got[i][w].Frames[0][0] != &got[0][w].Frames[0][0] || &got[i][w].Manifest[0] != &got[0][w].Manifest[0] {
+				t.Fatalf("caller %d ships worker %d a build of its own", i, w)
+			}
+		}
+	}
+	three, err := shard.ShipmentsOf(li, shard.NewPartitioning("lineitem", entries, 3))
+	if err != nil || len(three) != 3 {
+		t.Fatalf("three-way shipments: %d, %v", len(three), err)
+	}
+	again, _ := shard.ShipmentsOf(li, p)
+	if &again[0].Frames[0][0] != &got[0][0].Frames[0][0] {
+		t.Fatal("a three-way build displaced the two-way one")
+	}
+	// The memo is keyed by the version and the worker count alone, so a
+	// caller pairing the version with other entries must not be served it.
+	other, err := shard.ShipmentsOf(li, shard.NewPartitioning("lineitem", entries[:len(entries)/2], 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(other[1].Manifest, got[0][1].Manifest) || &other[0].Frames[0][0] == &got[0][0].Frames[0][0] {
+		t.Fatal("a different placement was served the memoised shipments")
+	}
+	// Entries that leave the table are an error, not a panic, and poison
+	// nothing.
+	bad := slices.Clone(entries)
+	bad[len(bad)-1].Count += 10
+	fresh, err := li.Extract(storage.FullRange(li.Rows()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := shard.ShipmentsOf(fresh, shard.NewPartitioning("lineitem", bad, 2)); err == nil {
+		t.Fatal("entries past the table's last row built a shipment")
+	}
+	if _, err := shard.ShipmentsOf(fresh, shard.NewPartitioning("lineitem", entries, 2)); err != nil {
+		t.Fatalf("a failed build was kept: %v", err)
+	}
+}
+
+var fixtures sync.Map // sf → *tpch.Benchmark
+
+func lineitem(t testing.TB, sf float64) (*storage.Table, []core.CountEntry) {
+	t.Helper()
+	v, ok := fixtures.Load(sf)
+	if !ok {
+		b, err := tpch.NewBenchmarkCompressed(sf, true, plan.BDCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ = fixtures.LoadOrStore(sf, b)
+	}
+	db := v.(*tpch.Benchmark).DBs[plan.BDCC]
+	li, err := db.StoredTable("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return li, db.BDCCTable("lineitem").Count
+}
+
+// BenchmarkPartitionShip times what a partitioned query pays to have
+// lineitem (SF 0.01) on a fresh set of two simulated workers, closing the set
+// so that adoption is inside the measurement: cold, on a table version never
+// shipped (build, ship, adopt), and warm, on one that has been (ship, adopt).
+func BenchmarkPartitionShip(b *testing.B) {
+	li, entries := lineitem(b, 0.01)
+	ship := func(tab *storage.Table) {
+		set := shard.NewSet(2, 2, shard.PaperNet())
+		set.PartitionTable("lineitem", tab, entries)
+		for _, bk := range set.Backends() {
+			bk.Close()
+		}
+	}
+	var size float64
+	ships, err := shard.ShipmentsOf(li, shard.NewPartitioning("lineitem", entries, 2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range ships {
+		for _, f := range s.Frames {
+			size += float64(len(f))
+		}
+	}
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+		b.ReportMetric(size/(1<<20), "MB/op")
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh, err := li.Extract(storage.FullRange(li.Rows())) // a new version: nothing memoised
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			ship(fresh)
+		}
+		report(b)
+	})
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ship(li)
+		}
+		report(b)
+	})
+}

@@ -23,10 +23,12 @@ type Column struct {
 	Str  []string
 
 	// Enc is the lightweight chunk encoding of the column (nil in raw mode).
-	// The raw slices are always retained — they back permutation, key
-	// extraction and raw-fallback chunks — while Enc is the modeled on-disk
-	// form: readers materialize batches from it and the modeled width (hence
-	// page charges) follows its encoded bytes. Built by Table.Compress.
+	// A column the table encoded itself retains its raw slices — they back
+	// permutation, key extraction and raw-fallback chunks — while Enc is the
+	// modeled on-disk form: readers materialize batches from it and the
+	// modeled width (hence page charges) follows its encoded bytes. Built by
+	// Table.Compress, or adopted from column frames (wire.go); an adopted
+	// column has only Enc and serves scans, nothing that rearranges rows.
 	Enc *ColumnEncoding
 
 	// width is the modeled bytes per value, computed by finish(). For string
@@ -54,6 +56,9 @@ func NewStringColumn(name string, vals []string) *Column {
 
 // Len returns the number of values.
 func (c *Column) Len() int {
+	if c.Enc != nil {
+		return c.Enc.rows()
+	}
 	switch c.Kind {
 	case vector.Int64:
 		return len(c.I64)
@@ -98,6 +103,12 @@ func strWidth(total, n int) float64 {
 // table's string columns share.
 func (c *Column) encode(chunkRows int, dict *vector.StrDict) {
 	c.Enc = encodeColumn(c, chunkRows, dict)
+	c.useEncodedWidth()
+}
+
+// useEncodedWidth replaces the raw width by encoded bytes per value, where
+// the encoding has any.
+func (c *Column) useEncodedWidth() {
 	if n := c.Len(); n > 0 && c.Enc.EncodedBytes > 0 {
 		c.width = float64(c.Enc.EncodedBytes) / float64(n)
 	}

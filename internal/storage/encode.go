@@ -79,6 +79,13 @@ type Chunk struct {
 	RunS []string
 	RunN []int32
 
+	// EncRaw: the chunk's values — a window of the column's retained arrays,
+	// or arrays decoded from a column frame (wire.go) on an adopted column,
+	// which retains nothing else.
+	ValI []int64
+	ValF []float64
+	ValS []string
+
 	// EncFOR: base + bit-packed deltas; EncDict reuses Packed for the
 	// bit-packed dictionary codes at the column's DictBits width.
 	Base   int64
@@ -127,7 +134,7 @@ type ChunkBuf struct {
 // (rows per uncompressed page, so chunks are page-aligned at raw width).
 func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict) *ColumnEncoding {
 	n := c.Len()
-	e := &ColumnEncoding{ChunkRows: chunkRows}
+	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, 0, (n+chunkRows-1)/chunkRows)}
 	var codes []uint32 // per-row dictionary codes; nil: no dictionary
 	if c.Kind == vector.String && n > 0 {
 		codes = e.buildDict(c.Str, dict)
@@ -223,6 +230,8 @@ func encodeI64Chunk(v []int64) Chunk {
 		ch.Base, ch.BitW = mn, bitw
 		ch.Packed = make([]byte, vector.BitPackLen(rows, bitw))
 		vector.BitPack(ch.Packed, rows, bitw, func(i int) uint64 { return uint64(v[i]) - uint64(mn) })
+	default:
+		ch.ValI = v
 	}
 	return ch
 }
@@ -277,6 +286,8 @@ func encodeF64Chunk(v []float64) Chunk {
 		}
 		ch.RunF = append(ch.RunF, cur)
 		ch.RunN = append(ch.RunN, n)
+	} else {
+		ch.ValF = v
 	}
 	return ch
 }
@@ -333,16 +344,26 @@ func (e *ColumnEncoding) encodeStrChunk(v []string, codes []uint32) Chunk {
 		ch.BitW = e.DictBits
 		ch.Packed = make([]byte, vector.BitPackLen(rows, e.DictBits))
 		vector.BitPack(ch.Packed, rows, e.DictBits, func(i int) uint64 { return uint64(codes[i]) })
+	default:
+		ch.ValS = v
 	}
 	return ch
+}
+
+// rows returns the number of values the chunks cover.
+func (e *ColumnEncoding) rows() int {
+	if n := len(e.Chunks); n > 0 {
+		return e.Chunks[n-1].Start + e.Chunks[n-1].Rows
+	}
+	return 0
 }
 
 // chunkIndex returns the chunk covering row r.
 func (e *ColumnEncoding) chunkIndex(r int) int { return r / e.ChunkRows }
 
 // DecodeChunk materializes chunk ci of the column into buf, resetting it
-// first. Raw chunks copy from the retained raw arrays; the other encodings
-// reconstruct the exact original values.
+// first. Raw chunks copy their values; the other encodings reconstruct the
+// exact original values.
 func (c *Column) DecodeChunk(ci int, buf *ChunkBuf) {
 	ch := &c.Enc.Chunks[ci]
 	switch c.Kind {
@@ -350,7 +371,7 @@ func (c *Column) DecodeChunk(ci int, buf *ChunkBuf) {
 		buf.I64 = slices.Grow(buf.I64[:0], ch.Rows)[:ch.Rows]
 		switch ch.Enc {
 		case EncRaw:
-			copy(buf.I64, c.I64[ch.Start:])
+			copy(buf.I64, ch.ValI)
 		case EncRLE:
 			fillRuns(buf.I64, ch.RunI, ch.RunN)
 		case EncFOR:
@@ -363,7 +384,7 @@ func (c *Column) DecodeChunk(ci int, buf *ChunkBuf) {
 		buf.F64 = slices.Grow(buf.F64[:0], ch.Rows)[:ch.Rows]
 		switch ch.Enc {
 		case EncRaw:
-			copy(buf.F64, c.F64[ch.Start:])
+			copy(buf.F64, ch.ValF)
 		case EncRLE:
 			pos := 0
 			for r, b := range ch.RunF {
@@ -378,7 +399,7 @@ func (c *Column) DecodeChunk(ci int, buf *ChunkBuf) {
 		buf.Str = slices.Grow(buf.Str[:0], ch.Rows)[:ch.Rows]
 		switch ch.Enc {
 		case EncRaw:
-			copy(buf.Str, c.Str[ch.Start:])
+			copy(buf.Str, ch.ValS)
 		case EncRLE:
 			fillRuns(buf.Str, ch.RunS, ch.RunN)
 		case EncDict:

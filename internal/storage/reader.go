@@ -136,7 +136,7 @@ func (r *Reader) Next(out *vector.Batch) bool {
 }
 
 // copySpan appends rows [lo,hi) of every selected column to out. Raw columns
-// and raw-fallback chunks copy straight from the retained arrays; encoded
+// and raw-fallback chunks copy straight from where their values live; encoded
 // chunks decode into the per-column scratch once and serve every span that
 // touches them.
 func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
@@ -144,14 +144,7 @@ func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
 		c := r.t.Cols[ci]
 		dst := out.Cols[i]
 		if c.Enc == nil {
-			switch c.Kind {
-			case vector.Int64:
-				dst.I64 = append(dst.I64, c.I64[lo:hi]...)
-			case vector.Float64:
-				dst.F64 = append(dst.F64, c.F64[lo:hi]...)
-			case vector.String:
-				dst.Str = append(dst.Str, c.Str[lo:hi]...)
-			}
+			appendVals(dst, c.I64, c.F64, c.Str, lo, hi)
 			continue
 		}
 		for p := lo; p < hi; {
@@ -159,31 +152,28 @@ func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
 			ch := &c.Enc.Chunks[k]
 			end := min(hi, ch.Start+ch.Rows)
 			if ch.Enc == EncRaw {
-				switch c.Kind {
-				case vector.Int64:
-					dst.I64 = append(dst.I64, c.I64[p:end]...)
-				case vector.Float64:
-					dst.F64 = append(dst.F64, c.F64[p:end]...)
-				case vector.String:
-					dst.Str = append(dst.Str, c.Str[p:end]...)
+				appendVals(dst, ch.ValI, ch.ValF, ch.ValS, p-ch.Start, end-ch.Start)
+			} else {
+				cb := &r.bufs[i]
+				if cb.ci != k {
+					c.DecodeChunk(k, &cb.buf)
+					cb.ci = k
 				}
-				p = end
-				continue
-			}
-			cb := &r.bufs[i]
-			if cb.ci != k {
-				c.DecodeChunk(k, &cb.buf)
-				cb.ci = k
-			}
-			switch c.Kind {
-			case vector.Int64:
-				dst.I64 = append(dst.I64, cb.buf.I64[p-ch.Start:end-ch.Start]...)
-			case vector.Float64:
-				dst.F64 = append(dst.F64, cb.buf.F64[p-ch.Start:end-ch.Start]...)
-			case vector.String:
-				dst.Str = append(dst.Str, cb.buf.Str[p-ch.Start:end-ch.Start]...)
+				appendVals(dst, cb.buf.I64, cb.buf.F64, cb.buf.Str, p-ch.Start, end-ch.Start)
 			}
 			p = end
 		}
+	}
+}
+
+// appendVals appends window [lo,hi) of the slice matching dst's kind.
+func appendVals(dst *vector.Vector, i64 []int64, f64 []float64, str []string, lo, hi int) {
+	switch dst.Kind {
+	case vector.Int64:
+		dst.I64 = append(dst.I64, i64[lo:hi]...)
+	case vector.Float64:
+		dst.F64 = append(dst.F64, f64[lo:hi]...)
+	case vector.String:
+		dst.Str = append(dst.Str, str[lo:hi]...)
 	}
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
@@ -23,6 +24,7 @@ type Table struct {
 	byName     map[string]int
 	zones      []zonemap
 	compressed bool
+	derived    sync.Map // Derived's memo
 }
 
 // NewTable builds a table over the given columns, computes widths and
@@ -74,6 +76,7 @@ func newTable(name string, pageSize int64, cols []*Column, prev *Table) (*Table,
 // Idempotent; safe to call on a table already compressed.
 func (t *Table) Compress() {
 	t.compressed = true
+	t.derived.Clear() // whatever was derived from the uncompressed form is stale
 	var dict vector.StrDict
 	for i, c := range t.Cols {
 		c.finish() // chunk granularity is page-aligned at the raw width
@@ -84,6 +87,24 @@ func (t *Table) Compress() {
 
 // Compressed reports whether Compress has run on this table.
 func (t *Table) Compressed() bool { return t.compressed }
+
+// Derived returns the value memoised on this table under key, building it on
+// a miss. A published table never changes — an append or a merge publishes a
+// new one — so what is computed from its rows (the serialised partitions a
+// coordinator ships, say) holds for as long as the table is reachable and is
+// collected with it: no invalidation, no registry. Concurrent callers may each
+// build; the first to finish is kept and handed to all of them. A nil result
+// (a build that failed) is returned but not kept.
+func (t *Table) Derived(key any, build func() any) any {
+	if v, ok := t.derived.Load(key); ok {
+		return v
+	}
+	v := build()
+	if v != nil {
+		v, _ = t.derived.LoadOrStore(key, v)
+	}
+	return v
+}
 
 // CompressionStats aggregates the modeled compression outcome of a table.
 // Zero-valued when the table is uncompressed.
@@ -215,14 +236,25 @@ func (t *Table) Permute(perm []int32) (*Table, error) {
 // small-group relocation: "the low percentage of data in very small groups
 // ... is copied and appended once more to table T". Zonemaps are rebuilt.
 func (t *Table) AppendRows(ranges RowRanges) (*Table, error) {
+	return t.Extract(append(RowRanges{{0, t.rows}}, ranges...))
+}
+
+// Extract returns a new table holding the given row ranges of t, in the order
+// given (ranges may repeat or overlap), compressed when t is. Zonemaps are
+// rebuilt.
+func (t *Table) Extract(ranges RowRanges) (*Table, error) {
+	n := 0
+	for _, r := range ranges {
+		if r.Start < 0 || r.End > t.rows || r.Start > r.End {
+			return nil, fmt.Errorf("storage: range [%d,%d) outside table %q", r.Start, r.End, t.Name)
+		}
+		n += r.Len()
+	}
 	cols := make([]*Column, len(t.Cols))
 	for i, c := range t.Cols {
 		nc := &Column{Name: c.Name, Kind: c.Kind}
-		nc.appendRows(c, 0, t.rows)
+		nc.reserve(n)
 		for _, r := range ranges {
-			if r.Start < 0 || r.End > t.rows {
-				return nil, fmt.Errorf("storage: append range [%d,%d) outside table %q", r.Start, r.End, t.Name)
-			}
 			nc.appendRows(c, r.Start, r.End)
 		}
 		cols[i] = nc

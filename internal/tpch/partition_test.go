@@ -2,11 +2,13 @@ package tpch
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"bdcc/internal/plan"
+	"bdcc/internal/shard"
 )
 
 // TestPartitionedEquivalence is the shared-nothing leg of the scale-out
@@ -174,5 +176,115 @@ func TestPartitionedFailoverMidScan(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPartitionShipmentsBuiltOncePerTableVersion: the serialised partitions
+// of a table are built by the first query that ships that version of it and
+// reused — the very bytes — by every later query, set and racing planner; an
+// append publishes a new version, which builds its own, and the superseded
+// version's shipments are reachable only through the superseded table.
+func TestPartitionShipmentsBuiltOncePerTableVersion(t *testing.T) {
+	b, err := NewBenchmarkCompressed(0.005, true, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := b.DBs[plan.BDCC]
+	opt := RunOptions{Workers: 2, Shards: 2, Partition: true}
+	run := func(db *plan.DB, qn int, opt RunOptions) {
+		t.Helper()
+		q := Query(qn)
+		want, _, _, err := RunQueryOpts(db, q, RunOptions{Workers: 1, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, _, err := RunQueryOpts(db, q, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Name, err)
+		}
+		assertSameResult(t, q.Name+" partitioned", got, want)
+	}
+	same := func(a, b [][][]byte) bool {
+		if len(a) == 0 || len(a) != len(b) {
+			return false
+		}
+		for w := range a {
+			if len(a[w]) == 0 || len(a[w]) != len(b[w]) {
+				return false
+			}
+			for i := range a[w] {
+				if &a[w][i][0] != &b[w][i][0] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	li, err := db.StoredTable("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shard.MemoisedShipments(li, 2) != nil {
+		t.Fatal("shipments exist before any query shipped the table")
+	}
+	run(db, 12, opt) // each RunQueryOpts plans on a fresh set
+	first := shard.MemoisedShipments(li, 2)
+	if len(first) != 2 {
+		t.Fatalf("the first partitioned query left %d shipments, want 2", len(first))
+	}
+	run(db, 3, opt)
+	if !same(shard.MemoisedShipments(li, 2), first) {
+		t.Fatal("a second query on a fresh set rebuilt the shipments")
+	}
+	// Two planners racing on a worker count nobody has shipped build at most
+	// one shipment each and publish one.
+	three := opt
+	three.Shards = 3
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, _, err := RunQueryOpts(db, Query(12), three); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	raced := shard.MemoisedShipments(li, 3)
+	if len(raced) != 3 {
+		t.Fatalf("two racing planners left %d three-way shipments, want 3", len(raced))
+	}
+	run(db, 12, three)
+	if !same(shard.MemoisedShipments(li, 3), raced) || !same(shard.MemoisedShipments(li, 2), first) {
+		t.Fatal("a published shipment was replaced")
+	}
+
+	// An append publishes a new version of lineitem: it starts with nothing
+	// memoised, builds its own on first use, and leaves the old version's be.
+	if err := b.EnableIngest(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.AppendBatch(NewDeltaGen(b.Data, 3).Next(20)); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.Snapshot()
+	li2, err := snap.StoredTable("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if li2 == li || li2.Rows() <= li.Rows() {
+		t.Fatalf("the append published no new lineitem (%d rows, was %d)", li2.Rows(), li.Rows())
+	}
+	if shard.MemoisedShipments(li2, 2) != nil {
+		t.Fatal("the new version starts with the old version's shipments")
+	}
+	run(snap, 12, opt)
+	second := shard.MemoisedShipments(li2, 2)
+	if len(second) != 2 || same(second, first) {
+		t.Fatal("the new version did not build shipments of its own")
+	}
+	if !same(shard.MemoisedShipments(li, 2), first) {
+		t.Fatal("the append disturbed the superseded version's shipments")
 	}
 }

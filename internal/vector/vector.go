@@ -331,11 +331,14 @@ func (b *Batch) Bytes() int64 {
 // from the producing operator's reuse cycle. This is the canonical
 // batch-clone path: parallel feeders clone input batches before handing them
 // to workers, because producers reuse their output batch across Next calls.
+// The copy is sized to the rows it holds, not to BatchSize: group-pure
+// batches are often a handful of rows.
 func (b *Batch) Clone() *Batch {
-	out := NewBatch(b.Kinds())
-	out.AppendBatch(b)
-	out.GroupID = b.GroupID
-	out.Grouped = b.Grouped
+	out := &Batch{Cols: make([]*Vector, len(b.Cols)), GroupID: b.GroupID, Grouped: b.Grouped}
+	for i, c := range b.Cols {
+		out.Cols[i] = NewVector(c.Kind, c.Len())
+		out.Cols[i].AppendVector(c)
+	}
 	return out
 }
 

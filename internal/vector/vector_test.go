@@ -171,6 +171,9 @@ func TestBatchCloneDetached(t *testing.T) {
 	if c.Bytes() == 0 {
 		t.Fatal("clone reports zero footprint")
 	}
+	if got := cap(c.Cols[0].I64) + cap(c.Cols[1].Str); got > 2*5 {
+		t.Fatalf("a 5-row clone holds capacity for %d values", got)
+	}
 }
 
 // TestVectorAppendVectorAndSelected covers the column-level appends the
