@@ -108,12 +108,7 @@ func main() {
 		if set != nil {
 			ctx.Remotes = remoteAddrs
 			ctx.SharedBackends = true
-			ctx.Backends = set.Backends()
-			ctx.Route = set.Route
-			ctx.Net = set.Net()
-			ctx.Loads = set.Loads
-			ctx.Health = set.Health
-			ctx.FallbackUnits = set.LocalFallbackUnits
+			ctx.Backends, ctx.Cluster = set.Backends(), set
 		}
 		return ctx
 	}

@@ -98,7 +98,7 @@ type Backend interface {
 
 // BackendLoad is the routed load of one backend of a query's set: how many
 // group units the router placed on it and their total batch bytes. The shard
-// router records one entry per backend (Context.Loads); the balance-by-size
+// router records one entry per backend (Context.ShardLoads); the balance-by-size
 // policy places each group on the backend with the least cumulative bytes.
 type BackendLoad struct {
 	Units int64
@@ -106,7 +106,7 @@ type BackendLoad struct {
 }
 
 // BackendHealth is the failover-health snapshot of one backend of a query's
-// set, recorded by the shard failover layer (Context.Health): how many unit
+// set, recorded by the shard failover layer (Context.HealthStats): how many unit
 // attempts failed on it, how often it was marked down, how often the health
 // prober re-admitted it mid-query, and how many units its re-admitted
 // incarnations served. State is the prober's view of the slot: "up",

@@ -188,33 +188,14 @@ type Context struct {
 	// Shards exceeds one (one entry per shard); nil means single-box. The
 	// query owner closes it via CloseBackends once execution finishes.
 	Backends []Backend
-	// Route is the backend set's group-placement function (group id and
-	// unit bytes → backend index), installed together with Backends so
-	// every operator of the query — and every placement policy — agrees on
-	// where a group lives.
-	Route func(gid uint64, bytes int64) int
-	// Net records the cross-backend transport activity of a sharded query
-	// (one accountant shared by the backend set); nil when single-box. For
-	// simulated remotes the recorded time models a 10 GbE link; for real
-	// TCP backends the message and byte counts are real while the time
-	// remains the model's (the wall clock already contains the real cost).
-	Net *iosim.Accountant
-	// Loads reports the routed load per backend of the query's set (units
-	// and bytes placed on each shard); nil when single-box. Installed by
-	// the planner together with Backends.
-	Loads func() []BackendLoad
+	// Cluster is the set Backends belongs to, installed with it: where a
+	// group lives and what the set recorded. nil when single-box.
+	Cluster Cluster
 	// ProbeBase and ProbeMax tune the health prober's reconnect backoff for
 	// dialed TCP backends (first delay and cap of the jittered exponential
 	// sequence); zero values select the shard layer's defaults.
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
-	// Health reports the per-backend failover health of the query's set
-	// (retries, downs, re-admissions); nil when single-box. Installed by
-	// the planner together with Backends.
-	Health func() []BackendHealth
-	// FallbackUnits reports how many units ran on the coordinator's local
-	// fallback because no remote backend survived them; nil when single-box.
-	FallbackUnits func() int64
 	// Partition is the shared-nothing knob: with it set (and a backend set
 	// installed), the planner partitions each BDCC base table across the
 	// workers, ships every worker its partition once, and lowers scatter
@@ -222,60 +203,81 @@ type Context struct {
 	// storage — the coordinator charges no device I/O for them and only
 	// merges the returned group batches. Ignored when single-box.
 	Partition bool
-	// WorkerIO reports the per-worker scan device reads of a partitioned
-	// query (index-aligned with the backend set), fed by the read stats the
-	// workers return in scan units' done frames; nil when not partitioned.
-	// Installed by the planner together with Backends.
-	WorkerIO func() []iosim.Stats
 
 	sched *Sched
+}
+
+// Cluster is what the engine and its callers need of a backend set beyond the
+// backends themselves; *shard.Set is the implementation.
+type Cluster interface {
+	// Route is the set's group-placement function (group id and unit bytes →
+	// backend index), so every operator of the query — and every placement
+	// policy — agrees on where a group lives.
+	Route(gid uint64, bytes int64) int
+	// Net is the accountant the set's transports share. For simulated
+	// remotes the recorded time models a 10 GbE link; for real TCP backends
+	// the message and byte counts are real while the time remains the
+	// model's (the wall clock already contains the real cost).
+	Net() *iosim.Accountant
+	// Loads is the routed load per backend (units and bytes placed on each).
+	Loads() []BackendLoad
+	// Health is the per-backend failover health (retries, downs,
+	// re-admissions).
+	Health() []BackendHealth
+	// LocalFallbackUnits counts units that ran on the coordinator's local
+	// fallback because no remote backend survived them.
+	LocalFallbackUnits() int64
+	// ScanIO is the per-worker scan device reads of a partitioned query
+	// (index-aligned with the backends), fed by the read stats the workers
+	// return in scan units' done frames; nil when not partitioned.
+	ScanIO() []iosim.Stats
 }
 
 // WorkerIOStats returns the per-worker scan device reads of a partitioned
 // query; nil when single-box or not partitioned. Like ShardLoads, it must
 // be read before CloseBackends.
 func (c *Context) WorkerIOStats() []iosim.Stats {
-	if c == nil || c.WorkerIO == nil {
+	if c == nil || c.Cluster == nil {
 		return nil
 	}
-	return c.WorkerIO()
+	return c.Cluster.ScanIO()
 }
 
 // ShardLoads returns the per-backend routed load of the query's backend
 // set; nil when single-box.
 func (c *Context) ShardLoads() []BackendLoad {
-	if c == nil || c.Loads == nil {
+	if c == nil || c.Cluster == nil {
 		return nil
 	}
-	return c.Loads()
+	return c.Cluster.Loads()
 }
 
 // NetStats returns the modeled network activity of the query's backend set;
 // zero when single-box.
 func (c *Context) NetStats() iosim.Stats {
-	if c == nil || c.Net == nil {
+	if c == nil || c.Cluster == nil {
 		return iosim.Stats{}
 	}
-	return c.Net.Stats()
+	return c.Cluster.Net().Stats()
 }
 
 // HealthStats returns the per-backend failover health of the query's
 // backend set; nil when single-box. Like ShardLoads, it must be read before
 // CloseBackends.
 func (c *Context) HealthStats() []BackendHealth {
-	if c == nil || c.Health == nil {
+	if c == nil || c.Cluster == nil {
 		return nil
 	}
-	return c.Health()
+	return c.Cluster.Health()
 }
 
 // LocalFallbackUnits returns how many units ran on the coordinator's local
 // fallback because no remote backend survived them; zero when single-box.
 func (c *Context) LocalFallbackUnits() int64 {
-	if c == nil || c.FallbackUnits == nil {
+	if c == nil || c.Cluster == nil {
 		return 0
 	}
-	return c.FallbackUnits()
+	return c.Cluster.LocalFallbackUnits()
 }
 
 // CloseBackends shuts down the query's backend set, joining every backend's
@@ -294,12 +296,7 @@ func (c *Context) CloseBackends() error {
 			first = err
 		}
 	}
-	c.Backends = nil
-	c.Route = nil
-	c.Loads = nil
-	c.Health = nil
-	c.FallbackUnits = nil
-	c.WorkerIO = nil
+	c.Backends, c.Cluster = nil, nil
 	return first
 }
 

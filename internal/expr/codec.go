@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // This file is the expression wire codec: the byte form in which a scalar
@@ -33,7 +34,7 @@ import (
 //	  In     u8 negate, arg, u32 count, consts
 //	  Like   u8 negate, pattern, arg
 //
-// Strings are u32 byte length + raw bytes.
+// Strings are u32 byte length + raw bytes (wire.AppendString).
 
 // Expression node tags of the wire form. Tags are append-only: a new node
 // type takes the next free tag, existing tags never change meaning (see
@@ -53,70 +54,32 @@ const (
 	tagLike
 )
 
-// AppendString appends the wire form of s (u32 byte length + raw bytes) to
-// buf — the string layout shared by every codec of the wire protocol (this
-// package's expressions, internal/shard's fragments).
-func AppendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-// DecodeString decodes one wire-form string from the front of data,
-// returning it and the bytes consumed.
-func DecodeString(data []byte) (string, int, error) {
-	if len(data) < 4 {
-		return "", 0, fmt.Errorf("expr: truncated string length")
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	if len(data) < 4+n {
-		return "", 0, fmt.Errorf("expr: truncated string (%d of %d bytes)", len(data)-4, n)
-	}
-	return string(data[4 : 4+n]), 4 + n, nil
-}
-
 func encodeConst(c *Const, buf []byte) []byte {
 	buf = append(buf, byte(c.K))
 	switch c.K {
 	case vector.Float64:
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.F))
 	case vector.String:
-		buf = AppendString(buf, c.S)
+		buf = wire.AppendString(buf, c.S)
 	default:
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(c.I))
 	}
 	return buf
 }
 
-func decodeConst(data []byte) (*Const, int, error) {
-	if len(data) < 1 {
-		return nil, 0, fmt.Errorf("expr: truncated constant")
-	}
-	c := &Const{K: vector.Kind(data[0])}
-	pos := 1
+func readConst(r *wire.Reader) *Const {
+	c := &Const{K: vector.Kind(r.U8())}
 	switch c.K {
 	case vector.Float64:
-		if len(data) < pos+8 {
-			return nil, 0, fmt.Errorf("expr: truncated float constant")
-		}
-		c.F = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-		pos += 8
+		c.F = math.Float64frombits(r.U64())
 	case vector.String:
-		s, n, err := DecodeString(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		c.S = s
-		pos += n
+		c.S = r.Str()
 	case vector.Int64:
-		if len(data) < pos+8 {
-			return nil, 0, fmt.Errorf("expr: truncated int constant")
-		}
-		c.I = int64(binary.LittleEndian.Uint64(data[pos:]))
-		pos += 8
+		c.I = int64(r.U64())
 	default:
-		return nil, 0, fmt.Errorf("expr: constant of unknown kind %d", c.K)
+		r.Fail("constant of unknown kind %d", c.K)
 	}
-	return c, pos, nil
+	return c
 }
 
 // EncodeExpr appends the wire encoding of e to buf and returns the extended
@@ -126,7 +89,7 @@ func EncodeExpr(e Expr, buf []byte) ([]byte, error) {
 	var err error
 	switch n := e.(type) {
 	case *Col:
-		return AppendString(append(buf, tagCol), n.Name), nil
+		return wire.AppendString(append(buf, tagCol), n.Name), nil
 	case *Const:
 		return encodeConst(n, append(buf, tagConst)), nil
 	case *Cmp:
@@ -176,7 +139,7 @@ func EncodeExpr(e Expr, buf []byte) ([]byte, error) {
 		}
 		return buf, nil
 	case *Like:
-		buf = AppendString(append(buf, tagLike, b2b(n.Negate)), n.Pattern)
+		buf = wire.AppendString(append(buf, tagLike, b2b(n.Negate)), n.Pattern)
 		return EncodeExpr(n.Arg, buf)
 	}
 	return nil, fmt.Errorf("expr: cannot encode %T", e)
@@ -196,150 +159,63 @@ func encodeNary(tag byte, args []Expr, buf []byte) ([]byte, error) {
 // DecodeExpr decodes one expression from the front of data, returning the
 // tree (unbound — callers Bind it before Eval) and the bytes consumed.
 func DecodeExpr(data []byte) (Expr, int, error) {
-	if len(data) < 1 {
-		return nil, 0, fmt.Errorf("expr: truncated expression")
+	r := wire.NewReader(data)
+	e := readExpr(&r)
+	if err := r.Err(); err != nil {
+		return nil, 0, fmt.Errorf("expr: %w", err)
 	}
-	tag := data[0]
-	pos := 1
-	sub := func() (Expr, error) {
-		e, n, err := DecodeExpr(data[pos:])
-		pos += n
-		return e, err
+	return e, len(data) - r.Len(), nil
+}
+
+// readExpr reads one node and, recursively, its arguments. The reader bounds
+// the recursion (wire.MaxDepth) and checks every count against the bytes
+// left; after a failure the tree returned is garbage the caller drops.
+func readExpr(r *wire.Reader) Expr {
+	if !r.Enter() {
+		return nil
 	}
-	switch tag {
+	defer r.Leave()
+	switch tag := r.U8(); tag {
 	case tagCol:
-		name, n, err := DecodeString(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return C(name), pos + n, nil
+		return C(r.Str())
 	case tagConst:
-		c, n, err := decodeConst(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		return c, pos + n, nil
-	case tagCmp, tagArith:
-		if len(data) < pos+1 {
-			return nil, 0, fmt.Errorf("expr: truncated operator")
-		}
-		op := data[pos]
-		pos++
-		l, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		r, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		if tag == tagCmp {
-			return NewCmp(CmpOp(op), l, r), pos, nil
-		}
-		return NewArith(ArithOp(op), l, r), pos, nil
+		return readConst(r)
+	case tagCmp:
+		op := CmpOp(r.U8())
+		return NewCmp(op, readExpr(r), readExpr(r))
+	case tagArith:
+		op := ArithOp(r.U8())
+		return NewArith(op, readExpr(r), readExpr(r))
 	case tagAnd, tagOr:
-		if len(data) < pos+4 {
-			return nil, 0, fmt.Errorf("expr: truncated arity")
-		}
-		arity := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		// Every argument occupies at least one byte, so an arity beyond the
-		// remaining data is garbage — checked before it sizes an allocation.
-		if arity > len(data)-pos {
-			return nil, 0, fmt.Errorf("expr: arity %d exceeds %d remaining bytes", arity, len(data)-pos)
-		}
-		args := make([]Expr, 0, arity)
-		for i := 0; i < arity; i++ {
-			a, err := sub()
-			if err != nil {
-				return nil, 0, err
-			}
-			args = append(args, a)
+		args := make([]Expr, r.Count("arguments", r.U32(), 5)) // no node is shorter than an empty name
+		for i := 0; i < len(args) && r.Err() == nil; i++ {
+			args[i] = readExpr(r)
 		}
 		if tag == tagAnd {
-			return NewAnd(args...), pos, nil
+			return NewAnd(args...)
 		}
-		return NewOr(args...), pos, nil
+		return NewOr(args...)
 	case tagNot:
-		a, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		return NewNot(a), pos, nil
+		return NewNot(readExpr(r))
 	case tagCase:
-		when, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		then, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		els, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		return NewCase(when, then, els), pos, nil
+		return NewCase(readExpr(r), readExpr(r), readExpr(r))
 	case tagYear:
-		a, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		return NewYear(a), pos, nil
+		return NewYear(readExpr(r))
 	case tagSubstr:
-		a, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(data) < pos+8 {
-			return nil, 0, fmt.Errorf("expr: truncated substring bounds")
-		}
-		start := int(binary.LittleEndian.Uint32(data[pos:]))
-		length := int(binary.LittleEndian.Uint32(data[pos+4:]))
-		return NewSubstr(a, start, length), pos + 8, nil
+		return NewSubstr(readExpr(r), int(r.U32()), int(r.U32()))
 	case tagIn:
-		if len(data) < pos+1 {
-			return nil, 0, fmt.Errorf("expr: truncated IN header")
+		in := &InList{Negate: r.U8() != 0, Arg: readExpr(r)}
+		in.Values = make([]*Const, r.Count("IN values", r.U32(), 5))
+		for i := 0; i < len(in.Values) && r.Err() == nil; i++ {
+			in.Values[i] = readConst(r)
 		}
-		negate := data[pos] != 0
-		pos++
-		a, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		if len(data) < pos+4 {
-			return nil, 0, fmt.Errorf("expr: truncated IN count")
-		}
-		cnt := int(binary.LittleEndian.Uint32(data[pos:]))
-		pos += 4
-		in := &InList{Arg: a, Negate: negate}
-		for i := 0; i < cnt; i++ {
-			c, n, err := decodeConst(data[pos:])
-			if err != nil {
-				return nil, 0, err
-			}
-			in.Values = append(in.Values, c)
-			pos += n
-		}
-		return in, pos, nil
+		return in
 	case tagLike:
-		if len(data) < pos+1 {
-			return nil, 0, fmt.Errorf("expr: truncated LIKE header")
-		}
-		negate := data[pos] != 0
-		pos++
-		pattern, n, err := DecodeString(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		pos += n
-		a, err := sub()
-		if err != nil {
-			return nil, 0, err
-		}
-		return &Like{Arg: a, Pattern: pattern, Negate: negate}, pos, nil
+		return &Like{Negate: r.U8() != 0, Pattern: r.Str(), Arg: readExpr(r)}
+	default:
+		r.Fail("unknown expression tag %d", tag)
+		return nil
 	}
-	return nil, 0, fmt.Errorf("expr: unknown expression tag %d", tag)
 }
 
 func b2b(b bool) byte {

@@ -1,9 +1,11 @@
 package expr
 
 import (
+	"bytes"
 	"testing"
 
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // codecSchema is a schema covering all three kinds, for bind-and-eval
@@ -24,11 +26,9 @@ func codecBatch() *vector.Batch {
 	return b
 }
 
-// TestExprCodecRoundTrip checks every node type survives the wire: the
-// decoded tree renders identically, binds against the same schema, and
-// evaluates to the same values as the original.
-func TestExprCodecRoundTrip(t *testing.T) {
-	exprs := []Expr{
+// codecExprs holds every node type, some twice for their variants.
+func codecExprs() []Expr {
+	return []Expr{
 		C("a"),
 		Int(42),
 		Float(-0.5),
@@ -48,8 +48,14 @@ func TestExprCodecRoundTrip(t *testing.T) {
 		NewNotLike(C("c"), "b_"),
 		Between(C("a"), Int(-3), Int(3)),
 	}
+}
+
+// TestExprCodecRoundTrip checks every node type survives the wire: the
+// decoded tree renders identically, binds against the same schema, and
+// evaluates to the same values as the original.
+func TestExprCodecRoundTrip(t *testing.T) {
 	in := codecBatch()
-	for _, e := range exprs {
+	for _, e := range codecExprs() {
 		buf, err := EncodeExpr(e, nil)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", e, err)
@@ -123,4 +129,68 @@ func TestExprCodecTruncation(t *testing.T) {
 	if _, _, err := DecodeExpr([]byte{250}); err == nil {
 		t.Fatal("unknown tag decoded without error")
 	}
+}
+
+// TestDecodeExprDepthBounded: nesting is bounded by the reader, not by the
+// stack. Sixteen MiB of one-byte NOT tags — well under the frame cap a setup
+// frame may reach a worker with — used to recurse once per byte until the
+// runtime killed the process with a stack overflow no recover catches; it is
+// an error now, and a tree as deep as the bound still decodes.
+func TestDecodeExprDepthBounded(t *testing.T) {
+	if _, _, err := DecodeExpr(bytes.Repeat([]byte{tagNot}, 16<<20)); err == nil {
+		t.Fatal("16 MiB of nested NOTs decoded without error")
+	}
+	nest := func(depth int) []byte {
+		e := Expr(C("a"))
+		for i := 1; i < depth; i++ {
+			e = NewNot(e)
+		}
+		buf, err := EncodeExpr(e, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	if _, n, err := DecodeExpr(nest(wire.MaxDepth)); err != nil || n != len(nest(wire.MaxDepth)) {
+		t.Fatalf("a tree %d nodes deep: %v", wire.MaxDepth, err)
+	}
+	if _, _, err := DecodeExpr(nest(wire.MaxDepth + 1)); err == nil {
+		t.Fatalf("a tree %d nodes deep decoded", wire.MaxDepth+1)
+	}
+	// Width is not depth: siblings share a level.
+	wide := make([]Expr, 4*wire.MaxDepth)
+	for i := range wide {
+		wide[i] = Eq(C("a"), Int(int64(i)))
+	}
+	buf, err := EncodeExpr(NewOr(wide...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecodeExpr(buf); err != nil {
+		t.Fatalf("a wide, shallow tree: %v", err)
+	}
+}
+
+// FuzzDecodeExpr: arbitrary bytes offered as an expression decode cleanly or
+// error — never panic, never exhaust the stack — and what decodes survives
+// another trip through the codec. The committed corpus has one seed per node
+// type and the nesting bomb.
+func FuzzDecodeExpr(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e, n, err := DecodeExpr(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		buf, err := EncodeExpr(e, nil)
+		if err != nil {
+			t.Fatalf("a decoded tree does not encode: %v", err)
+		}
+		back, m, err := DecodeExpr(buf)
+		if err != nil || m != len(buf) || back.String() != e.String() {
+			t.Fatalf("%s re-encoded and decoded to %v (%v, %d of %d bytes)", e, back, err, m, len(buf))
+		}
+	})
 }

@@ -12,8 +12,8 @@ import (
 	"bdcc/internal/storage"
 )
 
-// Ingest attaches an append path to a DB. Each table gets a row-oriented
-// delta store (storage.Delta); every append publishes a fresh immutable view
+// Ingest attaches an append path to a DB. Each table gets a delta store
+// (storage.Delta); every append publishes a fresh immutable view
 // of the affected table — base plus the visible delta, in the scheme's own
 // layout — behind an atomic pointer, built from the previous view and the
 // batch at the cost of the batch and one copy of that table's views. Queries

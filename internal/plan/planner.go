@@ -296,10 +296,10 @@ func (p *Planner) sched() *engine.Sched {
 // address — a worker down at dial time joins the set down and the health
 // prober re-admits it when it answers, so only an empty address list fails
 // the query; otherwise the set's simulated remotes each run max(1, Workers)
-// pool goroutines. Either set shares one network accountant (Context.Net),
-// records per-backend routed loads (Context.Loads) and failover health
-// (Context.Health), and places groups by hash or — under Balance "size" —
-// by least cumulative bytes. The query owner closes the set via
+// pool goroutines. Either set is installed as the context's engine.Cluster:
+// it shares one network accountant, records per-backend routed loads and
+// failover health, and places groups by hash or — under Balance "size" — by
+// least cumulative bytes. The query owner closes the set via
 // Context.CloseBackends after execution.
 func (p *Planner) backends() ([]engine.Backend, error) {
 	if p.Ctx == nil || (p.Ctx.Shards < 2 && len(p.Ctx.Remotes) == 0) {
@@ -327,12 +327,7 @@ func (p *Planner) backends() ([]engine.Backend, error) {
 			set.BalanceBySize()
 		}
 		p.set = set
-		p.Ctx.Backends = set.Backends()
-		p.Ctx.Route = set.Route
-		p.Ctx.Net = set.Net()
-		p.Ctx.Loads = set.Loads
-		p.Ctx.Health = set.Health
-		p.Ctx.FallbackUnits = set.LocalFallbackUnits
+		p.Ctx.Backends, p.Ctx.Cluster = set.Backends(), set
 	}
 	return p.Ctx.Backends, nil
 }
@@ -365,7 +360,6 @@ func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Tab
 	}
 	part := p.set.PartitionTable(bt.Name, stored, bt.Count)
 	p.set.EnableScanIO(p.DB.Device)
-	p.Ctx.WorkerIO = p.set.ScanIO
 
 	schema := make(expr.Schema, len(s.Cols))
 	for i, name := range s.Cols {
@@ -552,7 +546,7 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 			// failover reroutes it; the exchange's group-order merge keeps
 			// results byte-identical to the single-box run.
 			op.Backends = bks
-			op.Route = p.Ctx.Route
+			op.Route = p.Ctx.Cluster.Route
 			p.logf("join: sandwich hash join on %s (%d group bits, groups sharded over %d backends, %d workers each)",
 				al.uP.Dim.Name, g, len(bks), bks[0].Workers())
 		} else if p.sched() != nil {

@@ -1,15 +1,14 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"bdcc/internal/engine"
+	"bdcc/internal/wire"
 )
 
 // Client is one session against a bdccd daemon: a framed connection whose
@@ -40,7 +39,7 @@ type response struct {
 // none). A token-mismatched daemon drops the connection without a reply,
 // surfacing here as a hello-reply read error.
 func Dial(addr, token string) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	conn, err := net.DialTimeout("tcp", addr, wire.HandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
@@ -50,35 +49,12 @@ func Dial(addr, token string) (*Client, error) {
 // NewClient performs the hello exchange on an established connection and
 // starts the response reader; it owns conn from this point on.
 func NewClient(conn net.Conn, name, token string) (*Client, error) {
-	if len(token) > 1<<16-1 {
-		conn.Close()
-		return nil, fmt.Errorf("serve: %s: auth token longer than the hello's u16 length field", name)
-	}
 	c := &Client{conn: conn, name: name, pending: make(map[uint64]chan response)}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	hello := append(frameBuf(), ProtoMagic...)
-	hello = binary.LittleEndian.AppendUint16(hello, ProtoVersion)
-	hello = binary.LittleEndian.AppendUint16(hello, uint16(len(token)))
-	hello = append(hello, token...)
-	if err := writeFrame(conn, 0, frameHello, hello); err != nil {
+	var err error
+	if c.pools, err = wire.Hello(conn, nil, ProtoMagic, ProtoVersion, token); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("serve: %s: hello: %w", name, err)
+		return nil, fmt.Errorf("serve: %s: %w", name, err)
 	}
-	_, typ, payload, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("serve: %s: hello reply: %w", name, err)
-	}
-	conn.SetDeadline(time.Time{})
-	if typ != frameHello || len(payload) < 4 {
-		conn.Close()
-		return nil, fmt.Errorf("serve: %s: malformed hello reply (type %d, %d bytes)", name, typ, len(payload))
-	}
-	if v := binary.LittleEndian.Uint16(payload); v != ProtoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("serve: %s speaks client protocol version %d, this build speaks %d", name, v, ProtoVersion)
-	}
-	c.pools = int(binary.LittleEndian.Uint16(payload[2:]))
 	c.loop.Add(1)
 	go c.readLoop()
 	return c, nil
@@ -105,7 +81,7 @@ func (c *Client) call(typ byte, frame []byte) (response, error) {
 	c.pending[id] = ch
 	c.mu.Unlock()
 	c.wmu.Lock()
-	err := writeFrame(c.conn, id, typ, frame)
+	err := wire.Write(c.conn, nil, id, typ, frame)
 	c.wmu.Unlock()
 	if err != nil {
 		c.fail(err)
@@ -127,11 +103,7 @@ func (c *Client) call(typ byte, frame []byte) (response, error) {
 // decoded bit-exactly. A daemon-side admission or memory rejection returns
 // an ErrRejected-wrapped error; a query failure returns its error text.
 func (c *Client) Query(scheme, query string) (*engine.Result, error) {
-	frame, err := encodeQuery(scheme, query, frameBuf())
-	if err != nil {
-		return nil, err
-	}
-	r, err := c.call(frameQuery, frame)
+	r, err := c.call(frameQuery, encodeQuery(scheme, query, wire.Buf()))
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +122,7 @@ func (c *Client) Query(scheme, query string) (*engine.Result, error) {
 
 // Stats fetches the daemon's admission and memory counters.
 func (c *Client) Stats() (Stats, error) {
-	r, err := c.call(frameStats, frameBuf())
+	r, err := c.call(frameStats, wire.Buf())
 	if err != nil {
 		return Stats{}, err
 	}
@@ -186,7 +158,7 @@ func (c *Client) fail(err error) {
 func (c *Client) readLoop() {
 	defer c.loop.Done()
 	for {
-		id, typ, payload, err := readFrame(c.conn)
+		id, typ, payload, err := wire.Read(c.conn, nil)
 		if err != nil {
 			c.fail(err)
 			return

@@ -13,32 +13,26 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"time"
 
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
-// Protocol identity of the client protocol: same frame layout as the worker
-// protocol (u32 length, u64 id, u8 type), its own magic so a client cannot
-// mistake a worker for a daemon, and its own version counter. The hello
-// exchange mirrors the worker protocol's v3 shape: magic + u16 version +
-// u16 token length + token, answered (only after the token verifies) with
-// u16 version + u16 pool count. Version 2 tracks the batch wire form gaining
-// its per-column encoding tag byte (result batches cross in that form, so an
-// old client would misparse them).
+// Protocol identity of the client protocol: the frame and the hello exchange
+// of internal/wire, under a magic of its own so a client cannot mistake a
+// worker for a daemon, and a version counter of its own. The daemon announces
+// its pool count as the hello's capacity.
 const (
 	ProtoMagic   = "BDCQ"
-	ProtoVersion = 2
+	ProtoVersion = 3
 )
 
-// Client-protocol frame types, numbered after the worker protocol's 1-7 so
-// the one WIRE.md frame table stays unambiguous.
+// Client-protocol frame types (wire.TypeHello, 1, opens the session),
+// numbered after the worker protocol's request types so the one WIRE.md frame
+// table stays unambiguous.
 const (
-	frameHello      = byte(1)  // both directions at session start
 	frameQuery      = byte(8)  // client → daemon: run one query; id = request id
 	frameResult     = byte(9)  // daemon → client: status + result; id = request id
 	frameStats      = byte(10) // client → daemon: admission/memory counters
@@ -52,18 +46,6 @@ const (
 	statusRejected = byte(2) // payload: reason (admission or memory rejection)
 )
 
-const frameHeader = 4 + 8 + 1
-
-// maxFramePayload mirrors the worker protocol's allocation bound.
-const maxFramePayload = 1 << 30
-
-// handshakeTimeout bounds the hello exchange on both sides.
-const handshakeTimeout = 10 * time.Second
-
-// frameWriteTimeout bounds every frame write, so a stalled peer becomes a
-// write error instead of a parked goroutine.
-const frameWriteTimeout = 2 * time.Minute
-
 // ErrRejected marks a query the daemon refused to run — the admission queue
 // was full, the bounded queue wait expired, or the process memory budget
 // could not cover it — as opposed to a query that ran and failed. Clients
@@ -73,115 +55,55 @@ var ErrRejected = errors.New("serve: query rejected")
 
 var errClosed = errors.New("serve: closed")
 
-func frameBuf() []byte { return make([]byte, frameHeader) }
-
-func writeFrame(conn net.Conn, id uint64, typ byte, frame []byte) error {
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
-	binary.LittleEndian.PutUint64(frame[4:], id)
-	frame[12] = typ
-	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
-	_, err := conn.Write(frame)
-	return err
-}
-
-func readFrame(conn net.Conn) (id uint64, typ byte, payload []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	id = binary.LittleEndian.Uint64(hdr[4:])
-	typ = hdr[12]
-	if n > maxFramePayload {
-		return 0, 0, nil, fmt.Errorf("serve: frame claims %d-byte payload (cap %d)", n, maxFramePayload)
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(conn, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	return id, typ, payload, nil
-}
-
-// encodeQuery lays out a frameQuery payload: u16 scheme length + scheme,
-// u16 query length + query.
-func encodeQuery(scheme, query string, buf []byte) ([]byte, error) {
-	if len(scheme) > 1<<16-1 || len(query) > 1<<16-1 {
-		return nil, fmt.Errorf("serve: scheme or query name over the u16 length field")
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scheme)))
-	buf = append(buf, scheme...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(query)))
-	buf = append(buf, query...)
-	return buf, nil
+// encodeQuery lays out a frameQuery payload: the scheme and the query name,
+// each a wire string (u32 length + bytes).
+func encodeQuery(scheme, query string, buf []byte) []byte {
+	return wire.AppendString(wire.AppendString(buf, scheme), query)
 }
 
 func decodeQuery(payload []byte) (scheme, query string, err error) {
-	take := func() (string, error) {
-		if len(payload) < 2 {
-			return "", fmt.Errorf("serve: truncated query frame")
-		}
-		n := int(binary.LittleEndian.Uint16(payload))
-		payload = payload[2:]
-		if len(payload) < n {
-			return "", fmt.Errorf("serve: truncated query frame")
-		}
-		s := string(payload[:n])
-		payload = payload[n:]
-		return s, nil
-	}
-	if scheme, err = take(); err != nil {
-		return "", "", err
-	}
-	if query, err = take(); err != nil {
-		return "", "", err
+	r := wire.NewReader(payload)
+	scheme, query = r.Str(), r.Str()
+	if err := r.Close(); err != nil {
+		return "", "", fmt.Errorf("serve: query frame: %w", err)
 	}
 	return scheme, query, nil
 }
 
 // encodeResult appends a result's wire form: u16 column count, each column
-// name (u16 length + bytes), then the columns in the exact batch encoding
+// name (a wire string), then the columns as one batch in the exact encoding
 // of internal/vector — IEEE-754 float bits and raw string bytes — so a
 // decoded result reproduces the original bit for bit.
 func encodeResult(res *engine.Result, buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(res.Schema)))
 	for _, c := range res.Schema {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(c.Name)))
-		buf = append(buf, c.Name...)
+		buf = wire.AppendString(buf, c.Name)
 	}
 	b := &vector.Batch{Cols: res.Cols}
 	return b.Encode(buf)
 }
 
 func decodeResult(data []byte) (*engine.Result, error) {
-	if len(data) < 2 {
-		return nil, fmt.Errorf("serve: truncated result encoding")
-	}
-	ncols := int(binary.LittleEndian.Uint16(data))
-	data = data[2:]
-	names := make([]string, ncols)
+	r := wire.NewReader(data)
+	names := make([]string, r.Count("result columns", uint32(r.U16()), 4))
 	for i := range names {
-		if len(data) < 2 {
-			return nil, fmt.Errorf("serve: truncated result schema")
-		}
-		n := int(binary.LittleEndian.Uint16(data))
-		data = data[2:]
-		if len(data) < n {
-			return nil, fmt.Errorf("serve: truncated result schema")
-		}
-		names[i] = string(data[:n])
-		data = data[n:]
+		names[i] = r.Str()
 	}
-	b, n, err := vector.DecodeBatch(data)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("serve: result schema: %w", err)
+	}
+	b, n, err := vector.DecodeBatch(r.Rest())
 	if err != nil {
 		return nil, err
 	}
-	if n != len(data) {
-		return nil, fmt.Errorf("serve: %d trailing bytes after result", len(data)-n)
+	r.Take(n)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("serve: result: %w", err)
 	}
-	if len(b.Cols) != ncols {
-		return nil, fmt.Errorf("serve: result names %d columns, carries %d", ncols, len(b.Cols))
+	if len(b.Cols) != len(names) {
+		return nil, fmt.Errorf("serve: result names %d columns, carries %d", len(names), len(b.Cols))
 	}
-	res := &engine.Result{Cols: b.Cols, Schema: make(expr.Schema, ncols)}
+	res := &engine.Result{Cols: b.Cols, Schema: make(expr.Schema, len(names))}
 	for i, c := range b.Cols {
 		res.Schema[i] = expr.ColMeta{Name: names[i], Kind: c.Kind}
 	}

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"crypto/subtle"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +9,7 @@ import (
 	"time"
 
 	"bdcc/internal/engine"
+	"bdcc/internal/wire"
 )
 
 // Handler runs one admitted query on the prepared context and returns its
@@ -299,36 +298,15 @@ func (s *Server) ServeConn(conn net.Conn) {
 // interleave freely), joined before the session ends.
 func (s *Server) session(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	_, typ, payload, err := readFrame(conn)
-	if err != nil || typ != frameHello || len(payload) < len(ProtoMagic)+4 ||
-		string(payload[:len(ProtoMagic)]) != ProtoMagic {
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	// Authenticate before replying, exactly like the worker protocol: a
-	// wrong-secret peer learns nothing, not even the version.
-	var token []byte
-	if n := int(binary.LittleEndian.Uint16(payload[len(ProtoMagic)+2:])); len(payload) >= len(ProtoMagic)+4+n {
-		token = payload[len(ProtoMagic)+4 : len(ProtoMagic)+4+n]
-	}
-	if subtle.ConstantTimeCompare(token, []byte(s.cfg.AuthToken)) != 1 {
+	if !wire.Accept(conn, ProtoMagic, ProtoVersion, s.cfg.AuthToken, s.cfg.Pools) {
 		return
 	}
 	var wmu sync.Mutex
-	reply := binary.LittleEndian.AppendUint16(frameBuf(), ProtoVersion)
-	reply = binary.LittleEndian.AppendUint16(reply, uint16(s.cfg.Pools))
-	if writeFrame(conn, 0, frameHello, reply) != nil {
-		return
-	}
-	if v := binary.LittleEndian.Uint16(payload[len(ProtoMagic):]); v != ProtoVersion {
-		return
-	}
 
 	var requests sync.WaitGroup
 	defer requests.Wait()
 	for {
-		id, typ, payload, err := readFrame(conn)
+		id, typ, payload, err := wire.Read(conn, nil)
 		if err != nil {
 			conn.Close() // unblock request goroutines parked writing
 			return
@@ -337,7 +315,7 @@ func (s *Server) session(conn net.Conn) {
 		case frameStats:
 			st, _ := json.Marshal(s.Stats())
 			wmu.Lock()
-			writeFrame(conn, id, frameStatsReply, append(frameBuf(), st...))
+			wire.Write(conn, nil, id, frameStatsReply, append(wire.Buf(), st...))
 			wmu.Unlock()
 		case frameQuery:
 			scheme, query, derr := decodeQuery(payload)
@@ -349,15 +327,15 @@ func (s *Server) session(conn net.Conn) {
 			go func(id uint64) {
 				defer requests.Done()
 				res, err := s.runQuery(scheme, query)
-				out := frameBuf()
+				out := wire.Buf()
 				switch {
 				case err == nil:
 					out = append(out, statusOK)
 					out = encodeResult(res, out)
-					if len(out)-frameHeader > maxFramePayload {
-						out = append(frameBuf(), statusError)
+					if len(out)-wire.HeaderLen > wire.MaxPayload {
+						out = append(wire.Buf(), statusError)
 						out = append(out, fmt.Sprintf("serve: result encodes to %d bytes, over the %d frame cap",
-							len(out)-frameHeader, maxFramePayload)...)
+							len(out)-wire.HeaderLen, wire.MaxPayload)...)
 					}
 				case errors.Is(err, ErrRejected):
 					out = append(out, statusRejected)
@@ -367,7 +345,7 @@ func (s *Server) session(conn net.Conn) {
 					out = append(out, err.Error()...)
 				}
 				wmu.Lock()
-				writeFrame(conn, id, frameResult, out)
+				wire.Write(conn, nil, id, frameResult, out)
 				wmu.Unlock()
 			}(id)
 		default:

@@ -8,13 +8,14 @@ import (
 	"bdcc/internal/expr"
 	"bdcc/internal/storage"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // Wire forms of the two plan-side payloads a backend transport carries (see
 // docs/WIRE.md for the full protocol):
 //
 // Group unit — the serialized shape of one engine.GroupUnit. Layout (little
-// endian, protocol v5):
+// endian):
 //
 //	u64 aligned group id
 //	u32 probe batch count, u32 build batch count
@@ -24,7 +25,7 @@ import (
 //	    carries no batches)
 //
 // Plan fragment — the serialized shape of one engine.Fragment, shipped once
-// per operator at query setup. Layout (little endian, protocol v5):
+// per operator at query setup. Layout (little endian):
 //
 //	u8 fragment kind             (0 join, 1 scan)
 //	table name                   (u32 length + bytes; empty for a join)
@@ -38,7 +39,8 @@ import (
 //
 // Both codecs are exact because the batch and expression codecs are: a
 // decoded unit joins (or scans) under a decoded fragment to bit-identical
-// results, which is what keeps sharded runs byte-identical.
+// results, which is what keeps sharded runs byte-identical. Both decode
+// through the bounds-checked wire.Reader.
 
 // EncodeUnit appends the wire encoding of u to buf and returns the extended
 // slice.
@@ -52,12 +54,7 @@ func EncodeUnit(u *engine.GroupUnit, buf []byte) []byte {
 	for _, b := range u.Build {
 		buf = b.Encode(buf)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(u.ScanRanges)))
-	for _, r := range u.ScanRanges {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Start))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(r.End))
-	}
-	return buf
+	return appendRanges(buf, u.ScanRanges)
 }
 
 // RawUnitWireSize returns the size EncodeUnit would produce with every batch
@@ -77,104 +74,90 @@ func RawUnitWireSize(u *engine.GroupUnit) int {
 // DecodeUnit decodes one group unit occupying all of data. The decoded unit
 // owns its memory — nothing aliases the sender's batches.
 func DecodeUnit(data []byte) (*engine.GroupUnit, error) {
-	if len(data) < 16 {
-		return nil, fmt.Errorf("shard: truncated unit header (%d bytes)", len(data))
-	}
-	u := &engine.GroupUnit{GID: binary.LittleEndian.Uint64(data)}
-	np := int(binary.LittleEndian.Uint32(data[8:]))
-	nb := int(binary.LittleEndian.Uint32(data[12:]))
-	pos := 16
-	for i := 0; i < np+nb; i++ {
-		b, n, err := vector.DecodeBatch(data[pos:])
+	r := wire.NewReader(data)
+	u := &engine.GroupUnit{GID: r.U64()}
+	np, nb := uint64(r.U32()), uint64(r.U32())
+	// A batch that is not there fails to decode, so the counts bound nothing.
+	for i := uint64(0); i < np+nb && r.Err() == nil; i++ {
+		b, n, err := vector.DecodeBatch(r.Rest())
 		if err != nil {
 			return nil, fmt.Errorf("shard: unit batch %d: %w", i, err)
 		}
-		pos += n
+		r.Take(n)
 		if i < np {
 			u.Probe = append(u.Probe, b)
 		} else {
 			u.Build = append(u.Build, b)
 		}
 	}
-	if len(data) < pos+4 {
-		return nil, fmt.Errorf("shard: truncated unit scan ranges")
-	}
-	nr := int(binary.LittleEndian.Uint32(data[pos:]))
-	pos += 4
-	if nr > 0 {
-		if len(data) < pos+16*nr {
-			return nil, fmt.Errorf("shard: truncated unit scan ranges")
-		}
-		u.ScanRanges = make(storage.RowRanges, nr)
-		for i := 0; i < nr; i++ {
-			u.ScanRanges[i] = storage.RowRange{
-				Start: int(binary.LittleEndian.Uint64(data[pos:])),
-				End:   int(binary.LittleEndian.Uint64(data[pos+8:])),
-			}
-			pos += 16
-		}
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("shard: %d trailing bytes after unit", len(data)-pos)
+	u.ScanRanges = readRanges(&r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("shard: unit: %w", err)
 	}
 	return u, nil
+}
+
+// appendRanges writes row ranges: u32 count, then per range u64 start + u64
+// end.
+func appendRanges(buf []byte, ranges storage.RowRanges) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ranges)))
+	for _, rr := range ranges {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rr.Start))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(rr.End))
+	}
+	return buf
+}
+
+// readRanges reads what appendRanges wrote, nil for none; a range that ends
+// before it starts, or starts below zero, fails the reader.
+func readRanges(r *wire.Reader) storage.RowRanges {
+	n := r.Count("row ranges", r.U32(), 16)
+	if n == 0 {
+		return nil
+	}
+	ranges := make(storage.RowRanges, n)
+	for i := range ranges {
+		ranges[i] = storage.RowRange{Start: int(r.U64()), End: int(r.U64())}
+		if ranges[i].Start < 0 || ranges[i].End < ranges[i].Start {
+			r.Fail("row range [%d,%d) malformed", ranges[i].Start, ranges[i].End)
+		}
+	}
+	return ranges
 }
 
 func appendSchema(buf []byte, s expr.Schema) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	for _, c := range s {
-		buf = expr.AppendString(buf, c.Name)
-		buf = append(buf, byte(c.Kind))
+		buf = append(wire.AppendString(buf, c.Name), byte(c.Kind))
 	}
 	return buf
 }
 
-func decodeSchema(data []byte) (expr.Schema, int, error) {
-	if len(data) < 2 {
-		return nil, 0, fmt.Errorf("shard: truncated schema")
-	}
-	n := int(binary.LittleEndian.Uint16(data))
-	pos := 2
-	s := make(expr.Schema, 0, n)
-	for i := 0; i < n; i++ {
-		name, w, err := expr.DecodeString(data[pos:])
-		if err != nil {
-			return nil, 0, err
+func readSchema(r *wire.Reader) expr.Schema {
+	s := make(expr.Schema, r.Count("columns", uint32(r.U16()), 5))
+	for i := range s {
+		s[i] = expr.ColMeta{Name: r.Str(), Kind: vector.Kind(r.U8())}
+		if s[i].Kind > vector.String {
+			r.Fail("column %q has unknown kind %d", s[i].Name, s[i].Kind)
 		}
-		pos += w
-		if len(data) < pos+1 {
-			return nil, 0, fmt.Errorf("shard: truncated column kind")
-		}
-		s = append(s, expr.ColMeta{Name: name, Kind: vector.Kind(data[pos])})
-		pos++
 	}
-	return s, pos, nil
+	return s
 }
 
 func appendStrs(buf []byte, ss []string) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ss)))
 	for _, s := range ss {
-		buf = expr.AppendString(buf, s)
+		buf = wire.AppendString(buf, s)
 	}
 	return buf
 }
 
-func decodeStrs(data []byte) ([]string, int, error) {
-	if len(data) < 2 {
-		return nil, 0, fmt.Errorf("shard: truncated string list")
+func readStrs(r *wire.Reader) []string {
+	ss := make([]string, r.Count("strings", uint32(r.U16()), 4))
+	for i := range ss {
+		ss[i] = r.Str()
 	}
-	n := int(binary.LittleEndian.Uint16(data))
-	pos := 2
-	ss := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		s, w, err := expr.DecodeString(data[pos:])
-		if err != nil {
-			return nil, 0, err
-		}
-		ss = append(ss, s)
-		pos += w
-	}
-	return ss, pos, nil
+	return ss
 }
 
 // EncodeFragment appends the wire encoding of f's plan description to buf
@@ -183,7 +166,7 @@ func decodeStrs(data []byte) ([]string, int, error) {
 // fragment itself.
 func EncodeFragment(f *engine.Fragment, buf []byte) ([]byte, error) {
 	buf = append(buf, byte(f.Kind))
-	buf = expr.AppendString(buf, f.Table)
+	buf = wire.AppendString(buf, f.Table)
 	buf = appendSchema(buf, f.Probe)
 	buf = appendSchema(buf, f.Build)
 	buf = appendStrs(buf, f.ProbeKeys)
@@ -200,48 +183,21 @@ func EncodeFragment(f *engine.Fragment, buf []byte) ([]byte, error) {
 // returned fragment is unprepared and unmetered; the caller Prepares it and
 // attaches its own execution-site hooks.
 func DecodeFragment(data []byte) (*engine.Fragment, error) {
-	f := &engine.Fragment{}
-	var n int
-	var err error
-	if len(data) < 1 {
-		return nil, fmt.Errorf("shard: truncated fragment kind")
-	}
-	f.Kind = engine.FragKind(data[0])
-	data = data[1:]
-	if f.Table, n, err = expr.DecodeString(data); err != nil {
-		return nil, fmt.Errorf("shard: fragment table: %w", err)
-	}
-	data = data[n:]
-	if f.Probe, n, err = decodeSchema(data); err != nil {
-		return nil, fmt.Errorf("shard: fragment probe schema: %w", err)
-	}
-	data = data[n:]
-	if f.Build, n, err = decodeSchema(data); err != nil {
-		return nil, fmt.Errorf("shard: fragment build schema: %w", err)
-	}
-	data = data[n:]
-	if f.ProbeKeys, n, err = decodeStrs(data); err != nil {
-		return nil, fmt.Errorf("shard: fragment probe keys: %w", err)
-	}
-	data = data[n:]
-	if f.BuildKeys, n, err = decodeStrs(data); err != nil {
-		return nil, fmt.Errorf("shard: fragment build keys: %w", err)
-	}
-	data = data[n:]
-	if len(data) < 2 {
-		return nil, fmt.Errorf("shard: truncated fragment trailer")
-	}
-	f.Type = engine.JoinType(data[0])
-	hasResidual := data[1] != 0
-	data = data[2:]
-	if hasResidual {
-		if f.Residual, n, err = expr.DecodeExpr(data); err != nil {
+	r := wire.NewReader(data)
+	f := &engine.Fragment{Kind: engine.FragKind(r.U8()), Table: r.Str()}
+	f.Probe, f.Build = readSchema(&r), readSchema(&r)
+	f.ProbeKeys, f.BuildKeys = readStrs(&r), readStrs(&r)
+	f.Type = engine.JoinType(r.U8())
+	if r.U8() != 0 && r.Err() == nil {
+		e, n, err := expr.DecodeExpr(r.Rest())
+		if err != nil {
 			return nil, fmt.Errorf("shard: fragment residual: %w", err)
 		}
-		data = data[n:]
+		f.Residual = e
+		r.Take(n)
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("shard: %d trailing bytes after fragment", len(data))
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("shard: fragment: %w", err)
 	}
 	return f, nil
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bdcc/internal/iosim"
+	"bdcc/internal/wire"
 )
 
 // Health probing: the recovery half of failover. A backend that fails is
@@ -28,7 +29,7 @@ type ProbeConfig struct {
 	// Max caps the backoff growth. Default 5s (and never below Base).
 	Max time.Duration
 	// DialTimeout bounds each reconnect dial plus hello exchange.
-	// Default handshakeTimeout.
+	// Default wire.HandshakeTimeout.
 	DialTimeout time.Duration
 	// PingTimeout bounds the liveness round-trip on a fresh connection.
 	// Default 2s.
@@ -46,7 +47,7 @@ func (p ProbeConfig) withDefaults() ProbeConfig {
 		p.Max = p.Base
 	}
 	if p.DialTimeout <= 0 {
-		p.DialTimeout = handshakeTimeout
+		p.DialTimeout = wire.HandshakeTimeout
 	}
 	if p.PingTimeout <= 0 {
 		p.PingTimeout = 2 * time.Second

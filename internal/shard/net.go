@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -14,6 +12,7 @@ import (
 	"bdcc/internal/engine"
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // This file is the network backend: the framed byte-stream protocol between
@@ -30,13 +29,19 @@ import (
 // peer could misparse (docs/WIRE.md describes the protocol as it stands).
 const (
 	ProtoMagic   = "BDCW"
-	ProtoVersion = 6
+	ProtoVersion = 7
 )
 
-// Transport frame types. Every frame is one message on the stream:
-// u32 payload length, u64 id, u8 type, payload.
+// Transport frame types; wire.TypeHello (1) opens the session. Every frame
+// is one message on the stream (internal/wire): u32 payload length, u64 id,
+// u8 type, payload. A sender checks its payload against wire.MaxPayload
+// first, failing only the oversized unit — a work error, not a backend
+// failure, so failover does not cascade it through the set (see
+// docs/WIRE.md). A frame write that hits wire.WriteTimeout is a write error:
+// the query side reroutes (ErrBackendDown) instead of blocking the feeder
+// under wmu, the worker side abandons the stalled session's unit instead of
+// parking tasks on the daemon's shared scheduler.
 const (
-	frameHello     = byte(1) // both directions at session start: version handshake
 	frameSetup     = byte(2) // query → worker: one plan fragment; id = fragment id
 	frameUnit      = byte(3) // query → worker: one group unit; id = unit id
 	frameBatch     = byte(4) // worker → query: one result batch; id = unit id
@@ -47,32 +52,6 @@ const (
 	framePartData  = byte(9) // query → worker: one column frame of a partition; id = partition id
 )
 
-const frameHeader = 4 + 8 + 1
-
-// maxFramePayload bounds what a peer can make us allocate from a 13-byte
-// header: well above any real unit (a group's batches), well below an
-// OOM-by-garbage. A frame claiming more is a protocol violation and drops
-// the session; the send side checks it first, failing only the oversized
-// unit — a work error, not a backend failure, so failover does not cascade
-// it through the set (see docs/WIRE.md).
-const maxFramePayload = 1 << 30
-
-// handshakeTimeout bounds Dial's connect and the hello exchange, so one
-// black-holed address or non-protocol listener fails the set instead of
-// hanging the query at planning.
-const handshakeTimeout = 10 * time.Second
-
-// frameWriteTimeout bounds every single frame write. A peer that is alive
-// at the TCP level but not consuming (a stopped process, a stalled
-// client) would otherwise park the writer forever once the transport
-// window fills — on the query side that blocks the feeder under wmu with
-// failover never triggering, on the worker side it parks unit tasks on
-// the daemon's shared scheduler and starves every other session. With the
-// deadline, a stall becomes a write error: the query side reroutes
-// (ErrBackendDown), the worker side abandons the stalled session's unit.
-// Generous — a 1 GiB frame crosses a 1 Gbps link in ~10 s.
-const frameWriteTimeout = 2 * time.Minute
-
 // ErrBackendDown marks transport-level backend failures — refused dials,
 // connection loss, protocol corruption — as opposed to unit work errors,
 // which cross the transport as frameDone text. The failover wrapper retries
@@ -81,69 +60,6 @@ const frameWriteTimeout = 2 * time.Minute
 var ErrBackendDown = errors.New("shard: backend down")
 
 var errClosed = errors.New("shard: backend closed")
-
-// frameBuf returns a payload buffer with the frame header reserved up
-// front, so encoders append payload bytes directly behind it and writeFrame
-// ships the single buffer with no second copy.
-func frameBuf() []byte { return make([]byte, frameHeader) }
-
-// writeFrame patches the reserved header of frame (a frameBuf-based buffer
-// whose payload starts at frameHeader) and sends it as one message on conn;
-// acct, when non-nil, charges the message to the network model. Callers
-// hold their direction's write mutex (one frame at a time per direction).
-func writeFrame(conn net.Conn, acct *iosim.Accountant, id uint64, typ byte, frame []byte) error {
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-frameHeader))
-	binary.LittleEndian.PutUint64(frame[4:], id)
-	frame[12] = typ
-	if acct != nil {
-		acct.AddRun(1, int64(len(frame)))
-	}
-	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
-	_, err := conn.Write(frame)
-	return err
-}
-
-// writeShared sends payload as one frame without owning it: the header goes
-// out from a buffer of its own and the payload from where it lies (one
-// writev on a TCP connection), so bytes shared by many sessions — a table
-// version's serialised partitions — are never copied behind a fresh header.
-// Callers hold their direction's write mutex.
-func writeShared(conn net.Conn, acct *iosim.Accountant, id uint64, typ byte, payload []byte) error {
-	bufs := net.Buffers{frameBuf(), payload}
-	binary.LittleEndian.PutUint32(bufs[0], uint32(len(payload)))
-	binary.LittleEndian.PutUint64(bufs[0][4:], id)
-	bufs[0][12] = typ
-	if acct != nil {
-		acct.AddRun(1, int64(frameHeader+len(payload)))
-	}
-	conn.SetWriteDeadline(time.Now().Add(frameWriteTimeout))
-	_, err := bufs.WriteTo(conn)
-	return err
-}
-
-// readFrame reads one framed message from conn, charging it to acct when
-// non-nil (the query side meters both directions; the worker meters none,
-// so every message is charged exactly once).
-func readFrame(conn net.Conn, acct *iosim.Accountant) (id uint64, typ byte, payload []byte, err error) {
-	var hdr [frameHeader]byte
-	if _, err = io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	id = binary.LittleEndian.Uint64(hdr[4:])
-	typ = hdr[12]
-	if n > maxFramePayload {
-		return 0, 0, nil, fmt.Errorf("shard: frame claims %d-byte payload (cap %d)", n, maxFramePayload)
-	}
-	payload = make([]byte, n)
-	if _, err = io.ReadFull(conn, payload); err != nil {
-		return 0, 0, nil, err
-	}
-	if acct != nil {
-		acct.AddRun(1, int64(frameHeader)+int64(n))
-	}
-	return id, typ, payload, nil
-}
 
 // client is the query half of the protocol: an engine.Backend over one
 // framed byte-stream connection. It ships each operator's plan fragment
@@ -201,7 +117,7 @@ type call struct {
 }
 
 // newClient performs the hello exchange on conn (bounded by
-// handshakeTimeout), presenting token as the shared secret (empty = none
+// wire.HandshakeTimeout), presenting token as the shared secret (empty = none
 // configured), and starts the response reader. It owns conn from this point
 // on (Close closes it). A worker whose token differs drops the connection
 // without a reply, which surfaces here as a hello-reply read error.
@@ -216,37 +132,12 @@ func newClient(conn net.Conn, name, token string, acct *iosim.Accountant) (*clie
 		pending:    make(map[uint64]*call),
 		pings:      make(map[uint64]chan error),
 	}
-	if len(token) > 1<<16-1 {
+	var err error
+	if c.workers, err = wire.Hello(conn, acct, ProtoMagic, ProtoVersion, token); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("shard: %s: auth token longer than the hello's u16 length field", name)
+		return nil, fmt.Errorf("shard: %s: %w", name, err)
 	}
-	conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	hello := append(frameBuf(), ProtoMagic...)
-	hello = binary.LittleEndian.AppendUint16(hello, ProtoVersion)
-	hello = binary.LittleEndian.AppendUint16(hello, uint16(len(token)))
-	hello = append(hello, token...)
-	if err := writeFrame(conn, c.net, 0, frameHello, hello); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: hello: %w", name, err)
-	}
-	_, typ, payload, err := readFrame(conn, c.net)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: hello reply: %w", name, err)
-	}
-	conn.SetDeadline(time.Time{})
-	if typ != frameHello || len(payload) < 4 {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: malformed hello reply (type %d, %d bytes)", name, typ, len(payload))
-	}
-	if v := binary.LittleEndian.Uint16(payload); v != ProtoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s speaks protocol version %d, this build speaks %d", name, v, ProtoVersion)
-	}
-	c.workers = int(binary.LittleEndian.Uint16(payload[2:]))
-	if c.workers < 1 {
-		c.workers = 1
-	}
+	c.workers = max(c.workers, 1)
 	c.loop.Add(1)
 	go c.readLoop()
 	return c, nil
@@ -288,9 +179,9 @@ func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved
 	}
 	id := c.nextPart
 	c.nextPart++
-	err := writeShared(c.conn, c.net, id, framePartTable, manifest)
+	err := wire.WriteShared(c.conn, c.net, id, framePartTable, manifest)
 	for i := 0; err == nil && i < len(data); i++ {
-		err = writeShared(c.conn, c.net, id, framePartData, data[i])
+		err = wire.WriteShared(c.conn, c.net, id, framePartData, data[i])
 	}
 	if err == nil {
 		c.parts[key] = id
@@ -326,19 +217,19 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 	// large, and reroutes run RunGroup concurrently with the feeder); the
 	// fragment-id slot after the frame header is patched once the id is
 	// known.
-	pl := EncodeUnit(u, append(frameBuf(), make([]byte, 8)...))
+	pl := EncodeUnit(u, append(wire.Buf(), make([]byte, 8)...))
 	// net_ms is charged on the encoded frame; the raw-form difference is
 	// recorded as wire savings (query side meters both directions, so each
 	// message's saving is counted exactly once).
-	if saved := RawUnitWireSize(u) - (len(pl) - frameHeader - 8); saved > 0 && c.net != nil {
+	if saved := RawUnitWireSize(u) - (len(pl) - wire.HeaderLen - 8); saved > 0 && c.net != nil {
 		c.net.AddSaved(int64(saved))
 	}
-	if len(pl)-frameHeader > maxFramePayload {
+	if len(pl)-wire.HeaderLen > wire.MaxPayload {
 		// Failing only this unit — as a work error, not a backend failure —
 		// keeps an oversized group from cascading through every backend of
 		// the set via failover.
 		c.resolve(id, fmt.Errorf("shard: group %d encodes to %d bytes, over the %d frame cap",
-			u.GID, len(pl)-frameHeader, maxFramePayload))
+			u.GID, len(pl)-wire.HeaderLen, wire.MaxPayload))
 		return
 	}
 
@@ -349,13 +240,13 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 	c.wmu.Lock()
 	fid, known := c.frags[frag]
 	if !known {
-		fpl, err := EncodeFragment(frag, frameBuf())
+		fpl, err := EncodeFragment(frag, wire.Buf())
 		if err != nil {
 			c.wmu.Unlock()
 			c.resolve(id, err) // a plan bug, not a transport failure: no reroute
 			return
 		}
-		key := string(fpl[frameHeader:])
+		key := string(fpl[wire.HeaderLen:])
 		if aliased, ok := c.fragsByKey[key]; ok {
 			// Identical wire form already on the worker (another query's
 			// instantiation of the same cached plan): alias its id.
@@ -364,7 +255,7 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 		} else {
 			fid = c.nextFrag
 			c.nextFrag++
-			if err := writeFrame(c.conn, c.net, fid, frameSetup, fpl); err != nil {
+			if err := wire.Write(c.conn, c.net, fid, frameSetup, fpl); err != nil {
 				c.wmu.Unlock()
 				c.fail(fmt.Errorf("ship fragment: %w", err))
 				return
@@ -376,8 +267,8 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 			c.fragsByKey[key] = fid
 		}
 	}
-	binary.LittleEndian.PutUint64(pl[frameHeader:], fid)
-	err := writeFrame(c.conn, c.net, id, frameUnit, pl)
+	binary.LittleEndian.PutUint64(pl[wire.HeaderLen:], fid)
+	err := wire.Write(c.conn, c.net, id, frameUnit, pl)
 	c.wmu.Unlock()
 	if err != nil {
 		c.fail(fmt.Errorf("ship unit: %w", err))
@@ -401,7 +292,7 @@ func (c *client) Ping(timeout time.Duration) error {
 	c.pings[id] = ch
 	c.mu.Unlock()
 	c.wmu.Lock()
-	err := writeFrame(c.conn, c.net, id, framePing, frameBuf())
+	err := wire.Write(c.conn, c.net, id, framePing, wire.Buf())
 	c.wmu.Unlock()
 	if err != nil {
 		// fail drains c.pings, so the select below resolves promptly.
@@ -430,12 +321,12 @@ func (c *client) Preload(frag *engine.Fragment) error {
 		c.wmu.Unlock()
 		return nil
 	}
-	fpl, err := EncodeFragment(frag, frameBuf())
+	fpl, err := EncodeFragment(frag, wire.Buf())
 	if err != nil {
 		c.wmu.Unlock()
 		return err
 	}
-	key := string(fpl[frameHeader:])
+	key := string(fpl[wire.HeaderLen:])
 	if aliased, ok := c.fragsByKey[key]; ok {
 		c.frags[frag] = aliased
 		c.wmu.Unlock()
@@ -443,7 +334,7 @@ func (c *client) Preload(frag *engine.Fragment) error {
 	}
 	fid := c.nextFrag
 	c.nextFrag++
-	werr := writeFrame(c.conn, c.net, fid, frameSetup, fpl)
+	werr := wire.Write(c.conn, c.net, fid, frameSetup, fpl)
 	if werr == nil {
 		c.frags[frag] = fid
 		c.fragsByKey[key] = fid
@@ -520,7 +411,7 @@ func (c *client) fail(err error) {
 func (c *client) readLoop() {
 	defer c.loop.Done()
 	for {
-		id, typ, payload, err := readFrame(c.conn, c.net)
+		id, typ, payload, err := wire.Read(c.conn, c.net)
 		if err != nil {
 			c.fail(err)
 			return
@@ -574,22 +465,21 @@ func (c *client) readLoop() {
 				// then — success only, scan units only — 24 bytes of
 				// little-endian per-unit scan read stats (runs, pages,
 				// bytes); on failure the error text.
-				switch {
-				case len(payload) < 1:
+				r := wire.NewReader(payload)
+				switch status := r.U8(); {
+				case r.Err() != nil:
 					c.dmu.Unlock()
 					c.fail(fmt.Errorf("done frame with empty payload"))
 					return
-				case payload[0] != 0:
-					cl.done(errors.New(string(payload[1:])))
+				case status != 0:
+					cl.done(errors.New(string(r.Rest())))
 				default:
-					if len(payload) >= 25 {
+					if runs, pages, bytes := r.U64(), r.U64(), r.U64(); r.Err() == nil {
 						c.mu.Lock()
 						fn := c.onScanIO
 						c.mu.Unlock()
 						if fn != nil {
-							fn(int64(binary.LittleEndian.Uint64(payload[1:])),
-								int64(binary.LittleEndian.Uint64(payload[9:])),
-								int64(binary.LittleEndian.Uint64(payload[17:])))
+							fn(int64(runs), int64(pages), int64(bytes))
 						}
 					}
 					cl.done(nil)
@@ -630,7 +520,7 @@ func Dial(addr string, acct *iosim.Accountant) (engine.Backend, error) {
 // (empty = no token). A token-mismatched worker drops the connection
 // without a reply, which surfaces as an ErrBackendDown-wrapped dial error.
 func DialToken(addr, token string, acct *iosim.Accountant) (engine.Backend, error) {
-	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	conn, err := net.DialTimeout("tcp", addr, wire.HandshakeTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("%w: dial %s: %v", ErrBackendDown, addr, err)
 	}
@@ -770,35 +660,10 @@ func (s *Server) ServeConn(conn net.Conn) {
 // returns while a unit still runs.
 func (s *Server) session(conn net.Conn) {
 	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	_, typ, payload, err := readFrame(conn, nil)
-	if err != nil || typ != frameHello || len(payload) < len(ProtoMagic)+2 ||
-		string(payload[:len(ProtoMagic)]) != ProtoMagic {
-		return // not a protocol peer (or one that stalled); no reply owed
-	}
-	conn.SetReadDeadline(time.Time{})
-	// Authenticate before replying: a peer with the wrong shared secret
-	// learns nothing — not the version, not that anything listens here
-	// beyond TCP. A hello too short to hold a token presents none, which
-	// only matches a server that requires none.
-	var token []byte
-	if rest := payload[len(ProtoMagic)+2:]; len(rest) >= 2 {
-		if n := int(binary.LittleEndian.Uint16(rest)); len(rest) >= 2+n {
-			token = rest[2 : 2+n]
-		}
-	}
-	if subtle.ConstantTimeCompare(token, []byte(s.token)) != 1 {
-		return // auth mismatch: drop without a reply
-	}
-	var wmu sync.Mutex
-	reply := binary.LittleEndian.AppendUint16(frameBuf(), ProtoVersion)
-	reply = binary.LittleEndian.AppendUint16(reply, uint16(s.sched.Workers()))
-	if writeFrame(conn, nil, 0, frameHello, reply) != nil {
+	if !wire.Accept(conn, ProtoMagic, ProtoVersion, s.token, s.sched.Workers()) {
 		return
 	}
-	if v := binary.LittleEndian.Uint16(payload[len(ProtoMagic):]); v != ProtoVersion {
-		return // versions must match exactly; the client reports the mismatch
-	}
+	var wmu sync.Mutex
 
 	frags := make(map[uint64]*engine.Fragment)
 	fragErrs := make(map[uint64]error)
@@ -806,7 +671,7 @@ func (s *Server) session(conn net.Conn) {
 	var tasks sync.WaitGroup
 	defer tasks.Wait()
 	for {
-		id, typ, payload, err := readFrame(conn, nil)
+		id, typ, payload, err := wire.Read(conn, nil)
 		if err != nil {
 			conn.Close() // unblock tasks parked writing before joining them
 			return
@@ -842,14 +707,15 @@ func (s *Server) session(conn net.Conn) {
 			}
 		case framePing:
 			wmu.Lock()
-			writeFrame(conn, nil, id, framePong, frameBuf())
+			wire.Write(conn, nil, id, framePong, wire.Buf())
 			wmu.Unlock()
 		case frameUnit:
-			if len(payload) < 8 {
+			r := wire.NewReader(payload)
+			fid := r.U64()
+			if r.Err() != nil {
 				conn.Close() // protocol corruption: drop the session
 				return
 			}
-			fid := binary.LittleEndian.Uint64(payload)
 			frag := frags[fid]
 			if frag == nil {
 				err := fragErrs[fid]
@@ -859,7 +725,7 @@ func (s *Server) session(conn net.Conn) {
 				s.finishUnit(conn, &wmu, id, nil, err)
 				continue
 			}
-			body := payload[8:]
+			body := r.Rest()
 			tasks.Add(1)
 			s.sched.Submit(-1, func(int) {
 				defer tasks.Done()
@@ -883,17 +749,17 @@ func (s *Server) session(conn net.Conn) {
 						if oversized != nil {
 							return // unit already failed; drop the rest
 						}
-						pl := b.Encode(frameBuf())
+						pl := b.Encode(wire.Buf())
 						// Mirror the client's send-side cap: shipping an
 						// over-cap result would make the client drop the
 						// session and failover cascade the same group —
 						// deterministically oversized — through every
 						// backend. Failing just this unit keeps it a work
 						// error.
-						if len(pl)-frameHeader > maxFramePayload {
+						if len(pl)-wire.HeaderLen > wire.MaxPayload {
 							if oversized == nil {
 								oversized = fmt.Errorf("shard: group %d result batch encodes to %d bytes, over the %d frame cap",
-									u.GID, len(pl)-frameHeader, maxFramePayload)
+									u.GID, len(pl)-wire.HeaderLen, wire.MaxPayload)
 							}
 							return
 						}
@@ -901,7 +767,7 @@ func (s *Server) session(conn net.Conn) {
 						// done frame below fails the same way and the read
 						// loop tears the session down.
 						wmu.Lock()
-						writeFrame(conn, nil, id, frameBatch, pl)
+						wire.Write(conn, nil, id, frameBatch, pl)
 						wmu.Unlock()
 					})
 					if err == nil {
@@ -933,7 +799,7 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 	if s.OnUnitDone != nil {
 		s.OnUnitDone(n)
 	}
-	msg := frameBuf()
+	msg := wire.Buf()
 	switch {
 	case err != nil:
 		msg = append(msg, 1)
@@ -947,7 +813,7 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 		msg = append(msg, 0)
 	}
 	wmu.Lock()
-	writeFrame(conn, nil, id, frameDone, msg)
+	wire.Write(conn, nil, id, frameDone, msg)
 	wmu.Unlock()
 }
 

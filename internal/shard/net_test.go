@@ -16,6 +16,7 @@ import (
 	"bdcc/internal/expr"
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // startWorker starts an in-process worker Server on a loopback TCP listener
@@ -142,7 +143,7 @@ func TestTCPBackendMatchesSerial(t *testing.T) {
 			}
 			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: 1}
 			ctx.Backends = set.Backends()
-			ctx.Net = set.Net()
+			ctx.Cluster = set
 			res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
 			if err != nil {
 				t.Fatal(err)
@@ -210,7 +211,7 @@ func TestFailoverReroutesKilledWorker(t *testing.T) {
 			}
 			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
 			ctx.Backends = set.Backends()
-			ctx.Net = set.Net()
+			ctx.Cluster = set
 			res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
 			if err != nil {
 				t.Fatalf("run with a killed worker failed instead of failing over: %v", err)
@@ -401,8 +402,8 @@ func TestDialFailureIsBackendDown(t *testing.T) {
 // worker answers a mismatched client hello with its own version and drops
 // the session without executing anything.
 func TestHelloVersionMismatch(t *testing.T) {
-	// A peer of the previous protocol (5: partitions shipped as row batches)
-	// or of any other version meets a worker of this one: the worker replies
+	// A peer of the previous protocol or of any other version meets a worker
+	// of this one: the worker replies
 	// with its real version, then drops the session.
 	for _, v := range []uint16{ProtoVersion - 1, ProtoVersion + 41} {
 		_, addr := startWorker(t, 1)
@@ -411,21 +412,21 @@ func TestHelloVersionMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello := append(frameBuf(), ProtoMagic...)
+		hello := append(wire.Buf(), ProtoMagic...)
 		hello = binary.LittleEndian.AppendUint16(hello, v)
-		if err := writeFrame(conn, nil, 0, frameHello, hello); err != nil {
+		if err := wire.Write(conn, nil, 0, wire.TypeHello, hello); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		_, typ, payload, err := readFrame(conn, nil)
+		_, typ, payload, err := wire.Read(conn, nil)
 		if err != nil {
 			t.Fatalf("no hello reply before drop: %v", err)
 		}
-		if typ != frameHello || binary.LittleEndian.Uint16(payload) != ProtoVersion {
+		if typ != wire.TypeHello || binary.LittleEndian.Uint16(payload) != ProtoVersion {
 			t.Fatalf("hello reply type %d version %d, want the worker's real version %d",
 				typ, binary.LittleEndian.Uint16(payload), ProtoVersion)
 		}
-		if _, _, _, err := readFrame(conn, nil); err != io.EOF {
+		if _, _, _, err := wire.Read(conn, nil); err != io.EOF {
 			t.Fatalf("worker kept a version-%d session open (read returned %v, want EOF)", v, err)
 		}
 	}
@@ -434,11 +435,11 @@ func TestHelloVersionMismatch(t *testing.T) {
 	local, remote := net.Pipe()
 	go func() {
 		defer remote.Close()
-		if _, _, _, err := readFrame(remote, nil); err != nil {
+		if _, _, _, err := wire.Read(remote, nil); err != nil {
 			return
 		}
-		reply := binary.LittleEndian.AppendUint16(frameBuf(), ProtoVersion-1)
-		writeFrame(remote, nil, 0, frameHello, binary.LittleEndian.AppendUint16(reply, 1))
+		reply := binary.LittleEndian.AppendUint16(wire.Buf(), ProtoVersion-1)
+		wire.Write(remote, nil, 0, wire.TypeHello, binary.LittleEndian.AppendUint16(reply, 1))
 	}()
 	_, err := newClient(local, "old-worker", "", nil)
 	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, this build speaks %d", ProtoVersion-1, ProtoVersion)) {
@@ -475,7 +476,7 @@ func TestSimWorkerMeters(t *testing.T) {
 	}
 }
 
-// TestHelloAuthToken locks in the v3 auth rule: a session presenting the
+// TestHelloAuthToken locks in the auth rule: a session presenting the
 // worker's shared secret works end to end, any mismatch — wrong token, or a
 // token where none is configured — is dropped without a reply.
 func TestHelloAuthToken(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
 	"bdcc/internal/storage"
-	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // Partition shipping: the wire form and both ends of the base-table
@@ -23,6 +23,7 @@ import (
 //	u64 page size
 //	u64 total rows
 //	u16 column count, then per column: name (u32 length + bytes), u8 kind
+//	    (a schema, as in a plan fragment)
 //	u32 segment count, then per segment: u64 start + u64 end
 //	    (coordinator row space, in ship order — the order the partition's
 //	    rows are stored in, and the order RangeMap assumes)
@@ -51,7 +52,7 @@ type partManifest struct {
 // encodePartManifest appends the manifest payload describing shipping the
 // given segments of tab to buf and returns the extended slice.
 func encodePartManifest(tab *storage.Table, segs storage.RowRanges, buf []byte) []byte {
-	buf = expr.AppendString(buf, tab.Name)
+	buf = wire.AppendString(buf, tab.Name)
 	if tab.Compressed() {
 		buf = append(buf, 1)
 	} else {
@@ -63,78 +64,28 @@ func encodePartManifest(tab *storage.Table, segs storage.RowRanges, buf []byte) 
 		rows += int64(s.Len())
 	}
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(rows))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(tab.Cols)))
-	for _, c := range tab.Cols {
-		buf = expr.AppendString(buf, c.Name)
-		buf = append(buf, byte(c.Kind))
+	cols := make(expr.Schema, len(tab.Cols))
+	for i, c := range tab.Cols {
+		cols[i] = expr.ColMeta{Name: c.Name, Kind: c.Kind}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(segs)))
-	for _, s := range segs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Start))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(s.End))
-	}
-	return buf
+	return appendRanges(appendSchema(buf, cols), segs)
 }
 
 // decodePartManifest decodes one manifest payload occupying all of data.
 func decodePartManifest(data []byte) (*partManifest, error) {
-	m := &partManifest{}
-	name, n, err := expr.DecodeString(data)
-	if err != nil {
-		return nil, fmt.Errorf("shard: partition manifest table: %w", err)
+	r := wire.NewReader(data)
+	m := &partManifest{Table: r.Str(), Compressed: r.U8() != 0, PageSize: int64(r.U64()), Rows: int64(r.U64())}
+	m.Cols, m.Segs = readSchema(&r), readRanges(&r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("shard: partition manifest: %w", err)
 	}
-	m.Table = name
-	data = data[n:]
-	if len(data) < 1+8+8+2 {
-		return nil, fmt.Errorf("shard: truncated partition manifest")
-	}
-	m.Compressed = data[0] != 0
-	m.PageSize = int64(binary.LittleEndian.Uint64(data[1:]))
-	m.Rows = int64(binary.LittleEndian.Uint64(data[9:]))
-	nc := int(binary.LittleEndian.Uint16(data[17:]))
-	data = data[19:]
-	m.Cols = make(expr.Schema, 0, nc)
-	for i := 0; i < nc; i++ {
-		cname, w, err := expr.DecodeString(data)
-		if err != nil {
-			return nil, fmt.Errorf("shard: partition manifest column: %w", err)
-		}
-		data = data[w:]
-		if len(data) < 1 {
-			return nil, fmt.Errorf("shard: truncated partition manifest column kind")
-		}
-		if data[0] > byte(vector.String) {
-			return nil, fmt.Errorf("shard: partition column %q has unknown kind %d", cname, data[0])
-		}
-		m.Cols = append(m.Cols, expr.ColMeta{Name: cname, Kind: vector.Kind(data[0])})
-		data = data[1:]
-	}
-	if m.PageSize <= 0 || m.Rows < 0 || len(m.Cols) == 0 {
-		return nil, fmt.Errorf("shard: malformed partition manifest for %q", m.Table)
-	}
-	if len(data) < 4 {
-		return nil, fmt.Errorf("shard: truncated partition manifest segments")
-	}
-	ns := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if len(data) != 16*ns {
-		return nil, fmt.Errorf("shard: partition manifest segment section is %d bytes, want %d", len(data), 16*ns)
-	}
-	m.Segs = make(storage.RowRanges, ns)
 	var segRows int64
-	for i := 0; i < ns; i++ {
-		m.Segs[i] = storage.RowRange{
-			Start: int(binary.LittleEndian.Uint64(data)),
-			End:   int(binary.LittleEndian.Uint64(data[8:])),
-		}
-		if m.Segs[i].Start < 0 || m.Segs[i].End < m.Segs[i].Start {
-			return nil, fmt.Errorf("shard: partition manifest segment [%d,%d) malformed", m.Segs[i].Start, m.Segs[i].End)
-		}
-		segRows += int64(m.Segs[i].Len())
-		data = data[16:]
+	for _, s := range m.Segs {
+		segRows += int64(s.Len())
 	}
-	if segRows != m.Rows {
-		return nil, fmt.Errorf("shard: partition manifest for %q declares %d rows but segments cover %d", m.Table, m.Rows, segRows)
+	if m.PageSize <= 0 || len(m.Cols) == 0 || segRows != m.Rows {
+		return nil, fmt.Errorf("shard: malformed partition manifest for %q: page size %d, %d columns, %d rows declared, segments cover %d",
+			m.Table, m.PageSize, len(m.Cols), m.Rows, segRows)
 	}
 	return m, nil
 }
@@ -258,8 +209,8 @@ func (p *partStore) source(table string) (engine.ScanTable, error) {
 
 // partFrameBytes is the size at which a column frame of a shipment is closed
 // (storage.Table.Frames): large enough that a partition is a few dozen
-// messages, small enough that no frame approaches maxFramePayload or
-// frameWriteTimeout however large the table.
+// messages, small enough that no frame approaches wire.MaxPayload or
+// wire.WriteTimeout however large the table.
 const partFrameBytes = 4 << 20
 
 // partShipment is the serialised form of one worker's partition of one

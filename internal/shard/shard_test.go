@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
+	"bdcc/internal/wire"
 )
 
 // groupStream is a test operator producing a synthetic grouped stream:
@@ -266,7 +268,7 @@ func TestShardedSandwichMatchesSerial(t *testing.T) {
 				set.BalanceBySize()
 			}
 			ctx.Backends = set.Backends()
-			ctx.Net = set.Net()
+			ctx.Cluster = set
 			check(t, ctx, set.Backends(), set.Route)
 			if err := ctx.CloseBackends(); err != nil {
 				t.Fatal(err)
@@ -313,7 +315,7 @@ func TestShardedSandwichEarlyClose(t *testing.T) {
 			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
 			set := NewSet(3, workers, PaperNet())
 			ctx.Backends = set.Backends()
-			ctx.Net = set.Net()
+			ctx.Cluster = set
 			lim := &engine.Limit{Child: sandwich(ctx, set.Backends(), set.Route), N: 7}
 			res, err := engine.Run(ctx, lim)
 			if err != nil {
@@ -453,7 +455,7 @@ func TestSimTransportCorruptionFailsFast(t *testing.T) {
 	// Inject garbage where the worker expects a setup or unit frame: an
 	// unknown frame type makes the worker drop the session.
 	s.client.wmu.Lock()
-	err := writeFrame(s.client.conn, nil, 99, 42, frameBuf())
+	err := wire.Write(s.client.conn, nil, 99, 42, wire.Buf())
 	s.client.wmu.Unlock()
 	if err != nil {
 		t.Fatal(err)
@@ -516,7 +518,7 @@ func TestSimNetAccounting(t *testing.T) {
 	set := NewSet(2, 2, PaperNet())
 	ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: 1}
 	ctx.Backends = set.Backends()
-	ctx.Net = set.Net()
+	ctx.Cluster = set
 	if _, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route)); err != nil {
 		t.Fatal(err)
 	}
@@ -534,4 +536,21 @@ func TestSimNetAccounting(t *testing.T) {
 	if err := ctx.CloseBackends(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecodeUnit: arbitrary bytes offered as a group unit decode cleanly or
+// error, never panic, and what decodes re-encodes to a unit of the same shape.
+// The committed corpus has a join unit, a scan unit and an empty one.
+func FuzzDecodeUnit(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		u, err := DecodeUnit(data)
+		if err != nil {
+			return
+		}
+		back, err := DecodeUnit(EncodeUnit(u, nil))
+		if err != nil || back.GID != u.GID || len(back.Probe) != len(u.Probe) || len(back.Build) != len(u.Build) ||
+			!slices.Equal(back.ScanRanges, u.ScanRanges) || back.Bytes() != u.Bytes() {
+			t.Fatalf("a decoded unit does not survive the codec: %v", err)
+		}
+	})
 }

@@ -1,29 +1,22 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"sync"
 
 	"bdcc/internal/vector"
 )
 
-// This file implements the ingest side of storage: a row-oriented delta
-// store per table. Appended rows are encoded into self-validating segments
-// (the delta's "on-disk" format, see EncodeDeltaSegment) and decoded back
-// into columnar form when a merge consolidates base + delta. The
-// delta is deliberately row-oriented and unencoded: fresh rows arrive one
-// transaction at a time and are rewritten into clustered, compressed form by
-// the background merge, so paying columnar encoding on the append path would
-// buy nothing (the classic delta-store / read-optimized-store split).
+// This file implements the ingest side of storage: a delta store per table.
+// An appended batch is kept as one self-validating segment — the column
+// frames of the batch as a plain table (Table.Frames, wire.go) — and adopted
+// back into columnar form (TableAdopter) when a merge consolidates base +
+// delta, so a torn or corrupted segment is an error at merge time instead of
+// wrong rows in a snapshot. Fresh rows are rewritten into clustered,
+// compressed form by the background merge; the segments stay raw chunks.
 
-// deltaSegMagic marks a delta segment; the trailing byte versions the format.
-var deltaSegMagic = [4]byte{'B', 'D', 'L', '1'}
-
-// Delta is the append store of one table: a bounded sequence of encoded row
-// segments sharing the base table's schema. Appends are serialized by an
+// Delta is the append store of one table: a bounded sequence of segments
+// sharing the base table's schema. Appends are serialized by an
 // internal mutex; readers never touch the Delta directly — they read the
 // immutable snapshot tables built from the batch at append time and from
 // Prefix at merge time.
@@ -39,11 +32,15 @@ type Delta struct {
 	appended int64
 }
 
-// deltaSeg is one encoded append batch.
+// deltaSeg is one append batch: the column frames of its rows.
 type deltaSeg struct {
-	data []byte
-	rows int
+	frames [][]byte
+	rows   int
 }
+
+// deltaFrameBytes is where a segment's column frames close (Table.Frames):
+// far above an append batch's column, so a segment is one frame per column.
+const deltaFrameBytes = 4 << 20
 
 // NewDelta returns an empty delta store adopting the base table's schema and
 // page geometry.
@@ -71,8 +68,8 @@ func (d *Delta) AppendedRows() int64 {
 	return d.appended
 }
 
-// Append encodes the given rows as one segment and adds it to the store. The
-// rows table must match the delta's schema by name, kind and column order.
+// Append adds the given rows to the store as one segment. The rows table must
+// be uncompressed and match the delta's schema by name, kind and column order.
 // It returns the visible row count after the append.
 func (d *Delta) Append(rows *Table) (int, error) {
 	if rows.Rows() == 0 {
@@ -81,19 +78,19 @@ func (d *Delta) Append(rows *Table) (int, error) {
 	if err := d.checkSchema(rows); err != nil {
 		return 0, err
 	}
-	seg, err := EncodeDeltaSegment(rows)
-	if err != nil {
-		return 0, err
-	}
+	seg := deltaSeg{frames: rows.Frames(deltaFrameBytes), rows: rows.Rows()}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.segs = append(d.segs, deltaSeg{data: seg, rows: rows.Rows()})
+	d.segs = append(d.segs, seg)
 	d.rows += rows.Rows()
 	d.appended += int64(rows.Rows())
 	return d.rows, nil
 }
 
 func (d *Delta) checkSchema(t *Table) error {
+	if t.Compressed() {
+		return fmt.Errorf("storage: delta %q: compressed append", d.name)
+	}
 	if len(t.Cols) != len(d.cols) {
 		return fmt.Errorf("storage: delta %q: %d columns appended, schema has %d", d.name, len(t.Cols), len(d.cols))
 	}
@@ -106,7 +103,7 @@ func (d *Delta) checkSchema(t *Table) error {
 	return nil
 }
 
-// Prefix decodes the first k rows into an uncompressed columnar table in
+// Prefix adopts the first k rows into an uncompressed columnar table in
 // arrival order. k must fall on a segment boundary — appends are atomic, so
 // every snapshot's visible count does. Only a merge (and the tests) decode
 // the store: an append extends the views by the columnar batch it was handed.
@@ -128,7 +125,7 @@ func (d *Delta) Prefix(k int) (*Table, error) {
 		if got+seg.rows > k {
 			return nil, fmt.Errorf("storage: delta %q: prefix %d splits a %d-row segment at %d", d.name, k, seg.rows, got)
 		}
-		part, err := DecodeDeltaSegment(seg.data, d.cols, d.kinds, d.pageSize, d.name)
+		part, err := d.adopt(seg)
 		if err != nil {
 			return nil, err
 		}
@@ -158,130 +155,20 @@ func (d *Delta) TruncatePrefix(k int) error {
 	return nil
 }
 
-// EncodeDeltaSegment serializes a row batch into the delta segment format:
-//
-//	magic "BDL1" | uvarint rows | uvarint cols | per column: kind byte |
-//	row-major values (int64: 8 B LE; float64: 8 B LE IEEE bits;
-//	string: uvarint length + bytes) | CRC-32 (IEEE) of everything after the
-//	magic, little-endian.
-//
-// The checksum makes torn or corrupted segments detectable at decode time
-// instead of silently surfacing wrong rows in a snapshot.
-func EncodeDeltaSegment(t *Table) ([]byte, error) {
-	out := append([]byte(nil), deltaSegMagic[:]...)
-	out = binary.AppendUvarint(out, uint64(t.Rows()))
-	out = binary.AppendUvarint(out, uint64(len(t.Cols)))
-	for _, c := range t.Cols {
-		out = append(out, byte(c.Kind))
+// adopt verifies a segment's frames and rebuilds the batch they hold. Any
+// damage — a failed checksum, a structure the frames' checks refuse, a frame
+// missing or left over — is an error, never a panic or a half-adopted table.
+func (d *Delta) adopt(seg deltaSeg) (*Table, error) {
+	a, err := NewTableAdopter(d.name, d.pageSize, seg.rows, false, d.cols, d.kinds)
+	if err != nil {
+		return nil, err
 	}
-	var b8 [8]byte
-	for r := 0; r < t.Rows(); r++ {
-		for _, c := range t.Cols {
-			switch c.Kind {
-			case vector.Int64:
-				binary.LittleEndian.PutUint64(b8[:], uint64(c.I64[r]))
-				out = append(out, b8[:]...)
-			case vector.Float64:
-				binary.LittleEndian.PutUint64(b8[:], math.Float64bits(c.F64[r]))
-				out = append(out, b8[:]...)
-			case vector.String:
-				out = binary.AppendUvarint(out, uint64(len(c.Str[r])))
-				out = append(out, c.Str[r]...)
-			default:
-				return nil, fmt.Errorf("storage: delta segment: unsupported kind %s", c.Kind)
-			}
+	for _, f := range seg.frames {
+		if _, _, err := a.Add(f); err != nil {
+			return nil, err
 		}
 	}
-	crc := crc32.ChecksumIEEE(out[len(deltaSegMagic):])
-	binary.LittleEndian.PutUint32(b8[:4], crc)
-	return append(out, b8[:4]...), nil
-}
-
-// DecodeDeltaSegment parses a segment back into an uncompressed table with
-// the given column names. The segment's column kinds must match the expected
-// schema and the checksum must verify; any structural damage — truncation,
-// bit flips, oversized counts — returns an error, never a panic or a
-// half-decoded table.
-func DecodeDeltaSegment(data []byte, cols []string, kinds []vector.Kind, pageSize int64, name string) (*Table, error) {
-	bad := func(format string, args ...any) (*Table, error) {
-		return nil, fmt.Errorf("storage: delta segment of %q: %s", name, fmt.Sprintf(format, args...))
-	}
-	if len(data) < len(deltaSegMagic)+4 {
-		return bad("%d bytes is shorter than magic and checksum", len(data))
-	}
-	if [4]byte(data[:4]) != deltaSegMagic {
-		return bad("bad magic %q", data[:4])
-	}
-	body := data[len(deltaSegMagic) : len(data)-4]
-	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != want {
-		return bad("checksum %08x, segment says %08x", got, want)
-	}
-	rows, n := binary.Uvarint(body)
-	if n <= 0 {
-		return bad("unreadable row count")
-	}
-	body = body[n:]
-	ncols, n := binary.Uvarint(body)
-	if n <= 0 {
-		return bad("unreadable column count")
-	}
-	body = body[n:]
-	if ncols != uint64(len(kinds)) {
-		return bad("%d columns, schema has %d", ncols, len(kinds))
-	}
-	// Eight bytes per numeric value bounds rows by the remaining payload, so
-	// a corrupted count cannot drive allocation.
-	if uint64(len(body)) < ncols || rows > uint64(len(body)) {
-		return bad("%d rows cannot fit in %d payload bytes", rows, len(body))
-	}
-	for i, k := range kinds {
-		if vector.Kind(body[i]) != k {
-			return bad("column %d has kind %d, schema has %s", i, body[i], k)
-		}
-	}
-	body = body[ncols:]
-	out := make([]*Column, len(kinds))
-	for i := range out {
-		out[i] = &Column{Name: cols[i], Kind: kinds[i]}
-		switch kinds[i] {
-		case vector.Int64:
-			out[i].I64 = make([]int64, 0, rows)
-		case vector.Float64:
-			out[i].F64 = make([]float64, 0, rows)
-		case vector.String:
-			out[i].Str = make([]string, 0, rows)
-		}
-	}
-	for r := uint64(0); r < rows; r++ {
-		for i, k := range kinds {
-			switch k {
-			case vector.Int64:
-				if len(body) < 8 {
-					return bad("row %d column %d truncated", r, i)
-				}
-				out[i].I64 = append(out[i].I64, int64(binary.LittleEndian.Uint64(body)))
-				body = body[8:]
-			case vector.Float64:
-				if len(body) < 8 {
-					return bad("row %d column %d truncated", r, i)
-				}
-				out[i].F64 = append(out[i].F64, math.Float64frombits(binary.LittleEndian.Uint64(body)))
-				body = body[8:]
-			case vector.String:
-				ln, n := binary.Uvarint(body)
-				if n <= 0 || ln > uint64(len(body[n:])) {
-					return bad("row %d column %d string length %d overruns segment", r, i, ln)
-				}
-				out[i].Str = append(out[i].Str, string(body[n:n+int(ln)]))
-				body = body[n+int(ln):]
-			}
-		}
-	}
-	if len(body) != 0 {
-		return bad("%d trailing bytes after %d rows", len(body), rows)
-	}
-	return NewTable(name, pageSize, out...)
+	return a.Table()
 }
 
 // Concat returns a new uncompressed table holding the first aRows rows of a

@@ -60,67 +60,90 @@ func sameRows(t *testing.T, got, want *Table) {
 	}
 }
 
+// segmentOf appends src to a fresh delta and returns the store with the one
+// segment it now holds: the column frames of src.
+func segmentOf(t testing.TB, src *Table) (*Delta, deltaSeg) {
+	t.Helper()
+	d := NewDelta(src)
+	if _, err := d.Append(src); err != nil {
+		t.Fatalf("append %d rows: %v", src.Rows(), err)
+	}
+	return d, d.segs[0]
+}
+
 func TestDeltaSegmentRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 7, 513} {
+	for _, n := range []int{1, 7, 513, 2 * plainSpanRows} {
 		src := deltaFixture(t, "rt", n, int64(n))
-		seg, err := EncodeDeltaSegment(src)
-		if err != nil {
-			t.Fatalf("encode %d rows: %v", n, err)
+		d, seg := segmentOf(t, src)
+		if len(seg.frames) != len(src.Cols) {
+			t.Fatalf("%d rows: %d frames for %d columns", n, len(seg.frames), len(src.Cols))
 		}
-		d := NewDelta(src)
-		got, err := DecodeDeltaSegment(seg, d.cols, d.kinds, src.PageSize, src.Name)
+		got, err := d.adopt(seg)
 		if err != nil {
-			t.Fatalf("decode %d rows: %v", n, err)
+			t.Fatalf("adopt %d rows: %v", n, err)
 		}
 		sameRows(t, got, src)
 	}
 }
 
-// TestDeltaSegmentCorruption flips every byte position in a small segment and
-// truncates it at every length: the decoder must reject each damaged input
-// with an error and never panic or return rows.
+// TestDeltaSegmentCorruption flips every byte position of every frame of a
+// small segment, truncates each frame at every length, and tears the segment
+// frame-wise — one missing, one repeated, a row count the frames do not cover:
+// each damaged segment must be rejected with an error, never a panic or rows.
 func TestDeltaSegmentCorruption(t *testing.T) {
 	src := deltaFixture(t, "corrupt", 9, 42)
-	seg, err := EncodeDeltaSegment(src)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
+	d, seg := segmentOf(t, src)
+	refuse := func(what string, frames [][]byte, rows int) {
+		t.Helper()
+		if tab, err := d.adopt(deltaSeg{frames: frames, rows: rows}); err == nil {
+			t.Fatalf("%s adopted %d rows without error", what, tab.Rows())
+		}
 	}
-	d := NewDelta(src)
-	decode := func(b []byte) (*Table, error) {
-		return DecodeDeltaSegment(b, d.cols, d.kinds, src.PageSize, src.Name)
-	}
-	for i := range seg {
-		for _, bit := range []byte{0x01, 0x80, 0xff} {
-			mut := append([]byte(nil), seg...)
-			mut[i] ^= bit
-			if tab, err := decode(mut); err == nil {
+	for fi, f := range seg.frames {
+		with := func(mut []byte) [][]byte {
+			frames := slices.Clone(seg.frames)
+			frames[fi] = mut
+			return frames
+		}
+		for i := range f {
+			for _, bit := range []byte{0x01, 0x80, 0xff} {
+				mut := slices.Clone(f)
+				mut[i] ^= bit
 				// An undetected flip would have to collide CRC-32; at this
-				// segment size that would be a codec bug, not bad luck.
-				t.Fatalf("byte %d ^ %#x decoded %d rows without error", i, bit, tab.Rows())
+				// frame size that would be a codec bug, not bad luck.
+				refuse(fmt.Sprintf("frame %d byte %d ^ %#x", fi, i, bit), with(mut), seg.rows)
 			}
 		}
-	}
-	for n := 0; n < len(seg); n++ {
-		if tab, err := decode(seg[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded %d rows without error", n, tab.Rows())
+		for n := 0; n < len(f); n++ {
+			refuse(fmt.Sprintf("frame %d truncated to %d bytes", fi, n), with(f[:n]), seg.rows)
 		}
+		refuse(fmt.Sprintf("segment without frame %d", fi), slices.Delete(slices.Clone(seg.frames), fi, fi+1), seg.rows)
+		refuse(fmt.Sprintf("segment with frame %d twice", fi), slices.Insert(slices.Clone(seg.frames), fi, f), seg.rows)
+	}
+	refuse("segment declaring a row more than it holds", seg.frames, seg.rows+1)
+	refuse("segment declaring a row fewer than it holds", seg.frames, seg.rows-1)
+	if _, err := d.adopt(seg); err != nil {
+		t.Fatalf("the undamaged segment: %v", err)
 	}
 }
 
-// FuzzDecodeDeltaSegment mirrors the wire-codec corruption fuzz for the delta
-// format: arbitrary bytes must either decode cleanly or error, never panic.
+// FuzzDecodeDeltaSegment is a second entry into the column-frame decoder
+// (FuzzDecodeColumnFrame is the first): arbitrary bytes in place of a
+// segment's first frame must either adopt into the segment's rows or error,
+// never panic.
 func FuzzDecodeDeltaSegment(f *testing.F) {
 	src := deltaFixture(f, "fuzz", 5, 7)
-	seg, _ := EncodeDeltaSegment(src)
-	f.Add(seg)
-	f.Add(seg[:len(seg)-3])
-	f.Add([]byte("BDL1"))
+	d, seg := segmentOf(f, src)
+	f.Add(seg.frames[0])
+	f.Add(seg.frames[0][:len(seg.frames[0])-3])
+	f.Add([]byte("BDC1"))
 	f.Add([]byte{})
-	d := NewDelta(src)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tab, err := DecodeDeltaSegment(data, d.cols, d.kinds, src.PageSize, src.Name)
-		if err == nil && tab == nil {
-			t.Fatal("nil table without error")
+		frames := slices.Clone(seg.frames)
+		frames[0] = data
+		tab, err := d.adopt(deltaSeg{frames: frames, rows: seg.rows})
+		if err == nil && tab.Rows() != seg.rows {
+			t.Fatalf("adopted %d rows of a %d-row segment", tab.Rows(), seg.rows)
 		}
 	})
 }
@@ -184,7 +207,12 @@ func TestDeltaStore(t *testing.T) {
 	}
 	sameRows(t, tail, b2)
 
-	// Schema mismatches and empty batches are rejected.
+	// Schema mismatches, compressed and empty batches are rejected.
+	packed := deltaFixture(t, "d", 3, 4)
+	packed.Compress()
+	if _, err := d.Append(packed); err == nil {
+		t.Fatal("compressed append succeeded")
+	}
 	bad := MustNewTable("d", 4<<10, &Column{Name: "id", Kind: vector.Int64, I64: []int64{1}})
 	if _, err := d.Append(bad); err == nil {
 		t.Fatal("schema-mismatched append succeeded")

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -14,14 +15,14 @@ import (
 )
 
 // decodeAll materializes every chunk of a compressed column back into one
-// flat slice triple via the reader-facing DecodeChunk path.
+// flat slice triple via the reader-facing Chunk.Decode path.
 func decodeAll(c *Column) ([]int64, []float64, []string) {
 	var i64 []int64
 	var f64 []float64
 	var str []string
 	var buf ChunkBuf
 	for ci := range c.Enc.Chunks {
-		c.DecodeChunk(ci, &buf)
+		c.Enc.Chunks[ci].Decode(c.Kind, c.Enc.Dict, &buf)
 		i64 = append(i64, buf.I64...)
 		f64 = append(f64, buf.F64...)
 		str = append(str, buf.Str...)
@@ -608,5 +609,90 @@ func TestDictEncodingUnchanged(t *testing.T) {
 	}
 	if d := tab.MustColumn("past_the_cap").Enc.Dict; d != nil {
 		t.Fatalf("a column of %d distinct values keeps a dictionary", maxDictEntries+1)
+	}
+}
+
+// TestBatchColumnIsOneChunk: a batch column on the wire is the chunk a stored
+// column of the same values with a single chunk holds — the same encoding
+// picked, the same bytes written — for every kind and encoding, floats with
+// both zeros and NaN payloads included. The batch adds its envelope and, per
+// column, the kind and row count.
+func TestBatchColumnIsOneChunk(t *testing.T) {
+	const n = 1000
+	rng := rand.New(rand.NewSource(77))
+	odd := []float64{math.NaN(), math.Float64frombits(0x7ff8000000000abc), math.Copysign(0, -1), 0, math.Inf(-1)}
+	i64 := func(f func(i int) int64) *Column {
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return NewInt64Column("c", v)
+	}
+	f64 := func(f func(i int) float64) *Column {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return NewFloat64Column("c", v)
+	}
+	str := func(f func(i int) string) *Column {
+		v := make([]string, n)
+		for i := range v {
+			v[i] = f(i)
+		}
+		return NewStringColumn("c", v)
+	}
+	cases := []struct {
+		name string
+		col  *Column
+		want Encoding
+	}{
+		{"int64 noise", i64(func(int) int64 { return rng.Int63() - rng.Int63() }), EncRaw},
+		{"int64 wide runs", i64(func(i int) int64 { return int64(i/250) * 1_000_000_000_000_007 }), EncRLE},
+		{"int64 narrow", i64(func(i int) int64 { return 1_000_000 + int64(i%97) }), EncFOR},
+		{"float64 noise with odd values", f64(func(i int) float64 {
+			if i%7 == 0 {
+				return odd[rng.Intn(len(odd))]
+			}
+			return rng.Float64()
+		}), EncRaw},
+		{"float64 runs of odd values", f64(func(i int) float64 { return odd[i/100%len(odd)] }), EncRLE},
+		{"string unique", str(func(i int) string { return fmt.Sprintf("customer-%06d-%d", i, rng.Int63()) }), EncRaw},
+		{"string short runs", str(func(i int) string { return string(rune('a' + i/100)) }), EncRLE},
+		{"string low cardinality", str(func(int) string { return []string{"AIR", "", "MAIL", "SHIP"}[rng.Intn(4)] }), EncDict},
+	}
+	for _, tc := range cases {
+		c := tc.col
+		c.finish()
+		c.encode(n, &vector.StrDict{}) // chunks of n rows: one chunk
+		if len(c.Enc.Chunks) != 1 || c.Enc.Chunks[0].Enc != tc.want {
+			t.Fatalf("%s: %d chunks, the first %s; the case wants one %s chunk", tc.name, len(c.Enc.Chunks), c.Enc.Chunks[0].Enc, tc.want)
+		}
+		var w vector.ChunkWriter
+		w.Body = append(w.Body, byte(c.Kind))
+		w.Uvar(n)
+		if c.Kind == vector.String {
+			w.Dict(c.Enc.Dict)
+		}
+		w.Chunk(c.Kind, &c.Enc.Chunks[0])
+		want := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint64([]byte{0}, 0), 1)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(w.Body)))
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(w.Heap)))
+		want = append(append(want, w.Body...), w.Heap...)
+
+		b := &vector.Batch{Cols: []*vector.Vector{{Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}}}
+		got := b.Encode(nil)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the batch column is %d bytes, the stored %s chunk behind the envelope %d — or they differ",
+				tc.name, len(got), tc.want, len(want))
+		}
+		back, used, err := vector.DecodeBatch(got)
+		if err != nil || used != len(got) {
+			t.Fatalf("%s: decode: %v (%d of %d bytes)", tc.name, err, used, len(got))
+		}
+		v := back.Cols[0]
+		if !slices.Equal(v.I64, c.I64) || !slices.Equal(v.Str, c.Str) || !slices.Equal(bitsOf(v.F64), bitsOf(c.F64)) {
+			t.Fatalf("%s: the column does not survive the batch codec bit for bit", tc.name)
+		}
 	}
 }

@@ -156,7 +156,7 @@ func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
 			} else {
 				cb := &r.bufs[i]
 				if cb.ci != k {
-					c.DecodeChunk(k, &cb.buf)
+					ch.Decode(c.Kind, c.Enc.Dict, &cb.buf)
 					cb.ci = k
 				}
 				appendVals(dst, cb.buf.I64, cb.buf.F64, cb.buf.Str, p-ch.Start, end-ch.Start)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"math/bits"
 	"slices"
 
 	"bdcc/internal/vector"
@@ -37,68 +36,22 @@ const (
 	plainSpanRows = 4096                              // rows per raw chunk a plain column is written as
 )
 
-// frameWriter builds one frame: body and heap grow side by side.
+// frameWriter builds one frame: the body and heap of vector's chunk writer,
+// between a frame's opening and its seal.
 type frameWriter struct {
-	body, heap []byte
+	vector.ChunkWriter
 }
 
 func (w *frameWriter) begin(kind vector.Kind, flags byte) {
-	w.body = append(append(w.body[:0], columnFrameMagic[:]...), byte(kind), flags)
-	w.heap = w.heap[:0]
-}
-
-func (w *frameWriter) uvar(x uint64) { w.body = binary.AppendUvarint(w.body, x) }
-func (w *frameWriter) u64(x uint64)  { w.body = binary.LittleEndian.AppendUint64(w.body, x) }
-
-// vals writes the values of whichever slice matches kind.
-func (w *frameWriter) vals(kind vector.Kind, i64 []int64, f64 []float64, str []string) {
-	switch kind {
-	case vector.Int64:
-		for _, x := range i64 {
-			w.u64(uint64(x))
-		}
-	case vector.Float64:
-		for _, x := range f64 {
-			w.u64(math.Float64bits(x))
-		}
-	case vector.String:
-		for _, s := range str {
-			w.uvar(uint64(len(s)))
-			w.heap = append(w.heap, s...)
-		}
-	}
-}
-
-func (w *frameWriter) chunk(kind vector.Kind, ch *Chunk) {
-	w.body = append(w.body, byte(ch.Enc))
-	w.uvar(uint64(ch.Rows))
-	w.uvar(uint64(ch.Bytes))
-	w.vals(kind, []int64{ch.MinI, ch.MaxI}, []float64{ch.MinF, ch.MaxF}, []string{ch.MinS, ch.MaxS})
-	switch ch.Enc {
-	case EncRaw:
-		w.vals(kind, ch.ValI, ch.ValF, ch.ValS)
-	case EncRLE:
-		w.uvar(uint64(len(ch.RunN)))
-		for _, n := range ch.RunN {
-			w.uvar(uint64(n))
-		}
-		w.vals(kind, ch.RunI, nil, ch.RunS)
-		for _, b := range ch.RunF {
-			w.u64(b)
-		}
-	case EncFOR:
-		w.u64(uint64(ch.Base))
-		w.body = append(append(w.body, ch.BitW), ch.Packed...)
-	case EncDict:
-		w.body = append(append(w.body, ch.BitW), ch.Packed...)
-	}
+	w.Body = append(append(w.Body[:0], columnFrameMagic[:]...), byte(kind), flags)
+	w.Heap = w.Heap[:0]
 }
 
 // finish returns the completed frame in a buffer of its own.
 func (w *frameWriter) finish() []byte {
-	out := make([]byte, 0, len(w.body)+len(w.heap)+8)
-	out = append(append(out, w.body...), w.heap...)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.heap)))
+	out := make([]byte, 0, len(w.Body)+len(w.Heap)+8)
+	out = append(append(out, w.Body...), w.Heap...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(w.Heap)))
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[len(columnFrameMagic):]))
 }
 
@@ -127,194 +80,24 @@ func (t *Table) Frames(frameBytes int) [][]byte {
 			}
 		}
 		w.begin(c.Kind, flags|frameFirst)
-		w.uvar(uint64(e.ChunkRows))
-		w.uvar(uint64(e.RawBytes))
-		w.uvar(uint64(len(e.Dict)))
-		w.vals(vector.String, nil, nil, e.Dict)
+		w.Uvar(uint64(e.ChunkRows))
+		w.Uvar(uint64(e.RawBytes))
+		w.Dict(e.Dict)
 		for i := range e.Chunks {
-			if i > 0 && len(w.body)+len(w.heap) >= frameBytes {
+			if i > 0 && len(w.Body)+len(w.Heap) >= frameBytes {
 				out = append(out, w.finish())
 				w.begin(c.Kind, flags)
 			}
-			w.chunk(c.Kind, &e.Chunks[i])
+			w.Chunk(c.Kind, &e.Chunks[i])
 		}
 		out = append(out, w.finish())
 	}
 	return out
 }
 
-// frameReader walks a verified frame's body. The first failure sticks: later
-// reads return zero values, and callers check err where a count they read is
-// about to size an allocation or a loop, and once at the end.
-type frameReader struct {
-	body    []byte
-	heap    string
-	heapPos int
-	err     error
-}
-
-func (r *frameReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-// take returns the next n body bytes, a window of the frame; nil on failure.
-func (r *frameReader) take(n int) []byte {
-	if r.err != nil || n < 0 || n > len(r.body) {
-		r.fail("%d bytes wanted, %d left in the body", n, len(r.body))
-		return nil
-	}
-	b := r.body[:n:n]
-	r.body = r.body[n:]
-	return b
-}
-
-func (r *frameReader) byte() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *frameReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-// uvar reads a uvarint no larger than limit. A count of items that each take
-// a body byte is read with the body's length as its limit, so a damaged count
-// cannot size an allocation beyond the frame.
-func (r *frameReader) uvar(what string, limit int) int {
-	if r.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(r.body)
-	if n <= 0 || limit < 0 || x > uint64(limit) {
-		r.fail("%s unreadable or above %d", what, limit)
-		return 0
-	}
-	r.body = r.body[n:]
-	return int(x)
-}
-
-// str returns the next string: its length from the body, its bytes from the
-// heap.
-func (r *frameReader) str() string {
-	n := r.uvar("string length", len(r.heap)-r.heapPos)
-	r.heapPos += n
-	return r.heap[r.heapPos-n : r.heapPos]
-}
-
-// vals reads n values of kind into the slice that matches it.
-func (r *frameReader) vals(kind vector.Kind, n int) (i64 []int64, f64 []float64, str []string) {
-	if kind == vector.String {
-		if n > len(r.body) {
-			r.fail("%d strings cannot fit in %d body bytes", n, len(r.body))
-			return
-		}
-		str = make([]string, n)
-		for i := range str {
-			str[i] = r.str()
-		}
-		return
-	}
-	b := r.take(8 * n)
-	if b == nil {
-		return
-	}
-	if kind == vector.Int64 {
-		i64 = make([]int64, n)
-		for i := range i64 {
-			i64[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	} else {
-		f64 = make([]float64, n)
-		for i := range f64 {
-			f64[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-	}
-	return
-}
-
-// chunk reads one chunk of at most maxRows rows. Everything a reader of the
-// chunk will index by is checked here: run lengths are positive and sum to
-// the rows, packed payloads have the length their width implies, dictionary
-// codes stay inside dict.
-func (r *frameReader) chunk(kind vector.Kind, maxRows int, dict []string) Chunk {
-	ch := Chunk{Enc: Encoding(r.byte())}
-	ch.Rows = r.uvar("chunk rows", maxRows)
-	ch.Bytes = int64(r.uvar("chunk bytes", math.MaxInt))
-	if r.err == nil && ch.Rows == 0 {
-		r.fail("empty chunk")
-	}
-	switch kind {
-	case vector.Int64:
-		ch.MinI, ch.MaxI = int64(r.u64()), int64(r.u64())
-	case vector.Float64:
-		ch.MinF, ch.MaxF = math.Float64frombits(r.u64()), math.Float64frombits(r.u64())
-	case vector.String:
-		ch.MinS, ch.MaxS = r.str(), r.str()
-	}
-	switch {
-	case ch.Enc == EncRaw:
-		ch.ValI, ch.ValF, ch.ValS = r.vals(kind, ch.Rows)
-	case ch.Enc == EncRLE:
-		ch.RunN = make([]int32, r.uvar("run count", len(r.body)))
-		left := ch.Rows
-		for i := range ch.RunN {
-			n := r.uvar("run length", left)
-			if n == 0 {
-				break
-			}
-			ch.RunN[i], left = int32(n), left-n
-		}
-		if r.err == nil && (left != 0 || len(ch.RunN) == 0 || ch.RunN[len(ch.RunN)-1] == 0) {
-			r.fail("run lengths do not tile the chunk's %d rows", ch.Rows)
-		}
-		if kind != vector.Float64 {
-			ch.RunI, _, ch.RunS = r.vals(kind, len(ch.RunN))
-		} else if b := r.take(8 * len(ch.RunN)); b != nil {
-			ch.RunF = make([]uint64, len(ch.RunN)) // bit patterns, never through a float
-			for i := range ch.RunF {
-				ch.RunF[i] = binary.LittleEndian.Uint64(b[8*i:])
-			}
-		}
-	case ch.Enc == EncFOR && kind == vector.Int64, ch.Enc == EncDict && kind == vector.String && len(dict) > 0:
-		width := uint8(64) // at most, for deltas; exactly the dictionary's, for codes
-		if ch.Enc == EncFOR {
-			ch.Base = int64(r.u64())
-		} else {
-			width = uint8(bits.Len(uint(len(dict) - 1)))
-		}
-		if ch.BitW = r.byte(); ch.BitW > width || (ch.Enc == EncDict && ch.BitW != width) {
-			r.fail("%s chunk %d bits wide", ch.Enc, ch.BitW)
-			break
-		}
-		ch.Packed = r.take(vector.BitPackLen(ch.Rows, ch.BitW))
-		if ch.Enc == EncFOR || len(dict) == 1<<ch.BitW || r.err != nil {
-			break // every bit pattern is a valid delta, or a valid code
-		}
-		var blk [256]uint64
-		for base := 0; base < ch.Rows; base += len(blk) {
-			codes := blk[:min(len(blk), ch.Rows-base)]
-			vector.BitUnpack(codes, ch.Packed, base, ch.BitW)
-			if slices.Max(codes) >= uint64(len(dict)) {
-				r.fail("dictionary code %d of %d entries", slices.Max(codes), len(dict))
-				break
-			}
-		}
-	default:
-		r.fail("%s chunk in a %s column", ch.Enc, kind)
-	}
-	return ch
-}
-
 // openFrame checks a frame's envelope — magic, checksum, kind, flags, heap
 // bounds — before a byte of its body is interpreted.
-func openFrame(frame []byte, kind vector.Kind, flags byte) (*frameReader, error) {
+func openFrame(frame []byte, kind vector.Kind, flags byte) (*vector.ChunkReader, error) {
 	if len(frame) < frameOverhead || [4]byte(frame[:4]) != columnFrameMagic {
 		return nil, fmt.Errorf("%d bytes do not start a column frame", len(frame))
 	}
@@ -330,7 +113,7 @@ func openFrame(frame []byte, kind vector.Kind, flags byte) (*frameReader, error)
 	if heapLen > end-6 || (heapLen > 0 && kind != vector.String) {
 		return nil, fmt.Errorf("heap of %d bytes in a %d-byte %s frame", heapLen, len(frame), kind)
 	}
-	return &frameReader{body: frame[6 : end-heapLen], heap: string(frame[end-heapLen : end])}, nil
+	return vector.NewChunkReader(frame[6:end-heapLen], string(frame[end-heapLen:end])), nil
 }
 
 // TableAdopter rebuilds a table from the frames Table.Frames wrote. The
@@ -391,69 +174,59 @@ func (a *TableAdopter) Add(frame []byte) (resident int64, done bool, err error) 
 	var n int
 	var e ColumnEncoding
 	if err == nil {
+		resident = int64(len(frame) + r.HeapLeft())
 		n, e = a.readChunks(r, *c.Enc, c.Kind)
-		err = r.err
+		err = r.Err()
 	}
 	if err != nil {
 		return 0, false, fmt.Errorf("storage: adopt %q: column %q frame: %w", a.name, c.Name, err)
 	}
 	a.started, a.got = true, a.got+n
 	if a.got == a.rows {
-		if e.Counts[EncDict] > 0 {
-			e.EncodedBytes += e.DictBytes
-		} else {
-			e.Dict, e.DictBits, e.DictBytes = nil, 0, 0
-		}
+		e.settleDict()
 		a.cur, a.got, a.started = a.cur+1, 0, false
 	}
 	*c.Enc = e
-	return int64(len(frame) + len(r.heap)), a.cur == len(a.cols), nil
+	return resident, a.cur == len(a.cols), nil
 }
 
 // readChunks reads a whole frame body — the column header, when the frame is
 // the column's first, then chunks — into e, a copy of the column's encoding
-// so far, and returns the rows read with the extended copy; r.err says
+// so far, and returns the rows read with the extended copy; r.Err says
 // whether the frame held up. New chunks land past the column's published
 // length (in its own backing array when there is room) and stay invisible
 // until Add assigns the copy back.
-func (a *TableAdopter) readChunks(r *frameReader, e ColumnEncoding, kind vector.Kind) (int, ColumnEncoding) {
+func (a *TableAdopter) readChunks(r *vector.ChunkReader, e ColumnEncoding, kind vector.Kind) (int, ColumnEncoding) {
 	if !a.started {
 		limit := plainSpanRows
 		if a.compressed { // no granularity exceeds a page of one-byte values
 			limit = int(min(a.pageSize, math.MaxInt32))
 		}
-		e.ChunkRows = r.uvar("chunk rows", limit)
-		e.RawBytes = int64(r.uvar("raw bytes", math.MaxInt))
-		if r.err == nil && e.ChunkRows == 0 {
-			r.fail("chunk granularity 0")
+		e.ChunkRows = r.Uvarint("chunk rows", limit)
+		e.RawBytes = int64(r.Uvarint("raw bytes", math.MaxInt))
+		if r.Err() == nil && e.ChunkRows == 0 {
+			r.Fail("chunk granularity 0")
 		}
-		_, _, e.Dict = r.vals(vector.String, r.uvar("dictionary size", maxDictEntries))
-		for i, s := range e.Dict {
-			if i > 0 && e.Dict[i-1] >= s {
-				r.fail("dictionary entry %d out of order", i) // range predicates compare codes
-			}
-			e.DictBytes += 4 + int64(len(s))
-		}
-		e.DictBits = uint8(bits.Len(uint(max(len(e.Dict), 1) - 1)))
+		e.Dict, e.DictBits, e.DictBytes = r.Dict()
 	}
-	if r.err != nil {
+	if r.Err() != nil {
 		return 0, e
 	}
 	// Room for the chunks the column still lacks, or all the body could hold.
 	left := a.rows - a.got
-	e.Chunks = slices.Grow(e.Chunks, min((left+e.ChunkRows-1)/e.ChunkRows, len(r.body)/4))
+	e.Chunks = slices.Grow(e.Chunks, min((left+e.ChunkRows-1)/e.ChunkRows, r.Len()/4))
 	n := 0
 	short := len(e.Chunks) > 0 && e.Chunks[len(e.Chunks)-1].Rows < e.ChunkRows
-	for len(r.body) > 0 && r.err == nil {
+	for r.Len() > 0 && r.Err() == nil {
 		if short {
-			r.fail("chunk after a short chunk")
+			r.Fail("chunk after a short chunk")
 			break
 		}
-		ch := r.chunk(kind, min(e.ChunkRows, left-n), e.Dict)
-		if r.err == nil && !a.compressed && ch.Enc != EncRaw {
-			r.fail("%s chunk in a plain column", ch.Enc)
+		ch := r.Chunk(kind, min(e.ChunkRows, left-n), e.Dict)
+		if r.Err() == nil && !a.compressed && ch.Enc != EncRaw {
+			r.Fail("%s chunk in a plain column", ch.Enc)
 		}
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		ch.Start = a.got + n
@@ -464,11 +237,11 @@ func (a *TableAdopter) readChunks(r *frameReader, e ColumnEncoding, kind vector.
 		e.Chunks = append(e.Chunks, ch)
 	}
 	switch {
-	case r.err != nil:
-	case r.heapPos != len(r.heap):
-		r.fail("%d heap bytes unclaimed", len(r.heap)-r.heapPos)
+	case r.Err() != nil:
+	case r.HeapLeft() != 0:
+		r.Fail("%d heap bytes unclaimed", r.HeapLeft())
 	case n == 0 && a.started:
-		r.fail("empty frame")
+		r.Fail("empty frame")
 	}
 	return n, e
 }

@@ -338,12 +338,11 @@ func TestColumnWireStructure(t *testing.T) {
 	frame := func(kind vector.Kind, chunkRows int, dict []string, chunks ...Chunk) []byte {
 		var w frameWriter
 		w.begin(kind, frameEncoded|frameFirst)
-		w.uvar(uint64(chunkRows))
-		w.uvar(0)
-		w.uvar(uint64(len(dict)))
-		w.vals(vector.String, nil, nil, dict)
+		w.Uvar(uint64(chunkRows))
+		w.Uvar(0)
+		w.Dict(dict)
 		for i := range chunks {
-			w.chunk(kind, &chunks[i])
+			w.Chunk(kind, &chunks[i])
 		}
 		return w.finish()
 	}
@@ -410,9 +409,9 @@ func TestColumnWireStructure(t *testing.T) {
 	refuse("dictionary codes over int64s", vector.Int64, 200, frame(vector.Int64, 256, nil, dictc(2, low)))
 	var w frameWriter
 	w.begin(vector.String, frameEncoded|frameFirst)
-	w.uvar(256)
-	w.uvar(0)
-	w.uvar(maxDictEntries + 1)
+	w.Uvar(256)
+	w.Uvar(0)
+	w.Uvar(maxDictEntries + 1)
 	refuse("dictionary past the cap", vector.String, 200, w.finish())
 	f := frame(vector.String, 256, abc, dictc(2, low))
 	f = append(f[:len(f)-8], 'x', 0, 0, 0, 0, 0, 0, 0, 0)

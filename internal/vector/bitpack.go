@@ -2,11 +2,11 @@ package vector
 
 import "encoding/binary"
 
-// Bit-packing primitives shared by the storage chunk encoder and the batch
-// wire codec: n values of bitw bits each, laid out LSB-first in a byte
-// stream. bitw 0 is the degenerate all-zero stream (no bytes at all), which
-// both frame-of-reference chunks with a single value and dictionary chunks
-// over a one-entry dictionary produce.
+// Bit-packing primitives of the chunk encodings (chunk.go) and of storage's
+// pushdown on dictionary codes: n values of bitw bits each, laid out
+// LSB-first in a byte stream. bitw 0 is the degenerate all-zero stream (no
+// bytes at all), which both frame-of-reference chunks with a single value and
+// dictionary chunks over a one-entry dictionary produce.
 //
 // BitPack and BitUnpack move values a 64-bit word at a time; the
 // byte-at-a-time bitPut and bitGet define the layout and finish the last few

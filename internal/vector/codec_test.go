@@ -246,76 +246,62 @@ func BenchmarkBatchCodecRaw(b *testing.B) {
 	}
 }
 
-// refEncodeStrCol is the string-column encoder as it was before viability
-// was decided on counts: collect the distinct values, sort them, only then
-// cost the candidates, and pack dictionary codes by hashing every value a
-// second time. Encode's output must not have moved by a byte.
-func refEncodeStrCol(buf []byte, v []string) []byte {
-	n := len(v)
-	if n == 0 {
-		return append(buf, wireRaw)
-	}
-	rawB, rleB := 0, 0
-	distinct := make(map[string]uint32, 64)
+// refStrChunk is the string-column encoder as it was before dictionary
+// viability was decided on counts — the sort-first reference storage's
+// TestDictEncodingUnchanged holds Table.Compress to, for a column of one
+// chunk: collect the distinct values (up to the cap), sort them, only then
+// test dictionary + codes against raw, and pack codes by hashing every value
+// again. It returns the dictionary a dict chunk indexes (nil otherwise) and
+// the chunk.
+func refStrChunk(v []string) ([]string, Chunk) {
+	distinct := make(map[string]uint32, 1024)
+	var rawB, rleB int64
+	var runS []string
+	var runN []int32
+	mn, mx := v[0], v[0]
 	for i, s := range v {
-		rawB += 4 + len(s)
+		rawB += int64(len(s))
+		if len(distinct) <= MaxDictEntries {
+			distinct[s] = 0
+		}
 		if i == 0 || s != v[i-1] {
-			rleB += 8 + len(s)
+			rleB += int64(8 + len(s))
+			runS, runN = append(runS, s), append(runN, 0)
 		}
-		distinct[s] = 0
+		runN[len(runN)-1]++
+		mn, mx = min(mn, s), max(mx, s)
 	}
-	dict := make([]string, 0, len(distinct))
-	dictB := 4 + 1
-	for s := range distinct {
-		dict = append(dict, s)
-		dictB += 4 + len(s)
+	ch := Chunk{Enc: EncRaw, Bytes: rawB, Rows: len(v), MinS: mn, MaxS: mx}
+	var dict []string
+	if len(distinct) <= MaxDictEntries {
+		dictBytes := int64(0)
+		for s := range distinct {
+			dict = append(dict, s)
+			dictBytes += int64(4 + len(s))
+		}
+		sort.Strings(dict)
+		bitw := uint8(bits.Len(uint(len(dict) - 1)))
+		if packed := int64(BitPackLen(len(v), bitw)); dictBytes+packed < rawB && packed < ch.Bytes {
+			ch.Enc, ch.Bytes, ch.BitW = EncDict, packed, bitw
+		}
 	}
-	sort.Strings(dict)
-	bitw := uint8(bits.Len(uint(len(dict) - 1)))
-	dictB += BitPackLen(n, bitw)
-	tag, best := wireRaw, rawB
-	if dictB < best {
-		tag, best = wireDict, dictB
+	if rleB < ch.Bytes {
+		ch.Enc, ch.Bytes, ch.BitW = EncRLE, rleB, 0
 	}
-	if rleB < best {
-		tag = wireRLE
+	switch ch.Enc {
+	case EncRaw:
+		ch.ValS = v
+	case EncRLE:
+		ch.RunS, ch.RunN = runS, runN
+	case EncDict:
+		for c, s := range dict {
+			distinct[s] = uint32(c)
+		}
+		ch.Packed = make([]byte, BitPackLen(len(v), ch.BitW))
+		BitPack(ch.Packed, len(v), ch.BitW, func(i int) uint64 { return uint64(distinct[v[i]]) })
+		return dict, ch
 	}
-	buf = append(buf, byte(tag))
-	switch tag {
-	case wireRaw:
-		for _, s := range v {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		}
-	case wireRLE:
-		var runs [][2]int // start, length
-		for i := range v {
-			if i == 0 || v[i] != v[i-1] {
-				runs = append(runs, [2]int{i, 0})
-			}
-			runs[len(runs)-1][1]++
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(runs)))
-		for _, r := range runs {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v[r[0]])))
-			buf = append(buf, v[r[0]]...)
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r[1]))
-		}
-	case wireDict:
-		for code, s := range dict {
-			distinct[s] = uint32(code)
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dict)))
-		for _, s := range dict {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-			buf = append(buf, s...)
-		}
-		buf = append(buf, bitw)
-		off := len(buf)
-		buf = append(buf, make([]byte, BitPackLen(n, bitw))...)
-		BitPack(buf[off:], n, bitw, func(i int) uint64 { return uint64(distinct[v[i]]) })
-	}
-	return buf
+	return nil, ch
 }
 
 // dictTestColumns are string columns on both sides of every dictionary
@@ -345,9 +331,12 @@ func dictTestColumns() map[string][]string {
 	}
 }
 
-// TestDictEncodingUnchanged: Batch.Encode produces the bytes the sort-first
-// encoder produced, whether or not the dictionary wins, and they decode back.
+// TestDictEncodingUnchanged: a batch's string column is the chunk the
+// sort-first encoder picks — same encoding, same payload, same dictionary —
+// whether or not the dictionary wins, written in the chunk byte form, and it
+// decodes back.
 func TestDictEncodingUnchanged(t *testing.T) {
+	sawEnc := map[Encoding]bool{}
 	for name, vals := range dictTestColumns() {
 		b := NewBatch([]Kind{String, String})
 		for _, s := range vals {
@@ -358,14 +347,21 @@ func TestDictEncodingUnchanged(t *testing.T) {
 			b.Cols[1].AppendString(vals[len(vals)-1-i])
 		}
 		got := b.Encode(nil)
-		want := []byte{0}
-		want = binary.LittleEndian.AppendUint64(want, 0)
-		want = binary.LittleEndian.AppendUint16(want, 2)
+		var w ChunkWriter
 		for _, c := range b.Cols {
-			want = append(want, byte(String))
-			want = binary.LittleEndian.AppendUint32(want, uint32(len(vals)))
-			want = refEncodeStrCol(want, c.Str)
+			w.Body = append(w.Body, byte(String))
+			w.Uvar(uint64(len(c.Str)))
+			if len(c.Str) > 0 {
+				dict, ch := refStrChunk(c.Str)
+				w.Dict(dict)
+				w.Chunk(String, &ch)
+				sawEnc[ch.Enc] = true
+			}
 		}
+		want := binary.LittleEndian.AppendUint16(binary.LittleEndian.AppendUint64([]byte{0}, 0), 2)
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(w.Body)))
+		want = binary.LittleEndian.AppendUint32(want, uint32(len(w.Heap)))
+		want = append(append(want, w.Body...), w.Heap...)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: Encode wrote %d bytes that differ from the sort-first encoder's %d", name, len(got), len(want))
 		}
@@ -379,4 +375,49 @@ func TestDictEncodingUnchanged(t *testing.T) {
 			}
 		}
 	}
+	if !sawEnc[EncRaw] || !sawEnc[EncRLE] || !sawEnc[EncDict] {
+		t.Fatalf("the columns must fall on every side of the race: saw %v", sawEnc)
+	}
+}
+
+// sameBatch reports whether two batches hold the same values, floats compared
+// by bit pattern.
+func sameBatch(a, b *Batch) bool {
+	if a.Grouped != b.Grouped || a.GroupID != b.GroupID || len(a.Cols) != len(b.Cols) {
+		return false
+	}
+	for i, c := range a.Cols {
+		o := b.Cols[i]
+		if c.Kind != o.Kind || !slices.Equal(c.I64, o.I64) || !slices.Equal(c.Str, o.Str) ||
+			!slices.EqualFunc(c.F64, o.F64, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzDecodeBatch: arbitrary bytes offered as a batch decode cleanly or error
+// — never panic, never a column above maxWireRows — and what decodes survives
+// another trip through the codec value for value. The committed corpus has
+// one seed per column kind and encoding.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, n, err := DecodeBatch(data)
+		if err != nil {
+			return
+		}
+		if n > len(data) {
+			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		for i, c := range b.Cols {
+			if c.Len() > maxWireRows {
+				t.Fatalf("column %d holds %d rows", i, c.Len())
+			}
+		}
+		enc := b.Encode(nil)
+		back, m, err := DecodeBatch(enc)
+		if err != nil || m != len(enc) || !sameBatch(back, b) {
+			t.Fatalf("a decoded batch does not survive the codec: %v (%d of %d bytes)", err, m, len(enc))
+		}
+	})
 }
