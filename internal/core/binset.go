@@ -48,6 +48,15 @@ func (s BinSet) Count() int {
 	return n
 }
 
+// Each calls fn with every member in ascending order.
+func (s BinSet) Each(fn func(b uint64)) {
+	for i, w := range s {
+		for ; w != 0; w &= w - 1 {
+			fn(uint64(i)<<6 | uint64(bits.TrailingZeros64(w)))
+		}
+	}
+}
+
 // And returns the intersection of two sets of one dimension as a fresh set;
 // neither input is modified.
 func (s BinSet) And(o BinSet) BinSet {
@@ -64,10 +73,6 @@ func (s BinSet) reduce(shift uint) BinSet {
 		return s
 	}
 	out := NewBinSet((len(s)*64-1)>>shift + 1)
-	for i, w := range s {
-		for ; w != 0; w &= w - 1 {
-			out.Add((uint64(i)<<6 | uint64(bits.TrailingZeros64(w))) >> shift)
-		}
-	}
+	s.Each(func(b uint64) { out.Add(b >> shift) })
 	return out
 }

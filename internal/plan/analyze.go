@@ -141,28 +141,29 @@ func matchReverse(schema *catalog.Schema, uP, uR *core.DimensionUse, probeTable 
 	return keyPairs(fk.RefCols, fk.Cols, leftKeys, rightKeys)
 }
 
-// baseScan walks to the base scan of a pipeline: the scan reached through
-// probe (left) children of joins and through group-preserving unary
-// operators (filters, projections, aggregations that may flush per group).
+// probeChild steps down a pipeline: to the probe (left) child of a join, or
+// through a group-preserving unary operator (filters, projections,
+// aggregations that may flush per group); nil where the pipeline ends — at a
+// leaf, or at a sort, which regroups its input.
+func probeChild(n Node) Node {
+	switch n.(type) {
+	case *OrderBy, *TopNNode:
+		return nil
+	}
+	if c := n.children(); len(c) > 0 {
+		return c[0]
+	}
+	return nil
+}
+
+// baseScan walks to the base scan of a pipeline, nil if it ends elsewhere.
 func baseScan(n Node) *Scan {
-	for {
-		switch t := n.(type) {
-		case *Scan:
-			return t
-		case *Join:
-			n = t.Left
-		case *FilterNode:
-			n = t.Child
-		case *Project:
-			n = t.Child
-		case *Agg:
-			n = t.Child
-		case *LimitNode:
-			n = t.Child
-		default:
-			return nil
+	for ; n != nil; n = probeChild(n) {
+		if s, ok := n.(*Scan); ok {
+			return s
 		}
 	}
+	return nil
 }
 
 // preanalyze decides, before lowering, which dimension use every join chain
@@ -175,22 +176,14 @@ func baseScan(n Node) *Scan {
 // unharmed.
 func (p *Planner) preanalyze(n Node, forced *core.DimensionUse) {
 	switch t := n.(type) {
-	case *Scan:
-		return
-	case *FilterNode:
-		p.preanalyze(t.Child, forced)
-	case *Project:
-		p.preanalyze(t.Child, forced)
-	case *Agg:
-		p.preanalyze(t.Child, forced)
-	case *OrderBy:
-		p.preanalyze(t.Child, nil)
-	case *LimitNode:
-		p.preanalyze(t.Child, forced)
-	case *TopNNode:
-		p.preanalyze(t.Child, nil)
 	case *Join:
 		p.analyzeChain(t, forced)
+		return
+	case *OrderBy, *TopNNode:
+		forced = nil
+	}
+	for _, c := range n.children() {
+		p.preanalyze(c, forced)
 	}
 }
 
@@ -198,23 +191,9 @@ func (p *Planner) preanalyze(n Node, forced *core.DimensionUse) {
 func (p *Planner) analyzeChain(top *Join, forced *core.DimensionUse) {
 	// Collect the spine of joins down the probe side.
 	var spine []*Join
-	n := Node(top)
-spineWalk:
-	for {
-		switch t := n.(type) {
-		case *Join:
-			spine = append(spine, t)
-			n = t.Left
-		case *FilterNode:
-			n = t.Child
-		case *Project:
-			n = t.Child
-		case *Agg:
-			n = t.Child
-		case *LimitNode:
-			n = t.Child
-		default:
-			break spineWalk
+	for n := Node(top); n != nil; n = probeChild(n) {
+		if j, ok := n.(*Join); ok {
+			spine = append(spine, j)
 		}
 	}
 	base := baseScan(spine[len(spine)-1].Left)

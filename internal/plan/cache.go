@@ -87,20 +87,9 @@ func indexSites(n Node) *siteIndex {
 		case *Join:
 			ix.joinOf[t] = len(ix.joins)
 			ix.joins = append(ix.joins, t)
-			walk(t.Left)
-			walk(t.Right)
-		case *Project:
-			walk(t.Child)
-		case *FilterNode:
-			walk(t.Child)
-		case *Agg:
-			walk(t.Child)
-		case *OrderBy:
-			walk(t.Child)
-		case *LimitNode:
-			walk(t.Child)
-		case *TopNNode:
-			walk(t.Child)
+		}
+		for _, c := range n.children() {
+			walk(c)
 		}
 	}
 	walk(n)

@@ -10,12 +10,13 @@
 //   - BDCC: the paper's scheme. The planner rewrites selections on dimension
 //     keys into count-table group restrictions (selection pushdown),
 //     propagates restrictions across joins whose foreign-key paths connect
-//     co-clustered tables (selection propagation), pre-executes small
-//     dimension-side subtrees to turn their selections into bin sets (the
-//     paper's "region equi-selection determines a consecutive D_NATION bin
-//     range" rewrite), places sandwich operators on joins and aggregations
-//     aligned on shared dimensions, and leaves tuple-level predicates in the
-//     scans so every rewrite only needs to be conservative.
+//     co-clustered tables (selection propagation), pre-executes the small
+//     dimension-side subtrees whose key sets can prune (canPrune) to turn
+//     their selections into bin sets (the paper's "region equi-selection
+//     determines a consecutive D_NATION bin range" rewrite), places sandwich
+//     operators on joins and aggregations aligned on shared dimensions, and
+//     leaves tuple-level predicates in the scans so every rewrite only needs
+//     to be conservative.
 //
 // One logical plan per query is written once; lowering it under the three
 // schemes is what makes the reproduction's comparisons apples-to-apples.
@@ -44,8 +45,9 @@ import (
 	"bdcc/internal/expr"
 )
 
-// Node is a logical plan node.
-type Node interface{ isNode() }
+// Node is a logical plan node; children are its inputs, the probe side of a
+// join first.
+type Node interface{ children() []Node }
 
 // Scan reads a base table. Filter is expressed over the table's original
 // column names; when Alias is set, every output column is renamed
@@ -113,12 +115,12 @@ type Materialized struct {
 	Res *engine.Result
 }
 
-func (*Scan) isNode()         {}
-func (*Materialized) isNode() {}
-func (*Join) isNode()         {}
-func (*Agg) isNode()          {}
-func (*Project) isNode()      {}
-func (*FilterNode) isNode()   {}
-func (*OrderBy) isNode()      {}
-func (*LimitNode) isNode()    {}
-func (*TopNNode) isNode()     {}
+func (*Scan) children() []Node         { return nil }
+func (*Materialized) children() []Node { return nil }
+func (n *Join) children() []Node       { return []Node{n.Left, n.Right} }
+func (n *Agg) children() []Node        { return []Node{n.Child} }
+func (n *Project) children() []Node    { return []Node{n.Child} }
+func (n *FilterNode) children() []Node { return []Node{n.Child} }
+func (n *OrderBy) children() []Node    { return []Node{n.Child} }
+func (n *LimitNode) children() []Node  { return []Node{n.Child} }
+func (n *TopNNode) children() []Node   { return []Node{n.Child} }

@@ -18,11 +18,6 @@ import (
 type Planner struct {
 	DB  *DB
 	Ctx *engine.Context
-	// PropagationThreshold bounds the base-table size of build subtrees the
-	// BDCC planner pre-executes for key-set propagation; 0 means 300000.
-	PropagationThreshold int
-	// PreExecRowCap bounds the result size usable for key-set restrictions.
-	PreExecRowCap int
 	// Log collects EXPLAIN-style decisions.
 	Log []string
 
@@ -39,18 +34,35 @@ type Planner struct {
 	// memo records this planner's decisions, a completed one replays them.
 	memo  *Memo
 	sites *siteIndex
+	// audit and yields are set by tests of canPrune only (AuditCanPrune).
+	audit  func(why string) string
+	yields func(bt *core.BDCCTable, u *core.DimensionUse, bins core.BinSet)
 }
+
+// AuditCanPrune is the test entry of canPrune, not a planning option (no
+// front end calls it): audit is handed canPrune's verdict at every site ("",
+// or why it declines) and returns the one to act on, and yields sees every
+// bin set a pre-executed site arrives at, whole-domain ones included.
+func (p *Planner) AuditCanPrune(audit func(why string) string, yields func(bt *core.BDCCTable, u *core.DimensionUse, bins core.BinSet)) {
+	p.audit, p.yields = audit, yields
+}
+
+const (
+	// propagationThreshold bounds the base-table size of build subtrees the
+	// BDCC planner pre-executes for key-set propagation.
+	propagationThreshold = 300_000
+	// preExecRowCap bounds the result size usable for key-set restrictions.
+	preExecRowCap = 65_536
+)
 
 // NewPlanner returns a planner for one query execution.
 func NewPlanner(db *DB, ctx *engine.Context) *Planner {
 	return &Planner{
-		DB:                   db,
-		Ctx:                  ctx,
-		PropagationThreshold: 300_000,
-		PreExecRowCap:        65_536,
-		scanChoice:           make(map[*Scan]*useChoice),
-		alignment:            make(map[*Join]*sharedPair),
-		joinPairs:            make(map[*Join][]sharedPair),
+		DB:         db,
+		Ctx:        ctx,
+		scanChoice: make(map[*Scan]*useChoice),
+		alignment:  make(map[*Join]*sharedPair),
+		joinPairs:  make(map[*Join][]sharedPair),
 	}
 }
 
@@ -179,20 +191,22 @@ func sortOrder(by []engine.SortSpec) []string {
 // projectedOrder keeps the order prefix as long as its columns pass through
 // the projection under the same name.
 func projectedOrder(order []string, cols []engine.ProjCol) []string {
-	passthrough := make(map[string]bool)
-	for _, c := range cols {
-		if ref, ok := c.Expr.(*expr.Col); ok && ref.Name == c.Name {
-			passthrough[c.Name] = true
-		}
-	}
 	var out []string
 	for _, o := range order {
-		if !passthrough[o] {
+		if !passesThrough(cols, o) {
 			break
 		}
 		out = append(out, o)
 	}
 	return out
+}
+
+// passesThrough reports whether a projection outputs column name as it is.
+func passesThrough(cols []engine.ProjCol, name string) bool {
+	return slices.ContainsFunc(cols, func(c engine.ProjCol) bool {
+		ref, ok := c.Expr.(*expr.Col)
+		return ok && c.Name == name && ref.Name == name
+	})
 }
 
 // lowerScan plans a base-table access.
@@ -217,10 +231,16 @@ func (p *Planner) lowerScan(s *Scan, inherited restrictions) (engine.Operator, *
 	}
 	bt := p.DB.BDCCTable(s.Table)
 	if bt == nil || (s.Alias != "" && p.scanChoice[s] == nil) {
-		ranges := p.zonemapPrune(stored, s.Filter, storage.FullRange(stored.Rows()))
+		all := storage.FullRange(stored.Rows())
+		if bt != nil {
+			// The stored table ends in copies (the relocation area): the
+			// count entries cover every row once.
+			all = core.EntriesRanges(bt.Count)
+		}
+		ranges := p.zonemapPrune(stored, s.Filter, all)
 		op := &engine.TableScan{Table: stored, Cols: s.Cols, Ranges: ranges, Filter: s.Filter, Push: pushPreds(stored, s.Filter, s.Cols), Rename: rename, Sched: p.sched()}
-		if rows := ranges.Rows(); rows < stored.Rows() {
-			p.logf("scan %s%s: minmax pruned to %d of %d rows", s.Table, aliasSuffix(s.Alias), rows, stored.Rows())
+		if rows := ranges.Rows(); rows < all.Rows() {
+			p.logf("scan %s%s: minmax pruned to %d of %d rows", s.Table, aliasSuffix(s.Alias), rows, all.Rows())
 		}
 		return op, info, nil
 	}
@@ -583,11 +603,13 @@ func hasOrderPrefix(order []string, col string) bool {
 }
 
 // preExecPropagate executes a small build subtree to convert its join-key
-// set into probe-side bin restrictions. For sandwich joins the subtree runs
-// once more in grouped form, so the planning run is charged to neither the
-// I/O nor the memory meter (the rewriter-style lookup); for plain hash
-// joins the materialized rows feed the real join and the run is charged
-// normally.
+// set into probe-side bin restrictions, where canPrune says the set can
+// restrict anything. For sandwich joins the subtree runs once more in
+// grouped form, so the planning run is charged to neither the I/O nor the
+// memory meter (the rewriter-style lookup), stops at the row cap, and is
+// skipped where canPrune declines. For plain hash joins the materialized
+// rows feed the real join (and the memo's replays) and the run is charged
+// normally, so canPrune gates only the binning of their keys.
 //
 // Under a completed memo the subtree does not run at all: the recorded raw
 // bin sets replay through the same merge as recording used, and a recorded
@@ -612,110 +634,180 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 		return buildOp, nil
 	}
 	bt := p.DB.BDCCTable(probeBase.Table)
-	if bt == nil {
+	if bt == nil || !p.subtreeSmall(j.Right) {
 		return buildOp, nil
 	}
-	if !p.subtreeSmall(j.Right) {
-		return buildOp, nil
+	uses, why := p.canPrune(j, bt)
+	if p.audit != nil {
+		why = p.audit(why)
 	}
-	probeCol := j.LeftKeys[0]
 	var res *engine.Result
 	var err error
-	if sandwich {
-		// Plan-time lookup: re-lower ungrouped with free meters.
-		scratch := &Planner{
-			DB: p.DB, Ctx: &engine.Context{},
-			PropagationThreshold: 0, PreExecRowCap: p.PreExecRowCap,
-			scanChoice: map[*Scan]*useChoice{},
-			alignment:  map[*Join]*sharedPair{},
-			joinPairs:  map[*Join][]sharedPair{},
+	rec, said := &preExecMemo{}, "not pre-executed"
+	if !sandwich {
+		said = "materialized, keys not binned"
+		if res, err = engine.Run(p.Ctx, buildOp); err != nil {
+			return buildOp, err
 		}
-		op, _, err2 := scratch.lower(j.Right, restrictions{})
-		if err2 != nil {
-			return buildOp, err2
+		rec.res, buildOp = res, &engine.Values{Rows: res}
+		if why == "" && res.Rows() > preExecRowCap {
+			why = fmt.Sprintf("over %d rows", preExecRowCap)
 		}
-		res, err = engine.Run(scratch.Ctx, op)
-	} else {
-		res, err = engine.Run(p.Ctx, buildOp)
+	} else if why == "" {
+		// Plan-time lookup: re-lower ungrouped with free meters, and stop
+		// pulling one row past the cap — a larger key set is not binned.
+		scratch := NewPlanner(p.DB, &engine.Context{})
+		op, _, err := scratch.lower(j.Right, restrictions{})
+		if err != nil {
+			return buildOp, err
+		}
+		if res, err = engine.Run(scratch.Ctx, &engine.Limit{Child: op, N: preExecRowCap + 1}); err != nil {
+			return buildOp, err
+		}
+		if res.Rows() > preExecRowCap {
+			why = fmt.Sprintf("stopped at %d rows", preExecRowCap)
+		}
 	}
-	if err != nil {
-		return buildOp, err
-	}
-	rec := &preExecMemo{}
-	if p.memo != nil && p.sites != nil {
+	if res != nil && p.memo != nil && p.sites != nil {
 		p.memo.preExec[p.sites.joinOf[j]] = rec
 	}
-	if res.Rows() > p.PreExecRowCap {
-		if sandwich {
-			return buildOp, nil
+	if why != "" {
+		name := "a subquery"
+		if s := baseScan(j.Right); s != nil {
+			name = s.Table
 		}
-		rec.res = res
-		return &engine.Values{Rows: res}, nil
-	}
-	ci := res.Schema.IndexOf(j.RightKeys[0])
-	if ci >= 0 && res.Schema[ci].Kind == vector.Int64 {
-		vals := distinctInt64(res.Cols[ci].I64)
-		equated := make(map[string]bool)
-		equatedPairs(j.Left, equated)
-		raw := make(map[string]core.BinSet)
-		for _, u := range bt.Uses {
-			bins := p.binsForKeyValues(u, probeCol, vals, equated)
-			if bins == nil {
-				continue
-			}
-			k := useKey(u)
-			raw[k] = bins
-			transferred.and(k, bins)
-			p.logf("join: pre-executed build (%d keys) restricts %s via %s to %d bins",
-				len(vals), probeBase.Table, k, bins.Count())
-		}
-		rec.raw = raw
-	}
-	if sandwich {
+		p.logf("join: build on %s %s (%s)", name, said, why)
 		return buildOp, nil
 	}
-	rec.res = res
-	return &engine.Values{Rows: res}, nil
+	if ci := res.Schema.IndexOf(j.RightKeys[0]); ci >= 0 && res.Schema[ci].Kind == vector.Int64 {
+		rec.raw = p.binKeys(uses, res.Cols[ci].I64, bt, transferred)
+	}
+	return buildOp, nil
+}
+
+// canPrune is asked before a build subtree's key set is computed at plan
+// time: it returns the uses of probe base bt the set could restrict, or why
+// it cannot restrict any — no use maps the probe column (keyUses), or the
+// subtree holds every key the column can carry (holdsEveryKey), so its
+// restriction would be the identity under restrictions.and.
+func (p *Planner) canPrune(j *Join, bt *core.BDCCTable) ([]keyUse, string) {
+	uses := p.keyUses(bt, j.LeftKeys[0], j.Left)
+	if len(uses) == 0 {
+		return nil, fmt.Sprintf("no dimension use of %s maps %s", bt.Name, j.LeftKeys[0])
+	}
+	if holdsEveryKey(j.Right, j.RightKeys[0], bt.Name, j.LeftKeys[0], uses) {
+		return uses, fmt.Sprintf("unfiltered key set cannot restrict %s", bt.Name)
+	}
+	return uses, ""
+}
+
+// holdsEveryKey reports whether column key of build subtree n holds every
+// value probeCol of probeTable can carry: n is an unfiltered scan — seen
+// through projections, sorts and aggregations grouping by the key, nothing
+// that can drop a row — of probeTable on that column, or of the table a
+// use's foreign key references, keyed by the referenced column (referential
+// integrity).
+func holdsEveryKey(n Node, key, probeTable, probeCol string, uses []keyUse) bool {
+	for {
+		switch t := n.(type) {
+		case *Project:
+			if !passesThrough(t.Cols, key) {
+				return false
+			}
+			n = t.Child
+		case *OrderBy:
+			n = t.Child
+		case *Agg:
+			if !slices.Contains(t.GroupBy, key) {
+				return false
+			}
+			n = t.Child
+		case *Scan:
+			if t.Alias != "" {
+				key = stripAlias(t.Alias, []string{key})[0]
+			}
+			own := t.Table == probeTable && key == probeCol
+			return t.Filter == nil && (own || slices.ContainsFunc(uses, func(ku keyUse) bool {
+				return ku.fk != nil && t.Table == ku.fk.RefTable && key == ku.fk.RefCols[0]
+			}))
+		default:
+			return false
+		}
+	}
+}
+
+// binChunk is how many keys a use is binned by between two checks of whether
+// it can still learn anything.
+const binChunk = 1024
+
+// binKeys merges the bins of a pre-executed key column into transferred, use
+// by use, and returns what it merged (the memo's record). A use stops being
+// binned once it fills the restriction already transferred for it (the
+// build's own, which holds every key-derived bin) or the whole domain, and a
+// whole-domain set, saying nothing, is dropped.
+func (p *Planner) binKeys(uses []keyUse, keys []int64, bt *core.BDCCTable, transferred restrictions) map[string]core.BinSet {
+	vals := distinctInt64(keys)
+	raw := make(map[string]core.BinSet)
+	for _, ku := range uses {
+		k, full := useKey(ku.u), ku.u.Dim.NumBins()
+		known, want := transferred[k], full
+		if known != nil {
+			want = known.Count()
+		}
+		bins := core.NewBinSet(full)
+		i := 0
+		for ; i < len(vals) && bins.Count() < want; i += binChunk {
+			ku.addBins(bins, vals[i:min(i+binChunk, len(vals))])
+		}
+		if i < len(vals) && known != nil {
+			bins = known // filled: and-ing it in is a no-op whatever the keys left hold
+		}
+		if p.yields != nil {
+			p.yields(bt, ku.u, bins)
+		}
+		n := bins.Count()
+		if n == full {
+			continue
+		}
+		raw[k] = bins
+		transferred.and(k, bins)
+		p.logf("join: pre-executed build (%d keys) restricts %s via %s to %d bins", len(vals), bt.Name, k, n)
+	}
+	return raw
 }
 
 // subtreeSmall reports whether every base table of a subtree is under the
 // propagation threshold.
 func (p *Planner) subtreeSmall(n Node) bool {
-	limit := p.PropagationThreshold
-	if limit == 0 {
-		limit = 300_000
+	if s, ok := n.(*Scan); ok {
+		tab, ok := p.DB.Tables[s.Table]
+		return ok && tab.Rows() <= propagationThreshold
 	}
-	small := true
-	var walk func(Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *Scan:
-			if tab, ok := p.DB.Tables[t.Table]; !ok || tab.Rows() > limit {
-				small = false
-			}
-		case *Join:
-			walk(t.Left)
-			walk(t.Right)
-		case *FilterNode:
-			walk(t.Child)
-		case *Project:
-			walk(t.Child)
-		case *Agg:
-			walk(t.Child)
-		case *OrderBy:
-			walk(t.Child)
-		case *LimitNode:
-			walk(t.Child)
-		case *TopNNode:
-			walk(t.Child)
+	for _, c := range n.children() {
+		if !p.subtreeSmall(c) {
+			return false
 		}
 	}
-	walk(n)
-	return small
+	return true
 }
 
-// distinctInt64 returns the distinct values in ascending order.
+// distinctInt64 returns the distinct values in ascending order: read off a
+// bitmap of [min, max] where that is no longer than the input (surrogate
+// keys are dense), sorted otherwise.
 func distinctInt64(vals []int64) []int64 {
+	if len(vals) == 0 {
+		return nil
+	}
+	lo, hi := slices.Min(vals), slices.Max(vals)
+	if span := uint64(hi - lo); span/64 < uint64(len(vals)) {
+		seen := core.NewBinSet(int(span) + 1)
+		for _, v := range vals {
+			seen.Add(uint64(v - lo))
+		}
+		out := make([]int64, 0, seen.Count())
+		seen.Each(func(b uint64) { out = append(out, lo+int64(b)) })
+		return out
+	}
 	out := slices.Clone(vals)
 	slices.Sort(out)
 	return slices.Compact(out)

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"bdcc/internal/catalog"
 	"bdcc/internal/core"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -131,88 +132,75 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 	return out
 }
 
-// binsForKeyValues maps a set of join-key values to dimension bins for one
-// use of the probe base table. The values restrict probe stream column
-// probeCol, which must be either the leading key column of a local
-// dimension (case B: the region→nation prefix-range rewrite), or the
-// foreign-key column of some hop h of the use's path (case A). For h > 0
-// the restriction is only sound if every earlier hop's foreign key is
-// actually equated by joins inside the probe subtree — `equated` carries
-// those pairs. This is how a pre-executed dimension-side subtree's
-// selection becomes a count-table restriction — the paper's "a region
-// equi-selection determines a consecutive D_NATION bin range" generalized
-// to arbitrary key sets at any depth of the dimension path. vals ascend. The
-// key→bin mapping of a hop is the materialized design's (core.KeyBins): the
-// lookup allocates the bin set and nothing that grows with the reference
-// table. nil means the values say nothing about this use.
-func (p *Planner) binsForKeyValues(u *core.DimensionUse, probeCol string, vals []int64, equated map[string]bool) core.BinSet {
-	dim := u.Dim
-	if len(u.Path) == 0 {
-		if probeCol != dim.Key[0] {
-			return nil
+// keyUse is a dimension use of a probe base table that values of one probe
+// stream column can restrict: through idx, the key→bin index of the path hop
+// whose foreign key fk is that column, or — both nil — as the leading key
+// column of a local dimension (the region→nation prefix-range rewrite).
+type keyUse struct {
+	u   *core.DimensionUse
+	fk  *catalog.ForeignKey
+	idx *core.KeyBins
+}
+
+// keyUses returns the uses of bt that values of probe stream column probeCol
+// can restrict — the paper's "a region equi-selection determines a
+// consecutive D_NATION bin range" generalized to key sets at any depth of a
+// dimension path; none means the values say nothing about bt. A hop h > 0 is
+// only sound if every earlier hop's foreign key is equated by joins inside
+// the probe subtree (the self-join safety condition). The key→bin mapping of
+// a hop is the materialized design's (core.KeyBins): binning allocates the
+// bin set and nothing that grows with the reference table.
+func (p *Planner) keyUses(bt *core.BDCCTable, probeCol string, probe Node) []keyUse {
+	var out []keyUse
+	equated := make(map[string]bool)
+	equatedPairs(probe, equated)
+	for _, u := range bt.Uses {
+		if len(u.Path) == 0 && probeCol == u.Dim.Key[0] {
+			out = append(out, keyUse{u: u})
 		}
-		bins := core.NewBinSet(dim.NumBins())
-		for _, v := range vals {
-			addLeadingRange(bins, dim, vector.Int64, &v, &v, nil, nil)
-		}
-		return bins
-	}
-	hop := -1
-	for h, fkName := range u.Path {
-		fk := p.DB.Schema.FK(fkName)
-		if fk == nil {
-			return nil
-		}
-		if len(fk.Cols) == 1 && fk.Cols[0] == probeCol {
-			hop = h
-			break
-		}
-	}
-	if hop < 0 {
-		return nil
-	}
-	// Verify the hops leading to probeCol are joined within the probe
-	// subtree (otherwise probeCol's values say nothing about the base
-	// table's rows — the self-join safety condition).
-	for h := 0; h < hop; h++ {
-		fk := p.DB.Schema.FK(u.Path[h])
-		for i := range fk.Cols {
-			if !equated[fk.Cols[i]+"="+fk.RefCols[i]] {
-				return nil
+	hops:
+		for h, name := range u.Path {
+			fk := p.DB.Schema.FK(name)
+			if fk == nil {
+				break
+			}
+			if len(fk.Cols) == 1 && fk.Cols[0] == probeCol {
+				if idx := p.DB.Clustered.KeyBins(u.Dim.Name, u.Path[h:]); idx != nil {
+					out = append(out, keyUse{u, fk, idx})
+				}
+				break
+			}
+			for i := range fk.Cols {
+				if !equated[fk.Cols[i]+"="+fk.RefCols[i]] {
+					break hops
+				}
 			}
 		}
 	}
-	idx := p.DB.Clustered.KeyBins(dim.Name, u.Path[hop:])
-	if idx == nil {
-		return nil
+	return out
+}
+
+// addBins adds the bins of vals, which ascend, to set.
+func (ku keyUse) addBins(set core.BinSet, vals []int64) {
+	if ku.idx != nil {
+		ku.idx.AddBins(set, vals)
+		return
 	}
-	bins := core.NewBinSet(dim.NumBins())
-	idx.AddBins(bins, vals)
-	return bins
+	for _, v := range vals {
+		addLeadingRange(set, ku.u.Dim, vector.Int64, &v, &v, nil, nil)
+	}
 }
 
 // equatedPairs collects the column equalities established by equi-joins in
 // a subtree, as "a=b" strings in both orders.
 func equatedPairs(n Node, out map[string]bool) {
-	switch t := n.(type) {
-	case *Join:
+	if t, ok := n.(*Join); ok {
 		for i := range t.LeftKeys {
 			out[t.LeftKeys[i]+"="+t.RightKeys[i]] = true
 			out[t.RightKeys[i]+"="+t.LeftKeys[i]] = true
 		}
-		equatedPairs(t.Left, out)
-		equatedPairs(t.Right, out)
-	case *FilterNode:
-		equatedPairs(t.Child, out)
-	case *Project:
-		equatedPairs(t.Child, out)
-	case *Agg:
-		equatedPairs(t.Child, out)
-	case *OrderBy:
-		equatedPairs(t.Child, out)
-	case *LimitNode:
-		equatedPairs(t.Child, out)
-	case *TopNNode:
-		equatedPairs(t.Child, out)
+	}
+	for _, c := range n.children() {
+		equatedPairs(c, out)
 	}
 }
