@@ -10,7 +10,7 @@
 //	          [-partition] [-balance hash|size] [-probe-base D] [-probe-max D]
 //	          [-clients N] [-rounds N] [-daemon host:port] [-pools N]
 //	          [-auth-token SECRET] [-compress=false]
-//	          [-v] [-explain] [-orderings] [-json BENCH_tpch.json]
+//	          [-v] [-explain] [-orderings]
 //
 // The -workers knob (default: all cores) runs every query on a shared
 // per-query scheduler of that many workers; -workers 1 reproduces the
@@ -20,7 +20,7 @@
 // of their sum. The -shards knob (default 1 = single-box, the paper's
 // setup) shards every query's BDCC group streams across that many simulated
 // remote backends, each with its own scheduler; results stay byte-identical
-// and the modeled transport time appears as net_ms in the grid. The
+// and the modeled transport time appears as net-ms under -v. The
 // -remotes knob replaces the simulated backends with real TCP connections
 // to bdccworker daemons (comma-separated host:port list; see
 // docs/OPERATIONS.md) — results remain byte-identical, message counts
@@ -38,21 +38,18 @@
 // from worker-local storage (docs/PARTITIONING.md). Results stay
 // byte-identical — including runs where a worker dies mid-scan and its
 // units re-scan on the coordinator's copy — and each worker's local scan
-// volume appears per query as worker_mb_read in the JSON grid, at roughly
-// 1/N of the single-box mb_read. The -v flag prints the per-scheme
-// scheduler activity (tasks, steals, idle time, hidden I/O, network
-// messages, per-backend routed units). The -json flag additionally writes
-// the full measurement grid (per-query device-ms, MB-read, peak-MB per
-// scheme, plus the workers/shards/remotes/balance knobs) as
-// machine-readable JSON so the performance trajectory can be tracked
-// across changes; pass -json "" to disable.
+// volume, summed over the queries, prints under -v at roughly 1/N of the
+// single-box MB read. The -v flag prints the per-scheme scheduler activity
+// (tasks, steals, idle time, hidden I/O, network messages, per-backend
+// routed units). Timing with medians and spread is bench/'s job
+// (bench/README.md); the claims these tables show are held by the
+// internal/tpch tests.
 //
 // The -compress knob (default on) chunk-encodes every table before the
 // schemes materialize (RLE / dictionary / frame-of-reference per chunk, see
 // docs/STORAGE.md): mb_read drops where clustering makes columns locally
 // homogeneous, shipped group units shrink on sharded legs, and results stay
-// byte-identical. The per-scheme outcome prints with -v and lands in the
-// JSON grid's "compression" section.
+// byte-identical. The per-scheme outcome prints with -v.
 //
 // The -ingest-rate knob turns the grid into a mixed read/write workload:
 // that many orders (with their lineitems) are appended before each round-1
@@ -61,17 +58,19 @@
 // re-compressing) and round 2 re-measures the 22 queries over the merged
 // base. -ingest-limit bounds the per-table delta (reaching it starts a
 // background merge mid-round) and -ingest-drift triggers merges off the
-// drift detector instead. The JSON grid tags every run with round /
-// delta_rows / epoch and adds an "ingest" section with the per-scheme
-// append/merge counters (docs/INGEST.md).
+// drift detector instead. The ingest table prints the per-scheme
+// append/merge counters and each round's MB read (docs/INGEST.md).
 //
 // The -clients knob adds the concurrency leg to the grid: N closed-loop
 // clients each issue the 22 queries -rounds times per scheme through a
 // bdccd daemon — the one named by -daemon (authenticating with
 // -auth-token), or an in-process loopback daemon with -pools scheduler
 // pools over the already-materialized benchmark. The leg reports qps,
-// latency quantiles and the daemon's admission counters per scheme, both
-// on stdout and in the JSON grid's "concurrency" section.
+// latency quantiles and the daemon's admission counters per scheme.
+//
+// The -orderings knob re-runs the queries under a major-minor BDCC layout
+// built over the same generated tables; it needs a read-only grid (no
+// -ingest-rate).
 package main
 
 import (
@@ -111,7 +110,6 @@ func main() {
 	ingestDrift := flag.Float64("ingest-drift", 0, "drift distance that triggers a background merge (0 disables the trigger)")
 	explain := flag.Bool("explain", false, "print per-query planner decisions under BDCC")
 	orderings := flag.Bool("orderings", false, "also run the Z-order vs major-minor self-comparison")
-	jsonPath := flag.String("json", "BENCH_tpch.json", "write the measurement grid as JSON to this path (empty disables)")
 	flag.Parse()
 
 	if *balance != "hash" && *balance != "size" {
@@ -223,21 +221,6 @@ func main() {
 		rep.WriteConcurrency(os.Stdout)
 	}
 
-	if *jsonPath != "" {
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %s\n", *jsonPath)
-	}
-
 	if *explain {
 		fmt.Println("\nBDCC planner decisions:")
 		for _, q := range tpch.Queries {
@@ -250,7 +233,7 @@ func main() {
 	}
 	if *orderings {
 		fmt.Println("\nOther orderings (paper: 284 s Z-order vs 291 s major-minor at SF100):")
-		oc, err := tpch.RunOrderingComparison(*sf)
+		oc, err := tpch.RunOrderingComparison(b)
 		if err != nil {
 			fatal(err)
 		}

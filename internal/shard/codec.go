@@ -58,8 +58,8 @@ func EncodeUnit(u *engine.GroupUnit, buf []byte) []byte {
 }
 
 // RawUnitWireSize returns the size EncodeUnit would produce with every batch
-// column forced raw — the baseline the transport's wire_bytes_saved counter
-// is measured against.
+// column forced raw — the baseline the transport's saved-bytes counter
+// (iosim.Stats.Saved) is measured against.
 func RawUnitWireSize(u *engine.GroupUnit) int {
 	sz := 16 + 4 + 16*len(u.ScanRanges)
 	for _, b := range u.Probe {

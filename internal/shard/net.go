@@ -218,7 +218,7 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 	// fragment-id slot after the frame header is patched once the id is
 	// known.
 	pl := EncodeUnit(u, append(wire.Buf(), make([]byte, 8)...))
-	// net_ms is charged on the encoded frame; the raw-form difference is
+	// Network time is charged on the encoded frame; the raw-form difference is
 	// recorded as wire savings (query side meters both directions, so each
 	// message's saving is counted exactly once).
 	if saved := RawUnitWireSize(u) - (len(pl) - wire.HeaderLen - 8); saved > 0 && c.net != nil {

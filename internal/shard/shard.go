@@ -144,7 +144,7 @@ func (r *Router) Route(gid uint64) int {
 // backends: a 10 GbE-class link (1.25 GB/s) whose per-message overhead is
 // derived the same way iosim derives run setup — a 256 KB transfer reaches
 // 80% of line rate, putting message overhead at ~52 µs. Stats.Runs counts
-// messages and Stats.Time is the modeled network time reported as net_ms.
+// messages and Stats.Time is the modeled network time.
 // Real TCP backends are charged to the same model: their message and byte
 // counts are real, while the modeled time stands beside the wall clock that
 // already contains the real cost.
@@ -293,8 +293,8 @@ func (s *Set) PartitionTable(name string, tab *storage.Table, entries []core.Cou
 
 // EnableScanIO equips every worker slot with a scan-read accountant over
 // dev: the read stats workers report in scan units' done frames accumulate
-// per slot, giving the per-worker device traffic the partitioned
-// benchmarks report (worker_mb_read). First call wins; later calls are
+// per slot, giving the per-worker device traffic a partitioned run reports
+// (tpch.Stats.WorkerIO). First call wins; later calls are
 // no-ops.
 func (s *Set) EnableScanIO(dev iosim.Device) {
 	s.mu.Lock()

@@ -17,7 +17,7 @@ import (
 // shares none with the query's operators), the remote box runs its own
 // scheduler and meters its own hash tables, and transport activity is
 // charged to an iosim accountant over a network device — producing the
-// modeled net_ms the benchmark grid reports where a real deployment pays
+// modeled network time tpch.Stats.Net reports where a real deployment pays
 // wall-clock time.
 //
 // Because both halves are the production implementations, a passing run

@@ -13,28 +13,27 @@ import (
 
 // ConcurrencyStats is one closed-loop concurrency measurement against a
 // bdccd daemon: N clients each issuing the query list for `rounds` rounds
-// back to back, latencies recorded per request — the concurrency leg of the
-// benchmark grid.
+// back to back, latencies recorded per request — the concurrency leg of
+// tpchbench -clients.
 type ConcurrencyStats struct {
-	Scheme   string  `json:"scheme"`
-	Clients  int     `json:"clients"`
-	Requests int     `json:"requests"`
-	QPS      float64 `json:"qps"`
-	P50MS    float64 `json:"p50_ms"`
-	P99MS    float64 `json:"p99_ms"`
+	Scheme   string
+	Clients  int
+	Requests int
+	QPS      float64
+	P50MS    float64
+	P99MS    float64
 	// Queued/Rejected are the daemon's admission counters over this run
 	// (deltas of the wire stats); rejected requests also count into
 	// Requests — a closed-loop client moves on, it does not retry.
-	Queued   int64 `json:"queued"`
-	Rejected int64 `json:"rejected"`
-	// Errors counts non-rejection failures (0 on a healthy run).
-	Errors int64 `json:"errors,omitempty"`
+	Queued   int64
+	Rejected int64
 }
 
 // RunConcurrency drives a daemon at addr with `clients` closed-loop
 // sessions, each issuing every named query `rounds` times under one scheme,
 // and reports throughput, latency quantiles, and the daemon's admission
-// deltas for the run.
+// deltas for the run. A request that fails other than by rejection fails the
+// run once every client has finished.
 func RunConcurrency(addr, token string, scheme plan.Scheme, queries []string, clients, rounds int) (*ConcurrencyStats, error) {
 	if clients < 1 {
 		clients = 1
@@ -56,6 +55,7 @@ func RunConcurrency(addr, token string, scheme plan.Scheme, queries []string, cl
 		lat      []time.Duration
 		rejected int64
 		errs     int64
+		firstErr error
 		fatal    error
 	}
 	outcomes := make([]outcome, clients)
@@ -81,6 +81,9 @@ func RunConcurrency(addr, token string, scheme plan.Scheme, queries []string, cl
 					case errors.Is(err, serve.ErrRejected):
 						outcomes[i].rejected++
 					default:
+						if outcomes[i].errs == 0 {
+							outcomes[i].firstErr = err
+						}
 						outcomes[i].errs++
 					}
 				}
@@ -92,13 +95,21 @@ func RunConcurrency(addr, token string, scheme plan.Scheme, queries []string, cl
 
 	st := &ConcurrencyStats{Scheme: scheme.String(), Clients: clients}
 	var lats []time.Duration
+	var errs int64
+	var firstErr error
 	for _, o := range outcomes {
 		if o.fatal != nil {
 			return nil, fmt.Errorf("tpch: concurrency client: %w", o.fatal)
 		}
 		lats = append(lats, o.lat...)
 		st.Rejected += o.rejected
-		st.Errors += o.errs
+		errs += o.errs
+		if firstErr == nil {
+			firstErr = o.firstErr
+		}
+	}
+	if errs > 0 {
+		return nil, fmt.Errorf("tpch: %d of %d concurrency requests under %s failed, first: %w", errs, len(lats), scheme, firstErr)
 	}
 	st.Requests = len(lats)
 	if wall > 0 {

@@ -259,3 +259,21 @@ func TestDaemonTinyBudgetRejects(t *testing.T) {
 		t.Errorf("budget still holds %d bytes after the rejected query unwound", got)
 	}
 }
+
+// TestRunConcurrencyFailsOnQueryError: the closed-loop leg reports its
+// measurement when every request succeeds and fails the run when a request
+// fails other than by rejection.
+func TestRunConcurrencyFailsOnQueryError(t *testing.T) {
+	b := benchmarkFixture(t)
+	_, addr, _ := startDaemon(t, b, serve.Config{Pools: 2, Workers: 1, QueueCap: 8, QueueWait: time.Minute})
+	st, err := RunConcurrency(addr, "", plan.BDCC, []string{"Q06"}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 2 || st.QPS <= 0 {
+		t.Fatalf("two clients issuing Q06 once recorded %d requests at %.1f qps", st.Requests, st.QPS)
+	}
+	if _, err := RunConcurrency(addr, "", plan.BDCC, []string{"Q06", "Q99"}, 2, 1); err == nil {
+		t.Fatal("requests for an unknown query did not fail the run")
+	}
+}

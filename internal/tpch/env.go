@@ -33,13 +33,6 @@ type Benchmark struct {
 	RunOptions
 }
 
-// majorMinorOptions returns build options for the hand-tuned major-minor
-// ordering of the paper's "Other Orderings" comparison (time dimension
-// major, as the paper favours).
-func majorMinorOptions() core.BuildOptions {
-	return core.BuildOptions{MajorMinor: true}
-}
-
 // NewBenchmark generates data at the scale factor and materializes the
 // requested schemes (all three when none are named), uncompressed.
 func NewBenchmark(sf float64, schemes ...plan.Scheme) (*Benchmark, error) {
@@ -214,8 +207,8 @@ type Stats struct {
 	// reported by tpchbench -v.
 	Sched engine.SchedStats
 	// Net is the cross-backend transport activity of a sharded run
-	// (runs = messages); zero when single-box. Reported as net_ms in the
-	// JSON grid. Network time is tracked separately from device time — it
+	// (runs = messages); zero when single-box. Reported as net-ms by
+	// tpchbench -v. Network time is tracked separately from device time — it
 	// does not enter Cold, which keeps single-box cold numbers comparable
 	// across the shards knob. Against real TCP workers the message and byte
 	// counts are real while the time remains the 10 GbE model's (the wall
@@ -223,16 +216,16 @@ type Stats struct {
 	Net iosim.Stats
 	// Shard is the per-backend routed load of a sharded run (group units
 	// and batch bytes the router placed on each backend); nil when
-	// single-box. Reported as shard_units in the JSON grid, and the
-	// quantity the balance-by-size policy equalizes.
+	// single-box. Reported per backend by tpchbench -v, and the quantity
+	// the balance-by-size policy equalizes.
 	Shard []engine.BackendLoad
 	// Health is the per-backend failover health of a sharded run (retries,
-	// downs, mid-query re-admissions); nil when single-box. Reported as
-	// shard_retries / shard_downs / shard_readmits in the JSON grid.
+	// downs, mid-query re-admissions); nil when single-box. Summed in
+	// tpchbench -v's failover line.
 	Health []engine.BackendHealth
 	// LocalFallbackUnits counts units that ran on the coordinator's local
 	// fallback because no remote backend survived them (graceful
-	// degradation); reported as local_fallback_units in the JSON grid.
+	// degradation); summed in tpchbench -v's failover line.
 	LocalFallbackUnits int64
 	// Epoch is the ingest version the query's snapshot pinned (0 for a
 	// read-only or never-appended database) and DeltaRows the un-merged rows
@@ -244,9 +237,9 @@ type Stats struct {
 	// local partition (reported back in unit done frames); nil unless the
 	// Partition knob lowered at least one scan. Units re-scanned on the
 	// coordinator's failover path appear in IO instead — the coordinator's
-	// device did that work. Reported as worker_mb_read in the JSON grid;
-	// the headline shared-nothing claim is that each entry's byte volume is
-	// ~1/N of the single-box scan volume.
+	// device did that work. The headline shared-nothing claim is that each
+	// entry's byte volume is ~1/N of the single-box scan volume
+	// (TestPartitionedEquivalence).
 	WorkerIO []iosim.Stats
 }
 

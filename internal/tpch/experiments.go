@@ -1,11 +1,11 @@
 package tpch
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
 
+	"bdcc/internal/core"
 	"bdcc/internal/engine"
 	"bdcc/internal/plan"
 	"bdcc/internal/storage"
@@ -28,17 +28,12 @@ type Report struct {
 	Shards  int      // scale-out knob the grid ran with (0/1 = single-box)
 	Remotes []string // bdccworker addresses the grid ran against (empty = simulated)
 	Balance string   // placement policy ("hash" default, "size")
-	// Partition records the shared-nothing knob: scatter scans lowered to
-	// shipped scan units over worker-local partitions.
-	Partition bool
-	Schemes   []plan.Scheme
-	Runs      map[plan.Scheme][]QueryRun // indexed by query position
-	Explain   map[string][]string        // per "scheme/query"
+	Schemes []plan.Scheme
+	Runs    map[plan.Scheme][]QueryRun // indexed by query position
+	Explain map[string][]string        // per "scheme/query"
 	// Compressed records the storage-compression knob; Comp holds the
 	// per-scheme compression outcome (modeled on-disk bytes and the wire
-	// bytes the batch codec saved across the scheme's 22 runs). Comp is
-	// populated even when uncompressed — all-zero then — so gating tools
-	// can assert either state.
+	// bytes the batch codec saved across the scheme's 22 runs).
 	Compressed bool
 	Comp       map[plan.Scheme]CompRecord
 	// Concurrency holds the daemon leg of the grid (closed-loop clients
@@ -71,37 +66,43 @@ type CompRecord struct {
 	WireSaved int64
 }
 
-// RunAll executes every TPC-H query under every materialized scheme of the
-// benchmark, with fresh meters per run (cold execution, as in the paper's
-// Figure 2). The benchmark's Workers knob applies to every run.
-func (b *Benchmark) RunAll() (*Report, error) {
-	shards := b.Shards
-	if len(b.Remotes) > 0 {
-		shards = len(b.Remotes)
-	}
+// newReport starts an empty grid over the benchmark's materialized schemes,
+// recording the knobs it runs with: real workers set the shard count, and
+// placement defaults to "hash".
+func (b *Benchmark) newReport() *Report {
 	rep := &Report{
-		SF:        b.SF,
-		Workers:   b.Workers,
-		Shards:    shards,
-		Remotes:   b.Remotes,
-		Balance:   b.Balance,
-		Partition: b.Partition,
-		Runs:      make(map[plan.Scheme][]QueryRun),
-		Explain:   make(map[string][]string),
-
+		SF:         b.SF,
+		Workers:    b.Workers,
+		Shards:     b.Shards,
+		Remotes:    b.Remotes,
+		Balance:    b.Balance,
+		Runs:       make(map[plan.Scheme][]QueryRun),
+		Explain:    make(map[string][]string),
 		Compressed: b.Compressed,
 		Comp:       make(map[plan.Scheme]CompRecord),
+	}
+	if len(b.Remotes) > 0 {
+		rep.Shards = len(b.Remotes)
 	}
 	if rep.Balance == "" {
 		rep.Balance = "hash"
 	}
-	opt := b.RunOptions
 	for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-		db, ok := b.DBs[scheme]
-		if !ok {
-			continue
+		if _, ok := b.DBs[scheme]; ok {
+			rep.Schemes = append(rep.Schemes, scheme)
 		}
-		rep.Schemes = append(rep.Schemes, scheme)
+	}
+	return rep
+}
+
+// RunAll executes every TPC-H query under every materialized scheme of the
+// benchmark, with fresh meters per run (cold execution, as in the paper's
+// Figure 2). The benchmark's Workers knob applies to every run.
+func (b *Benchmark) RunAll() (*Report, error) {
+	rep := b.newReport()
+	opt := b.RunOptions
+	for _, scheme := range rep.Schemes {
+		db := b.DBs[scheme]
 		comp := CompRecord{CompressionStats: db.CompressionStats()}
 		for _, q := range Queries {
 			_, st, explain, err := RunQueryOpts(db, q, opt)
@@ -122,8 +123,8 @@ func (b *Benchmark) RunAll() (*Report, error) {
 // appended before each round-1 query, so each measurement reads a snapshot
 // with in-flight delta — then consolidates and runs all queries again
 // post-merge. Round-1 runs carry the freshness tax (uncompressed delta views,
-// delta_rows > 0); round-2 runs must be back at base-layout cost with
-// delta_rows 0. Compression stats are taken post-merge, where the
+// Stats.DeltaRows > 0); round-2 runs must be back at base-layout cost with
+// no delta rows. Compression stats are taken post-merge, where the
 // re-clustered chunks have been re-encoded.
 func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Report, error) {
 	if rate <= 0 {
@@ -137,36 +138,12 @@ func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Repo
 	for i := range batches {
 		batches[i] = gen.Next(rate)
 	}
-	shards := b.Shards
-	if len(b.Remotes) > 0 {
-		shards = len(b.Remotes)
-	}
-	rep := &Report{
-		SF:        b.SF,
-		Workers:   b.Workers,
-		Shards:    shards,
-		Remotes:   b.Remotes,
-		Balance:   b.Balance,
-		Partition: b.Partition,
-		Runs:      make(map[plan.Scheme][]QueryRun),
-		Explain:   make(map[string][]string),
-
-		Compressed:  b.Compressed,
-		Comp:        make(map[plan.Scheme]CompRecord),
-		IngestRate:  rate,
-		IngestLimit: limit,
-		Ingest:      make(map[plan.Scheme]IngestRecord),
-	}
-	if rep.Balance == "" {
-		rep.Balance = "hash"
-	}
+	rep := b.newReport()
+	rep.IngestRate, rep.IngestLimit = rate, limit
+	rep.Ingest = make(map[plan.Scheme]IngestRecord)
 	opt := b.RunOptions
-	for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-		db, ok := b.DBs[scheme]
-		if !ok {
-			continue
-		}
-		rep.Schemes = append(rep.Schemes, scheme)
+	for _, scheme := range rep.Schemes {
+		db := b.DBs[scheme]
 		ing := db.Ingest()
 		comp := CompRecord{}
 		for qi, q := range Queries {
@@ -450,208 +427,6 @@ func (r *Report) WriteConcurrency(w io.Writer) {
 	}
 }
 
-// JSONQueryRun is one (scheme, query) record of the machine-readable
-// benchmark report, units chosen to match the bench_test metrics
-// (device-ms, MB-read, peak-MB) so the perf trajectory can be diffed
-// PR-over-PR by tooling.
-type JSONQueryRun struct {
-	Scheme string `json:"scheme"`
-	Query  string `json:"query"`
-	// Round distinguishes the two passes of an ingest grid (1 = interleaved
-	// with appends, 2 = post-merge); omitted on read-only grids. Epoch is the
-	// ingest version the run's snapshot pinned and DeltaRows the un-merged
-	// rows visible at it — the freshness the run's mb_read paid for.
-	Round     int     `json:"round,omitempty"`
-	Epoch     int64   `json:"epoch,omitempty"`
-	DeltaRows int64   `json:"delta_rows,omitempty"`
-	Rows      int     `json:"rows"`
-	DeviceMS  float64 `json:"device_ms"`
-	MBRead    float64 `json:"mb_read"`
-	PeakMB    float64 `json:"peak_mb"`
-	ColdMS    float64 `json:"cold_ms"`
-	WallMS    float64 `json:"wall_ms"`
-	// HiddenMS is the device time hidden behind compute by asynchronous
-	// grouped-scan reads; zero in serial runs (cold = device + wall there).
-	HiddenMS    float64 `json:"hidden_ms,omitempty"`
-	SchedTasks  int64   `json:"sched_tasks,omitempty"`
-	SchedSteals int64   `json:"sched_steals,omitempty"`
-	// NetMS is the modeled cross-backend transport time of a sharded run
-	// (shards ≥ 2); zero and omitted when single-box. NetMsgs counts the
-	// transport messages behind it (real messages when the run dialed
-	// bdccworker daemons).
-	NetMS   float64 `json:"net_ms,omitempty"`
-	NetMsgs int64   `json:"net_msgs,omitempty"`
-	// ShardUnits is the routed group-unit count per backend of a sharded
-	// run (index = backend), the distribution the balance knob shapes;
-	// omitted when single-box.
-	ShardUnits []int64 `json:"shard_units,omitempty"`
-	// ShardRetries / ShardDowns / ShardReadmits are the per-backend failover
-	// health counters of a sharded run (index = backend): failed unit
-	// attempts, down transitions, and mid-query re-admissions. All zero on
-	// an undisturbed run; omitted when single-box.
-	ShardRetries  []int64 `json:"shard_retries,omitempty"`
-	ShardDowns    []int64 `json:"shard_downs,omitempty"`
-	ShardReadmits []int64 `json:"shard_readmits,omitempty"`
-	// LocalFallbackUnits counts group units that degraded to the
-	// coordinator's local backend because no remote survived them; omitted
-	// when zero.
-	LocalFallbackUnits int64 `json:"local_fallback_units,omitempty"`
-	// WorkerMBRead and WorkerDeviceMS are the per-worker device activity of
-	// a partitioned run (index = worker slot): the bytes each worker's
-	// shipped scan units read from its local partition and their modeled
-	// device time. Present exactly when the Partition knob lowered the
-	// query's scan; the shared-nothing headline is each entry ≈ mb_read/N
-	// of the single-box run. Failover re-scans land in mb_read instead.
-	WorkerMBRead   []float64 `json:"worker_mb_read,omitempty"`
-	WorkerDeviceMS []float64 `json:"worker_device_ms,omitempty"`
-}
-
-// JSONReport is the machine-readable form of the full measurement grid.
-type JSONReport struct {
-	SF float64 `json:"sf"`
-	// Workers and Shards are the knobs of the run: local pool size and
-	// backend count (0/1 = serial, single-box respectively).
-	Workers int `json:"workers"`
-	Shards  int `json:"shards"`
-	// Remotes is the number of real bdccworker daemons the grid ran
-	// against (0 = simulated backends); Balance is the group-placement
-	// policy ("hash" or "size").
-	Remotes int    `json:"remotes"`
-	Balance string `json:"balance"`
-	// Partition is the shared-nothing knob of the run: scatter scans
-	// lowered to shipped scan units over worker-local partitions.
-	Partition bool           `json:"partition,omitempty"`
-	Queries   []JSONQueryRun `json:"queries"`
-	// Compressed is the storage-compression knob of the run; Compression
-	// holds the per-scheme outcome (present exactly when Compressed).
-	Compressed  bool              `json:"compressed"`
-	Compression []JSONCompression `json:"compression,omitempty"`
-	// Concurrency is the daemon leg of the grid: closed-loop client
-	// measurements through bdccd, one record per scheme. Absent when the
-	// grid ran without a daemon.
-	Concurrency []ConcurrencyStats `json:"concurrency,omitempty"`
-	// IngestRate/IngestLimit are the mixed-workload knobs of an ingest grid;
-	// Ingest the per-scheme outcome. Absent on read-only grids.
-	IngestRate  int          `json:"ingest_rate,omitempty"`
-	IngestLimit int          `json:"ingest_limit,omitempty"`
-	Ingest      []JSONIngest `json:"ingest,omitempty"`
-}
-
-// JSONIngest is one scheme's ingest record in the JSON grid: how many rows
-// arrived, how many consolidations committed and how many rows they folded
-// into the base, and the peak drift distance observed before the final merge.
-type JSONIngest struct {
-	Scheme       string  `json:"scheme"`
-	AppendedRows int64   `json:"appended_rows"`
-	Merges       int64   `json:"merges"`
-	MergedRows   int64   `json:"merged_rows"`
-	MaxDrift     float64 `json:"max_drift"`
-}
-
-// JSONCompression is one scheme's compression record in the JSON grid:
-// modeled on-disk raw vs encoded bytes, the chunk count per encoding, and
-// the wire bytes the batch codec saved across the scheme's 22 runs.
-type JSONCompression struct {
-	Scheme       string `json:"scheme"`
-	StorageBytes int64  `json:"storage_bytes"`
-	EncodedBytes int64  `json:"encoded_bytes"`
-	RawChunks    int64  `json:"raw_chunks"`
-	RLEChunks    int64  `json:"rle_chunks"`
-	DictChunks   int64  `json:"dict_chunks"`
-	FORChunks    int64  `json:"for_chunks"`
-	WireSaved    int64  `json:"wire_bytes_saved"`
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	balance := r.Balance
-	if balance == "" {
-		balance = "hash"
-	}
-	out := JSONReport{SF: r.SF, Workers: r.Workers, Shards: r.Shards,
-		Remotes: len(r.Remotes), Balance: balance, Partition: r.Partition,
-		Concurrency: r.Concurrency, Compressed: r.Compressed,
-		IngestRate: r.IngestRate, IngestLimit: r.IngestLimit}
-	if len(r.Ingest) > 0 {
-		for _, scheme := range r.Schemes {
-			rec, ok := r.Ingest[scheme]
-			if !ok {
-				continue
-			}
-			out.Ingest = append(out.Ingest, JSONIngest{
-				Scheme:       scheme.String(),
-				AppendedRows: rec.AppendedRows,
-				Merges:       rec.Merges,
-				MergedRows:   rec.MergedRows,
-				MaxDrift:     rec.MaxDrift,
-			})
-		}
-	}
-	if r.Compressed {
-		for _, scheme := range r.Schemes {
-			c := r.Comp[scheme]
-			out.Compression = append(out.Compression, JSONCompression{
-				Scheme:       scheme.String(),
-				StorageBytes: c.RawBytes,
-				EncodedBytes: c.EncodedBytes,
-				RawChunks:    c.RawChunks,
-				RLEChunks:    c.RLEChunks,
-				DictChunks:   c.DictChunks,
-				FORChunks:    c.FORChunks,
-				WireSaved:    c.WireSaved,
-			})
-		}
-	}
-	for _, scheme := range r.Schemes {
-		for _, run := range r.Runs[scheme] {
-			st := run.Stats
-			var units []int64
-			for _, l := range st.Shard {
-				units = append(units, l.Units)
-			}
-			var retries, downs, readmits []int64
-			for _, h := range st.Health {
-				retries = append(retries, h.Retries)
-				downs = append(downs, h.Downs)
-				readmits = append(readmits, h.Readmits)
-			}
-			var workerMB, workerMS []float64
-			for _, wio := range st.WorkerIO {
-				workerMB = append(workerMB, float64(wio.Bytes)/(1<<20))
-				workerMS = append(workerMS, float64(wio.Time.Microseconds())/1000)
-			}
-			out.Queries = append(out.Queries, JSONQueryRun{
-				Scheme:             scheme.String(),
-				Query:              run.Query,
-				Round:              run.Round,
-				Epoch:              st.Epoch,
-				DeltaRows:          st.DeltaRows,
-				Rows:               st.Rows,
-				DeviceMS:           float64(st.IO.Time.Microseconds()) / 1000,
-				MBRead:             float64(st.IO.Bytes) / (1 << 20),
-				PeakMB:             PeakMB(st),
-				ColdMS:             float64(st.Cold.Microseconds()) / 1000,
-				WallMS:             float64(st.Wall.Microseconds()) / 1000,
-				HiddenMS:           float64(st.IO.Hidden.Microseconds()) / 1000,
-				SchedTasks:         st.Sched.Tasks,
-				SchedSteals:        st.Sched.Steals,
-				NetMS:              float64(st.Net.Time.Microseconds()) / 1000,
-				NetMsgs:            st.Net.Runs,
-				ShardUnits:         units,
-				ShardRetries:       retries,
-				ShardDowns:         downs,
-				ShardReadmits:      readmits,
-				LocalFallbackUnits: st.LocalFallbackUnits,
-				WorkerMBRead:       workerMB,
-				WorkerDeviceMS:     workerMS,
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
 // OrderingComparison reproduces the paper's "Other Orderings" experiment:
 // the automatic Z-order setup versus a hand-tuned major-minor setup using
 // the same dimensions and bit counts, with the time dimension as the major
@@ -664,23 +439,26 @@ type OrderingComparison struct {
 	MajorIO    time.Duration
 }
 
-// RunOrderingComparison builds a second BDCC database with major-minor
-// interleaving and runs the full query set under both.
-func RunOrderingComparison(sf float64) (*OrderingComparison, error) {
-	zb, err := NewBenchmark(sf, plan.BDCC)
-	if err != nil {
-		return nil, err
+// RunOrderingComparison runs the full query set serially under the
+// benchmark's own BDCC database and under a major-minor one built over the
+// same generated tables, so both sides share its scale factor and storage
+// compression. The benchmark must be read-only: after appends its BDCC
+// database holds rows the generated tables do not.
+func RunOrderingComparison(b *Benchmark) (*OrderingComparison, error) {
+	zDB, ok := b.DBs[plan.BDCC]
+	if !ok {
+		return nil, fmt.Errorf("tpch: ordering comparison needs the BDCC scheme materialized")
 	}
-	schema := Schema()
-	data := zb.Data
-	mmDB, err := plan.NewBDCCDB(schema, data.Tables, zb.DBs[plan.BDCC].Device,
-		majorMinorOptions())
+	if zDB.Ingest() != nil {
+		return nil, fmt.Errorf("tpch: ordering comparison needs a read-only benchmark")
+	}
+	mmDB, err := plan.NewBDCCDB(b.Schema, b.Data.Tables, zDB.Device, core.BuildOptions{MajorMinor: true})
 	if err != nil {
 		return nil, err
 	}
 	out := &OrderingComparison{}
 	for _, q := range Queries {
-		_, st, _, err := RunQuery(zb.DBs[plan.BDCC], q)
+		_, st, _, err := RunQuery(zDB, q)
 		if err != nil {
 			return nil, err
 		}

@@ -165,7 +165,11 @@ func TestOrderingComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ordering comparison builds a second BDCC database")
 	}
-	oc, err := RunOrderingComparison(0.01)
+	b, err := NewBenchmark(0.01, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oc, err := RunOrderingComparison(b)
 	if err != nil {
 		t.Fatalf("RunOrderingComparison: %v", err)
 	}

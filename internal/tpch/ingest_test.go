@@ -262,8 +262,10 @@ func TestIngestCompressedMerge(t *testing.T) {
 	refs := referenceDBs(t, b, combined)
 	queries := []QueryDef{Query(1), Query(6)}
 
-	checkState := func(label string, wantCompressed bool) {
+	// checkState returns the bytes BDCC read per query.
+	checkState := func(label string, wantCompressed bool) map[string]int64 {
 		t.Helper()
+		read := make(map[string]int64)
 		for scheme, db := range b.DBs {
 			sdb := db.Snapshot()
 			st, err := sdb.StoredTable("lineitem")
@@ -274,7 +276,7 @@ func TestIngestCompressedMerge(t *testing.T) {
 				t.Fatalf("%s lineitem view %s: compressed=%v, want %v", scheme, label, st.Compressed(), wantCompressed)
 			}
 			for _, q := range queries {
-				got, _, _, err := RunQuery(sdb, q)
+				got, st, _, err := RunQuery(sdb, q)
 				if err != nil {
 					t.Fatalf("%s under %s %s: %v", q.Name, scheme, label, err)
 				}
@@ -283,18 +285,33 @@ func TestIngestCompressedMerge(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSameResult(t, fmt.Sprintf("%s under %s %s", q.Name, scheme, label), got, want)
+				if scheme == plan.BDCC {
+					read[q.Name] = st.IO.Bytes
+				}
 			}
 		}
+		return read
 	}
 
-	checkState("with un-merged delta", false)
+	before := checkState("with un-merged delta", false)
 	if err := b.MergeAll(); err != nil {
 		t.Fatal(err)
 	}
-	checkState("after the merge", true)
+	after := checkState("after the merge", true)
 	for scheme, db := range b.DBs {
 		if cs := db.Snapshot().CompressionStats(); cs.EncodedBytes == 0 {
 			t.Fatalf("%s reports no encoded bytes after the merge re-compression", scheme)
+		}
+		if n := db.PendingDeltaRows(); n != 0 {
+			t.Fatalf("%s still sees %d delta rows after the merge", scheme, n)
+		}
+	}
+	// The merge repays the freshness tax: BDCC reads its re-compressed cells,
+	// not the uncompressed delta views.
+	for _, q := range queries {
+		if after[q.Name] >= before[q.Name] {
+			t.Fatalf("%s under bdcc reads %d bytes after the merge, not below the %d before it",
+				q.Name, after[q.Name], before[q.Name])
 		}
 	}
 }

@@ -93,7 +93,7 @@ func (b *Batch) Encode(buf []byte) []byte {
 func uvarLen(x int) int { return (bits.Len64(uint64(x)|1) + 6) / 7 }
 
 // RawWireSize returns the size Encode would produce with every column a raw
-// chunk — the baseline the transport's wire_bytes_saved counter is measured
+// chunk — the baseline the transport's saved-bytes counter is measured
 // against. A raw string chunk's two bounds depend on the values' order, not
 // their size, and are counted empty.
 func (b *Batch) RawWireSize() int {
