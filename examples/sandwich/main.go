@@ -63,8 +63,8 @@ func main() {
 				log.Fatal(err)
 			}
 			op = &engine.SandwichHashJoin{
-				Left:     &engine.GroupedScan{BDCC: orders, Cols: []string{"o_orderkey", "o_custkey"}, Groups: po},
-				Right:    &engine.GroupedScan{BDCC: customer, Cols: []string{"c_custkey", "c_name"}, Groups: pc},
+				Left:     &engine.Scan{Table: orders.Data, Cols: []string{"o_orderkey", "o_custkey"}, Groups: po},
+				Right:    &engine.Scan{Table: customer.Data, Cols: []string{"c_custkey", "c_name"}, Groups: pc},
 				LeftKeys: []string{"o_custkey"}, RightKeys: []string{"c_custkey"},
 				Type:       engine.InnerJoin,
 				ProbeShift: uint(gO - g), BuildShift: uint(gC - g),
@@ -74,8 +74,8 @@ func main() {
 			// the relocation area, which only count-table extents (as used
 			// by scatter scans and the planner) may address.
 			op = &engine.HashJoin{
-				Left:     &engine.TableScan{Table: ds.Tables["orders"], Cols: []string{"o_orderkey", "o_custkey"}},
-				Right:    &engine.TableScan{Table: ds.Tables["customer"], Cols: []string{"c_custkey", "c_name"}},
+				Left:     &engine.Scan{Table: ds.Tables["orders"], Cols: []string{"o_orderkey", "o_custkey"}},
+				Right:    &engine.Scan{Table: ds.Tables["customer"], Cols: []string{"c_custkey", "c_name"}},
 				LeftKeys: []string{"o_custkey"}, RightKeys: []string{"c_custkey"},
 				Type: engine.InnerJoin,
 			}

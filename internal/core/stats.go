@@ -41,28 +41,6 @@ func (g *GroupStats) addGroup(n int64) {
 	g.TotalTuples += n
 }
 
-// TuplesInGroupsAtLeast returns the number of tuples that live in groups of
-// at least minRows tuples, computed conservatively from the histogram: only
-// buckets whose lower bound reaches minRows count. Algorithm 1's granularity
-// chooser uses the exact sweep (TuplesInLargeGroups) instead; this
-// bucket-granular variant serves reporting.
-func (g *GroupStats) TuplesInGroupsAtLeast(minRows int64) int64 {
-	if minRows <= 1 {
-		return g.TotalTuples
-	}
-	var sum int64
-	for x := range g.Groups {
-		lo := int64(1) << uint(x-1) // lower bound of bucket x (x ≥ 1)
-		if x == 0 {
-			lo = 0
-		}
-		if lo >= minRows {
-			sum += g.Tuples[x]
-		}
-	}
-	return sum
-}
-
 // String renders the histogram for diagnostics.
 func (g *GroupStats) String() string {
 	var b strings.Builder

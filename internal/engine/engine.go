@@ -40,6 +40,22 @@
 // first-seen rows) and the slot arrays keep a pinned geometry, because
 // their footprint is Figure 3 (TestHashTableFootprintPinned).
 //
+// # One scan
+//
+// Every scan in the engine — plain or scatter, serial, morsel-parallel,
+// shipped to a worker, or re-run by the coordinator's failover — reads
+// through one cursor (scanCursor, scan.go): the only code that pulls a
+// storage.Reader, tags a batch with its group and applies the scan filter.
+// The one operator, Scan, reads a list of groups: a plain scan is the
+// one-group case, its ranges one untagged group. The forms differ only in
+// who owns the output batch — the serial Scan reuses one, morsel tasks and
+// Fragment.runScan emit fresh ones — and in where reads are charged: the
+// serial scan charges the union of its ranges once at Open, the morsel form
+// posts one asynchronous read per group, a worker reports its own. The scan
+// derives its reader pushdown from its filter (FilterIntervals, the form
+// zonemap pruning uses too) whenever the table is compressed and the scan
+// is not shipped.
+//
 // # Morsel-driven parallelism
 //
 // Parallel execution runs on one scheduler per query: the Context owns a
@@ -69,8 +85,8 @@
 //     scheduler passes to every task. That includes expressions: a bound
 //     tree owns the scratch its kernels write into, so it is single-goroutine
 //     state, and whoever fans an operator out gives every concurrent
-//     evaluator an expr.Clone of the operator's bound tree — startMorselScan
-//     one filter per pool worker, Fragment.newProbe one residual per
+//     evaluator an expr.Clone of the operator's bound tree — the morsel
+//     scan one filter per pool worker, Fragment.newProbe one residual per
 //     joinProbe, Fragment.runScan one filter per call, newAggTable the
 //     aggregate arguments per partition table. The operator's own tree is
 //     evaluated only by the goroutine that drives its Next.
@@ -86,10 +102,10 @@
 //     downstream error) leaves neither goroutines nor accounted memory
 //     behind.
 //
-// Grouped scans additionally overlap their modeled I/O with compute: with a
-// multi-worker scheduler they post each scatter group's read asynchronously
-// (iosim Submit/Wait) one group ahead of the morsel tasks, so the cold-time
-// model charges max(io, cpu) per overlap window instead of io + cpu.
+// Morsel scans additionally overlap their modeled I/O with compute: with a
+// multi-worker scheduler they post each group's read asynchronously (iosim
+// Submit/Wait) one group ahead of the morsel tasks, so the cold-time model
+// charges max(io, cpu) per overlap window instead of io + cpu.
 //
 // # Backends and sharding
 //
@@ -151,34 +167,8 @@ type Context struct {
 	Acct *iosim.Accountant
 	// Mem tracks operator memory; nil disables memory accounting.
 	Mem *MemTracker
-	// Workers is the morsel-parallelism knob: the per-query scheduler runs
-	// this many pool goroutines, shared by every parallel operator of the
-	// plan. Values below 2 (including the zero value) mean serial execution,
-	// preserving the paper's single-threaded measurement setup;
-	// DefaultWorkers() uses all cores.
-	Workers int
-	// Shards is the scale-out knob: how many backends the query's BDCC
-	// group streams are sharded across. Values below 2 (including the zero
-	// value) mean single-box execution — no backends, no transport, the
-	// paper's measurement setup unchanged. With Shards ≥ 2 the planner
-	// installs one backend set (Backends, Net) per query — simulated remotes
-	// by default, real TCP workers when Remotes is set — and routes each
-	// aligned sandwich group to a backend; results stay byte-identical
-	// across shard counts.
-	Shards int
-	// Remotes lists bdccworker daemon addresses (host:port). When non-empty
-	// the planner dials one TCP backend per address instead of building
-	// simulated remotes, and Shards is ignored in favor of len(Remotes).
-	Remotes []string
-	// Balance selects the group-placement policy of the backend set:
-	// "hash" (the default, also the zero value) places groups by group-id
-	// hash; "size" places each group on the backend with the least
-	// cumulative routed bytes. Results are byte-identical across policies.
-	Balance string
-	// AuthToken is the shared secret presented in the wire protocol's hello
-	// frame when dialing remote backends; empty means no token. It must
-	// match the workers' configured token or the dial is dropped.
-	AuthToken string
+	// Options are the query's execution knobs.
+	Options
 	// SharedBackends marks Backends as owned by a longer-lived host (the
 	// bdccd daemon's process-lifetime worker sessions, multiplexed across
 	// queries) rather than by this query: CloseBackends becomes a no-op and
@@ -191,18 +181,6 @@ type Context struct {
 	// Cluster is the set Backends belongs to, installed with it: where a
 	// group lives and what the set recorded. nil when single-box.
 	Cluster Cluster
-	// ProbeBase and ProbeMax tune the health prober's reconnect backoff for
-	// dialed TCP backends (first delay and cap of the jittered exponential
-	// sequence); zero values select the shard layer's defaults.
-	ProbeBase time.Duration
-	ProbeMax  time.Duration
-	// Partition is the shared-nothing knob: with it set (and a backend set
-	// installed), the planner partitions each BDCC base table across the
-	// workers, ships every worker its partition once, and lowers scatter
-	// scans to placement-pinned scan units that stream from worker-local
-	// storage — the coordinator charges no device I/O for them and only
-	// merges the returned group batches. Ignored when single-box.
-	Partition bool
 
 	sched *Sched
 }
@@ -335,44 +313,56 @@ func NewContext(dev iosim.Device) *Context {
 }
 
 // Options bundles the execution knobs every front end (tpchbench, the tpch
-// test harness, bdccd) applies to a query context, so the knob wiring
-// lives in exactly one place.
+// test harness, bdccd) sets on a query context, so the knob wiring lives in
+// exactly one place.
 type Options struct {
-	// Workers is Context.Workers (morsel parallelism; <2 = serial).
+	// Workers is the morsel-parallelism knob: the per-query scheduler runs
+	// this many pool goroutines, shared by every parallel operator of the
+	// plan. Values below 2 (including the zero value) mean serial execution,
+	// preserving the paper's single-threaded measurement setup;
+	// DefaultWorkers() uses all cores.
 	Workers int
-	// Shards is Context.Shards (simulated backend count; <2 = single-box).
+	// Shards is the scale-out knob: how many backends the query's BDCC
+	// group streams are sharded across. Values below 2 (including the zero
+	// value) mean single-box execution — no backends, no transport, the
+	// paper's measurement setup unchanged. With Shards ≥ 2 the planner
+	// installs one backend set (Backends, Net) per query — simulated remotes
+	// by default, real TCP workers when Remotes is set — and routes each
+	// aligned sandwich group to a backend; results stay byte-identical
+	// across shard counts.
 	Shards int
-	// Remotes is Context.Remotes (bdccworker addresses; overrides Shards).
+	// Remotes lists bdccworker daemon addresses (host:port). When non-empty
+	// the planner dials one TCP backend per address instead of building
+	// simulated remotes, and Shards is ignored in favor of len(Remotes).
 	Remotes []string
-	// Balance is Context.Balance (group placement: "hash" | "size").
+	// Balance selects the group-placement policy of the backend set:
+	// "hash" (the default, also the zero value) places groups by group-id
+	// hash; "size" places each group on the backend with the least
+	// cumulative routed bytes. Results are byte-identical across policies.
 	Balance string
-	// ProbeBase/ProbeMax tune the health prober's reconnect backoff.
+	// ProbeBase and ProbeMax tune the health prober's reconnect backoff for
+	// dialed TCP backends (first delay and cap of the jittered exponential
+	// sequence); zero values select the shard layer's defaults.
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
-	// AuthToken is the shared secret for the workers' hello frames.
+	// AuthToken is the shared secret presented in the wire protocol's hello
+	// frame when dialing remote backends; empty means no token. It must
+	// match the workers' configured token or the dial is dropped.
 	AuthToken string
-	// Partition is Context.Partition (worker-local base tables and shipped
-	// scatter scans; needs Shards ≥ 2 or Remotes).
+	// Partition is the shared-nothing knob: with it set (and a backend set
+	// installed), the planner partitions each BDCC base table across the
+	// workers, ships every worker its partition once, and lowers scatter
+	// scans to placement-pinned scan units that stream from worker-local
+	// storage — the coordinator charges no device I/O for them and only
+	// merges the returned group batches. Ignored when single-box.
 	Partition bool
 }
 
-// Apply copies the option set's knobs onto a context.
-func (o Options) Apply(c *Context) {
-	c.Workers = o.Workers
-	c.Shards = o.Shards
-	c.Remotes = o.Remotes
-	c.Balance = o.Balance
-	c.ProbeBase = o.ProbeBase
-	c.ProbeMax = o.ProbeMax
-	c.AuthToken = o.AuthToken
-	c.Partition = o.Partition
-}
-
 // NewContext returns a context with fresh meters for the given device and
-// the option set's knobs applied.
+// the option set's knobs.
 func (o Options) NewContext(dev iosim.Device) *Context {
 	c := NewContext(dev)
-	o.Apply(c)
+	c.Options = o
 	return c
 }
 

@@ -75,14 +75,14 @@ func TestTableScanFilterAndRanges(t *testing.T) {
 		vals[i] = int64(i)
 	}
 	tab := storage.MustNewTable("t", 4096, storage.NewInt64Column("v", vals))
-	scan := &TableScan{Table: tab, Cols: []string{"v"},
+	scan := &Scan{Table: tab, Cols: []string{"v"},
 		Filter: expr.NewCmp(expr.LT, expr.C("v"), expr.Int(100))}
 	rows := runAll(t, scan, false)
 	if len(rows) != 100 {
 		t.Fatalf("filtered scan returned %d rows, want 100", len(rows))
 	}
 	// Range-restricted scan.
-	scan2 := &TableScan{Table: tab, Cols: []string{"v"},
+	scan2 := &Scan{Table: tab, Cols: []string{"v"},
 		Ranges: storage.RowRanges{{Start: 10, End: 20}, {Start: 50, End: 55}}}
 	rows = runAll(t, scan2, false)
 	if len(rows) != 15 {
@@ -98,7 +98,7 @@ func TestTableScanChargesIO(t *testing.T) {
 	vals := make([]int64, n)
 	tab := storage.MustNewTable("t", 32<<10, storage.NewInt64Column("v", vals))
 	ctx := testCtx()
-	op := &TableScan{Table: tab, Cols: []string{"v"}}
+	op := &Scan{Table: tab, Cols: []string{"v"}}
 	if err := op.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -370,6 +370,37 @@ func TestLimit(t *testing.T) {
 	got := runAll(t, &Limit{Child: src, N: 4}, false)
 	if fmt.Sprint(got) != "[[1] [2] [3] [4]]" {
 		t.Fatalf("limit = %v", got)
+	}
+}
+
+// TestLimitKeepsGroupTag cuts a group stream mid-batch: the cut batch opens
+// a new group, and it must carry that group's tag like every batch passed
+// through whole, or a sandwich join above the limit sees an untagged probe
+// batch and a flush-per-group aggregation folds it into the previous group.
+func TestLimitKeepsGroupTag(t *testing.T) {
+	schema := intSchema("x")
+	src := groupedSource(schema, []uint64{3, 7}, []*vector.Batch{
+		makeBatch(schema, []int64{1, 2, 3}),
+		makeBatch(schema, []int64{4, 5, 6}),
+	})
+	lim := &Limit{Child: src, N: 5}
+	if err := lim.Open(testCtx()); err != nil {
+		t.Fatal(err)
+	}
+	defer lim.Close()
+	var got []string
+	for {
+		b, err := lim.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		got = append(got, fmt.Sprintf("%d rows grouped=%v gid=%d", b.Len(), b.Grouped, b.GroupID))
+	}
+	if want := "[3 rows grouped=true gid=3 2 rows grouped=true gid=7]"; fmt.Sprint(got) != want {
+		t.Fatalf("limit batches = %v, want %s", got, want)
 	}
 }
 

@@ -234,25 +234,34 @@ func (f *Fragment) ScanStats(g *GroupUnit) (runs, pages, bytes int64, err error)
 	if !f.prepared || f.Kind != FragScan {
 		return 0, 0, 0, fmt.Errorf("engine: scan stats on an unprepared or non-scan fragment")
 	}
-	ranges := g.ScanRanges
-	if f.scanMap != nil {
-		mapped := make(storage.RowRanges, len(ranges))
-		for i, r := range ranges {
-			m, merr := f.scanMap(r)
-			if merr != nil {
-				return 0, 0, 0, merr
-			}
-			mapped[i] = m
-		}
-		ranges = mapped
+	ranges, err := f.localRanges(g.ScanRanges)
+	if err != nil {
+		return 0, 0, 0, err
 	}
 	runs, pages, bytes = f.scanTab.ReadStats(f.scanIdx, ranges)
 	return runs, pages, bytes, nil
 }
 
-// runScan executes one scan unit: map the unit's coordinator row ranges into
-// the site's local row space (identity when the site holds the full table),
-// stream them through a reader, filter, and emit group-tagged batches. Range
+// localRanges maps a scan unit's coordinator row ranges into the site's
+// local row space (identity when the site holds the full table).
+func (f *Fragment) localRanges(ranges storage.RowRanges) (storage.RowRanges, error) {
+	if f.scanMap == nil {
+		return ranges, nil
+	}
+	mapped := make(storage.RowRanges, len(ranges))
+	for i, r := range ranges {
+		m, err := f.scanMap(r)
+		if err != nil {
+			return nil, err
+		}
+		mapped[i] = m
+	}
+	return mapped, nil
+}
+
+// runScan executes one scan unit: map the unit's ranges into the site's
+// local row space and drive the scan's cursor over them, emitting fresh
+// group-tagged batches — the same loop the single-box Scan runs. Range
 // lengths survive the mapping and the reader cuts batches only at range
 // boundaries and BatchSize steps, so a worker's local scan and the
 // coordinator's failover re-scan of the same unit produce identical batch
@@ -263,35 +272,31 @@ func (f *Fragment) ScanStats(g *GroupUnit) (runs, pages, bytes int64, err error)
 // recompressed shipped partition, and the scan re-applies the full filter
 // anyway.
 func (f *Fragment) runScan(g *GroupUnit, emit func(*vector.Batch)) error {
-	ranges := g.ScanRanges
-	if f.scanMap != nil {
-		mapped := make(storage.RowRanges, len(ranges))
-		for i, r := range ranges {
-			m, err := f.scanMap(r)
-			if err != nil {
-				return err
-			}
-			mapped[i] = m
-		}
-		ranges = mapped
+	ranges, err := f.localRanges(g.ScanRanges)
+	if err != nil {
+		return err
 	}
-	r := storage.NewReaderPush(f.scanTab, f.scanIdx, ranges, f.Acct, nil)
 	kinds := f.out.Kinds()
-	raw := vector.NewBatch(kinds)
-	pred := expr.Clone(f.Residual) // concurrent Runs each evaluate their own
-	for r.Next(raw) {
-		out := vector.NewBatch(kinds)
-		if pred != nil {
-			filterInto(pred, raw, out)
-		} else {
-			out.AppendBatch(raw)
-		}
-		if out.Len() == 0 {
-			continue
-		}
-		out.Grouped = true
-		out.GroupID = g.GID
-		emit(out)
+	c := scanCursor{
+		r:      storage.NewReaderPush(f.scanTab, f.scanIdx, ranges, f.Acct, nil),
+		raw:    vector.NewBatch(kinds),
+		filter: expr.Clone(f.Residual), // concurrent Runs each evaluate their own
+		gid:    g.GID, grouped: true,
 	}
-	return nil
+	var out *vector.Batch
+	for {
+		if out == nil && c.filter != nil {
+			out = vector.NewBatch(kinds)
+		}
+		b := c.next(out)
+		switch {
+		case b == nil:
+			return nil
+		case b == c.raw:
+			b = b.Clone() // the reader reuses its batch; the receiver owns what is emitted
+		default:
+			out = nil
+		}
+		emit(b)
+	}
 }

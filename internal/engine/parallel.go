@@ -10,19 +10,19 @@ import (
 // This file is the engine's morsel-driven parallel execution core: an
 // order-preserving exchange that fans work out to the query's shared
 // scheduler (see scheduler.go) and merges worker output batches back in job
-// order. Scans use the morsel form (the job list — split row ranges — is
-// known up front, and job tasks are released to the scheduler as the
-// consumption window allows), hash joins use the streaming form (a feeder
-// goroutine pulls probe batches from the serial child and submits one task
-// per job). Because delivery order equals job order, a parallel plan
-// produces byte-identical results to its serial counterpart; see the package
-// comment for the full threading contract.
+// order. Every parallel operator drives it the same way: one feeder
+// goroutine claims job indexes as the consumption window allows and submits
+// one task per job — a scan's morsels (a job list known up front, fed by
+// feed), a join's coalesced probe batches (runStream), a sandwich's groups.
+// Because delivery order equals job order, a parallel plan produces
+// byte-identical results to its serial counterpart; see the package comment
+// for the full threading contract.
 //
 // Tasks submitted to the shared scheduler never block: backpressure is
-// applied at release time (the exchange stops handing out jobs while the
-// window is full or the buffer cap is exceeded), not inside running tasks.
-// That invariant is what lets one pool serve a whole scan→join→agg pipeline
-// without cross-stage deadlock.
+// applied at claim time (the feeder waits while the window is full or the
+// buffer cap is exceeded), not inside running tasks. That invariant is what
+// lets one pool serve a whole scan→join→agg pipeline without cross-stage
+// deadlock.
 
 // DefaultWorkers is the default of the workers knob: one worker per
 // available core.
@@ -42,46 +42,36 @@ const morselRows = 16 * vector.BatchSize
 const exchangeBufferCap = 4 << 20
 
 // exchange is the order-preserving merge at the top of every parallel
-// operator. Jobs are released (or fed) in sequence; workers post their
-// output batches under the job's index; the consumer drains batches strictly
-// in job order, inside a job in posting order. A window bounds how far job
-// release may run ahead of consumption, bounding both buffered memory and
+// operator. A feeder claims jobs in sequence; workers post their output
+// batches under the job's index; the consumer drains batches strictly
+// in job order, inside a job in posting order. A window bounds how far
+// claiming may run ahead of consumption, bounding both buffered memory and
 // the scheduler's in-flight task count.
 type exchange struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	mem   *MemTracker
 	sched Executor
-	wg    sync.WaitGroup // stream-form feeder goroutine
+	wg    sync.WaitGroup // feeder goroutine
 
 	window   int
 	results  [][]*vector.Batch // posted output batches, indexed by job
 	done     []bool            // job fully produced
 	jobs     int               // total jobs; -1 while streaming input is open
-	released int               // jobs handed to the scheduler (or claimed by the feeder)
+	released int               // jobs claimed by the feeder
 	next     int               // next job to consume
 	pos      int               // batches of job `next` already consumed
 	charged  int64             // bytes of buffered batches charged to mem
 	tasksOut int               // submitted-but-unfinished scheduler tasks
 	err      error
 	closed   bool
-
-	// run is the morsel-form job body; nil in the streaming form.
-	run func(job, worker int, emit func(*vector.Batch)) error
-	// onRelease/onFinish are I/O-overlap hooks: called (outside the exchange
-	// lock) right before a job's task is submitted and right after its body
-	// ran. Grouped scans use them to post the next group's modeled read
-	// ahead of the compute and close the overlap window when a group's last
-	// morsel completes.
-	onRelease func(job int)
-	onFinish  func(job int)
 }
 
 // newExchange creates an exchange over a task executor — usually the
 // context's shared scheduler. The exchange holds an executor retain until
 // close. A nil executor is allowed for merge-only exchanges whose jobs all
 // run elsewhere (shard backends registered via beginJob); such an exchange
-// must never see runMorsels or submitJob.
+// must never see submitJob.
 func newExchange(mem *MemTracker, sched Executor, window int) *exchange {
 	e := &exchange{mem: mem, sched: sched, window: window, jobs: -1}
 	e.cond = sync.NewCond(&e.mu)
@@ -89,17 +79,6 @@ func newExchange(mem *MemTracker, sched Executor, window int) *exchange {
 		sched.Retain()
 	}
 	return e
-}
-
-// runMorsels fixes the job count and starts releasing job tasks to the
-// scheduler. run(job, worker, emit) is the job body; emitted batches must be
-// freshly allocated (the consumer takes ownership).
-func (e *exchange) runMorsels(jobs int, run func(job, worker int, emit func(*vector.Batch)) error) {
-	e.mu.Lock()
-	e.jobs = jobs
-	e.run = run
-	e.mu.Unlock()
-	e.pump(-1)
 }
 
 // ensureJob grows the result arrays to cover job. Called with e.mu held.
@@ -110,46 +89,10 @@ func (e *exchange) ensureJob(job int) {
 	}
 }
 
-// pump releases morsel jobs to the scheduler while the consumption window
-// and the buffer cap allow, submitting one non-blocking task per job. It is
-// called from the consumer (window advanced), from finishing tasks (which
-// push the continuation onto their own deque), and once at start.
-func (e *exchange) pump(worker int) {
-	e.mu.Lock()
-	var release []int
-	for e.run != nil && !e.closed && e.err == nil &&
-		e.released < e.jobs && e.released < e.next+e.window &&
-		e.charged <= exchangeBufferCap {
-		j := e.released
-		e.released++
-		e.tasksOut++
-		e.ensureJob(j)
-		release = append(release, j)
-	}
-	e.mu.Unlock()
-	for _, j := range release {
-		if e.onRelease != nil {
-			e.onRelease(j)
-		}
-		j := j
-		e.sched.Submit(worker, func(w int) {
-			var err error
-			if !e.isClosed() {
-				err = e.run(j, w, func(b *vector.Batch) { e.post(j, b) })
-			}
-			if e.onFinish != nil {
-				e.onFinish(j)
-			}
-			e.finish(j, err)
-			e.pump(w)
-		})
-	}
-}
-
-// claim hands the streaming feeder the next job index, blocking while the
-// in-flight window is full or the buffer cap is exceeded. Only the feeder
-// goroutine calls claim — never a scheduler task. ok is false once the input
-// is sealed or the exchange shut down.
+// claim hands the feeder the next job index, blocking while the in-flight
+// window is full or the buffer cap is exceeded. Only the feeder goroutine
+// calls claim — never a scheduler task. ok is false once every job of a
+// sealed input was claimed or the exchange shut down.
 func (e *exchange) claim() (job int, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -170,8 +113,8 @@ func (e *exchange) claim() (job int, ok bool) {
 // submitJob schedules fn as the body of a claimed job: the task posts its
 // emitted batches under the job index and marks the job finished. fn always
 // runs, even on a closed exchange (so it can release in-flight accounting);
-// it should check isClosed before doing real work. Used by streaming feeders
-// (join probes, sandwich group pipelines).
+// it should check isClosed before doing real work. Used by every feeder
+// (scan morsels, join probes, sandwich group pipelines).
 func (e *exchange) submitJob(job int, fn func(worker int, emit func(*vector.Batch)) error) {
 	e.mu.Lock()
 	e.tasksOut++
@@ -220,7 +163,7 @@ func (e *exchange) finish(job int, err error) {
 }
 
 // seal fixes the total job count (streaming feeders call it at end of
-// input; the morsel form seals up front).
+// input; feed seals up front).
 func (e *exchange) seal(jobs int) {
 	e.mu.Lock()
 	e.jobs = jobs
@@ -239,8 +182,8 @@ func (e *exchange) setErr(err error) {
 }
 
 // nextBatch returns the next output batch in job order, nil at end of
-// stream. Consuming progress re-pumps the morsel form so freed window room
-// turns into new scheduler tasks.
+// stream. Consuming progress wakes the feeder, so freed window room turns
+// into new scheduler tasks.
 func (e *exchange) nextBatch() (*vector.Batch, error) {
 	e.mu.Lock()
 	for {
@@ -257,7 +200,6 @@ func (e *exchange) nextBatch() (*vector.Batch, error) {
 			e.mem.Shrink(n)
 			e.cond.Broadcast() // wakes the feeder blocked on the buffer cap
 			e.mu.Unlock()
-			e.pump(-1)
 			return b, nil
 		}
 		if e.next < len(e.results) && e.done[e.next] && e.pos >= len(e.results[e.next]) {
@@ -265,9 +207,6 @@ func (e *exchange) nextBatch() (*vector.Batch, error) {
 			e.next++
 			e.pos = 0
 			e.cond.Broadcast() // frees window room for the feeder
-			e.mu.Unlock()
-			e.pump(-1)
-			e.mu.Lock()
 			continue
 		}
 		if e.jobs >= 0 && e.next >= e.jobs {
@@ -311,6 +250,24 @@ func (e *exchange) close() {
 		e.sched.Release()
 		e.sched = nil
 	}
+}
+
+// feed seals the exchange at jobs and starts the feeder goroutine that
+// claims them in order and hands each to start, which registers it —
+// submitJob for a pool task, beginJob for a unit shipped to a backend.
+func (e *exchange) feed(jobs int, start func(job int)) {
+	e.seal(jobs)
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		for {
+			job, ok := e.claim()
+			if !ok {
+				return
+			}
+			start(job)
+		}
+	}()
 }
 
 // streamJobRows is the target row count of one streaming job: the feeder

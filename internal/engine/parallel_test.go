@@ -81,8 +81,8 @@ func parTestTables() (*storage.Table, *storage.Table) {
 // and leaves the memory tracker balanced.
 func TestParallelTableScanMatchesSerial(t *testing.T) {
 	left, _ := parTestTables()
-	mkScan := func(ctx *Context) *TableScan {
-		return &TableScan{
+	mkScan := func(ctx *Context) *Scan {
+		return &Scan{
 			Table:  left,
 			Cols:   []string{"lkey", "lpay", "lstr"},
 			Filter: expr.NewCmp(expr.LT, expr.C("lkey"), expr.Int(3000)),
@@ -116,7 +116,7 @@ func TestParallelTableScanMatchesSerial(t *testing.T) {
 func TestParallelTableScanEarlyClose(t *testing.T) {
 	left, _ := parTestTables()
 	ctx := parCtx(4)
-	scan := &TableScan{
+	scan := &Scan{
 		Table:  left,
 		Cols:   []string{"lkey", "lstr"},
 		Filter: expr.NewCmp(expr.GE, expr.C("lkey"), expr.Int(0)),
@@ -142,8 +142,8 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	left, right := parTestTables()
 	mkJoin := func(typ JoinType, residual bool, ctx *Context) *HashJoin {
 		j := &HashJoin{
-			Left:     &TableScan{Table: left, Cols: []string{"lkey", "lpay", "lstr"}},
-			Right:    &TableScan{Table: right, Cols: []string{"rkey", "rpay"}},
+			Left:     &Scan{Table: left, Cols: []string{"lkey", "lpay", "lstr"}},
+			Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 			LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
 			Type: typ, Sched: ctx.Scheduler(),
 		}
@@ -191,7 +191,7 @@ func TestParallelHashAggregateMatchesSerial(t *testing.T) {
 	left, _ := parTestTables()
 	mkAgg := func(ctx *Context) *HashAggregate {
 		return &HashAggregate{
-			Child:   &TableScan{Table: left, Cols: []string{"lkey", "lpay", "lstr"}},
+			Child:   &Scan{Table: left, Cols: []string{"lkey", "lpay", "lstr"}},
 			GroupBy: []string{"lkey"},
 			Aggs: []AggSpec{
 				{Name: "c", Func: AggCount},
@@ -241,7 +241,7 @@ func TestParallelGlobalAggregate(t *testing.T) {
 	left, _ := parTestTables()
 	mkAgg := func(ctx *Context) *HashAggregate {
 		return &HashAggregate{
-			Child:   &TableScan{Table: left, Cols: []string{"lkey", "lpay"}},
+			Child:   &Scan{Table: left, Cols: []string{"lkey", "lpay"}},
 			GroupBy: nil,
 			Aggs: []AggSpec{
 				{Name: "c", Func: AggCount},
@@ -271,8 +271,8 @@ func TestHashJoinMemAccountingBalanced(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx := parCtx(workers)
 		j := &HashJoin{
-			Left:     &TableScan{Table: left, Cols: []string{"lkey", "lpay"}},
-			Right:    &TableScan{Table: right, Cols: []string{"rkey", "rpay"}},
+			Left:     &Scan{Table: left, Cols: []string{"lkey", "lpay"}},
+			Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 			LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
 			Type: InnerJoin, Sched: ctx.Scheduler(),
 		}

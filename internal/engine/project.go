@@ -107,7 +107,7 @@ func (p *Project) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (p *Project) Close() error { return p.Child.Close() }
 
-// Limit passes through at most N rows.
+// Limit passes through at most N rows, preserving group tags.
 type Limit struct {
 	Child Operator
 	N     int
@@ -146,6 +146,8 @@ func (l *Limit) Next() (*vector.Batch, error) {
 		l.out.AppendRow(b, i)
 		l.seen++
 	}
+	l.out.GroupID = b.GroupID
+	l.out.Grouped = b.Grouped
 	return l.out, nil
 }
 

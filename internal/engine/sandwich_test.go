@@ -68,14 +68,14 @@ func coClusteredPair(t *testing.T, nL, nR int) (*core.BDCCTable, *core.BDCCTable
 	return left, right, dim
 }
 
-func groupedScan(t *testing.T, bt *core.BDCCTable, cols []string) *GroupedScan {
+func groupedScan(t *testing.T, bt *core.BDCCTable, cols []string) *Scan {
 	t.Helper()
 	bits := core.Ones(bt.Uses[0].Mask)
 	groups, err := bt.ScatterPlan([]int{0}, []int{bits}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &GroupedScan{BDCC: bt, Cols: cols, Groups: groups}
+	return &Scan{Table: bt.Data, Cols: cols, Groups: groups}
 }
 
 // TestSandwichJoinMatchesHashJoin checks all join types: the sandwiched
@@ -226,6 +226,7 @@ func TestGroupedScanStreamContract(t *testing.T) {
 	if err := scan.Open(testCtx()); err != nil {
 		t.Fatal(err)
 	}
+	defer scan.Close()
 	var rows int
 	var prev uint64
 	first := true
@@ -337,7 +338,7 @@ func TestSandwichJoinFlushesLargeGroups(t *testing.T) {
 func TestParallelGroupedScanMatchesSerial(t *testing.T) {
 	left, _, _ := coClusteredPair(t, 40000, 512)
 	filter := expr.NewCmp(expr.LT, expr.C("lid"), expr.Int(30000))
-	run := func(workers int) ([]string, []uint64) {
+	run := func(workers int) []string {
 		scan := groupedScan(t, left, []string{"lkey", "lid"})
 		scan.Filter = filter
 		ctx := testCtx()
@@ -348,7 +349,6 @@ func TestParallelGroupedScanMatchesSerial(t *testing.T) {
 		}
 		defer scan.Close()
 		var rows []string
-		var gids []uint64
 		prev := uint64(0)
 		first := true
 		for {
@@ -366,7 +366,6 @@ func TestParallelGroupedScanMatchesSerial(t *testing.T) {
 				t.Fatalf("group ids decreased: %d after %d", b.GroupID, prev)
 			}
 			prev, first = b.GroupID, false
-			gids = append(gids, b.GroupID)
 			for i := 0; i < b.Len(); i++ {
 				rows = append(rows, fmt.Sprintf("%d|%d", b.Cols[0].I64[i], b.Cols[1].I64[i]))
 			}
@@ -374,14 +373,14 @@ func TestParallelGroupedScanMatchesSerial(t *testing.T) {
 		if cur := ctx.Mem.Current(); cur != 0 {
 			t.Fatalf("workers=%d: %d bytes still accounted", workers, cur)
 		}
-		return rows, gids
+		return rows
 	}
-	serialRows, _ := run(1)
+	serialRows := run(1)
 	if len(serialRows) == 0 {
 		t.Fatal("filter selects nothing — vacuous test")
 	}
 	for _, workers := range []int{2, 4} {
-		parRows, _ := run(workers)
+		parRows := run(workers)
 		if len(parRows) != len(serialRows) {
 			t.Fatalf("workers=%d: %d rows, serial has %d", workers, len(parRows), len(serialRows))
 		}

@@ -16,7 +16,7 @@ import (
 // for.
 func pipelineQuery(ctx *Context) Operator {
 	left, right := parTestTables()
-	scan := &TableScan{
+	scan := &Scan{
 		Table:  left,
 		Cols:   []string{"lkey", "lpay", "lstr"},
 		Filter: expr.NewCmp(expr.GE, expr.C("lkey"), expr.Int(0)),
@@ -24,7 +24,7 @@ func pipelineQuery(ctx *Context) Operator {
 	}
 	join := &HashJoin{
 		Left:     scan,
-		Right:    &TableScan{Table: right, Cols: []string{"rkey", "rpay"}},
+		Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 		LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
 		Type:  InnerJoin,
 		Sched: ctx.Scheduler(),
@@ -42,12 +42,12 @@ func pipelineQuery(ctx *Context) Operator {
 
 // TestPipelineGoroutineBudget asserts the tentpole invariant: a
 // scan→join→agg pipeline runs on one shared pool, so total goroutines stay
-// within Workers plus a small constant of coordinators (join feeder,
-// sampler) — no per-stage oversubscription (the old design peaked near
-// 3×Workers).
+// within Workers plus a small constant of coordinators (scan and join
+// feeders, sampler) — no per-stage oversubscription (the old design peaked
+// near 3×Workers).
 func TestPipelineGoroutineBudget(t *testing.T) {
 	const workers = 8
-	const slack = 5 // join feeder + sampler + runtime jitter
+	const slack = 5 // scan feeder + join feeder + sampler + runtime jitter
 	base := runtime.NumGoroutine()
 	ctx := parCtx(workers)
 
@@ -138,7 +138,7 @@ func TestErrorMidStreamJoinsProducers(t *testing.T) {
 		t.Run(shape, func(t *testing.T) {
 			left, right := parTestTables()
 			ctx := parCtx(4)
-			scan := &TableScan{
+			scan := &Scan{
 				Table:  left,
 				Cols:   []string{"lkey", "lpay", "lstr"},
 				Filter: expr.NewCmp(expr.GE, expr.C("lkey"), expr.Int(0)),
@@ -151,7 +151,7 @@ func TestErrorMidStreamJoinsProducers(t *testing.T) {
 			case "join":
 				op = &errAfter{child: &HashJoin{
 					Left:     scan,
-					Right:    &TableScan{Table: right, Cols: []string{"rkey", "rpay"}},
+					Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
 					Type:  InnerJoin,
 					Sched: ctx.Scheduler(),

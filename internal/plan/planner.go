@@ -229,6 +229,7 @@ func (p *Planner) lowerScan(s *Scan, inherited restrictions) (engine.Operator, *
 			info.order = nil
 		}
 	}
+	op := &engine.Scan{Table: stored, Cols: s.Cols, Filter: s.Filter, Rename: rename, Sched: p.sched()}
 	bt := p.DB.BDCCTable(s.Table)
 	if bt == nil || (s.Alias != "" && p.scanChoice[s] == nil) {
 		all := storage.FullRange(stored.Rows())
@@ -237,9 +238,8 @@ func (p *Planner) lowerScan(s *Scan, inherited restrictions) (engine.Operator, *
 			// count entries cover every row once.
 			all = core.EntriesRanges(bt.Count)
 		}
-		ranges := p.zonemapPrune(stored, s.Filter, all)
-		op := &engine.TableScan{Table: stored, Cols: s.Cols, Ranges: ranges, Filter: s.Filter, Push: pushPreds(stored, s.Filter, s.Cols), Rename: rename, Sched: p.sched()}
-		if rows := ranges.Rows(); rows < all.Rows() {
+		op.Ranges = p.zonemapPrune(stored, s.Filter, all)
+		if rows := op.Ranges.Rows(); rows < all.Rows() {
 			p.logf("scan %s%s: minmax pruned to %d of %d rows", s.Table, aliasSuffix(s.Alias), rows, all.Rows())
 		}
 		return op, info, nil
@@ -266,33 +266,27 @@ func (p *Planner) lowerScan(s *Scan, inherited restrictions) (engine.Operator, *
 			s.Table, len(entries), len(bt.Count), core.TotalRows(entries), bt.Rows())
 	}
 	info.restr = restr
-	if choice := p.scanChoice[s]; choice != nil {
-		idx := -1
-		for i, u := range bt.Uses {
-			if u == choice.use {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return nil, nil, fmt.Errorf("plan: scatter use %s not found on %s", useKey(choice.use), s.Table)
-		}
-		groups, err := bt.ScatterPlan([]int{idx}, []int{choice.bits}, entries)
-		if err != nil {
-			return nil, nil, err
-		}
-		groups = p.pruneGroups(stored, s.Filter, groups)
-		p.logf("scan %s%s: scatter scan on %s (%d bits, %d groups)",
-			s.Table, aliasSuffix(s.Alias), choice.use.Dim.Name, choice.bits, len(groups))
-		op := &engine.GroupedScan{BDCC: bt, Cols: s.Cols, Groups: groups, Filter: s.Filter, Push: pushPreds(stored, s.Filter, s.Cols), Rename: rename, Sched: p.sched()}
-		info.groupUse = choice.use
-		info.groupBits = choice.bits
-		if err := p.partitionScan(s, bt, stored, groups, op); err != nil {
-			return nil, nil, err
-		}
+	choice := p.scanChoice[s]
+	if choice == nil {
+		op.Ranges = p.zonemapPrune(stored, s.Filter, core.EntriesRanges(entries))
 		return op, info, nil
 	}
-	ranges := p.zonemapPrune(stored, s.Filter, core.EntriesRanges(entries))
-	op := &engine.TableScan{Table: stored, Cols: s.Cols, Ranges: ranges, Filter: s.Filter, Push: pushPreds(stored, s.Filter, s.Cols), Sched: p.sched()}
+	idx := slices.Index(bt.Uses, choice.use)
+	if idx < 0 {
+		return nil, nil, fmt.Errorf("plan: scatter use %s not found on %s", useKey(choice.use), s.Table)
+	}
+	groups, err := bt.ScatterPlan([]int{idx}, []int{choice.bits}, entries)
+	if err != nil {
+		return nil, nil, err
+	}
+	op.Groups = p.pruneGroups(stored, s.Filter, groups)
+	p.logf("scan %s%s: scatter scan on %s (%d bits, %d groups)",
+		s.Table, aliasSuffix(s.Alias), choice.use.Dim.Name, choice.bits, len(op.Groups))
+	info.groupUse = choice.use
+	info.groupBits = choice.bits
+	if err := p.partitionScan(s, bt, stored, op); err != nil {
+		return nil, nil, err
+	}
 	return op, info, nil
 }
 
@@ -363,11 +357,11 @@ func (p *Planner) backends() ([]engine.Backend, error) {
 //
 // The path requires a planner-owned backend set — a shared set (the bdccd
 // daemon's) stays on the ordinary scatter scan, as does a single-box
-// context; both leave the operator untouched. Predicate pushdown is
-// dropped on this path: pushed intervals prune by encoded chunk layout,
-// which differs between the coordinator's table and a recompressed shipped
-// partition, and the sites re-apply the full filter anyway.
-func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Table, groups []core.ScatterGroup, op *engine.GroupedScan) error {
+// context; both leave the operator untouched. A shipped scan pushes no
+// predicate into its readers: pushed intervals prune by encoded chunk
+// layout, which differs between the coordinator's table and a recompressed
+// shipped partition, and the sites re-apply the full filter anyway.
+func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Table, op *engine.Scan) error {
 	if p.Ctx == nil || !p.Ctx.Partition {
 		return nil
 	}
@@ -406,7 +400,7 @@ func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Tab
 		return err
 	}
 	var units []engine.PartScanUnit
-	for _, g := range groups {
+	for _, g := range op.Groups {
 		runs, err := part.SplitGroup(g.Ranges)
 		if err != nil {
 			return err
@@ -415,7 +409,6 @@ func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Tab
 			units = append(units, engine.PartScanUnit{GID: g.GroupID, Slot: r.Worker, Ranges: r.Ranges})
 		}
 	}
-	op.Push = nil
 	op.Part = &engine.PartScanPlan{Frag: frag, Units: units, Backends: bks}
 	p.logf("scan %s%s: partitioned over %d workers (%d scan units)",
 		s.Table, aliasSuffix(s.Alias), len(bks), len(units))
@@ -432,51 +425,10 @@ func aliasSuffix(alias string) string {
 // zonemapPrune intersects row ranges with the MinMax-qualified pages for
 // every analyzable conjunct of the filter.
 func (p *Planner) zonemapPrune(t *storage.Table, filter expr.Expr, in storage.RowRanges) storage.RowRanges {
-	if filter == nil {
-		return in
-	}
-	for col, r := range expr.ImpliedRanges(filter) {
-		if t.ColumnIndex(col) < 0 {
-			continue
-		}
-		iv := storage.Interval{}
-		if r.HasLo {
-			iv.Lo = storage.Bound{Set: true, I: r.LoI, S: r.LoS}
-		}
-		if r.HasHi {
-			iv.Hi = storage.Bound{Set: true, I: r.HiI, S: r.HiS}
-		}
+	for col, iv := range engine.FilterIntervals(filter) {
 		in = t.PruneZonemap(col, iv, in)
 	}
 	return in
-}
-
-// pushPreds builds reader pushdown intervals from the filter's analyzable
-// conjuncts over the scanned columns. Only compressed tables benefit (the
-// reader prunes on the encoded form — RLE runs and dictionary codes), so
-// uncompressed tables get none. PushPred.Col indexes the scan's cols slice.
-// The scan re-applies the full filter, so pushdown never changes results.
-func pushPreds(t *storage.Table, filter expr.Expr, cols []string) []storage.PushPred {
-	if filter == nil || !t.Compressed() {
-		return nil
-	}
-	var push []storage.PushPred
-	for col, r := range expr.ImpliedRanges(filter) {
-		for i, name := range cols {
-			if name != col {
-				continue
-			}
-			iv := storage.Interval{}
-			if r.HasLo {
-				iv.Lo = storage.Bound{Set: true, I: r.LoI, S: r.LoS}
-			}
-			if r.HasHi {
-				iv.Hi = storage.Bound{Set: true, I: r.HiI, S: r.HiS}
-			}
-			push = append(push, storage.PushPred{Col: i, Iv: iv})
-		}
-	}
-	return push
 }
 
 // pruneGroups applies zonemap pruning inside every scatter group.

@@ -107,21 +107,6 @@ type failoverOptions struct {
 	acct          *iosim.Accountant
 }
 
-// NewFailover wraps backends with unit-level failover, returning a slice
-// index-aligned with the input (wrapper i prefers backend i). Closing any
-// wrapper closes the whole set's probers; closing wrapper i closes backend
-// i. This plain form has neither re-admission (no addresses to re-dial) nor
-// local fallback — exhaustion of the set fails the unit with
-// ErrBackendDown, as PR 5 shipped it.
-func NewFailover(backends []engine.Backend) []engine.Backend {
-	slots := make([]*slot, len(backends))
-	for i, b := range backends {
-		slots[i] = &slot{backend: b, workers: b.Workers()}
-	}
-	out, _ := newFailover(slots, failoverOptions{})
-	return out
-}
-
 // newFailover builds the wrapped set over prepared slots and starts a
 // prober for every slot that is already down (a worker unreachable at dial
 // time joins the set down and is re-admitted when it comes up).

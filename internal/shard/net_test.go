@@ -141,7 +141,7 @@ func TestTCPBackendMatchesSerial(t *testing.T) {
 			if balance == "size" {
 				set.BalanceBySize()
 			}
-			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: 1}
+			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
 			ctx.Backends = set.Backends()
 			ctx.Cluster = set
 			res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
@@ -209,7 +209,7 @@ func TestFailoverReroutesKilledWorker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
+			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: workers}}
 			ctx.Backends = set.Backends()
 			ctx.Cluster = set
 			res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
@@ -452,7 +452,7 @@ func TestHelloVersionMismatch(t *testing.T) {
 // clones) the query-side one, and the worker tracker balances after the
 // run.
 func TestSimWorkerMeters(t *testing.T) {
-	ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: 1}
+	ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
 	sim := NewSim(2, iosim.NewAccountant(PaperNet()))
 	ctx.Backends = []engine.Backend{sim}
 	res, err := engine.Run(ctx, sandwich(ctx, ctx.Backends, func(uint64, int64) int { return 0 }))

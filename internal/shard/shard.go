@@ -31,10 +31,6 @@
 //     net.Pipe — the real wire protocol with only the network modeled.
 //   - Dial / DialSet: the same client over real TCP connections to
 //     bdccworker daemons (docs/OPERATIONS.md covers deployment).
-//   - NewFailover (failover.go): unit-level retry across a set — failed
-//     units reroute to surviving backends, excluding failed attempts; scan
-//     units are placement-pinned and instead retry on a re-admitted home
-//     worker or re-scan on the coordinator's full copy.
 //   - the health prober (health.go): down backends with dialable addresses
 //     are re-dialed under bounded jittered backoff, liveness-checked with a
 //     ping/pong round-trip, and re-admitted to the routing set mid-query;
@@ -330,17 +326,6 @@ func (s *Set) ScanIO() []iosim.Stats {
 		out[i] = a.Stats()
 	}
 	return out
-}
-
-// ResetScanIO clears the per-worker scan accountants (between benchmark
-// repetitions sharing one set).
-func (s *Set) ResetScanIO() {
-	s.mu.Lock()
-	accts := s.scanAccts
-	s.mu.Unlock()
-	for _, a := range accts {
-		a.Reset()
-	}
 }
 
 // BalanceBySize switches the set's placement policy from group-hash to

@@ -246,7 +246,7 @@ func TestShardedSandwichMatchesSerial(t *testing.T) {
 	}
 
 	t.Run("local-backend", func(t *testing.T) {
-		ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: 4}
+		ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 4}}
 		l := NewLocal(ctx.Scheduler())
 		check(t, ctx, []engine.Backend{l}, func(uint64, int64) int { return 0 })
 		if err := l.Close(); err != nil {
@@ -262,7 +262,7 @@ func TestShardedSandwichMatchesSerial(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("sim/workers=%d/shards=%d/bySize=%v", tc.workers, tc.shards, tc.bySize), func(t *testing.T) {
-			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: tc.workers}
+			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: tc.workers}}
 			set := NewSet(tc.shards, tc.workers, PaperNet())
 			if tc.bySize {
 				set.BalanceBySize()
@@ -312,7 +312,7 @@ func TestShardedSandwichEarlyClose(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
+			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: workers}}
 			set := NewSet(3, workers, PaperNet())
 			ctx.Backends = set.Backends()
 			ctx.Cluster = set
@@ -368,7 +368,7 @@ func TestBackendErrorMidGroupPropagates(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: workers}
+			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: workers}}
 			set := NewSet(2, workers, PaperNet())
 			bks := []engine.Backend{
 				set.Backends()[0],
@@ -516,7 +516,7 @@ func TestSimClosedBackendFailsUnits(t *testing.T) {
 // the device model.
 func TestSimNetAccounting(t *testing.T) {
 	set := NewSet(2, 2, PaperNet())
-	ctx := &engine.Context{Mem: &engine.MemTracker{}, Workers: 1}
+	ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
 	ctx.Backends = set.Backends()
 	ctx.Cluster = set
 	if _, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route)); err != nil {

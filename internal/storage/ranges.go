@@ -130,20 +130,3 @@ func (rs RowRanges) Morsels(rows, align int) []RowRanges {
 	flush()
 	return out
 }
-
-// Clamp restricts the set to [0, n).
-func (rs RowRanges) Clamp(n int) RowRanges {
-	var out RowRanges
-	for _, r := range rs {
-		if r.Start < 0 {
-			r.Start = 0
-		}
-		if r.End > n {
-			r.End = n
-		}
-		if r.End > r.Start {
-			out = append(out, r)
-		}
-	}
-	return out
-}
