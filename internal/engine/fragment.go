@@ -79,10 +79,8 @@ type Fragment struct {
 	Residual expr.Expr
 
 	// Mem, when set, meters the per-group hash table exactly like the serial
-	// operator meters its own. NoteGroup, when set, receives each
-	// materialized build-group's row count (the MaxGroupRows diagnostic).
-	Mem       *MemTracker
-	NoteGroup func(rows int64)
+	// operator meters its own.
+	Mem *MemTracker
 
 	// Src resolves Table at the execution site (FragScan only; required
 	// before Prepare). Acct, when set, is charged the scan's modeled device
@@ -215,9 +213,6 @@ func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	tableBytes := p.buf.Bytes() + p.table.Bytes()
 	f.Mem.Grow(tableBytes)
 	defer f.Mem.Shrink(tableBytes)
-	if f.NoteGroup != nil {
-		f.NoteGroup(int64(p.buf.Len()))
-	}
 	for _, b := range g.Probe {
 		p.emitAll(b, emit)
 	}

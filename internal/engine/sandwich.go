@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -80,9 +79,6 @@ type SandwichHashJoin struct {
 	curGID uint64
 	haveG  bool
 
-	maxMu    sync.Mutex
-	maxGroup int64
-
 	ex *exchange // parallel group pipeline, nil on the serial path
 }
 
@@ -107,7 +103,6 @@ func (j *SandwichHashJoin) Open(ctx *Context) error {
 		Probe: ls, Build: rs,
 		ProbeKeys: j.LeftKeys, BuildKeys: j.RightKeys,
 		Type: j.Type, Residual: j.Residual,
-		NoteGroup: j.noteGroupRows,
 	}
 	if ctx != nil {
 		j.frag.Mem = ctx.Mem
@@ -213,18 +208,7 @@ func (j *SandwichHashJoin) buildGroup(gid uint64) error {
 	}
 	j.memBytes = p.buf.Bytes() + p.table.Bytes()
 	j.ctx.Mem.Grow(j.memBytes)
-	j.noteGroupRows(int64(p.buf.Len()))
 	return nil
-}
-
-// noteGroupRows records the size of a materialized build group for
-// MaxGroupRows; parallel group tasks report concurrently.
-func (j *SandwichHashJoin) noteGroupRows(n int64) {
-	j.maxMu.Lock()
-	if n > j.maxGroup {
-		j.maxGroup = n
-	}
-	j.maxMu.Unlock()
 }
 
 // startParallelGroups starts the cross-group pipeline: a feeder goroutine
@@ -287,10 +271,8 @@ func (j *SandwichHashJoin) startParallelGroups() {
 				e.seal(job)
 				return
 			}
-			var buildRows int64
 			if err := j.eachBuildBatch(grp.GID, func(b *vector.Batch) {
 				grp.Build = append(grp.Build, b.Clone())
-				buildRows += int64(b.Len())
 			}); err != nil {
 				e.setErr(err)
 				return
@@ -298,11 +280,6 @@ func (j *SandwichHashJoin) startParallelGroups() {
 			grpBytes := grp.Bytes()
 			j.ctx.Mem.Grow(grpBytes)
 			if len(j.Backends) > 0 {
-				// The remote's decoded fragment has no NoteGroup hook, so
-				// the MaxGroupRows diagnostic is recorded here from the
-				// shipped unit — its build batches are exactly the rows the
-				// remote will materialize.
-				j.noteGroupRows(buildRows)
 				// Sharded form: ship the unit to the backend the router
 				// places it on (by group hash, or by cumulative size under
 				// the balance-by-size policy); the backend posts result
@@ -366,12 +343,6 @@ func (j *SandwichHashJoin) Next() (*vector.Batch, error) {
 		}
 	}
 }
-
-// MaxGroupRows reports the largest build group materialized, for
-// diagnostics and tests of the sandwich memory effect. Sharded runs record
-// it from the shipped units' build batches (the rows the remote
-// materializes), so the value is comparable across transports.
-func (j *SandwichHashJoin) MaxGroupRows() int64 { return j.maxGroup }
 
 // Close implements Operator.
 func (j *SandwichHashJoin) Close() error {

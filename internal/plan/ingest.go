@@ -1,10 +1,8 @@
 package plan
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,7 +10,7 @@ import (
 	"bdcc/internal/storage"
 )
 
-// Ingest attaches an append path to a DB. Each table gets a delta store
+// Ingest attaches an append path to a DB. Each table gets an append ledger
 // (storage.Delta); every append publishes a fresh immutable view
 // of the affected table — base plus the visible delta, in the scheme's own
 // layout — behind an atomic pointer, built from the previous view and the
@@ -20,30 +18,26 @@ import (
 // pin one such version at plan time (DB.Snapshot) and never block on writers;
 // writers serialize on a mutex and never mutate a published version, so a
 // pinned snapshot stays valid across any number of later appends and merges.
-// A background merge consolidates the delta into the base layout (re-sorting,
-// re-clustering via the incremental core.MergeBDCCTable splice, and
-// re-compressing when the base was compressed) and publishes the consolidated
-// version the same way.
+// The views an append publishes are already re-sorted (PK) or re-clustered
+// by the incremental core.MergeBDCCTable splice (BDCC); what they lack is
+// compression. A merge re-encodes them where the base was compressed and
+// publishes that version the same way.
 type Ingest struct {
 	db  *DB
 	opt IngestOptions
 
 	mu     sync.Mutex
 	deltas map[string]*storage.Delta
-	// cons* describe the consolidated base: the insertion-order raw tables
-	// and the scheme views every un-merged delta layers on top of. They
-	// start as the DB's loaded state and advance only when a merge commits.
-	consRaw       map[string]*storage.Table
-	consTables    map[string]*storage.Table
-	consClustered *core.Database
-	compressed    map[string]bool
-	epoch         int64
-	merging       bool
-	mergeErr      error
-	wg            sync.WaitGroup
-	merges        int64
-	mergedRows    int64
-	drift         map[string]core.DriftReport
+	// base is the last merged version — the loaded state until a merge
+	// commits — that drift is measured against.
+	base       *snapState
+	compressed map[string]bool
+	merging    bool
+	mergeErr   error
+	wg         sync.WaitGroup
+	merges     int64
+	mergedRows int64
+	drift      map[string]core.DriftReport
 
 	cur atomic.Pointer[snapState]
 }
@@ -62,9 +56,6 @@ type IngestOptions struct {
 	// total-variation distance (see core.DriftReport). 0 disables the
 	// trigger; only BDCC-clustered tables are measured.
 	DriftThreshold float64
-	// Build controls merge-time re-clustering; its zero Device defaults to
-	// the DB's device.
-	Build core.BuildOptions
 }
 
 // snapState is one immutable published version.
@@ -73,7 +64,6 @@ type snapState struct {
 	raw        map[string]*storage.Table
 	tables     map[string]*storage.Table
 	clustered  *core.Database
-	deltaRows  map[string]int
 	totalDelta int64
 }
 
@@ -92,19 +82,14 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 		}
 		raw = db.Tables
 	}
-	if opt.Build.Device.PageSize == 0 {
-		opt.Build.Device = db.Device
-	}
 	ing := &Ingest{
 		db:         db,
 		opt:        opt,
 		deltas:     make(map[string]*storage.Delta),
-		consRaw:    raw,
-		consTables: db.Tables,
+		base:       &snapState{raw: raw, tables: db.Tables, clustered: db.Clustered},
 		compressed: make(map[string]bool),
 		drift:      make(map[string]core.DriftReport),
 	}
-	ing.consClustered = db.Clustered
 	for name := range db.Tables {
 		t, err := db.StoredTable(name)
 		if err != nil {
@@ -114,7 +99,7 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 	}
 	// The loaded base is version 0: from here on a Snapshot is always pinned,
 	// never the live DB whose views the next append replaces.
-	ing.cur.Store(&snapState{raw: raw, tables: db.Tables, clustered: db.Clustered, deltaRows: map[string]int{}})
+	ing.cur.Store(ing.base)
 	db.ing = ing
 	return ing, nil
 }
@@ -167,13 +152,13 @@ func (db *DB) PendingDeltaRows() int64 {
 // keys appended earlier, but not keys of another table's future batch — the
 // BDCC scheme bins a batch through the key→bin indexes its parents' appends
 // extended, and a key they do not hold is a dangling reference. An append is
-// atomic: the next version is built before the batch is stored, so a rejected
-// batch leaves the delta store, the counters and the published version
+// atomic: the next version is built before the batch is counted, so a
+// rejected batch leaves the ledger, the counters and the published version
 // exactly as it found them.
 func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	base, ok := ing.consRaw[table]
+	base, ok := ing.base.raw[table]
 	if !ok {
 		return fmt.Errorf("plan: ingest into unknown table %q", table)
 	}
@@ -190,14 +175,13 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	if err != nil {
 		return err
 	}
-	ing.epoch = next.epoch
 	ing.cur.Store(next)
 	trigger := ing.opt.Limit > 0 && visible >= ing.opt.Limit
-	if consBT := clusteredTable(ing.consClustered, table); consBT != nil {
-		// Drift measures all visible delta rows against the consolidated
-		// clustering: the view's count table is the consolidated one plus
-		// their per-cell counts.
-		r := next.clustered.Tables[table].DriftSince(consBT)
+	if baseBT := clusteredTable(ing.base.clustered, table); baseBT != nil {
+		// Drift measures all visible delta rows against the merged
+		// clustering: the view's count table is the merged one plus their
+		// per-cell counts.
+		r := next.clustered.Tables[table].DriftSince(baseBT)
 		ing.drift[table] = r
 		if ing.opt.DriftThreshold > 0 && r.Drifted(ing.opt.DriftThreshold) {
 			trigger = true
@@ -224,14 +208,12 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, error) {
 	prev := ing.cur.Load()
 	next := &snapState{
-		epoch:      ing.epoch + 1,
+		epoch:      prev.epoch + 1,
 		raw:        maps.Clone(prev.raw),
 		tables:     maps.Clone(prev.tables),
 		clustered:  prev.clustered,
-		deltaRows:  maps.Clone(prev.deltaRows),
 		totalDelta: prev.totalDelta + int64(batch.Rows()),
 	}
-	next.deltaRows[table] += batch.Rows()
 	from := prev.raw[table].Rows()
 	combined, err := storage.Concat(prev.raw[table], from, batch)
 	if err != nil {
@@ -245,7 +227,7 @@ func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, er
 		next.tables[table], err = pkSort(db, table, combined)
 	case BDCC:
 		if next.clustered != nil {
-			next.clustered, err = next.clustered.AppendRows(db.Schema, next.raw, table, from, batch, ing.opt.Build)
+			next.clustered, err = next.clustered.AppendRows(db.Schema, next.raw, table, from, batch, core.BuildOptions{Device: db.Device})
 		}
 	}
 	if err != nil {
@@ -254,121 +236,62 @@ func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, er
 	return next, nil
 }
 
-// mergeOrder lists the tables holding un-merged rows, every table after the
-// tables it references: consolidating a child bins its delta through the
-// indexes its parents' consolidation extended.
-func (ing *Ingest) mergeOrder() ([]string, error) {
-	topo, err := ing.db.Schema.TopoOrder()
-	if err != nil && ing.consClustered != nil {
-		return nil, err // without a clustering nothing is binned and any order will do
-	}
-	pos := make(map[string]int, len(topo))
-	for i, n := range topo {
-		pos[n] = i + 1
-	}
-	var order []string
-	for table, delta := range ing.deltas {
-		if delta.Rows() > 0 {
-			order = append(order, table)
-		}
-	}
-	// Tables the schema does not know reference nothing: any place will do.
-	slices.SortFunc(order, func(a, b string) int {
-		return cmp.Or(cmp.Compare(pos[a], pos[b]), cmp.Compare(a, b))
-	})
-	return order, nil
-}
-
-// Merge consolidates every table's visible delta into the base layout and
-// publishes the merged version: combined insertion-order raw tables become
-// the new base, scheme views are rebuilt fresh (so no published table is ever
-// mutated) and re-compressed when the base was compressed, and the merged
-// delta prefix is truncated. Tables consolidate parents first, as they were
-// appended. Readers keep whatever version they pinned.
+// Merge publishes the current version with the views of every table holding
+// un-merged rows re-encoded where the base was compressed, and clears the
+// ledgers. The appends already built those views in the scheme's own layout
+// — PK re-sorted, BDCC spliced into the clustering — so a merge re-bins,
+// re-sorts and copies nothing: a re-encoded table shares its view's value
+// arrays (storage.Table.Encoded). Readers keep whatever version they pinned.
+// A merge fails, publishing nothing, only if the ledgers and the published
+// version disagree on how many rows are un-merged.
 func (ing *Ingest) Merge() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	defer func() { ing.merging = false }()
-	db := ing.db
-	newRaw := maps.Clone(ing.consRaw)
-	newTables := maps.Clone(ing.consTables)
-	newClustered := ing.consClustered
-	order, err := ing.mergeOrder()
-	if err != nil {
-		return ing.failMerge(err)
-	}
+	cur := ing.cur.Load()
 	var total int64
-	merged := make(map[string]int)
-	for _, table := range order {
-		k := ing.deltas[table].Rows()
-		dtab, err := ing.deltas[table].Prefix(k)
-		if err != nil {
-			return ing.failMerge(err)
-		}
-		from := ing.consRaw[table].Rows()
-		combined, err := storage.Concat(ing.consRaw[table], from, dtab)
-		if err != nil {
-			return ing.failMerge(err)
-		}
-		newRaw[table] = combined
-		newTables[table] = combined
-		merged[table] = k
-		total += int64(k)
-		// stored is the scheme's own layout of the table, re-compressed when
-		// the base was.
-		stored := combined
-		switch db.Scheme {
-		case PK:
-			if stored, err = pkSort(db, table, combined); err != nil {
-				return ing.failMerge(err)
-			}
-			newTables[table] = stored
-		case BDCC:
-			stored = nil
-			if newClustered != nil {
-				newClustered, err = newClustered.AppendRows(db.Schema, newRaw, table, from, dtab, ing.opt.Build)
-				if err != nil {
-					return ing.failMerge(err)
-				}
-				if bt := newClustered.Tables[table]; bt != nil {
-					stored = bt.Data
-				}
-			}
-		}
-		if stored != nil && ing.compressed[table] {
-			stored.Compress()
-		}
+	for _, d := range ing.deltas {
+		total += int64(d.Rows())
 	}
-	for table, k := range merged {
-		if err := ing.deltas[table].TruncatePrefix(k); err != nil {
-			return ing.failMerge(err)
+	if total != cur.totalDelta {
+		ing.mergeErr = fmt.Errorf("plan: merge: the ledgers hold %d un-merged rows, version %d shows %d", total, cur.epoch, cur.totalDelta)
+		return ing.mergeErr
+	}
+	if total == 0 {
+		return nil
+	}
+	next := &snapState{epoch: cur.epoch + 1, raw: cur.raw, tables: maps.Clone(cur.tables), clustered: cur.clustered}
+	var clustered map[string]*core.BDCCTable
+	for table, d := range ing.deltas {
+		if d.Rows() == 0 || !ing.compressed[table] {
+			continue
 		}
+		bt := clusteredTable(cur.clustered, table)
+		if bt == nil {
+			next.tables[table] = cur.tables[table].Encoded()
+			continue
+		}
+		if clustered == nil {
+			clustered = maps.Clone(cur.clustered.Tables)
+		}
+		enc := *bt
+		enc.Data = bt.Data.Encoded()
+		clustered[table] = &enc
 	}
-	ing.consRaw = newRaw
-	ing.consTables = newTables
-	ing.consClustered = newClustered
-	if total > 0 {
-		ing.merges++
-		ing.mergedRows += total
-		ing.epoch++
-		clear(ing.drift)
-		ing.cur.Store(&snapState{
-			epoch:     ing.epoch,
-			raw:       newRaw,
-			tables:    newTables,
-			clustered: newClustered,
-			deltaRows: make(map[string]int),
-		})
+	if clustered != nil {
+		c := *cur.clustered
+		c.Tables = clustered
+		next.clustered = &c
 	}
+	for _, d := range ing.deltas {
+		d.Clear()
+	}
+	ing.merges++
+	ing.mergedRows += total
+	clear(ing.drift)
+	ing.base = next
+	ing.cur.Store(next)
 	return nil
-}
-
-// failMerge records a merge failure; a half-built consolidation is simply
-// dropped — the published version and the delta stores are untouched, so
-// readers and writers continue on the pre-merge state.
-func (ing *Ingest) failMerge(err error) error {
-	ing.mergeErr = err
-	return err
 }
 
 // Wait drains any background merge in flight.
@@ -397,7 +320,7 @@ func (ing *Ingest) Stats() IngestStats {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	s := IngestStats{
-		Epoch:      ing.epoch,
+		Epoch:      ing.cur.Load().epoch,
 		Merges:     ing.merges,
 		MergedRows: ing.mergedRows,
 		Drift:      make(map[string]core.DriftReport, len(ing.drift)),

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -230,7 +231,7 @@ func TestRangeMapOffsets(t *testing.T) {
 
 // shipTestTable builds a small table whose single int64 column equals the row
 // index, so shipped values identify their coordinator row.
-func shipTestTable(t *testing.T, rows int, compress bool) *storage.Table {
+func shipTestTable(t testing.TB, rows int, compress bool) *storage.Table {
 	t.Helper()
 	i64 := make([]int64, rows)
 	str := make([]string, rows)
@@ -459,4 +460,48 @@ func TestPartManifestRejectsCorruption(t *testing.T) {
 	if _, err := decodePartManifest(unknown); err == nil {
 		t.Fatal("a column of unknown kind must be rejected")
 	}
+}
+
+// wrappingManifest declares one row over segments whose lengths sum to
+// 2^64 + 1: added up in an int64, they wrap back onto the declared count.
+func wrappingManifest(tab *storage.Table) []byte {
+	return encodePartManifest(tab, storage.RowRanges{{Start: 0, End: math.MaxInt64}, {Start: 0, End: math.MaxInt64}, {Start: 0, End: 3}}, nil)
+}
+
+// TestPartManifestRejectsWrappingSegments: a manifest whose segment lengths
+// wrap the row sum back onto the declared count used to decode, and the
+// worker then mapped a unit's range [0,1) to [-2,-1) and panicked slicing
+// its table — on bdccworker, in a scheduler task, killing the process.
+func TestPartManifestRejectsWrappingSegments(t *testing.T) {
+	if m, err := decodePartManifest(wrappingManifest(shipTestTable(t, 1, false))); err == nil {
+		t.Fatalf("a manifest whose segments wrap the row count decoded: %d rows over %v", m.Rows, m.Segs)
+	}
+}
+
+// FuzzDecodePartManifest: any bytes either decode or fail, never panic, and
+// every segment of a decoded manifest maps through its RangeMap into the
+// rows it declares — the local table the worker slices. Map may refuse a
+// segment of a manifest whose segments overlap; that is an error the scan
+// reports, not a range outside the table.
+func FuzzDecodePartManifest(f *testing.F) {
+	tab := shipTestTable(f, 50, false)
+	good := encodePartManifest(tab, storage.RowRanges{{Start: 30, End: 50}, {Start: 0, End: 20}}, nil)
+	f.Add(good)
+	for _, n := range []int{0, 1, len(good) / 2, len(good) - 16, len(good) - 1} {
+		f.Add(good[:n])
+	}
+	f.Add(wrappingManifest(tab))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodePartManifest(data)
+		if err != nil {
+			return
+		}
+		rm := NewRangeMap(m.Segs)
+		for _, s := range m.Segs {
+			local, err := rm.Map(s)
+			if err == nil && (local.Start < 0 || local.End > int(m.Rows) || local.Len() != s.Len()) {
+				t.Fatalf("segment %v of a %d-row manifest maps to %v", s, m.Rows, local)
+			}
+		}
+	})
 }

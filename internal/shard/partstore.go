@@ -81,6 +81,11 @@ func decodePartManifest(data []byte) (*partManifest, error) {
 	}
 	var segRows int64
 	for _, s := range m.Segs {
+		// Checked before the sum: segments past the declared rows could wrap
+		// it back onto them, and the worker would map ranges out of its table.
+		if int64(s.Len()) > m.Rows-segRows {
+			return nil, fmt.Errorf("shard: malformed partition manifest for %q: segments cover more than the %d rows declared", m.Table, m.Rows)
+		}
 		segRows += int64(s.Len())
 	}
 	if m.PageSize <= 0 || len(m.Cols) == 0 || segRows != m.Rows {

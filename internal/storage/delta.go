@@ -7,45 +7,26 @@ import (
 	"bdcc/internal/vector"
 )
 
-// This file implements the ingest side of storage: a delta store per table.
-// An appended batch is kept as one self-validating segment — the column
-// frames of the batch as a plain table (Table.Frames, wire.go) — and adopted
-// back into columnar form (TableAdopter) when a merge consolidates base +
-// delta, so a torn or corrupted segment is an error at merge time instead of
-// wrong rows in a snapshot. Fresh rows are rewritten into clustered,
-// compressed form by the background merge; the segments stay raw chunks.
+// This file implements the ingest side of storage: the append ledger of a
+// table, and the copies that extend a table by a batch (Concat, Splice).
 
-// Delta is the append store of one table: a bounded sequence of segments
-// sharing the base table's schema. Appends are serialized by an
-// internal mutex; readers never touch the Delta directly — they read the
-// immutable snapshot tables built from the batch at append time and from
-// Prefix at merge time.
+// Delta is the append ledger of one table: it checks each batch against the
+// base table's schema and counts the rows not yet merged. It holds no rows —
+// an append publishes them in the snapshot views it builds from the batch,
+// and a merge re-encodes those views and clears the ledger.
 type Delta struct {
-	name     string
-	cols     []string
-	kinds    []vector.Kind
-	pageSize int64
+	name  string
+	cols  []string
+	kinds []vector.Kind
 
 	mu       sync.Mutex
-	segs     []deltaSeg
 	rows     int
 	appended int64
 }
 
-// deltaSeg is one append batch: the column frames of its rows.
-type deltaSeg struct {
-	frames [][]byte
-	rows   int
-}
-
-// deltaFrameBytes is where a segment's column frames close (Table.Frames):
-// far above an append batch's column, so a segment is one frame per column.
-const deltaFrameBytes = 4 << 20
-
-// NewDelta returns an empty delta store adopting the base table's schema and
-// page geometry.
+// NewDelta returns an empty ledger for the base table's schema.
 func NewDelta(base *Table) *Delta {
-	d := &Delta{name: base.Name, pageSize: base.PageSize}
+	d := &Delta{name: base.Name}
 	for _, c := range base.Cols {
 		d.cols = append(d.cols, c.Name)
 		d.kinds = append(d.kinds, c.Kind)
@@ -53,24 +34,24 @@ func NewDelta(base *Table) *Delta {
 	return d
 }
 
-// Rows returns the number of un-merged rows currently in the store.
+// Rows returns the number of un-merged rows.
 func (d *Delta) Rows() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.rows
 }
 
-// AppendedRows returns the lifetime row count appended to this store,
-// including rows already merged away.
+// AppendedRows returns the lifetime row count appended, including rows
+// already merged away.
 func (d *Delta) AppendedRows() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.appended
 }
 
-// Append adds the given rows to the store as one segment. The rows table must
-// be uncompressed and match the delta's schema by name, kind and column order.
-// It returns the visible row count after the append.
+// Append checks one batch and counts its rows. The batch must be non-empty,
+// uncompressed and match the ledger's schema by name, kind and column order.
+// It returns the un-merged row count after the append.
 func (d *Delta) Append(rows *Table) (int, error) {
 	if rows.Rows() == 0 {
 		return 0, fmt.Errorf("storage: delta %q: empty append", d.name)
@@ -78,10 +59,8 @@ func (d *Delta) Append(rows *Table) (int, error) {
 	if err := d.checkSchema(rows); err != nil {
 		return 0, err
 	}
-	seg := deltaSeg{frames: rows.Frames(deltaFrameBytes), rows: rows.Rows()}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.segs = append(d.segs, seg)
 	d.rows += rows.Rows()
 	d.appended += int64(rows.Rows())
 	return d.rows, nil
@@ -103,72 +82,11 @@ func (d *Delta) checkSchema(t *Table) error {
 	return nil
 }
 
-// Prefix adopts the first k rows into an uncompressed columnar table in
-// arrival order. k must fall on a segment boundary — appends are atomic, so
-// every snapshot's visible count does. Only a merge (and the tests) decode
-// the store: an append extends the views by the columnar batch it was handed.
-func (d *Delta) Prefix(k int) (*Table, error) {
+// Clear zeroes the un-merged count: a merge has published every row.
+func (d *Delta) Clear() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if k > d.rows {
-		return nil, fmt.Errorf("storage: delta %q: prefix %d exceeds %d rows", d.name, k, d.rows)
-	}
-	cols := make([]*Column, len(d.cols))
-	for i := range cols {
-		cols[i] = &Column{Name: d.cols[i], Kind: d.kinds[i]}
-	}
-	got := 0
-	for _, seg := range d.segs {
-		if got == k {
-			break
-		}
-		if got+seg.rows > k {
-			return nil, fmt.Errorf("storage: delta %q: prefix %d splits a %d-row segment at %d", d.name, k, seg.rows, got)
-		}
-		part, err := d.adopt(seg)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range cols {
-			c.appendRows(part.Cols[i], 0, part.Rows())
-		}
-		got += seg.rows
-	}
-	return NewTable(d.name, d.pageSize, cols...)
-}
-
-// TruncatePrefix drops the first k rows (a completed merge's input). k must
-// fall on a segment boundary.
-func (d *Delta) TruncatePrefix(k int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	got := 0
-	i := 0
-	for ; i < len(d.segs) && got < k; i++ {
-		got += d.segs[i].rows
-	}
-	if got != k {
-		return fmt.Errorf("storage: delta %q: truncate %d not on a segment boundary", d.name, k)
-	}
-	d.segs = append([]deltaSeg(nil), d.segs[i:]...)
-	d.rows -= k
-	return nil
-}
-
-// adopt verifies a segment's frames and rebuilds the batch they hold. Any
-// damage — a failed checksum, a structure the frames' checks refuse, a frame
-// missing or left over — is an error, never a panic or a half-adopted table.
-func (d *Delta) adopt(seg deltaSeg) (*Table, error) {
-	a, err := NewTableAdopter(d.name, d.pageSize, seg.rows, false, d.cols, d.kinds)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range seg.frames {
-		if _, _, err := a.Add(f); err != nil {
-			return nil, err
-		}
-	}
-	return a.Table()
+	d.rows = 0
 }
 
 // Concat returns a new uncompressed table holding the first aRows rows of a

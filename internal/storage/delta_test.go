@@ -60,94 +60,6 @@ func sameRows(t *testing.T, got, want *Table) {
 	}
 }
 
-// segmentOf appends src to a fresh delta and returns the store with the one
-// segment it now holds: the column frames of src.
-func segmentOf(t testing.TB, src *Table) (*Delta, deltaSeg) {
-	t.Helper()
-	d := NewDelta(src)
-	if _, err := d.Append(src); err != nil {
-		t.Fatalf("append %d rows: %v", src.Rows(), err)
-	}
-	return d, d.segs[0]
-}
-
-func TestDeltaSegmentRoundTrip(t *testing.T) {
-	for _, n := range []int{1, 7, 513, 2 * plainSpanRows} {
-		src := deltaFixture(t, "rt", n, int64(n))
-		d, seg := segmentOf(t, src)
-		if len(seg.frames) != len(src.Cols) {
-			t.Fatalf("%d rows: %d frames for %d columns", n, len(seg.frames), len(src.Cols))
-		}
-		got, err := d.adopt(seg)
-		if err != nil {
-			t.Fatalf("adopt %d rows: %v", n, err)
-		}
-		sameRows(t, got, src)
-	}
-}
-
-// TestDeltaSegmentCorruption flips every byte position of every frame of a
-// small segment, truncates each frame at every length, and tears the segment
-// frame-wise — one missing, one repeated, a row count the frames do not cover:
-// each damaged segment must be rejected with an error, never a panic or rows.
-func TestDeltaSegmentCorruption(t *testing.T) {
-	src := deltaFixture(t, "corrupt", 9, 42)
-	d, seg := segmentOf(t, src)
-	refuse := func(what string, frames [][]byte, rows int) {
-		t.Helper()
-		if tab, err := d.adopt(deltaSeg{frames: frames, rows: rows}); err == nil {
-			t.Fatalf("%s adopted %d rows without error", what, tab.Rows())
-		}
-	}
-	for fi, f := range seg.frames {
-		with := func(mut []byte) [][]byte {
-			frames := slices.Clone(seg.frames)
-			frames[fi] = mut
-			return frames
-		}
-		for i := range f {
-			for _, bit := range []byte{0x01, 0x80, 0xff} {
-				mut := slices.Clone(f)
-				mut[i] ^= bit
-				// An undetected flip would have to collide CRC-32; at this
-				// frame size that would be a codec bug, not bad luck.
-				refuse(fmt.Sprintf("frame %d byte %d ^ %#x", fi, i, bit), with(mut), seg.rows)
-			}
-		}
-		for n := 0; n < len(f); n++ {
-			refuse(fmt.Sprintf("frame %d truncated to %d bytes", fi, n), with(f[:n]), seg.rows)
-		}
-		refuse(fmt.Sprintf("segment without frame %d", fi), slices.Delete(slices.Clone(seg.frames), fi, fi+1), seg.rows)
-		refuse(fmt.Sprintf("segment with frame %d twice", fi), slices.Insert(slices.Clone(seg.frames), fi, f), seg.rows)
-	}
-	refuse("segment declaring a row more than it holds", seg.frames, seg.rows+1)
-	refuse("segment declaring a row fewer than it holds", seg.frames, seg.rows-1)
-	if _, err := d.adopt(seg); err != nil {
-		t.Fatalf("the undamaged segment: %v", err)
-	}
-}
-
-// FuzzDecodeDeltaSegment is a second entry into the column-frame decoder
-// (FuzzDecodeColumnFrame is the first): arbitrary bytes in place of a
-// segment's first frame must either adopt into the segment's rows or error,
-// never panic.
-func FuzzDecodeDeltaSegment(f *testing.F) {
-	src := deltaFixture(f, "fuzz", 5, 7)
-	d, seg := segmentOf(f, src)
-	f.Add(seg.frames[0])
-	f.Add(seg.frames[0][:len(seg.frames[0])-3])
-	f.Add([]byte("BDC1"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		frames := slices.Clone(seg.frames)
-		frames[0] = data
-		tab, err := d.adopt(deltaSeg{frames: frames, rows: seg.rows})
-		if err == nil && tab.Rows() != seg.rows {
-			t.Fatalf("adopted %d rows of a %d-row segment", tab.Rows(), seg.rows)
-		}
-	})
-}
-
 func TestDeltaStore(t *testing.T) {
 	base := deltaFixture(t, "d", 4, 1)
 	d := NewDelta(base)
@@ -163,51 +75,14 @@ func TestDeltaStore(t *testing.T) {
 		t.Fatalf("rows=%d appended=%d, want 8/8", d.Rows(), d.AppendedRows())
 	}
 
-	// Prefix at each segment boundary sees exactly the batches appended so far.
-	p0, err := d.Prefix(0)
-	if err != nil || p0.Rows() != 0 {
-		t.Fatalf("prefix 0: rows=%v err=%v", p0, err)
-	}
-	p3, err := d.Prefix(3)
-	if err != nil {
-		t.Fatalf("prefix 3: %v", err)
-	}
-	sameRows(t, p3, b1)
-	p8, err := d.Prefix(8)
-	if err != nil {
-		t.Fatalf("prefix 8: %v", err)
-	}
-	want, err := Concat(b1, b1.Rows(), b2)
-	if err != nil {
-		t.Fatalf("concat: %v", err)
-	}
-	sameRows(t, p8, want)
-
-	// Mid-segment prefixes and overruns are rejected.
-	if _, err := d.Prefix(4); err == nil {
-		t.Fatal("mid-segment prefix succeeded")
-	}
-	if _, err := d.Prefix(9); err == nil {
-		t.Fatal("oversized prefix succeeded")
+	// Clearing forgets the un-merged rows and keeps the lifetime count.
+	d.Clear()
+	if n, err := d.Append(b1); err != nil || n != 3 || d.AppendedRows() != 11 {
+		t.Fatalf("append after clear: n=%d appended=%d err=%v, want 3/11", n, d.AppendedRows(), err)
 	}
 
-	// Truncation drops merged batches and keeps the tail readable.
-	if err := d.TruncatePrefix(4); err == nil {
-		t.Fatal("mid-segment truncate succeeded")
-	}
-	if err := d.TruncatePrefix(3); err != nil {
-		t.Fatalf("truncate 3: %v", err)
-	}
-	if d.Rows() != 5 || d.AppendedRows() != 8 {
-		t.Fatalf("after truncate: rows=%d appended=%d, want 5/8", d.Rows(), d.AppendedRows())
-	}
-	tail, err := d.Prefix(5)
-	if err != nil {
-		t.Fatalf("prefix after truncate: %v", err)
-	}
-	sameRows(t, tail, b2)
-
-	// Schema mismatches, compressed and empty batches are rejected.
+	// Schema mismatches, compressed and empty batches are rejected and
+	// counted nowhere.
 	packed := deltaFixture(t, "d", 3, 4)
 	packed.Compress()
 	if _, err := d.Append(packed); err == nil {
@@ -224,6 +99,35 @@ func TestDeltaStore(t *testing.T) {
 	if _, err := d.Append(empty); err == nil {
 		t.Fatal("empty append succeeded")
 	}
+	if d.Rows() != 3 || d.AppendedRows() != 11 {
+		t.Fatalf("rejected appends were counted: rows=%d appended=%d, want 3/11", d.Rows(), d.AppendedRows())
+	}
+}
+
+// TestEncodedSharesRows: Encoded is Compress over a table's own value arrays
+// — the same rows, widths and zonemaps as compressing a copy, the arrays
+// shared rather than copied, and the source left raw.
+func TestEncodedSharesRows(t *testing.T) {
+	src := deltaFixture(t, "e", 3000, 9)
+	want := freshCopy(t, src)
+	want.Compress()
+	got := src.Encoded()
+	if !got.Compressed() || src.Compressed() {
+		t.Fatalf("Encoded: result compressed=%v, source compressed=%v", got.Compressed(), src.Compressed())
+	}
+	sameZones(t, "encoded", got, want)
+	if got.CompressionStats() != want.CompressionStats() {
+		t.Fatalf("encoded stats %+v, compressing a copy gives %+v", got.CompressionStats(), want.CompressionStats())
+	}
+	if &got.Cols[0].I64[0] != &src.Cols[0].I64[0] || &got.Cols[2].Str[0] != &src.Cols[2].Str[0] {
+		t.Fatal("Encoded copied the value arrays")
+	}
+	for _, c := range src.Cols {
+		if c.Enc != nil {
+			t.Fatalf("Encoded encoded the source's column %s", c.Name)
+		}
+	}
+	sameZones(t, "source", src, freshCopy(t, src))
 }
 
 func TestConcatMatchesCompressedBase(t *testing.T) {

@@ -88,6 +88,20 @@ func (t *Table) Compress() {
 // Compressed reports whether Compress has run on this table.
 func (t *Table) Compressed() bool { return t.compressed }
 
+// Encoded returns the compressed form of t over t's own value arrays: new
+// columns and zonemaps, one encode, no copy of the rows. t must hold its raw
+// values (a table built here, not adopted from frames). Sharing is safe
+// because a published table never changes; t itself is left as it was.
+func (t *Table) Encoded() *Table {
+	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
+		Cols: make([]*Column, len(t.Cols)), zones: make([]zonemap, len(t.Cols))}
+	for i, c := range t.Cols {
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}
+	}
+	out.Compress()
+	return out
+}
+
 // Derived returns the value memoised on this table under key, building it on
 // a miss. A published table never changes — an append or a merge publishes a
 // new one — so what is computed from its rows (the serialised partitions a

@@ -198,7 +198,7 @@ func (g *DeltaGen) Next(nOrders int) *DeltaBatch {
 	return &DeltaBatch{Orders: orders, Lineitem: lineitem}
 }
 
-// EnableIngest attaches delta stores to every materialized scheme with the
+// EnableIngest attaches append ledgers to every materialized scheme with the
 // same bound and drift trigger, so the three schemes see identical arrival
 // streams.
 func (b *Benchmark) EnableIngest(limit int, driftThreshold float64) error {
