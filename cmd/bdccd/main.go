@@ -28,7 +28,7 @@
 //	bdccd [-listen :4711] [-sf 0.01] [-workers N] [-pools N]
 //	      [-queue N] [-queue-wait 1s] [-mem-budget BYTES] [-mem-wait 100ms]
 //	      [-auth-token SECRET] [-remotes host:port,...]
-//	      [-worker-token SECRET] [-balance hash|size] [-v]
+//	      [-worker-token SECRET] [-v]
 //
 // Drive it with tpchbench -daemon addr -clients N, or any client of
 // internal/serve. See docs/OPERATIONS.md for sizing the governors.
@@ -64,13 +64,9 @@ func main() {
 	token := flag.String("auth-token", "", "shared secret client sessions must present in their hello (constant-time compare; mismatch drops the connection)")
 	remotes := flag.String("remotes", "", "comma-separated bdccworker addresses; dialed once and shared by all queries")
 	workerToken := flag.String("worker-token", "", "shared secret presented to the bdccworker daemons of -remotes")
-	balance := flag.String("balance", "hash", "group placement policy across workers: hash | size")
 	verbose := flag.Bool("v", false, "print the full stats counters at exit")
 	flag.Parse()
 
-	if *balance != "hash" && *balance != "size" {
-		fatal(fmt.Errorf("-balance must be hash or size, got %q", *balance))
-	}
 	var remoteAddrs []string
 	for _, a := range strings.Split(*remotes, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -97,14 +93,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *balance == "size" {
-			set.BalanceBySize()
-		}
 		fmt.Printf("bdccd: sharing %d worker session(s) across queries\n", len(remoteAddrs))
 	}
 	dev := iosim.PaperSSD()
 	newContext := func() *engine.Context {
-		ctx := engine.Options{Workers: *workers, Balance: *balance}.NewContext(dev)
+		ctx := engine.Options{Workers: *workers}.NewContext(dev)
 		if set != nil {
 			ctx.Remotes = remoteAddrs
 			ctx.SharedBackends = true

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	tpchbench [-sf 0.05] [-workers N] [-shards N] [-remotes host:port,...]
-//	          [-partition] [-balance hash|size] [-probe-base D] [-probe-max D]
+//	          [-partition] [-probe-base D] [-probe-max D]
 //	          [-clients N] [-rounds N] [-daemon host:port] [-pools N]
 //	          [-auth-token SECRET] [-compress=false]
 //	          [-v] [-explain] [-orderings]
@@ -27,9 +27,6 @@
 // become real, and a worker lost mid-query fails over to the survivors
 // while a health prober re-dials it (bounded jittered backoff, tuned by
 // -probe-base / -probe-max) and re-admits it once it answers.
-// The -balance knob picks the group-placement policy: "hash" (default)
-// places groups by group-id hash, "size" places each group on the backend
-// with the least cumulative routed bytes.
 //
 // The -partition knob (requires -shards ≥ 2 or -remotes) turns the workers
 // shared-nothing: each query partitions its scatter-scanned base tables
@@ -93,7 +90,6 @@ func main() {
 	workers := flag.Int("workers", engine.DefaultWorkers(), "morsel-parallel workers per query (1 = serial)")
 	shards := flag.Int("shards", 1, "backends to shard BDCC group streams across (1 = single-box)")
 	remotes := flag.String("remotes", "", "comma-separated bdccworker addresses (host:port); replaces simulated backends")
-	balance := flag.String("balance", "hash", "group placement policy: hash | size")
 	partition := flag.Bool("partition", false, "partition base tables across the workers and ship scatter scans (shared-nothing; needs -shards ≥ 2 or -remotes)")
 	workerToken := flag.String("worker-token", "", "shared secret presented to the bdccworker daemons of -remotes")
 	probeBase := flag.Duration("probe-base", 0, "first reconnect backoff of the worker health prober (0 = default)")
@@ -112,9 +108,6 @@ func main() {
 	orderings := flag.Bool("orderings", false, "also run the Z-order vs major-minor self-comparison")
 	flag.Parse()
 
-	if *balance != "hash" && *balance != "size" {
-		fatal(fmt.Errorf("-balance must be hash or size, got %q", *balance))
-	}
 	var remoteAddrs []string
 	for _, a := range strings.Split(*remotes, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -126,11 +119,11 @@ func main() {
 	}
 
 	if len(remoteAddrs) > 0 {
-		fmt.Printf("generating TPC-H SF%g and materializing plain/pk/bdcc schemes (workers=%d remotes=%v balance=%s)...\n",
-			*sf, *workers, remoteAddrs, *balance)
+		fmt.Printf("generating TPC-H SF%g and materializing plain/pk/bdcc schemes (workers=%d remotes=%v)...\n",
+			*sf, *workers, remoteAddrs)
 	} else {
-		fmt.Printf("generating TPC-H SF%g and materializing plain/pk/bdcc schemes (workers=%d shards=%d balance=%s)...\n",
-			*sf, *workers, *shards, *balance)
+		fmt.Printf("generating TPC-H SF%g and materializing plain/pk/bdcc schemes (workers=%d shards=%d)...\n",
+			*sf, *workers, *shards)
 	}
 	b, err := tpch.NewBenchmarkCompressed(*sf, *compress)
 	if err != nil {
@@ -139,7 +132,6 @@ func main() {
 	b.Workers = *workers
 	b.Shards = *shards
 	b.Remotes = remoteAddrs
-	b.Balance = *balance
 	b.Partition = *partition
 	b.AuthToken = *workerToken
 	b.ProbeBase = *probeBase

@@ -11,12 +11,12 @@ import (
 // interleave with another group's), so group streams can be sharded across
 // executors with no cross-shard coordination. Two unit shapes cross the
 // seam: sandwich-join units carry a group's batches to whichever backend the
-// router picks, and scan units carry only row ranges to the worker that
+// route picks, and scan units carry only row ranges to the worker that
 // owns the matching table partition (see internal/shard's Partitioning).
 // The Backend interface is what a non-local executor implements;
-// internal/shard provides the implementations (a local pass-through, an
-// in-process simulated remote, and a real TCP backend talking to a
-// bdccworker daemon) and the routers that assign groups to backends. The
+// internal/shard provides the implementations (an in-process simulated
+// remote and a real TCP backend talking to a bdccworker daemon) and the
+// route that assigns groups to backends. The
 // engine itself never decides placement — operators hand aligned groups to
 // whichever backend the planner-injected route names, keeping placement in
 // the scheduler/backend layer (the morsel paper's locality argument).
@@ -44,8 +44,7 @@ type GroupUnit struct {
 }
 
 // Bytes returns the footprint of the unit's batch data (the measure charged
-// while a unit is in flight, and the size the balance-by-size router places
-// groups by).
+// while a unit is in flight, and the routed load recorded per backend).
 func (u *GroupUnit) Bytes() int64 {
 	var n int64
 	for _, b := range u.Probe {
@@ -73,7 +72,7 @@ func (u *GroupUnit) Bytes() int64 {
 // sequentially (per unit) for each result batch and then done(err) exactly
 // once; both may be called from backend-owned goroutines. Batches passed to
 // emit must not share memory with u — a remote backend's results cross its
-// transport, and even the local backend hands over consumer-owned batches.
+// transport.
 // Concurrent RunGroup calls are allowed; units are independent.
 //
 // Join units may run on any backend; scan units are placement-pinned — only
@@ -97,9 +96,8 @@ type Backend interface {
 }
 
 // BackendLoad is the routed load of one backend of a query's set: how many
-// group units the router placed on it and their total batch bytes. The shard
-// router records one entry per backend (Context.ShardLoads); the balance-by-size
-// policy places each group on the backend with the least cumulative bytes.
+// group units the route placed on it and their total batch bytes. The shard
+// set records one entry per backend (Context.ShardLoads).
 type BackendLoad struct {
 	Units int64
 	Bytes int64

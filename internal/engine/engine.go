@@ -109,15 +109,13 @@
 //
 // # Backends and sharding
 //
-// The scheduler handle is also the scale-out seam. Sched implements the
-// Executor interface (the task-execution contract extracted from the local
-// pool), and the Backend interface (backend.go) generalizes it across a
-// transport: BDCC groups are self-contained work units, so a sandwich join
-// with an injected backend set ships its plan Fragment once at setup and
-// each aligned group — a GroupUnit of cloned batches, serialized to
-// vector.Batch bytes by the transport — to the backend the router places it
-// on, instead of running it on the local pool. The contract extends as
-// follows:
+// The scheduler handle is also the scale-out seam, and the Backend
+// interface (backend.go) carries its tasks across a transport: BDCC groups
+// are self-contained work units, so a sandwich join with an injected backend
+// set ships its plan Fragment once at setup and each aligned group — a
+// GroupUnit of cloned batches, serialized to vector.Batch bytes by the
+// transport — to the backend its route places it on, instead of running it
+// on the local pool. The contract extends as follows:
 //
 //   - A Fragment (fragment.go) is the complete per-operator configuration:
 //     for the group join, input schemas, join keys, join type, and
@@ -133,7 +131,7 @@
 //     performs them (the fragment's Acct locally, per-unit ScanStats
 //     reported in done frames remotely).
 //   - Units come in two shapes (backend.go): join units carry a group's
-//     cloned batches to whichever backend the router picks; scan units
+//     cloned batches to whichever backend the route picks; scan units
 //     carry only row ranges, pinned to the worker holding the table
 //     partition the planner shipped there (Context.Partition). Backends
 //     invoke emit sequentially per unit and done exactly once; emitted
@@ -144,7 +142,7 @@
 //     transport.
 //   - The exchange merges backend results in group order exactly as it
 //     merges local task output, so results are byte-identical across shard
-//     counts, routing policies, transports, and data placement (the Shards
+//     counts, group placement, transports, and data placement (the Shards
 //     knob's 0/1 single-box setting preserves the paper's measurement setup
 //     outright), and a unit rerouted after a worker failure — to a
 //     survivor for joins, to the coordinator's full table copy for scans —
@@ -280,9 +278,7 @@ func (c *Context) CloseBackends() error {
 
 // Scheduler returns the context's shared worker pool, creating it on first
 // use, or nil when the Workers knob keeps execution serial. The planner
-// injects this one handle into every operator it permits to parallelize —
-// the scheduler abstraction is also the seam where future remote backends
-// plug in.
+// injects this one handle into every operator it permits to parallelize.
 func (c *Context) Scheduler() *Sched {
 	if c == nil || c.Workers < 2 {
 		return nil
@@ -335,11 +331,6 @@ type Options struct {
 	// the planner dials one TCP backend per address instead of building
 	// simulated remotes, and Shards is ignored in favor of len(Remotes).
 	Remotes []string
-	// Balance selects the group-placement policy of the backend set:
-	// "hash" (the default, also the zero value) places groups by group-id
-	// hash; "size" places each group on the backend with the least
-	// cumulative routed bytes. Results are byte-identical across policies.
-	Balance string
 	// ProbeBase and ProbeMax tune the health prober's reconnect backoff for
 	// dialed TCP backends (first delay and cap of the jittered exponential
 	// sequence); zero values select the shard layer's defaults.

@@ -51,7 +51,7 @@ type exchange struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	mem   *MemTracker
-	sched Executor
+	sched *Sched
 	wg    sync.WaitGroup // feeder goroutine
 
 	window   int
@@ -67,12 +67,11 @@ type exchange struct {
 	closed   bool
 }
 
-// newExchange creates an exchange over a task executor — usually the
-// context's shared scheduler. The exchange holds an executor retain until
-// close. A nil executor is allowed for merge-only exchanges whose jobs all
-// run elsewhere (shard backends registered via beginJob); such an exchange
-// must never see submitJob.
-func newExchange(mem *MemTracker, sched Executor, window int) *exchange {
+// newExchange creates an exchange over the context's shared scheduler, which
+// it holds a retain on until close. A nil scheduler is allowed for
+// merge-only exchanges whose jobs all run elsewhere (shard backends
+// registered via beginJob); such an exchange must never see submitJob.
+func newExchange(mem *MemTracker, sched *Sched, window int) *exchange {
 	e := &exchange{mem: mem, sched: sched, window: window, jobs: -1}
 	e.cond = sync.NewCond(&e.mu)
 	if sched != nil {

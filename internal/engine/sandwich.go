@@ -50,12 +50,12 @@ type SandwichHashJoin struct {
 	Sched *Sched
 	// Backends and Route shard the aligned group stream across a backend
 	// set: each group unit is shipped to Backends[Route(gid, bytes)] instead
-	// of the local pool (the router sees the unit's batch bytes so it can
-	// balance by size instead of group hash). The exchange merges returned
-	// batches in group order, so results stay byte-identical across shard
-	// counts and routing policies. A non-empty backend set activates the
-	// group pipeline even when Sched is nil (local serial execution, remote
-	// group joins). Both are planner-injected.
+	// of the local pool (the route records the unit's batch bytes as the
+	// backend's load). The exchange merges returned batches in group order,
+	// so results stay byte-identical across shard counts and placements. A
+	// non-empty backend set activates the group pipeline even when Sched is
+	// nil (local serial execution, remote group joins). Both are
+	// planner-injected.
 	Backends []Backend
 	Route    func(gid uint64, bytes int64) int
 
@@ -231,11 +231,7 @@ func (j *SandwichHashJoin) startParallelGroups() {
 	} else {
 		look = j.Sched.Workers()
 	}
-	var exec Executor // typed-nil guard: a nil *Sched must stay a nil Executor
-	if j.Sched != nil {
-		exec = j.Sched
-	}
-	j.ex = newExchange(j.ctx.Mem, exec, look+1)
+	j.ex = newExchange(j.ctx.Mem, j.Sched, look+1)
 	e := j.ex
 	e.wg.Add(1)
 	go func() { // feeder: the only puller of both children
@@ -280,9 +276,8 @@ func (j *SandwichHashJoin) startParallelGroups() {
 			grpBytes := grp.Bytes()
 			j.ctx.Mem.Grow(grpBytes)
 			if len(j.Backends) > 0 {
-				// Sharded form: ship the unit to the backend the router
-				// places it on (by group hash, or by cumulative size under
-				// the balance-by-size policy); the backend posts result
+				// Sharded form: ship the unit to the backend the route
+				// places it on; the backend posts result
 				// batches back and the exchange merges them under this
 				// job's index, so delivery order — and therefore the
 				// result — is independent of which backend ran the group.

@@ -37,36 +37,6 @@ type Sched struct {
 // index in [0, Workers()), valid as an index into per-worker scratch.
 type Task func(worker int)
 
-// Executor is the task-execution seam between parallel operators and
-// whatever runs their tasks. The local per-query pool (Sched) is the
-// reference implementation; the shard backends wrap their own pools behind
-// the same interface, which is what lets placement decisions (local deque,
-// other worker, other box) live behind one handle instead of in each
-// operator.
-//
-// Implementations must uphold the pool contract of the package comment:
-// submitted tasks run exactly once, tasks must never block on exchange or
-// operator state, and Retain/Release bound the executor's goroutine
-// lifetime (an unreferenced idle executor leaves no goroutines behind).
-type Executor interface {
-	// Workers reports the executor's parallelism; per-worker operator
-	// scratch is sized by it, and every worker index passed to a Task is in
-	// [0, Workers()).
-	Workers() int
-	// Submit enqueues t for execution. from names the submitting pool
-	// worker (continuation tasks land on the submitter's own deque);
-	// negative means an external submission.
-	Submit(from int, t Task)
-	// Retain registers an operator that will submit tasks; the executor
-	// stays alive until every retain is released.
-	Retain()
-	// Release drops one operator handle; at zero, idle workers drain and
-	// exit.
-	Release()
-}
-
-var _ Executor = (*Sched)(nil)
-
 // SchedStats is a snapshot of scheduler activity, reported by tpchbench -v.
 type SchedStats struct {
 	// Tasks is the number of tasks submitted.
@@ -80,8 +50,8 @@ type SchedStats struct {
 
 // NewSched returns a pool of exactly `workers` goroutines (spawned lazily,
 // exiting when idle and unreferenced). The per-query pool is created through
-// Context.Scheduler; NewSched exists for executors that need a pool of their
-// own, such as a shard backend's remote-side scheduler.
+// Context.Scheduler; NewSched exists for pools that outlive a query, such as
+// a worker's or a daemon's.
 func NewSched(workers int) *Sched {
 	s := &Sched{
 		workers: workers,

@@ -146,7 +146,7 @@ type CacheKey struct {
 	// (e.g. "BDCC/sf0.05"). Plans do not survive schema changes.
 	Schema string
 	// Knobs fingerprints the plan-shaping execution knobs (workers, shards,
-	// remotes, balance) — a sharded plan differs from a single-box one.
+	// remotes, partition) — a sharded plan differs from a single-box one.
 	Knobs string
 }
 

@@ -312,8 +312,8 @@ func (p *Planner) sched() *engine.Sched {
 // the query; otherwise the set's simulated remotes each run max(1, Workers)
 // pool goroutines. Either set is installed as the context's engine.Cluster:
 // it shares one network accountant, records per-backend routed loads and
-// failover health, and places groups by hash or — under Balance "size" — by
-// least cumulative bytes. The query owner closes the set via
+// failover health, and places groups by group-id hash. The query owner
+// closes the set via
 // Context.CloseBackends after execution.
 func (p *Planner) backends() ([]engine.Backend, error) {
 	if p.Ctx == nil || (p.Ctx.Shards < 2 && len(p.Ctx.Remotes) == 0) {
@@ -336,9 +336,6 @@ func (p *Planner) backends() ([]engine.Backend, error) {
 				workers = 1
 			}
 			set = shard.NewSet(p.Ctx.Shards, workers, shard.PaperNet())
-		}
-		if p.Ctx.Balance == "size" {
-			set.BalanceBySize()
 		}
 		p.set = set
 		p.Ctx.Backends, p.Ctx.Cluster = set.Backends(), set

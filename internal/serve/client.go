@@ -1,38 +1,20 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 
 	"bdcc/internal/engine"
 	"bdcc/internal/wire"
 )
 
-// Client is one session against a bdccd daemon: a framed connection whose
-// requests multiplex freely — Query and Stats are safe to call from any
-// number of goroutines, responses are matched by request id.
+// Client is one session against a bdccd daemon: requests multiplex freely —
+// Query and Stats are safe to call from any number of goroutines, and each
+// request is a call of the session, answered by id.
 type Client struct {
-	conn net.Conn
+	sess *wire.Client
 	name string
-
-	wmu sync.Mutex
-
-	mu      sync.Mutex
-	pending map[uint64]chan response
-	nextID  uint64
-	broken  error
-	closed  bool
-
-	pools int
-	loop  sync.WaitGroup
-}
-
-type response struct {
-	typ     byte
-	payload []byte
 }
 
 // Dial connects to a daemon at addr, presenting token in the hello (empty =
@@ -43,148 +25,83 @@ func Dial(addr, token string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: dial %s: %w", addr, err)
 	}
-	return NewClient(conn, addr, token)
-}
-
-// NewClient performs the hello exchange on an established connection and
-// starts the response reader; it owns conn from this point on.
-func NewClient(conn net.Conn, name, token string) (*Client, error) {
-	c := &Client{conn: conn, name: name, pending: make(map[uint64]chan response)}
-	var err error
-	if c.pools, err = wire.Hello(conn, nil, ProtoMagic, ProtoVersion, token); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("serve: %s: %w", name, err)
+	sess, err := wire.NewClient(conn, nil, ProtoMagic, ProtoVersion, token, func(err error) error {
+		return fmt.Errorf("serve: %s: session down: %w", addr, err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s: %w", addr, err)
 	}
-	c.loop.Add(1)
-	go c.readLoop()
-	return c, nil
+	return &Client{sess: sess, name: addr}, nil
 }
 
 // Pools returns the daemon's announced concurrent-query capacity.
-func (c *Client) Pools() int { return c.pools }
+func (c *Client) Pools() int { return c.sess.Capacity() }
 
-// call registers a request id, ships the frame, and awaits the response.
-func (c *Client) call(typ byte, frame []byte) (response, error) {
-	ch := make(chan response, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return response{}, errClosed
-	}
-	if c.broken != nil {
-		err := c.broken
-		c.mu.Unlock()
-		return response{}, err
-	}
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = ch
-	c.mu.Unlock()
-	c.wmu.Lock()
-	err := wire.Write(c.conn, nil, id, typ, frame)
-	c.wmu.Unlock()
+// Close tears the session down; pending requests resolve with a session-down
+// error.
+func (c *Client) Close() error { return c.sess.Close() }
+
+// response is a request's one answer frame, or the session's failure.
+type response struct {
+	typ     byte
+	payload []byte
+	err     error
+}
+
+// reply is one request in flight.
+type reply chan response
+
+func (r reply) Frame(typ byte, payload []byte) (bool, error) {
+	r <- response{typ: typ, payload: payload}
+	return true, nil
+}
+
+func (r reply) Fail(err error) { r <- response{err: err} }
+
+// call sends one request and returns the payload of its answer, which must
+// be a want frame.
+func (c *Client) call(typ byte, frame []byte, want byte) ([]byte, error) {
+	ch := make(reply, 1)
+	id, err := c.sess.Register(ch)
 	if err != nil {
-		c.fail(err)
+		return nil, err
 	}
-	r, ok := <-ch
-	if !ok {
-		c.mu.Lock()
-		err := c.broken
-		c.mu.Unlock()
-		if err == nil {
-			err = errClosed
-		}
-		return response{}, err
+	if err := c.sess.Write(id, typ, frame); err != nil {
+		c.sess.Fail(err) // the read loop fails the call
 	}
-	return r, nil
+	a := <-ch
+	if a.err == nil && a.typ != want {
+		a.err = fmt.Errorf("serve: %s: frame type %d answers a type-%d request", c.name, a.typ, typ)
+	}
+	return a.payload, a.err
 }
 
 // Query runs one query on the daemon and returns its materialized result,
 // decoded bit-exactly. A daemon-side admission or memory rejection returns
 // an ErrRejected-wrapped error; a query failure returns its error text.
 func (c *Client) Query(scheme, query string) (*engine.Result, error) {
-	r, err := c.call(frameQuery, encodeQuery(scheme, query, wire.Buf()))
+	p, err := c.call(frameQuery, encodeQuery(scheme, query, wire.Buf()), frameResult)
 	if err != nil {
 		return nil, err
 	}
-	if r.typ != frameResult || len(r.payload) < 1 {
-		return nil, fmt.Errorf("serve: %s: malformed result frame (type %d, %d bytes)", c.name, r.typ, len(r.payload))
+	if len(p) < 1 {
+		return nil, fmt.Errorf("serve: %s: result frame without a status", c.name)
 	}
-	switch r.payload[0] {
+	switch p[0] {
 	case statusOK:
-		return decodeResult(r.payload[1:])
+		return decodeResult(p[1:])
 	case statusRejected:
-		return nil, fmt.Errorf("%w: %s", ErrRejected, string(r.payload[1:]))
+		return nil, fmt.Errorf("%w: %s", ErrRejected, string(p[1:]))
 	default:
-		return nil, errors.New(string(r.payload[1:]))
+		return nil, errors.New(string(p[1:]))
 	}
 }
 
 // Stats fetches the daemon's admission and memory counters.
 func (c *Client) Stats() (Stats, error) {
-	r, err := c.call(frameStats, wire.Buf())
+	p, err := c.call(frameStats, wire.Buf(), frameStatsReply)
 	if err != nil {
 		return Stats{}, err
 	}
-	if r.typ != frameStatsReply {
-		return Stats{}, fmt.Errorf("serve: %s: malformed stats reply (type %d)", c.name, r.typ)
-	}
-	var st Stats
-	if err := json.Unmarshal(r.payload, &st); err != nil {
-		return Stats{}, fmt.Errorf("serve: %s: stats reply: %w", c.name, err)
-	}
-	return st, nil
-}
-
-// fail breaks the session: the connection closes and every pending and
-// later request resolves with the first failure.
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.broken == nil {
-		c.broken = fmt.Errorf("serve: %s: session down: %w", c.name, err)
-	}
-	chans := make([]chan response, 0, len(c.pending))
-	for id, ch := range c.pending {
-		chans = append(chans, ch)
-		delete(c.pending, id)
-	}
-	c.mu.Unlock()
-	c.conn.Close()
-	for _, ch := range chans {
-		close(ch)
-	}
-}
-
-func (c *Client) readLoop() {
-	defer c.loop.Done()
-	for {
-		id, typ, payload, err := wire.Read(c.conn, nil)
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		c.mu.Lock()
-		ch := c.pending[id]
-		delete(c.pending, id)
-		c.mu.Unlock()
-		if ch != nil {
-			ch <- response{typ: typ, payload: payload}
-		}
-	}
-}
-
-// Close tears the session down and joins the reader; pending requests
-// resolve with a session-down error.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	c.mu.Unlock()
-	c.conn.Close()
-	c.loop.Wait()
-	c.fail(errClosed)
-	return nil
+	return decodeStats(p)
 }

@@ -26,7 +26,7 @@ import (
 // its pool count as the hello's capacity.
 const (
 	ProtoMagic   = "BDCQ"
-	ProtoVersion = 3
+	ProtoVersion = 4
 )
 
 // Client-protocol frame types (wire.TypeHello, 1, opens the session),
@@ -36,7 +36,7 @@ const (
 	frameQuery      = byte(8)  // client → daemon: run one query; id = request id
 	frameResult     = byte(9)  // daemon → client: status + result; id = request id
 	frameStats      = byte(10) // client → daemon: admission/memory counters
-	frameStatsReply = byte(11) // daemon → client: JSON-encoded Stats
+	frameStatsReply = byte(11) // daemon → client: the Stats fields (encodeStats)
 )
 
 // Result statuses carried in the first payload byte of frameResult.
@@ -68,6 +68,27 @@ func decodeQuery(payload []byte) (scheme, query string, err error) {
 		return "", "", fmt.Errorf("serve: query frame: %w", err)
 	}
 	return scheme, query, nil
+}
+
+// encodeStats appends a stats-reply payload: the ten Stats fields in
+// declaration order, each a little-endian u64.
+func encodeStats(st Stats, buf []byte) []byte {
+	for _, v := range []int64{int64(st.Active), int64(st.Queued), st.Admitted, st.QueuedTotal, st.Rejected,
+		st.Done, st.MemReserved, st.MemPeak, st.MemQueued, st.MemRejected} {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	return buf
+}
+
+func decodeStats(payload []byte) (Stats, error) {
+	r := wire.NewReader(payload)
+	st := Stats{Active: int(r.U64()), Queued: int(r.U64()), Admitted: int64(r.U64()), QueuedTotal: int64(r.U64()),
+		Rejected: int64(r.U64()), Done: int64(r.U64()), MemReserved: int64(r.U64()), MemPeak: int64(r.U64()),
+		MemQueued: int64(r.U64()), MemRejected: int64(r.U64())}
+	if err := r.Close(); err != nil {
+		return Stats{}, fmt.Errorf("serve: stats reply: %w", err)
+	}
+	return st, nil
 }
 
 // encodeResult appends a result's wire form: u16 column count, each column

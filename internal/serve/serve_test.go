@@ -257,3 +257,42 @@ func TestConcurrentClients(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// FuzzDecodeBDCQ offers arbitrary bytes to every client-protocol payload
+// decoder — the query, the result and the stats reply. Each returns an error
+// or a value, never panics; a decoded query or stats reply re-encodes to the
+// input, and a decoded result names every column it carries, each of the
+// result's row count. Seeded with real encodings and their truncations.
+func FuzzDecodeBDCQ(f *testing.F) {
+	for _, enc := range [][]byte{
+		encodeQuery("BDCC", "Q07", nil),
+		encodeResult(stubResult("Q07"), nil),
+		encodeStats(Stats{Active: 1, Queued: 2, Admitted: 3, QueuedTotal: 4, Rejected: 5, Done: 6,
+			MemReserved: 7, MemPeak: 8, MemQueued: 9, MemRejected: 10}, nil),
+	} {
+		for n := 0; n < len(enc); n += 7 {
+			f.Add(enc[:n])
+		}
+		f.Add(enc)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if scheme, query, err := decodeQuery(data); err == nil && string(encodeQuery(scheme, query, nil)) != string(data) {
+			t.Fatalf("query %q/%q does not re-encode to its payload", scheme, query)
+		}
+		if st, err := decodeStats(data); err == nil && string(encodeStats(st, nil)) != string(data) {
+			t.Fatalf("stats %+v do not re-encode to their payload", st)
+		}
+		res, err := decodeResult(data)
+		if err != nil {
+			return
+		}
+		if len(res.Schema) != len(res.Cols) {
+			t.Fatalf("result names %d columns, carries %d", len(res.Schema), len(res.Cols))
+		}
+		for i, c := range res.Cols {
+			if c.Len() != res.Rows() {
+				t.Fatalf("result column %d holds %d rows of %d", i, c.Len(), res.Rows())
+			}
+		}
+	})
+}

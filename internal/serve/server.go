@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -58,35 +57,34 @@ type Config struct {
 type Stats struct {
 	// Active is the number of queries executing right now; Queued the number
 	// waiting for a pool.
-	Active int `json:"active"`
-	Queued int `json:"queued"`
+	Active int
+	Queued int
 	// Admitted counts queries that reached a pool; QueuedTotal how many of
 	// all arrivals had to queue first; Rejected those turned away (queue
 	// full, queue wait expired, or memory budget); Done completed runs.
-	Admitted    int64 `json:"admitted"`
-	QueuedTotal int64 `json:"queued_total"`
-	Rejected    int64 `json:"rejected"`
-	Done        int64 `json:"done"`
+	Admitted    int64
+	QueuedTotal int64
+	Rejected    int64
+	Done        int64
 	// Memory budget counters (zero when ungoverned): current and peak
 	// reserved bytes, queued and rejected reservations.
-	MemReserved int64 `json:"mem_reserved"`
-	MemPeak     int64 `json:"mem_peak"`
-	MemQueued   int64 `json:"mem_queued"`
-	MemRejected int64 `json:"mem_rejected"`
+	MemReserved int64
+	MemPeak     int64
+	MemQueued   int64
+	MemRejected int64
 }
 
-// Server is the daemon: a listener loop accepting client sessions, an
-// admission gate in front of Config.Pools scheduler pools, and one optional
-// process-global memory budget over every admitted query.
+// Server is the daemon: client sessions (internal/wire) whose frames it
+// answers, an admission gate in front of Config.Pools scheduler pools, and
+// one optional process-global memory budget over every admitted query.
 type Server struct {
-	cfg    Config
-	budget *engine.MemBudget
-	pools  chan *engine.Sched
-	owned  []*engine.Sched
+	cfg      Config
+	budget   *engine.MemBudget
+	pools    chan *engine.Sched
+	owned    []*engine.Sched
+	sessions wire.Listener
 
 	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
 	closed    bool
 	queued    int
 	active    int
@@ -94,12 +92,10 @@ type Server struct {
 	queuedTot int64
 	rejected  int64
 	done      int64
-
-	wg sync.WaitGroup
 }
 
-// NewServer assembles a daemon from cfg; Start serving with Serve or
-// ServeConn, tear down with Close.
+// NewServer assembles a daemon from cfg; start serving with Serve, tear down
+// with Close.
 func NewServer(cfg Config) *Server {
 	if cfg.Pools < 1 {
 		cfg.Pools = 1
@@ -107,7 +103,9 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		pools: make(chan *engine.Sched, cfg.Pools),
-		conns: make(map[net.Conn]struct{}),
+	}
+	s.sessions = wire.Listener{
+		Magic: ProtoMagic, Version: ProtoVersion, Token: cfg.AuthToken, Capacity: cfg.Pools, Open: s.open,
 	}
 	if cfg.MemBudget > 0 {
 		s.budget = engine.NewMemBudget(cfg.MemBudget, cfg.MemWait)
@@ -247,112 +245,48 @@ func (s *Server) runQuery(scheme, query string) (*engine.Result, error) {
 
 // Serve accepts client sessions on l until the listener fails or the server
 // closes. It returns nil after Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return errClosed
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.ServeConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.sessions.Serve(l) }
 
-// ServeConn starts one client session over an established connection and
-// returns immediately.
-func (s *Server) ServeConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.session(conn)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-}
-
-// session is one client connection's lifetime: authenticated hello, then a
-// frame loop running each query on its own goroutine (a session is a
-// multiplexed pipe, not a serial one — concurrent requests from one client
-// interleave freely), joined before the session ends.
-func (s *Server) session(conn net.Conn) {
-	defer conn.Close()
-	if !wire.Accept(conn, ProtoMagic, ProtoVersion, s.cfg.AuthToken, s.cfg.Pools) {
-		return
-	}
-	var wmu sync.Mutex
-
-	var requests sync.WaitGroup
-	defer requests.Wait()
-	for {
-		id, typ, payload, err := wire.Read(conn, nil)
-		if err != nil {
-			conn.Close() // unblock request goroutines parked writing
-			return
-		}
+// open is one client session's frame handler. A session is a multiplexed
+// pipe, not a serial one: each query runs on its own goroutine and
+// concurrent requests from one client interleave freely.
+func (s *Server) open(sess *wire.Session) wire.Handler {
+	return func(id uint64, typ byte, payload []byte) error {
 		switch typ {
 		case frameStats:
-			st, _ := json.Marshal(s.Stats())
-			wmu.Lock()
-			wire.Write(conn, nil, id, frameStatsReply, append(wire.Buf(), st...))
-			wmu.Unlock()
+			sess.Write(id, frameStatsReply, encodeStats(s.Stats(), wire.Buf()))
 		case frameQuery:
-			scheme, query, derr := decodeQuery(payload)
-			if derr != nil {
-				conn.Close()
-				return
+			scheme, query, err := decodeQuery(payload)
+			if err != nil {
+				return err
 			}
-			requests.Add(1)
-			go func(id uint64) {
-				defer requests.Done()
-				res, err := s.runQuery(scheme, query)
-				out := wire.Buf()
-				switch {
-				case err == nil:
-					out = append(out, statusOK)
-					out = encodeResult(res, out)
-					if len(out)-wire.HeaderLen > wire.MaxPayload {
-						out = append(wire.Buf(), statusError)
-						out = append(out, fmt.Sprintf("serve: result encodes to %d bytes, over the %d frame cap",
-							len(out)-wire.HeaderLen, wire.MaxPayload)...)
-					}
-				case errors.Is(err, ErrRejected):
-					out = append(out, statusRejected)
-					out = append(out, err.Error()...)
-				default:
-					out = append(out, statusError)
-					out = append(out, err.Error()...)
-				}
-				wmu.Lock()
-				wire.Write(conn, nil, id, frameResult, out)
-				wmu.Unlock()
-			}(id)
+			end := sess.Begin()
+			go func() {
+				defer end()
+				sess.Write(id, frameResult, s.answer(scheme, query))
+			}()
 		default:
-			conn.Close()
-			return
+			return fmt.Errorf("daemon received frame type %d", typ)
+		}
+		return nil
+	}
+}
+
+// answer runs one query and returns its result frame: the encoded result, or
+// the status and text of the error — a result over the frame cap among them.
+func (s *Server) answer(scheme, query string) []byte {
+	res, err := s.runQuery(scheme, query)
+	if err == nil {
+		out := encodeResult(res, append(wire.Buf(), statusOK))
+		if err = wire.CheckPayload(len(out)-wire.HeaderLen, "serve: result"); err == nil {
+			return out
 		}
 	}
+	status := statusError
+	if errors.Is(err, ErrRejected) {
+		status = statusRejected
+	}
+	return append(append(wire.Buf(), status), err.Error()...)
 }
 
 // Close shuts the daemon down: listeners stop, sessions close (in-flight
@@ -365,20 +299,8 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
-	listeners := s.listeners
-	s.listeners = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
 	s.mu.Unlock()
-	for _, l := range listeners {
-		l.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
+	s.sessions.Close(0)
 	for _, p := range s.owned {
 		p.Release()
 	}

@@ -93,7 +93,7 @@ type slot struct {
 }
 
 // failoverBackend is the wrapper at one set index; it implements
-// engine.Backend and preserves 1:1 index alignment with the router.
+// engine.Backend and preserves 1:1 index alignment with Set.Route.
 type failoverBackend struct {
 	f   *failover
 	idx int
@@ -206,9 +206,8 @@ func (b *failoverBackend) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, e
 
 // partShipper is the capability surface partition shipping needs from a
 // slot's backend: the network client implements it (and the simulated
-// remote inherits it); backends without it — a plain local pass-through —
-// simply never receive partitions, and their scan units fail Prepare as
-// work errors.
+// remote inherits it); a backend without it simply never receives
+// partitions, and its scan units fail Prepare as work errors.
 type partShipper interface {
 	ShipPartition(key string, manifest []byte, data [][]byte, saved int64) error
 	SetScanIO(fn func(runs, pages, bytes int64))

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bdcc/internal/engine"
+	"bdcc/internal/expr"
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
 	"bdcc/internal/wire"
@@ -17,9 +18,10 @@ import (
 
 // This file is the network backend: the framed byte-stream protocol between
 // a query (client half, engine.Backend) and a worker (Server half, the core
-// of cmd/bdccworker), plus Dial for real TCP connections. The simulated
-// remote (sim.go) runs exactly this client against exactly this server over
-// an in-process net.Pipe, so the simulation and the real network share one
+// of cmd/bdccworker), plus Dial for real TCP connections. Both halves are
+// frame handlers over internal/wire's sessions. The simulated remote
+// (sim.go) runs exactly this client against exactly this server over an
+// in-process net.Pipe, so the simulation and the real network share one
 // protocol implementation end to end. The full wire specification lives in
 // docs/WIRE.md.
 
@@ -38,15 +40,15 @@ const (
 // first, failing only the oversized unit — a work error, not a backend
 // failure, so failover does not cascade it through the set (see
 // docs/WIRE.md). A frame write that hits wire.WriteTimeout is a write error:
-// the query side reroutes (ErrBackendDown) instead of blocking the feeder
-// under wmu, the worker side abandons the stalled session's unit instead of
-// parking tasks on the daemon's shared scheduler.
+// the query side reroutes (ErrBackendDown) instead of blocking the feeder,
+// the worker side abandons the stalled session's unit instead of parking
+// tasks on the daemon's shared scheduler.
 const (
 	frameSetup     = byte(2) // query → worker: one plan fragment; id = fragment id
 	frameUnit      = byte(3) // query → worker: one group unit; id = unit id
 	frameBatch     = byte(4) // worker → query: one result batch; id = unit id
 	frameDone      = byte(5) // worker → query: unit finished; payload = status (+stats or error)
-	framePing      = byte(6) // query → worker: liveness probe; id = ping id
+	framePing      = byte(6) // query → worker: liveness probe; id = a call id, like a unit's
 	framePong      = byte(7) // worker → query: ping echo; id = the ping's id
 	framePartTable = byte(8) // query → worker: partition manifest; id = partition id
 	framePartData  = byte(9) // query → worker: one column frame of a partition; id = partition id
@@ -59,88 +61,62 @@ const (
 // work errors are never retried (a rerun would fail identically).
 var ErrBackendDown = errors.New("shard: backend down")
 
-var errClosed = errors.New("shard: backend closed")
-
 // client is the query half of the protocol: an engine.Backend over one
-// framed byte-stream connection. It ships each operator's plan fragment
-// once (frameSetup, keyed by fragment pointer), then one frameUnit per
-// group, and delivers frameBatch/frameDone responses to the unit's
-// emit/done callbacks. Transport failures fail every pending and later
-// unit with an ErrBackendDown-wrapped error.
+// wire session. It ships each operator's plan fragment once (frameSetup,
+// keyed by fragment pointer), then one frameUnit per group, each a call of
+// the session whose frameBatch/frameDone answers reach the unit's emit/done
+// callbacks. The session's failure fails every pending and later unit with
+// an ErrBackendDown-wrapped error.
 type client struct {
-	conn net.Conn
-	name string // dial address, or "sim" for the in-process pipe
-	net  *iosim.Accountant
+	sess    *wire.Client
+	name    string // dial address, or "sim" for the in-process pipe
+	net     *iosim.Accountant
+	workers int
 
-	wmu sync.Mutex // frames the request stream; also guards frags and parts
-	// frags is the by-pointer registry of shipped fragments; fragsByKey
+	// wmu is the registry lock. It is held across a fragment's setup frame
+	// and the first unit naming it, and across a partition's frames, so the
+	// worker always has a fragment or partition before anything that uses
+	// it. frags is the by-pointer registry of shipped fragments; fragsByKey
 	// indexes the same registrations by encoded content, so two Fragment
 	// values with identical wire forms — e.g. the same cached plan
 	// instantiated by two queries sharing this session — ship one setup
-	// frame and alias one fragment id.
+	// frame and alias one fragment id. parts records shipped table
+	// partitions by content key, so a partition offered twice to one session
+	// (plan-time ship racing a re-admission re-ship) crosses the wire once.
+	wmu        sync.Mutex
 	frags      map[*engine.Fragment]uint64
 	fragsByKey map[string]uint64
 	nextFrag   uint64
-	// parts records shipped table partitions by content key, so a partition
-	// offered twice to one session (plan-time ship racing a re-admission
-	// re-ship) crosses the wire once.
-	parts    map[string]uint64
-	nextPart uint64
+	parts      map[string]uint64
+	nextPart   uint64
 
-	// dmu serializes callback delivery: the read loop's emit/done calls and
-	// fail's drain of pending dones are mutually exclusive, so a unit never
-	// sees emit or done concurrently (the backend contract the failover
-	// buffer and the exchange depend on), and a unit drained by fail is
-	// never emitted to afterwards.
-	dmu sync.Mutex
-
-	mu       sync.Mutex
-	pending  map[uint64]*call
-	nextID   uint64
-	pings    map[uint64]chan error
-	nextPing uint64
-	broken   error
-	closed   bool
-	// onScanIO, when set, receives the per-unit modeled read stats a done
+	// scanIO, when set, receives the per-unit modeled read stats a done
 	// frame carries for scan units — the worker's local device reads, fed
 	// into the query's per-worker scan accountant.
-	onScanIO func(runs, pages, bytes int64)
-
-	workers int
-	loop    sync.WaitGroup
-}
-
-// call is the query-side registration of one in-flight unit.
-type call struct {
-	emit func(*vector.Batch)
-	done func(error)
+	scanIO atomic.Pointer[func(runs, pages, bytes int64)]
 }
 
 // newClient performs the hello exchange on conn (bounded by
 // wire.HandshakeTimeout), presenting token as the shared secret (empty = none
-// configured), and starts the response reader. It owns conn from this point
-// on (Close closes it). A worker whose token differs drops the connection
+// configured), and starts the session. It owns conn from this point on
+// (Close closes it). A worker whose token differs drops the connection
 // without a reply, which surfaces here as a hello-reply read error.
 func newClient(conn net.Conn, name, token string, acct *iosim.Accountant) (*client, error) {
-	c := &client{
-		conn:       conn,
+	sess, err := wire.NewClient(conn, acct, ProtoMagic, ProtoVersion, token, func(err error) error {
+		return fmt.Errorf("%w: %s: %v", ErrBackendDown, name, err)
+	})
+	if err != nil {
+		return nil, fmt.Errorf("shard: %s: %w", name, err)
+	}
+	return &client{
+		sess:       sess,
 		name:       name,
 		net:        acct,
+		workers:    max(sess.Capacity(), 1),
 		frags:      make(map[*engine.Fragment]uint64),
 		fragsByKey: make(map[string]uint64),
 		parts:      make(map[string]uint64),
-		pending:    make(map[uint64]*call),
-		pings:      make(map[uint64]chan error),
-	}
-	var err error
-	if c.workers, err = wire.Hello(conn, acct, ProtoMagic, ProtoVersion, token); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("shard: %s: %w", name, err)
-	}
-	c.workers = max(c.workers, 1)
-	c.loop.Add(1)
-	go c.readLoop()
-	return c, nil
+	}, nil
 }
 
 // Workers implements engine.Backend, reporting the parallelism the worker
@@ -151,11 +127,7 @@ func (c *client) Workers() int { return c.workers }
 // carried by done frames (the worker's modeled local device reads). The
 // failover layer installs one per slot, feeding the query's per-worker scan
 // accountants.
-func (c *client) SetScanIO(fn func(runs, pages, bytes int64)) {
-	c.mu.Lock()
-	c.onScanIO = fn
-	c.mu.Unlock()
-}
+func (c *client) SetScanIO(fn func(runs, pages, bytes int64)) { c.scanIO.Store(&fn) }
 
 // ShipPartition sends one table partition to the worker: the manifest
 // payload, then the column-frame payloads, each as its own frame sharing the
@@ -166,54 +138,38 @@ func (c *client) SetScanIO(fn func(runs, pages, bytes int64)) {
 // saving, credited to the network accountant like any other compressed
 // frame's. The payloads are shared across sessions and only read here.
 func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved int64) error {
-	c.mu.Lock()
-	if err := c.unusable(); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	c.mu.Unlock()
 	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	if _, done := c.parts[key]; done {
-		c.wmu.Unlock()
 		return nil
 	}
 	id := c.nextPart
 	c.nextPart++
-	err := wire.WriteShared(c.conn, c.net, id, framePartTable, manifest)
+	err := c.sess.WriteShared(id, framePartTable, manifest)
 	for i := 0; err == nil && i < len(data); i++ {
-		err = wire.WriteShared(c.conn, c.net, id, framePartData, data[i])
+		err = c.sess.WriteShared(id, framePartData, data[i])
 	}
-	if err == nil {
-		c.parts[key] = id
-	}
-	c.wmu.Unlock()
 	if err != nil {
-		c.fail(fmt.Errorf("ship partition: %w", err))
-		return fmt.Errorf("%w: %s: ship partition: %v", ErrBackendDown, c.name, err)
+		return c.sess.Fail(fmt.Errorf("ship partition: %w", err))
 	}
+	c.parts[key] = id
 	if saved > 0 && c.net != nil {
 		c.net.AddSaved(saved)
 	}
 	return nil
 }
 
-// RunGroup implements engine.Backend: register the call, ship the fragment
-// on first use, ship the unit. The read loop delivers results. done is
-// always invoked exactly once, possibly synchronously when the transport is
-// already down.
+// RunGroup implements engine.Backend: register the unit as a call, ship the
+// fragment on first use, ship the unit. The session's read loop delivers
+// the results. done is always invoked exactly once, possibly synchronously
+// when the session is already down.
 func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(*vector.Batch), done func(error)) {
-	c.mu.Lock()
-	if err := c.unusable(); err != nil {
-		c.mu.Unlock()
+	id, err := c.sess.Register(&unitCall{c: c, emit: emit, done: done})
+	if err != nil {
 		done(err)
 		return
 	}
-	id := c.nextID
-	c.nextID++
-	c.pending[id] = &call{emit: emit, done: done}
-	c.mu.Unlock()
-
-	// The unit payload is encoded outside the write lock (units can be
+	// The unit payload is encoded outside the registry lock (units can be
 	// large, and reroutes run RunGroup concurrently with the feeder); the
 	// fragment-id slot after the frame header is patched once the id is
 	// known.
@@ -224,90 +180,24 @@ func (c *client) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(
 	if saved := RawUnitWireSize(u) - (len(pl) - wire.HeaderLen - 8); saved > 0 && c.net != nil {
 		c.net.AddSaved(int64(saved))
 	}
-	if len(pl)-wire.HeaderLen > wire.MaxPayload {
-		// Failing only this unit — as a work error, not a backend failure —
-		// keeps an oversized group from cascading through every backend of
-		// the set via failover.
-		c.resolve(id, fmt.Errorf("shard: group %d encodes to %d bytes, over the %d frame cap",
-			u.GID, len(pl)-wire.HeaderLen, wire.MaxPayload))
-		return
-	}
-
-	// wmu is held across the fragment check and both writes: no other
-	// unit's frame can interleave between a fragment's setup frame and its
-	// first unit, so the worker always sees the fragment before any unit
-	// that references it.
-	c.wmu.Lock()
-	fid, known := c.frags[frag]
-	if !known {
-		fpl, err := EncodeFragment(frag, wire.Buf())
-		if err != nil {
-			c.wmu.Unlock()
-			c.resolve(id, err) // a plan bug, not a transport failure: no reroute
-			return
-		}
-		key := string(fpl[wire.HeaderLen:])
-		if aliased, ok := c.fragsByKey[key]; ok {
-			// Identical wire form already on the worker (another query's
-			// instantiation of the same cached plan): alias its id.
-			fid = aliased
-			c.frags[frag] = fid
-		} else {
-			fid = c.nextFrag
-			c.nextFrag++
-			if err := wire.Write(c.conn, c.net, fid, frameSetup, fpl); err != nil {
-				c.wmu.Unlock()
-				c.fail(fmt.Errorf("ship fragment: %w", err))
-				return
+	// An oversized group fails alone, as a work error, not a backend
+	// failure, so it cannot cascade through every backend of the set via
+	// failover.
+	if err = wire.CheckPayload(len(pl)-wire.HeaderLen, "unit"); err != nil {
+		err = fmt.Errorf("shard: group %d: %w", u.GID, err)
+	} else {
+		c.wmu.Lock()
+		var fid uint64
+		if fid, err = c.fragment(frag); err == nil {
+			binary.LittleEndian.PutUint64(pl[wire.HeaderLen:], fid)
+			if werr := c.sess.Write(id, frameUnit, pl); werr != nil {
+				c.sess.Fail(fmt.Errorf("ship unit: %w", werr)) // the read loop fails the call
 			}
-			// Registered only after the setup frame shipped: a failed encode
-			// or send must not leave later units referencing a fragment the
-			// worker never received.
-			c.frags[frag] = fid
-			c.fragsByKey[key] = fid
 		}
+		c.wmu.Unlock()
 	}
-	binary.LittleEndian.PutUint64(pl[wire.HeaderLen:], fid)
-	err := wire.Write(c.conn, c.net, id, frameUnit, pl)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(fmt.Errorf("ship unit: %w", err))
-	}
-}
-
-// Ping performs one application-level liveness round-trip, bounded by
-// timeout: the worker echoes the ping id as a pong. A pong proves the whole
-// session — socket, frame loop, hello state — is live, which is stronger
-// than a successful dial. The health prober pings a fresh connection before
-// re-admitting its backend to the routing set.
-func (c *client) Ping(timeout time.Duration) error {
-	ch := make(chan error, 1)
-	c.mu.Lock()
-	if err := c.unusable(); err != nil {
-		c.mu.Unlock()
-		return err
-	}
-	id := c.nextPing
-	c.nextPing++
-	c.pings[id] = ch
-	c.mu.Unlock()
-	c.wmu.Lock()
-	err := wire.Write(c.conn, c.net, id, framePing, wire.Buf())
-	c.wmu.Unlock()
-	if err != nil {
-		// fail drains c.pings, so the select below resolves promptly.
-		c.fail(fmt.Errorf("ping: %w", err))
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case err := <-ch:
-		return err
-	case <-t.C:
-		c.mu.Lock()
-		delete(c.pings, id)
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s: no pong within %v", ErrBackendDown, c.name, timeout)
+	if err != nil && c.sess.Forget(id) {
+		done(err) // never sent; unless the session's failure already ended it
 	}
 }
 
@@ -317,196 +207,136 @@ func (c *client) Ping(timeout time.Duration) error {
 // first-unit setup race.
 func (c *client) Preload(frag *engine.Fragment) error {
 	c.wmu.Lock()
-	if _, known := c.frags[frag]; known {
-		c.wmu.Unlock()
-		return nil
+	defer c.wmu.Unlock()
+	_, err := c.fragment(frag)
+	return err
+}
+
+// fragment returns frag's id on the session, shipping its setup frame on
+// first use; the caller holds wmu. A fragment that fails to encode is a plan
+// bug, returned as it is (a work error: no reroute); a setup frame that fails
+// to send fails the session, whose failure is returned.
+func (c *client) fragment(frag *engine.Fragment) (uint64, error) {
+	if fid, ok := c.frags[frag]; ok {
+		return fid, nil
 	}
 	fpl, err := EncodeFragment(frag, wire.Buf())
 	if err != nil {
-		c.wmu.Unlock()
-		return err
+		return 0, err
 	}
 	key := string(fpl[wire.HeaderLen:])
-	if aliased, ok := c.fragsByKey[key]; ok {
-		c.frags[frag] = aliased
-		c.wmu.Unlock()
-		return nil
-	}
-	fid := c.nextFrag
-	c.nextFrag++
-	werr := wire.Write(c.conn, c.net, fid, frameSetup, fpl)
-	if werr == nil {
-		c.frags[frag] = fid
+	fid, ok := c.fragsByKey[key]
+	if !ok {
+		fid = c.nextFrag
+		c.nextFrag++
+		if err := c.sess.Write(fid, frameSetup, fpl); err != nil {
+			return 0, c.sess.Fail(fmt.Errorf("ship fragment: %w", err))
+		}
+		// Registered only after the setup frame shipped: a failed encode or
+		// send must not leave later units referencing a fragment the worker
+		// never received.
 		c.fragsByKey[key] = fid
 	}
-	c.wmu.Unlock()
-	if werr != nil {
-		c.fail(fmt.Errorf("ship fragment: %w", werr))
-		return fmt.Errorf("%w: %s: ship fragment: %v", ErrBackendDown, c.name, werr)
-	}
-	return nil
+	c.frags[frag] = fid
+	return fid, nil
 }
 
-// unusable reports why new units cannot be accepted. Called with c.mu held.
-func (c *client) unusable() error {
-	if c.closed {
-		return errClosed
-	}
-	return c.broken
+// unitCall is one unit in flight: its result batches and its done frame.
+type unitCall struct {
+	c    *client
+	emit func(*vector.Batch)
+	done func(error)
 }
 
-// resolve completes one registered unit with err, preserving exactly-once
-// delivery of done.
-func (c *client) resolve(id uint64, err error) {
-	c.mu.Lock()
-	cl := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if cl != nil {
-		cl.done(err)
-	}
-}
-
-// fail marks the transport broken (wrapping the cause in ErrBackendDown so
-// the failover wrapper reroutes), tears the connection down (unblocking any
-// writer parked on the stream), and fails every pending unit; later units
-// fail on arrival. Exactly-once delivery of done is preserved: a call is
-// removed from pending before its done runs.
-func (c *client) fail(err error) {
-	c.dmu.Lock()
-	defer c.dmu.Unlock()
-	c.mu.Lock()
-	if c.broken == nil {
-		if !errors.Is(err, ErrBackendDown) {
-			err = fmt.Errorf("%w: %s: %v", ErrBackendDown, c.name, err)
+// Frame delivers a result batch (in shipped order) to emit, or completes the
+// unit from its done frame. Work errors cross the transport as done text —
+// error identity does not survive the wire — while an undecodable frame
+// fails the session.
+func (u *unitCall) Frame(typ byte, payload []byte) (bool, error) {
+	switch typ {
+	case frameBatch:
+		b, n, err := vector.DecodeBatch(payload)
+		if err == nil && n != len(payload) {
+			err = fmt.Errorf("%d trailing bytes after result batch", len(payload)-n)
 		}
-		c.broken = err
-	}
-	err = c.broken
-	calls := make([]*call, 0, len(c.pending))
-	for id, cl := range c.pending {
-		calls = append(calls, cl)
-		delete(c.pending, id)
-	}
-	waiters := make([]chan error, 0, len(c.pings))
-	for id, ch := range c.pings {
-		waiters = append(waiters, ch)
-		delete(c.pings, id)
-	}
-	c.mu.Unlock()
-	c.conn.Close()
-	for _, cl := range calls {
-		cl.done(err)
-	}
-	for _, ch := range waiters {
-		ch <- err
-	}
-}
-
-// readLoop is the query side of the response stream: it decodes result
-// batches and delivers them (in shipped order) to the unit's emit, then
-// completes the unit. Work errors cross the transport as frameDone text —
-// error identity does not survive the wire — while a broken stream fails
-// everything through fail.
-func (c *client) readLoop() {
-	defer c.loop.Done()
-	for {
-		id, typ, payload, err := wire.Read(c.conn, c.net)
 		if err != nil {
-			c.fail(err)
-			return
+			return false, err
 		}
-		if typ != frameBatch && typ != frameDone && typ != framePong {
-			c.fail(fmt.Errorf("query side received frame type %d", typ))
-			return
+		if saved := b.RawWireSize() - len(payload); saved > 0 && u.c.net != nil {
+			u.c.net.AddSaved(int64(saved))
 		}
-		if typ == framePong {
-			c.mu.Lock()
-			ch := c.pings[id]
-			delete(c.pings, id)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- nil // a timed-out ping already removed its channel
-			}
-			continue
-		}
-		var b *vector.Batch
-		if typ == frameBatch {
-			var n int
-			var derr error
-			b, n, derr = vector.DecodeBatch(payload)
-			if derr == nil && n != len(payload) {
-				derr = fmt.Errorf("%d trailing bytes after result batch", len(payload)-n)
-			}
-			if derr != nil {
-				c.fail(derr)
-				return
-			}
-			if saved := b.RawWireSize() - len(payload); saved > 0 && c.net != nil {
-				c.net.AddSaved(int64(saved))
-			}
-		}
-		// The pending lookup happens under dmu so it cannot interleave with
-		// fail's drain: a unit fail already completed is skipped here, never
-		// emitted to or completed twice.
-		c.dmu.Lock()
-		c.mu.Lock()
-		cl := c.pending[id]
-		if typ == frameDone {
-			delete(c.pending, id)
-		}
-		c.mu.Unlock()
-		if cl != nil {
-			switch typ {
-			case frameBatch:
-				cl.emit(b)
-			case frameDone:
-				// Done payload: status byte (0 success, 1 work error),
-				// then — success only, scan units only — 24 bytes of
-				// little-endian per-unit scan read stats (runs, pages,
-				// bytes); on failure the error text.
-				r := wire.NewReader(payload)
-				switch status := r.U8(); {
-				case r.Err() != nil:
-					c.dmu.Unlock()
-					c.fail(fmt.Errorf("done frame with empty payload"))
-					return
-				case status != 0:
-					cl.done(errors.New(string(r.Rest())))
-				default:
-					if runs, pages, bytes := r.U64(), r.U64(), r.U64(); r.Err() == nil {
-						c.mu.Lock()
-						fn := c.onScanIO
-						c.mu.Unlock()
-						if fn != nil {
-							fn(int64(runs), int64(pages), int64(bytes))
-						}
-					}
-					cl.done(nil)
+		u.emit(b)
+		return false, nil
+	case frameDone:
+		// Done payload: status byte (0 success, 1 work error), then —
+		// success only, scan units only — 24 bytes of little-endian per-unit
+		// scan read stats (runs, pages, bytes); on failure the error text.
+		r := wire.NewReader(payload)
+		switch status := r.U8(); {
+		case r.Err() != nil:
+			return false, fmt.Errorf("done frame with empty payload")
+		case status != 0:
+			u.done(errors.New(string(r.Rest())))
+		default:
+			if runs, pages, bytes := r.U64(), r.U64(), r.U64(); r.Err() == nil {
+				if fn := u.c.scanIO.Load(); fn != nil {
+					(*fn)(int64(runs), int64(pages), int64(bytes))
 				}
 			}
+			u.done(nil)
 		}
-		c.dmu.Unlock()
+		return true, nil
+	}
+	return false, fmt.Errorf("query side received frame type %d for a unit", typ)
+}
+
+// Fail completes the unit with the session's failure.
+func (u *unitCall) Fail(err error) { u.done(err) }
+
+// Ping performs one application-level liveness round-trip, bounded by
+// timeout: the worker echoes the ping's call id as a pong. A pong proves the
+// whole session — socket, frame loop, hello state — is live, which is
+// stronger than a successful dial. The health prober pings a fresh
+// connection before re-admitting its backend to the routing set.
+func (c *client) Ping(timeout time.Duration) error {
+	ch := make(pingCall, 1)
+	id, err := c.sess.Register(ch)
+	if err != nil {
+		return err
+	}
+	if err := c.sess.Write(id, framePing, wire.Buf()); err != nil {
+		c.sess.Fail(fmt.Errorf("ping: %w", err)) // the read loop fails the call
+	}
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case err := <-ch:
+		return err
+	case <-t.C:
+		c.sess.Forget(id)
+		return fmt.Errorf("%w: %s: no pong within %v", ErrBackendDown, c.name, timeout)
 	}
 }
 
-// Close implements engine.Backend: it tears down the connection and joins
-// the read loop, so a closed backend leaves no goroutines behind. Units
-// must not be in flight (the engine's exchange joins every done callback
-// before operators close); any that are anyway fail with errClosed.
-func (c *client) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
+// pingCall is one ping in flight: its pong, or the session's failure.
+type pingCall chan error
+
+func (p pingCall) Frame(typ byte, _ []byte) (bool, error) {
+	if typ != framePong {
+		return false, fmt.Errorf("query side received frame type %d for a ping", typ)
 	}
-	c.closed = true
-	c.mu.Unlock()
-	c.conn.Close()
-	c.loop.Wait()
-	c.fail(errClosed) // defensively complete contract-violating stragglers
-	return nil
+	p <- nil
+	return true, nil
 }
+
+func (p pingCall) Fail(err error) { p <- err }
+
+// Close implements engine.Backend: it tears down the session and joins its
+// read loop, so a closed backend leaves no goroutines behind. Units must not
+// be in flight (the engine's exchange joins every done callback before
+// operators close); any that are anyway fail with the session's failure, and
+// later ones with wire.ErrClosed.
+func (c *client) Close() error { return c.sess.Close() }
 
 // Dial connects to a bdccworker daemon at addr (host:port), performs the
 // hello exchange, and returns the connection as an engine.Backend. Dial
@@ -531,13 +361,13 @@ func DialToken(addr, token string, acct *iosim.Accountant) (engine.Backend, erro
 // daemon, usable in-process (the simulated remote and the loopback tests
 // serve net.Pipe and local TCP connections through it). One Server owns one
 // scheduler and one memory tracker shared by every session; each accepted
-// connection is an independent session with its own fragment registry, so
-// concurrent queries do not observe each other.
+// connection is an independent session with its own fragment registry and
+// partition store, so concurrent queries do not observe each other.
 type Server struct {
 	sched     *engine.Sched
 	mem       *engine.MemTracker
-	token     string
 	partLimit int64
+	sessions  wire.Listener
 
 	// OnUnitDone, when set before serving, is called after each unit
 	// completes with the total completed so far — a diagnostic and test
@@ -552,13 +382,7 @@ type Server struct {
 	// or wedge a session at a deterministic point.
 	OnUnitStart func()
 
-	mu        sync.Mutex
-	listeners []net.Listener
-	conns     map[net.Conn]struct{}
-	closed    bool
-
 	unitsDone atomic.Int64
-	wg        sync.WaitGroup
 	release   sync.Once
 }
 
@@ -566,13 +390,12 @@ type Server struct {
 // goroutines and its own memory tracker (remote group joins are metered on
 // the box that runs them).
 func NewServer(workers int) *Server {
-	if workers < 1 {
-		workers = 1
-	}
 	s := &Server{
-		sched: engine.NewSched(workers),
+		sched: engine.NewSched(max(workers, 1)),
 		mem:   &engine.MemTracker{},
-		conns: make(map[net.Conn]struct{}),
+	}
+	s.sessions = wire.Listener{
+		Magic: ProtoMagic, Version: ProtoVersion, Capacity: s.sched.Workers(), Open: s.open,
 	}
 	s.sched.Retain()
 	return s
@@ -582,7 +405,7 @@ func NewServer(workers int) *Server {
 // hello frames (empty, the default, accepts only clients presenting no
 // token). Set before serving; the comparison is constant-time and a
 // mismatch drops the connection without a reply.
-func (s *Server) SetAuthToken(token string) { s.token = token }
+func (s *Server) SetAuthToken(token string) { s.sessions.Token = token }
 
 // SetPartLimit caps the bytes the shipped table partitions of one session
 // keep resident — the received column frames its adopted tables point into,
@@ -607,75 +430,23 @@ func (s *Server) UnitsDone() int64 { return s.unitsDone.Load() }
 // Serve accepts connections on l until the listener fails or the server is
 // closed, serving each connection as an independent session. It returns nil
 // after Close.
-func (s *Server) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		l.Close()
-		return errClosed
-	}
-	s.listeners = append(s.listeners, l)
-	s.mu.Unlock()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.ServeConn(conn)
-	}
-}
+func (s *Server) Serve(l net.Listener) error { return s.sessions.Serve(l) }
 
 // ServeConn starts one session over an established connection (net.Pipe end,
 // accepted socket) and returns immediately; the session runs on server-owned
 // goroutines until the peer closes or the server does.
-func (s *Server) ServeConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		s.session(conn)
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-}
+func (s *Server) ServeConn(conn net.Conn) { s.sessions.ServeConn(conn) }
 
-// session is one connection's lifetime: hello exchange, then a setup/unit
-// frame loop spawning one scheduler task per unit, then teardown — the
-// connection is closed first (unblocking any task parked writing a result)
-// and in-flight tasks are joined before the session ends, so Close never
-// returns while a unit still runs.
-func (s *Server) session(conn net.Conn) {
-	defer conn.Close()
-	if !wire.Accept(conn, ProtoMagic, ProtoVersion, s.token, s.sched.Workers()) {
-		return
-	}
-	var wmu sync.Mutex
-
+// open is one session's frame handler: setup and partition frames fill the
+// session's registries, a ping is answered inline on the read loop, and each
+// unit becomes one scheduler task the session joins before it ends, so Close
+// never returns while a unit still runs. A protocol violation drops the
+// session.
+func (s *Server) open(sess *wire.Session) wire.Handler {
 	frags := make(map[uint64]*engine.Fragment)
 	fragErrs := make(map[uint64]error)
 	parts := newPartStore(s.partLimit)
-	var tasks sync.WaitGroup
-	defer tasks.Wait()
-	for {
-		id, typ, payload, err := wire.Read(conn, nil)
-		if err != nil {
-			conn.Close() // unblock tasks parked writing before joining them
-			return
-		}
+	return func(id uint64, typ byte, payload []byte) error {
 		switch typ {
 		case frameSetup:
 			frag, err := DecodeFragment(payload)
@@ -692,29 +463,20 @@ func (s *Server) session(conn net.Conn) {
 			}
 			if err != nil {
 				fragErrs[id] = err
-				continue
+			} else {
+				frags[id] = frag
 			}
-			frags[id] = frag
 		case framePartTable:
-			if err := parts.addManifest(id, payload); err != nil {
-				conn.Close() // protocol corruption: drop the session
-				return
-			}
+			return parts.addManifest(id, payload)
 		case framePartData:
-			if err := parts.addData(id, payload); err != nil {
-				conn.Close()
-				return
-			}
+			return parts.addData(id, payload)
 		case framePing:
-			wmu.Lock()
-			wire.Write(conn, nil, id, framePong, wire.Buf())
-			wmu.Unlock()
+			sess.Write(id, framePong, wire.Buf())
 		case frameUnit:
 			r := wire.NewReader(payload)
 			fid := r.U64()
-			if r.Err() != nil {
-				conn.Close() // protocol corruption: drop the session
-				return
+			if err := r.Err(); err != nil {
+				return err
 			}
 			frag := frags[fid]
 			if frag == nil {
@@ -722,65 +484,90 @@ func (s *Server) session(conn net.Conn) {
 				if err == nil {
 					err = fmt.Errorf("shard: unit references unknown fragment %d", fid)
 				}
-				s.finishUnit(conn, &wmu, id, nil, err)
-				continue
+				s.finishUnit(sess, id, nil, err)
+				return nil
 			}
-			body := r.Rest()
-			tasks.Add(1)
+			body, end := r.Rest(), sess.Begin()
 			s.sched.Submit(-1, func(int) {
-				defer tasks.Done()
-				if s.OnUnitStart != nil {
-					s.OnUnitStart()
-				}
-				u, err := DecodeUnit(body)
-				var stats *scanStats
-				if err == nil && frag.Kind == engine.FragScan {
-					// The unit's modeled local read cost rides its done
-					// frame; computing it before the scan keeps a mapping
-					// error a clean unit failure.
-					var st scanStats
-					if st.runs, st.pages, st.bytes, err = frag.ScanStats(u); err == nil {
-						stats = &st
-					}
-				}
-				var oversized error
-				if err == nil {
-					err = frag.Run(u, func(b *vector.Batch) {
-						if oversized != nil {
-							return // unit already failed; drop the rest
-						}
-						pl := b.Encode(wire.Buf())
-						// Mirror the client's send-side cap: shipping an
-						// over-cap result would make the client drop the
-						// session and failover cascade the same group —
-						// deterministically oversized — through every
-						// backend. Failing just this unit keeps it a work
-						// error.
-						if len(pl)-wire.HeaderLen > wire.MaxPayload {
-							if oversized == nil {
-								oversized = fmt.Errorf("shard: group %d result batch encodes to %d bytes, over the %d frame cap",
-									u.GID, len(pl)-wire.HeaderLen, wire.MaxPayload)
-							}
-							return
-						}
-						// A send failure here means the client is gone; the
-						// done frame below fails the same way and the read
-						// loop tears the session down.
-						wmu.Lock()
-						wire.Write(conn, nil, id, frameBatch, pl)
-						wmu.Unlock()
-					})
-					if err == nil {
-						err = oversized
-					}
-				}
-				s.finishUnit(conn, &wmu, id, stats, err)
+				defer end()
+				s.runUnit(sess, id, frag, body)
 			})
 		default:
-			conn.Close()
-			return
+			return fmt.Errorf("worker received frame type %d", typ)
+		}
+		return nil
+	}
+}
+
+// runUnit is one unit task: decode the unit, check it against the fragment,
+// run it, and report it done.
+func (s *Server) runUnit(sess *wire.Session, id uint64, frag *engine.Fragment, body []byte) {
+	if s.OnUnitStart != nil {
+		s.OnUnitStart()
+	}
+	u, err := DecodeUnit(body)
+	if err == nil {
+		err = conforms(u, frag)
+	}
+	var stats *scanStats
+	if err == nil && frag.Kind == engine.FragScan {
+		// The unit's modeled local read cost rides its done frame; computing
+		// it before the scan keeps a mapping error a clean unit failure.
+		var st scanStats
+		if st.runs, st.pages, st.bytes, err = frag.ScanStats(u); err == nil {
+			stats = &st
 		}
 	}
+	var oversized error
+	if err == nil {
+		err = frag.Run(u, func(b *vector.Batch) {
+			if oversized != nil {
+				return // unit already failed; drop the rest
+			}
+			pl := b.Encode(wire.Buf())
+			// Mirror the client's send-side cap: shipping an over-cap result
+			// would make the client drop the session and failover cascade
+			// the same group — deterministically oversized — through every
+			// backend. Failing just this unit keeps it a work error.
+			if oversized = wire.CheckPayload(len(pl)-wire.HeaderLen, "result batch"); oversized != nil {
+				oversized = fmt.Errorf("shard: group %d: %w", u.GID, oversized)
+				return
+			}
+			// A send failure here means the client is gone; the done frame
+			// below fails the same way and the read loop ends the session.
+			sess.Write(id, frameBatch, pl)
+		})
+		if err == nil {
+			err = oversized
+		}
+	}
+	s.finishUnit(sess, id, stats, err)
+}
+
+// conforms checks a decoded unit's batches against the schemas its fragment
+// was prepared for. Run indexes them by those schemas, so a batch of other
+// columns would otherwise panic on a scheduler goroutine instead of failing
+// its unit. Only the worker pays for the check: a local run's batches come
+// from the operator that built the fragment.
+func conforms(u *engine.GroupUnit, f *engine.Fragment) error {
+	check := func(side string, schema expr.Schema, batches []*vector.Batch) error {
+		for i, b := range batches {
+			if len(b.Cols) != len(schema) {
+				return fmt.Errorf("shard: group %d: %s batch %d has %d columns, the fragment %d", u.GID, side, i, len(b.Cols), len(schema))
+			}
+			for c, col := range b.Cols {
+				if col.Kind != schema[c].Kind {
+					return fmt.Errorf("shard: group %d: %s batch %d column %d is %v, the fragment's %q %v",
+						u.GID, side, i, c, col.Kind, schema[c].Name, schema[c].Kind)
+				}
+			}
+		}
+		return nil
+	}
+	if err := check("probe", f.Probe, u.Probe); err != nil {
+		return err
+	}
+	return check("build", f.Build, u.Build)
 }
 
 // scanStats is one scan unit's modeled local read cost, reported to the
@@ -794,7 +581,7 @@ type scanStats struct {
 // failure by the error text and on a scan unit's success by the 24-byte
 // read stats. The counter (and hook) advance before the done frame ships,
 // so a client that observed a completion always finds it counted.
-func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *scanStats, err error) {
+func (s *Server) finishUnit(sess *wire.Session, id uint64, stats *scanStats, err error) {
 	n := s.unitsDone.Add(1)
 	if s.OnUnitDone != nil {
 		s.OnUnitDone(n)
@@ -812,9 +599,7 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 	default:
 		msg = append(msg, 0)
 	}
-	wmu.Lock()
-	wire.Write(conn, nil, id, frameDone, msg)
-	wmu.Unlock()
+	sess.Write(id, frameDone, msg)
 }
 
 // Close shuts the worker down: listeners stop accepting, every session's
@@ -823,61 +608,21 @@ func (s *Server) finishUnit(conn net.Conn, wmu *sync.Mutex, id uint64, stats *sc
 // workers), in-flight unit tasks and session goroutines are joined, and
 // the scheduler is released — a closed server leaves no goroutines behind.
 func (s *Server) Close() error {
-	_, err := s.shutdown(0)
+	_, err := s.CloseWithin(0)
 	return err
 }
 
 // CloseWithin is Close with a bounded drain: sessions that have not ended
 // within d are abandoned rather than waited for, and their count is
-// returned. A wedged session — a unit task parked on a blocked write or a
-// stuck hook — can otherwise hang Close forever; the bdccworker daemon
-// bounds its SIGTERM drain with this and exits, letting the OS reap the
-// wedged work. The scheduler is only released on a clean drain (abandoned
-// tasks may still be running on it); an abandoning caller is expected to
-// exit the process.
+// returned (d <= 0 waits for the whole drain). A wedged session — a unit
+// task parked on a blocked write or a stuck hook — can otherwise hang Close
+// forever; the bdccworker daemon bounds its SIGTERM drain with this and
+// exits, letting the OS reap the wedged work. The scheduler is only released
+// on a clean drain (abandoned tasks may still be running on it); an
+// abandoning caller is expected to exit the process.
 func (s *Server) CloseWithin(d time.Duration) (abandoned int, err error) {
-	return s.shutdown(d)
-}
-
-// shutdown is the shared teardown: d <= 0 waits for the drain forever.
-func (s *Server) shutdown(d time.Duration) (int, error) {
-	s.mu.Lock()
-	s.closed = true
-	listeners := s.listeners
-	s.listeners = nil
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
+	if abandoned = s.sessions.Close(d); abandoned == 0 {
+		s.release.Do(s.sched.Release)
 	}
-	s.mu.Unlock()
-	for _, l := range listeners {
-		l.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	if d > 0 {
-		drained := make(chan struct{})
-		go func() {
-			s.wg.Wait()
-			close(drained)
-		}()
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-drained:
-		case <-t.C:
-			s.mu.Lock()
-			n := len(s.conns)
-			s.mu.Unlock()
-			if n > 0 {
-				return n, nil
-			}
-			<-drained // the last session ended between the timeout and the count
-		}
-	} else {
-		s.wg.Wait()
-	}
-	s.release.Do(s.sched.Release)
-	return 0, nil
+	return abandoned, nil
 }

@@ -116,6 +116,40 @@ func TestFragmentCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeFragment: arbitrary bytes offered as a plan fragment decode
+// cleanly or error, and a decoded join fragment prepares or errors and, once
+// prepared, runs an empty unit to nothing — never a panic. Seeded with real
+// fragments (an inner join with a residual, a semi join without one, a scan
+// with a filter) and their truncations.
+func FuzzDecodeFragment(f *testing.F) {
+	probe, build := testStreams(1, 2)
+	for _, frag := range []*engine.Fragment{
+		{Probe: probe.schema, Build: build.schema, ProbeKeys: []string{"lkey"}, BuildKeys: []string{"rkey"},
+			Residual: expr.NewAnd(expr.NewCmp(expr.GT, expr.C("rpay"), expr.Float(0.75)), expr.NewLike(expr.C("ltag"), "p1%"))},
+		{Probe: probe.schema, Build: build.schema, ProbeKeys: []string{"lkey"}, BuildKeys: []string{"rkey"}, Type: engine.SemiJoin},
+		{Kind: engine.FragScan, Table: "lineitem", Probe: probe.schema,
+			Residual: expr.NewIn(expr.C("ltag"), expr.Str("p1"), expr.Str("p2"))},
+	} {
+		buf, err := EncodeFragment(frag, nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for n := 0; n < len(buf); n += 9 {
+			f.Add(buf[:n])
+		}
+		f.Add(buf)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frag, err := DecodeFragment(data)
+		if err != nil || frag.Kind != engine.FragJoin || frag.Prepare() != nil {
+			return
+		}
+		if err := frag.Run(&engine.GroupUnit{}, func(*vector.Batch) { t.Fatal("an empty unit emitted a batch") }); err != nil {
+			t.Fatalf("an empty unit failed: %v", err)
+		}
+	})
+}
+
 // TestTCPBackendMatchesSerial is the loopback-TCP equivalence leg: the
 // sandwich join sharded over two real bdccworker servers (dialed over
 // loopback TCP, fragments and batches crossing real sockets) must
@@ -132,39 +166,34 @@ func TestTCPBackendMatchesSerial(t *testing.T) {
 
 	srv1, addr1 := startWorker(t, 2)
 	srv2, addr2 := startWorker(t, 2)
-	for _, balance := range []string{"hash", "size"} {
-		t.Run(balance, func(t *testing.T) {
-			set, err := DialSet([]string{addr1, addr2}, PaperNet())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if balance == "size" {
-				set.BalanceBySize()
-			}
-			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
-			ctx.Backends = set.Backends()
-			ctx.Cluster = set
-			res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := renderRows(res)
-			if fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("TCP-sharded run differs from serial (%d vs %d rows)", len(got), len(want))
-			}
-			if cur := ctx.Mem.Current(); cur != 0 {
-				t.Fatalf("%d bytes still accounted after Close", cur)
-			}
-			if st := set.Net().Stats(); st.Runs < 64 || st.Bytes == 0 {
-				t.Fatalf("loopback run recorded implausible transport stats: %+v", st)
-			}
-			if err := ctx.CloseBackends(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if srv1.UnitsDone()+srv2.UnitsDone() < 64 {
-		t.Fatalf("workers completed %d+%d units, want 64 (32 groups × 2 runs)",
+	t.Run("hash", func(t *testing.T) {
+		set, err := DialSet([]string{addr1, addr2}, PaperNet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
+		ctx.Backends = set.Backends()
+		ctx.Cluster = set
+		res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := renderRows(res)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("TCP-sharded run differs from serial (%d vs %d rows)", len(got), len(want))
+		}
+		if cur := ctx.Mem.Current(); cur != 0 {
+			t.Fatalf("%d bytes still accounted after Close", cur)
+		}
+		if st := set.Net().Stats(); st.Runs < 64 || st.Bytes == 0 {
+			t.Fatalf("loopback run recorded implausible transport stats: %+v", st)
+		}
+		if err := ctx.CloseBackends(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if srv1.UnitsDone()+srv2.UnitsDone() < 32 {
+		t.Fatalf("workers completed %d+%d units, want 32 (one per group)",
 			srv1.UnitsDone(), srv2.UnitsDone())
 	}
 	if srv1.UnitsDone() == 0 || srv2.UnitsDone() == 0 {

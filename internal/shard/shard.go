@@ -10,10 +10,9 @@
 // base-table data lives worker-local and only results come back. This
 // package provides the pieces behind the engine's Backend seam:
 //
-//   - Router / Set.Route: group placement — deterministic group-hash by
-//     default, least-loaded-by-bytes under the balance-by-size policy —
-//     with per-backend routed loads recorded either way (placement stays in
-//     the scheduler/backend layer, not in operators).
+//   - Set.Route: group placement by a deterministic hash of the group id,
+//     with per-backend routed loads recorded (placement stays in the
+//     scheduler/backend layer, not in operators).
 //   - Partitioning (partition.go): the deterministic assignment of a BDCC
 //     table's z-order cells to workers, the coordinator→local range
 //     mapping, and the group splitter — the partitioning layer specified
@@ -23,10 +22,9 @@
 //   - the wire codecs (codec.go): plan fragments and group units cross a
 //     transport as bytes, never as shared memory.
 //   - the frame protocol (net.go): the client half (engine.Backend over one
-//     framed byte stream) and the worker half (Server, the core of
-//     cmd/bdccworker), specified in docs/WIRE.md.
-//   - Local: the reference Backend over an engine.Executor — the local pool
-//     behind the seam, no transport.
+//     internal/wire session) and the worker half (Server, the core of
+//     cmd/bdccworker) — the frame handlers of each side, specified in
+//     docs/WIRE.md.
 //   - Sim: the protocol client and worker server over an in-process
 //     net.Pipe — the real wire protocol with only the network modeled.
 //   - Dial / DialSet: the same client over real TCP connections to
@@ -96,7 +94,7 @@
 //
 // One backend Set is installed per query (by the planner, when the Shards
 // knob exceeds one or worker addresses are configured); query results are
-// byte-identical across shard counts, routing policies, transports,
+// byte-identical across shard counts, placements, transports,
 // partitioned and shipped-data scans, and mid-query worker failures,
 // because the engine's exchange merges returned batches in group order
 // regardless of where — and after how many attempts — a group ran.
@@ -112,29 +110,6 @@ import (
 	"bdcc/internal/storage"
 	"bdcc/internal/vector"
 )
-
-// Router deterministically assigns BDCC groups to n backends by hashing the
-// aligned group identifier. Determinism is not needed for correctness (the
-// exchange merges in group order no matter the placement) but keeps runs
-// reproducible and lets two streams of the same query agree on placement.
-type Router struct {
-	n int
-}
-
-// NewRouter returns a router over n backends; n must be positive.
-func NewRouter(n int) *Router {
-	if n < 1 {
-		panic("shard: router over zero backends")
-	}
-	return &Router{n: n}
-}
-
-// Route returns the backend index of group gid, in [0, n). Neighboring
-// group identifiers spread across backends (the hash decorrelates the
-// Z-order prefix), so a range-restricted query still loads every shard.
-func (r *Router) Route(gid uint64) int {
-	return int(vector.Mix64(gid) % uint64(r.n))
-}
 
 // PaperNet returns the modeled interconnect of the simulated remote
 // backends: a 10 GbE-class link (1.25 GB/s) whose per-message overhead is
@@ -156,18 +131,14 @@ func PaperNet() iosim.Device {
 
 // Set is the per-query backend group: n backends (simulated remotes or
 // dialed TCP workers) behind the failover wrapper, one shared network
-// accountant, and the router that places groups on them. The router records
-// each backend's routed load (units, bytes); the balance-by-size policy
-// places every group on the backend with the least cumulative bytes instead
-// of hashing the group id.
+// accountant, and the placement of groups on them (Route), which records
+// each backend's routed load (units, bytes).
 type Set struct {
 	backends []engine.Backend
 	f        *failover
-	hash     *Router
 	net      *iosim.Accountant
 
 	mu        sync.Mutex
-	bySize    bool
 	loads     []engine.BackendLoad
 	parts     map[string]*Partitioning
 	scanAccts []*iosim.Accountant
@@ -244,7 +215,6 @@ func DialSetConfig(addrs []string, dev iosim.Device, cfg SetConfig) (*Set, error
 
 func newSet(n int, acct *iosim.Accountant) *Set {
 	return &Set{
-		hash:  NewRouter(n),
 		net:   acct,
 		loads: make([]engine.BackendLoad, n),
 		parts: make(map[string]*Partitioning),
@@ -328,41 +298,21 @@ func (s *Set) ScanIO() []iosim.Stats {
 	return out
 }
 
-// BalanceBySize switches the set's placement policy from group-hash to
-// least-loaded-by-bytes: each group unit goes to the backend with the
-// smallest cumulative routed bytes (lowest index on ties). With a single
-// sharded operator placement is deterministic (its feeder routes groups
-// serially in stream order); a plan with several sharded operators routes
-// from concurrently running feeders, so the per-backend distribution may
-// vary run to run — unlike the hash policy, which is deterministic per
-// group regardless. Results are byte-identical across policies and
-// placements either way: the exchange merges in group order no matter
-// where a group ran.
-func (s *Set) BalanceBySize() {
-	s.mu.Lock()
-	s.bySize = true
-	s.mu.Unlock()
-}
-
 // Backends returns the set's backends, one per shard, failover-wrapped and
 // index-aligned with Route.
 func (s *Set) Backends() []engine.Backend { return s.backends }
 
 // Route is the set's placement function: group id and unit bytes in,
-// backend index out, with the routed load recorded per backend.
+// backend index out, with the routed load recorded per backend. The group id
+// is hashed, so neighboring groups spread across backends (the hash
+// decorrelates the Z-order prefix) and a range-restricted query still loads
+// every shard. Determinism is not needed for correctness — the exchange
+// merges in group order no matter the placement — but keeps runs
+// reproducible and lets two streams of the same query agree on placement.
 func (s *Set) Route(gid uint64, bytes int64) int {
+	k := int(vector.Mix64(gid) % uint64(len(s.loads)))
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := 0
-	if s.bySize {
-		for i := 1; i < len(s.loads); i++ {
-			if s.loads[i].Bytes < s.loads[k].Bytes {
-				k = i
-			}
-		}
-	} else {
-		k = s.hash.Route(gid)
-	}
 	s.loads[k].Units++
 	s.loads[k].Bytes += bytes
 	return k

@@ -186,33 +186,36 @@ func TestUnitCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRouter checks determinism, range, and that groups actually spread
-// across backends.
+// TestRouter checks Set.Route: determinism across sets, range, that groups
+// actually spread across backends, and that the routed load is recorded.
 func TestRouter(t *testing.T) {
-	r := NewRouter(4)
-	seen := make(map[int]int)
+	a, b := newSet(4, nil), newSet(4, nil)
+	seen := make(map[int]int64)
 	for gid := uint64(0); gid < 256; gid++ {
-		k := r.Route(gid)
+		k := a.Route(gid, 10)
 		if k < 0 || k >= 4 {
 			t.Fatalf("route(%d) = %d out of range", gid, k)
 		}
-		if k != r.Route(gid) {
+		if k != b.Route(gid, 10) {
 			t.Fatalf("route(%d) not deterministic", gid)
 		}
 		seen[k]++
 	}
-	for k := 0; k < 4; k++ {
+	for k, l := range a.Loads() {
 		if seen[k] == 0 {
 			t.Fatalf("backend %d received no groups: %v", k, seen)
+		}
+		if l.Units != seen[k] || l.Bytes != 10*seen[k] {
+			t.Fatalf("backend %d recorded %+v, routed %d units of 10 bytes", k, l, seen[k])
 		}
 	}
 }
 
 // TestShardedSandwichMatchesSerial is the package's equivalence oracle: the
-// sandwich join over Local and Sim backend sets — across shard counts and
-// local worker counts, including the serial-local shards>1 shape — must
-// reproduce the serial join byte-identically, with a balanced memory
-// tracker and no leaked goroutines.
+// sandwich join over Sim backend sets — across shard counts and local worker
+// counts, including the serial-local shards>1 shape — must reproduce the
+// serial join byte-identically, with a balanced memory tracker and no leaked
+// goroutines.
 func TestShardedSandwichMatchesSerial(t *testing.T) {
 	base := runtime.NumGoroutine()
 	serialCtx := &engine.Context{Mem: &engine.MemTracker{}}
@@ -245,28 +248,12 @@ func TestShardedSandwichMatchesSerial(t *testing.T) {
 		}
 	}
 
-	t.Run("local-backend", func(t *testing.T) {
-		ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 4}}
-		l := NewLocal(ctx.Scheduler())
-		check(t, ctx, []engine.Backend{l}, func(uint64, int64) int { return 0 })
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	for _, tc := range []struct {
-		workers, shards int
-		bySize          bool
-	}{
-		{1, 2, false}, {1, 4, false}, {4, 2, false}, {4, 4, false},
-		{1, 2, true}, {4, 4, true},
-	} {
+	for _, tc := range []struct{ workers, shards int }{{1, 2}, {1, 4}, {4, 2}, {4, 4}} {
 		tc := tc
-		t.Run(fmt.Sprintf("sim/workers=%d/shards=%d/bySize=%v", tc.workers, tc.shards, tc.bySize), func(t *testing.T) {
+		// Placement is by group hash, never by size (bySize=false).
+		t.Run(fmt.Sprintf("sim/workers=%d/shards=%d/bySize=false", tc.workers, tc.shards), func(t *testing.T) {
 			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: tc.workers}}
 			set := NewSet(tc.shards, tc.workers, PaperNet())
-			if tc.bySize {
-				set.BalanceBySize()
-			}
 			ctx.Backends = set.Backends()
 			ctx.Cluster = set
 			check(t, ctx, set.Backends(), set.Route)
@@ -288,15 +275,6 @@ func TestShardedSandwichMatchesSerial(t *testing.T) {
 			}
 			if bytes <= 0 {
 				t.Fatalf("router recorded no routed bytes: %+v", loads)
-			}
-			if tc.bySize {
-				// Least-loaded placement cannot leave a backend empty while
-				// another holds more than one unit's worth of slack.
-				for i, l := range loads {
-					if l.Units == 0 {
-						t.Fatalf("balance-by-size left backend %d empty: %+v", i, loads)
-					}
-				}
 			}
 		})
 	}
@@ -444,6 +422,42 @@ func TestSimWorkErrorCrossesTransport(t *testing.T) {
 	waitGoroutines(t, base+2)
 }
 
+// TestSimMisshapenUnitIsWorkError: a unit whose batches do not have the
+// fragment's columns — here one build batch of a single Float64 column, where
+// the build schema has an Int64 key and a Float64 — fails as a work error on
+// the worker instead of panicking its scheduler goroutine, and the session
+// goes on to serve a well-formed unit.
+func TestSimMisshapenUnitIsWorkError(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewSim(1, nil)
+	frag := testFragment(t)
+	probe, build := testStreams(1, 2)
+	bad := vector.NewBatch([]vector.Kind{vector.Float64})
+	bad.Cols[0].AppendFloat64(1.5)
+	run := func(u *engine.GroupUnit) error {
+		done := make(chan error, 1)
+		s.RunGroup(u, frag, func(*vector.Batch) {}, func(err error) { done <- err })
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("unit never completed")
+			return nil
+		}
+	}
+	err := run(&engine.GroupUnit{GID: 0, Probe: []*vector.Batch{probe.batches[0]}, Build: []*vector.Batch{bad}})
+	if err == nil || errors.Is(err, ErrBackendDown) {
+		t.Fatalf("misshapen unit completed with %v, want a work error", err)
+	}
+	if err := run(&engine.GroupUnit{GID: 0, Probe: []*vector.Batch{probe.batches[0]}, Build: []*vector.Batch{build.batches[0]}}); err != nil {
+		t.Fatalf("well-formed unit after a misshapen one: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base+2)
+}
+
 // TestSimTransportCorruptionFailsFast locks in the fail-path teardown: a
 // corrupt frame on the stream must break the transport, fail in-flight and
 // later units promptly with an ErrBackendDown-wrapped error (done still
@@ -454,10 +468,7 @@ func TestSimTransportCorruptionFailsFast(t *testing.T) {
 	s := NewSim(2, nil)
 	// Inject garbage where the worker expects a setup or unit frame: an
 	// unknown frame type makes the worker drop the session.
-	s.client.wmu.Lock()
-	err := wire.Write(s.client.conn, nil, 99, 42, wire.Buf())
-	s.client.wmu.Unlock()
-	if err != nil {
+	if err := s.client.sess.Write(99, 42, wire.Buf()); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)

@@ -215,9 +215,8 @@ type Stats struct {
 	// clock already contains the real cost).
 	Net iosim.Stats
 	// Shard is the per-backend routed load of a sharded run (group units
-	// and batch bytes the router placed on each backend); nil when
-	// single-box. Reported per backend by tpchbench -v, and the quantity
-	// the balance-by-size policy equalizes.
+	// and batch bytes the route placed on each backend); nil when
+	// single-box. Reported per backend by tpchbench -v.
 	Shard []engine.BackendLoad
 	// Health is the per-backend failover health of a sharded run (retries,
 	// downs, mid-query re-admissions); nil when single-box. Summed in

@@ -27,7 +27,6 @@ type Report struct {
 	Workers int      // morsel-parallelism knob the grid ran with (0/1 = serial)
 	Shards  int      // scale-out knob the grid ran with (0/1 = single-box)
 	Remotes []string // bdccworker addresses the grid ran against (empty = simulated)
-	Balance string   // placement policy ("hash" default, "size")
 	Schemes []plan.Scheme
 	Runs    map[plan.Scheme][]QueryRun // indexed by query position
 	Explain map[string][]string        // per "scheme/query"
@@ -75,7 +74,6 @@ func (b *Benchmark) newReport() *Report {
 		Workers:    b.Workers,
 		Shards:     b.Shards,
 		Remotes:    b.Remotes,
-		Balance:    b.Balance,
 		Runs:       make(map[plan.Scheme][]QueryRun),
 		Explain:    make(map[string][]string),
 		Compressed: b.Compressed,
@@ -83,9 +81,6 @@ func (b *Benchmark) newReport() *Report {
 	}
 	if len(b.Remotes) > 0 {
 		rep.Shards = len(b.Remotes)
-	}
-	if rep.Balance == "" {
-		rep.Balance = "hash"
 	}
 	for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
 		if _, ok := b.DBs[scheme]; ok {
@@ -295,8 +290,8 @@ func (r *Report) WriteIO(w io.Writer) {
 // time) and the hidden (overlapped) device time, for tpchbench -v. All
 // numbers are zero in serial runs.
 func (r *Report) WriteSched(w io.Writer) {
-	fmt.Fprintf(w, "Scheduler — per-query pool activity over the 22 queries (workers=%d shards=%d remotes=%d balance=%s)\n",
-		r.Workers, r.Shards, len(r.Remotes), r.Balance)
+	fmt.Fprintf(w, "Scheduler — per-query pool activity over the 22 queries (workers=%d shards=%d remotes=%d)\n",
+		r.Workers, r.Shards, len(r.Remotes))
 	fmt.Fprintf(w, "%-6s %10s %10s %12s %12s %10s %10s\n", "scheme", "tasks", "steals", "idle-ms", "hidden-io-ms", "net-msgs", "net-ms")
 	for _, s := range r.Schemes {
 		var tasks, steals, msgs int64

@@ -52,8 +52,7 @@ func assertSameResult(t *testing.T, label string, got, want interface {
 // every TPC-H query under every scheme, sharded over two real bdccworker
 // servers dialed over TCP (plan fragments shipped at setup, every group and
 // result batch crossing real sockets), must return byte-identical results
-// to the serial single-box baseline — including exact float bits — under
-// both placement policies.
+// to the serial single-box baseline — including exact float bits.
 func TestRemoteEquivalence(t *testing.T) {
 	b := benchmarkFixture(t)
 	srvs, addrs := startWorkers(t, 2, 2)
@@ -88,13 +87,6 @@ func TestRemoteEquivalence(t *testing.T) {
 					if len(st.Shard) != len(addrs) {
 						t.Fatalf("%s: %d shard loads recorded for %d workers", q.Name, len(st.Shard), len(addrs))
 					}
-					// balance-by-size must reproduce the same bytes too.
-					sized, _, _, err := RunQueryOpts(b.DBs[scheme], q,
-						RunOptions{Workers: 2, Remotes: addrs, Balance: "size"})
-					if err != nil {
-						t.Fatalf("%s balance=size: %v", q.Name, err)
-					}
-					assertSameResult(t, label+" (balance=size)", sized, serial)
 				}
 			}
 		})

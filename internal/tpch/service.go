@@ -53,7 +53,7 @@ func knobs(ctx *engine.Context) string {
 	if ctx.Partition {
 		part = "/p"
 	}
-	return fmt.Sprintf("w%d/s%d/r%d/%s%s", ctx.Workers, ctx.Shards, len(ctx.Remotes), ctx.Balance, part)
+	return fmt.Sprintf("w%d/s%d/r%d%s", ctx.Workers, ctx.Shards, len(ctx.Remotes), part)
 }
 
 // Handle runs one named query under one scheme on the prepared context. The

@@ -121,9 +121,10 @@ func (b *Batch) RawWireSize() int {
 // and the number of bytes consumed. The decoded batch owns its memory: numbers
 // are decoded into arrays of their own and strings are substrings of one copy
 // of the heap. Every length and count is checked against the bytes left
-// before it sizes an allocation, and the chunk reader checks everything a
-// chunk is indexed by, so a garbage frame errors instead of panicking or
-// over-allocating.
+// before it sizes an allocation, the chunk reader checks everything a chunk
+// is indexed by, and every column must hold as many rows as the first, so a
+// garbage frame errors instead of panicking or over-allocating — here or in
+// whatever indexes the batch by its Len.
 func DecodeBatch(data []byte) (*Batch, int, error) {
 	env := wire.NewReader(data)
 	b := &Batch{Grouped: env.U8() != 0, GroupID: env.U64()}
@@ -134,12 +135,19 @@ func DecodeBatch(data []byte) (*Batch, int, error) {
 		return nil, 0, fmt.Errorf("vector: batch envelope: %w", err)
 	}
 	b.Cols = make([]*Vector, r.Count("columns", uint32(ncols), 2))
+	rows := 0
 	for i := range b.Cols {
 		v := &Vector{Kind: Kind(r.U8())}
 		if v.Kind > String {
 			r.Fail("unknown column kind %d", v.Kind)
 		}
-		if n := r.Uvarint("column rows", maxWireRows); n > 0 {
+		n := r.Uvarint("column rows", maxWireRows)
+		if i == 0 {
+			rows = n
+		} else if n != rows {
+			r.Fail("column %d has %d rows, column 0 has %d", i, n, rows)
+		}
+		if n > 0 {
 			var dict []string
 			if v.Kind == String {
 				dict, _, _ = r.Dict()

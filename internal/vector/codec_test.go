@@ -396,10 +396,28 @@ func sameBatch(a, b *Batch) bool {
 	return true
 }
 
+// TestDecodeBatchRejectsRaggedColumns: a batch whose columns disagree on
+// their row count is damage, not a batch — whatever indexes it by Len would
+// read past its shorter columns.
+func TestDecodeBatchRejectsRaggedColumns(t *testing.T) {
+	ragged := &Batch{Cols: []*Vector{
+		{Kind: Int64, I64: []int64{1, 2, 3}},
+		{Kind: Float64, F64: []float64{0.5}},
+	}}
+	if b, _, err := DecodeBatch(ragged.Encode(nil)); err == nil {
+		t.Fatalf("a ragged batch decoded, Len %d", b.Len())
+	}
+	empty := &Batch{Cols: []*Vector{{Kind: Int64}, {Kind: String}}}
+	if b, _, err := DecodeBatch(empty.Encode(nil)); err != nil || b.Len() != 0 || len(b.Cols) != 2 {
+		t.Fatalf("an empty two-column batch: %v", err)
+	}
+}
+
 // FuzzDecodeBatch: arbitrary bytes offered as a batch decode cleanly or error
-// — never panic, never a column above maxWireRows — and what decodes survives
-// another trip through the codec value for value. The committed corpus has
-// one seed per column kind and encoding.
+// — never panic, never a column above maxWireRows or of another length than
+// the batch's — and what decodes survives another trip through the codec
+// value for value. The committed corpus has one seed per column kind and
+// encoding.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, n, err := DecodeBatch(data)
@@ -410,8 +428,8 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		for i, c := range b.Cols {
-			if c.Len() > maxWireRows {
-				t.Fatalf("column %d holds %d rows", i, c.Len())
+			if c.Len() > maxWireRows || c.Len() != b.Len() {
+				t.Fatalf("column %d holds %d rows in a batch of %d", i, c.Len(), b.Len())
 			}
 		}
 		enc := b.Encode(nil)

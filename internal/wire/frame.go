@@ -26,6 +26,15 @@ const TypeHello = byte(1)
 // an oversized unit or result fails alone instead of costing the session.
 const MaxPayload = 1 << 30
 
+// CheckPayload is the sender's side of MaxPayload: it names what and its size
+// when an n-byte payload is over the cap, nil otherwise.
+func CheckPayload(n int, what string) error {
+	if n > MaxPayload {
+		return fmt.Errorf("%s encodes to %d bytes, over the %d-byte frame cap", what, n, MaxPayload)
+	}
+	return nil
+}
+
 // HandshakeTimeout bounds a dial and the hello exchange on both sides, so a
 // black-holed address or a non-protocol listener fails instead of hanging.
 const HandshakeTimeout = 10 * time.Second

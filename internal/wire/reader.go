@@ -1,11 +1,13 @@
-// Package wire is the byte layer every codec of the two protocols stands on
+// Package wire is the byte and session layer the two protocols stand on
 // (docs/WIRE.md): one bounds-checked Reader for bytes that crossed a trust
-// boundary, the 13-byte frame both protocols put around a payload, and the
-// hello exchange that opens a session. It knows no payload: the worker
+// boundary, the 13-byte frame both protocols put around a payload, the hello
+// exchange that opens a session, and the sessions themselves (session.go) —
+// the listening side's accept loop, session registry and drain, the dialing
+// side's call registry and read loop. It knows no payload: the worker
 // protocol (internal/shard) and the client protocol (internal/serve) keep
-// their magic, version and frame-type tables; the codecs (internal/vector,
-// internal/expr, internal/storage, internal/shard, internal/serve) keep their
-// layouts and read them through Reader.
+// their magic, version, frame-type tables and frame handlers; the codecs
+// (internal/vector, internal/expr, internal/storage, internal/shard,
+// internal/serve) keep their layouts and read them through Reader.
 package wire
 
 import (

@@ -120,6 +120,17 @@ func TestFrames(t *testing.T) {
 	}
 }
 
+// TestCheckPayload: the cap admits MaxPayload bytes and names the size of
+// anything over it.
+func TestCheckPayload(t *testing.T) {
+	if err := CheckPayload(MaxPayload, "unit"); err != nil {
+		t.Fatalf("a payload at the cap: %v", err)
+	}
+	if err := CheckPayload(MaxPayload+1, "unit"); err == nil || !strings.Contains(err.Error(), "unit encodes to 1073741825 bytes") {
+		t.Fatalf("a payload one byte over the cap: %v", err)
+	}
+}
+
 // TestHello drives both halves against each other and against hand-written
 // peers: matching sessions proceed with the announced capacity; a version
 // mismatch is answered (so the dialer can name both versions) and refused; a
