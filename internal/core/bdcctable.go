@@ -64,9 +64,6 @@ type BDCCTable struct {
 	FullBits int
 	// Count is T_COUNT ordered by Key.
 	Count []CountEntry
-	// Stats are the per-granularity logarithmic group-size histograms
-	// collected during load (Algorithm 1 (ii)).
-	Stats []*GroupStats
 	// RelocatedRows counts tuples copied into the relocation area.
 	RelocatedRows int64
 	// SortedKeys are the _bdcc_ keys (at FullBits granularity) of the logical
@@ -108,8 +105,8 @@ type UseBinding struct {
 //
 //	(i)   assign round-robin interleaved masks at maximal granularity
 //	      B = Σ bits(D(Uᵢ));
-//	(ii)  compute _bdcc_ at granularity B, sort the table on it and collect
-//	      per-granularity group-size histograms;
+//	(ii)  compute _bdcc_ at granularity B and sort the table on it (the
+//	      per-granularity group-size histograms are GroupStats, on demand);
 //	(iii) find the densest (widest) column and choose the largest b ≤ B such
 //	      that most tuples live in groups of at least the efficient random
 //	      access size AR (see DESIGN.md on the AR/2 rounding that reproduces
@@ -172,7 +169,6 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 	if err != nil {
 		return nil, err
 	}
-	stats := CollectGroupStats(sortedKeys, fullBits)
 	// (iii) choose the count-table granularity against the densest column.
 	minRows := efficientRows(sorted.DensestColumn().Width(), opt.Device)
 	b := opt.ForceBits
@@ -191,7 +187,6 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 		Data:       sorted,
 		Bits:       b,
 		FullBits:   fullBits,
-		Stats:      stats,
 		SortedKeys: sortedKeys,
 		baseRows:   int64(n),
 	}

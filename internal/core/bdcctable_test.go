@@ -359,7 +359,7 @@ func TestMajorMinorBuild(t *testing.T) {
 // TestGroupStatsHistogram checks the log₂ histogram bookkeeping.
 func TestGroupStatsHistogram(t *testing.T) {
 	keys := []uint64{0, 0, 0, 1, 1, 2, 3, 3, 3, 3} // at 2 bits: groups 3,2,1,4
-	stats := CollectGroupStats(keys, 2)
+	stats := (&BDCCTable{SortedKeys: keys, FullBits: 2}).GroupStats()
 	gs := stats[1] // granularity 2
 	if gs.NumGroups != 4 || gs.TotalTuples != 10 {
 		t.Fatalf("groups=%d tuples=%d, want 4/10", gs.NumGroups, gs.TotalTuples)

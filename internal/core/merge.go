@@ -168,7 +168,6 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 	if t.Data, err = storage.Splice(base.Data, n, delta, src); err != nil {
 		return nil, err
 	}
-	t.Stats = CollectGroupStats(t.SortedKeys, base.FullBits)
 	return t, nil
 }
 

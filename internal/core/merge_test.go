@@ -360,7 +360,7 @@ func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, 
 		t.Fatal(err)
 	}
 	out := &BDCCTable{Name: base.Name, Data: merged, Bits: base.Bits, FullBits: base.FullBits,
-		Stats: CollectGroupStats(mergedKeys, base.FullBits), SortedKeys: mergedKeys, baseRows: int64(n + k)}
+		SortedKeys: mergedKeys, baseRows: int64(n + k)}
 	shift := uint(base.FullBits - base.Bits)
 	for i := 0; i < n+k; {
 		j := i
@@ -502,7 +502,7 @@ func TestSpliceMatchesConcatPermute(t *testing.T) {
 				if !slices.Equal(got.SortedKeys, want.SortedKeys) {
 					t.Fatal("retained keys differ")
 				}
-				if !reflect.DeepEqual(got.Stats, want.Stats) {
+				if !reflect.DeepEqual(got.GroupStats(), want.GroupStats()) {
 					t.Fatal("group statistics differ")
 				}
 				sameStoredTable(t, got.Data, want.Data)
@@ -546,7 +546,7 @@ func TestGroupStatsMatchPerGranularitySweep(t *testing.T) {
 			}
 			want[g-1] = gs
 		}
-		if got := CollectGroupStats(keys, tc.bits); !reflect.DeepEqual(got, want) {
+		if got := (&BDCCTable{SortedKeys: keys, FullBits: tc.bits}).GroupStats(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d keys at %d bits: one-pass statistics differ from the per-granularity sweep", tc.n, tc.bits)
 		}
 	}

@@ -80,13 +80,15 @@ func TuplesInLargeGroups(keys []uint64, fullBits, g int, minRows int64) int64 {
 	return sum
 }
 
-// CollectGroupStats computes, from the sorted full-granularity keys of a
-// table, the group-size histogram at every granularity 1..fullBits. keys
-// must be ascending. The result is indexed by granularity-1. One pass: two
-// neighbouring keys that first differ at bit d (from the low end) close a
-// group at exactly the granularities that keep that bit, so the work is the
-// rows plus the groups, not rows × granularities.
-func CollectGroupStats(keys []uint64, fullBits int) []*GroupStats {
+// GroupStats computes, from the table's sorted full-granularity keys, the
+// group-size histogram at every granularity 1..FullBits, indexed by
+// granularity-1. Nothing on the build or merge path reads them, so they are
+// computed on demand. One pass: two neighbouring keys that first differ at
+// bit d (from the low end) close a group at exactly the granularities that
+// keep that bit, so the work is the rows plus the groups, not rows ×
+// granularities.
+func (t *BDCCTable) GroupStats() []*GroupStats {
+	keys, fullBits := t.SortedKeys, t.FullBits
 	out := make([]*GroupStats, fullBits)
 	for g := range out {
 		out[g] = &GroupStats{Granularity: g + 1}

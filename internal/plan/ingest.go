@@ -14,10 +14,11 @@ import (
 // (storage.Delta); every append publishes a fresh immutable view
 // of the affected table — base plus the visible delta, in the scheme's own
 // layout — behind an atomic pointer, built from the previous view and the
-// batch at the cost of the batch and one copy of that table's views. Queries
-// pin one such version at plan time (DB.Snapshot) and never block on writers;
-// writers serialize on a mutex and never mutate a published version, so a
-// pinned snapshot stays valid across any number of later appends and merges.
+// batch at the cost of the batch and one copy of that table's sorted or
+// clustered view. Queries pin one such version at plan time (DB.Snapshot)
+// and never block on writers; writers serialize on a mutex and never mutate a
+// published version, so a pinned snapshot stays valid across any number of
+// later appends and merges.
 // The views an append publishes are already re-sorted (PK) or re-clustered
 // by the incremental core.MergeBDCCTable splice (BDCC); what they lack is
 // compression. A merge re-encodes them where the base was compressed and
@@ -200,10 +201,10 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 
 // nextViews builds the version that additionally holds batch at the end of
 // table: every view of the other tables is shared with the current version,
-// the table's insertion-order view is extended by the batch, and the scheme's
-// own layout follows — PK re-sorts, BDCC splices the batch into the previous
-// clustered view (which already holds the older delta rows) at the cost of
-// the batch and one copy of that view. Nothing is published or stored.
+// the table's insertion-order view grows in place by the batch, and the
+// scheme's own layout follows — PK re-sorts, BDCC splices the batch into the
+// previous clustered view (which already holds the older delta rows) at the
+// cost of the batch and one copy of that view. Nothing is published or stored.
 // Caller holds mu.
 func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, error) {
 	prev := ing.cur.Load()

@@ -24,15 +24,16 @@ func factBatch(from, n, nR int) *storage.Table {
 }
 
 // TestAppendBindsOnlyTheBatch pins what an append costs: the batch, plus one
-// copy of each view of the appended table. One Ingest.Append of 100 fact rows
-// allocates the same whether the reference table its two dimension paths
+// copy of the appended table's clustered view. One Ingest.Append of 100 fact
+// rows allocates the same whether the reference table its two dimension paths
 // cross holds 20 000 rows or 200 000 — the batch is binned through the
 // key→bin indexes, never by resolving the stored tables — and stays under
-// three times the appended table's own bytes (its insertion-order view, its
-// clustered view, and that view's retained keys and merge order), so neither
-// the full re-bind nor a second or third table copy can come back unnoticed.
-// With the resolver walk and Concat + Permute + AppendRows the same append
-// allocated 7.2× the table at 20 000 reference rows and 16.5× at 200 000.
+// twice the appended table's own bytes (its clustered view, and that view's
+// retained keys and merge order; the insertion-order view grows in place), so
+// neither the full re-bind nor a copy of the insertion-order view can come
+// back unnoticed. Copying that view made it 2.54× the table; with the
+// resolver walk and Concat + Permute + AppendRows the same append allocated
+// 7.2× at 20 000 reference rows and 16.5× at 200 000.
 func TestAppendBindsOnlyTheBatch(t *testing.T) {
 	const nT, batchRows = 50_000, 100
 	tableBytes := uint64(nT * 3 * 8)
@@ -55,8 +56,8 @@ func TestAppendBindsOnlyTheBatch(t *testing.T) {
 			got[i] = min(got[i], after.TotalAlloc-before.TotalAlloc)
 		}
 		t.Logf("%d reference rows: Append allocates %d KB, the fact table holds %d KB", nR, got[i]>>10, tableBytes>>10)
-		if got[i] > 3*tableBytes {
-			t.Errorf("%d reference rows: Append allocates %d B, more than 3× the appended table's %d B", nR, got[i], tableBytes)
+		if got[i] > 2*tableBytes {
+			t.Errorf("%d reference rows: Append allocates %d B, more than 2× the appended table's %d B", nR, got[i], tableBytes)
 		}
 		if rows := bdcc.Snapshot().BDCCTable("t").Rows(); rows != nT+5*batchRows {
 			t.Fatalf("clustered view holds %d rows after the appends, want %d", rows, nT+5*batchRows)

@@ -33,8 +33,8 @@
 //
 // Ingest (ingest.go). An Ingest appends batches to a DB and publishes one
 // immutable version per append or merge; DB.Snapshot pins one. An append
-// costs the batch plus one copy of each view of the appended table — the
-// insertion-order view extended by the batch, the scheme's own layout by
+// costs the batch plus one copy of the appended table's own layout — the
+// insertion-order view grows in place by the batch, the layout is rebuilt by
 // core.Database.AppendRows (BDCC) or a re-sort (PK) — is atomic (a rejected
 // batch leaves store, counters and published version untouched), and, like
 // Merge, handles parents before the children that reference them.

@@ -37,6 +37,9 @@ type Column struct {
 	// so the densest-column granularity choice of Algorithm 1 sees
 	// post-compression density.
 	width float64
+	// strBytes is the string bytes of the first strRows values: finish
+	// extends the total past strRows instead of re-summing.
+	strBytes, strRows int
 }
 
 // NewInt64Column returns an int64 column over vals (not copied).
@@ -59,33 +62,39 @@ func (c *Column) Len() int {
 	if c.Enc != nil {
 		return c.Enc.rows()
 	}
-	switch c.Kind {
-	case vector.Int64:
-		return len(c.I64)
-	case vector.Float64:
-		return len(c.F64)
-	case vector.String:
-		return len(c.Str)
-	}
-	return 0
+	return c.rawLen()
 }
+
+// rawLen returns the number of raw values (an adopted compressed column has
+// none): only the slice matching Kind is ever populated.
+func (c *Column) rawLen() int { return len(c.I64) + len(c.F64) + len(c.Str) }
 
 // Width returns the modeled bytes per value. The densest (widest) column of a
 // table drives Algorithm 1's granularity choice.
 func (c *Column) Width() float64 { return c.width }
 
-// finish computes the modeled width.
+// finish computes the modeled width, summing only the string lengths the
+// carried total does not cover yet.
 func (c *Column) finish() {
 	switch c.Kind {
 	case vector.Int64, vector.Float64:
 		c.width = 8
 	case vector.String:
-		total := 0
-		for _, s := range c.Str {
-			total += len(s)
-		}
-		c.width = strWidth(total, len(c.Str))
+		c.strBytes, c.strRows = c.prefixBytes(len(c.Str)), len(c.Str)
+		c.width = strWidth(c.strBytes, len(c.Str))
 	}
+}
+
+// prefixBytes returns the string bytes of the first n values: O(|n-strRows|).
+func (c *Column) prefixBytes(n int) int {
+	total, k := c.strBytes, c.strRows
+	for ; k > n; k-- {
+		total -= len(c.Str[k-1])
+	}
+	for ; k < n; k++ {
+		total += len(c.Str[k])
+	}
+	return total
 }
 
 // strWidth is the modeled width of a string column of n values and total

@@ -94,25 +94,51 @@ func (d *Delta) Clear() {
 // Snapshot views layer freshly ingested rows behind the base this way —
 // consolidation re-encodes explicitly when the merge commits, so the un-merged
 // tail is always served (and its I/O charged) at raw width. When all of a is
-// kept, its zones — up to the page b continues — are carried over, not
-// recomputed.
+// kept, its zones — up to the page b continues — and string totals are
+// carried over. The first Concat to keep all of a table Concat built writes b
+// into the spare capacity of a's arrays, past what a shows; any other — of a
+// loaded table, of a prefix, or a second one from a table — copies.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
 	}
+	inPlace := aRows == a.Rows() && a.tip.CompareAndSwap(true, false)
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
+		o := b.Cols[i]
 		nc := &Column{Name: c.Name, Kind: c.Kind}
-		nc.reserve(aRows + b.Rows())
-		nc.appendRows(c, 0, aRows)
-		nc.appendRows(b.Cols[i], 0, b.Rows())
+		switch c.Kind {
+		case vector.Int64:
+			nc.I64 = extend(c.I64[:aRows], o.I64, inPlace)
+		case vector.Float64:
+			nc.F64 = extend(c.F64[:aRows], o.F64, inPlace)
+		case vector.String:
+			nc.Str = extend(c.Str[:aRows], o.Str, inPlace)
+			nc.strBytes, nc.strRows = c.prefixBytes(aRows), aRows
+		}
 		cols[i] = nc
 	}
 	var prev *Table
 	if aRows == a.Rows() {
 		prev = a
 	}
-	return newTable(a.Name, a.PageSize, cols, prev)
+	t, err := newTable(a.Name, a.PageSize, cols, prev)
+	if err == nil {
+		t.tip.Store(true)
+	}
+	return t, err
+}
+
+// extend returns a followed by b: in a's spare capacity when inPlace and b
+// fits, else in a new array with room for half as many values again, so a
+// value is copied O(1) times over a chain of extensions.
+func extend[T any](a, b []T, inPlace bool) []T {
+	if n := len(a) + len(b); !inPlace || n > cap(a) {
+		out := make([]T, len(a), n+n/2)
+		copy(out, a)
+		a = out
+	}
+	return append(a, b...)
 }
 
 // Splice returns the uncompressed table whose row i is row src[i] of the
@@ -164,16 +190,14 @@ func gather[T any](a, b []T, src []int32) []T {
 }
 
 // ConcatWidth returns the modeled width of the densest column of the table
-// Concat(a, aRows, b) would build, without building it.
+// Concat(a, aRows, b) would build, without building it: from a's carried
+// string totals, at the cost of the rows of a it drops and of b.
 func ConcatWidth(a *Table, aRows int, b *Table) float64 {
 	var widest float64
 	for i, c := range a.Cols {
 		w := 8.0
 		if c.Kind == vector.String {
-			total := 0
-			for _, s := range c.Str[:aRows] {
-				total += len(s)
-			}
+			total := c.prefixBytes(aRows)
 			for _, s := range b.Cols[i].Str {
 				total += len(s)
 			}
@@ -184,6 +208,7 @@ func ConcatWidth(a *Table, aRows int, b *Table) float64 {
 	return widest
 }
 
+// checkConcat rejects operands Concat and Splice cannot combine.
 func checkConcat(a *Table, aRows int, b *Table) error {
 	if aRows < 0 || aRows > a.Rows() {
 		return fmt.Errorf("storage: concat keeps %d of table %q's %d rows", aRows, a.Name, a.Rows())
@@ -196,6 +221,9 @@ func checkConcat(a *Table, aRows int, b *Table) error {
 		if c.Name != o.Name || c.Kind != o.Kind {
 			return fmt.Errorf("storage: concat of %q: column %d is %s %s vs %s %s",
 				a.Name, i, c.Kind, c.Name, o.Kind, o.Name)
+		}
+		if c.rawLen() != c.Len() || o.rawLen() != o.Len() {
+			return fmt.Errorf("storage: concat of %q and %q: column %s holds no raw values", a.Name, b.Name, c.Name)
 		}
 	}
 	return nil

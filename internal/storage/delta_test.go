@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"bdcc/internal/vector"
@@ -217,6 +218,117 @@ func TestConcatCarriesZones(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameZones(t, "partial prefix", got, freshCopy(t, got))
+}
+
+// rowSum folds every value of a table, for comparing a version with itself
+// while other goroutines extend the arrays it sits in.
+func rowSum(tab *Table) (sum uint64) {
+	for _, c := range tab.Cols {
+		for r := 0; r < tab.Rows(); r++ {
+			switch c.Kind {
+			case vector.Int64:
+				sum = sum*31 + uint64(c.I64[r])
+			case vector.Float64:
+				sum = sum*31 + math.Float64bits(c.F64[r])
+			case vector.String:
+				sum = sum*31 + uint64(len(c.Str[r]))
+			}
+		}
+	}
+	return sum
+}
+
+// TestConcatExtendsTipOnce: a chain of Concats grows one set of arrays in
+// place, and only the first Concat to keep all of a table Concat built may
+// write past its rows. A Concat of a table it did not build, a second Concat
+// from one version and a prefix Concat copy. Every result equals the table
+// built from scratch, and an older version keeps its rows, widths and zones
+// after later appends — also to a reader scanning it during them (run under
+// -race).
+func TestConcatExtendsTipOnce(t *testing.T) {
+	shared := func(a, b *Table) bool { return &a.Cols[0].I64[0] == &b.Cols[0].I64[0] }
+	concat := func(label string, a *Table, keep, n int, seed int64) *Table {
+		t.Helper()
+		out, err := Concat(a, keep, deltaFixture(t, "c", n, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameZones(t, label, out, freshCopy(t, out))
+		return out
+	}
+	base := deltaFixture(t, "c", 3000, 41)
+	v1 := concat("first", base, base.Rows(), 20, 42)
+	if shared(v1, base) {
+		t.Fatal("Concat extended a table it did not build")
+	}
+	want1 := freshCopy(t, v1)
+	v2 := concat("tip", v1, v1.Rows(), 30, 43)
+	if !shared(v2, v1) {
+		t.Fatal("Concat copied the tip of its own chain")
+	}
+	fork := concat("second from v1", v1, v1.Rows(), 25, 44)
+	if shared(fork, v1) {
+		t.Fatal("a second Concat from one version extended it in place")
+	}
+	if prefix := concat("prefix", v2, v2.Rows()-7, 10, 45); shared(prefix, v2) {
+		t.Fatal("a prefix Concat extended its table in place")
+	}
+	want2 := freshCopy(t, v2)
+
+	// A reader scans v1 while the chain grows past its arrays' capacity.
+	sum1 := rowSum(want1)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if got := rowSum(v1); got != sum1 {
+				t.Errorf("v1 read %x during the appends, want %x", got, sum1)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	cur, err := v2, error(nil)
+	for i := 0; i < 60 && err == nil; i++ {
+		cur, err = Concat(cur, cur.Rows(), deltaFixture(t, "c", 50, int64(100+i)))
+	}
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameZones(t, "chain", cur, freshCopy(t, cur))
+	sameZones(t, "v1 after later appends", v1, want1)
+	sameZones(t, "v2 after later appends", v2, want2)
+}
+
+// TestConcatRejectsEncodedOnly: an adopted compressed table has no raw values
+// to extend or gather, so Concat and Splice return an error on either side.
+func TestConcatRejectsEncodedOnly(t *testing.T) {
+	raw := deltaFixture(t, "c", 500, 51)
+	packed := deltaFixture(t, "c", 500, 51)
+	packed.Compress()
+	adopted, _, err := adopt(packed, packed.Frames(1<<12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := deltaFixture(t, "c", 10, 52)
+	for label, f := range map[string]func() error{
+		"concat onto": func() error { _, err := Concat(adopted, adopted.Rows(), batch); return err },
+		"concat of":   func() error { _, err := Concat(raw, raw.Rows(), adopted); return err },
+		"splice onto": func() error { _, err := Splice(adopted, 100, batch, []int32{0, 1}); return err },
+		"splice of":   func() error { _, err := Splice(raw, 100, adopted, []int32{0, 1}); return err },
+	} {
+		if err := f(); err == nil || !strings.Contains(err.Error(), "holds no raw values") {
+			t.Errorf("%s an adopted compressed table: %v", label, err)
+		}
+	}
 }
 
 // TestSpliceGathers: Splice equals Concat followed by Permute (and by

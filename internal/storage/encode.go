@@ -89,9 +89,7 @@ func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict) *ColumnEncodin
 	case vector.Int64, vector.Float64:
 		e.RawBytes = 8 * int64(n)
 	case vector.String:
-		for _, s := range c.Str {
-			e.RawBytes += int64(len(s))
-		}
+		e.RawBytes = int64(c.prefixBytes(n))
 	}
 	e.settleDict()
 	return e

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -196,6 +198,51 @@ func TestZonemapPruneSound(t *testing.T) {
 				t.Fatalf("zonemap pruned qualifying row %d (v=%d in [%d,%d])", i, v, lo, hi)
 			}
 		}
+	}
+}
+
+// twoCompareMinMax is the min/max kernel with both comparisons per value,
+// the reference minMaxOrd's one-comparison form is held to.
+func twoCompareMinMax[T cmp.Ordered](vals []T) (mn, mx T) {
+	mn, mx = vals[0], vals[0]
+	for _, v := range vals[1:] {
+		if v < mn {
+			mn = v
+		}
+		if v > mx {
+			mx = v
+		}
+	}
+	return mn, mx
+}
+
+func checkMinMax[T cmp.Ordered](t *testing.T, vals []T, same func(a, b T) bool) {
+	t.Helper()
+	mn, mx := minMaxOrd(vals)
+	if wmn, wmx := twoCompareMinMax(vals); !same(mn, wmn) || !same(mx, wmx) {
+		t.Fatalf("%v: bounds %v/%v, the two-comparison form gives %v/%v", vals, mn, mx, wmn, wmx)
+	}
+}
+
+// TestMinMaxOneCompare: the one-comparison zonemap kernel returns the bounds
+// the two-comparison form does, bit for bit — over int64, over floats drawn
+// from NaN, −0, +0 and a few ordinary values (so NaN leads, trails and sits
+// between them), and over strings.
+func TestMinMaxOneCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1)}
+	words := []string{"", "a", "ab", "b", "ba"}
+	for trial := 0; trial < 3000; trial++ {
+		n := 1 + rng.Intn(10)
+		is, fs, ss := make([]int64, n), make([]float64, n), make([]string, n)
+		for i := 0; i < n; i++ {
+			is[i] = rng.Int63n(7) - 3
+			fs[i] = floats[rng.Intn(len(floats))]
+			ss[i] = words[rng.Intn(len(words))]
+		}
+		checkMinMax(t, is, func(a, b int64) bool { return a == b })
+		checkMinMax(t, fs, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) })
+		checkMinMax(t, ss, func(a, b string) bool { return a == b })
 	}
 }
 

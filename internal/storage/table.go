@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"bdcc/internal/iosim"
 	"bdcc/internal/vector"
@@ -25,6 +26,9 @@ type Table struct {
 	zones      []zonemap
 	compressed bool
 	derived    sync.Map // Derived's memo
+	// tip is set on a table Concat built until a Concat claims it: only that
+	// one may write the batch into the spare capacity past the table's rows.
+	tip atomic.Bool
 }
 
 // NewTable builds a table over the given columns, computes widths and
@@ -96,7 +100,7 @@ func (t *Table) Encoded() *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
 		Cols: make([]*Column, len(t.Cols)), zones: make([]zonemap, len(t.Cols))}
 	for i, c := range t.Cols {
-		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str, strBytes: c.strBytes, strRows: c.strRows}
 	}
 	out.Compress()
 	return out

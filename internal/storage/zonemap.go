@@ -35,13 +35,14 @@ func (z *zonemap) pages() int {
 // minMaxOrd returns the minimum and maximum of a non-empty slice. For floats
 // the `<`/`>` comparisons make NaN neutral: a NaN never replaces the running
 // bound, matching the pruning semantics (NaN fails every range predicate).
+// One comparison settles most values: mn ≤ mx holds throughout (a NaN first
+// value stays both bounds), so a new minimum is never a new maximum.
 func minMaxOrd[T cmp.Ordered](vals []T) (mn, mx T) {
 	mn, mx = vals[0], vals[0]
 	for _, v := range vals[1:] {
 		if v < mn {
 			mn = v
-		}
-		if v > mx {
+		} else if v > mx {
 			mx = v
 		}
 	}

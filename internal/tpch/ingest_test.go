@@ -691,7 +691,11 @@ func TestIncrementalDriftMatchesDriftFor(t *testing.T) {
 // version's. A rejected append must leave delta store, counters and
 // published version exactly as it found them, on an empty delta and on top
 // of earlier batches, and the stream must go on: the following valid batches
-// succeed, and views and merged base equal the from-scratch rebuild.
+// succeed, and views and merged base equal the from-scratch rebuild. The
+// rejected batch was already written past the rows of the insertion-order
+// view it extended, so the batch after it — here also the first after a
+// merge — must copy that view rather than extend it once more, and the
+// insertion-order views must still hold exactly the accepted rows.
 func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 	b, err := NewBenchmark(0.01, plan.BDCC)
 	if err != nil {
@@ -703,7 +707,7 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 	db := b.DBs[plan.BDCC]
 	ing := db.Ingest()
 	gen := NewDeltaGen(b.Data, 8)
-	lost, first, second := gen.Next(5), gen.Next(30), gen.Next(30)
+	lost, first, second, third := gen.Next(5), gen.Next(30), gen.Next(30), gen.Next(30)
 
 	reject := func(label string) {
 		t.Helper()
@@ -735,6 +739,13 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 			got, want := snap.BDCCTable(name), reb.Tables[name]
 			if !slices.Equal(got.Count, want.Count) || !slices.Equal(got.SortedKeys, want.SortedKeys) || got.Data.Rows() != want.Data.Rows() {
 				t.Fatalf("%s: clustered %s differs from the from-scratch rebuild", label, name)
+			}
+			view, rows := snap.Tables[name], combined[name]
+			for i, c := range rows.Cols {
+				v := view.Cols[i]
+				if view.Rows() != rows.Rows() || !slices.Equal(v.I64, c.I64) || !slices.Equal(v.F64, c.F64) || !slices.Equal(v.Str, c.Str) {
+					t.Fatalf("%s: the insertion-order view of %s differs from the accepted rows in column %s", label, name, c.Name)
+				}
 			}
 		}
 		ref := &plan.DB{Scheme: plan.BDCC, Schema: b.Schema, Tables: combined, Clustered: reb, Device: db.Device}
@@ -768,4 +779,9 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameClustering("after the merge", []*DeltaBatch{first, second})
+	reject("on the merged base")
+	if err := b.AppendBatch(third); err != nil {
+		t.Fatalf("the batch after a rejection on the merged base: %v", err)
+	}
+	sameClustering("appended after a rejection on the merged base", []*DeltaBatch{first, second, third})
 }
