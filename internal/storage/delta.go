@@ -93,11 +93,12 @@ func (d *Delta) Clear() {
 // followed by every row of b; schemas must match by name, kind and order.
 // Snapshot views layer freshly ingested rows behind the base this way —
 // consolidation re-encodes explicitly when the merge commits, so the un-merged
-// tail is always served (and its I/O charged) at raw width. When all of a is
-// kept, its zones — up to the page b continues — and string totals are
-// carried over. The first Concat to keep all of a table Concat built writes b
-// into the spare capacity of a's arrays, past what a shows; any other — of a
-// loaded table, of a prefix, or a second one from a table — copies.
+// tail is always served (and its I/O charged) at raw width. It is the splice
+// of the runs [0, aRows) and b: zones are derived from a's as Splice derives
+// them, and a's string totals are carried over. The first Concat to keep all
+// of a table Concat built writes b into the spare capacity of a's arrays,
+// past what a shows; any other — of a loaded table, of a prefix, or a second
+// one from a table — copies.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
@@ -118,11 +119,9 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 		}
 		cols[i] = nc
 	}
-	var prev *Table
-	if aRows == a.Rows() {
-		prev = a
-	}
-	t, err := newTable(a.Name, a.PageSize, cols, prev)
+	n := int32(aRows)
+	sp := &spliced{parent: a, aRows: aRows, runs: []run{{0, 0, n}, {n, n, int32(b.Rows())}}}
+	t, err := newTable(a.Name, a.PageSize, cols, sp)
 	if err == nil {
 		t.tip.Store(true)
 	}
@@ -142,49 +141,72 @@ func extend[T any](a, b []T, inPlace bool) []T {
 }
 
 // Splice returns the uncompressed table whose row i is row src[i] of the
-// concatenation Concat(a, aRows, b) would build: one copy and one zonemap
-// build where Concat followed by Permute (and AppendRows, when src repeats
-// rows) makes three of each. src may have any length.
+// concatenation Concat(a, aRows, b) would build: one copy where Concat
+// followed by Permute (and AppendRows, when src repeats rows) makes three.
+// Its zones are derived from a's, so a value is read only on a page that
+// does not keep a parent page's bound row, or that holds rows of b (see
+// derivePages). src may have any length.
 func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
 	}
+	sp := &spliced{parent: a, aRows: aRows, runs: spliceRuns(src, aRows)}
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
 		o := b.Cols[i]
 		nc := &Column{Name: c.Name, Kind: c.Kind}
 		switch c.Kind {
 		case vector.Int64:
-			nc.I64 = gather(c.I64[:aRows], o.I64, src)
+			nc.I64 = gather(c.I64[:aRows], o.I64, sp.runs, len(src))
 		case vector.Float64:
-			nc.F64 = gather(c.F64[:aRows], o.F64, src)
+			nc.F64 = gather(c.F64[:aRows], o.F64, sp.runs, len(src))
 		case vector.String:
-			nc.Str = gather(c.Str[:aRows], o.Str, src)
+			nc.Str = gather(c.Str[:aRows], o.Str, sp.runs, len(src))
 		}
 		cols[i] = nc
 	}
-	return NewTable(a.Name, a.PageSize, cols...)
+	return newTable(a.Name, a.PageSize, cols, sp)
 }
 
-// gather returns out with out[i] = (a followed by b)[src[i]]. Runs of
-// consecutive rows of a — the retained order between two spliced-in rows —
-// move as one block copy.
-func gather[T any](a, b []T, src []int32) []T {
-	out := make([]T, len(src))
-	n := int32(len(a))
+// spliced is how a table's rows were gathered: runs over the concatenation
+// of the first aRows rows of parent and a batch.
+type spliced struct {
+	parent *Table
+	aRows  int
+	runs   []run
+}
+
+// run is n consecutive rows of a table from row at on, copied from the
+// consecutive source rows from src on; a source row below aRows is the
+// parent's, any other the batch's row src-aRows.
+type run struct{ at, src, n int32 }
+
+// spliceRuns cuts src into maximal runs of consecutive rows on one side of
+// aRows: the retained order between two spliced-in rows is one run.
+func spliceRuns(src []int32, aRows int) []run {
+	var runs []run
+	n := int32(aRows)
 	for i := 0; i < len(src); {
-		p := src[i]
-		if p >= n {
-			out[i] = b[p-n]
-			i++
-			continue
-		}
 		j := i + 1
-		for j < len(src) && src[j] == src[j-1]+1 && src[j] < n {
+		for j < len(src) && src[j] == src[j-1]+1 && (src[j] < n) == (src[i] < n) {
 			j++
 		}
-		copy(out[i:j], a[p:])
+		runs = append(runs, run{int32(i), src[i], int32(j - i)})
 		i = j
+	}
+	return runs
+}
+
+// gather returns the n rows the runs copy from a followed by b, each run as
+// one block copy.
+func gather[T any](a, b []T, runs []run, n int) []T {
+	out := make([]T, n)
+	for _, r := range runs {
+		from, s := a, int(r.src)
+		if s >= len(a) {
+			from, s = b, s-len(a)
+		}
+		copy(out[r.at:r.at+r.n], from[s:])
 	}
 	return out
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -174,10 +173,52 @@ func sameZones(t *testing.T, label string, got, want *Table) {
 		if got.Cols[i].width != want.Cols[i].width {
 			t.Fatalf("%s: column %s width %v, want %v", label, want.Cols[i].Name, got.Cols[i].width, want.Cols[i].width)
 		}
-		if !reflect.DeepEqual(got.zones[i], want.zones[i]) {
-			t.Fatalf("%s: zonemap of %s differs from one built from scratch", label, want.Cols[i].Name)
+	}
+	if err := sameBounds(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// sameBounds returns an error unless every zone of got has want's geometry
+// and bounds and every row got records for a bound lies on its page and
+// holds the bound. Rows are not compared: any occurrence may be recorded.
+func sameBounds(got, want *Table) error {
+	for i, c := range want.Cols {
+		if !sameZoneBounds(&got.zones[i], &want.zones[i]) {
+			return fmt.Errorf("zonemap of %s differs from one built from scratch", c.Name)
+		}
+		if err := boundRowsHold(got, i); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// boundRowsHold returns an error unless every row column i's zones record
+// lies on its page and holds the bound (zones without rows pass).
+func boundRowsHold(tab *Table, i int) error {
+	z, c := &tab.zones[i], tab.Cols[i]
+	if z.minAt == nil {
+		return nil
+	}
+	if len(z.minAt) != z.pages() || len(z.maxAt) != z.pages() {
+		return fmt.Errorf("column %s: %d/%d bound rows for %d pages", c.Name, len(z.minAt), len(z.maxAt), z.pages())
+	}
+	for p := range z.pages() {
+		lo, hi := p*z.rowsPerPage, min((p+1)*z.rowsPerPage, tab.Rows())
+		mn, mx := int(z.minAt[p]), int(z.maxAt[p])
+		ok := mn >= lo && mn < hi && mx >= lo && mx < hi
+		switch c.Kind {
+		case vector.Int64:
+			ok = ok && c.I64[mn] == z.minI[p] && c.I64[mx] == z.maxI[p]
+		case vector.String:
+			ok = ok && c.Str[mn] == z.minS[p] && c.Str[mx] == z.maxS[p]
+		}
+		if !ok {
+			return fmt.Errorf("column %s page %d [%d,%d): bound rows %d/%d do not hold its bounds", c.Name, p, lo, hi, mn, mx)
+		}
+	}
+	return nil
 }
 
 // TestConcatCarriesZones: a Concat that keeps all of its first operand

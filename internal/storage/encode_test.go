@@ -380,8 +380,8 @@ func TestReaderPushdownSound(t *testing.T) {
 }
 
 // TestZonemapCompressedPruneSound re-runs the zonemap soundness property on
-// a compressed table, where bounds come from the encoder's per-chunk min/max
-// and page granularity is the chunk granularity.
+// a compressed table, whose zones equal the encoder's per-chunk min/max and
+// whose page granularity is the chunk granularity.
 func TestZonemapCompressedPruneSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 5000

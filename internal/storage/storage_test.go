@@ -202,7 +202,7 @@ func TestZonemapPruneSound(t *testing.T) {
 }
 
 // twoCompareMinMax is the min/max kernel with both comparisons per value,
-// the reference minMaxOrd's one-comparison form is held to.
+// the reference minMaxAt's one-comparison form is held to.
 func twoCompareMinMax[T cmp.Ordered](vals []T) (mn, mx T) {
 	mn, mx = vals[0], vals[0]
 	for _, v := range vals[1:] {
@@ -218,16 +218,21 @@ func twoCompareMinMax[T cmp.Ordered](vals []T) (mn, mx T) {
 
 func checkMinMax[T cmp.Ordered](t *testing.T, vals []T, same func(a, b T) bool) {
 	t.Helper()
-	mn, mx := minMaxOrd(vals)
+	mn, mx, mnAt, mxAt := minMaxAt(vals)
 	if wmn, wmx := twoCompareMinMax(vals); !same(mn, wmn) || !same(mx, wmx) {
 		t.Fatalf("%v: bounds %v/%v, the two-comparison form gives %v/%v", vals, mn, mx, wmn, wmx)
+	}
+	if !same(vals[mnAt], mn) || !same(vals[mxAt], mx) {
+		t.Fatalf("%v: bounds %v/%v recorded at %d/%d", vals, mn, mx, mnAt, mxAt)
 	}
 }
 
 // TestMinMaxOneCompare: the one-comparison zonemap kernel returns the bounds
-// the two-comparison form does, bit for bit — over int64, over floats drawn
-// from NaN, −0, +0 and a few ordinary values (so NaN leads, trails and sits
-// between them), and over strings.
+// the two-comparison form does, bit for bit, and rows that hold them — over
+// int64, over floats drawn from NaN, −0, +0 and a few ordinary values (so
+// NaN leads, trails and sits between them), and over strings. The encoder
+// computes a chunk's bounds in the two-comparison form, so this is also
+// what lets Compress keep a page's zones as its chunk's.
 func TestMinMaxOneCompare(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, math.Inf(1), math.Inf(-1)}

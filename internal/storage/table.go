@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,10 +39,10 @@ func NewTable(name string, pageSize int64, cols ...*Column) (*Table, error) {
 	return newTable(name, pageSize, cols, nil)
 }
 
-// newTable is NewTable for columns whose leading rows are, column for
-// column, all the rows of prev (nil: none): prev's zonemap pages are carried
-// over instead of being recomputed (see buildZonemap).
-func newTable(name string, pageSize int64, cols []*Column, prev *Table) (*Table, error) {
+// newTable is NewTable for columns whose rows sp gathered (nil: none): their
+// zonemaps are derived from sp's parent's instead of built from every value
+// (see buildZonemap).
+func newTable(name string, pageSize int64, cols []*Column, sp *spliced) (*Table, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("storage: table %q: page size %d must be positive", name, pageSize)
 	}
@@ -62,22 +63,24 @@ func newTable(name string, pageSize int64, cols []*Column, prev *Table) (*Table,
 	}
 	t.zones = make([]zonemap, len(cols))
 	for i, c := range cols {
-		var carry *zonemap
-		if prev != nil {
-			carry = &prev.zones[i]
+		var par *zonemap
+		if sp != nil {
+			par = &sp.parent.zones[i]
 		}
-		t.zones[i] = buildZonemap(c, t.rowsPerPage(c), carry)
+		t.zones[i] = buildZonemap(c, t.rowsPerPage(c), sp, par)
 	}
 	return t, nil
 }
 
 // Compress builds the lightweight chunk encoding of every column (chunks
 // page-aligned at raw width), points the modeled widths at encoded bytes —
-// shrinking rows-per-page, page counts and ChargeIO accordingly — and
-// rebuilds the zonemaps at chunk granularity directly from the encoded
-// chunks. Permute and AppendRows preserve compression by re-encoding in the
-// new row order, which is how BDCC clustering improves the ratio.
-// Idempotent; safe to call on a table already compressed.
+// shrinking rows-per-page, page counts and ChargeIO accordingly — and keeps
+// the zonemaps: a chunk is a raw-width page, so its bounds are the page's,
+// and the rows holding them stay known to the next splice. Zones without
+// those rows are built from the chunks. Permute and AppendRows preserve
+// compression by re-encoding in the new row order, which is how BDCC
+// clustering improves the ratio. Idempotent; safe to call on a table
+// already compressed.
 func (t *Table) Compress() {
 	t.compressed = true
 	t.derived.Clear() // whatever was derived from the uncompressed form is stale
@@ -85,20 +88,22 @@ func (t *Table) Compress() {
 	for i, c := range t.Cols {
 		c.finish() // chunk granularity is page-aligned at the raw width
 		c.encode(t.rowsPerPage(c), &dict)
-		t.zones[i] = zonemapFromChunks(c)
+		if t.zones[i].minAt == nil {
+			t.zones[i] = zonemapFromChunks(c)
+		}
 	}
 }
 
 // Compressed reports whether Compress has run on this table.
 func (t *Table) Compressed() bool { return t.compressed }
 
-// Encoded returns the compressed form of t over t's own value arrays: new
-// columns and zonemaps, one encode, no copy of the rows. t must hold its raw
+// Encoded returns the compressed form of t over t's own value arrays and
+// zones: new columns, one encode, no copy of the rows. t must hold its raw
 // values (a table built here, not adopted from frames). Sharing is safe
 // because a published table never changes; t itself is left as it was.
 func (t *Table) Encoded() *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
-		Cols: make([]*Column, len(t.Cols)), zones: make([]zonemap, len(t.Cols))}
+		Cols: make([]*Column, len(t.Cols)), zones: slices.Clone(t.zones)}
 	for i, c := range t.Cols {
 		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str, strBytes: c.strBytes, strRows: c.strRows}
 	}
