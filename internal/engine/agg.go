@@ -1,10 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -85,9 +84,26 @@ func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) int64 {
 		}
 		st.count++
 	case AggMin, AggMax:
-		updateMinMax(st, arg, r, f == AggMin)
+		first, isMin := st.count == 0, f == AggMin
+		switch arg.Kind {
+		case vector.Int64:
+			keepMinMax(&st.i64, arg.I64[r], first, isMin)
+		case vector.Float64:
+			keepMinMax(&st.f64, arg.F64[r], first, isMin)
+		case vector.String:
+			keepMinMax(&st.str, arg.Str[r], first, isMin)
+		}
+		st.count++
 	}
 	return 0
+}
+
+// keepMinMax replaces *cur by x when x is a group's first value or beats
+// *cur: is smaller for MIN, larger for MAX.
+func keepMinMax[T cmp.Ordered](cur *T, x T, first, isMin bool) {
+	if first || (isMin && x < *cur) || (!isMin && x > *cur) {
+		*cur = x
+	}
 }
 
 // render appends the aggregate's result to its output column.
@@ -123,10 +139,10 @@ func (st *aggState) render(f AggFunc, col *vector.Vector) {
 
 // aggTable is one hash-aggregation state: the open-addressing group index,
 // the flat state array, the materialized group keys, and per-batch scratch.
-// The serial operator owns one; each parallel worker owns its own (workers
-// aggregate disjoint key partitions, so tables never share mutable state —
-// which includes the aggregate arguments: every table evaluates its own
-// clones of the bound trees). A batch is folded in two passes: find-or-insert
+// The serial operator owns one; a striped one owns one per key-hash stripe
+// (stripes fold disjoint keys, so tables never share mutable state — which
+// includes the aggregate arguments: every table evaluates its own clones of
+// the bound trees). A batch is folded in two passes: find-or-insert
 // resolves every row to its group id in one loop picked by the key shape,
 // then each aggregate runs one typed loop over (group ids, argument values).
 // states and firstRows are charged by capacity, so they grow only by one-row
@@ -141,10 +157,16 @@ type aggTable struct {
 	keyBuf    *Buffer      // one row per group, in first-seen (emission) order
 	firstRows []int64      // per group: global row index of the first-seen row
 	memBytes  int64        // bytes charged to the memory tracker
-	hashes    []uint64     // per-batch key hash scratch
+	hashes    []uint64     // key hash scratch: per batch, or the stripe's gathered rows'
 	gids      []int32      // per batch: each row's group id
 	distBytes int64        // footprint of all COUNT(DISTINCT) sets
 	keyBatch  vector.Batch // per batch: the key columns, in keyBuf's layout
+
+	// foldStripe's scratch: the window rows of the table's stripe, their
+	// global row indexes, and the rows gathered into one batch.
+	sel    []int32
+	rowIdx []int64
+	stripe *vector.Batch
 }
 
 func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable {
@@ -159,12 +181,12 @@ func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable 
 }
 
 // accumulate folds one batch into the table: the key columns are hashed
-// vector-at-a-time (or taken pre-hashed from a routing feeder), every row
+// vector-at-a-time (or taken pre-hashed from foldStripe), every row
 // resolves (or claims) its group id, and then each aggregate folds its
 // evaluated argument into the groups' states in one loop whose (function,
 // kind) dispatch sits outside it. Rows reach a group's state in input order
 // whatever the loop structure, so float sums keep their bits. rowIdx, when
-// non-nil, carries each row's global input row index so parallel workers can
+// non-nil, carries each row's global input row index so striped tables can
 // reconstruct the serial first-seen emission order.
 func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) {
 	for c, ki := range t.keyIdx {
@@ -204,6 +226,31 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 		}
 		t.fold(i, a.Func, arg)
 	}
+}
+
+// foldStripe accumulates the rows of the staged window win whose key hash
+// falls in stripe w of n, in window order: one pass over the window's
+// hashes selects them, one gather copies them into the table's own scratch
+// batch. base is the global row index of win's first row. The stripe is
+// taken from the high hash bits; the group index uses the low ones.
+func (t *aggTable) foldStripe(win *vector.Batch, hashes []uint64, base int64, w, n int) {
+	t.sel, t.hashes, t.rowIdx = t.sel[:0], t.hashes[:0], t.rowIdx[:0]
+	for r, hv := range hashes {
+		if int((hv>>32)%uint64(n)) == w {
+			t.sel = append(t.sel, int32(r))
+			t.hashes = append(t.hashes, hv)
+			t.rowIdx = append(t.rowIdx, base+int64(r))
+		}
+	}
+	if len(t.sel) == 0 {
+		return
+	}
+	if t.stripe == nil {
+		t.stripe = vector.NewBatch(win.Kinds())
+	}
+	t.stripe.Reset()
+	t.stripe.AppendSelected(win, t.sel)
+	t.accumulate(t.stripe, t.hashes, t.rowIdx)
 }
 
 // newGroup opens a group for row r of the batch being accumulated and
@@ -256,26 +303,20 @@ func foldMinMax(states []aggState, n, i int, gids []int32, arg *vector.Vector, i
 	switch arg.Kind {
 	case vector.Int64:
 		for r, g := range gids {
-			st, x := &states[int(g)*n+i], arg.I64[r]
-			if st.count == 0 || (isMin && x < st.i64) || (!isMin && x > st.i64) {
-				st.i64 = x
-			}
+			st := &states[int(g)*n+i]
+			keepMinMax(&st.i64, arg.I64[r], st.count == 0, isMin)
 			st.count++
 		}
 	case vector.Float64:
 		for r, g := range gids {
-			st, x := &states[int(g)*n+i], arg.F64[r]
-			if st.count == 0 || (isMin && x < st.f64) || (!isMin && x > st.f64) {
-				st.f64 = x
-			}
+			st := &states[int(g)*n+i]
+			keepMinMax(&st.f64, arg.F64[r], st.count == 0, isMin)
 			st.count++
 		}
 	case vector.String:
 		for r, g := range gids {
-			st, x := &states[int(g)*n+i], arg.Str[r]
-			if st.count == 0 || (isMin && x < st.str) || (!isMin && x > st.str) {
-				st.str = x
-			}
+			st := &states[int(g)*n+i]
+			keepMinMax(&st.str, arg.Str[r], st.count == 0, isMin)
 			st.count++
 		}
 	}
@@ -286,19 +327,6 @@ func (t *aggTable) bytes() int64 {
 	return t.keyBuf.Bytes() + t.table.Bytes() +
 		int64(cap(t.states))*aggStateBytes + t.distBytes +
 		int64(cap(t.firstRows))*8
-}
-
-// charge reconciles the accounted bytes with the current footprint; mem is
-// mutex-protected, so parallel workers charge concurrently.
-func (t *aggTable) charge(mem *MemTracker) {
-	foot := t.bytes()
-	switch d := foot - t.memBytes; {
-	case d > 0:
-		mem.Grow(d)
-	case d < 0:
-		mem.Shrink(-d)
-	}
-	t.memBytes = foot
 }
 
 // release returns the charged bytes to the tracker and clears the table,
@@ -314,26 +342,30 @@ func (t *aggTable) release(mem *MemTracker) {
 	t.keyBuf.Reset()
 }
 
-func updateMinMax(st *aggState, v *vector.Vector, r int, isMin bool) {
-	first := st.count == 0
-	st.count++
-	switch v.Kind {
-	case vector.Int64:
-		x := v.I64[r]
-		if first || (isMin && x < st.i64) || (!isMin && x > st.i64) {
-			st.i64 = x
-		}
-	case vector.Float64:
-		x := v.F64[r]
-		if first || (isMin && x < st.f64) || (!isMin && x > st.f64) {
-			st.f64 = x
-		}
-	case vector.String:
-		x := v.Str[r]
-		if first || (isMin && x < st.str) || (!isMin && x > st.str) {
-			st.str = x
-		}
+// bindAggs resolves the grouping keys of an aggregation operator (named op
+// in errors) and binds its aggregates over the child schema cs. It returns
+// the key column indexes, their schema and the output schema: the keys,
+// then one column per aggregate.
+func bindAggs(op string, cs expr.Schema, groupBy []string, aggs []AggSpec) (keyIdx []int, keySchema, out expr.Schema, err error) {
+	keyIdx, err = keyIndexes(cs, groupBy)
+	if err != nil {
+		return nil, nil, nil, errOp(op+" keys", err)
 	}
+	for _, i := range keyIdx {
+		keySchema = append(keySchema, cs[i])
+	}
+	out = append(expr.Schema{}, keySchema...)
+	for _, a := range aggs {
+		if a.Arg != nil {
+			if err := expr.Bind(a.Arg, cs); err != nil {
+				return nil, nil, nil, errOp(fmt.Sprintf("%s %s", op, a.Name), err)
+			}
+		} else if a.Func != AggCount {
+			return nil, nil, nil, fmt.Errorf("engine: %s %s requires an argument", op, a.Name)
+		}
+		out = append(out, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
+	}
+	return keyIdx, keySchema, out, nil
 }
 
 // HashAggregate groups its input by the GroupBy columns and computes the
@@ -345,11 +377,16 @@ func updateMinMax(st *aggState, v *vector.Vector, r int, isMin bool) {
 // every group boundary — peak memory is one co-clustering group instead of
 // the whole input (the paper's Q13/Q16/Q18 memory effect).
 //
-// With a scheduler handle injected (and FlushOnGroup unset), input rows are
-// routed to key-hash partitions whose jobs run as tasks on the query's
-// shared worker pool: every group is accumulated entirely by one partition
-// in global row order, so even float sums are bit-identical to the serial
-// run, and the merged output emits groups in the serial first-seen order.
+// With a scheduler handle injected (and FlushOnGroup unset), the key-hash
+// space is split into one stripe per pool worker, each with its own table.
+// The consumer stages a window of input rows with their key hashes, then
+// one task per stripe folds, in window order, the window's rows of its
+// stripe, and the consumer waits for all of them before staging the next
+// window — the join build's barrier. Every group is folded by one stripe in
+// global row order, so even float sums are bit-identical to the serial run,
+// and the tables merge by first-seen row into the serial emission order.
+// The serial and sandwich forms are the one-stripe case of the same loop:
+// each batch is folded as it arrives, with nothing staged.
 type HashAggregate struct {
 	Child        Operator
 	GroupBy      []string
@@ -364,14 +401,29 @@ type HashAggregate struct {
 	schema expr.Schema
 	ctx    *Context
 	keyIdx []int
-	agg    *aggTable
+	tables []*aggTable // one per key-hash stripe
+
+	// The staged window of the striped form (win is nil with one stripe):
+	// input rows in input order, their key hashes, the global row index of
+	// the first, and the bytes charged for rows and hashes.
+	win       *vector.Batch
+	winHashes []uint64
+	winBase   int64
+	winBytes  int64
 
 	pending []*vector.Batch // flushed output waiting to be returned
+	refs    []groupRef      // flush's emission scratch
+	next    []int           // flush's merge cursor, per table
 	sel     []int32         // emitBatch's gather scratch
 	done    bool
 	haveGID bool
 	curGID  uint64
 }
+
+// aggStripeRows is the rows a stripe folds per window on average: a window
+// stages stripes × aggStripeRows rows, so one barrier amortizes over several
+// batches of table work per stripe.
+const aggStripeRows = 4 * vector.BatchSize
 
 // Schema implements Operator.
 func (h *HashAggregate) Schema() expr.Schema { return h.schema }
@@ -383,46 +435,35 @@ func (h *HashAggregate) Open(ctx *Context) error {
 		return err
 	}
 	cs := h.Child.Schema()
-	var err error
-	h.keyIdx, err = keyIndexes(cs, h.GroupBy)
-	if err != nil {
-		return errOp("aggregate keys", err)
-	}
 	var keySchema expr.Schema
-	for _, i := range h.keyIdx {
-		keySchema = append(keySchema, cs[i])
+	var err error
+	h.keyIdx, keySchema, h.schema, err = bindAggs("aggregate", cs, h.GroupBy, h.Aggs)
+	if err != nil {
+		return err
 	}
-	h.schema = append(expr.Schema{}, keySchema...)
-	for _, a := range h.Aggs {
-		if a.Arg != nil {
-			if err := expr.Bind(a.Arg, cs); err != nil {
-				return errOp(fmt.Sprintf("aggregate %s", a.Name), err)
-			}
-		} else if a.Func != AggCount {
-			return fmt.Errorf("engine: aggregate %s requires an argument", a.Name)
-		}
-		h.schema = append(h.schema, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
+	stripes := 1
+	if !h.FlushOnGroup {
+		stripes = h.Sched.Workers()
 	}
-	h.agg = newAggTable(h.Aggs, h.keyIdx, keySchema)
+	h.tables = make([]*aggTable, stripes)
+	for w := range h.tables {
+		h.tables[w] = newAggTable(h.Aggs, h.keyIdx, keySchema)
+	}
+	h.next = make([]int, len(h.tables))
+	if len(h.tables) > 1 {
+		h.win = vector.NewBatch(cs.Kinds())
+	}
 	return nil
-}
-
-// workers resolves the effective worker count of this aggregation.
-func (h *HashAggregate) workers() int {
-	if h.Sched == nil || h.FlushOnGroup {
-		return 1
-	}
-	return h.Sched.Workers()
 }
 
 // emitBatch renders the groups refs (at most BatchSize) into one pending
 // batch, column by column: each key column is one gather per run of groups
-// from one table (a serial flush is one run, the parallel merge interleaves
-// its partitions' tables), each aggregate one loop over the groups' states.
+// from one table (a one-stripe flush is one run, a striped flush interleaves
+// the stripes' tables), each aggregate one loop over the groups' states.
 // Flushed batches of a FlushOnGroup aggregation keep the group tag, so a
 // sandwich aggregation's output remains a group stream and enclosing sandwich
 // operators can align on it.
-func (h *HashAggregate) emitBatch(tables []*aggTable, refs []groupRef) {
+func (h *HashAggregate) emitBatch(refs []groupRef) {
 	nk := len(h.keyIdx)
 	nAggs := len(h.Aggs)
 	out := vector.NewBatch(h.schema.Kinds())
@@ -433,13 +474,13 @@ func (h *HashAggregate) emitBatch(tables []*aggTable, refs []groupRef) {
 			h.sel = append(h.sel, int32(refs[hi].group))
 		}
 		for c := 0; c < nk; c++ {
-			out.Cols[c].AppendSelected(tables[refs[lo].table].keyBuf.cols[c], h.sel)
+			out.Cols[c].AppendSelected(h.tables[refs[lo].table].keyBuf.cols[c], h.sel)
 		}
 		lo = hi
 	}
 	for i, a := range h.Aggs {
 		for _, ref := range refs {
-			tables[ref.table].states[ref.group*nAggs+i].render(a.Func, out.Cols[nk+i])
+			h.tables[ref.table].states[ref.group*nAggs+i].render(a.Func, out.Cols[nk+i])
 		}
 	}
 	if h.FlushOnGroup && h.haveGID {
@@ -450,234 +491,80 @@ func (h *HashAggregate) emitBatch(tables []*aggTable, refs []groupRef) {
 
 // groupRef addresses one group of one aggTable during emission.
 type groupRef struct {
-	table    int
-	group    int
-	firstRow int64
+	table int
+	group int
 }
 
-// flush converts the hash table into pending output batches, groups in
-// insertion order, and clears it.
+// flush converts the tables into pending output batches and clears them.
+// Each table holds its groups in first-seen order, so emission merges the
+// tables' group lists by first-seen row, BatchSize groups a batch; with one
+// table the merge is that table's own order and compares no rows (a
+// one-stripe table records none).
 func (h *HashAggregate) flush() {
-	tables := []*aggTable{h.agg}
-	refs := make([]groupRef, 0, min(vector.BatchSize, h.agg.nGroups))
-	for g := 0; g < h.agg.nGroups; {
-		for refs = refs[:0]; g < h.agg.nGroups && len(refs) < vector.BatchSize; g++ {
-			refs = append(refs, groupRef{group: g})
-		}
-		h.emitBatch(tables, refs)
-	}
-	h.agg.release(h.ctx.Mem)
-}
-
-// aggJob is one routed unit of the parallel aggregation: up to aggJobRows
-// rows of one worker's key partition with pre-computed key hashes and
-// global row indexes. Jobs are recycled through a free list once a worker
-// has folded them in.
-type aggJob struct {
-	b      *vector.Batch
-	hashes []uint64
-	rowIdx []int64
-	bytes  int64 // charged while in flight
-}
-
-func (j *aggJob) reset() {
-	j.b.Reset()
-	j.hashes = j.hashes[:0]
-	j.rowIdx = j.rowIdx[:0]
-	j.bytes = 0
-}
-
-// aggJobRows is the target row count of one routed job: the feeder buffers
-// each worker's rows across input batches up to this size, so per-job
-// synchronization amortizes over several batches of table work.
-const aggJobRows = 4 * vector.BatchSize
-
-// aggPart is one key-hash partition of the parallel aggregation: a private
-// table plus a queue of routed jobs. Jobs of one partition run strictly one
-// at a time in routing order — the enqueue path submits a drain task to the
-// shared scheduler only when none is active — so each group accumulates on
-// a single logical thread in global row order.
-type aggPart struct {
-	table  *aggTable
-	mu     sync.Mutex
-	queue  []*aggJob
-	active bool
-}
-
-// runParallel drains the child on the caller goroutine, routing each row to
-// a partition by key hash (so each group lives in exactly one partition and
-// accumulates in global row order) with partition jobs running as tasks on
-// the shared scheduler, then emits all groups sorted by their global
-// first-seen row — exactly the serial emission order.
-func (h *HashAggregate) runParallel() error {
-	sched := h.Sched
-	workers := sched.Workers()
-	cs := h.Child.Schema()
-	var keySchema expr.Schema
-	for _, i := range h.keyIdx {
-		keySchema = append(keySchema, cs[i])
-	}
-	sched.Retain()
-	defer sched.Release()
-
-	aparts := make([]*aggPart, workers)
-	tables := make([]*aggTable, workers)
-	for w := 0; w < workers; w++ {
-		tables[w] = newAggTable(h.Aggs, h.keyIdx, keySchema)
-		aparts[w] = &aggPart{table: tables[w]}
-	}
-
-	// inflight jobs are bounded so routing applies backpressure on the
-	// (blockable) caller goroutine; drain tasks never block.
-	var pmu sync.Mutex
-	pcond := sync.NewCond(&pmu)
-	inflight := 0
-	var recycle []*aggJob
-
-	drain := func(p *aggPart) {
-		for {
-			p.mu.Lock()
-			if len(p.queue) == 0 {
-				p.active = false
-				p.mu.Unlock()
-				return
-			}
-			job := p.queue[0]
-			p.queue[0] = nil
-			p.queue = p.queue[1:]
-			p.mu.Unlock()
-			p.table.accumulate(job.b, job.hashes, job.rowIdx)
-			p.table.charge(h.ctx.Mem)
-			h.ctx.Mem.Shrink(job.bytes)
-			job.reset()
-			pmu.Lock()
-			inflight--
-			if len(recycle) < 4*workers {
-				recycle = append(recycle, job)
-			}
-			// At most one goroutine ever waits on pcond (the router, in
-			// enqueue or settle — never both), so Signal suffices.
-			pcond.Signal()
-			pmu.Unlock()
-		}
-	}
-	enqueue := func(w int, job *aggJob) {
-		pmu.Lock()
-		for inflight >= 4*workers {
-			pcond.Wait()
-		}
-		inflight++
-		pmu.Unlock()
-		p := aparts[w]
-		p.mu.Lock()
-		p.queue = append(p.queue, job)
-		start := !p.active
-		p.active = true
-		p.mu.Unlock()
-		if start {
-			sched.Submit(-1, func(int) { drain(p) })
-		}
-	}
-	// settle waits until every routed job has been folded in; partition
-	// tables are safe to read afterwards.
-	settle := func() {
-		pmu.Lock()
-		for inflight > 0 {
-			pcond.Wait()
-		}
-		pmu.Unlock()
-	}
-
-	// Route: hash each input batch once, gather each partition's rows with
-	// a selection vector (one type dispatch per column, not per row), and
-	// hand off jobs once they reach aggJobRows. The partition uses high
-	// hash bits (the group index uses the low bits).
-	kinds := cs.Kinds()
-	newJob := func() *aggJob {
-		pmu.Lock()
-		defer pmu.Unlock()
-		if n := len(recycle); n > 0 {
-			j := recycle[n-1]
-			recycle = recycle[:n-1]
-			return j
-		}
-		return &aggJob{b: vector.NewBatch(kinds)}
-	}
-	var hashes []uint64
-	parts := make([]*aggJob, workers)
-	sels := make([][]int32, workers)
-	var rowBase int64
-	send := func(w int) {
-		job := parts[w]
-		parts[w] = nil
-		job.bytes = job.b.Bytes()
-		h.ctx.Mem.Grow(job.bytes)
-		enqueue(w, job)
-	}
+	clear(h.next)
 	for {
-		b, err := h.Child.Next()
-		if err != nil {
-			settle()
-			for _, t := range tables {
-				t.release(h.ctx.Mem)
+		h.refs = h.refs[:0]
+		for len(h.refs) < vector.BatchSize {
+			best := -1
+			for w, t := range h.tables {
+				if h.next[w] < t.nGroups && (best < 0 ||
+					t.firstRows[h.next[w]] < h.tables[best].firstRows[h.next[best]]) {
+					best = w
+				}
 			}
-			return err
+			if best < 0 {
+				break
+			}
+			h.refs = append(h.refs, groupRef{table: best, group: h.next[best]})
+			h.next[best]++
 		}
-		if b == nil {
+		if len(h.refs) == 0 {
 			break
 		}
-		if b.Len() == 0 {
-			continue
-		}
-		hashes = vector.HashKeys(b, h.keyIdx, hashes)
-		for w := range sels {
-			sels[w] = sels[w][:0]
-		}
-		for r, hv := range hashes {
-			w := int((hv >> 32) % uint64(workers))
-			sels[w] = append(sels[w], int32(r))
-		}
-		for w, sel := range sels {
-			if len(sel) == 0 {
-				continue
-			}
-			if parts[w] == nil {
-				parts[w] = newJob()
-			}
-			job := parts[w]
-			job.b.AppendSelected(b, sel)
-			for _, r := range sel {
-				job.hashes = append(job.hashes, hashes[r])
-				job.rowIdx = append(job.rowIdx, rowBase+int64(r))
-			}
-			if job.b.Len() >= aggJobRows {
-				send(w)
-			}
-		}
-		rowBase += int64(b.Len())
+		h.emitBatch(h.refs)
 	}
-	for w := range parts {
-		if parts[w] != nil && parts[w].b.Len() > 0 {
-			send(w)
-		}
-	}
-	settle()
-
-	// Merge: emit every partition's groups in global first-seen order.
-	var order []groupRef
-	for w, t := range tables {
-		for g := 0; g < t.nGroups; g++ {
-			order = append(order, groupRef{table: w, group: g, firstRow: t.firstRows[g]})
-		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].firstRow < order[j].firstRow })
-	for ; len(order) > 0; order = order[min(vector.BatchSize, len(order)):] {
-		h.emitBatch(tables, order[:min(vector.BatchSize, len(order))])
-	}
-	for _, t := range tables {
+	for _, t := range h.tables {
 		t.release(h.ctx.Mem)
 	}
-	return nil
+}
+
+// fold folds one input batch. With one stripe the batch is accumulated as
+// it arrives; striped, it is staged (copied: the child reuses its batch) and
+// the window is folded once it holds stripes × aggStripeRows rows.
+func (h *HashAggregate) fold(b *vector.Batch) {
+	if h.win == nil {
+		h.tables[0].accumulate(b, nil, nil)
+		h.ctx.Mem.settle(&h.tables[0].memBytes, h.tables[0].bytes())
+		return
+	}
+	h.win.AppendBatch(b)
+	bytes := b.Bytes() + 8*int64(b.Len()) // the rows and their key hashes
+	h.ctx.Mem.Grow(bytes)
+	h.winBytes += bytes
+	if h.win.Len() >= len(h.tables)*aggStripeRows {
+		h.foldWindow()
+	}
+}
+
+// foldWindow hashes the staged window once and folds it with one task per
+// stripe, each into its own table, then releases the window. It returns
+// only after every task has finished, so the tables are never touched
+// between two calls of Next.
+func (h *HashAggregate) foldWindow() {
+	if h.win == nil || h.win.Len() == 0 {
+		return
+	}
+	h.winHashes = vector.HashKeys(h.win, h.keyIdx, h.winHashes)
+	n := len(h.tables)
+	h.Sched.stripes(n, func(w int) {
+		t := h.tables[w]
+		t.foldStripe(h.win, h.winHashes, h.winBase, w, n)
+		h.ctx.Mem.settle(&t.memBytes, t.bytes()) // the tracker is mutex-protected
+	})
+	h.winBase += int64(h.win.Len())
+	h.win.Reset()
+	h.ctx.Mem.Shrink(h.winBytes)
+	h.winBytes = 0
 }
 
 // Next implements Operator.
@@ -692,19 +579,13 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 		if h.done {
 			return nil, nil
 		}
-		if h.workers() > 1 {
-			h.done = true
-			if err := h.runParallel(); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		b, err := h.Child.Next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
 			h.done = true
+			h.foldWindow()
 			h.flush()
 			continue
 		}
@@ -718,16 +599,19 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 			h.haveGID = true
 			h.curGID = b.GroupID
 		}
-		h.agg.accumulate(b, nil, nil)
-		h.agg.charge(h.ctx.Mem)
+		h.fold(b)
 	}
 }
 
 // Close implements Operator.
 func (h *HashAggregate) Close() error {
-	if h.agg != nil {
-		h.ctx.Mem.Shrink(h.agg.memBytes)
-		h.agg.memBytes = 0
+	for _, t := range h.tables {
+		h.ctx.Mem.Shrink(t.memBytes)
+		t.memBytes = 0
+	}
+	if h.winBytes > 0 {
+		h.ctx.Mem.Shrink(h.winBytes)
+		h.winBytes = 0
 	}
 	return h.Child.Close()
 }
@@ -743,6 +627,7 @@ type StreamAggregate struct {
 	Aggs    []AggSpec
 
 	schema   expr.Schema
+	mem      *MemTracker
 	keyIdx   []int
 	keyRow   *Buffer // the open group's key, one row while haveKey
 	eq       keyEq   // cur's rows against keyRow's row
@@ -754,6 +639,7 @@ type StreamAggregate struct {
 	row      int
 	keyBatch vector.Batch // cur's key columns, in keyRow's layout
 	done     bool
+	memBytes int64 // the open group's COUNT(DISTINCT) sets, charged to mem
 }
 
 // Schema implements Operator.
@@ -761,27 +647,15 @@ func (s *StreamAggregate) Schema() expr.Schema { return s.schema }
 
 // Open implements Operator.
 func (s *StreamAggregate) Open(ctx *Context) error {
+	s.mem = ctx.Mem
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
-	cs := s.Child.Schema()
-	var err error
-	s.keyIdx, err = keyIndexes(cs, s.GroupBy)
-	if err != nil {
-		return errOp("stream aggregate keys", err)
-	}
 	var keySchema expr.Schema
-	for _, i := range s.keyIdx {
-		keySchema = append(keySchema, cs[i])
-	}
-	s.schema = append(expr.Schema{}, keySchema...)
-	for _, a := range s.Aggs {
-		if a.Arg != nil {
-			if err := expr.Bind(a.Arg, cs); err != nil {
-				return errOp(fmt.Sprintf("stream aggregate %s", a.Name), err)
-			}
-		}
-		s.schema = append(s.schema, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
+	var err error
+	s.keyIdx, keySchema, s.schema, err = bindAggs("stream aggregate", s.Child.Schema(), s.GroupBy, s.Aggs)
+	if err != nil {
+		return err
 	}
 	s.keyRow = NewBuffer(keySchema)
 	s.eq = newKeyEq(len(s.keyIdx))
@@ -792,8 +666,13 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 	return nil
 }
 
-// emitGroup appends the open group to the output batch and closes it.
+// emitGroup appends the open group to the output batch and closes it,
+// releasing its COUNT(DISTINCT) sets.
 func (s *StreamAggregate) emitGroup() {
+	if s.memBytes > 0 {
+		s.mem.Shrink(s.memBytes)
+		s.memBytes = 0
+	}
 	s.keyRow.WriteRow(s.out, 0, 0)
 	for i, a := range s.Aggs {
 		s.states[i].render(a.Func, s.out.Cols[len(s.keyIdx)+i])
@@ -849,7 +728,10 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 				s.haveKey = true
 			}
 			for i, a := range s.Aggs {
-				s.states[i].update(a.Func, s.argVecs[i], s.row)
+				if d := s.states[i].update(a.Func, s.argVecs[i], s.row); d > 0 {
+					s.mem.Grow(d)
+					s.memBytes += d
+				}
 			}
 		}
 		s.cur = nil
@@ -857,4 +739,8 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 }
 
 // Close implements Operator.
-func (s *StreamAggregate) Close() error { return s.Child.Close() }
+func (s *StreamAggregate) Close() error {
+	s.mem.Shrink(s.memBytes)
+	s.memBytes = 0
+	return s.Child.Close()
+}

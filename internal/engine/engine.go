@@ -63,7 +63,7 @@
 // Context.Scheduler when the Workers knob exceeds one) with per-worker
 // deques and task stealing. The planner injects the scheduler handle into
 // the operators it permits to parallelize; operators submit tasks — scan
-// morsels, join partition-builds and probe jobs, aggregation partitions,
+// morsels, join build stripes and probe jobs, aggregation stripe folds,
 // sandwich per-group joins — instead of spawning goroutines, so a
 // scan→join→agg pipeline keeps total busy goroutines at Workers plus a
 // small constant of coordinators (stream feeders) rather than one pool per
@@ -76,10 +76,14 @@
 //     makes sharing one pool across pipeline stages deadlock-free.
 //   - Build state is frozen before fan-out: a hash join's buffered rows and
 //     slot/chain arrays are written only during build and are read-only
-//     while probe tasks run. Aggregation partitions and sandwich group
-//     tasks own their hash state exclusively and never share mutable state;
-//     partition jobs of one aggregation partition run strictly one at a
-//     time, in routing order.
+//     while probe tasks run. Partition-parallel work takes one form,
+//     Sched.stripes: the consumer stages its input (the join its build
+//     rows, the aggregation a window of input rows) with their key hashes,
+//     runs one task per hash stripe — each writing only its own stripe's
+//     state, so no locks — and waits on the barrier before it goes on. An
+//     aggregation stripe folds the window's rows of its stripe in window
+//     order, so every group folds on one task in global row order. Sandwich
+//     group tasks own their hash state exclusively.
 //   - Each pool worker owns its per-worker scratch (for a join, its own
 //     joinProbe over the shared build side), indexed by the worker id the
 //     scheduler passes to every task. That includes expressions: a bound
@@ -88,13 +92,13 @@
 //     evaluator an expr.Clone of the operator's bound tree — the morsel
 //     scan one filter per pool worker, Fragment.newProbe one residual per
 //     joinProbe, Fragment.runScan one filter per call, newAggTable the
-//     aggregate arguments per partition table. The operator's own tree is
+//     aggregate arguments per stripe table. The operator's own tree is
 //     evaluated only by the goroutine that drives its Next.
-//   - Every parallel operator merges task output order-preservingly through
-//     the exchange (morsel order for scans, input-batch order for joins,
-//     group order for sandwich pipelines, global first-seen group order for
-//     aggregations), so workers=1 and workers=N produce byte-identical
-//     results.
+//   - Every parallel operator merges task output order-preservingly —
+//     through the exchange in morsel order for scans, input-batch order for
+//     joins and group order for sandwich pipelines; an aggregation merges its
+//     stripe tables in global first-seen group order — so workers=1 and
+//     workers=N produce byte-identical results.
 //   - Task-held batches and per-task state are charged to the shared
 //     MemTracker (which is mutex-protected) with exact Grow/Shrink pairs;
 //     closing an exchange joins every in-flight task and feeder before
@@ -417,6 +421,19 @@ func (m *MemTracker) Shrink(n int64) {
 	}
 	m.mu.Unlock()
 	parent.Release(give)
+}
+
+// settle moves the tracker from *charged, what an owner has charged so far,
+// to its current footprint foot, and records foot as charged. Grow and
+// Shrink stay symmetric: whatever was charged is released again.
+func (m *MemTracker) settle(charged *int64, foot int64) {
+	switch d := foot - *charged; {
+	case d > 0:
+		m.Grow(d)
+	case d < 0:
+		m.Shrink(-d)
+	}
+	*charged = foot
 }
 
 // Peak returns the high-water mark in bytes.

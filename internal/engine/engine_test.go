@@ -326,6 +326,38 @@ func TestStreamAggregateMatchesHash(t *testing.T) {
 	}
 }
 
+// TestStreamAggregateChargesDistinct checks that a streaming COUNT(DISTINCT)
+// charges its sets to the memory tracker, as the hash aggregation does, and
+// returns every byte once the groups close.
+func TestStreamAggregateChargesDistinct(t *testing.T) {
+	const n = 3000
+	g := make([]int64, n)
+	v := make([]int64, n)
+	for i := range v {
+		g[i] = int64(i / (n - 10)) // one group of n-10 distinct values, one of 10
+		v[i] = int64(i)
+	}
+	schema := intSchema("g", "v")
+	ctx := testCtx()
+	res, err := Run(ctx, &StreamAggregate{
+		Child:   &source{schema: schema, batches: []*vector.Batch{makeBatch(schema, g, v)}},
+		GroupBy: []string{"g"},
+		Aggs:    []AggSpec{{Name: "d", Func: AggCountDistinct, Arg: expr.C("v")}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(res.Row(0), res.Row(1)); got != fmt.Sprint([]any{int64(0), int64(n - 10)}, []any{int64(1), int64(10)}) {
+		t.Fatalf("count distinct = %s", got)
+	}
+	if ctx.Mem.Peak() <= 0 {
+		t.Fatal("streaming COUNT(DISTINCT) charged nothing to the tracker")
+	}
+	if cur := ctx.Mem.Current(); cur != 0 {
+		t.Fatalf("%d bytes still accounted after Close", cur)
+	}
+}
+
 func TestSortAndTopN(t *testing.T) {
 	schema := intSchema("a", "b")
 	src := func() *source {

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -381,42 +380,19 @@ func keyIndexes(s expr.Schema, names []string) ([]int, error) {
 	return idx, nil
 }
 
-// workers resolves the effective worker count of this join.
-func (j *HashJoin) workers() int {
-	if j.Sched == nil {
-		return 1
-	}
-	return j.Sched.Workers()
-}
-
-// charge reconciles the accounted bytes with the current footprint of the
-// buffered build rows, the hash table, and extra (staged build hashes).
-// Grow/Shrink stay symmetric: whatever was charged is released again, so a
-// closed join leaves the tracker exactly where it found it.
+// charge settles the accounted bytes to the footprint of the buffered build
+// rows, the hash table, and extra (staged build hashes).
 func (j *HashJoin) charge(extra int64) {
-	foot := extra
-	if j.buf != nil {
-		foot += j.buf.Bytes()
-	}
-	if j.table != nil {
-		foot += j.table.Bytes()
-	}
-	switch d := foot - j.memBytes; {
-	case d > 0:
-		j.ctx.Mem.Grow(d)
-	case d < 0:
-		j.ctx.Mem.Shrink(-d)
-	}
-	j.memBytes = foot
+	j.ctx.Mem.settle(&j.memBytes, extra+j.buf.Bytes()+j.table.Bytes())
 }
 
 // build materializes the right child into the hash table. The charged
 // footprint is exact: the buffered rows plus the table's flat slot and chain
 // arrays. With more than one worker the drained rows are staged with their
-// hashes and the partition-parallel insert runs afterwards; each partition
-// is owned by exactly one worker, so insertion needs no locks.
+// hashes and inserted afterwards by Sched.stripes, one task per stripe of
+// partitions.
 func (j *HashJoin) build() error {
-	workers := j.workers()
+	workers := j.Sched.Workers()
 	j.buf = NewBuffer(j.Right.Schema())
 	j.table = newPartJoinTable(workers, j.frag.keyed)
 	if workers == 1 {
@@ -445,26 +421,14 @@ func (j *HashJoin) build() error {
 	}
 	if workers > 1 {
 		j.table.GrowChains(len(stage))
-		// One build task per partition stripe, on the shared scheduler.
 		// Stripe w owns partitions p ≡ w (mod workers): one pass over the
-		// staged hashes, inserting only its own rows — disjoint writes, no
-		// locks. Tasks never block, so waiting here (off the pool, on the
-		// consumer goroutine) cannot starve them.
-		j.Sched.Retain()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			w := w
-			wg.Add(1)
-			j.Sched.Submit(-1, func(int) {
-				defer wg.Done()
-				eq := newKeyEq(len(buildIdx))
-				bindKeyCols(eq.sought, j.buf.cols, buildIdx)
-				bindKeyCols(eq.stored, j.buf.cols, buildIdx)
-				j.table.insertRows(stage, 0, &eq, w, workers)
-			})
-		}
-		wg.Wait()
-		j.Sched.Release()
+		// staged hashes, inserting only its own rows.
+		j.Sched.stripes(workers, func(w int) {
+			eq := newKeyEq(len(buildIdx))
+			bindKeyCols(eq.sought, j.buf.cols, buildIdx)
+			bindKeyCols(eq.stored, j.buf.cols, buildIdx)
+			j.table.insertRows(stage, 0, &eq, w, workers)
+		})
 		j.charge(0) // staged hashes released
 	}
 	j.built = true
@@ -478,7 +442,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 			return nil, err
 		}
 	}
-	if j.workers() > 1 {
+	if j.Sched.Workers() > 1 {
 		if j.ex == nil {
 			j.startParallelProbe()
 		}
@@ -524,7 +488,7 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 // scheduler through the order-preserving exchange; pool worker w probes with
 // its own kernel over the shared, now read-only build side.
 func (j *HashJoin) startParallelProbe() {
-	workers := j.workers()
+	workers := j.Sched.Workers()
 	probes := make([]*joinProbe, workers)
 	for w := range probes {
 		probes[w] = j.frag.newProbe(j.buf, j.table)

@@ -63,7 +63,13 @@ func NewSched(workers int) *Sched {
 }
 
 // Workers returns the pool size; per-worker operator scratch is sized by it.
-func (s *Sched) Workers() int { return s.workers }
+// A nil handle, serial execution, has one.
+func (s *Sched) Workers() int {
+	if s == nil {
+		return 1
+	}
+	return s.workers
+}
 
 // Retain registers an operator that will submit tasks; workers stay alive
 // (parked when idle) until every retain is released.
@@ -104,6 +110,27 @@ func (s *Sched) Submit(from int, t Task) {
 	// parked instead of thundering on a 1-task submission.
 	s.cond.Signal()
 	s.mu.Unlock()
+}
+
+// stripes runs task once for every stripe in [0, n) as tasks on the pool
+// and returns when all of them have finished: the engine's one
+// partition-parallel step (the hash join's build, the striped aggregation's
+// window fold). Each stripe owns a disjoint slice of a hash space, so the
+// tasks write disjoint state and take no locks. The caller waits on the
+// barrier off the pool, on the consumer goroutine, and the tasks never
+// block, so the wait cannot starve them.
+func (s *Sched) stripes(n int, task func(stripe int)) {
+	s.Retain()
+	defer s.Release()
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for w := 0; w < n; w++ {
+		s.Submit(-1, func(int) {
+			defer wg.Done()
+			task(w)
+		})
+	}
+	wg.Wait()
 }
 
 // Stats returns a snapshot of scheduler activity.

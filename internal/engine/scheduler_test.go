@@ -133,7 +133,7 @@ func (e *errAfter) Next() (*vector.Batch, error) {
 func TestErrorMidStreamJoinsProducers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	boom := errors.New("boom")
-	for _, shape := range []string{"scan", "join", "agg"} {
+	for _, shape := range []string{"scan", "join", "agg", "agg-windows"} {
 		shape := shape
 		t.Run(shape, func(t *testing.T) {
 			left, right := parTestTables()
@@ -156,17 +156,27 @@ func TestErrorMidStreamJoinsProducers(t *testing.T) {
 					Type:  InnerJoin,
 					Sched: ctx.Scheduler(),
 				}, n: 2, err: boom}
-			case "agg":
-				// The error surfaces inside the aggregation's routing drain.
+			case "agg", "agg-windows":
+				// "agg" fails while the first window is being staged,
+				// "agg-windows" after one and a half windows of batches: one
+				// window folded, the next half staged.
+				n := 2
+				if shape == "agg-windows" {
+					window := 4 * aggStripeRows / vector.BatchSize // batches, at 4 stripes
+					n = window + window/2
+				}
 				op = &HashAggregate{
-					Child:   &errAfter{child: scan, n: 2, err: boom},
+					Child:   &errAfter{child: scan, n: n, err: boom},
 					GroupBy: []string{"lkey"},
-					Aggs:    []AggSpec{{Name: "c", Func: AggCount}},
+					Aggs:    []AggSpec{{Name: "c", Func: AggCount}, {Name: "d", Func: AggCountDistinct, Arg: expr.C("lstr")}},
 					Sched:   ctx.Scheduler(),
 				}
 			}
 			if _, err := Run(ctx, op); !errors.Is(err, boom) {
 				t.Fatalf("Run returned %v, want the mid-stream error", err)
+			}
+			if agg, ok := op.(*HashAggregate); ok && shape == "agg-windows" && agg.winBase == 0 {
+				t.Fatal("the error came before a whole window was folded")
 			}
 			if cur := ctx.Mem.Current(); cur != 0 {
 				t.Fatalf("%d bytes still accounted after mid-stream error", cur)

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -67,11 +66,10 @@ type failover struct {
 	partsVer uint64
 	scanIO   []func(runs, pages, bytes int64)
 
-	fallback bool // run orphaned units locally instead of erroring
-	probe    ProbeConfig
-	token    string // auth token the prober presents on re-dials
-	acct     *iosim.Accountant
-	rng      *rand.Rand
+	probe ProbeConfig
+	token string // auth token the prober presents on re-dials
+	acct  *iosim.Accountant
+	rng   *rand.Rand
 
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -101,10 +99,9 @@ type failoverBackend struct {
 
 // failoverOptions configures newFailover beyond the slot list.
 type failoverOptions struct {
-	localFallback bool
-	probe         ProbeConfig
-	token         string
-	acct          *iosim.Accountant
+	probe ProbeConfig
+	token string
+	acct  *iosim.Accountant
 }
 
 // newFailover builds the wrapped set over prepared slots and starts a
@@ -113,17 +110,16 @@ type failoverOptions struct {
 func newFailover(slots []*slot, opt failoverOptions) ([]engine.Backend, *failover) {
 	ctx, cancel := context.WithCancel(context.Background())
 	f := &failover{
-		slots:    slots,
-		health:   make([]engine.BackendHealth, len(slots)),
-		frags:    make(map[*engine.Fragment]struct{}),
-		parts:    make(map[string][]*partShipment),
-		fallback: opt.localFallback,
-		probe:    opt.probe.withDefaults(),
-		token:    opt.token,
-		acct:     opt.acct,
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
-		ctx:      ctx,
-		cancel:   cancel,
+		slots:  slots,
+		health: make([]engine.BackendHealth, len(slots)),
+		frags:  make(map[*engine.Fragment]struct{}),
+		parts:  make(map[string][]*partShipment),
+		probe:  opt.probe.withDefaults(),
+		token:  opt.token,
+		acct:   opt.acct,
+		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	out := make([]engine.Backend, len(slots))
 	for i, s := range slots {
@@ -190,18 +186,16 @@ func (b *failoverBackend) Close() error {
 // workers.
 func (b *failoverBackend) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, emit func(*vector.Batch), done func(error)) {
 	f := b.f
-	if frag != nil {
-		f.mu.Lock()
-		f.frags[frag] = struct{}{}
-		f.mu.Unlock()
-	}
+	f.mu.Lock()
+	f.frags[frag] = struct{}{}
+	f.mu.Unlock()
 	t := &try{
 		u: u, frag: frag, emit: emit, done: done,
 		excluded: make([]uint64, len(f.slots)),
 		home:     b.idx,
 		pinned:   u.ScanRanges != nil,
 	}
-	f.attempt(t, b.idx, nil)
+	f.attempt(t, b.idx)
 }
 
 // partShipper is the capability surface partition shipping needs from a
@@ -336,8 +330,8 @@ func (f *failover) pick(pref int, t *try) (int, engine.Backend, uint64) {
 // never duplicates and never misses a batch. The backend contract
 // serializes a unit's emit and done calls, so the try needs no lock.
 // Exactly-once delivery of done holds: every chain ends in exactly one
-// call — success, a non-retryable error, local fallback, or exhaustion.
-func (f *failover) attempt(t *try, pref int, lastErr error) {
+// call — success, a non-retryable error, or the local fallback.
+func (f *failover) attempt(t *try, pref int) {
 	// Epoch churn bounds each (slot, epoch) pair to one attempt, but a
 	// worker flapping in lockstep with retries could in principle chain
 	// forever; cap the chain and degrade.
@@ -348,14 +342,7 @@ func (f *failover) attempt(t *try, pref int, lastErr error) {
 		i, bk, epoch = f.pick(pref, t)
 	}
 	if i < 0 {
-		if f.fallback && t.frag != nil {
-			f.runLocal(t)
-			return
-		}
-		if lastErr == nil {
-			lastErr = fmt.Errorf("%w: no surviving backend for group %d", ErrBackendDown, t.u.GID)
-		}
-		t.done(lastErr)
+		f.runLocal(t)
 		return
 	}
 	seen := 0
@@ -385,7 +372,7 @@ func (f *failover) attempt(t *try, pref int, lastErr error) {
 			}
 			f.noteFailure(i, epoch)
 			t.excluded[i] = epoch + 1
-			f.attempt(t, (i+1)%len(f.slots), err)
+			f.attempt(t, (i+1)%len(f.slots))
 		})
 }
 

@@ -284,12 +284,10 @@ func renderBatch(b *vector.Batch) []string {
 	return out
 }
 
-// TestFailoverExhaustion checks the terminal cases of a set with no
-// survivors. By default the unit degrades gracefully: it runs on the
-// coordinator's own copy of the fragment, byte-identical to a worker run,
-// with the downgrade counted and every dead slot left probing for
-// re-admission. Under NoLocalFallback it completes with an
-// ErrBackendDown-wrapped error instead of hanging.
+// TestFailoverExhaustion checks the terminal case of a set with no
+// survivors: the unit degrades gracefully, running on the coordinator's own
+// copy of the fragment, byte-identical to a worker run, with the downgrade
+// counted and every dead slot left probing for re-admission.
 func TestFailoverExhaustion(t *testing.T) {
 	base := runtime.NumGoroutine()
 	frag := testFragment(t)
@@ -350,31 +348,6 @@ func TestFailoverExhaustion(t *testing.T) {
 		}
 	})
 
-	t.Run("no-fallback", func(t *testing.T) {
-		srv1, addr1 := startWorker(t, 1)
-		srv2, addr2 := startWorker(t, 1)
-		set, err := DialSetConfig([]string{addr1, addr2}, PaperNet(), SetConfig{NoLocalFallback: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv1.Close()
-		srv2.Close()
-		done := make(chan error, 1)
-		set.Backends()[0].RunGroup(unit(), frag, func(*vector.Batch) {}, func(err error) { done <- err })
-		select {
-		case err := <-done:
-			if !errors.Is(err, ErrBackendDown) {
-				t.Fatalf("exhausted failover returned %v, want an ErrBackendDown-wrapped error", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("unit with no surviving backends never completed")
-		}
-		for _, b := range set.Backends() {
-			if err := b.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	})
 	waitGoroutines(t, base+2)
 }
 

@@ -149,10 +149,6 @@ type SetConfig struct {
 	// Probe tunes the health prober's reconnect backoff and deadlines; the
 	// zero value selects the defaults (see ProbeConfig).
 	Probe ProbeConfig
-	// NoLocalFallback disables graceful degradation: with it set, a unit
-	// that exhausts the set fails with ErrBackendDown instead of running on
-	// the coordinator's local fragment copy.
-	NoLocalFallback bool
 	// AuthToken is the shared secret presented in every hello — the initial
 	// dials and the prober's re-dials alike. It must match the workers'
 	// -auth-token or sessions are dropped before the hello reply.
@@ -173,7 +169,7 @@ func NewSet(n, workers int, dev iosim.Device) *Set {
 		b := NewSim(workers, s.net)
 		slots[i] = &slot{backend: b, workers: b.Workers()}
 	}
-	s.backends, s.f = newFailover(slots, failoverOptions{localFallback: true, acct: s.net})
+	s.backends, s.f = newFailover(slots, failoverOptions{acct: s.net})
 	return s
 }
 
@@ -204,12 +200,7 @@ func DialSetConfig(addrs []string, dev iosim.Device, cfg SetConfig) (*Set, error
 		}
 		slots[i] = &slot{backend: b, addr: addr, workers: b.Workers()}
 	}
-	s.backends, s.f = newFailover(slots, failoverOptions{
-		localFallback: !cfg.NoLocalFallback,
-		probe:         cfg.Probe,
-		token:         cfg.AuthToken,
-		acct:          s.net,
-	})
+	s.backends, s.f = newFailover(slots, failoverOptions{probe: cfg.Probe, token: cfg.AuthToken, acct: s.net})
 	return s, nil
 }
 
