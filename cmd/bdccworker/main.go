@@ -15,14 +15,18 @@
 // host:port,host:port — results are byte-identical to the single-box run;
 // if a worker dies mid-query its units fail over to the survivors, and a
 // restarted worker is re-admitted by the queries' health probers. With
-// tpchbench -partition, each query additionally ships this daemon its
-// partition of every scatter-scanned base table at setup and the daemon
-// serves scan units from that local copy (docs/PARTITIONING.md); the
-// -part-limit-mb knob caps the bytes a session's shipped partitions keep
-// resident (they are adopted as shipped, not decoded) — an over-limit table
-// fails its scans (the query re-scans those units on the coordinator)
-// without dropping the session. See docs/OPERATIONS.md for deployment,
-// failover behavior, and metering.
+// tpchbench -partition, each query additionally offers this daemon its
+// partition of every scatter-scanned base table at setup, and the daemon
+// serves scan units from that local copy (docs/PARTITIONING.md). The daemon
+// keeps the partitions it was sent across queries, by content digest, so a
+// later query of the same table version sends none; a partition no query
+// binds is freed once a newer version of its table arrives. The
+// -part-limit-mb knob caps the bytes all resident partitions keep (they are
+// adopted as shipped, not decoded): a transfer that would cross it first
+// evicts the partitions no query binds, and only then fails that table's
+// scans (the query re-scans those units on the coordinator) without
+// dropping the session. See docs/OPERATIONS.md for deployment, failover
+// behavior, and metering.
 package main
 
 import (
@@ -43,7 +47,7 @@ func main() {
 	workers := flag.Int("workers", engine.DefaultWorkers(), "scheduler pool goroutines")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "bound on the shutdown drain; sessions still running after it are abandoned (0 waits forever)")
 	token := flag.String("auth-token", "", "shared secret sessions must present in their hello (constant-time compare; mismatch drops the connection)")
-	partLimit := flag.Int64("part-limit-mb", 0, "cap in MB on the bytes a session's shipped partitions keep resident — adopted column frames plus their dictionary, run and raw-chunk strings (0 = unlimited); over-limit tables fail their scans back to the coordinator")
+	partLimit := flag.Int64("part-limit-mb", 0, "cap in MB on the bytes the worker's resident partitions keep, across sessions — adopted column frames plus their dictionary, run and raw-chunk strings (0 = unlimited); partitions no session binds are evicted first, and a table that still does not fit fails its scans back to the coordinator")
 	verbose := flag.Bool("v", false, "log a status line per completed unit batch (every 1000 units)")
 	flag.Parse()
 

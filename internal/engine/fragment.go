@@ -189,16 +189,18 @@ func (f *Fragment) OutSchema() expr.Schema { return f.out }
 
 // Run executes one group unit: build the group's private hash table from the
 // unit's build batches, then probe the unit's probe batches through the same
-// join kernel the serial sandwich join drives — same row order, and fresh
-// output batches cut where the serial join returns its reused one (at
-// BatchSize and at every probe-batch end) — so the merged output is the
-// serial join's batch sequence no matter which box ran the group, which is
-// what lets the failover layer's delivered-prefix replay splice a
-// half-joined unit. It touches only the unit, per-call state (the kernel
-// evaluates its own clone of the bound residual), and the fragment's frozen
-// configuration (read-only after Prepare), so concurrent Runs of one fragment
-// are safe — on a local pool task, a simulated remote, or a worker daemon's
-// scheduler alike.
+// join kernel the serial sandwich join drives — same row order, and output
+// batches cut where the serial join returns its reused one (at BatchSize and
+// at every probe-batch end) — so the merged output is the serial join's
+// batch sequence no matter which box ran the group, which is what lets the
+// failover layer's delivered-prefix replay splice a half-joined unit. emit
+// borrows each batch until it returns: Run refills one batch per call, so a
+// worker encodes it in place and a caller that keeps batches clones them.
+// Run touches only the unit, per-call state (the kernel evaluates its own
+// clone of the bound residual), and the fragment's frozen configuration
+// (read-only after Prepare), so concurrent Runs of one fragment are safe —
+// on a local pool task, a simulated remote, or a worker daemon's scheduler
+// alike.
 func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if !f.prepared {
 		return fmt.Errorf("engine: fragment run before Prepare")
@@ -255,17 +257,18 @@ func (f *Fragment) localRanges(ranges storage.RowRanges) (storage.RowRanges, err
 }
 
 // runScan executes one scan unit: map the unit's ranges into the site's
-// local row space and drive the scan's cursor over them, emitting fresh
-// group-tagged batches — the same loop the single-box Scan runs. Range
-// lengths survive the mapping and the reader cuts batches only at range
-// boundaries and BatchSize steps, so a worker's local scan and the
+// local row space and drive the scan's cursor over them, lending emit the
+// cursor's group-tagged batches — the same loop the single-box Scan runs.
+// Range lengths survive the mapping and the reader cuts batches only at
+// range boundaries and BatchSize steps, so a worker's local scan and the
 // coordinator's failover re-scan of the same unit produce identical batch
 // sequences — which is what lets the failover layer's delivered-prefix
 // replay splice a half-scanned unit without duplicating or reordering rows.
-// Predicate pushdown is deliberately absent here: pushed intervals prune by
-// encoded chunk layout, which differs between the coordinator's table and a
-// recompressed shipped partition, and the scan re-applies the full filter
-// anyway.
+// No predicate is pushed into the reader: the planner derives pushdown from
+// the coordinator's table, while a worker reads a shipped partition whose
+// chunks were cut over other rows, so the intervals would not carry over.
+// Deriving them on the site is possible but not done (docs/PARTITIONING.md);
+// the scan applies the full filter either way.
 func (f *Fragment) runScan(g *GroupUnit, emit func(*vector.Batch)) error {
 	ranges, err := f.localRanges(g.ScanRanges)
 	if err != nil {
@@ -279,19 +282,11 @@ func (f *Fragment) runScan(g *GroupUnit, emit func(*vector.Batch)) error {
 		gid:    g.GID, grouped: true,
 	}
 	var out *vector.Batch
-	for {
-		if out == nil && c.filter != nil {
-			out = vector.NewBatch(kinds)
-		}
-		b := c.next(out)
-		switch {
-		case b == nil:
-			return nil
-		case b == c.raw:
-			b = b.Clone() // the reader reuses its batch; the receiver owns what is emitted
-		default:
-			out = nil
-		}
+	if c.filter != nil {
+		out = vector.NewBatch(kinds)
+	}
+	for b := c.next(out); b != nil; b = c.next(out) {
 		emit(b)
 	}
+	return nil
 }

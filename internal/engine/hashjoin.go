@@ -74,6 +74,8 @@ type joinProbe struct {
 	looked   bool
 	matches  []int32
 	matchPos int
+
+	out *vector.Batch // emitAll's batch, lent to its emit and refilled
 }
 
 // newProbe returns a kernel over the prepared join fragment's configuration
@@ -285,17 +287,21 @@ func (p *joinProbe) emit(out *vector.Batch) {
 	}
 }
 
-// emitAll probes in completely into freshly allocated batches that inherit
-// in's group tags, cutting at BatchSize and at the end of in — the form the
-// exchange's consumers need, since they take ownership of what emit receives.
+// emitAll probes in completely into batches that inherit in's group tags,
+// cutting at BatchSize and at the end of in. It fills one batch of its own
+// over and over: emit borrows each until it returns, and a caller that keeps
+// what it receives clones it.
 func (p *joinProbe) emitAll(in *vector.Batch, emit func(*vector.Batch)) {
+	if p.out == nil {
+		p.out = vector.NewBatch(p.outKinds)
+	}
 	p.begin(in)
 	for done := false; !done; {
-		out := vector.NewBatch(p.outKinds)
-		out.Grouped, out.GroupID = in.Grouped, in.GroupID
-		done = p.fill(out)
-		if out.Len() > 0 {
-			emit(out)
+		p.out.Reset()
+		p.out.Grouped, p.out.GroupID = in.Grouped, in.GroupID
+		done = p.fill(p.out)
+		if p.out.Len() > 0 {
+			emit(p.out)
 		}
 	}
 }
@@ -495,7 +501,7 @@ func (j *HashJoin) startParallelProbe() {
 	}
 	j.ex = newExchange(j.ctx.Mem, j.Sched, 2*workers)
 	j.ex.runStream(j.Left.Next, func(in *vector.Batch, w int, emit func(*vector.Batch)) error {
-		probes[w].emitAll(in, emit)
+		probes[w].emitAll(in, func(b *vector.Batch) { emit(b.Clone()) })
 		return nil
 	})
 }

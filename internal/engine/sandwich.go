@@ -294,7 +294,7 @@ func (j *SandwichHashJoin) startParallelGroups() {
 			e.submitJob(job, func(_ int, emit func(*vector.Batch)) error {
 				var err error
 				if !e.isClosed() {
-					err = j.frag.Run(grp, emit)
+					err = j.frag.Run(grp, func(b *vector.Batch) { emit(b.Clone()) })
 				}
 				j.ctx.Mem.Shrink(grpBytes)
 				return err

@@ -346,18 +346,20 @@ func (p *Planner) backends() ([]engine.Backend, error) {
 // partitionScan moves a scatter scan onto the shared-nothing path when the
 // Partition knob is set: the base table is partitioned across the query's
 // workers by BDCC cell blocks (see internal/shard's Partitioning and
-// docs/PARTITIONING.md), each worker receives its blocks once per query
-// setup, and the scan lowers to a PartScanPlan whose units ship row ranges
-// to the worker owning them instead of reading pages locally. The
+// docs/PARTITIONING.md), each worker binds its blocks at query setup —
+// received once per worker and table version, and held resident across
+// queries — and the scan lowers to a PartScanPlan whose units ship row
+// ranges to the worker owning them instead of reading pages locally. The
 // coordinator keeps a fully prepared query-side fragment: it is the
 // failover path, re-scanning a down worker's units from the local copy.
 //
 // The path requires a planner-owned backend set — a shared set (the bdccd
 // daemon's) stays on the ordinary scatter scan, as does a single-box
 // context; both leave the operator untouched. A shipped scan pushes no
-// predicate into its readers: pushed intervals prune by encoded chunk
-// layout, which differs between the coordinator's table and a recompressed
-// shipped partition, and the sites re-apply the full filter anyway.
+// predicate into its readers: the coordinator builds a worker's chunks over
+// that worker's rows only, so intervals derived from its own table's chunks
+// do not carry over. Deriving them on the worker is possible but not done;
+// the sites apply the full filter either way.
 func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Table, op *engine.Scan) error {
 	if p.Ctx == nil || !p.Ctx.Partition {
 		return nil

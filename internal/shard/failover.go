@@ -203,15 +203,16 @@ func (b *failoverBackend) RunGroup(u *engine.GroupUnit, frag *engine.Fragment, e
 // remote inherits it); a backend without it simply never receives
 // partitions, and its scan units fail Prepare as work errors.
 type partShipper interface {
-	ShipPartition(key string, manifest []byte, data [][]byte, saved int64) error
+	shipPartition(s *partShipment) error
 	SetScanIO(fn func(runs, pages, bytes int64))
 }
 
 // shipPartition registers table's per-slot shipments (index-aligned with
-// the slots) and sends each live slot its own. Transport errors are
-// deliberately not handled here: a failed ship breaks that session, the
-// slot's units fail with ErrBackendDown, and re-admission re-ships the
-// whole registry over the fresh connection. Idempotent per table.
+// the slots) and ships each live slot its own, the slots concurrently so
+// that their offers' round trips overlap. Transport errors are deliberately not handled here: a failed ship breaks
+// that session, the slot's units fail with ErrBackendDown, and re-admission
+// re-ships the whole registry over the fresh connection. Idempotent per
+// table.
 func (f *failover) shipPartition(table string, ships []*partShipment) {
 	f.mu.Lock()
 	if f.closed {
@@ -238,9 +239,15 @@ func (f *failover) shipPartition(table string, ships []*partShipment) {
 		}
 	}
 	f.mu.Unlock()
+	var wg sync.WaitGroup
 	for _, t := range targets {
-		t.cl.ShipPartition(t.ship.key, t.ship.manifest, t.ship.data, t.ship.saved)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.cl.shipPartition(t.ship)
+		}()
 	}
+	wg.Wait()
 }
 
 // setScanIO installs the per-slot scan-read-stats hooks (index-aligned with
@@ -408,14 +415,17 @@ const (
 )
 
 // readmit re-admits slot i over the fresh connection cl: the slot's table
-// partitions and the session's plan fragments are re-shipped first (a
-// recovered worker has an empty registry of both, units may reference any
-// fragment of the query, and a scan unit pinned to this slot needs its
-// partition back before it can land), then the slot is published up with
-// its epoch advanced — resetting every unit's exclusion of it. A partition
-// registered while shipping was under way is caught by the version re-check
-// and shipped in another pass (the client's per-session dedup makes the
-// re-pass cheap). The previous dead backend, if any, is closed.
+// partitions and the session's plan fragments are re-shipped first (a fresh
+// session has bound no partition and holds no fragment, units may reference
+// any fragment of the query, and a scan unit pinned to this slot needs its
+// partition bound before it can land), then the slot is published up with
+// its epoch advanced — resetting every unit's exclusion of it. Partitions
+// re-ship through the same offer as at plan time, so a worker that only lost
+// its connection answers that it holds them, and only a restarted one is
+// sent the data. A partition registered while shipping was under way is
+// caught by the version re-check and shipped in another pass (the client's
+// per-session dedup makes the re-pass cheap). The previous dead backend, if
+// any, is closed.
 func (f *failover) readmit(i int, cl *client) readmitResult {
 	for {
 		f.mu.Lock()
@@ -443,7 +453,7 @@ func (f *failover) readmit(i int, cl *client) readmitResult {
 			cl.SetScanIO(hook)
 		}
 		for _, sh := range ships {
-			if err := cl.ShipPartition(sh.key, sh.manifest, sh.data, sh.saved); err != nil {
+			if err := cl.shipPartition(sh); err != nil {
 				return readmitRetry
 			}
 		}
@@ -492,7 +502,7 @@ func (f *failover) runLocal(t *try) {
 		t.done(t.frag.Run(t.u, func(b *vector.Batch) {
 			seen++
 			if seen > t.delivered {
-				t.emit(b)
+				t.emit(b.Clone()) // Run lends its batches; the exchange keeps them
 				t.delivered = seen
 			}
 		}))

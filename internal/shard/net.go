@@ -31,7 +31,7 @@ import (
 // peer could misparse (docs/WIRE.md describes the protocol as it stands).
 const (
 	ProtoMagic   = "BDCW"
-	ProtoVersion = 7
+	ProtoVersion = 8
 )
 
 // Transport frame types; wire.TypeHello (1) opens the session. Every frame
@@ -44,14 +44,21 @@ const (
 // the worker side abandons the stalled session's unit instead of parking
 // tasks on the daemon's shared scheduler.
 const (
-	frameSetup     = byte(2) // query → worker: one plan fragment; id = fragment id
-	frameUnit      = byte(3) // query → worker: one group unit; id = unit id
-	frameBatch     = byte(4) // worker → query: one result batch; id = unit id
-	frameDone      = byte(5) // worker → query: unit finished; payload = status (+stats or error)
-	framePing      = byte(6) // query → worker: liveness probe; id = a call id, like a unit's
-	framePong      = byte(7) // worker → query: ping echo; id = the ping's id
-	framePartTable = byte(8) // query → worker: partition manifest; id = partition id
-	framePartData  = byte(9) // query → worker: one column frame of a partition; id = partition id
+	frameSetup      = byte(2)  // query → worker: one plan fragment; id = fragment id
+	frameUnit       = byte(3)  // query → worker: one group unit; id = unit id
+	frameBatch      = byte(4)  // worker → query: one result batch; id = unit id
+	frameDone       = byte(5)  // worker → query: unit finished; payload = status (+stats or error)
+	framePing       = byte(6)  // query → worker: liveness probe; id = a call id, like a unit's
+	framePong       = byte(7)  // worker → query: ping echo; id = the ping's id
+	framePartOffer  = byte(8)  // query → worker: partition digest + manifest; id = a call id
+	framePartData   = byte(9)  // query → worker: one column frame of a partition; id = the offer's id
+	framePartAnswer = byte(10) // worker → query: offer answer; payload = partResident or partSend
+)
+
+// Answers to a partition offer.
+const (
+	partResident = byte(0) // the worker holds the partition; no data follows
+	partSend     = byte(1) // the worker needs the data frames
 )
 
 // ErrBackendDown marks transport-level backend failures — refused dials,
@@ -74,21 +81,23 @@ type client struct {
 	workers int
 
 	// wmu is the registry lock. It is held across a fragment's setup frame
-	// and the first unit naming it, and across a partition's frames, so the
-	// worker always has a fragment or partition before anything that uses
-	// it. frags is the by-pointer registry of shipped fragments; fragsByKey
-	// indexes the same registrations by encoded content, so two Fragment
-	// values with identical wire forms — e.g. the same cached plan
-	// instantiated by two queries sharing this session — ship one setup
-	// frame and alias one fragment id. parts records shipped table
-	// partitions by content key, so a partition offered twice to one session
-	// (plan-time ship racing a re-admission re-ship) crosses the wire once.
+	// and the first unit naming it, so the worker always has a fragment
+	// before anything that uses it. frags is the by-pointer registry of
+	// shipped fragments; fragsByKey indexes the same registrations by encoded
+	// content, so two Fragment values with identical wire forms — e.g. the
+	// same cached plan instantiated by two queries sharing this session —
+	// ship one setup frame and alias one fragment id.
 	wmu        sync.Mutex
 	frags      map[*engine.Fragment]uint64
 	fragsByKey map[string]uint64
 	nextFrag   uint64
-	parts      map[string]uint64
-	nextPart   uint64
+
+	// pmu serialises partition shipping on the session, and parts records
+	// the digests the worker has bound for it, so a partition shipped twice
+	// to one session (plan-time ship racing a re-admission re-ship) is
+	// offered once.
+	pmu   sync.Mutex
+	parts map[partDigest]struct{}
 
 	// scanIO, when set, receives the per-unit modeled read stats a done
 	// frame carries for scan units — the worker's local device reads, fed
@@ -115,7 +124,7 @@ func newClient(conn net.Conn, name, token string, acct *iosim.Accountant) (*clie
 		workers:    max(sess.Capacity(), 1),
 		frags:      make(map[*engine.Fragment]uint64),
 		fragsByKey: make(map[string]uint64),
-		parts:      make(map[string]uint64),
+		parts:      make(map[partDigest]struct{}),
 	}, nil
 }
 
@@ -129,35 +138,73 @@ func (c *client) Workers() int { return c.workers }
 // accountants.
 func (c *client) SetScanIO(fn func(runs, pages, bytes int64)) { c.scanIO.Store(&fn) }
 
-// ShipPartition sends one table partition to the worker: the manifest
-// payload, then the column-frame payloads, each as its own frame sharing the
-// partition id. key identifies the shipment's content (table name, worker,
-// worker count); a partition already shipped under the same key on this
-// session is skipped, so a plan-time ship racing a re-admission re-ship
-// crosses the wire once. saved is the partition's raw-minus-shipped byte
-// saving, credited to the network accountant like any other compressed
-// frame's. The payloads are shared across sessions and only read here.
-func (c *client) ShipPartition(key string, manifest []byte, data [][]byte, saved int64) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if _, done := c.parts[key]; done {
+// shipPartition has the worker bind one table partition: it offers the
+// shipment's digest and manifest as a call and, when the worker answers that
+// it does not hold that partition, sends the column frames under the offer's
+// id. A partition already bound on this session is not offered again. The
+// shipment's raw-minus-shipped byte saving is credited to the network
+// accountant only when its frames were sent. The payloads are shared across
+// sessions and only read here. An offer unanswered within wire.WriteTimeout
+// fails the session, as a stalled write would.
+func (c *client) shipPartition(s *partShipment) error {
+	c.pmu.Lock()
+	defer c.pmu.Unlock()
+	if _, done := c.parts[s.digest]; done {
 		return nil
 	}
-	id := c.nextPart
-	c.nextPart++
-	err := c.sess.WriteShared(id, framePartTable, manifest)
-	for i := 0; err == nil && i < len(data); i++ {
-		err = c.sess.WriteShared(id, framePartData, data[i])
-	}
+	answer := make(offerCall, 1)
+	id, err := c.sess.Register(answer)
 	if err != nil {
-		return c.sess.Fail(fmt.Errorf("ship partition: %w", err))
+		return err
 	}
-	c.parts[key] = id
-	if saved > 0 && c.net != nil {
-		c.net.AddSaved(saved)
+	if err := c.sess.WriteShared(id, framePartOffer, s.offer); err != nil {
+		return c.sess.Fail(fmt.Errorf("offer partition: %w", err)) // the read loop fails the call
 	}
+	t := time.NewTimer(wire.WriteTimeout)
+	defer t.Stop()
+	var send bool
+	select {
+	case a := <-answer:
+		if a.err != nil {
+			return a.err
+		}
+		send = a.send
+	case <-t.C:
+		c.sess.Forget(id)
+		return c.sess.Fail(fmt.Errorf("no answer to a partition offer within %v", wire.WriteTimeout))
+	}
+	if send {
+		for _, d := range s.data {
+			if err := c.sess.WriteShared(id, framePartData, d); err != nil {
+				return c.sess.Fail(fmt.Errorf("ship partition: %w", err))
+			}
+		}
+		if s.saved > 0 && c.net != nil {
+			c.net.AddSaved(s.saved)
+		}
+	}
+	c.parts[s.digest] = struct{}{}
 	return nil
 }
+
+// offerCall is one partition offer in flight: the worker's answer, or the
+// session's failure.
+type offerCall chan offerAnswer
+
+type offerAnswer struct {
+	send bool
+	err  error
+}
+
+func (o offerCall) Frame(typ byte, payload []byte) (bool, error) {
+	if typ != framePartAnswer || len(payload) != 1 || payload[0] > partSend {
+		return false, fmt.Errorf("query side received frame type %d (%d bytes) for a partition offer", typ, len(payload))
+	}
+	o <- offerAnswer{send: payload[0] == partSend}
+	return true, nil
+}
+
+func (o offerCall) Fail(err error) { o <- offerAnswer{err: err} }
 
 // RunGroup implements engine.Backend: register the unit as a call, ship the
 // fragment on first use, ship the unit. The session's read loop delivers
@@ -360,14 +407,17 @@ func DialToken(addr, token string, acct *iosim.Accountant) (engine.Backend, erro
 // Server is the worker half of the protocol: the core of the bdccworker
 // daemon, usable in-process (the simulated remote and the loopback tests
 // serve net.Pipe and local TCP connections through it). One Server owns one
-// scheduler and one memory tracker shared by every session; each accepted
-// connection is an independent session with its own fragment registry and
-// partition store, so concurrent queries do not observe each other.
+// scheduler, one memory tracker and one store of resident table partitions
+// shared by every session; each accepted connection is an independent
+// session with its own fragment registry and its own binding of table names
+// to partitions, so concurrent queries do not observe each other. The
+// scheduler is retained while a session is live: an idle server holds no
+// goroutines.
 type Server struct {
-	sched     *engine.Sched
-	mem       *engine.MemTracker
-	partLimit int64
-	sessions  wire.Listener
+	sched    *engine.Sched
+	mem      *engine.MemTracker
+	parts    *partStore
+	sessions wire.Listener
 
 	// OnUnitDone, when set before serving, is called after each unit
 	// completes with the total completed so far — a diagnostic and test
@@ -383,7 +433,6 @@ type Server struct {
 	OnUnitStart func()
 
 	unitsDone atomic.Int64
-	release   sync.Once
 }
 
 // NewServer returns a worker over its own scheduler of `workers` pool
@@ -393,11 +442,11 @@ func NewServer(workers int) *Server {
 	s := &Server{
 		sched: engine.NewSched(max(workers, 1)),
 		mem:   &engine.MemTracker{},
+		parts: newPartStore(0),
 	}
 	s.sessions = wire.Listener{
 		Magic: ProtoMagic, Version: ProtoVersion, Capacity: s.sched.Workers(), Open: s.open,
 	}
-	s.sched.Retain()
 	return s
 }
 
@@ -407,14 +456,15 @@ func NewServer(workers int) *Server {
 // mismatch drops the connection without a reply.
 func (s *Server) SetAuthToken(token string) { s.sessions.Token = token }
 
-// SetPartLimit caps the bytes the shipped table partitions of one session
-// keep resident — the received column frames its adopted tables point into,
-// plus their dictionary, run and raw-chunk strings (0, the default, means
-// unlimited). Crossing the cap
-// poisons the affected table, failing its scan units as work errors without
-// dropping the session — back-pressure for a coordinator shipping more data
-// than the worker box should hold. Set before serving.
-func (s *Server) SetPartLimit(bytes int64) { s.partLimit = bytes }
+// SetPartLimit caps the bytes the worker's shipped table partitions keep
+// resident, across all sessions — the received column frames the adopted
+// tables point into, plus their dictionary, run and raw-chunk strings (0, the
+// default, means unlimited). A transfer that would cross the cap first
+// evicts partitions no session binds, oldest first; when that is not enough
+// it poisons the affected table, failing its scan units as work errors
+// without dropping the session — back-pressure for a coordinator shipping
+// more data than the worker box should hold. Set before serving.
+func (s *Server) SetPartLimit(bytes int64) { s.parts.limit = bytes }
 
 // Workers returns the server's scheduler parallelism (announced to clients
 // in the hello exchange).
@@ -434,18 +484,25 @@ func (s *Server) Serve(l net.Listener) error { return s.sessions.Serve(l) }
 
 // ServeConn starts one session over an established connection (net.Pipe end,
 // accepted socket) and returns immediately; the session runs on server-owned
-// goroutines until the peer closes or the server does.
-func (s *Server) ServeConn(conn net.Conn) { s.sessions.ServeConn(conn) }
+// goroutines until the peer closes or the server does. The returned channel
+// closes once the session has ended and its unit tasks are joined.
+func (s *Server) ServeConn(conn net.Conn) <-chan struct{} { return s.sessions.ServeConn(conn) }
 
-// open is one session's frame handler: setup and partition frames fill the
-// session's registries, a ping is answered inline on the read loop, and each
-// unit becomes one scheduler task the session joins before it ends, so Close
-// never returns while a unit still runs. A protocol violation drops the
-// session.
+// open is one session's frame handler: setup frames fill the session's
+// fragment registry, partition offers and data bind its tables (answered
+// inline on the read loop, like a ping), and each unit becomes one scheduler
+// task the session joins before it ends, so Close never returns while a
+// unit still runs. The session retains the scheduler and pins the
+// partitions it binds until it ends. A protocol violation drops the session.
 func (s *Server) open(sess *wire.Session) wire.Handler {
 	frags := make(map[uint64]*engine.Fragment)
 	fragErrs := make(map[uint64]error)
-	parts := newPartStore(s.partLimit)
+	parts := s.parts.session()
+	s.sched.Retain()
+	sess.OnEnd(func() {
+		parts.end()
+		s.sched.Release()
+	})
 	return func(id uint64, typ byte, payload []byte) error {
 		switch typ {
 		case frameSetup:
@@ -466,8 +523,16 @@ func (s *Server) open(sess *wire.Session) wire.Handler {
 			} else {
 				frags[id] = frag
 			}
-		case framePartTable:
-			return parts.addManifest(id, payload)
+		case framePartOffer:
+			resident, err := parts.offer(id, payload)
+			if err != nil {
+				return err
+			}
+			answer := partSend
+			if resident {
+				answer = partResident
+			}
+			sess.Write(id, framePartAnswer, append(wire.Buf(), answer))
 		case framePartData:
 			return parts.addData(id, payload)
 		case framePing:
@@ -605,8 +670,9 @@ func (s *Server) finishUnit(sess *wire.Session, id uint64, stats *scanStats, err
 // Close shuts the worker down: listeners stop accepting, every session's
 // connection is closed (failing the clients' pending units with
 // ErrBackendDown, which is what lets a query fail over to surviving
-// workers), in-flight unit tasks and session goroutines are joined, and
-// the scheduler is released — a closed server leaves no goroutines behind.
+// workers), and in-flight unit tasks and session goroutines are joined —
+// each ended session releasing the scheduler, so a closed server leaves no
+// goroutines behind.
 func (s *Server) Close() error {
 	_, err := s.CloseWithin(0)
 	return err
@@ -617,12 +683,9 @@ func (s *Server) Close() error {
 // returned (d <= 0 waits for the whole drain). A wedged session — a unit
 // task parked on a blocked write or a stuck hook — can otherwise hang Close
 // forever; the bdccworker daemon bounds its SIGTERM drain with this and
-// exits, letting the OS reap the wedged work. The scheduler is only released
-// on a clean drain (abandoned tasks may still be running on it); an
+// exits, letting the OS reap the wedged work. An abandoned session keeps
+// the scheduler retained (its tasks may still be running on it); an
 // abandoning caller is expected to exit the process.
 func (s *Server) CloseWithin(d time.Duration) (abandoned int, err error) {
-	if abandoned = s.sessions.Close(d); abandoned == 0 {
-		s.release.Do(s.sched.Release)
-	}
-	return abandoned, nil
+	return s.sessions.Close(d), nil
 }

@@ -252,11 +252,35 @@ func shipTestTable(t testing.TB, rows int, compress bool) *storage.Table {
 
 func mustShip(t testing.TB, tab *storage.Table, segs storage.RowRanges) *partShipment {
 	t.Helper()
-	ship, err := buildPartShipment("lineitem/0@2", tab, segs)
+	ship, err := buildPartShipment(tab, segs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ship
+}
+
+// offerSend offers ship on sess under id and fails unless the store asks for
+// the data.
+func offerSend(t testing.TB, sess *partSession, id uint64, ship *partShipment) {
+	t.Helper()
+	resident, err := sess.offer(id, ship.offer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident {
+		t.Fatalf("offer %d was answered resident by a store that never adopted it", id)
+	}
+}
+
+// transfer offers ship on sess under id and sends its frames.
+func transfer(t testing.TB, sess *partSession, id uint64, ship *partShipment) {
+	t.Helper()
+	offerSend(t, sess, id, ship)
+	for _, d := range ship.data {
+		if err := sess.addData(id, d); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestPartShipmentRoundtrip(t *testing.T) {
@@ -267,15 +291,9 @@ func TestPartShipmentRoundtrip(t *testing.T) {
 			ship := mustShip(t, tab, segs)
 
 			store := newPartStore(0)
-			if err := store.addManifest(1, ship.manifest); err != nil {
-				t.Fatal(err)
-			}
-			for _, d := range ship.data {
-				if err := store.addData(1, d); err != nil {
-					t.Fatal(err)
-				}
-			}
-			st, err := store.source("lineitem")
+			sess := store.session()
+			transfer(t, sess, 1, ship)
+			st, err := sess.source("lineitem")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -318,19 +336,65 @@ func TestPartStoreLimitPoisonsNotDrops(t *testing.T) {
 	tab := shipTestTable(t, 400, false)
 	ship := mustShip(t, tab, storage.FullRange(tab.Rows()))
 	store := newPartStore(64) // far below what any of the shipment's frames parks
-	if err := store.addManifest(7, ship.manifest); err != nil {
-		t.Fatal(err)
-	}
+	sess := store.session()
+	offerSend(t, sess, 7, ship)
 	for _, d := range ship.data {
-		if err := store.addData(7, d); err != nil {
+		if err := sess.addData(7, d); err != nil {
 			t.Fatalf("an over-limit partition must poison the table, not drop the session: %v", err)
 		}
 	}
-	if _, err := store.source("lineitem"); err == nil {
+	if _, err := sess.source("lineitem"); err == nil {
 		t.Fatal("scans of a poisoned partition must fail Prepare")
 	}
-	if store.used != 0 {
+	if store.used != 0 || len(store.res) != 0 {
 		t.Fatalf("poisoning must release the partial transfer's bytes, %d still held", store.used)
+	}
+}
+
+// TestPartStoreLimitEvictsUnpinnedFirst: the limit is the worker's total. A
+// transfer that would cross it evicts the partitions no session binds, oldest
+// first, and is poisoned only when the pinned ones alone leave no room.
+func TestPartStoreLimitEvictsUnpinnedFirst(t *testing.T) {
+	a := mustShip(t, shipTestTable(t, 400, false), storage.FullRange(400))
+	b := mustShip(t, shipTestTable(t, 300, false), storage.FullRange(300))
+	probe := newPartStore(0)
+	transfer(t, probe.session(), 1, a)
+	one := probe.used
+	// Room for a or b alone, not for both.
+	store := newPartStore(one + one/2)
+	first := store.session()
+	transfer(t, first, 1, a)
+	first.end()
+	if len(store.res) != 1 || store.used != one {
+		t.Fatalf("an unpinned partition within the limit must stay resident: %d held, %d bytes", len(store.res), store.used)
+	}
+	second := store.session()
+	transfer(t, second, 1, b)
+	if _, err := second.source("lineitem"); err != nil {
+		t.Fatalf("the transfer was poisoned although an unpinned partition could make room: %v", err)
+	}
+	if _, ok := store.res[a.digest]; ok || len(store.res) != 1 {
+		t.Fatal("the unpinned partition was not evicted to make room")
+	}
+	// Now the resident partition is pinned: the next transfer is poisoned,
+	// and the pinned one is untouched.
+	third := store.session()
+	offerSend(t, third, 1, a)
+	for _, d := range a.data {
+		if err := third.addData(1, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := third.source("lineitem"); err == nil {
+		t.Fatal("a transfer past the limit was adopted while every resident partition is pinned")
+	}
+	if st, err := second.source("lineitem"); err != nil || st.Tab.Rows() != 300 {
+		t.Fatalf("the pinned partition was disturbed: %v", err)
+	}
+	third.end()
+	second.end()
+	if r := store.res[b.digest]; r == nil || len(store.res) != 1 || store.used != r.bytes {
+		t.Fatalf("after both sessions ended: %d partitions, %d bytes", len(store.res), store.used)
 	}
 }
 
@@ -338,45 +402,104 @@ func TestPartStoreDuplicateTableKeepsFirst(t *testing.T) {
 	tab := shipTestTable(t, 100, false)
 	ship := mustShip(t, tab, storage.FullRange(tab.Rows()))
 	store := newPartStore(0)
-	if err := store.addManifest(1, ship.manifest); err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range ship.data {
-		if err := store.addData(1, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	first, err := store.source("lineitem")
+	sess := store.session()
+	transfer(t, sess, 1, ship)
+	first, err := sess.source("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A second transfer of the same table (re-admission re-ship racing the
-	// dedup) drains silently and keeps the first copy.
-	if err := store.addManifest(2, ship.manifest); err != nil {
-		t.Fatal(err)
+	// A second offer of the same table (re-admission re-ship racing the
+	// dedup) is answered resident and keeps the first copy.
+	resident, err := sess.offer(2, ship.offer)
+	if err != nil || !resident {
+		t.Fatalf("a second offer of a bound partition: resident=%v, %v", resident, err)
 	}
-	for _, d := range ship.data {
-		if err := store.addData(2, d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	again, err := store.source("lineitem")
+	again, err := sess.source("lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Tab != first.Tab {
-		t.Fatal("a duplicate transfer replaced the finalized partition")
+		t.Fatal("a duplicate offer replaced the finalized partition")
 	}
-	// Reusing a transfer id is protocol corruption, though.
-	if err := store.addManifest(1, ship.manifest); err == nil {
+	// Another session is offered the same partition: resident, the very
+	// table, and no data frame.
+	other := store.session()
+	if resident, err := other.offer(1, ship.offer); err != nil || !resident {
+		t.Fatalf("an offer of a resident partition on another session: resident=%v, %v", resident, err)
+	}
+	if st, err := other.source("lineitem"); err != nil || st.Tab != first.Tab {
+		t.Fatalf("the other session binds another table: %v", err)
+	}
+	if err := other.addData(1, ship.data[0]); err == nil {
+		t.Fatal("data under an offer answered resident must be a protocol error")
+	}
+	// Reusing a transfer id is protocol corruption, though, and so is an
+	// offer binding a bound table to other contents.
+	if _, err := sess.offer(1, ship.offer); err == nil {
 		t.Fatal("reused partition id must be a protocol error")
+	}
+	longer := mustShip(t, shipTestTable(t, 120, false), storage.FullRange(120))
+	if _, err := sess.offer(3, longer.offer); err == nil {
+		t.Fatal("an offer rebinding a bound table to other contents must be a protocol error")
+	}
+}
+
+// TestPartStoreResidencyAcrossSessions: a partition outlives the session that
+// shipped it; a newer partition of the same table frees the old one as soon
+// as no session pins it, and not before.
+func TestPartStoreResidencyAcrossSessions(t *testing.T) {
+	v1 := mustShip(t, shipTestTable(t, 200, true), storage.FullRange(200))
+	v2 := mustShip(t, shipTestTable(t, 260, true), storage.FullRange(260))
+	store := newPartStore(0)
+	s1 := store.session()
+	transfer(t, s1, 1, v1)
+	s1.end()
+	frames, used := store.frames, store.used
+	if len(store.res) != 1 || used == 0 {
+		t.Fatalf("the partition left with its session: %d resident, %d bytes", len(store.res), used)
+	}
+	s2 := store.session()
+	if resident, err := s2.offer(5, v1.offer); err != nil || !resident {
+		t.Fatalf("a later session's offer: resident=%v, %v", resident, err)
+	}
+	if store.frames != frames || store.used != used {
+		t.Fatal("a resident hit received or charged data")
+	}
+	// An append publishes v2 while s2 still scans v1.
+	s3 := store.session()
+	transfer(t, s3, 1, v2)
+	if _, ok := store.res[v1.digest]; !ok {
+		t.Fatal("a pinned partition was freed")
+	}
+	if st, _ := s2.source("lineitem"); st.Tab.Rows() != 200 {
+		t.Fatal("the older session's binding moved")
+	}
+	s2.end()
+	if _, ok := store.res[v1.digest]; ok || len(store.res) != 1 {
+		t.Fatalf("the superseded partition outlived its last pin: %d resident", len(store.res))
+	}
+	s3.end()
+	if _, ok := store.res[v2.digest]; !ok || store.used == 0 {
+		t.Fatal("the newest partition left with its session")
+	}
+	// A session ending mid-transfer frees what it received.
+	s4 := store.session()
+	before := store.used
+	offerSend(t, s4, 1, v1)
+	if err := s4.addData(1, v1.data[0]); err != nil {
+		t.Fatal(err)
+	}
+	s4.end()
+	if store.used != before {
+		t.Fatalf("an abandoned transfer still holds %d bytes", store.used-before)
 	}
 }
 
 // TestPartStoreRejectsDamagedFrames: a column frame that is corrupted, out of
 // order, of a kind the manifest did not declare, or past the manifest's row
 // total is protocol corruption — the session drops, as it did for a bad row
-// batch — and frames trailing a completed transfer drain silently.
+// batch — and so is a transfer whose bytes do not match the digest it was
+// offered under; frames trailing a completed transfer drain silently.
 func TestPartStoreRejectsDamagedFrames(t *testing.T) {
 	for _, compress := range []bool{false, true} {
 		tab := shipTestTable(t, 300, compress)
@@ -384,12 +507,10 @@ func TestPartStoreRejectsDamagedFrames(t *testing.T) {
 		if len(ship.data) != 2 {
 			t.Fatalf("%d frames for two columns", len(ship.data))
 		}
-		open := func() *partStore {
-			store := newPartStore(0)
-			if err := store.addManifest(1, ship.manifest); err != nil {
-				t.Fatal(err)
-			}
-			return store
+		open := func() *partSession {
+			sess := newPartStore(0).session()
+			offerSend(t, sess, 1, ship)
+			return sess
 		}
 		flipped := append([]byte(nil), ship.data[0]...)
 		flipped[len(flipped)/2] ^= 0x10
@@ -405,34 +526,50 @@ func TestPartStoreRejectsDamagedFrames(t *testing.T) {
 		if err := open().addData(2, ship.data[0]); err == nil {
 			t.Fatal("a frame for an unannounced transfer was accepted")
 		}
-		store := open()
-		if err := store.addData(1, ship.data[0]); err != nil {
+		sess := open()
+		if err := sess.addData(1, ship.data[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.addData(1, ship.data[0]); err == nil {
+		if err := sess.addData(1, ship.data[0]); err == nil {
 			t.Fatal("the int64 column's frame was adopted twice")
 		}
-		if _, err := store.source("lineitem"); err == nil {
+		if _, err := sess.source("lineitem"); err == nil {
 			t.Fatal("a partition one column short is being served")
 		}
-		if err := store.addData(1, ship.data[1]); err != nil {
+		if err := sess.addData(1, ship.data[1]); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.addData(1, ship.data[1]); err != nil {
+		if err := sess.addData(1, ship.data[1]); err != nil {
 			t.Fatalf("a frame trailing a completed transfer must drain, not drop the session: %v", err)
 		}
-		if st, err := store.source("lineitem"); err != nil || st.Tab.Rows() != 240 {
+		if st, err := sess.source("lineitem"); err != nil || st.Tab.Rows() != 240 {
 			t.Fatalf("completed partition: %v", err)
 		}
 		// The manifest of a shorter shipment over the longer one's frames:
 		// more rows arrive than were declared.
 		short := mustShip(t, tab, storage.RowRanges{{Start: 10, End: 200}})
-		store = newPartStore(0)
-		if err := store.addManifest(1, short.manifest); err != nil {
+		sess = newPartStore(0).session()
+		offerSend(t, sess, 1, short)
+		if err := sess.addData(1, ship.data[0]); err == nil {
+			t.Fatal("frames carrying more rows than the manifest declares were adopted")
+		}
+		// Sound frames under another digest: the transfer completes and is
+		// refused, and nothing of it stays resident.
+		store := newPartStore(0)
+		sess = store.session()
+		lie := append([]byte(nil), ship.offer...)
+		lie[0] ^= 1
+		if resident, err := sess.offer(1, lie); err != nil || resident {
+			t.Fatalf("offer under a foreign digest: resident=%v, %v", resident, err)
+		}
+		if err := sess.addData(1, ship.data[0]); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.addData(1, ship.data[0]); err == nil {
-			t.Fatal("frames carrying more rows than the manifest declares were adopted")
+		if err := sess.addData(1, ship.data[1]); err == nil {
+			t.Fatal("a transfer that does not match its digest was adopted")
+		}
+		if len(store.res) != 0 || store.used != 0 {
+			t.Fatalf("a refused transfer left %d partitions, %d bytes", len(store.res), store.used)
 		}
 	}
 }
@@ -502,6 +639,41 @@ func FuzzDecodePartManifest(f *testing.F) {
 			if err == nil && (local.Start < 0 || local.End > int(m.Rows) || local.Len() != s.Len()) {
 				t.Fatalf("segment %v of a %d-row manifest maps to %v", s, m.Rows, local)
 			}
+		}
+	})
+}
+
+// FuzzDecodePartOffer: the part-offer payload — a digest, then a manifest —
+// decodes or fails, never panics; what decodes carries the digest it was
+// offered under and a manifest whose segments map into its declared rows.
+// Seeded with real offers, compressed and not, and truncations of them.
+func FuzzDecodePartOffer(f *testing.F) {
+	for _, compress := range []bool{false, true} {
+		ship := mustShip(f, shipTestTable(f, 50, compress), storage.RowRanges{{Start: 30, End: 50}, {Start: 0, End: 20}})
+		f.Add(ship.offer)
+		for _, n := range []int{0, 1, len(ship.digest) - 1, len(ship.digest), len(ship.offer) - 16, len(ship.offer) - 1} {
+			f.Add(ship.offer[:n])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		digest, m, err := decodePartOffer(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(digest[:], data[:len(digest)]) {
+			t.Fatalf("decoded digest %x, the payload opens with %x", digest, data[:len(digest)])
+		}
+		rm := NewRangeMap(m.Segs)
+		for _, s := range m.Segs {
+			local, err := rm.Map(s)
+			if err == nil && (local.Start < 0 || local.End > int(m.Rows) || local.Len() != s.Len()) {
+				t.Fatalf("segment %v of a %d-row manifest maps to %v", s, m.Rows, local)
+			}
+		}
+		// A store handed the offer either asks for the data or refuses it;
+		// it never answers resident for a partition it does not hold.
+		if resident, err := newPartStore(0).session().offer(1, data); err == nil && resident {
+			t.Fatal("an empty store answered an offer resident")
 		}
 	})
 }

@@ -2,8 +2,11 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
+	"sync"
 
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
@@ -13,7 +16,7 @@ import (
 
 // Partition shipping: the wire form and both ends of the base-table
 // partition transfer that makes workers shared-nothing (frames
-// framePartTable and framePartData; see docs/WIRE.md and
+// framePartOffer, framePartAnswer and framePartData; see docs/WIRE.md and
 // docs/PARTITIONING.md).
 //
 // Manifest payload layout (little endian):
@@ -33,11 +36,14 @@ import (
 // table — the segments' rows in ship order, compressed when the original is —
 // once per table version, and ships its encoded chunks as they are. The
 // worker verifies and adopts them (storage.TableAdopter); it neither decodes
-// nor compresses. The transfer has no explicit end: the worker publishes the
-// partition the moment its last column completes, and a scan fragment
-// referencing a table still short of that fails Prepare — which cannot happen
-// on a correct client, since ShipPartition writes every frame before any unit
-// ships.
+// nor compresses. A transfer is offered before it is sent: the offer carries
+// the shipment's content digest, and a worker already holding a partition of
+// that digest — from any earlier session — binds it and answers that no data
+// need follow. The transfer has no explicit end: the worker checks the
+// digest and publishes the partition the moment its last column completes,
+// and a scan fragment referencing a table still short of that fails Prepare
+// — which cannot happen on a correct client, since shipPartition writes
+// every frame before any unit ships.
 
 // partManifest is the decoded manifest of one shipped partition.
 type partManifest struct {
@@ -95,77 +101,209 @@ func decodePartManifest(data []byte) (*partManifest, error) {
 	return m, nil
 }
 
-// partRecv is one in-flight partition transfer on a worker session.
-type partRecv struct {
-	m     *partManifest
-	adopt *storage.TableAdopter
-	bytes int64
-	skip  bool // duplicate, poisoned or complete: drain remaining data frames silently
+// Offer payload layout: the shipment's 32-byte digest, then the manifest
+// payload above. The digest is a SHA-256 over the manifest and the column
+// frames, each prefixed by its u64 length (shipmentDigest): equal digests
+// mean the same partition of the same table version, whoever shipped it.
+
+// partDigest is the content digest that names a shipped partition.
+type partDigest [sha256.Size]byte
+
+// shipmentDigest returns the digest of a shipment's manifest and frames.
+func shipmentDigest(manifest []byte, data [][]byte) partDigest {
+	h := sha256.New()
+	hashPiece(h, manifest)
+	for _, d := range data {
+		hashPiece(h, d)
+	}
+	var d partDigest
+	h.Sum(d[:0])
+	return d
 }
 
-// partStore is a worker session's registry of shipped table partitions: the
-// scan source the session installs on every scan fragment it Prepares. All
-// methods run on the session's frame-loop goroutine (frames arrive in
-// order, and frameSetup — the only reader, via source — is a frame too), so
-// the store needs no locking; the resolved engine.ScanTable a fragment
-// captures at Prepare is immutable afterwards and safe on scheduler
-// goroutines.
+// hashPiece adds one length-prefixed piece of a shipment to its digest.
+func hashPiece(h hash.Hash, b []byte) {
+	h.Write(binary.LittleEndian.AppendUint64(make([]byte, 0, 8), uint64(len(b))))
+	h.Write(b)
+}
+
+// decodePartOffer decodes one offer payload occupying all of data.
+func decodePartOffer(data []byte) (partDigest, *partManifest, error) {
+	var d partDigest
+	if len(data) < len(d) {
+		return d, nil, fmt.Errorf("shard: partition offer of %d bytes is shorter than its digest", len(data))
+	}
+	copy(d[:], data)
+	m, err := decodePartManifest(data[len(d):])
+	return d, m, err
+}
+
+// partStore is a worker's store of resident table partitions, shared by all
+// of its sessions and keyed by content digest, so a partition shipped once
+// is offered — not sent — to every later session of the same worker. Each
+// session binds table names to resident partitions (partSession) and pins
+// what it binds until it ends. A partition no session pins is freed as soon
+// as a newer partition of the same table name is resident: a table version
+// superseded by an append or a merge leaves the worker with the last session
+// that scanned it.
 type partStore struct {
-	// limit caps the bytes the session's partitions keep resident — the
-	// received frames the adopted columns point into, plus the strings their
-	// heaps became (dictionary, run and raw-chunk values); 0 = none.
+	mu sync.Mutex
+	// limit caps the bytes resident partitions and transfers in flight keep
+	// — the received frames the adopted columns point into, plus the strings
+	// their heaps became (dictionary, run and raw-chunk values); 0 = none. A
+	// transfer that would cross it first evicts unpinned partitions, oldest
+	// first, and is poisoned only when that is not enough.
 	limit int64
 	used  int64
-	byID  map[uint64]*partRecv
-	tabs  map[string]engine.ScanTable
-	errs  map[string]error
+	res   map[partDigest]*residentPart
+	seq   uint64
+	// frames counts the data frames received, across sessions: zero on a
+	// worker every offer of which found its partition resident.
+	frames int64
+}
+
+// residentPart is one adopted partition held by the store.
+type residentPart struct {
+	digest partDigest
+	table  string
+	st     engine.ScanTable
+	bytes  int64
+	pins   int    // sessions binding it
+	seq    uint64 // residency order: a larger seq is newer
 }
 
 func newPartStore(limit int64) *partStore {
-	return &partStore{
-		limit: limit,
-		byID:  make(map[uint64]*partRecv),
-		tabs:  make(map[string]engine.ScanTable),
+	return &partStore{limit: limit, res: make(map[partDigest]*residentPart)}
+}
+
+// evictSuperseded frees the unpinned partitions of table other than its
+// newest resident one; the caller holds mu.
+func (p *partStore) evictSuperseded(table string) {
+	var newest *residentPart
+	for _, r := range p.res {
+		if r.table == table && (newest == nil || r.seq > newest.seq) {
+			newest = r
+		}
+	}
+	for d, r := range p.res {
+		if r.table == table && r != newest && r.pins == 0 {
+			p.used -= r.bytes
+			delete(p.res, d)
+		}
+	}
+}
+
+// fit evicts unpinned partitions, oldest first, until the store is within
+// its limit, and reports whether it is; the caller holds mu.
+func (p *partStore) fit() bool {
+	for p.limit > 0 && p.used > p.limit {
+		var oldest *residentPart
+		for _, r := range p.res {
+			if r.pins == 0 && (oldest == nil || r.seq < oldest.seq) {
+				oldest = r
+			}
+		}
+		if oldest == nil {
+			return false
+		}
+		p.used -= oldest.bytes
+		delete(p.res, oldest.digest)
+	}
+	return true
+}
+
+// partRecv is one in-flight partition transfer on a worker session.
+type partRecv struct {
+	digest partDigest
+	m      *partManifest
+	adopt  *storage.TableAdopter
+	hash   hash.Hash // the digest of what has arrived so far
+	bytes  int64     // charged to the store while the transfer is in flight
+	skip   bool      // poisoned or complete: drain remaining data frames silently
+}
+
+// partSession is one worker session's view of the store: the table names it
+// has bound to resident partitions — the scan source the session installs on
+// every scan fragment it Prepares — its transfers in flight, and the tables
+// poisoned for it. Its methods run on the session's frame loop (frames
+// arrive in order, and frameSetup — the only reader, via source — is a frame
+// too), so only the shared store locks; the resolved engine.ScanTable a
+// fragment captures at Prepare is immutable and outlives any eviction.
+type partSession struct {
+	store *partStore
+	recv  map[uint64]*partRecv
+	tabs  map[string]*residentPart
+	errs  map[string]error
+}
+
+func (p *partStore) session() *partSession {
+	return &partSession{
+		store: p,
+		recv:  make(map[uint64]*partRecv),
+		tabs:  make(map[string]*residentPart),
 		errs:  make(map[string]error),
 	}
 }
 
-// addManifest registers one partition transfer. Duplicates (a table already
-// published, typically a plan-time ship racing a re-admission re-ship the
-// client-side dedup didn't see) keep the first copy and drain the new
-// transfer. The returned error means protocol corruption — the session
-// drops.
-func (p *partStore) addManifest(id uint64, payload []byte) error {
-	m, err := decodePartManifest(payload)
+// offer answers one partition offer: resident (the session now binds the
+// table to the store's partition of that digest, and no data follows) or
+// send (the data frames follow under the offer's id). An offer of a table
+// the session already binds is resident when the digests agree. The
+// returned error means protocol corruption — the session drops: a
+// malformed offer, a reused id, or a table the session binds to other
+// contents.
+func (ps *partSession) offer(id uint64, payload []byte) (resident bool, err error) {
+	digest, m, err := decodePartOffer(payload)
 	if err != nil {
-		return err
+		return false, err
 	}
-	if _, dup := p.byID[id]; dup {
-		return fmt.Errorf("shard: partition id %d reused", id)
+	if _, dup := ps.recv[id]; dup {
+		return false, fmt.Errorf("shard: partition id %d reused", id)
 	}
-	r := &partRecv{m: m}
-	p.byID[id] = r
-	if _, have := p.tabs[m.Table]; have {
-		r.skip = true
-	} else if _, poisoned := p.errs[m.Table]; poisoned {
-		r.skip = true
-	} else if r.adopt, err = storage.NewTableAdopter(m.Table, m.PageSize, int(m.Rows), m.Compressed, m.Cols.Names(), m.Cols.Kinds()); err != nil {
-		p.poison(r, err)
+	if bound, ok := ps.tabs[m.Table]; ok {
+		if bound.digest != digest {
+			return false, fmt.Errorf("shard: offer of %q with other contents than the session's", m.Table)
+		}
+		return true, nil
 	}
-	return nil
+	p := ps.store
+	p.mu.Lock()
+	r := p.res[digest]
+	if r != nil {
+		r.pins++
+	}
+	p.mu.Unlock()
+	if r != nil {
+		ps.tabs[m.Table] = r
+		return true, nil
+	}
+	rv := &partRecv{digest: digest, m: m, hash: sha256.New()}
+	hashPiece(rv.hash, payload[len(digest):])
+	ps.recv[id] = rv
+	if _, poisoned := ps.errs[m.Table]; poisoned {
+		rv.skip = true
+	} else if rv.adopt, err = storage.NewTableAdopter(m.Table, m.PageSize, int(m.Rows), m.Compressed, m.Cols.Names(), m.Cols.Kinds()); err != nil {
+		ps.poison(rv, err)
+	}
+	return false, nil
 }
 
 // addData verifies one column frame and adopts it into its transfer,
 // publishing the partition when the last column completes. The returned
 // error means protocol corruption — a frame that fails its checksum or its
 // structure, a kind the manifest did not declare, rows past the manifest's
-// total; the resource limit instead poisons the table, failing its scans as
+// total, or a completed transfer whose bytes do not match the offer's
+// digest; the resource limit instead poisons the table, failing its scans as
 // work errors without dropping the session.
-func (p *partStore) addData(id uint64, payload []byte) error {
-	r := p.byID[id]
+func (ps *partSession) addData(id uint64, payload []byte) error {
+	r := ps.recv[id]
 	if r == nil {
 		return fmt.Errorf("shard: partition data for unknown id %d", id)
 	}
+	p := ps.store
+	p.mu.Lock()
+	p.frames++
+	p.mu.Unlock()
 	if r.skip {
 		return nil
 	}
@@ -173,43 +311,88 @@ func (p *partStore) addData(id uint64, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("shard: partition frame: %w", err)
 	}
+	hashPiece(r.hash, payload)
+	p.mu.Lock()
 	p.used += resident
 	r.bytes += resident
-	if p.limit > 0 && p.used > p.limit {
-		p.poison(r, fmt.Errorf("shard: partition for %q exceeds the worker's %d-byte partition limit", r.m.Table, p.limit))
+	fits := p.fit()
+	p.mu.Unlock()
+	if !fits {
+		ps.poison(r, fmt.Errorf("shard: partition for %q exceeds the worker's %d-byte partition limit", r.m.Table, p.limit))
 		return nil
 	}
 	if !done {
 		return nil
 	}
+	var sum partDigest
+	if r.hash.Sum(sum[:0]); sum != r.digest {
+		ps.poison(r, nil)
+		return fmt.Errorf("shard: partition of %q does not match the digest it was offered under", r.m.Table)
+	}
 	tab, err := r.adopt.Table()
 	if err != nil {
-		p.poison(r, err)
+		ps.poison(r, err)
 		return nil
 	}
-	p.tabs[r.m.Table] = engine.ScanTable{Tab: tab, Map: NewRangeMap(r.m.Segs).Map}
-	r.adopt, r.skip = nil, true
+	p.mu.Lock()
+	res := p.res[r.digest]
+	if res == nil {
+		p.seq++
+		res = &residentPart{digest: r.digest, table: r.m.Table, bytes: r.bytes, seq: p.seq,
+			st: engine.ScanTable{Tab: tab, Map: NewRangeMap(r.m.Segs).Map}}
+		p.res[r.digest] = res
+	} else {
+		p.used -= r.bytes // another session published it first
+	}
+	res.pins++
+	p.evictSuperseded(r.m.Table)
+	p.mu.Unlock()
+	ps.tabs[r.m.Table] = res
+	r.adopt, r.bytes, r.skip = nil, 0, true
 	return nil
 }
 
-// poison records why the table's partition is unusable and frees the
-// partial transfer; the table's scan fragments fail Prepare with the cause.
-func (p *partStore) poison(r *partRecv, err error) {
-	p.errs[r.m.Table] = err
-	p.used -= r.bytes
+// poison records why the table's partition is unusable for this session
+// (err nil: the session is dropping anyway) and frees the partial transfer;
+// the table's scan fragments fail Prepare with the cause.
+func (ps *partSession) poison(r *partRecv, err error) {
+	if err != nil {
+		ps.errs[r.m.Table] = err
+	}
+	ps.store.mu.Lock()
+	ps.store.used -= r.bytes
+	ps.store.mu.Unlock()
 	r.bytes, r.adopt, r.skip = 0, nil, true
+}
+
+// end releases the session's hold on the store when the session ends: its
+// transfers in flight are freed and its partitions unpinned, each freed at
+// once when a newer partition of its table is resident.
+func (ps *partSession) end() {
+	p := ps.store
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, r := range ps.recv {
+		p.used -= r.bytes
+		r.bytes, r.adopt, r.skip = 0, nil, true
+	}
+	for table, r := range ps.tabs {
+		r.pins--
+		p.evictSuperseded(table)
+	}
+	ps.tabs = nil
 }
 
 // source is the engine.ScanSource a scan fragment resolves its table
 // through at Prepare.
-func (p *partStore) source(table string) (engine.ScanTable, error) {
-	if st, ok := p.tabs[table]; ok {
-		return st, nil
+func (ps *partSession) source(table string) (engine.ScanTable, error) {
+	if r, ok := ps.tabs[table]; ok {
+		return r.st, nil
 	}
-	if err, ok := p.errs[table]; ok {
+	if err, ok := ps.errs[table]; ok {
 		return engine.ScanTable{}, err
 	}
-	return engine.ScanTable{}, fmt.Errorf("shard: no partition of %q shipped on this session", table)
+	return engine.ScanTable{}, fmt.Errorf("shard: no partition of %q bound to this session", table)
 }
 
 // partFrameBytes is the size at which a column frame of a shipment is closed
@@ -219,29 +402,35 @@ func (p *partStore) source(table string) (engine.ScanTable, error) {
 const partFrameBytes = 4 << 20
 
 // partShipment is the serialised form of one worker's partition of one
-// table: the payload bytes ShipPartition frames per session. It is built once
-// per table version (shipmentsOf) and shared read-only by every set, session
-// and re-ship from then on.
+// table: the payload bytes shipPartition offers and frames per session. It
+// is built once per table version (shipmentsOf) and shared read-only by
+// every set, session and re-ship from then on.
 type partShipment struct {
-	key      string
-	manifest []byte
-	data     [][]byte
-	saved    int64 // the partition's raw bytes less its frames', credited as wire savings
+	digest partDigest
+	offer  []byte // the part-offer payload: digest, then manifest
+	data   [][]byte
+	saved  int64 // the partition's raw bytes less its frames', credited as wire savings
 }
+
+// manifest returns the shipment's manifest payload.
+func (s *partShipment) manifest() []byte { return s.offer[len(s.digest):] }
 
 // buildPartShipment builds the table a worker holds — the given segments of
 // tab in ship order, compressed when tab is, exactly the rows and the order
-// the worker's RangeMap assumes — and serialises it. The local table itself
-// is dropped: the chunks live on in the frames. Extraction is a copy of the
-// coordinator's in-memory arrays, not a scan: shipping is network work,
-// metered on the frames by the session's network accountant, not modeled
-// device IO.
-func buildPartShipment(key string, tab *storage.Table, segs storage.RowRanges) (*partShipment, error) {
+// the worker's RangeMap assumes — serialises it and digests it. The local
+// table itself is dropped: the chunks live on in the frames. Extraction is a
+// copy of the coordinator's in-memory arrays, not a scan: shipping is network
+// work, metered on the frames by the session's network accountant, not
+// modeled device IO.
+func buildPartShipment(tab *storage.Table, segs storage.RowRanges) (*partShipment, error) {
 	local, err := tab.Extract(segs)
 	if err != nil {
 		return nil, err
 	}
-	s := &partShipment{key: key, manifest: encodePartManifest(tab, segs, nil), data: local.Frames(partFrameBytes)}
+	manifest := encodePartManifest(tab, segs, nil)
+	s := &partShipment{data: local.Frames(partFrameBytes)}
+	s.digest = shipmentDigest(manifest, s.data)
+	s.offer = append(append(make([]byte, 0, len(s.digest)+len(manifest)), s.digest[:]...), manifest...)
 	s.saved = local.CompressionStats().RawBytes
 	for _, d := range s.data {
 		s.saved -= int64(len(d))
@@ -267,8 +456,7 @@ func shipmentsOf(tab *storage.Table, p *Partitioning) ([]*partShipment, error) {
 	build := func() any {
 		ships := make([]*partShipment, p.Workers)
 		for w := range ships {
-			key := fmt.Sprintf("%s/%d@%d", p.Table, w, p.Workers)
-			if ships[w], err = buildPartShipment(key, tab, p.Segments(w)); err != nil {
+			if ships[w], err = buildPartShipment(tab, p.Segments(w)); err != nil {
 				return nil // not kept
 			}
 		}
@@ -276,7 +464,7 @@ func shipmentsOf(tab *storage.Table, p *Partitioning) ([]*partShipment, error) {
 	}
 	ships, _ := tab.Derived(shipKey(p.Workers), build).([]*partShipment)
 	for w, s := range ships {
-		if !bytes.Equal(s.manifest, encodePartManifest(tab, p.Segments(w), nil)) {
+		if !bytes.Equal(s.manifest(), encodePartManifest(tab, p.Segments(w), nil)) {
 			ships, _ = build().([]*partShipment)
 			break
 		}

@@ -16,9 +16,9 @@
 //   - Partitioning (partition.go): the deterministic assignment of a BDCC
 //     table's z-order cells to workers, the coordinator→local range
 //     mapping, and the group splitter — the partitioning layer specified
-//     in docs/PARTITIONING.md. Set.PartitionTable builds it and ships each
-//     worker its partition (partstore.go holds the wire form and both ends
-//     of the transfer).
+//     in docs/PARTITIONING.md. Set.PartitionTable builds it and has each
+//     worker bind its partition (partstore.go holds the wire form, both ends
+//     of the transfer and the worker's store of resident partitions).
 //   - the wire codecs (codec.go): plan fragments and group units cross a
 //     transport as bytes, never as shared memory.
 //   - the frame protocol (net.go): the client half (engine.Backend over one
@@ -26,7 +26,8 @@
 //     cmd/bdccworker) — the frame handlers of each side, specified in
 //     docs/WIRE.md.
 //   - Sim: the protocol client and worker server over an in-process
-//     net.Pipe — the real wire protocol with only the network modeled.
+//     net.Pipe — the real wire protocol with only the network modeled;
+//     NewSet's sims are sessions on a process-lifetime fleet of servers.
 //   - Dial / DialSet: the same client over real TCP connections to
 //     bdccworker daemons (docs/OPERATIONS.md covers deployment).
 //   - the health prober (health.go): down backends with dialable addresses
@@ -46,12 +47,17 @@
 //     parallelism). Versions must match exactly; Workers() reports the
 //     replied parallelism so the engine can size its in-flight lookahead.
 //   - Partitions: before any scan fragment references a table, the client
-//     ships the worker its partition of it — one manifest frame (segments,
-//     schema, total rows) and the column frames of the worker's local table,
-//     serialised once per table version and adopted by the worker as they
-//     are, published the moment the last column completes. Shipments are
-//     deduplicated per session by content key; join-only queries skip this
-//     step entirely.
+//     has the worker bind its partition of it. It offers the partition's
+//     content digest and manifest (segments, schema, total rows); a worker
+//     that holds a partition of that digest — shipped by any earlier session
+//     — answers that it is resident, and otherwise the client sends the
+//     column frames of the worker's local table, serialised once per table
+//     version and adopted by the worker as they are, digest-checked and
+//     published the moment the last column completes. A worker keeps its
+//     partitions across sessions: a session pins what it binds, and an
+//     unpinned partition is freed once a newer one of its table is resident
+//     (or to make room under the worker's limit). Offers are deduplicated
+//     per session by digest; join-only queries skip this step entirely.
 //   - Setup: the first unit of each operator is preceded by the operator's
 //     serialized plan fragment (one frameSetup per fragment, identified by
 //     a client-assigned id). The worker Prepares the decoded fragment once
@@ -93,7 +99,10 @@
 //     hanging.
 //
 // One backend Set is installed per query (by the planner, when the Shards
-// knob exceeds one or worker addresses are configured); query results are
+// knob exceeds one or worker addresses are configured), and its sessions
+// end with the query — the workers they reach do not: dialed bdccworker
+// daemons, or the process-lifetime simulated fleet NewSet opens its sessions
+// on, keep their resident partitions for the next query. Query results are
 // byte-identical across shard counts, placements, transports,
 // partitioned and shipped-data scans, and mid-query worker failures,
 // because the engine's exchange merges returned batches in group order
@@ -155,18 +164,21 @@ type SetConfig struct {
 	AuthToken string
 }
 
-// NewSet returns a backend set of n simulated remotes, each with its own
-// scheduler of `workers` goroutines, all charging transport activity to one
-// accountant over dev. Simulated remotes have no dialable address, so there
-// is no re-admission; local fallback still applies when the whole set dies.
+// NewSet returns a backend set of n simulated remotes, each a session on one
+// of n process-lifetime in-process workers with a scheduler of `workers`
+// goroutines (the fleet for (n, workers), shared by every such set, as
+// bdccworker daemons are by the sets that dial them), all charging
+// transport activity to one accountant over dev. Simulated remotes have no
+// dialable address, so there is no re-admission; local fallback still
+// applies when the whole set dies.
 func NewSet(n, workers int, dev iosim.Device) *Set {
 	if workers < 1 {
 		workers = 1
 	}
 	s := newSet(n, iosim.NewAccountant(dev))
 	slots := make([]*slot, n)
-	for i := 0; i < n; i++ {
-		b := NewSim(workers, s.net)
+	for i, srv := range fleet(n, workers) {
+		b := dialSim(srv, s.net)
 		slots[i] = &slot{backend: b, workers: b.Workers()}
 	}
 	s.backends, s.f = newFailover(slots, failoverOptions{acct: s.net})
@@ -213,9 +225,10 @@ func newSet(n int, acct *iosim.Accountant) *Set {
 }
 
 // PartitionTable partitions the named base table across the set's workers by
-// its BDCC count entries and ships each worker its partition — manifest plus
-// the column frames of the worker's local table, serialised once per table
-// version (shipmentsOf) and from then on only copied onto sessions. The
+// its BDCC count entries and has each worker bind its partition — offered by
+// content digest, and sent (the column frames of the worker's local table,
+// serialised once per table version by shipmentsOf) only to a worker that
+// does not hold it from an earlier session. The
 // returned Partitioning is the placement the planner splits scatter groups
 // with; it is cached per table name, and shipping failures are deliberately
 // absorbed (a broken session fails its units with ErrBackendDown and

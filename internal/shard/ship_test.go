@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"bdcc/internal/core"
+	"bdcc/internal/engine"
 	"bdcc/internal/plan"
 	"bdcc/internal/shard"
 	"bdcc/internal/storage"
@@ -249,6 +253,187 @@ func TestShipmentsSharedAcrossCallers(t *testing.T) {
 	}
 }
 
+// sameRows fails unless got is want row for row, exact float bits included
+// (Row renders floats in full precision).
+func sameRows(t *testing.T, label string, got, want *engine.Result) {
+	t.Helper()
+	if got.Rows() != want.Rows() {
+		t.Fatalf("%s: %d rows, want %d", label, got.Rows(), want.Rows())
+	}
+	for i := 0; i < want.Rows(); i++ {
+		if !slices.Equal(got.Row(i), want.Row(i)) {
+			t.Fatalf("%s: row %d = %v, want %v", label, i, got.Row(i), want.Row(i))
+		}
+	}
+}
+
+// partFrames sums the partition data frames the servers have received.
+func partFrames(srvs ...*shard.Server) int64 {
+	var n int64
+	for _, s := range srvs {
+		n += shard.PartFrames(s)
+	}
+	return n
+}
+
+// listen serves a fresh worker on addr ("127.0.0.1:0" for any port),
+// retrying while a just-closed listener still holds the port.
+func listen(t *testing.T, addr string) (*shard.Server, string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		l, err := net.Listen("tcp", addr)
+		if err == nil {
+			srv := shard.NewServer(2)
+			go srv.Serve(l)
+			t.Cleanup(func() { srv.Close() })
+			return srv, l.Addr().String()
+		}
+		if time.Now().After(deadline) {
+			t.Fatal(err)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestPartitionsStayResident: a partition shipped to a worker outlives the
+// query that shipped it. A second query on a fresh NewSet, and one on a
+// fresh DialSet to the same bdccworker servers, sends no data frame and
+// returns the serial result byte for byte. An append's new version ships
+// once, and the superseded one is freed when its last session ends; a
+// restarted worker is sent the data again; and a shipment whose frames do
+// not match its digest drops the session, the query completing on the
+// coordinator's fallback with the same result.
+func TestPartitionsStayResident(t *testing.T) {
+	b, err := tpch.NewBenchmarkCompressed(0.005, true, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := b.DBs[plan.BDCC]
+	q := tpch.Query(12) // scatter-scans lineitem and orders
+	run := func(db *plan.DB, opt engine.Options) (*engine.Result, *tpch.Stats) {
+		t.Helper()
+		want, _, _, err := tpch.RunQueryOpts(db, q, engine.Options{Workers: 1, Shards: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, st, _, err := tpch.RunQueryOpts(db, q, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.WorkerIO == nil {
+			t.Fatal("the query did not partition")
+		}
+		sameRows(t, q.Name+" partitioned", got, want)
+		return got, st
+	}
+	lineitems := func(srvs []*shard.Server) []int {
+		out := make([]int, len(srvs))
+		for i, s := range srvs {
+			n, _ := shard.ResidentParts(s)
+			out[i] = n["lineitem"]
+		}
+		return out
+	}
+
+	t.Run("sim", func(t *testing.T) {
+		opt := engine.Options{Workers: 2, Shards: 2, Partition: true}
+		fleet := shard.FleetServers(2, 2)
+		run(db, opt)
+		shipped := partFrames(fleet...)
+		_, st := run(db, opt)
+		if got := partFrames(fleet...); got != shipped {
+			t.Fatalf("a second query on a fresh set sent %d partition data frames", got-shipped)
+		}
+		if st.Net.Bytes > 1<<20 {
+			t.Fatalf("a second query moved %d bytes", st.Net.Bytes)
+		}
+
+		if err := b.EnableIngest(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AppendBatch(tpch.NewDeltaGen(b.Data, 3).Next(20)); err != nil {
+			t.Fatal(err)
+		}
+		snap := db.Snapshot()
+		run(snap, opt)
+		appended := partFrames(fleet...)
+		if appended == shipped {
+			t.Fatal("the appended version was not shipped")
+		}
+		run(snap, opt)
+		if got := partFrames(fleet...); got != appended {
+			t.Fatalf("the appended version shipped twice (%d more frames)", got-appended)
+		}
+		if n := lineitems(fleet); !slices.Equal(n, []int{1, 1}) {
+			t.Fatalf("resident lineitem partitions per worker %v, want the new version alone", n)
+		}
+
+		// Frames that do not match the digest they are offered under.
+		li, err := snap.StoredTable("lineitem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		shard.FlipOfferDigests(li, 2)
+		defer shard.FlipOfferDigests(li, 2)
+		_, st = run(snap, opt)
+		if st.LocalFallbackUnits == 0 {
+			t.Fatal("no unit fell back although every session was dropped")
+		}
+		if n := lineitems(fleet); !slices.Equal(n, []int{1, 1}) {
+			t.Fatalf("a refused transfer changed the resident partitions: %v", n)
+		}
+	})
+
+	t.Run("dial", func(t *testing.T) {
+		w0, addr0 := listen(t, "127.0.0.1:0")
+		w1, addr1 := listen(t, "127.0.0.1:0")
+		opt := engine.Options{Workers: 2, Remotes: []string{addr0, addr1}, Partition: true}
+		run(db, opt)
+		shipped := partFrames(w0, w1)
+		if shard.PartFrames(w0) == 0 || shard.PartFrames(w1) == 0 {
+			t.Fatal("the first query shipped no partition")
+		}
+		run(db, opt)
+		if got := partFrames(w0, w1); got != shipped {
+			t.Fatalf("a second query on a fresh DialSet sent %d partition data frames", got-shipped)
+		}
+		w0.Close()
+		w0, _ = listen(t, addr0)
+		before := shard.PartFrames(w1)
+		run(db, opt)
+		if shard.PartFrames(w0) == 0 {
+			t.Fatal("the restarted worker was not sent its partitions")
+		}
+		if got := shard.PartFrames(w1); got != before {
+			t.Fatalf("the worker that stayed up was sent %d frames", got-before)
+		}
+	})
+}
+
+// TestPartitionedSetLeavesNoGoroutines: a partitioned query over simulated
+// workers leaves the goroutine count where it found it — the fleet's
+// workers hold no goroutine between sessions.
+func TestPartitionedSetLeavesNoGoroutines(t *testing.T) {
+	b, err := tpch.NewBenchmarkCompressed(0.002, true, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := b.DBs[plan.BDCC]
+	opt := engine.Options{Workers: 2, Shards: 2, Partition: true}
+	base := runtime.NumGoroutine()
+	for _, qn := range []int{12, 3} {
+		if _, _, _, err := tpch.RunQueryOpts(db, tpch.Query(qn), opt); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				t.Fatalf("%d goroutines after Q%d, %d before\n%s", runtime.NumGoroutine(), qn, base, buf[:runtime.Stack(buf, true)])
+			}
+		}
+	}
+}
+
 var fixtures sync.Map // sf → *tpch.Benchmark
 
 func lineitem(t testing.TB, sf float64) (*storage.Table, []core.CountEntry) {
@@ -271,48 +456,54 @@ func lineitem(t testing.TB, sf float64) (*storage.Table, []core.CountEntry) {
 
 // BenchmarkPartitionShip times what a partitioned query pays to have
 // lineitem (SF 0.01) on a fresh set of two simulated workers, closing the set
-// so that adoption is inside the measurement: cold, on a table version never
-// shipped (build, ship, adopt), and warm, on one that has been (ship, adopt).
+// so that adoption is inside the measurement: cold, on a table version the
+// workers do not hold (build, digest, offer, send, adopt), and warm, on one
+// they do (an offer answered resident). MB/op is what crossed the wire. A
+// worker holds one unpinned partition per table name, so the cold runs
+// alternate two placements of a fresh version — the blocks in key order and
+// in reverse — each evicting the other.
 func BenchmarkPartitionShip(b *testing.B) {
 	li, entries := lineitem(b, 0.01)
-	ship := func(tab *storage.Table) {
+	reversed := slices.Clone(entries)
+	slices.Reverse(reversed)
+	var sent int64
+	ship := func(tab *storage.Table, entries []core.CountEntry) {
 		set := shard.NewSet(2, 2, shard.PaperNet())
 		set.PartitionTable("lineitem", tab, entries)
 		for _, bk := range set.Backends() {
 			bk.Close()
 		}
-	}
-	var size float64
-	ships, err := shard.ShipmentsOf(li, shard.NewPartitioning("lineitem", entries, 2))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, s := range ships {
-		for _, f := range s.Frames {
-			size += float64(len(f))
-		}
+		sent += set.Net().Stats().Bytes
 	}
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
-		b.ReportMetric(size/(1<<20), "MB/op")
+		b.ReportMetric(float64(sent)/(1<<20)/float64(b.N), "MB/op")
 	}
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
+		sent = 0
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			fresh, err := li.Extract(storage.FullRange(li.Rows())) // a new version: nothing memoised
 			if err != nil {
 				b.Fatal(err)
 			}
+			placement := entries
+			if i%2 == 1 {
+				placement = reversed
+			}
 			b.StartTimer()
-			ship(fresh)
+			ship(fresh, placement)
 		}
 		report(b)
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
+		ship(li, entries) // the workers now hold it
+		sent = 0
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ship(li)
+			ship(li, entries)
 		}
 		report(b)
 	})

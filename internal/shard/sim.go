@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"net"
+	"sync"
 
 	"bdcc/internal/iosim"
 )
@@ -26,32 +27,73 @@ import (
 // simulation and a real bdccworker.
 type Sim struct {
 	*client
-	srv *Server
+	srv   *Server
+	ended <-chan struct{} // closes when the worker side of the session has ended
+	owned bool            // srv is this backend's own, closed with it
 }
 
-// NewSim returns a simulated remote backend whose worker half runs its own
-// pool of `workers` goroutines, charging transport activity to acct (nil
-// disables network accounting).
+// NewSim returns a simulated remote backend on a worker of its own, whose
+// pool runs `workers` goroutines, charging transport activity to acct (nil
+// disables network accounting). Its worker meters this backend alone.
 func NewSim(workers int, acct *iosim.Accountant) *Sim {
-	srv := NewServer(workers)
+	s := dialSim(NewServer(workers), acct)
+	s.owned = true
+	return s
+}
+
+// dialSim opens one session on srv over a fresh pipe.
+func dialSim(srv *Server, acct *iosim.Accountant) *Sim {
 	local, remote := net.Pipe()
-	srv.ServeConn(remote)
+	ended := srv.ServeConn(remote)
 	cl, err := newClient(local, "sim", "", acct)
 	if err != nil {
 		// The handshake runs between two goroutines of this process over a
 		// fresh pipe; it cannot fail without a protocol-implementation bug.
 		panic(fmt.Sprintf("shard: in-process handshake failed: %v", err))
 	}
-	return &Sim{client: cl, srv: srv}
+	return &Sim{client: cl, srv: srv, ended: ended}
+}
+
+// fleets holds the simulated workers NewSet opens its sessions on: one
+// fleet of n Servers per (n, workers), created on first use and kept for the
+// life of the process, as bdccworker daemons outlive the queries that dial
+// them — so a partition shipped to a fleet worker stays resident for the
+// next query's set. An idle Server holds no goroutines.
+var fleets struct {
+	sync.Mutex
+	m map[[2]int][]*Server
+}
+
+// fleet returns the n simulated workers of `workers` pool goroutines each.
+func fleet(n, workers int) []*Server {
+	fleets.Lock()
+	defer fleets.Unlock()
+	key := [2]int{n, workers}
+	if fleets.m == nil {
+		fleets.m = make(map[[2]int][]*Server)
+	}
+	if f, ok := fleets.m[key]; ok {
+		return f
+	}
+	f := make([]*Server, n)
+	for i := range f {
+		f[i] = NewServer(workers)
+	}
+	fleets.m[key] = f
+	return f
 }
 
 // Close implements engine.Backend: it closes the client half (joining its
-// read loop) and shuts the in-process worker down (joining its session and
-// in-flight unit tasks), so a closed backend leaves no goroutines behind on
-// either side of the pipe.
+// read loop) and joins the worker side of the session — its read loop and
+// in-flight unit tasks — so a closed backend leaves no goroutines behind on
+// either side of the pipe. A backend of NewSim shuts its own worker down
+// too; a fleet worker lives on.
 func (s *Sim) Close() error {
 	err := s.client.Close()
-	s.srv.Close()
+	<-s.ended
+	if s.owned {
+		s.srv.Close()
+	}
 	return err
 }
 

@@ -48,6 +48,7 @@ type Session struct {
 	wmu   sync.Mutex
 	tasks sync.WaitGroup
 	end   func() // tasks.Done, bound once so that Begin allocates nothing
+	ended []func()
 }
 
 // Write sends one frame on the session; concurrent writers take turns. A
@@ -66,6 +67,11 @@ func (s *Session) Begin() (end func()) {
 	s.tasks.Add(1)
 	return s.end
 }
+
+// OnEnd registers fn to run once the session has ended — its connection
+// closed and its work joined — on the session's own goroutine. Call it from
+// Open or from the session's handler.
+func (s *Session) OnEnd(fn func()) { s.ended = append(s.ended, fn) }
 
 // Serve accepts sessions on ln until ln fails or the listener closes, and
 // returns nil after Close.
@@ -95,13 +101,17 @@ func (l *Listener) Serve(ln net.Listener) error {
 
 // ServeConn starts one session over an established connection (an accepted
 // socket, a net.Pipe end) and returns at once; the session runs on its own
-// goroutine until the peer or the listener closes it.
-func (l *Listener) ServeConn(conn net.Conn) {
+// goroutine until the peer or the listener closes it. The returned channel
+// closes when the session has ended: its work joined and its OnEnd
+// functions run.
+func (l *Listener) ServeConn(conn net.Conn) <-chan struct{} {
+	ended := make(chan struct{})
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		conn.Close()
-		return
+		close(ended)
+		return ended
 	}
 	if l.conns == nil {
 		l.conns = make(map[net.Conn]struct{})
@@ -111,11 +121,13 @@ func (l *Listener) ServeConn(conn net.Conn) {
 	l.mu.Unlock()
 	go func() {
 		defer l.wg.Done()
+		defer close(ended)
 		l.session(conn)
 		l.mu.Lock()
 		delete(l.conns, conn)
 		l.mu.Unlock()
 	}()
+	return ended
 }
 
 // session is one connection's lifetime: hello, the read loop, then the
@@ -139,6 +151,9 @@ func (l *Listener) session(conn net.Conn) {
 	}
 	conn.Close()
 	s.tasks.Wait()
+	for _, fn := range s.ended {
+		fn()
+	}
 }
 
 // Close stops every listener, closes every session's connection — failing
