@@ -27,7 +27,9 @@ import (
 // filter, so pruning only ever has to be conservative. On a compressed table
 // the scan also pushes the filter's implied value intervals into its readers,
 // which evaluate them on the encoded form (per RLE run, on dictionary codes)
-// before rows materialize.
+// before rows materialize. A reader decodes only the rows it emits, so the
+// reader each group (morsel, unit) opens unpacks that group's rows, not the
+// whole chunks they sit in.
 type Scan struct {
 	Table *storage.Table
 	Cols  []string

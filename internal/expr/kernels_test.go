@@ -596,3 +596,42 @@ func first[T any](s []T) any {
 	}
 	return &s[:1][0]
 }
+
+// FuzzLike holds the compiled matcher to naiveLike under LIKE and NOT LIKE.
+// The fuzzed bytes are mapped onto small alphabets — patterns onto %, _ and
+// two literals, inputs onto the literals plus a literal % and _ — so that
+// segments recur, overlap and straddle each other often enough to match.
+// Inputs are cut to 24 bytes and patterns to 8: the reference backtracks
+// once per split at every %, which a longer all-% pattern makes explode.
+func FuzzLike(f *testing.F) {
+	for _, seed := range [][2]string{
+		{"special packs requests", "%special%requests%"}, {"banana", "b%na"}, {"ab", "%a_%"},
+		{"", ""}, {"aab", "%ab"}, {"abab", "%_b%ab"}, {"b", "%"}, {"a%b", "a%b"},
+	} {
+		f.Add([]byte(seed[0]), []byte(seed[1]))
+	}
+	schema := Schema{{Name: "s", Kind: vector.String}}
+	f.Fuzz(func(t *testing.T, in, pat []byte) {
+		in, pat = in[:min(len(in), 24)], pat[:min(len(pat), 8)]
+		s, p := make([]byte, len(in)), make([]byte, len(pat))
+		for i, c := range in {
+			s[i] = "ab%_"[c%4]
+		}
+		for i, c := range pat {
+			p[i] = "%_ab"[c%4]
+		}
+		b := vector.NewBatch(schema.Kinds())
+		b.Cols[0].Str = []string{string(s)}
+		want := naiveLike(string(s), string(p))
+		for _, e := range []*Like{NewLike(C("s"), string(p)), NewNotLike(C("s"), string(p))} {
+			if err := Bind(e, schema); err != nil {
+				t.Fatal(err)
+			}
+			out := NewScratch(vector.Int64)
+			e.Eval(b, out)
+			if got := out.I64[0] == 1; got != (want != e.Negate) {
+				t.Fatalf("%q %s = %v, want %v", s, e, got, want != e.Negate)
+			}
+		}
+	})
+}

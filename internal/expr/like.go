@@ -95,8 +95,16 @@ func segMatchAt(s string, seg likeSeg, i int) bool {
 	return true
 }
 
-// segFind returns the first position ≥ from where seg matches s, or -1.
+// segFind returns the first position ≥ from where seg matches s, or -1. A
+// segment without _ is a plain substring, found by the runtime's vectorised
+// search; one with _ is tried at every position.
 func segFind(s string, seg likeSeg, from int) int {
+	if strings.IndexByte(string(seg), '_') < 0 {
+		if at := strings.Index(s[from:], string(seg)); at >= 0 {
+			return from + at
+		}
+		return -1
+	}
 	for i := from; i+len(seg) <= len(s); i++ {
 		if segMatchAt(s, seg, i) {
 			return i

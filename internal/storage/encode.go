@@ -21,7 +21,6 @@ import (
 // The chunk and its encodings, under the names storage has always used.
 type (
 	Chunk    = vector.Chunk
-	ChunkBuf = vector.ChunkBuf
 	Encoding = vector.Encoding
 )
 

@@ -15,19 +15,15 @@ import (
 )
 
 // decodeAll materializes every chunk of a compressed column back into one
-// flat slice triple via the reader-facing Chunk.Decode path.
+// flat slice triple through the reader's range kernel, Chunk.AppendRange,
+// one whole chunk at a time.
 func decodeAll(c *Column) ([]int64, []float64, []string) {
-	var i64 []int64
-	var f64 []float64
-	var str []string
-	var buf ChunkBuf
+	v := &vector.Vector{Kind: c.Kind}
 	for ci := range c.Enc.Chunks {
-		c.Enc.Chunks[ci].Decode(c.Kind, c.Enc.Dict, &buf)
-		i64 = append(i64, buf.I64...)
-		f64 = append(f64, buf.F64...)
-		str = append(str, buf.Str...)
+		ch := &c.Enc.Chunks[ci]
+		ch.AppendRange(c.Enc.Dict, 0, ch.Rows, v)
 	}
-	return i64, f64, str
+	return v.I64, v.F64, v.Str
 }
 
 // roundTripI64 encodes vals at the given chunk granularity and fails unless

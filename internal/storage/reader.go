@@ -15,24 +15,18 @@ type PushPred struct {
 	Iv  Interval
 }
 
-// colBuf caches one decoded chunk per output column so consecutive spans of
-// the same chunk decode once.
-type colBuf struct {
-	ci  int // decoded chunk index, -1 when empty
-	buf ChunkBuf
-}
-
 // Reader iterates the given row ranges of selected columns, producing
 // batches. Device I/O for the covered pages is charged to the accountant
 // once, at construction, with page runs coalesced across the range set —
-// matching a scan that issues all its reads up front. Compressed columns
-// materialize chunk-at-a-time into reused scratch.
+// matching a scan that issues all its reads up front. A compressed column
+// decodes only the rows a batch takes, each span of a chunk straight into
+// the batch (Chunk.AppendRange): a reader over one group of a scatter scan
+// unpacks that group's rows, not the whole chunks they sit in.
 type Reader struct {
 	t      *Table
 	cols   []int
 	ranges RowRanges
 	push   []PushPred
-	bufs   []colBuf
 	spans  []RowRange // pushdown scratch, ping-ponged per predicate
 	spans2 []RowRange
 	ri     int // current range index
@@ -56,10 +50,6 @@ func NewReaderPush(t *Table, cols []int, ranges RowRanges, acct *iosim.Accountan
 	}
 	t.ChargeIO(acct, cols, ranges)
 	r := &Reader{t: t, cols: cols, ranges: ranges, push: push, limit: vector.BatchSize}
-	r.bufs = make([]colBuf, len(cols))
-	for i := range r.bufs {
-		r.bufs[i].ci = -1
-	}
 	if len(ranges) > 0 {
 		r.pos = ranges[0].Start
 	}
@@ -135,45 +125,29 @@ func (r *Reader) Next(out *vector.Batch) bool {
 	return out.Len() > 0
 }
 
-// copySpan appends rows [lo,hi) of every selected column to out. Raw columns
-// and raw-fallback chunks copy straight from where their values live; encoded
-// chunks decode into the per-column scratch once and serve every span that
-// touches them.
+// copySpan appends rows [lo,hi) of every selected column to out: uncompressed
+// columns copy from their arrays, compressed ones decode each chunk's piece
+// of the span into out.
 func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
 	for i, ci := range r.cols {
 		c := r.t.Cols[ci]
 		dst := out.Cols[i]
 		if c.Enc == nil {
-			appendVals(dst, c.I64, c.F64, c.Str, lo, hi)
+			switch dst.Kind {
+			case vector.Int64:
+				dst.I64 = append(dst.I64, c.I64[lo:hi]...)
+			case vector.Float64:
+				dst.F64 = append(dst.F64, c.F64[lo:hi]...)
+			case vector.String:
+				dst.Str = append(dst.Str, c.Str[lo:hi]...)
+			}
 			continue
 		}
 		for p := lo; p < hi; {
-			k := c.Enc.chunkIndex(p)
-			ch := &c.Enc.Chunks[k]
+			ch := &c.Enc.Chunks[c.Enc.chunkIndex(p)]
 			end := min(hi, ch.Start+ch.Rows)
-			if ch.Enc == EncRaw {
-				appendVals(dst, ch.ValI, ch.ValF, ch.ValS, p-ch.Start, end-ch.Start)
-			} else {
-				cb := &r.bufs[i]
-				if cb.ci != k {
-					ch.Decode(c.Kind, c.Enc.Dict, &cb.buf)
-					cb.ci = k
-				}
-				appendVals(dst, cb.buf.I64, cb.buf.F64, cb.buf.Str, p-ch.Start, end-ch.Start)
-			}
+			ch.AppendRange(c.Enc.Dict, p-ch.Start, end-ch.Start, dst)
 			p = end
 		}
-	}
-}
-
-// appendVals appends window [lo,hi) of the slice matching dst's kind.
-func appendVals(dst *vector.Vector, i64 []int64, f64 []float64, str []string, lo, hi int) {
-	switch dst.Kind {
-	case vector.Int64:
-		dst.I64 = append(dst.I64, i64[lo:hi]...)
-	case vector.Float64:
-		dst.F64 = append(dst.F64, f64[lo:hi]...)
-	case vector.String:
-		dst.Str = append(dst.Str, str[lo:hi]...)
 	}
 }

@@ -438,7 +438,8 @@ func TestColumnWireStructure(t *testing.T) {
 
 // FuzzDecodeColumnFrame: arbitrary bytes offered as a column frame either
 // adopt cleanly or error — never panic, and never leave a column whose
-// chunks a reader could index out of bounds.
+// chunks a reader could index out of bounds. An adopted column read by two
+// readers split at a row the input picks reads what one reader reads.
 func FuzzDecodeColumnFrame(f *testing.F) {
 	for _, compress := range []bool{true, false} {
 		tab := wireFixture(f, 300, compress)
@@ -466,14 +467,23 @@ func FuzzDecodeColumnFrame(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewReader(tab, []int{0}, nil, nil)
-		b := vector.NewBatch([]vector.Kind{kind})
-		rows := 0
-		for r.Next(b) {
-			rows += b.Len()
+		read := func(ranges RowRanges) *vector.Vector {
+			r := NewReader(tab, []int{0}, ranges, nil)
+			b, out := vector.NewBatch([]vector.Kind{kind}), &vector.Vector{Kind: kind}
+			for r.Next(b) {
+				out.AppendVector(b.Cols[0])
+			}
+			return out
 		}
-		if rows != 300 {
-			t.Fatalf("adopted column reads back %d rows, declared 300", rows)
+		whole := read(nil)
+		if whole.Len() != 300 {
+			t.Fatalf("adopted column reads back %d rows, declared 300", whole.Len())
+		}
+		split := len(data) % 301
+		parts := read(RowRanges{{0, split}})
+		parts.AppendVector(read(RowRanges{{split, 300}}))
+		if !slices.Equal(parts.I64, whole.I64) || !slices.Equal(bitsOf(parts.F64), bitsOf(whole.F64)) || !slices.Equal(parts.Str, whole.Str) {
+			t.Fatalf("split at row %d, two readers read other values than one", split)
 		}
 	})
 }

@@ -333,74 +333,79 @@ func (d *StrDict) ColumnDict(vals []string) (dict []string, codes []uint32, bitw
 	return d.Sort(), d.IDs, bitw, dictBytes
 }
 
-// ChunkBuf is reusable decode scratch: one chunk's values, materialized.
-type ChunkBuf struct {
-	I64 []int64
-	F64 []float64
-	Str []string
-}
-
-// Decode materializes the chunk's values into buf, resetting it first. Raw
-// chunks copy their values; the other encodings reconstruct the exact
-// original values. dict is the dictionary the chunk's codes index, checked
-// against them when the chunk was built or read.
-func (ch *Chunk) Decode(kind Kind, dict []string, buf *ChunkBuf) {
-	switch kind {
+// AppendRange appends the chunk's rows [lo,hi) to dst, a vector of the
+// chunk's column kind, decoding only those rows and straight into dst's tail:
+// frame-of-reference and dictionary codes unpack from bit offset lo, runs fill
+// from the run holding lo, raw values copy. The values are the exact
+// originals. dict is the dictionary the chunk's codes index, checked against
+// them when the chunk was built or read.
+func (ch *Chunk) AppendRange(dict []string, lo, hi int, dst *Vector) {
+	if lo >= hi {
+		return
+	}
+	switch dst.Kind {
 	case Int64:
-		buf.I64 = slices.Grow(buf.I64[:0], ch.Rows)[:ch.Rows]
+		var tail []int64
+		dst.I64, tail = grow(dst.I64, hi-lo)
 		switch ch.Enc {
 		case EncRaw:
-			copy(buf.I64, ch.ValI)
+			copy(tail, ch.ValI[lo:])
 		case EncRLE:
-			fillRuns(buf.I64, ch.RunI, ch.RunN)
+			fillRuns(tail, ch.RunI, ch.RunN, lo, func(v int64) int64 { return v })
 		case EncFOR:
-			BitUnpack(buf.I64, ch.Packed, 0, ch.BitW)
-			for i := range buf.I64 {
-				buf.I64[i] += ch.Base
+			BitUnpack(tail, ch.Packed, lo, ch.BitW)
+			for i := range tail {
+				tail[i] += ch.Base
 			}
 		}
 	case Float64:
-		buf.F64 = slices.Grow(buf.F64[:0], ch.Rows)[:ch.Rows]
+		var tail []float64
+		dst.F64, tail = grow(dst.F64, hi-lo)
 		switch ch.Enc {
 		case EncRaw:
-			copy(buf.F64, ch.ValF)
+			copy(tail, ch.ValF[lo:])
 		case EncRLE:
-			pos := 0
-			for r, b := range ch.RunF {
-				run := buf.F64[pos : pos+int(ch.RunN[r])]
-				for k := range run {
-					run[k] = math.Float64frombits(b)
-				}
-				pos += len(run)
-			}
+			fillRuns(tail, ch.RunF, ch.RunN, lo, math.Float64frombits)
 		}
 	case String:
-		buf.Str = slices.Grow(buf.Str[:0], ch.Rows)[:ch.Rows]
+		var tail []string
+		dst.Str, tail = grow(dst.Str, hi-lo)
 		switch ch.Enc {
 		case EncRaw:
-			copy(buf.Str, ch.ValS)
+			copy(tail, ch.ValS[lo:])
 		case EncRLE:
-			fillRuns(buf.Str, ch.RunS, ch.RunN)
+			fillRuns(tail, ch.RunS, ch.RunN, lo, func(v string) string { return v })
 		case EncDict:
 			var blk [256]uint64
-			for base := 0; base < ch.Rows; base += len(blk) {
-				codes := blk[:min(len(blk), ch.Rows-base)]
-				BitUnpack(codes, ch.Packed, base, ch.BitW)
+			for base := 0; base < len(tail); base += len(blk) {
+				codes := blk[:min(len(blk), len(tail)-base)]
+				BitUnpack(codes, ch.Packed, lo+base, ch.BitW)
 				for i, code := range codes {
-					buf.Str[base+i] = dict[code]
+					tail[base+i] = dict[code]
 				}
 			}
 		}
 	}
 }
 
-// fillRuns expands run-length pairs into dst, whose length is the runs' sum.
-func fillRuns[T any](dst []T, vals []T, lens []int32) {
-	pos := 0
-	for r, val := range vals {
-		run := dst[pos : pos+int(lens[r])]
+// grow extends s by n elements and returns it with the new tail.
+func grow[T any](s []T, n int) ([]T, []T) {
+	s = slices.Grow(s, n)[:len(s)+n]
+	return s, s[len(s)-n:]
+}
+
+// fillRuns fills dst with the run-length expansion of vals and lens from row
+// lo of the runs on, converting each run's value once.
+func fillRuns[T, V any](dst []T, vals []V, lens []int32, lo int, conv func(V) T) {
+	r := 0
+	for ; lo >= int(lens[r]); r++ {
+		lo -= int(lens[r])
+	}
+	for pos := 0; pos < len(dst); r, lo = r+1, 0 {
+		run := dst[pos:min(len(dst), pos+int(lens[r])-lo)]
+		v := conv(vals[r])
 		for k := range run {
-			run[k] = val
+			run[k] = v
 		}
 		pos += len(run)
 	}

@@ -162,9 +162,7 @@ func DecodeBatch(data []byte) (*Batch, int, error) {
 			if ch.Enc == EncRaw { // decoded into arrays nothing else holds
 				v.I64, v.F64, v.Str = ch.ValI, ch.ValF, ch.ValS
 			} else {
-				var vals ChunkBuf
-				ch.Decode(v.Kind, dict, &vals)
-				v.I64, v.F64, v.Str = vals.I64, vals.F64, vals.Str
+				ch.AppendRange(dict, 0, n, v)
 			}
 		}
 		b.Cols[i] = v
