@@ -105,8 +105,9 @@ type UseBinding struct {
 //
 //	(i)   assign round-robin interleaved masks at maximal granularity
 //	      B = Σ bits(D(Uᵢ));
-//	(ii)  compute _bdcc_ at granularity B and sort the table on it (the
-//	      per-granularity group-size histograms are GroupStats, on demand);
+//	(ii)  compute _bdcc_ at granularity B and sort the table on it, a radix
+//	      sort (storage.SortPerm; the per-granularity group-size histograms
+//	      are GroupStats, on demand);
 //	(iii) find the densest (widest) column and choose the largest b ≤ B such
 //	      that most tuples live in groups of at least the efficient random
 //	      access size AR (see DESIGN.md on the AR/2 rounding that reproduces
@@ -115,7 +116,9 @@ type UseBinding struct {
 //
 // Afterwards, unless disabled, groups below the efficient size are copied to
 // a consecutive relocation area at the end of the table and their original
-// extents marked invalid in the count table.
+// extents marked invalid in the count table. The copy extends the sorted
+// table (storage.Table.AppendRows): a compressed one keeps its chunks where
+// the encoder allows and encodes the relocation area, not the table again.
 func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt BuildOptions) (*BDCCTable, error) {
 	if len(uses) == 0 {
 		return nil, fmt.Errorf("core: BDCC table %s needs at least one dimension use", name)

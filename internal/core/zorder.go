@@ -103,42 +103,33 @@ func ValidateMasks(masks []uint64, b int) error {
 // dimBits) at the mask's positions within a b-bit key: the most significant
 // mask position receives the most significant used bin bit (Definition 4:
 // "map the major ones(M(Uᵢ)) bits of nᵢ to _bdcc_ according to mask M(Uᵢ)").
+// It is a software PDEP: one step per mask bit, depositing the reduced bin's
+// bits from the low end into the mask's set bits from the low end. A mask
+// bit at or above b takes a bin bit but is not placed.
 func ScatterBits(bin uint64, dimBits int, mask uint64, b int) uint64 {
 	n := Ones(mask)
-	if n == 0 {
-		return 0
-	}
-	reduced := bin
 	if dimBits > n {
-		reduced = bin >> uint(dimBits-n)
+		bin >>= uint(dimBits - n)
 	}
+	mask &= 1<<uint(b) - 1
+	bin >>= uint(n - Ones(mask))
 	var key uint64
-	next := n - 1 // index of the next (currently most significant unplaced) bit
-	for pos := 0; pos < b; pos++ {
-		bit := uint(b - 1 - pos)
-		if mask&(1<<bit) == 0 {
-			continue
-		}
-		key |= ((reduced >> uint(next)) & 1) << bit
-		next--
-		if next < 0 {
-			break
-		}
+	for m := mask; m != 0; m &= m - 1 {
+		key |= m & -m & -(bin & 1)
+		bin >>= 1
 	}
 	return key
 }
 
-// GatherBits extracts the bits of key at the mask's positions, returning an
-// integer of width ones(mask) — the inverse of ScatterBits on the reduced
-// bin number.
+// GatherBits extracts the bits of key at the mask's positions within b bits,
+// returning an integer of width ones(mask) — the inverse of ScatterBits on
+// the reduced bin number. It is ScatterBits' mirror, a software PEXT.
 func GatherBits(key uint64, mask uint64, b int) uint64 {
 	var out uint64
-	for pos := 0; pos < b; pos++ {
-		bit := uint(b - 1 - pos)
-		if mask&(1<<bit) == 0 {
-			continue
-		}
-		out = out<<1 | ((key >> bit) & 1)
+	k := uint(0)
+	for m := mask & (1<<uint(b) - 1); m != 0; m &= m - 1 {
+		out |= (key >> uint(bits.TrailingZeros64(m)) & 1) << k
+		k++
 	}
 	return out
 }

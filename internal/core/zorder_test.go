@@ -194,3 +194,93 @@ func TestTruncateMasksDropsMinorBits(t *testing.T) {
 		}
 	}
 }
+
+// refScatterBits is ScatterBits as a loop over all b key positions, major
+// to minor: the definition the one-step-per-mask-bit form must reproduce.
+func refScatterBits(bin uint64, dimBits int, mask uint64, b int) uint64 {
+	n := Ones(mask)
+	if n == 0 {
+		return 0
+	}
+	reduced := bin
+	if dimBits > n {
+		reduced = bin >> uint(dimBits-n)
+	}
+	var key uint64
+	next := n - 1 // index of the next (currently most significant unplaced) bit
+	for pos := 0; pos < b; pos++ {
+		bit := uint(b - 1 - pos)
+		if mask&(1<<bit) == 0 {
+			continue
+		}
+		key |= ((reduced >> uint(next)) & 1) << bit
+		next--
+		if next < 0 {
+			break
+		}
+	}
+	return key
+}
+
+// refGatherBits is GatherBits as a loop over all b key positions.
+func refGatherBits(key uint64, mask uint64, b int) uint64 {
+	var out uint64
+	for pos := 0; pos < b; pos++ {
+		bit := uint(b - 1 - pos)
+		if mask&(1<<bit) == 0 {
+			continue
+		}
+		out = out<<1 | ((key >> bit) & 1)
+	}
+	return out
+}
+
+// TestScatterGatherMatchReference holds ScatterBits and GatherBits to the
+// position loops on the masks the builder makes — round-robin and
+// major-minor at full granularity, and truncated to every b — with dimBits
+// above, at and below ones(mask), and checks the gather(scatter) round trip.
+func TestScatterGatherMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	type masked struct {
+		masks []uint64
+		b     int
+	}
+	var cases []masked
+	for _, uses := range [][]int{{13, 5, 5, 13}, {3, 2, 4}, {1}, {20, 20, 22}, {7, 0, 9}} {
+		for _, assign := range []func([]int) ([]uint64, int){RoundRobinMasks, MajorMinorMasks} {
+			masks, full := assign(uses)
+			cases = append(cases, masked{masks, full})
+			for b := 1; b < full; b++ {
+				cases = append(cases, masked{TruncateMasks(masks, full, b), b})
+			}
+		}
+	}
+	for _, c := range cases {
+		for _, mask := range c.masks {
+			n := Ones(mask)
+			for _, dimBits := range []int{0, max(n-3, 0), n, n + 1, n + 9} {
+				for trial := 0; trial < 20; trial++ {
+					bin := rng.Uint64() & (1<<uint(dimBits) - 1)
+					key := ScatterBits(bin, dimBits, mask, c.b)
+					if want := refScatterBits(bin, dimBits, mask, c.b); key != want {
+						t.Fatalf("ScatterBits(%b, %d, %b, %d) = %b, want %b", bin, dimBits, mask, c.b, key, want)
+					}
+					if got, want := GatherBits(key, mask, c.b), refGatherBits(key, mask, c.b); got != want {
+						t.Fatalf("GatherBits(%b, %b, %d) = %b, want %b", key, mask, c.b, got, want)
+					}
+					noise := rng.Uint64() & (1<<uint(c.b) - 1)
+					if got, want := GatherBits(noise, mask, c.b), refGatherBits(noise, mask, c.b); got != want {
+						t.Fatalf("GatherBits(%b, %b, %d) = %b, want %b", noise, mask, c.b, got, want)
+					}
+					reduced := bin
+					if dimBits > n {
+						reduced >>= uint(dimBits - n)
+					}
+					if got := GatherBits(key, mask, c.b); got != reduced {
+						t.Fatalf("GatherBits(ScatterBits(%b)) = %b, want %b (mask %b, dimBits %d)", bin, got, reduced, mask, dimBits)
+					}
+				}
+			}
+		}
+	}
+}

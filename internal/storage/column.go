@@ -109,9 +109,10 @@ func strWidth(total, n int) float64 {
 // encode builds the chunk-encoded form at the given granularity (rows per
 // page at raw width) and points the modeled width at the encoded bytes.
 // finish() keeps the raw-mode width behavior untouched. dict is scratch the
-// table's string columns share.
-func (c *Column) encode(chunkRows int, dict *vector.StrDict) {
-	c.Enc = encodeColumn(c, chunkRows, dict)
+// table's string columns share; par and inPlace name chunks to keep (see
+// encodeColumn).
+func (c *Column) encode(chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) {
+	c.Enc = encodeColumn(c, chunkRows, dict, par, inPlace)
 	c.useEncodedWidth()
 }
 
@@ -157,18 +158,6 @@ func (c *Column) reserve(n int) {
 		c.F64 = make([]float64, 0, n)
 	case vector.String:
 		c.Str = make([]string, 0, n)
-	}
-}
-
-// appendRows appends rows [lo,hi) of src to c (same kind).
-func (c *Column) appendRows(src *Column, lo, hi int) {
-	switch c.Kind {
-	case vector.Int64:
-		c.I64 = append(c.I64, src.I64[lo:hi]...)
-	case vector.Float64:
-		c.F64 = append(c.F64, src.F64[lo:hi]...)
-	case vector.String:
-		c.Str = append(c.Str, src.Str[lo:hi]...)
 	}
 }
 

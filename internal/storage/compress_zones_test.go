@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"bdcc/internal/storage"
-	"bdcc/internal/tpch"
 	"bdcc/internal/vector"
 )
 
@@ -13,7 +12,7 @@ import (
 // give, with the rows that hold them recorded; the same tables adopted from
 // their frames build their zones from the chunks, without rows.
 func TestCompressKeepsZones(t *testing.T) {
-	b, err := tpch.NewBenchmarkCompressed(0.01, true)
+	b, err := tpchSF01()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,18 +150,28 @@ func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
 	}
-	sp := &spliced{parent: a, aRows: aRows, runs: spliceRuns(src, aRows)}
+	return (&spliced{parent: a, aRows: aRows, runs: spliceRuns(src, aRows)}).build(b, len(src))
+}
+
+// build returns the uncompressed table of the n rows sp's runs copy from the
+// first aRows rows of its parent followed by b's (nil: no batch), with its
+// zones derived from the parent's.
+func (sp *spliced) build(b *Table, n int) (*Table, error) {
+	a := sp.parent
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
-		o := b.Cols[i]
+		o := &Column{}
+		if b != nil {
+			o = b.Cols[i]
+		}
 		nc := &Column{Name: c.Name, Kind: c.Kind}
 		switch c.Kind {
 		case vector.Int64:
-			nc.I64 = gather(c.I64[:aRows], o.I64, sp.runs, len(src))
+			nc.I64 = gather(c.I64[:sp.aRows], o.I64, sp.runs, n)
 		case vector.Float64:
-			nc.F64 = gather(c.F64[:aRows], o.F64, sp.runs, len(src))
+			nc.F64 = gather(c.F64[:sp.aRows], o.F64, sp.runs, n)
 		case vector.String:
-			nc.Str = gather(c.Str[:aRows], o.Str, sp.runs, len(src))
+			nc.Str = gather(c.Str[:sp.aRows], o.Str, sp.runs, n)
 		}
 		cols[i] = nc
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 
 	"bdcc/internal/vector"
@@ -56,24 +57,41 @@ type ColumnEncoding struct {
 }
 
 // encodeColumn builds the encoded form of c at the given chunk granularity
-// (rows per uncompressed page, so chunks are page-aligned at raw width).
-func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict) *ColumnEncoding {
+// (rows per uncompressed page, so chunks are page-aligned at raw width). par,
+// when not nil, is the encoding of a column whose rows [0, inPlace) c holds
+// at the same rows: its whole chunks there are kept as they are when c's
+// chunks are as long and c's dictionary is par's (or neither has one). Those
+// are exactly the chunks encoding c would build: a chunk's encoding depends
+// only on its values and, for strings, on the dictionary's codes and width —
+// and a chunk of a column whose viable dictionary settleDict dropped did not
+// dictionary-encode, so it is what no dictionary gives. A kept raw chunk is
+// re-windowed onto c's arrays, so par's are not kept alive.
+func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) *ColumnEncoding {
 	n := c.Len()
 	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows)}
 	var codes []uint32 // per-row dictionary codes; nil: no dictionary
 	if c.Kind == vector.String && n > 0 {
 		e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(c.Str)
 	}
+	kept := 0
+	if par != nil && par.ChunkRows == chunkRows && slices.Equal(e.Dict, par.Dict) {
+		kept = inPlace / chunkRows
+	}
 	for i := range e.Chunks {
 		ch := &e.Chunks[i]
 		start := i * chunkRows
 		end := min(start+chunkRows, n)
-		switch c.Kind {
-		case vector.Int64:
+		switch {
+		case i < kept:
+			*ch = par.Chunks[i]
+			if ch.Enc == EncRaw {
+				rewindow(ch, c, start, end)
+			}
+		case c.Kind == vector.Int64:
 			ch.EncodeI64(c.I64[start:end])
-		case vector.Float64:
+		case c.Kind == vector.Float64:
 			ch.EncodeF64(c.F64[start:end])
-		case vector.String:
+		case c.Kind == vector.String:
 			var chunkCodes []uint32
 			if codes != nil {
 				chunkCodes = codes[start:end]
@@ -92,6 +110,18 @@ func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict) *ColumnEncodin
 	}
 	e.settleDict()
 	return e
+}
+
+// rewindow points the raw chunk ch at rows [start,end) of c's values.
+func rewindow(ch *Chunk, c *Column, start, end int) {
+	switch c.Kind {
+	case vector.Int64:
+		ch.ValI = c.I64[start:end]
+	case vector.Float64:
+		ch.ValF = c.F64[start:end]
+	case vector.String:
+		ch.ValS = c.Str[start:end]
+	}
 }
 
 // settleDict charges the dictionary to the column once its chunks are all

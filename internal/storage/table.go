@@ -2,8 +2,8 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -77,17 +77,27 @@ func newTable(name string, pageSize int64, cols []*Column, sp *spliced) (*Table,
 // shrinking rows-per-page, page counts and ChargeIO accordingly — and keeps
 // the zonemaps: a chunk is a raw-width page, so its bounds are the page's,
 // and the rows holding them stay known to the next splice. Zones without
-// those rows are built from the chunks. Permute and AppendRows preserve
-// compression by re-encoding in the new row order, which is how BDCC
-// clustering improves the ratio. Idempotent; safe to call on a table
-// already compressed.
-func (t *Table) Compress() {
+// those rows are built from the chunks. Permute re-encodes in the new row
+// order, which is how BDCC clustering improves the ratio; Extract and
+// AppendRows keep the chunks of rows left in place. Idempotent; safe to call
+// on a table already compressed.
+func (t *Table) Compress() { t.compress(nil) }
+
+// compress is Compress for a table whose rows sp gathered (nil: none) from a
+// compressed parent: the parent's whole chunks over the rows its leading run
+// leaves in place are kept where the encoder allows (see encodeColumn).
+func (t *Table) compress(sp *spliced) {
 	t.compressed = true
 	t.derived.Clear() // whatever was derived from the uncompressed form is stale
 	var dict vector.StrDict
 	for i, c := range t.Cols {
 		c.finish() // chunk granularity is page-aligned at the raw width
-		c.encode(t.rowsPerPage(c), &dict)
+		var par *ColumnEncoding
+		inPlace := 0
+		if sp != nil && len(sp.runs) > 0 && sp.runs[0].src == 0 {
+			par, inPlace = sp.parent.Cols[i].Enc, int(sp.runs[0].n)
+		}
+		c.encode(t.rowsPerPage(c), &dict, par, inPlace)
 		if t.zones[i].minAt == nil {
 			t.zones[i] = zonemapFromChunks(c)
 		}
@@ -257,46 +267,77 @@ func (t *Table) Permute(perm []int32) (*Table, error) {
 // AppendRows returns a new table consisting of t followed by the given row
 // ranges of t copied once more at the end. This implements the paper's
 // small-group relocation: "the low percentage of data in very small groups
-// ... is copied and appended once more to table T". Zonemaps are rebuilt.
+// ... is copied and appended once more to table T". It is Extract, so its
+// zones are derived from t's and, when t is compressed, t's whole chunks are
+// kept where the encoder allows: what is encoded is the relocated tail and
+// the chunk t's last partial one becomes.
 func (t *Table) AppendRows(ranges RowRanges) (*Table, error) {
 	return t.Extract(append(RowRanges{{0, t.rows}}, ranges...))
 }
 
 // Extract returns a new table holding the given row ranges of t, in the order
-// given (ranges may repeat or overlap), compressed when t is. Zonemaps are
-// rebuilt.
+// given (ranges may repeat or overlap), compressed when t is. The ranges are
+// the runs of a splice of t: the zones are derived from t's (derivePages),
+// and when the first range starts at row 0, t's whole chunks under it are
+// kept where encodeColumn allows instead of being encoded again.
 func (t *Table) Extract(ranges RowRanges) (*Table, error) {
+	sp := &spliced{parent: t, aRows: t.rows}
 	n := 0
 	for _, r := range ranges {
 		if r.Start < 0 || r.End > t.rows || r.Start > r.End {
 			return nil, fmt.Errorf("storage: range [%d,%d) outside table %q", r.Start, r.End, t.Name)
 		}
+		if r.Len() > 0 {
+			sp.runs = append(sp.runs, run{int32(n), int32(r.Start), int32(r.Len())})
+		}
 		n += r.Len()
 	}
-	cols := make([]*Column, len(t.Cols))
-	for i, c := range t.Cols {
-		nc := &Column{Name: c.Name, Kind: c.Kind}
-		nc.reserve(n)
-		for _, r := range ranges {
-			nc.appendRows(c, r.Start, r.End)
-		}
-		cols[i] = nc
-	}
-	out, err := NewTable(t.Name, t.PageSize, cols...)
+	out, err := sp.build(nil, n)
 	if err == nil && t.compressed {
-		out.Compress()
+		out.compress(sp)
 	}
 	return out, err
 }
 
-// SortPerm returns the permutation that stably sorts the table by the given
-// int64 keys ascending (keys[i] is the key of row i).
+// SortPerm returns the permutation that sorts rows by the given uint64 keys
+// ascending (keys[i] is the key of row i), equal keys in row order. It is an
+// LSD radix sort over the keys' significant bits in 11-bit digits: each pass
+// is a stable counting sort, so the result is stable by construction, and a
+// pass is O(n) — six at most for the 62-bit _bdcc_ key budget.
 func SortPerm(keys []uint64) []int32 {
+	const digitBits = 11
+	const radix = 1 << digitBits
 	perm := make([]int32, len(keys))
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return keys[perm[a]] < keys[perm[b]] })
+	var or uint64
+	for _, k := range keys {
+		or |= k
+	}
+	// One scan counts the digits of every pass: a pass's histogram does not
+	// depend on the order the previous passes left.
+	counts := make([][radix]int32, (bits.Len64(or)+digitBits-1)/digitBits)
+	for _, k := range keys {
+		for p := range counts {
+			counts[p][k>>(p*digitBits)&(radix-1)]++
+		}
+	}
+	tmp := make([]int32, len(keys))
+	for p := range counts {
+		shift := p * digitBits
+		c := &counts[p]
+		var at int32
+		for d, m := range c {
+			c[d], at = at, at+m
+		}
+		for _, i := range perm {
+			d := keys[i] >> shift & (radix - 1)
+			tmp[c[d]] = i
+			c[d]++
+		}
+		perm, tmp = tmp, perm
+	}
 	return perm
 }
 

@@ -294,3 +294,27 @@ func FuzzSpliceZones(f *testing.F) {
 		}
 	})
 }
+
+// FuzzExtract decodes a compressed parent and a list of row ranges and
+// requires Extract of them — AppendRows, on an odd flag byte — to be the
+// table NewTable and Compress build over the same rows (CheckExtract). The
+// parent's short notes over a tiny alphabet make appended rows shift the
+// string chunks' length and flip their dictionary's viability.
+func FuzzExtract(f *testing.F) {
+	f.Add([]byte{200, 3, 1, 0x7f, 2, 0x80, 9, 5, 6, 7, 8, 0, 9, 1, 4, 1, 5, 20, 8, 7, 6, 1, 0, 0, 64, 0, 10, 30})
+	f.Add([]byte{120, 30, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0, 0, 0, 90, 0, 5, 0, 0, 2, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		a := fuzzTable(t, &in, in.next())
+		a.Compress()
+		appendRows := in.next()%2 == 1
+		var ranges RowRanges
+		for len(in) > 0 && len(ranges) < 64 {
+			from := (in.next()<<8 | in.next()) % (a.Rows() + 1)
+			ranges = append(ranges, RowRange{from, min(from+in.next(), a.Rows())})
+		}
+		if _, err := CheckExtract(a, ranges, appendRows); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
