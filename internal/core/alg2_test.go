@@ -189,13 +189,13 @@ func TestFigure1Build(t *testing.T) {
 	orig := tabs["b"].MustColumn("b_a")
 	for i := 0; i < tabs["b"].Rows(); i++ {
 		parent := orig.I64[i]
-		isAsia := cont.Str[aD1.I64[parent]] == "Asia"
+		isAsia := cont.Str.At(int(aD1.I64[parent])) == "Asia"
 		if isAsia && !got[parent] {
 			t.Fatalf("b row %d (parent %d, Asia) missed by bin selection", i, parent)
 		}
 	}
 	for parent := range got {
-		if cont.Str[aD1.I64[parent]] != "Asia" {
+		if cont.Str.At(int(aD1.I64[parent])) != "Asia" {
 			t.Fatalf("bin selection returned non-Asia parent %d", parent)
 		}
 	}
@@ -205,7 +205,7 @@ func TestFigure1Build(t *testing.T) {
 	avail := Ones(use.Mask)
 	d1OfA := make([]uint64, tabs["a"].Rows())
 	for i := 0; i < tabs["a"].Rows(); i++ {
-		d1OfA[i] = dCont.BinOf(StrKey(cont.Str[aD1.I64[i]]))
+		d1OfA[i] = dCont.BinOf(StrKey(cont.Str.At(int(aD1.I64[i]))))
 	}
 	for _, e := range bt.Count {
 		gbits := GatherBits(e.Key, use.Mask, bt.Bits)

@@ -143,14 +143,14 @@ func (k KeyVal) String() string {
 type keyCols struct {
 	kinds []vector.Kind
 	i64   [][]int64
-	str   [][]string
+	str   []vector.Heap
 }
 
 func (kc *keyCols) at(i int) KeyVal {
 	parts := make([]KeyPart, len(kc.kinds))
 	for c, k := range kc.kinds {
 		if k == vector.String {
-			parts[c] = KeyPart{IsStr: true, S: kc.str[c][i]}
+			parts[c] = KeyPart{IsStr: true, S: kc.str[c].At(i)}
 		} else {
 			parts[c] = KeyPart{I: kc.i64[c][i]}
 		}

@@ -395,7 +395,7 @@ func sameStoredTable(t *testing.T, got, want *storage.Table) {
 			t.Fatalf("column %d: %s %s width %v in %d pages, want %s %s width %v in %d", i,
 				g.Kind, g.Name, g.Width(), got.Pages(g), w.Kind, w.Name, w.Width(), want.Pages(w))
 		}
-		if !slices.Equal(g.I64, w.I64) || !slices.Equal(g.Str, w.Str) ||
+		if !slices.Equal(g.I64, w.I64) || !slices.Equal(g.Str.Offs, w.Str.Offs) || !slices.Equal(g.Str.Bytes, w.Str.Bytes) ||
 			!slices.EqualFunc(g.F64, w.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatalf("column %s differs", w.Name)
 		}

@@ -133,7 +133,7 @@ func rowEncoder(t *storage.Table, cols []string) (func(int) string, error) {
 			case vector.Float64:
 				fmt.Fprintf(&b, "%g|", c.F64[row])
 			case vector.String:
-				fmt.Fprintf(&b, "%s|", c.Str[row])
+				fmt.Fprintf(&b, "%s|", c.Str.At(row))
 			}
 		}
 		return b.String()
@@ -176,7 +176,7 @@ func KeyValues(t *storage.Table, key []string) ([]KeyVal, error) {
 		switch c.Kind {
 		case vector.Int64:
 			kc.i64 = append(kc.i64, c.I64)
-			kc.str = append(kc.str, nil)
+			kc.str = append(kc.str, vector.Heap{})
 		case vector.String:
 			kc.i64 = append(kc.i64, nil)
 			kc.str = append(kc.str, c.Str)

@@ -9,21 +9,23 @@ package storage
 
 import (
 	"fmt"
+	"math"
 
 	"bdcc/internal/vector"
 )
 
 // Column is a named, typed column of a stored table. Exactly one of the data
-// slices matching Kind is populated.
+// fields matching Kind is populated; strings are one heap in the table's row
+// order (vector.Heap), which readers hand out as views.
 type Column struct {
 	Name string
 	Kind vector.Kind
 	I64  []int64
 	F64  []float64
-	Str  []string
+	Str  vector.Heap
 
 	// Enc is the lightweight chunk encoding of the column (nil in raw mode).
-	// A column the table encoded itself retains its raw slices — they back
+	// A column the table encoded itself retains its raw values — they back
 	// permutation, key extraction and raw-fallback chunks — while Enc is the
 	// modeled on-disk form: readers materialize batches from it and the
 	// modeled width (hence page charges) follows its encoded bytes. Built by
@@ -32,14 +34,11 @@ type Column struct {
 	Enc *ColumnEncoding
 
 	// width is the modeled bytes per value, computed by finish(). For string
-	// columns it is the average string length (≥1); for numeric columns 8.
-	// Compressed columns override it with encoded bytes per value (encode),
-	// so the densest-column granularity choice of Algorithm 1 sees
-	// post-compression density.
+	// columns it is the average string length (≥1): the heap's length over
+	// the rows; for numeric columns 8. Compressed columns override it with
+	// encoded bytes per value (encode), so the densest-column granularity
+	// choice of Algorithm 1 sees post-compression density.
 	width float64
-	// strBytes is the string bytes of the first strRows values: finish
-	// extends the total past strRows instead of re-summing.
-	strBytes, strRows int
 }
 
 // NewInt64Column returns an int64 column over vals (not copied).
@@ -52,9 +51,15 @@ func NewFloat64Column(name string, vals []float64) *Column {
 	return &Column{Name: name, Kind: vector.Float64, F64: vals}
 }
 
-// NewStringColumn returns a string column over vals (not copied).
+// NewStringColumn returns a string column holding a copy of vals.
 func NewStringColumn(name string, vals []string) *Column {
-	return &Column{Name: name, Kind: vector.String, Str: vals}
+	return NewHeapColumn(name, vector.HeapOf(vals))
+}
+
+// NewHeapColumn returns a string column over h (not copied): offsets from 0
+// to its length, bytes nothing writes again.
+func NewHeapColumn(name string, h vector.Heap) *Column {
+	return &Column{Name: name, Kind: vector.String, Str: h}
 }
 
 // Len returns the number of values.
@@ -66,35 +71,21 @@ func (c *Column) Len() int {
 }
 
 // rawLen returns the number of raw values (an adopted compressed column has
-// none): only the slice matching Kind is ever populated.
-func (c *Column) rawLen() int { return len(c.I64) + len(c.F64) + len(c.Str) }
+// none): only the field matching Kind is ever populated.
+func (c *Column) rawLen() int { return len(c.I64) + len(c.F64) + c.Str.Len() }
 
 // Width returns the modeled bytes per value. The densest (widest) column of a
 // table drives Algorithm 1's granularity choice.
 func (c *Column) Width() float64 { return c.width }
 
-// finish computes the modeled width, summing only the string lengths the
-// carried total does not cover yet.
+// finish computes the modeled width.
 func (c *Column) finish() {
 	switch c.Kind {
 	case vector.Int64, vector.Float64:
 		c.width = 8
 	case vector.String:
-		c.strBytes, c.strRows = c.prefixBytes(len(c.Str)), len(c.Str)
-		c.width = strWidth(c.strBytes, len(c.Str))
+		c.width = strWidth(c.Str.Size(), c.Str.Len())
 	}
-}
-
-// prefixBytes returns the string bytes of the first n values: O(|n-strRows|).
-func (c *Column) prefixBytes(n int) int {
-	total, k := c.strBytes, c.strRows
-	for ; k > n; k-- {
-		total -= len(c.Str[k-1])
-	}
-	for ; k < n; k++ {
-		total += len(c.Str[k])
-	}
-	return total
 }
 
 // strWidth is the modeled width of a string column of n values and total
@@ -141,9 +132,9 @@ func (c *Column) permute(perm []int32) *Column {
 			out.F64[i] = c.F64[p]
 		}
 	case vector.String:
-		out.Str = make([]string, len(perm))
-		for i, p := range perm {
-			out.Str[i] = c.Str[p]
+		out.Str = vector.MakeHeap(len(perm), c.Str.Size()) // the same bytes, in perm order
+		for _, p := range perm {
+			out.Str.AppendRange(c.Str, int(p), int(p)+1)
 		}
 	}
 	return out
@@ -157,14 +148,22 @@ func (c *Column) reserve(n int) {
 	case vector.Float64:
 		c.F64 = make([]float64, 0, n)
 	case vector.String:
-		c.Str = make([]string, 0, n)
+		c.Str = vector.MakeHeap(n, 0)
 	}
 }
 
-// validate checks internal consistency against an expected row count.
+// validate checks internal consistency against an expected row count, and
+// that a string heap's offsets can address it. An empty string column gets
+// the one offset an empty heap has.
 func (c *Column) validate(rows int) error {
+	if c.Kind == vector.String && c.Str.Offs == nil {
+		c.Str = vector.MakeHeap(0, 0)
+	}
 	if c.Len() != rows {
 		return fmt.Errorf("storage: column %q has %d rows, table has %d", c.Name, c.Len(), rows)
+	}
+	if len(c.Str.Bytes) > math.MaxUint32 {
+		return fmt.Errorf("storage: column %q holds %d string bytes, over the 4 GiB a heap's offsets address", c.Name, len(c.Str.Bytes))
 	}
 	return nil
 }

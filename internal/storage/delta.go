@@ -95,10 +95,9 @@ func (d *Delta) Clear() {
 // consolidation re-encodes explicitly when the merge commits, so the un-merged
 // tail is always served (and its I/O charged) at raw width. It is the splice
 // of the runs [0, aRows) and b: zones are derived from a's as Splice derives
-// them, and a's string totals are carried over. The first Concat to keep all
-// of a table Concat built writes b into the spare capacity of a's arrays,
-// past what a shows; any other — of a loaded table, of a prefix, or a second
-// one from a table — copies.
+// them. The first Concat to keep all of a table Concat built writes b into
+// the spare capacity of a's arrays and heaps, past what a shows; any other —
+// of a loaded table, of a prefix, or a second one from a table — copies.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
@@ -110,12 +109,13 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 		nc := &Column{Name: c.Name, Kind: c.Kind}
 		switch c.Kind {
 		case vector.Int64:
-			nc.I64 = extend(c.I64[:aRows], o.I64, inPlace)
+			nc.I64 = append(room(c.I64[:aRows], len(o.I64), inPlace), o.I64...)
 		case vector.Float64:
-			nc.F64 = extend(c.F64[:aRows], o.F64, inPlace)
+			nc.F64 = append(room(c.F64[:aRows], len(o.F64), inPlace), o.F64...)
 		case vector.String:
-			nc.Str = extend(c.Str[:aRows], o.Str, inPlace)
-			nc.strBytes, nc.strRows = c.prefixBytes(aRows), aRows
+			nc.Str = vector.Heap{Bytes: room(c.Str.Bytes[:c.Str.Offs[aRows]], o.Str.Size(), inPlace),
+				Offs: room(c.Str.Offs[:aRows+1], o.Str.Len(), inPlace)}
+			nc.Str.AppendRange(o.Str, 0, o.Str.Len())
 		}
 		cols[i] = nc
 	}
@@ -128,16 +128,16 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	return t, err
 }
 
-// extend returns a followed by b: in a's spare capacity when inPlace and b
-// fits, else in a new array with room for half as many values again, so a
-// value is copied O(1) times over a chain of extensions.
-func extend[T any](a, b []T, inPlace bool) []T {
-	if n := len(a) + len(b); !inPlace || n > cap(a) {
-		out := make([]T, len(a), n+n/2)
+// room returns a with room for n more values: a itself when inPlace and
+// they fit in its spare capacity, else a copy with room for half as many
+// values again, so a value is copied O(1) times over a chain of extensions.
+func room[T any](a []T, n int, inPlace bool) []T {
+	if m := len(a) + n; !inPlace || m > cap(a) {
+		out := make([]T, len(a), m+m/2)
 		copy(out, a)
 		a = out
 	}
-	return append(a, b...)
+	return a
 }
 
 // Splice returns the uncompressed table whose row i is row src[i] of the
@@ -171,7 +171,7 @@ func (sp *spliced) build(b *Table, n int) (*Table, error) {
 		case vector.Float64:
 			nc.F64 = gather(c.F64[:sp.aRows], o.F64, sp.runs, n)
 		case vector.String:
-			nc.Str = gather(c.Str[:sp.aRows], o.Str, sp.runs, n)
+			nc.Str = gatherHeap(c.Str, o.Str, sp, n)
 		}
 		cols[i] = nc
 	}
@@ -221,19 +221,38 @@ func gather[T any](a, b []T, runs []run, n int) []T {
 	return out
 }
 
+// gatherHeap is gather for string heaps: the n rows sp's runs copy from the
+// first sp.aRows values of a followed by b, each run's bytes as one block
+// into a heap sized once.
+func gatherHeap(a, b vector.Heap, sp *spliced, n int) vector.Heap {
+	from := func(r run) (vector.Heap, int) {
+		if s := int(r.src); s < sp.aRows {
+			return a, s
+		}
+		return b, int(r.src) - sp.aRows
+	}
+	bytes := 0
+	for _, r := range sp.runs {
+		h, s := from(r)
+		bytes += int(h.Offs[s+int(r.n)] - h.Offs[s])
+	}
+	out := vector.MakeHeap(n, bytes)
+	for _, r := range sp.runs {
+		h, s := from(r)
+		out.AppendRange(h, s, s+int(r.n))
+	}
+	return out
+}
+
 // ConcatWidth returns the modeled width of the densest column of the table
-// Concat(a, aRows, b) would build, without building it: from a's carried
-// string totals, at the cost of the rows of a it drops and of b.
+// Concat(a, aRows, b) would build, without building it: a string column's
+// bytes are its heap's offset at aRows plus b's heap.
 func ConcatWidth(a *Table, aRows int, b *Table) float64 {
 	var widest float64
 	for i, c := range a.Cols {
 		w := 8.0
 		if c.Kind == vector.String {
-			total := c.prefixBytes(aRows)
-			for _, s := range b.Cols[i].Str {
-				total += len(s)
-			}
-			w = strWidth(total, aRows+b.Rows())
+			w = strWidth(int(c.Str.Offs[aRows])+b.Cols[i].Str.Size(), aRows+b.Rows())
 		}
 		widest = max(widest, w)
 	}

@@ -22,7 +22,7 @@ func deltaFixture(t testing.TB, name string, n int, seed int64) *Table {
 	for i := 0; i < n; i++ {
 		id.I64 = append(id.I64, rng.Int63n(1<<40)-(1<<39))
 		price.F64 = append(price.F64, math.Floor(rng.Float64()*1e6)/100)
-		note.Str = append(note.Str, strings.Repeat("x", rng.Intn(12))+fmt.Sprint(rng.Intn(1000)))
+		note.Str.Append(strings.Repeat("x", rng.Intn(12)) + fmt.Sprint(rng.Intn(1000)))
 	}
 	tab, err := NewTable(name, 4<<10, id, price, note)
 	if err != nil {
@@ -52,8 +52,8 @@ func sameRows(t *testing.T, got, want *Table) {
 					t.Fatalf("%s[%d] = %v, want %v", wc.Name, r, gc.F64[r], wc.F64[r])
 				}
 			case vector.String:
-				if gc.Str[r] != wc.Str[r] {
-					t.Fatalf("%s[%d] = %q, want %q", wc.Name, r, gc.Str[r], wc.Str[r])
+				if gc.Str.At(r) != wc.Str.At(r) {
+					t.Fatalf("%s[%d] = %q, want %q", wc.Name, r, gc.Str.At(r), wc.Str.At(r))
 				}
 			}
 		}
@@ -119,7 +119,7 @@ func TestEncodedSharesRows(t *testing.T) {
 	if got.CompressionStats() != want.CompressionStats() {
 		t.Fatalf("encoded stats %+v, compressing a copy gives %+v", got.CompressionStats(), want.CompressionStats())
 	}
-	if &got.Cols[0].I64[0] != &src.Cols[0].I64[0] || &got.Cols[2].Str[0] != &src.Cols[2].Str[0] {
+	if &got.Cols[0].I64[0] != &src.Cols[0].I64[0] || &got.Cols[2].Str.Bytes[0] != &src.Cols[2].Str.Bytes[0] {
 		t.Fatal("Encoded copied the value arrays")
 	}
 	for _, c := range src.Cols {
@@ -212,7 +212,7 @@ func boundRowsHold(tab *Table, i int) error {
 		case vector.Int64:
 			ok = ok && c.I64[mn] == z.minI[p] && c.I64[mx] == z.maxI[p]
 		case vector.String:
-			ok = ok && c.Str[mn] == z.minS[p] && c.Str[mx] == z.maxS[p]
+			ok = ok && c.Str.At(mn) == z.minS[p] && c.Str.At(mx) == z.maxS[p]
 		}
 		if !ok {
 			return fmt.Errorf("column %s page %d [%d,%d): bound rows %d/%d do not hold its bounds", c.Name, p, lo, hi, mn, mx)
@@ -239,9 +239,11 @@ func TestConcatCarriesZones(t *testing.T) {
 				tail := deltaFixture(t, "c", k, int64(30+step))
 				if step == 3 {
 					// Long notes move the column's average length.
-					for i := range tail.Cols[2].Str {
-						tail.Cols[2].Str[i] += strings.Repeat("y", 40)
+					long := strs(tail.Cols[2].Str)
+					for i := range long {
+						long[i] += strings.Repeat("y", 40)
 					}
+					tail.Cols[2].Str = vector.HeapOf(long)
 				}
 				next, err := Concat(cur, cur.Rows(), tail)
 				if err != nil {
@@ -272,7 +274,7 @@ func rowSum(tab *Table) (sum uint64) {
 			case vector.Float64:
 				sum = sum*31 + math.Float64bits(c.F64[r])
 			case vector.String:
-				sum = sum*31 + uint64(len(c.Str[r]))
+				sum = sum*31 + uint64(len(c.Str.At(r)))
 			}
 		}
 	}

@@ -64,8 +64,11 @@ type ColumnEncoding struct {
 // are exactly the chunks encoding c would build: a chunk's encoding depends
 // only on its values and, for strings, on the dictionary's codes and width —
 // and a chunk of a column whose viable dictionary settleDict dropped did not
-// dictionary-encode, so it is what no dictionary gives. A kept raw chunk is
-// re-windowed onto c's arrays, so par's are not kept alive.
+// dictionary-encode, so it is what no dictionary gives. Nothing of par's
+// heap may stay reachable, since a view keeps its whole heap alive: a kept
+// raw chunk is re-windowed onto c's arrays, a kept dictionary chunk's bounds
+// become entries of c's dictionary, and a string chunk of any other
+// encoding, whose run values or values are views, is encoded again.
 func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) *ColumnEncoding {
 	n := c.Len()
 	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows)}
@@ -82,10 +85,15 @@ func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEnc
 		start := i * chunkRows
 		end := min(start+chunkRows, n)
 		switch {
-		case i < kept:
+		case i < kept && (c.Kind != vector.String || par.Chunks[i].Enc == EncDict):
 			*ch = par.Chunks[i]
-			if ch.Enc == EncRaw {
+			switch ch.Enc {
+			case EncRaw:
 				rewindow(ch, c, start, end)
+			case EncDict: // its bounds become entries of c's dictionary
+				lo, _ := slices.BinarySearch(e.Dict, ch.MinS)
+				hi, _ := slices.BinarySearch(e.Dict, ch.MaxS)
+				ch.MinS, ch.MaxS = e.Dict[lo], e.Dict[hi]
 			}
 		case c.Kind == vector.Int64:
 			ch.EncodeI64(c.I64[start:end])
@@ -96,7 +104,7 @@ func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEnc
 			if codes != nil {
 				chunkCodes = codes[start:end]
 			}
-			ch.EncodeStr(c.Str[start:end], chunkCodes, e.DictBits)
+			ch.EncodeStr(c.Str.Window(start, end), chunkCodes, e.DictBits)
 		}
 		ch.Start = start
 		e.EncodedBytes += ch.Bytes
@@ -106,7 +114,7 @@ func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEnc
 	case vector.Int64, vector.Float64:
 		e.RawBytes = 8 * int64(n)
 	case vector.String:
-		e.RawBytes = int64(c.prefixBytes(n))
+		e.RawBytes = int64(c.Str.Size())
 	}
 	e.settleDict()
 	return e
@@ -120,7 +128,7 @@ func rewindow(ch *Chunk, c *Column, start, end int) {
 	case vector.Float64:
 		ch.ValF = c.F64[start:end]
 	case vector.String:
-		ch.ValS = c.Str[start:end]
+		ch.ValS = c.Str.Window(start, end)
 	}
 }
 

@@ -575,7 +575,7 @@ func TestDictEncodingUnchanged(t *testing.T) {
 	sawDict, sawNone := false, false
 	for _, c := range tab.Cols {
 		e := c.Enc
-		dict, bitw, dictBytes, chunks := refStrColumn(c.Str, e.ChunkRows)
+		dict, bitw, dictBytes, chunks := refStrColumn(strs(c.Str), e.ChunkRows)
 		if !slices.Equal(e.Dict, dict) || e.DictBits != bitw || e.DictBytes != dictBytes {
 			t.Fatalf("%s: dictionary of %d entries at %d bits (%d B), the sort-first encoder keeps %d at %d bits (%d B)",
 				c.Name, len(e.Dict), e.DictBits, e.DictBytes, len(dict), bitw, dictBytes)
@@ -593,7 +593,7 @@ func TestDictEncodingUnchanged(t *testing.T) {
 		}
 		sawDict = sawDict || dict != nil
 		sawNone = sawNone || dict == nil
-		if _, _, got := decodeAll(c); !slices.Equal(got, c.Str) {
+		if _, _, got := decodeAll(c); !slices.Equal(got, strs(c.Str)) {
 			t.Fatalf("%s does not decode back to its values", c.Name)
 		}
 	}
@@ -676,7 +676,7 @@ func TestBatchColumnIsOneChunk(t *testing.T) {
 		want = binary.LittleEndian.AppendUint32(want, uint32(len(w.Heap)))
 		want = append(append(want, w.Body...), w.Heap...)
 
-		b := &vector.Batch{Cols: []*vector.Vector{{Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}}}
+		b := &vector.Batch{Cols: []*vector.Vector{{Kind: c.Kind, I64: c.I64, F64: c.F64, Str: strs(c.Str)}}}
 		got := b.Encode(nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: the batch column is %d bytes, the stored %s chunk behind the envelope %d — or they differ",
@@ -687,7 +687,7 @@ func TestBatchColumnIsOneChunk(t *testing.T) {
 			t.Fatalf("%s: decode: %v (%d of %d bytes)", tc.name, err, used, len(got))
 		}
 		v := back.Cols[0]
-		if !slices.Equal(v.I64, c.I64) || !slices.Equal(v.Str, c.Str) || !slices.Equal(bitsOf(v.F64), bitsOf(c.F64)) {
+		if !slices.Equal(v.I64, c.I64) || !slices.Equal(v.Str, strs(c.Str)) || !slices.Equal(bitsOf(v.F64), bitsOf(c.F64)) {
 			t.Fatalf("%s: the column does not survive the batch codec bit for bit", tc.name)
 		}
 	}

@@ -85,6 +85,15 @@ func CheckExtract(t *Table, ranges RowRanges, appendRows bool) (*Table, error) {
 	return got, sameBounds(got, want)
 }
 
+// strs returns the values of a heap.
+func strs(h vector.Heap) []string {
+	out := make([]string, h.Len())
+	for i := range out {
+		out[i] = h.At(i)
+	}
+	return out
+}
+
 // appendRows appends rows [lo,hi) of src to c (same kind), the way the tests
 // gather reference tables row by row.
 func (c *Column) appendRows(src *Column, lo, hi int) {
@@ -94,6 +103,6 @@ func (c *Column) appendRows(src *Column, lo, hi int) {
 	case vector.Float64:
 		c.F64 = append(c.F64, src.F64[lo:hi]...)
 	case vector.String:
-		c.Str = append(c.Str, src.Str[lo:hi]...)
+		c.Str.AppendRange(src.Str, lo, hi)
 	}
 }

@@ -71,7 +71,7 @@ func TestAppendRowsMatchesReencode(t *testing.T) {
 		storage.NewFloat64Column("prices", prices), storage.NewFloat64Column("steps", steps),
 		storage.NewStringColumn("dict", dict), storage.NewStringColumn("dropped", dropped))
 	var sd vector.StrDict
-	if viable, _, _, _ := sd.ColumnDict(dropped); mixed.MustColumn("dropped").Enc.Dict != nil || viable == nil {
+	if viable, _, _, _ := sd.ColumnDict(vector.HeapOf(dropped)); mixed.MustColumn("dropped").Enc.Dict != nil || viable == nil {
 		t.Fatal("fixture: column dropped should have a viable dictionary that no chunk uses")
 	}
 	if mixed.MustColumn("dict").Enc.Dict == nil {

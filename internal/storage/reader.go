@@ -125,22 +125,17 @@ func (r *Reader) Next(out *vector.Batch) bool {
 	return out.Len() > 0
 }
 
-// copySpan appends rows [lo,hi) of every selected column to out: uncompressed
-// columns copy from their arrays, compressed ones decode each chunk's piece
-// of the span into out.
+// copySpan appends rows [lo,hi) of every selected column to out: an
+// uncompressed column is one raw chunk over its arrays, so its numbers copy
+// and its strings are views of its heap; compressed ones decode each chunk's
+// piece of the span into out.
 func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
 	for i, ci := range r.cols {
 		c := r.t.Cols[ci]
 		dst := out.Cols[i]
 		if c.Enc == nil {
-			switch dst.Kind {
-			case vector.Int64:
-				dst.I64 = append(dst.I64, c.I64[lo:hi]...)
-			case vector.Float64:
-				dst.F64 = append(dst.F64, c.F64[lo:hi]...)
-			case vector.String:
-				dst.Str = append(dst.Str, c.Str[lo:hi]...)
-			}
+			raw := vector.Chunk{ValI: c.I64, ValF: c.F64, ValS: c.Str}
+			raw.AppendRange(nil, lo, hi, dst)
 			continue
 		}
 		for p := lo; p < hi; {

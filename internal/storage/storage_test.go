@@ -218,7 +218,7 @@ func twoCompareMinMax[T cmp.Ordered](vals []T) (mn, mx T) {
 
 func checkMinMax[T cmp.Ordered](t *testing.T, vals []T, same func(a, b T) bool) {
 	t.Helper()
-	mn, mx, mnAt, mxAt := minMaxAt(vals)
+	mn, mx, mnAt, mxAt := minMaxAt(0, len(vals), func(i int) T { return vals[i] })
 	if wmn, wmx := twoCompareMinMax(vals); !same(mn, wmn) || !same(mx, wmx) {
 		t.Fatalf("%v: bounds %v/%v, the two-comparison form gives %v/%v", vals, mn, mx, wmn, wmx)
 	}

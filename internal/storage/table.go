@@ -115,7 +115,7 @@ func (t *Table) Encoded() *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
 		Cols: make([]*Column, len(t.Cols)), zones: slices.Clone(t.zones)}
 	for i, c := range t.Cols {
-		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str, strBytes: c.strBytes, strRows: c.strRows}
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}
 	}
 	out.Compress()
 	return out

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -24,7 +25,7 @@ import (
 // uncompressed column is the degenerate case, written as raw chunks and
 // flattened back into plain arrays on adoption. Every string is a uvarint
 // length in the body and its bytes in the heap, in the same order, so the
-// decoder converts the heap to one Go string and hands out substrings.
+// decoder copies the heap once and its raw chunks are windows of the copy.
 
 var columnFrameMagic = [4]byte{'B', 'D', 'C', '1'}
 
@@ -68,14 +69,7 @@ func (t *Table) Frames(frameBytes int) [][]byte {
 			e, flags = &ColumnEncoding{ChunkRows: plainSpanRows}, 0
 			for lo, n := 0, c.Len(); lo < n; lo += plainSpanRows {
 				ch := Chunk{Rows: min(plainSpanRows, n-lo)}
-				switch c.Kind {
-				case vector.Int64:
-					ch.ValI = c.I64[lo : lo+ch.Rows]
-				case vector.Float64:
-					ch.ValF = c.F64[lo : lo+ch.Rows]
-				case vector.String:
-					ch.ValS = c.Str[lo : lo+ch.Rows]
-				}
+				rewindow(&ch, c, lo, lo+ch.Rows)
 				e.Chunks = append(e.Chunks, ch)
 			}
 		}
@@ -113,7 +107,7 @@ func openFrame(frame []byte, kind vector.Kind, flags byte) (*vector.ChunkReader,
 	if heapLen > end-6 || (heapLen > 0 && kind != vector.String) {
 		return nil, fmt.Errorf("heap of %d bytes in a %d-byte %s frame", heapLen, len(frame), kind)
 	}
-	return vector.NewChunkReader(frame[6:end-heapLen], string(frame[end-heapLen:end])), nil
+	return vector.NewChunkReader(frame[6:end-heapLen], bytes.Clone(frame[end-heapLen:end])), nil
 }
 
 // TableAdopter rebuilds a table from the frames Table.Frames wrote. The
@@ -155,8 +149,8 @@ func NewTableAdopter(name string, pageSize int64, rows int, compressed bool, nam
 // Add verifies the next frame — checksum first, then structure — and only
 // then appends what it holds to the column in progress. It reports the bytes
 // the frame leaves resident — the frame, which adopted chunks point into, and
-// the string its heap was converted to — and whether the table is now
-// complete. A frame that fails leaves the adopter as it was; the caller
+// the copy of its heap their strings are views of — and whether the table is
+// now complete. A frame that fails leaves the adopter as it was; the caller
 // decides whether the transfer survives it.
 func (a *TableAdopter) Add(frame []byte) (resident int64, done bool, err error) {
 	if a.cur == len(a.cols) {
@@ -258,7 +252,10 @@ func (a *TableAdopter) Table() (*Table, error) {
 			}
 			c.reserve(a.rows)
 			for _, ch := range c.Enc.Chunks {
-				c.I64, c.F64, c.Str = append(c.I64, ch.ValI...), append(c.F64, ch.ValF...), append(c.Str, ch.ValS...)
+				c.I64, c.F64 = append(c.I64, ch.ValI...), append(c.F64, ch.ValF...)
+				if c.Kind == vector.String {
+					c.Str.AppendRange(ch.ValS, 0, ch.Rows)
+				}
 			}
 			c.Enc = nil
 		}

@@ -134,7 +134,7 @@ func sameStored(t *testing.T, got, want *Table) {
 				!slices.Equal(gc.RunN, wc.RunN) || !slices.Equal(gc.RunI, wc.RunI) ||
 				!slices.Equal(gc.RunF, wc.RunF) || !slices.Equal(gc.RunS, wc.RunS) ||
 				!slices.Equal(gc.ValI, wc.ValI) || !slices.Equal(bitsOf(gc.ValF), bitsOf(wc.ValF)) ||
-				!slices.Equal(gc.ValS, wc.ValS) ||
+				!slices.Equal(strs(gc.ValS), strs(wc.ValS)) ||
 				gc.MinI != wc.MinI || gc.MaxI != wc.MaxI || gc.MinS != wc.MinS || gc.MaxS != wc.MaxS ||
 				math.Float64bits(gc.MinF) != math.Float64bits(wc.MinF) ||
 				math.Float64bits(gc.MaxF) != math.Float64bits(wc.MaxF) {
@@ -215,7 +215,7 @@ func TestColumnWireRoundTrip(t *testing.T) {
 				}
 				if compress {
 					for _, c := range got.Cols {
-						if c.I64 != nil || c.F64 != nil || c.Str != nil {
+						if c.I64 != nil || c.F64 != nil || c.Str.Offs != nil {
 							t.Fatalf("adopted column %s retains raw arrays", c.Name)
 						}
 					}
@@ -463,6 +463,13 @@ func FuzzDecodeColumnFrame(f *testing.F) {
 		if _, done, err := a.Add(data); err != nil || !done {
 			return
 		}
+		end := len(data) - 8
+		heap := data[end-int(binary.LittleEndian.Uint32(data[end:])) : end]
+		for _, ch := range a.cols[0].Enc.Chunks {
+			if kind == vector.String && ch.Enc == EncRaw {
+				checkHeapWindow(t, ch.ValS, heap)
+			}
+		}
 		tab, err := a.Table()
 		if err != nil {
 			t.Fatal(err)
@@ -486,6 +493,25 @@ func FuzzDecodeColumnFrame(f *testing.F) {
 			t.Fatalf("split at row %d, two readers read other values than one", split)
 		}
 	})
+}
+
+// checkHeapWindow fails unless the raw string chunk values h, read from a
+// frame whose heap is heap, is a window of one copy of it: offsets ascending
+// inside it, every view the frame's bytes.
+func checkHeapWindow(t *testing.T, h vector.Heap, heap []byte) {
+	t.Helper()
+	if !bytes.Equal(h.Bytes, heap) || len(heap) > 0 && &h.Bytes[0] == &heap[0] {
+		t.Fatalf("raw chunk strings are not views of one copy of the frame's %d-byte heap", len(heap))
+	}
+	for i := range h.Len() {
+		lo, hi := h.Offs[i], h.Offs[i+1]
+		if lo > hi || int(hi) > len(heap) {
+			t.Fatalf("string %d at [%d,%d) of a %d-byte heap", i, lo, hi, len(heap))
+		}
+		if h.At(i) != string(heap[lo:hi]) {
+			t.Fatalf("string %d reads %q, the frame holds %q", i, h.At(i), heap[lo:hi])
+		}
+	}
 }
 
 // BenchmarkColumnWire times the byte form over a compressed table of the

@@ -43,13 +43,14 @@ func (z *zonemap) pages() int {
 	return max(len(z.minI), len(z.minS))
 }
 
-// minMaxAt returns the minimum and maximum of a non-empty slice and the
-// index of an occurrence of each. One comparison settles most values:
-// mn ≤ mx holds throughout, so a new minimum is never a new maximum.
-func minMaxAt[T cmp.Ordered](vals []T) (mn, mx T, mnAt, mxAt int) {
-	mn, mx = vals[0], vals[0]
-	for i := 1; i < len(vals); i++ {
-		if v := vals[i]; v < mn {
+// minMaxAt returns the minimum and maximum of the values at(lo), …,
+// at(hi-1), lo < hi, and the row of an occurrence of each. One comparison
+// settles most values: mn ≤ mx holds throughout, so a new minimum is never
+// a new maximum.
+func minMaxAt[T cmp.Ordered](lo, hi int, at func(int) T) (mn, mx T, mnAt, mxAt int) {
+	mn, mx, mnAt, mxAt = at(lo), at(lo), lo, lo
+	for i := lo + 1; i < hi; i++ {
+		if v := at(i); v < mn {
 			mn, mnAt = v, i
 		} else if v > mx {
 			mx, mxAt = v, i
@@ -78,23 +79,19 @@ func (c *candidates[T]) add(mn, mx T, mnAt, mxAt int) {
 	}
 }
 
-// scan folds vals, the rows from row at on.
-func (c *candidates[T]) scan(vals []T, at int) {
-	mn, mx, i, j := minMaxAt(vals)
-	c.add(mn, mx, at+i, at+j)
-}
-
-// derivePages computes the per-page bounds of out at rowsPerPage and the
-// rows holding them. out holds the rows sp gathered; parMins and parMaxs are
-// the bounds of sp's parent's zonemap par. Where the pieces of one parent
-// page that land in one output page hold that parent page's minimum
-// (maximum) row, the bound is taken as it is and its row mapped to the
-// output; otherwise those pieces are scanned. Batch rows are always scanned.
-func derivePages[T cmp.Ordered](out []T, rowsPerPage int, sp *spliced, par *zonemap, parMins, parMaxs []T) (mins, maxs []T, minAt, maxAt []int32) {
-	pages := (len(out) + rowsPerPage - 1) / rowsPerPage
+// derivePages computes the per-page bounds of the n rows sp gathered, at
+// rowsPerPage, and the rows holding them; at(i) is the value of row i. par is
+// the zonemap of sp's parent. Where the pieces of one parent page that land
+// in one output page hold that parent page's minimum (maximum) row, that row
+// is mapped to the output and its value is the bound; otherwise those pieces
+// are scanned. Batch rows always are. Every bound is read through at, so a
+// string bound is a view of the new column's heap, never of the parent's.
+func derivePages[T cmp.Ordered](n int, at func(int) T, rowsPerPage int, sp *spliced, par *zonemap) (mins, maxs []T, minAt, maxAt []int32) {
+	pages := (n + rowsPerPage - 1) / rowsPerPage
 	mins, maxs, minAt, maxAt = make([]T, pages), make([]T, pages), make([]int32, pages), make([]int32, pages)
 	parRows := par.rowsPerPage
 	var acc candidates[T]
+	scan := func(lo, hi int) { acc.add(minMaxAt(lo, hi, at)) }
 	var group []run // consecutive pieces of one parent page in one output page
 	flush := func() {
 		if len(group) == 0 {
@@ -111,21 +108,21 @@ func derivePages[T cmp.Ordered](out []T, rowsPerPage int, sp *spliced, par *zone
 			}
 		}
 		if mnAt >= 0 {
-			acc.add(parMins[p], parMins[p], mnAt, mnAt)
+			acc.add(at(mnAt), at(mnAt), mnAt, mnAt)
 		}
 		if mxAt >= 0 {
-			acc.add(parMaxs[p], parMaxs[p], mxAt, mxAt)
+			acc.add(at(mxAt), at(mxAt), mxAt, mxAt)
 		}
 		if mnAt < 0 || mxAt < 0 {
 			for _, g := range group {
-				acc.scan(out[g.at:g.at+g.n], int(g.at))
+				scan(int(g.at), int(g.at+g.n))
 			}
 		}
 		group = group[:0]
 	}
 	k := 0
 	for q := range pages {
-		lo, hi := q*rowsPerPage, min((q+1)*rowsPerPage, len(out))
+		lo, hi := q*rowsPerPage, min((q+1)*rowsPerPage, n)
 		acc = candidates[T]{}
 		for pos := lo; pos < hi; {
 			for int(sp.runs[k].at+sp.runs[k].n) <= pos {
@@ -135,7 +132,7 @@ func derivePages[T cmp.Ordered](out []T, rowsPerPage int, sp *spliced, par *zone
 			end := min(int(r.at+r.n), hi)
 			s := int(r.src) + pos - int(r.at)
 			if s >= sp.aRows {
-				acc.scan(out[pos:end], pos)
+				scan(pos, end)
 				pos = end
 				continue
 			}
@@ -170,9 +167,9 @@ func buildZonemap(c *Column, rowsPerPage int, sp *spliced, par *zonemap) zonemap
 	z := zonemap{rowsPerPage: rowsPerPage}
 	switch c.Kind {
 	case vector.Int64:
-		z.minI, z.maxI, z.minAt, z.maxAt = derivePages(c.I64, rowsPerPage, sp, par, par.minI, par.maxI)
+		z.minI, z.maxI, z.minAt, z.maxAt = derivePages(len(c.I64), func(i int) int64 { return c.I64[i] }, rowsPerPage, sp, par)
 	case vector.String:
-		z.minS, z.maxS, z.minAt, z.maxAt = derivePages(c.Str, rowsPerPage, sp, par, par.minS, par.maxS)
+		z.minS, z.maxS, z.minAt, z.maxAt = derivePages(c.Str.Len(), c.Str.At, rowsPerPage, sp, par)
 	}
 	return z
 }

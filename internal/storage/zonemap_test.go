@@ -120,7 +120,7 @@ func samePruning(t *testing.T, label string, got, want *Table, rng *rand.Rand) {
 			case vector.Int64:
 				lo.I, hi.I = min(c.I64[x], c.I64[y]), max(c.I64[x], c.I64[y])
 			case vector.String:
-				lo.S, hi.S = min(c.Str[x], c.Str[y]), max(c.Str[x], c.Str[y])
+				lo.S, hi.S = min(c.Str.At(x), c.Str.At(y)), max(c.Str.At(x), c.Str.At(y))
 			}
 			for _, iv := range []Interval{{Lo: lo, Hi: hi}, {Lo: lo}, {Hi: hi}, {Lo: hi, Hi: hi}} {
 				if g, w := got.PruneZonemap(c.Name, iv, nil), want.PruneZonemap(c.Name, iv, nil); !slices.Equal(g, w) {

@@ -3,6 +3,8 @@ package tpch
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"bdcc/internal/storage"
 	"bdcc/internal/vector"
@@ -121,11 +123,23 @@ func scaled(base int, sf float64) int {
 	return n
 }
 
-// comment builds a pseudo-random comment; with probability injectProb the
-// two pattern words are planted with a gap, so '%w1%w2%' LIKE predicates
+// The order dates' window and the date that splits returnflag and
+// linestatus.
+var (
+	dateLo    = vector.ParseDate("1992-01-01")
+	dateHi    = vector.ParseDate("1998-08-02")
+	statusCut = vector.ParseDate("1995-06-17")
+)
+
+// Every string column is written straight into its heap (vector.Heap.End), so
+// generating allocates no string per value; heaps are presized from the row
+// count and a typical value length. commentHeap is sized for n comments.
+func commentHeap(n, words int) vector.Heap { return vector.MakeHeap(n, 8*words*n) }
+
+// comment appends a pseudo-random comment to h; with probability injectProb
+// the two pattern words are planted with a gap, so '%w1%w2%' LIKE predicates
 // match a controlled fraction of rows.
-func comment(rng *rand.Rand, words int, injectProb float64, w1, w2 string) string {
-	out := make([]byte, 0, 64)
+func comment(h *vector.Heap, rng *rand.Rand, words int, injectProb float64, w1, w2 string) {
 	inject := injectProb > 0 && rng.Float64() < injectProb
 	at := -1
 	if inject {
@@ -133,91 +147,114 @@ func comment(rng *rand.Rand, words int, injectProb float64, w1, w2 string) strin
 	}
 	for i := 0; i < words; i++ {
 		if i > 0 {
-			out = append(out, ' ')
+			h.Bytes = append(h.Bytes, ' ')
 		}
 		switch {
 		case inject && i == at:
-			out = append(out, w1...)
+			h.Bytes = append(h.Bytes, w1...)
 		case inject && i == at+1:
-			out = append(out, w2...)
+			h.Bytes = append(h.Bytes, w2...)
 		default:
-			out = append(out, commentWords[rng.Intn(len(commentWords))]...)
+			h.Bytes = append(h.Bytes, commentWords[rng.Intn(len(commentWords))]...)
 		}
 	}
-	return string(out)
+	h.End()
+}
+
+// joined appends words, space-separated, to h as one value.
+func joined(h *vector.Heap, words ...string) {
+	for i, w := range words {
+		if i > 0 {
+			h.Bytes = append(h.Bytes, ' ')
+		}
+		h.Bytes = append(h.Bytes, w...)
+	}
+	h.End()
+}
+
+// numbered appends prefix and k zero-padded to width digits to h as one
+// value (fmt's "%s%0*d").
+func numbered(h *vector.Heap, prefix string, k int64, width int) {
+	h.Bytes = append(h.Bytes, prefix...)
+	for p := int64(10); width > 1; width, p = width-1, p*10 {
+		if k < p {
+			h.Bytes = append(h.Bytes, '0')
+		}
+	}
+	h.Bytes = strconv.AppendInt(h.Bytes, k, 10)
+	h.End()
 }
 
 func genRegion(pageSize int64) *storage.Table {
 	rng := rand.New(rand.NewSource(101))
 	n := len(regionNames)
 	key := make([]int64, n)
-	name := make([]string, n)
-	com := make([]string, n)
+	com := commentHeap(n, 6)
 	for i := 0; i < n; i++ {
 		key[i] = int64(i)
-		name[i] = regionNames[i]
-		com[i] = comment(rng, 6, 0, "", "")
+		comment(&com, rng, 6, 0, "", "")
 	}
 	return storage.MustNewTable("region", pageSize,
 		storage.NewInt64Column("r_regionkey", key),
-		storage.NewStringColumn("r_name", name),
-		storage.NewStringColumn("r_comment", com))
+		storage.NewStringColumn("r_name", regionNames),
+		storage.NewHeapColumn("r_comment", com))
 }
 
 func genNation(pageSize int64) *storage.Table {
 	rng := rand.New(rand.NewSource(102))
 	n := len(nationNames)
 	key := make([]int64, n)
-	name := make([]string, n)
-	region := make([]int64, n)
-	com := make([]string, n)
+	com := commentHeap(n, 8)
 	for i := 0; i < n; i++ {
 		key[i] = int64(i)
-		name[i] = nationNames[i]
-		region[i] = nationRegions[i]
-		com[i] = comment(rng, 8, 0, "", "")
+		comment(&com, rng, 8, 0, "", "")
 	}
 	return storage.MustNewTable("nation", pageSize,
 		storage.NewInt64Column("n_nationkey", key),
-		storage.NewStringColumn("n_name", name),
-		storage.NewInt64Column("n_regionkey", region),
-		storage.NewStringColumn("n_comment", com))
+		storage.NewStringColumn("n_name", nationNames),
+		storage.NewInt64Column("n_regionkey", slices.Clone(nationRegions)),
+		storage.NewHeapColumn("n_comment", com))
 }
 
 func genSupplier(pageSize int64, n int) *storage.Table {
 	rng := rand.New(rand.NewSource(103))
 	key := make([]int64, n)
-	name := make([]string, n)
-	addr := make([]string, n)
+	name := vector.MakeHeap(n, 18*n)
+	addr := vector.MakeHeap(n, 20*n)
 	nation := make([]int64, n)
-	phone := make([]string, n)
+	phone := vector.MakeHeap(n, 15*n)
 	bal := make([]float64, n)
-	com := make([]string, n)
+	com := commentHeap(n, 10)
 	for i := 0; i < n; i++ {
 		k := int64(i + 1)
 		key[i] = k
-		name[i] = fmt.Sprintf("Supplier#%09d", k)
-		addr[i] = fmt.Sprintf("addr s%d %s", k, commentWords[rng.Intn(len(commentWords))])
+		numbered(&name, "Supplier#", k, 9)
+		addr.Bytes = append(strconv.AppendInt(append(addr.Bytes, "addr s"...), k, 10), ' ')
+		addr.Append(commentWords[rng.Intn(len(commentWords))])
 		nk := rng.Int63n(25)
 		nation[i] = nk
-		phone[i] = genPhone(rng, nk)
+		genPhone(&phone, rng, nk)
 		bal[i] = float64(rng.Intn(1100000)-100000) / 100
 		// The spec plants "Customer ... Complaints" in 5 of 10000 suppliers.
-		com[i] = comment(rng, 10, 0.0005, "Customer", "Complaints")
+		comment(&com, rng, 10, 0.0005, "Customer", "Complaints")
 	}
 	return storage.MustNewTable("supplier", pageSize,
 		storage.NewInt64Column("s_suppkey", key),
-		storage.NewStringColumn("s_name", name),
-		storage.NewStringColumn("s_address", addr),
+		storage.NewHeapColumn("s_name", name),
+		storage.NewHeapColumn("s_address", addr),
 		storage.NewInt64Column("s_nationkey", nation),
-		storage.NewStringColumn("s_phone", phone),
+		storage.NewHeapColumn("s_phone", phone),
 		storage.NewFloat64Column("s_acctbal", bal),
-		storage.NewStringColumn("s_comment", com))
+		storage.NewHeapColumn("s_comment", com))
 }
 
-func genPhone(rng *rand.Rand, nationkey int64) string {
-	return fmt.Sprintf("%d-%03d-%03d-%04d", 10+nationkey,
-		100+rng.Intn(900), 100+rng.Intn(900), 1000+rng.Intn(9000))
+// genPhone appends a phone number of the nation's country code to h.
+func genPhone(h *vector.Heap, rng *rand.Rand, nationkey int64) {
+	h.Bytes = strconv.AppendInt(h.Bytes, 10+nationkey, 10)
+	h.Bytes = strconv.AppendInt(append(h.Bytes, '-'), int64(100+rng.Intn(900)), 10)
+	h.Bytes = strconv.AppendInt(append(h.Bytes, '-'), int64(100+rng.Intn(900)), 10)
+	h.Bytes = strconv.AppendInt(append(h.Bytes, '-'), int64(1000+rng.Intn(9000)), 10)
+	h.End()
 }
 
 // genPart returns the part table and p_retailprice by part index (needed to
@@ -225,46 +262,41 @@ func genPhone(rng *rand.Rand, nationkey int64) string {
 func genPart(pageSize int64, n int) (*storage.Table, []float64) {
 	rng := rand.New(rand.NewSource(104))
 	key := make([]int64, n)
-	name := make([]string, n)
-	mfgr := make([]string, n)
-	brand := make([]string, n)
-	ptype := make([]string, n)
+	name := vector.MakeHeap(n, 36*n)
+	mfgr := vector.MakeHeap(n, 14*n)
+	brand := vector.MakeHeap(n, 8*n)
+	ptype := vector.MakeHeap(n, 22*n)
 	size := make([]int64, n)
-	container := make([]string, n)
+	container := vector.MakeHeap(n, 8*n)
 	retail := make([]float64, n)
-	com := make([]string, n)
+	com := commentHeap(n, 4)
 	for i := 0; i < n; i++ {
 		k := int64(i + 1)
 		key[i] = k
 		// Five distinct color words, as in the spec's P_NAME.
 		perm := rng.Perm(len(colors))[:5]
-		nm := ""
-		for j, ci := range perm {
-			if j > 0 {
-				nm += " "
-			}
-			nm += colors[ci]
-		}
-		name[i] = nm
-		m := 1 + rng.Intn(5)
-		mfgr[i] = fmt.Sprintf("Manufacturer#%d", m)
-		brand[i] = fmt.Sprintf("Brand#%d%d", m, 1+rng.Intn(5))
-		ptype[i] = typeSyl1[rng.Intn(6)] + " " + typeSyl2[rng.Intn(5)] + " " + typeSyl3[rng.Intn(5)]
+		joined(&name, colors[perm[0]], colors[perm[1]], colors[perm[2]], colors[perm[3]], colors[perm[4]])
+		m := int64(1 + rng.Intn(5))
+		numbered(&mfgr, "Manufacturer#", m, 1)
+		brand.Bytes = strconv.AppendInt(append(brand.Bytes, "Brand#"...), m, 10)
+		brand.Bytes = strconv.AppendInt(brand.Bytes, int64(1+rng.Intn(5)), 10)
+		brand.End()
+		joined(&ptype, typeSyl1[rng.Intn(6)], typeSyl2[rng.Intn(5)], typeSyl3[rng.Intn(5)])
 		size[i] = int64(1 + rng.Intn(50))
-		container[i] = containerSyl1[rng.Intn(5)] + " " + containerSyl2[rng.Intn(8)]
+		joined(&container, containerSyl1[rng.Intn(5)], containerSyl2[rng.Intn(8)])
 		retail[i] = float64(90000+((k/10)%20001)+100*(k%1000)) / 100
-		com[i] = comment(rng, 4, 0, "", "")
+		comment(&com, rng, 4, 0, "", "")
 	}
 	t := storage.MustNewTable("part", pageSize,
 		storage.NewInt64Column("p_partkey", key),
-		storage.NewStringColumn("p_name", name),
-		storage.NewStringColumn("p_mfgr", mfgr),
-		storage.NewStringColumn("p_brand", brand),
-		storage.NewStringColumn("p_type", ptype),
+		storage.NewHeapColumn("p_name", name),
+		storage.NewHeapColumn("p_mfgr", mfgr),
+		storage.NewHeapColumn("p_brand", brand),
+		storage.NewHeapColumn("p_type", ptype),
 		storage.NewInt64Column("p_size", size),
-		storage.NewStringColumn("p_container", container),
+		storage.NewHeapColumn("p_container", container),
 		storage.NewFloat64Column("p_retailprice", retail),
-		storage.NewStringColumn("p_comment", com))
+		storage.NewHeapColumn("p_comment", com))
 	return t, retail
 }
 
@@ -281,14 +313,14 @@ func genPartsupp(pageSize int64, nPart, nSupp int) *storage.Table {
 	sk := make([]int64, 0, n)
 	avail := make([]int64, 0, n)
 	cost := make([]float64, 0, n)
-	com := make([]string, 0, n)
+	com := commentHeap(n, 12)
 	for p := int64(1); p <= int64(nPart); p++ {
 		for i := 0; i < 4; i++ {
 			pk = append(pk, p)
 			sk = append(sk, psSupplierFor(p, i, int64(nSupp)))
 			avail = append(avail, int64(1+rng.Intn(9999)))
 			cost = append(cost, float64(100+rng.Intn(99901))/100)
-			com = append(com, comment(rng, 12, 0, "", ""))
+			comment(&com, rng, 12, 0, "", "")
 		}
 	}
 	return storage.MustNewTable("partsupp", pageSize,
@@ -296,171 +328,195 @@ func genPartsupp(pageSize int64, nPart, nSupp int) *storage.Table {
 		storage.NewInt64Column("ps_suppkey", sk),
 		storage.NewInt64Column("ps_availqty", avail),
 		storage.NewFloat64Column("ps_supplycost", cost),
-		storage.NewStringColumn("ps_comment", com))
+		storage.NewHeapColumn("ps_comment", com))
 }
 
 func genCustomer(pageSize int64, n int) *storage.Table {
 	rng := rand.New(rand.NewSource(106))
 	key := make([]int64, n)
-	name := make([]string, n)
-	addr := make([]string, n)
+	name := vector.MakeHeap(n, 18*n)
+	addr := vector.MakeHeap(n, 12*n)
 	nation := make([]int64, n)
-	phone := make([]string, n)
+	phone := vector.MakeHeap(n, 15*n)
 	bal := make([]float64, n)
-	seg := make([]string, n)
-	com := make([]string, n)
+	seg := vector.MakeHeap(n, 10*n)
+	com := commentHeap(n, 10)
 	for i := 0; i < n; i++ {
 		k := int64(i + 1)
 		key[i] = k
-		name[i] = fmt.Sprintf("Customer#%09d", k)
-		addr[i] = fmt.Sprintf("addr c%d", k)
+		numbered(&name, "Customer#", k, 9)
+		numbered(&addr, "addr c", k, 1)
 		nk := rng.Int63n(25)
 		nation[i] = nk
-		phone[i] = genPhone(rng, nk)
+		genPhone(&phone, rng, nk)
 		bal[i] = float64(rng.Intn(1100000)-100000) / 100
-		seg[i] = segments[rng.Intn(len(segments))]
-		com[i] = comment(rng, 10, 0, "", "")
+		seg.Append(segments[rng.Intn(len(segments))])
+		comment(&com, rng, 10, 0, "", "")
 	}
 	return storage.MustNewTable("customer", pageSize,
 		storage.NewInt64Column("c_custkey", key),
-		storage.NewStringColumn("c_name", name),
-		storage.NewStringColumn("c_address", addr),
+		storage.NewHeapColumn("c_name", name),
+		storage.NewHeapColumn("c_address", addr),
 		storage.NewInt64Column("c_nationkey", nation),
-		storage.NewStringColumn("c_phone", phone),
+		storage.NewHeapColumn("c_phone", phone),
 		storage.NewFloat64Column("c_acctbal", bal),
-		storage.NewStringColumn("c_mktsegment", seg),
-		storage.NewStringColumn("c_comment", com))
+		storage.NewHeapColumn("c_mktsegment", seg),
+		storage.NewHeapColumn("c_comment", com))
 }
 
 func genOrdersLineitem(pageSize int64, nOrd, nCust, nPart, nSupp int, retail []float64) (*storage.Table, *storage.Table) {
 	rng := rand.New(rand.NewSource(107))
-	dateLo := vector.ParseDate("1992-01-01")
-	dateHi := vector.ParseDate("1998-08-02")
-	statusCut := vector.ParseDate("1995-06-17")
-
-	oKey := make([]int64, nOrd)
-	oCust := make([]int64, nOrd)
-	oStatus := make([]string, nOrd)
-	oTotal := make([]float64, nOrd)
-	oDate := make([]int64, nOrd)
-	oPrio := make([]string, nOrd)
-	oClerk := make([]string, nOrd)
-	oShipPrio := make([]int64, nOrd)
-	oCom := make([]string, nOrd)
-
-	var lOrd, lPart, lSupp, lNum []int64
-	var lQty, lExt, lDisc, lTax []float64
-	var lRet, lStat []string
-	var lShip, lCommit, lRcpt []int64
-	var lInstr, lMode, lCom []string
-
+	g := &orderGen{rng: rng, nCust: nCust, nPart: nPart, nSupp: nSupp, retail: retail}
+	g.date = func() int64 { return dateLo + rng.Int63n(dateHi-dateLo+1) }
+	g.reserve(nOrd)
 	for i := 0; i < nOrd; i++ {
-		ok := int64(i + 1)
-		oKey[i] = ok
-		// A third of customers place no orders (custkey % 3 == 0 skipped).
-		var ck int64
-		for {
-			ck = 1 + rng.Int63n(int64(nCust))
-			if ck%3 != 0 || nCust < 3 {
-				break
-			}
-		}
-		oCust[i] = ck
-		od := dateLo + rng.Int63n(dateHi-dateLo+1)
-		oDate[i] = od
-		oPrio[i] = priorities[rng.Intn(5)]
-		oClerk[i] = fmt.Sprintf("Clerk#%09d", 1+rng.Intn(1000))
-		oShipPrio[i] = 0
-		// The spec plants "special ... requests" so Q13 excludes a small
-		// fraction of orders.
-		oCom[i] = comment(rng, 8, 0.02, "special", "requests")
-
-		items := 1 + rng.Intn(7)
-		var total float64
-		allF, allO := true, true
-		for ln := 1; ln <= items; ln++ {
-			pk := 1 + rng.Int63n(int64(nPart))
-			si := rng.Intn(4)
-			sk := psSupplierFor(pk, si, int64(nSupp))
-			qty := float64(1 + rng.Intn(50))
-			ext := qty * retail[pk-1]
-			disc := float64(rng.Intn(11)) / 100
-			tax := float64(rng.Intn(9)) / 100
-			ship := od + 1 + rng.Int63n(121)
-			commit := od + 30 + rng.Int63n(61)
-			rcpt := ship + 1 + rng.Int63n(30)
-			rf := "N"
-			if rcpt <= statusCut {
-				if rng.Intn(2) == 0 {
-					rf = "R"
-				} else {
-					rf = "A"
-				}
-			}
-			ls := "F"
-			if ship > statusCut {
-				ls = "O"
-			}
-			if ls == "F" {
-				allO = false
-			} else {
-				allF = false
-			}
-			lOrd = append(lOrd, ok)
-			lPart = append(lPart, pk)
-			lSupp = append(lSupp, sk)
-			lNum = append(lNum, int64(ln))
-			lQty = append(lQty, qty)
-			lExt = append(lExt, ext)
-			lDisc = append(lDisc, disc)
-			lTax = append(lTax, tax)
-			lRet = append(lRet, rf)
-			lStat = append(lStat, ls)
-			lShip = append(lShip, ship)
-			lCommit = append(lCommit, commit)
-			lRcpt = append(lRcpt, rcpt)
-			lInstr = append(lInstr, instructs[rng.Intn(4)])
-			lMode = append(lMode, shipModes[rng.Intn(7)])
-			lCom = append(lCom, comment(rng, 5, 0, "", ""))
-			total += ext * (1 + tax) * (1 - disc)
-		}
-		switch {
-		case allF:
-			oStatus[i] = "F"
-		case allO:
-			oStatus[i] = "O"
-		default:
-			oStatus[i] = "P"
-		}
-		oTotal[i] = total
+		g.order(int64(i + 1))
 	}
+	return g.tables(pageSize)
+}
 
-	orders := storage.MustNewTable("orders", pageSize,
-		storage.NewInt64Column("o_orderkey", oKey),
-		storage.NewInt64Column("o_custkey", oCust),
-		storage.NewStringColumn("o_orderstatus", oStatus),
-		storage.NewFloat64Column("o_totalprice", oTotal),
-		storage.NewInt64Column("o_orderdate", oDate),
-		storage.NewStringColumn("o_orderpriority", oPrio),
-		storage.NewStringColumn("o_clerk", oClerk),
-		storage.NewInt64Column("o_shippriority", oShipPrio),
-		storage.NewStringColumn("o_comment", oCom))
-	lineitem := storage.MustNewTable("lineitem", pageSize,
-		storage.NewInt64Column("l_orderkey", lOrd),
-		storage.NewInt64Column("l_partkey", lPart),
-		storage.NewInt64Column("l_suppkey", lSupp),
-		storage.NewInt64Column("l_linenumber", lNum),
-		storage.NewFloat64Column("l_quantity", lQty),
-		storage.NewFloat64Column("l_extendedprice", lExt),
-		storage.NewFloat64Column("l_discount", lDisc),
-		storage.NewFloat64Column("l_tax", lTax),
-		storage.NewStringColumn("l_returnflag", lRet),
-		storage.NewStringColumn("l_linestatus", lStat),
-		storage.NewInt64Column("l_shipdate", lShip),
-		storage.NewInt64Column("l_commitdate", lCommit),
-		storage.NewInt64Column("l_receiptdate", lRcpt),
-		storage.NewStringColumn("l_shipinstruct", lInstr),
-		storage.NewStringColumn("l_shipmode", lMode),
-		storage.NewStringColumn("l_comment", lCom))
+// orderGen writes orders, and the lineitems of each, straight into the
+// columns of the two tables. The base generator and DeltaGen share it, so an
+// arrival is drawn exactly as a loaded order is, but for its date.
+type orderGen struct {
+	rng                 *rand.Rand
+	nCust, nPart, nSupp int
+	retail              []float64
+	date                func() int64 // draws an o_orderdate
+
+	oKey, oCust, oDate, oShipPrio                   []int64
+	oTotal                                          []float64
+	oStatus, oPrio, oClerk, oCom                    vector.Heap
+	lOrd, lPart, lSupp, lNum, lShip, lCommit, lRcpt []int64
+	lQty, lExt, lDisc, lTax                         []float64
+	lRet, lStat, lInstr, lMode, lCom                vector.Heap
+}
+
+// reserve gives g room for nOrd orders and, as orders average four lineitems,
+// for about 4·nOrd lineitems.
+func (g *orderGen) reserve(nOrd int) {
+	n := 4*nOrd + nOrd/16 + 16
+	i64 := func(n int) []int64 { return make([]int64, 0, n) }
+	f64 := func(n int) []float64 { return make([]float64, 0, n) }
+	g.oKey, g.oCust, g.oDate, g.oShipPrio, g.oTotal = i64(nOrd), i64(nOrd), i64(nOrd), i64(nOrd), f64(nOrd)
+	g.oStatus, g.oPrio = vector.MakeHeap(nOrd, nOrd), vector.MakeHeap(nOrd, 9*nOrd)
+	g.oClerk, g.oCom = vector.MakeHeap(nOrd, 15*nOrd), commentHeap(nOrd, 8)
+	g.lOrd, g.lPart, g.lSupp, g.lNum, g.lShip, g.lCommit, g.lRcpt = i64(n), i64(n), i64(n), i64(n), i64(n), i64(n), i64(n)
+	g.lQty, g.lExt, g.lDisc, g.lTax = f64(n), f64(n), f64(n), f64(n)
+	g.lRet, g.lStat, g.lInstr = vector.MakeHeap(n, n), vector.MakeHeap(n, n), vector.MakeHeap(n, 12*n)
+	g.lMode, g.lCom = vector.MakeHeap(n, 5*n), commentHeap(n, 5)
+}
+
+// order generates the order of key ok and its lineitems.
+func (g *orderGen) order(ok int64) {
+	rng := g.rng
+	g.oKey = append(g.oKey, ok)
+	// A third of customers place no orders (custkey % 3 == 0 skipped).
+	var ck int64
+	for {
+		ck = 1 + rng.Int63n(int64(g.nCust))
+		if ck%3 != 0 || g.nCust < 3 {
+			break
+		}
+	}
+	g.oCust = append(g.oCust, ck)
+	od := g.date()
+	g.oDate = append(g.oDate, od)
+	g.oPrio.Append(priorities[rng.Intn(5)])
+	numbered(&g.oClerk, "Clerk#", int64(1+rng.Intn(1000)), 9)
+	g.oShipPrio = append(g.oShipPrio, 0)
+	// The spec plants "special ... requests" so Q13 excludes a small
+	// fraction of orders.
+	comment(&g.oCom, rng, 8, 0.02, "special", "requests")
+
+	items := 1 + rng.Intn(7)
+	var total float64
+	allF, allO := true, true
+	for ln := 1; ln <= items; ln++ {
+		pk := 1 + rng.Int63n(int64(g.nPart))
+		si := rng.Intn(4)
+		sk := psSupplierFor(pk, si, int64(g.nSupp))
+		qty := float64(1 + rng.Intn(50))
+		ext := qty * g.retail[pk-1]
+		disc := float64(rng.Intn(11)) / 100
+		tax := float64(rng.Intn(9)) / 100
+		ship := od + 1 + rng.Int63n(121)
+		commit := od + 30 + rng.Int63n(61)
+		rcpt := ship + 1 + rng.Int63n(30)
+		rf := "N"
+		if rcpt <= statusCut {
+			if rng.Intn(2) == 0 {
+				rf = "R"
+			} else {
+				rf = "A"
+			}
+		}
+		ls := "F"
+		if ship > statusCut {
+			ls = "O"
+		}
+		if ls == "F" {
+			allO = false
+		} else {
+			allF = false
+		}
+		g.lOrd = append(g.lOrd, ok)
+		g.lPart = append(g.lPart, pk)
+		g.lSupp = append(g.lSupp, sk)
+		g.lNum = append(g.lNum, int64(ln))
+		g.lQty = append(g.lQty, qty)
+		g.lExt = append(g.lExt, ext)
+		g.lDisc = append(g.lDisc, disc)
+		g.lTax = append(g.lTax, tax)
+		g.lRet.Append(rf)
+		g.lStat.Append(ls)
+		g.lShip = append(g.lShip, ship)
+		g.lCommit = append(g.lCommit, commit)
+		g.lRcpt = append(g.lRcpt, rcpt)
+		g.lInstr.Append(instructs[rng.Intn(4)])
+		g.lMode.Append(shipModes[rng.Intn(7)])
+		comment(&g.lCom, rng, 5, 0, "", "")
+		total += ext * (1 + tax) * (1 - disc)
+	}
+	switch {
+	case allF:
+		g.oStatus.Append("F")
+	case allO:
+		g.oStatus.Append("O")
+	default:
+		g.oStatus.Append("P")
+	}
+	g.oTotal = append(g.oTotal, total)
+}
+
+// tables returns the orders and lineitem tables generated so far.
+func (g *orderGen) tables(pageSize int64) (orders, lineitem *storage.Table) {
+	orders = storage.MustNewTable("orders", pageSize,
+		storage.NewInt64Column("o_orderkey", g.oKey),
+		storage.NewInt64Column("o_custkey", g.oCust),
+		storage.NewHeapColumn("o_orderstatus", g.oStatus),
+		storage.NewFloat64Column("o_totalprice", g.oTotal),
+		storage.NewInt64Column("o_orderdate", g.oDate),
+		storage.NewHeapColumn("o_orderpriority", g.oPrio),
+		storage.NewHeapColumn("o_clerk", g.oClerk),
+		storage.NewInt64Column("o_shippriority", g.oShipPrio),
+		storage.NewHeapColumn("o_comment", g.oCom))
+	lineitem = storage.MustNewTable("lineitem", pageSize,
+		storage.NewInt64Column("l_orderkey", g.lOrd),
+		storage.NewInt64Column("l_partkey", g.lPart),
+		storage.NewInt64Column("l_suppkey", g.lSupp),
+		storage.NewInt64Column("l_linenumber", g.lNum),
+		storage.NewFloat64Column("l_quantity", g.lQty),
+		storage.NewFloat64Column("l_extendedprice", g.lExt),
+		storage.NewFloat64Column("l_discount", g.lDisc),
+		storage.NewFloat64Column("l_tax", g.lTax),
+		storage.NewHeapColumn("l_returnflag", g.lRet),
+		storage.NewHeapColumn("l_linestatus", g.lStat),
+		storage.NewInt64Column("l_shipdate", g.lShip),
+		storage.NewInt64Column("l_commitdate", g.lCommit),
+		storage.NewInt64Column("l_receiptdate", g.lRcpt),
+		storage.NewHeapColumn("l_shipinstruct", g.lInstr),
+		storage.NewHeapColumn("l_shipmode", g.lMode),
+		storage.NewHeapColumn("l_comment", g.lCom))
 	return orders, lineitem
 }

@@ -30,12 +30,8 @@ type DeltaGen struct {
 	// 0 makes every arrival post-window, the fastest way to drift.
 	Backfill float64
 
-	rng     *rand.Rand
 	nextKey int64
-	nCust   int
-	nPart   int
-	nSupp   int
-	retail  []float64
+	src     orderGen // the draws' source: rng, table sizes, part prices
 }
 
 // NewDeltaGen returns a generator whose first order key continues after the
@@ -48,153 +44,31 @@ func NewDeltaGen(d *Dataset, seed int64) *DeltaGen {
 			maxKey = k
 		}
 	}
-	return &DeltaGen{
-		Backfill: 0.5,
-		rng:      rand.New(rand.NewSource(seed)),
-		nextKey:  maxKey + 1,
-		nCust:    d.Tables["customer"].Rows(),
-		nPart:    d.Tables["part"].Rows(),
-		nSupp:    d.Tables["supplier"].Rows(),
-		retail:   d.Tables["part"].MustColumn("p_retailprice").F64,
-	}
+	return &DeltaGen{Backfill: 0.5, nextKey: maxKey + 1, src: orderGen{
+		rng:    rand.New(rand.NewSource(seed)),
+		nCust:  d.Tables["customer"].Rows(),
+		nPart:  d.Tables["part"].Rows(),
+		nSupp:  d.Tables["supplier"].Rows(),
+		retail: d.Tables["part"].MustColumn("p_retailprice").F64,
+	}}
 }
 
 // Next generates the next nOrders arrivals.
 func (g *DeltaGen) Next(nOrders int) *DeltaBatch {
-	rng := g.rng
-	dateLo := vector.ParseDate("1992-01-01")
-	dateHi := vector.ParseDate("1998-08-02")
+	og, rng := g.src, g.src.rng
 	freshHi := vector.ParseDate("1999-06-01")
-	statusCut := vector.ParseDate("1995-06-17")
-	pageSize := int64(4 << 10)
-
-	oKey := make([]int64, nOrders)
-	oCust := make([]int64, nOrders)
-	oStatus := make([]string, nOrders)
-	oTotal := make([]float64, nOrders)
-	oDate := make([]int64, nOrders)
-	oPrio := make([]string, nOrders)
-	oClerk := make([]string, nOrders)
-	oShipPrio := make([]int64, nOrders)
-	oCom := make([]string, nOrders)
-
-	var lOrd, lPart, lSupp, lNum []int64
-	var lQty, lExt, lDisc, lTax []float64
-	var lRet, lStat []string
-	var lShip, lCommit, lRcpt []int64
-	var lInstr, lMode, lCom []string
-
-	for i := 0; i < nOrders; i++ {
-		ok := g.nextKey
-		g.nextKey++
-		oKey[i] = ok
-		var ck int64
-		for {
-			ck = 1 + rng.Int63n(int64(g.nCust))
-			if ck%3 != 0 || g.nCust < 3 {
-				break
-			}
-		}
-		oCust[i] = ck
-		var od int64
+	og.date = func() int64 {
 		if rng.Float64() < g.Backfill {
-			od = dateLo + rng.Int63n(dateHi-dateLo+1)
-		} else {
-			od = dateHi + 1 + rng.Int63n(freshHi-dateHi)
+			return dateLo + rng.Int63n(dateHi-dateLo+1)
 		}
-		oDate[i] = od
-		oPrio[i] = priorities[rng.Intn(5)]
-		oClerk[i] = fmt.Sprintf("Clerk#%09d", 1+rng.Intn(1000))
-		oShipPrio[i] = 0
-		oCom[i] = comment(rng, 8, 0.02, "special", "requests")
-
-		items := 1 + rng.Intn(7)
-		var total float64
-		allF, allO := true, true
-		for ln := 1; ln <= items; ln++ {
-			pk := 1 + rng.Int63n(int64(g.nPart))
-			si := rng.Intn(4)
-			sk := psSupplierFor(pk, si, int64(g.nSupp))
-			qty := float64(1 + rng.Intn(50))
-			ext := qty * g.retail[pk-1]
-			disc := float64(rng.Intn(11)) / 100
-			tax := float64(rng.Intn(9)) / 100
-			ship := od + 1 + rng.Int63n(121)
-			commit := od + 30 + rng.Int63n(61)
-			rcpt := ship + 1 + rng.Int63n(30)
-			rf := "N"
-			if rcpt <= statusCut {
-				if rng.Intn(2) == 0 {
-					rf = "R"
-				} else {
-					rf = "A"
-				}
-			}
-			ls := "F"
-			if ship > statusCut {
-				ls = "O"
-			}
-			if ls == "F" {
-				allO = false
-			} else {
-				allF = false
-			}
-			lOrd = append(lOrd, ok)
-			lPart = append(lPart, pk)
-			lSupp = append(lSupp, sk)
-			lNum = append(lNum, int64(ln))
-			lQty = append(lQty, qty)
-			lExt = append(lExt, ext)
-			lDisc = append(lDisc, disc)
-			lTax = append(lTax, tax)
-			lRet = append(lRet, rf)
-			lStat = append(lStat, ls)
-			lShip = append(lShip, ship)
-			lCommit = append(lCommit, commit)
-			lRcpt = append(lRcpt, rcpt)
-			lInstr = append(lInstr, instructs[rng.Intn(4)])
-			lMode = append(lMode, shipModes[rng.Intn(7)])
-			lCom = append(lCom, comment(rng, 5, 0, "", ""))
-			total += ext * (1 + tax) * (1 - disc)
-		}
-		switch {
-		case allF:
-			oStatus[i] = "F"
-		case allO:
-			oStatus[i] = "O"
-		default:
-			oStatus[i] = "P"
-		}
-		oTotal[i] = total
+		return dateHi + 1 + rng.Int63n(freshHi-dateHi)
 	}
-
-	orders := storage.MustNewTable("orders", pageSize,
-		storage.NewInt64Column("o_orderkey", oKey),
-		storage.NewInt64Column("o_custkey", oCust),
-		storage.NewStringColumn("o_orderstatus", oStatus),
-		storage.NewFloat64Column("o_totalprice", oTotal),
-		storage.NewInt64Column("o_orderdate", oDate),
-		storage.NewStringColumn("o_orderpriority", oPrio),
-		storage.NewStringColumn("o_clerk", oClerk),
-		storage.NewInt64Column("o_shippriority", oShipPrio),
-		storage.NewStringColumn("o_comment", oCom))
-	lineitem := storage.MustNewTable("lineitem", pageSize,
-		storage.NewInt64Column("l_orderkey", lOrd),
-		storage.NewInt64Column("l_partkey", lPart),
-		storage.NewInt64Column("l_suppkey", lSupp),
-		storage.NewInt64Column("l_linenumber", lNum),
-		storage.NewFloat64Column("l_quantity", lQty),
-		storage.NewFloat64Column("l_extendedprice", lExt),
-		storage.NewFloat64Column("l_discount", lDisc),
-		storage.NewFloat64Column("l_tax", lTax),
-		storage.NewStringColumn("l_returnflag", lRet),
-		storage.NewStringColumn("l_linestatus", lStat),
-		storage.NewInt64Column("l_shipdate", lShip),
-		storage.NewInt64Column("l_commitdate", lCommit),
-		storage.NewInt64Column("l_receiptdate", lRcpt),
-		storage.NewStringColumn("l_shipinstruct", lInstr),
-		storage.NewStringColumn("l_shipmode", lMode),
-		storage.NewStringColumn("l_comment", lCom))
+	og.reserve(nOrders)
+	for range nOrders {
+		og.order(g.nextKey)
+		g.nextKey++
+	}
+	orders, lineitem := og.tables(4 << 10)
 	return &DeltaBatch{Orders: orders, Lineitem: lineitem}
 }
 

@@ -514,7 +514,8 @@ func tailRows(tab *storage.Table, from int) *storage.Table {
 		case vector.Float64:
 			cols[i] = storage.NewFloat64Column(c.Name, slices.Clone(c.F64[from:]))
 		case vector.String:
-			cols[i] = storage.NewStringColumn(c.Name, slices.Clone(c.Str[from:]))
+			cols[i] = storage.NewHeapColumn(c.Name, vector.Heap{})
+			cols[i].Str.AppendRange(c.Str, from, c.Str.Len())
 		}
 	}
 	return storage.MustNewTable(tab.Name, tab.PageSize, cols...)
@@ -743,7 +744,7 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 			view, rows := snap.Tables[name], combined[name]
 			for i, c := range rows.Cols {
 				v := view.Cols[i]
-				if view.Rows() != rows.Rows() || !slices.Equal(v.I64, c.I64) || !slices.Equal(v.F64, c.F64) || !slices.Equal(v.Str, c.Str) {
+				if view.Rows() != rows.Rows() || !slices.Equal(v.I64, c.I64) || !slices.Equal(v.F64, c.F64) || !slices.Equal(v.Str.Offs, c.Str.Offs) || !slices.Equal(v.Str.Bytes, c.Str.Bytes) {
 					t.Fatalf("%s: the insertion-order view of %s differs from the accepted rows in column %s", label, name, c.Name)
 				}
 			}

@@ -57,8 +57,8 @@ func (e Encoding) String() string {
 const MaxDictEntries = 1 << 16
 
 // Chunk is one encoded span of a column. Only the fields of its encoding are
-// populated; Min/Max of the chunk's values are computed during encoding (from
-// runs or codes, not by an extra row loop) and feed zonemaps directly.
+// populated (raw strings: a window of a heap); Min/Max are computed during
+// encoding (from runs or codes, not a row loop) and feed zonemaps directly.
 type Chunk struct {
 	Enc   Encoding
 	Start int   // first row of the span in its column
@@ -72,11 +72,11 @@ type Chunk struct {
 	RunS []string
 	RunN []int32
 
-	// EncRaw: the chunk's values — a window of the arrays it was encoded
-	// from, or arrays decoded from its byte form.
+	// EncRaw: the chunk's values — a window of the arrays (for strings, the
+	// heap) it was encoded from, or of those its byte form was read into.
 	ValI []int64
 	ValF []float64
-	ValS []string
+	ValS Heap
 
 	// EncFOR: base + bit-packed deltas; EncDict reuses Packed for the
 	// bit-packed dictionary codes at the dictionary's bit width.
@@ -106,18 +106,18 @@ func (ch *Chunk) pack(rows int, bitw uint8, val func(i int) uint64) {
 	BitPack(ch.Packed, rows, bitw, val)
 }
 
-// appendRuns appends the runs of the comparable values v to vals and lens,
-// grown once to the run count.
-func appendRuns[T comparable](vals []T, lens []int32, runs int, v []T) ([]T, []int32) {
+// appendRuns appends the runs of the rows values at(0), …, at(rows-1) to
+// vals and lens, grown once to the run count.
+func appendRuns[T comparable](vals []T, lens []int32, runs, rows int, at func(int) T) ([]T, []int32) {
 	vals, lens = slices.Grow(vals, runs), slices.Grow(lens, runs)
-	cur, n := v[0], int32(1)
-	for _, x := range v[1:] {
-		if x == cur {
+	cur, n := at(0), int32(1)
+	for i := 1; i < rows; i++ {
+		if x := at(i); x == cur {
 			n++
-			continue
+		} else {
+			vals, lens = append(vals, cur), append(lens, n)
+			cur, n = x, 1
 		}
-		vals, lens = append(vals, cur), append(lens, n)
-		cur, n = x, 1
 	}
 	return append(vals, cur), append(lens, n)
 }
@@ -150,7 +150,7 @@ func (ch *Chunk) EncodeI64(v []int64) {
 	}
 	switch ch.Enc {
 	case EncRLE:
-		ch.RunI, ch.RunN = appendRuns(ch.RunI, ch.RunN, runs, v)
+		ch.RunI, ch.RunN = appendRuns(ch.RunI, ch.RunN, runs, rows, func(i int) int64 { return v[i] })
 	case EncFOR:
 		ch.Base = mn
 		ch.pack(rows, bitw, func(i int) uint64 { return uint64(v[i]) - uint64(mn) })
@@ -188,17 +188,7 @@ func (ch *Chunk) EncodeF64(v []float64) {
 		return
 	}
 	ch.Enc, ch.Bytes = EncRLE, rleB
-	ch.RunF, ch.RunN = slices.Grow(ch.RunF, runs), slices.Grow(ch.RunN, runs)
-	cur, n := math.Float64bits(v[0]), int32(1)
-	for _, x := range v[1:] {
-		if b := math.Float64bits(x); b == cur {
-			n++
-		} else {
-			ch.RunF, ch.RunN = append(ch.RunF, cur), append(ch.RunN, n)
-			cur, n = b, 1
-		}
-	}
-	ch.RunF, ch.RunN = append(ch.RunF, cur), append(ch.RunN, n)
+	ch.RunF, ch.RunN = appendRuns(ch.RunF, ch.RunN, runs, rows, func(i int) uint64 { return math.Float64bits(v[i]) })
 }
 
 // EncodeStr makes ch the cheapest encoding of the non-empty span v, costing
@@ -206,28 +196,23 @@ func (ch *Chunk) EncodeF64(v []float64) {
 // the span, so Min/Max fall out of the walk without a dedicated row loop).
 // codes are the rows' codes in the column's dictionary of 1<<dictBits entries
 // at most (StrDict.ColumnDict); nil means the column keeps no dictionary. The
-// dictionary itself is charged to the column, once, not to the chunk.
-func (ch *Chunk) EncodeStr(v []string, codes []uint32, dictBits uint8) {
+// dictionary itself is charged to the column, once, not to the chunk. Run
+// values and bounds are views of v's heap.
+func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dictBits uint8) {
 	ch.reset()
-	rows := len(v)
+	rows := v.Len()
 	runs := 1
-	mn, mx := v[0], v[0]
-	rleB := int64(8 + len(v[0]))
-	rawB := int64(len(v[0]))
+	prev := v.At(0)
+	mn, mx := prev, prev
+	rleB := int64(8 + len(prev))
 	for i := 1; i < rows; i++ {
-		rawB += int64(len(v[i]))
-		if v[i] != v[i-1] {
+		if s := v.At(i); s != prev {
 			runs++
-			rleB += int64(8 + len(v[i]))
-			if v[i] < mn {
-				mn = v[i]
-			}
-			if v[i] > mx {
-				mx = v[i]
-			}
+			rleB += int64(8 + len(s))
+			mn, mx, prev = min(mn, s), max(mx, s), s
 		}
 	}
-	ch.Enc, ch.Rows, ch.Bytes, ch.MinS, ch.MaxS = EncRaw, rows, rawB, mn, mx
+	ch.Enc, ch.Rows, ch.Bytes, ch.MinS, ch.MaxS = EncRaw, rows, int64(v.Size()), mn, mx
 	if codes != nil {
 		if dictB := int64(BitPackLen(rows, dictBits)); dictB < ch.Bytes {
 			ch.Enc, ch.Bytes = EncDict, dictB
@@ -238,7 +223,7 @@ func (ch *Chunk) EncodeStr(v []string, codes []uint32, dictBits uint8) {
 	}
 	switch ch.Enc {
 	case EncRLE:
-		ch.RunS, ch.RunN = appendRuns(ch.RunS, ch.RunN, runs, v)
+		ch.RunS, ch.RunN = appendRuns(ch.RunS, ch.RunN, runs, rows, v.At)
 	case EncDict:
 		ch.pack(rows, dictBits, func(i int) uint64 { return uint64(codes[i]) })
 	default:
@@ -263,18 +248,21 @@ type StrDict struct {
 }
 
 // Collect scans vals. With limit > 0 it gives up, returning false, as soon as
-// more than limit distinct values were seen.
-func (d *StrDict) Collect(vals []string, limit int) bool {
+// more than limit distinct values were seen. The distinct values it keeps are
+// views of vals' heap.
+func (d *StrDict) Collect(vals Heap, limit int) bool {
 	if d.ids == nil {
 		d.ids = make(map[string]uint32, 64)
 	}
 	clear(d.ids)
-	if cap(d.IDs) < len(vals) {
-		d.IDs = make([]uint32, len(vals))
+	n := vals.Len()
+	if cap(d.IDs) < n {
+		d.IDs = make([]uint32, n)
 	}
-	d.IDs = d.IDs[:len(vals)]
+	d.IDs = d.IDs[:n]
 	d.Bytes = 0
-	for i, s := range vals {
+	for i := range n {
+		s := vals.At(i)
 		id, ok := d.ids[s]
 		if !ok {
 			if limit > 0 && len(d.ids) == limit {
@@ -317,17 +305,13 @@ func (d *StrDict) Sort() []string {
 // modeled smaller than the raw column. Both tests need only the distinct
 // values' count and byte sum, so they run before the dictionary is sorted.
 // All-zero results mean the column keeps no dictionary.
-func (d *StrDict) ColumnDict(vals []string) (dict []string, codes []uint32, bitw uint8, dictBytes int64) {
+func (d *StrDict) ColumnDict(vals Heap) (dict []string, codes []uint32, bitw uint8, dictBytes int64) {
 	if !d.Collect(vals, MaxDictEntries) {
 		return nil, nil, 0, 0
 	}
-	var rawBytes int64
-	for _, s := range vals {
-		rawBytes += int64(len(s))
-	}
 	bitw = uint8(bits.Len(uint(d.Len() - 1)))
 	dictBytes = int64(4*d.Len() + d.Bytes)
-	if dictBytes+int64(BitPackLen(len(vals), bitw)) >= rawBytes {
+	if dictBytes+int64(BitPackLen(vals.Len(), bitw)) >= int64(vals.Size()) {
 		return nil, nil, 0, 0
 	}
 	return d.Sort(), d.IDs, bitw, dictBytes
@@ -336,9 +320,9 @@ func (d *StrDict) ColumnDict(vals []string) (dict []string, codes []uint32, bitw
 // AppendRange appends the chunk's rows [lo,hi) to dst, a vector of the
 // chunk's column kind, decoding only those rows and straight into dst's tail:
 // frame-of-reference and dictionary codes unpack from bit offset lo, runs fill
-// from the run holding lo, raw values copy. The values are the exact
-// originals. dict is the dictionary the chunk's codes index, checked against
-// them when the chunk was built or read.
+// from the run holding lo, raw values copy (strings as views). The values are
+// the exact originals. dict is the dictionary the chunk's codes index, checked
+// against them when the chunk was built or read.
 func (ch *Chunk) AppendRange(dict []string, lo, hi int, dst *Vector) {
 	if lo >= hi {
 		return
@@ -372,7 +356,7 @@ func (ch *Chunk) AppendRange(dict []string, lo, hi int, dst *Vector) {
 		dst.Str, tail = grow(dst.Str, hi-lo)
 		switch ch.Enc {
 		case EncRaw:
-			copy(tail, ch.ValS[lo:])
+			ch.ValS.Views(tail, lo)
 		case EncRLE:
 			fillRuns(tail, ch.RunS, ch.RunN, lo, func(v string) string { return v })
 		case EncDict:

@@ -118,7 +118,7 @@ func appendRangeCases(rng *rand.Rand, rows int) []rangeCase {
 	return append(cases,
 		rangeCase{name: "raw/i64", ch: Chunk{Enc: EncRaw, Rows: rows, ValI: i64}, want: &Vector{Kind: Int64, I64: i64}},
 		rangeCase{name: "raw/f64", ch: Chunk{Enc: EncRaw, Rows: rows, ValF: f64}, want: &Vector{Kind: Float64, F64: f64}},
-		rangeCase{name: "raw/str", ch: Chunk{Enc: EncRaw, Rows: rows, ValS: str}, want: &Vector{Kind: String, Str: str}})
+		rangeCase{name: "raw/str", ch: Chunk{Enc: EncRaw, Rows: rows, ValS: HeapOf(str)}, want: &Vector{Kind: String, Str: str}})
 }
 
 // sameRows reports whether a's rows [alo, alo+n) equal b's rows [blo, blo+n),

@@ -13,9 +13,9 @@ import (
 // outside memory, whether the chunk is part of a stored column's frame
 // (internal/storage) or a batch column on the wire (codec.go). Fixed-width
 // fields, counts and string lengths go to a body; every string's bytes go to
-// a heap, in the same order, so a reader converts the heap to one Go string
-// and hands out substrings. docs/WIRE.md ("Partition data") has the layout
-// and the list of checks.
+// a heap, in the same order, so a reader copies the heap once and hands out
+// views of the copy: a raw string chunk is a window of it. docs/WIRE.md
+// ("Partition data") has the layout and the list of checks.
 
 // ChunkWriter appends byte forms to a body and its heap, which the caller
 // frames.
@@ -57,6 +57,17 @@ func (w *ChunkWriter) Vals(kind Kind, i64 []int64, f64 []float64, str []string) 
 	}
 }
 
+// Strs writes the values of a heap: lengths in the body, the bytes as one
+// block in the heap.
+func (w *ChunkWriter) Strs(h Heap) {
+	n := h.Len()
+	w.Body = slices.Grow(w.Body, n)
+	for i := range n {
+		w.Uvar(uint64(h.Offs[i+1] - h.Offs[i]))
+	}
+	w.Heap = append(w.Heap, h.Bytes[h.Offs[0]:h.Offs[n]]...)
+}
+
 // Dict writes a column's dictionary: its size, then the entries.
 func (w *ChunkWriter) Dict(dict []string) {
 	w.Uvar(uint64(len(dict)))
@@ -71,7 +82,11 @@ func (w *ChunkWriter) Chunk(kind Kind, ch *Chunk) {
 	w.Vals(kind, []int64{ch.MinI, ch.MaxI}, []float64{ch.MinF, ch.MaxF}, []string{ch.MinS, ch.MaxS})
 	switch ch.Enc {
 	case EncRaw:
-		w.Vals(kind, ch.ValI, ch.ValF, ch.ValS)
+		if kind == String {
+			w.Strs(ch.ValS)
+		} else {
+			w.Vals(kind, ch.ValI, ch.ValF, nil)
+		}
 	case EncRLE:
 		w.Uvar(uint64(len(ch.RunN)))
 		for _, n := range ch.RunN {
@@ -95,12 +110,13 @@ func (w *ChunkWriter) Chunk(kind Kind, ch *Chunk) {
 // at the end.
 type ChunkReader struct {
 	wire.Reader
-	heap    string
+	heap    []byte
 	heapPos int
 }
 
-// NewChunkReader reads body against heap.
-func NewChunkReader(body []byte, heap string) *ChunkReader {
+// NewChunkReader reads body against heap, which the strings read become views
+// of: the caller hands over a copy that nothing writes again.
+func NewChunkReader(body, heap []byte) *ChunkReader {
 	return &ChunkReader{Reader: wire.NewReader(body), heap: heap}
 }
 
@@ -113,20 +129,31 @@ func (r *ChunkReader) HeapLeft() int { return len(r.heap) - r.heapPos }
 func (r *ChunkReader) heapStr() string {
 	n := r.Uvarint("string length", r.HeapLeft())
 	r.heapPos += n
-	return r.heap[r.heapPos-n : r.heapPos]
+	return view(r.heap[r.heapPos-n : r.heapPos])
+}
+
+// Strs reads n strings as a window of the heap. The offsets come from lengths
+// checked against the heap bytes left, so they ascend inside the heap.
+func (r *ChunkReader) Strs(n int) Heap {
+	if n > r.Len() {
+		r.Fail("%d strings cannot fit in %d body bytes", n, r.Len())
+		n = 0
+	}
+	h := Heap{Bytes: r.heap, Offs: make([]uint32, n+1)}
+	h.Offs[0] = uint32(r.heapPos)
+	for i := 1; i <= n; i++ {
+		r.heapPos += r.Uvarint("string length", r.HeapLeft())
+		h.Offs[i] = uint32(r.heapPos)
+	}
+	return h
 }
 
 // Vals reads n values of kind into the slice that matches it.
 func (r *ChunkReader) Vals(kind Kind, n int) (i64 []int64, f64 []float64, str []string) {
 	if kind == String {
-		if n > r.Len() {
-			r.Fail("%d strings cannot fit in %d body bytes", n, r.Len())
-			return
-		}
-		str = make([]string, n)
-		for i := range str {
-			str[i] = r.heapStr()
-		}
+		h := r.Strs(n)
+		str = make([]string, h.Len())
+		h.Views(str, 0)
 		return
 	}
 	b := r.Take(8 * n)
@@ -182,8 +209,10 @@ func (r *ChunkReader) Chunk(kind Kind, maxRows int, dict []string) Chunk {
 		ch.MinS, ch.MaxS = r.heapStr(), r.heapStr()
 	}
 	switch {
+	case ch.Enc == EncRaw && kind == String:
+		ch.ValS = r.Strs(ch.Rows)
 	case ch.Enc == EncRaw:
-		ch.ValI, ch.ValF, ch.ValS = r.Vals(kind, ch.Rows)
+		ch.ValI, ch.ValF, _ = r.Vals(kind, ch.Rows)
 	case ch.Enc == EncRLE:
 		ch.RunN = make([]int32, r.Uvarint("run count", r.Len()))
 		left := ch.Rows

@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -35,13 +36,15 @@ const batchHeaderLen = 1 + 8 + 2 + 4 + 4
 const maxWireRows = 1 << 22
 
 // encodeScratch is what one Encode works in: the heap its strings collect in
-// until the body is complete, the chunk its columns are encoded through, and
-// the dictionary scratch of its string columns — whose map is most of what an
-// encode would otherwise allocate. Encode's signature has no room for scratch
-// the caller owns, so it is pooled; between uses it still refers to the last
-// batch's strings, until the pool drops it at a collection.
+// until the body is complete, the heap a string column is staged in (a stored
+// column's form, for the one string encoder), the chunk its columns are
+// encoded through, and the dictionary scratch of its string columns — whose
+// map is most of what an encode would otherwise allocate. Encode's signature
+// has no room for scratch the caller owns, so it is pooled. The staging heap
+// is rewritten after views of it were taken, but none leaves Encode.
 type encodeScratch struct {
 	heap []byte
+	strs Heap
 	ch   Chunk
 	dict StrDict
 }
@@ -74,8 +77,12 @@ func (b *Batch) Encode(buf []byte) []byte {
 		case Float64:
 			ch.EncodeF64(c.F64)
 		case String:
-			entries, codes, bitw, _ := dict.ColumnDict(c.Str)
-			if ch.EncodeStr(c.Str, codes, bitw); ch.Enc != EncDict {
+			sc.strs = Heap{Bytes: sc.strs.Bytes[:0], Offs: sc.strs.Offs[:0]}
+			for _, s := range c.Str {
+				sc.strs.Append(s)
+			}
+			entries, codes, bitw, _ := dict.ColumnDict(sc.strs)
+			if ch.EncodeStr(sc.strs, codes, bitw); ch.Enc != EncDict {
 				entries = nil
 			}
 			w.Dict(entries)
@@ -119,8 +126,8 @@ func (b *Batch) RawWireSize() int {
 
 // DecodeBatch decodes one batch from the front of data, returning the batch
 // and the number of bytes consumed. The decoded batch owns its memory: numbers
-// are decoded into arrays of their own and strings are substrings of one copy
-// of the heap. Every length and count is checked against the bytes left
+// are decoded into arrays of their own and strings are views of one copy of
+// the heap. Every length and count is checked against the bytes left
 // before it sizes an allocation, the chunk reader checks everything a chunk
 // is indexed by, and every column must hold as many rows as the first, so a
 // garbage frame errors instead of panicking or over-allocating — here or in
@@ -130,7 +137,7 @@ func DecodeBatch(data []byte) (*Batch, int, error) {
 	b := &Batch{Grouped: env.U8() != 0, GroupID: env.U64()}
 	ncols, bodyLen, heapLen := env.U16(), env.U32(), env.U32()
 	body := env.Take(int(bodyLen))
-	r := NewChunkReader(body, string(env.Take(int(heapLen))))
+	r := NewChunkReader(body, bytes.Clone(env.Take(int(heapLen))))
 	if err := env.Err(); err != nil {
 		return nil, 0, fmt.Errorf("vector: batch envelope: %w", err)
 	}
@@ -159,8 +166,8 @@ func DecodeBatch(data []byte) (*Batch, int, error) {
 			if r.Err() != nil {
 				break
 			}
-			if ch.Enc == EncRaw { // decoded into arrays nothing else holds
-				v.I64, v.F64, v.Str = ch.ValI, ch.ValF, ch.ValS
+			if ch.Enc == EncRaw && v.Kind != String { // decoded into arrays nothing else holds
+				v.I64, v.F64 = ch.ValI, ch.ValF
 			} else {
 				ch.AppendRange(dict, 0, n, v)
 			}

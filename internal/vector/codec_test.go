@@ -10,6 +10,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"bdcc/internal/wire"
 )
 
 func codecTestBatch() *Batch {
@@ -290,7 +292,7 @@ func refStrChunk(v []string) ([]string, Chunk) {
 	}
 	switch ch.Enc {
 	case EncRaw:
-		ch.ValS = v
+		ch.ValS = HeapOf(v)
 	case EncRLE:
 		ch.RunS, ch.RunN = runS, runN
 	case EncDict:
@@ -413,11 +415,37 @@ func TestDecodeBatchRejectsRaggedColumns(t *testing.T) {
 	}
 }
 
+// eachRawStrChunk walks a batch that decodes, the way DecodeBatch reads it,
+// and calls fn with the values of every raw string chunk and the batch's
+// heap bytes.
+func eachRawStrChunk(data []byte, fn func(h Heap, heap []byte)) {
+	env := wire.NewReader(data)
+	env.Take(1 + 8)
+	ncols, bodyLen, heapLen := env.U16(), env.U32(), env.U32()
+	body := env.Take(int(bodyLen))
+	heap := env.Take(int(heapLen))
+	r := NewChunkReader(body, bytes.Clone(heap))
+	for range ncols {
+		kind, n := Kind(r.U8()), r.Uvarint("column rows", maxWireRows)
+		if n == 0 {
+			continue
+		}
+		var dict []string
+		if kind == String {
+			dict, _, _ = r.Dict()
+		}
+		if ch := r.Chunk(kind, n, dict); kind == String && ch.Enc == EncRaw {
+			fn(ch.ValS, heap)
+		}
+	}
+}
+
 // FuzzDecodeBatch: arbitrary bytes offered as a batch decode cleanly or error
 // — never panic, never a column above maxWireRows or of another length than
-// the batch's — and what decodes survives another trip through the codec
-// value for value. The committed corpus has one seed per column kind and
-// encoding.
+// the batch's, every raw string chunk a window of one copy of the heap whose
+// views read the batch's bytes — and what decodes survives another trip
+// through the codec value for value. The committed corpus has one seed per
+// column kind and encoding.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, n, err := DecodeBatch(data)
@@ -432,6 +460,20 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("column %d holds %d rows in a batch of %d", i, c.Len(), b.Len())
 			}
 		}
+		eachRawStrChunk(data, func(h Heap, heap []byte) {
+			if !bytes.Equal(h.Bytes, heap) || len(heap) > 0 && &h.Bytes[0] == &heap[0] {
+				t.Fatalf("raw chunk strings are not views of one copy of the batch's %d-byte heap", len(heap))
+			}
+			for i := range h.Len() {
+				lo, hi := h.Offs[i], h.Offs[i+1]
+				if lo > hi || int(hi) > len(heap) {
+					t.Fatalf("string %d at [%d,%d) of a %d-byte heap", i, lo, hi, len(heap))
+				}
+				if h.At(i) != string(heap[lo:hi]) {
+					t.Fatalf("string %d reads %q, the batch holds %q", i, h.At(i), heap[lo:hi])
+				}
+			}
+		})
 		enc := b.Encode(nil)
 		back, m, err := DecodeBatch(enc)
 		if err != nil || m != len(enc) || !sameBatch(back, b) {

@@ -45,8 +45,9 @@ func (k Kind) String() string {
 }
 
 // Width returns the modeled on-disk width in bytes of one value of this kind.
-// String columns have data-dependent width; Width returns the pointer-free
-// minimum and callers needing accurate string density use storage statistics.
+// A string's width is its length, data-dependent: Width returns 0, and a
+// stored string column's modeled width is its heap's length over its rows
+// (storage.Column.Width).
 func (k Kind) Width() int {
 	switch k {
 	case Int64, Float64:
