@@ -43,18 +43,18 @@
 // # One scan
 //
 // Every scan in the engine — plain or scatter, serial, morsel-parallel,
-// shipped to a worker, or re-run by the coordinator's failover — reads
-// through one cursor (scanCursor, scan.go): the only code that pulls a
-// storage.Reader, tags a batch with its group and applies the scan filter.
-// The one operator, Scan, reads a list of groups: a plain scan is the
-// one-group case, its ranges one untagged group. The forms differ only in
-// who owns the output batch — the serial Scan reuses one, morsel tasks and
-// Fragment.runScan emit fresh ones — and in where reads are charged: the
-// serial scan charges the union of its ranges once at Open, the morsel form
-// posts one asynchronous read per group, a worker reports its own. The scan
-// derives its reader pushdown from its filter (FilterIntervals, the form
-// zonemap pruning uses too) whenever the table is compressed and the scan
-// is not shipped.
+// shipped to a worker, or re-run by the coordinator's failover — is bound
+// once (bindScan, scan.go: columns, filter, and the filter's intervals
+// pushed into the readers when that table is compressed) and reads through
+// one cursor (scanCursor): the only code that pulls a storage.Reader, tags a
+// batch with its group and applies the scan filter. The one operator, Scan,
+// reads a list of groups: a plain scan is the one-group case, its ranges one
+// untagged group. The forms differ only in who owns the output batch — the
+// serial Scan reuses one, morsel tasks and Fragment.runScan emit fresh ones
+// — and in where reads are charged: the serial scan charges the union of its
+// ranges once at Open, the morsel form posts one asynchronous read per
+// group, a worker reports its own. A reader cuts batches by its ranges
+// alone, so every form emits the same batches, pushdown or not.
 //
 // # Morsel-driven parallelism
 //

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/iosim"
@@ -52,9 +53,9 @@ type ScanSource func(table string) (ScanTable, error)
 // The wire fields (Kind through Residual) fully describe the plan and are
 // what the wire codec carries. The remaining fields are execution-site
 // state: Prepare derives the bound form (key indexes, output schema, bound
-// residual, resolved scan table), and the optional hooks meter whichever box
-// the fragment runs on — the query's trackers locally, the worker daemon's
-// remotely, nil for none.
+// residual; for a scan, the binding over the site's copy of the table, with
+// its pushdown), and the optional hooks meter whichever box the fragment
+// runs on — the query's trackers locally, the worker daemon's remotely.
 type Fragment struct {
 	// Kind selects the execution shape; the zero value is the group join.
 	Kind FragKind
@@ -94,9 +95,8 @@ type Fragment struct {
 	keyed              bool // the join key is a single Int64: hash tables store it in the slot
 	out                expr.Schema
 	prepared           bool
-	scanTab            *storage.Table
+	scan               *scanBinding
 	scanMap            func(storage.RowRange) (storage.RowRange, error)
-	scanIdx            []int
 }
 
 // Prepare derives the fragment's bound execution state: key indexes, the
@@ -147,11 +147,12 @@ func (f *Fragment) Prepare() error {
 	return nil
 }
 
-// prepareScan resolves the scan fragment against the execution site's local
-// storage: the table through Src, the physical column indexes from the Probe
-// schema's names, and the filter bound against Probe. The resolved kinds
-// must match the shipped schema — a partition shipped for a different build
-// of the table would silently produce garbage otherwise.
+// prepareScan binds the scan fragment to the execution site's local copy of
+// its table, resolved through Src: the Probe schema's names are the columns,
+// Residual the filter, and the binding pushes the filter's intervals when
+// that copy is compressed. The resolved kinds must match the shipped schema
+// — a partition shipped for a different build of the table would silently
+// produce garbage otherwise.
 func (f *Fragment) prepareScan() error {
 	if f.Src == nil {
 		return fmt.Errorf("engine: scan fragment for %q has no table source", f.Table)
@@ -164,25 +165,20 @@ func (f *Fragment) prepareScan() error {
 	for i, c := range f.Probe {
 		cols[i] = c.Name
 	}
-	schema, idx, err := resolveScanSchema(st.Tab, cols)
+	b, err := bindScan(st.Tab, cols, f.Residual)
 	if err != nil {
-		return errOp("fragment scan columns", err)
+		return errOp("fragment scan", err)
 	}
-	for i, c := range schema {
-		if c.Kind != f.Probe[i].Kind {
-			return fmt.Errorf("engine: scan fragment column %q is %v locally, %v in plan", c.Name, c.Kind, f.Probe[i].Kind)
-		}
+	if !slices.Equal(b.schema, f.Probe) {
+		return fmt.Errorf("engine: scan fragment of %q reads %v locally, %v in plan", f.Table, b.schema, f.Probe)
 	}
-	if f.Residual != nil {
-		if err := expr.Bind(f.Residual, f.Probe); err != nil {
-			return errOp("fragment scan filter", err)
-		}
-	}
-	f.scanTab, f.scanMap, f.scanIdx = st.Tab, st.Map, idx
-	f.out = f.Probe
-	f.prepared = true
+	f.scan, f.scanMap, f.out, f.prepared = b, st.Map, f.Probe, true
 	return nil
 }
+
+// Pushed returns the intervals a prepared scan fragment pushes into its
+// readers: its filter's, when the site's copy of the table is compressed.
+func (f *Fragment) Pushed() []storage.PushPred { return f.scan.push }
 
 // OutSchema returns the fragment's output schema. Only valid after Prepare.
 func (f *Fragment) OutSchema() expr.Schema { return f.out }
@@ -235,7 +231,7 @@ func (f *Fragment) ScanStats(g *GroupUnit) (runs, pages, bytes int64, err error)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	runs, pages, bytes = f.scanTab.ReadStats(f.scanIdx, ranges)
+	runs, pages, bytes = f.scan.tab.ReadStats(f.scan.idx, ranges)
 	return runs, pages, bytes, nil
 }
 
@@ -257,30 +253,20 @@ func (f *Fragment) localRanges(ranges storage.RowRanges) (storage.RowRanges, err
 }
 
 // runScan executes one scan unit: map the unit's ranges into the site's
-// local row space and drive the scan's cursor over them, lending emit the
+// local row space and drive the binding's cursor over them, lending emit the
 // cursor's group-tagged batches — the same loop the single-box Scan runs.
-// Range lengths survive the mapping and the reader cuts batches only at
-// range boundaries and BatchSize steps, so a worker's local scan and the
-// coordinator's failover re-scan of the same unit produce identical batch
-// sequences — which is what lets the failover layer's delivered-prefix
-// replay splice a half-scanned unit without duplicating or reordering rows.
-// No predicate is pushed into the reader: the planner derives pushdown from
-// the coordinator's table, while a worker reads a shipped partition whose
-// chunks were cut over other rows, so the intervals would not carry over.
-// Deriving them on the site is possible but not done (docs/PARTITIONING.md);
-// the scan applies the full filter either way.
+// Range lengths survive the mapping and the reader cuts batches by ranges
+// alone, so a worker's scan of its partition and the coordinator's failover
+// re-scan of the unit emit the same batches, which is what lets failover's
+// delivered-prefix replay splice a half-scanned unit.
 func (f *Fragment) runScan(g *GroupUnit, emit func(*vector.Batch)) error {
 	ranges, err := f.localRanges(g.ScanRanges)
 	if err != nil {
 		return err
 	}
 	kinds := f.out.Kinds()
-	c := scanCursor{
-		r:      storage.NewReaderPush(f.scanTab, f.scanIdx, ranges, f.Acct, nil),
-		raw:    vector.NewBatch(kinds),
-		filter: expr.Clone(f.Residual), // concurrent Runs each evaluate their own
-		gid:    g.GID, grouped: true,
-	}
+	// Concurrent Runs each evaluate their own clone of the filter.
+	c := f.scan.cursor(ranges, f.Acct, vector.NewBatch(kinds), expr.Clone(f.scan.filter), g.GID, true)
 	var out *vector.Batch
 	if c.filter != nil {
 		out = vector.NewBatch(kinds)

@@ -24,12 +24,14 @@ import (
 //
 // The planner shrinks the ranges by count-table (BDCC) and MinMax (zonemap)
 // pruning before the scan runs, and the scan always re-applies the full
-// filter, so pruning only ever has to be conservative. On a compressed table
-// the scan also pushes the filter's implied value intervals into its readers,
-// which evaluate them on the encoded form (per RLE run, on dictionary codes)
-// before rows materialize. A reader decodes only the rows it emits, so the
-// reader each group (morsel, unit) opens unpacks that group's rows, not the
-// whole chunks they sit in.
+// filter, so pruning only ever has to be conservative. Every form binds the
+// scan in one place (bindScan): on a compressed table the binding pushes the
+// filter's implied value intervals into its readers, which evaluate them on
+// the encoded form (per RLE run, on dictionary codes) before rows
+// materialize. A reader decodes only the rows it emits and cuts batches by
+// its ranges alone, so the reader each group (morsel, unit) opens unpacks
+// that group's rows, and every form — serial, morsel, shipped to a worker's
+// partition or re-run by failover — emits the same batches.
 type Scan struct {
 	Table *storage.Table
 	Cols  []string
@@ -53,14 +55,13 @@ type Scan struct {
 	// every unit streams from a worker's local partition through the plan's
 	// backends, the coordinator only merges the returned group-tagged
 	// batches, and no device I/O is charged query-side (the workers report
-	// their own reads in the units' done frames). Pushdown and the morsel
-	// path do not apply — the fragment re-applies the full filter at the
-	// execution site.
+	// their own reads in the units' done frames). The morsel path does not
+	// apply.
 	Part *PartScanPlan
 
-	schema  expr.Schema
-	colIdx  []int
-	push    []storage.PushPred
+	bind    *scanBinding
+	schema  expr.Schema         // bind's schema, renamed
+	frag    *Fragment           // the shipped fragment (Part only)
 	groups  []core.ScatterGroup // Groups, or Ranges as the one untagged group
 	ctx     *Context
 	gi      int
@@ -193,19 +194,47 @@ func (io *scanIO) close() {
 // Schema implements Operator.
 func (s *Scan) Schema() expr.Schema { return s.schema }
 
-// resolveScanSchema resolves column names against the stored table.
-func resolveScanSchema(t *storage.Table, cols []string) (expr.Schema, []int, error) {
-	schema := make(expr.Schema, len(cols))
-	idx := make([]int, len(cols))
+// scanBinding is a scan bound to one stored table — the coordinator's, or a
+// worker's partition — and every scan form reads through one: the column
+// indexes, the output schema (the physical column names), the filter bound
+// against it, and, when that table is compressed, the filter's intervals.
+type scanBinding struct {
+	tab    *storage.Table
+	idx    []int
+	schema expr.Schema
+	filter expr.Expr
+	push   []storage.PushPred
+}
+
+// bindScan binds cols and filter (nil for none) to t.
+func bindScan(t *storage.Table, cols []string, filter expr.Expr) (*scanBinding, error) {
+	b := &scanBinding{tab: t, idx: make([]int, len(cols)), schema: make(expr.Schema, len(cols)), filter: filter}
+	ivs := FilterIntervals(filter)
 	for i, name := range cols {
 		ci := t.ColumnIndex(name)
 		if ci < 0 {
-			return nil, nil, fmt.Errorf("engine: table %q has no column %q", t.Name, name)
+			return nil, fmt.Errorf("engine: table %q has no column %q", t.Name, name)
 		}
-		idx[i] = ci
-		schema[i] = expr.ColMeta{Name: name, Kind: t.Cols[ci].Kind}
+		b.idx[i] = ci
+		b.schema[i] = expr.ColMeta{Name: name, Kind: t.Cols[ci].Kind}
+		if iv, ok := ivs[name]; ok && t.Compressed() {
+			b.push = append(b.push, storage.PushPred{Col: i, Iv: iv})
+		}
 	}
-	return schema, idx, nil
+	if filter != nil {
+		if err := expr.Bind(filter, b.schema); err != nil {
+			return nil, errOp("scan filter", err)
+		}
+	}
+	return b, nil
+}
+
+// cursor opens a cursor over ranges, tagging its batches gid, charging acct
+// (nil for none) for the ranges' pages. filter is the binding's filter or a
+// clone of it: a bound tree is single-goroutine state.
+func (b *scanBinding) cursor(ranges storage.RowRanges, acct *iosim.Accountant, raw *vector.Batch, filter expr.Expr, gid uint64, grouped bool) scanCursor {
+	r := storage.NewReaderPush(b.tab, b.idx, ranges, acct, b.push)
+	return scanCursor{r: r, raw: raw, filter: filter, gid: gid, grouped: grouped}
 }
 
 // FilterIntervals converts the value ranges a filter implies for its columns
@@ -238,16 +267,11 @@ func FilterIntervals(filter expr.Expr) map[string]storage.Interval {
 // runs no longer coalesce across group boundaries — the scattered per-group
 // requests the paper's storage argument models.
 func (s *Scan) Open(ctx *Context) error {
-	schema, idx, err := resolveScanSchema(s.Table, s.Cols)
+	b, err := bindScan(s.Table, s.Cols, s.Filter)
 	if err != nil {
 		return err
 	}
-	s.schema, s.colIdx, s.ctx = schema, idx, ctx
-	if s.Filter != nil {
-		if err := expr.Bind(s.Filter, schema); err != nil {
-			return errOp("scan filter", err)
-		}
-	}
+	s.bind, s.schema, s.ctx = b, b.schema, ctx
 	if s.Rename != nil {
 		if len(s.Rename) != len(s.schema) {
 			return fmt.Errorf("engine: scan of %q: %d renames for %d columns", s.Table.Name, len(s.Rename), len(s.schema))
@@ -260,8 +284,10 @@ func (s *Scan) Open(ctx *Context) error {
 	}
 	if s.Part != nil {
 		// Shared-nothing: the units' pages are read on the workers, charged
-		// there and reported back per unit, so the coordinator charges
-		// nothing here.
+		// there and reported back per unit. The fragment over this table is
+		// what the failover re-scan of a down worker's units runs.
+		s.frag = &Fragment{Kind: FragScan, Table: s.Table.Name, Probe: b.schema, Residual: s.Filter,
+			Acct: ctx.Acct, scan: b, out: b.schema, prepared: true}
 		return nil
 	}
 	s.groups = s.Groups
@@ -271,14 +297,6 @@ func (s *Scan) Open(ctx *Context) error {
 			ranges = storage.FullRange(s.Table.Rows())
 		}
 		s.groups = []core.ScatterGroup{{Ranges: ranges}}
-	}
-	if s.Table.Compressed() {
-		ivs := FilterIntervals(s.Filter)
-		for i, name := range s.Cols {
-			if iv, ok := ivs[name]; ok {
-				s.push = append(s.push, storage.PushPred{Col: i, Iv: iv})
-			}
-		}
 	}
 	if s.Sched != nil && s.Filter != nil {
 		var unitRanges []storage.RowRanges
@@ -293,7 +311,7 @@ func (s *Scan) Open(ctx *Context) error {
 			unitRanges = append(unitRanges, g.Ranges)
 		}
 		if len(s.morsels) > 1 {
-			s.io = newScanIO(ctx.Acct, s.Table, idx, s.morsels, unitRanges)
+			s.io = newScanIO(ctx.Acct, s.Table, b.idx, s.morsels, unitRanges)
 			return nil
 		}
 		s.morsels = nil
@@ -302,10 +320,10 @@ func (s *Scan) Open(ctx *Context) error {
 	for _, g := range s.groups {
 		union = append(union, g.Ranges...)
 	}
-	s.Table.ChargeIO(ctx.Acct, idx, union.Normalize())
-	s.cur = scanCursor{raw: vector.NewBatch(schema.Kinds()), filter: s.Filter, grouped: s.Groups != nil}
+	s.Table.ChargeIO(ctx.Acct, b.idx, union.Normalize())
+	s.cur.raw = vector.NewBatch(b.schema.Kinds())
 	if s.Filter != nil {
-		s.out = vector.NewBatch(schema.Kinds())
+		s.out = vector.NewBatch(b.schema.Kinds())
 	}
 	s.gi = -1
 	return nil
@@ -334,8 +352,7 @@ func (s *Scan) Next() (*vector.Batch, error) {
 		// I/O was charged for the union at Open; per-group readers do not
 		// charge again.
 		g := s.groups[s.gi]
-		s.cur.r = storage.NewReaderPush(s.Table, s.colIdx, g.Ranges, nil, s.push)
-		s.cur.gid = g.GroupID
+		s.cur = s.bind.cursor(g.Ranges, nil, s.cur.raw, s.Filter, g.GroupID, s.Groups != nil)
 	}
 }
 
@@ -361,10 +378,7 @@ func (s *Scan) startMorselScan() *exchange {
 		s.io.release(m.unit)
 		ex.submitJob(job, func(w int, emit func(*vector.Batch)) error {
 			if !ex.isClosed() {
-				c := scanCursor{
-					r:   storage.NewReaderPush(s.Table, s.colIdx, m.ranges, nil, s.push),
-					raw: raws[w], filter: filters[w], gid: m.gid, grouped: grouped,
-				}
+				c := s.bind.cursor(m.ranges, nil, raws[w], filters[w], m.gid, grouped)
 				for {
 					if outs[w] == nil {
 						outs[w] = vector.NewBatch(kinds)
@@ -395,12 +409,9 @@ type PartScanUnit struct {
 }
 
 // PartScanPlan is the planner's lowering of a scatter scan onto a
-// partitioned backend set: the scan fragment (prepared query-side against
-// the coordinator's own table, which is what the failover re-scan runs),
-// the placement-pinned units, and the backends index-aligned with the
-// units' Slot fields.
+// partitioned backend set: the placement-pinned units and the backends
+// index-aligned with the units' Slot fields.
 type PartScanPlan struct {
-	Frag     *Fragment
 	Units    []PartScanUnit
 	Backends []Backend
 }
@@ -421,7 +432,7 @@ func (s *Scan) startPartScan() *exchange {
 		u := &p.Units[job]
 		ex.beginJob()
 		p.Backends[u.Slot].RunGroup(
-			&GroupUnit{GID: u.GID, ScanRanges: u.Ranges}, p.Frag,
+			&GroupUnit{GID: u.GID, ScanRanges: u.Ranges}, s.frag,
 			func(b *vector.Batch) { ex.post(job, b) },
 			func(err error) { ex.finish(job, err) })
 	})

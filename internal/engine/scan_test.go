@@ -173,17 +173,25 @@ func runScanForm(t *testing.T, name string, workers int, mk func(ctx *Context) *
 // its ranges, keeps group ids non-decreasing and charges a page shared by
 // two groups once; every form leaves nothing accounted; and no batch the
 // morsel or fragment forms hand over shares memory with another. The pushed
-// predicate passes a prefix of every range (g ascends along the table), so
-// pushdown prunes whole tails and the reader's batch cuts are the same
-// wherever a form starts reading.
+// predicate is an interval on the dictionary-encoded str column, which
+// passes rows scattered through every range: pushdown drops rows inside
+// batch windows, and no form may cut its batches differently for it.
 func TestScanFormsAgree(t *testing.T) {
 	const n = 80000
 	bt := scanFormsTable(t, n)
 	tab := bt.Data
 	cols := []string{"g", "key", "id", "pay", "str"}
-	schema, idx, err := resolveScanSchema(tab, cols)
+	bound, err := bindScan(tab, cols, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	schema, idx := bound.schema, bound.idx
+	dict := false
+	for _, ch := range tab.Cols[idx[4]].Enc.Chunks {
+		dict = dict || ch.Enc == storage.EncDict
+	}
+	if !dict {
+		t.Fatal("str has no dictionary chunk — the pushed case would prune nothing")
 	}
 	groups, err := bt.ScatterPlan([]int{0}, []int{min(2, core.Ones(bt.Uses[0].Mask))}, nil)
 	if err != nil {
@@ -222,8 +230,8 @@ func TestScanFormsAgree(t *testing.T) {
 		{"plain", func() expr.Expr {
 			return expr.NewCmp(expr.GT, expr.NewArith(expr.Add, expr.C("key"), expr.C("g")), expr.Int(300))
 		}, func(r scanRow) bool { return r.key+r.g > 300 }, false},
-		{"pushed", func() expr.Expr { return expr.NewCmp(expr.LE, expr.C("g"), expr.Int(31)) },
-			func(r scanRow) bool { return r.g <= 31 }, true},
+		{"pushed", func() expr.Expr { return expr.NewCmp(expr.LE, expr.C("str"), expr.Str("s04")) },
+			func(r scanRow) bool { return r.str <= "s04" }, true},
 	}
 	for _, su := range setups {
 		// The reference: the unfiltered serial scan covers its ranges, each
@@ -252,12 +260,22 @@ func TestScanFormsAgree(t *testing.T) {
 					return &Scan{Table: tab, Cols: cols, Ranges: su.ranges, Groups: su.groups, Filter: fl.mk(), Sched: ctx.Scheduler()}
 				}
 				serial, s, ctx := runScanForm(t, "serial", 1, mk)
-				if got := len(s.push) > 0; got != fl.pushed {
-					t.Fatalf("serial scan pushes %d predicates, pushed=%v expected", len(s.push), fl.pushed)
+				if got := len(s.bind.push) > 0; got != fl.pushed {
+					t.Fatalf("serial scan pushes %d predicates, pushed=%v expected", len(s.bind.push), fl.pushed)
 				}
 				var scanned storage.RowRanges
 				for _, g := range s.groups {
 					scanned = append(scanned, g.Ranges...)
+				}
+				if fl.pushed {
+					materialized := 0
+					r := storage.NewReaderPush(tab, idx, scanned, nil, s.bind.push)
+					for b := vector.NewBatch(schema.Kinds()); r.Next(b); {
+						materialized += b.Len()
+					}
+					if materialized*2 > scanned.Rows() {
+						t.Fatalf("pushdown materializes %d of %d rows — it prunes too little to move a batch cut", materialized, scanned.Rows())
+					}
 				}
 				runs, pages, _ := tab.ReadStats(idx, scanned.Normalize())
 				if st := ctx.Acct.Stats(); st.Runs != runs || st.Pages != pages {

@@ -349,17 +349,11 @@ func (p *Planner) backends() ([]engine.Backend, error) {
 // docs/PARTITIONING.md), each worker binds its blocks at query setup —
 // received once per worker and table version, and held resident across
 // queries — and the scan lowers to a PartScanPlan whose units ship row
-// ranges to the worker owning them instead of reading pages locally. The
-// coordinator keeps a fully prepared query-side fragment: it is the
-// failover path, re-scanning a down worker's units from the local copy.
+// ranges to the worker owning them instead of reading pages locally.
 //
 // The path requires a planner-owned backend set — a shared set (the bdccd
 // daemon's) stays on the ordinary scatter scan, as does a single-box
-// context; both leave the operator untouched. A shipped scan pushes no
-// predicate into its readers: the coordinator builds a worker's chunks over
-// that worker's rows only, so intervals derived from its own table's chunks
-// do not carry over. Deriving them on the worker is possible but not done;
-// the sites apply the full filter either way.
+// context; both leave the operator untouched.
 func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Table, op *engine.Scan) error {
 	if p.Ctx == nil || !p.Ctx.Partition {
 		return nil
@@ -373,31 +367,6 @@ func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Tab
 	}
 	part := p.set.PartitionTable(bt.Name, stored, bt.Count)
 	p.set.EnableScanIO(p.DB.Device)
-
-	schema := make(expr.Schema, len(s.Cols))
-	for i, name := range s.Cols {
-		ci := stored.ColumnIndex(name)
-		if ci < 0 {
-			return fmt.Errorf("plan: table %q has no column %q", s.Table, name)
-		}
-		schema[i] = expr.ColMeta{Name: name, Kind: stored.Cols[ci].Kind}
-	}
-	frag := &engine.Fragment{
-		Kind:     engine.FragScan,
-		Table:    bt.Name,
-		Probe:    schema,
-		Residual: s.Filter,
-		// The coordinator resolves the table to its own full copy at
-		// original offsets (identity map): Prepare needs it to validate the
-		// plan, and the failover re-scan reads through it.
-		Src: func(string) (engine.ScanTable, error) {
-			return engine.ScanTable{Tab: stored}, nil
-		},
-		Acct: p.Ctx.Acct,
-	}
-	if err := frag.Prepare(); err != nil {
-		return err
-	}
 	var units []engine.PartScanUnit
 	for _, g := range op.Groups {
 		runs, err := part.SplitGroup(g.Ranges)
@@ -408,7 +377,7 @@ func (p *Planner) partitionScan(s *Scan, bt *core.BDCCTable, stored *storage.Tab
 			units = append(units, engine.PartScanUnit{GID: g.GroupID, Slot: r.Worker, Ranges: r.Ranges})
 		}
 	}
-	op.Part = &engine.PartScanPlan{Frag: frag, Units: units, Backends: bks}
+	op.Part = &engine.PartScanPlan{Units: units, Backends: bks}
 	p.logf("scan %s%s: partitioned over %d workers (%d scan units)",
 		s.Table, aliasSuffix(s.Alias), len(bks), len(units))
 	return nil

@@ -14,6 +14,7 @@ import (
 
 	"bdcc/internal/core"
 	"bdcc/internal/engine"
+	"bdcc/internal/expr"
 	"bdcc/internal/plan"
 	"bdcc/internal/shard"
 	"bdcc/internal/storage"
@@ -198,6 +199,91 @@ func TestShippedPartitionMatchesRebuilt(t *testing.T) {
 						samePartition(t, got, rebuiltPartition(t, tab, p.Segments(w)))
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestShippedUnitPushesDown: a shipped scan unit and its failover re-scan
+// agree with pushdown on. For each worker's adopted partition of SF 0.01
+// lineitem, every segment is one unit: a FragScan filtered on
+// l_shipinstruct run over the partition (through its RangeMap) and over the
+// coordinator's table must emit the same batches, though the partition's
+// chunks were cut over other rows. The worker's fragment must push the
+// filter's interval, and its reader materialize fewer rows than each unit
+// covers.
+func TestShippedUnitPushesDown(t *testing.T) {
+	li, entries := lineitem(t, 0.01)
+	p := shard.NewPartitioning("lineitem", entries, 2)
+	ships, err := shard.ShipmentsOf(li, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := []string{"l_orderkey", "l_linenumber", "l_quantity", "l_shipinstruct"}
+	probe := make(expr.Schema, len(cols))
+	for i, c := range cols {
+		probe[i] = expr.ColMeta{Name: c, Kind: li.Cols[li.ColumnIndex(c)].Kind}
+	}
+	prepare := func(st engine.ScanTable) *engine.Fragment {
+		f := &engine.Fragment{Kind: engine.FragScan, Table: "lineitem", Probe: probe,
+			Residual: expr.Eq(expr.C("l_shipinstruct"), expr.Str("DELIVER IN PERSON")),
+			Src:      func(string) (engine.ScanTable, error) { return st, nil }}
+		if err := f.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	run := func(f *engine.Fragment, u *engine.GroupUnit) []string {
+		var out []string
+		if err := f.Run(u, func(b *vector.Batch) {
+			s := fmt.Sprint(b.GroupID, b.Grouped, b.Len())
+			for _, c := range b.Cols {
+				s += fmt.Sprint(c.I64, c.F64, c.Str)
+			}
+			out = append(out, s)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	coord := prepare(engine.ScanTable{Tab: li})
+	for w, sh := range ships {
+		part, err := shard.Adopt(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs := p.Segments(w)
+		rm := shard.NewRangeMap(segs)
+		worker := prepare(engine.ScanTable{Tab: part, Map: rm.Map})
+		partIdx := make([]int, len(cols))
+		for i, c := range cols {
+			partIdx[i] = part.ColumnIndex(c)
+		}
+		if len(worker.Pushed()) == 0 {
+			t.Fatalf("worker %d: the fragment over its partition pushes no interval", w)
+		}
+		for gi, seg := range segs {
+			u := &engine.GroupUnit{GID: uint64(gi), ScanRanges: storage.RowRanges{seg}}
+			got, want := run(worker, u), run(coord, u)
+			if len(got) != len(want) {
+				t.Fatalf("worker %d unit %d: %d batches on the partition, %d on the coordinator", w, gi, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("worker %d unit %d batch %d: partition\n%.300s\ncoordinator\n%.300s", w, gi, i, got[i], want[i])
+				}
+			}
+			local, err := rm.Map(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			materialized := 0
+			r := storage.NewReaderPush(part, partIdx, storage.RowRanges{local}, nil, worker.Pushed())
+			for b := vector.NewBatch(r.Kinds()); r.Next(b); {
+				materialized += b.Len()
+			}
+			if materialized >= seg.Len() {
+				t.Fatalf("worker %d unit %d: the pushed reader materializes %d of the unit's %d rows", w, gi, materialized, seg.Len())
 			}
 		}
 	}

@@ -375,6 +375,88 @@ func TestReaderPushdownSound(t *testing.T) {
 	}
 }
 
+// FuzzPushedWindows: pushdown never moves a batch cut. Over a compressed
+// table whose int and string columns come in runs (so RLE and dictionary
+// chunks occur), a reader with a pushed interval and one without, over the
+// same two ranges, must yield the same rows inside the interval batch for
+// batch once batches holding no such row are skipped; and every pushed
+// batch lies inside one BatchSize window of a range, cut from the range's
+// start, in window order. Seeded with TestReaderPushdownSound's cases.
+func FuzzPushedWindows(f *testing.F) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 60; trial++ {
+		lo := rng.Int63n(40)
+		span := uint8(rng.Int63n(10))
+		word := uint8(rng.Intn(5))
+		s0, e0 := uint16(rng.Intn(1000)), uint16(5000+rng.Intn(5000))
+		f.Add(uint16(10_000), uint8(49), uint8(29), lo, span, word, s0, e0, uint16(0), uint16(0))
+	}
+	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
+	f.Fuzz(func(t *testing.T, n uint16, intRun, strRun uint8, lo int64, span, word uint8, s0, e0, s1, e1 uint16) {
+		rows := 1 + int(n)%12_000
+		ints, strs, ids := make([]int64, rows), make([]string, rows), make([]int64, rows)
+		for i := range ints {
+			ints[i] = int64(i/(1+int(intRun))) % 40
+			strs[i] = words[(i/(1+int(strRun)))%len(words)]
+			ids[i] = int64(i)
+		}
+		tab := MustNewTable("t", 2048, NewInt64Column("i", ints), NewStringColumn("s", strs), NewInt64Column("id", ids))
+		tab.Compress()
+		iv := Interval{Lo: Bound{Set: true, I: lo}, Hi: Bound{Set: true, I: lo + int64(span)}}
+		push := []PushPred{{Col: 0, Iv: iv}}
+		var siv Interval
+		if int(word) < len(words) {
+			siv = Interval{Lo: Bound{Set: true, S: words[word]}}
+			push = append(push, PushPred{Col: 1, Iv: siv})
+		}
+		var rs RowRanges
+		for _, se := range [][2]uint16{{s0, e0}, {s1, e1}} {
+			a, b := int(se[0])%(rows+1), int(se[1])%(rows+1)
+			rs = append(rs, RowRange{Start: min(a, b), End: max(a, b)})
+		}
+		var windows RowRanges
+		for _, r := range rs {
+			for w := r.Start; w < r.End; w += vector.BatchSize {
+				windows = append(windows, RowRange{Start: w, End: min(r.End, w+vector.BatchSize)})
+			}
+		}
+		// read returns, per batch holding a row inside the interval, those
+		// rows' ids.
+		read := func(push []PushPred) [][]int64 {
+			r := NewReaderPush(tab, []int{0, 1, 2}, rs, nil, push)
+			var out [][]int64
+			wi := 0
+			for b := vector.NewBatch(r.Kinds()); r.Next(b); {
+				id := b.Cols[2].I64
+				for wi < len(windows) && (id[0] < int64(windows[wi].Start) || id[0] >= int64(windows[wi].End)) {
+					wi++
+				}
+				if wi == len(windows) {
+					t.Fatalf("push=%v: batch from row %d lies in no window after the last batch's", push != nil, id[0])
+				}
+				var in []int64
+				for k, x := range id {
+					if x < int64(windows[wi].Start) || x >= int64(windows[wi].End) || (k > 0 && x <= id[k-1]) {
+						t.Fatalf("push=%v: batch holds row %d outside its window [%d,%d) or out of order",
+							push != nil, x, windows[wi].Start, windows[wi].End)
+					}
+					if iv.passI64(b.Cols[0].I64[k]) && siv.passStr(b.Cols[1].Str[k]) {
+						in = append(in, x)
+					}
+				}
+				wi++
+				if len(in) > 0 {
+					out = append(out, in)
+				}
+			}
+			return out
+		}
+		if got, want := read(push), read(nil); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("pushed reader's qualifying batches\n%.300v\nunpushed reader's\n%.300v", got, want)
+		}
+	})
+}
+
 // TestZonemapCompressedPruneSound re-runs the zonemap soundness property on
 // a compressed table, whose zones equal the encoder's per-chunk min/max and
 // whose page granularity is the chunk granularity.

@@ -22,16 +22,22 @@ type PushPred struct {
 // decodes only the rows a batch takes, each span of a chunk straight into
 // the batch (Chunk.AppendRange): a reader over one group of a scatter scan
 // unpacks that group's rows, not the whole chunks they sit in.
+//
+// Batches are cut by the ranges alone: each range is read in BatchSize-row
+// windows from its start, and one window is at most one batch. A pushed
+// predicate only drops rows inside a window (a window left empty is
+// skipped), so once the scan's filter has run the batch sequence is the same
+// with or without pushdown, on any encoding of the same rows, and wherever a
+// reader over a window-aligned slice of the ranges starts.
 type Reader struct {
 	t      *Table
 	cols   []int
 	ranges RowRanges
 	push   []PushPred
-	spans  []RowRange // pushdown scratch, ping-ponged per predicate
+	spans  []RowRange // the window's surviving spans, ping-ponged per predicate
 	spans2 []RowRange
 	ri     int // current range index
 	pos    int // next row within current range
-	limit  int // rows per emitted batch
 }
 
 // NewReader returns a reader over the row ranges (nil means the full table)
@@ -49,7 +55,7 @@ func NewReaderPush(t *Table, cols []int, ranges RowRanges, acct *iosim.Accountan
 		ranges = FullRange(t.Rows())
 	}
 	t.ChargeIO(acct, cols, ranges)
-	r := &Reader{t: t, cols: cols, ranges: ranges, push: push, limit: vector.BatchSize}
+	r := &Reader{t: t, cols: cols, ranges: ranges, push: push}
 	if len(ranges) > 0 {
 		r.pos = ranges[0].Start
 	}
@@ -65,64 +71,39 @@ func (r *Reader) Kinds() []vector.Kind {
 	return ks
 }
 
-// Next fills out with up to BatchSize rows and reports whether any rows were
-// produced. Batches never span a range boundary, so callers that align range
-// boundaries with group boundaries (scatter scans) get group-pure batches.
+// Next fills out with the surviving rows of the next window that has any
+// and reports whether it found one. Batches never span a range boundary, so
+// callers that align range boundaries with group boundaries (scatter scans)
+// get group-pure batches.
 func (r *Reader) Next(out *vector.Batch) bool {
 	out.Reset()
 	for r.ri < len(r.ranges) {
-		rr := r.ranges[r.ri]
-		if r.pos >= rr.End {
-			r.ri++
-			if r.ri < len(r.ranges) {
+		lo := r.pos
+		hi := min(r.ranges[r.ri].End, lo+vector.BatchSize)
+		if r.pos = hi; hi == r.ranges[r.ri].End {
+			if r.ri++; r.ri < len(r.ranges) {
 				r.pos = r.ranges[r.ri].Start
 			}
-			if out.Len() > 0 {
-				return true
-			}
-			continue
 		}
-		n := rr.End - r.pos
-		if n > r.limit-out.Len() {
-			n = r.limit - out.Len()
-		}
-		lo, hi := r.pos, r.pos+n
-		r.pos = hi
-		if len(r.push) == 0 {
-			r.copySpan(out, lo, hi)
-		} else {
-			// Refine [lo,hi) through each pushed predicate on the encoded
-			// form; surviving sub-spans materialize, the rest never decode.
-			r.spans = appendSpan(r.spans[:0], lo, hi)
-			for _, p := range r.push {
-				c := r.t.Cols[r.cols[p.Col]]
-				r.spans2 = r.spans2[:0]
-				for _, s := range r.spans {
-					r.spans2 = c.pruneSpan(p.Iv, s.Start, s.End, r.spans2)
-				}
-				r.spans, r.spans2 = r.spans2, r.spans
-			}
+		// Refine the window through each pushed predicate on the encoded
+		// form; surviving sub-spans materialize, the rest never decode.
+		r.spans = appendSpan(r.spans[:0], lo, hi)
+		for _, p := range r.push {
+			c := r.t.Cols[r.cols[p.Col]]
+			r.spans2 = r.spans2[:0]
 			for _, s := range r.spans {
-				r.copySpan(out, s.Start, s.End)
+				r.spans2 = c.pruneSpan(p.Iv, s.Start, s.End, r.spans2)
 			}
+			r.spans, r.spans2 = r.spans2, r.spans
 		}
-		if out.Len() == r.limit {
+		for _, s := range r.spans {
+			r.copySpan(out, s.Start, s.End)
+		}
+		if out.Len() > 0 {
 			return true
 		}
-		// Stop at the range boundary to keep batches range-pure. A pushed
-		// predicate can leave the batch empty here; continue to the next
-		// range rather than ending the scan early.
-		if r.pos >= rr.End {
-			r.ri++
-			if r.ri < len(r.ranges) {
-				r.pos = r.ranges[r.ri].Start
-			}
-			if out.Len() > 0 {
-				return true
-			}
-		}
 	}
-	return out.Len() > 0
+	return false
 }
 
 // copySpan appends rows [lo,hi) of every selected column to out: an

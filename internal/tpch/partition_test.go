@@ -23,8 +23,10 @@ import (
 // 1/N share per query, and well under the single box over the suite.
 func TestPartitionedEquivalence(t *testing.T) {
 	// Placement balances cumulative rows to within one z-order cell of
-	// total/N, and shipped scans read without predicate pushdown and at page
-	// granularity: hence a slack and a floor per query rather than equality.
+	// total/N, and a worker's reads are charged at page granularity over
+	// its own partition: hence a slack and a floor per query rather than
+	// equality. (Pushdown never changes the bytes charged — the pages were
+	// already chosen by zonemap pruning — so it needs no slack.)
 	// Those losses amortize over the suite, where each worker's total must
 	// stay below partAggFrac of the single box's, or the scans were
 	// replicated rather than divided.
