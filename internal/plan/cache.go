@@ -136,8 +136,8 @@ func (p *Planner) replayAnalysis() {
 	}
 }
 
-// CacheKey identifies one cached plan: the query, the physical schema it
-// was planned against, and the execution knobs that shape the plan.
+// CacheKey identifies one cached plan: the query, the physical schema and
+// data version it was planned against, and the knobs that shape the plan.
 type CacheKey struct {
 	// Query names the logical plan (e.g. "Q13"); plans are assumed
 	// structurally identical across builds of the same name.
@@ -145,6 +145,9 @@ type CacheKey struct {
 	// Schema identifies the physical database: scheme and data identity
 	// (e.g. "BDCC/sf0.05"). Plans do not survive schema changes.
 	Schema string
+	// Epoch is the data version (DB.Epoch): plans bake table references
+	// and zonemap decisions, so a memo never replays over another.
+	Epoch int64
 	// Knobs fingerprints the plan-shaping execution knobs (workers, shards,
 	// remotes, partition) — a sharded plan differs from a single-box one.
 	Knobs string
@@ -153,7 +156,9 @@ type CacheKey struct {
 // Cache holds completed memos by key. One cache serves many concurrent
 // queries: hits replay concurrently, misses serialize per key behind the
 // entry's record lock so pre-execution subqueries run once, not once per
-// concurrent first arrival.
+// concurrent first arrival. Only the newest epoch of a (query, schema,
+// knobs) is kept, so a superseded memo and its materialized results go once
+// no query holds them; an arrival at an older epoch plans uncached.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[CacheKey]*cacheEntry
@@ -162,9 +167,10 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	mu   sync.Mutex
-	memo *Memo
-	sub  any
+	epoch int64
+	mu    sync.Mutex
+	memo  *Memo
+	sub   any
 }
 
 // NewCache returns an empty plan cache.
@@ -187,11 +193,18 @@ type Lease struct {
 // Acquire resolves key to a lease. Concurrent first arrivals of one key
 // serialize: one records while the others block in Acquire and then hit.
 func (c *Cache) Acquire(key CacheKey) *Lease {
+	epoch := key.Epoch
+	key.Epoch = 0 // entries are per (query, schema, knobs)
 	c.mu.Lock()
 	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
+	if !ok || e.epoch < epoch {
+		e = &cacheEntry{epoch: epoch}
 		c.entries[key] = e
+	}
+	if e.epoch > epoch {
+		c.misses++
+		c.mu.Unlock()
+		return &Lease{}
 	}
 	c.mu.Unlock()
 	e.mu.Lock()
@@ -234,6 +247,13 @@ func (l *Lease) Abandon() {
 	}
 	l.entry.mu.Unlock()
 	l.entry = nil
+}
+
+// Len returns the number of entries the cache holds.
+func (c *Cache) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // Stats returns the cache's hit and miss counts.

@@ -192,3 +192,31 @@ func TestCacheAcquireSerializesRecording(t *testing.T) {
 	}
 	again.Abandon()
 }
+
+// TestCacheKeepsNewestEpoch: a newer epoch of a key replaces the entry, and
+// an arrival at an older one records nothing and leaves the newest in place.
+func TestCacheKeepsNewestEpoch(t *testing.T) {
+	c := NewCache()
+	key := CacheKey{Query: "Q", Schema: "BDCC/x", Epoch: 1, Knobs: "w4"}
+	c.Acquire(key).Complete(NewMemo(), nil)
+	key.Epoch = 2
+	newest := NewMemo()
+	if l := c.Acquire(key); l.Hit() {
+		t.Fatal("a newer epoch must miss")
+	} else {
+		l.Complete(newest, nil)
+	}
+	key.Epoch = 1
+	stale := c.Acquire(key)
+	if stale.Hit() {
+		t.Fatal("a superseded epoch must not replay")
+	}
+	stale.Complete(NewMemo(), nil) // records nothing
+	key.Epoch = 2
+	if l := c.Acquire(key); !l.Hit() || l.Memo != newest {
+		t.Fatal("the newest epoch's memo must stay cached")
+	}
+	if n := c.Len(); n != 1 {
+		t.Errorf("%d entries, want 1", n)
+	}
+}

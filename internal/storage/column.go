@@ -99,9 +99,9 @@ func strWidth(total, n int) float64 {
 
 // encode builds the chunk-encoded form at the given granularity (rows per
 // page at raw width) and points the modeled width at the encoded bytes.
-// finish() keeps the raw-mode width behavior untouched. dict is scratch the
-// table's string columns share; par and inPlace name chunks to keep (see
-// encodeColumn).
+// finish() keeps the raw-mode width behavior untouched. dict is scratch
+// reused from one column to the next; par and inPlace name chunks to keep
+// (see encodeColumn).
 func (c *Column) encode(chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) {
 	c.Enc = encodeColumn(c, chunkRows, dict, par, inPlace)
 	c.useEncodedWidth()

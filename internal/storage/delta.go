@@ -159,8 +159,8 @@ func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
 func (sp *spliced) build(b *Table, n int) (*Table, error) {
 	a := sp.parent
 	cols := make([]*Column, len(a.Cols))
-	for i, c := range a.Cols {
-		o := &Column{}
+	eachColumn(a.Cols, func(i int, _ *vector.StrDict) {
+		c, o := a.Cols[i], &Column{}
 		if b != nil {
 			o = b.Cols[i]
 		}
@@ -174,7 +174,7 @@ func (sp *spliced) build(b *Table, n int) (*Table, error) {
 			nc.Str = gatherHeap(c.Str, o.Str, sp, n)
 		}
 		cols[i] = nc
-	}
+	})
 	return newTable(a.Name, a.PageSize, cols, sp)
 }
 

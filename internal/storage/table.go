@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -62,14 +64,40 @@ func newTable(name string, pageSize int64, cols []*Column, sp *spliced) (*Table,
 		c.finish()
 	}
 	t.zones = make([]zonemap, len(cols))
-	for i, c := range cols {
+	eachColumn(cols, func(i int, _ *vector.StrDict) {
 		var par *zonemap
 		if sp != nil {
 			par = &sp.parent.zones[i]
 		}
-		t.zones[i] = buildZonemap(c, t.rowsPerPage(c), sp, par)
-	}
+		t.zones[i] = buildZonemap(cols[i], t.rowsPerPage(cols[i]), sp, par)
+	})
 	return t, nil
+}
+
+// eachColumn calls fn(i, dict) for every column i of cols on up to GOMAXPROCS
+// goroutines, the caller's among them, widest column first (the most work),
+// each goroutine reusing one dictionary scratch. fn may write only column
+// i's state, so the columns come out as a serial loop builds them.
+func eachColumn(cols []*Column, fn func(i int, dict *vector.StrDict)) {
+	order := make([]int, len(cols))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cols[b].width, cols[a].width) })
+	var next atomic.Int64
+	work := func() {
+		var dict vector.StrDict
+		for k := next.Add(1) - 1; k < int64(len(order)); k = next.Add(1) - 1 {
+			fn(order[k], &dict)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(len(cols), runtime.GOMAXPROCS(0)) - 1 {
+		wg.Add(1)
+		go func() { defer wg.Done(); work() }()
+	}
+	work()
+	wg.Wait()
 }
 
 // Compress builds the lightweight chunk encoding of every column (chunks
@@ -89,19 +117,19 @@ func (t *Table) Compress() { t.compress(nil) }
 func (t *Table) compress(sp *spliced) {
 	t.compressed = true
 	t.derived.Clear() // whatever was derived from the uncompressed form is stale
-	var dict vector.StrDict
-	for i, c := range t.Cols {
+	eachColumn(t.Cols, func(i int, dict *vector.StrDict) {
+		c := t.Cols[i]
 		c.finish() // chunk granularity is page-aligned at the raw width
 		var par *ColumnEncoding
 		inPlace := 0
 		if sp != nil && len(sp.runs) > 0 && sp.runs[0].src == 0 {
 			par, inPlace = sp.parent.Cols[i].Enc, int(sp.runs[0].n)
 		}
-		c.encode(t.rowsPerPage(c), &dict, par, inPlace)
+		c.encode(t.rowsPerPage(c), dict, par, inPlace)
 		if t.zones[i].minAt == nil {
 			t.zones[i] = zonemapFromChunks(c)
 		}
-	}
+	})
 }
 
 // Compressed reports whether Compress has run on this table.
@@ -115,7 +143,7 @@ func (t *Table) Encoded() *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
 		Cols: make([]*Column, len(t.Cols)), zones: slices.Clone(t.zones)}
 	for i, c := range t.Cols {
-		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str, width: c.width}
 	}
 	out.Compress()
 	return out
@@ -254,9 +282,7 @@ func (t *Table) Permute(perm []int32) (*Table, error) {
 		return nil, fmt.Errorf("storage: permutation of length %d for table %q with %d rows", len(perm), t.Name, t.rows)
 	}
 	cols := make([]*Column, len(t.Cols))
-	for i, c := range t.Cols {
-		cols[i] = c.permute(perm)
-	}
+	eachColumn(t.Cols, func(i int, _ *vector.StrDict) { cols[i] = t.Cols[i].permute(perm) })
 	out, err := NewTable(t.Name, t.PageSize, cols...)
 	if err == nil && t.compressed {
 		out.Compress()

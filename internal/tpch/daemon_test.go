@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -276,4 +277,55 @@ func TestRunConcurrencyFailsOnQueryError(t *testing.T) {
 	if _, err := RunConcurrency(addr, "", plan.BDCC, []string{"Q06", "Q99"}, 2, 1); err == nil {
 		t.Fatal("requests for an unknown query did not fail the run")
 	}
+}
+
+// TestDaemonCacheKeepsNewestEpoch appends between Handle calls: the plan cache
+// must hold one entry per query however many versions were planned, and a
+// superseded version's memo — here Q15's materialized view — must become
+// garbage once a newer version replaced it.
+func TestDaemonCacheKeepsNewestEpoch(t *testing.T) {
+	b, err := NewBenchmarkCompressed(0.01, true, plan.BDCC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.EnableIngest(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(b)
+	newCtx := func() *engine.Context { return engine.Options{Workers: 1}.NewContext(iosim.PaperSSD()) }
+	queries := []string{"Q03", "Q15"}
+	gen := NewDeltaGen(b.Data, 3)
+	collected := make(chan struct{})
+	for round := range 3 {
+		for _, q := range queries {
+			if _, err := svc.Handle(newCtx(), "BDCC", q); err != nil {
+				t.Fatalf("round %d %s: %v", round, q, err)
+			}
+		}
+		if n := svc.cache.Len(); n != len(queries) {
+			t.Fatalf("round %d: %d cache entries, want %d", round, n, len(queries))
+		}
+		if round == 0 {
+			db := b.DBs[plan.BDCC]
+			lease := svc.cache.Acquire(plan.CacheKey{Query: "Q15", Schema: fmt.Sprintf("%s/sf%g", db.Scheme, b.SF),
+				Epoch: db.Epoch(), Knobs: knobs(newCtx())})
+			sub, _ := lease.Sub.(*subMemo)
+			if !lease.Hit() || sub == nil || len(sub.mats) == 0 {
+				t.Fatal("Q15's memo holds no materialized view")
+			}
+			runtime.AddCleanup(sub.mats[0], func(ch chan struct{}) { close(ch) }, collected)
+		}
+		if err := b.AppendBatch(gen.Next(30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 10 {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	t.Fatal("the superseded epoch's materialized view is still reachable")
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"bdcc/internal/core"
 	"bdcc/internal/plan"
 
 	"bdcc/internal/storage"
@@ -118,5 +119,121 @@ func TestLoadedBaseIsNotScanned(t *testing.T) {
 	t.Logf("loaded base adds %.1f MB of scannable heap", float64(grew)/(1<<20))
 	if grew > 4<<20 {
 		t.Errorf("loaded base adds %d bytes of scannable heap, want at most 4 MB", grew)
+	}
+}
+
+// hashStored folds into h what a stored table is: hashTable's rows, the
+// column frames (every chunk, dictionary and bound), each column's raw
+// values as it holds them and its page count and, when bt is the table's
+// clustering, the count table, the granularities and the sorted keys.
+func hashStored(h hash.Hash, t *storage.Table, bt *core.BDCCTable) {
+	var buf [8]byte
+	putU64 := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		h.Write(buf[:])
+	}
+	hashTable(h, t)
+	for _, f := range t.Frames(64 << 10) {
+		putU64(uint64(len(f)))
+		h.Write(f)
+	}
+	for _, c := range t.Cols {
+		putU64(uint64(t.Pages(c)))
+		putU64(uint64(len(c.I64) + len(c.F64) + c.Str.Len()))
+		for _, v := range c.I64 {
+			putU64(uint64(v))
+		}
+		for _, v := range c.F64 {
+			putU64(math.Float64bits(v))
+		}
+		for i := range c.Str.Len() {
+			s := c.Str.At(i)
+			putU64(uint64(len(s)))
+			h.Write([]byte(s))
+		}
+	}
+	if bt == nil {
+		return
+	}
+	putU64(uint64(bt.Bits))
+	putU64(uint64(bt.FullBits))
+	putU64(uint64(bt.RelocatedRows))
+	putU64(uint64(len(bt.Count)))
+	for _, e := range bt.Count {
+		rel := uint64(0)
+		if e.Relocated {
+			rel = 1
+		}
+		putU64(e.Key)
+		putU64(uint64(e.Count))
+		putU64(uint64(e.Offset))
+		putU64(rel)
+	}
+	putU64(uint64(len(bt.SortedKeys)))
+	for _, k := range bt.SortedKeys {
+		putU64(k)
+	}
+}
+
+// dbDigest is the SHA-256 of every table db stores, in name order.
+func dbDigest(t *testing.T, db *plan.DB) string {
+	names := make([]string, 0, len(db.Tables))
+	for n := range db.Tables {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, n := range names {
+		st, err := db.StoredTable(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bt *core.BDCCTable
+		if db.Clustered != nil {
+			bt = db.Clustered.Tables[n]
+		}
+		hashStored(h, st, bt)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestBuildPinned holds what a build produces to what the one-column-at-a-
+// time build produced: a SHA-256 over every table NewBenchmarkCompressed(0.01,
+// true) stores under each scheme, and one over the BDCC database after eight
+// appends of 30 orders (NewDeltaGen(d, 1)) and a merge. The constants were
+// computed with the serial build, before storage spread a table's columns
+// over goroutines; a table must not depend on how its columns were scheduled.
+func TestBuildPinned(t *testing.T) {
+	want := map[plan.Scheme]string{
+		plan.Plain: "edd1eb586184f21c63c13dc1d67b870e8e9caf79151cbcc569bc6fa324c7e350",
+		plan.PK:    "f429cb0f9e43119501f4144c8c4b0263b3a663d53c1c14fcf37c6633bcf42e4b",
+		plan.BDCC:  "5d8ba7a2dd3f803c23cdd0cdf7abf0ee25e919c2612473d135705480389a1ea9",
+	}
+	const wantIngest = "8125b0e5391f831f7b811d63bb893d3b18f10cd039a16873afaf71a760dd277c"
+	b, err := NewBenchmarkCompressed(0.01, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, w := range want {
+		if got := dbDigest(t, b.DBs[s]); got != w {
+			t.Errorf("%s build digest %s, want %s", s, got, w)
+		}
+	}
+	db := b.DBs[plan.BDCC]
+	ing, err := db.EnableIngest(plan.IngestOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewDeltaGen(b.Data, 1)
+	for range 8 {
+		if err := appendTo(db, g.Next(30)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ing.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dbDigest(t, db.Snapshot()); got != wantIngest {
+		t.Errorf("BDCC digest after 8 appends and a merge %s, want %s", got, wantIngest)
 	}
 }

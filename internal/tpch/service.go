@@ -72,13 +72,12 @@ func (s *Service) Handle(ctx *engine.Context, scheme, query string) (*engine.Res
 	if !ok {
 		return nil, fmt.Errorf("tpch: unknown query %q", query)
 	}
-	// Pin the ingest snapshot before planning; the epoch keys the cache so a
-	// memo recorded over one version never replays over another (plans bake
-	// table references and zonemap decisions).
+	// Pin the ingest snapshot before planning; its epoch is part of the key.
 	db = db.Snapshot()
 	key := plan.CacheKey{
 		Query:  q.Name,
-		Schema: fmt.Sprintf("%s/sf%g/e%d", db.Scheme, s.bench.SF, db.Epoch()),
+		Schema: fmt.Sprintf("%s/sf%g", db.Scheme, s.bench.SF),
+		Epoch:  db.Epoch(),
 		Knobs:  knobs(ctx),
 	}
 	lease := s.cache.Acquire(key)

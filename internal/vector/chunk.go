@@ -1,9 +1,11 @@
 package vector
 
 import (
+	"hash/maphash"
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 )
 
 // This file is the one home of an encoded span of values: the chunk, the
@@ -235,8 +237,10 @@ func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dictBits uint8) {
 // with, in one scan, before deciding on a dictionary: viability needs only
 // Len and Bytes, so a column that will not dictionary-encode never pays for
 // sorting its values, and one that will takes its codes from IDs instead of
-// hashing every value a second time. The zero value is ready; Collect reuses
-// its memory from one column to the next.
+// hashing every value a second time. Values are numbered through a flat
+// table of id+1 slots (0: empty), a power of two at most half full, probed
+// linearly from a maphash of the value. The zero value is ready; Collect
+// reuses its memory from one column to the next.
 type StrDict struct {
 	// IDs[i] is the number of row i's value: by first occurrence after
 	// Collect, by value order after Sort.
@@ -244,58 +248,67 @@ type StrDict struct {
 	// Bytes is the summed length of the distinct values.
 	Bytes int
 
-	ids map[string]uint32
+	vals       []string // the distinct values, by id
+	slots      []uint32
+	seed       maphash.Seed
+	perm, code []uint32 // Sort's
 }
 
 // Collect scans vals. With limit > 0 it gives up, returning false, as soon as
 // more than limit distinct values were seen. The distinct values it keeps are
 // views of vals' heap.
 func (d *StrDict) Collect(vals Heap, limit int) bool {
-	if d.ids == nil {
-		d.ids = make(map[string]uint32, 64)
-	}
-	clear(d.ids)
 	n := vals.Len()
-	if cap(d.IDs) < n {
-		d.IDs = make([]uint32, n)
+	size := 64 // at least twice the distinct values there can be
+	for size < 2*n && (limit <= 0 || size < 2*limit) {
+		size *= 2
 	}
-	d.IDs = d.IDs[:n]
-	d.Bytes = 0
+	if len(d.slots) < size {
+		d.slots, d.seed = make([]uint32, size), maphash.MakeSeed()
+	}
+	clear(d.slots)
+	clear(d.vals) // drop the views of the last column's heap
+	d.vals, d.IDs, d.Bytes = d.vals[:0], slices.Grow(d.IDs[:0], n)[:n], 0
+	mask := uint64(len(d.slots) - 1)
 	for i := range n {
 		s := vals.At(i)
-		id, ok := d.ids[s]
-		if !ok {
-			if limit > 0 && len(d.ids) == limit {
+		j := maphash.String(d.seed, s) & mask
+		for d.slots[j] != 0 && d.vals[d.slots[j]-1] != s {
+			j = (j + 1) & mask
+		}
+		if d.slots[j] == 0 {
+			if limit > 0 && len(d.vals) == limit {
 				return false
 			}
-			id = uint32(len(d.ids))
-			d.ids[s] = id
+			d.vals = append(d.vals, s)
+			d.slots[j] = uint32(len(d.vals))
 			d.Bytes += len(s)
 		}
-		d.IDs[i] = id
+		d.IDs[i] = d.slots[j] - 1
 	}
 	return true
 }
 
 // Len returns the number of distinct values collected.
-func (d *StrDict) Len() int { return len(d.ids) }
+func (d *StrDict) Len() int { return len(d.vals) }
 
 // Sort returns the distinct values in ascending order and renumbers IDs to
 // match, so that code order is value order.
 func (d *StrDict) Sort() []string {
-	vals := make([]string, 0, len(d.ids))
-	for s := range d.ids {
-		vals = append(vals, s)
+	n := len(d.vals)
+	d.perm, d.code = slices.Grow(d.perm[:0], n)[:n], slices.Grow(d.code[:0], n)[:n]
+	for id := range d.perm {
+		d.perm[id] = uint32(id)
 	}
-	slices.Sort(vals)
-	code := make([]uint32, len(vals))
-	for c, s := range vals {
-		code[d.ids[s]] = uint32(c)
+	slices.SortFunc(d.perm, func(a, b uint32) int { return strings.Compare(d.vals[a], d.vals[b]) })
+	sorted := make([]string, n)
+	for c, id := range d.perm { // the c'th value in order has number id
+		sorted[c], d.code[id] = d.vals[id], uint32(c)
 	}
 	for i, id := range d.IDs {
-		d.IDs[i] = code[id]
+		d.IDs[i] = d.code[id]
 	}
-	return vals
+	return sorted
 }
 
 // ColumnDict returns the sorted dictionary of the non-empty string column

@@ -39,9 +39,10 @@ const maxWireRows = 1 << 22
 // until the body is complete, the heap a string column is staged in (a stored
 // column's form, for the one string encoder), the chunk its columns are
 // encoded through, and the dictionary scratch of its string columns — whose
-// map is most of what an encode would otherwise allocate. Encode's signature
-// has no room for scratch the caller owns, so it is pooled. The staging heap
-// is rewritten after views of it were taken, but none leaves Encode.
+// slot table is most of what an encode would otherwise allocate. Encode's
+// signature has no room for scratch the caller owns, so it is pooled. The
+// staging heap is rewritten after views of it were taken, but none leaves
+// Encode.
 type encodeScratch struct {
 	heap []byte
 	strs Heap
