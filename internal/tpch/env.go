@@ -185,8 +185,20 @@ type QueryDef struct {
 	Name string
 	// Build constructs the logical plan; it may evaluate scalar subqueries
 	// through the environment.
-	Build func(e *Env) (plan.Node, error)
+	Build func(e Subqueries) (plan.Node, error)
 }
+
+// Subqueries is what a query builder asks of the system it runs on: the
+// scalar subqueries and one-shot views it evaluates before the main plan,
+// and a table's row count. Env answers through the planner and the engine.
+type Subqueries interface {
+	Scalar(n plan.Node) (float64, error)
+	Materialize(n plan.Node) (*plan.Materialized, *engine.Result, error)
+	Rows(table string) int
+}
+
+// Rows returns the row count of the named table at the pinned version.
+func (e *Env) Rows(table string) int { return e.DB.Tables[table].Rows() }
 
 // Stats are the execution meters of one query run — the quantities behind
 // the paper's Figure 2 (cold time) and Figure 3 (memory).

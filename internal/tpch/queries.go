@@ -108,7 +108,7 @@ func Query(num int) QueryDef { return Queries[num-1] }
 
 // q01: pricing summary report — a ~97% scan with heavy aggregation; the
 // paper notes no indexing scheme can accelerate it.
-func q01(e *Env) (plan.Node, error) {
+func q01(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem",
 		expr.NewCmp(expr.LE, expr.C("l_shipdate"), expr.Date("1998-09-02")),
 		"l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_discount", "l_tax", "l_shipdate")
@@ -131,7 +131,7 @@ func q01(e *Env) (plan.Node, error) {
 }
 
 // q02: minimum cost supplier in EUROPE for size-15 %BRASS parts.
-func q02(e *Env) (plan.Node, error) {
+func q02(e Subqueries) (plan.Node, error) {
 	europeSupPS := func() plan.Node {
 		nat := jn(
 			sc("nation", nil, "n_nationkey", "n_name", "n_regionkey"),
@@ -161,7 +161,7 @@ func q02(e *Env) (plan.Node, error) {
 }
 
 // q03: shipping priority — the paper's canonical pushdown+sandwich query.
-func q03(e *Env) (plan.Node, error) {
+func q03(e Subqueries) (plan.Node, error) {
 	cust := sc("customer", expr.Eq(expr.C("c_mktsegment"), expr.Str("BUILDING")), "c_custkey", "c_mktsegment")
 	ord := sc("orders", expr.NewCmp(expr.LT, expr.C("o_orderdate"), expr.Date("1995-03-15")),
 		"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority")
@@ -173,7 +173,7 @@ func q03(e *Env) (plan.Node, error) {
 }
 
 // q04: order priority checking — semi join against late lineitems.
-func q04(e *Env) (plan.Node, error) {
+func q04(e Subqueries) (plan.Node, error) {
 	ord := sc("orders", between("o_orderdate", expr.Date("1993-07-01"), expr.Date("1993-09-30")),
 		"o_orderkey", "o_orderdate", "o_orderpriority")
 	li := sc("lineitem", expr.NewCmp(expr.LT, expr.C("l_commitdate"), expr.C("l_receiptdate")),
@@ -185,7 +185,7 @@ func q04(e *Env) (plan.Node, error) {
 
 // q05: local supplier volume — region selection propagated to every fact
 // scan through D_NATION.
-func q05(e *Env) (plan.Node, error) {
+func q05(e Subqueries) (plan.Node, error) {
 	nat := jn(
 		sc("nation", nil, "n_nationkey", "n_name", "n_regionkey"),
 		sc("region", expr.Eq(expr.C("r_name"), expr.Str("ASIA")), "r_regionkey", "r_name"),
@@ -204,7 +204,7 @@ func q05(e *Env) (plan.Node, error) {
 
 // q06: forecasting revenue change — pure selection; BDCC wins through the
 // o_orderdate/l_shipdate correlation and MinMax indexes.
-func q06(e *Env) (plan.Node, error) {
+func q06(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", and(
 		between("l_shipdate", expr.Date("1994-01-01"), expr.Date("1994-12-31")),
 		between("l_discount", expr.Float(0.05), expr.Float(0.07)),
@@ -215,7 +215,7 @@ func q06(e *Env) (plan.Node, error) {
 }
 
 // q07: volume shipping between FRANCE and GERMANY.
-func q07(e *Env) (plan.Node, error) {
+func q07(e Subqueries) (plan.Node, error) {
 	natFilter := func() expr.Expr { return expr.NewIn(expr.C("n_name"), strs("FRANCE", "GERMANY")...) }
 	li := sc("lineitem", between("l_shipdate", expr.Date("1995-01-01"), expr.Date("1996-12-31")),
 		"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount", "l_shipdate")
@@ -237,7 +237,7 @@ func q07(e *Env) (plan.Node, error) {
 }
 
 // q08: national market share of BRAZIL in AMERICA for a part type.
-func q08(e *Env) (plan.Node, error) {
+func q08(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", nil, "l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount")
 	part := sc("part", expr.Eq(expr.C("p_type"), expr.Str("ECONOMY ANODIZED STEEL")), "p_partkey", "p_type")
 	j := jn(li, part, "l_partkey", "p_partkey")
@@ -267,7 +267,7 @@ func q08(e *Env) (plan.Node, error) {
 }
 
 // q09: product type profit measure — the paper's sandwich-only query.
-func q09(e *Env) (plan.Node, error) {
+func q09(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", nil,
 		"l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_extendedprice", "l_discount")
 	part := sc("part", expr.NewLike(expr.C("p_name"), "%green%"), "p_partkey", "p_name")
@@ -291,7 +291,7 @@ func q09(e *Env) (plan.Node, error) {
 }
 
 // q10: returned item reporting.
-func q10(e *Env) (plan.Node, error) {
+func q10(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", expr.Eq(expr.C("l_returnflag"), expr.Str("R")),
 		"l_orderkey", "l_extendedprice", "l_discount", "l_returnflag")
 	ord := sc("orders", between("o_orderdate", expr.Date("1993-10-01"), expr.Date("1993-12-31")),
@@ -308,7 +308,7 @@ func q10(e *Env) (plan.Node, error) {
 
 // q11: important stock identification in GERMANY, with the scalar threshold
 // subquery evaluated first.
-func q11(e *Env) (plan.Node, error) {
+func q11(e Subqueries) (plan.Node, error) {
 	german := func() plan.Node {
 		j := jn(
 			sc("partsupp", nil, "ps_partkey", "ps_suppkey", "ps_availqty", "ps_supplycost"),
@@ -323,7 +323,7 @@ func q11(e *Env) (plan.Node, error) {
 	}
 	// The spec scales the threshold fraction with 1/SF; derive SF from the
 	// ORDERS cardinality.
-	sf := float64(e.DB.Tables["orders"].Rows()) / 1_500_000
+	sf := float64(e.Rows("orders")) / 1_500_000
 	fraction := 0.0001 / sf
 	a := agg(german(), []string{"ps_partkey"}, sum("value", value))
 	f := &plan.FilterNode{Child: a,
@@ -332,7 +332,7 @@ func q11(e *Env) (plan.Node, error) {
 }
 
 // q12: shipping modes and order priority.
-func q12(e *Env) (plan.Node, error) {
+func q12(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", and(
 		expr.NewIn(expr.C("l_shipmode"), strs("MAIL", "SHIP")...),
 		expr.NewCmp(expr.LT, expr.C("l_commitdate"), expr.C("l_receiptdate")),
@@ -352,7 +352,7 @@ func q12(e *Env) (plan.Node, error) {
 
 // q13: customer distribution — the paper's example of sandwiching a join on
 // a dimension (customer nation) that the query itself never mentions.
-func q13(e *Env) (plan.Node, error) {
+func q13(e Subqueries) (plan.Node, error) {
 	ordAgg := agg(
 		sc("orders", expr.NewNotLike(expr.C("o_comment"), "%special%requests%"),
 			"o_orderkey", "o_custkey", "o_comment"),
@@ -372,7 +372,7 @@ func q13(e *Env) (plan.Node, error) {
 }
 
 // q14: promotion effect.
-func q14(e *Env) (plan.Node, error) {
+func q14(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", between("l_shipdate", expr.Date("1995-09-01"), expr.Date("1995-09-30")),
 		"l_partkey", "l_extendedprice", "l_discount", "l_shipdate")
 	j := jn(li, sc("part", nil, "p_partkey", "p_type"), "l_partkey", "p_partkey")
@@ -386,7 +386,7 @@ func q14(e *Env) (plan.Node, error) {
 
 // q15: top supplier by quarterly revenue (view evaluated once, max taken in
 // a second pass over the materialized view).
-func q15(e *Env) (plan.Node, error) {
+func q15(e Subqueries) (plan.Node, error) {
 	view := agg(
 		sc("lineitem", between("l_shipdate", expr.Date("1996-01-01"), expr.Date("1996-03-31")),
 			"l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"),
@@ -411,7 +411,7 @@ func q15(e *Env) (plan.Node, error) {
 
 // q16: parts/supplier relationship, excluding complaint suppliers; the
 // paper's sandwiched distinct-count.
-func q16(e *Env) (plan.Node, error) {
+func q16(e Subqueries) (plan.Node, error) {
 	part := sc("part", and(
 		expr.NewCmp(expr.NE, expr.C("p_brand"), expr.Str("Brand#45")),
 		expr.NewNotLike(expr.C("p_type"), "MEDIUM POLISHED%"),
@@ -429,7 +429,7 @@ func q16(e *Env) (plan.Node, error) {
 }
 
 // q17: small-quantity-order revenue with the decorrelated per-part average.
-func q17(e *Env) (plan.Node, error) {
+func q17(e Subqueries) (plan.Node, error) {
 	avgQty := proj(
 		agg(sc("lineitem", nil, "l_partkey", "l_quantity"),
 			[]string{"l_partkey"}, avg("aq", expr.C("l_quantity"))),
@@ -448,7 +448,7 @@ func q17(e *Env) (plan.Node, error) {
 }
 
 // q18: large volume customers — the PK scheme's streaming aggregate win.
-func q18(e *Env) (plan.Node, error) {
+func q18(e Subqueries) (plan.Node, error) {
 	liAgg := agg(sc("lineitem", nil, "l_orderkey", "l_quantity"),
 		[]string{"l_orderkey"}, sum("sum_qty", expr.C("l_quantity")))
 	big := &plan.FilterNode{Child: liAgg,
@@ -461,7 +461,7 @@ func q18(e *Env) (plan.Node, error) {
 }
 
 // q19: discounted revenue (three OR-branches of brand/container/quantity).
-func q19(e *Env) (plan.Node, error) {
+func q19(e Subqueries) (plan.Node, error) {
 	li := sc("lineitem", and(
 		expr.NewIn(expr.C("l_shipmode"), strs("AIR", "REG AIR")...),
 		expr.Eq(expr.C("l_shipinstruct"), expr.Str("DELIVER IN PERSON"))),
@@ -483,7 +483,7 @@ func q19(e *Env) (plan.Node, error) {
 }
 
 // q20: potential part promotion (nested semi joins).
-func q20(e *Env) (plan.Node, error) {
+func q20(e Subqueries) (plan.Node, error) {
 	shipped := agg(
 		sc("lineitem", between("l_shipdate", expr.Date("1994-01-01"), expr.Date("1994-12-31")),
 			"l_partkey", "l_suppkey", "l_quantity", "l_shipdate"),
@@ -510,7 +510,7 @@ func q20(e *Env) (plan.Node, error) {
 
 // q21: suppliers who kept orders waiting (semi and anti self-joins with
 // residual inequalities).
-func q21(e *Env) (plan.Node, error) {
+func q21(e Subqueries) (plan.Node, error) {
 	l1 := sc("lineitem", expr.NewCmp(expr.GT, expr.C("l_receiptdate"), expr.C("l_commitdate")),
 		"l_orderkey", "l_suppkey", "l_receiptdate", "l_commitdate")
 	j := jn(l1, sc("supplier", nil, "s_suppkey", "s_name", "s_nationkey"), "l_suppkey", "s_suppkey")
@@ -531,7 +531,7 @@ func q21(e *Env) (plan.Node, error) {
 }
 
 // q22: global sales opportunity.
-func q22(e *Env) (plan.Node, error) {
+func q22(e Subqueries) (plan.Node, error) {
 	codes := strs("13", "31", "23", "29", "30", "18", "17")
 	code := func() expr.Expr { return expr.NewSubstr(expr.C("c_phone"), 1, 2) }
 	avgBal, err := e.Scalar(agg(
