@@ -10,6 +10,7 @@ import (
 
 	"bdcc/internal/iosim"
 	"bdcc/internal/storage"
+	"bdcc/internal/vector"
 )
 
 // mergeFixture builds a base table clustered on a single local dimension whose
@@ -64,6 +65,23 @@ func sliceRows(t testing.TB, tab *storage.Table, lo, hi int) *storage.Table {
 	return storage.MustNewTable(tab.Name, tab.PageSize, cols...)
 }
 
+// readColumn returns column ci of tab as a scan reads it.
+func readColumn(tab *storage.Table, ci int) *vector.Vector {
+	r := storage.NewReader(tab, []int{ci}, nil, nil)
+	b := vector.NewBatch(r.Kinds())
+	out := &vector.Vector{Kind: tab.Cols[ci].Kind}
+	for r.Next(b) {
+		out.AppendVector(b.Cols[0])
+	}
+	return out
+}
+
+// readInt64 returns the named int64 column of tab as a scan reads it.
+func readInt64(t *testing.T, tab *storage.Table, name string) []int64 {
+	t.Helper()
+	return readColumn(tab, tab.ColumnIndex(name)).I64
+}
+
 func sameBDCCTable(t *testing.T, got, want *BDCCTable) {
 	t.Helper()
 	if got.Bits != want.Bits || got.FullBits != want.FullBits {
@@ -92,7 +110,7 @@ func sameBDCCTable(t *testing.T, got, want *BDCCTable) {
 		t.Fatalf("data rows %d, want %d", got.Data.Rows(), want.Data.Rows())
 	}
 	for _, name := range []string{"k", "payload"} {
-		g, w := got.Data.MustColumn(name).I64, want.Data.MustColumn(name).I64
+		g, w := readInt64(t, got.Data, name), readInt64(t, want.Data, name)
 		for i := range w {
 			if g[i] != w[i] {
 				t.Fatalf("%s[%d] = %d, want %d", name, i, g[i], w[i])
@@ -201,8 +219,8 @@ func TestRebinDeterminismUnderArrivalOrder(t *testing.T) {
 	if len(inOrder.Count) != len(reordered.Count) {
 		t.Fatalf("%d vs %d count entries under arrival order", len(inOrder.Count), len(reordered.Count))
 	}
-	payA := inOrder.Data.MustColumn("payload").I64
-	payB := reordered.Data.MustColumn("payload").I64
+	payA := readInt64(t, inOrder.Data, "payload")
+	payB := readInt64(t, reordered.Data, "payload")
 	for i, e := range inOrder.Count {
 		if reordered.Count[i] != e {
 			t.Fatalf("count entry %d: %+v vs %+v under arrival order", i, e, reordered.Count[i])
@@ -395,6 +413,13 @@ func sameStoredTable(t *testing.T, got, want *storage.Table) {
 			t.Fatalf("column %d: %s %s width %v in %d pages, want %s %s width %v in %d", i,
 				g.Kind, g.Name, g.Width(), got.Pages(g), w.Kind, w.Name, w.Width(), want.Pages(w))
 		}
+		// What a scan reads of got, and the arrays its Materialized form gathers.
+		rg, rw := readColumn(got, i), readColumn(want, i)
+		if !slices.Equal(rg.I64, rw.I64) || !slices.Equal(rg.Str, rw.Str) ||
+			!slices.EqualFunc(rg.F64, rw.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("column %s reads differently", w.Name)
+		}
+		g = got.Materialized().Cols[i]
 		if !slices.Equal(g.I64, w.I64) || !slices.Equal(g.Str.Offs, w.Str.Offs) || !slices.Equal(g.Str.Bytes, w.Str.Bytes) ||
 			!slices.EqualFunc(g.F64, w.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatalf("column %s differs", w.Name)

@@ -264,19 +264,23 @@ func (ing *Ingest) Merge() error {
 	next := &snapState{epoch: cur.epoch + 1, raw: cur.raw, tables: maps.Clone(cur.tables), clustered: cur.clustered}
 	var clustered map[string]*core.BDCCTable
 	for table, d := range ing.deltas {
-		if d.Rows() == 0 || !ing.compressed[table] {
+		if d.Rows() == 0 {
 			continue
 		}
 		bt := clusteredTable(cur.clustered, table)
 		if bt == nil {
-			next.tables[table] = cur.tables[table].Encoded()
+			if ing.compressed[table] {
+				next.tables[table] = cur.tables[table].Encoded()
+			}
 			continue
 		}
 		if clustered == nil {
 			clustered = maps.Clone(cur.clustered.Tables)
 		}
 		enc := *bt
-		enc.Data = bt.Data.Encoded()
+		if enc.Data = bt.Data.Materialized(); ing.compressed[table] {
+			enc.Data = enc.Data.Encoded()
+		}
 		clustered[table] = &enc
 	}
 	if clustered != nil {

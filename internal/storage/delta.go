@@ -8,7 +8,8 @@ import (
 )
 
 // This file implements the ingest side of storage: the append ledger of a
-// table, and the copies that extend a table by a batch (Concat, Splice).
+// table, and the copy that extends a table by a batch (Concat; Splice, which
+// copies nothing, is view.go's).
 
 // Delta is the append ledger of one table: it checks each batch against the
 // base table's schema and counts the rows not yet merged. It holds no rows —
@@ -94,11 +95,13 @@ func (d *Delta) Clear() {
 // Snapshot views layer freshly ingested rows behind the base this way —
 // consolidation re-encodes explicitly when the merge commits, so the un-merged
 // tail is always served (and its I/O charged) at raw width. It is the splice
-// of the runs [0, aRows) and b: zones are derived from a's as Splice derives
-// them. The first Concat to keep all of a table Concat built writes b into
-// the spare capacity of a's arrays and heaps, past what a shows; any other —
-// of a loaded table, of a prefix, or a second one from a table — copies.
+// of the runs [0, aRows) and b: its zones derive from a's as a Splice's do,
+// on first use when it extends a's arrays in place. The first Concat to keep
+// all of a table Concat built writes b into the spare capacity of a's arrays
+// and heaps, past what a shows; any other — of a loaded table, of a prefix,
+// or a second one from a table — copies.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
+	a = a.Materialized()
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
 	}
@@ -120,12 +123,14 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 		cols[i] = nc
 	}
 	n := int32(aRows)
-	sp := &spliced{parent: a, aRows: aRows, runs: []run{{0, 0, n}, {n, n, int32(b.Rows())}}}
-	t, err := newTable(a.Name, a.PageSize, cols, sp)
-	if err == nil {
-		t.tip.Store(true)
+	t, err := newTable(a.Name, a.PageSize, cols, lazyOver(a, []run{{0, 0, n, 0}, {n, 0, int32(b.Rows()), 1}}))
+	if err != nil {
+		return nil, err
 	}
-	return t, err
+	if t.tip.Store(true); !inPlace {
+		t.settleZones() // a's zones view a's heap, which a copy lets go
+	}
+	return t, nil
 }
 
 // room returns a with room for n more values: a itself when inPlace and
@@ -140,110 +145,6 @@ func room[T any](a []T, n int, inPlace bool) []T {
 	return a
 }
 
-// Splice returns the uncompressed table whose row i is row src[i] of the
-// concatenation Concat(a, aRows, b) would build: one copy where Concat
-// followed by Permute (and AppendRows, when src repeats rows) makes three.
-// Its zones are derived from a's, so a value is read only on a page that
-// does not keep a parent page's bound row, or that holds rows of b (see
-// derivePages). src may have any length.
-func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
-	if err := checkConcat(a, aRows, b); err != nil {
-		return nil, err
-	}
-	return (&spliced{parent: a, aRows: aRows, runs: spliceRuns(src, aRows)}).build(b, len(src))
-}
-
-// build returns the uncompressed table of the n rows sp's runs copy from the
-// first aRows rows of its parent followed by b's (nil: no batch), with its
-// zones derived from the parent's.
-func (sp *spliced) build(b *Table, n int) (*Table, error) {
-	a := sp.parent
-	cols := make([]*Column, len(a.Cols))
-	eachColumn(a.Cols, func(i int, _ *vector.StrDict) {
-		c, o := a.Cols[i], &Column{}
-		if b != nil {
-			o = b.Cols[i]
-		}
-		nc := &Column{Name: c.Name, Kind: c.Kind}
-		switch c.Kind {
-		case vector.Int64:
-			nc.I64 = gather(c.I64[:sp.aRows], o.I64, sp.runs, n)
-		case vector.Float64:
-			nc.F64 = gather(c.F64[:sp.aRows], o.F64, sp.runs, n)
-		case vector.String:
-			nc.Str = gatherHeap(c.Str, o.Str, sp, n)
-		}
-		cols[i] = nc
-	})
-	return newTable(a.Name, a.PageSize, cols, sp)
-}
-
-// spliced is how a table's rows were gathered: runs over the concatenation
-// of the first aRows rows of parent and a batch.
-type spliced struct {
-	parent *Table
-	aRows  int
-	runs   []run
-}
-
-// run is n consecutive rows of a table from row at on, copied from the
-// consecutive source rows from src on; a source row below aRows is the
-// parent's, any other the batch's row src-aRows.
-type run struct{ at, src, n int32 }
-
-// spliceRuns cuts src into maximal runs of consecutive rows on one side of
-// aRows: the retained order between two spliced-in rows is one run.
-func spliceRuns(src []int32, aRows int) []run {
-	var runs []run
-	n := int32(aRows)
-	for i := 0; i < len(src); {
-		j := i + 1
-		for j < len(src) && src[j] == src[j-1]+1 && (src[j] < n) == (src[i] < n) {
-			j++
-		}
-		runs = append(runs, run{int32(i), src[i], int32(j - i)})
-		i = j
-	}
-	return runs
-}
-
-// gather returns the n rows the runs copy from a followed by b, each run as
-// one block copy.
-func gather[T any](a, b []T, runs []run, n int) []T {
-	out := make([]T, n)
-	for _, r := range runs {
-		from, s := a, int(r.src)
-		if s >= len(a) {
-			from, s = b, s-len(a)
-		}
-		copy(out[r.at:r.at+r.n], from[s:])
-	}
-	return out
-}
-
-// gatherHeap is gather for string heaps: the n rows sp's runs copy from the
-// first sp.aRows values of a followed by b, each run's bytes as one block
-// into a heap sized once.
-func gatherHeap(a, b vector.Heap, sp *spliced, n int) vector.Heap {
-	from := func(r run) (vector.Heap, int) {
-		if s := int(r.src); s < sp.aRows {
-			return a, s
-		}
-		return b, int(r.src) - sp.aRows
-	}
-	bytes := 0
-	for _, r := range sp.runs {
-		h, s := from(r)
-		bytes += int(h.Offs[s+int(r.n)] - h.Offs[s])
-	}
-	out := vector.MakeHeap(n, bytes)
-	for _, r := range sp.runs {
-		h, s := from(r)
-		out.AppendRange(h, s, s+int(r.n))
-	}
-	return out
-}
-
 // ConcatWidth returns the modeled width of the densest column of the table
 // Concat(a, aRows, b) would build, without building it: a string column's
 // bytes are its heap's offset at aRows plus b's heap.
@@ -252,7 +153,7 @@ func ConcatWidth(a *Table, aRows int, b *Table) float64 {
 	for i, c := range a.Cols {
 		w := 8.0
 		if c.Kind == vector.String {
-			w = strWidth(int(c.Str.Offs[aRows])+b.Cols[i].Str.Size(), aRows+b.Rows())
+			w = strWidth(a.strBytes(i, aRows)+b.Cols[i].Str.Size(), aRows+b.Rows())
 		}
 		widest = max(widest, w)
 	}

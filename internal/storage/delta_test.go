@@ -31,6 +31,8 @@ func deltaFixture(t testing.TB, name string, n int, seed int64) *Table {
 	return tab
 }
 
+// sameRows fails unless got and want hold the same rows, read through a
+// Reader, so a view's runs are read as a scan reads them.
 func sameRows(t *testing.T, got, want *Table) {
 	t.Helper()
 	if got.Rows() != want.Rows() {
@@ -41,19 +43,20 @@ func sameRows(t *testing.T, got, want *Table) {
 		if gc.Name != wc.Name || gc.Kind != wc.Kind {
 			t.Fatalf("column %d is %s %s, want %s %s", i, gc.Kind, gc.Name, wc.Kind, wc.Name)
 		}
+		g, w := readAll(got, i), readAll(want, i)
 		for r := 0; r < want.Rows(); r++ {
 			switch wc.Kind {
 			case vector.Int64:
-				if gc.I64[r] != wc.I64[r] {
-					t.Fatalf("%s[%d] = %d, want %d", wc.Name, r, gc.I64[r], wc.I64[r])
+				if g.I64[r] != w.I64[r] {
+					t.Fatalf("%s[%d] = %d, want %d", wc.Name, r, g.I64[r], w.I64[r])
 				}
 			case vector.Float64:
-				if math.Float64bits(gc.F64[r]) != math.Float64bits(wc.F64[r]) {
-					t.Fatalf("%s[%d] = %v, want %v", wc.Name, r, gc.F64[r], wc.F64[r])
+				if math.Float64bits(g.F64[r]) != math.Float64bits(w.F64[r]) {
+					t.Fatalf("%s[%d] = %v, want %v", wc.Name, r, g.F64[r], w.F64[r])
 				}
 			case vector.String:
-				if gc.Str.At(r) != wc.Str.At(r) {
-					t.Fatalf("%s[%d] = %q, want %q", wc.Name, r, gc.Str.At(r), wc.Str.At(r))
+				if g.Str[r] != w.Str[r] {
+					t.Fatalf("%s[%d] = %q, want %q", wc.Name, r, g.Str[r], w.Str[r])
 				}
 			}
 		}
@@ -184,7 +187,7 @@ func sameZones(t *testing.T, label string, got, want *Table) {
 // holds the bound. Rows are not compared: any occurrence may be recorded.
 func sameBounds(got, want *Table) error {
 	for i, c := range want.Cols {
-		if !sameZoneBounds(&got.zones[i], &want.zones[i]) {
+		if !sameZoneBounds(got.zonemap(i), want.zonemap(i)) {
 			return fmt.Errorf("zonemap of %s differs from one built from scratch", c.Name)
 		}
 		if err := boundRowsHold(got, i); err != nil {
@@ -197,10 +200,11 @@ func sameBounds(got, want *Table) error {
 // boundRowsHold returns an error unless every row column i's zones record
 // lies on its page and holds the bound (zones without rows pass).
 func boundRowsHold(tab *Table, i int) error {
-	z, c := &tab.zones[i], tab.Cols[i]
+	z, c := tab.zonemap(i), tab.Cols[i]
 	if z.minAt == nil {
 		return nil
 	}
+	v := readAll(tab, i)
 	if len(z.minAt) != z.pages() || len(z.maxAt) != z.pages() {
 		return fmt.Errorf("column %s: %d/%d bound rows for %d pages", c.Name, len(z.minAt), len(z.maxAt), z.pages())
 	}
@@ -210,9 +214,9 @@ func boundRowsHold(tab *Table, i int) error {
 		ok := mn >= lo && mn < hi && mx >= lo && mx < hi
 		switch c.Kind {
 		case vector.Int64:
-			ok = ok && c.I64[mn] == z.minI[p] && c.I64[mx] == z.maxI[p]
+			ok = ok && v.I64[mn] == z.minI[p] && v.I64[mx] == z.maxI[p]
 		case vector.String:
-			ok = ok && c.Str.At(mn) == z.minS[p] && c.Str.At(mx) == z.maxS[p]
+			ok = ok && v.Str[mn] == z.minS[p] && v.Str[mx] == z.maxS[p]
 		}
 		if !ok {
 			return fmt.Errorf("column %s page %d [%d,%d): bound rows %d/%d do not hold its bounds", c.Name, p, lo, hi, mn, mx)

@@ -106,3 +106,15 @@ func (c *Column) appendRows(src *Column, lo, hi int) {
 		c.Str.AppendRange(src.Str, lo, hi)
 	}
 }
+
+// readAll returns column ci of tab as one vector, read through a Reader over
+// the full range.
+func readAll(tab *Table, ci int) *vector.Vector {
+	r := NewReader(tab, []int{ci}, nil, nil)
+	b := vector.NewBatch(r.Kinds())
+	out := &vector.Vector{Kind: tab.Cols[ci].Kind}
+	for r.Next(b) {
+		out.AppendVector(b.Cols[0])
+	}
+	return out
+}

@@ -87,7 +87,10 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameHeap(t, tc.name+": splice", s.Cols[0].Str, pick(src))
+		if got := readAll(s, 0).Str; !slices.Equal(got, pick(src)) {
+			t.Fatalf("%s: splice reads %q, want %q", tc.name, got, pick(src))
+		}
+		sameHeap(t, tc.name+": splice, materialized", s.Materialized().Cols[0].Str, pick(src))
 
 		ranges := RowRanges{{n / 2, n}, {0, n}, {n - 1, n}, {0, 0}}
 		var want []string
@@ -204,8 +207,9 @@ func TestStringViewsSurviveGrowth(t *testing.T) {
 }
 
 // TestDerivedTablesDropTheParentHeap: a table built from a compressed one —
-// by AppendRows or Extract (which keep its whole chunks), a Splice, a
-// copying Concat or a Permute — holds no view of its string heaps: their
+// by AppendRows or Extract (which keep its whole chunks), a Splice's
+// materialized rows, a copying Concat or a Permute — holds no view of its
+// string heaps (a Splice's view itself reads them, by design): their
 // chunks' run values and bounds, their dictionaries and their zone bounds
 // all point into the new table's own, so the parent's are collected once it
 // is dropped.
@@ -245,7 +249,13 @@ func TestDerivedTablesDropTheParentHeap(t *testing.T) {
 	}{
 		{"AppendRows", func(p *Table) (*Table, error) { return p.AppendRows(RowRanges{{5, 40}, {n - 3, n}}) }},
 		{"Extract", func(p *Table) (*Table, error) { return p.Extract(RowRanges{{0, n - 100}, {10, 20}}) }},
-		{"Splice", func(p *Table) (*Table, error) { return Splice(p, n, batch(), []int32{n, 0, 1, 2, n + 1, 7, n - 1}) }},
+		{"Splice, materialized", func(p *Table) (*Table, error) {
+			s, err := Splice(p, n, batch(), []int32{n, 0, 1, 2, n + 1, 7, n - 1})
+			if err != nil {
+				return nil, err
+			}
+			return s.Materialized(), nil
+		}},
 		{"Concat", func(p *Table) (*Table, error) { return Concat(p, n-10, batch()) }},
 		{"Permute", func(p *Table) (*Table, error) { return p.Permute(reversed) }},
 	} {

@@ -109,8 +109,12 @@ func (r *Reader) Next(out *vector.Batch) bool {
 // copySpan appends rows [lo,hi) of every selected column to out: an
 // uncompressed column is one raw chunk over its arrays, so its numbers copy
 // and its strings are views of its heap; compressed ones decode each chunk's
-// piece of the span into out.
+// piece of the span into out; a view's take each run's piece from its source.
 func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
+	if v := r.t.view; v != nil {
+		v.copySpan(r.cols, out, lo, hi)
+		return
+	}
 	for i, ci := range r.cols {
 		c := r.t.Cols[ci]
 		dst := out.Cols[i]

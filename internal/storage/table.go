@@ -26,7 +26,9 @@ type Table struct {
 
 	rows       int
 	byName     map[string]int
-	zones      []zonemap
+	zones      []zonemap  // nil when lazy
+	lazy       *lazyZones // how zones derive on first use; nil: zones holds them
+	view       *view      // the runs a table Splice built holds its rows as; nil: arrays
 	compressed bool
 	derived    sync.Map // Derived's memo
 	// tip is set on a table Concat built until a Concat claims it: only that
@@ -41,10 +43,9 @@ func NewTable(name string, pageSize int64, cols ...*Column) (*Table, error) {
 	return newTable(name, pageSize, cols, nil)
 }
 
-// newTable is NewTable for columns whose rows sp gathered (nil: none): their
-// zonemaps are derived from sp's parent's instead of built from every value
-// (see buildZonemap).
-func newTable(name string, pageSize int64, cols []*Column, sp *spliced) (*Table, error) {
+// newTable is NewTable whose zones, when lazy is not nil, are derived on
+// first use (see lazyZones) instead of built from every value.
+func newTable(name string, pageSize int64, cols []*Column, lazy *lazyZones) (*Table, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("storage: table %q: page size %d must be positive", name, pageSize)
 	}
@@ -63,14 +64,11 @@ func newTable(name string, pageSize int64, cols []*Column, sp *spliced) (*Table,
 		t.byName[c.Name] = i
 		c.finish()
 	}
+	if t.lazy = lazy; lazy != nil {
+		return t, nil
+	}
 	t.zones = make([]zonemap, len(cols))
-	eachColumn(cols, func(i int, _ *vector.StrDict) {
-		var par *zonemap
-		if sp != nil {
-			par = &sp.parent.zones[i]
-		}
-		t.zones[i] = buildZonemap(cols[i], t.rowsPerPage(cols[i]), sp, par)
-	})
+	eachColumn(cols, func(i int, _ *vector.StrDict) { t.zones[i] = t.deriveZonemap(i, nil, nil) })
 	return t, nil
 }
 
@@ -111,10 +109,15 @@ func eachColumn(cols []*Column, fn func(i int, dict *vector.StrDict)) {
 // on a table already compressed.
 func (t *Table) Compress() { t.compress(nil) }
 
-// compress is Compress for a table whose rows sp gathered (nil: none) from a
-// compressed parent: the parent's whole chunks over the rows its leading run
-// leaves in place are kept where the encoder allows (see encodeColumn).
-func (t *Table) compress(sp *spliced) {
+// compress is Compress for a table holding the rows of v's runs (nil: none)
+// over a compressed root: the root's whole chunks over the rows v's leading
+// run leaves in place are kept where the encoder allows (see encodeColumn).
+// t itself holds arrays.
+func (t *Table) compress(v *view) {
+	if t.view != nil {
+		panic("storage: compress of a view: its Encoded form is the compressed table")
+	}
+	t.settleZones() // the chunks are built whole, and so are the zones
 	t.compressed = true
 	t.derived.Clear() // whatever was derived from the uncompressed form is stale
 	eachColumn(t.Cols, func(i int, dict *vector.StrDict) {
@@ -122,8 +125,8 @@ func (t *Table) compress(sp *spliced) {
 		c.finish() // chunk granularity is page-aligned at the raw width
 		var par *ColumnEncoding
 		inPlace := 0
-		if sp != nil && len(sp.runs) > 0 && sp.runs[0].src == 0 {
-			par, inPlace = sp.parent.Cols[i].Enc, int(sp.runs[0].n)
+		if v != nil && len(v.runs) > 0 && v.runs[0] == (run{0, 0, v.runs[0].n, 0}) {
+			par, inPlace = v.srcs[0].Cols[i].Enc, int(v.runs[0].n)
 		}
 		c.encode(t.rowsPerPage(c), dict, par, inPlace)
 		if t.zones[i].minAt == nil {
@@ -136,16 +139,30 @@ func (t *Table) compress(sp *spliced) {
 func (t *Table) Compressed() bool { return t.compressed }
 
 // Encoded returns the compressed form of t over t's own value arrays and
-// zones: new columns, one encode, no copy of the rows. t must hold its raw
-// values (a table built here, not adopted from frames). Sharing is safe
+// zones (a view's, Materialized): new columns, one encode, no copy of the
+// rows. Zones t derives on first use and has not yet are its chunks', and
+// the result derives those on first use too (see Splice). t must hold its
+// raw values (a table built here, not adopted from frames). Sharing is safe
 // because a published table never changes; t itself is left as it was.
 func (t *Table) Encoded() *Table {
+	t = t.Materialized()
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
-		Cols: make([]*Column, len(t.Cols)), zones: slices.Clone(t.zones)}
+		Cols: make([]*Column, len(t.Cols)), zones: make([]zonemap, len(t.Cols))}
 	for i, c := range t.Cols {
 		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str, width: c.width}
+		if z := t.known(i); z != nil {
+			out.zones[i] = *z
+		}
 	}
 	out.Compress()
+	if t.lazy != nil {
+		out.lazy = &lazyZones{memo: make([]atomic.Pointer[zonemap], len(t.Cols))}
+		for i := range t.Cols {
+			if t.known(i) != nil {
+				out.lazy.memo[i].Store(&out.zones[i])
+			}
+		}
+	}
 	return out
 }
 
@@ -281,6 +298,7 @@ func (t *Table) Permute(perm []int32) (*Table, error) {
 	if len(perm) != t.rows {
 		return nil, fmt.Errorf("storage: permutation of length %d for table %q with %d rows", len(perm), t.Name, t.rows)
 	}
+	t = t.Materialized()
 	cols := make([]*Column, len(t.Cols))
 	eachColumn(t.Cols, func(i int, _ *vector.StrDict) { cols[i] = t.Cols[i].permute(perm) })
 	out, err := NewTable(t.Name, t.PageSize, cols...)
@@ -303,26 +321,28 @@ func (t *Table) AppendRows(ranges RowRanges) (*Table, error) {
 
 // Extract returns a new table holding the given row ranges of t, in the order
 // given (ranges may repeat or overlap), compressed when t is. The ranges are
-// the runs of a splice of t: the zones are derived from t's (derivePages),
-// and when the first range starts at row 0, t's whole chunks under it are
-// kept where encodeColumn allows instead of being encoded again.
+// the runs of a view over t, gathered: the zones are derived from t's
+// (derivePages), and when the first range starts at row 0, t's whole chunks
+// under it are kept where encodeColumn allows instead of being encoded again.
 func (t *Table) Extract(ranges RowRanges) (*Table, error) {
-	sp := &spliced{parent: t, aRows: t.rows}
+	t = t.Materialized()
+	v := &view{srcs: []*Table{t}}
 	n := 0
 	for _, r := range ranges {
 		if r.Start < 0 || r.End > t.rows || r.Start > r.End {
 			return nil, fmt.Errorf("storage: range [%d,%d) outside table %q", r.Start, r.End, t.Name)
 		}
 		if r.Len() > 0 {
-			sp.runs = append(sp.runs, run{int32(n), int32(r.Start), int32(r.Len())})
+			v.add(run{int32(n), int32(r.Start), int32(r.Len()), 0})
 		}
 		n += r.Len()
 	}
-	out, err := sp.build(nil, n)
-	if err == nil && t.compressed {
-		out.compress(sp)
+	out := v.gather(v.table(t, n, v.runs), lazyOver(t, v.runs))
+	out.settleZones()
+	if t.compressed {
+		out.compress(v)
 	}
-	return out, err
+	return out, nil
 }
 
 // SortPerm returns the permutation that sorts rows by the given uint64 keys

@@ -61,6 +61,7 @@ func (w *frameWriter) finish() []byte {
 // holds whole chunks, so it may overshoot by one). A TableAdopter fed the
 // frames in order rebuilds the table.
 func (t *Table) Frames(frameBytes int) [][]byte {
+	t = t.Materialized()
 	var out [][]byte
 	var w frameWriter
 	for _, c := range t.Cols {

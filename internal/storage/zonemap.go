@@ -16,7 +16,8 @@ import (
 // Each page also records a row holding its minimum and one holding its
 // maximum (any occurrence). A splice or a concatenation moves its parent's
 // rows in runs, so it derives a page's bounds from the parent pages whose
-// bound rows it keeps and reads values only where it does not (derivePages).
+// bound rows it keeps and reads values only where it does not (derivePages);
+// a splice's view does so on a column's first prune.
 //
 // Float64 columns have no zones and keep every page: no predicate yields a
 // float interval (the planner prunes on integer and string bounds only), and
@@ -59,6 +60,25 @@ func minMaxAt[T cmp.Ordered](lo, hi int, at func(int) T) (mn, mx T, mnAt, mxAt i
 	return mn, mx, mnAt, mxAt
 }
 
+// span reads the bounds of rows [lo,hi) of a column, lo < hi, and the rows
+// holding them (minMaxAt); int64Bounds and strBounds read a column's arrays.
+type span[T cmp.Ordered] func(lo, hi int) (mn, mx T, mnAt, mxAt int)
+
+func int64Bounds(c *Column, lo, hi int) (int64, int64, int, int) {
+	vals := c.I64[lo:hi]
+	mn, mx, mnAt, mxAt := vals[0], vals[0], 0, 0
+	for i, v := range vals {
+		if v < mn {
+			mn, mnAt = v, i
+		} else if v > mx {
+			mx, mxAt = v, i
+		}
+	}
+	return mn, mx, lo + mnAt, lo + mxAt
+}
+
+func strBounds(c *Column, lo, hi int) (string, string, int, int) { return minMaxAt(lo, hi, c.Str.At) }
+
 // candidates folds values of one page, with their rows, into its bounds.
 type candidates[T cmp.Ordered] struct {
 	set        bool
@@ -79,19 +99,20 @@ func (c *candidates[T]) add(mn, mx T, mnAt, mxAt int) {
 	}
 }
 
-// derivePages computes the per-page bounds of the n rows sp gathered, at
-// rowsPerPage, and the rows holding them; at(i) is the value of row i. par is
-// the zonemap of sp's parent. Where the pieces of one parent page that land
+// derivePages computes the per-page bounds of the n rows the runs hold, at
+// rowsPerPage, and the rows holding them, reading the rows through span. par
+// is the zonemap of the runs' source 0 (the parent); any other source is a
+// batch. Where the pieces of one parent page that land
 // in one output page hold that parent page's minimum (maximum) row, that row
 // is mapped to the output and its value is the bound; otherwise those pieces
-// are scanned. Batch rows always are. Every bound is read through at, so a
+// are scanned. Batch rows always are. Every bound is read through span, so a
 // string bound is a view of the new column's heap, never of the parent's.
-func derivePages[T cmp.Ordered](n int, at func(int) T, rowsPerPage int, sp *spliced, par *zonemap) (mins, maxs []T, minAt, maxAt []int32) {
+func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []run, par *zonemap) (mins, maxs []T, minAt, maxAt []int32) {
 	pages := (n + rowsPerPage - 1) / rowsPerPage
 	mins, maxs, minAt, maxAt = make([]T, pages), make([]T, pages), make([]int32, pages), make([]int32, pages)
 	parRows := par.rowsPerPage
 	var acc candidates[T]
-	scan := func(lo, hi int) { acc.add(minMaxAt(lo, hi, at)) }
+	scan := func(lo, hi int) { acc.add(at(lo, hi)) }
 	var group []run // consecutive pieces of one parent page in one output page
 	flush := func() {
 		if len(group) == 0 {
@@ -108,10 +129,10 @@ func derivePages[T cmp.Ordered](n int, at func(int) T, rowsPerPage int, sp *spli
 			}
 		}
 		if mnAt >= 0 {
-			acc.add(at(mnAt), at(mnAt), mnAt, mnAt)
+			scan(mnAt, mnAt+1)
 		}
 		if mxAt >= 0 {
-			acc.add(at(mxAt), at(mxAt), mxAt, mxAt)
+			scan(mxAt, mxAt+1)
 		}
 		if mnAt < 0 || mxAt < 0 {
 			for _, g := range group {
@@ -125,13 +146,13 @@ func derivePages[T cmp.Ordered](n int, at func(int) T, rowsPerPage int, sp *spli
 		lo, hi := q*rowsPerPage, min((q+1)*rowsPerPage, n)
 		acc = candidates[T]{}
 		for pos := lo; pos < hi; {
-			for int(sp.runs[k].at+sp.runs[k].n) <= pos {
+			for int(runs[k].at+runs[k].n) <= pos {
 				k++
 			}
-			r := sp.runs[k]
+			r := runs[k]
 			end := min(int(r.at+r.n), hi)
 			s := int(r.src) + pos - int(r.at)
-			if s >= sp.aRows {
+			if r.source != 0 {
 				scan(pos, end)
 				pos = end
 				continue
@@ -142,7 +163,7 @@ func derivePages[T cmp.Ordered](n int, at func(int) T, rowsPerPage int, sp *spli
 				if len(group) > 0 && int(group[0].src)/parRows != p {
 					flush()
 				}
-				group = append(group, run{int32(pos), int32(s), int32(m)})
+				group = append(group, run{int32(pos), int32(s), int32(m), 0})
 				pos, s = pos+m, s+m
 			}
 		}
@@ -152,24 +173,25 @@ func derivePages[T cmp.Ordered](n int, at func(int) T, rowsPerPage int, sp *spli
 	return mins, maxs, minAt, maxAt
 }
 
-// buildZonemap computes the zonemap of c: from its chunks when it has them,
-// else at rowsPerPage from its values. When c holds the rows sp gathered and
-// the parent's zonemap par records the rows holding its bounds, the zones
-// are derived from par's (derivePages); otherwise every value is read — the
-// derivation over one run of batch rows.
-func buildZonemap(c *Column, rowsPerPage int, sp *spliced, par *zonemap) zonemap {
-	if c.Enc != nil {
-		return zonemapFromChunks(c)
-	}
+// deriveZonemap computes the zones of column ci at its raw-width pages. When
+// its rows are the runs over a table whose zones par record the rows holding
+// their bounds (source 0; any other source is a batch), they are derived from
+// par's (derivePages); otherwise every value is read.
+func (t *Table) deriveZonemap(ci int, runs []run, par *zonemap) zonemap {
 	if par == nil || par.minAt == nil {
-		sp, par = &spliced{runs: []run{{0, 0, int32(c.Len())}}}, &zonemap{}
+		runs, par = []run{{0, 0, int32(t.rows), 1}}, &zonemap{}
 	}
-	z := zonemap{rowsPerPage: rowsPerPage}
+	v := t.view
+	if v == nil {
+		v = &view{srcs: []*Table{t}, runs: []run{{0, 0, int32(t.rows), 0}}}
+	}
+	c := t.Cols[ci]
+	z := zonemap{rowsPerPage: t.rowsPerPage(c)}
 	switch c.Kind {
 	case vector.Int64:
-		z.minI, z.maxI, z.minAt, z.maxAt = derivePages(len(c.I64), func(i int) int64 { return c.I64[i] }, rowsPerPage, sp, par)
+		z.minI, z.maxI, z.minAt, z.maxAt = derivePages(t.rows, viewSpan(v, ci, int64Bounds), z.rowsPerPage, runs, par)
 	case vector.String:
-		z.minS, z.maxS, z.minAt, z.maxAt = derivePages(c.Str.Len(), c.Str.At, rowsPerPage, sp, par)
+		z.minS, z.maxS, z.minAt, z.maxAt = derivePages(t.rows, viewSpan(v, ci, strBounds), z.rowsPerPage, runs, par)
 	}
 	return z
 }
@@ -224,7 +246,6 @@ func (t *Table) PruneZonemap(name string, iv Interval, in RowRanges) RowRanges {
 		return in
 	}
 	c := t.Cols[ci]
-	z := t.zones[ci]
 	if in == nil {
 		in = FullRange(t.rows)
 	}
@@ -235,6 +256,7 @@ func (t *Table) PruneZonemap(name string, iv Interval, in RowRanges) RowRanges {
 	if c.Kind == vector.Float64 {
 		return in
 	}
+	z := t.zonemap(ci)
 	var keep RowRanges
 	rpp := z.rowsPerPage
 	pages := z.pages()

@@ -89,12 +89,20 @@ func gatheredTable(t testing.TB, a *Table, keep int, b *Table, src []int32) *Tab
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
 		nc := &Column{Name: c.Name, Kind: c.Kind}
+		va, vb := readAll(a, i), readAll(b, i)
 		for _, s := range src {
-			from, r := c, int(s)
+			from, r := va, int(s)
 			if r >= keep {
-				from, r = b.Cols[i], r-keep
+				from, r = vb, r-keep
 			}
-			nc.appendRows(from, r, r+1)
+			switch c.Kind {
+			case vector.Int64:
+				nc.I64 = append(nc.I64, from.I64[r])
+			case vector.Float64:
+				nc.F64 = append(nc.F64, from.F64[r])
+			case vector.String:
+				nc.Str.Append(from.Str[r])
+			}
 		}
 		cols[i] = nc
 	}
@@ -174,7 +182,7 @@ func TestSpliceDerivesZones(t *testing.T) {
 		check(label("kept prefix"), a, n-37, small, insertSrc(n-37, randomAt(rng, n-37, small.Rows())))
 		long := zoneFixture(t, 600, 5, 80)
 		moved := check(label("rows per page move"), a, n, long, insertSrc(n, randomAt(rng, n, long.Rows())))
-		if moved.zones[2].rowsPerPage == noteRows {
+		if moved.zonemap(2).rowsPerPage == noteRows {
 			t.Fatalf("long notes left the notes at %d rows a page", noteRows)
 		}
 		shuffle := make([]int32, n+small.Rows())
@@ -291,6 +299,101 @@ func FuzzSpliceZones(f *testing.F) {
 		}
 		if err := sameBounds(got, freshCopy(t, got)); err != nil {
 			t.Fatalf("concat: %v", err)
+		}
+	})
+}
+
+// readBatches returns what a Reader over ranges of every column of tab emits,
+// pushing iv into the int64 and string columns when push is set: one line a
+// batch, so batch cuts count.
+func readBatches(tab *Table, ranges RowRanges, iv Interval, push bool) []string {
+	cols := []int{0, 1, 2}
+	var pp []PushPred
+	if push {
+		pp = []PushPred{{Col: 0, Iv: Interval{Lo: iv.Lo, Hi: iv.Hi}}, {Col: 2, Iv: Interval{Lo: Bound{Set: iv.Lo.Set, S: "ab"}}}}
+	}
+	r := NewReaderPush(tab, cols, ranges, nil, pp)
+	b := vector.NewBatch(r.Kinds())
+	var out []string
+	for r.Next(b) {
+		out = append(out, fmt.Sprint(b.Cols[0].I64, b.Cols[1].F64, b.Cols[2].Str))
+	}
+	return out
+}
+
+// FuzzComposedSplice decodes a compressed parent and a chain of one to five
+// splices onto it, each of a batch with a source list that repeats rows (a
+// relocation area), every splice after the first taken of the previous view.
+// Each view must read as the table gathered row by row from the previous
+// one: over random ranges with and without pushed intervals (batch for
+// batch), its zones equal a full build's, its widths and pages bit for bit,
+// and its Materialized form the same rows.
+func FuzzComposedSplice(f *testing.F) {
+	rng := rand.New(rand.NewSource(5))
+	for range 4 {
+		seed := make([]byte, 1500)
+		rng.Read(seed)
+		seed[1] = 4 // five splices
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		root := fuzzTable(t, &in, 1+in.next())
+		root.Compress()
+		cur, want := root, freshCopy(t, root)
+		for step, steps := 0, 1+in.next()%5; step < steps && len(in) > 0; step++ {
+			b := fuzzTable(t, &in, in.next()%40)
+			keep := cur.Rows() - in.next()%(cur.Rows()+1)
+			var src []int32
+			for len(in) > 0 && len(src) < 600 && in.next()%32 != 0 {
+				if x := in.next(); x%2 == 1 && b.Rows() > 0 {
+					src = append(src, int32(keep+x/2%b.Rows()))
+				} else if keep > 0 {
+					for r, n := x/2%keep, in.next()%60; r < keep && n > 0; r, n = r+1, n-1 {
+						src = append(src, int32(r))
+					}
+				}
+			}
+			if len(src) > 0 { // a relocation area: rows already placed, once more
+				lo := in.next() % len(src)
+				src = append(src, src[lo:min(len(src), lo+in.next()%30)]...)
+			}
+			got, err := Splice(cur, keep, b, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make([]int32, keep+b.Rows())
+			for i := range all {
+				all[i] = int32(i)
+			}
+			label := fmt.Sprintf("step %d", step)
+			if w, g := gatheredTable(t, want, keep, b, all).DensestColumn().width, ConcatWidth(cur, keep, b); w != g {
+				t.Fatalf("%s: ConcatWidth of %d rows is %v, the concatenation's %v", label, keep, g, w)
+			}
+			want = gatheredTable(t, want, keep, b, src)
+			for i, c := range want.Cols {
+				if gc := got.Cols[i]; math.Float64bits(gc.width) != math.Float64bits(c.width) || got.Pages(gc) != want.Pages(c) {
+					t.Fatalf("%s: column %s is %v wide in %d pages, want %v in %d", label, c.Name, gc.width, got.Pages(gc), c.width, want.Pages(c))
+				}
+			}
+			if err := sameBounds(got, want); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for range 4 {
+				var ranges RowRanges
+				for range 1 + in.next()%4 {
+					lo := in.next() * 7 % (got.Rows() + 1)
+					ranges = append(ranges, RowRange{lo, min(got.Rows(), lo+in.next()*5)})
+				}
+				iv := Interval{Lo: Bound{Set: true, I: int64(int8(in.next()))}, Hi: Bound{Set: true, I: 100}}
+				for _, push := range []bool{false, true} {
+					if g, w := readBatches(got, ranges, iv, push), readBatches(want, ranges, iv, push); !slices.Equal(g, w) {
+						t.Fatalf("%s: reading %v (push %v) gives %v, want %v", label, ranges, push, g, w)
+					}
+				}
+			}
+			sameRows(t, got.Materialized(), want)
+			cur = got
 		}
 	})
 }
