@@ -96,10 +96,11 @@ func (d *Delta) Clear() {
 // consolidation re-encodes explicitly when the merge commits, so the un-merged
 // tail is always served (and its I/O charged) at raw width. It is the splice
 // of the runs [0, aRows) and b: its zones derive from a's as a Splice's do,
-// on first use when it extends a's arrays in place. The first Concat to keep
-// all of a table Concat built writes b into the spare capacity of a's arrays
-// and heaps, past what a shows; any other — of a loaded table, of a prefix,
-// or a second one from a table — copies.
+// on first use — or at once where a has them and the Concat copies, so that
+// a's heap can go. The first Concat to keep all of a table Concat built
+// writes b into the spare capacity of a's arrays and heaps, past what a
+// shows; any other — of a loaded table, of a prefix, or a second one from a
+// table — copies.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	a = a.Materialized()
 	if err := checkConcat(a, aRows, b); err != nil {
@@ -127,8 +128,13 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.tip.Store(true); !inPlace {
-		t.settleZones() // a's zones view a's heap, which a copy lets go
+	if t.tip.Store(true); !inPlace { // a's zones view a's heap, which a copy lets go
+		eachColumn(t.Cols, func(i int, _ *vector.StrDict) {
+			if t.lazy.par[i] != nil {
+				t.zonemap(i)
+			}
+		})
+		t.lazy.par = nil
 	}
 	return t, nil
 }

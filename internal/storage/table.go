@@ -337,7 +337,8 @@ func (t *Table) Extract(ranges RowRanges) (*Table, error) {
 		}
 		n += r.Len()
 	}
-	out := v.gather(v.table(t, n, v.runs), lazyOver(t, v.runs))
+	vt := v.table(t, n, v.runs)
+	out := v.gather(vt, vt.lazy)
 	out.settleZones()
 	if t.compressed {
 		out.compress(v)

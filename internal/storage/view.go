@@ -235,9 +235,7 @@ func (t *Table) known(ci int) *zonemap {
 func (t *Table) settleZones() {
 	if t.lazy != nil {
 		zones := make([]zonemap, len(t.Cols))
-		for i := range zones {
-			zones[i] = *t.zonemap(i)
-		}
+		eachColumn(t.Cols, func(i int, _ *vector.StrDict) { zones[i] = *t.zonemap(i) })
 		t.zones, t.lazy = zones, nil
 	}
 }
