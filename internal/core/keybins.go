@@ -288,9 +288,10 @@ func (b *useBins) keyBins(refTable string) (map[string]*KeyBins, error) {
 // [from, n) of tables[table]: the table's clustering takes them by the
 // MergeBDCCTable splice (when the table has a design) and every key→bin
 // index whose hop references the table gains their keys. This is the one
-// place an append is priced, and the price is the batch plus one copy of the
-// appended table's clustered view: the batch's bins come from its own key
-// columns and from the indexes (see batchBins), so no other table is read —
+// place an append is priced, and the price is the batch plus the merge order
+// of the appended table's clustered view, into which no row is copied: the
+// batch's bins come from its own key columns and from the indexes (see
+// batchBins), so no other table is read —
 // tables, the combined stored tables, serve only a hop that has no index.
 // Parents must be appended before the children that reference them.
 // Everything else is shared with db, which is not modified.

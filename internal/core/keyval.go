@@ -24,14 +24,15 @@
 //     anyway, extended per append, rebuilt by a merge, immutable per version.
 //
 // Ingest (merge.go, keybins.go). Database.AppendRows is the one place an
-// append is priced, and its contract is O(batch) work on every table except
-// one copy of the appended table's clustered view: the batch is binned from
-// its own key columns and through the key→bin indexes (never by resolving
-// the stored tables — BindUses, which does, is the reference), spliced into
-// the view by MergeBDCCTable's single gather, and the indexes that reference
-// the table gain the batch's keys. Parents are appended before the children
-// that reference them. Drift is read off count tables (BDCCTable.DriftSince);
-// DriftFor re-binds from scratch for bdccadvise and the tests.
+// append is priced, and its contract is O(batch) work on every table plus
+// the merge order of the appended table's clustered view: the batch is
+// binned from its own key columns and through the key→bin indexes (never by
+// resolving the stored tables — BindUses, which does, is the reference),
+// spliced into the view as runs by MergeBDCCTable (no row copied), and the
+// indexes that reference the table gain the batch's keys. Parents are
+// appended before the children that reference them. Drift is read off count
+// tables (BDCCTable.DriftSince); DriftFor re-binds from scratch for
+// bdccadvise and the tests.
 package core
 
 import (

@@ -88,9 +88,10 @@ func DeltaKeys(base *BDCCTable, uses []UseBinding) ([]uint64, error) {
 //	(iii) re-decide small-group relocation over the merged counts;
 //	(iv)  merge the run into the retained sorted key order by a single linear
 //	      pass — base rows win ties, matching what a stable re-sort of
-//	      base-then-delta insertion order would produce — and gather the
-//	      merged rows, relocation area included, straight from (base, delta):
-//	      the table is copied once and its zonemap built once.
+//	      base-then-delta insertion order would produce — and splice the
+//	      merged order, relocation area included, over (base, delta) as runs
+//	      (storage.Splice): no row is copied, and a read takes each run from
+//	      the base's or the batch's arrays.
 //
 // The merged table is uncompressed; callers consolidating a compressed base
 // re-encode the result explicitly.

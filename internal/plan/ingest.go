@@ -14,15 +14,17 @@ import (
 // (storage.Delta); every append publishes a fresh immutable view
 // of the affected table — base plus the visible delta, in the scheme's own
 // layout — behind an atomic pointer, built from the previous view and the
-// batch at the cost of the batch and one copy of that table's sorted or
-// clustered view. Queries pin one such version at plan time (DB.Snapshot)
-// and never block on writers; writers serialize on a mutex and never mutate a
-// published version, so a pinned snapshot stays valid across any number of
-// later appends and merges.
+// batch at the cost of the batch (BDCC: plus the splice's merge order; PK:
+// plus a re-sort of the table). Queries pin one such version at plan time
+// (DB.Snapshot) and never block on writers; writers serialize on a mutex and
+// never mutate a published version, so a pinned snapshot stays valid across
+// any number of later appends and merges.
 // The views an append publishes are already re-sorted (PK) or re-clustered
 // by the incremental core.MergeBDCCTable splice (BDCC); what they lack is
-// compression. A merge re-encodes them where the base was compressed and
-// publishes that version the same way.
+// compression, and a BDCC view holds its rows as runs over the merged base
+// and the batches (storage.Splice). A merge gathers such a view once,
+// re-encodes it where the base was compressed and publishes that version the
+// same way.
 type Ingest struct {
 	db  *DB
 	opt IngestOptions
@@ -203,8 +205,8 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 // table: every view of the other tables is shared with the current version,
 // the table's insertion-order view grows in place by the batch, and the
 // scheme's own layout follows — PK re-sorts, BDCC splices the batch into the
-// previous clustered view (which already holds the older delta rows) at the
-// cost of the batch and one copy of that view. Nothing is published or stored.
+// previous clustered view (which already holds the older delta rows) as runs,
+// copying no row. Nothing is published or stored.
 // Caller holds mu.
 func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, error) {
 	prev := ing.cur.Load()
@@ -240,9 +242,10 @@ func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, er
 // Merge publishes the current version with the views of every table holding
 // un-merged rows re-encoded where the base was compressed, and clears the
 // ledgers. The appends already built those views in the scheme's own layout
-// — PK re-sorted, BDCC spliced into the clustering — so a merge re-bins,
-// re-sorts and copies nothing: a re-encoded table shares its view's value
-// arrays (storage.Table.Encoded). Readers keep whatever version they pinned.
+// — PK re-sorted, BDCC spliced into the clustering — so a merge re-bins and
+// re-sorts nothing: it gathers a BDCC view's runs into arrays once
+// (storage.Table.Materialized), and a re-encoded table shares those arrays
+// (storage.Table.Encoded). Readers keep whatever version they pinned.
 // A merge fails, publishing nothing, only if the ledgers and the published
 // version disagree on how many rows are un-merged.
 func (ing *Ingest) Merge() error {

@@ -26,7 +26,7 @@ type Table struct {
 
 	rows       int
 	byName     map[string]int
-	zones      []zonemap  // nil when lazy
+	zones      []zonemap  // every column's, unless lazy derives them
 	lazy       *lazyZones // how zones derive on first use; nil: zones holds them
 	view       *view      // the runs a table Splice built holds its rows as; nil: arrays
 	compressed bool
