@@ -32,11 +32,11 @@ type view struct {
 // consecutive rows from src on of source number source.
 type run struct{ at, src, n, source int32 }
 
-// lazyZones derives a table's zones (a Splice, in-place Concat or
-// Materialized result's) column by column on first use, and keeps them in
-// memo: from par, the zones the table it was built from had then, over step,
-// its runs over that table (source 0) and the batch (source 1); else from
-// every value. Nothing links a table to the one it was built from.
+// lazyZones derives a table's zones (a Splice, in-place Concat, Materialized
+// or merged Encoded result's) column by column on first use, and keeps them
+// in memo: from par, the zones the table it was built from had then, over
+// step, its runs over that table (source 0) and the batch (source 1); else
+// from every value. It keeps those zones, not that table.
 type lazyZones struct {
 	par  []*zonemap
 	step []run
@@ -54,9 +54,10 @@ func lazyOver(a *Table, step []run) *lazyZones {
 
 // Splice returns the table whose row i is row src[i] of the concatenation of
 // the first aRows rows of a and every row of b: a view whose runs are src's,
-// composed with a's when a is a view. Nothing is copied. The zones a has with
-// the rows holding their bounds — those its readers pruned on — are derived
-// now, one batch away; any other on its first prune. src may have any length.
+// composed with a's when a is a view. Nothing is copied. When a derives its
+// zones on use too, those it has with the rows holding their bounds — the
+// columns its readers pruned on — are derived now, one batch away; any other
+// on its first prune. src may have any length.
 func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
 	b = b.Materialized()
 	if err := checkConcat(a, aRows, b); err != nil {
