@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"bdcc/internal/vector"
@@ -420,4 +421,55 @@ func FuzzExtract(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestViewSharedByReaders: daemon queries share a pinned view, so its first
+// prunes, reads and materialization may race. Eight goroutines prune every
+// column of one fresh view over the same intervals, read it and gather it at
+// once; each must see what a table built from the same rows gives, and the
+// race detector must find nothing (CI runs storage under -race).
+func TestViewSharedByReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	root := zoneFixture(t, 3000, 1, 4)
+	root.Compress()
+	b := zoneFixture(t, 90, 2, 4)
+	src1 := insertSrc(root.Rows(), randomAt(rng, root.Rows(), b.Rows()))
+	first, err := Splice(root, root.Rows(), b, src1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.PruneZonemap("id", Interval{Lo: Bound{Set: true, I: 500}}, nil) // a column the next view derives at once
+	b2 := zoneFixture(t, 70, 3, 4)
+	src := insertSrc(first.Rows(), randomAt(rng, first.Rows(), b2.Rows()))
+	view, err := Splice(first, first.Rows(), b2, append(src, src[40:90]...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gatheredTable(t, gatheredTable(t, root, root.Rows(), b, src1), first.Rows(), b2, append(src, src[40:90]...))
+	ivs := []Interval{{Lo: Bound{Set: true, I: 500}}, {Hi: Bound{Set: true, I: 3}}, {Lo: Bound{Set: true, S: "shared"}}}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, c := range want.Cols {
+				for _, iv := range ivs {
+					if g, w := view.PruneZonemap(c.Name, iv, nil), want.PruneZonemap(c.Name, iv, nil); !slices.Equal(g, w) {
+						t.Errorf("%s prunes %+v to %v, want %v", c.Name, iv, g, w)
+					}
+				}
+			}
+			if g, w := readBatches(view, nil, ivs[0], true), readBatches(want, nil, ivs[0], true); !slices.Equal(g, w) {
+				t.Error("a shared view reads differently")
+			}
+			if m := view.Materialized(); m.Rows() != want.Rows() {
+				t.Errorf("materialized %d rows, want %d", m.Rows(), want.Rows())
+			}
+		}()
+	}
+	wg.Wait()
+	sameRows(t, view.Materialized(), want)
+	if err := sameBounds(view.Materialized(), want); err != nil {
+		t.Fatal(err)
+	}
 }
