@@ -176,26 +176,26 @@ func TestFigure1Build(t *testing.T) {
 	asiaBin := dCont.BinOf(StrKey("Asia"))
 	entries := bt.SelectBins(bt.Uses[0], asiaBin, asiaBin)
 	got := make(map[int64]bool)
-	baCol := bt.Data.MustColumn("b_a")
+	baCol := bt.Data.MustColumn("b_a").Values()
 	for _, r := range EntriesRanges(entries) {
 		for i := r.Start; i < r.End; i++ {
 			got[baCol.I64[i]] = true
 		}
 	}
-	aD1 := tabs["a"].MustColumn("a_d1")
-	cont := tabs["d1"].MustColumn("continent")
+	aD1 := tabs["a"].MustColumn("a_d1").Values()
+	cont := tabs["d1"].MustColumn("continent").Values()
 	// Every selected B row's parent must be Asia, and every Asia parent's
 	// B row must be selected.
-	orig := tabs["b"].MustColumn("b_a")
+	orig := tabs["b"].MustColumn("b_a").Values()
 	for i := 0; i < tabs["b"].Rows(); i++ {
 		parent := orig.I64[i]
-		isAsia := cont.Str.At(int(aD1.I64[parent])) == "Asia"
+		isAsia := cont.Str[aD1.I64[parent]] == "Asia"
 		if isAsia && !got[parent] {
 			t.Fatalf("b row %d (parent %d, Asia) missed by bin selection", i, parent)
 		}
 	}
 	for parent := range got {
-		if cont.Str.At(int(aD1.I64[parent])) != "Asia" {
+		if cont.Str[aD1.I64[parent]] != "Asia" {
 			t.Fatalf("bin selection returned non-Asia parent %d", parent)
 		}
 	}
@@ -205,7 +205,7 @@ func TestFigure1Build(t *testing.T) {
 	avail := Ones(use.Mask)
 	d1OfA := make([]uint64, tabs["a"].Rows())
 	for i := 0; i < tabs["a"].Rows(); i++ {
-		d1OfA[i] = dCont.BinOf(StrKey(cont.Str.At(int(aD1.I64[i]))))
+		d1OfA[i] = dCont.BinOf(StrKey(cont.Str[aD1.I64[i]]))
 	}
 	for _, e := range bt.Count {
 		gbits := GatherBits(e.Key, use.Mask, bt.Bits)

@@ -50,7 +50,7 @@ func buildTestTable(t *testing.T, n int, domain int64, maxBits int, opt BuildOpt
 // _bdcc_, i.e. on the dimension bin of k for a single-use table.
 func TestBuildSortsOnBDCC(t *testing.T) {
 	bt, dim, _ := buildTestTable(t, 5000, 1000, 6, BuildOptions{DisableRelocation: true})
-	kc := bt.Data.MustColumn("k")
+	kc := bt.Data.MustColumn("k").Values()
 	var prev uint64
 	for i, v := range kc.I64 {
 		b := dim.BinOf(IntKey(v))
@@ -68,7 +68,7 @@ func TestBuildPreservesMultiset(t *testing.T) {
 	for _, v := range orig {
 		count[v]++
 	}
-	for _, v := range bt.Data.MustColumn("k").I64 {
+	for _, v := range bt.Data.MustColumn("k").Values().I64 {
 		count[v]--
 	}
 	for v, c := range count {
@@ -155,7 +155,7 @@ func TestAlgorithm1TinyTableFullGranularity(t *testing.T) {
 // the match is exact).
 func TestSelectBinsMatchesFilter(t *testing.T) {
 	bt, dim, _ := buildTestTable(t, 4000, 64, 6, BuildOptions{DisableRelocation: true})
-	kc := bt.Data.MustColumn("k")
+	kc := bt.Data.MustColumn("k").Values()
 	for lo := int64(0); lo < 64; lo += 7 {
 		hi := lo + 10
 		lk, hk := IntKey(lo), IntKey(hi)
@@ -257,7 +257,7 @@ func TestScatterPlanMajorOrder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScatterPlan: %v", err)
 	}
-	bc := bt.Data.MustColumn("b")
+	bc := bt.Data.MustColumn("b").Values()
 	var prevBin uint64
 	first := true
 	for _, grp := range plan {
@@ -322,7 +322,7 @@ func TestRelocationSmallGroups(t *testing.T) {
 	// Scanning all count entries yields exactly one copy of every tuple.
 	total := int64(0)
 	seen := make(map[int64]int64)
-	kc := bt.Data.MustColumn("k")
+	kc := bt.Data.MustColumn("k").Values()
 	for _, e := range bt.Count {
 		for i := e.Offset; i < e.Offset+e.Count; i++ {
 			seen[kc.I64[i]]++

@@ -213,8 +213,9 @@ func (b *useBins) batchBins(us UseSpec) ([]uint64, error) {
 	if col.Kind != vector.Int64 {
 		return nil, fmt.Errorf("core: foreign key %s: only int64 single-column keys supported, got %s", fk.Name, col.Kind)
 	}
-	bins := make([]uint64, len(col.I64))
-	for i, v := range col.I64 {
+	keys := col.Values().I64
+	bins := make([]uint64, len(keys))
+	for i, v := range keys {
 		bin, ok := idx.bin(v)
 		if !ok {
 			return nil, fmt.Errorf("core: foreign key %s: value %d of %s.%s has no match in %s.%s",
@@ -277,7 +278,7 @@ func (b *useBins) keyBins(refTable string) (map[string]*KeyBins, error) {
 				if err != nil {
 					return nil, err
 				}
-				out[k] = b.db.keyBins[k].extended(keys.I64, bins)
+				out[k] = b.db.keyBins[k].extended(keys.Values().I64, bins)
 			}
 		}
 	}

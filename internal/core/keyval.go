@@ -38,8 +38,6 @@ package core
 import (
 	"fmt"
 	"strings"
-
-	"bdcc/internal/vector"
 )
 
 // KeyPart is one component of a (possibly composite) dimension key value.
@@ -137,24 +135,4 @@ func (k KeyVal) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// KeyOfRow assembles the key value of row i from the given key columns
-// (pre-fetched as raw slices to avoid per-row dispatch).
-type keyCols struct {
-	kinds []vector.Kind
-	i64   [][]int64
-	str   []vector.Heap
-}
-
-func (kc *keyCols) at(i int) KeyVal {
-	parts := make([]KeyPart, len(kc.kinds))
-	for c, k := range kc.kinds {
-		if k == vector.String {
-			parts[c] = KeyPart{IsStr: true, S: kc.str[c].At(i)}
-		} else {
-			parts[c] = KeyPart{I: kc.i64[c][i]}
-		}
-	}
-	return KeyVal{Parts: parts}
 }

@@ -91,7 +91,7 @@ func DeltaKeys(base *BDCCTable, uses []UseBinding) ([]uint64, error) {
 //	      base-then-delta insertion order would produce — and splice the
 //	      merged order, relocation area included, over (base, delta) as runs
 //	      (storage.Splice): no row is copied, and a read takes each run from
-//	      the base's or the batch's arrays.
+//	      the base's or the batch's chunks.
 //
 // The merged table is uncompressed; callers consolidating a compressed base
 // re-encode the result explicitly.

@@ -37,7 +37,7 @@ func mergeFixture(t testing.TB, nBase, nDelta int, seed int64) (*Dimension, *sto
 	baseTab := mk(nBase, 0, false)
 	deltaTab := mk(nDelta, nBase, true)
 	obs := make([]WeightedKey, nBase)
-	for i, v := range baseTab.MustColumn("k").I64 {
+	for i, v := range baseTab.MustColumn("k").Values().I64 {
 		obs[i] = WeightedKey{Val: IntKey(v), Weight: 1}
 	}
 	dim, err := CreateDimension("d_k", "t", []string{"k"}, obs, 6)
@@ -48,7 +48,7 @@ func mergeFixture(t testing.TB, nBase, nDelta int, seed int64) (*Dimension, *sto
 }
 
 func binsOf(dim *Dimension, tab *storage.Table, from int) []uint64 {
-	keys := tab.MustColumn("k").I64[from:]
+	keys := tab.MustColumn("k").Values().I64[from:]
 	bins := make([]uint64, len(keys))
 	for i, v := range keys {
 		bins[i] = dim.BinOf(IntKey(v))
@@ -60,7 +60,7 @@ func sliceRows(t testing.TB, tab *storage.Table, lo, hi int) *storage.Table {
 	t.Helper()
 	cols := make([]*storage.Column, len(tab.Cols))
 	for i, c := range tab.Cols {
-		cols[i] = storage.NewInt64Column(c.Name, append([]int64(nil), c.I64[lo:hi]...))
+		cols[i] = storage.NewInt64Column(c.Name, c.Values().I64[lo:hi])
 	}
 	return storage.MustNewTable(tab.Name, tab.PageSize, cols...)
 }
@@ -419,9 +419,9 @@ func sameStoredTable(t *testing.T, got, want *storage.Table) {
 			!slices.EqualFunc(rg.F64, rw.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatalf("column %s reads differently", w.Name)
 		}
-		g = got.Materialized().Cols[i]
-		if !slices.Equal(g.I64, w.I64) || !slices.Equal(g.Str.Offs, w.Str.Offs) || !slices.Equal(g.Str.Bytes, w.Str.Bytes) ||
-			!slices.EqualFunc(g.F64, w.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+		gv, wv := got.Materialized().Cols[i].Values(), w.Values()
+		if !slices.Equal(gv.I64, wv.I64) || !slices.Equal(gv.Str, wv.Str) ||
+			!slices.EqualFunc(gv.F64, wv.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
 			t.Fatalf("column %s differs", w.Name)
 		}
 	}

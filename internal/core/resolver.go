@@ -73,12 +73,13 @@ func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, 
 			return nil, fmt.Errorf("core: foreign key %s: only int64 single-column keys supported, got %s/%s",
 				fk.Name, cc.Kind, pc.Kind)
 		}
-		idx := make(map[int64]int32, len(pc.I64))
-		for i, v := range pc.I64 {
+		pk, ck := pc.Values().I64, cc.Values().I64
+		idx := make(map[int64]int32, len(pk))
+		for i, v := range pk {
 			idx[v] = int32(i)
 		}
-		out := make([]int32, len(cc.I64))
-		for i, v := range cc.I64 {
+		out := make([]int32, len(ck))
+		for i, v := range ck {
 			p, ok := idx[v]
 			if !ok {
 				return nil, fmt.Errorf("core: foreign key %s: value %d of %s.%s has no match in %s.%s",
@@ -116,24 +117,24 @@ func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, 
 // rowEncoder returns a function encoding the named columns of row i into a
 // map key.
 func rowEncoder(t *storage.Table, cols []string) (func(int) string, error) {
-	cs := make([]*storage.Column, len(cols))
+	vals := make([]*vector.Vector, len(cols))
 	for i, name := range cols {
 		c, err := t.Column(name)
 		if err != nil {
 			return nil, err
 		}
-		cs[i] = c
+		vals[i] = c.Values()
 	}
 	return func(row int) string {
 		var b strings.Builder
-		for _, c := range cs {
-			switch c.Kind {
+		for _, v := range vals {
+			switch v.Kind {
 			case vector.Int64:
-				fmt.Fprintf(&b, "%d|", c.I64[row])
+				fmt.Fprintf(&b, "%d|", v.I64[row])
 			case vector.Float64:
-				fmt.Fprintf(&b, "%g|", c.F64[row])
+				fmt.Fprintf(&b, "%g|", v.F64[row])
 			case vector.String:
-				fmt.Fprintf(&b, "%s|", c.Str.At(row))
+				fmt.Fprintf(&b, "%s|", v.Str[row])
 			}
 		}
 		return b.String()
@@ -166,27 +167,28 @@ func (r *Resolver) HostRows(table string, path []string) ([]int32, error) {
 
 // KeyValues extracts the key value of every row of a stored table.
 func KeyValues(t *storage.Table, key []string) ([]KeyVal, error) {
-	kc := keyCols{}
+	var cols []*vector.Vector
 	for _, name := range key {
 		c, err := t.Column(name)
 		if err != nil {
 			return nil, err
 		}
-		kc.kinds = append(kc.kinds, c.Kind)
-		switch c.Kind {
-		case vector.Int64:
-			kc.i64 = append(kc.i64, c.I64)
-			kc.str = append(kc.str, vector.Heap{})
-		case vector.String:
-			kc.i64 = append(kc.i64, nil)
-			kc.str = append(kc.str, c.Str)
-		default:
+		if c.Kind == vector.Float64 {
 			return nil, fmt.Errorf("core: dimension key column %q has unsupported kind %s", name, c.Kind)
 		}
+		cols = append(cols, c.Values())
 	}
 	out := make([]KeyVal, t.Rows())
 	for i := range out {
-		out[i] = kc.at(i)
+		parts := make([]KeyPart, len(cols))
+		for c, v := range cols {
+			if v.Kind == vector.String {
+				parts[c] = KeyPart{IsStr: true, S: v.Str[i]}
+			} else {
+				parts[c] = KeyPart{I: v.I64[i]}
+			}
+		}
+		out[i] = KeyVal{Parts: parts}
 	}
 	return out, nil
 }

@@ -419,7 +419,7 @@ func (s *partShipment) manifest() []byte { return s.offer[len(s.digest):] }
 // tab in ship order, compressed when tab is, exactly the rows and the order
 // the worker's RangeMap assumes — serialises it and digests it. The local
 // table itself is dropped: the chunks live on in the frames. Extraction is a
-// copy of the coordinator's in-memory arrays, not a scan: shipping is network
+// copy of the coordinator's in-memory table, not a scan: shipping is network
 // work, metered on the frames by the session's network accountant, not
 // modeled device IO.
 func buildPartShipment(tab *storage.Table, segs storage.RowRanges) (*partShipment, error) {

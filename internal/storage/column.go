@@ -7,35 +7,23 @@
 // tables and primary-key tables are materialized.
 package storage
 
-import (
-	"fmt"
-	"math"
+import "bdcc/internal/vector"
 
-	"bdcc/internal/vector"
-)
-
-// Column is a named, typed column of a stored table. Exactly one of the data
-// fields matching Kind is populated; strings are one heap in the table's row
-// order (vector.Heap), which readers hand out as views.
+// Column is a named, typed column of a stored table, and it is its chunks (Enc):
+// an uncompressed column is one raw chunk over its values (strings: one heap
+// in row order, vector.Heap, which readers hand out as views), a compressed
+// one those Table.Compress built or a TableAdopter read. Every read of its
+// values goes through AppendRange. A view's columns (Splice) have no chunks.
 type Column struct {
 	Name string
 	Kind vector.Kind
-	I64  []int64
-	F64  []float64
-	Str  vector.Heap
-
-	// Enc is the lightweight chunk encoding of the column (nil in raw mode).
-	// A column the table encoded itself retains its raw values — they back
-	// permutation, key extraction and raw-fallback chunks — while Enc is the
-	// modeled on-disk form: readers materialize batches from it and the
-	// modeled width (hence page charges) follows its encoded bytes. Built by
-	// Table.Compress, or adopted from column frames (wire.go); an adopted
-	// column has only Enc and serves scans, nothing that rearranges rows.
+	// Enc is the modeled on-disk form on a compressed table: the modeled
+	// width (hence page charges) follows its encoded bytes.
 	Enc *ColumnEncoding
 
 	// width is the modeled bytes per value, computed by finish(). For string
-	// columns it is the average string length (≥1): the heap's length over
-	// the rows; for numeric columns 8. Compressed columns override it with
+	// columns it is the average string length (≥1): the raw bytes over the
+	// rows; for numeric columns 8. Compressed columns override it with
 	// encoded bytes per value (encode), so the densest-column granularity
 	// choice of Algorithm 1 sees post-compression density.
 	width float64
@@ -43,12 +31,12 @@ type Column struct {
 
 // NewInt64Column returns an int64 column over vals (not copied).
 func NewInt64Column(name string, vals []int64) *Column {
-	return &Column{Name: name, Kind: vector.Int64, I64: vals}
+	return rawColumn(name, vector.Int64, Chunk{ValI: vals})
 }
 
 // NewFloat64Column returns a float64 column over vals (not copied).
 func NewFloat64Column(name string, vals []float64) *Column {
-	return &Column{Name: name, Kind: vector.Float64, F64: vals}
+	return rawColumn(name, vector.Float64, Chunk{ValF: vals})
 }
 
 // NewStringColumn returns a string column holding a copy of vals.
@@ -56,35 +44,105 @@ func NewStringColumn(name string, vals []string) *Column {
 	return NewHeapColumn(name, vector.HeapOf(vals))
 }
 
-// NewHeapColumn returns a string column over h (not copied): offsets from 0
-// to its length, bytes nothing writes again.
+// NewHeapColumn returns a string column over h (not copied): bytes nothing
+// writes again.
 func NewHeapColumn(name string, h vector.Heap) *Column {
-	return &Column{Name: name, Kind: vector.String, Str: h}
+	return rawColumn(name, vector.String, Chunk{ValS: h})
+}
+
+// rawColumn returns the uncompressed column whose values are those of the
+// raw chunk ch, which becomes its one chunk (none when it has no rows).
+func rawColumn(name string, kind vector.Kind, ch Chunk) *Column {
+	ch.Rows = len(ch.ValI) + len(ch.ValF) + ch.ValS.Len()
+	ch.Bytes = 8 * int64(ch.Rows)
+	if kind == vector.String {
+		ch.Bytes = int64(ch.ValS.Size())
+	}
+	e := &ColumnEncoding{ChunkRows: max(ch.Rows, 1), RawBytes: ch.Bytes, EncodedBytes: ch.Bytes}
+	if ch.Rows > 0 {
+		e.Chunks, e.Counts[EncRaw] = []Chunk{ch}, 1
+	}
+	return &Column{Name: name, Kind: kind, Enc: e}
+}
+
+// rawRoom returns an empty raw chunk of kind with room for n values, and for
+// bytes string bytes.
+func rawRoom(kind vector.Kind, n, bytes int) Chunk {
+	switch kind {
+	case vector.Int64:
+		return Chunk{ValI: make([]int64, 0, n)}
+	case vector.Float64:
+		return Chunk{ValF: make([]float64, 0, n)}
+	}
+	return Chunk{ValS: vector.MakeHeap(n, bytes)}
+}
+
+// AppendRange appends rows [lo,hi) of c to dst, a vector of c's kind, chunk
+// by chunk through Chunk.AppendRange: the one loop that reads a stored
+// column's values. Raw numbers are copied and raw strings are views of the
+// column's heap; packed chunks decode only the rows asked for.
+func (c *Column) AppendRange(lo, hi int, dst *vector.Vector) {
+	e := c.Enc
+	for p := lo; p < hi; {
+		ch := &e.Chunks[e.chunkIndex(p)]
+		end := min(hi, ch.Start+ch.Rows)
+		ch.AppendRange(e.Dict, p-ch.Start, end-ch.Start, dst)
+		p = end
+	}
+}
+
+// Values returns every value of c in a new vector.
+func (c *Column) Values() *vector.Vector {
+	v := vector.NewVector(c.Kind, c.Len())
+	c.AppendRange(0, c.Len(), v)
+	return v
+}
+
+// appendRows appends the rows [lo,hi) that read appends to a vector (a
+// column's AppendRange, a view's runs) to the values of the raw chunk ch of
+// kind, in their spare capacity where they have room: numbers as read
+// writes them, strings copied into ch's heap a batch at a time.
+func appendRows(ch *Chunk, kind vector.Kind, lo, hi int, read func(lo, hi int, dst *vector.Vector)) {
+	if kind != vector.String {
+		v := vector.Vector{Kind: kind, I64: ch.ValI, F64: ch.ValF}
+		read(lo, hi, &v)
+		ch.ValI, ch.ValF = v.I64, v.F64
+		return
+	}
+	blk := vector.Vector{Kind: vector.String}
+	for p := lo; p < hi; p += vector.BatchSize {
+		blk.Str = blk.Str[:0]
+		read(p, min(hi, p+vector.BatchSize), &blk)
+		for _, s := range blk.Str {
+			ch.ValS.Append(s)
+		}
+	}
+}
+
+// raw returns c's rows as one raw chunk: c's own when it is one, else their
+// values read into new arrays.
+func (c *Column) raw() Chunk {
+	if e := c.Enc; len(e.Chunks) == 1 && e.Chunks[0].Enc == EncRaw {
+		return e.Chunks[0]
+	}
+	ch := rawRoom(c.Kind, c.Len(), int(c.Enc.RawBytes))
+	appendRows(&ch, c.Kind, 0, c.Len(), c.AppendRange)
+	ch.Rows = c.Len()
+	return ch
 }
 
 // Len returns the number of values.
-func (c *Column) Len() int {
-	if c.Enc != nil {
-		return c.Enc.rows()
-	}
-	return c.rawLen()
-}
-
-// rawLen returns the number of raw values (an adopted compressed column has
-// none): only the field matching Kind is ever populated.
-func (c *Column) rawLen() int { return len(c.I64) + len(c.F64) + c.Str.Len() }
+func (c *Column) Len() int { return c.Enc.rows() }
 
 // Width returns the modeled bytes per value. The densest (widest) column of a
 // table drives Algorithm 1's granularity choice.
 func (c *Column) Width() float64 { return c.width }
 
-// finish computes the modeled width.
+// finish computes the modeled raw width.
 func (c *Column) finish() {
-	switch c.Kind {
-	case vector.Int64, vector.Float64:
-		c.width = 8
-	case vector.String:
-		c.width = strWidth(c.Str.Size(), c.Str.Len())
+	c.width = 8
+	if c.Kind == vector.String {
+		c.width = strWidth(int(c.Enc.RawBytes), c.Len())
 	}
 }
 
@@ -99,9 +157,8 @@ func strWidth(total, n int) float64 {
 
 // encode builds the chunk-encoded form at the given granularity (rows per
 // page at raw width) and points the modeled width at the encoded bytes.
-// finish() keeps the raw-mode width behavior untouched. dict is scratch
-// reused from one column to the next; par and inPlace name chunks to keep
-// (see encodeColumn).
+// dict is scratch reused from one column to the next; par and inPlace name
+// chunks to keep (see encodeColumn).
 func (c *Column) encode(chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) {
 	c.Enc = encodeColumn(c, chunkRows, dict, par, inPlace)
 	c.useEncodedWidth()
@@ -119,51 +176,14 @@ func (c *Column) useEncodedWidth() {
 // is row perm[i] of the original. The copy is raw: a compressed table
 // re-encodes after permuting, so the encoding reflects the new row order.
 func (c *Column) permute(perm []int32) *Column {
-	out := &Column{Name: c.Name, Kind: c.Kind, width: c.width}
-	switch c.Kind {
-	case vector.Int64:
-		out.I64 = make([]int64, len(perm))
-		for i, p := range perm {
-			out.I64[i] = c.I64[p]
-		}
-	case vector.Float64:
-		out.F64 = make([]float64, len(perm))
-		for i, p := range perm {
-			out.F64[i] = c.F64[p]
-		}
-	case vector.String:
-		out.Str = vector.MakeHeap(len(perm), c.Str.Size()) // the same bytes, in perm order
-		for _, p := range perm {
-			out.Str.AppendRange(c.Str, int(p), int(p)+1)
-		}
+	vals, out := c.Values(), vector.NewVector(c.Kind, len(perm))
+	if c.Kind != vector.String {
+		out.AppendSelected(vals, perm)
+		return rawColumn(c.Name, c.Kind, Chunk{ValI: out.I64, ValF: out.F64})
 	}
-	return out
-}
-
-// reserve gives an empty column room for n values.
-func (c *Column) reserve(n int) {
-	switch c.Kind {
-	case vector.Int64:
-		c.I64 = make([]int64, 0, n)
-	case vector.Float64:
-		c.F64 = make([]float64, 0, n)
-	case vector.String:
-		c.Str = vector.MakeHeap(n, 0)
+	h := vector.MakeHeap(len(perm), int(c.Enc.RawBytes)) // the same bytes, in perm order
+	for _, p := range perm {
+		h.Append(vals.Str[p])
 	}
-}
-
-// validate checks internal consistency against an expected row count, and
-// that a string heap's offsets can address it. An empty string column gets
-// the one offset an empty heap has.
-func (c *Column) validate(rows int) error {
-	if c.Kind == vector.String && c.Str.Offs == nil {
-		c.Str = vector.MakeHeap(0, 0)
-	}
-	if c.Len() != rows {
-		return fmt.Errorf("storage: column %q has %d rows, table has %d", c.Name, c.Len(), rows)
-	}
-	if len(c.Str.Bytes) > math.MaxUint32 {
-		return fmt.Errorf("storage: column %q holds %d string bytes, over the 4 GiB a heap's offsets address", c.Name, len(c.Str.Bytes))
-	}
-	return nil
+	return NewHeapColumn(c.Name, h)
 }

@@ -98,9 +98,11 @@ func (d *Delta) Clear() {
 // of the runs [0, aRows) and b: its zones derive from a's as a Splice's do,
 // on first use — or at once where a has them and the Concat copies, so that
 // a's heap can go. The first Concat to keep all of a table Concat built
-// writes b into the spare capacity of a's arrays and heaps, past what a
-// shows; any other — of a loaded table, of a prefix, or a second one from a
-// table — copies.
+// appends b to a's values, into their spare capacity past what a shows where
+// it fits; any other — of a loaded table, compressed or not, of a prefix, or
+// a second one from a table — copies a's rows, read through its chunks, into
+// values with room for half as many rows again, so a value is copied O(1)
+// times over a chain of extensions.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	a = a.Materialized()
 	if err := checkConcat(a, aRows, b); err != nil {
@@ -110,18 +112,16 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
 		o := b.Cols[i]
-		nc := &Column{Name: c.Name, Kind: c.Kind}
-		switch c.Kind {
-		case vector.Int64:
-			nc.I64 = append(room(c.I64[:aRows], len(o.I64), inPlace), o.I64...)
-		case vector.Float64:
-			nc.F64 = append(room(c.F64[:aRows], len(o.F64), inPlace), o.F64...)
-		case vector.String:
-			nc.Str = vector.Heap{Bytes: room(c.Str.Bytes[:c.Str.Offs[aRows]], o.Str.Size(), inPlace),
-				Offs: room(c.Str.Offs[:aRows+1], o.Str.Len(), inPlace)}
-			nc.Str.AppendRange(o.Str, 0, o.Str.Len())
+		var ch Chunk
+		if inPlace {
+			ch = c.raw() // a Concat's column: one raw chunk
+		} else {
+			n, bytes := aRows+o.Len(), int(c.Enc.RawBytes+o.Enc.RawBytes)
+			ch = rawRoom(c.Kind, n+n/2, bytes+bytes/2)
+			appendRows(&ch, c.Kind, 0, aRows, c.AppendRange)
 		}
-		cols[i] = nc
+		appendRows(&ch, c.Kind, 0, o.Len(), o.AppendRange)
+		cols[i] = rawColumn(c.Name, c.Kind, ch)
 	}
 	n := int32(aRows)
 	t, err := newTable(a.Name, a.PageSize, cols, lazyOver(a, []run{{0, 0, n, 0}, {n, 0, int32(b.Rows()), 1}}))
@@ -139,27 +139,15 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	return t, nil
 }
 
-// room returns a with room for n more values: a itself when inPlace and
-// they fit in its spare capacity, else a copy with room for half as many
-// values again, so a value is copied O(1) times over a chain of extensions.
-func room[T any](a []T, n int, inPlace bool) []T {
-	if m := len(a) + n; !inPlace || m > cap(a) {
-		out := make([]T, len(a), m+m/2)
-		copy(out, a)
-		a = out
-	}
-	return a
-}
-
 // ConcatWidth returns the modeled width of the densest column of the table
 // Concat(a, aRows, b) would build, without building it: a string column's
-// bytes are its heap's offset at aRows plus b's heap.
+// bytes are those of a's first aRows rows plus b's.
 func ConcatWidth(a *Table, aRows int, b *Table) float64 {
 	var widest float64
 	for i, c := range a.Cols {
 		w := 8.0
 		if c.Kind == vector.String {
-			w = strWidth(a.strBytes(i, aRows)+b.Cols[i].Str.Size(), aRows+b.Rows())
+			w = strWidth(a.strBytes(i, aRows)+int(b.Cols[i].Enc.RawBytes), aRows+b.Rows())
 		}
 		widest = max(widest, w)
 	}
@@ -179,9 +167,6 @@ func checkConcat(a *Table, aRows int, b *Table) error {
 		if c.Name != o.Name || c.Kind != o.Kind {
 			return fmt.Errorf("storage: concat of %q: column %d is %s %s vs %s %s",
 				a.Name, i, c.Kind, c.Name, o.Kind, o.Name)
-		}
-		if c.rawLen() != c.Len() || o.rawLen() != o.Len() {
-			return fmt.Errorf("storage: concat of %q and %q: column %s holds no raw values", a.Name, b.Name, c.Name)
 		}
 	}
 	return nil

@@ -16,15 +16,15 @@ import (
 func deltaFixture(t testing.TB, name string, n int, seed int64) *Table {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	id := &Column{Name: "id", Kind: vector.Int64}
-	price := &Column{Name: "price", Kind: vector.Float64}
-	note := &Column{Name: "note", Kind: vector.String}
+	var ids []int64
+	var prices []float64
+	var notes vector.Heap
 	for i := 0; i < n; i++ {
-		id.I64 = append(id.I64, rng.Int63n(1<<40)-(1<<39))
-		price.F64 = append(price.F64, math.Floor(rng.Float64()*1e6)/100)
-		note.Str.Append(strings.Repeat("x", rng.Intn(12)) + fmt.Sprint(rng.Intn(1000)))
+		ids = append(ids, rng.Int63n(1<<40)-(1<<39))
+		prices = append(prices, math.Floor(rng.Float64()*1e6)/100)
+		notes.Append(strings.Repeat("x", rng.Intn(12)) + fmt.Sprint(rng.Intn(1000)))
 	}
-	tab, err := NewTable(name, 4<<10, id, price, note)
+	tab, err := NewTable(name, 4<<10, NewInt64Column("id", ids), NewFloat64Column("price", prices), NewHeapColumn("note", notes))
 	if err != nil {
 		t.Fatalf("fixture: %v", err)
 	}
@@ -91,14 +91,12 @@ func TestDeltaStore(t *testing.T) {
 	if _, err := d.Append(packed); err == nil {
 		t.Fatal("compressed append succeeded")
 	}
-	bad := MustNewTable("d", 4<<10, &Column{Name: "id", Kind: vector.Int64, I64: []int64{1}})
+	bad := MustNewTable("d", 4<<10, NewInt64Column("id", []int64{1}))
 	if _, err := d.Append(bad); err == nil {
 		t.Fatal("schema-mismatched append succeeded")
 	}
 	empty := MustNewTable("d", 4<<10,
-		&Column{Name: "id", Kind: vector.Int64},
-		&Column{Name: "price", Kind: vector.Float64},
-		&Column{Name: "note", Kind: vector.String})
+		NewInt64Column("id", nil), NewFloat64Column("price", nil), NewStringColumn("note", nil))
 	if _, err := d.Append(empty); err == nil {
 		t.Fatal("empty append succeeded")
 	}
@@ -107,11 +105,15 @@ func TestDeltaStore(t *testing.T) {
 	}
 }
 
-// TestEncodedSharesRows: Encoded is Compress over a table's own value arrays
-// — the same rows, widths and zonemaps as compressing a copy, the arrays
-// shared rather than copied, and the source left raw.
+// TestEncodedSharesRows: Encoded is Compress over a table's own values — the
+// same rows, widths and zonemaps as compressing a copy, raw chunks windows of
+// the source's arrays rather than copies, and the source left raw.
 func TestEncodedSharesRows(t *testing.T) {
 	src := deltaFixture(t, "e", 3000, 9)
+	encs := make([]*ColumnEncoding, len(src.Cols))
+	for i, c := range src.Cols {
+		encs[i] = c.Enc
+	}
 	want := freshCopy(t, src)
 	want.Compress()
 	got := src.Encoded()
@@ -122,11 +124,14 @@ func TestEncodedSharesRows(t *testing.T) {
 	if got.CompressionStats() != want.CompressionStats() {
 		t.Fatalf("encoded stats %+v, compressing a copy gives %+v", got.CompressionStats(), want.CompressionStats())
 	}
-	if &got.Cols[0].I64[0] != &src.Cols[0].I64[0] || &got.Cols[2].Str.Bytes[0] != &src.Cols[2].Str.Bytes[0] {
-		t.Fatal("Encoded copied the value arrays")
+	for _, ci := range []int{1, 2} { // raw-encoded: random prices, distinct notes
+		g, w := got.Cols[ci].Enc.Chunks[0], src.Cols[ci].Enc.Chunks[0]
+		if g.Enc != EncRaw || (ci == 1 && &g.ValF[0] != &w.ValF[0]) || (ci == 2 && &g.ValS.Bytes[0] != &w.ValS.Bytes[0]) {
+			t.Fatalf("Encoded copied the values of column %s", src.Cols[ci].Name)
+		}
 	}
-	for _, c := range src.Cols {
-		if c.Enc != nil {
+	for i, c := range src.Cols {
+		if c.Enc != encs[i] {
 			t.Fatalf("Encoded encoded the source's column %s", c.Name)
 		}
 	}
@@ -158,9 +163,7 @@ func freshCopy(t *testing.T, tab *Table) *Table {
 	t.Helper()
 	cols := make([]*Column, len(tab.Cols))
 	for i, c := range tab.Cols {
-		nc := &Column{Name: c.Name, Kind: c.Kind}
-		nc.appendRows(c, 0, tab.Rows())
-		cols[i] = nc
+		cols[i] = rawCopy(c, FullRange(tab.Rows()))
 	}
 	out, err := NewTable(tab.Name, tab.PageSize, cols...)
 	if err != nil {
@@ -243,11 +246,11 @@ func TestConcatCarriesZones(t *testing.T) {
 				tail := deltaFixture(t, "c", k, int64(30+step))
 				if step == 3 {
 					// Long notes move the column's average length.
-					long := strs(tail.Cols[2].Str)
+					long := tail.Cols[2].Values().Str
 					for i := range long {
 						long[i] += strings.Repeat("y", 40)
 					}
-					tail.Cols[2].Str = vector.HeapOf(long)
+					tail.Cols[2] = NewStringColumn("note", long)
 				}
 				next, err := Concat(cur, cur.Rows(), tail)
 				if err != nil {
@@ -271,14 +274,15 @@ func TestConcatCarriesZones(t *testing.T) {
 // while other goroutines extend the arrays it sits in.
 func rowSum(tab *Table) (sum uint64) {
 	for _, c := range tab.Cols {
+		v := c.Values()
 		for r := 0; r < tab.Rows(); r++ {
 			switch c.Kind {
 			case vector.Int64:
-				sum = sum*31 + uint64(c.I64[r])
+				sum = sum*31 + uint64(v.I64[r])
 			case vector.Float64:
-				sum = sum*31 + math.Float64bits(c.F64[r])
+				sum = sum*31 + math.Float64bits(v.F64[r])
 			case vector.String:
-				sum = sum*31 + uint64(len(c.Str.At(r)))
+				sum = sum*31 + uint64(len(v.Str[r]))
 			}
 		}
 	}
@@ -293,7 +297,7 @@ func rowSum(tab *Table) (sum uint64) {
 // after later appends — also to a reader scanning it during them (run under
 // -race).
 func TestConcatExtendsTipOnce(t *testing.T) {
-	shared := func(a, b *Table) bool { return &a.Cols[0].I64[0] == &b.Cols[0].I64[0] }
+	shared := func(a, b *Table) bool { return &a.Cols[0].raw().ValI[0] == &b.Cols[0].raw().ValI[0] }
 	concat := func(label string, a *Table, keep, n int, seed int64) *Table {
 		t.Helper()
 		out, err := Concat(a, keep, deltaFixture(t, "c", n, seed))
@@ -353,29 +357,6 @@ func TestConcatExtendsTipOnce(t *testing.T) {
 	sameZones(t, "chain", cur, freshCopy(t, cur))
 	sameZones(t, "v1 after later appends", v1, want1)
 	sameZones(t, "v2 after later appends", v2, want2)
-}
-
-// TestConcatRejectsEncodedOnly: an adopted compressed table has no raw values
-// to extend or gather, so Concat and Splice return an error on either side.
-func TestConcatRejectsEncodedOnly(t *testing.T) {
-	raw := deltaFixture(t, "c", 500, 51)
-	packed := deltaFixture(t, "c", 500, 51)
-	packed.Compress()
-	adopted, _, err := adopt(packed, packed.Frames(1<<12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := deltaFixture(t, "c", 10, 52)
-	for label, f := range map[string]func() error{
-		"concat onto": func() error { _, err := Concat(adopted, adopted.Rows(), batch); return err },
-		"concat of":   func() error { _, err := Concat(raw, raw.Rows(), adopted); return err },
-		"splice onto": func() error { _, err := Splice(adopted, 100, batch, []int32{0, 1}); return err },
-		"splice of":   func() error { _, err := Splice(raw, 100, adopted, []int32{0, 1}); return err },
-	} {
-		if err := f(); err == nil || !strings.Contains(err.Error(), "holds no raw values") {
-			t.Errorf("%s an adopted compressed table: %v", label, err)
-		}
-	}
 }
 
 // TestSpliceGathers: Splice equals Concat followed by Permute (and by

@@ -54,27 +54,31 @@ type ColumnEncoding struct {
 	EncodedBytes int64
 	// Counts tallies chunks per encoding, indexed by Encoding.
 	Counts [vector.NumEncodings]int64
+
+	// strs holds the bytes of the strings the dictionary and the chunks keep
+	// when no raw chunk windows the column's heap (ownStrings).
+	strs []byte
 }
 
-// encodeColumn builds the encoded form of c at the given chunk granularity
-// (rows per uncompressed page, so chunks are page-aligned at raw width). par,
-// when not nil, is the encoding of a column whose rows [0, inPlace) c holds
-// at the same rows: its whole chunks there are kept as they are when c's
-// chunks are as long and c's dictionary is par's (or neither has one). Those
-// are exactly the chunks encoding c would build: a chunk's encoding depends
-// only on its values and, for strings, on the dictionary's codes and width —
-// and a chunk of a column whose viable dictionary settleDict dropped did not
-// dictionary-encode, so it is what no dictionary gives. Nothing of par's
-// heap may stay reachable, since a view keeps its whole heap alive: a kept
-// raw chunk is re-windowed onto c's arrays, a kept dictionary chunk's bounds
-// become entries of c's dictionary, and a string chunk of any other
-// encoding, whose run values or values are views, is encoded again.
+// encodeColumn builds the encoded form of c's rows (Column.raw) at the given
+// chunk granularity (rows per uncompressed page, so chunks are page-aligned
+// at raw width): raw chunks are windows of those values. par, when not nil,
+// is the encoding of a column whose rows [0, inPlace) c holds at the same
+// rows: its whole packed chunks there are kept when c's chunks are as long
+// and c's dictionary is par's (or neither has one). Those are exactly the
+// chunks encoding c would build: a chunk's encoding depends only on its
+// values and, for strings, on the dictionary's codes and width — and a chunk
+// of a column whose viable dictionary settleDict dropped did not
+// dictionary-encode. Nothing of par's values may stay reachable: a kept
+// dictionary chunk's bounds become entries of c's dictionary, and raw chunks
+// and string chunks of other encodings (their values views) are encoded
+// again. A string column with no raw chunk owns its strings (ownStrings).
 func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) *ColumnEncoding {
-	n := c.Len()
-	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows)}
+	src, n := c.raw(), c.Len()
+	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows), RawBytes: c.Enc.RawBytes}
 	var codes []uint32 // per-row dictionary codes; nil: no dictionary
 	if c.Kind == vector.String && n > 0 {
-		e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(c.Str)
+		e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(src.ValS)
 	}
 	kept := 0
 	if par != nil && par.ChunkRows == chunkRows && slices.Equal(e.Dict, par.Dict) {
@@ -85,51 +89,60 @@ func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEnc
 		start := i * chunkRows
 		end := min(start+chunkRows, n)
 		switch {
-		case i < kept && (c.Kind != vector.String || par.Chunks[i].Enc == EncDict):
+		case i < kept && par.Chunks[i].Enc != EncRaw && (c.Kind != vector.String || par.Chunks[i].Enc == EncDict):
 			*ch = par.Chunks[i]
-			switch ch.Enc {
-			case EncRaw:
-				rewindow(ch, c, start, end)
-			case EncDict: // its bounds become entries of c's dictionary
+			if ch.Enc == EncDict { // its bounds become entries of c's dictionary
 				lo, _ := slices.BinarySearch(e.Dict, ch.MinS)
 				hi, _ := slices.BinarySearch(e.Dict, ch.MaxS)
 				ch.MinS, ch.MaxS = e.Dict[lo], e.Dict[hi]
 			}
 		case c.Kind == vector.Int64:
-			ch.EncodeI64(c.I64[start:end])
+			ch.EncodeI64(src.ValI[start:end])
 		case c.Kind == vector.Float64:
-			ch.EncodeF64(c.F64[start:end])
+			ch.EncodeF64(src.ValF[start:end])
 		case c.Kind == vector.String:
 			var chunkCodes []uint32
 			if codes != nil {
 				chunkCodes = codes[start:end]
 			}
-			ch.EncodeStr(c.Str.Window(start, end), chunkCodes, e.DictBits)
+			ch.EncodeStr(src.ValS.Window(start, end), chunkCodes, e.DictBits)
 		}
 		ch.Start = start
 		e.EncodedBytes += ch.Bytes
 		e.Counts[ch.Enc]++
 	}
-	switch c.Kind {
-	case vector.Int64, vector.Float64:
-		e.RawBytes = 8 * int64(n)
-	case vector.String:
-		e.RawBytes = int64(c.Str.Size())
-	}
 	e.settleDict()
+	if c.Kind == vector.String && e.Counts[EncRaw] == 0 {
+		e.ownStrings()
+	}
 	return e
 }
 
-// rewindow points the raw chunk ch at rows [start,end) of c's values.
-func rewindow(ch *Chunk, c *Column, start, end int) {
-	switch c.Kind {
-	case vector.Int64:
-		ch.ValI = c.I64[start:end]
-	case vector.Float64:
-		ch.ValF = c.F64[start:end]
-	case vector.String:
-		ch.ValS = c.Str.Window(start, end)
+// ownStrings copies the strings e keeps — dictionary entries, run values,
+// bounds — into bytes of its own (strs), so that an encoding with no raw
+// chunk holds no view of the heap it was encoded from and that heap can go.
+func (e *ColumnEncoding) ownStrings() {
+	var kept []*string
+	for i := range e.Dict {
+		kept = append(kept, &e.Dict[i])
 	}
+	for k := range e.Chunks {
+		ch := &e.Chunks[k]
+		kept = append(kept, &ch.MinS, &ch.MaxS)
+		for r := range ch.RunS {
+			kept = append(kept, &ch.RunS[r])
+		}
+	}
+	size := 0
+	for _, s := range kept {
+		size += len(*s)
+	}
+	h := vector.MakeHeap(len(kept), size)
+	for i, s := range kept {
+		h.Append(*s)
+		*s = h.At(i)
+	}
+	e.strs = h.Bytes
 }
 
 // settleDict charges the dictionary to the column once its chunks are all
@@ -142,16 +155,24 @@ func (e *ColumnEncoding) settleDict() {
 	}
 }
 
-// rows returns the number of values the chunks cover.
+// rows returns the number of values the chunks cover (none on a view's
+// columns, which have no encoding).
 func (e *ColumnEncoding) rows() int {
-	if n := len(e.Chunks); n > 0 {
-		return e.Chunks[n-1].Start + e.Chunks[n-1].Rows
+	if e == nil || len(e.Chunks) == 0 {
+		return 0
 	}
-	return 0
+	last := &e.Chunks[len(e.Chunks)-1]
+	return last.Start + last.Rows
 }
 
-// chunkIndex returns the chunk covering row r.
-func (e *ColumnEncoding) chunkIndex(r int) int { return r / e.ChunkRows }
+// chunkIndex returns the chunk covering row r: the dearest step of reading a
+// short span, so the first chunk skips the division and the rest use 32 bits.
+func (e *ColumnEncoding) chunkIndex(r int) int {
+	if r < e.ChunkRows {
+		return 0
+	}
+	return int(uint32(r) / uint32(e.ChunkRows))
+}
 
 // appendSpan appends [lo,hi) to dst, merging with an adjacent predecessor.
 func appendSpan(dst []RowRange, lo, hi int) []RowRange {
@@ -252,7 +273,7 @@ func pruneCodes(ch *Chunk, dict []string, iv Interval, lo, hi int, dst []RowRang
 	var blk [256]uint64
 	for base := lo; base < hi; base += len(blk) {
 		codes := blk[:min(len(blk), hi-base)]
-		vector.BitUnpack(codes, ch.Packed, base-ch.Start, ch.BitW)
+		vector.BitUnpack(codes, ch.Packed, base-ch.Start, ch.BitW, 0)
 		for k, code := range codes {
 			i := base + k
 			if code >= loCode && code <= hiCode {

@@ -247,7 +247,7 @@ func compressedCopy(t *testing.T, tab *Table) *Table {
 	t.Helper()
 	cols := make([]*Column, len(tab.Cols))
 	for i, c := range tab.Cols {
-		cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str}
+		cols[i] = &Column{Name: c.Name, Kind: c.Kind, Enc: c.Enc}
 	}
 	ct, err := NewTable(tab.Name, tab.PageSize, cols...)
 	if err != nil {
@@ -549,7 +549,7 @@ func TestCompressionPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if prt.Compressed() || prt.MustColumn("v").Enc != nil {
+	if c := prt.MustColumn("v"); prt.Compressed() || len(c.Enc.Chunks) != 1 || c.Enc.Chunks[0].Enc != EncRaw {
 		t.Fatal("Permute invented compression on a raw table")
 	}
 }
@@ -653,11 +653,15 @@ func TestDictEncodingUnchanged(t *testing.T) {
 		NewStringColumn("one_value", col(n, func(int) string { return "DELIVER IN PERSON" })),
 	}
 	tab := MustNewTable("d", 4<<10, cols...)
+	vals := make([][]string, len(cols))
+	for i, c := range cols {
+		vals[i] = c.Values().Str
+	}
 	tab.Compress()
 	sawDict, sawNone := false, false
-	for _, c := range tab.Cols {
+	for ci, c := range tab.Cols {
 		e := c.Enc
-		dict, bitw, dictBytes, chunks := refStrColumn(strs(c.Str), e.ChunkRows)
+		dict, bitw, dictBytes, chunks := refStrColumn(vals[ci], e.ChunkRows)
 		if !slices.Equal(e.Dict, dict) || e.DictBits != bitw || e.DictBytes != dictBytes {
 			t.Fatalf("%s: dictionary of %d entries at %d bits (%d B), the sort-first encoder keeps %d at %d bits (%d B)",
 				c.Name, len(e.Dict), e.DictBits, e.DictBytes, len(dict), bitw, dictBytes)
@@ -675,7 +679,7 @@ func TestDictEncodingUnchanged(t *testing.T) {
 		}
 		sawDict = sawDict || dict != nil
 		sawNone = sawNone || dict == nil
-		if _, _, got := decodeAll(c); !slices.Equal(got, strs(c.Str)) {
+		if _, _, got := decodeAll(c); !slices.Equal(got, vals[ci]) {
 			t.Fatalf("%s does not decode back to its values", c.Name)
 		}
 	}
@@ -741,6 +745,7 @@ func TestBatchColumnIsOneChunk(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := tc.col
+		vals := c.Values()
 		c.finish()
 		c.encode(n, &vector.StrDict{}, nil, 0) // chunks of n rows: one chunk
 		if len(c.Enc.Chunks) != 1 || c.Enc.Chunks[0].Enc != tc.want {
@@ -758,7 +763,7 @@ func TestBatchColumnIsOneChunk(t *testing.T) {
 		want = binary.LittleEndian.AppendUint32(want, uint32(len(w.Heap)))
 		want = append(append(want, w.Body...), w.Heap...)
 
-		b := &vector.Batch{Cols: []*vector.Vector{{Kind: c.Kind, I64: c.I64, F64: c.F64, Str: strs(c.Str)}}}
+		b := &vector.Batch{Cols: []*vector.Vector{vals}}
 		got := b.Encode(nil)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: the batch column is %d bytes, the stored %s chunk behind the envelope %d — or they differ",
@@ -769,7 +774,7 @@ func TestBatchColumnIsOneChunk(t *testing.T) {
 			t.Fatalf("%s: decode: %v (%d of %d bytes)", tc.name, err, used, len(got))
 		}
 		v := back.Cols[0]
-		if !slices.Equal(v.I64, c.I64) || !slices.Equal(v.Str, strs(c.Str)) || !slices.Equal(bitsOf(v.F64), bitsOf(c.F64)) {
+		if !slices.Equal(v.I64, vals.I64) || !slices.Equal(v.Str, vals.Str) || !slices.Equal(bitsOf(v.F64), bitsOf(vals.F64)) {
 			t.Fatalf("%s: the column does not survive the batch codec bit for bit", tc.name)
 		}
 	}

@@ -56,11 +56,7 @@ func CheckExtract(t *Table, ranges RowRanges, appendRows bool) (*Table, error) {
 	}
 	cols := make([]*Column, len(t.Cols))
 	for i, c := range t.Cols {
-		cols[i] = &Column{Name: c.Name, Kind: c.Kind}
-		cols[i].reserve(0)
-		for _, r := range ranges {
-			cols[i].appendRows(c, r.Start, r.End)
-		}
+		cols[i] = rawCopy(c, ranges)
 	}
 	want, err := NewTable(t.Name, t.PageSize, cols...)
 	if err != nil {
@@ -94,17 +90,36 @@ func strs(h vector.Heap) []string {
 	return out
 }
 
-// appendRows appends rows [lo,hi) of src to c (same kind), the way the tests
-// gather reference tables row by row.
-func (c *Column) appendRows(src *Column, lo, hi int) {
-	switch c.Kind {
-	case vector.Int64:
-		c.I64 = append(c.I64, src.I64[lo:hi]...)
-	case vector.Float64:
-		c.F64 = append(c.F64, src.F64[lo:hi]...)
-	case vector.String:
-		c.Str.AppendRange(src.Str, lo, hi)
+// rawCopy returns the uncompressed column of c's rows in ranges, in order.
+func rawCopy(c *Column, ranges RowRanges) *Column {
+	ch := rawRoom(c.Kind, 0, 0)
+	for _, r := range ranges {
+		appendRows(&ch, c.Kind, r.Start, r.End, c.AppendRange)
 	}
+	return rawColumn(c.Name, c.Kind, ch)
+}
+
+// columnOf returns the uncompressed column named name of v's values.
+func columnOf(name string, v *vector.Vector) *Column {
+	if v.Kind == vector.String {
+		return NewStringColumn(name, v.Str)
+	}
+	return rawColumn(name, v.Kind, Chunk{ValI: v.I64, ValF: v.F64})
+}
+
+// heldBytes returns the first of the string bytes column c holds: those its
+// chunks' and dictionary's strings own (ownStrings), else the heap its first
+// raw chunk windows.
+func heldBytes(c *Column) *byte {
+	if len(c.Enc.strs) > 0 {
+		return &c.Enc.strs[0]
+	}
+	for _, ch := range c.Enc.Chunks {
+		if ch.Enc == EncRaw {
+			return &ch.ValS.Bytes[0]
+		}
+	}
+	return nil
 }
 
 // readAll returns column ci of tab as one vector, read through a Reader over

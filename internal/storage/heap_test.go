@@ -71,7 +71,7 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameHeap(t, tc.name+": permute", p.Cols[0].Str, pick(perm))
+		sameHeap(t, tc.name+": permute", p.Cols[0].raw().ValS, pick(perm))
 
 		// Runs from both sides, the parent's last row and the batch's last
 		// row each ending a run at their heap's end, a repeated row.
@@ -90,7 +90,7 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 		if got := readAll(s, 0).Str; !slices.Equal(got, pick(src)) {
 			t.Fatalf("%s: splice reads %q, want %q", tc.name, got, pick(src))
 		}
-		sameHeap(t, tc.name+": splice, materialized", s.Materialized().Cols[0].Str, pick(src))
+		sameHeap(t, tc.name+": splice, materialized", s.Materialized().Cols[0].raw().ValS, pick(src))
 
 		ranges := RowRanges{{n / 2, n}, {0, n}, {n - 1, n}, {0, 0}}
 		var want []string
@@ -101,7 +101,7 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameHeap(t, tc.name+": extract", x.Cols[0].Str, want)
+		sameHeap(t, tc.name+": extract", x.Cols[0].raw().ValS, want)
 
 		for _, keep := range []int{n, n - 1, 0} {
 			c, err := Concat(a, keep, b) // a loaded table: copies
@@ -109,13 +109,13 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := append(slices.Clone(tc.a[:keep]), tc.b...)
-			sameHeap(t, fmt.Sprintf("%s: copying concat of %d rows", tc.name, keep), c.Cols[0].Str, want)
+			sameHeap(t, fmt.Sprintf("%s: copying concat of %d rows", tc.name, keep), c.Cols[0].raw().ValS, want)
 			in, err := Concat(c, c.Rows(), b) // c's first Concat: in place where it fits
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameHeap(t, fmt.Sprintf("%s: concat onto a concat of %d rows", tc.name, keep), in.Cols[0].Str, append(want, tc.b...))
-			sameHeap(t, fmt.Sprintf("%s: the concat it extended", tc.name), c.Cols[0].Str, want)
+			sameHeap(t, fmt.Sprintf("%s: concat onto a concat of %d rows", tc.name, keep), in.Cols[0].raw().ValS, append(want, tc.b...))
+			sameHeap(t, fmt.Sprintf("%s: the concat it extended", tc.name), c.Cols[0].raw().ValS, want)
 		}
 	}
 }
@@ -168,7 +168,7 @@ func TestStringViewsSurviveGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &inPlace.Cols[note].Str.Bytes[0] != &parent.Cols[note].Str.Bytes[0] {
+	if &inPlace.Cols[note].raw().ValS.Bytes[0] != &parent.Cols[note].raw().ValS.Bytes[0] {
 		t.Fatal("the first Concat of a Concat result did not extend its heap in place")
 	}
 	check("an in-place Concat")
@@ -178,7 +178,7 @@ func TestStringViewsSurviveGrowth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &copied.Cols[note].Str.Bytes[0] == &parent.Cols[note].Str.Bytes[0] {
+	if &copied.Cols[note].raw().ValS.Bytes[0] == &parent.Cols[note].raw().ValS.Bytes[0] {
 		t.Fatal("a second Concat from the same table wrote into its heap")
 	}
 	check("a second, copying Concat")
@@ -263,7 +263,7 @@ func TestDerivedTablesDropTheParentHeap(t *testing.T) {
 		child := func() *Table {
 			p := parent()
 			for _, c := range p.Cols {
-				runtime.AddCleanup(&c.Str.Bytes[0], func(int) { freed.Add(1) }, 0)
+				runtime.AddCleanup(heldBytes(c), func(int) { freed.Add(1) }, 0)
 			}
 			child, err := d.derive(p)
 			if err != nil {

@@ -31,6 +31,7 @@ type PushPred struct {
 // reader over a window-aligned slice of the ranges starts.
 type Reader struct {
 	t      *Table
+	v      *view // t's runs (runsOf)
 	cols   []int
 	ranges RowRanges
 	push   []PushPred
@@ -55,7 +56,7 @@ func NewReaderPush(t *Table, cols []int, ranges RowRanges, acct *iosim.Accountan
 		ranges = FullRange(t.Rows())
 	}
 	t.ChargeIO(acct, cols, ranges)
-	r := &Reader{t: t, cols: cols, ranges: ranges, push: push}
+	r := &Reader{t: t, v: t.runsOf(), cols: cols, ranges: ranges, push: push}
 	if len(ranges) > 0 {
 		r.pos = ranges[0].Start
 	}
@@ -106,28 +107,12 @@ func (r *Reader) Next(out *vector.Batch) bool {
 	return false
 }
 
-// copySpan appends rows [lo,hi) of every selected column to out: an
-// uncompressed column is one raw chunk over its arrays, so its numbers copy
-// and its strings are views of its heap; compressed ones decode each chunk's
-// piece of the span into out; a view's take each run's piece from its source.
+// copySpan appends rows [lo,hi) of every selected column to out, read
+// through the table's runs: a raw chunk's numbers copy and its strings are
+// views of its heap, a compressed chunk decodes its piece of the span.
 func (r *Reader) copySpan(out *vector.Batch, lo, hi int) {
-	if v := r.t.view; v != nil {
-		v.copySpan(r.cols, out, lo, hi)
-		return
-	}
+	k := locate(r.v.runs, int32(lo))
 	for i, ci := range r.cols {
-		c := r.t.Cols[ci]
-		dst := out.Cols[i]
-		if c.Enc == nil {
-			raw := vector.Chunk{ValI: c.I64, ValF: c.F64, ValS: c.Str}
-			raw.AppendRange(nil, lo, hi, dst)
-			continue
-		}
-		for p := lo; p < hi; {
-			ch := &c.Enc.Chunks[c.Enc.chunkIndex(p)]
-			end := min(hi, ch.Start+ch.Rows)
-			ch.AppendRange(c.Enc.Dict, p-ch.Start, end-ch.Start, dst)
-			p = end
-		}
+		r.v.read(ci, lo, hi, k, out.Cols[i])
 	}
 }

@@ -72,14 +72,14 @@ func TestPermuteRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rev.MustColumn("a").I64[0] != 99 {
+	if rev.MustColumn("a").Values().I64[0] != 99 {
 		t.Error("permute did not reverse")
 	}
 	back, err := rev.Permute(perm)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range back.MustColumn("a").I64 {
+	for i, v := range back.MustColumn("a").Values().I64 {
 		if v != int64(i) {
 			t.Fatalf("double reverse broken at %d", i)
 		}
@@ -98,7 +98,7 @@ func TestAppendRows(t *testing.T) {
 	if bigger.Rows() != 14 {
 		t.Fatalf("rows = %d, want 14", bigger.Rows())
 	}
-	a := bigger.MustColumn("a").I64
+	a := bigger.MustColumn("a").Values().I64
 	want := []int64{2, 3, 8, 9}
 	for i, w := range want {
 		if a[10+i] != w {
@@ -202,7 +202,7 @@ func TestZonemapPruneSound(t *testing.T) {
 }
 
 // twoCompareMinMax is the min/max kernel with both comparisons per value,
-// the reference minMaxAt's one-comparison form is held to.
+// the reference minMax's one-comparison form is held to.
 func twoCompareMinMax[T cmp.Ordered](vals []T) (mn, mx T) {
 	mn, mx = vals[0], vals[0]
 	for _, v := range vals[1:] {
@@ -218,7 +218,7 @@ func twoCompareMinMax[T cmp.Ordered](vals []T) (mn, mx T) {
 
 func checkMinMax[T cmp.Ordered](t *testing.T, vals []T, same func(a, b T) bool) {
 	t.Helper()
-	mn, mx, mnAt, mxAt := minMaxAt(0, len(vals), func(i int) T { return vals[i] })
+	mn, mx, mnAt, mxAt := minMax(vals)
 	if wmn, wmx := twoCompareMinMax(vals); !same(mn, wmn) || !same(mx, wmx) {
 		t.Fatalf("%v: bounds %v/%v, the two-comparison form gives %v/%v", vals, mn, mx, wmn, wmx)
 	}

@@ -55,8 +55,8 @@ func newTable(name string, pageSize int64, cols []*Column, lazy *lazyZones) (*Ta
 	t := &Table{Name: name, Cols: cols, PageSize: pageSize, rows: cols[0].Len()}
 	t.byName = make(map[string]int, len(cols))
 	for i, c := range cols {
-		if err := c.validate(t.rows); err != nil {
-			return nil, err
+		if c.Len() != t.rows {
+			return nil, fmt.Errorf("storage: column %q has %d rows, table has %d", c.Name, c.Len(), t.rows)
 		}
 		if _, dup := t.byName[c.Name]; dup {
 			return nil, fmt.Errorf("storage: table %q: duplicate column %q", name, c.Name)
@@ -103,16 +103,18 @@ func eachColumn(cols []*Column, fn func(i int, dict *vector.StrDict)) {
 // shrinking rows-per-page, page counts and ChargeIO accordingly — and keeps
 // the zonemaps: a chunk is a raw-width page, so its bounds are the page's,
 // and the rows holding them stay known to the next splice. Zones without
-// those rows are built from the chunks. Permute re-encodes in the new row
-// order, which is how BDCC clustering improves the ratio; Extract and
-// AppendRows keep the chunks of rows left in place. Idempotent; safe to call
-// on a table already compressed.
+// those rows are built from the chunks. Raw chunks stay windows of the
+// column's values; a column whose chunks are all packed no longer holds
+// them. Permute re-encodes in the new row order, which is how BDCC
+// clustering improves the ratio; Extract and AppendRows keep the chunks of
+// rows left in place. Idempotent; safe to call on a table already
+// compressed.
 func (t *Table) Compress() { t.compress(nil) }
 
 // compress is Compress for a table holding the rows of v's runs (nil: none)
 // over a compressed root: the root's whole chunks over the rows v's leading
 // run leaves in place are kept where the encoder allows (see encodeColumn).
-// t itself holds arrays.
+// t itself is uncompressed.
 func (t *Table) compress(v *view) {
 	if t.view != nil {
 		panic("storage: compress of a view: its Encoded form is the compressed table")
@@ -129,8 +131,12 @@ func (t *Table) compress(v *view) {
 			par, inPlace = v.srcs[0].Cols[i].Enc, int(v.runs[0].n)
 		}
 		c.encode(t.rowsPerPage(c), dict, par, inPlace)
-		if t.zones[i].minAt == nil {
-			t.zones[i] = zonemapFromChunks(c)
+		z := &t.zones[i]
+		if z.minAt == nil {
+			*z = zonemapFromChunks(c)
+		}
+		for p := range z.minS { // the chunks' bounds: the same values, not views of the raw heap
+			z.minS[p], z.maxS[p] = c.Enc.Chunks[p].MinS, c.Enc.Chunks[p].MaxS
 		}
 	})
 }
@@ -138,23 +144,29 @@ func (t *Table) compress(v *view) {
 // Compressed reports whether Compress has run on this table.
 func (t *Table) Compressed() bool { return t.compressed }
 
-// Encoded returns the compressed form of t over t's own value arrays and
-// zones (a view's, Materialized): new columns, one encode, no copy of the
-// rows. Zones t derives on first use and has not yet are its chunks', and
-// the result derives those on first use too (see Splice). t must hold its
-// raw values (a table built here, not adopted from frames). Sharing is safe
-// because a published table never changes; t itself is left as it was.
+// Encoded returns the compressed form of t (a view's, Materialized): new
+// columns encoded from t's, and t's zones. Zones t derives on first use and
+// has not yet are its chunks', and the result derives those on first use too
+// (see Splice). Raw chunks are windows of t's values, so a table of raw
+// columns is not copied; the byte offsets of its strings are kept for the
+// splices the result roots (strOffsets). Sharing is safe because a published
+// table never changes; t itself is left as it was.
 func (t *Table) Encoded() *Table {
 	t = t.Materialized()
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
 		Cols: make([]*Column, len(t.Cols)), zones: make([]zonemap, len(t.Cols))}
 	for i, c := range t.Cols {
-		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, I64: c.I64, F64: c.F64, Str: c.Str, width: c.width}
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, Enc: c.Enc, width: c.width}
 		if z := t.known(i); z != nil {
 			out.zones[i] = *z
 		}
 	}
-	out.Compress()
+	out.compress(nil)
+	for i, c := range t.Cols {
+		if c.Kind == vector.String {
+			out.derived.Store(offsKey(i), t.strOffsets(i))
+		}
+	}
 	if t.lazy != nil {
 		out.lazy = &lazyZones{memo: make([]atomic.Pointer[zonemap], len(t.Cols))}
 		for i := range t.Cols {
@@ -208,10 +220,10 @@ func (s *CompressionStats) Add(o CompressionStats) {
 // CompressionStats sums the encoded state of every column.
 func (t *Table) CompressionStats() CompressionStats {
 	var s CompressionStats
+	if !t.compressed {
+		return s
+	}
 	for _, c := range t.Cols {
-		if c.Enc == nil {
-			continue
-		}
 		s.RawBytes += c.Enc.RawBytes
 		s.EncodedBytes += c.Enc.EncodedBytes
 		s.RawChunks += c.Enc.Counts[EncRaw]

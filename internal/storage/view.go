@@ -11,20 +11,54 @@ import (
 )
 
 // view is how a table Splice built holds its rows: as runs over materialized
-// sources — the table at the root of the splice chain (a merged base, whose
-// raw arrays stay beside its chunks) and each batch spliced in since — not in
-// arrays of its own. Splicing a view composes its runs, so no view reads
-// through another: a scan copies each span from the sources run by run, its
-// strings views of their heaps. A view is read at raw width, and its widths,
-// pages and charged bytes are those of the table its runs gather, from
-// per-run byte sums. What needs contiguous arrays (Frames, Permute, Extract,
-// Encoded, Concat) reads them through Materialized, which gathers once.
+// sources — the table at the root of the splice chain (a merged or loaded
+// base, compressed or not) and each batch spliced in since — not in columns
+// of its own. Splicing a view composes its runs, so no view reads through
+// another: a scan reads each span from the sources run by run (read), a
+// compressed root's pieces decoded, a batch's copied, strings as views. A
+// plain table is read the same way, as one run over itself. A view is read
+// at raw width, and its widths, pages and charged bytes are those of the
+// table its runs gather, from per-run byte sums of its sources' string
+// offsets (strOffsets). What needs a table of its own (Frames, Permute,
+// Extract, Encoded, Concat) reads it through Materialized, which gathers
+// once.
 type view struct {
 	srcs []*Table
 	runs []run // in row order, covering the table's rows
 	flat struct {
 		once sync.Once
 		t    *Table
+	}
+}
+
+// runsOf returns the view t's rows are read through: its own, or t as one
+// run over itself.
+func (t *Table) runsOf() *view {
+	if t.view != nil {
+		return t.view
+	}
+	return &view{srcs: []*Table{t}, runs: []run{{0, 0, int32(t.rows), 0}}}
+}
+
+// read appends rows [lo,hi) of column ci to dst, each run's piece
+// through its source's column (Column.AppendRange). k is the run to try
+// first, before a search (the one the last read ended in); the one this read
+// ends in is returned.
+func (v *view) read(ci, lo, hi, k int, dst *vector.Vector) int {
+	if lo >= hi {
+		return k
+	}
+	if r := v.runs[k]; int32(lo) < r.at || int32(lo) >= r.at+r.n {
+		k = locate(v.runs, int32(lo))
+	}
+	for {
+		r := v.runs[k]
+		end, s := min(hi, int(r.at+r.n)), int(r.src)+lo-int(r.at)
+		v.srcs[r.source].Cols[ci].AppendRange(s, s+end-lo, dst)
+		if lo = end; lo >= hi {
+			return k
+		}
+		k++
 	}
 }
 
@@ -63,10 +97,8 @@ func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
 	}
-	from, srcs := []run{{0, 0, int32(a.rows), 0}}, []*Table{a}
-	if a.view != nil {
-		from, srcs = a.view.runs, a.view.srcs
-	}
+	av := a.runsOf()
+	from, srcs := av.runs, av.srcs
 	v, step := &view{srcs: append(slices.Clip(srcs), b)}, spliceRuns(src, aRows)
 	for _, r := range step {
 		if r.source == 1 {
@@ -138,65 +170,50 @@ func (v *view) table(a *Table, n int, step []run) *Table {
 	return t
 }
 
-// strBytes returns the string bytes of the first rows rows of column ci.
+// strBytes returns the string bytes of the first rows rows of column ci,
+// summed run by run from each source's offsets.
 func (t *Table) strBytes(ci, rows int) int {
-	if t.view == nil {
-		return int(t.Cols[ci].Str.Offs[rows])
-	}
-	total := 0
-	for _, r := range t.view.runs {
+	v, total := t.runsOf(), 0
+	offs := make([][]uint32, len(v.srcs))
+	for _, r := range v.runs {
 		if int(r.at) >= rows {
 			break
 		}
-		h, s := t.view.srcs[r.source].Cols[ci].Str, int(r.src)
-		total += int(h.Offs[s+min(int(r.n), rows-int(r.at))] - h.Offs[s])
+		if offs[r.source] == nil {
+			offs[r.source] = v.srcs[r.source].strOffsets(ci)
+		}
+		o, s := offs[r.source], int(r.src)
+		total += int(o[s+min(int(r.n), rows-int(r.at))] - o[s])
 	}
 	return total
 }
 
-// copySpan appends rows [lo,hi) of columns cols to out, each run's piece
-// from its source's raw arrays.
-func (v *view) copySpan(cols []int, out *vector.Batch, lo, hi int) {
-	k0 := locate(v.runs, int32(lo))
-	for i, ci := range cols {
-		dst := out.Cols[i]
-		for k, p := k0, lo; p < hi; k++ {
-			r := &v.runs[k]
-			end, s := min(hi, int(r.at+r.n)), int(r.src)+p-int(r.at)
-			switch c := v.srcs[r.source].Cols[ci]; dst.Kind {
-			case vector.Int64:
-				dst.I64 = append(dst.I64, c.I64[s:s+end-p]...)
-			case vector.Float64:
-				dst.F64 = append(dst.F64, c.F64[s:s+end-p]...)
-			case vector.String:
-				n := len(dst.Str)
-				dst.Str = slices.Grow(dst.Str, end-p)[:n+end-p]
-				c.Str.Views(dst.Str[n:], s)
-			}
-			p = end
-		}
+// offsKey is the Derived key of a string column's offsets.
+type offsKey int
+
+// strOffsets returns where each row of string column ci of a table that is
+// no view starts in its column's string bytes, and where the last ends: a
+// raw column's heap offsets, else those of its rows read into one heap, once
+// (Derived; a merge keeps those of the heap it encoded, see Encoded).
+func (t *Table) strOffsets(ci int) []uint32 {
+	if ch := t.Cols[ci].Enc.Chunks; len(ch) == 1 && ch[0].Enc == EncRaw {
+		return ch[0].ValS.Offs
 	}
+	return t.Derived(offsKey(ci), func() any { return t.Cols[ci].raw().ValS.Offs }).([]uint32)
 }
 
-// viewSpan reads rows of a view for zone derivation: each run's piece as
-// bounds reads it from the source column. A span mostly starts in the run
-// the last one ended in, which is tried before a search.
-func viewSpan[T cmp.Ordered](v *view, ci int, bounds func(c *Column, lo, hi int) (T, T, int, int)) span[T] {
+// viewSpan reads rows of a view for zone derivation — a span of a page, or
+// the row of a kept bound — into one scratch vector, and takes their bounds
+// from the values vals returns of it. A span mostly starts in the run the
+// last one ended in, which is tried before a search.
+func viewSpan[T cmp.Ordered](v *view, ci int, vals func(*vector.Vector) []T) span[T] {
 	k := 0
+	buf := &vector.Vector{Kind: v.srcs[0].Cols[ci].Kind}
 	return func(lo, hi int) (T, T, int, int) {
-		var acc candidates[T]
-		if r := v.runs[k]; int32(lo) < r.at || int32(lo) >= r.at+r.n {
-			k = locate(v.runs, int32(lo))
-		}
-		for ; ; k++ {
-			r := v.runs[k]
-			end, s := min(hi, int(r.at+r.n)), int(r.src)+lo-int(r.at)
-			mn, mx, mnAt, mxAt := bounds(v.srcs[r.source].Cols[ci], s, s+end-lo)
-			acc.add(mn, mx, mnAt+lo-s, mxAt+lo-s)
-			if lo = end; lo >= hi {
-				return acc.mn, acc.mx, acc.mnAt, acc.mxAt
-			}
-		}
+		buf.Reset()
+		k = v.read(ci, lo, hi, k, buf)
+		mn, mx, mnAt, mxAt := minMax(vals(buf))
+		return mn, mx, lo + mnAt, lo + mxAt
 	}
 }
 
@@ -257,38 +274,24 @@ func (t *Table) Materialized() *Table {
 func (v *view) gather(t *Table, lz *lazyZones) *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName, Cols: make([]*Column, len(t.Cols)), lazy: lz}
 	eachColumn(t.Cols, func(i int, _ *vector.StrDict) {
-		c := &Column{Name: t.Cols[i].Name, Kind: t.Cols[i].Kind}
-		switch c.Kind {
-		case vector.Int64:
-			c.I64 = gatherRuns(v, t.rows, func(s *Table) []int64 { return s.Cols[i].I64 })
-		case vector.Float64:
-			c.F64 = gatherRuns(v, t.rows, func(s *Table) []float64 { return s.Cols[i].F64 })
-		case vector.String:
-			c.Str = vector.MakeHeap(t.rows, t.strBytes(i, t.rows))
-			for _, r := range v.runs {
-				c.Str.AppendRange(v.srcs[r.source].Cols[i].Str, int(r.src), int(r.src+r.n))
-			}
+		bytes := 0
+		if t.Cols[i].Kind == vector.String {
+			bytes = t.strBytes(i, t.rows)
 		}
+		ch, k := rawRoom(t.Cols[i].Kind, t.rows, bytes), 0
+		appendRows(&ch, t.Cols[i].Kind, 0, t.rows, func(lo, hi int, dst *vector.Vector) { k = v.read(i, lo, hi, k, dst) })
+		c := rawColumn(t.Cols[i].Name, t.Cols[i].Kind, ch)
 		c.finish()
 		if out.Cols[i] = c; t.known(i) != nil {
 			z := *t.known(i)
 			if z.minS != nil { // bounds of c's heap, so that the sources' can go
 				z.minS, z.maxS = make([]string, len(z.minAt)), make([]string, len(z.maxAt))
 				for p := range z.minAt {
-					z.minS[p], z.maxS[p] = c.Str.At(int(z.minAt[p])), c.Str.At(int(z.maxAt[p]))
+					z.minS[p], z.maxS[p] = ch.ValS.At(int(z.minAt[p])), ch.ValS.At(int(z.maxAt[p]))
 				}
 			}
 			lz.memo[i].Store(&z)
 		}
 	})
-	return out
-}
-
-// gatherRuns returns the n rows v's runs copy from the sources' arrays.
-func gatherRuns[T any](v *view, n int, vals func(*Table) []T) []T {
-	out := make([]T, n)
-	for _, r := range v.runs {
-		copy(out[r.at:r.at+r.n], vals(v.srcs[r.source])[r.src:])
-	}
 	return out
 }

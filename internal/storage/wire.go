@@ -22,8 +22,9 @@ import (
 //	CRC-32 (IEEE) of everything after the magic
 //
 // The body holds a column header (first frame only) and chunks; an
-// uncompressed column is the degenerate case, written as raw chunks and
-// flattened back into plain arrays on adoption. Every string is a uvarint
+// uncompressed column is the degenerate case, its raw chunk written in
+// windows of at most plainSpanRows rows, which the adopted column keeps as
+// its raw chunks. Every string is a uvarint
 // length in the body and its bytes in the heap, in the same order, so the
 // decoder copies the heap once and its raw chunks are windows of the copy.
 
@@ -64,14 +65,17 @@ func (t *Table) Frames(frameBytes int) [][]byte {
 	t = t.Materialized()
 	var out [][]byte
 	var w frameWriter
+	flags := byte(0)
+	if t.compressed {
+		flags = frameEncoded
+	}
 	for _, c := range t.Cols {
-		e, flags := c.Enc, byte(frameEncoded)
-		if e == nil {
-			e, flags = &ColumnEncoding{ChunkRows: plainSpanRows}, 0
-			for lo, n := 0, c.Len(); lo < n; lo += plainSpanRows {
-				ch := Chunk{Rows: min(plainSpanRows, n-lo)}
-				rewindow(&ch, c, lo, lo+ch.Rows)
-				e.Chunks = append(e.Chunks, ch)
+		e := c.Enc
+		if !t.compressed && e.ChunkRows > plainSpanRows { // windows of its one raw chunk
+			raw := e.Chunks[0]
+			e = &ColumnEncoding{ChunkRows: plainSpanRows, RawBytes: e.RawBytes}
+			for lo := 0; lo < raw.Rows; lo += plainSpanRows {
+				e.Chunks = append(e.Chunks, raw.Window(lo, min(lo+plainSpanRows, raw.Rows)))
 			}
 		}
 		w.begin(c.Kind, flags|frameFirst)
@@ -116,9 +120,9 @@ func openFrame(frame []byte, kind vector.Kind, flags byte) (*vector.ChunkReader,
 // declared up front (it travels in the shipper's manifest) and held against
 // every frame. Nothing is published until every column is complete; Table
 // then assembles the result without touching a value — widths from the
-// encoded bytes, zonemaps from the chunk bounds. An adopted compressed table
-// serves scans (Reader, ReadStats, PruneZonemap); it has no raw arrays to
-// permute or extend.
+// encoded bytes, zonemaps from the chunk bounds (an uncompressed table's are
+// read from its values). An adopted table is an ordinary one: a column is
+// its chunks either way.
 type TableAdopter struct {
 	name       string
 	pageSize   int64
@@ -247,19 +251,6 @@ func (a *TableAdopter) Table() (*Table, error) {
 		return nil, fmt.Errorf("storage: adopt %q: column %d of %d incomplete", a.name, a.cur, len(a.cols))
 	}
 	if !a.compressed {
-		for _, c := range a.cols { // the raw chunks were the values' vehicle
-			if c.Enc == nil {
-				continue // flattened by an earlier call
-			}
-			c.reserve(a.rows)
-			for _, ch := range c.Enc.Chunks {
-				c.I64, c.F64 = append(c.I64, ch.ValI...), append(c.F64, ch.ValF...)
-				if c.Kind == vector.String {
-					c.Str.AppendRange(ch.ValS, 0, ch.Rows)
-				}
-			}
-			c.Enc = nil
-		}
 		return NewTable(a.name, a.pageSize, a.cols...)
 	}
 	t := &Table{Name: a.name, Cols: a.cols, PageSize: a.pageSize, rows: a.rows, compressed: true}
@@ -270,10 +261,7 @@ func (a *TableAdopter) Table() (*Table, error) {
 			return nil, fmt.Errorf("storage: table %q: duplicate column %q", a.name, c.Name)
 		}
 		t.byName[c.Name] = i
-		c.width = 8
-		if c.Kind == vector.String {
-			c.width = strWidth(int(c.Enc.RawBytes), a.rows)
-		}
+		c.finish()
 		c.useEncodedWidth()
 		t.zones[i] = zonemapFromChunks(c)
 	}

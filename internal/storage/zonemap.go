@@ -44,14 +44,13 @@ func (z *zonemap) pages() int {
 	return max(len(z.minI), len(z.minS))
 }
 
-// minMaxAt returns the minimum and maximum of the values at(lo), …,
-// at(hi-1), lo < hi, and the row of an occurrence of each. One comparison
-// settles most values: mn ≤ mx holds throughout, so a new minimum is never
-// a new maximum.
-func minMaxAt[T cmp.Ordered](lo, hi int, at func(int) T) (mn, mx T, mnAt, mxAt int) {
-	mn, mx, mnAt, mxAt = at(lo), at(lo), lo, lo
-	for i := lo + 1; i < hi; i++ {
-		if v := at(i); v < mn {
+// minMax returns the minimum and maximum of the non-empty vals and the index
+// of an occurrence of each. One comparison settles most values: mn ≤ mx
+// holds throughout, so a new minimum is never a new maximum.
+func minMax[T cmp.Ordered](vals []T) (mn, mx T, mnAt, mxAt int) {
+	mn, mx = vals[0], vals[0]
+	for i, v := range vals {
+		if v < mn {
 			mn, mnAt = v, i
 		} else if v > mx {
 			mx, mxAt = v, i
@@ -61,23 +60,8 @@ func minMaxAt[T cmp.Ordered](lo, hi int, at func(int) T) (mn, mx T, mnAt, mxAt i
 }
 
 // span reads the bounds of rows [lo,hi) of a column, lo < hi, and the rows
-// holding them (minMaxAt); int64Bounds and strBounds read a column's arrays.
+// holding them (viewSpan).
 type span[T cmp.Ordered] func(lo, hi int) (mn, mx T, mnAt, mxAt int)
-
-func int64Bounds(c *Column, lo, hi int) (int64, int64, int, int) {
-	vals := c.I64[lo:hi]
-	mn, mx, mnAt, mxAt := vals[0], vals[0], 0, 0
-	for i, v := range vals {
-		if v < mn {
-			mn, mnAt = v, i
-		} else if v > mx {
-			mx, mxAt = v, i
-		}
-	}
-	return mn, mx, lo + mnAt, lo + mxAt
-}
-
-func strBounds(c *Column, lo, hi int) (string, string, int, int) { return minMaxAt(lo, hi, c.Str.At) }
 
 // candidates folds values of one page, with their rows, into its bounds.
 type candidates[T cmp.Ordered] struct {
@@ -181,17 +165,15 @@ func (t *Table) deriveZonemap(ci int, runs []run, par *zonemap) zonemap {
 	if par == nil || par.minAt == nil {
 		runs, par = []run{{0, 0, int32(t.rows), 1}}, &zonemap{}
 	}
-	v := t.view
-	if v == nil {
-		v = &view{srcs: []*Table{t}, runs: []run{{0, 0, int32(t.rows), 0}}}
-	}
-	c := t.Cols[ci]
+	v, c := t.runsOf(), t.Cols[ci]
 	z := zonemap{rowsPerPage: t.rowsPerPage(c)}
 	switch c.Kind {
 	case vector.Int64:
-		z.minI, z.maxI, z.minAt, z.maxAt = derivePages(t.rows, viewSpan(v, ci, int64Bounds), z.rowsPerPage, runs, par)
+		at := viewSpan(v, ci, func(b *vector.Vector) []int64 { return b.I64 })
+		z.minI, z.maxI, z.minAt, z.maxAt = derivePages(t.rows, at, z.rowsPerPage, runs, par)
 	case vector.String:
-		z.minS, z.maxS, z.minAt, z.maxAt = derivePages(t.rows, viewSpan(v, ci, strBounds), z.rowsPerPage, runs, par)
+		at := viewSpan(v, ci, func(b *vector.Vector) []string { return b.Str })
+		z.minS, z.maxS, z.minAt, z.maxAt = derivePages(t.rows, at, z.rowsPerPage, runs, par)
 	}
 	return z
 }

@@ -89,23 +89,16 @@ func gatheredTable(t testing.TB, a *Table, keep int, b *Table, src []int32) *Tab
 	t.Helper()
 	cols := make([]*Column, len(a.Cols))
 	for i, c := range a.Cols {
-		nc := &Column{Name: c.Name, Kind: c.Kind}
+		nv := &vector.Vector{Kind: c.Kind}
 		va, vb := readAll(a, i), readAll(b, i)
 		for _, s := range src {
 			from, r := va, int(s)
 			if r >= keep {
 				from, r = vb, r-keep
 			}
-			switch c.Kind {
-			case vector.Int64:
-				nc.I64 = append(nc.I64, from.I64[r])
-			case vector.Float64:
-				nc.F64 = append(nc.F64, from.F64[r])
-			case vector.String:
-				nc.Str.Append(from.Str[r])
-			}
+			nv.AppendFrom(from, r)
 		}
-		cols[i] = nc
+		cols[i] = columnOf(c.Name, nv)
 	}
 	out, err := NewTable(a.Name, a.PageSize, cols...)
 	if err != nil {
@@ -122,14 +115,15 @@ func samePruning(t *testing.T, label string, got, want *Table, rng *rand.Rand) {
 		return
 	}
 	for _, c := range want.Cols {
+		v := c.Values()
 		for range 12 {
 			x, y := rng.Intn(want.Rows()), rng.Intn(want.Rows())
 			lo, hi := Bound{Set: true}, Bound{Set: true}
 			switch c.Kind {
 			case vector.Int64:
-				lo.I, hi.I = min(c.I64[x], c.I64[y]), max(c.I64[x], c.I64[y])
+				lo.I, hi.I = min(v.I64[x], v.I64[y]), max(v.I64[x], v.I64[y])
 			case vector.String:
-				lo.S, hi.S = min(c.Str.At(x), c.Str.At(y)), max(c.Str.At(x), c.Str.At(y))
+				lo.S, hi.S = min(v.Str[x], v.Str[y]), max(v.Str[x], v.Str[y])
 			}
 			for _, iv := range []Interval{{Lo: lo, Hi: hi}, {Lo: lo}, {Hi: hi}, {Lo: hi, Hi: hi}} {
 				if g, w := got.PruneZonemap(c.Name, iv, nil), want.PruneZonemap(c.Name, iv, nil); !slices.Equal(g, w) {

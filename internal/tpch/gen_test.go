@@ -98,9 +98,12 @@ func BenchmarkGenerate(b *testing.B) {
 
 // scannedHeap returns the heap bytes the collector scans, after a full
 // collection: what each GC cycle marks through.
-func scannedHeap() int64 {
+func scannedHeap() int64 { return afterGC("/gc/scan/heap:bytes") }
+
+// afterGC returns the value of a runtime metric in bytes after a collection.
+func afterGC(metric string) int64 {
 	runtime.GC()
-	s := []metrics.Sample{{Name: "/gc/scan/heap:bytes"}}
+	s := []metrics.Sample{{Name: metric}}
 	metrics.Read(s)
 	return int64(s[0].Value.Uint64())
 }
@@ -122,10 +125,30 @@ func TestLoadedBaseIsNotScanned(t *testing.T) {
 	}
 }
 
+// TestLoadedBaseHoldsItsChunksOnce holds a loaded, compressed SF 0.01
+// benchmark under all three schemes to 33 MiB of live heap. A stored column is
+// its chunks: raw chunks are windows of its values, and a column whose
+// chunks are all packed keeps no array of them beside its chunks, nor a view
+// of the heap its strings were encoded from. Holding both took 46.7 MiB.
+func TestLoadedBaseHoldsItsChunksOnce(t *testing.T) {
+	before := afterGC("/gc/heap/live:bytes")
+	b, err := NewBenchmarkCompressed(0.01, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grew := afterGC("/gc/heap/live:bytes") - before
+	runtime.KeepAlive(b)
+	t.Logf("loaded base adds %.1f MiB of live heap", float64(grew)/(1<<20))
+	if grew > 33<<20 {
+		t.Errorf("loaded base adds %d bytes of live heap, want at most 33 MiB", grew)
+	}
+}
+
 // hashStored folds into h what a stored table is: hashTable's rows, the
-// column frames (every chunk, dictionary and bound), each column's raw
-// values as it holds them and its page count and, when bt is the table's
-// clustering, the count table, the granularities and the sorted keys.
+// column frames (every chunk, dictionary and bound), each column's page
+// count and its values as Column.AppendRange reads them (none on a view's
+// columns) and, when bt is the table's clustering, the count table, the
+// granularities and the sorted keys.
 func hashStored(h hash.Hash, t *storage.Table, bt *core.BDCCTable) {
 	var buf [8]byte
 	putU64 := func(x uint64) {
@@ -139,15 +162,15 @@ func hashStored(h hash.Hash, t *storage.Table, bt *core.BDCCTable) {
 	}
 	for _, c := range t.Cols {
 		putU64(uint64(t.Pages(c)))
-		putU64(uint64(len(c.I64) + len(c.F64) + c.Str.Len()))
-		for _, v := range c.I64 {
+		vals := c.Values()
+		putU64(uint64(vals.Len()))
+		for _, v := range vals.I64 {
 			putU64(uint64(v))
 		}
-		for _, v := range c.F64 {
+		for _, v := range vals.F64 {
 			putU64(math.Float64bits(v))
 		}
-		for i := range c.Str.Len() {
-			s := c.Str.At(i)
+		for _, s := range vals.Str {
 			putU64(uint64(len(s)))
 			h.Write([]byte(s))
 		}

@@ -39,7 +39,7 @@ type DeltaGen struct {
 func NewDeltaGen(d *Dataset, seed int64) *DeltaGen {
 	orders := d.Tables["orders"]
 	var maxKey int64
-	for _, k := range orders.MustColumn("o_orderkey").I64 {
+	for _, k := range orders.MustColumn("o_orderkey").Values().I64 {
 		if k > maxKey {
 			maxKey = k
 		}
@@ -49,7 +49,7 @@ func NewDeltaGen(d *Dataset, seed int64) *DeltaGen {
 		nCust:  d.Tables["customer"].Rows(),
 		nPart:  d.Tables["part"].Rows(),
 		nSupp:  d.Tables["supplier"].Rows(),
-		retail: d.Tables["part"].MustColumn("p_retailprice").F64,
+		retail: d.Tables["part"].MustColumn("p_retailprice").Values().F64,
 	}}
 }
 

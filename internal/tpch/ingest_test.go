@@ -335,10 +335,10 @@ func q6Revenue(sdb *plan.DB) (float64, error) {
 		return 0, fmt.Errorf("no lineitem view")
 	}
 	lo, hi := vector.ParseDate("1994-01-01"), vector.ParseDate("1994-12-31")
-	sd := li.MustColumn("l_shipdate").I64
-	disc := li.MustColumn("l_discount").F64
-	qty := li.MustColumn("l_quantity").F64
-	ext := li.MustColumn("l_extendedprice").F64
+	sd := li.MustColumn("l_shipdate").Values().I64
+	disc := li.MustColumn("l_discount").Values().F64
+	qty := li.MustColumn("l_quantity").Values().F64
+	ext := li.MustColumn("l_extendedprice").Values().F64
 	var sum float64
 	for i := range sd {
 		if sd[i] >= lo && sd[i] <= hi && disc[i] >= 0.05 && disc[i] <= 0.07 && qty[i] < 24 {
@@ -414,7 +414,7 @@ func TestIngestSoak(t *testing.T) {
 				// visible before the order it references.
 				maxKey := func(t *storage.Table, col string) int64 {
 					var m int64
-					for _, k := range t.MustColumn(col).I64 {
+					for _, k := range t.MustColumn(col).Values().I64 {
 						if k > m {
 							m = k
 						}
@@ -519,14 +519,13 @@ func TestIngestSoak(t *testing.T) {
 func tailRows(tab *storage.Table, from int) *storage.Table {
 	cols := make([]*storage.Column, len(tab.Cols))
 	for i, c := range tab.Cols {
-		switch c.Kind {
+		switch v := c.Values(); c.Kind {
 		case vector.Int64:
-			cols[i] = storage.NewInt64Column(c.Name, slices.Clone(c.I64[from:]))
+			cols[i] = storage.NewInt64Column(c.Name, v.I64[from:])
 		case vector.Float64:
-			cols[i] = storage.NewFloat64Column(c.Name, slices.Clone(c.F64[from:]))
+			cols[i] = storage.NewFloat64Column(c.Name, v.F64[from:])
 		case vector.String:
-			cols[i] = storage.NewHeapColumn(c.Name, vector.Heap{})
-			cols[i].Str.AppendRange(c.Str, from, c.Str.Len())
+			cols[i] = storage.NewStringColumn(c.Name, v.Str[from:])
 		}
 	}
 	return storage.MustNewTable(tab.Name, tab.PageSize, cols...)
@@ -589,7 +588,7 @@ func TestIndexBinningMatchesResolver(t *testing.T) {
 	fresh, backfilled := 0, 0
 	for i := 0; i < 3; i++ {
 		batch := gen.Next(60)
-		for _, d := range batch.Orders.MustColumn("o_orderdate").I64 {
+		for _, d := range batch.Orders.MustColumn("o_orderdate").Values().I64 {
 			if d > vector.ParseDate("1998-08-02") {
 				fresh++
 			} else {
@@ -754,8 +753,8 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 			}
 			view, rows := snap.Tables[name], combined[name]
 			for i, c := range rows.Cols {
-				v := view.Cols[i]
-				if view.Rows() != rows.Rows() || !slices.Equal(v.I64, c.I64) || !slices.Equal(v.F64, c.F64) || !slices.Equal(v.Str.Offs, c.Str.Offs) || !slices.Equal(v.Str.Bytes, c.Str.Bytes) {
+				v, w := view.Cols[i].Values(), c.Values()
+				if view.Rows() != rows.Rows() || !slices.Equal(v.I64, w.I64) || !slices.Equal(v.F64, w.F64) || !slices.Equal(v.Str, w.Str) {
 					t.Fatalf("%s: the insertion-order view of %s differs from the accepted rows in column %s", label, name, c.Name)
 				}
 			}

@@ -34,8 +34,9 @@ func referenceKeyBins(t testing.TB, schema *catalog.Schema, tables map[string]*s
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := make(map[int64]uint64, len(refCol.I64))
-	for i, v := range refCol.I64 {
+	refKeys := refCol.Values().I64
+	m := make(map[int64]uint64, len(refKeys))
+	for i, v := range refKeys {
 		m[v] = dim.BinOf(hostKeys[hostRows[i]])
 	}
 	return m

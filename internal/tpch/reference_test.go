@@ -23,8 +23,9 @@ import (
 // int64, float64 or string; a relation is named columns over a slice of
 // rows; joins and groupings key Go maps by a printed key. It calls nothing of
 // engine's operators, expr's evaluation, the vector kernels, core or the
-// storage encodings: it reads the generated tables' raw arrays and the logical
-// plan's exported fields, and nothing else.
+// storage encodings: it reads the values of the uncompressed generated tables'
+// raw chunks (arrays as generated) and the logical plan's exported fields,
+// and nothing else.
 
 // refRel is a relation: column names and rows of values.
 type refRel struct {
@@ -43,8 +44,8 @@ func (r *refRel) col(name string) int {
 // refDB is the reference's database: every table's rows, base then appends.
 type refDB map[string]*refRel
 
-// refTables reads the raw generated tables, with each appended batch's rows
-// after them.
+// refTables reads the uncompressed generated tables, with each appended
+// batch's rows after them.
 func refTables(d *Dataset, batches []*DeltaBatch) refDB {
 	out := refDB{}
 	for name, t := range d.Tables {
@@ -62,19 +63,27 @@ func refTables(d *Dataset, batches []*DeltaBatch) refDB {
 			}
 		}
 		for _, m := range more {
-			for i := range m.Rows() {
-				row := make([]any, len(m.Cols))
-				for j, c := range m.Cols {
-					switch c.Kind {
-					case vector.Int64:
-						row[j] = c.I64[i]
-					case vector.Float64:
-						row[j] = c.F64[i]
-					case vector.String:
-						row[j] = c.Str.At(i)
+			first := len(r.rows)
+			for range m.Rows() {
+				r.rows = append(r.rows, make([]any, len(m.Cols)))
+			}
+			for j, c := range m.Cols {
+				for _, ch := range c.Enc.Chunks { // uncompressed: raw chunks, values as generated
+					if ch.Enc != storage.EncRaw {
+						panic(fmt.Sprintf("reference: table %s column %s is compressed", name, c.Name))
+					}
+					for i := range ch.Rows {
+						row := r.rows[first+ch.Start+i]
+						switch c.Kind {
+						case vector.Int64:
+							row[j] = ch.ValI[i]
+						case vector.Float64:
+							row[j] = ch.ValF[i]
+						case vector.String:
+							row[j] = ch.ValS.At(i)
+						}
 					}
 				}
-				r.rows = append(r.rows, row)
 			}
 		}
 		out[name] = r
@@ -685,7 +694,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want = answers(refTables(comp.Data, batches))
+	want = answers(refTables(raw.Data, batches))
 	for _, s := range schemes {
 		check(fmt.Sprintf("%s after 3 appends", s), comp.DBs[s], RunOptions{}, want)
 	}

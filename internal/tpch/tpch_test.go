@@ -219,14 +219,14 @@ func TestShipdateCorrelation(t *testing.T) {
 	b := benchmarkFixture(t)
 	li := b.Data.Tables["lineitem"]
 	ord := b.Data.Tables["orders"]
-	odate := ord.MustColumn("o_orderdate").I64
-	okey := ord.MustColumn("o_orderkey").I64
+	odate := ord.MustColumn("o_orderdate").Values().I64
+	okey := ord.MustColumn("o_orderkey").Values().I64
 	byKey := make(map[int64]int64, len(okey))
 	for i, k := range okey {
 		byKey[k] = odate[i]
 	}
-	ship := li.MustColumn("l_shipdate").I64
-	lok := li.MustColumn("l_orderkey").I64
+	ship := li.MustColumn("l_shipdate").Values().I64
+	lok := li.MustColumn("l_orderkey").Values().I64
 	for i := range ship {
 		delta := ship[i] - byKey[lok[i]]
 		if delta < 1 || delta > 121 {
@@ -240,7 +240,7 @@ func TestShipdateCorrelation(t *testing.T) {
 func TestCustomerOrderGap(t *testing.T) {
 	b := benchmarkFixture(t)
 	ord := b.Data.Tables["orders"]
-	for _, ck := range ord.MustColumn("o_custkey").I64 {
+	for _, ck := range ord.MustColumn("o_custkey").Values().I64 {
 		if ck%3 == 0 {
 			t.Fatalf("customer %d (key %% 3 == 0) has orders", ck)
 		}
@@ -269,7 +269,7 @@ func TestGeneratedCardinalities(t *testing.T) {
 		t.Errorf("lineitem rows = %d, outside [1,7] per order", li)
 	}
 	date := vector.ParseDate("1998-08-02")
-	for _, d := range b.Data.Tables["orders"].MustColumn("o_orderdate").I64 {
+	for _, d := range b.Data.Tables["orders"].MustColumn("o_orderdate").Values().I64 {
 		if d < vector.ParseDate("1992-01-01") || d > date {
 			t.Fatalf("o_orderdate %s out of spec range", vector.FormatDate(d))
 		}

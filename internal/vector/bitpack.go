@@ -42,36 +42,42 @@ func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
 }
 
 // BitUnpack reads the len(dst) values at indexes start, start+1, … of the
-// packed stream src into dst. One 64-bit load serves every value that lies
-// wholly inside it — dozens at the narrow widths dictionary codes have.
-func BitUnpack[T int64 | uint64](dst []T, src []byte, start int, bitw uint8) {
+// packed stream src into dst, each plus base (a frame of reference; 0 for
+// dictionary codes). One 64-bit load serves every value that lies wholly
+// inside it — dozens at the narrow widths dictionary codes have.
+func BitUnpack[T int64 | uint64](dst []T, src []byte, start int, bitw uint8, base T) {
 	if bitw == 0 {
-		clear(dst)
+		for i := range dst {
+			dst[i] = base
+		}
 		return
 	}
 	w := uint(bitw)
 	mask := ^uint64(0) >> (64 - w)
 	var whole [8]int // values lying wholly inside a word loaded at bit offset 0…7
-	for off := range whole {
-		whole[off] = (64 - off) / int(w)
+	for off, n := 0, 64/int(w); off < len(whole); off++ {
+		if n*int(w) > 64-off { // one division: n drops by at most 1 a bit
+			n--
+		}
+		whole[off] = n
 	}
 	bit := uint(start) * w
 	for i := 0; i < len(dst); {
 		idx, off := int(bit>>3), bit&7
 		if idx+8 > len(src) {
-			dst[i] = T(bitGet(src, start+i, bitw))
+			dst[i] = T(bitGet(src, start+i, bitw)) + base
 			i, bit = i+1, bit+w
 			continue
 		}
 		v := binary.LittleEndian.Uint64(src[idx:]) >> off
 		if off+w > 64 { // the value's top bits sit in a ninth byte
-			dst[i] = T((v | uint64(src[idx+8])<<(64-off)) & mask)
+			dst[i] = T((v|uint64(src[idx+8])<<(64-off))&mask) + base
 			i, bit = i+1, bit+w
 			continue
 		}
 		run := dst[i:min(len(dst), i+whole[off])]
 		for k := range run {
-			run[k] = T(v & mask)
+			run[k] = T(v&mask) + base
 			v >>= w
 		}
 		i, bit = i+len(run), bit+uint(len(run))*w

@@ -35,10 +35,11 @@ func TestBitPackBulkMatchesPerValue(t *testing.T) {
 				}
 				u := make([]uint64, n-start)
 				s := make([]int64, n-start)
-				BitUnpack(u, want, start, w)
-				BitUnpack(s, want, start, w)
+				base := int64(start)*1_000_003 - 77 // a frame of reference, added modulo 2^64
+				BitUnpack(u, want, start, w, 0)
+				BitUnpack(s, want, start, w, base)
 				for i := range u {
-					if ref := bitGet(want, start+i, w); u[i] != ref || uint64(s[i]) != ref {
+					if ref := bitGet(want, start+i, w); u[i] != ref || uint64(s[i]-base) != ref {
 						t.Fatalf("bitw=%d n=%d start=%d: value %d = %d / %d, bitGet reads %d", bitw, n, start, i, u[i], s[i], ref)
 					}
 				}

@@ -350,10 +350,7 @@ func (ch *Chunk) AppendRange(dict []string, lo, hi int, dst *Vector) {
 		case EncRLE:
 			fillRuns(tail, ch.RunI, ch.RunN, lo, func(v int64) int64 { return v })
 		case EncFOR:
-			BitUnpack(tail, ch.Packed, lo, ch.BitW)
-			for i := range tail {
-				tail[i] += ch.Base
-			}
+			BitUnpack(tail, ch.Packed, lo, ch.BitW, ch.Base)
 		}
 	case Float64:
 		var tail []float64
@@ -376,13 +373,28 @@ func (ch *Chunk) AppendRange(dict []string, lo, hi int, dst *Vector) {
 			var blk [256]uint64
 			for base := 0; base < len(tail); base += len(blk) {
 				codes := blk[:min(len(blk), len(tail)-base)]
-				BitUnpack(codes, ch.Packed, lo+base, ch.BitW)
+				BitUnpack(codes, ch.Packed, lo+base, ch.BitW, 0)
 				for i, code := range codes {
 					tail[base+i] = dict[code]
 				}
 			}
 		}
 	}
+}
+
+// Window returns rows [lo,hi) of the raw chunk ch as a raw chunk over the
+// same values.
+func (ch *Chunk) Window(lo, hi int) Chunk {
+	w := Chunk{Rows: hi - lo}
+	switch {
+	case ch.ValI != nil:
+		w.ValI = ch.ValI[lo:hi]
+	case ch.ValF != nil:
+		w.ValF = ch.ValF[lo:hi]
+	default:
+		w.ValS = ch.ValS.Window(lo, hi)
+	}
+	return w
 }
 
 // grow extends s by n elements and returns it with the new tail.

@@ -252,7 +252,7 @@ func (r *ChunkReader) Chunk(kind Kind, maxRows int, dict []string) Chunk {
 		var blk [256]uint64
 		for base := 0; base < ch.Rows; base += len(blk) {
 			codes := blk[:min(len(blk), ch.Rows-base)]
-			BitUnpack(codes, ch.Packed, base, ch.BitW)
+			BitUnpack(codes, ch.Packed, base, ch.BitW, 0)
 			if slices.Max(codes) >= uint64(len(dict)) {
 				r.Fail("dictionary code %d of %d entries", slices.Max(codes), len(dict))
 				break
