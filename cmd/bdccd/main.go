@@ -74,8 +74,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("bdccd: materializing TPC-H SF%g (plain/pk/bdcc)...\n", *sf)
-	b, err := tpch.NewBenchmark(*sf)
+	fmt.Printf("bdccd: materializing TPC-H SF%g (plain/pk/bdcc, compressed)...\n", *sf)
+	b, err := tpch.NewBenchmarkCompressed(*sf, true)
 	if err != nil {
 		fatal(err)
 	}
