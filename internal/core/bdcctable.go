@@ -66,10 +66,12 @@ type BDCCTable struct {
 	Count []CountEntry
 	// RelocatedRows counts tuples copied into the relocation area.
 	RelocatedRows int64
-	// SortedKeys are the _bdcc_ keys (at FullBits granularity) of the logical
-	// rows in table order, retained so incremental merges can splice new rows
-	// into the clustering by binary merge instead of a full re-sort.
+	// SortedKeys are the ascending _bdcc_ keys (at FullBits granularity) of
+	// the rows as of the last build or consolidation (the root); pending
+	// holds those of the rows MergeBDCCTable spliced in since. Keys merges
+	// the two; a merge lands new rows by binary search in both.
 	SortedKeys []uint64
+	pending    []uint64
 	// baseRows is the row count of the original table (before relocation).
 	baseRows int64
 }
@@ -202,16 +204,7 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 		})
 	}
 	// (iv) T_COUNT by one ordered aggregation over consecutive equal groups.
-	shift := uint(fullBits - b)
-	for i := 0; i < n; {
-		j := i
-		g := sortedKeys[i] >> shift
-		for j < n && sortedKeys[j]>>shift == g {
-			j++
-		}
-		t.Count = append(t.Count, CountEntry{Key: g, Count: int64(j - i), Offset: int64(i)})
-		i = j
-	}
+	t.Count = cellCounts(sortedKeys, uint(fullBits-b))
 	if !opt.DisableRelocation {
 		if small := t.relocateSmallGroups(minRows); small != nil {
 			if t.Data, err = t.Data.AppendRows(small); err != nil {
@@ -220,6 +213,19 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 		}
 	}
 	return t, nil
+}
+
+// cellCounts aggregates ascending keys into count-table entries, one per
+// cell (a key shifted right by shift), offset at the cell's first key.
+func cellCounts(keys []uint64, shift uint) []CountEntry {
+	var out []CountEntry
+	for i, k := range keys {
+		if g := len(out) - 1; g < 0 || out[g].Key != k>>shift {
+			out = append(out, CountEntry{Key: k >> shift, Offset: int64(i)})
+		}
+		out[len(out)-1].Count++
+	}
+	return out
 }
 
 // efficientRows converts the device's efficient random access size into a
@@ -284,6 +290,20 @@ func (t *BDCCTable) relocateSmallGroups(minRows int64) storage.RowRanges {
 		}
 	}
 	return small
+}
+
+// Keys returns, in a new slice, the _bdcc_ keys of the logical rows in table
+// order: the root's and the pending keys merged, root keys first on ties.
+func (t *BDCCTable) Keys() []uint64 {
+	return mergeKeys(t.SortedKeys, t.pending)
+}
+
+// Consolidated returns t over data, the same rows held anew (gathered or
+// re-encoded by a merge), with Keys as its root and nothing pending.
+func (t *BDCCTable) Consolidated(data *storage.Table) *BDCCTable {
+	out := *t
+	out.Data, out.SortedKeys, out.pending = data, t.Keys(), nil
+	return &out
 }
 
 // Rows returns the logical row count (excluding relocated copies).

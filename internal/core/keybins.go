@@ -6,6 +6,7 @@ import (
 	"maps"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/storage"
@@ -22,6 +23,7 @@ import (
 type KeyBins struct {
 	Keys []int64
 	Bins []uint64
+	tip  atomic.Bool // no extension has appended past Keys and Bins yet
 }
 
 // AddBins adds the bins of the given keys to set. Keys must ascend; keys
@@ -48,7 +50,10 @@ func (x *KeyBins) AddBins(set BinSet, keys []int64) {
 
 // extended returns the index that additionally maps keys[i] to bins[i]; on
 // a repeated key the later row wins, as in the foreign-key maps. x may be
-// nil (a fresh index) and is not modified.
+// nil (a fresh index) and is not modified. The first extension of x whose
+// keys all lie above its last appends past x's arrays, so ascending keys
+// (TPC-H's arrivals) cost the batch; any other copies x with room for half
+// as many keys again, so a key is copied O(1) times over a chain.
 func (x *KeyBins) extended(keys []int64, bins []uint64) *KeyBins {
 	type pair struct {
 		k int64
@@ -59,14 +64,17 @@ func (x *KeyBins) extended(keys []int64, bins []uint64) *KeyBins {
 		add[i] = pair{k, bins[i]}
 	}
 	slices.SortStableFunc(add, func(a, b pair) int { return cmp.Compare(a.k, b.k) })
-	var old KeyBins
-	if x != nil {
-		old = *x
+	old, out, i := x, &KeyBins{}, 0
+	if old == nil {
+		old = &KeyBins{}
 	}
-	out := &KeyBins{
-		Keys: make([]int64, 0, len(old.Keys)+len(add)),
-		Bins: make([]uint64, 0, len(old.Keys)+len(add)),
+	if n := len(old.Keys); (len(add) == 0 || n == 0 || add[0].k > old.Keys[n-1]) && old.tip.CompareAndSwap(true, false) {
+		out.Keys, out.Bins, i = old.Keys, old.Bins, n // add goes past them
+	} else {
+		n += len(add)
+		out.Keys, out.Bins = make([]int64, 0, n+n/2), make([]uint64, 0, n+n/2)
 	}
+	out.tip.Store(true)
 	put := func(k int64, b uint64) {
 		if n := len(out.Keys); n > 0 && out.Keys[n-1] == k {
 			out.Bins[n-1] = b
@@ -75,7 +83,6 @@ func (x *KeyBins) extended(keys []int64, bins []uint64) *KeyBins {
 		out.Keys = append(out.Keys, k)
 		out.Bins = append(out.Bins, b)
 	}
-	i := 0
 	for _, p := range add {
 		for ; i < len(old.Keys) && old.Keys[i] <= p.k; i++ {
 			put(old.Keys[i], old.Bins[i])
@@ -289,10 +296,10 @@ func (b *useBins) keyBins(refTable string) (map[string]*KeyBins, error) {
 // [from, n) of tables[table]: the table's clustering takes them by the
 // MergeBDCCTable splice (when the table has a design) and every key→bin
 // index whose hop references the table gains their keys. This is the one
-// place an append is priced, and the price is the batch plus the merge order
-// of the appended table's clustered view, into which no row is copied: the
-// batch's bins come from its own key columns and from the indexes (see
-// batchBins), so no other table is read —
+// place an append is priced: the batch, the runs of the table's clustered
+// view and its keys appended since the last merge, no row copied and nothing
+// of a table's length built. The batch's bins come from its own key columns
+// and from the indexes (see batchBins), so no other table is read —
 // tables, the combined stored tables, serve only a hop that has no index.
 // Parents must be appended before the children that reference them.
 // Everything else is shared with db, which is not modified.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -123,55 +125,166 @@ func TestBinSetMatchesMapModel(t *testing.T) {
 	}
 }
 
+// checkKeyBins holds idx to model: ascending distinct keys, each mapped to
+// the model's bin, and AddBins over ascending probe keys.
+func checkKeyBins(t *testing.T, label string, rng *rand.Rand, idx *KeyBins, model map[int64]uint64) {
+	t.Helper()
+	if len(idx.Keys) != len(model) || len(idx.Bins) != len(model) {
+		t.Fatalf("%s: index holds %d keys, model %d", label, len(idx.Keys), len(model))
+	}
+	top := int64(0)
+	for i, k := range idx.Keys {
+		if i > 0 && idx.Keys[i-1] >= k {
+			t.Fatalf("%s: keys not strictly ascending at %d", label, i)
+		}
+		if idx.Bins[i] != model[k] {
+			t.Fatalf("%s: key %d maps to bin %d, model %d", label, k, idx.Bins[i], model[k])
+		}
+		top = max(top, k)
+	}
+	var probe []int64
+	want := NewBinSet(64)
+	for k := int64(-120); k < top+20; k += int64(1 + rng.Intn(3)) {
+		probe = append(probe, k)
+		if b, ok := model[k]; ok {
+			want.Add(b)
+		}
+	}
+	got := NewBinSet(64)
+	idx.AddBins(got, probe)
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: AddBins = %v, model %v", label, got, want)
+	}
+}
+
+// sharesArrays reports whether b's keys and bins extend a's in place.
+func sharesArrays(a, b *KeyBins) bool {
+	return len(a.Keys) > 0 && len(b.Keys) > 0 && &a.Keys[0] == &b.Keys[0] && &a.Bins[0] == &b.Bins[0]
+}
+
 // TestKeyBinsExtended checks the index constructor against a map: keys in
 // any order, later rows winning on a repeated key, extension leaving the
-// extended index untouched, and AddBins over ascending probe keys.
+// extended index untouched, and AddBins over ascending probe keys. Odd rounds
+// draw keys from the index's last on: when all lie above it, the first
+// extension of an index appends into its arrays' spare capacity, sharing
+// them, while a second extension of the same index after one that did
+// (every fourth round) and a round reaching down to the last key or below
+// copy — and neither writes what the extended index, or its first
+// extension, shows.
 func TestKeyBinsExtended(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	model := map[int64]uint64{}
 	var idx *KeyBins
-	for round := 0; round < 20; round++ {
-		n := rng.Intn(50)
+	top := int64(-100) // above every key of idx
+	draw := func(n int, above bool) ([]int64, []uint64) {
 		keys, bins := make([]int64, n), make([]uint64, n)
 		for i := range keys {
-			keys[i] = int64(rng.Intn(300)) - 100
+			if keys[i] = int64(rng.Intn(300)) - 100; above {
+				keys[i] = top + int64(rng.Intn(200))
+			}
 			bins[i] = uint64(rng.Intn(64))
 		}
-		var before KeyBins
-		if idx != nil {
-			before = KeyBins{Keys: slices.Clone(idx.Keys), Bins: slices.Clone(idx.Bins)}
+		return keys, bins
+	}
+	clone := func(x *KeyBins) *KeyBins {
+		if x == nil {
+			return &KeyBins{}
 		}
+		return &KeyBins{Keys: slices.Clone(x.Keys), Bins: slices.Clone(x.Bins)}
+	}
+	same := func(a, b *KeyBins) bool { return slices.Equal(a.Keys, b.Keys) && slices.Equal(a.Bins, b.Bins) }
+	copies, inPlace := 0, 0
+	for round := 0; round < 40; round++ {
+		above := round%2 == 1
+		keys, bins := draw(1+rng.Intn(50), above)
+		before := clone(idx)
 		next := idx.extended(keys, bins)
-		if idx != nil && (!slices.Equal(idx.Keys, before.Keys) || !slices.Equal(idx.Bins, before.Bins)) {
+		first := clone(next)
+		switch {
+		case idx == nil || len(idx.Keys) == 0:
+		case slices.Min(keys) > idx.Keys[len(idx.Keys)-1]:
+			if len(next.Keys) <= cap(idx.Keys) && !sharesArrays(idx, next) {
+				t.Fatalf("round %d: keys above the last did not extend the index in place", round)
+			}
+			inPlace++
+		default:
+			if sharesArrays(idx, next) || cap(next.Keys) != len(before.Keys)+len(keys)+(len(before.Keys)+len(keys))/2 {
+				t.Fatalf("round %d: keys reaching below the last did not copy with room for half again", round)
+			}
+			copies++
+		}
+		if idx != nil && !same(idx, before) {
 			t.Fatalf("round %d: extended modified its receiver", round)
+		}
+		if round%4 == 3 {
+			twinModel := maps.Clone(model)
+			k2, b2 := draw(1+rng.Intn(20), true)
+			for i, k := range k2 {
+				twinModel[k] = b2[i]
+			}
+			twin := idx.extended(k2, b2)
+			if sharesArrays(idx, next) && sharesArrays(idx, twin) {
+				t.Fatalf("round %d: a second extension of one index shared its arrays", round)
+			}
+			if !same(idx, before) || !same(next, first) {
+				t.Fatalf("round %d: a second extension wrote what the index or its first extension shows", round)
+			}
+			checkKeyBins(t, fmt.Sprintf("round %d, second extension", round), rng, twin, twinModel)
+			if !sharesArrays(idx, twin) {
+				copies++
+			}
 		}
 		idx = next
 		for i, k := range keys {
 			model[k] = bins[i]
+			top = max(top, k)
 		}
-		if len(idx.Keys) != len(model) || len(idx.Bins) != len(model) {
-			t.Fatalf("round %d: index holds %d keys, model %d", round, len(idx.Keys), len(model))
-		}
-		for i, k := range idx.Keys {
-			if i > 0 && idx.Keys[i-1] >= k {
-				t.Fatalf("round %d: keys not strictly ascending at %d", round, i)
+		checkKeyBins(t, fmt.Sprintf("round %d", round), rng, idx, model)
+	}
+	if inPlace == 0 || copies == 0 {
+		t.Fatalf("%d extensions in place, %d copies: both paths must run", inPlace, copies)
+	}
+	t.Run("while read", keyBinsExtendedWhileRead)
+}
+
+// keyBinsExtendedWhileRead extends an index in place while another
+// goroutine reads it: the extension writes only past what the index shows,
+// so the reader sees the same bins throughout (run it under -race).
+func keyBinsExtendedWhileRead(t *testing.T) {
+	const n = 2000
+	keys, bins := make([]int64, n), make([]uint64, n)
+	for i := range keys {
+		keys[i], bins[i] = int64(2*i), uint64(i%64)
+	}
+	parent := (*KeyBins)(nil).extended(keys, bins)
+	want := NewBinSet(64)
+	parent.AddBins(want, keys)
+	done := make(chan struct{})
+	defer func() { <-done }()
+	go func() {
+		defer close(done)
+		for range 200 {
+			got := NewBinSet(64)
+			parent.AddBins(got, keys)
+			if !slices.Equal(got, want) {
+				t.Error("the index changed under its reader")
+				return
 			}
-			if idx.Bins[i] != model[k] {
-				t.Fatalf("round %d: key %d maps to bin %d, model %d", round, k, idx.Bins[i], model[k])
-			}
 		}
-		var probe []int64
-		want := NewBinSet(64)
-		for k := int64(-120); k < 220; k += int64(1 + rng.Intn(3)) {
-			probe = append(probe, k)
-			if b, ok := model[k]; ok {
-				want.Add(b)
-			}
+	}()
+	child := parent
+	for r := 0; r < 20; r++ {
+		k, b := make([]int64, 10), make([]uint64, 10)
+		for i := range k {
+			k[i], b[i] = int64(2*n+10*r+i), uint64(63-i)
 		}
-		got := NewBinSet(64)
-		idx.AddBins(got, probe)
-		if !slices.Equal(got, want) {
-			t.Fatalf("round %d: AddBins = %v, model %v", round, got, want)
+		next := child.extended(k, b)
+		if !sharesArrays(child, next) {
+			t.Fatalf("extension %d: ascending keys did not extend in place", r)
 		}
+		child = next
+	}
+	if len(parent.Keys) != n || len(child.Keys) != n+200 {
+		t.Fatalf("parent holds %d keys, child %d; want %d and %d", len(parent.Keys), len(child.Keys), n, n+200)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/iosim"
@@ -86,12 +87,12 @@ func DeltaKeys(base *BDCCTable, uses []UseBinding) ([]uint64, error) {
 //	      offsets re-derived by prefix sum, with no re-aggregation of base
 //	      rows;
 //	(iii) re-decide small-group relocation over the merged counts;
-//	(iv)  merge the run into the retained sorted key order by a single linear
-//	      pass — base rows win ties, matching what a stable re-sort of
-//	      base-then-delta insertion order would produce — and splice the
-//	      merged order, relocation area included, over (base, delta) as runs
-//	      (storage.Splice): no row is copied, and a read takes each run from
-//	      the base's or the batch's chunks.
+//	(iv)  land each delta row, by binary search in the retained keys, behind
+//	      the base rows whose keys are at or below its own (base rows win
+//	      ties, as in a stable re-sort of base-then-delta insertion order),
+//	      and splice the base's pieces between landing points, the delta rows
+//	      and the relocation area over (base, delta) as runs (storage.Splice):
+//	      nothing of the table's length is built, and no row is copied.
 //
 // The merged table is uncompressed; callers consolidating a compressed base
 // re-encode the result explicitly.
@@ -101,9 +102,10 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 	}
 	n := int(base.baseRows)
 	k := delta.Rows()
-	if len(base.SortedKeys) != n {
+	root, pending := base.SortedKeys, base.pending
+	if len(root)+len(pending) != n {
 		return nil, fmt.Errorf("core: table %s retains %d sorted keys for %d rows; built before key retention?",
-			base.Name, len(base.SortedKeys), n)
+			base.Name, len(root)+len(pending), n)
 	}
 	deltaKeys, err := DeltaKeys(base, uses)
 	if err != nil {
@@ -112,64 +114,55 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 	if len(deltaKeys) != k {
 		return nil, fmt.Errorf("core: table %s: %d delta keys for %d delta rows", base.Name, len(deltaKeys), k)
 	}
-	// (i) sort the delta run.
-	deltaPerm := storage.SortPerm(deltaKeys)
-	// (ii) count-table arithmetic at the frozen granularity.
-	shift := uint(base.FullBits - base.Bits)
-	var deltaGroups []CountEntry
-	for i := 0; i < k; {
-		j := i
-		g := deltaKeys[deltaPerm[i]] >> shift
-		for j < k && deltaKeys[deltaPerm[j]]>>shift == g {
-			j++
-		}
-		deltaGroups = append(deltaGroups, CountEntry{Key: g, Count: int64(j - i)})
-		i = j
+	// (i) sort the delta run, and (iv) land each of its rows after the ri
+	// root and pi pending keys at or below its key.
+	var step []storage.Run
+	sorted, prev, ri, pi := make([]uint64, 0, k), 0, 0, 0
+	for _, d := range storage.SortPerm(deltaKeys) {
+		key := deltaKeys[d]
+		sorted, ri, pi = append(sorted, key), upperBound(root, ri, key), upperBound(pending, pi, key)
+		step = storage.AppendRun(storage.AppendRun(step, 0, int32(prev), int32(ri+pi-prev)), 1, d, 1)
+		prev = ri + pi
 	}
+	step = storage.AppendRun(step, 0, int32(prev), int32(n-prev))
 	t := &BDCCTable{
-		Name:     base.Name,
-		Bits:     base.Bits,
-		FullBits: base.FullBits,
-		Count:    mergeCounts(base.Count, deltaGroups),
-		baseRows: int64(n + k),
+		Name:       base.Name,
+		Uses:       base.Uses,
+		Bits:       base.Bits,
+		FullBits:   base.FullBits,
+		Count:      mergeCounts(base.Count, cellCounts(sorted, uint(base.FullBits-base.Bits))), // (ii)
+		SortedKeys: root,
+		pending:    mergeKeys(pending, sorted),
+		baseRows:   int64(n + k),
 	}
-	for _, u := range base.Uses {
-		t.Uses = append(t.Uses, &DimensionUse{
-			Dim:      u.Dim,
-			Path:     append([]string(nil), u.Path...),
-			Mask:     u.Mask,
-			FullMask: u.FullMask,
-		})
-	}
-	// (iii) fresh relocation decisions over the merged counts; the rows are
-	// copied by the gather below.
+	// (iii) fresh relocation decisions over the merged counts; each small
+	// group's rows go once more behind the table, as the step's runs hold them.
 	var small storage.RowRanges
 	if !opt.DisableRelocation {
 		small = t.relocateSmallGroups(efficientRows(storage.ConcatWidth(base.Data, n, delta), opt.Device))
 	}
-	// (iv) one-pass merge into the retained order. src indexes rows [0,n) as
-	// the sorted base and [n,n+k) as the delta in arrival order.
-	src := make([]int32, 0, n+k+small.Rows())
-	t.SortedKeys = make([]uint64, 0, n+k)
-	bi, dj := 0, 0
-	for bi < n || dj < k {
-		if bi < n && (dj >= k || base.SortedKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
-			t.SortedKeys = append(t.SortedKeys, base.SortedKeys[bi])
-			src = append(src, int32(bi))
-			bi++
-		} else {
-			t.SortedKeys = append(t.SortedKeys, deltaKeys[deltaPerm[dj]])
-			src = append(src, int32(n)+deltaPerm[dj])
-			dj++
-		}
+	for _, g := range small {
+		step = storage.AppendPieces(step, step, int32(g.Start), int32(g.Len()))
 	}
-	for _, r := range small {
-		src = append(src, src[r.Start:r.End]...)
-	}
-	if t.Data, err = storage.Splice(base.Data, n, delta, src); err != nil {
+	if t.Data, err = storage.Splice(base.Data, n, delta, step); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// upperBound returns the index of the first of keys[from:] above key.
+func upperBound(keys []uint64, from int, key uint64) int {
+	return from + sort.Search(len(keys)-from, func(i int) bool { return keys[from+i] > key })
+}
+
+// mergeKeys merges two ascending key lists, a's keys first on ties.
+func mergeKeys(a, b []uint64) []uint64 {
+	out, i := make([]uint64, 0, len(a)+len(b)), 0
+	for _, k := range b {
+		j := upperBound(a, i, k)
+		out, i = append(append(out, a[i:j]...), k), j
+	}
+	return append(out, a[i:]...)
 }
 
 // mergeCounts merges two key-ordered count-entry runs, summing counts of
@@ -286,22 +279,9 @@ func (r DriftReport) String() string {
 // DriftStats compares the cell-size histogram of un-merged delta keys (at
 // full granularity) against the base count table.
 func DriftStats(base *BDCCTable, deltaKeys []uint64) DriftReport {
-	shift := uint(base.FullBits - base.Bits)
-	cells := make([]uint64, len(deltaKeys))
-	for i, k := range deltaKeys {
-		cells[i] = k >> shift
-	}
-	slices.Sort(cells)
-	var delta []CountEntry
-	for i := 0; i < len(cells); {
-		j := i
-		for j < len(cells) && cells[j] == cells[i] {
-			j++
-		}
-		delta = append(delta, CountEntry{Key: cells[i], Count: int64(j - i)})
-		i = j
-	}
-	return driftReport(base, delta)
+	keys := slices.Clone(deltaKeys)
+	slices.Sort(keys)
+	return driftReport(base, cellCounts(keys, uint(base.FullBits-base.Bits)))
 }
 
 // DriftSince reports the drift of the rows spliced into t since it was base

@@ -90,12 +90,13 @@ func sameBDCCTable(t *testing.T, got, want *BDCCTable) {
 	if got.Rows() != want.Rows() || got.RelocatedRows != want.RelocatedRows {
 		t.Fatalf("rows %d+%d relocated, want %d+%d", got.Rows(), got.RelocatedRows, want.Rows(), want.RelocatedRows)
 	}
-	if len(got.SortedKeys) != len(want.SortedKeys) {
-		t.Fatalf("%d sorted keys, want %d", len(got.SortedKeys), len(want.SortedKeys))
+	gotKeys, wantKeys := got.Keys(), want.Keys()
+	if len(gotKeys) != len(wantKeys) {
+		t.Fatalf("%d sorted keys, want %d", len(gotKeys), len(wantKeys))
 	}
-	for i := range want.SortedKeys {
-		if got.SortedKeys[i] != want.SortedKeys[i] {
-			t.Fatalf("sorted key %d = %#x, want %#x", i, got.SortedKeys[i], want.SortedKeys[i])
+	for i := range wantKeys {
+		if gotKeys[i] != wantKeys[i] {
+			t.Fatalf("sorted key %d = %#x, want %#x", i, gotKeys[i], wantKeys[i])
 		}
 	}
 	if len(got.Count) != len(want.Count) {
@@ -210,10 +211,10 @@ func TestRebinDeterminismUnderArrivalOrder(t *testing.T) {
 	// Half the shuffled rows in one batch, half in a second.
 	reordered := merge(merge(build(), sliceRows(t, shuffled, 0, nDelta/2)), sliceRows(t, shuffled, nDelta/2, nDelta))
 
-	for i := range inOrder.SortedKeys {
-		if inOrder.SortedKeys[i] != reordered.SortedKeys[i] {
-			t.Fatalf("sorted key %d differs under arrival order: %#x vs %#x",
-				i, inOrder.SortedKeys[i], reordered.SortedKeys[i])
+	inKeys, reKeys := inOrder.Keys(), reordered.Keys()
+	for i := range inKeys {
+		if inKeys[i] != reKeys[i] {
+			t.Fatalf("sorted key %d differs under arrival order: %#x vs %#x", i, inKeys[i], reKeys[i])
 		}
 	}
 	if len(inOrder.Count) != len(reordered.Count) {
@@ -263,8 +264,9 @@ func TestMergeCountTableConsistency(t *testing.T) {
 	}
 	shift := uint(cur.FullBits - cur.Bits)
 	want := map[uint64]int64{}
-	for i, k := range cur.SortedKeys {
-		if i > 0 && k < cur.SortedKeys[i-1] {
+	keys := cur.Keys()
+	for i, k := range keys {
+		if i > 0 && k < keys[i-1] {
 			t.Fatalf("merged keys decrease at %d", i)
 		}
 		want[k>>shift]++
@@ -362,9 +364,10 @@ func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, 
 	}
 	var perm []int32
 	var mergedKeys []uint64
+	baseKeys := base.Keys()
 	for bi, dj := 0, 0; bi < n || dj < k; {
-		if bi < n && (dj >= k || base.SortedKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
-			mergedKeys = append(mergedKeys, base.SortedKeys[bi])
+		if bi < n && (dj >= k || baseKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
+			mergedKeys = append(mergedKeys, baseKeys[bi])
 			perm = append(perm, int32(bi))
 			bi++
 		} else {
@@ -377,7 +380,7 @@ func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := &BDCCTable{Name: base.Name, Data: merged, Bits: base.Bits, FullBits: base.FullBits,
+	out := &BDCCTable{Name: base.Name, Data: merged, Uses: base.Uses, Bits: base.Bits, FullBits: base.FullBits,
 		SortedKeys: mergedKeys, baseRows: int64(n + k)}
 	shift := uint(base.FullBits - base.Bits)
 	for i := 0; i < n+k; {
@@ -389,7 +392,11 @@ func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, 
 		i = j
 	}
 	if !opt.DisableRelocation {
-		if small := out.relocateSmallGroups(efficientRows(merged.DensestColumn().Width(), iosim.PaperSSD())); small != nil {
+		dev := opt.Device
+		if dev.PageSize == 0 {
+			dev = iosim.PaperSSD()
+		}
+		if small := out.relocateSmallGroups(efficientRows(merged.DensestColumn().Width(), dev)); small != nil {
 			if out.Data, err = out.Data.AppendRows(small); err != nil {
 				t.Fatal(err)
 			}
@@ -524,7 +531,7 @@ func TestSpliceMatchesConcatPermute(t *testing.T) {
 				if !slices.Equal(got.Count, want.Count) {
 					t.Fatalf("count tables differ: %d vs %d entries", len(got.Count), len(want.Count))
 				}
-				if !slices.Equal(got.SortedKeys, want.SortedKeys) {
+				if !slices.Equal(got.Keys(), want.Keys()) {
 					t.Fatal("retained keys differ")
 				}
 				if !reflect.DeepEqual(got.GroupStats(), want.GroupStats()) {
@@ -539,6 +546,80 @@ func TestSpliceMatchesConcatPermute(t *testing.T) {
 	if !relocated {
 		t.Fatal("no case produced a relocation area")
 	}
+}
+
+// FuzzAppendOrder splices up to six batches, one at a time, into a clustered
+// root of up to 300 rows. Keys come from a small domain, so each batch ties
+// with the root's keys and with earlier batches'. Every version is held to
+// the reference chained on its own output (refMergeConcatPermute over
+// Concat + Permute + AppendRows): the rows a reader reads, the count table,
+// the relocated rows and the key order. A small efficient access size
+// relocates thin cells when relocation is on.
+func FuzzAppendOrder(f *testing.F) {
+	f.Add(uint16(300), []byte{40, 7, 1, 60, 33, 2}, []byte("root and batches tie on every cell"), true)
+	f.Add(uint16(0), []byte{5, 9}, []byte{0, 4, 8, 1, 5, 9}, true)
+	f.Add(uint16(120), []byte{1}, []byte{3, 3, 3, 3, 0xfc}, false)
+	f.Add(uint16(250), []byte{20, 20, 20, 20, 20, 20}, []byte{0x10, 0x20, 0x30, 0x40, 0x50, 0x61, 0x72, 0x83, 0x94}, true)
+	obs := make([]WeightedKey, 256)
+	for i := range obs {
+		obs[i] = WeightedKey{Val: IntKey(int64(i)), Weight: 1}
+	}
+	dim, err := CreateDimension("d_k", "t", []string{"k"}, obs, 6)
+	if err != nil {
+		f.Fatal(err)
+	}
+	uses := func(tab *storage.Table) []UseBinding {
+		return []UseBinding{{Dim: dim, BinNos: binsOf(dim, tab, 0)}}
+	}
+	f.Fuzz(func(t *testing.T, rootRows uint16, sizes, keys []byte, relocate bool) {
+		if len(keys) == 0 {
+			keys = []byte{0}
+		}
+		drawn := 0
+		// Three in four keys fall in four fat cells, the rest spread thin.
+		draw := func(n int) []int64 {
+			out := make([]int64, n)
+			for i := range out {
+				b := keys[drawn%len(keys)] + byte(drawn/len(keys))
+				if drawn++; b&3 != 0 {
+					out[i] = int64(4 * (b >> 2 % 4))
+				} else {
+					out[i] = int64(b >> 2)
+				}
+			}
+			return out
+		}
+		opt := BuildOptions{DisableRelocation: !relocate,
+			Device: iosim.Device{PageSize: 4 << 10, SeqBandwidth: 1 << 30, AR: 1 << 10, RandEfficiency: 0.8}}
+		root := spliceTable(draw(int(rootRows)%301), 0)
+		got, err := BuildBDCCTable("t", root, uses(root), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, off := got, root.Rows()
+		if len(sizes) == 0 {
+			sizes = []byte{0}
+		}
+		for i, size := range sizes[:min(len(sizes), 6)] {
+			batch := spliceTable(draw(1+int(size)%40), off)
+			off += batch.Rows()
+			want = refMergeConcatPermute(t, want, batch, uses(batch), opt)
+			if got, err = MergeBDCCTable(got, batch, uses(batch), opt); err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("append %d: %v", i, err)
+			}
+			if !slices.Equal(got.Count, want.Count) || got.RelocatedRows != want.RelocatedRows {
+				t.Fatalf("append %d: %d count entries and %d relocated rows, want %d and %d",
+					i, len(got.Count), got.RelocatedRows, len(want.Count), want.RelocatedRows)
+			}
+			if !slices.Equal(got.Keys(), want.Keys()) {
+				t.Fatalf("append %d: the key order differs", i)
+			}
+			sameStoredTable(t, got.Data, want.Data)
+		}
+	})
 }
 
 // TestGroupStatsMatchPerGranularitySweep holds the one-pass histogram

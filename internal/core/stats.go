@@ -88,7 +88,7 @@ func TuplesInLargeGroups(keys []uint64, fullBits, g int, minRows int64) int64 {
 // keep that bit, so the work is the rows plus the groups, not rows ×
 // granularities.
 func (t *BDCCTable) GroupStats() []*GroupStats {
-	keys, fullBits := t.SortedKeys, t.FullBits
+	keys, fullBits := t.Keys(), t.FullBits
 	out := make([]*GroupStats, fullBits)
 	for g := range out {
 		out[g] = &GroupStats{Granularity: g + 1}

@@ -280,11 +280,11 @@ func (ing *Ingest) Merge() error {
 		if clustered == nil {
 			clustered = maps.Clone(cur.clustered.Tables)
 		}
-		enc := *bt
-		if enc.Data = bt.Data.Materialized(); ing.compressed[table] {
-			enc.Data = enc.Data.Encoded()
+		data := bt.Data.Materialized()
+		if ing.compressed[table] {
+			data = data.Encoded()
 		}
-		clustered[table] = &enc
+		clustered[table] = bt.Consolidated(data)
 	}
 	if clustered != nil {
 		c := *cur.clustered

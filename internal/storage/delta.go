@@ -124,7 +124,7 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 		cols[i] = rawColumn(c.Name, c.Kind, ch)
 	}
 	n := int32(aRows)
-	t, err := newTable(a.Name, a.PageSize, cols, lazyOver(a, []run{{0, 0, n, 0}, {n, 0, int32(b.Rows()), 1}}))
+	t, err := newTable(a.Name, a.PageSize, cols, lazyOver(a, []Run{{0, 0, n, 0}, {n, 0, int32(b.Rows()), 1}}))
 	if err != nil {
 		return nil, err
 	}

@@ -386,7 +386,7 @@ func TestSpliceGathers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Splice(a, keep, b, src)
+		got, err := Splice(a, keep, b, spliceRuns(src, keep))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,7 +402,7 @@ func TestSpliceGathers(t *testing.T) {
 		for _, r := range ranges {
 			src = append(src, src[r.Start:r.End]...)
 		}
-		got, err = Splice(a, keep, b, src)
+		got, err = Splice(a, keep, b, spliceRuns(src, keep))
 		if err != nil {
 			t.Fatal(err)
 		}

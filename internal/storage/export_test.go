@@ -133,3 +133,17 @@ func readAll(tab *Table, ci int) *vector.Vector {
 	}
 	return out
 }
+
+// spliceRuns is Splice's step for a row list: row i of the result is row
+// src[i] of the concatenation of a's first aRows rows and b.
+func spliceRuns(src []int32, aRows int) []Run {
+	var runs []Run
+	for _, s := range src {
+		if s < int32(aRows) {
+			runs = AppendRun(runs, 0, s, 1)
+		} else {
+			runs = AppendRun(runs, 1, s-int32(aRows), 1)
+		}
+	}
+	return runs
+}

@@ -83,7 +83,7 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 		if n > 1 {
 			src = append(src, 0, 1)
 		}
-		s, err := Splice(a, n, b, src)
+		s, err := Splice(a, n, b, spliceRuns(src, n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +185,7 @@ func TestStringViewsSurviveGrowth(t *testing.T) {
 	hold(copied)
 
 	src := []int32{int32(parent.Rows()), 3, 4, 5, int32(parent.Rows() - 1)}
-	if _, err := Splice(parent, parent.Rows(), deltaFixture(t, "v", 20, 7), src); err != nil {
+	if _, err := Splice(parent, parent.Rows(), deltaFixture(t, "v", 20, 7), spliceRuns(src, parent.Rows())); err != nil {
 		t.Fatal(err)
 	}
 	check("a Splice")
@@ -250,7 +250,7 @@ func TestDerivedTablesDropTheParentHeap(t *testing.T) {
 		{"AppendRows", func(p *Table) (*Table, error) { return p.AppendRows(RowRanges{{5, 40}, {n - 3, n}}) }},
 		{"Extract", func(p *Table) (*Table, error) { return p.Extract(RowRanges{{0, n - 100}, {10, 20}}) }},
 		{"Splice, materialized", func(p *Table) (*Table, error) {
-			s, err := Splice(p, n, batch(), []int32{n, 0, 1, 2, n + 1, 7, n - 1})
+			s, err := Splice(p, n, batch(), spliceRuns([]int32{n, 0, 1, 2, n + 1, 7, n - 1}, n))
 			if err != nil {
 				return nil, err
 			}

@@ -127,8 +127,8 @@ func (t *Table) compress(v *view) {
 		c.finish() // chunk granularity is page-aligned at the raw width
 		var par *ColumnEncoding
 		inPlace := 0
-		if v != nil && len(v.runs) > 0 && v.runs[0] == (run{0, 0, v.runs[0].n, 0}) {
-			par, inPlace = v.srcs[0].Cols[i].Enc, int(v.runs[0].n)
+		if v != nil && len(v.runs) > 0 && v.runs[0] == (Run{0, 0, v.runs[0].N, 0}) {
+			par, inPlace = v.srcs[0].Cols[i].Enc, int(v.runs[0].N)
 		}
 		c.encode(t.rowsPerPage(c), dict, par, inPlace)
 		z := &t.zones[i]
@@ -344,9 +344,7 @@ func (t *Table) Extract(ranges RowRanges) (*Table, error) {
 		if r.Start < 0 || r.End > t.rows || r.Start > r.End {
 			return nil, fmt.Errorf("storage: range [%d,%d) outside table %q", r.Start, r.End, t.Name)
 		}
-		if r.Len() > 0 {
-			v.add(run{int32(n), int32(r.Start), int32(r.Len()), 0})
-		}
+		v.runs = AppendRun(v.runs, 0, int32(r.Start), int32(r.Len()))
 		n += r.Len()
 	}
 	vt := v.table(t, n, v.runs)

@@ -24,7 +24,7 @@ import (
 // once.
 type view struct {
 	srcs []*Table
-	runs []run // in row order, covering the table's rows
+	runs []Run // in row order, covering the table's rows
 	flat struct {
 		once sync.Once
 		t    *Table
@@ -37,7 +37,7 @@ func (t *Table) runsOf() *view {
 	if t.view != nil {
 		return t.view
 	}
-	return &view{srcs: []*Table{t}, runs: []run{{0, 0, int32(t.rows), 0}}}
+	return &view{srcs: []*Table{t}, runs: []Run{{0, 0, int32(t.rows), 0}}}
 }
 
 // read appends rows [lo,hi) of column ci to dst, each run's piece
@@ -48,13 +48,13 @@ func (v *view) read(ci, lo, hi, k int, dst *vector.Vector) int {
 	if lo >= hi {
 		return k
 	}
-	if r := v.runs[k]; int32(lo) < r.at || int32(lo) >= r.at+r.n {
+	if r := v.runs[k]; int32(lo) < r.At || int32(lo) >= r.At+r.N {
 		k = locate(v.runs, int32(lo))
 	}
 	for {
 		r := v.runs[k]
-		end, s := min(hi, int(r.at+r.n)), int(r.src)+lo-int(r.at)
-		v.srcs[r.source].Cols[ci].AppendRange(s, s+end-lo, dst)
+		end, s := min(hi, int(r.At+r.N)), int(r.Src)+lo-int(r.At)
+		v.srcs[r.Source].Cols[ci].AppendRange(s, s+end-lo, dst)
 		if lo = end; lo >= hi {
 			return k
 		}
@@ -62,9 +62,9 @@ func (v *view) read(ci, lo, hi, k int, dst *vector.Vector) int {
 	}
 }
 
-// run is n consecutive rows of a table from row at on, which are the
-// consecutive rows from src on of source number source.
-type run struct{ at, src, n, source int32 }
+// Run is N consecutive rows of a table from row At on, which are the
+// consecutive rows from Src on of source number Source.
+type Run struct{ At, Src, N, Source int32 }
 
 // lazyZones derives a table's zones (a Splice, in-place Concat, Materialized
 // or merged Encoded result's) column by column on first use, and keeps them
@@ -73,12 +73,12 @@ type run struct{ at, src, n, source int32 }
 // from every value. It keeps those zones, not that table.
 type lazyZones struct {
 	par  []*zonemap
-	step []run
+	step []Run
 	memo []atomic.Pointer[zonemap]
 }
 
 // lazyOver returns the lazy zones of a table built from a over step.
-func lazyOver(a *Table, step []run) *lazyZones {
+func lazyOver(a *Table, step []Run) *lazyZones {
 	lz := &lazyZones{par: make([]*zonemap, len(a.Cols)), step: step, memo: make([]atomic.Pointer[zonemap], len(a.Cols))}
 	for i := range lz.par {
 		lz.par[i] = a.known(i)
@@ -86,34 +86,28 @@ func lazyOver(a *Table, step []run) *lazyZones {
 	return lz
 }
 
-// Splice returns the table whose row i is row src[i] of the concatenation of
-// the first aRows rows of a and every row of b: a view whose runs are src's,
-// composed with a's when a is a view. Nothing is copied. When a derives its
-// zones on use too, those it has with the rows holding their bounds — the
+// Splice returns the table of step's rows — runs over the first aRows rows of
+// a (source 0) and over b (source 1), in row order (AppendRun) — as a view
+// whose runs are step's composed with a's; nothing is copied. When a derives
+// its zones on use too, those it has with the rows holding their bounds — the
 // columns its readers pruned on — are derived now, one batch away; any other
-// on its first prune. src may have any length.
-func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
+// on its first prune.
+func Splice(a *Table, aRows int, b *Table, step []Run) (*Table, error) {
 	b = b.Materialized()
 	if err := checkConcat(a, aRows, b); err != nil {
 		return nil, err
 	}
 	av := a.runsOf()
 	from, srcs := av.runs, av.srcs
-	v, step := &view{srcs: append(slices.Clip(srcs), b)}, spliceRuns(src, aRows)
+	v, n := &view{srcs: append(slices.Clip(srcs), b)}, 0
 	for _, r := range step {
-		if r.source == 1 {
-			r.source = int32(len(srcs))
-			v.add(r)
+		if n += int(r.N); r.Source == 1 {
+			v.runs = AppendRun(v.runs, int32(len(srcs)), r.Src, r.N)
 			continue
 		}
-		for k := locate(from, r.src); r.n > 0; k++ {
-			p := from[k]
-			m := min(r.n, p.at+p.n-r.src)
-			v.add(run{r.at, p.src + r.src - p.at, m, p.source})
-			r.at, r.src, r.n = r.at+m, r.src+m, r.n-m
-		}
+		v.runs = AppendPieces(v.runs, from, r.Src, r.N)
 	}
-	t := v.table(a, len(src), step)
+	t := v.table(a, n, step)
 	eachColumn(t.Cols, func(i int, _ *vector.StrDict) {
 		if z := t.lazy.par[i]; z != nil && z.minAt != nil && a.lazy != nil {
 			t.zonemap(i)
@@ -122,43 +116,43 @@ func Splice(a *Table, aRows int, b *Table, src []int32) (*Table, error) {
 	return t, nil
 }
 
-// spliceRuns cuts src into maximal runs of consecutive rows on one side of
-// aRows: source 0 below it, source 1 (the batch, from its row 0) above.
-func spliceRuns(src []int32, aRows int) []run {
-	var runs []run
-	n := int32(aRows)
-	for i := 0; i < len(src); {
-		j := i + 1
-		for j < len(src) && src[j] == src[j-1]+1 && (src[j] < n) == (src[i] < n) {
-			j++
-		}
-		r := run{int32(i), src[i], int32(j - i), 0}
-		if r.src >= n {
-			r.src, r.source = r.src-n, 1
-		}
-		runs = append(runs, r)
-		i = j
+// AppendRun appends to runs, which hold a table's first rows in row order,
+// the next n rows: those from row src on of source number source. It extends
+// the last run when they continue it, and adds nothing when n is 0.
+func AppendRun(runs []Run, source, src, n int32) []Run {
+	if n == 0 {
+		return runs
 	}
-	return runs
+	var at int32
+	if k := len(runs) - 1; k >= 0 {
+		if l := &runs[k]; l.Source == source && l.Src+l.N == src {
+			l.N += n
+			return runs
+		}
+		at = runs[k].At + runs[k].N
+	}
+	return append(runs, Run{at, src, n, source})
 }
 
-// add appends the next run, extending the last when it continues it.
-func (v *view) add(r run) {
-	if k := len(v.runs) - 1; k >= 0 && v.runs[k].source == r.source && v.runs[k].src+v.runs[k].n == r.src {
-		v.runs[k].n += r.n
-		return
+// AppendPieces appends to dst (which may be runs) the pieces of runs that
+// hold their rows [lo, lo+n).
+func AppendPieces(dst, runs []Run, lo, n int32) []Run {
+	for k := locate(runs, lo); n > 0; k++ {
+		p := runs[k]
+		m := min(n, p.At+p.N-lo)
+		dst, lo, n = AppendRun(dst, p.Source, p.Src+lo-p.At, m), lo+m, n-m
 	}
-	v.runs = append(v.runs, r)
+	return dst
 }
 
 // locate returns the index of the run holding row i.
-func locate(runs []run, i int32) int {
-	return sort.Search(len(runs), func(k int) bool { return runs[k].at+runs[k].n > i })
+func locate(runs []Run, i int32) int {
+	return sort.Search(len(runs), func(k int) bool { return runs[k].At+runs[k].N > i })
 }
 
 // table returns the n-row table over v with a's schema, its zones lazy over
 // step from a's.
-func (v *view) table(a *Table, n int, step []run) *Table {
+func (v *view) table(a *Table, n int, step []Run) *Table {
 	t := &Table{Name: a.Name, PageSize: a.PageSize, rows: n, byName: a.byName, Cols: make([]*Column, len(a.Cols)),
 		lazy: lazyOver(a, step), view: v}
 	for i, c := range a.Cols {
@@ -176,14 +170,14 @@ func (t *Table) strBytes(ci, rows int) int {
 	v, total := t.runsOf(), 0
 	offs := make([][]uint32, len(v.srcs))
 	for _, r := range v.runs {
-		if int(r.at) >= rows {
+		if int(r.At) >= rows {
 			break
 		}
-		if offs[r.source] == nil {
-			offs[r.source] = v.srcs[r.source].strOffsets(ci)
+		if offs[r.Source] == nil {
+			offs[r.Source] = v.srcs[r.Source].strOffsets(ci)
 		}
-		o, s := offs[r.source], int(r.src)
-		total += int(o[s+min(int(r.n), rows-int(r.at))] - o[s])
+		o, s := offs[r.Source], int(r.Src)
+		total += int(o[s+min(int(r.N), rows-int(r.At))] - o[s])
 	}
 	return total
 }

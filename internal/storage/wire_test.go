@@ -548,9 +548,9 @@ func TestAdoptedTableRearranges(t *testing.T) {
 		{"Permute", func(tab *Table) (*Table, error) { return tab.Permute(perm) }},
 		{"Extract", func(tab *Table) (*Table, error) { return tab.Extract(RowRanges{{100, 900}, {0, 50}, {2000, n}}) }},
 		{"AppendRows", func(tab *Table) (*Table, error) { return tab.AppendRows(RowRanges{{10, 20}, {n - 5, n}}) }},
-		{"Splice", func(tab *Table) (*Table, error) { return Splice(tab, n, batch, src) }},
+		{"Splice", func(tab *Table) (*Table, error) { return Splice(tab, n, batch, spliceRuns(src, n)) }},
 		{"Splice, materialized", func(tab *Table) (*Table, error) {
-			s, err := Splice(tab, n-2, batch, src)
+			s, err := Splice(tab, n-2, batch, spliceRuns(src, n-2))
 			if err != nil {
 				return nil, err
 			}

@@ -91,25 +91,25 @@ func (c *candidates[T]) add(mn, mx T, mnAt, mxAt int) {
 // is mapped to the output and its value is the bound; otherwise those pieces
 // are scanned. Batch rows always are. Every bound is read through span, so a
 // string bound is a view of the new column's heap, never of the parent's.
-func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []run, par *zonemap) (mins, maxs []T, minAt, maxAt []int32) {
+func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []Run, par *zonemap) (mins, maxs []T, minAt, maxAt []int32) {
 	pages := (n + rowsPerPage - 1) / rowsPerPage
 	mins, maxs, minAt, maxAt = make([]T, pages), make([]T, pages), make([]int32, pages), make([]int32, pages)
 	parRows := par.rowsPerPage
 	var acc candidates[T]
 	scan := func(lo, hi int) { acc.add(at(lo, hi)) }
-	var group []run // consecutive pieces of one parent page in one output page
+	var group []Run // consecutive pieces of one parent page in one output page
 	flush := func() {
 		if len(group) == 0 {
 			return
 		}
-		p := int(group[0].src) / parRows
+		p := int(group[0].Src) / parRows
 		mnAt, mxAt := -1, -1
 		for _, g := range group {
-			if r := par.minAt[p]; r >= g.src && r < g.src+g.n {
-				mnAt = int(g.at + r - g.src)
+			if r := par.minAt[p]; r >= g.Src && r < g.Src+g.N {
+				mnAt = int(g.At + r - g.Src)
 			}
-			if r := par.maxAt[p]; r >= g.src && r < g.src+g.n {
-				mxAt = int(g.at + r - g.src)
+			if r := par.maxAt[p]; r >= g.Src && r < g.Src+g.N {
+				mxAt = int(g.At + r - g.Src)
 			}
 		}
 		if mnAt >= 0 {
@@ -120,7 +120,7 @@ func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []run, 
 		}
 		if mnAt < 0 || mxAt < 0 {
 			for _, g := range group {
-				scan(int(g.at), int(g.at+g.n))
+				scan(int(g.At), int(g.At+g.N))
 			}
 		}
 		group = group[:0]
@@ -130,13 +130,13 @@ func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []run, 
 		lo, hi := q*rowsPerPage, min((q+1)*rowsPerPage, n)
 		acc = candidates[T]{}
 		for pos := lo; pos < hi; {
-			for int(runs[k].at+runs[k].n) <= pos {
+			for int(runs[k].At+runs[k].N) <= pos {
 				k++
 			}
 			r := runs[k]
-			end := min(int(r.at+r.n), hi)
-			s := int(r.src) + pos - int(r.at)
-			if r.source != 0 {
+			end := min(int(r.At+r.N), hi)
+			s := int(r.Src) + pos - int(r.At)
+			if r.Source != 0 {
 				scan(pos, end)
 				pos = end
 				continue
@@ -144,10 +144,10 @@ func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []run, 
 			for pos < end { // split at the parent's page edges
 				p := s / parRows
 				m := min(end-pos, (p+1)*parRows-s)
-				if len(group) > 0 && int(group[0].src)/parRows != p {
+				if len(group) > 0 && int(group[0].Src)/parRows != p {
 					flush()
 				}
-				group = append(group, run{int32(pos), int32(s), int32(m), 0})
+				group = append(group, Run{int32(pos), int32(s), int32(m), 0})
 				pos, s = pos+m, s+m
 			}
 		}
@@ -161,9 +161,9 @@ func derivePages[T cmp.Ordered](n int, at span[T], rowsPerPage int, runs []run, 
 // its rows are the runs over a table whose zones par record the rows holding
 // their bounds (source 0; any other source is a batch), they are derived from
 // par's (derivePages); otherwise every value is read.
-func (t *Table) deriveZonemap(ci int, runs []run, par *zonemap) zonemap {
+func (t *Table) deriveZonemap(ci int, runs []Run, par *zonemap) zonemap {
 	if par == nil || par.minAt == nil {
-		runs, par = []run{{0, 0, int32(t.rows), 1}}, &zonemap{}
+		runs, par = []Run{{0, 0, int32(t.rows), 1}}, &zonemap{}
 	}
 	v, c := t.runsOf(), t.Cols[ci]
 	z := zonemap{rowsPerPage: t.rowsPerPage(c)}

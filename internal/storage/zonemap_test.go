@@ -156,7 +156,7 @@ func TestSpliceDerivesZones(t *testing.T) {
 	slices.Sort(edges)
 	check := func(label string, a *Table, keep int, b *Table, src []int32) *Table {
 		t.Helper()
-		got, err := Splice(a, keep, b, src)
+		got, err := Splice(a, keep, b, spliceRuns(src, keep))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func FuzzSpliceZones(f *testing.F) {
 				}
 			}
 		}
-		got, err := Splice(a, keep, b, src)
+		got, err := Splice(a, keep, b, spliceRuns(src, keep))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func FuzzComposedSplice(f *testing.F) {
 				lo := in.next() % len(src)
 				src = append(src, src[lo:min(len(src), lo+in.next()%30)]...)
 			}
-			got, err := Splice(cur, keep, b, src)
+			got, err := Splice(cur, keep, b, spliceRuns(src, keep))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -428,14 +428,14 @@ func TestViewSharedByReaders(t *testing.T) {
 	root.Compress()
 	b := zoneFixture(t, 90, 2, 4)
 	src1 := insertSrc(root.Rows(), randomAt(rng, root.Rows(), b.Rows()))
-	first, err := Splice(root, root.Rows(), b, src1)
+	first, err := Splice(root, root.Rows(), b, spliceRuns(src1, root.Rows()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	first.PruneZonemap("id", Interval{Lo: Bound{Set: true, I: 500}}, nil) // a column the next view derives at once
 	b2 := zoneFixture(t, 70, 3, 4)
 	src := insertSrc(first.Rows(), randomAt(rng, first.Rows(), b2.Rows()))
-	view, err := Splice(first, first.Rows(), b2, append(src, src[40:90]...))
+	view, err := Splice(first, first.Rows(), b2, spliceRuns(append(src, src[40:90]...), first.Rows()))
 	if err != nil {
 		t.Fatal(err)
 	}
