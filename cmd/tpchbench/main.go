@@ -53,9 +53,9 @@
 // query, so every measurement reads a snapshot with in-flight delta; a merge
 // then consolidates (re-clustering the delta into BDCC cells and
 // re-compressing) and round 2 re-measures the 22 queries over the merged
-// base. -ingest-limit bounds the per-table delta (reaching it starts a
-// background merge mid-round) and -ingest-drift triggers merges off the
-// drift detector instead. The ingest table prints the per-scheme
+// base. -ingest-limit bounds the per-table delta (the append that reaches it
+// merges mid-round, before the next query) and -ingest-drift triggers merges
+// off the drift detector instead. The ingest table prints the per-scheme
 // append/merge counters and each round's MB read (docs/INGEST.md).
 //
 // The -clients knob adds the concurrency leg to the grid: N closed-loop
@@ -102,8 +102,8 @@ func main() {
 	authToken := flag.String("auth-token", "", "shared secret for the daemon sessions of the concurrency leg")
 	compress := flag.Bool("compress", true, "chunk-compress stored columns (RLE/dict/FOR) before materializing schemes")
 	ingestRate := flag.Int("ingest-rate", 0, "mixed workload: orders appended before each query of round 1 (0 = read-only grid)")
-	ingestLimit := flag.Int("ingest-limit", 0, "per-table delta rows that trigger a background merge (0 = merge only between rounds)")
-	ingestDrift := flag.Float64("ingest-drift", 0, "drift distance that triggers a background merge (0 disables the trigger)")
+	ingestLimit := flag.Int("ingest-limit", 0, "per-table delta rows that trigger a merge (0 = merge only between rounds)")
+	ingestDrift := flag.Float64("ingest-drift", 0, "drift distance that triggers a merge (0 disables the trigger)")
 	explain := flag.Bool("explain", false, "print per-query planner decisions under BDCC")
 	orderings := flag.Bool("orderings", false, "also run the Z-order vs major-minor self-comparison")
 	flag.Parse()

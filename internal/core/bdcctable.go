@@ -88,9 +88,6 @@ type BuildOptions struct {
 	// ForceBits pins the count-table granularity b instead of Algorithm 1's
 	// choice; 0 means self-tuned.
 	ForceBits int
-	// MajorityFrac is the fraction of tuples that must live in
-	// efficiently-readable groups for a granularity to qualify; 0 means 0.5.
-	MajorityFrac float64
 	// DisableRelocation turns off small-group relocation after load.
 	DisableRelocation bool
 }
@@ -127,9 +124,6 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 	}
 	if opt.Device.PageSize == 0 {
 		opt.Device = iosim.PaperSSD()
-	}
-	if opt.MajorityFrac == 0 {
-		opt.MajorityFrac = 0.5
 	}
 	n := data.Rows()
 	bitsPerUse := make([]int, len(uses))
@@ -178,7 +172,7 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 	minRows := efficientRows(sorted.DensestColumn().Width(), opt.Device)
 	b := opt.ForceBits
 	if b == 0 {
-		b = chooseGranularity(sortedKeys, fullBits, minRows, opt.MajorityFrac, n)
+		b = chooseGranularity(sortedKeys, fullBits, minRows, n)
 	}
 	if b > fullBits {
 		b = fullBits
@@ -243,14 +237,14 @@ func efficientRows(w float64, dev iosim.Device) int64 {
 	return rows
 }
 
-// chooseGranularity returns the largest granularity at which at least frac
-// of the tuples live in groups of minRows or more; if no granularity
-// qualifies (the table is smaller than the efficient access size) it returns
-// the full granularity — the count table is tiny in that case and finer
-// grouping costs nothing, which is also how the paper's NATION ends up
-// clustered on all 5 bits.
-func chooseGranularity(sortedKeys []uint64, fullBits int, minRows int64, frac float64, n int) int {
-	need := int64(math.Ceil(frac * float64(n)))
+// chooseGranularity returns the largest granularity at which at least half
+// of the tuples (Algorithm 1's majority) live in groups of minRows or more;
+// if no granularity qualifies (the table is smaller than the efficient
+// access size) it returns the full granularity — the count table is tiny in
+// that case and finer grouping costs nothing, which is also how the paper's
+// NATION ends up clustered on all 5 bits.
+func chooseGranularity(sortedKeys []uint64, fullBits int, minRows int64, n int) int {
+	need := int64(n+1) / 2
 	for g := fullBits; g >= 1; g-- {
 		if TuplesInLargeGroups(sortedKeys, fullBits, g, minRows) >= need {
 			return g

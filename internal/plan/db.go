@@ -51,6 +51,9 @@ type DB struct {
 	Clustered *core.Database
 	// Device is the modeled storage device.
 	Device iosim.Device
+	// raw holds the insertion-order tables NewPKDB sorted into Tables, which
+	// ingest appends to; nil where Tables is itself in insertion order.
+	raw map[string]*storage.Table
 	// ing is the ingest state once EnableIngest was called; the fields above
 	// then stay the immutable loaded base forever and queries read versioned
 	// views via Snapshot.
@@ -87,7 +90,7 @@ func NewPKDB(schema *catalog.Schema, tables map[string]*storage.Table, dev iosim
 		out[name] = st
 		sortedBy[name] = append([]string(nil), def.PrimaryKey...)
 	}
-	return &DB{Scheme: PK, Schema: schema, Tables: out, SortedBy: sortedBy, Device: dev}, nil
+	return &DB{Scheme: PK, Schema: schema, Tables: out, SortedBy: sortedBy, Device: dev, raw: tables}, nil
 }
 
 // NewBDCCDB materializes the BDCC design over the given tables using the

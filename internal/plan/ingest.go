@@ -10,10 +10,10 @@ import (
 	"bdcc/internal/storage"
 )
 
-// Ingest attaches an append path to a DB. Each table gets an append ledger
-// (storage.Delta); every append publishes a fresh immutable view
-// of the affected table — base plus the visible delta, in the scheme's own
-// layout — behind an atomic pointer, built from the previous view and the
+// Ingest attaches an append path to a DB. Every append checks its batch
+// against the table's schema (storage.Delta) and publishes a fresh immutable
+// view of the affected table — base plus the visible delta, in the scheme's
+// own layout — behind an atomic pointer, built from the previous view and the
 // batch at the cost of the batch (BDCC: plus the splice's merge order; PK:
 // plus a re-sort of the table). Queries pin one such version at plan time
 // (DB.Snapshot) and never block on writers; writers serialize on a mutex and
@@ -24,44 +24,40 @@ import (
 // compression, and a BDCC view holds its rows as runs over the merged base
 // and the batches (storage.Splice). A merge gathers such a view once,
 // re-encodes it where the base was compressed and publishes that version the
-// same way.
+// same way. The published versions are the one record of what is
+// un-merged: a table's un-merged rows are those its current insertion-order
+// view holds beyond the last merged version's.
 type Ingest struct {
 	db  *DB
 	opt IngestOptions
 
-	mu     sync.Mutex
-	deltas map[string]*storage.Delta
+	mu sync.Mutex
 	// base is the last merged version — the loaded state until a merge
-	// commits — that drift is measured against.
+	// commits — that un-merged rows are counted and drift measured against.
 	base       *snapState
 	compressed map[string]bool
-	merging    bool
-	mergeErr   error
-	wg         sync.WaitGroup
 	merges     int64
 	mergedRows int64
-	drift      map[string]core.DriftReport
 
 	cur atomic.Pointer[snapState]
 }
 
 // IngestOptions configure EnableIngest.
 type IngestOptions struct {
-	// Raw holds the insertion-order base tables the DB was built from. nil
-	// uses DB.Tables, which is correct for Plain and BDCC; the PK scheme
-	// stores its tables re-sorted and must be given the originals.
-	Raw map[string]*storage.Table
-	// Limit bounds the per-table delta: reaching it triggers a background
-	// merge. 0 means merges are only started explicitly (or by drift).
+	// Limit bounds a table's un-merged rows: the append that reaches it
+	// merges before it returns. 0 means merges are only run explicitly (or
+	// by drift).
 	Limit int
-	// DriftThreshold triggers a background merge when the un-merged delta's
-	// cell distribution diverges from the base clustering by at least this
-	// total-variation distance (see core.DriftReport). 0 disables the
+	// DriftThreshold merges, inside the append, when a table's un-merged
+	// rows' cell distribution diverges from the base clustering by at least
+	// this total-variation distance (see core.DriftReport). 0 disables the
 	// trigger; only BDCC-clustered tables are measured.
 	DriftThreshold float64
 }
 
-// snapState is one immutable published version.
+// snapState is one immutable published version: the insertion-order view
+// of every table, the scheme's layout of it, and the rows it holds beyond
+// the last merged version.
 type snapState struct {
 	epoch      int64
 	raw        map[string]*storage.Table
@@ -78,20 +74,15 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 	if db.snap != nil {
 		return nil, fmt.Errorf("plan: cannot enable ingest on a pinned snapshot")
 	}
-	raw := opt.Raw
+	raw := db.raw
 	if raw == nil {
-		if db.Scheme == PK {
-			return nil, fmt.Errorf("plan: ingest on a pk database needs the insertion-order tables")
-		}
 		raw = db.Tables
 	}
 	ing := &Ingest{
 		db:         db,
 		opt:        opt,
-		deltas:     make(map[string]*storage.Delta),
 		base:       &snapState{raw: raw, tables: db.Tables, clustered: db.Clustered},
 		compressed: make(map[string]bool),
-		drift:      make(map[string]core.DriftReport),
 	}
 	for name := range db.Tables {
 		t, err := db.StoredTable(name)
@@ -151,13 +142,15 @@ func (db *DB) PendingDeltaRows() int64 {
 }
 
 // Append ingests rows into one table and publishes the version making them
-// visible. Rows must arrive referential-parents-first: a batch may reference
-// keys appended earlier, but not keys of another table's future batch — the
-// BDCC scheme bins a batch through the key→bin indexes its parents' appends
-// extended, and a key they do not hold is a dangling reference. An append is
-// atomic: the next version is built before the batch is counted, so a
-// rejected batch leaves the ledger, the counters and the published version
-// exactly as it found them.
+// visible; when the table's un-merged rows reach Limit or drift past
+// DriftThreshold, it merges before it returns. Rows must arrive
+// referential-parents-first: a batch may reference keys appended earlier,
+// but not keys of another table's future batch — the BDCC scheme bins a
+// batch through the key→bin indexes its parents' appends extended, and a key
+// they do not hold is a dangling reference. An append is atomic: the batch
+// is checked before anything is built from it, and the next version is
+// built before it is published, so a rejected batch leaves the published
+// version exactly as it found it.
 func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -165,40 +158,37 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	if !ok {
 		return fmt.Errorf("plan: ingest into unknown table %q", table)
 	}
-	delta := ing.deltas[table]
-	if delta == nil {
-		delta = storage.NewDelta(base)
-		ing.deltas[table] = delta
+	if _, err := storage.NewDelta(base).Append(rows); err != nil {
+		return err
 	}
 	next, err := ing.nextViews(table, rows)
 	if err != nil {
 		return err
 	}
-	visible, err := delta.Append(rows)
-	if err != nil {
-		return err
-	}
 	ing.cur.Store(next)
-	trigger := ing.opt.Limit > 0 && visible >= ing.opt.Limit
-	if baseBT := clusteredTable(ing.base.clustered, table); baseBT != nil {
-		// Drift measures all visible delta rows against the merged
-		// clustering: the view's count table is the merged one plus their
-		// per-cell counts.
-		r := next.clustered.Tables[table].DriftSince(baseBT)
-		ing.drift[table] = r
-		if ing.opt.DriftThreshold > 0 && r.Drifted(ing.opt.DriftThreshold) {
-			trigger = true
-		}
-	}
-	if trigger && !ing.merging {
-		ing.merging = true
-		ing.wg.Add(1)
-		go func() {
-			defer ing.wg.Done()
-			ing.Merge()
-		}()
+	limit := ing.opt.Limit > 0 && ing.unmerged(next, table) >= ing.opt.Limit
+	if limit || ing.opt.DriftThreshold > 0 && ing.drift(next, table).Drifted(ing.opt.DriftThreshold) {
+		ing.merge()
 	}
 	return nil
+}
+
+// unmerged returns how many rows of table version v holds beyond the last
+// merged version. Caller holds mu.
+func (ing *Ingest) unmerged(v *snapState, table string) int {
+	return v.raw[table].Rows() - ing.base.raw[table].Rows()
+}
+
+// drift measures table's un-merged rows in version v against the merged
+// clustering: v's count table is the merged one plus their per-cell counts.
+// It is the zero report where the table is not clustered or holds no
+// un-merged row. Caller holds mu.
+func (ing *Ingest) drift(v *snapState, table string) core.DriftReport {
+	bt := clusteredTable(ing.base.clustered, table)
+	if bt == nil || ing.unmerged(v, table) == 0 {
+		return core.DriftReport{}
+	}
+	return v.clustered.Tables[table].DriftSince(bt)
 }
 
 // nextViews builds the version that additionally holds batch at the end of
@@ -240,34 +230,30 @@ func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, er
 }
 
 // Merge publishes the current version with the views of every table holding
-// un-merged rows re-encoded where the base was compressed, and clears the
-// ledgers. The appends already built those views in the scheme's own layout
-// — PK re-sorted, BDCC spliced into the clustering — so a merge re-bins and
-// re-sorts nothing: it gathers a BDCC view's runs into arrays once
-// (storage.Table.Materialized), and a re-encoded table shares those arrays
-// (storage.Table.Encoded). Readers keep whatever version they pinned.
-// A merge fails, publishing nothing, only if the ledgers and the published
-// version disagree on how many rows are un-merged.
+// un-merged rows re-encoded where the base was compressed. The appends
+// already built those views in the scheme's own layout — PK re-sorted, BDCC
+// spliced into the clustering — so a merge re-bins and re-sorts nothing: it
+// gathers a BDCC view's runs into arrays once (storage.Table.Materialized),
+// and a re-encoded table shares those arrays (storage.Table.Encoded).
+// Readers keep whatever version they pinned. A merge cannot fail: the error
+// is always nil.
 func (ing *Ingest) Merge() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	defer func() { ing.merging = false }()
+	ing.merge()
+	return nil
+}
+
+// merge is Merge under mu, which Append already holds.
+func (ing *Ingest) merge() {
 	cur := ing.cur.Load()
-	var total int64
-	for _, d := range ing.deltas {
-		total += int64(d.Rows())
-	}
-	if total != cur.totalDelta {
-		ing.mergeErr = fmt.Errorf("plan: merge: the ledgers hold %d un-merged rows, version %d shows %d", total, cur.epoch, cur.totalDelta)
-		return ing.mergeErr
-	}
-	if total == 0 {
-		return nil
+	if cur.totalDelta == 0 {
+		return
 	}
 	next := &snapState{epoch: cur.epoch + 1, raw: cur.raw, tables: maps.Clone(cur.tables), clustered: cur.clustered}
 	var clustered map[string]*core.BDCCTable
-	for table, d := range ing.deltas {
-		if d.Rows() == 0 {
+	for table := range cur.raw {
+		if ing.unmerged(cur, table) == 0 {
 			continue
 		}
 		bt := clusteredTable(cur.clustered, table)
@@ -291,55 +277,43 @@ func (ing *Ingest) Merge() error {
 		c.Tables = clustered
 		next.clustered = &c
 	}
-	for _, d := range ing.deltas {
-		d.Clear()
-	}
 	ing.merges++
-	ing.mergedRows += total
-	clear(ing.drift)
+	ing.mergedRows += cur.totalDelta
 	ing.base = next
 	ing.cur.Store(next)
-	return nil
 }
-
-// Wait drains any background merge in flight.
-func (ing *Ingest) Wait() { ing.wg.Wait() }
 
 // IngestStats is a point-in-time summary of the ingest state.
 type IngestStats struct {
 	// Epoch is the currently published version.
 	Epoch int64
-	// DeltaRows counts visible un-merged rows across tables; AppendedRows is
-	// the lifetime total.
-	DeltaRows    int64
-	AppendedRows int64
+	// DeltaRows counts visible un-merged rows across tables.
+	DeltaRows int64
 	// Merges counts committed consolidations; MergedRows the rows they
 	// folded into the base.
 	Merges     int64
 	MergedRows int64
-	// Drift holds the latest per-table drift reports (cleared on merge).
+	// Drift holds the drift report of every clustered table with
+	// un-merged rows (none right after a merge).
 	Drift map[string]core.DriftReport
-	// Err is the last merge failure, if any.
-	Err error
 }
 
 // Stats reports the current ingest counters.
 func (ing *Ingest) Stats() IngestStats {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
+	cur := ing.cur.Load()
 	s := IngestStats{
-		Epoch:      ing.cur.Load().epoch,
+		Epoch:      cur.epoch,
+		DeltaRows:  cur.totalDelta,
 		Merges:     ing.merges,
 		MergedRows: ing.mergedRows,
-		Drift:      make(map[string]core.DriftReport, len(ing.drift)),
-		Err:        ing.mergeErr,
+		Drift:      make(map[string]core.DriftReport),
 	}
-	for _, d := range ing.deltas {
-		s.DeltaRows += int64(d.Rows())
-		s.AppendedRows += d.AppendedRows()
-	}
-	for t, r := range ing.drift {
-		s.Drift[t] = r
+	for t := range cur.raw {
+		if r := ing.drift(cur, t); r.DeltaRows > 0 {
+			s.Drift[t] = r
+		}
 	}
 	return s
 }

@@ -2,92 +2,37 @@ package storage
 
 import (
 	"fmt"
-	"sync"
 
 	"bdcc/internal/vector"
 )
 
-// This file implements the ingest side of storage: the append ledger of a
-// table, and the copy that extends a table by a batch (Concat; Splice, which
-// copies nothing, is view.go's).
+// This file implements the ingest side of storage: the check of a batch
+// appended to a table, and the copy that extends a table by a batch (Concat;
+// Splice, which copies nothing, is view.go's).
 
-// Delta is the append ledger of one table: it checks each batch against the
-// base table's schema and counts the rows not yet merged. It holds no rows —
-// an append publishes them in the snapshot views it builds from the batch,
-// and a merge re-encodes those views and clears the ledger.
+// Delta checks the batches appended to one table. It holds no rows — an
+// append publishes them in the snapshot views it builds from the batch.
 type Delta struct {
-	name  string
-	cols  []string
-	kinds []vector.Kind
-
-	mu       sync.Mutex
-	rows     int
-	appended int64
+	base *Table
 }
 
-// NewDelta returns an empty ledger for the base table's schema.
-func NewDelta(base *Table) *Delta {
-	d := &Delta{name: base.Name}
-	for _, c := range base.Cols {
-		d.cols = append(d.cols, c.Name)
-		d.kinds = append(d.kinds, c.Kind)
-	}
-	return d
-}
+// NewDelta returns the batch check for the base table's schema.
+func NewDelta(base *Table) *Delta { return &Delta{base: base} }
 
-// Rows returns the number of un-merged rows.
-func (d *Delta) Rows() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rows
-}
-
-// AppendedRows returns the lifetime row count appended, including rows
-// already merged away.
-func (d *Delta) AppendedRows() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.appended
-}
-
-// Append checks one batch and counts its rows. The batch must be non-empty,
-// uncompressed and match the ledger's schema by name, kind and column order.
-// It returns the un-merged row count after the append.
+// Append checks one batch: it must be non-empty, uncompressed and match the
+// base table's schema by name, kind and column order. It returns the batch's
+// row count.
 func (d *Delta) Append(rows *Table) (int, error) {
 	if rows.Rows() == 0 {
-		return 0, fmt.Errorf("storage: delta %q: empty append", d.name)
+		return 0, fmt.Errorf("storage: delta %q: empty append", d.base.Name)
 	}
-	if err := d.checkSchema(rows); err != nil {
-		return 0, err
+	if rows.Compressed() {
+		return 0, fmt.Errorf("storage: delta %q: compressed append", d.base.Name)
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rows += rows.Rows()
-	d.appended += int64(rows.Rows())
-	return d.rows, nil
-}
-
-func (d *Delta) checkSchema(t *Table) error {
-	if t.Compressed() {
-		return fmt.Errorf("storage: delta %q: compressed append", d.name)
+	if err := sameSchema(d.base, rows); err != nil {
+		return 0, fmt.Errorf("storage: delta %q: %w", d.base.Name, err)
 	}
-	if len(t.Cols) != len(d.cols) {
-		return fmt.Errorf("storage: delta %q: %d columns appended, schema has %d", d.name, len(t.Cols), len(d.cols))
-	}
-	for i, c := range t.Cols {
-		if c.Name != d.cols[i] || c.Kind != d.kinds[i] {
-			return fmt.Errorf("storage: delta %q: column %d is %s %s, schema has %s %s",
-				d.name, i, c.Kind, c.Name, d.kinds[i], d.cols[i])
-		}
-	}
-	return nil
-}
-
-// Clear zeroes the un-merged count: a merge has published every row.
-func (d *Delta) Clear() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.rows = 0
+	return rows.Rows(), nil
 }
 
 // Concat returns a new uncompressed table holding the first aRows rows of a
@@ -159,14 +104,20 @@ func checkConcat(a *Table, aRows int, b *Table) error {
 	if aRows < 0 || aRows > a.Rows() {
 		return fmt.Errorf("storage: concat keeps %d of table %q's %d rows", aRows, a.Name, a.Rows())
 	}
+	if err := sameSchema(a, b); err != nil {
+		return fmt.Errorf("storage: concat of %q and %q: %w", a.Name, b.Name, err)
+	}
+	return nil
+}
+
+// sameSchema rejects a b whose columns differ from a's by name, kind or order.
+func sameSchema(a, b *Table) error {
 	if len(a.Cols) != len(b.Cols) {
-		return fmt.Errorf("storage: concat of %q and %q: %d vs %d columns", a.Name, b.Name, len(a.Cols), len(b.Cols))
+		return fmt.Errorf("%d vs %d columns", len(a.Cols), len(b.Cols))
 	}
 	for i, c := range a.Cols {
-		o := b.Cols[i]
-		if c.Name != o.Name || c.Kind != o.Kind {
-			return fmt.Errorf("storage: concat of %q: column %d is %s %s vs %s %s",
-				a.Name, i, c.Kind, c.Name, o.Kind, o.Name)
+		if o := b.Cols[i]; c.Name != o.Name || c.Kind != o.Kind {
+			return fmt.Errorf("column %d is %s %s vs %s %s", i, c.Kind, c.Name, o.Kind, o.Name)
 		}
 	}
 	return nil

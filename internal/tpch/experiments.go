@@ -41,7 +41,7 @@ type Report struct {
 	Concurrency []ConcurrencyStats
 	// IngestRate and IngestLimit are the mixed-workload knobs of an ingest
 	// grid (RunAllIngest): orders appended before each round-1 query and the
-	// per-table delta bound that triggers background merges. Ingest holds the
+	// per-table delta bound that triggers merges. Ingest holds the
 	// per-scheme outcome; all empty/zero on a read-only grid.
 	IngestRate  int
 	IngestLimit int
@@ -49,8 +49,8 @@ type Report struct {
 }
 
 // IngestRecord is one scheme's ingest outcome over the grid: lifetime
-// appended rows, committed consolidations, and the peak drift distance the
-// un-merged delta reached before the final merge absorbed it.
+// appended rows, committed consolidations, and the largest per-table drift
+// distance of the delta the final merge absorbed.
 type IngestRecord struct {
 	AppendedRows int64
 	Merges       int64
@@ -153,16 +153,12 @@ func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Repo
 			rep.Explain[fmt.Sprintf("%s/%s", scheme, q.Name)] = explain
 			comp.WireSaved += st.Net.Saved
 		}
-		// The drift map clears when a merge absorbs the delta: read the peak
-		// before forcing the final consolidation.
+		// Drift is measured over the un-merged delta: read it before forcing
+		// the final consolidation.
 		rec := IngestRecord{}
-		pre := ing.Stats()
-		for _, d := range pre.Drift {
-			if d.Distance > rec.MaxDrift {
-				rec.MaxDrift = d.Distance
-			}
+		for _, d := range ing.Stats().Drift {
+			rec.MaxDrift = max(rec.MaxDrift, d.Distance)
 		}
-		ing.Wait()
 		if err := ing.Merge(); err != nil {
 			return nil, fmt.Errorf("tpch: merge under %s: %w", scheme, err)
 		}
@@ -175,12 +171,9 @@ func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Repo
 			comp.WireSaved += st.Net.Saved
 		}
 		post := ing.Stats()
-		rec.AppendedRows = post.AppendedRows
+		rec.AppendedRows = post.MergedRows + post.DeltaRows
 		rec.Merges = post.Merges
 		rec.MergedRows = post.MergedRows
-		if post.Err != nil {
-			return nil, fmt.Errorf("tpch: background merge under %s: %w", scheme, post.Err)
-		}
 		rep.Ingest[scheme] = rec
 		comp.CompressionStats = db.Snapshot().CompressionStats()
 		rep.Comp[scheme] = comp

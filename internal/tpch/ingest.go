@@ -72,16 +72,12 @@ func (g *DeltaGen) Next(nOrders int) *DeltaBatch {
 	return &DeltaBatch{Orders: orders, Lineitem: lineitem}
 }
 
-// EnableIngest attaches append ledgers to every materialized scheme with the
-// same bound and drift trigger, so the three schemes see identical arrival
-// streams.
+// EnableIngest attaches an append path to every materialized scheme with
+// the same bound and drift trigger, so the three schemes see identical
+// arrival streams.
 func (b *Benchmark) EnableIngest(limit int, driftThreshold float64) error {
-	for s, db := range b.DBs {
-		opt := plan.IngestOptions{Limit: limit, DriftThreshold: driftThreshold}
-		if s == plan.PK {
-			opt.Raw = b.Data.Tables
-		}
-		if _, err := db.EnableIngest(opt); err != nil {
+	for _, db := range b.DBs {
+		if _, err := db.EnableIngest(plan.IngestOptions{Limit: limit, DriftThreshold: driftThreshold}); err != nil {
 			return err
 		}
 	}
@@ -113,29 +109,16 @@ func (b *Benchmark) AppendBatch(batch *DeltaBatch) error {
 	return nil
 }
 
-// MergeAll drains background merges and consolidates any remaining delta in
-// every scheme.
+// MergeAll consolidates any remaining delta in every scheme.
 func (b *Benchmark) MergeAll() error {
 	for s, db := range b.DBs {
-		ing := db.Ingest()
-		if ing == nil {
-			continue
-		}
-		ing.Wait()
-		if err := ing.Merge(); err != nil {
-			return fmt.Errorf("tpch: merge (%s): %w", s, err)
+		if ing := db.Ingest(); ing != nil {
+			if err := ing.Merge(); err != nil {
+				return fmt.Errorf("tpch: merge (%s): %w", s, err)
+			}
 		}
 	}
 	return nil
-}
-
-// WaitIngest drains background merges on every scheme without forcing one.
-func (b *Benchmark) WaitIngest() {
-	for _, db := range b.DBs {
-		if ing := db.Ingest(); ing != nil {
-			ing.Wait()
-		}
-	}
 }
 
 // IngestStats sums the per-scheme ingest counters. Appends go to every

@@ -2,6 +2,7 @@ package tpch
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strconv"
@@ -159,9 +160,6 @@ func TestIngestQueryEquivalence(t *testing.T) {
 	}
 	for scheme, db := range b.DBs {
 		st := db.Ingest().Stats()
-		if st.Err != nil {
-			t.Fatalf("%s merge error: %v", scheme, st.Err)
-		}
 		if st.Merges != 1 || st.MergedRows != deltaRows || st.DeltaRows != 0 {
 			t.Fatalf("%s merge counters: %+v, want 1 merge of %d rows and an empty delta", scheme, st, deltaRows)
 		}
@@ -352,9 +350,11 @@ func q6Revenue(sdb *plan.DB) (float64, error) {
 // appending arrival batches into all three schemes while readers pin
 // snapshots and verify each query result against an independent recomputation
 // over the very snapshot it ran on — a torn view (partial merge, half-visible
-// batch) shows up as a gross revenue mismatch. Background merges trigger off
-// the delta limit while the readers run. The run must leak neither
-// goroutines nor tracker bytes.
+// batch) shows up as a gross revenue mismatch. Merges run inside the appends
+// that trigger them while the readers run: under Plain and PK the delta
+// limit fires four times, under BDCC the post-window arrivals drift past the
+// threshold on every append. The seeded stream fixes the count, the final
+// MergeAll included. The run must leak neither goroutines nor tracker bytes.
 func TestIngestSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ingest soak skipped in -short")
@@ -455,7 +455,6 @@ func TestIngestSoak(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	b.WaitIngest()
 	if err := b.MergeAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -465,14 +464,12 @@ func TestIngestSoak(t *testing.T) {
 	default:
 	}
 
+	soakMerges := map[plan.Scheme]int64{plan.Plain: 5, plan.PK: 5, plan.BDCC: 36}
 	var final []string
 	for scheme, db := range b.DBs {
 		st := db.Ingest().Stats()
-		if st.Err != nil {
-			t.Fatalf("%s merge error: %v", scheme, st.Err)
-		}
-		if st.Merges < 2 {
-			t.Fatalf("%s committed %d merges over the soak, want the limit to have triggered background merges", scheme, st.Merges)
+		if st.Merges != soakMerges[scheme] {
+			t.Fatalf("%s committed %d merges over the soak, want %d", scheme, st.Merges, soakMerges[scheme])
 		}
 		if st.DeltaRows != 0 || db.PendingDeltaRows() != 0 {
 			t.Fatalf("%s still holds delta rows after the final merge: %+v", scheme, st)
@@ -501,7 +498,7 @@ func TestIngestSoak(t *testing.T) {
 		}
 	}
 
-	// Every background merge goroutine must have joined.
+	// Every reader goroutine must have joined.
 	for deadline := time.Now().Add(5 * time.Second); ; {
 		if runtime.NumGoroutine() <= baseGoroutines {
 			break
@@ -635,8 +632,8 @@ func TestIndexBinningMatchesResolver(t *testing.T) {
 	}
 }
 
-// TestIncrementalDriftMatchesDriftFor: the drift report an append publishes —
-// read off the view's and the consolidated base's count tables — equals,
+// TestIncrementalDriftMatchesDriftFor: the drift report Stats reads off the
+// current view's and the merged base's count tables equals,
 // field for field, core.DriftFor recomputed from scratch (re-binding every
 // delta row over the combined tables), after each append and again on top of
 // a merged base.
@@ -694,19 +691,78 @@ func TestIncrementalDriftMatchesDriftFor(t *testing.T) {
 	}
 }
 
+// TestIngestTriggersRepeat: merges run inside the appends that trigger
+// them, so one arrival stream fed twice, with both the delta limit and the
+// drift threshold set, merges at the same appends: after every append both
+// runs agree on the epoch, the merge counters, the un-merged rows and the
+// drift reports. The stream alternates in-distribution and post-window
+// batches so that both triggers fire.
+func TestIngestTriggersRepeat(t *testing.T) {
+	const limit, threshold = 500, 0.5
+	type state struct {
+		stats plan.IngestStats
+		limit bool // the append merged on the limit rather than on drift
+	}
+	feed := func() []state {
+		b, err := NewBenchmark(0.01, plan.BDCC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.EnableIngest(limit, threshold); err != nil {
+			t.Fatal(err)
+		}
+		ing := b.DBs[plan.BDCC].Ingest()
+		gen := NewDeltaGen(b.Data, 31)
+		var out []state
+		for i := range 12 {
+			gen.Backfill = float64(i % 2)
+			batch := gen.Next(40)
+			for _, rows := range []*storage.Table{batch.Orders, batch.Lineitem} {
+				pending := ing.Stats().Drift[rows.Name].DeltaRows
+				if err := ing.Append(rows.Name, rows); err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, state{ing.Stats(), pending+int64(rows.Rows()) >= limit})
+			}
+		}
+		return out
+	}
+	first, second := feed(), feed()
+	var byLimit, byDrift int
+	for i, got := range second {
+		want := first[i]
+		if got.stats.Epoch != want.stats.Epoch || got.stats.Merges != want.stats.Merges || got.stats.MergedRows != want.stats.MergedRows ||
+			got.stats.DeltaRows != want.stats.DeltaRows || !maps.Equal(got.stats.Drift, want.stats.Drift) {
+			t.Fatalf("append %d: the second run reads %+v, the first %+v", i, got.stats, want.stats)
+		}
+		if i > 0 && got.stats.Merges > second[i-1].stats.Merges {
+			if got.limit {
+				byLimit++
+			} else {
+				byDrift++
+			}
+		}
+	}
+	if byLimit == 0 || byDrift == 0 {
+		t.Fatalf("the stream merged %d times on the limit and %d times on drift, want both", byLimit, byDrift)
+	}
+}
+
 // TestIngestRejectedAppendLeavesNoTrace is the regression test for the
 // wedge: a lineitem batch whose orders never arrived is rejected with the
 // dangling foreign key, and used to stay in the delta store — every later
 // lineitem append then failed ("clustered lineitem holds … rows, append
 // starts at row …") and the store's row count disagreed with the published
-// version's. A rejected append must leave delta store, counters and
-// published version exactly as it found them, on an empty delta and on top
-// of earlier batches, and the stream must go on: the following valid batches
-// succeed, and views and merged base equal the from-scratch rebuild. The
-// rejected batch was already written past the rows of the insertion-order
-// view it extended, so the batch after it — here also the first after a
-// merge — must copy that view rather than extend it once more, and the
-// insertion-order views must still hold exactly the accepted rows.
+// version's. A rejected append must leave the counters and the published
+// version exactly as it found them, on an empty delta, on top of earlier
+// batches and on a merged base, and the stream must go on: the following
+// valid batches succeed, and views and merged base equal the from-scratch
+// rebuild. A batch with a dangling key was already written past the rows of
+// the insertion-order view it extended, so the batch after it must copy that
+// view rather than extend it once more, and the insertion-order views must
+// still hold exactly the accepted rows. An empty or a compressed batch is
+// rejected before anything is built from it: the append after it extends
+// the view in place.
 func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 	b, err := NewBenchmark(0.01, plan.BDCC)
 	if err != nil {
@@ -718,24 +774,39 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 	db := b.DBs[plan.BDCC]
 	ing := db.Ingest()
 	gen := NewDeltaGen(b.Data, 8)
-	lost, first, second, third := gen.Next(5), gen.Next(30), gen.Next(30), gen.Next(30)
+	lost, first, second, third, fourth, fifth := gen.Next(5), gen.Next(30), gen.Next(30), gen.Next(30), gen.Next(30), gen.Next(30)
+	empty, packed := gen.Next(0).Lineitem, gen.Next(5).Lineitem
+	packed.Compress()
 
-	reject := func(label string) {
+	reject := func(label string, batch *storage.Table, want ...string) {
 		t.Helper()
-		before, epoch, pending, view := ing.Stats(), db.Epoch(), db.PendingDeltaRows(), db.Snapshot().Clustered
-		err := ing.Append("lineitem", lost.Lineitem)
-		if err == nil || !strings.Contains(err.Error(), "foreign key fk_l_o") || !strings.Contains(err.Error(), "has no match") {
-			t.Fatalf("%s: orphaned lineitems were not rejected as dangling: %v", label, err)
+		before, pending, view := ing.Stats(), db.PendingDeltaRows(), db.Snapshot().Clustered
+		err := ing.Append("lineitem", batch)
+		for _, w := range want {
+			if err == nil || !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: the batch was not rejected with %q: %v", label, w, err)
+			}
 		}
 		after := ing.Stats()
-		if after.DeltaRows != before.DeltaRows || after.AppendedRows != before.AppendedRows || after.Epoch != before.Epoch {
+		if after.DeltaRows != before.DeltaRows || after.Merges != before.Merges || after.Epoch != before.Epoch {
 			t.Fatalf("%s: the rejected append moved the counters: %+v -> %+v", label, before, after)
 		}
-		if db.Epoch() != epoch || db.PendingDeltaRows() != pending || db.Snapshot().Clustered != view {
+		if db.Epoch() != before.Epoch || db.PendingDeltaRows() != pending || db.Snapshot().Clustered != view {
 			t.Fatalf("%s: the rejected append published a version", label)
 		}
-		if after.DeltaRows != db.PendingDeltaRows() {
-			t.Fatalf("%s: the delta stores hold %d rows, the published version shows %d", label, after.DeltaRows, db.PendingDeltaRows())
+	}
+	dangling := func(label string) { reject(label, lost.Lineitem, "foreign key fk_l_o", "has no match") }
+	// extendsInPlace appends batch and checks that the lineitem view grew
+	// into its own arrays, as an append after an accepted one does.
+	extendsInPlace := func(label string, batch *DeltaBatch) {
+		t.Helper()
+		prev := db.Snapshot().Tables["lineitem"]
+		if err := b.AppendBatch(batch); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		next := db.Snapshot().Tables["lineitem"]
+		if &next.Cols[0].Enc.Chunks[0].ValI[0] != &prev.Cols[0].Enc.Chunks[0].ValI[0] {
+			t.Fatalf("%s: the append copied the lineitem view instead of extending it", label)
 		}
 	}
 	sameClustering := func(label string, batches []*DeltaBatch) {
@@ -773,26 +844,34 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 		}
 	}
 
-	reject("on an empty delta")
+	dangling("on an empty delta")
 	if err := b.AppendBatch(first); err != nil {
 		t.Fatalf("the batch after a rejected one: %v", err)
 	}
-	reject("on top of one batch")
+	dangling("on top of one batch")
 	if err := b.AppendBatch(second); err != nil {
 		t.Fatalf("the batch after a second rejected one: %v", err)
 	}
-	want := int64(first.Orders.Rows() + first.Lineitem.Rows() + second.Orders.Rows() + second.Lineitem.Rows())
-	if st := ing.Stats(); st.DeltaRows != want || db.PendingDeltaRows() != want || st.AppendedRows != want {
-		t.Fatalf("after two valid batches: store %d rows, version %d, lifetime %d; want %d", st.DeltaRows, db.PendingDeltaRows(), st.AppendedRows, want)
+	reject("an empty batch", empty, "empty append")
+	extendsInPlace("the batch after an empty one", third)
+	reject("a compressed batch", packed, "compressed append")
+	extendsInPlace("the batch after a compressed one", fourth)
+	accepted := []*DeltaBatch{first, second, third, fourth}
+	var want int64
+	for _, a := range accepted {
+		want += int64(a.Orders.Rows() + a.Lineitem.Rows())
 	}
-	sameClustering("un-merged views", []*DeltaBatch{first, second})
+	if st := ing.Stats(); st.DeltaRows != want || db.PendingDeltaRows() != want {
+		t.Fatalf("after four valid batches: stats %d rows, version %d; want %d", st.DeltaRows, db.PendingDeltaRows(), want)
+	}
+	sameClustering("un-merged views", accepted)
 	if err := b.MergeAll(); err != nil {
 		t.Fatal(err)
 	}
-	sameClustering("after the merge", []*DeltaBatch{first, second})
-	reject("on the merged base")
-	if err := b.AppendBatch(third); err != nil {
+	sameClustering("after the merge", accepted)
+	dangling("on the merged base")
+	if err := b.AppendBatch(fifth); err != nil {
 		t.Fatalf("the batch after a rejection on the merged base: %v", err)
 	}
-	sameClustering("appended after a rejection on the merged base", []*DeltaBatch{first, second, third})
+	sameClustering("appended after a rejection on the merged base", append(accepted, fifth))
 }
