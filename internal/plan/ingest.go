@@ -233,8 +233,8 @@ func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, er
 // un-merged rows re-encoded where the base was compressed. The appends
 // already built those views in the scheme's own layout — PK re-sorted, BDCC
 // spliced into the clustering — so a merge re-bins and re-sorts nothing: it
-// gathers a BDCC view's runs into arrays once (storage.Table.Materialized),
-// and a re-encoded table shares those arrays (storage.Table.Encoded).
+// encodes a BDCC view from its runs where the base was compressed
+// (storage.Table.Encoded), else gathers them once (Table.Materialized).
 // Readers keep whatever version they pinned. A merge cannot fail: the error
 // is always nil.
 func (ing *Ingest) Merge() error {
@@ -266,11 +266,11 @@ func (ing *Ingest) merge() {
 		if clustered == nil {
 			clustered = maps.Clone(cur.clustered.Tables)
 		}
-		data := bt.Data.Materialized()
+		data := bt.Data.Materialized
 		if ing.compressed[table] {
-			data = data.Encoded()
+			data = bt.Data.Encoded
 		}
-		clustered[table] = bt.Consolidated(data)
+		clustered[table] = bt.Consolidated(data())
 	}
 	if clustered != nil {
 		c := *cur.clustered

@@ -74,15 +74,17 @@ func TestAppendBindsOnlyTheBatch(t *testing.T) {
 	}
 }
 
-// TestMergeOnlyReEncodes pins what a merge does: it gathers each view the
-// appends built into arrays, once, re-encodes it where the base was
-// compressed, and publishes it. After five appends of 100 fact rows the
-// merged clustered table reads the pre-merge view's rows in the same order,
-// with the same count table and sorted keys; it is compressed exactly when
-// the base was; and one Merge allocates at most that one gather of the view,
+// TestMergeOnlyReEncodes pins what a merge does: it re-encodes each view the
+// appends built straight from its runs where the base was compressed, gathers
+// it into arrays, once, where it was not, and publishes it. After five
+// appends of 100 fact rows the merged clustered table reads the pre-merge
+// view's rows in the same order, with the same count table and sorted keys;
+// it is compressed exactly when the base was; and one Merge allocates at most
 // its flat key order (8 B a row, built once per merge rather than by every
-// append) and half of the fact table's raw bytes (the encode, the zones), so
-// neither a re-bin, a re-splice nor a second copy can come back unnoticed.
+// append), half of the fact table's raw bytes (the encode, the zones) and,
+// uncompressed, the one gather of the view, so neither a re-bin, a re-splice
+// nor a second copy can come back unnoticed. Compressed, the merge allocated
+// 1918 KB while it encoded a gather of the view, against 727 KB from the runs.
 // The five appends and the merge together stay under 4× the table: when each
 // append built the merge order and the keys over every row they allocated
 // 5.3× raw and 5.6× compressed, and when each gathered the view into fresh
@@ -132,6 +134,9 @@ func TestMergeOnlyReEncodes(t *testing.T) {
 		}
 		if got.Data.Compressed() != compressed {
 			t.Fatalf("merged table compressed=%v, the base was compressed=%v", got.Data.Compressed(), compressed)
+		}
+		if compressed { // encoded from the view's runs: no gather
+			gather = 0
 		}
 		if alloc > gather+keys+tableBytes/2 {
 			t.Errorf("compressed=%v: Merge allocates %d B, more than its gather of %d B, its keys' %d B and half the fact table's %d B", compressed, alloc, gather, keys, tableBytes)

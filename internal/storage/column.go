@@ -119,16 +119,13 @@ func appendRows(ch *Chunk, kind vector.Kind, lo, hi int, read func(lo, hi int, d
 	}
 }
 
-// raw returns c's rows as one raw chunk: c's own when it is one, else their
-// values read into new arrays.
+// raw returns c's rows when they are one raw chunk, else an empty chunk (a
+// view's columns have no chunks).
 func (c *Column) raw() Chunk {
-	if e := c.Enc; len(e.Chunks) == 1 && e.Chunks[0].Enc == EncRaw {
+	if e := c.Enc; e != nil && len(e.Chunks) == 1 && e.Chunks[0].Enc == EncRaw {
 		return e.Chunks[0]
 	}
-	ch := rawRoom(c.Kind, c.Len(), int(c.Enc.RawBytes))
-	appendRows(&ch, c.Kind, 0, c.Len(), c.AppendRange)
-	ch.Rows = c.Len()
-	return ch
+	return Chunk{}
 }
 
 // Len returns the number of values.
@@ -153,15 +150,6 @@ func strWidth(total, n int) float64 {
 		return 1
 	}
 	return max(float64(total)/float64(n), 1)
-}
-
-// encode builds the chunk-encoded form at the given granularity (rows per
-// page at raw width) and points the modeled width at the encoded bytes.
-// dict is scratch reused from one column to the next; par and inPlace name
-// chunks to keep (see encodeColumn).
-func (c *Column) encode(chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) {
-	c.Enc = encodeColumn(c, chunkRows, dict, par, inPlace)
-	c.useEncodedWidth()
 }
 
 // useEncodedWidth replaces the raw width by encoded bytes per value, where

@@ -74,7 +74,7 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 		return nil, err
 	}
 	if t.tip.Store(true); !inPlace { // a's zones view a's heap, which a copy lets go
-		eachColumn(t.Cols, func(i int, _ *vector.StrDict) {
+		eachColumn(t.Cols, func(i int) {
 			if t.lazy.par[i] != nil {
 				t.zonemap(i)
 			}
@@ -92,7 +92,7 @@ func ConcatWidth(a *Table, aRows int, b *Table) float64 {
 	for i, c := range a.Cols {
 		w := 8.0
 		if c.Kind == vector.String {
-			w = strWidth(a.strBytes(i, aRows)+int(b.Cols[i].Enc.RawBytes), aRows+b.Rows())
+			w = strWidth(a.runsOf().strBytes(i, aRows)+int(b.Cols[i].Enc.RawBytes), aRows+b.Rows())
 		}
 		widest = max(widest, w)
 	}

@@ -60,59 +60,74 @@ type ColumnEncoding struct {
 	strs []byte
 }
 
-// encodeColumn builds the encoded form of c's rows (Column.raw) at the given
-// chunk granularity (rows per uncompressed page, so chunks are page-aligned
-// at raw width): raw chunks are windows of those values. par, when not nil,
-// is the encoding of a column whose rows [0, inPlace) c holds at the same
-// rows: its whole packed chunks there are kept when c's chunks are as long
-// and c's dictionary is par's (or neither has one). Those are exactly the
-// chunks encoding c would build: a chunk's encoding depends only on its
-// values and, for strings, on the dictionary's codes and width — and a chunk
-// of a column whose viable dictionary settleDict dropped did not
-// dictionary-encode. Nothing of par's values may stay reachable: a kept
-// dictionary chunk's bounds become entries of c's dictionary, and raw chunks
-// and string chunks of other encodings (their values views) are encoded
-// again. A string column with no raw chunk owns its strings (ownStrings).
-func encodeColumn(c *Column, chunkRows int, dict *vector.StrDict, par *ColumnEncoding, inPlace int) *ColumnEncoding {
-	src, n := c.raw(), c.Len()
-	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows), RawBytes: c.Enc.RawBytes}
+// encodeColumn builds the encoded form of the n rows of a column of kind at
+// the given chunk granularity (rows per uncompressed page, so chunks are
+// page-aligned at raw width). own, when it has rows or holds strings, is
+// those rows as one raw chunk, of which raw chunks are windows; else the rows
+// are column ci of v's table, read a chunk at a time into one scratch vector,
+// and a chunk that stays raw keeps a copy. par, when not nil, is the encoding
+// of a column whose rows [0, inPlace) this one holds at the same rows: its
+// whole packed chunks there are kept when the chunks are as long and the
+// dictionary is par's (or neither has one). Those are exactly the chunks
+// encoding would build: a chunk's encoding depends only on its values and,
+// for strings, on the dictionary's codes and width — and a chunk of a column
+// whose viable dictionary settleDict dropped did not dictionary-encode.
+// Nothing of par's values may stay reachable: a kept dictionary chunk's
+// bounds become entries of the new dictionary, and raw chunks and string
+// chunks of other encodings (their values views) are encoded again. A string
+// column with no raw chunk owns its strings (ownStrings).
+func encodeColumn(kind vector.Kind, own Chunk, v *view, ci, n, chunkRows int, par *ColumnEncoding, inPlace int) *ColumnEncoding {
+	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows), RawBytes: 8 * int64(n)}
 	var codes []uint32 // per-row dictionary codes; nil: no dictionary
-	if c.Kind == vector.String && n > 0 {
-		e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(src.ValS)
+	if kind == vector.String {
+		dict := dictScratch.Get().(*vector.StrDict)
+		defer dictScratch.Put(dict) // once the chunks are built: codes are its IDs
+		if e.RawBytes = int64(own.ValS.Size()); n > 0 {
+			e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(own.ValS)
+		}
 	}
 	kept := 0
 	if par != nil && par.ChunkRows == chunkRows && slices.Equal(e.Dict, par.Dict) {
 		kept = inPlace / chunkRows
 	}
+	buf, k := &vector.Vector{Kind: kind}, 0
 	for i := range e.Chunks {
 		ch := &e.Chunks[i]
 		start := i * chunkRows
 		end := min(start+chunkRows, n)
 		switch {
-		case i < kept && par.Chunks[i].Enc != EncRaw && (c.Kind != vector.String || par.Chunks[i].Enc == EncDict):
+		case i < kept && par.Chunks[i].Enc != EncRaw && (kind != vector.String || par.Chunks[i].Enc == EncDict):
 			*ch = par.Chunks[i]
-			if ch.Enc == EncDict { // its bounds become entries of c's dictionary
+			if ch.Enc == EncDict { // its bounds become entries of the dictionary
 				lo, _ := slices.BinarySearch(e.Dict, ch.MinS)
 				hi, _ := slices.BinarySearch(e.Dict, ch.MaxS)
 				ch.MinS, ch.MaxS = e.Dict[lo], e.Dict[hi]
 			}
-		case c.Kind == vector.Int64:
-			ch.EncodeI64(src.ValI[start:end])
-		case c.Kind == vector.Float64:
-			ch.EncodeF64(src.ValF[start:end])
-		case c.Kind == vector.String:
+		case kind == vector.String:
 			var chunkCodes []uint32
 			if codes != nil {
 				chunkCodes = codes[start:end]
 			}
-			ch.EncodeStr(src.ValS.Window(start, end), chunkCodes, e.DictBits)
+			ch.EncodeStr(own.ValS.Window(start, end), chunkCodes, e.DictBits)
+		case own.Rows == 0: // read into the scratch, of which a raw chunk keeps a copy
+			buf.Reset()
+			if k = v.read(ci, start, end, k, buf); kind == vector.Int64 {
+				ch.EncodeI64(buf.I64)
+			} else {
+				ch.EncodeF64(buf.F64)
+			}
+			ch.ValI, ch.ValF = slices.Clone(ch.ValI), slices.Clone(ch.ValF)
+		case kind == vector.Int64:
+			ch.EncodeI64(own.ValI[start:end])
+		default:
+			ch.EncodeF64(own.ValF[start:end])
 		}
 		ch.Start = start
 		e.EncodedBytes += ch.Bytes
 		e.Counts[ch.Enc]++
 	}
 	e.settleDict()
-	if c.Kind == vector.String && e.Counts[EncRaw] == 0 {
+	if kind == vector.String && e.Counts[EncRaw] == 0 {
 		e.ownStrings()
 	}
 	return e

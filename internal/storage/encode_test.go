@@ -32,7 +32,7 @@ func roundTripI64(t *testing.T, name string, vals []int64, chunkRows int) *Colum
 	t.Helper()
 	c := NewInt64Column("v", vals)
 	c.finish()
-	c.encode(chunkRows, &vector.StrDict{}, nil, 0)
+	c.encodeAt(chunkRows)
 	got, _, _ := decodeAll(c)
 	if len(got) != len(vals) {
 		t.Fatalf("%s: decoded %d values, want %d", name, len(got), len(vals))
@@ -127,7 +127,7 @@ func TestFloat64ChunkRoundTripBitExact(t *testing.T) {
 	for _, chunkRows := range []int{512, 13, 1} {
 		c := NewFloat64Column("f", vals)
 		c.finish()
-		c.encode(chunkRows, &vector.StrDict{}, nil, 0)
+		c.encodeAt(chunkRows)
 		_, got, _ := decodeAll(c)
 		if len(got) != len(vals) {
 			t.Fatalf("chunk=%d: decoded %d values, want %d", chunkRows, len(got), len(vals))
@@ -176,7 +176,7 @@ func TestStringChunkRoundTrip(t *testing.T) {
 		for _, chunkRows := range []int{512, 31, 1} {
 			c := NewStringColumn("s", tc.vals)
 			c.finish()
-			c.encode(chunkRows, &vector.StrDict{}, nil, 0)
+			c.encodeAt(chunkRows)
 			_, _, got := decodeAll(c)
 			if len(got) != len(tc.vals) {
 				t.Fatalf("%s chunk=%d: decoded %d values, want %d", tc.name, chunkRows, len(got), len(tc.vals))
@@ -747,7 +747,7 @@ func TestBatchColumnIsOneChunk(t *testing.T) {
 		c := tc.col
 		vals := c.Values()
 		c.finish()
-		c.encode(n, &vector.StrDict{}, nil, 0) // chunks of n rows: one chunk
+		c.encodeAt(n) // chunks of n rows: one chunk
 		if len(c.Enc.Chunks) != 1 || c.Enc.Chunks[0].Enc != tc.want {
 			t.Fatalf("%s: %d chunks, the first %s; the case wants one %s chunk", tc.name, len(c.Enc.Chunks), c.Enc.Chunks[0].Enc, tc.want)
 		}

@@ -147,3 +147,10 @@ func spliceRuns(src []int32, aRows int) []Run {
 	}
 	return runs
 }
+
+// encodeAt encodes the raw column c in chunks of chunkRows rows, as
+// compress does at a table's pages.
+func (c *Column) encodeAt(chunkRows int) {
+	c.Enc = encodeColumn(c.Kind, c.raw(), nil, 0, c.Len(), chunkRows, nil, 0)
+	c.useEncodedWidth()
+}

@@ -68,15 +68,19 @@ func newTable(name string, pageSize int64, cols []*Column, lazy *lazyZones) (*Ta
 		return t, nil
 	}
 	t.zones = make([]zonemap, len(cols))
-	eachColumn(cols, func(i int, _ *vector.StrDict) { t.zones[i] = t.deriveZonemap(i, nil, nil) })
+	eachColumn(cols, func(i int) { t.zones[i] = t.deriveZonemap(i, nil, nil) })
 	return t, nil
 }
 
-// eachColumn calls fn(i, dict) for every column i of cols on up to GOMAXPROCS
-// goroutines, the caller's among them, widest column first (the most work),
-// each goroutine reusing one dictionary scratch. fn may write only column
-// i's state, so the columns come out as a serial loop builds them.
-func eachColumn(cols []*Column, fn func(i int, dict *vector.StrDict)) {
+// dictScratch is the encoder's dictionary scratch, reused across columns and
+// tables: it holds no string, so it pins no heap and adds no scanned memory.
+var dictScratch = sync.Pool{New: func() any { return new(vector.StrDict) }}
+
+// eachColumn calls fn(i) for every column i of cols on up to GOMAXPROCS
+// goroutines, the caller's among them, widest column first (the most work).
+// fn may write only column i's state, so the columns come out as a serial
+// loop builds them.
+func eachColumn(cols []*Column, fn func(i int)) {
 	order := make([]int, len(cols))
 	for i := range order {
 		order[i] = i
@@ -84,9 +88,8 @@ func eachColumn(cols []*Column, fn func(i int, dict *vector.StrDict)) {
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cols[b].width, cols[a].width) })
 	var next atomic.Int64
 	work := func() {
-		var dict vector.StrDict
 		for k := next.Add(1) - 1; k < int64(len(order)); k = next.Add(1) - 1 {
-			fn(order[k], &dict)
+			fn(order[k])
 		}
 	}
 	var wg sync.WaitGroup
@@ -109,34 +112,46 @@ func eachColumn(cols []*Column, fn func(i int, dict *vector.StrDict)) {
 // clustering improves the ratio; Extract and AppendRows keep the chunks of
 // rows left in place. Idempotent; safe to call on a table already
 // compressed.
-func (t *Table) Compress() { t.compress(nil) }
+func (t *Table) Compress() { t.settleZones(); t.compress(t, nil) }
 
-// compress is Compress for a table holding the rows of v's runs (nil: none)
-// over a compressed root: the root's whole chunks over the rows v's leading
-// run leaves in place are kept where the encoder allows (see encodeColumn).
-// t itself is uncompressed.
-func (t *Table) compress(v *view) {
+// compress encodes t's columns, at raw-width pages, from the rows of src — t
+// itself, or the table t is the Encoded form of, read through its runs. A
+// column that is one raw chunk is encoded from it; a string column that is
+// not is read into one heap, since its dictionary needs every value before
+// the first chunk, whose offsets an Encoded t keeps (strOffsets). t keeps its
+// zones and builds the others from the chunks. keep, when not nil, is the
+// view over a compressed root t's rows were gathered from (Extract): the
+// root's whole chunks its leading run leaves in place are kept if they can be.
+func (t *Table) compress(src *Table, keep *view) {
 	if t.view != nil {
 		panic("storage: compress of a view: its Encoded form is the compressed table")
 	}
-	t.settleZones() // the chunks are built whole, and so are the zones
 	t.compressed = true
 	t.derived.Clear() // whatever was derived from the uncompressed form is stale
-	eachColumn(t.Cols, func(i int, dict *vector.StrDict) {
-		c := t.Cols[i]
-		c.finish() // chunk granularity is page-aligned at the raw width
+	rows := src.runsOf()
+	eachColumn(t.Cols, func(i int) {
+		c, own := t.Cols[i], t.Cols[i].raw()
 		var par *ColumnEncoding
 		inPlace := 0
-		if v != nil && len(v.runs) > 0 && v.runs[0] == (Run{0, 0, v.runs[0].N, 0}) {
-			par, inPlace = v.srcs[0].Cols[i].Enc, int(v.runs[0].N)
+		if keep != nil && len(keep.runs) > 0 && keep.runs[0] == (Run{0, 0, keep.runs[0].N, 0}) {
+			par, inPlace = keep.srcs[0].Cols[i].Enc, int(keep.runs[0].N)
 		}
-		c.encode(t.rowsPerPage(c), dict, par, inPlace)
-		z := &t.zones[i]
-		if z.minAt == nil {
+		if c.width = 8; c.Kind == vector.String {
+			if own.Rows == 0 {
+				own = rows.column(i, c.Kind, t.rows, rows.strBytes(i, t.rows))
+			}
+			if src != t {
+				t.derived.Store(offsKey(i), own.ValS.Offs)
+			}
+			c.width = strWidth(own.ValS.Size(), t.rows)
+		}
+		c.Enc = encodeColumn(c.Kind, own, rows, i, t.rows, t.rowsPerPage(c), par, inPlace)
+		c.useEncodedWidth()
+		if z := &t.zones[i]; z.minAt == nil {
 			*z = zonemapFromChunks(c)
-		}
-		for p := range z.minS { // the chunks' bounds: the same values, not views of the raw heap
-			z.minS[p], z.maxS[p] = c.Enc.Chunks[p].MinS, c.Enc.Chunks[p].MaxS
+		} else if z.minS != nil { // the chunks' bounds: the same values, not views of the raw heap
+			zc := zonemapFromChunks(c)
+			z.minS, z.maxS = zc.minS, zc.maxS
 		}
 	})
 }
@@ -144,37 +159,24 @@ func (t *Table) compress(v *view) {
 // Compressed reports whether Compress has run on this table.
 func (t *Table) Compressed() bool { return t.compressed }
 
-// Encoded returns the compressed form of t (a view's, Materialized): new
-// columns encoded from t's, and t's zones. Zones t derives on first use and
-// has not yet are its chunks', and the result derives those on first use too
-// (see Splice). Raw chunks are windows of t's values, so a table of raw
-// columns is not copied; the byte offsets of its strings are kept for the
-// splices the result roots (strOffsets). Sharing is safe because a published
-// table never changes; t itself is left as it was.
+// Encoded returns the compressed form of t: new columns encoded from t's
+// rows, a view's read through its runs rather than gathered (compress), and
+// t's zones. Those t derives on first use and has not yet are its chunks',
+// and the result derives them on first use too (see Splice). Raw chunks of
+// a raw column are windows of t's values, so a table of raw columns is not
+// copied. Sharing is safe because a published table never changes; t itself
+// is left as it was.
 func (t *Table) Encoded() *Table {
-	t = t.Materialized()
-	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName,
-		Cols: make([]*Column, len(t.Cols)), zones: make([]zonemap, len(t.Cols))}
+	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName, Cols: make([]*Column, len(t.Cols)),
+		zones: make([]zonemap, len(t.Cols)), lazy: &lazyZones{memo: make([]atomic.Pointer[zonemap], len(t.Cols))}}
 	for i, c := range t.Cols {
-		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, Enc: c.Enc, width: c.width}
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, Enc: c.Enc}
 		if z := t.known(i); z != nil {
 			out.zones[i] = *z
+			out.lazy.memo[i].Store(&out.zones[i])
 		}
 	}
-	out.compress(nil)
-	for i, c := range t.Cols {
-		if c.Kind == vector.String {
-			out.derived.Store(offsKey(i), t.strOffsets(i))
-		}
-	}
-	if t.lazy != nil {
-		out.lazy = &lazyZones{memo: make([]atomic.Pointer[zonemap], len(t.Cols))}
-		for i := range t.Cols {
-			if t.known(i) != nil {
-				out.lazy.memo[i].Store(&out.zones[i])
-			}
-		}
-	}
+	out.compress(t, nil)
 	return out
 }
 
@@ -312,7 +314,7 @@ func (t *Table) Permute(perm []int32) (*Table, error) {
 	}
 	t = t.Materialized()
 	cols := make([]*Column, len(t.Cols))
-	eachColumn(t.Cols, func(i int, _ *vector.StrDict) { cols[i] = t.Cols[i].permute(perm) })
+	eachColumn(t.Cols, func(i int) { cols[i] = t.Cols[i].permute(perm) })
 	out, err := NewTable(t.Name, t.PageSize, cols...)
 	if err == nil && t.compressed {
 		out.Compress()
@@ -349,9 +351,8 @@ func (t *Table) Extract(ranges RowRanges) (*Table, error) {
 	}
 	vt := v.table(t, n, v.runs)
 	out := v.gather(vt, vt.lazy)
-	out.settleZones()
-	if t.compressed {
-		out.compress(v)
+	if out.settleZones(); t.compressed {
+		out.compress(out, v)
 	}
 	return out, nil
 }

@@ -108,7 +108,7 @@ func Splice(a *Table, aRows int, b *Table, step []Run) (*Table, error) {
 		v.runs = AppendPieces(v.runs, from, r.Src, r.N)
 	}
 	t := v.table(a, n, step)
-	eachColumn(t.Cols, func(i int, _ *vector.StrDict) {
+	eachColumn(t.Cols, func(i int) {
 		if z := t.lazy.par[i]; z != nil && z.minAt != nil && a.lazy != nil {
 			t.zonemap(i)
 		}
@@ -158,7 +158,7 @@ func (v *view) table(a *Table, n int, step []Run) *Table {
 	for i, c := range a.Cols {
 		t.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, width: 8}
 		if c.Kind == vector.String {
-			t.Cols[i].width = strWidth(t.strBytes(i, n), n)
+			t.Cols[i].width = strWidth(v.strBytes(i, n), n)
 		}
 	}
 	return t
@@ -166,8 +166,8 @@ func (v *view) table(a *Table, n int, step []Run) *Table {
 
 // strBytes returns the string bytes of the first rows rows of column ci,
 // summed run by run from each source's offsets.
-func (t *Table) strBytes(ci, rows int) int {
-	v, total := t.runsOf(), 0
+func (v *view) strBytes(ci, rows int) int {
+	total := 0
 	offs := make([][]uint32, len(v.srcs))
 	for _, r := range v.runs {
 		if int(r.At) >= rows {
@@ -188,12 +188,14 @@ type offsKey int
 // strOffsets returns where each row of string column ci of a table that is
 // no view starts in its column's string bytes, and where the last ends: a
 // raw column's heap offsets, else those of its rows read into one heap, once
-// (Derived; a merge keeps those of the heap it encoded, see Encoded).
+// (Derived; an Encoded table keeps those of the heap it encoded, see compress).
 func (t *Table) strOffsets(ci int) []uint32 {
 	if ch := t.Cols[ci].Enc.Chunks; len(ch) == 1 && ch[0].Enc == EncRaw {
 		return ch[0].ValS.Offs
 	}
-	return t.Derived(offsKey(ci), func() any { return t.Cols[ci].raw().ValS.Offs }).([]uint32)
+	return t.Derived(offsKey(ci), func() any {
+		return t.runsOf().column(ci, vector.String, t.rows, int(t.Cols[ci].Enc.RawBytes)).ValS.Offs
+	}).([]uint32)
 }
 
 // viewSpan reads rows of a view for zone derivation — a span of a page, or
@@ -247,7 +249,7 @@ func (t *Table) known(ci int) *zonemap {
 func (t *Table) settleZones() {
 	if t.lazy != nil {
 		zones := make([]zonemap, len(t.Cols))
-		eachColumn(t.Cols, func(i int, _ *vector.StrDict) { zones[i] = *t.zonemap(i) })
+		eachColumn(t.Cols, func(i int) { zones[i] = *t.zonemap(i) })
 		t.zones, t.lazy = zones, nil
 	}
 }
@@ -267,13 +269,12 @@ func (t *Table) Materialized() *Table {
 // its zones lz seeded with those t has.
 func (v *view) gather(t *Table, lz *lazyZones) *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName, Cols: make([]*Column, len(t.Cols)), lazy: lz}
-	eachColumn(t.Cols, func(i int, _ *vector.StrDict) {
+	eachColumn(t.Cols, func(i int) {
 		bytes := 0
 		if t.Cols[i].Kind == vector.String {
-			bytes = t.strBytes(i, t.rows)
+			bytes = v.strBytes(i, t.rows)
 		}
-		ch, k := rawRoom(t.Cols[i].Kind, t.rows, bytes), 0
-		appendRows(&ch, t.Cols[i].Kind, 0, t.rows, func(lo, hi int, dst *vector.Vector) { k = v.read(i, lo, hi, k, dst) })
+		ch := v.column(i, t.Cols[i].Kind, t.rows, bytes)
 		c := rawColumn(t.Cols[i].Name, t.Cols[i].Kind, ch)
 		c.finish()
 		if out.Cols[i] = c; t.known(i) != nil {
@@ -288,4 +289,12 @@ func (v *view) gather(t *Table, lz *lazyZones) *Table {
 		}
 	})
 	return out
+}
+
+// column returns the first n rows of column ci, of kind, as one raw chunk,
+// read run by run: strings copied into one heap with room for bytes bytes.
+func (v *view) column(ci int, kind vector.Kind, n, bytes int) Chunk {
+	k, ch := 0, rawRoom(kind, n, bytes)
+	appendRows(&ch, kind, 0, n, func(lo, hi int, dst *vector.Vector) { k = v.read(ci, lo, hi, k, dst) })
+	return ch
 }

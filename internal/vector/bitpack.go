@@ -9,8 +9,8 @@ import "encoding/binary"
 // dictionary chunks over a one-entry dictionary produce.
 //
 // BitPack and BitUnpack move values a 64-bit word at a time; the
-// byte-at-a-time bitPut and bitGet define the layout and finish the last few
-// values of a stream, where a whole word no longer fits.
+// byte-at-a-time bitGet defines the layout and finishes the last few values
+// of an unpacked stream, where a whole word no longer fits.
 
 // BitPackLen returns the byte length of n packed values of bitw bits.
 func BitPackLen(n int, bitw uint8) int {
@@ -18,26 +18,28 @@ func BitPackLen(n int, bitw uint8) int {
 }
 
 // BitPack writes the n values val(0), …, val(n-1), each truncated to bitw
-// bits, as the packed stream dst, which must be zeroed and BitPackLen(n, bitw)
-// bytes long.
+// bits, as the packed stream dst, which must be BitPackLen(n, bitw) bytes
+// long. Values collect in a 64-bit word that is stored whole once full; the
+// last one's bytes end the stream.
 func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
 	if bitw == 0 {
 		return
 	}
 	w := uint(bitw)
 	mask := ^uint64(0) >> (64 - w)
-	bit := uint(0)
+	var word uint64
+	fill, at := uint(0), 0 // bits of word in use; where it is stored
 	for i := 0; i < n; i++ {
-		idx, off := int(bit>>3), bit&7
-		if v := val(i) & mask; idx+8 > len(dst) {
-			bitPut(dst, i, bitw, v)
-		} else {
-			binary.LittleEndian.PutUint64(dst[idx:], binary.LittleEndian.Uint64(dst[idx:])|v<<off)
-			if off+w > 64 {
-				dst[idx+8] |= byte(v >> (64 - off))
-			}
+		v := val(i) & mask
+		if word |= v << fill; fill+w < 64 {
+			fill += w
+			continue
 		}
-		bit += w
+		binary.LittleEndian.PutUint64(dst[at:], word)
+		word, fill, at = v>>(64-fill), fill+w-64, at+8 // a shift by 64 is 0
+	}
+	for ; at < len(dst); at++ {
+		dst[at], word = byte(word), word>>8
 	}
 }
 
@@ -81,22 +83,6 @@ func BitUnpack[T int64 | uint64](dst []T, src []byte, start int, bitw uint8, bas
 			v >>= w
 		}
 		i, bit = i+len(run), bit+uint(len(run))*w
-	}
-}
-
-// bitPut writes value v (truncated to bitw bits) at index i of the packed
-// stream dst, whose target bits must be zero.
-func bitPut(dst []byte, i int, bitw uint8, v uint64) {
-	bit := i * int(bitw)
-	for put := 0; put < int(bitw); {
-		idx := (bit + put) / 8
-		off := (bit + put) % 8
-		take := 8 - off
-		if rem := int(bitw) - put; take > rem {
-			take = rem
-		}
-		dst[idx] |= byte(v>>put&(uint64(1)<<take-1)) << off
-		put += take
 	}
 }
 

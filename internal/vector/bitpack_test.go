@@ -47,3 +47,19 @@ func TestBitPackBulkMatchesPerValue(t *testing.T) {
 		}
 	}
 }
+
+// bitPut writes value v (truncated to bitw bits) at index i of the packed
+// stream dst, whose target bits must be zero: the layout, value by value.
+func bitPut(dst []byte, i int, bitw uint8, v uint64) {
+	bit := i * int(bitw)
+	for put := 0; put < int(bitw); {
+		idx := (bit + put) / 8
+		off := (bit + put) % 8
+		take := 8 - off
+		if rem := int(bitw) - put; take > rem {
+			take = rem
+		}
+		dst[idx] |= byte(v>>put&(uint64(1)<<take-1)) << off
+		put += take
+	}
+}

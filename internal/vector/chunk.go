@@ -239,8 +239,9 @@ func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dictBits uint8) {
 // sorting its values, and one that will takes its codes from IDs instead of
 // hashing every value a second time. Values are numbered through a flat
 // table of id+1 slots (0: empty), a power of two at most half full, probed
-// linearly from a maphash of the value. The zero value is ready; Collect
-// reuses its memory from one column to the next.
+// linearly from a maphash of the value; a value is known by the row it first
+// occurs at, so the scratch holds no string and may be reused across columns
+// and calls without pinning a heap. The zero value is ready.
 type StrDict struct {
 	// IDs[i] is the number of row i's value: by first occurrence after
 	// Collect, by value order after Sort.
@@ -248,15 +249,14 @@ type StrDict struct {
 	// Bytes is the summed length of the distinct values.
 	Bytes int
 
-	vals       []string // the distinct values, by id
+	first      []uint32 // the row each distinct value first occurs at, by id
 	slots      []uint32
 	seed       maphash.Seed
 	perm, code []uint32 // Sort's
 }
 
 // Collect scans vals. With limit > 0 it gives up, returning false, as soon as
-// more than limit distinct values were seen. The distinct values it keeps are
-// views of vals' heap.
+// more than limit distinct values were seen.
 func (d *StrDict) Collect(vals Heap, limit int) bool {
 	n := vals.Len()
 	size := 64 // at least twice the distinct values there can be
@@ -267,21 +267,20 @@ func (d *StrDict) Collect(vals Heap, limit int) bool {
 		d.slots, d.seed = make([]uint32, size), maphash.MakeSeed()
 	}
 	clear(d.slots)
-	clear(d.vals) // drop the views of the last column's heap
-	d.vals, d.IDs, d.Bytes = d.vals[:0], slices.Grow(d.IDs[:0], n)[:n], 0
+	d.first, d.IDs, d.Bytes = d.first[:0], slices.Grow(d.IDs[:0], n)[:n], 0
 	mask := uint64(len(d.slots) - 1)
 	for i := range n {
 		s := vals.At(i)
 		j := maphash.String(d.seed, s) & mask
-		for d.slots[j] != 0 && d.vals[d.slots[j]-1] != s {
+		for d.slots[j] != 0 && vals.At(int(d.first[d.slots[j]-1])) != s {
 			j = (j + 1) & mask
 		}
 		if d.slots[j] == 0 {
-			if limit > 0 && len(d.vals) == limit {
+			if limit > 0 && len(d.first) == limit {
 				return false
 			}
-			d.vals = append(d.vals, s)
-			d.slots[j] = uint32(len(d.vals))
+			d.first = append(d.first, uint32(i))
+			d.slots[j] = uint32(len(d.first))
 			d.Bytes += len(s)
 		}
 		d.IDs[i] = d.slots[j] - 1
@@ -290,20 +289,22 @@ func (d *StrDict) Collect(vals Heap, limit int) bool {
 }
 
 // Len returns the number of distinct values collected.
-func (d *StrDict) Len() int { return len(d.vals) }
+func (d *StrDict) Len() int { return len(d.first) }
 
-// Sort returns the distinct values in ascending order and renumbers IDs to
-// match, so that code order is value order.
-func (d *StrDict) Sort() []string {
-	n := len(d.vals)
+// Sort returns the distinct values of vals, the heap Collect numbered, in
+// ascending order (views of vals) and renumbers IDs to match, so that code
+// order is value order.
+func (d *StrDict) Sort(vals Heap) []string {
+	n := len(d.first)
 	d.perm, d.code = slices.Grow(d.perm[:0], n)[:n], slices.Grow(d.code[:0], n)[:n]
 	for id := range d.perm {
 		d.perm[id] = uint32(id)
 	}
-	slices.SortFunc(d.perm, func(a, b uint32) int { return strings.Compare(d.vals[a], d.vals[b]) })
+	at := func(id uint32) string { return vals.At(int(d.first[id])) }
+	slices.SortFunc(d.perm, func(a, b uint32) int { return strings.Compare(at(a), at(b)) })
 	sorted := make([]string, n)
 	for c, id := range d.perm { // the c'th value in order has number id
-		sorted[c], d.code[id] = d.vals[id], uint32(c)
+		sorted[c], d.code[id] = at(id), uint32(c)
 	}
 	for i, id := range d.IDs {
 		d.IDs[i] = d.code[id]
@@ -327,7 +328,7 @@ func (d *StrDict) ColumnDict(vals Heap) (dict []string, codes []uint32, bitw uin
 	if dictBytes+int64(BitPackLen(vals.Len(), bitw)) >= int64(vals.Size()) {
 		return nil, nil, 0, 0
 	}
-	return d.Sort(), d.IDs, bitw, dictBytes
+	return d.Sort(vals), d.IDs, bitw, dictBytes
 }
 
 // AppendRange appends the chunk's rows [lo,hi) to dst, a vector of the

@@ -53,7 +53,8 @@ func checkStrDict(t *testing.T, d *StrDict, vals []string, limit int) {
 		}
 		refIDs = append(refIDs, id)
 	}
-	ok := d.Collect(HeapOf(vals), limit)
+	h := HeapOf(vals)
+	ok := d.Collect(h, limit)
 	if ok != refOK {
 		t.Fatalf("%q limit %d: Collect %v, reference %v", vals, limit, ok, refOK)
 	}
@@ -74,7 +75,7 @@ func checkStrDict(t *testing.T, d *StrDict, vals []string, limit int) {
 		want = append(want, s)
 	}
 	slices.Sort(want)
-	sorted := d.Sort()
+	sorted := d.Sort(h)
 	if !slices.Equal(sorted, want) {
 		t.Fatalf("%q: Sort %q, want %q", vals, sorted, want)
 	}
