@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strings"
 
-	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
 
@@ -61,15 +60,6 @@ func (t *TableDef) Column(name string) *Column {
 		}
 	}
 	return nil
-}
-
-// ExprSchema returns the table's row schema for expression binding.
-func (t *TableDef) ExprSchema() expr.Schema {
-	s := make(expr.Schema, len(t.Columns))
-	for i, c := range t.Columns {
-		s[i] = expr.ColMeta{Name: c.Name, Kind: c.Kind}
-	}
-	return s
 }
 
 // Schema is a set of table definitions plus the foreign-key graph over them.

@@ -125,14 +125,3 @@ func TestIndexMatchesFK(t *testing.T) {
 		t.Error("different set should not match")
 	}
 }
-
-func TestExprSchema(t *testing.T) {
-	s, err := ParseDDL("CREATE TABLE t (a INT, b VARCHAR(5), c DOUBLE)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	es := s.Table("t").ExprSchema()
-	if len(es) != 3 || es[1].Kind != vector.String || es[2].Kind != vector.Float64 {
-		t.Errorf("expr schema = %+v", es)
-	}
-}

@@ -42,7 +42,7 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 		Tables:     make(map[string]*BDCCTable),
 	}
 	ub := newUseBins(b.Schema, b.Tables, db)
-	res := ub.resolver()
+	res := ub.res
 	for _, spec := range design.Dimensions {
 		dim, err := b.createDimension(design, spec, res)
 		if err != nil {

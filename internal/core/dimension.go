@@ -99,33 +99,6 @@ func (d *Dimension) BinRange(lo, hi *KeyVal) (uint64, uint64) {
 	return loBin, hiBin
 }
 
-// Reduce returns the dimension D|g with granularity reduced to g bits
-// (Definition 1 (vii)): the bits(D)-g least significant bits of all bin
-// numbers are chopped off and bins with equal numbers are united.
-func (d *Dimension) Reduce(g int) (*Dimension, error) {
-	b := d.Bits()
-	if g > b {
-		return nil, fmt.Errorf("core: cannot reduce dimension %s from %d to %d bits", d.Name, b, g)
-	}
-	if g == b {
-		return d, nil
-	}
-	shift := uint(b - g)
-	out := &Dimension{Name: fmt.Sprintf("%s|%d", d.Name, g), Table: d.Table, Key: d.Key}
-	for _, bin := range d.Bins {
-		no := bin.No >> shift
-		if n := len(out.Bins); n > 0 && out.Bins[n-1].No == no {
-			last := &out.Bins[n-1]
-			last.Max = bin.Max
-			last.Weight += bin.Weight
-			last.Unique = false
-			continue
-		}
-		out.Bins = append(out.Bins, Bin{No: no, Min: bin.Min, Max: bin.Max, Weight: bin.Weight, Unique: bin.Unique})
-	}
-	return out, nil
-}
-
 // Validate checks the Definition 1 invariants: ascending bin numbers,
 // non-overlapping and value-ordered bins.
 func (d *Dimension) Validate() error {

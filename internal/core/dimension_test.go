@@ -134,34 +134,6 @@ func TestBinOfMonotone(t *testing.T) {
 
 // TestReduceCongruence checks Definition 1 (vii): reducing granularity is
 // exactly chopping low bin bits: bin_{D|g}(v) = bin_D(v) >> (bits(D)-g).
-func TestReduceCongruence(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	vals := make([]int64, 500)
-	for i := range vals {
-		vals[i] = rng.Int63n(10000)
-	}
-	d := makeIntDim(t, "d", vals, 6)
-	bits := d.Bits()
-	for g := 0; g <= bits; g++ {
-		r, err := d.Reduce(g)
-		if err != nil {
-			t.Fatalf("Reduce(%d): %v", g, err)
-		}
-		if err := r.Validate(); err != nil {
-			t.Fatalf("Reduce(%d) invalid: %v", g, err)
-		}
-		for _, v := range vals {
-			want := d.BinOf(IntKey(v)) >> uint(bits-g)
-			if got := r.BinOf(IntKey(v)); got != want {
-				t.Fatalf("g=%d v=%d: reduced bin %d, want %d", g, v, got, want)
-			}
-		}
-	}
-	if _, err := d.Reduce(bits + 1); err == nil {
-		t.Error("Reduce above bits(D) should fail")
-	}
-}
-
 // TestBinRangeCoversPredicateValues checks that BinRange returns a bin
 // interval covering every value satisfying lo ≤ v ≤ hi.
 func TestBinRangeCoversPredicateValues(t *testing.T) {

@@ -125,43 +125,32 @@ func (x *KeyBins) bin(k int64) (uint64, bool) {
 // the batch and not the tables its paths cross.
 type useBins struct {
 	schema *catalog.Schema
-	tables map[string]*storage.Table
 	db     *Database
 	memo   map[string][]uint64
-	res    *Resolver // over tables; built on first use
+	res    *Resolver
 
-	// batch holds rows [from, n) of tables[batchTable] and restricts the
-	// binder to them.
-	batch      *storage.Table
-	batchTable string
-	from       int
+	// batch, when set, is the one table the binder covers the rows of: the
+	// resolver holds it in place of its table.
+	batch *storage.Table
 }
 
 func newUseBins(schema *catalog.Schema, tables map[string]*storage.Table, db *Database) *useBins {
-	return &useBins{schema: schema, tables: tables, db: db, memo: make(map[string][]uint64)}
+	return &useBins{schema: schema, db: db, memo: make(map[string][]uint64), res: NewResolver(schema, tables)}
 }
 
-// newBatchBins returns the binder of batch, rows [from, n) of tables[table].
-func newBatchBins(schema *catalog.Schema, tables map[string]*storage.Table, db *Database, table string, from int, batch *storage.Table) *useBins {
-	b := newUseBins(schema, tables, db)
-	b.batch, b.batchTable, b.from = batch, table, from
+// newBatchBins returns the binder of batch, rows appended to table, over
+// the stored form of every other table: its clustering's rows where db has
+// one, its entry in tables otherwise.
+func newBatchBins(schema *catalog.Schema, tables map[string]*storage.Table, db *Database, table string, batch *storage.Table) *useBins {
+	stored := make(map[string]*storage.Table, len(tables)+len(db.Tables))
+	maps.Copy(stored, tables)
+	for name, bt := range db.Tables {
+		stored[name] = bt.Data
+	}
+	stored[table] = batch
+	b := newUseBins(schema, stored, db)
+	b.batch = batch
 	return b
-}
-
-func (b *useBins) resolver() *Resolver {
-	if b.res == nil {
-		b.res = NewResolver(b.schema, b.tables)
-	}
-	return b.res
-}
-
-// rows returns the rows of table the binder covers; a batch binder is only
-// ever asked for its own table.
-func (b *useBins) rows(table string) (*storage.Table, error) {
-	if b.batch != nil {
-		return b.batch, nil
-	}
-	return b.resolver().Table(table)
 }
 
 // of returns, for every covered row of table, the bin of dimension us.Dim
@@ -174,9 +163,9 @@ func (b *useBins) of(table string, us UseSpec) ([]uint64, error) {
 	var bins []uint64
 	var err error
 	if b.batch == nil {
-		bins, err = binsForUse(b.resolver(), b.db, table, us)
+		bins, err = binsForUse(b.res, b.db, table, us)
 	} else {
-		bins, err = b.batchBins(us)
+		bins, err = b.batchBins(table, us)
 	}
 	if err != nil {
 		return nil, err
@@ -185,13 +174,13 @@ func (b *useBins) of(table string, us UseSpec) ([]uint64, error) {
 	return bins, nil
 }
 
-// batchBins bins the batch's rows for one use: a local dimension bins the
-// batch's own key columns, a path leaves over its first foreign key through
-// the key→bin index of that hop. A key the index does not hold is a dangling
-// reference — parents arrive, and extend the index, before their children.
-// Only a hop without an index (a composite or non-int64 foreign key) walks
-// the stored tables.
-func (b *useBins) batchBins(us UseSpec) ([]uint64, error) {
+// batchBins bins the batch's rows, those of table, for one use: a local
+// dimension bins the batch's own key columns, a path leaves over its first
+// foreign key through the key→bin index of that hop. A key the index does not
+// hold is a dangling reference — parents arrive, and extend the index, before
+// their children. Only a hop without an index (a composite or non-int64
+// foreign key) walks the stored tables, resolving the batch's keys by value.
+func (b *useBins) batchBins(table string, us UseSpec) ([]uint64, error) {
 	dim := b.db.Dimensions[us.Dim]
 	if len(us.Path) == 0 {
 		keys, err := KeyValues(b.batch, dim.Key)
@@ -206,11 +195,7 @@ func (b *useBins) batchBins(us UseSpec) ([]uint64, error) {
 	}
 	idx := b.db.KeyBins(us.Dim, us.Path)
 	if idx == nil {
-		bins, err := binsForUse(b.resolver(), b.db, b.batchTable, us)
-		if err != nil {
-			return nil, err
-		}
-		return bins[b.from:], nil
+		return binsForUse(b.res, b.db, table, us)
 	}
 	fk := b.schema.FK(us.Path[0]) // the index was built over it
 	col, err := b.batch.Column(fk.Cols[0])
@@ -270,7 +255,7 @@ func (b *useBins) keyBins(refTable string) (map[string]*KeyBins, error) {
 				if out[k] != nil {
 					continue
 				}
-				ref, err := b.rows(fk.RefTable)
+				ref, err := b.res.Table(fk.RefTable)
 				if err != nil {
 					return nil, err
 				}
@@ -293,23 +278,20 @@ func (b *useBins) keyBins(refTable string) (map[string]*KeyBins, error) {
 }
 
 // AppendRows returns the database that additionally holds batch, rows
-// [from, n) of tables[table]: the table's clustering takes them by the
-// MergeBDCCTable splice (when the table has a design) and every key→bin
-// index whose hop references the table gains their keys. This is the one
-// place an append is priced: the batch, the runs of the table's clustered
-// view and its keys appended since the last merge, no row copied and nothing
-// of a table's length built. The batch's bins come from its own key columns
-// and from the indexes (see batchBins), so no other table is read —
-// tables, the combined stored tables, serve only a hop that has no index.
+// appended to table: the table's clustering takes them by the MergeBDCCTable
+// splice (when the table has a design) and every key→bin index whose hop
+// references the table gains their keys. This is the one place an append is
+// priced: the batch, the runs of the table's clustered view and its keys
+// appended since the last merge, no row copied and nothing of a table's
+// length built. The batch's bins come from its own key columns and from the
+// indexes (see batchBins), so no other table is read: only a hop that has no
+// index reads the clusterings, and tables for a table without a design.
 // Parents must be appended before the children that reference them.
 // Everything else is shared with db, which is not modified.
-func (db *Database) AppendRows(schema *catalog.Schema, tables map[string]*storage.Table, table string, from int, batch *storage.Table, opt BuildOptions) (*Database, error) {
-	b := newBatchBins(schema, tables, db, table, from, batch)
+func (db *Database) AppendRows(schema *catalog.Schema, tables map[string]*storage.Table, table string, batch *storage.Table, opt BuildOptions) (*Database, error) {
+	b := newBatchBins(schema, tables, db, table, batch)
 	out := *db
 	if bt := db.Tables[table]; bt != nil {
-		if int(bt.Rows()) != from {
-			return nil, fmt.Errorf("core: clustered %s holds %d rows, append starts at row %d", table, bt.Rows(), from)
-		}
 		uses, err := b.bind(table)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,12 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
+
+	"bdcc/internal/catalog"
+	"bdcc/internal/iosim"
+	"bdcc/internal/storage"
 )
 
 // modelSet is the map the planner's bin sets used to be; the bitset must
@@ -286,5 +291,153 @@ func keyBinsExtendedWhileRead(t *testing.T) {
 	}
 	if len(parent.Keys) != n || len(child.Keys) != n+200 {
 		t.Fatalf("parent holds %d keys, child %d; want %d and %d", len(parent.Keys), len(child.Keys), n, n+200)
+	}
+}
+
+// compositeDDL has a fact table f that reaches dimensions d_pa (hosted on p)
+// and d_region (hosted on d) over a two-column foreign key into p: the hop
+// leaving f has no key→bin index, so binding an appended batch of f resolves
+// its keys, by value, against the stored form of p and d.
+const compositeDDL = `
+CREATE TABLE d (dkey INT, region VARCHAR(8), PRIMARY KEY (dkey));
+CREATE TABLE p (pa INT, pb INT, p_d INT, PRIMARY KEY (pa, pb),
+    CONSTRAINT fk_p_d FOREIGN KEY (p_d) REFERENCES d);
+CREATE TABLE f (fkey INT, f_a INT, f_b INT, PRIMARY KEY (fkey),
+    CONSTRAINT fk_f_p FOREIGN KEY (f_a, f_b) REFERENCES p);
+CREATE INDEX region_idx ON d (region);
+CREATE INDEX pa_idx ON p (pa);
+CREATE INDEX pd_idx ON p (p_d);
+CREATE INDEX fp_idx ON f (f_a, f_b);
+`
+
+// pRows returns rows [from, from+n) of p: row i has the key (i/4, i%4) and
+// references, nine times in ten, one of d's first two rows.
+func pRows(rng *rand.Rand, from, n int) *storage.Table {
+	pa, pb, pd := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range pa {
+		pa[i], pb[i], pd[i] = int64((from+i)/4), int64((from+i)%4), rng.Int63n(2)
+		if rng.Intn(10) == 0 {
+			pd[i] = 2 + rng.Int63n(6)
+		}
+	}
+	return storage.MustNewTable("p", 4096, storage.NewInt64Column("pa", pa), storage.NewInt64Column("pb", pb), storage.NewInt64Column("p_d", pd))
+}
+
+// fRows returns rows [from, from+n) of f, each referencing one of p's first
+// refs rows.
+func fRows(rng *rand.Rand, from, n, refs int) *storage.Table {
+	key, fa, fb := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range key {
+		r := rng.Intn(refs)
+		key[i], fa[i], fb[i] = int64(from+i), int64(r/4), int64(r%4)
+	}
+	return storage.MustNewTable("f", 4096, storage.NewInt64Column("fkey", key), storage.NewInt64Column("f_a", fa), storage.NewInt64Column("f_b", fb))
+}
+
+// TestBatchBindsOverCompositeKey covers the binder's fallback for a hop
+// without a key→bin index: a batch of f, whose uses all leave over the
+// two-column fk_f_p, binds by value against p's stored form — the loaded
+// clustering, then an un-merged view after p took a batch — exactly as
+// BindUses binds its rows over the combined insertion-order tables, with
+// relocation on (p's stored form then holds relocated duplicates) and off.
+// The appended f equals the from-scratch rebuild, and a batch whose
+// composite key p does not hold is rejected with the resolver's error. Every
+// table has a design, so the binder reads them all from their clusterings
+// and is handed no other table.
+func TestBatchBindsOverCompositeKey(t *testing.T) {
+	const nD, nP, nF = 8, 400, 2000
+	schema := catalog.MustParseDDL(compositeDDL)
+	design, err := (&Advisor{Schema: schema}).Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	regions := []string{"east", "north", "south", "west"}
+	dk, dr := make([]int64, nD), make([]string, nD)
+	for i := range dk {
+		dk[i], dr[i] = int64(i), regions[i%len(regions)]
+	}
+	d := storage.MustNewTable("d", 4096, storage.NewInt64Column("dkey", dk), storage.NewStringColumn("region", dr))
+	dev := iosim.Device{PageSize: 4096, SeqBandwidth: 1 << 30, AR: 1024, RandEfficiency: 0.8}
+	for _, reloc := range []bool{true, false} {
+		opt := BuildOptions{Device: dev, DisableRelocation: !reloc}
+		rng := rand.New(rand.NewSource(11))
+		p, f := pRows(rng, 0, nP), fRows(rng, 0, nF, nP)
+		db, err := (&Builder{Schema: schema, Tables: map[string]*storage.Table{"d": d, "p": p, "f": f}, Options: opt}).Build(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, u := range design.Table("f").Uses {
+			if u.Path[0] != "fk_f_p" || db.KeyBins(u.Dim, u.Path) != nil {
+				t.Fatalf("f's use of %s over %v is not the unindexed composite hop", u.Dim, u.Path)
+			}
+		}
+		if got := db.Tables["p"].RelocatedRows > 0; got != reloc {
+			t.Fatalf("relocation %v: p relocated %d rows", reloc, db.Tables["p"].RelocatedRows)
+		}
+		pBatch, fBatch := pRows(rng, nP, 40), fRows(rng, nF, 300, nP+40)
+		combined := map[string]*storage.Table{"d": d}
+		for _, c := range []struct{ base, batch *storage.Table }{{p, pBatch}, {f, fBatch}} {
+			if combined[c.base.Name], err = storage.Concat(c.base, c.base.Rows(), c.batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		early := fRows(rng, nF, 300, nP)
+		got, err := BindBatch(db, schema, nil, "f", early)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := BindUses(db, schema, map[string]*storage.Table{"d": d, "p": p, "f": early}, "f", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameUses(t, fmt.Sprintf("relocation %v, over the loaded p", reloc), got, want)
+
+		withP, err := db.AppendRows(schema, nil, "p", pBatch, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withP.Tables["p"].Data.Cols[0].Len() != 0 {
+			t.Fatal("p's un-merged form holds values of its own: it is no view")
+		}
+		if got, err = BindBatch(withP, schema, nil, "f", fBatch); err != nil {
+			t.Fatal(err)
+		}
+		if want, err = BindUses(withP, schema, combined, "f", nF); err != nil {
+			t.Fatal(err)
+		}
+		sameUses(t, fmt.Sprintf("relocation %v, over p's un-merged view", reloc), got, want)
+
+		withF, err := withP.AppendRows(schema, nil, "f", fBatch, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reb, err := RebuildWithDesign(db, schema, combined, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got2, want2 := withF.Tables["f"], reb.Tables["f"]
+		if !slices.Equal(got2.Count, want2.Count) || !slices.Equal(got2.Keys(), want2.Keys()) {
+			t.Fatalf("relocation %v: appended f differs from the from-scratch rebuild", reloc)
+		}
+
+		dangling := storage.MustNewTable("f", 4096, storage.NewInt64Column("fkey", []int64{nF + 300, nF + 301}),
+			storage.NewInt64Column("f_a", []int64{0, nP}), storage.NewInt64Column("f_b", []int64{0, 0}))
+		_, err = withP.AppendRows(schema, nil, "f", dangling, opt)
+		if err == nil || !strings.Contains(err.Error(), "foreign key fk_f_p: row 1 of f has no match in p") {
+			t.Fatalf("relocation %v: a dangling composite key: %v", reloc, err)
+		}
+	}
+}
+
+// sameUses compares two bindings of one table's uses.
+func sameUses(t *testing.T, label string, got, want []UseBinding) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d uses, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Dim != want[i].Dim || !slices.Equal(got[i].Path, want[i].Path) || !slices.Equal(got[i].BinNos, want[i].BinNos) {
+			t.Fatalf("%s: use %d (%s over %v) binds differently", label, i, want[i].Dim.Name, want[i].Path)
+		}
 	}
 }

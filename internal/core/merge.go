@@ -34,14 +34,16 @@ func BindUses(db *Database, schema *catalog.Schema, tables map[string]*storage.T
 	return uses, err
 }
 
-// BindBatch is BindUses for a freshly appended batch — rows [from, n) of
-// tables[table] — at the cost of the batch: bins come from the batch's own
-// key columns and from the database's key→bin indexes, which must already
-// hold the keys of the rows the batch references (parents are appended
-// first). It is what AppendRows binds with; BindUses, which walks the stored
+// BindBatch is BindUses for a freshly appended batch of table's rows at the
+// cost of the batch: bins come from the batch's own key columns and from the
+// database's key→bin indexes, which must already hold the keys of the rows
+// the batch references (parents are appended first). Only a hop without an
+// index resolves the batch's keys, by value, against the stored form of
+// every other table, in any row order: db's clustering where it has one, else
+// tables'. It is what AppendRows binds with; BindUses, which walks the stored
 // tables, stays the reference it is tested against.
-func BindBatch(db *Database, schema *catalog.Schema, tables map[string]*storage.Table, table string, from int, batch *storage.Table) ([]UseBinding, error) {
-	return newBatchBins(schema, tables, db, table, from, batch).bind(table)
+func BindBatch(db *Database, schema *catalog.Schema, tables map[string]*storage.Table, table string, batch *storage.Table) ([]UseBinding, error) {
+	return newBatchBins(schema, tables, db, table, batch).bind(table)
 }
 
 // DeltaKeys encodes the _bdcc_ keys of delta rows at the table's full load
@@ -207,7 +209,7 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 		Tables:     make(map[string]*BDCCTable),
 	}
 	ub := newUseBins(schema, tables, db)
-	res := ub.resolver()
+	res := ub.res
 	for _, td := range old.Design.Tables {
 		base := old.Tables[td.Table]
 		if base == nil {

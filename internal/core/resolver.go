@@ -61,11 +61,11 @@ func (r *Resolver) FKMap(fkName string) ([]int32, error) {
 
 func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, error) {
 	if len(fk.Cols) == 1 {
-		pc, err := parent.Column(fk.RefCols[0])
+		pc, err := parent.ColumnValues(fk.RefCols[0])
 		if err != nil {
 			return nil, err
 		}
-		cc, err := child.Column(fk.Cols[0])
+		cc, err := child.ColumnValues(fk.Cols[0])
 		if err != nil {
 			return nil, err
 		}
@@ -73,7 +73,7 @@ func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, 
 			return nil, fmt.Errorf("core: foreign key %s: only int64 single-column keys supported, got %s/%s",
 				fk.Name, cc.Kind, pc.Kind)
 		}
-		pk, ck := pc.Values().I64, cc.Values().I64
+		pk, ck := pc.I64, cc.I64
 		idx := make(map[int64]int32, len(pk))
 		for i, v := range pk {
 			idx[v] = int32(i)
@@ -119,11 +119,11 @@ func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, 
 func rowEncoder(t *storage.Table, cols []string) (func(int) string, error) {
 	vals := make([]*vector.Vector, len(cols))
 	for i, name := range cols {
-		c, err := t.Column(name)
+		v, err := t.ColumnValues(name)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = c.Values()
+		vals[i] = v
 	}
 	return func(row int) string {
 		var b strings.Builder
@@ -169,14 +169,14 @@ func (r *Resolver) HostRows(table string, path []string) ([]int32, error) {
 func KeyValues(t *storage.Table, key []string) ([]KeyVal, error) {
 	var cols []*vector.Vector
 	for _, name := range key {
-		c, err := t.Column(name)
+		c, err := t.ColumnValues(name)
 		if err != nil {
 			return nil, err
 		}
 		if c.Kind == vector.Float64 {
 			return nil, fmt.Errorf("core: dimension key column %q has unsupported kind %s", name, c.Kind)
 		}
-		cols = append(cols, c.Values())
+		cols = append(cols, c)
 	}
 	out := make([]KeyVal, t.Rows())
 	for i := range out {

@@ -240,19 +240,6 @@ func Conjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
-// AndAll combines conjuncts into a single expression (nil for empty input,
-// the sole element for a singleton).
-func AndAll(conjs []Expr) Expr {
-	switch len(conjs) {
-	case 0:
-		return nil
-	case 1:
-		return conjs[0]
-	default:
-		return NewAnd(conjs...)
-	}
-}
-
 // ColRange is a closed value interval implied by a predicate on one column.
 type ColRange struct {
 	Col   string

@@ -50,18 +50,6 @@ func PaperSSD() Device {
 	}
 }
 
-// PaperHDD returns a magnetic-disk device with the paper's "a few MB"
-// efficient random access size, used by ablation benchmarks.
-func PaperHDD() Device {
-	return Device{
-		Name:           "HDD",
-		PageSize:       32 << 10,
-		SeqBandwidth:   150 << 20,
-		AR:             4 << 20,
-		RandEfficiency: 0.80,
-	}
-}
-
 // RunLatency returns the fixed cost charged per maximal access run, derived
 // from AR and RandEfficiency: a run of AR bytes must take AR/(e*BW) seconds
 // total, of which AR/BW is transfer, leaving AR*(1-e)/(e*BW) as setup.

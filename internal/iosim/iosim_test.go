@@ -28,12 +28,6 @@ func TestSequentialBeatsScattered(t *testing.T) {
 	}
 }
 
-func TestHDDHasLargerAR(t *testing.T) {
-	if PaperHDD().AR <= PaperSSD().AR {
-		t.Error("the paper puts HDD efficient access size at a few MB, flash at 32KB")
-	}
-}
-
 func TestAccountant(t *testing.T) {
 	a := NewAccountant(PaperSSD())
 	a.AddRun(2, 64<<10)

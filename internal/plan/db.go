@@ -36,14 +36,17 @@ func (s Scheme) String() string {
 }
 
 // DB is one physical database the planner lowers against: the stored tables
-// in the scheme's layout plus scheme-specific metadata.
+// in the scheme's layout plus scheme-specific metadata. Once EnableIngest was
+// called the DB holds no version of its own: its tables live in the ingest
+// state's versions, a query reads one through Snapshot, and StoredTable,
+// BDCCTable, CompressionStats and Rows answer for the current one.
 type DB struct {
 	Scheme Scheme
 	Schema *catalog.Schema
-	// Tables holds the scheme's layout of every table. Under BDCC, tables
-	// with a design are additionally present in Clustered (whose Data is
-	// what actually gets scanned); tables without a design (REGION) fall
-	// back to this map.
+	// Tables holds the scheme's layout of every table. Under BDCC, a table
+	// with a design is held by Clustered, whose Data is what gets scanned;
+	// its entry here is the source the load built it from, which appends do
+	// not reach. Tables without a design (REGION) are scanned from this map.
 	Tables map[string]*storage.Table
 	// SortedBy lists the sort columns per table under PK.
 	SortedBy map[string][]string
@@ -54,9 +57,7 @@ type DB struct {
 	// raw holds the insertion-order tables NewPKDB sorted into Tables, which
 	// ingest appends to; nil where Tables is itself in insertion order.
 	raw map[string]*storage.Table
-	// ing is the ingest state once EnableIngest was called; the fields above
-	// then stay the immutable loaded base forever and queries read versioned
-	// views via Snapshot.
+	// ing is the ingest state once EnableIngest was called.
 	ing *Ingest
 	// snap marks a pinned snapshot copy and carries its version metadata.
 	snap *snapState
@@ -125,10 +126,9 @@ func sortPermByKeys(keys []core.KeyVal) []int32 {
 // StoredTable returns the scannable layout of a table under this scheme:
 // the BDCC-clustered data when available, the scheme layout otherwise.
 func (db *DB) StoredTable(name string) (*storage.Table, error) {
-	if db.Scheme == BDCC && db.Clustered != nil {
-		if bt, ok := db.Clustered.Tables[name]; ok {
-			return bt.Data, nil
-		}
+	db = db.Snapshot()
+	if bt := db.BDCCTable(name); bt != nil {
+		return bt.Data, nil
 	}
 	t, ok := db.Tables[name]
 	if !ok {
@@ -137,11 +137,32 @@ func (db *DB) StoredTable(name string) (*storage.Table, error) {
 	return t, nil
 }
 
+// Rows returns the logical rows of a table, 0 for an unknown one: its
+// clustering's under BDCC (whose Data also holds relocated duplicates), its
+// layout's otherwise.
+func (db *DB) Rows(name string) int {
+	db = db.Snapshot()
+	return logicalRows(db.Tables, db.Clustered, name)
+}
+
+// logicalRows returns the logical rows of a table held by tables and, where
+// it has a design, by clustered; 0 when neither holds it.
+func logicalRows(tables map[string]*storage.Table, clustered *core.Database, name string) int {
+	if bt := clusteredTable(clustered, name); bt != nil {
+		return int(bt.Rows())
+	}
+	if t, ok := tables[name]; ok {
+		return t.Rows()
+	}
+	return 0
+}
+
 // CompressionStats sums the compression outcome over every scannable table
 // of the scheme (the layout StoredTable serves — under BDCC the clustered
 // data where a design exists, the plain layout otherwise). Zero-valued when
 // the tables are uncompressed.
 func (db *DB) CompressionStats() storage.CompressionStats {
+	db = db.Snapshot()
 	var s storage.CompressionStats
 	for name := range db.Tables {
 		t, err := db.StoredTable(name)
@@ -155,8 +176,9 @@ func (db *DB) CompressionStats() storage.CompressionStats {
 
 // BDCCTable returns the clustered form of a table, or nil.
 func (db *DB) BDCCTable(name string) *core.BDCCTable {
-	if db.Scheme != BDCC || db.Clustered == nil {
+	db = db.Snapshot()
+	if db.Scheme != BDCC {
 		return nil
 	}
-	return db.Clustered.Tables[name]
+	return clusteredTable(db.Clustered, name)
 }

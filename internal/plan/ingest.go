@@ -12,21 +12,23 @@ import (
 
 // Ingest attaches an append path to a DB. Every append checks its batch
 // against the table's schema (storage.Delta) and publishes a fresh immutable
-// view of the affected table — base plus the visible delta, in the scheme's
-// own layout — behind an atomic pointer, built from the previous view and the
-// batch at the cost of the batch (BDCC: plus the splice's merge order; PK:
-// plus a re-sort of the table). Queries pin one such version at plan time
-// (DB.Snapshot) and never block on writers; writers serialize on a mutex and
-// never mutate a published version, so a pinned snapshot stays valid across
-// any number of later appends and merges.
-// The views an append publishes are already re-sorted (PK) or re-clustered
-// by the incremental core.MergeBDCCTable splice (BDCC); what they lack is
-// compression, and a BDCC view holds its rows as runs over the merged base
-// and the batches (storage.Splice). A merge gathers such a view once,
-// re-encodes it where the base was compressed and publishes that version the
-// same way. The published versions are the one record of what is
-// un-merged: a table's un-merged rows are those its current insertion-order
-// view holds beyond the last merged version's.
+// version of the affected table — base plus the visible delta, in the
+// scheme's own layout — behind an atomic pointer, built from the previous
+// version and the batch at the cost of the batch (BDCC: plus the splice's
+// merge order; PK: plus a re-sort of the table). Queries pin one such version
+// at plan time (DB.Snapshot) and never block on writers; writers serialize on
+// a mutex and never mutate a published version, so a pinned snapshot stays
+// valid across any number of later appends and merges.
+// A table is held in one form: Plain's insertion order, PK's sort (beside
+// the insertion order it re-sorts), and under BDCC a designed table's
+// clustering alone, spliced by the incremental core.MergeBDCCTable; what an
+// appended version lacks is compression, and a BDCC clustering holds its
+// rows as runs over the merged base and the batches (storage.Splice). A
+// merge encodes or gathers such a version once and publishes it the same
+// way, and the version it replaces — the loaded one included — is let go
+// once no reader pins it. The published versions are the one record of what
+// is un-merged: a table's un-merged rows are the logical rows its current
+// version holds beyond the last merged version's.
 type Ingest struct {
 	db  *DB
 	opt IngestOptions
@@ -55,18 +57,30 @@ type IngestOptions struct {
 	DriftThreshold float64
 }
 
-// snapState is one immutable published version: the insertion-order view
-// of every table, the scheme's layout of it, and the rows it holds beyond
-// the last merged version.
+// snapState is one immutable published version: every table in the
+// scheme's layout (under BDCC a designed table's entry stays its load
+// source; its clustering is what is scanned), PK's sort sources, the
+// clustering, and the rows it holds beyond the last merged version.
 type snapState struct {
-	epoch      int64
+	epoch  int64
+	tables map[string]*storage.Table
+	// raw holds, under PK, the insertion-order tables pkSort re-sorts; nil
+	// under the other schemes, whose layout is that order or the clustering.
 	raw        map[string]*storage.Table
-	tables     map[string]*storage.Table
 	clustered  *core.Database
 	totalDelta int64
 }
 
-// EnableIngest attaches an empty ingest state to the DB and returns it.
+// rows returns table's logical rows in v.
+func (v *snapState) rows(table string) int {
+	return logicalRows(v.tables, v.clustered, table)
+}
+
+// EnableIngest attaches an empty ingest state to the DB and returns it. The
+// loaded layout becomes version 0, and the DB keeps no version of its own:
+// its Tables, Clustered and PK sources move into that version, which the
+// first merge replaces and lets go, and every read of the DB answers for the
+// current version (Snapshot).
 func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 	if db.ing != nil {
 		return nil, fmt.Errorf("plan: ingest already enabled on this %s database", db.Scheme)
@@ -74,14 +88,10 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 	if db.snap != nil {
 		return nil, fmt.Errorf("plan: cannot enable ingest on a pinned snapshot")
 	}
-	raw := db.raw
-	if raw == nil {
-		raw = db.Tables
-	}
 	ing := &Ingest{
 		db:         db,
 		opt:        opt,
-		base:       &snapState{raw: raw, tables: db.Tables, clustered: db.Clustered},
+		base:       &snapState{raw: db.raw, tables: db.Tables, clustered: db.Clustered},
 		compressed: make(map[string]bool),
 	}
 	for name := range db.Tables {
@@ -91,10 +101,8 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 		}
 		ing.compressed[name] = t.Compressed()
 	}
-	// The loaded base is version 0: from here on a Snapshot is always pinned,
-	// never the live DB whose views the next append replaces.
 	ing.cur.Store(ing.base)
-	db.ing = ing
+	db.Tables, db.Clustered, db.raw, db.ing = nil, nil, nil, ing
 	return ing, nil
 }
 
@@ -121,22 +129,16 @@ func (db *DB) Snapshot() *DB {
 // Epoch returns the version this DB serves: 0 for the loaded base, counting
 // up once per append or merge commit.
 func (db *DB) Epoch() int64 {
-	if db.snap != nil {
-		return db.snap.epoch
-	}
-	if db.ing != nil {
-		return db.ing.cur.Load().epoch
+	if s := db.Snapshot().snap; s != nil {
+		return s.epoch
 	}
 	return 0
 }
 
 // PendingDeltaRows returns the un-merged rows visible at this DB's version.
 func (db *DB) PendingDeltaRows() int64 {
-	if db.snap != nil {
-		return db.snap.totalDelta
-	}
-	if db.ing != nil {
-		return db.ing.cur.Load().totalDelta
+	if s := db.Snapshot().snap; s != nil {
+		return s.totalDelta
 	}
 	return 0
 }
@@ -154,7 +156,7 @@ func (db *DB) PendingDeltaRows() int64 {
 func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	base, ok := ing.base.raw[table]
+	base, ok := ing.base.tables[table]
 	if !ok {
 		return fmt.Errorf("plan: ingest into unknown table %q", table)
 	}
@@ -173,10 +175,10 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	return nil
 }
 
-// unmerged returns how many rows of table version v holds beyond the last
-// merged version. Caller holds mu.
+// unmerged returns how many logical rows of table version v holds beyond
+// the last merged version. Caller holds mu.
 func (ing *Ingest) unmerged(v *snapState, table string) int {
-	return v.raw[table].Rows() - ing.base.raw[table].Rows()
+	return v.rows(table) - ing.base.rows(table)
 }
 
 // drift measures table's un-merged rows in version v against the merged
@@ -192,39 +194,47 @@ func (ing *Ingest) drift(v *snapState, table string) core.DriftReport {
 }
 
 // nextViews builds the version that additionally holds batch at the end of
-// table: every view of the other tables is shared with the current version,
-// the table's insertion-order view grows in place by the batch, and the
-// scheme's own layout follows — PK re-sorts, BDCC splices the batch into the
+// table: every other table is shared with the current version. A designed
+// table under BDCC takes the batch into its clustering only, spliced into the
 // previous clustered view (which already holds the older delta rows) as runs,
-// copying no row. Nothing is published or stored.
-// Caller holds mu.
+// copying no row; any other table's layout grows in place by the batch, and
+// PK re-sorts its grown insertion order. Under BDCC every append also extends
+// the key→bin indexes of the hops that reference table, and that comes
+// first, so a rejected batch has claimed nothing. Nothing is published or
+// stored. Caller holds mu.
 func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, error) {
-	prev := ing.cur.Load()
+	prev, db := ing.cur.Load(), ing.db
 	next := &snapState{
 		epoch:      prev.epoch + 1,
-		raw:        maps.Clone(prev.raw),
-		tables:     maps.Clone(prev.tables),
+		raw:        prev.raw,
+		tables:     prev.tables,
 		clustered:  prev.clustered,
 		totalDelta: prev.totalDelta + int64(batch.Rows()),
 	}
-	from := prev.raw[table].Rows()
-	combined, err := storage.Concat(prev.raw[table], from, batch)
-	if err != nil {
-		return nil, err
-	}
-	next.raw[table] = combined
-	next.tables[table] = combined
-	db := ing.db
-	switch db.Scheme {
-	case PK:
-		next.tables[table], err = pkSort(db, table, combined)
-	case BDCC:
-		if next.clustered != nil {
-			next.clustered, err = next.clustered.AppendRows(db.Schema, next.raw, table, from, batch, core.BuildOptions{Device: db.Device})
+	var err error
+	if prev.clustered != nil {
+		if next.clustered, err = prev.clustered.AppendRows(db.Schema, prev.tables, table, batch, core.BuildOptions{Device: db.Device}); err != nil {
+			return nil, err
+		}
+		if clusteredTable(prev.clustered, table) != nil {
+			return next, nil
 		}
 	}
+	src := prev.tables
+	if prev.raw != nil {
+		src, next.raw = prev.raw, maps.Clone(prev.raw)
+	}
+	combined, err := storage.Concat(src[table], src[table].Rows(), batch)
 	if err != nil {
 		return nil, err
+	}
+	next.tables = maps.Clone(prev.tables)
+	next.tables[table] = combined
+	if next.raw != nil {
+		next.raw[table] = combined
+		if next.tables[table], err = pkSort(db, table, combined); err != nil {
+			return nil, err
+		}
 	}
 	return next, nil
 }
@@ -252,7 +262,7 @@ func (ing *Ingest) merge() {
 	}
 	next := &snapState{epoch: cur.epoch + 1, raw: cur.raw, tables: maps.Clone(cur.tables), clustered: cur.clustered}
 	var clustered map[string]*core.BDCCTable
-	for table := range cur.raw {
+	for table := range cur.tables {
 		if ing.unmerged(cur, table) == 0 {
 			continue
 		}
@@ -310,7 +320,7 @@ func (ing *Ingest) Stats() IngestStats {
 		MergedRows: ing.mergedRows,
 		Drift:      make(map[string]core.DriftReport),
 	}
-	for t := range cur.raw {
+	for t := range cur.tables {
 		if r := ing.drift(cur, t); r.DeltaRows > 0 {
 			s.Drift[t] = r
 		}

@@ -177,10 +177,10 @@ func TestSnapshotBeforeFirstAppendIsPinned(t *testing.T) {
 	if err := ing.Append("t", factBatch(nT, 10, nR)); err != nil {
 		t.Fatal(err)
 	}
-	if early.Epoch() != 0 || early.PendingDeltaRows() != 0 || early.Tables["t"].Rows() != nT || early.BDCCTable("t").Rows() != nT {
-		t.Fatalf("the early snapshot moved: epoch %d, %d pending, %d rows", early.Epoch(), early.PendingDeltaRows(), early.Tables["t"].Rows())
+	if early.Epoch() != 0 || early.PendingDeltaRows() != 0 || early.Rows("t") != nT || early.BDCCTable("t").Rows() != nT {
+		t.Fatalf("the early snapshot moved: epoch %d, %d pending, %d rows", early.Epoch(), early.PendingDeltaRows(), early.Rows("t"))
 	}
-	if now := bdcc.Snapshot(); now.Epoch() != 1 || now.Tables["t"].Rows() != nT+10 || now.BDCCTable("t").Rows() != nT+10 {
-		t.Fatalf("the current version: epoch %d, %d rows", now.Epoch(), now.Tables["t"].Rows())
+	if now := bdcc.Snapshot(); now.Epoch() != 1 || now.Rows("t") != nT+10 || now.BDCCTable("t").Rows() != nT+10 {
+		t.Fatalf("the current version: epoch %d, %d rows", now.Epoch(), now.Rows("t"))
 	}
 }

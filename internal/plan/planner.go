@@ -55,10 +55,11 @@ const (
 	preExecRowCap = 65_536
 )
 
-// NewPlanner returns a planner for one query execution.
+// NewPlanner returns a planner for one query execution, over the version db
+// serves now (Snapshot).
 func NewPlanner(db *DB, ctx *engine.Context) *Planner {
 	return &Planner{
-		DB:         db,
+		DB:         db.Snapshot(),
 		Ctx:        ctx,
 		scanChoice: make(map[*Scan]*useChoice),
 		alignment:  make(map[*Join]*sharedPair),
@@ -700,8 +701,7 @@ func (p *Planner) binKeys(uses []keyUse, keys []int64, bt *core.BDCCTable, trans
 // propagation threshold.
 func (p *Planner) subtreeSmall(n Node) bool {
 	if s, ok := n.(*Scan); ok {
-		tab, ok := p.DB.Tables[s.Table]
-		return ok && tab.Rows() <= propagationThreshold
+		return p.DB.Rows(s.Table) <= propagationThreshold
 	}
 	for _, c := range n.children() {
 		if !p.subtreeSmall(c) {

@@ -75,14 +75,6 @@ func (rs RowRanges) Intersect(other RowRanges) RowRanges {
 	return out
 }
 
-// Union returns the union of two range sets, normalized.
-func (rs RowRanges) Union(other RowRanges) RowRanges {
-	all := make(RowRanges, 0, len(rs)+len(other))
-	all = append(all, rs...)
-	all = append(all, other...)
-	return all.Normalize()
-}
-
 // Morsels splits the set into consecutive sub-sets ("morsels") of roughly
 // rows rows each, for morsel-driven parallel scans: each morsel can be read
 // by an independent worker, and concatenating the morsels in order yields

@@ -187,15 +187,38 @@ type offsKey int
 
 // strOffsets returns where each row of string column ci of a table that is
 // no view starts in its column's string bytes, and where the last ends: a
-// raw column's heap offsets, else those of its rows read into one heap, once
-// (Derived; an Encoded table keeps those of the heap it encoded, see compress).
+// raw column's heap offsets, else summed once (Derived) from its rows, read a
+// chunk at a time into one scratch vector of views — an Encoded table keeps
+// those of the heap it encoded (see compress).
 func (t *Table) strOffsets(ci int) []uint32 {
-	if ch := t.Cols[ci].Enc.Chunks; len(ch) == 1 && ch[0].Enc == EncRaw {
-		return ch[0].ValS.Offs
+	e := t.Cols[ci].Enc
+	if len(e.Chunks) == 1 && e.Chunks[0].Enc == EncRaw {
+		return e.Chunks[0].ValS.Offs
 	}
 	return t.Derived(offsKey(ci), func() any {
-		return t.runsOf().column(ci, vector.String, t.rows, int(t.Cols[ci].Enc.RawBytes)).ValS.Offs
+		offs, buf := make([]uint32, 1, t.rows+1), &vector.Vector{Kind: vector.String}
+		for i := range e.Chunks {
+			buf.Str = buf.Str[:0]
+			e.Chunks[i].AppendRange(e.Dict, 0, e.Chunks[i].Rows, buf)
+			for _, s := range buf.Str {
+				offs = append(offs, offs[len(offs)-1]+uint32(len(s)))
+			}
+		}
+		return offs
 	}).([]uint32)
+}
+
+// ColumnValues returns every value of the named column in a new vector, read
+// through t's rows: a view's runs (its columns hold no values of their own),
+// without the gather Materialized keeps.
+func (t *Table) ColumnValues(name string) (*vector.Vector, error) {
+	c, err := t.Column(name)
+	if err != nil {
+		return nil, err
+	}
+	v := vector.NewVector(c.Kind, t.rows)
+	t.runsOf().read(t.ColumnIndex(name), 0, t.rows, 0, v)
+	return v, nil
 }
 
 // viewSpan reads rows of a view for zone derivation — a span of a page, or

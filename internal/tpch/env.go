@@ -198,7 +198,7 @@ type Subqueries interface {
 }
 
 // Rows returns the row count of the named table at the pinned version.
-func (e *Env) Rows(table string) int { return e.DB.Tables[table].Rows() }
+func (e *Env) Rows(table string) int { return e.DB.Rows(table) }
 
 // Stats are the execution meters of one query run — the quantities behind
 // the paper's Figure 2 (cold time) and Figure 3 (memory).

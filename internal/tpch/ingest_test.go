@@ -72,7 +72,7 @@ func referenceDBs(t testing.TB, b *Benchmark, combined map[string]*storage.Table
 			}
 			refs[scheme] = ref
 		case plan.BDCC:
-			reb, err := core.RebuildWithDesign(db.Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
+			reb, err := core.RebuildWithDesign(db.Snapshot().Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
 			if err != nil {
 				t.Fatalf("bdcc rebuild: %v", err)
 			}
@@ -325,20 +325,23 @@ func TestIngestCompressedMerge(t *testing.T) {
 	}
 }
 
-// q6Revenue recomputes Q06 over a snapshot's raw lineitem view — any row
-// order, so it is layout-independent and compares with a relative tolerance.
+// q6Revenue recomputes Q06 over a snapshot's logical lineitem rows — the
+// first DB.Rows of its stored form, which a clustering's relocated
+// duplicates follow — in any row order, so it is layout-independent and
+// compares with a relative tolerance.
 func q6Revenue(sdb *plan.DB) (float64, error) {
-	li, ok := sdb.Tables["lineitem"]
-	if !ok {
-		return 0, fmt.Errorf("no lineitem view")
+	li, err := sdb.StoredTable("lineitem")
+	if err != nil {
+		return 0, err
+	}
+	col := func(name string) *vector.Vector {
+		v, _ := li.ColumnValues(name)
+		return v
 	}
 	lo, hi := vector.ParseDate("1994-01-01"), vector.ParseDate("1994-12-31")
-	sd := li.MustColumn("l_shipdate").Values().I64
-	disc := li.MustColumn("l_discount").Values().F64
-	qty := li.MustColumn("l_quantity").Values().F64
-	ext := li.MustColumn("l_extendedprice").Values().F64
+	sd, disc, qty, ext := col("l_shipdate").I64, col("l_discount").F64, col("l_quantity").F64, col("l_extendedprice").F64
 	var sum float64
-	for i := range sd {
+	for i := range sdb.Rows("lineitem") {
 		if sd[i] >= lo && sd[i] <= hi && disc[i] >= 0.05 && disc[i] <= 0.07 && qty[i] < 24 {
 			sum += ext[i] * disc[i]
 		}
@@ -412,16 +415,12 @@ func TestIngestSoak(t *testing.T) {
 				}
 				// Parents-first visibility: a lineitem row may never be
 				// visible before the order it references.
-				maxKey := func(t *storage.Table, col string) int64 {
-					var m int64
-					for _, k := range t.MustColumn(col).Values().I64 {
-						if k > m {
-							m = k
-						}
-					}
-					return m
+				maxKey := func(table, col string) int64 {
+					st, _ := sdb.StoredTable(table)
+					v, _ := st.ColumnValues(col)
+					return slices.Max(v.I64)
 				}
-				if lk, ok := maxKey(sdb.Tables["lineitem"], "l_orderkey"), maxKey(sdb.Tables["orders"], "o_orderkey"); lk > ok {
+				if lk, ok := maxKey("lineitem", "l_orderkey"), maxKey("orders", "o_orderkey"); lk > ok {
 					fail(fmt.Errorf("%s snapshot shows lineitem for order %d beyond max order %d", scheme, lk, ok))
 					return
 				}
@@ -561,15 +560,16 @@ func TestIndexBinningMatchesResolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := b.DBs[plan.BDCC]
+	loaded := db.Snapshot().Clustered
 	uses := 0
-	for _, td := range db.Clustered.Design.Tables {
+	for _, td := range loaded.Design.Tables {
 		tab := b.Data.Tables[td.Table]
 		from := tab.Rows() - min(64, tab.Rows())
-		got, err := core.BindBatch(db.Clustered, b.Schema, b.Data.Tables, td.Table, from, tailRows(tab, from))
+		got, err := core.BindBatch(loaded, b.Schema, b.Data.Tables, td.Table, tailRows(tab, from))
 		if err != nil {
 			t.Fatalf("%s: %v", td.Table, err)
 		}
-		want, err := core.BindUses(db.Clustered, b.Schema, b.Data.Tables, td.Table, from)
+		want, err := core.BindUses(loaded, b.Schema, b.Data.Tables, td.Table, from)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -598,15 +598,15 @@ func TestIndexBinningMatchesResolver(t *testing.T) {
 		ordFrom, liFrom := before["orders"].Rows(), before["lineitem"].Rows()
 
 		// The batch's orders have not arrived: its lineitems dangle.
-		_, err := core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "lineitem", liFrom, batch.Lineitem)
+		_, err := core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "lineitem", batch.Lineitem)
 		if err == nil || !strings.Contains(err.Error(), "foreign key fk_l_o: value") || !strings.Contains(err.Error(), "has no match in orders.o_orderkey") {
 			t.Fatalf("batch %d: lineitems bound before their orders: %v", i, err)
 		}
-		got, err := core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "orders", ordFrom, batch.Orders)
+		got, err := core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "orders", batch.Orders)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := core.BindUses(db.Clustered, b.Schema, after, "orders", ordFrom)
+		want, err := core.BindUses(loaded, b.Schema, after, "orders", ordFrom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -614,11 +614,11 @@ func TestIndexBinningMatchesResolver(t *testing.T) {
 		if err := db.Ingest().Append("orders", batch.Orders); err != nil {
 			t.Fatal(err)
 		}
-		got, err = core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "lineitem", liFrom, batch.Lineitem)
+		got, err = core.BindBatch(db.Snapshot().Clustered, b.Schema, after, "lineitem", batch.Lineitem)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err = core.BindUses(db.Clustered, b.Schema, after, "lineitem", liFrom)
+		want, err = core.BindUses(loaded, b.Schema, after, "lineitem", liFrom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -649,7 +649,7 @@ func TestIncrementalDriftMatchesDriftFor(t *testing.T) {
 	gen := NewDeltaGen(b.Data, 12)
 	gen.Backfill = 0.3
 	var batches []*DeltaBatch
-	cons := db.Clustered
+	cons := db.Snapshot().Clustered
 	consRows := map[string]int{"orders": b.Data.Tables["orders"].Rows(), "lineitem": b.Data.Tables["lineitem"].Rows()}
 	appendAndCheck := func(label string) {
 		t.Helper()
@@ -684,7 +684,7 @@ func TestIncrementalDriftMatchesDriftFor(t *testing.T) {
 	}
 	cons = db.Snapshot().Clustered
 	for table := range consRows {
-		consRows[table] = db.Snapshot().Tables[table].Rows()
+		consRows[table] = db.Snapshot().Rows(table)
 	}
 	for i := 4; i <= 5; i++ {
 		appendAndCheck(fmt.Sprintf("append %d, over the merged base", i))
@@ -757,76 +757,86 @@ func TestIngestTriggersRepeat(t *testing.T) {
 // version exactly as it found them, on an empty delta, on top of earlier
 // batches and on a merged base, and the stream must go on: the following
 // valid batches succeed, and views and merged base equal the from-scratch
-// rebuild. A batch with a dangling key was already written past the rows of
-// the insertion-order view it extended, so the batch after it must copy that
-// view rather than extend it once more, and the insertion-order views must
-// still hold exactly the accepted rows. An empty or a compressed batch is
-// rejected before anything is built from it: the append after it extends
-// the view in place.
+// rebuild. An empty or a compressed batch is rejected by every scheme before
+// anything is built from it: the append after it extends in place what an
+// accepted one extends — Plain's insertion-order view and, under BDCC, the
+// key→bin index lineitems are binned through — and Plain's view holds
+// exactly the accepted rows.
 func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
-	b, err := NewBenchmark(0.01, plan.BDCC)
+	b, err := NewBenchmark(0.01, plan.Plain, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.EnableIngest(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	db := b.DBs[plan.BDCC]
+	db, plain := b.DBs[plan.BDCC], b.DBs[plan.Plain]
 	ing := db.Ingest()
 	gen := NewDeltaGen(b.Data, 8)
 	lost, first, second, third, fourth, fifth := gen.Next(5), gen.Next(30), gen.Next(30), gen.Next(30), gen.Next(30), gen.Next(30)
 	empty, packed := gen.Next(0).Lineitem, gen.Next(5).Lineitem
 	packed.Compress()
 
-	reject := func(label string, batch *storage.Table, want ...string) {
+	reject := func(label string, db *plan.DB, batch *storage.Table, want ...string) {
 		t.Helper()
-		before, pending, view := ing.Stats(), db.PendingDeltaRows(), db.Snapshot().Clustered
+		ing := db.Ingest()
+		before, pending, view := ing.Stats(), db.PendingDeltaRows(), db.Snapshot()
 		err := ing.Append("lineitem", batch)
 		for _, w := range want {
 			if err == nil || !strings.Contains(err.Error(), w) {
 				t.Fatalf("%s: the batch was not rejected with %q: %v", label, w, err)
 			}
 		}
-		after := ing.Stats()
+		after, now := ing.Stats(), db.Snapshot()
 		if after.DeltaRows != before.DeltaRows || after.Merges != before.Merges || after.Epoch != before.Epoch {
 			t.Fatalf("%s: the rejected append moved the counters: %+v -> %+v", label, before, after)
 		}
-		if db.Epoch() != before.Epoch || db.PendingDeltaRows() != pending || db.Snapshot().Clustered != view {
+		if db.Epoch() != before.Epoch || db.PendingDeltaRows() != pending || now.Clustered != view.Clustered || now.Tables["lineitem"] != view.Tables["lineitem"] {
 			t.Fatalf("%s: the rejected append published a version", label)
 		}
 	}
-	dangling := func(label string) { reject(label, lost.Lineitem, "foreign key fk_l_o", "has no match") }
-	// extendsInPlace appends batch and checks that the lineitem view grew
-	// into its own arrays, as an append after an accepted one does.
+	dangling := func(label string) { reject(label, db, lost.Lineitem, "foreign key fk_l_o", "has no match") }
+	rejectEverywhere := func(label string, batch *storage.Table, want string) {
+		t.Helper()
+		reject(label+" (bdcc)", db, batch, want)
+		reject(label+" (plain)", plain, batch, want)
+	}
+	ordersIndex := func() *core.KeyBins { return db.Snapshot().Clustered.KeyBins("d_date", []string{"fk_l_o"}) }
+	// extendsInPlace appends batch and checks that Plain's lineitem view and
+	// BDCC's orders index grew into their own arrays, as an append after an
+	// accepted one does.
 	extendsInPlace := func(label string, batch *DeltaBatch) {
 		t.Helper()
-		prev := db.Snapshot().Tables["lineitem"]
+		prevView, prevIndex := plain.Snapshot().Tables["lineitem"], ordersIndex()
 		if err := b.AppendBatch(batch); err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		next := db.Snapshot().Tables["lineitem"]
-		if &next.Cols[0].Enc.Chunks[0].ValI[0] != &prev.Cols[0].Enc.Chunks[0].ValI[0] {
-			t.Fatalf("%s: the append copied the lineitem view instead of extending it", label)
+		next := plain.Snapshot().Tables["lineitem"]
+		if &next.Cols[0].Enc.Chunks[0].ValI[0] != &prevView.Cols[0].Enc.Chunks[0].ValI[0] {
+			t.Fatalf("%s: the append copied Plain's lineitem view instead of extending it", label)
+		}
+		if &ordersIndex().Keys[0] != &prevIndex.Keys[0] {
+			t.Fatalf("%s: the append copied the orders key→bin index instead of extending it", label)
 		}
 	}
 	sameClustering := func(label string, batches []*DeltaBatch) {
 		t.Helper()
 		combined := combinedWith(t, b.Data, batches)
-		reb, err := core.RebuildWithDesign(db.Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
+		snap := db.Snapshot()
+		reb, err := core.RebuildWithDesign(snap.Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap := db.Snapshot()
 		for _, name := range []string{"orders", "lineitem"} {
 			got, want := snap.BDCCTable(name), reb.Tables[name]
 			if !slices.Equal(got.Count, want.Count) || !slices.Equal(got.Keys(), want.Keys()) || got.Data.Rows() != want.Data.Rows() {
 				t.Fatalf("%s: clustered %s differs from the from-scratch rebuild", label, name)
 			}
-			view, rows := snap.Tables[name], combined[name]
+			view, rows := plain.Snapshot().Tables[name], combined[name]
 			for i, c := range rows.Cols {
 				v, w := view.Cols[i].Values(), c.Values()
 				if view.Rows() != rows.Rows() || !slices.Equal(v.I64, w.I64) || !slices.Equal(v.F64, w.F64) || !slices.Equal(v.Str, w.Str) {
-					t.Fatalf("%s: the insertion-order view of %s differs from the accepted rows in column %s", label, name, c.Name)
+					t.Fatalf("%s: Plain's insertion-order view of %s differs from the accepted rows in column %s", label, name, c.Name)
 				}
 			}
 		}
@@ -852,9 +862,9 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 	if err := b.AppendBatch(second); err != nil {
 		t.Fatalf("the batch after a second rejected one: %v", err)
 	}
-	reject("an empty batch", empty, "empty append")
+	rejectEverywhere("an empty batch", empty, "empty append")
 	extendsInPlace("the batch after an empty one", third)
-	reject("a compressed batch", packed, "compressed append")
+	rejectEverywhere("a compressed batch", packed, "compressed append")
 	extendsInPlace("the batch after a compressed one", fourth)
 	accepted := []*DeltaBatch{first, second, third, fourth}
 	var want int64

@@ -120,15 +120,16 @@ func TestKeyBinIndexAcrossIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := b.DBs[plan.BDCC]
+	loaded := db.Snapshot().Clustered
 	rebuilt := func(batches []*DeltaBatch) *core.Database {
-		reb, err := core.RebuildWithDesign(db.Clustered, b.Schema, combinedWith(t, b.Data, batches), core.BuildOptions{Device: db.Device})
+		reb, err := core.RebuildWithDesign(loaded, b.Schema, combinedWith(t, b.Data, batches), core.BuildOptions{Device: db.Device})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return reb
 	}
 	base := rebuilt(nil)
-	sameKeyBins(t, "loaded base", db.Snapshot().Clustered, base)
+	sameKeyBins(t, "loaded base", loaded, base)
 
 	gen := NewDeltaGen(b.Data, 99)
 	var batches []*DeltaBatch
@@ -156,5 +157,5 @@ func TestKeyBinIndexAcrossIngest(t *testing.T) {
 	}
 	sameKeyBins(t, "after the merge", db.Snapshot().Clustered, rebuilt(batches))
 	sameKeyBins(t, "snapshot pinned after append 1", pinned.Clustered, pinnedAt)
-	sameKeyBins(t, "the loaded base", db.Clustered, base)
+	sameKeyBins(t, "the loaded base", loaded, base)
 }

@@ -117,10 +117,10 @@ func TestBatchCodecTruncation(t *testing.T) {
 
 // encodingBatch builds a batch whose columns each force a specific wire
 // encoding: long int runs (RLE), a narrow int range (FOR), repeated strings
-// (dict), constant floats (RLE on bits), plus incompressible noise columns
-// that must fall back to raw.
+// (dict), constant floats (RLE on bits), long string runs (RLE), plus
+// incompressible noise columns that must fall back to raw.
 func encodingBatch(n int) *Batch {
-	b := NewBatch([]Kind{Int64, Int64, Int64, Float64, String, String})
+	b := NewBatch([]Kind{Int64, Int64, Int64, Float64, String, String, String})
 	for i := 0; i < n; i++ {
 		b.Cols[0].AppendInt64(int64(i / 64))                                                                             // runs → RLE
 		b.Cols[1].AppendInt64(1_000_000 + int64(i%97))                                                                   // narrow → FOR
@@ -128,6 +128,7 @@ func encodingBatch(n int) *Batch {
 		b.Cols[3].AppendFloat64(2.25)                                                                                    // constant → RLE
 		b.Cols[4].AppendString([]string{"auto", "house", "tools"}[i%3])                                                  // dict
 		b.Cols[5].AppendString(string(rune('a'+i%26)) + "-" + string(rune('0'+i%10)) + "x" + string(rune('A'+(i/7)%26))) // high-card
+		b.Cols[6].AppendString([]string{"AIR", "MAIL", "RAIL", "SHIP"}[(i/128)%4])                                       // string runs → RLE
 	}
 	return b
 }

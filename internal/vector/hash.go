@@ -106,18 +106,3 @@ func (v *Vector) HashValue(r int) uint64 {
 	}
 	return 0
 }
-
-// KeyEqual reports whether value i of v equals value j of o as a grouping
-// key: floats compare by normalized bits (so -0.0 equals +0.0 and a NaN
-// equals an identical NaN, matching the hash).
-func (v *Vector) KeyEqual(i int, o *Vector, j int) bool {
-	switch v.Kind {
-	case Int64:
-		return v.I64[i] == o.I64[j]
-	case Float64:
-		return normFloatBits(v.F64[i]) == normFloatBits(o.F64[j])
-	case String:
-		return v.Str[i] == o.Str[j]
-	}
-	return true
-}

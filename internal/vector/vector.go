@@ -374,22 +374,3 @@ func FormatDate(d int64) string {
 func DateYear(d int64) int64 {
 	return int64(epoch.Add(time.Duration(d) * 24 * time.Hour).Year())
 }
-
-// MakeDate builds a day number from a calendar date.
-func MakeDate(year, month, day int) int64 {
-	t := time.Date(year, time.Month(month), day, 0, 0, 0, 0, time.UTC)
-	return int64(t.Sub(epoch) / (24 * time.Hour))
-}
-
-// AddMonths returns the day number of d shifted by n calendar months,
-// following time.AddDate semantics.
-func AddMonths(d int64, n int) int64 {
-	t := epoch.Add(time.Duration(d)*24*time.Hour).AddDate(0, n, 0)
-	return int64(t.Sub(epoch) / (24 * time.Hour))
-}
-
-// AddYears returns the day number of d shifted by n calendar years.
-func AddYears(d int64, n int) int64 {
-	t := epoch.Add(time.Duration(d)*24*time.Hour).AddDate(n, 0, 0)
-	return int64(t.Sub(epoch) / (24 * time.Hour))
-}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestDateRoundTrip(t *testing.T) {
@@ -26,14 +27,8 @@ func TestDateHelpers(t *testing.T) {
 	if DateYear(d) != 1995 {
 		t.Errorf("year = %d", DateYear(d))
 	}
-	if MakeDate(1995, 3, 15) != d {
-		t.Error("MakeDate mismatch")
-	}
-	if FormatDate(AddMonths(d, 3)) != "1995-06-15" {
-		t.Errorf("AddMonths = %s", FormatDate(AddMonths(d, 3)))
-	}
-	if FormatDate(AddYears(d, 1)) != "1996-03-15" {
-		t.Errorf("AddYears = %s", FormatDate(AddYears(d, 1)))
+	if makeDate(1995, 3, 15) != d {
+		t.Error("makeDate mismatch")
 	}
 }
 
@@ -74,11 +69,17 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// makeDate builds a day number from a calendar date.
+func makeDate(year, month, day int) int64 {
+	t := time.Date(year, time.Month(month), day, 0, 0, 0, 0, time.UTC)
+	return int64(t.Sub(epoch) / (24 * time.Hour))
+}
+
 // TestDateMonotone: parse preserves calendar order.
 func TestDateMonotone(t *testing.T) {
 	prop := func(a, b uint16) bool {
-		d1 := MakeDate(1992+int(a%7), 1+int(a%12), 1+int(a%28))
-		d2 := MakeDate(1992+int(b%7), 1+int(b%12), 1+int(b%28))
+		d1 := makeDate(1992+int(a%7), 1+int(a%12), 1+int(a%28))
+		d2 := makeDate(1992+int(b%7), 1+int(b%12), 1+int(b%28))
 		s1, s2 := FormatDate(d1), FormatDate(d2)
 		return (d1 < d2) == (s1 < s2) || d1 == d2
 	}
