@@ -8,19 +8,8 @@
 // Usage:
 //
 //	bdccadvise [-ddl schema.sql] [-data] [-sf 0.05]
-//	           [-drift N] [-drift-threshold 0.3] [-backfill 0.5]
 //
 // Without -ddl the built-in TPC-H schema and hint set of the paper is used.
-//
-// With -drift N the tool materializes the design, simulates N arriving
-// orders (plus their lineitems) continuing the generated order-key space,
-// and prints the per-table drift report: how far the arrivals' cell-size
-// histogram diverges from the loaded clustering (total-variation distance),
-// how many rows land in cells the base never populated, and whether the
-// divergence crosses -drift-threshold — the signal the ingest path uses to
-// trigger an online re-clustering merge (docs/INGEST.md). -backfill sets the
-// fraction of arrivals dated inside the historical window; lowering it makes
-// arrivals skew past the loaded date range and drift faster.
 package main
 
 import (
@@ -31,7 +20,6 @@ import (
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/core"
-	"bdcc/internal/storage"
 	"bdcc/internal/tpch"
 )
 
@@ -39,9 +27,6 @@ func main() {
 	ddlPath := flag.String("ddl", "", "DDL script (default: built-in TPC-H schema with the paper's hints)")
 	data := flag.Bool("data", false, "materialize over generated TPC-H data (built-in schema only)")
 	sf := flag.Float64("sf", 0.05, "scale factor for -data")
-	drift := flag.Int("drift", 0, "simulate N arriving orders over the materialized design and report clustering drift (built-in schema only)")
-	driftThreshold := flag.Float64("drift-threshold", 0.3, "total-variation distance at which the drift verdict recommends a merge")
-	backfill := flag.Float64("backfill", 0.5, "fraction of simulated arrivals dated inside the historical window")
 	flag.Parse()
 
 	var schema *catalog.Schema
@@ -80,11 +65,11 @@ func main() {
 		}
 	}
 
-	if !*data && *drift == 0 {
+	if !*data {
 		return
 	}
 	if *ddlPath != "" {
-		fatal(fmt.Errorf("-data and -drift require the built-in TPC-H schema"))
+		fatal(fmt.Errorf("-data requires the built-in TPC-H schema"))
 	}
 	fmt.Printf("\nmaterializing over generated TPC-H SF%g...\n", *sf)
 	ds := tpch.Generate(*sf)
@@ -110,41 +95,6 @@ func main() {
 			fmt.Printf("  %-10s %-6s %-6s %-8s %-12s %-28s %s\n",
 				name, bs, fs, gs, u.Dim.Name, u.PathString(), core.MaskString(u.Mask))
 		}
-	}
-
-	if *drift == 0 {
-		return
-	}
-	// Simulate arrivals and measure how far their cell distribution diverges
-	// from the clustering the base was built with — the trigger signal of the
-	// ingest path's online re-clustering merge.
-	gen := tpch.NewDeltaGen(ds, 1)
-	gen.Backfill = *backfill
-	batch := gen.Next(*drift)
-	combined := make(map[string]*storage.Table, len(ds.Tables))
-	for n, t := range ds.Tables {
-		combined[n] = t
-	}
-	for _, d := range []*storage.Table{batch.Orders, batch.Lineitem} {
-		c, err := storage.Concat(combined[d.Name], combined[d.Name].Rows(), d)
-		if err != nil {
-			fatal(err)
-		}
-		combined[d.Name] = c
-	}
-	fmt.Printf("\nDrift over %d simulated arriving orders (backfill %.2f, threshold %.2f):\n",
-		*drift, *backfill, *driftThreshold)
-	for _, td := range design.Tables {
-		from := ds.Tables[td.Table].Rows()
-		r, err := core.DriftFor(db, schema, combined, td.Table, from)
-		if err != nil {
-			fatal(err)
-		}
-		verdict := "keep clustering"
-		if r.Drifted(*driftThreshold) {
-			verdict = "trigger re-clustering merge"
-		}
-		fmt.Printf("  %-10s %s -> %s\n", td.Table, r, verdict)
 	}
 }
 

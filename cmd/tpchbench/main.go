@@ -51,12 +51,12 @@
 // The -ingest-rate knob turns the grid into a mixed read/write workload:
 // that many orders (with their lineitems) are appended before each round-1
 // query, so every measurement reads a snapshot with in-flight delta; a merge
-// then consolidates (re-clustering the delta into BDCC cells and
-// re-compressing) and round 2 re-measures the 22 queries over the merged
-// base. -ingest-limit bounds the per-table delta (the append that reaches it
-// merges mid-round, before the next query) and -ingest-drift triggers merges
-// off the drift detector instead. The ingest table prints the per-scheme
-// append/merge counters and each round's MB read (docs/INGEST.md).
+// then consolidates (re-compressing the views the appends already spliced
+// into the BDCC cells; it re-bins and re-sorts nothing) and round 2
+// re-measures the 22 queries over the merged base. -ingest-limit bounds the
+// per-table delta (the append that reaches it merges mid-round, before the
+// next query). The ingest table prints the per-scheme append/merge counters
+// and each round's MB read (docs/INGEST.md).
 //
 // The -clients knob adds the concurrency leg to the grid: N closed-loop
 // clients each issue the 22 queries -rounds times per scheme through a
@@ -103,7 +103,6 @@ func main() {
 	compress := flag.Bool("compress", true, "chunk-compress stored columns (RLE/dict/FOR) before materializing schemes")
 	ingestRate := flag.Int("ingest-rate", 0, "mixed workload: orders appended before each query of round 1 (0 = read-only grid)")
 	ingestLimit := flag.Int("ingest-limit", 0, "per-table delta rows that trigger a merge (0 = merge only between rounds)")
-	ingestDrift := flag.Float64("ingest-drift", 0, "drift distance that triggers a merge (0 disables the trigger)")
 	explain := flag.Bool("explain", false, "print per-query planner decisions under BDCC")
 	orderings := flag.Bool("orderings", false, "also run the Z-order vs major-minor self-comparison")
 	flag.Parse()
@@ -140,10 +139,10 @@ func main() {
 	if *ingestRate > 0 {
 		// The mixed read/write grid: every query of round 1 runs over a
 		// snapshot with freshly appended delta, then a merge consolidates and
-		// round 2 re-measures the re-clustered base (see docs/INGEST.md).
-		fmt.Printf("ingest grid: %d orders before each round-1 query (limit %d, drift %g)\n",
-			*ingestRate, *ingestLimit, *ingestDrift)
-		rep, err = b.RunAllIngest(*ingestRate, *ingestLimit, *ingestDrift)
+		// round 2 re-measures the merged base (see docs/INGEST.md).
+		fmt.Printf("ingest grid: %d orders before each round-1 query (limit %d)\n",
+			*ingestRate, *ingestLimit)
+		rep, err = b.RunAllIngest(*ingestRate, *ingestLimit)
 	} else {
 		rep, err = b.RunAll()
 	}

@@ -57,7 +57,7 @@ func BitsFor(n int) int {
 // BinOf returns bin_D(v), the bin number of key value v (Definition 1 (v)).
 // Values outside every bin (unseen at creation time) map to the nearest bin
 // in order, keeping the mapping total and monotone — required for range
-// rewrites to stay correct under data drift.
+// rewrites to stay correct over keys appended after the bins were cut.
 func (d *Dimension) BinOf(v KeyVal) uint64 {
 	i := sort.Search(len(d.Bins), func(i int) bool {
 		return d.Bins[i].Max.Compare(v) >= 0

@@ -30,9 +30,9 @@
 // resolving the stored tables — BindUses, which does, is the reference),
 // spliced into the view as runs by MergeBDCCTable (no row copied), and the
 // indexes that reference the table gain the batch's keys. Parents are
-// appended before the children that reference them. Drift is read off count
-// tables (BDCCTable.DriftSince); DriftFor re-binds from scratch for
-// bdccadvise and the tests.
+// appended before the children that reference them. The bins are the
+// loaded design's and never move: a key past every observed bin clamps into
+// the last one (Dimension.BinOf), and a merge re-bins nothing.
 package core
 
 import (

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 
 	"bdcc/internal/catalog"
@@ -46,10 +44,10 @@ func BindBatch(db *Database, schema *catalog.Schema, tables map[string]*storage.
 	return newBatchBins(schema, tables, db, table, batch).bind(table)
 }
 
-// DeltaKeys encodes the _bdcc_ keys of delta rows at the table's full load
+// deltaKeys encodes the _bdcc_ keys of delta rows at the table's full load
 // granularity, using the frozen masks of the base table. All bindings must
 // carry the same row count.
-func DeltaKeys(base *BDCCTable, uses []UseBinding) ([]uint64, error) {
+func deltaKeys(base *BDCCTable, uses []UseBinding) ([]uint64, error) {
 	if len(uses) != len(base.Uses) {
 		return nil, fmt.Errorf("core: table %s: %d delta bindings for %d uses", base.Name, len(uses), len(base.Uses))
 	}
@@ -109,19 +107,19 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 		return nil, fmt.Errorf("core: table %s retains %d sorted keys for %d rows; built before key retention?",
 			base.Name, len(root)+len(pending), n)
 	}
-	deltaKeys, err := DeltaKeys(base, uses)
+	keys, err := deltaKeys(base, uses)
 	if err != nil {
 		return nil, err
 	}
-	if len(deltaKeys) != k {
-		return nil, fmt.Errorf("core: table %s: %d delta keys for %d delta rows", base.Name, len(deltaKeys), k)
+	if len(keys) != k {
+		return nil, fmt.Errorf("core: table %s: %d delta keys for %d delta rows", base.Name, len(keys), k)
 	}
 	// (i) sort the delta run, and (iv) land each of its rows after the ri
 	// root and pi pending keys at or below its key.
 	var step []storage.Run
 	sorted, prev, ri, pi := make([]uint64, 0, k), 0, 0, 0
-	for _, d := range storage.SortPerm(deltaKeys) {
-		key := deltaKeys[d]
+	for _, d := range storage.SortPerm(keys) {
+		key := keys[d]
 		sorted, ri, pi = append(sorted, key), upperBound(root, ri, key), upperBound(pending, pi, key)
 		step = storage.AppendRun(storage.AppendRun(step, 0, int32(prev), int32(ri+pi-prev)), 1, d, 1)
 		prev = ri + pi
@@ -199,9 +197,8 @@ func mergeCounts(base, delta []CountEntry) []CountEntry {
 // RebuildWithDesign rebuilds every designed table from scratch over the given
 // stored tables while keeping the frozen design: existing dimensions (so bin
 // boundaries don't move under the data), interleaving order, and each table's
-// count-table granularity. This is the reference path for the ingest oracle —
-// it shares no code with the incremental merge beyond the binning itself —
-// and the consolidation a drifted table would undergo offline.
+// count-table granularity. This is the reference path for the ingest oracle:
+// it shares no code with the incremental merge beyond the binning itself.
 func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]*storage.Table, opt BuildOptions) (*Database, error) {
 	db := &Database{
 		Design:     old.Design,
@@ -244,122 +241,4 @@ func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]
 		return nil, err
 	}
 	return db, nil
-}
-
-// DriftReport compares where delta rows land against the base clustering, at
-// the base table's count-table granularity.
-type DriftReport struct {
-	Table     string
-	BaseRows  int64
-	DeltaRows int64
-	// NewCells counts cells that receive delta rows but hold no base rows;
-	// NewCellRows sums the delta rows landing there. New cells are the
-	// benign kind of drift — the clustering absorbs them as fresh groups.
-	NewCells    int
-	NewCellRows int64
-	// HotCellFrac is the largest single cell's share of the delta. A hot
-	// cell means arrivals concentrate where BinOf clamps (e.g. dates past
-	// the observed range all binning to the last date bin), the degenerate
-	// pattern that erodes clustering selectivity.
-	HotCellFrac float64
-	// Distance is the total-variation distance between the base and delta
-	// cell-size histograms (0 = identically distributed, 1 = disjoint).
-	Distance float64
-}
-
-// Drifted reports whether the delta's cell distribution has diverged from the
-// base by at least the given total-variation threshold.
-func (r DriftReport) Drifted(threshold float64) bool {
-	return r.DeltaRows > 0 && r.Distance >= threshold
-}
-
-func (r DriftReport) String() string {
-	return fmt.Sprintf("%s: %d delta rows over %d base; %d new cells (%d rows), hottest cell %.0f%%, distance %.3f",
-		r.Table, r.DeltaRows, r.BaseRows, r.NewCells, r.NewCellRows, 100*r.HotCellFrac, r.Distance)
-}
-
-// DriftStats compares the cell-size histogram of un-merged delta keys (at
-// full granularity) against the base count table.
-func DriftStats(base *BDCCTable, deltaKeys []uint64) DriftReport {
-	keys := slices.Clone(deltaKeys)
-	slices.Sort(keys)
-	return driftReport(base, cellCounts(keys, uint(base.FullBits-base.Bits)))
-}
-
-// DriftSince reports the drift of the rows spliced into t since it was base
-// (t descends from base by MergeBDCCTable, so its count table is base's plus
-// the delta's per-cell counts): the same report DriftStats gives over those
-// rows' keys, read off the two count tables without touching a row.
-func (t *BDCCTable) DriftSince(base *BDCCTable) DriftReport {
-	var delta []CountEntry
-	bi := 0
-	for _, e := range t.Count {
-		for bi < len(base.Count) && base.Count[bi].Key < e.Key {
-			bi++
-		}
-		var had int64
-		if bi < len(base.Count) && base.Count[bi].Key == e.Key {
-			had = base.Count[bi].Count
-		}
-		if e.Count > had {
-			delta = append(delta, CountEntry{Key: e.Key, Count: e.Count - had})
-		}
-	}
-	return driftReport(base, delta)
-}
-
-// driftReport compares the delta's per-cell row counts, in key order, with
-// the base count table — which is the base histogram, keyed and ordered.
-func driftReport(base *BDCCTable, delta []CountEntry) DriftReport {
-	r := DriftReport{Table: base.Name, BaseRows: base.baseRows}
-	for _, d := range delta {
-		r.DeltaRows += d.Count
-	}
-	if r.DeltaRows == 0 {
-		return r
-	}
-	var dist float64
-	var hottest int64
-	bi := 0
-	for _, d := range delta {
-		for ; bi < len(base.Count) && base.Count[bi].Key < d.Key; bi++ {
-			dist += float64(base.Count[bi].Count) / float64(r.BaseRows)
-		}
-		var had int64
-		if bi < len(base.Count) && base.Count[bi].Key == d.Key {
-			had = base.Count[bi].Count
-			bi++
-		}
-		if had == 0 {
-			r.NewCells++
-			r.NewCellRows += d.Count
-		}
-		hottest = max(hottest, d.Count)
-		dist += math.Abs(float64(d.Count)/float64(r.DeltaRows) - float64(had)/float64(r.BaseRows))
-	}
-	for ; bi < len(base.Count); bi++ {
-		dist += float64(base.Count[bi].Count) / float64(r.BaseRows)
-	}
-	r.HotCellFrac = float64(hottest) / float64(r.DeltaRows)
-	r.Distance = dist / 2
-	return r
-}
-
-// DriftFor binds the trailing rows of a designed table over combined stored
-// tables (base rows first, delta tail from row `from`) and reports their
-// drift against the base clustering.
-func DriftFor(db *Database, schema *catalog.Schema, tables map[string]*storage.Table, table string, from int) (DriftReport, error) {
-	base := db.Tables[table]
-	if base == nil {
-		return DriftReport{}, fmt.Errorf("core: drift: table %s is not BDCC-clustered", table)
-	}
-	uses, err := BindUses(db, schema, tables, table, from)
-	if err != nil {
-		return DriftReport{}, err
-	}
-	keys, err := DeltaKeys(base, uses)
-	if err != nil {
-		return DriftReport{}, err
-	}
-	return DriftStats(base, keys), nil
 }

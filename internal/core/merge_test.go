@@ -281,53 +281,6 @@ func TestMergeCountTableConsistency(t *testing.T) {
 	}
 }
 
-// TestDriftStats checks the two detector signals: a delta drawn from the base
-// distribution reads as low distance, while arrivals clamping past the
-// observed domain concentrate in the last cells and read as drifted.
-func TestDriftStats(t *testing.T) {
-	dim, baseTab, _ := mergeFixture(t, 6000, 0, 31)
-	base, err := BuildBDCCTable("t", baseTab,
-		[]UseBinding{{Dim: dim, BinNos: binsOf(dim, baseTab, 0)}}, BuildOptions{DisableRelocation: true})
-	if err != nil {
-		t.Fatalf("build base: %v", err)
-	}
-	keysFor := func(vals []int64) []uint64 {
-		tab := storage.MustNewTable("t", 4<<10,
-			storage.NewInt64Column("k", vals), storage.NewInt64Column("payload", make([]int64, len(vals))))
-		keys, err := DeltaKeys(base, []UseBinding{{Dim: dim, BinNos: binsOf(dim, tab, 0)}})
-		if err != nil {
-			t.Fatalf("DeltaKeys: %v", err)
-		}
-		return keys
-	}
-	rng := rand.New(rand.NewSource(32))
-	uniform := make([]int64, 1000)
-	for i := range uniform {
-		uniform[i] = rng.Int63n(256)
-	}
-	low := DriftStats(base, keysFor(uniform))
-	if low.DeltaRows != 1000 || low.Drifted(0.3) {
-		t.Fatalf("in-distribution delta reads as drifted: %v", low)
-	}
-	beyond := make([]int64, 1000)
-	for i := range beyond {
-		beyond[i] = 10_000 + rng.Int63n(5)
-	}
-	high := DriftStats(base, keysFor(beyond))
-	if !high.Drifted(0.3) || high.HotCellFrac < 0.9 {
-		t.Fatalf("out-of-domain delta not detected: %v", high)
-	}
-	if high.Distance <= low.Distance {
-		t.Fatalf("distance ordering: drifted %.3f <= uniform %.3f", high.Distance, low.Distance)
-	}
-	if math.IsNaN(high.Distance) || high.Distance > 1 {
-		t.Fatalf("distance out of range: %v", high.Distance)
-	}
-	if none := DriftStats(base, nil); none.Drifted(0) || none.Distance != 0 {
-		t.Fatalf("empty delta reports drift: %v", none)
-	}
-}
-
 // spliceTable builds rows of (k, payload, f, s): an int64 clustering key, a
 // globally numbered payload, a float and a string whose length varies with
 // the payload — so the string column's modeled width, and with it the page
@@ -353,11 +306,11 @@ func spliceTable(keys []int64, off int) *storage.Table {
 func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, uses []UseBinding, opt BuildOptions) *BDCCTable {
 	t.Helper()
 	n, k := int(base.baseRows), delta.Rows()
-	deltaKeys, err := DeltaKeys(base, uses)
+	dkeys, err := deltaKeys(base, uses)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltaPerm := storage.SortPerm(deltaKeys)
+	deltaPerm := storage.SortPerm(dkeys)
 	concat, err := storage.Concat(base.Data, n, delta)
 	if err != nil {
 		t.Fatal(err)
@@ -366,12 +319,12 @@ func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, 
 	var mergedKeys []uint64
 	baseKeys := base.Keys()
 	for bi, dj := 0, 0; bi < n || dj < k; {
-		if bi < n && (dj >= k || baseKeys[bi] <= deltaKeys[deltaPerm[dj]]) {
+		if bi < n && (dj >= k || baseKeys[bi] <= dkeys[deltaPerm[dj]]) {
 			mergedKeys = append(mergedKeys, baseKeys[bi])
 			perm = append(perm, int32(bi))
 			bi++
 		} else {
-			mergedKeys = append(mergedKeys, deltaKeys[deltaPerm[dj]])
+			mergedKeys = append(mergedKeys, dkeys[deltaPerm[dj]])
 			perm = append(perm, int32(n)+deltaPerm[dj])
 			dj++
 		}

@@ -30,31 +30,20 @@ import (
 // is un-merged: a table's un-merged rows are the logical rows its current
 // version holds beyond the last merged version's.
 type Ingest struct {
-	db  *DB
-	opt IngestOptions
+	db *DB
+	// limit bounds a table's un-merged rows: the append that reaches it
+	// merges before it returns. 0 means merges are only run explicitly.
+	limit int
 
 	mu sync.Mutex
 	// base is the last merged version — the loaded state until a merge
-	// commits — that un-merged rows are counted and drift measured against.
+	// commits — that un-merged rows are counted against.
 	base       *snapState
 	compressed map[string]bool
 	merges     int64
 	mergedRows int64
 
 	cur atomic.Pointer[snapState]
-}
-
-// IngestOptions configure EnableIngest.
-type IngestOptions struct {
-	// Limit bounds a table's un-merged rows: the append that reaches it
-	// merges before it returns. 0 means merges are only run explicitly (or
-	// by drift).
-	Limit int
-	// DriftThreshold merges, inside the append, when a table's un-merged
-	// rows' cell distribution diverges from the base clustering by at least
-	// this total-variation distance (see core.DriftReport). 0 disables the
-	// trigger; only BDCC-clustered tables are measured.
-	DriftThreshold float64
 }
 
 // snapState is one immutable published version: every table in the
@@ -76,12 +65,13 @@ func (v *snapState) rows(table string) int {
 	return logicalRows(v.tables, v.clustered, table)
 }
 
-// EnableIngest attaches an empty ingest state to the DB and returns it. The
-// loaded layout becomes version 0, and the DB keeps no version of its own:
-// its Tables, Clustered and PK sources move into that version, which the
-// first merge replaces and lets go, and every read of the DB answers for the
-// current version (Snapshot).
-func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
+// EnableIngest attaches an empty ingest state to the DB and returns it: the
+// append that brings a table's un-merged rows to limit merges before it
+// returns, and 0 leaves merges to Merge. The loaded layout becomes version
+// 0, and the DB keeps no version of its own: its Tables, Clustered and PK
+// sources move into that version, which the first merge replaces and lets
+// go, and every read of the DB answers for the current version (Snapshot).
+func (db *DB) EnableIngest(limit int) (*Ingest, error) {
 	if db.ing != nil {
 		return nil, fmt.Errorf("plan: ingest already enabled on this %s database", db.Scheme)
 	}
@@ -90,7 +80,7 @@ func (db *DB) EnableIngest(opt IngestOptions) (*Ingest, error) {
 	}
 	ing := &Ingest{
 		db:         db,
-		opt:        opt,
+		limit:      limit,
 		base:       &snapState{raw: db.raw, tables: db.Tables, clustered: db.Clustered},
 		compressed: make(map[string]bool),
 	}
@@ -144,15 +134,14 @@ func (db *DB) PendingDeltaRows() int64 {
 }
 
 // Append ingests rows into one table and publishes the version making them
-// visible; when the table's un-merged rows reach Limit or drift past
-// DriftThreshold, it merges before it returns. Rows must arrive
-// referential-parents-first: a batch may reference keys appended earlier,
-// but not keys of another table's future batch — the BDCC scheme bins a
-// batch through the key→bin indexes its parents' appends extended, and a key
-// they do not hold is a dangling reference. An append is atomic: the batch
-// is checked before anything is built from it, and the next version is
-// built before it is published, so a rejected batch leaves the published
-// version exactly as it found it.
+// visible; when the table's un-merged rows reach the limit, it merges before
+// it returns. Rows must arrive referential-parents-first: a batch may
+// reference keys appended earlier, but not keys of another table's future
+// batch — the BDCC scheme bins a batch through the key→bin indexes its
+// parents' appends extended, and a key they do not hold is a dangling
+// reference. An append is atomic: the batch is checked before anything is
+// built from it, and the next version is built before it is published, so a
+// rejected batch leaves the published version exactly as it found it.
 func (ing *Ingest) Append(table string, rows *storage.Table) error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -168,8 +157,7 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 		return err
 	}
 	ing.cur.Store(next)
-	limit := ing.opt.Limit > 0 && ing.unmerged(next, table) >= ing.opt.Limit
-	if limit || ing.opt.DriftThreshold > 0 && ing.drift(next, table).Drifted(ing.opt.DriftThreshold) {
+	if ing.limit > 0 && ing.unmerged(next, table) >= ing.limit {
 		ing.merge()
 	}
 	return nil
@@ -179,18 +167,6 @@ func (ing *Ingest) Append(table string, rows *storage.Table) error {
 // the last merged version. Caller holds mu.
 func (ing *Ingest) unmerged(v *snapState, table string) int {
 	return v.rows(table) - ing.base.rows(table)
-}
-
-// drift measures table's un-merged rows in version v against the merged
-// clustering: v's count table is the merged one plus their per-cell counts.
-// It is the zero report where the table is not clustered or holds no
-// un-merged row. Caller holds mu.
-func (ing *Ingest) drift(v *snapState, table string) core.DriftReport {
-	bt := clusteredTable(ing.base.clustered, table)
-	if bt == nil || ing.unmerged(v, table) == 0 {
-		return core.DriftReport{}
-	}
-	return v.clustered.Tables[table].DriftSince(bt)
 }
 
 // nextViews builds the version that additionally holds batch at the end of
@@ -303,9 +279,6 @@ type IngestStats struct {
 	// folded into the base.
 	Merges     int64
 	MergedRows int64
-	// Drift holds the drift report of every clustered table with
-	// un-merged rows (none right after a merge).
-	Drift map[string]core.DriftReport
 }
 
 // Stats reports the current ingest counters.
@@ -313,19 +286,12 @@ func (ing *Ingest) Stats() IngestStats {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	cur := ing.cur.Load()
-	s := IngestStats{
+	return IngestStats{
 		Epoch:      cur.epoch,
 		DeltaRows:  cur.totalDelta,
 		Merges:     ing.merges,
 		MergedRows: ing.mergedRows,
-		Drift:      make(map[string]core.DriftReport),
 	}
-	for t := range cur.tables {
-		if r := ing.drift(cur, t); r.DeltaRows > 0 {
-			s.Drift[t] = r
-		}
-	}
-	return s
 }
 
 // pkSort lays a combined table out in the PK scheme's order: a stable sort

@@ -45,7 +45,7 @@ func TestAppendBindsOnlyTheBatch(t *testing.T) {
 	var got []uint64
 	for _, c := range []struct{ nR, nT int }{{20_000, 50_000}, {200_000, 50_000}, {20_000, 200_000}} {
 		bdcc, _ := diamondDB(t, c.nR, c.nT, c.nR/8)
-		ing, err := bdcc.EnableIngest(IngestOptions{})
+		ing, err := bdcc.EnableIngest(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func TestMergeOnlyReEncodes(t *testing.T) {
 		if compressed {
 			bdcc.Clustered.Tables["t"].Data.Compress()
 		}
-		ing, err := bdcc.EnableIngest(IngestOptions{})
+		ing, err := bdcc.EnableIngest(0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func readInt64(tab *storage.Table, ci int) []int64 {
 func TestSnapshotBeforeFirstAppendIsPinned(t *testing.T) {
 	const nR, nT = 64, 4096
 	bdcc, _ := diamondDB(t, nR, nT, 8)
-	ing, err := bdcc.EnableIngest(IngestOptions{})
+	ing, err := bdcc.EnableIngest(0)
 	if err != nil {
 		t.Fatal(err)
 	}

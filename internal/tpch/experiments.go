@@ -49,13 +49,11 @@ type Report struct {
 }
 
 // IngestRecord is one scheme's ingest outcome over the grid: lifetime
-// appended rows, committed consolidations, and the largest per-table drift
-// distance of the delta the final merge absorbed.
+// appended rows and committed consolidations.
 type IngestRecord struct {
 	AppendedRows int64
 	Merges       int64
 	MergedRows   int64
-	MaxDrift     float64
 }
 
 // CompRecord is one scheme's compression outcome: the storage-side chunk
@@ -119,13 +117,13 @@ func (b *Benchmark) RunAll() (*Report, error) {
 // with in-flight delta — then consolidates and runs all queries again
 // post-merge. Round-1 runs carry the freshness tax (uncompressed delta views,
 // Stats.DeltaRows > 0); round-2 runs must be back at base-layout cost with
-// no delta rows. Compression stats are taken post-merge, where the
-// re-clustered chunks have been re-encoded.
-func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Report, error) {
+// no delta rows. Compression stats are taken post-merge, where the appended
+// views have been re-encoded; a merge re-bins and re-sorts nothing.
+func (b *Benchmark) RunAllIngest(rate, limit int) (*Report, error) {
 	if rate <= 0 {
 		return nil, fmt.Errorf("tpch: ingest grid needs a positive rate, got %d", rate)
 	}
-	if err := b.EnableIngest(limit, driftThreshold); err != nil {
+	if err := b.EnableIngest(limit, 0); err != nil {
 		return nil, err
 	}
 	gen := NewDeltaGen(b.Data, 424242)
@@ -153,12 +151,6 @@ func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Repo
 			rep.Explain[fmt.Sprintf("%s/%s", scheme, q.Name)] = explain
 			comp.WireSaved += st.Net.Saved
 		}
-		// Drift is measured over the un-merged delta: read it before forcing
-		// the final consolidation.
-		rec := IngestRecord{}
-		for _, d := range ing.Stats().Drift {
-			rec.MaxDrift = max(rec.MaxDrift, d.Distance)
-		}
 		if err := ing.Merge(); err != nil {
 			return nil, fmt.Errorf("tpch: merge under %s: %w", scheme, err)
 		}
@@ -171,10 +163,11 @@ func (b *Benchmark) RunAllIngest(rate, limit int, driftThreshold float64) (*Repo
 			comp.WireSaved += st.Net.Saved
 		}
 		post := ing.Stats()
-		rec.AppendedRows = post.MergedRows + post.DeltaRows
-		rec.Merges = post.Merges
-		rec.MergedRows = post.MergedRows
-		rep.Ingest[scheme] = rec
+		rep.Ingest[scheme] = IngestRecord{
+			AppendedRows: post.MergedRows + post.DeltaRows,
+			Merges:       post.Merges,
+			MergedRows:   post.MergedRows,
+		}
 		comp.CompressionStats = db.Snapshot().CompressionStats()
 		rep.Comp[scheme] = comp
 	}
@@ -374,7 +367,7 @@ func (r *Report) WriteComp(w io.Writer) {
 }
 
 // WriteIngest renders the mixed-workload leg: per-scheme arrival totals,
-// merge counters, peak drift, and the freshness tax — round-1 (delta visible)
+// merge counters, and the freshness tax — round-1 (delta visible)
 // versus round-2 (post-merge) MB read over the query set.
 func (r *Report) WriteIngest(w io.Writer) {
 	if len(r.Ingest) == 0 {
@@ -382,8 +375,8 @@ func (r *Report) WriteIngest(w io.Writer) {
 	}
 	fmt.Fprintf(w, "Ingest — mixed read/write grid (SF%g, %d orders per query, limit %d)\n",
 		r.SF, r.IngestRate, r.IngestLimit)
-	fmt.Fprintf(w, "%-6s %12s %8s %12s %10s %14s %14s\n",
-		"scheme", "appended", "merges", "merged-rows", "max-drift", "r1-MB-read", "r2-MB-read")
+	fmt.Fprintf(w, "%-6s %12s %8s %12s %14s %14s\n",
+		"scheme", "appended", "merges", "merged-rows", "r1-MB-read", "r2-MB-read")
 	for _, s := range r.Schemes {
 		rec, ok := r.Ingest[s]
 		if !ok {
@@ -395,8 +388,8 @@ func (r *Report) WriteIngest(w io.Writer) {
 				mb[run.Round] += float64(run.Stats.IO.Bytes) / (1 << 20)
 			}
 		}
-		fmt.Fprintf(w, "%-6s %12d %8d %12d %10.3f %14.1f %14.1f\n",
-			s, rec.AppendedRows, rec.Merges, rec.MergedRows, rec.MaxDrift, mb[1], mb[2])
+		fmt.Fprintf(w, "%-6s %12d %8d %12d %14.1f %14.1f\n",
+			s, rec.AppendedRows, rec.Merges, rec.MergedRows, mb[1], mb[2])
 	}
 }
 

@@ -310,7 +310,7 @@ func TestBuildPinned(t *testing.T) {
 		}
 	}
 	db := b.DBs[plan.BDCC]
-	ing, err := db.EnableIngest(plan.IngestOptions{})
+	ing, err := db.EnableIngest(0)
 	if err != nil {
 		t.Fatal(err)
 	}

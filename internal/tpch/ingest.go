@@ -22,12 +22,12 @@ type DeltaBatch struct {
 // price/discount/date derivations, status cut). Order dates split between
 // the historical window and the period after it — the realistic mix of
 // backfill and fresh traffic. Fresh dates fall outside every d_date bin the
-// design observed at load, so they exercise BinOf's clamping and are what the
-// drift detector fires on.
+// design observed at load, so they exercise BinOf's clamping: they land in
+// the last date bin, which neither an append nor a merge re-cuts.
 type DeltaGen struct {
 	// Backfill is the fraction of generated orders dated inside the
 	// historical window (default 0.5). 1 keeps arrivals in-distribution;
-	// 0 makes every arrival post-window, the fastest way to drift.
+	// 0 makes every arrival post-window.
 	Backfill float64
 
 	nextKey int64
@@ -73,11 +73,11 @@ func (g *DeltaGen) Next(nOrders int) *DeltaBatch {
 }
 
 // EnableIngest attaches an append path to every materialized scheme with
-// the same bound and drift trigger, so the three schemes see identical
-// arrival streams.
-func (b *Benchmark) EnableIngest(limit int, driftThreshold float64) error {
+// the same un-merged-row limit (plan.DB.EnableIngest), so the three schemes
+// see identical arrival streams. The second argument is ignored.
+func (b *Benchmark) EnableIngest(limit int, _ float64) error {
 	for _, db := range b.DBs {
-		if _, err := db.EnableIngest(plan.IngestOptions{Limit: limit, DriftThreshold: driftThreshold}); err != nil {
+		if _, err := db.EnableIngest(limit); err != nil {
 			return err
 		}
 	}

@@ -99,7 +99,7 @@ func TestUnmergedViewsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := b.DBs[plan.BDCC]
-	if _, err := db.EnableIngest(plan.IngestOptions{}); err != nil {
+	if _, err := db.EnableIngest(0); err != nil {
 		t.Fatal(err)
 	}
 	g := NewDeltaGen(b.Data, 1)
