@@ -174,12 +174,7 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 	if b == 0 {
 		b = chooseGranularity(sortedKeys, fullBits, minRows, n)
 	}
-	if b > fullBits {
-		b = fullBits
-	}
-	if b < 1 {
-		b = 1
-	}
+	b = max(min(b, fullBits), 1)
 	truncated := TruncateMasks(fullMasks, fullBits, b)
 	t := &BDCCTable{
 		Name:       name,
@@ -230,11 +225,7 @@ func efficientRows(w float64, dev iosim.Device) int64 {
 	if w <= 0 {
 		w = 1
 	}
-	rows := int64(math.Ceil(float64(dev.AR) / 2 / w))
-	if rows < 1 {
-		rows = 1
-	}
-	return rows
+	return max(int64(math.Ceil(float64(dev.AR)/2/w)), 1)
 }
 
 // chooseGranularity returns the largest granularity at which at least half

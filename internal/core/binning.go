@@ -58,10 +58,7 @@ func CreateDimension(name, table string, key []string, obs []WeightedKey, maxBit
 	for _, o := range distinct {
 		total += o.Weight
 	}
-	target := total / int64(maxBins)
-	if target < 1 {
-		target = 1
-	}
+	target := max(total/int64(maxBins), 1)
 	var bins []Bin
 	var cum int64
 	open := false

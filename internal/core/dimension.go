@@ -93,9 +93,7 @@ func (d *Dimension) BinRange(lo, hi *KeyVal) (uint64, uint64) {
 		}
 		hiBin = d.Bins[i-1].No
 	}
-	if hiBin < loBin {
-		hiBin = loBin
-	}
+	hiBin = max(hiBin, loBin)
 	return loBin, hiBin
 }
 

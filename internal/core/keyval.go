@@ -36,6 +36,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 )
@@ -73,50 +74,36 @@ func Key(parts ...KeyPart) KeyVal { return KeyVal{Parts: parts} }
 
 // Compare orders key values lexicographically; shorter prefixes order first.
 func (k KeyVal) Compare(o KeyVal) int {
-	n := len(k.Parts)
-	if len(o.Parts) < n {
-		n = len(o.Parts)
-	}
-	for i := 0; i < n; i++ {
+	for i := range min(len(k.Parts), len(o.Parts)) {
 		a, b := k.Parts[i], o.Parts[i]
-		if a.Inf || b.Inf {
-			switch {
-			case a.Inf && b.Inf:
-				continue
-			case a.Inf:
-				return 1
-			default:
-				return -1
-			}
-		}
-		if a.IsStr != b.IsStr {
+		var c int
+		switch {
+		case a.Inf || b.Inf: // infinity orders last, equal to itself
+			c = boolCompare(a.Inf, b.Inf)
+		case a.IsStr != b.IsStr:
 			// Mixed-typed parts should not occur for well-formed keys; order
 			// numerics first deterministically.
-			if a.IsStr {
-				return 1
-			}
-			return -1
+			c = boolCompare(a.IsStr, b.IsStr)
+		case a.IsStr:
+			c = strings.Compare(a.S, b.S)
+		default:
+			c = cmp.Compare(a.I, b.I)
 		}
-		if a.IsStr {
-			if c := strings.Compare(a.S, b.S); c != 0 {
-				return c
-			}
-		} else {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			}
+		if c != 0 {
+			return c
 		}
 	}
-	switch {
-	case len(k.Parts) < len(o.Parts):
-		return -1
-	case len(k.Parts) > len(o.Parts):
+	return cmp.Compare(len(k.Parts), len(o.Parts))
+}
+
+// boolCompare orders false before true.
+func boolCompare(a, b bool) int {
+	if a == b {
+		return 0
+	} else if a {
 		return 1
 	}
-	return 0
+	return -1
 }
 
 // String implements fmt.Stringer.

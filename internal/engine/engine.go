@@ -389,9 +389,7 @@ func (m *MemTracker) Grow(n int64) {
 	}
 	m.mu.Lock()
 	m.cur += n
-	if m.cur > m.peak {
-		m.peak = m.cur
-	}
+	m.peak = max(m.peak, m.cur)
 	covered := m.parent == nil || m.cur <= m.reserved || m.failed != nil
 	m.mu.Unlock()
 	if !covered {

@@ -405,8 +405,7 @@ func (j *HashJoin) build() error {
 		j.probe = j.frag.newProbe(j.buf, j.table)
 	}
 	buildIdx := j.frag.buildIdx
-	var stage []uint64
-	var hashes []uint64
+	var stage, hashes []uint64
 	for {
 		b, err := j.Right.Next()
 		if err != nil {

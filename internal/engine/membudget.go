@@ -93,9 +93,7 @@ func (b *MemBudget) Reserve(n int64) error {
 	// are strictly FIFO so a large waiter cannot be starved by small ones.
 	if len(b.waiters) == 0 && b.cur+n <= b.limit {
 		b.cur += n
-		if b.cur > b.peak {
-			b.peak = b.cur
-		}
+		b.peak = max(b.peak, b.cur)
 		b.mu.Unlock()
 		return nil
 	}
@@ -162,9 +160,7 @@ func (b *MemBudget) grantLocked() {
 			return
 		}
 		b.cur += w.n
-		if b.cur > b.peak {
-			b.peak = b.cur
-		}
+		b.peak = max(b.peak, b.cur)
 		b.waiters = b.waiters[1:]
 		close(w.granted)
 	}

@@ -34,9 +34,7 @@ func (v *Values) Next() (*vector.Batch, error) {
 		return nil, nil
 	}
 	hi := v.pos + vector.BatchSize
-	if hi > n {
-		hi = n
-	}
+	hi = min(hi, n)
 	v.out.Reset()
 	for c, col := range v.Rows.Cols {
 		dst := v.out.Cols[c]

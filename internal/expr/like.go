@@ -135,10 +135,7 @@ func matchLike(s string, segs []likeSeg, anchoredStart, anchoredEnd bool) bool {
 		}
 		if i == len(segs)-1 && anchoredEnd {
 			start := len(s) - len(seg)
-			if start < pos || !segMatchAt(s, seg, start) {
-				return false
-			}
-			return true
+			return start >= pos && segMatchAt(s, seg, start)
 		}
 		at := segFind(s, seg, pos)
 		if at < 0 {

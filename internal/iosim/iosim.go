@@ -176,13 +176,7 @@ func (a *Accountant) Wait(t Ticket) {
 	if a.frontier.After(start) {
 		start = a.frontier
 	}
-	h := now.Sub(start)
-	if h < 0 {
-		h = 0
-	}
-	if h > r.io {
-		h = r.io
-	}
+	h := min(max(now.Sub(start), 0), r.io)
 	a.hidden += h
 	if now.After(a.frontier) {
 		a.frontier = now

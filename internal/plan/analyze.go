@@ -104,10 +104,7 @@ func matchForward(schema *catalog.Schema, uP, uR *core.DimensionUse, buildTable 
 		return false
 	}
 	fk := schema.FK(uP.Path[k-1])
-	if fk == nil || fk.RefTable != buildTable {
-		return false
-	}
-	return keyPairs(fk.Cols, fk.RefCols, leftKeys, rightKeys)
+	return fk != nil && fk.RefTable == buildTable && keyPairs(fk.Cols, fk.RefCols, leftKeys, rightKeys)
 }
 
 func matchCommon(schema *catalog.Schema, uP, uR *core.DimensionUse, buildTable string, leftKeys, rightKeys []string) bool {
@@ -123,10 +120,8 @@ func matchCommon(schema *catalog.Schema, uP, uR *core.DimensionUse, buildTable s
 		return false
 	}
 	fkP := schema.FK(uP.Path[k-1])
-	if fkP == nil || fkP.RefTable != fkR.RefTable || !pathsEqual(fkP.RefCols, fkR.RefCols) {
-		return false
-	}
-	return keyPairs(fkP.Cols, fkR.Cols, leftKeys, rightKeys)
+	return fkP != nil && fkP.RefTable == fkR.RefTable && pathsEqual(fkP.RefCols, fkR.RefCols) &&
+		keyPairs(fkP.Cols, fkR.Cols, leftKeys, rightKeys)
 }
 
 func matchReverse(schema *catalog.Schema, uP, uR *core.DimensionUse, probeTable string, leftKeys, rightKeys []string) bool {
@@ -135,10 +130,7 @@ func matchReverse(schema *catalog.Schema, uP, uR *core.DimensionUse, probeTable 
 		return false
 	}
 	fk := schema.FK(uR.Path[k-1])
-	if fk == nil || fk.RefTable != probeTable {
-		return false
-	}
-	return keyPairs(fk.RefCols, fk.Cols, leftKeys, rightKeys)
+	return fk != nil && fk.RefTable == probeTable && keyPairs(fk.RefCols, fk.Cols, leftKeys, rightKeys)
 }
 
 // probeChild steps down a pipeline: to the probe (left) child of a join, or

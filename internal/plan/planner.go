@@ -333,9 +333,7 @@ func (p *Planner) backends() ([]engine.Backend, error) {
 			}
 		} else {
 			workers := p.Ctx.Workers
-			if workers < 1 {
-				workers = 1
-			}
+			workers = max(workers, 1)
 			set = shard.NewSet(p.Ctx.Shards, workers, shard.PaperNet())
 		}
 		p.set = set
@@ -464,9 +462,7 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 	outInfo.restr.intersectInto(transferred)
 	if sandwich && probeInfo.groupUse == al.uP && probeInfo.groupBits > 0 {
 		g := probeInfo.groupBits
-		if buildInfo.groupBits < g {
-			g = buildInfo.groupBits
-		}
+		g = min(g, buildInfo.groupBits)
 		op := &engine.SandwichHashJoin{
 			Left: probeOp, Right: buildOp,
 			LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,

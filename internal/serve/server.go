@@ -97,9 +97,7 @@ type Server struct {
 // NewServer assembles a daemon from cfg; start serving with Serve, tear down
 // with Close.
 func NewServer(cfg Config) *Server {
-	if cfg.Pools < 1 {
-		cfg.Pools = 1
-	}
+	cfg.Pools = max(cfg.Pools, 1)
 	s := &Server{
 		cfg:   cfg,
 		pools: make(chan *engine.Sched, cfg.Pools),

@@ -43,9 +43,7 @@ func (p ProbeConfig) withDefaults() ProbeConfig {
 	if p.Max <= 0 {
 		p.Max = 5 * time.Second
 	}
-	if p.Max < p.Base {
-		p.Max = p.Base
-	}
+	p.Max = max(p.Max, p.Base)
 	if p.DialTimeout <= 0 {
 		p.DialTimeout = wire.HandshakeTimeout
 	}

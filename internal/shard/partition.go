@@ -69,9 +69,7 @@ type PartRun struct {
 // blocks, which the balance tests tolerate by bounding spread, not
 // demanding equality).
 func NewPartitioning(table string, entries []core.CountEntry, workers int) *Partitioning {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	p := &Partitioning{
 		Table:   table,
 		Workers: workers,
@@ -168,9 +166,7 @@ func (p *Partitioning) SplitGroup(ranges storage.RowRanges) ([]PartRun, error) {
 			}
 			iv := p.ivals[i]
 			end := r.End
-			if iv.End < end {
-				end = iv.End
-			}
+			end = min(end, iv.End)
 			add(iv.Worker, storage.RowRange{Start: r.Start, End: end})
 			r.Start = end
 		}

@@ -172,9 +172,7 @@ type SetConfig struct {
 // dialable address, so there is no re-admission; local fallback still
 // applies when the whole set dies.
 func NewSet(n, workers int, dev iosim.Device) *Set {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	s := newSet(n, iosim.NewAccountant(dev))
 	slots := make([]*slot, n)
 	for i, srv := range fleet(n, workers) {

@@ -62,29 +62,41 @@ type ColumnEncoding struct {
 
 // encodeColumn builds the encoded form of the n rows of a column of kind at
 // the given chunk granularity (rows per uncompressed page, so chunks are
-// page-aligned at raw width). own, when it has rows or holds strings, is
-// those rows as one raw chunk, of which raw chunks are windows; else the rows
-// are column ci of v's table, read a chunk at a time into one scratch vector,
-// and a chunk that stays raw keeps a copy. par, when not nil, is the encoding
-// of a column whose rows [0, inPlace) this one holds at the same rows: its
-// whole packed chunks there are kept when the chunks are as long and the
-// dictionary is par's (or neither has one). Those are exactly the chunks
-// encoding would build: a chunk's encoding depends only on its values and,
-// for strings, on the dictionary's codes and width — and a chunk of a column
-// whose viable dictionary settleDict dropped did not dictionary-encode.
-// Nothing of par's values may stay reachable: a kept dictionary chunk's
-// bounds become entries of the new dictionary, and raw chunks and string
-// chunks of other encodings (their values views) are encoded again. A string
-// column with no raw chunk owns its strings (ownStrings).
-func encodeColumn(kind vector.Kind, own Chunk, v *view, ci, n, chunkRows int, par *ColumnEncoding, inPlace int) *ColumnEncoding {
+// page-aligned at raw width), and returns a string column's offsets (as
+// strOffsets gives them). own, when it has rows or holds strings, is those
+// rows as one raw chunk, of which raw chunks are windows; else the rows are
+// column ci of v's table. A number column's are read a chunk at a time into
+// one scratch vector, and a chunk that stays raw keeps a copy. A string
+// column's are numbered from the codes of v's root when it holds the column
+// with a dictionary (dictCodes), which copies and hashes no string; else, or
+// when a chunk comes out raw (it windows a heap), they are read into one heap,
+// since a dictionary needs every value before the first chunk. par, when not
+// nil, is the encoding of a column whose rows [0, inPlace) this one holds at
+// the same rows: its whole packed chunks there are kept when the chunks are as
+// long and the dictionary is par's (or neither has one). Those are exactly the
+// chunks encoding would build: a chunk's encoding depends only on its values
+// and, for strings, on the dictionary's codes and width — and a chunk of a
+// column whose viable dictionary settleDict dropped did not dictionary-encode.
+// Nothing of par's values may stay reachable: a kept dictionary chunk's bounds
+// become entries of the new dictionary, and raw chunks and string chunks of
+// other encodings (their values views) are encoded again. A string column with
+// no raw chunk owns its strings (ownStrings).
+func encodeColumn(kind vector.Kind, own Chunk, v *view, ci, n, chunkRows int, par *ColumnEncoding, inPlace int) (*ColumnEncoding, []uint32) {
 	e := &ColumnEncoding{ChunkRows: chunkRows, Chunks: make([]Chunk, (n+chunkRows-1)/chunkRows), RawBytes: 8 * int64(n)}
-	var codes []uint32 // per-row dictionary codes; nil: no dictionary
-	if kind == vector.String {
+	var codes, offs []uint32 // per-row dictionary codes (nil: no dictionary); a string column's offsets
+	if kind == vector.String && n > 0 {
 		dict := dictScratch.Get().(*vector.StrDict)
 		defer dictScratch.Put(dict) // once the chunks are built: codes are its IDs
-		if e.RawBytes = int64(own.ValS.Size()); n > 0 {
-			e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(own.ValS)
+		if own.ValS.Len() == 0 {
+			if e.Dict, e.DictBits, e.DictBytes, offs = v.dictCodes(ci, n, dict); e.Dict == nil {
+				own = gatherStrings(v, ci, kind, n, v.strBytes(ci, n))
+			}
 		}
+		if codes = dict.IDs; e.Dict == nil { // not numbered by dictCodes: number own's values
+			e.Dict, codes, e.DictBits, e.DictBytes = dict.ColumnDict(own.ValS)
+			offs = own.ValS.Offs
+		}
+		e.RawBytes = int64(offs[n] - offs[0])
 	}
 	kept := 0
 	if par != nil && par.ChunkRows == chunkRows && slices.Equal(e.Dict, par.Dict) {
@@ -104,11 +116,17 @@ func encodeColumn(kind vector.Kind, own Chunk, v *view, ci, n, chunkRows int, pa
 				ch.MinS, ch.MaxS = e.Dict[lo], e.Dict[hi]
 			}
 		case kind == vector.String:
+			var h vector.Heap
+			if own.ValS.Len() > 0 {
+				h = own.ValS.Window(start, end)
+			}
 			var chunkCodes []uint32
 			if codes != nil {
 				chunkCodes = codes[start:end]
 			}
-			ch.EncodeStr(own.ValS.Window(start, end), chunkCodes, e.DictBits)
+			if ch.EncodeStr(h, chunkCodes, e.Dict, e.DictBits); ch.Enc == EncRaw && h.Len() == 0 {
+				return encodeColumn(kind, gatherStrings(v, ci, kind, n, int(offs[n])), v, ci, n, chunkRows, par, inPlace)
+			}
 		case own.Rows == 0: // read into the scratch, of which a raw chunk keeps a copy
 			buf.Reset()
 			if k = v.read(ci, start, end, k, buf); kind == vector.Int64 {
@@ -130,8 +148,12 @@ func encodeColumn(kind vector.Kind, own Chunk, v *view, ci, n, chunkRows int, pa
 	if kind == vector.String && e.Counts[EncRaw] == 0 {
 		e.ownStrings()
 	}
-	return e
+	return e, offs
 }
+
+// gatherStrings reads a string column encodeColumn cannot number from codes
+// into one heap; tests wrap it to see which columns it reads.
+var gatherStrings = (*view).column
 
 // ownStrings copies the strings e keeps — dictionary entries, run values,
 // bounds — into bytes of its own (strs), so that an encoding with no raw
@@ -267,23 +289,17 @@ func pruneRuns(ch *Chunk, kind vector.Kind, iv Interval, lo, hi int, dst []RowRa
 // any string gather. An interval with no matching dictionary entry drops
 // the whole span.
 func pruneCodes(ch *Chunk, dict []string, iv Interval, lo, hi int, dst []RowRange) []RowRange {
-	loCode, hiCode := uint64(0), uint64(len(dict)-1)
+	from, to := 0, len(dict) // the codes [from, to) lie inside the interval
 	if iv.Lo.Set {
-		loCode = uint64(sort.SearchStrings(dict, iv.Lo.S))
+		from = sort.SearchStrings(dict, iv.Lo.S)
 	}
 	if iv.Hi.Set {
-		i := sort.SearchStrings(dict, iv.Hi.S)
-		if i < len(dict) && dict[i] == iv.Hi.S {
-			hiCode = uint64(i)
-		} else if i == 0 {
-			return dst // every dictionary entry is above the interval
-		} else {
-			hiCode = uint64(i - 1)
-		}
+		to = sort.Search(len(dict), func(k int) bool { return dict[k] > iv.Hi.S })
 	}
-	if loCode > hiCode {
+	if from >= to {
 		return dst
 	}
+	loCode, hiCode := uint64(from), uint64(to-1)
 	spanLo := -1
 	var blk [256]uint64
 	for base := lo; base < hi; base += len(blk) {

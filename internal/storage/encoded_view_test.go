@@ -81,8 +81,31 @@ func sameEncoded(got, want *Table) error {
 // places), with a relocation area
 // re-appended or not, and prune some columns first, so that zones with
 // bound rows are carried over; every third step encodes a view whose root
-// is an encoded view.
+// is an encoded view. Then the dictionary cases (codeCases) are encoded,
+// each string column from its root's codes or, where the case says so, read
+// into one heap.
 func TestEncodedViewMatchesGather(t *testing.T) {
+	for _, c := range codeCases() {
+		if c.root.Compress(); c.root.MustColumn("note").Enc.Dict == nil || c.rootRLE != (c.root.MustColumn("note").Enc.Counts[EncRLE] > 0) {
+			t.Fatalf("%s: the root keeps no dictionary, or its run-length chunks are not %v", c.name, c.rootRLE)
+		}
+		view, err := Splice(c.root, c.root.Rows(), c.batch, c.step)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, gathered := encodedGathering(view)
+		if err := sameEncoded(got, view.Materialized().Encoded()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		sameRows(t, got, view)
+		if gathered[0] || gathered[1] != c.gathered {
+			t.Fatalf("%s: columns read into a heap %v, want the note's %v", c.name, gathered, c.gathered)
+		}
+		if e := got.Cols[1].Enc; c.dict != nil && !slices.Equal(e.Dict, c.dict) || c.raw != (e.Counts[EncRaw] > 0) {
+			t.Fatalf("%s: dictionary %q with %d raw chunks, want %q, raw %v", c.name, e.Dict, e.Counts[EncRaw], c.dict, c.raw)
+		}
+	}
+
 	rng := rand.New(rand.NewSource(46))
 	fixtures := []func(n int, seed int64) *Table{
 		func(n int, seed int64) *Table { return zoneFixture(t, n, seed, 4) },
@@ -132,4 +155,132 @@ func TestEncodedViewMatchesGather(t *testing.T) {
 			}
 		}
 	}
+}
+
+// codeCase is a splice of batch into root (step) whose note column Encoded
+// must number from the root's codes, or read into one heap (gathered); dict,
+// when not nil, is the dictionary it must come out with (empty: none), raw
+// whether some chunk must stay raw.
+type codeCase struct {
+	name        string
+	root, batch *Table
+	step        []Run
+	gathered    bool
+	dict        []string
+	raw         bool
+	rootRLE     bool // whether the root's note has run-length chunks
+}
+
+// notes returns a table of an id and the given notes, at the fixtures' page
+// size.
+func notes(vals []string) *Table {
+	id := make([]int64, len(vals))
+	for i := range id {
+		id[i] = int64(i)
+	}
+	return MustNewTable("n", 1<<10, NewInt64Column("id", id), NewStringColumn("note", vals))
+}
+
+// pick returns n values drawn from alphabet.
+func pick(rng *rand.Rand, n int, alphabet ...string) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = alphabet[rng.Intn(len(alphabet))]
+	}
+	return out
+}
+
+// codeCases builds the cases of numbering a view's dictionary column from
+// its root's codes: batch values before, between and after the root's
+// entries; a root run-length chunk; a root entry no row of the view reads;
+// a batch that leaves no viable dictionary; a chunk that stays raw.
+func codeCases() []codeCase {
+	rng := rand.New(rand.NewSource(49))
+	inserted := func(root, batch *Table) []Run {
+		return spliceRuns(insertSrc(root.Rows(), randomAt(rng, root.Rows(), batch.Rows())), root.Rows())
+	}
+	var cases []codeCase
+	root, batch := notes(pick(rng, 2000, "value b", "value d", "value f")), notes(pick(rng, 90, "value a", "value c", "value d", "value g"))
+	cases = append(cases, codeCase{name: "batch values around the root's", root: root, batch: batch, step: inserted(root, batch),
+		dict: []string{"value a", "value b", "value c", "value d", "value f", "value g"}})
+
+	root = notes(append(slices.Repeat([]string{"value r"}, 600), pick(rng, 1400, "value b", "value d")...))
+	batch = notes(pick(rng, 60, "value r", "value b", "value e"))
+	cases = append(cases, codeCase{name: "a root run-length chunk", root: root, batch: batch, step: inserted(root, batch),
+		dict: []string{"value b", "value d", "value e", "value r"}, rootRLE: true})
+
+	vals := pick(rng, 2000, "value b", "value d", "value f")
+	root, batch = notes(vals), notes(pick(rng, 40, "value b", "value c"))
+	var drop []Run // every root row but those of "value d", then the batch
+	for i, s := range vals {
+		if s != "value d" {
+			drop = AppendRun(drop, 0, int32(i), 1)
+		}
+	}
+	cases = append(cases, codeCase{name: "a root entry no row reads", root: root, batch: batch, step: AppendRun(drop, 1, 0, 40),
+		dict: []string{"value b", "value c", "value f"}})
+
+	distinct := make([]string, 300)
+	for i := range distinct {
+		distinct[i] = fmt.Sprintf("distinct %04d", i)
+	}
+	root, batch = notes(pick(rng, 1000, "xa", "xb", "xc")), notes(distinct)
+	cases = append(cases, codeCase{name: "a batch that leaves no viable dictionary", root: root, batch: batch, step: inserted(root, batch),
+		gathered: true, dict: []string{}, raw: true})
+
+	long := make([]string, 300)
+	for i := range long {
+		long[i] = fmt.Sprintf("a long dictionary value %03d", i)
+	}
+	root = notes(append(pick(rng, 600, "a", "b", "c"), pick(rng, 1400, long...)...))
+	batch = notes(pick(rng, 50, long[:20]...))
+	cases = append(cases, codeCase{name: "a chunk that stays raw", root: root, batch: batch, step: inserted(root, batch), gathered: true, raw: true})
+	return cases
+}
+
+// FuzzEncodedView decodes a compressed root and a chain of up to four
+// splices of batches onto it, whose source lists keep, skip and repeat rows
+// of the previous view; after a step, on an odd byte, the view's Encoded form
+// becomes the next root. Over the tiny alphabet of fuzzTable's notes,
+// batches bring values the root lacks, skipped rows leave root entries
+// unread, and chunks flip between dictionary, run-length and raw: Encoded of
+// each view, numbered from its root's codes where it can be, must be the
+// table its gather encodes to.
+func FuzzEncodedView(f *testing.F) {
+	rng := rand.New(rand.NewSource(49))
+	for range 4 {
+		seed := make([]byte, 300)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		cur := fuzzTable(t, &in, 1+in.next())
+		cur.Compress()
+		for step := 0; step < 4 && len(in) > 0; step++ {
+			b := fuzzTable(t, &in, in.next()%40)
+			keep := cur.Rows() - in.next()%(cur.Rows()+1)
+			var src []int32
+			for len(in) > 0 && len(src) < 600 && in.next()%16 != 0 {
+				if x := in.next(); x%2 == 1 && b.Rows() > 0 {
+					src = append(src, int32(keep+x/2%b.Rows()))
+				} else if keep > 0 {
+					for r, n := x/2%keep, in.next()%60; r < keep && n > 0; r, n = r+1, n-1 {
+						src = append(src, int32(r))
+					}
+				}
+			}
+			view, err := Splice(cur, keep, b, spliceRuns(src, keep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := view.Encoded()
+			if err := sameEncoded(got, view.Materialized().Encoded()); err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			if cur = view; in.next()%2 == 1 {
+				cur = got
+			}
+		}
+	})
 }

@@ -151,6 +151,18 @@ func spliceRuns(src []int32, aRows int) []Run {
 // encodeAt encodes the raw column c in chunks of chunkRows rows, as
 // compress does at a table's pages.
 func (c *Column) encodeAt(chunkRows int) {
-	c.Enc = encodeColumn(c.Kind, c.raw(), nil, 0, c.Len(), chunkRows, nil, 0)
+	c.Enc, _ = encodeColumn(c.Kind, c.raw(), nil, 0, c.Len(), chunkRows, nil, 0)
 	c.useEncodedWidth()
+}
+
+// encodedGathering returns Encoded of t and, by column, whether the encoder
+// read it into one heap (gatherStrings) rather than from its root's codes.
+func encodedGathering(t *Table) (*Table, []bool) {
+	gathered := make([]bool, len(t.Cols)) // each column's own element: eachColumn's goroutines do not race
+	defer func(f func(*view, int, vector.Kind, int, int) Chunk) { gatherStrings = f }(gatherStrings)
+	gatherStrings = func(v *view, ci int, kind vector.Kind, n, bytes int) Chunk {
+		gathered[ci] = true
+		return v.column(ci, kind, n, bytes)
+	}
+	return t.Encoded(), gathered
 }

@@ -36,9 +36,7 @@ func (rs RowRanges) Normalize() RowRanges {
 	merged := out[:0]
 	for _, r := range out {
 		if n := len(merged); n > 0 && r.Start <= merged[n-1].End {
-			if r.End > merged[n-1].End {
-				merged[n-1].End = r.End
-			}
+			merged[n-1].End = max(merged[n-1].End, r.End)
 			continue
 		}
 		merged = append(merged, r)
@@ -85,12 +83,7 @@ func (rs RowRanges) Intersect(other RowRanges) RowRanges {
 // order are byte-identical to the serial scan. rows is rounded up to a
 // multiple of align; align must be positive.
 func (rs RowRanges) Morsels(rows, align int) []RowRanges {
-	if rows < align {
-		rows = align
-	}
-	if rem := rows % align; rem != 0 {
-		rows += align - rem
-	}
+	rows = (max(rows, align) + align - 1) / align * align
 	var out []RowRanges
 	var cur RowRanges
 	curRows := 0

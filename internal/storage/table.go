@@ -116,10 +116,9 @@ func (t *Table) Compress() { t.settleZones(); t.compress(t, nil) }
 
 // compress encodes t's columns, at raw-width pages, from the rows of src — t
 // itself, or the table t is the Encoded form of, read through its runs. A
-// column that is one raw chunk is encoded from it; a string column that is
-// not is read into one heap, since its dictionary needs every value before
-// the first chunk, whose offsets an Encoded t keeps (strOffsets). t keeps its
-// zones and builds the others from the chunks. keep, when not nil, is the
+// column that is one raw chunk is encoded from it, any other from src's runs
+// (encodeColumn); an Encoded t keeps a string column's offsets (strOffsets).
+// t keeps its zones and builds the others from the chunks. keep, when not nil, is the
 // view over a compressed root t's rows were gathered from (Extract): the
 // root's whole chunks its leading run leaves in place are kept if they can be.
 func (t *Table) compress(src *Table, keep *view) {
@@ -137,15 +136,12 @@ func (t *Table) compress(src *Table, keep *view) {
 			par, inPlace = keep.srcs[0].Cols[i].Enc, int(keep.runs[0].N)
 		}
 		if c.width = 8; c.Kind == vector.String {
-			if own.Rows == 0 {
-				own = rows.column(i, c.Kind, t.rows, rows.strBytes(i, t.rows))
-			}
-			if src != t {
-				t.derived.Store(offsKey(i), own.ValS.Offs)
-			}
-			c.width = strWidth(own.ValS.Size(), t.rows)
+			c.width = strWidth(rows.strBytes(i, t.rows), t.rows)
 		}
-		c.Enc = encodeColumn(c.Kind, own, rows, i, t.rows, t.rowsPerPage(c), par, inPlace)
+		var offs []uint32
+		if c.Enc, offs = encodeColumn(c.Kind, own, rows, i, t.rows, t.rowsPerPage(c), par, inPlace); src != t && offs != nil {
+			t.derived.Store(offsKey(i), offs)
+		}
 		c.useEncodedWidth()
 		if z := &t.zones[i]; z.minAt == nil {
 			*z = zonemapFromChunks(c)
@@ -281,11 +277,7 @@ func (t *Table) rowsPerPage(c *Column) int {
 	if w <= 0 {
 		w = 1
 	}
-	rpp := int(float64(t.PageSize) / w)
-	if rpp < 1 {
-		rpp = 1
-	}
-	return rpp
+	return max(int(float64(t.PageSize)/w), 1)
 }
 
 // Pages returns the number of logical pages of column c in this table.
@@ -422,9 +414,7 @@ func (t *Table) forEachRun(cols []int, ranges RowRanges, fn func(pages, bytes in
 			p0 := r.Start / rpp
 			p1 := (r.End - 1) / rpp
 			if runStart >= 0 && p0 <= runEnd+1 {
-				if p1 > runEnd {
-					runEnd = p1
-				}
+				runEnd = max(runEnd, p1)
 				continue
 			}
 			flush()

@@ -19,9 +19,10 @@ import (
 // plain table is read the same way, as one run over itself. A view is read
 // at raw width, and its widths, pages and charged bytes are those of the
 // table its runs gather, from per-run byte sums of its sources' string
-// offsets (strOffsets). What needs a table of its own (Frames, Permute,
-// Extract, Encoded, Concat) reads it through Materialized, which gathers
-// once.
+// offsets (strOffsets). Encoded reads a view through its runs too (a
+// dictionary column through its root's codes, dictCodes); what else needs a
+// table of its own (Frames, Permute, Extract, Concat) reads it through
+// Materialized, which gathers once.
 type view struct {
 	srcs []*Table
 	runs []Run // in row order, covering the table's rows
@@ -312,6 +313,55 @@ func (v *view) gather(t *Table, lz *lazyZones) *Table {
 		}
 	})
 	return out
+}
+
+// dictCodes numbers the n rows of string column ci of v in d (IDs) by the
+// sorted dictionary of their values, from the codes of v's root when it holds
+// the column with one: a piece of the root is its codes (Chunk.AppendCodes),
+// a batch's values are looked up in the root's dictionary, the few it lacks
+// numbered on past its end, and StrDict.Sort drops the entries no row reads.
+// It returns the dictionary, its codes' width and modeled size, and the rows'
+// offsets (strOffsets) — all-zero results when the root keeps no dictionary
+// or the rows' is not viable (vector.DictCost).
+func (v *view) dictCodes(ci, n int, d *vector.StrDict) ([]string, uint8, int64, []uint32) {
+	root := v.srcs[0].Cols[ci].Enc
+	if root.Dict == nil {
+		return nil, 0, 0, nil
+	}
+	entries, added := slices.Clip(root.Dict), map[string]int{}
+	code := func(s string) uint32 {
+		c, ok := slices.BinarySearch(root.Dict, s)
+		if !ok {
+			if c, ok = added[s]; !ok {
+				c, added[s], entries = len(entries), len(entries), append(entries, s)
+			}
+		}
+		return uint32(c)
+	}
+	d.IDs = slices.Grow(d.IDs[:0], n)
+	buf := &vector.Vector{Kind: vector.String}
+	for _, r := range v.runs {
+		for lo, hi := int(r.Src), int(r.Src+r.N); r.Source == 0 && lo < hi; {
+			ch := &root.Chunks[root.chunkIndex(lo)]
+			end := min(hi, ch.Start+ch.Rows)
+			d.IDs, lo = ch.AppendCodes(lo-ch.Start, end-ch.Start, d.IDs, code), end
+		}
+		if r.Source != 0 {
+			buf.Str = buf.Str[:0]
+			v.srcs[r.Source].Cols[ci].AppendRange(int(r.Src), int(r.Src+r.N), buf)
+			for _, s := range buf.Str {
+				d.IDs = append(d.IDs, code(s))
+			}
+		}
+	}
+	dict, offs := d.Sort(len(entries), func(id uint32) string { return entries[id] }), make([]uint32, n+1)
+	for i, c := range d.IDs {
+		offs[i+1] = offs[i] + uint32(len(dict[c]))
+	}
+	if bitw, dictBytes := vector.DictCost(len(dict), d.Bytes, n, int(offs[n])); dictBytes > 0 {
+		return dict, bitw, dictBytes, offs
+	}
+	return nil, 0, 0, nil
 }
 
 // column returns the first n rows of column ci, of kind, as one raw chunk,

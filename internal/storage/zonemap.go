@@ -187,14 +187,12 @@ func zonemapFromChunks(c *Column) zonemap {
 	n := len(e.Chunks)
 	switch c.Kind {
 	case vector.Int64:
-		z.minI = make([]int64, n)
-		z.maxI = make([]int64, n)
+		z.minI, z.maxI = make([]int64, n), make([]int64, n)
 		for i, ch := range e.Chunks {
 			z.minI[i], z.maxI[i] = ch.MinI, ch.MaxI
 		}
 	case vector.String:
-		z.minS = make([]string, n)
-		z.maxS = make([]string, n)
+		z.minS, z.maxS = make([]string, n), make([]string, n)
 		for i, ch := range e.Chunks {
 			z.minS[i], z.maxS[i] = ch.MinS, ch.MaxS
 		}
@@ -246,19 +244,9 @@ func (t *Table) PruneZonemap(name string, iv Interval, in RowRanges) RowRanges {
 		ok := true
 		switch c.Kind {
 		case vector.Int64:
-			if iv.Lo.Set && z.maxI[p] < iv.Lo.I {
-				ok = false
-			}
-			if iv.Hi.Set && z.minI[p] > iv.Hi.I {
-				ok = false
-			}
+			ok = (!iv.Lo.Set || z.maxI[p] >= iv.Lo.I) && (!iv.Hi.Set || z.minI[p] <= iv.Hi.I)
 		case vector.String:
-			if iv.Lo.Set && z.maxS[p] < iv.Lo.S {
-				ok = false
-			}
-			if iv.Hi.Set && z.minS[p] > iv.Hi.S {
-				ok = false
-			}
+			ok = (!iv.Lo.Set || z.maxS[p] >= iv.Lo.S) && (!iv.Hi.Set || z.minS[p] <= iv.Hi.S)
 		}
 		if ok {
 			keep = append(keep, RowRange{p * rpp, min((p+1)*rpp, t.rows)})

@@ -35,12 +35,8 @@ type ConcurrencyStats struct {
 // deltas for the run. A request that fails other than by rejection fails the
 // run once every client has finished.
 func RunConcurrency(addr, token string, scheme plan.Scheme, queries []string, clients, rounds int) (*ConcurrencyStats, error) {
-	if clients < 1 {
-		clients = 1
-	}
-	if rounds < 1 {
-		rounds = 1
-	}
+	clients = max(clients, 1)
+	rounds = max(rounds, 1)
 	probe, err := serve.Dial(addr, token)
 	if err != nil {
 		return nil, err

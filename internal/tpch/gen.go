@@ -116,11 +116,7 @@ func Generate(sf float64) *Dataset {
 }
 
 func scaled(base int, sf float64) int {
-	n := int(float64(base) * sf)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(int(float64(base)*sf), 1)
 }
 
 // The order dates' window and the date that splits returnflag and

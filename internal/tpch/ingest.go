@@ -40,9 +40,7 @@ func NewDeltaGen(d *Dataset, seed int64) *DeltaGen {
 	orders := d.Tables["orders"]
 	var maxKey int64
 	for _, k := range orders.MustColumn("o_orderkey").Values().I64 {
-		if k > maxKey {
-			maxKey = k
-		}
+		maxKey = max(maxKey, k)
 	}
 	return &DeltaGen{Backfill: 0.5, nextKey: maxKey + 1, src: orderGen{
 		rng:    rand.New(rand.NewSource(seed)),

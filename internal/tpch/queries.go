@@ -398,9 +398,7 @@ func q15(e Subqueries) (plan.Node, error) {
 	maxRev := 0.0
 	ci := res.Schema.IndexOf("total_revenue")
 	for _, v := range res.Cols[ci].F64 {
-		if v > maxRev {
-			maxRev = v
-		}
+		maxRev = max(maxRev, v)
 	}
 	top := &plan.FilterNode{Child: mat, Pred: expr.Eq(expr.C("total_revenue"), expr.Float(maxRev))}
 	j := jn(sc("supplier", nil, "s_suppkey", "s_name", "s_address", "s_phone"), top,

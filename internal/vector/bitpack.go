@@ -47,7 +47,7 @@ func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
 // packed stream src into dst, each plus base (a frame of reference; 0 for
 // dictionary codes). One 64-bit load serves every value that lies wholly
 // inside it — dozens at the narrow widths dictionary codes have.
-func BitUnpack[T int64 | uint64](dst []T, src []byte, start int, bitw uint8, base T) {
+func BitUnpack[T int64 | uint64 | uint32](dst []T, src []byte, start int, bitw uint8, base T) {
 	if bitw == 0 {
 		for i := range dst {
 			dst[i] = base
@@ -93,10 +93,7 @@ func bitGet(src []byte, i int, bitw uint8) uint64 {
 	for got := 0; got < int(bitw); {
 		idx := (bit + got) / 8
 		off := (bit + got) % 8
-		take := 8 - off
-		if rem := int(bitw) - got; take > rem {
-			take = rem
-		}
+		take := min(8-off, int(bitw)-got)
 		v |= uint64(src[idx]>>off&byte(1<<take-1)) << got
 		got += take
 	}

@@ -135,12 +135,8 @@ func (ch *Chunk) EncodeI64(v []int64) {
 		if v[i] != v[i-1] {
 			runs++
 		}
-		if v[i] < mn {
-			mn = v[i]
-		}
-		if v[i] > mx {
-			mx = v[i]
-		}
+		mn = min(mn, v[i])
+		mx = max(mx, v[i])
 	}
 	bitw := uint8(bits.Len64(uint64(mx) - uint64(mn)))
 	ch.Enc, ch.Rows, ch.Bytes, ch.MinI, ch.MaxI = EncRaw, rows, 8*int64(rows), mn, mx
@@ -196,36 +192,53 @@ func (ch *Chunk) EncodeF64(v []float64) {
 // EncodeStr makes ch the cheapest encoding of the non-empty span v, costing
 // the candidates in one run walk (run values cover every distinct value of
 // the span, so Min/Max fall out of the walk without a dedicated row loop).
-// codes are the rows' codes in the column's dictionary of 1<<dictBits entries
-// at most (StrDict.ColumnDict); nil means the column keeps no dictionary. The
-// dictionary itself is charged to the column, once, not to the chunk. Run
-// values and bounds are views of v's heap.
-func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dictBits uint8) {
+// codes, when not nil, are the rows' codes in dict, the column's sorted
+// dictionary of 1<<dictBits entries at most (StrDict.ColumnDict), and the
+// walk is over them: runs are code changes, bounds the least and greatest
+// code, raw and RLE bytes the entries' lengths summed — the choice and bytes
+// the values give, so v is needed only by a raw chunk, and may be empty
+// otherwise. nil codes mean the column keeps no dictionary. The dictionary
+// itself is charged to the column, once, not to the chunk. Run values and
+// bounds are views of v's heap or of dict.
+func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dict []string, dictBits uint8) {
 	ch.reset()
-	rows := v.Len()
-	runs := 1
-	prev := v.At(0)
-	mn, mx := prev, prev
-	rleB := int64(8 + len(prev))
-	for i := 1; i < rows; i++ {
-		if s := v.At(i); s != prev {
-			runs++
-			rleB += int64(8 + len(s))
-			mn, mx, prev = min(mn, s), max(mx, s), s
+	rows, runs, at := v.Len(), 1, v.At
+	var mn, mx string
+	var rawB, rleB int64
+	if codes == nil {
+		prev := v.At(0)
+		mn, mx, rawB, rleB = prev, prev, int64(v.Size()), int64(8+len(prev))
+		for i := 1; i < rows; i++ {
+			if s := v.At(i); s != prev {
+				runs++
+				rleB += int64(8 + len(s))
+				mn, mx, prev = min(mn, s), max(mx, s), s
+			}
 		}
+	} else {
+		rows, at = len(codes), func(i int) string { return dict[codes[i]] }
+		lo, hi, prev := codes[0], codes[0], codes[0]
+		rleB = int64(8 + len(dict[prev]))
+		for _, c := range codes {
+			n := int64(len(dict[c]))
+			if rawB += n; c != prev {
+				runs++
+				rleB += 8 + n
+				lo, hi, prev = min(lo, c), max(hi, c), c
+			}
+		}
+		mn, mx = dict[lo], dict[hi]
 	}
-	ch.Enc, ch.Rows, ch.Bytes, ch.MinS, ch.MaxS = EncRaw, rows, int64(v.Size()), mn, mx
-	if codes != nil {
-		if dictB := int64(BitPackLen(rows, dictBits)); dictB < ch.Bytes {
-			ch.Enc, ch.Bytes = EncDict, dictB
-		}
+	ch.Enc, ch.Rows, ch.Bytes, ch.MinS, ch.MaxS = EncRaw, rows, rawB, mn, mx
+	if dictB := int64(BitPackLen(rows, dictBits)); codes != nil && dictB < ch.Bytes {
+		ch.Enc, ch.Bytes = EncDict, dictB
 	}
 	if rleB < ch.Bytes {
 		ch.Enc, ch.Bytes = EncRLE, rleB
 	}
 	switch ch.Enc {
 	case EncRLE:
-		ch.RunS, ch.RunN = appendRuns(ch.RunS, ch.RunN, runs, rows, v.At)
+		ch.RunS, ch.RunN = appendRuns(ch.RunS, ch.RunN, runs, rows, at)
 	case EncDict:
 		ch.pack(rows, dictBits, func(i int) uint64 { return uint64(codes[i]) })
 	default:
@@ -244,7 +257,7 @@ func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dictBits uint8) {
 // and calls without pinning a heap. The zero value is ready.
 type StrDict struct {
 	// IDs[i] is the number of row i's value: by first occurrence after
-	// Collect, by value order after Sort.
+	// Collect (or as a caller numbered it), by value order after Sort.
 	IDs []uint32
 	// Bytes is the summed length of the distinct values.
 	Bytes int
@@ -291,20 +304,27 @@ func (d *StrDict) Collect(vals Heap, limit int) bool {
 // Len returns the number of distinct values collected.
 func (d *StrDict) Len() int { return len(d.first) }
 
-// Sort returns the distinct values of vals, the heap Collect numbered, in
-// ascending order (views of vals) and renumbers IDs to match, so that code
-// order is value order.
-func (d *StrDict) Sort(vals Heap) []string {
-	n := len(d.first)
-	d.perm, d.code = slices.Grow(d.perm[:0], n)[:n], slices.Grow(d.code[:0], n)[:n]
-	for id := range d.perm {
-		d.perm[id] = uint32(id)
+// Sort renumbers IDs, numbers of the n distinct values at returns, by the
+// sorted dictionary of the values they use, so that code order is value
+// order, returns that dictionary (at's strings) and sets Bytes to its summed
+// length. Values no ID uses are dropped: a dictionary merged from an old one
+// keeps only the entries its rows read, its codes the old ones renumbered.
+func (d *StrDict) Sort(n int, at func(id uint32) string) []string {
+	d.code = slices.Grow(d.code[:0], n)[:n]
+	clear(d.code)
+	for _, id := range d.IDs {
+		d.code[id] = 1 // used; then its code
 	}
-	at := func(id uint32) string { return vals.At(int(d.first[id])) }
+	d.perm, d.Bytes = d.perm[:0], 0
+	for id, used := range d.code {
+		if used != 0 {
+			d.perm = append(d.perm, uint32(id))
+		}
+	}
 	slices.SortFunc(d.perm, func(a, b uint32) int { return strings.Compare(at(a), at(b)) })
-	sorted := make([]string, n)
-	for c, id := range d.perm { // the c'th value in order has number id
-		sorted[c], d.code[id] = at(id), uint32(c)
+	sorted := make([]string, len(d.perm))
+	for c, id := range d.perm {
+		sorted[c], d.code[id], d.Bytes = at(id), uint32(c), d.Bytes+len(at(id))
 	}
 	for i, id := range d.IDs {
 		d.IDs[i] = d.code[id]
@@ -315,20 +335,47 @@ func (d *StrDict) Sort(vals Heap) []string {
 // ColumnDict returns the sorted dictionary of the non-empty string column
 // vals, every row's code in it (d.IDs, valid until d is used again), the bit
 // width of the codes and the dictionary's modeled size — when a dictionary is
-// viable: few enough distinct values, and dictionary plus packed codes
-// modeled smaller than the raw column. Both tests need only the distinct
-// values' count and byte sum, so they run before the dictionary is sorted.
-// All-zero results mean the column keeps no dictionary.
+// viable (DictCost). Viability needs only the distinct values' count and byte
+// sum, so it is tested before the dictionary is sorted. All-zero results mean
+// the column keeps no dictionary.
 func (d *StrDict) ColumnDict(vals Heap) (dict []string, codes []uint32, bitw uint8, dictBytes int64) {
 	if !d.Collect(vals, MaxDictEntries) {
 		return nil, nil, 0, 0
 	}
-	bitw = uint8(bits.Len(uint(d.Len() - 1)))
-	dictBytes = int64(4*d.Len() + d.Bytes)
-	if dictBytes+int64(BitPackLen(vals.Len(), bitw)) >= int64(vals.Size()) {
+	if bitw, dictBytes = DictCost(d.Len(), d.Bytes, vals.Len(), vals.Size()); dictBytes == 0 {
 		return nil, nil, 0, 0
 	}
-	return d.Sort(vals), d.IDs, bitw, dictBytes
+	return d.Sort(d.Len(), func(id uint32) string { return vals.At(int(d.first[id])) }), d.IDs, bitw, dictBytes
+}
+
+// DictCost returns the code width and modeled size of a dictionary of entries
+// values summing to bytes for a column of rows values summing to size; a size
+// of 0 when it is not viable: more entries than MaxDictEntries, or dictionary
+// plus packed codes modeled no smaller than the raw column.
+func DictCost(entries, bytes, rows, size int) (uint8, int64) {
+	bitw := uint8(bits.Len(uint(entries - 1)))
+	if dictBytes := int64(4*entries + bytes); entries <= MaxDictEntries && dictBytes+int64(BitPackLen(rows, bitw)) < int64(size) {
+		return bitw, dictBytes
+	}
+	return 0, 0
+}
+
+// AppendCodes appends to dst the codes of the chunk's rows [lo,hi) in its
+// column's dictionary: a dictionary chunk's unpacked, the others' values
+// numbered by code — an RLE chunk's once a run, a raw chunk's once a row.
+func (ch *Chunk) AppendCodes(lo, hi int, dst []uint32, code func(string) uint32) []uint32 {
+	dst, tail := grow(dst, hi-lo)
+	switch ch.Enc {
+	case EncDict:
+		BitUnpack(tail, ch.Packed, lo, ch.BitW, 0)
+	case EncRLE:
+		fillRuns(tail, ch.RunS, ch.RunN, lo, code)
+	default:
+		for i := range tail {
+			tail[i] = code(ch.ValS.At(lo + i))
+		}
+	}
+	return dst
 }
 
 // AppendRange appends the chunk's rows [lo,hi) to dst, a vector of the

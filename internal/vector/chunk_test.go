@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -187,5 +190,59 @@ func TestAppendRangeMatchesValues(t *testing.T) {
 				t.Fatalf("%s [%d,%d): appended rows differ from the chunk's values", c.name, lo, hi)
 			}
 		}
+	}
+}
+
+// TestEncodeStrCodesMatchValues: EncodeStr decides a dictionary column's
+// chunk from its codes — runs are code changes, bounds the least and
+// greatest code, raw and RLE bytes the entries' lengths summed — and that
+// must be the choice and the bytes the values give. Spans over alphabets of
+// short and long values, in runs or not, at code widths up to 12 bits (a
+// column's dictionary may be wider than a span's), so that raw, RLE and
+// dictionary each win, are encoded from their codes and from their values
+// alone: a chunk the codes do not dictionary-encode must be the values'
+// chunk, and a dictionary chunk must have the values' bounds.
+func TestEncodeStrCodesMatchValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	saw := map[Encoding]bool{}
+	for k := range 400 {
+		alphabet := make([]string, 1+rng.Intn(6))
+		for i := range alphabet {
+			alphabet[i] = strings.Repeat(string(rune('a'+rng.Intn(8))), 1+rng.Intn(3)*rng.Intn(8))
+		}
+		dict := slices.Compact(slices.Sorted(slices.Values(alphabet)))
+		rows, maxRun := 1+rng.Intn(300), 1+rng.Intn(40)
+		var vals []string
+		for len(vals) < rows {
+			s := dict[rng.Intn(len(dict))]
+			for range 1 + rng.Intn(maxRun) {
+				vals = append(vals, s)
+			}
+		}
+		vals = vals[:rows]
+		codes := make([]uint32, rows)
+		for i, s := range vals {
+			c, _ := slices.BinarySearch(dict, s)
+			codes[i] = uint32(c)
+		}
+		bitw := uint8(max(bits.Len(uint(len(dict)-1)), rng.Intn(13)))
+		var fromCodes, fromVals Chunk
+		fromCodes.EncodeStr(HeapOf(vals), codes, dict, bitw)
+		fromVals.EncodeStr(HeapOf(vals), nil, nil, 0)
+		saw[fromCodes.Enc] = true
+		if fromCodes.Enc == EncDict {
+			if fromCodes.MinS != fromVals.MinS || fromCodes.MaxS != fromVals.MaxS || fromCodes.Bytes != int64(BitPackLen(rows, bitw)) {
+				t.Fatalf("case %d: dictionary chunk of %d B bounded [%q,%q], the values' [%q,%q]",
+					k, fromCodes.Bytes, fromCodes.MinS, fromCodes.MaxS, fromVals.MinS, fromVals.MaxS)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(fromCodes, fromVals) {
+			t.Fatalf("case %d: from codes %s in %d B, from values %s in %d B (or their runs or bounds differ)",
+				k, fromCodes.Enc, fromCodes.Bytes, fromVals.Enc, fromVals.Bytes)
+		}
+	}
+	if !saw[EncRaw] || !saw[EncRLE] || !saw[EncDict] {
+		t.Fatalf("the spans must fall on every side of the race: saw %v", saw)
 	}
 }

@@ -83,7 +83,7 @@ func (b *Batch) Encode(buf []byte) []byte {
 				sc.strs.Append(s)
 			}
 			entries, codes, bitw, _ := dict.ColumnDict(sc.strs)
-			if ch.EncodeStr(sc.strs, codes, bitw); ch.Enc != EncDict {
+			if ch.EncodeStr(sc.strs, codes, entries, bitw); ch.Enc != EncDict {
 				entries = nil
 			}
 			w.Dict(entries)

@@ -75,7 +75,11 @@ func checkStrDict(t *testing.T, d *StrDict, vals []string, limit int) {
 		want = append(want, s)
 	}
 	slices.Sort(want)
-	sorted := d.Sort(h)
+	byID := make([]string, len(ref))
+	for s, id := range ref {
+		byID[id] = s
+	}
+	sorted := d.Sort(len(byID), func(id uint32) string { return byID[id] })
 	if !slices.Equal(sorted, want) {
 		t.Fatalf("%q: Sort %q, want %q", vals, sorted, want)
 	}

@@ -5,6 +5,7 @@
 package vector
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -221,14 +222,7 @@ func (v *Vector) GetString(i int) string {
 func (v *Vector) Compare(i int, o *Vector, j int) int {
 	switch v.Kind {
 	case Int64:
-		a, b := v.I64[i], o.I64[j]
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+		return cmp.Compare(v.I64[i], o.I64[j])
 	case Float64:
 		a, b := v.F64[i], o.F64[j]
 		switch {
