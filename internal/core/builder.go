@@ -91,7 +91,7 @@ func (b *Builder) createDimension(design *Design, spec *DimensionSpec, res *Reso
 	if err != nil {
 		return nil, err
 	}
-	keys, err := KeyValues(host, spec.Key)
+	keys, err := KeyValues(host, spec.Key, 0, host.Rows())
 	if err != nil {
 		return nil, fmt.Errorf("core: dimension %s: %w", spec.Name, err)
 	}
@@ -138,7 +138,7 @@ func binsForUse(res *Resolver, db *Database, table string, us UseSpec) ([]uint64
 	if err != nil {
 		return nil, err
 	}
-	hostKeys, err := KeyValues(host, dim.Key)
+	hostKeys, err := KeyValues(host, dim.Key, 0, host.Rows())
 	if err != nil {
 		return nil, err
 	}

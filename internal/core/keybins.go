@@ -183,7 +183,7 @@ func (b *useBins) of(table string, us UseSpec) ([]uint64, error) {
 func (b *useBins) batchBins(table string, us UseSpec) ([]uint64, error) {
 	dim := b.db.Dimensions[us.Dim]
 	if len(us.Path) == 0 {
-		keys, err := KeyValues(b.batch, dim.Key)
+		keys, err := KeyValues(b.batch, dim.Key, 0, b.batch.Rows())
 		if err != nil {
 			return nil, err
 		}

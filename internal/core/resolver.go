@@ -61,11 +61,11 @@ func (r *Resolver) FKMap(fkName string) ([]int32, error) {
 
 func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, error) {
 	if len(fk.Cols) == 1 {
-		pc, err := parent.ColumnValues(fk.RefCols[0])
+		pc, err := parent.ColumnValues(fk.RefCols[0], 0, parent.Rows())
 		if err != nil {
 			return nil, err
 		}
-		cc, err := child.ColumnValues(fk.Cols[0])
+		cc, err := child.ColumnValues(fk.Cols[0], 0, child.Rows())
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func buildFKMap(child, parent *storage.Table, fk *catalog.ForeignKey) ([]int32, 
 func rowEncoder(t *storage.Table, cols []string) (func(int) string, error) {
 	vals := make([]*vector.Vector, len(cols))
 	for i, name := range cols {
-		v, err := t.ColumnValues(name)
+		v, err := t.ColumnValues(name, 0, t.Rows())
 		if err != nil {
 			return nil, err
 		}
@@ -165,11 +165,11 @@ func (r *Resolver) HostRows(table string, path []string) ([]int32, error) {
 	return cur, nil
 }
 
-// KeyValues extracts the key value of every row of a stored table.
-func KeyValues(t *storage.Table, key []string) ([]KeyVal, error) {
+// KeyValues extracts the key values of rows [lo,hi) of a stored table.
+func KeyValues(t *storage.Table, key []string, lo, hi int) ([]KeyVal, error) {
 	var cols []*vector.Vector
 	for _, name := range key {
-		c, err := t.ColumnValues(name)
+		c, err := t.ColumnValues(name, lo, hi)
 		if err != nil {
 			return nil, err
 		}
@@ -178,7 +178,7 @@ func KeyValues(t *storage.Table, key []string) ([]KeyVal, error) {
 		}
 		cols = append(cols, c)
 	}
-	out := make([]KeyVal, t.Rows())
+	out := make([]KeyVal, hi-lo)
 	for i := range out {
 		parts := make([]KeyPart, len(cols))
 		for c, v := range cols {

@@ -11,8 +11,8 @@ import (
 )
 
 // FragKind discriminates what a shipped Fragment executes: the sandwich
-// group join (FragJoin, the original and zero-valued kind, so pre-v5 peers
-// and old call sites read unchanged) or a partitioned scatter scan
+// group join (FragJoin, the zero value, so the join operators that build
+// fragments name no kind) or a partitioned scatter scan
 // (FragScan), where units carry row ranges instead of batches and the
 // fragment streams pages from the execution site's local copy of the table.
 type FragKind uint8

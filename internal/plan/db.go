@@ -54,9 +54,6 @@ type DB struct {
 	Clustered *core.Database
 	// Device is the modeled storage device.
 	Device iosim.Device
-	// raw holds the insertion-order tables NewPKDB sorted into Tables, which
-	// ingest appends to; nil where Tables is itself in insertion order.
-	raw map[string]*storage.Table
 	// ing is the ingest state once EnableIngest was called.
 	ing *Ingest
 	// snap marks a pinned snapshot copy and carries its version metadata.
@@ -79,7 +76,7 @@ func NewPKDB(schema *catalog.Schema, tables map[string]*storage.Table, dev iosim
 			out[name] = t
 			continue
 		}
-		keys, err := core.KeyValues(t, def.PrimaryKey)
+		keys, err := core.KeyValues(t, def.PrimaryKey, 0, t.Rows())
 		if err != nil {
 			return nil, fmt.Errorf("plan: pk sort of %s: %w", name, err)
 		}
@@ -91,7 +88,7 @@ func NewPKDB(schema *catalog.Schema, tables map[string]*storage.Table, dev iosim
 		out[name] = st
 		sortedBy[name] = append([]string(nil), def.PrimaryKey...)
 	}
-	return &DB{Scheme: PK, Schema: schema, Tables: out, SortedBy: sortedBy, Device: dev, raw: tables}, nil
+	return &DB{Scheme: PK, Schema: schema, Tables: out, SortedBy: sortedBy, Device: dev}, nil
 }
 
 // NewBDCCDB materializes the BDCC design over the given tables using the

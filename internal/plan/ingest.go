@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 	"maps"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -14,21 +15,21 @@ import (
 // against the table's schema (storage.Delta) and publishes a fresh immutable
 // version of the affected table — base plus the visible delta, in the
 // scheme's own layout — behind an atomic pointer, built from the previous
-// version and the batch at the cost of the batch (BDCC: plus the splice's
-// merge order; PK: plus a re-sort of the table). Queries pin one such version
-// at plan time (DB.Snapshot) and never block on writers; writers serialize on
-// a mutex and never mutate a published version, so a pinned snapshot stays
-// valid across any number of later appends and merges.
-// A table is held in one form: Plain's insertion order, PK's sort (beside
-// the insertion order it re-sorts), and under BDCC a designed table's
-// clustering alone, spliced by the incremental core.MergeBDCCTable; what an
-// appended version lacks is compression, and a BDCC clustering holds its
-// rows as runs over the merged base and the batches (storage.Splice). A
-// merge encodes or gathers such a version once and publishes it the same
-// way, and the version it replaces — the loaded one included — is let go
-// once no reader pins it. The published versions are the one record of what
-// is un-merged: a table's un-merged rows are the logical rows its current
-// version holds beyond the last merged version's.
+// version and the batch at the cost of the batch (plus, under BDCC and PK,
+// the search that places it). Queries pin one such version at plan time
+// (DB.Snapshot) and never block on writers; writers serialize on a mutex and
+// never mutate a published version, so a pinned snapshot stays valid across
+// any number of later appends and merges.
+// A table is held in one form: Plain's insertion order, PK's sort, and under
+// BDCC a designed table's clustering alone, spliced by the incremental
+// core.MergeBDCCTable. Every scheme takes a batch the same way: an appended
+// version holds its rows as runs over the merged base and the batches
+// (storage.Splice), and lacks only compression. A merge encodes or gathers
+// such a version once and publishes it the same way, and the version it
+// replaces — the loaded one included — is let go once no reader pins it. The
+// published versions are the one record of what is un-merged: a table's
+// un-merged rows are the logical rows its current version holds beyond the
+// last merged version's.
 type Ingest struct {
 	db *DB
 	// limit bounds a table's un-merged rows: the append that reaches it
@@ -39,7 +40,6 @@ type Ingest struct {
 	// base is the last merged version — the loaded state until a merge
 	// commits — that un-merged rows are counted against.
 	base       *snapState
-	compressed map[string]bool
 	merges     int64
 	mergedRows int64
 
@@ -48,14 +48,11 @@ type Ingest struct {
 
 // snapState is one immutable published version: every table in the
 // scheme's layout (under BDCC a designed table's entry stays its load
-// source; its clustering is what is scanned), PK's sort sources, the
-// clustering, and the rows it holds beyond the last merged version.
+// source; its clustering is what is scanned), the clustering, and the rows
+// it holds beyond the last merged version.
 type snapState struct {
-	epoch  int64
-	tables map[string]*storage.Table
-	// raw holds, under PK, the insertion-order tables pkSort re-sorts; nil
-	// under the other schemes, whose layout is that order or the clustering.
-	raw        map[string]*storage.Table
+	epoch      int64
+	tables     map[string]*storage.Table
 	clustered  *core.Database
 	totalDelta int64
 }
@@ -68,9 +65,9 @@ func (v *snapState) rows(table string) int {
 // EnableIngest attaches an empty ingest state to the DB and returns it: the
 // append that brings a table's un-merged rows to limit merges before it
 // returns, and 0 leaves merges to Merge. The loaded layout becomes version
-// 0, and the DB keeps no version of its own: its Tables, Clustered and PK
-// sources move into that version, which the first merge replaces and lets
-// go, and every read of the DB answers for the current version (Snapshot).
+// 0, and the DB keeps no version of its own: its Tables and Clustered move
+// into that version, which the first merge replaces and lets go, and every
+// read of the DB answers for the current version (Snapshot).
 func (db *DB) EnableIngest(limit int) (*Ingest, error) {
 	if db.ing != nil {
 		return nil, fmt.Errorf("plan: ingest already enabled on this %s database", db.Scheme)
@@ -78,21 +75,9 @@ func (db *DB) EnableIngest(limit int) (*Ingest, error) {
 	if db.snap != nil {
 		return nil, fmt.Errorf("plan: cannot enable ingest on a pinned snapshot")
 	}
-	ing := &Ingest{
-		db:         db,
-		limit:      limit,
-		base:       &snapState{raw: db.raw, tables: db.Tables, clustered: db.Clustered},
-		compressed: make(map[string]bool),
-	}
-	for name := range db.Tables {
-		t, err := db.StoredTable(name)
-		if err != nil {
-			return nil, err
-		}
-		ing.compressed[name] = t.Compressed()
-	}
+	ing := &Ingest{db: db, limit: limit, base: &snapState{tables: db.Tables, clustered: db.Clustered}}
 	ing.cur.Store(ing.base)
-	db.Tables, db.Clustered, db.raw, db.ing = nil, nil, nil, ing
+	db.Tables, db.Clustered, db.ing = nil, nil, ing
 	return ing, nil
 }
 
@@ -169,20 +154,18 @@ func (ing *Ingest) unmerged(v *snapState, table string) int {
 	return v.rows(table) - ing.base.rows(table)
 }
 
-// nextViews builds the version that additionally holds batch at the end of
-// table: every other table is shared with the current version. A designed
-// table under BDCC takes the batch into its clustering only, spliced into the
-// previous clustered view (which already holds the older delta rows) as runs,
-// copying no row; any other table's layout grows in place by the batch, and
-// PK re-sorts its grown insertion order. Under BDCC every append also extends
-// the key→bin indexes of the hops that reference table, and that comes
-// first, so a rejected batch has claimed nothing. Nothing is published or
-// stored. Caller holds mu.
+// nextViews builds the version that additionally holds batch in table:
+// every other table is shared with the current version. The table's previous
+// view (which already holds the older delta rows) and the batch are spliced
+// as runs, copying no row: a designed table's clustering under BDCC by
+// core.MergeBDCCTable, any other table's layout by placeBatch's runs. Under
+// BDCC every append also extends the key→bin indexes of the hops that
+// reference table, and that comes first, so a rejected batch has claimed
+// nothing. Nothing is published or stored. Caller holds mu.
 func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, error) {
 	prev, db := ing.cur.Load(), ing.db
 	next := &snapState{
 		epoch:      prev.epoch + 1,
-		raw:        prev.raw,
 		tables:     prev.tables,
 		clustered:  prev.clustered,
 		totalDelta: prev.totalDelta + int64(batch.Rows()),
@@ -196,33 +179,54 @@ func (ing *Ingest) nextViews(table string, batch *storage.Table) (*snapState, er
 			return next, nil
 		}
 	}
-	src := prev.tables
-	if prev.raw != nil {
-		src, next.raw = prev.raw, maps.Clone(prev.raw)
-	}
-	combined, err := storage.Concat(src[table], src[table].Rows(), batch)
+	t := prev.tables[table]
+	step, err := placeBatch(t, batch, db.SortedBy[table])
 	if err != nil {
 		return nil, err
 	}
 	next.tables = maps.Clone(prev.tables)
-	next.tables[table] = combined
-	if next.raw != nil {
-		next.raw[table] = combined
-		if next.tables[table], err = pkSort(db, table, combined); err != nil {
-			return nil, err
-		}
+	if next.tables[table], err = storage.Splice(t, t.Rows(), batch, step); err != nil {
+		return nil, err
 	}
 	return next, nil
 }
 
-// Merge publishes the current version with the views of every table holding
-// un-merged rows re-encoded where the base was compressed. The appends
-// already built those views in the scheme's own layout — PK re-sorted, BDCC
-// spliced into the clustering — so a merge re-bins and re-sorts nothing: it
-// encodes a BDCC view from its runs where the base was compressed
-// (storage.Table.Encoded), else gathers them once (Table.Materialized).
-// Readers keep whatever version they pinned. A merge cannot fail: the error
-// is always nil.
+// placeBatch returns the runs over t's rows (source 0) and batch's (source 1)
+// that lay them out in t's order. With no sort columns the batch goes behind
+// every row. Otherwise t is sorted on keys: each batch row, in the stable
+// order of its keys, lands behind t's rows whose keys are at or below its own,
+// found by binary search reading one of t's rows at a time. That is the order
+// a stable re-sort of t's insertion order and the batch gives, since every
+// row of t arrived before the batch.
+func placeBatch(t, batch *storage.Table, keys []string) ([]storage.Run, error) {
+	n := t.Rows()
+	if len(keys) == 0 {
+		return storage.AppendRun(storage.AppendRun(nil, 0, 0, int32(n)), 1, 0, int32(batch.Rows())), nil
+	}
+	batchKeys, err := core.KeyValues(batch, keys, 0, batch.Rows())
+	if err != nil {
+		return nil, fmt.Errorf("plan: pk sort of %s: %w", t.Name, err)
+	}
+	var step []storage.Run
+	prev := 0
+	for _, d := range sortPermByKeys(batchKeys) {
+		at := prev + sort.Search(n-prev, func(i int) bool {
+			// t has batch's columns (storage.Delta), so t's keys read as batch's did.
+			k, _ := core.KeyValues(t, keys, prev+i, prev+i+1)
+			return k[0].Compare(batchKeys[d]) > 0
+		})
+		step = storage.AppendRun(storage.AppendRun(step, 0, int32(prev), int32(at-prev)), 1, d, 1)
+		prev = at
+	}
+	return storage.AppendRun(step, 0, int32(prev), int32(n-prev)), nil
+}
+
+// Merge publishes the current version with every table holding un-merged
+// rows re-encoded where its view's root is compressed and gathered where it
+// is not (storage.Table.Merged). The appends already built those views in the
+// scheme's own layout — PK sorted, BDCC spliced into the clustering — so a
+// merge re-bins and re-sorts nothing. Readers keep whatever version they
+// pinned. A merge cannot fail: the error is always nil.
 func (ing *Ingest) Merge() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -236,7 +240,7 @@ func (ing *Ingest) merge() {
 	if cur.totalDelta == 0 {
 		return
 	}
-	next := &snapState{epoch: cur.epoch + 1, raw: cur.raw, tables: maps.Clone(cur.tables), clustered: cur.clustered}
+	next := &snapState{epoch: cur.epoch + 1, tables: maps.Clone(cur.tables), clustered: cur.clustered}
 	var clustered map[string]*core.BDCCTable
 	for table := range cur.tables {
 		if ing.unmerged(cur, table) == 0 {
@@ -244,19 +248,13 @@ func (ing *Ingest) merge() {
 		}
 		bt := clusteredTable(cur.clustered, table)
 		if bt == nil {
-			if ing.compressed[table] {
-				next.tables[table] = cur.tables[table].Encoded()
-			}
+			next.tables[table] = cur.tables[table].Merged()
 			continue
 		}
 		if clustered == nil {
 			clustered = maps.Clone(cur.clustered.Tables)
 		}
-		data := bt.Data.Materialized
-		if ing.compressed[table] {
-			data = bt.Data.Encoded
-		}
-		clustered[table] = bt.Consolidated(data())
+		clustered[table] = bt.Consolidated(bt.Data.Merged())
 	}
 	if clustered != nil {
 		c := *cur.clustered
@@ -292,20 +290,6 @@ func (ing *Ingest) Stats() IngestStats {
 		Merges:     ing.merges,
 		MergedRows: ing.mergedRows,
 	}
-}
-
-// pkSort lays a combined table out in the PK scheme's order: a stable sort
-// on the primary key, identical to what NewPKDB does at load.
-func pkSort(db *DB, name string, t *storage.Table) (*storage.Table, error) {
-	def := db.Schema.Table(name)
-	if def == nil || len(def.PrimaryKey) == 0 {
-		return t, nil
-	}
-	keys, err := core.KeyValues(t, def.PrimaryKey)
-	if err != nil {
-		return nil, fmt.Errorf("plan: pk sort of %s: %w", name, err)
-	}
-	return t.Permute(sortPermByKeys(keys))
 }
 
 func clusteredTable(db *core.Database, name string) *core.BDCCTable {

@@ -34,10 +34,10 @@
 // Ingest (ingest.go). An Ingest appends batches to a DB and publishes one
 // immutable version per append or merge; DB.Snapshot pins one. An append
 // costs the batch — a designed table's clustering is spliced as runs by
-// core.Database.AppendRows (BDCC), any other table's insertion-order view
-// grows in place by the batch and PK re-sorts it — is atomic (a rejected
-// batch leaves store, counters and published version untouched), and, like
-// Merge, handles parents before the children that reference them.
+// core.Database.AppendRows (BDCC), any other table's layout as runs placed
+// behind its rows or, under PK, by binary search on its keys — is atomic (a
+// rejected batch leaves store, counters and published version untouched),
+// and, like Merge, handles parents before the children that reference them.
 package plan
 
 import (

@@ -65,18 +65,6 @@ func rawColumn(name string, kind vector.Kind, ch Chunk) *Column {
 	return &Column{Name: name, Kind: kind, Enc: e}
 }
 
-// rawRoom returns an empty raw chunk of kind with room for n values, and for
-// bytes string bytes.
-func rawRoom(kind vector.Kind, n, bytes int) Chunk {
-	switch kind {
-	case vector.Int64:
-		return Chunk{ValI: make([]int64, 0, n)}
-	case vector.Float64:
-		return Chunk{ValF: make([]float64, 0, n)}
-	}
-	return Chunk{ValS: vector.MakeHeap(n, bytes)}
-}
-
 // AppendRange appends rows [lo,hi) of c to dst, a vector of c's kind, chunk
 // by chunk through Chunk.AppendRange: the one loop that reads a stored
 // column's values. Raw numbers are copied and raw strings are views of the
@@ -96,27 +84,6 @@ func (c *Column) Values() *vector.Vector {
 	v := vector.NewVector(c.Kind, c.Len())
 	c.AppendRange(0, c.Len(), v)
 	return v
-}
-
-// appendRows appends the rows [lo,hi) that read appends to a vector (a
-// column's AppendRange, a view's runs) to the values of the raw chunk ch of
-// kind, in their spare capacity where they have room: numbers as read
-// writes them, strings copied into ch's heap a batch at a time.
-func appendRows(ch *Chunk, kind vector.Kind, lo, hi int, read func(lo, hi int, dst *vector.Vector)) {
-	if kind != vector.String {
-		v := vector.Vector{Kind: kind, I64: ch.ValI, F64: ch.ValF}
-		read(lo, hi, &v)
-		ch.ValI, ch.ValF = v.I64, v.F64
-		return
-	}
-	blk := vector.Vector{Kind: vector.String}
-	for p := lo; p < hi; p += vector.BatchSize {
-		blk.Str = blk.Str[:0]
-		read(p, min(hi, p+vector.BatchSize), &blk)
-		for _, s := range blk.Str {
-			ch.ValS.Append(s)
-		}
-	}
 }
 
 // raw returns c's rows when they are one raw chunk, else an empty chunk (a

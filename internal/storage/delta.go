@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the ingest side of storage: the check of a batch
-// appended to a table, and the copy that extends a table by a batch (Concat;
-// Splice, which copies nothing, is view.go's).
+// appended to a table, and the gather of a table extended by a batch (Concat;
+// Splice, which copies nothing and which an append publishes, is view.go's).
 
 // Delta checks the batches appended to one table. It holds no rows — an
 // append publishes them in the snapshot views it builds from the batch.
@@ -36,52 +36,16 @@ func (d *Delta) Append(rows *Table) (int, error) {
 }
 
 // Concat returns a new uncompressed table holding the first aRows rows of a
-// followed by every row of b; schemas must match by name, kind and order.
-// Snapshot views layer freshly ingested rows behind the base this way —
-// consolidation re-encodes explicitly when the merge commits, so the un-merged
-// tail is always served (and its I/O charged) at raw width. It is the splice
-// of the runs [0, aRows) and b: its zones derive from a's as a Splice's do,
-// on first use — or at once where a has them and the Concat copies, so that
-// a's heap can go. The first Concat to keep all of a table Concat built
-// appends b to a's values, into their spare capacity past what a shows where
-// it fits; any other — of a loaded table, compressed or not, of a prefix, or
-// a second one from a table — copies a's rows, read through its chunks, into
-// values with room for half as many rows again, so a value is copied O(1)
-// times over a chain of extensions.
+// followed by every row of b; schemas must match by name, kind and order. It
+// is the two-run Splice of those rows gathered into arrays of its own
+// (Materialized), for callers that need the rows in one place: an append
+// publishes the Splice itself.
 func Concat(a *Table, aRows int, b *Table) (*Table, error) {
-	a = a.Materialized()
-	if err := checkConcat(a, aRows, b); err != nil {
-		return nil, err
-	}
-	inPlace := aRows == a.Rows() && a.tip.CompareAndSwap(true, false)
-	cols := make([]*Column, len(a.Cols))
-	for i, c := range a.Cols {
-		o := b.Cols[i]
-		var ch Chunk
-		if inPlace {
-			ch = c.raw() // a Concat's column: one raw chunk
-		} else {
-			n, bytes := aRows+o.Len(), int(c.Enc.RawBytes+o.Enc.RawBytes)
-			ch = rawRoom(c.Kind, n+n/2, bytes+bytes/2)
-			appendRows(&ch, c.Kind, 0, aRows, c.AppendRange)
-		}
-		appendRows(&ch, c.Kind, 0, o.Len(), o.AppendRange)
-		cols[i] = rawColumn(c.Name, c.Kind, ch)
-	}
-	n := int32(aRows)
-	t, err := newTable(a.Name, a.PageSize, cols, lazyOver(a, []Run{{0, 0, n, 0}, {n, 0, int32(b.Rows()), 1}}))
+	t, err := Splice(a, aRows, b, AppendRun(AppendRun(nil, 0, 0, int32(aRows)), 1, 0, int32(b.Rows())))
 	if err != nil {
 		return nil, err
 	}
-	if t.tip.Store(true); !inPlace { // a's zones view a's heap, which a copy lets go
-		eachColumn(t.Cols, func(i int) {
-			if t.lazy.par[i] != nil {
-				t.zonemap(i)
-			}
-		})
-		t.lazy.par = nil
-	}
-	return t, nil
+	return t.Materialized(), nil
 }
 
 // ConcatWidth returns the modeled width of the densest column of the table

@@ -92,11 +92,11 @@ func strs(h vector.Heap) []string {
 
 // rawCopy returns the uncompressed column of c's rows in ranges, in order.
 func rawCopy(c *Column, ranges RowRanges) *Column {
-	ch := rawRoom(c.Kind, 0, 0)
+	v := vector.NewVector(c.Kind, 0)
 	for _, r := range ranges {
-		appendRows(&ch, c.Kind, r.Start, r.End, c.AppendRange)
+		c.AppendRange(r.Start, r.End, v)
 	}
-	return rawColumn(c.Name, c.Kind, ch)
+	return columnOf(c.Name, v)
 }
 
 // columnOf returns the uncompressed column named name of v's values.

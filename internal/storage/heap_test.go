@@ -134,13 +134,10 @@ func views(tab *Table, col int) (got, want []string) {
 }
 
 // TestStringViewsSurviveGrowth: views handed out of a table keep their
-// values while the table is extended in place, extended again by a copying
-// Concat, spliced, extracted from and compressed — nothing writes a heap's
-// bytes below its length, nor spare capacity another table claimed.
+// values while the table is extended by two Concats, spliced, extracted from
+// and compressed — nothing writes a heap's bytes below its length.
 func TestStringViewsSurviveGrowth(t *testing.T) {
 	const note = 2
-	// A heap Extract builds has no spare capacity, so Concat copies it into
-	// one with room: the room both Concats below compete for.
 	base, err := deltaFixture(t, "v", 700, 3).Extract(RowRanges{{0, 700}})
 	if err != nil {
 		t.Fatal(err)
@@ -164,15 +161,12 @@ func TestStringViewsSurviveGrowth(t *testing.T) {
 	}
 	hold(parent)
 
-	inPlace, err := Concat(parent, parent.Rows(), deltaFixture(t, "v", 300, 5))
+	first, err := Concat(parent, parent.Rows(), deltaFixture(t, "v", 300, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &inPlace.Cols[note].raw().ValS.Bytes[0] != &parent.Cols[note].raw().ValS.Bytes[0] {
-		t.Fatal("the first Concat of a Concat result did not extend its heap in place")
-	}
-	check("an in-place Concat")
-	hold(inPlace)
+	check("a Concat")
+	hold(first)
 
 	copied, err := Concat(parent, parent.Rows(), deltaFixture(t, "v", 300, 6))
 	if err != nil {
@@ -181,7 +175,7 @@ func TestStringViewsSurviveGrowth(t *testing.T) {
 	if &copied.Cols[note].raw().ValS.Bytes[0] == &parent.Cols[note].raw().ValS.Bytes[0] {
 		t.Fatal("a second Concat from the same table wrote into its heap")
 	}
-	check("a second, copying Concat")
+	check("a second Concat")
 	hold(copied)
 
 	src := []int32{int32(parent.Rows()), 3, 4, 5, int32(parent.Rows() - 1)}

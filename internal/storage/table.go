@@ -31,21 +31,12 @@ type Table struct {
 	view       *view      // the runs a table Splice built holds its rows as; nil: arrays
 	compressed bool
 	derived    sync.Map // Derived's memo
-	// tip is set on a table Concat built until a Concat claims it: only that
-	// one may write the batch into the spare capacity past the table's rows.
-	tip atomic.Bool
 }
 
 // NewTable builds a table over the given columns, computes widths and
 // per-page zonemaps, and validates that all columns have equal length.
 // pageSize must be positive; the paper's setup uses 32 KB.
 func NewTable(name string, pageSize int64, cols ...*Column) (*Table, error) {
-	return newTable(name, pageSize, cols, nil)
-}
-
-// newTable is NewTable whose zones, when lazy is not nil, are derived on
-// first use (see lazyZones) instead of built from every value.
-func newTable(name string, pageSize int64, cols []*Column, lazy *lazyZones) (*Table, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("storage: table %q: page size %d must be positive", name, pageSize)
 	}
@@ -63,9 +54,6 @@ func newTable(name string, pageSize int64, cols []*Column, lazy *lazyZones) (*Ta
 		}
 		t.byName[c.Name] = i
 		c.finish()
-	}
-	if t.lazy = lazy; lazy != nil {
-		return t, nil
 	}
 	t.zones = make([]zonemap, len(cols))
 	eachColumn(cols, func(i int) { t.zones[i] = t.deriveZonemap(i, nil, nil) })

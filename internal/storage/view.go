@@ -67,11 +67,11 @@ func (v *view) read(ci, lo, hi, k int, dst *vector.Vector) int {
 // consecutive rows from Src on of source number Source.
 type Run struct{ At, Src, N, Source int32 }
 
-// lazyZones derives a table's zones (a Splice, in-place Concat, Materialized
-// or merged Encoded result's) column by column on first use, and keeps them
-// in memo: from par, the zones the table it was built from had then, over
-// step, its runs over that table (source 0) and the batch (source 1); else
-// from every value. It keeps those zones, not that table.
+// lazyZones derives a table's zones (a Splice, Materialized or merged
+// Encoded result's) column by column on first use, and keeps them in memo:
+// from par, the zones the table it was built from had then, over step, its
+// runs over that table (source 0) and the batch (source 1); else from every
+// value. It keeps those zones, not that table.
 type lazyZones struct {
 	par  []*zonemap
 	step []Run
@@ -209,16 +209,16 @@ func (t *Table) strOffsets(ci int) []uint32 {
 	}).([]uint32)
 }
 
-// ColumnValues returns every value of the named column in a new vector, read
+// ColumnValues returns rows [lo,hi) of the named column in a new vector, read
 // through t's rows: a view's runs (its columns hold no values of their own),
 // without the gather Materialized keeps.
-func (t *Table) ColumnValues(name string) (*vector.Vector, error) {
+func (t *Table) ColumnValues(name string, lo, hi int) (*vector.Vector, error) {
 	c, err := t.Column(name)
 	if err != nil {
 		return nil, err
 	}
-	v := vector.NewVector(c.Kind, t.rows)
-	t.runsOf().read(t.ColumnIndex(name), 0, t.rows, 0, v)
+	v := vector.NewVector(c.Kind, hi-lo)
+	t.runsOf().read(t.ColumnIndex(name), lo, hi, 0, v)
 	return v, nil
 }
 
@@ -287,6 +287,16 @@ func (t *Table) Materialized() *Table {
 		return v.flat.t
 	}
 	return t
+}
+
+// Merged returns the table a merge publishes for t: a view encoded from its
+// runs (Encoded) where its root is compressed, else gathered once
+// (Materialized); t itself where it holds arrays.
+func (t *Table) Merged() *Table {
+	if t.view != nil && t.view.srcs[0].compressed {
+		return t.Encoded()
+	}
+	return t.Materialized()
 }
 
 // gather returns the table of the rows of v's view t, one copy per column,
@@ -365,9 +375,21 @@ func (v *view) dictCodes(ci, n int, d *vector.StrDict) ([]string, uint8, int64, 
 }
 
 // column returns the first n rows of column ci, of kind, as one raw chunk,
-// read run by run: strings copied into one heap with room for bytes bytes.
+// read run by run: strings copied, a batch at a time, into one heap with
+// room for bytes bytes.
 func (v *view) column(ci int, kind vector.Kind, n, bytes int) Chunk {
-	k, ch := 0, rawRoom(kind, n, bytes)
-	appendRows(&ch, kind, 0, n, func(lo, hi int, dst *vector.Vector) { k = v.read(ci, lo, hi, k, dst) })
-	return ch
+	if kind != vector.String {
+		out := vector.NewVector(kind, n)
+		v.read(ci, 0, n, 0, out)
+		return Chunk{ValI: out.I64, ValF: out.F64}
+	}
+	h, blk, k := vector.MakeHeap(n, bytes), &vector.Vector{Kind: vector.String}, 0
+	for lo := 0; lo < n; lo += vector.BatchSize {
+		blk.Str = blk.Str[:0]
+		k = v.read(ci, lo, min(n, lo+vector.BatchSize), k, blk)
+		for _, s := range blk.Str {
+			h.Append(s)
+		}
+	}
+	return Chunk{ValS: h}
 }

@@ -30,7 +30,7 @@ func referenceKeyBins(t testing.TB, schema *catalog.Schema, tables map[string]*s
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostKeys, err := core.KeyValues(tables[dim.Table], dim.Key)
+	hostKeys, err := core.KeyValues(tables[dim.Table], dim.Key, 0, tables[dim.Table].Rows())
 	if err != nil {
 		t.Fatal(err)
 	}
