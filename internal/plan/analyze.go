@@ -190,7 +190,7 @@ func (p *Planner) analyzeChain(top *Join, forced *core.DimensionUse) {
 	}
 	base := baseScan(spine[len(spine)-1].Left)
 	var P *core.BDCCTable
-	if base != nil && base.Alias == "" && p.DB.Scheme == BDCC {
+	if base != nil && base.Alias == "" {
 		P = p.DB.BDCCTable(base.Table)
 	}
 	if P == nil {

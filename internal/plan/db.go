@@ -47,8 +47,10 @@ type DB struct {
 	// with a design is held by Clustered, whose Data is what gets scanned;
 	// its entry here is the source the load built it from, which appends do
 	// not reach. Tables without a design (REGION) are scanned from this map.
+	// Schemes share a table their layouts agree on: none changes in place.
 	Tables map[string]*storage.Table
-	// SortedBy lists the sort columns per table under PK.
+	// SortedBy lists the sort columns per table (nil except under PK). It is
+	// the one place the planner reads a stored table's order from.
 	SortedBy map[string][]string
 	// Clustered is the materialized BDCC design (nil except under BDCC).
 	Clustered *core.Database
@@ -65,8 +67,9 @@ func NewPlainDB(schema *catalog.Schema, tables map[string]*storage.Table, dev io
 	return &DB{Scheme: Plain, Schema: schema, Tables: tables, Device: dev}
 }
 
-// NewPKDB re-sorts every table on its primary key and returns the PK scheme
-// database. Composite keys sort lexicographically.
+// NewPKDB sorts every table on its primary key (composite keys
+// lexicographically) and returns the PK scheme database. A table already in
+// key order (every TPC-H table but partsupp) is held as given, not copied.
 func NewPKDB(schema *catalog.Schema, tables map[string]*storage.Table, dev iosim.Device) (*DB, error) {
 	out := make(map[string]*storage.Table, len(tables))
 	sortedBy := make(map[string][]string)
@@ -171,11 +174,7 @@ func (db *DB) CompressionStats() storage.CompressionStats {
 	return s
 }
 
-// BDCCTable returns the clustered form of a table, or nil.
+// BDCCTable returns a table's clustering: nil without a design, as outside BDCC.
 func (db *DB) BDCCTable(name string) *core.BDCCTable {
-	db = db.Snapshot()
-	if db.Scheme != BDCC {
-		return nil
-	}
-	return clusteredTable(db.Clustered, name)
+	return clusteredTable(db.Snapshot().Clustered, name)
 }

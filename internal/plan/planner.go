@@ -216,18 +216,13 @@ func (p *Planner) lowerScan(s *Scan, inherited restrictions) (engine.Operator, *
 	if err != nil {
 		return nil, nil, err
 	}
+	info := &streamInfo{restr: restrictions{}, order: p.DB.SortedBy[s.Table]}
 	var rename []string
 	if s.Alias != "" {
+		info.order = nil // it names the table's columns, not the alias's
 		rename = make([]string, len(s.Cols))
 		for i, c := range s.Cols {
 			rename[i] = s.Alias + "_" + c
-		}
-	}
-	info := &streamInfo{restr: restrictions{}}
-	if p.DB.Scheme == PK {
-		info.order = p.DB.SortedBy[s.Table]
-		if s.Alias != "" {
-			info.order = nil
 		}
 	}
 	op := &engine.Scan{Table: stored, Cols: s.Cols, Filter: s.Filter, Rename: rename, Sched: p.sched()}
@@ -494,7 +489,7 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 		}
 		return op, outInfo, nil
 	}
-	if p.DB.Scheme == PK && j.Type == engine.InnerJoin && j.Residual == nil &&
+	if j.Type == engine.InnerJoin && j.Residual == nil &&
 		len(j.LeftKeys) == 1 &&
 		hasOrderPrefix(probeInfo.order, j.LeftKeys[0]) &&
 		hasOrderPrefix(buildInfo.order, j.RightKeys[0]) {

@@ -60,14 +60,19 @@ func TestHeapRearrangementsMatchStrings(t *testing.T) {
 			return out
 		}
 
-		perm := make([]int32, n)
+		// Both sides' rows, so that even one row of a has a row to swap
+		// with: a permutation that moves no row returns its table.
+		perm := make([]int32, n+m)
 		for i := range perm {
-			perm[i] = int32((i*7 + 3) % n)
+			perm[i] = int32((i*7 + 3) % (n + m))
 		}
-		if n%7 == 0 {
+		if (n+m)%7 == 0 {
 			slices.Reverse(perm)
 		}
-		p, err := a.Permute(perm)
+		if slices.IsSorted(perm) {
+			t.Fatalf("%s: fixture: the permutation moves no row", tc.name)
+		}
+		p, err := strTable(t, both).Permute(perm)
 		if err != nil {
 			t.Fatal(err)
 		}

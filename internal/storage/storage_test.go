@@ -90,6 +90,55 @@ func TestPermuteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPermuteOfIdentityIsTheTable: a permutation that moves no row returns
+// its table, raw or compressed, and a view's Materialized form, copying
+// nothing; one that moves a single pair of rows builds a new table with a
+// string heap of its own, compressed when its table is.
+func TestPermuteOfIdentityIsTheTable(t *testing.T) {
+	const n = 3000
+	identity := func(n int) []int32 {
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		return perm
+	}
+	swapped := identity(n)
+	swapped[n-2], swapped[n-1] = swapped[n-1], swapped[n-2]
+	for _, compress := range []bool{false, true} {
+		tab := deltaFixture(t, "p", n, 1)
+		if compress {
+			tab.Compress()
+		}
+		if got, err := tab.Permute(identity(n)); err != nil || got != tab {
+			t.Fatalf("compressed %v: Permute of the identity = %p, %v; want the table %p", compress, got, err, tab)
+		}
+		moved, err := tab.Permute(swapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved == tab || moved.Compressed() != compress {
+			t.Fatalf("compressed %v: Permute of a swap returned its table or dropped its encoding", compress)
+		}
+		if h := heldBytes(tab.Cols[2]); h == nil || heldBytes(moved.Cols[2]) == h {
+			t.Fatalf("compressed %v: the swapped table's string heap is its parent's", compress)
+		}
+		want, got := readAll(tab, 0).I64, readAll(moved, 0).I64
+		want[n-2], want[n-1] = want[n-1], want[n-2]
+		if !slices.Equal(got, want) {
+			t.Fatalf("compressed %v: the swapped table's rows differ", compress)
+		}
+	}
+	a, b := deltaFixture(t, "v", n, 1), deltaFixture(t, "v", 40, 2)
+	v, err := Splice(a, n, b, AppendRun(AppendRun(nil, 1, 0, 40), 0, 0, n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := v.Permute(identity(n + 40)); err != nil || got != v.Materialized() {
+		t.Fatalf("Permute of the identity over a view = %p, %v; want its Materialized form %p", got, err, v.Materialized())
+	}
+}
+
 func TestAppendRows(t *testing.T) {
 	tab := testTable(t, 10, 4096)
 	bigger, err := tab.AppendRows(RowRanges{{2, 4}, {8, 10}})

@@ -286,13 +286,18 @@ func (t *Table) DensestColumn() *Column {
 	return best
 }
 
-// Permute returns a new table with rows reordered so that row i of the result
-// is row perm[i] of t. Zonemaps are rebuilt. len(perm) must equal t.Rows().
+// Permute returns the table whose row i is row perm[i] of t, perm being a
+// permutation of t's rows. The identity (a sorted perm) copies nothing: it
+// returns t, or a view's Materialized form. Any other builds a new table,
+// re-encoded in its row order when t is compressed.
 func (t *Table) Permute(perm []int32) (*Table, error) {
 	if len(perm) != t.rows {
 		return nil, fmt.Errorf("storage: permutation of length %d for table %q with %d rows", len(perm), t.Name, t.rows)
 	}
 	t = t.Materialized()
+	if slices.IsSorted(perm) {
+		return t, nil
+	}
 	cols := make([]*Column, len(t.Cols))
 	eachColumn(t.Cols, func(i int) { cols[i] = t.Cols[i].permute(perm) })
 	out, err := NewTable(t.Name, t.PageSize, cols...)

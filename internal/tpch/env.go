@@ -26,9 +26,9 @@ type Benchmark struct {
 	Data   *Dataset
 	DBs    map[plan.Scheme]*plan.DB
 	// Compressed records whether the base tables were chunk-compressed
-	// before materialization (NewBenchmarkCompressed). Materialized schemes
-	// inherit the flag through Permute/AppendRows, so PK and BDCC layouts
-	// re-encode in their clustered row order.
+	// before materialization (NewBenchmarkCompressed). A layout that moves
+	// rows (PK's partsupp, BDCC's clusterings) re-encodes in its own order
+	// (Permute/AppendRows); one that moves none is the loaded table itself.
 	Compressed bool
 	RunOptions
 }
@@ -41,9 +41,9 @@ func NewBenchmark(sf float64, schemes ...plan.Scheme) (*Benchmark, error) {
 
 // NewBenchmarkCompressed is NewBenchmark with the storage-compression knob:
 // with compress set, every base table is chunk-encoded before the schemes
-// materialize, and the PK/BDCC permutations re-encode in clustered order
-// (which is where BDCC's locally homogeneous values pay off). Query results
-// are byte-identical across the knob.
+// materialize, and the PK/BDCC permutations that move rows re-encode in their
+// order (where BDCC's locally homogeneous values pay off). Query results are
+// byte-identical across the knob.
 func NewBenchmarkCompressed(sf float64, compress bool, schemes ...plan.Scheme) (*Benchmark, error) {
 	if len(schemes) == 0 {
 		schemes = []plan.Scheme{plan.Plain, plan.PK, plan.BDCC}
