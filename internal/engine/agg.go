@@ -150,17 +150,15 @@ func (st *aggState) render(f AggFunc, col *vector.Vector) {
 type aggTable struct {
 	aggs      []AggSpec
 	keyIdx    []int
-	table     oaTable      // key -> group id
-	eq        keyEq        // batch rows against keyBuf rows
-	states    []aggState   // flat, group g's states at [g*len(aggs) : (g+1)*len(aggs)]
-	nGroups   int          // group count (keyBuf.Len() is 0 for zero-column keys)
-	keyBuf    *Buffer      // one row per group, in first-seen (emission) order
-	firstRows []int64      // per group: global row index of the first-seen row
-	memBytes  int64        // bytes charged to the memory tracker
-	hashes    []uint64     // key hash scratch: per batch, or the stripe's gathered rows'
-	gids      []int32      // per batch: each row's group id
-	distBytes int64        // footprint of all COUNT(DISTINCT) sets
-	keyBatch  vector.Batch // per batch: the key columns, in keyBuf's layout
+	table     oaTable    // key -> group id
+	eq        keyEq      // batch rows against keyBuf rows
+	states    []aggState // flat, group g's states at [g*len(aggs) : (g+1)*len(aggs)]
+	keyBuf    *Buffer    // one row per group, in first-seen (emission) order
+	firstRows []int64    // per group: global row index of the first-seen row
+	memBytes  int64      // bytes charged to the memory tracker
+	hashes    []uint64   // key hash scratch: per batch, or the stripe's gathered rows'
+	gids      []int32    // per batch: each row's group id
+	distBytes int64      // footprint of all COUNT(DISTINCT) sets
 
 	// foldStripe's scratch: the window rows of the table's stripe, their
 	// global row indexes, and the rows gathered into one batch.
@@ -170,13 +168,12 @@ type aggTable struct {
 }
 
 func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable {
-	t := &aggTable{aggs: slices.Clone(aggs), keyIdx: keyIdx, eq: newKeyEq(len(keyIdx))}
+	t := &aggTable{aggs: slices.Clone(aggs), keyIdx: keyIdx, keyBuf: NewBuffer(keySchema)}
 	for i := range t.aggs {
 		t.aggs[i].Arg = expr.Clone(t.aggs[i].Arg)
 	}
+	t.eq = newKeyEq(len(keyIdx), t.keyBuf, nil)
 	t.table.keyed = keyedShape(keySchema.Kinds())
-	t.keyBuf = NewBuffer(keySchema)
-	t.keyBatch.Cols = make([]*vector.Vector, len(keyIdx))
 	return t
 }
 
@@ -189,9 +186,6 @@ func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable 
 // non-nil, carries each row's global input row index so striped tables can
 // reconstruct the serial first-seen emission order.
 func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) {
-	for c, ki := range t.keyIdx {
-		t.keyBatch.Cols[c] = b.Cols[ki]
-	}
 	if hashes == nil {
 		t.hashes = vector.HashKeys(b, t.keyIdx, t.hashes)
 		hashes = t.hashes
@@ -203,18 +197,16 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 			t.table.Reserve()
 			slot, found := t.table.FindKey(hashes[r], key)
 			if !found {
-				t.table.Insert(slot, uint64(key), t.newGroup(r, rowIdx))
+				t.table.Insert(slot, uint64(key), t.newGroup(b, r, rowIdx))
 			}
 			t.gids[r] = t.table.vals[slot]
 		}
 	} else {
-		bindKeyCols(t.eq.stored, t.keyBuf.cols, nil)
 		for r, h := range hashes {
 			t.table.Reserve()
 			slot, found := t.table.FindSlot(h, &t.eq, r)
 			if !found {
-				t.table.Insert(slot, h, t.newGroup(r, rowIdx))
-				bindKeyCols(t.eq.stored, t.keyBuf.cols, nil)
+				t.table.Insert(slot, h, t.newGroup(b, r, rowIdx))
 			}
 			t.gids[r] = t.table.vals[slot]
 		}
@@ -253,18 +245,17 @@ func (t *aggTable) foldStripe(win *vector.Batch, hashes []uint64, base int64, w,
 	t.accumulate(t.stripe, t.hashes, t.rowIdx)
 }
 
-// newGroup opens a group for row r of the batch being accumulated and
+// newGroup opens a group for row r of the batch b being accumulated and
 // returns its id.
-func (t *aggTable) newGroup(r int, rowIdx []int64) int32 {
-	t.keyBuf.AppendRow(&t.keyBatch, r)
+func (t *aggTable) newGroup(b *vector.Batch, r int, rowIdx []int64) int32 {
+	t.keyBuf.appendRows(b.Cols, t.keyIdx, r, r+1)
 	if rowIdx != nil {
 		t.firstRows = append(t.firstRows, rowIdx[r])
 	}
 	for range t.aggs {
 		t.states = append(t.states, aggState{})
 	}
-	t.nGroups++
-	return int32(t.nGroups - 1)
+	return int32(t.keyBuf.Len() - 1)
 }
 
 // fold folds the batch's values of aggregate i (nil for COUNT(*)) into the
@@ -338,7 +329,6 @@ func (t *aggTable) release(mem *MemTracker) {
 	t.table.Reset()
 	t.states = t.states[:0]
 	t.firstRows = t.firstRows[:0]
-	t.nGroups = 0
 	t.keyBuf.Reset()
 }
 
@@ -473,9 +463,7 @@ func (h *HashAggregate) emitBatch(refs []groupRef) {
 		for ; hi < len(refs) && refs[hi].table == refs[lo].table; hi++ {
 			h.sel = append(h.sel, int32(refs[hi].group))
 		}
-		for c := 0; c < nk; c++ {
-			out.Cols[c].AppendSelected(h.tables[refs[lo].table].keyBuf.cols[c], h.sel)
-		}
+		h.tables[refs[lo].table].keyBuf.Gather(out.Cols, h.sel)
 		lo = hi
 	}
 	for i, a := range h.Aggs {
@@ -507,7 +495,7 @@ func (h *HashAggregate) flush() {
 		for len(h.refs) < vector.BatchSize {
 			best := -1
 			for w, t := range h.tables {
-				if h.next[w] < t.nGroups && (best < 0 ||
+				if h.next[w] < t.keyBuf.Len() && (best < 0 ||
 					t.firstRows[h.next[w]] < h.tables[best].firstRows[h.next[best]]) {
 					best = w
 				}
@@ -629,7 +617,7 @@ type StreamAggregate struct {
 	schema   expr.Schema
 	mem      *MemTracker
 	keyIdx   []int
-	keyRow   *Buffer // the open group's key, one row while haveKey
+	keyRow   *Buffer // the open group's key, row 0 while haveKey
 	eq       keyEq   // cur's rows against keyRow's row
 	haveKey  bool
 	states   []aggState
@@ -637,7 +625,6 @@ type StreamAggregate struct {
 	out      *vector.Batch
 	cur      *vector.Batch // child batch being consumed; rows [row, Len) pending
 	row      int
-	keyBatch vector.Batch // cur's key columns, in keyRow's layout
 	done     bool
 	memBytes int64 // the open group's COUNT(DISTINCT) sets, charged to mem
 }
@@ -658,8 +645,7 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 		return err
 	}
 	s.keyRow = NewBuffer(keySchema)
-	s.eq = newKeyEq(len(s.keyIdx))
-	s.keyBatch.Cols = make([]*vector.Vector, len(s.keyIdx))
+	s.eq = newKeyEq(len(s.keyIdx), s.keyRow, nil)
 	s.states = make([]aggState, len(s.Aggs))
 	s.argVecs = make([]*vector.Vector, len(s.Aggs))
 	s.out = vector.NewBatch(s.schema.Kinds())
@@ -673,7 +659,7 @@ func (s *StreamAggregate) emitGroup() {
 		s.mem.Shrink(s.memBytes)
 		s.memBytes = 0
 	}
-	s.keyRow.WriteRow(s.out, 0, 0)
+	s.keyRow.Gather(s.out.Cols, []int32{0})
 	for i, a := range s.Aggs {
 		s.states[i].render(a.Func, s.out.Cols[len(s.keyIdx)+i])
 		s.states[i] = aggState{}
@@ -709,9 +695,6 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 					s.argVecs[i] = expr.Values(a.Arg, b)
 				}
 			}
-			for c, ki := range s.keyIdx {
-				s.keyBatch.Cols[c] = b.Cols[ki]
-			}
 			bindKeyCols(s.eq.sought, b.Cols, s.keyIdx)
 			s.cur, s.row = b, 0
 		}
@@ -723,8 +706,7 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 				}
 			}
 			if !s.haveKey {
-				s.keyRow.AppendRow(&s.keyBatch, s.row)
-				bindKeyCols(s.eq.stored, s.keyRow.cols, nil)
+				s.keyRow.appendRows(s.cur.Cols, s.keyIdx, s.row, s.row+1)
 				s.haveKey = true
 			}
 			for i, a := range s.Aggs {

@@ -35,10 +35,11 @@
 // data column-wise: a join fills its output in windows of (probe row, build
 // row) pairs — one residual evaluation and one gather per column per window —
 // and an aggregation runs one typed loop per aggregate over (group ids,
-// argument values). Buffers are charged by logical bytes and double their
-// capacity; the arrays charged by capacity (chain array, aggregate states,
-// first-seen rows) and the slot arrays keep a pinned geometry, because
-// their footprint is Figure 3 (TestHashTableFootprintPinned).
+// argument values). A join build drains its rows into a Buffer (segments
+// of BatchSize rows, each row copied once, charged by logical bytes), then
+// sizes its chain array once and inserts; the arrays charged by capacity and
+// the slot arrays keep a pinned geometry, because their footprint is
+// Figure 3 (TestHashTableFootprintPinned).
 //
 // # One scan
 //
@@ -77,10 +78,11 @@
 //   - Build state is frozen before fan-out: a hash join's buffered rows and
 //     slot/chain arrays are written only during build and are read-only
 //     while probe tasks run. Partition-parallel work takes one form,
-//     Sched.stripes: the consumer stages its input (the join its build
-//     rows, the aggregation a window of input rows) with their key hashes,
-//     runs one task per hash stripe — each writing only its own stripe's
-//     state, so no locks — and waits on the barrier before it goes on. An
+//     Sched.stripes: the consumer holds its input (the join its drained
+//     build rows, which each stripe hashes itself, the aggregation a staged
+//     window of input rows with their key hashes), runs one task per hash
+//     stripe — each writing only its own stripe's state, so no locks — and
+//     waits on the barrier before it goes on. An
 //     aggregation stripe folds the window's rows of its stripe in window
 //     order, so every group folds on one task in global row order. Sandwich
 //     group tasks own their hash state exclusively.
@@ -518,7 +520,7 @@ func Run(ctx *Context, op Operator) (*Result, error) {
 			return res, nil
 		}
 		for c, col := range res.Cols {
-			col.AppendVector(b.Cols[c]) // doubling, like a Buffer
+			col.AppendVector(b.Cols[c]) // doubling
 		}
 	}
 }

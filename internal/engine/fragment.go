@@ -208,6 +208,7 @@ func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	for _, b := range g.Build {
 		p.insertBatch(b)
 	}
+	p.index(nil, nil)
 	tableBytes := p.buf.Bytes() + p.table.Bytes()
 	f.Mem.Grow(tableBytes)
 	defer f.Mem.Shrink(tableBytes)

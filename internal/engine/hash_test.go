@@ -243,12 +243,14 @@ func TestJoinAggGroupingAgree(t *testing.T) {
 	}
 }
 
-// int64KeyEq returns a comparator whose sought and stored side are both keys;
-// a test pairs it with a keyed table or forces the generic (hash-storing) one.
+// int64KeyEq returns a comparator whose sought side is keys and whose stored
+// side is a Buffer holding keys; a test pairs it with a keyed table or forces
+// the generic (hash-storing) one.
 func int64KeyEq(keys *vector.Vector) keyEq {
-	eq := newKeyEq(1)
+	stored := NewBuffer(intSchema("k"))
+	stored.appendRows([]*vector.Vector{keys}, nil, 0, keys.Len())
+	eq := newKeyEq(1, stored, nil)
 	bindKeyCols(eq.sought, []*vector.Vector{keys}, []int{0})
-	bindKeyCols(eq.stored, []*vector.Vector{keys}, []int{0})
 	return eq
 }
 
@@ -311,7 +313,7 @@ func TestJoinTableCollisionChains(t *testing.T) {
 		hashes[r] = h
 	}
 	eq := int64KeyEq(build)
-	jt.ExtendChains(300)
+	jt.GrowChains(300)
 	jt.insertRows(hashes, 0, &eq, 0, 1)
 	// Probe every key and, last, an absent one.
 	probe := vector.NewVector(vector.Int64, 101)

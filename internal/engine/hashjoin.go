@@ -29,18 +29,18 @@ const MatchedColName = "__matched"
 
 // joinProbe is the engine's one hash-join kernel: every join operator —
 // serial and pooled HashJoin, serial SandwichHashJoin, Fragment.Run — builds
-// through insertBatch and probes through begin/fill, so row order, residual
-// evaluation and the BatchSize cut are the same code whoever runs the join.
-// It holds a prepared Fragment's frozen join configuration, a build side
-// (buf, table) that may be shared read-only between the probes of one pooled
-// join, and its own scratch and cursor, so one joinProbe serves one goroutine
-// at a time. Callers differ only in who owns the output batch and when it is
-// flushed: fill appends to whatever batch it is handed and never tags it.
+// through insertBatch and index and probes through begin/fill, so row order,
+// residual evaluation and the BatchSize cut are the same code whoever runs
+// the join. It holds a prepared Fragment's frozen join configuration, a
+// build side (buf, table) that may be shared read-only between the kernels
+// of one pooled join, and its own scratch and cursor, so one joinProbe
+// serves one goroutine at a time. Callers differ only in who owns the output
+// batch and when it is flushed: fill appends to whatever batch it is handed.
 //
 // Per-row work is typed straight-line code and the rest happens once per
-// batch: insertBatch and begin hash the key columns and resolve every row
-// against the table in one loop picked by the key shape; fill then works in
-// windows — as many (probe row, build row) candidate pairs as the output
+// batch: index and begin hash the key columns of a build segment or probe
+// batch and resolve every row against the table in one loop picked by the
+// key shape; fill then works in windows — as many (probe row, build row) candidate pairs as the output
 // batch has room for, the residual evaluated once over the window's gathered
 // pairs, the surviving pairs emitted by join type with one column gather per
 // column. After a first batch has sized the scratch, probing allocates nothing.
@@ -53,9 +53,9 @@ type joinProbe struct {
 	buf   *Buffer
 	table *partJoinTable
 
-	hashes   []uint64      // key hashes of the batch last given to insertBatch or begin
-	buildEq  keyEq         // build rows against build rows (insertBatch)
-	probeEq  keyEq         // rows of in against build rows (begin)
+	hashes   []uint64      // key hashes of the build segment or probe batch last hashed
+	eq       keyEq         // that segment's or batch's rows against build rows
+	view     *vector.Batch // the build segment being indexed
 	heads    []int32       // per row of in: the head of its key's chain, -1 for none
 	hits     []bool        // per row of in: a candidate passed the residual (outer, semi, anti)
 	combined *vector.Batch // the window's pairs as probe+build rows: the residual's input
@@ -84,7 +84,7 @@ func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 	p := &joinProbe{
 		typ: f.Type, probeIdx: f.probeIdx, buildIdx: f.buildIdx, residual: expr.Clone(f.Residual),
 		outKinds: f.out.Kinds(), buf: buf, table: table,
-		buildEq: newKeyEq(len(f.probeIdx)), probeEq: newKeyEq(len(f.probeIdx)),
+		eq: newKeyEq(len(f.probeIdx), buf, f.buildIdx), view: &vector.Batch{Cols: make([]*vector.Vector, len(f.Build))},
 	}
 	if f.Residual != nil {
 		p.combined = vector.NewBatch(append(f.Probe.Kinds(), f.Build.Kinds()...))
@@ -92,30 +92,46 @@ func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 	return p
 }
 
-// insertBatch appends b to the build side and indexes its rows, hashing the
-// key columns vector-at-a-time. It is the serial, incremental build; it must
-// not run between a begin and the fill that reports that batch done (the
-// hash scratch is shared).
-func (p *joinProbe) insertBatch(b *vector.Batch) {
-	base := int32(p.buf.Len())
-	p.buf.AppendBatch(b)
-	p.hashes = vector.HashKeys(b, p.buildIdx, p.hashes)
-	bindKeyCols(p.buildEq.sought, p.buf.cols, p.buildIdx)
-	bindKeyCols(p.buildEq.stored, p.buf.cols, p.buildIdx)
-	p.table.ExtendChains(len(p.hashes))
-	p.table.insertRows(p.hashes, base, &p.buildEq, 0, 1)
+// insertBatch copies b's rows into the build side: the drain, a build's
+// first phase. A build is drained completely before it is indexed.
+func (p *joinProbe) insertBatch(b *vector.Batch) { p.buf.AppendBatch(b) }
+
+// index sizes the chain array for the drained rows once, then inserts them:
+// through p, or as one Sched.stripes task per kernel of ks (a pooled join's,
+// all over p's build side), each hashing the segments itself. An indexed
+// build side is left as it is; begin calls index too.
+func (p *joinProbe) index(s *Sched, ks []*joinProbe) {
+	if p.table.Len() == p.buf.Len() {
+		return
+	}
+	p.table.GrowChains(p.buf.Len())
+	if len(ks) <= 1 {
+		p.insertStripe(0, 1)
+		return
+	}
+	s.stripes(len(ks), func(w int) { ks[w].insertStripe(w, len(ks)) })
+}
+
+// insertStripe inserts the build rows of stripe w of n, segment by segment.
+func (p *joinProbe) insertStripe(w, n int) {
+	for s := range p.buf.segments() {
+		p.buf.segment(s, p.view)
+		p.hashes = vector.HashKeys(p.view, p.buildIdx, p.hashes)
+		bindKeyCols(p.eq.sought, p.view.Cols, p.buildIdx)
+		p.table.insertRows(p.hashes, int32(s<<segShift), &p.eq, w, n)
+	}
 }
 
 // begin positions the cursor at the first row of probe batch in, which must
 // stay valid until fill reports it done, and resolves every row of in to its
 // chain head.
 func (p *joinProbe) begin(in *vector.Batch) {
+	p.index(nil, nil)
 	p.in, p.row, p.looked = in, 0, false
 	p.hashes = vector.HashKeys(in, p.probeIdx, p.hashes)
-	bindKeyCols(p.probeEq.sought, in.Cols, p.probeIdx)
-	bindKeyCols(p.probeEq.stored, p.buf.cols, p.buildIdx)
+	bindKeyCols(p.eq.sought, in.Cols, p.probeIdx)
 	p.heads = sized(p.heads, in.Len())
-	p.table.lookupRows(p.hashes, &p.probeEq, p.heads)
+	p.table.lookupRows(p.hashes, &p.eq, p.heads)
 	if p.residual != nil && p.typ != InnerJoin {
 		p.hits = sized(p.hits, in.Len())
 		clear(p.hits)
@@ -216,9 +232,7 @@ func (p *joinProbe) filter(first int) {
 		for c, col := range p.in.Cols {
 			p.combined.Cols[c].AppendSelected(col, p.pairP)
 		}
-		for c, col := range p.buf.cols {
-			p.combined.Cols[np+c].AppendSelected(col, p.pairB)
-		}
+		p.buf.Gather(p.combined.Cols[np:], p.pairB)
 		sel = expr.Select(p.residual, p.combined, nil)
 	}
 	if p.typ == InnerJoin {
@@ -265,24 +279,13 @@ func (p *joinProbe) emit(out *vector.Batch) {
 	for c, col := range p.in.Cols {
 		out.Cols[c].AppendSelected(col, p.pairP)
 	}
-	np := len(p.in.Cols)
-	switch p.typ {
-	case InnerJoin:
-		for c, col := range p.buf.cols {
-			out.Cols[np+c].AppendSelected(col, p.pairB)
-		}
-	case LeftOuterJoin:
-		// Outer miss: null-extend (zero values, matched=0).
-		for c, col := range p.buf.cols {
-			out.Cols[np+c].AppendSelectedOrZero(col, p.pairB)
-		}
+	if p.typ == InnerJoin || p.typ == LeftOuterJoin {
+		p.buf.Gather(out.Cols[len(p.in.Cols):], p.pairB) // an outer miss gathers zero values
+	}
+	if p.typ == LeftOuterJoin {
 		matched := out.Cols[len(out.Cols)-1]
 		for _, b := range p.pairB {
-			if b >= 0 {
-				matched.I64 = append(matched.I64, 1)
-			} else {
-				matched.I64 = append(matched.I64, 0)
-			}
+			matched.AppendInt64(int64(min(b+1, 1))) // 0 for an outer miss, b = -1
 		}
 	}
 }
@@ -317,9 +320,9 @@ func (p *joinProbe) emitAll(in *vector.Batch, emit func(*vector.Batch)) {
 // it across probe batches, returning it when it reaches BatchSize, when the
 // probe stream's group tag changes (output stays group-pure), or at end of
 // input. With a scheduler handle injected, the build side is inserted
-// partition-parallel (each build task owns a slice of the hash space) and
-// probe batches fan out as tasks on the query's shared worker pool, where
-// each pool worker runs its own kernel over the shared build side (read-only
+// partition-parallel (each worker's kernel inserts a slice of the hash space)
+// and probe batches fan out as tasks on the query's shared worker pool, where
+// each pool worker runs its kernel over the shared build side (read-only
 // during probe) into fresh batches cut at every probe-batch end; output
 // merges in probe-batch order, so both forms return the same rows in the
 // same order and differ only in where batches are cut.
@@ -335,16 +338,14 @@ type HashJoin struct {
 	schema   expr.Schema
 	ctx      *Context
 	frag     *Fragment // the join's prepared configuration
-	built    bool
-	buf      *Buffer
-	table    *partJoinTable
-	memBytes int64 // bytes charged to ctx.Mem for buf + table (+ staged hashes)
+	memBytes int64     // bytes charged to ctx.Mem for the build side and its table
 
-	// Serial path: the kernel, the reused output batch, and the probe batch
-	// the kernel is positioned in (nil: fetch the next one).
-	probe *joinProbe
-	out   *vector.Batch
-	cur   *vector.Batch
+	// One kernel per pool worker over the shared build side, set once it is
+	// built (the serial path runs probes[0]), the reused output batch, and the
+	// probe batch the serial kernel is positioned in (nil: fetch the next one).
+	probes []*joinProbe
+	out    *vector.Batch
+	cur    *vector.Batch
 
 	ex *exchange // parallel probe, nil on the serial path
 }
@@ -386,26 +387,16 @@ func keyIndexes(s expr.Schema, names []string) ([]int, error) {
 	return idx, nil
 }
 
-// charge settles the accounted bytes to the footprint of the buffered build
-// rows, the hash table, and extra (staged build hashes).
-func (j *HashJoin) charge(extra int64) {
-	j.ctx.Mem.settle(&j.memBytes, extra+j.buf.Bytes()+j.table.Bytes())
-}
-
-// build materializes the right child into the hash table. The charged
-// footprint is exact: the buffered rows plus the table's flat slot and chain
-// arrays. With more than one worker the drained rows are staged with their
-// hashes and inserted afterwards by Sched.stripes, one task per stripe of
-// partitions.
+// build drains the right child into the build side and indexes it, stripe w
+// (partitions p ≡ w mod workers) by kernel w. The charged footprint is
+// exact: the buffered rows plus the table's flat slot and chain arrays.
 func (j *HashJoin) build() error {
 	workers := j.Sched.Workers()
-	j.buf = NewBuffer(j.Right.Schema())
-	j.table = newPartJoinTable(workers, j.frag.keyed)
-	if workers == 1 {
-		j.probe = j.frag.newProbe(j.buf, j.table)
+	buf, table := NewBuffer(j.Right.Schema()), newPartJoinTable(workers, j.frag.keyed)
+	probes := make([]*joinProbe, workers)
+	for w := range probes {
+		probes[w] = j.frag.newProbe(buf, table)
 	}
-	buildIdx := j.frag.buildIdx
-	var stage, hashes []uint64
 	for {
 		b, err := j.Right.Next()
 		if err != nil {
@@ -414,35 +405,18 @@ func (j *HashJoin) build() error {
 		if b == nil {
 			break
 		}
-		if workers == 1 {
-			j.probe.insertBatch(b)
-			j.charge(0)
-			continue
-		}
-		j.buf.AppendBatch(b)
-		hashes = vector.HashKeys(b, buildIdx, hashes)
-		stage = append(stage, hashes...)
-		j.charge(8 * int64(cap(stage)))
+		probes[0].insertBatch(b)
+		j.ctx.Mem.settle(&j.memBytes, buf.Bytes())
 	}
-	if workers > 1 {
-		j.table.GrowChains(len(stage))
-		// Stripe w owns partitions p ≡ w (mod workers): one pass over the
-		// staged hashes, inserting only its own rows.
-		j.Sched.stripes(workers, func(w int) {
-			eq := newKeyEq(len(buildIdx))
-			bindKeyCols(eq.sought, j.buf.cols, buildIdx)
-			bindKeyCols(eq.stored, j.buf.cols, buildIdx)
-			j.table.insertRows(stage, 0, &eq, w, workers)
-		})
-		j.charge(0) // staged hashes released
-	}
-	j.built = true
+	probes[0].index(j.Sched, probes)
+	j.ctx.Mem.settle(&j.memBytes, buf.Bytes()+table.Bytes())
+	j.probes = probes
 	return nil
 }
 
 // Next implements Operator.
 func (j *HashJoin) Next() (*vector.Batch, error) {
-	if !j.built {
+	if j.probes == nil {
 		if err := j.build(); err != nil {
 			return nil, err
 		}
@@ -473,14 +447,14 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 				continue
 			}
 			j.cur = b
-			j.probe.begin(b)
+			j.probes[0].begin(b)
 			// Group boundary: flush so output batches stay group-pure.
 			if j.out.Len() > 0 && (b.Grouped != j.out.Grouped || b.GroupID != j.out.GroupID) {
 				return j.out, nil
 			}
 			j.out.Grouped, j.out.GroupID = b.Grouped, b.GroupID
 		}
-		if j.probe.fill(j.out) {
+		if j.probes[0].fill(j.out) {
 			j.cur = nil
 		}
 		if j.out.Len() >= vector.BatchSize {
@@ -493,14 +467,9 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 // scheduler through the order-preserving exchange; pool worker w probes with
 // its own kernel over the shared, now read-only build side.
 func (j *HashJoin) startParallelProbe() {
-	workers := j.Sched.Workers()
-	probes := make([]*joinProbe, workers)
-	for w := range probes {
-		probes[w] = j.frag.newProbe(j.buf, j.table)
-	}
-	j.ex = newExchange(j.ctx.Mem, j.Sched, 2*workers)
+	j.ex = newExchange(j.ctx.Mem, j.Sched, 2*len(j.probes))
 	j.ex.runStream(j.Left.Next, func(in *vector.Batch, w int, emit func(*vector.Batch)) error {
-		probes[w].emitAll(in, func(b *vector.Batch) { emit(b.Clone()) })
+		j.probes[w].emitAll(in, func(b *vector.Batch) { emit(b.Clone()) })
 		return nil
 	})
 }
@@ -513,8 +482,7 @@ func (j *HashJoin) Close() error {
 	}
 	j.ctx.Mem.Shrink(j.memBytes)
 	j.memBytes = 0
-	j.buf = nil
-	j.table = nil
+	j.probes = nil
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {

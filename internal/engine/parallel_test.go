@@ -289,9 +289,8 @@ func TestHashJoinMemAccountingBalanced(t *testing.T) {
 }
 
 // TestPartJoinTable exercises the partitioned join table directly: chains
-// stay in insertion order per key under both the incremental and the
-// presized, striped (parallel) insert paths, across partition counts and in
-// both key shapes.
+// stay in insertion order per key under the presized, striped insert, across
+// partition and stripe counts and in both key shapes.
 func TestPartJoinTable(t *testing.T) {
 	const n = 3000
 	keys := vector.NewVector(vector.Int64, n)
@@ -306,20 +305,13 @@ func TestPartJoinTable(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			for _, presized := range []bool{false, true} {
-				label := fmt.Sprintf("keyed=%v workers=%d presized=%v", keyed, workers, presized)
+			for _, stripes := range []int{1, workers} {
+				label := fmt.Sprintf("keyed=%v workers=%d stripes=%d", keyed, workers, stripes)
 				pt := newPartJoinTable(workers, keyed)
 				eq := int64KeyEq(keys)
-				if presized {
-					pt.GrowChains(n)
-					for w := 0; w < workers; w++ {
-						pt.insertRows(hashes, 0, &eq, w, workers)
-					}
-				} else {
-					for lo := 0; lo < n; lo += 1000 {
-						pt.ExtendChains(1000)
-						pt.insertRows(hashes[lo:lo+1000], int32(lo), &eq, 0, 1)
-					}
+				pt.GrowChains(n)
+				for w := 0; w < stripes; w++ {
+					pt.insertRows(hashes, 0, &eq, w, stripes)
 				}
 				if pt.Len() != n {
 					t.Fatalf("%s: table indexes %d rows, want %d", label, pt.Len(), n)

@@ -196,18 +196,18 @@ func (j *SandwichHashJoin) eachBuildBatch(gid uint64, fn func(*vector.Batch)) er
 }
 
 // buildGroup materializes the right group gid (if present) into the hash
-// table, replacing the previous group.
+// table, replacing the previous group, whose buffer and table it reuses; it
+// releases the previous group's charge before it drains the build child.
 func (j *SandwichHashJoin) buildGroup(gid uint64) error {
-	j.ctx.Mem.Shrink(j.memBytes)
-	j.memBytes = 0
+	j.ctx.Mem.settle(&j.memBytes, 0)
 	p := j.probe
 	p.buf.Reset()
 	p.table.Reset()
 	if err := j.eachBuildBatch(gid, p.insertBatch); err != nil {
 		return err
 	}
-	j.memBytes = p.buf.Bytes() + p.table.Bytes()
-	j.ctx.Mem.Grow(j.memBytes)
+	p.index(nil, nil)
+	j.ctx.Mem.settle(&j.memBytes, p.buf.Bytes()+p.table.Bytes())
 	return nil
 }
 

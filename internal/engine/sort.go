@@ -78,15 +78,9 @@ func (s *Sort) materialize() error {
 
 func (s *Sort) less(a, b int32) bool {
 	for k, ci := range s.byIdx {
-		c := s.buf.Col(ci)
-		cmp := c.Compare(int(a), c, int(b))
-		if cmp == 0 {
-			continue
+		if cmp := s.buf.compare(ci, a, b); cmp != 0 {
+			return (cmp < 0) != s.By[k].Desc
 		}
-		if s.By[k].Desc {
-			return cmp > 0
-		}
-		return cmp < 0
 	}
 	return false
 }
@@ -103,9 +97,7 @@ func (s *Sort) Next() (*vector.Batch, error) {
 	}
 	s.out.Reset()
 	hi := min(s.pos+vector.BatchSize, len(s.perm))
-	for c, col := range s.out.Cols {
-		col.AppendSelected(s.buf.Col(c), s.perm[s.pos:hi])
-	}
+	s.buf.Gather(s.out.Cols, s.perm[s.pos:hi])
 	s.pos = hi
 	return s.out, nil
 }

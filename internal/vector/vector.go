@@ -162,47 +162,29 @@ func (v *Vector) AppendVector(src *Vector) {
 	}
 }
 
-// gatherAppend appends src[r] for every r in sel; with orZero set, a negative
-// r appends the zero value instead.
-func gatherAppend[T any](dst, src []T, sel []int32, orZero bool) []T {
+// gatherAppend appends src[r] for every r in sel.
+func gatherAppend[T any](dst, src []T, sel []int32) []T {
 	n := len(dst)
 	dst = slices.Grow(dst, len(sel))[:n+len(sel)]
 	out := dst[n:]
-	if orZero {
-		var zero T
-		for i, r := range sel {
-			if r < 0 {
-				out[i] = zero
-			} else {
-				out[i] = src[r]
-			}
-		}
-		return dst
-	}
 	for i, r := range sel {
 		out[i] = src[r]
 	}
 	return dst
 }
 
-func (v *Vector) gather(src *Vector, sel []int32, orZero bool) {
-	switch v.Kind {
-	case Int64:
-		v.I64 = gatherAppend(v.I64, src.I64, sel, orZero)
-	case Float64:
-		v.F64 = gatherAppend(v.F64, src.F64, sel, orZero)
-	case String:
-		v.Str = gatherAppend(v.Str, src.Str, sel, orZero)
-	}
-}
-
 // AppendSelected appends the values of src (same kind) listed in sel to v:
 // one type dispatch per call, none per value.
-func (v *Vector) AppendSelected(src *Vector, sel []int32) { v.gather(src, sel, false) }
-
-// AppendSelectedOrZero is AppendSelected where a negative entry of sel
-// appends the kind's zero value — the null-extension of an outer join miss.
-func (v *Vector) AppendSelectedOrZero(src *Vector, sel []int32) { v.gather(src, sel, true) }
+func (v *Vector) AppendSelected(src *Vector, sel []int32) {
+	switch v.Kind {
+	case Int64:
+		v.I64 = gatherAppend(v.I64, src.I64, sel)
+	case Float64:
+		v.F64 = gatherAppend(v.F64, src.F64, sel)
+	case String:
+		v.Str = gatherAppend(v.Str, src.Str, sel)
+	}
+}
 
 // GetString renders value i as a display string (used by result formatting).
 func (v *Vector) GetString(i int) string {

@@ -178,9 +178,8 @@ func TestBatchCloneDetached(t *testing.T) {
 }
 
 // TestVectorAppendVectorAndSelected covers the column-level appends the
-// engine's buffers and gathers are built from: AppendVector keeps every value
-// across its capacity doublings, AppendSelected gathers by row id, and
-// AppendSelectedOrZero turns a negative id into the kind's zero value.
+// engine's batches and gathers are built from: AppendVector keeps every value
+// across its capacity doublings, and AppendSelected gathers by row id.
 func TestVectorAppendVectorAndSelected(t *testing.T) {
 	src := NewVector(Int64, 0)
 	for i := int64(0); i < 300; i++ {
@@ -202,8 +201,7 @@ func TestVectorAppendVectorAndSelected(t *testing.T) {
 	strs.AppendString("b")
 	out := NewVector(String, 0)
 	out.AppendSelected(strs, []int32{1, 0, 1})
-	out.AppendSelectedOrZero(strs, []int32{-1, 0})
-	if got := fmt.Sprint(out.Str); got != "[b a b  a]" {
+	if got := fmt.Sprint(out.Str); got != "[b a b]" {
 		t.Fatalf("gathered %s", got)
 	}
 }
