@@ -105,8 +105,8 @@ type UseBinding struct {
 //	(i)   assign round-robin interleaved masks at maximal granularity
 //	      B = Σ bits(D(Uᵢ));
 //	(ii)  compute _bdcc_ at granularity B and sort the table on it, a radix
-//	      sort (storage.SortPerm; the per-granularity group-size histograms
-//	      are GroupStats, on demand);
+//	      sort (storage.SortPerm; step (iii) reads the group sizes through
+//	      TuplesInLargeGroups, so no histogram is kept);
 //	(iii) find the densest (widest) column and choose the largest b ≤ B such
 //	      that most tuples live in groups of at least the efficient random
 //	      access size AR (see DESIGN.md on the AR/2 rounding that reproduces

@@ -138,27 +138,32 @@ func (st *aggState) render(f AggFunc, col *vector.Vector) {
 }
 
 // aggTable is one hash-aggregation state: the open-addressing group index,
-// the flat state array, the materialized group keys, and per-batch scratch.
+// the segmented state array, the materialized group keys, and per-batch
+// scratch.
 // The serial operator owns one; a striped one owns one per key-hash stripe
 // (stripes fold disjoint keys, so tables never share mutable state — which
 // includes the aggregate arguments: every table evaluates its own clones of
 // the bound trees). A batch is folded in two passes: find-or-insert
 // resolves every row to its group id in one loop picked by the key shape,
 // then each aggregate runs one typed loop over (group ids, argument values).
-// states and firstRows are charged by capacity, so they grow only by one-row
-// appends — the geometry TestHashTableFootprintPinned pins.
+// The states live in segments of BatchSize groups, addressed like a
+// Buffer's rows, and copied only while their segment grows (addState): at
+// any group count they hold at most the states one flat array grown by
+// appends would. states and firstRows are charged by capacity — the
+// geometry TestHashTableFootprintPinned pins.
 type aggTable struct {
 	aggs      []AggSpec
 	keyIdx    []int
-	table     oaTable    // key -> group id
-	eq        keyEq      // batch rows against keyBuf rows
-	states    []aggState // flat, group g's states at [g*len(aggs) : (g+1)*len(aggs)]
-	keyBuf    *Buffer    // one row per group, in first-seen (emission) order
-	firstRows []int64    // per group: global row index of the first-seen row
-	memBytes  int64      // bytes charged to the memory tracker
-	hashes    []uint64   // key hash scratch: per batch, or the stripe's gathered rows'
-	gids      []int32    // per batch: each row's group id
-	distBytes int64      // footprint of all COUNT(DISTINCT) sets
+	table     oaTable      // key -> group id
+	eq        keyEq        // batch rows against keyBuf rows
+	states    [][]aggState // group g's states: segment g>>segShift, from (g&segMask)*len(aggs)
+	stateCap  int          // the capacity of one flat state array after the same appends
+	keyBuf    *Buffer      // one row per group, in first-seen (emission) order
+	firstRows []int64      // per group: global row index of the first-seen row
+	memBytes  int64        // bytes charged to the memory tracker
+	hashes    []uint64     // key hash scratch: per batch, or the stripe's gathered rows'
+	gids      []int32      // per batch: each row's group id
+	distBytes int64        // footprint of all COUNT(DISTINCT) sets
 
 	// foldStripe's scratch: the window rows of the table's stripe, their
 	// global row indexes, and the rows gathered into one batch.
@@ -252,37 +257,70 @@ func (t *aggTable) newGroup(b *vector.Batch, r int, rowIdx []int64) int32 {
 	if rowIdx != nil {
 		t.firstRows = append(t.firstRows, rowIdx[r])
 	}
-	for range t.aggs {
-		t.states = append(t.states, aggState{})
+	g := t.keyBuf.Len() - 1
+	if g>>segShift == len(t.states) {
+		t.states = append(t.states, nil)
 	}
-	return int32(t.keyBuf.Len() - 1)
+	for range t.aggs {
+		t.addState(g >> segShift)
+	}
+	return int32(g)
+}
+
+// addState appends a zeroed state to segment s. A full segment is
+// reallocated for at most its part of stateCap, the capacity that one flat
+// []aggState would have after the same appends, so the segments never hold
+// more than it. Below 32 KiB the runtime rounds that capacity to its size
+// classes, so append grows the first segment itself and reports it; above,
+// stateCap follows append's rule for large slices, a quarter plus 192
+// more rounded up to whole 8 KiB pages (TestAggStatesNeverExceedFlat
+// checks it against append).
+func (t *aggTable) addState(s int) {
+	seg := t.states[s]
+	if at := s*vector.BatchSize*len(t.aggs) + len(seg); len(seg) == cap(seg) {
+		if at == t.stateCap {
+			c := t.stateCap + (t.stateCap+3*256)/4
+			if t.stateCap < 256 || c*aggStateBytes <= 32<<10-8 {
+				t.states[s] = append(seg, aggState{})
+				t.stateCap = cap(t.states[s])
+				return
+			}
+			t.stateCap = ((c*aggStateBytes + 8<<10 - 1) &^ (8<<10 - 1)) / aggStateBytes
+		}
+		seg = append(make([]aggState, 0, min(vector.BatchSize*len(t.aggs), t.stateCap-at+len(seg))), seg...)
+	}
+	t.states[s] = append(seg, aggState{})
+}
+
+// state returns group g's state of aggregate i.
+func (t *aggTable) state(g int32, i int) *aggState {
+	return &t.states[g>>segShift][int(g&segMask)*len(t.aggs)+i]
 }
 
 // fold folds the batch's values of aggregate i (nil for COUNT(*)) into the
 // states of the groups in t.gids, row by row in input order.
 func (t *aggTable) fold(i int, f AggFunc, arg *vector.Vector) {
-	n, states := len(t.aggs), t.states
 	switch {
 	case f == AggCount:
 		for _, g := range t.gids {
-			states[int(g)*n+i].count++
+			t.state(g, i).count++
 		}
 	case f == AggCountDistinct:
 		for r, g := range t.gids {
-			t.distBytes += states[int(g)*n+i].update(f, arg, r)
+			t.distBytes += t.state(g, i).update(f, arg, r)
 		}
 	case f == AggMin || f == AggMax:
-		foldMinMax(states, n, i, t.gids, arg, f == AggMin)
+		t.foldMinMax(i, arg, f == AggMin)
 	case arg.Kind == vector.Int64: // SUM, AVG
 		for r, g := range t.gids {
-			st, x := &states[int(g)*n+i], arg.I64[r]
+			st, x := t.state(g, i), arg.I64[r]
 			st.i64 += x
 			st.f64 += float64(x)
 			st.count++
 		}
 	case arg.Kind == vector.Float64:
 		for r, g := range t.gids {
-			st := &states[int(g)*n+i]
+			st := t.state(g, i)
 			st.f64 += arg.F64[r]
 			st.count++
 		}
@@ -290,23 +328,23 @@ func (t *aggTable) fold(i int, f AggFunc, arg *vector.Vector) {
 }
 
 // foldMinMax is fold for MIN and MAX: one loop per argument kind.
-func foldMinMax(states []aggState, n, i int, gids []int32, arg *vector.Vector, isMin bool) {
+func (t *aggTable) foldMinMax(i int, arg *vector.Vector, isMin bool) {
 	switch arg.Kind {
 	case vector.Int64:
-		for r, g := range gids {
-			st := &states[int(g)*n+i]
+		for r, g := range t.gids {
+			st := t.state(g, i)
 			keepMinMax(&st.i64, arg.I64[r], st.count == 0, isMin)
 			st.count++
 		}
 	case vector.Float64:
-		for r, g := range gids {
-			st := &states[int(g)*n+i]
+		for r, g := range t.gids {
+			st := t.state(g, i)
 			keepMinMax(&st.f64, arg.F64[r], st.count == 0, isMin)
 			st.count++
 		}
 	case vector.String:
-		for r, g := range gids {
-			st := &states[int(g)*n+i]
+		for r, g := range t.gids {
+			st := t.state(g, i)
 			keepMinMax(&st.str, arg.Str[r], st.count == 0, isMin)
 			st.count++
 		}
@@ -315,19 +353,24 @@ func foldMinMax(states []aggState, n, i int, gids []int32, arg *vector.Vector, i
 
 // bytes returns the exact footprint of the table's flat allocations.
 func (t *aggTable) bytes() int64 {
-	return t.keyBuf.Bytes() + t.table.Bytes() +
-		int64(cap(t.states))*aggStateBytes + t.distBytes +
-		int64(cap(t.firstRows))*8
+	n := t.keyBuf.Bytes() + t.table.Bytes() + t.distBytes + int64(cap(t.firstRows))*8
+	for _, seg := range t.states {
+		n += int64(cap(seg)) * aggStateBytes
+	}
+	return n
 }
 
 // release returns the charged bytes to the tracker and clears the table,
-// keeping capacity.
+// keeping capacity: the state segments are truncated, and a group opened
+// later appends zeroed states to them.
 func (t *aggTable) release(mem *MemTracker) {
 	mem.Shrink(t.memBytes)
 	t.memBytes = 0
 	t.distBytes = 0
 	t.table.Reset()
-	t.states = t.states[:0]
+	for s := range t.states {
+		t.states[s] = t.states[s][:0]
+	}
 	t.firstRows = t.firstRows[:0]
 	t.keyBuf.Reset()
 }
@@ -455,7 +498,6 @@ func (h *HashAggregate) Open(ctx *Context) error {
 // operators can align on it.
 func (h *HashAggregate) emitBatch(refs []groupRef) {
 	nk := len(h.keyIdx)
-	nAggs := len(h.Aggs)
 	out := vector.NewBatch(h.schema.Kinds())
 	for lo := 0; lo < len(refs) && nk > 0; {
 		h.sel = h.sel[:0]
@@ -468,7 +510,7 @@ func (h *HashAggregate) emitBatch(refs []groupRef) {
 	}
 	for i, a := range h.Aggs {
 		for _, ref := range refs {
-			h.tables[ref.table].states[ref.group*nAggs+i].render(a.Func, out.Cols[nk+i])
+			h.tables[ref.table].state(int32(ref.group), i).render(a.Func, out.Cols[nk+i])
 		}
 	}
 	if h.FlushOnGroup && h.haveGID {

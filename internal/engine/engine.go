@@ -37,9 +37,10 @@
 // and an aggregation runs one typed loop per aggregate over (group ids,
 // argument values). A join build drains its rows into a Buffer (segments
 // of BatchSize rows, each row copied once, charged by logical bytes), then
-// sizes its chain array once and inserts; the arrays charged by capacity and
-// the slot arrays keep a pinned geometry, because their footprint is
-// Figure 3 (TestHashTableFootprintPinned).
+// sizes its chain array once, and its slots once from a count of its keys,
+// and inserts; aggregate states live in segments of BatchSize groups. The
+// arrays charged by capacity and the slot arrays keep a pinned geometry,
+// because their footprint is Figure 3 (TestHashTableFootprintPinned).
 //
 // # One scan
 //

@@ -449,3 +449,8 @@ func TestMemTrackerPeak(t *testing.T) {
 		t.Fatalf("current = %d, want 40", m.Current())
 	}
 }
+
+// NewProject is a convenience constructor.
+func NewProject(child Operator, cols ...ProjCol) *Project {
+	return &Project{Child: child, Cols: cols}
+}

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -96,20 +98,65 @@ func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 // first phase. A build is drained completely before it is indexed.
 func (p *joinProbe) insertBatch(b *vector.Batch) { p.buf.AppendBatch(b) }
 
-// index sizes the chain array for the drained rows once, then inserts them:
-// through p, or as one Sched.stripes task per kernel of ks (a pooled join's,
-// all over p's build side), each hashing the segments itself. An indexed
-// build side is left as it is; begin calls index too.
+// index sizes the chain array for the drained rows and the slot arrays for
+// their keys once, then inserts them: through p, or as one Sched.stripes
+// task per kernel of ks (a pooled join's, all over p's build side), each
+// hashing the segments itself. An indexed build side is left as it is;
+// begin calls index too.
 func (p *joinProbe) index(s *Sched, ks []*joinProbe) {
 	if p.table.Len() == p.buf.Len() {
 		return
 	}
 	p.table.GrowChains(p.buf.Len())
+	p.presize()
 	if len(ks) <= 1 {
 		p.insertStripe(0, 1)
 		return
 	}
 	s.stripes(len(ks), func(w int) { ks[w].insertStripe(w, len(ks)) })
+}
+
+// presize sizes every partition's slots for the distinct keys keyFloor
+// proves it holds. That is never more keys than the insert adds, so the
+// slot count it ends at is the one doubling from oaMinSlots would reach,
+// with the doubling's copies gone. Rows that fit every partition's slots (a
+// sandwich join's group after a larger one, or a build of a few rows) are
+// not counted.
+func (p *joinProbe) presize() {
+	n := p.buf.Len()
+	if slices.ContainsFunc(p.table.parts, func(oa oaTable) bool { return n*10 > max(len(oa.vals), oaMinSlots)*7 }) {
+		for i, keys := range p.keyFloor() {
+			p.table.parts[i].presize(keys)
+		}
+	}
+}
+
+// keyFloor returns, per table partition, a lower bound of the distinct keys
+// of the drained rows: the bits set in a linear-counting bitmap (Whang,
+// Vander-Zanden and Taylor, TODS 1990). Every row's key hash sets bit h mod
+// m of its partition's m ≥ 8·rows/partitions bits; equal keys set one bit,
+// so the bits set never exceed the distinct keys; at m ≥ 8 bits per row
+// the collisions among d keys, about d²/2m, leave them on average at most
+// a sixteenth short.
+func (p *joinProbe) keyFloor() []int {
+	parts := len(p.table.parts)
+	m := 64
+	for m*parts < 8*p.buf.Len() {
+		m <<= 1
+	}
+	set, keys := make([]uint64, m/64*parts), make([]int, parts)
+	for s := range p.buf.segments() {
+		p.buf.segment(s, p.view)
+		p.hashes = vector.HashKeys(p.view, p.buildIdx, p.hashes)
+		for _, h := range p.hashes {
+			bit := int(h>>p.table.shift)*m + int(h&uint64(m-1))
+			set[bit/64] |= 1 << (bit % 64)
+		}
+	}
+	for i, w := range set {
+		keys[i*64/m] += bits.OnesCount64(w)
+	}
+	return keys
 }
 
 // insertStripe inserts the build rows of stripe w of n, segment by segment.

@@ -88,8 +88,10 @@ func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 // by comparing it (FindKey); any other table stores the 64-bit key hash and
 // verifies a hash-equal slot's payload through the caller's keyEq (FindSlot).
 // Either way a key's slot sequence starts at its hash, so both forms lay the
-// same keys out identically. The table grows by doubling at ~70% load — a
-// geometry Bytes() exposes to the memory tracker and TestHashTableFootprintPinned
+// same keys out identically. The table doubles at ~70% load from
+// oaMinSlots; a join build presizes it first from a count of its keys to at
+// most the slots doubling would reach (presize). That geometry is what
+// Bytes() exposes to the memory tracker and TestHashTableFootprintPinned
 // pins.
 type oaTable struct {
 	hashes []uint64 // per slot: the key's hash, or the key itself when keyed
@@ -116,15 +118,11 @@ func (t *oaTable) Reset() {
 	t.used = 0
 }
 
-// grow doubles (or initializes) the slot arrays and re-places the occupied
-// slots. Equal keys share one slot, so re-placement needs no key equality:
-// stored hashes (recomputed from the stored keys of a keyed table) alone
-// resolve to distinct keys.
-func (t *oaTable) grow() {
-	n := 2 * len(t.vals)
-	if n == 0 {
-		n = oaMinSlots
-	}
+// resize re-places the occupied slots into n slots (a power of two). Equal
+// keys share one slot, so re-placement needs no key equality: stored hashes
+// (recomputed from the stored keys of a keyed table) alone resolve to
+// distinct keys.
+func (t *oaTable) resize(n int) {
 	oldHashes, oldVals := t.hashes, t.vals
 	t.hashes = make([]uint64, n)
 	t.vals = make([]int32, n)
@@ -148,12 +146,27 @@ func (t *oaTable) grow() {
 	}
 }
 
-// Reserve makes room for one more distinct key. It must be called before a
-// FindSlot or FindKey whose result may be inserted into: growth rehashes and
-// invalidates previously returned slots.
+// Reserve makes room for one more distinct key, doubling the slots (from
+// oaMinSlots) at ~70% load. It must be called before a FindSlot or FindKey
+// whose result may be inserted into: growth rehashes and invalidates
+// previously returned slots.
 func (t *oaTable) Reserve() {
 	if (t.used+1)*10 > len(t.vals)*7 {
-		t.grow()
+		t.resize(max(2*len(t.vals), oaMinSlots))
+	}
+}
+
+// presize grows the table at once to the slots Reserve's doubling reaches
+// for keys distinct keys (none for none). For keys at most the keys
+// inserted afterwards, the final slot count is the one doubling alone would
+// have reached.
+func (t *oaTable) presize(keys int) {
+	n := max(len(t.vals), oaMinSlots)
+	for keys*10 > n*7 {
+		n *= 2
+	}
+	if keys > 0 && n > len(t.vals) {
+		t.resize(n)
 	}
 }
 
@@ -204,7 +217,8 @@ func (t *oaTable) Insert(slot int, tag uint64, v int32) {
 // Both directions work a batch at a time — insertRows, lookupRows — with the
 // key shape's branch outside the row loop. A build drains its rows first, so
 // the chain array is sized once, for exactly the rows it links (GrowChains),
-// and charged by its capacity.
+// and charged by its capacity, and the slots once, from a count of the keys
+// (joinProbe.presize).
 type partJoinTable struct {
 	parts []oaTable
 	next  []int32

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bdcc/internal/expr"
@@ -209,7 +210,16 @@ func TestParallelHashAggregateMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	keys := vector.HashKeys(&vector.Batch{Cols: serial.Cols[:1]}, []int{0}, nil)
 	for _, workers := range []int{2, 4, 5} {
+		// Every stripe's table holds more than one segment of group states.
+		perStripe := make([]int, workers)
+		for _, h := range keys {
+			perStripe[(h>>32)%uint64(workers)]++
+		}
+		if least := slices.Min(perStripe); least <= vector.BatchSize {
+			t.Fatalf("workers=%d: a stripe folds %d groups, want more than %d", workers, least, vector.BatchSize)
+		}
 		ctx := parCtx(workers)
 		par, err := Run(ctx, mkAgg(ctx))
 		if err != nil {

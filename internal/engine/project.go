@@ -64,11 +64,6 @@ type Project struct {
 	out    *vector.Batch
 }
 
-// NewProject is a convenience constructor.
-func NewProject(child Operator, cols ...ProjCol) *Project {
-	return &Project{Child: child, Cols: cols}
-}
-
 // Schema implements Operator.
 func (p *Project) Schema() expr.Schema { return p.schema }
 

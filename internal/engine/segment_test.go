@@ -234,3 +234,88 @@ func TestJoinBuildAllocatesRowsOnce(t *testing.T) {
 		t.Fatalf("build allocated %d bytes, over 1.15 × the %d it holds", allocated, want)
 	}
 }
+
+// TestFlushOnGroupStatesAcrossSegments runs a sandwich aggregation whose
+// groups hold 2500, 3 and 2000 keys, each key twice in a seeded order: the
+// first group fills three state segments, and the later groups reuse them
+// after a flush, so they match the reference only if every reused segment
+// starts from zeroed states.
+func TestFlushOnGroupStatesAcrossSegments(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, shape := range []keyShape{keyShapes[0], keyShapes[3]} {
+		in := &kernelInput{shape: shape, ps: shape.schema("l",
+			expr.ColMeta{Name: "lid", Kind: vector.Int64}, expr.ColMeta{Name: "lpay", Kind: vector.Int64},
+			expr.ColMeta{Name: "lf", Kind: vector.Float64})}
+		var id int64
+		for g, keys := range []int{2500, 3, 2000} {
+			order := append(rng.Perm(keys), rng.Perm(keys)...)
+			for lo := 0; lo < len(order); lo += vector.BatchSize {
+				b := vector.NewBatch(in.ps.Kinds())
+				b.Grouped, b.GroupID = true, uint64(g)
+				for _, k := range order[lo:min(lo+vector.BatchSize, len(order))] {
+					shape.appendKey(b, int64(g*10_000+k), 0)
+					b.Cols[1].AppendInt64(id)
+					b.Cols[2].AppendInt64(rng.Int63n(1000))
+					b.Cols[3].AppendFloat64(rng.Float64())
+					id++
+				}
+				in.probe = append(in.probe, b)
+			}
+		}
+		requireSameRows(t, "FlushOnGroup/"+shape.name, drainBits(t, testCtx(), &HashAggregate{
+			Child: cloneSource(in.ps, in.probe), GroupBy: shape.keyNames("l"), FlushOnGroup: true,
+			Aggs: []AggSpec{
+				{Name: "n", Func: AggCount},
+				{Name: "si", Func: AggSum, Arg: expr.C("lpay")},
+				{Name: "sf", Func: AggSum, Arg: expr.C("lf")},
+				{Name: "mn", Func: AggMin, Arg: expr.C("lpay")},
+				{Name: "mx", Func: AggMax, Arg: expr.C("lf")},
+				{Name: "av", Func: AggAvg, Arg: expr.C("lf")},
+			}}), refAgg(in))
+	}
+}
+
+// TestAggStatesNeverExceedFlat opens 1 to 12 000 groups one at a time, with
+// 1, 2 and 5 aggregates, twice over (the second time after a release), and
+// checks after every group that the state segments' capacity is no more
+// than that of one flat []aggState grown by the same appends, the layout
+// the segments replaced: Figure 3 charges it, so no query's footprint can
+// rise. It also checks addState's copy of append's growth rule.
+func TestAggStatesNeverExceedFlat(t *testing.T) {
+	schema := intSchema("k")
+	for _, n := range []int{1, 2, 5} {
+		aggs := make([]AggSpec, n)
+		for i := range aggs {
+			aggs[i] = AggSpec{Name: fmt.Sprint("n", i), Func: AggCount}
+		}
+		at := newAggTable(aggs, []int{0}, schema)
+		var flat []aggState
+		for round, groups := range []int{10_000, 12_000} {
+			at.release(&MemTracker{})
+			flat = flat[:0]
+			b := vector.NewBatch(schema.Kinds())
+			for g := range groups {
+				if g%vector.BatchSize == 0 {
+					b.Reset()
+					for k := g; k < g+vector.BatchSize; k++ {
+						b.Cols[0].AppendInt64(int64(k))
+					}
+				}
+				at.newGroup(b, g%vector.BatchSize, nil)
+				for range n {
+					flat = append(flat, aggState{})
+				}
+				held := 0
+				for _, seg := range at.states {
+					held += cap(seg)
+				}
+				if held > cap(flat) {
+					t.Fatalf("aggs=%d round=%d groups=%d: segments hold %d states, a flat array %d", n, round, g+1, held, cap(flat))
+				}
+				if at.stateCap != cap(flat) {
+					t.Fatalf("aggs=%d round=%d groups=%d: stateCap %d, append grew the flat array to %d", n, round, g+1, at.stateCap, cap(flat))
+				}
+			}
+		}
+	}
+}

@@ -579,3 +579,10 @@ func TestFragmentContentDedupe(t *testing.T) {
 		t.Fatalf("distinct fragment aliased (id %d vs %d, %d setups)", fidDiff, fid1, next)
 	}
 }
+
+// NewSim returns a simulated remote backend on a worker of its own, whose
+// pool runs `workers` goroutines, charging transport activity to acct (nil
+// disables network accounting). Its worker meters this backend alone.
+func NewSim(workers int, acct *iosim.Accountant) *Sim {
+	return dialSim(NewServer(workers), acct)
+}

@@ -127,18 +127,6 @@ func (p *Partitioning) TotalRows() int64 {
 	return t
 }
 
-// WorkerFor returns the worker owning the count entry that contains r
-// whole. Ranges that cross entry boundaries (pruned groups merge adjacent
-// entry intervals) are an error here — SplitGroup is the entry-splitting
-// form.
-func (p *Partitioning) WorkerFor(r storage.RowRange) (int, error) {
-	i := sort.Search(len(p.ivals), func(i int) bool { return p.ivals[i].Start > r.Start }) - 1
-	if i < 0 || r.End > p.ivals[i].End {
-		return 0, fmt.Errorf("shard: range [%d,%d) of %s spans no single count entry", r.Start, r.End, p.Table)
-	}
-	return p.ivals[i].Worker, nil
-}
-
 // SplitGroup splits one scatter group's pruned ranges into maximal
 // consecutive runs per owning worker, preserving range order: concatenating
 // the runs' rows reproduces the group's unpartitioned row order exactly,
@@ -177,10 +165,9 @@ func (p *Partitioning) SplitGroup(ranges storage.RowRanges) ([]PartRun, error) {
 // RangeMap maps coordinator row ranges to a shipped partition's local row
 // space. The local table concatenates the manifest segments in ship order,
 // so segment k's local start is the prefix sum of the preceding segments'
-// lengths; a mapped range must lie inside one segment (same invariant as
-// WorkerFor) and keeps its length, which is what makes the worker-side
-// reader's batch boundaries — ranges plus BatchSize steps — identical to
-// the coordinator's.
+// lengths; a mapped range must lie inside one segment and keeps its
+// length, which is what makes the worker-side reader's batch boundaries —
+// ranges plus BatchSize steps — identical to the coordinator's.
 type RangeMap struct {
 	segs []mapSeg // sorted by coordinator Start
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"bdcc/internal/core"
@@ -676,4 +677,16 @@ func FuzzDecodePartOffer(f *testing.F) {
 			t.Fatal("an empty store answered an offer resident")
 		}
 	})
+}
+
+// WorkerFor returns the worker owning the count entry that contains r
+// whole. Ranges that cross entry boundaries (pruned groups merge adjacent
+// entry intervals) are an error here — SplitGroup is the entry-splitting
+// form.
+func (p *Partitioning) WorkerFor(r storage.RowRange) (int, error) {
+	i := sort.Search(len(p.ivals), func(i int) bool { return p.ivals[i].Start > r.Start }) - 1
+	if i < 0 || r.End > p.ivals[i].End {
+		return 0, fmt.Errorf("shard: range [%d,%d) of %s spans no single count entry", r.Start, r.End, p.Table)
+	}
+	return p.ivals[i].Worker, nil
 }

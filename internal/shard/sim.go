@@ -29,16 +29,6 @@ type Sim struct {
 	*client
 	srv   *Server
 	ended <-chan struct{} // closes when the worker side of the session has ended
-	owned bool            // srv is this backend's own, closed with it
-}
-
-// NewSim returns a simulated remote backend on a worker of its own, whose
-// pool runs `workers` goroutines, charging transport activity to acct (nil
-// disables network accounting). Its worker meters this backend alone.
-func NewSim(workers int, acct *iosim.Accountant) *Sim {
-	s := dialSim(NewServer(workers), acct)
-	s.owned = true
-	return s
 }
 
 // dialSim opens one session on srv over a fresh pipe.
@@ -86,14 +76,11 @@ func fleet(n, workers int) []*Server {
 // Close implements engine.Backend: it closes the client half (joining its
 // read loop) and joins the worker side of the session — its read loop and
 // in-flight unit tasks — so a closed backend leaves no goroutines behind on
-// either side of the pipe. A backend of NewSim shuts its own worker down
-// too; a fleet worker lives on.
+// either side of the pipe. The worker lives on, as a bdccworker outlives
+// its sessions; an idle one holds no goroutines.
 func (s *Sim) Close() error {
 	err := s.client.Close()
 	<-s.ended
-	if s.owned {
-		s.srv.Close()
-	}
 	return err
 }
 

@@ -186,9 +186,6 @@ func (r *Report) Totals(scheme plan.Scheme, metric func(*Stats) float64) float64
 // ColdSeconds extracts the modeled cold time in seconds.
 func ColdSeconds(s *Stats) float64 { return s.Cold.Seconds() }
 
-// IOSeconds extracts the modeled device time in seconds.
-func IOSeconds(s *Stats) float64 { return s.IO.Time.Seconds() }
-
 // PeakMB extracts the peak query memory in MB.
 func PeakMB(s *Stats) float64 { return float64(s.PeakMem) / (1 << 20) }
 

@@ -178,3 +178,6 @@ func TestOrderingComparison(t *testing.T) {
 		t.Errorf("z-order/major-minor device time ratio %.2f — paper finds the runs comparable", ratio)
 	}
 }
+
+// IOSeconds extracts the modeled device time in seconds.
+func IOSeconds(s *Stats) float64 { return s.IO.Time.Seconds() }

@@ -107,18 +107,6 @@ func (b *Benchmark) AppendBatch(batch *DeltaBatch) error {
 	return nil
 }
 
-// MergeAll consolidates any remaining delta in every scheme.
-func (b *Benchmark) MergeAll() error {
-	for s, db := range b.DBs {
-		if ing := db.Ingest(); ing != nil {
-			if err := ing.Merge(); err != nil {
-				return fmt.Errorf("tpch: merge (%s): %w", s, err)
-			}
-		}
-	}
-	return nil
-}
-
 // IngestStats sums the per-scheme ingest counters. Appends go to every
 // scheme, so rates are per scheme (the summary divides where needed).
 func (b *Benchmark) IngestStats() map[plan.Scheme]plan.IngestStats {

@@ -919,3 +919,15 @@ func TestSharedTablesUnderConcurrentSchemes(t *testing.T) {
 		}
 	}
 }
+
+// MergeAll consolidates any remaining delta in every scheme.
+func (b *Benchmark) MergeAll() error {
+	for s, db := range b.DBs {
+		if ing := db.Ingest(); ing != nil {
+			if err := ing.Merge(); err != nil {
+				return fmt.Errorf("tpch: merge (%s): %w", s, err)
+			}
+		}
+	}
+	return nil
+}
