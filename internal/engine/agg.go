@@ -22,7 +22,9 @@ const (
 	// AggCount counts rows (Arg nil) or non-default indicator semantics are
 	// handled by the planner via CASE expressions.
 	AggCount
-	// AggCountDistinct counts distinct argument values.
+	// AggCountDistinct counts distinct argument values. It is a logical
+	// aggregate: the planner lowers it into two groupings, and the
+	// aggregation operators reject it.
 	AggCountDistinct
 	// AggAvg computes the mean of the argument as float64.
 	AggAvg
@@ -39,7 +41,7 @@ type AggSpec struct {
 // resultKind returns the output kind of the aggregate.
 func (a AggSpec) resultKind() vector.Kind {
 	switch a.Func {
-	case AggCount, AggCountDistinct:
+	case AggCount:
 		return vector.Int64
 	case AggAvg:
 		return vector.Float64
@@ -50,30 +52,23 @@ func (a AggSpec) resultKind() vector.Kind {
 
 // aggState is the running state of one aggregate in one group.
 type aggState struct {
-	i64      int64
-	f64      float64
-	str      string
-	count    int64
-	distinct *distinctSet
+	i64   int64
+	f64   float64
+	str   string
+	count int64
 }
 
-// aggStateBytes is the in-memory size of one aggState (four 8-byte fields
+// aggStateBytes is the in-memory size of one aggState (three 8-byte fields
 // plus the 16-byte string header), charged to the memory tracker per
 // (group, aggregate) pair.
-const aggStateBytes = 48
+const aggStateBytes = 40
 
 // update folds row r of the aggregate's evaluated argument vector (nil for
-// COUNT(*)) into the state and returns the footprint growth of its
-// COUNT(DISTINCT) set in bytes, 0 for every other function.
-func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) int64 {
+// COUNT(*)) into the state.
+func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) {
 	switch f {
 	case AggCount:
 		st.count++
-	case AggCountDistinct:
-		if st.distinct == nil {
-			st.distinct = newDistinctSet(arg.Kind)
-		}
-		return st.distinct.Add(arg, r)
 	case AggSum, AggAvg:
 		switch arg.Kind {
 		case vector.Int64:
@@ -95,7 +90,6 @@ func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) int64 {
 		}
 		st.count++
 	}
-	return 0
 }
 
 // keepMinMax replaces *cur by x when x is a group's first value or beats
@@ -111,8 +105,6 @@ func (st *aggState) render(f AggFunc, col *vector.Vector) {
 	switch f {
 	case AggCount:
 		col.AppendInt64(st.count)
-	case AggCountDistinct:
-		col.AppendInt64(int64(st.distinct.Len()))
 	case AggAvg:
 		if st.count == 0 {
 			col.AppendFloat64(0)
@@ -163,7 +155,6 @@ type aggTable struct {
 	memBytes  int64        // bytes charged to the memory tracker
 	hashes    []uint64     // key hash scratch: per batch, or the stripe's gathered rows'
 	gids      []int32      // per batch: each row's group id
-	distBytes int64        // footprint of all COUNT(DISTINCT) sets
 
 	// foldStripe's scratch: the window rows of the table's stripe, their
 	// global row indexes, and the rows gathered into one batch.
@@ -305,10 +296,6 @@ func (t *aggTable) fold(i int, f AggFunc, arg *vector.Vector) {
 		for _, g := range t.gids {
 			t.state(g, i).count++
 		}
-	case f == AggCountDistinct:
-		for r, g := range t.gids {
-			t.distBytes += t.state(g, i).update(f, arg, r)
-		}
 	case f == AggMin || f == AggMax:
 		t.foldMinMax(i, arg, f == AggMin)
 	case arg.Kind == vector.Int64: // SUM, AVG
@@ -353,7 +340,7 @@ func (t *aggTable) foldMinMax(i int, arg *vector.Vector, isMin bool) {
 
 // bytes returns the exact footprint of the table's flat allocations.
 func (t *aggTable) bytes() int64 {
-	n := t.keyBuf.Bytes() + t.table.Bytes() + t.distBytes + int64(cap(t.firstRows))*8
+	n := t.keyBuf.Bytes() + t.table.Bytes() + int64(cap(t.firstRows))*8
 	for _, seg := range t.states {
 		n += int64(cap(seg)) * aggStateBytes
 	}
@@ -366,7 +353,6 @@ func (t *aggTable) bytes() int64 {
 func (t *aggTable) release(mem *MemTracker) {
 	mem.Shrink(t.memBytes)
 	t.memBytes = 0
-	t.distBytes = 0
 	t.table.Reset()
 	for s := range t.states {
 		t.states[s] = t.states[s][:0]
@@ -389,6 +375,9 @@ func bindAggs(op string, cs expr.Schema, groupBy []string, aggs []AggSpec) (keyI
 	}
 	out = append(expr.Schema{}, keySchema...)
 	for _, a := range aggs {
+		if a.Func == AggCountDistinct {
+			return nil, nil, nil, fmt.Errorf("engine: %s %s: COUNT(DISTINCT) is lowered by the planner into two groupings", op, a.Name)
+		}
 		if a.Arg != nil {
 			if err := expr.Bind(a.Arg, cs); err != nil {
 				return nil, nil, nil, errOp(fmt.Sprintf("%s %s", op, a.Name), err)
@@ -656,19 +645,17 @@ type StreamAggregate struct {
 	GroupBy []string
 	Aggs    []AggSpec
 
-	schema   expr.Schema
-	mem      *MemTracker
-	keyIdx   []int
-	keyRow   *Buffer // the open group's key, row 0 while haveKey
-	eq       keyEq   // cur's rows against keyRow's row
-	haveKey  bool
-	states   []aggState
-	argVecs  []*vector.Vector
-	out      *vector.Batch
-	cur      *vector.Batch // child batch being consumed; rows [row, Len) pending
-	row      int
-	done     bool
-	memBytes int64 // the open group's COUNT(DISTINCT) sets, charged to mem
+	schema  expr.Schema
+	keyIdx  []int
+	keyRow  *Buffer // the open group's key, row 0 while haveKey
+	eq      keyEq   // cur's rows against keyRow's row
+	haveKey bool
+	states  []aggState
+	argVecs []*vector.Vector
+	out     *vector.Batch
+	cur     *vector.Batch // child batch being consumed; rows [row, Len) pending
+	row     int
+	done    bool
 }
 
 // Schema implements Operator.
@@ -676,7 +663,6 @@ func (s *StreamAggregate) Schema() expr.Schema { return s.schema }
 
 // Open implements Operator.
 func (s *StreamAggregate) Open(ctx *Context) error {
-	s.mem = ctx.Mem
 	if err := s.Child.Open(ctx); err != nil {
 		return err
 	}
@@ -694,13 +680,8 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 	return nil
 }
 
-// emitGroup appends the open group to the output batch and closes it,
-// releasing its COUNT(DISTINCT) sets.
+// emitGroup appends the open group to the output batch and closes it.
 func (s *StreamAggregate) emitGroup() {
-	if s.memBytes > 0 {
-		s.mem.Shrink(s.memBytes)
-		s.memBytes = 0
-	}
 	s.keyRow.Gather(s.out.Cols, []int32{0})
 	for i, a := range s.Aggs {
 		s.states[i].render(a.Func, s.out.Cols[len(s.keyIdx)+i])
@@ -752,10 +733,7 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 				s.haveKey = true
 			}
 			for i, a := range s.Aggs {
-				if d := s.states[i].update(a.Func, s.argVecs[i], s.row); d > 0 {
-					s.mem.Grow(d)
-					s.memBytes += d
-				}
+				s.states[i].update(a.Func, s.argVecs[i], s.row)
 			}
 		}
 		s.cur = nil
@@ -764,7 +742,5 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 
 // Close implements Operator.
 func (s *StreamAggregate) Close() error {
-	s.mem.Shrink(s.memBytes)
-	s.memBytes = 0
 	return s.Child.Close()
 }

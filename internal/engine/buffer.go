@@ -15,7 +15,7 @@ const (
 )
 
 // Buffer is the engine's one row store: join builds, sort input, merge-join
-// runs, aggregation keys and COUNT(DISTINCT) values. Rows live in
+// runs and aggregation keys. Rows live in
 // BatchSize-row segments and are copied once, into the tail segment; only
 // the first segment grows (up to BatchSize, so a small buffer stays small).
 // Reads go through Gather, compare and keyEq, by row and column index. The

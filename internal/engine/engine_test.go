@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"bdcc/internal/expr"
@@ -282,17 +283,18 @@ func TestHashAggregate(t *testing.T) {
 	}
 }
 
-func TestHashAggregateCountDistinct(t *testing.T) {
+// TestAggregatesRejectCountDistinct checks that both aggregation operators
+// refuse COUNT(DISTINCT) at Open: the planner lowers it into two groupings.
+func TestAggregatesRejectCountDistinct(t *testing.T) {
 	schema := intSchema("g", "v")
-	src := &source{schema: schema, batches: []*vector.Batch{
-		makeBatch(schema, []int64{1, 1, 1, 2}, []int64{5, 5, 7, 5}),
-	}}
-	agg := &HashAggregate{Child: src, GroupBy: []string{"g"}, Aggs: []AggSpec{
-		{Name: "d", Func: AggCountDistinct, Arg: expr.C("v")},
-	}}
-	got := runAll(t, agg, true)
-	if fmt.Sprint(got) != "[[1 2] [2 1]]" {
-		t.Fatalf("count distinct = %v", got)
+	aggs := []AggSpec{{Name: "d", Func: AggCountDistinct, Arg: expr.C("v")}}
+	for _, op := range []Operator{
+		&HashAggregate{Child: &source{schema: schema}, GroupBy: []string{"g"}, Aggs: aggs},
+		&StreamAggregate{Child: &source{schema: schema}, GroupBy: []string{"g"}, Aggs: aggs},
+	} {
+		if err := op.Open(testCtx()); err == nil || !strings.Contains(err.Error(), "COUNT(DISTINCT)") {
+			t.Errorf("%T.Open = %v, want a COUNT(DISTINCT) error", op, err)
+		}
 	}
 }
 
@@ -323,38 +325,6 @@ func TestStreamAggregateMatchesHash(t *testing.T) {
 	want := runAll(t, ha, true)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("stream agg disagrees with hash agg")
-	}
-}
-
-// TestStreamAggregateChargesDistinct checks that a streaming COUNT(DISTINCT)
-// charges its sets to the memory tracker, as the hash aggregation does, and
-// returns every byte once the groups close.
-func TestStreamAggregateChargesDistinct(t *testing.T) {
-	const n = 3000
-	g := make([]int64, n)
-	v := make([]int64, n)
-	for i := range v {
-		g[i] = int64(i / (n - 10)) // one group of n-10 distinct values, one of 10
-		v[i] = int64(i)
-	}
-	schema := intSchema("g", "v")
-	ctx := testCtx()
-	res, err := Run(ctx, &StreamAggregate{
-		Child:   &source{schema: schema, batches: []*vector.Batch{makeBatch(schema, g, v)}},
-		GroupBy: []string{"g"},
-		Aggs:    []AggSpec{{Name: "d", Func: AggCountDistinct, Arg: expr.C("v")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(res.Row(0), res.Row(1)); got != fmt.Sprint([]any{int64(0), int64(n - 10)}, []any{int64(1), int64(10)}) {
-		t.Fatalf("count distinct = %s", got)
-	}
-	if ctx.Mem.Peak() <= 0 {
-		t.Fatal("streaming COUNT(DISTINCT) charged nothing to the tracker")
-	}
-	if cur := ctx.Mem.Current(); cur != 0 {
-		t.Fatalf("%d bytes still accounted after Close", cur)
 	}
 }
 

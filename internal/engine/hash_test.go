@@ -343,71 +343,3 @@ func TestJoinTableCollisionChains(t *testing.T) {
 		t.Fatal("lookup of absent key did not return -1")
 	}
 }
-
-// TestDistinctSet checks the COUNT(DISTINCT) set: duplicates are ignored,
-// -0.0 and +0.0 are one value, and the footprint only grows on inserts.
-func TestDistinctSet(t *testing.T) {
-	d := newDistinctSet(vector.Float64)
-	vals := f64Vec(1, 2, 1, math.Copysign(0, -1), 0, 2, 3)
-	var grew int64
-	for r := 0; r < vals.Len(); r++ {
-		grew += d.Add(vals, r)
-	}
-	if d.Len() != 4 {
-		t.Fatalf("distinct float count %d, want 4 (1, 2, 0, 3)", d.Len())
-	}
-	if grew <= 0 {
-		t.Fatal("distinct set reported no footprint growth")
-	}
-
-	s := newDistinctSet(vector.String)
-	svals := strVec("", "a", "", "b", "a", "\x00")
-	for r := 0; r < svals.Len(); r++ {
-		s.Add(svals, r)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("distinct string count %d, want 4", s.Len())
-	}
-
-	// Growth through many distinct values.
-	big := newDistinctSet(vector.Int64)
-	xs := vector.NewVector(vector.Int64, 0)
-	for i := int64(0); i < 5000; i++ {
-		xs.AppendInt64(i % 1000)
-	}
-	for r := 0; r < xs.Len(); r++ {
-		big.Add(xs, r)
-	}
-	if big.Len() != 1000 {
-		t.Fatalf("distinct int count %d, want 1000", big.Len())
-	}
-}
-
-// TestCountDistinctOperator exercises AggCountDistinct end-to-end through
-// the aggregation operator on string and float arguments.
-func TestCountDistinctOperator(t *testing.T) {
-	g := []int64{1, 1, 1, 2, 2, 2, 2}
-	s := []string{"x", "y", "x", "p", "q", "p", "r"}
-	f := []float64{0, math.Copysign(0, -1), 1, 2, 2, 3, 4}
-	data := mkResult([]string{"g", "s", "f"}, i64Vec(g...), strVec(s...), f64Vec(f...))
-	agg := &HashAggregate{
-		Child:   &Values{Rows: data},
-		GroupBy: []string{"g"},
-		Aggs: []AggSpec{
-			{Name: "ds", Func: AggCountDistinct, Arg: expr.C("s")},
-			{Name: "df", Func: AggCountDistinct, Arg: expr.C("f")},
-		},
-	}
-	res, err := Run(testCtx(), agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int64][2]int64{1: {2, 2}, 2: {3, 3}} // g=1: {x,y}, {0,1}; g=2: {p,q,r}, {2,3,4}
-	for i := 0; i < res.Rows(); i++ {
-		w := want[res.Cols[0].I64[i]]
-		if res.Cols[1].I64[i] != w[0] || res.Cols[2].I64[i] != w[1] {
-			t.Errorf("group %d: distinct (%d, %d), want (%d, %d)",
-				res.Cols[0].I64[i], res.Cols[1].I64[i], res.Cols[2].I64[i], w[0], w[1])
-		}
-	}
-}

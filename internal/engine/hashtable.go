@@ -3,7 +3,6 @@ package engine
 import (
 	"slices"
 
-	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
 
@@ -347,55 +346,4 @@ func (t *partJoinTable) Matches(head int32, dst []int32) []int32 {
 	}
 	slices.Reverse(dst)
 	return dst
-}
-
-// distinctSet is an open-addressing set of scalar values backing
-// COUNT(DISTINCT ...) states, replacing per-value map[string]struct{} and
-// its fmt.Sprintf keys.
-type distinctSet struct {
-	oa    oaTable
-	vals  *Buffer
-	bytes int64
-	eq    keyEq
-}
-
-// newDistinctSet returns an empty set for values of kind k.
-func newDistinctSet(k vector.Kind) *distinctSet {
-	d := &distinctSet{vals: NewBuffer(expr.Schema{{Kind: k}})}
-	d.eq = newKeyEq(1, d.vals, nil)
-	d.oa.keyed = k == vector.Int64
-	return d
-}
-
-// Len returns the number of distinct values.
-func (d *distinctSet) Len() int {
-	if d == nil {
-		return 0
-	}
-	return d.vals.Len()
-}
-
-// Add inserts value r of v if absent and returns the set's footprint growth
-// in bytes (0 when the value was already present).
-func (d *distinctSet) Add(v *vector.Vector, r int) int64 {
-	h := v.HashValue(r)
-	d.oa.Reserve()
-	var slot int
-	var found bool
-	tag := h
-	if d.oa.keyed {
-		tag = uint64(v.I64[r])
-		slot, found = d.oa.FindKey(h, v.I64[r])
-	} else {
-		d.eq.sought[0] = *v
-		slot, found = d.oa.FindSlot(h, &d.eq, r)
-	}
-	if found {
-		return 0
-	}
-	d.oa.Insert(slot, tag, int32(d.vals.Len()))
-	d.vals.appendRows([]*vector.Vector{v}, nil, r, r+1)
-	before := d.bytes
-	d.bytes = d.oa.Bytes() + d.vals.Bytes()
-	return d.bytes - before
 }

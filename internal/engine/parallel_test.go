@@ -200,7 +200,6 @@ func TestParallelHashAggregateMatchesSerial(t *testing.T) {
 				{Name: "a", Func: AggAvg, Arg: expr.C("lpay")},
 				{Name: "mn", Func: AggMin, Arg: expr.C("lstr")},
 				{Name: "mx", Func: AggMax, Arg: expr.C("lpay")},
-				{Name: "d", Func: AggCountDistinct, Arg: expr.C("lstr")},
 			},
 			Sched: ctx.Scheduler(),
 		}

@@ -168,7 +168,7 @@ func TestErrorMidStreamJoinsProducers(t *testing.T) {
 				op = &HashAggregate{
 					Child:   &errAfter{child: scan, n: n, err: boom},
 					GroupBy: []string{"lkey"},
-					Aggs:    []AggSpec{{Name: "c", Func: AggCount}, {Name: "d", Func: AggCountDistinct, Arg: expr.C("lstr")}},
+					Aggs:    []AggSpec{{Name: "c", Func: AggCount}, {Name: "mn", Func: AggMin, Arg: expr.C("lstr")}},
 					Sched:   ctx.Scheduler(),
 				}
 			}

@@ -727,7 +727,33 @@ func distinctInt64(vals []int64) []int64 {
 // lowerAgg plans an aggregation: sandwich (flush-per-group) when the stream
 // is grouped and the grouping keys determine the group dimension, streaming
 // when the input already arrives in group-key order, hash otherwise.
+//
+// COUNT(DISTINCT v) grouped by g is two ordinary aggregations, COUNT(*)
+// grouped by g over a grouping by g and v (the distinct-aggregate expansion,
+// as in Calcite's AggregateExpandDistinctAggregatesRule), and each is
+// planned here like any other. The first (g, v) group of each g sits where
+// g first appears in the input, so the groups come out in the first-seen
+// order a direct count would emit. The count must be the aggregation's only
+// aggregate, over a column. Left out: an input sorted on g but not on
+// (g, v) hashes the inner grouping, which then holds every distinct (g, v)
+// where a streaming count held one group's; no TPC-H plan has this shape
+// (Q16 hashes under every scheme).
 func (p *Planner) lowerAgg(a *Agg, inherited restrictions) (engine.Operator, *streamInfo, error) {
+	if slices.ContainsFunc(a.Aggs, func(s engine.AggSpec) bool { return s.Func == engine.AggCountDistinct }) {
+		v, isCol := a.Aggs[0].Arg.(*expr.Col)
+		if len(a.Aggs) != 1 || !isCol {
+			names := make([]string, len(a.Aggs))
+			for i, s := range a.Aggs {
+				names[i] = s.Name
+			}
+			return nil, nil, fmt.Errorf("plan: COUNT(DISTINCT) must be an aggregation's only aggregate and count a column; aggregates %v", names)
+		}
+		inner := &Agg{Child: a.Child, GroupBy: a.GroupBy}
+		if !slices.Contains(a.GroupBy, v.Name) {
+			inner.GroupBy = append(slices.Clip(a.GroupBy), v.Name)
+		}
+		a = &Agg{Child: inner, GroupBy: a.GroupBy, Aggs: []engine.AggSpec{{Name: a.Aggs[0].Name, Func: engine.AggCount}}}
+	}
 	childOp, info, err := p.lower(a.Child, inherited)
 	if err != nil {
 		return nil, nil, err

@@ -407,8 +407,9 @@ func q15(e Subqueries) (plan.Node, error) {
 	return orderBy(p, asc("s_suppkey")), nil
 }
 
-// q16: parts/supplier relationship, excluding complaint suppliers; the
-// paper's sandwiched distinct-count.
+// q16: parts/supplier relationship, excluding complaint suppliers. The
+// planner lowers its COUNT(DISTINCT) into two hash aggregations, one grouping
+// by the part attributes and ps_suppkey and one counting those groups.
 func q16(e Subqueries) (plan.Node, error) {
 	part := sc("part", and(
 		expr.NewCmp(expr.NE, expr.C("p_brand"), expr.Str("Brand#45")),

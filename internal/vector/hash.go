@@ -92,17 +92,3 @@ func HashKeys(b *Batch, cols []int, dst []uint64) []uint64 {
 
 // HashInt64 is the hash HashKeys gives a single-column Int64 key of value x.
 func HashInt64(x int64) uint64 { return Mix64(hashInit ^ uint64(x)) }
-
-// HashValue hashes value r of v, consistently with HashKeys over the
-// single-column key [r].
-func (v *Vector) HashValue(r int) uint64 {
-	switch v.Kind {
-	case Int64:
-		return HashInt64(v.I64[r])
-	case Float64:
-		return Mix64(hashInit ^ normFloatBits(v.F64[r]))
-	case String:
-		return Mix64(hashInit ^ HashString(v.Str[r]))
-	}
-	return 0
-}

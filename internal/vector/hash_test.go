@@ -41,9 +41,6 @@ func TestHashKeysNegativeZero(t *testing.T) {
 	if multi[0] != multi[1] {
 		t.Errorf("-0.0 and +0.0 hash differently in multi-column keys: %x vs %x", multi[0], multi[1])
 	}
-	if HashKeys(b, []int{0}, nil)[0] != b.Cols[0].HashValue(0) {
-		t.Error("HashValue disagrees with single-column HashKeys")
-	}
 }
 
 // TestHashKeysColumnOrder ensures the combine is order-sensitive: (a, b)
