@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"slices"
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/core"
@@ -108,7 +109,7 @@ func main() {
 	asia := db.Dimensions["d_cont"].BinOf(core.StrKey("Asia"))
 	for _, name := range []string{"a", "b", "c"} {
 		bt := db.Tables[name]
-		u := bt.UseFor("d_cont")
+		u := bt.Uses[slices.IndexFunc(bt.Uses, func(u *core.DimensionUse) bool { return u.Dim.Name == "d_cont" })]
 		entries := bt.SelectBins(u, asia, asia)
 		fmt.Printf("Asia restriction on %s: %d of %d rows\n",
 			name, core.TotalRows(entries), bt.Rows())

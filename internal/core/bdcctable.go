@@ -294,16 +294,6 @@ func (t *BDCCTable) Consolidated(data *storage.Table) *BDCCTable {
 // Rows returns the logical row count (excluding relocated copies).
 func (t *BDCCTable) Rows() int64 { return t.baseRows }
 
-// UseFor returns the first use of the named dimension, or nil.
-func (t *BDCCTable) UseFor(dim string) *DimensionUse {
-	for _, u := range t.Uses {
-		if u.Dim.Name == dim {
-			return u
-		}
-	}
-	return nil
-}
-
 // Validate checks the Definition 4 and count-table invariants.
 func (t *BDCCTable) Validate() error {
 	masks := make([]uint64, len(t.Uses))

@@ -179,7 +179,7 @@ func TestJoinKernelContract(t *testing.T) {
 						return expr.NewCmp(expr.GT, expr.C("rpay"), expr.Int(40))
 					case "like-in":
 						return expr.NewAnd(expr.NewLike(expr.C("rtag"), "hi_%"),
-							expr.NewNotIn(expr.C("rpay"), expr.Int(0), expr.Int(7), expr.Int(40)))
+							&expr.InList{Arg: expr.C("rpay"), Values: []*expr.Const{expr.Int(0), expr.Int(7), expr.Int(40)}, Negate: true})
 					}
 					return nil
 				}

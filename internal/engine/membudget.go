@@ -166,14 +166,6 @@ func (b *MemBudget) grantLocked() {
 	}
 }
 
-// Limit returns the budget's byte limit.
-func (b *MemBudget) Limit() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit
-}
-
 // Reserved returns the currently reserved bytes across all queries.
 func (b *MemBudget) Reserved() int64 {
 	if b == nil {

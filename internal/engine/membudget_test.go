@@ -120,8 +120,8 @@ func TestMemTrackerBudgetSymmetry(t *testing.T) {
 	if got := budget.Reserved(); got != 0 {
 		t.Fatalf("budget reserved after all queries shrank to zero = %d, want 0", got)
 	}
-	if budget.PeakReserved() <= 0 || budget.PeakReserved() > budget.Limit() {
-		t.Fatalf("budget peak %d outside (0, %d]", budget.PeakReserved(), budget.Limit())
+	if budget.PeakReserved() <= 0 || budget.PeakReserved() > budget.limit {
+		t.Fatalf("budget peak %d outside (0, %d]", budget.PeakReserved(), budget.limit)
 	}
 	for g, p := range peaks {
 		if p < 1000 || p > 3000 {
@@ -152,8 +152,8 @@ func TestMemBudgetNeverOvercommits(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if budget.PeakReserved() > budget.Limit() {
-		t.Fatalf("peak reserved %d exceeds limit %d", budget.PeakReserved(), budget.Limit())
+	if budget.PeakReserved() > budget.limit {
+		t.Fatalf("peak reserved %d exceeds limit %d", budget.PeakReserved(), budget.limit)
 	}
 	if got := budget.Reserved(); got != 0 {
 		t.Fatalf("reserved after detach = %d, want 0", got)

@@ -43,7 +43,7 @@ func codecExprs() []Expr {
 		NewYear(C("a")),
 		NewSubstr(C("c"), 1, 1),
 		NewIn(C("c"), Str("a"), Str("c")),
-		NewNotIn(C("a"), Int(1), Int(2)),
+		&InList{Arg: C("a"), Values: []*Const{Int(1), Int(2)}, Negate: true},
 		NewLike(C("c"), "%a%"),
 		NewNotLike(C("c"), "b_"),
 		Between(C("a"), Int(-3), Int(3)),

@@ -397,11 +397,6 @@ type InList struct {
 // NewIn returns arg IN (values...).
 func NewIn(arg Expr, values ...*Const) *InList { return &InList{Arg: arg, Values: values} }
 
-// NewNotIn returns arg NOT IN (values...).
-func NewNotIn(arg Expr, values ...*Const) *InList {
-	return &InList{Arg: arg, Values: values, Negate: true}
-}
-
 // Kind implements Expr.
 func (in *InList) Kind() vector.Kind { return vector.Int64 }
 

@@ -45,7 +45,7 @@ func TestComparisonsAndBooleans(t *testing.T) {
 		{NewNot(NewCmp(EQ, C("x"), Int(5))), []int64{1, 0, 1}},
 		{Between(C("x"), Int(5), Int(10)), []int64{0, 1, 1}},
 		{NewIn(C("x"), Int(1), Int(10)), []int64{1, 0, 1}},
-		{NewNotIn(C("x"), Int(1), Int(10)), []int64{0, 1, 0}},
+		{&InList{Arg: C("x"), Values: []*Const{Int(1), Int(10)}, Negate: true}, []int64{0, 1, 0}},
 	}
 	for _, c := range cases {
 		got := evalBatch(t, c.e, schema, b)

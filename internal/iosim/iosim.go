@@ -100,9 +100,6 @@ func NewAccountant(dev Device) *Accountant {
 	return &Accountant{device: dev}
 }
 
-// Device returns the device the accountant charges against.
-func (a *Accountant) Device() Device { return a.device }
-
 // AddRun records one maximal run of pages consecutive pages totalling bytes
 // bytes.
 func (a *Accountant) AddRun(pages, bytes int64) {
@@ -159,7 +156,7 @@ func (a *Accountant) Submit(runs, pages, bytes int64) Ticket {
 // concurrently open windows (a parallel scan bursting several group reads at
 // once) share the compute they overlap instead of each hiding it in full, so
 // total hidden time never exceeds the wall time spanned by the windows. Wait
-// is idempotent; tickets from before the last Reset are ignored.
+// is idempotent.
 func (a *Accountant) Wait(t Ticket) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -218,17 +215,6 @@ func (a *Accountant) Stats() Stats {
 		Hidden: a.hidden,
 		Saved:  a.saved,
 	}
-}
-
-// Reset clears accumulated activity, forgetting open overlap windows.
-func (a *Accountant) Reset() {
-	a.mu.Lock()
-	a.runs, a.pages, a.bytes = 0, 0, 0
-	a.async = nil
-	a.hidden = 0
-	a.frontier = time.Time{}
-	a.saved = 0
-	a.mu.Unlock()
 }
 
 // String implements fmt.Stringer for debug logging.

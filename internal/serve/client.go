@@ -34,9 +34,6 @@ func Dial(addr, token string) (*Client, error) {
 	return &Client{sess: sess, name: addr}, nil
 }
 
-// Pools returns the daemon's announced concurrent-query capacity.
-func (c *Client) Pools() int { return c.sess.Capacity() }
-
 // Close tears the session down; pending requests resolve with a session-down
 // error.
 func (c *Client) Close() error { return c.sess.Close() }

@@ -77,8 +77,8 @@ func TestQueryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Pools() != 2 {
-		t.Errorf("announced pools = %d, want 2", c.Pools())
+	if c.sess.Capacity() != 2 {
+		t.Errorf("announced pools = %d, want 2", c.sess.Capacity())
 	}
 	res, err := c.Query("BDCC", "Q7")
 	if err != nil {

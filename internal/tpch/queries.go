@@ -45,9 +45,6 @@ func cnt(name string) engine.AggSpec { return engine.AggSpec{Name: name, Func: e
 func mn(name string, e expr.Expr) engine.AggSpec {
 	return engine.AggSpec{Name: name, Func: engine.AggMin, Arg: e}
 }
-func mx(name string, e expr.Expr) engine.AggSpec {
-	return engine.AggSpec{Name: name, Func: engine.AggMax, Arg: e}
-}
 
 func proj(child plan.Node, cols ...engine.ProjCol) *plan.Project {
 	return &plan.Project{Child: child, Cols: cols}

@@ -8,9 +8,10 @@ import "encoding/binary"
 // bytes at all), which both frame-of-reference chunks with a single value and
 // dictionary chunks over a one-entry dictionary produce.
 //
-// BitPack and BitUnpack move values a 64-bit word at a time; the
-// byte-at-a-time bitGet defines the layout and finishes the last few values
-// of an unpacked stream, where a whole word no longer fits.
+// BitPack moves values a 64-bit word at a time. BitUnpack reads 8 values a
+// step with a kernel whose width is a compile-time constant (unpack8): the 8
+// values of index 8k on start at byte k·bitw, each at a fixed byte offset and
+// shift of its own, so the loads are independent and need no loop over bits.
 
 // BitPackLen returns the byte length of n packed values of bitw bits.
 func BitPackLen(n int, bitw uint8) int {
@@ -45,57 +46,109 @@ func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
 
 // BitUnpack reads the len(dst) values at indexes start, start+1, … of the
 // packed stream src into dst, each plus base (a frame of reference; 0 for
-// dictionary codes). One 64-bit load serves every value that lies wholly
-// inside it — dozens at the narrow widths dictionary codes have.
+// dictionary codes). At widths 0…32, a dst of 8 or more values is read one
+// value at a time up to the next index that is a multiple of 8, then 8 at a
+// time, the stream's last steps from a zero-padded copy; what is left, fewer
+// than 8 values, and every value wider than 32 bits, is read one at a time.
 func BitUnpack[T int64 | uint64 | uint32](dst []T, src []byte, start int, bitw uint8, base T) {
-	if bitw == 0 {
-		for i := range dst {
-			dst[i] = base
+	w, i := int(bitw), 0
+	if w <= 32 && len(dst) >= 8 {
+		i = -start & 7
+		unpackEach(dst[:i], src, start, w, base)
+		i += unpackW(dst[i:], src[(start+i)/8*w:], w, base)
+		if len(dst)-i >= 8 { // fewer than w+8 bytes of src are left: they fit a pad with a step's loads
+			var pad [40]byte
+			copy(pad[:], src[(start+i)/8*w:])
+			i += unpackW(dst[i:], pad[:], w, base)
 		}
-		return
 	}
-	w := uint(bitw)
-	mask := ^uint64(0) >> (64 - w)
-	var whole [8]int // values lying wholly inside a word loaded at bit offset 0…7
-	for off, n := 0, 64/int(w); off < len(whole); off++ {
-		if n*int(w) > 64-off { // one division: n drops by at most 1 a bit
-			n--
-		}
-		whole[off] = n
-	}
-	bit := uint(start) * w
-	for i := 0; i < len(dst); {
+	unpackEach(dst[i:], src, start+i, w, base)
+}
+
+// unpackEach reads dst's values one at a time from index start of src, each
+// from one 64-bit load (assembled byte by byte in the last 8 bytes of src)
+// and a ninth byte where the value crosses it.
+func unpackEach[T int64 | uint64 | uint32](dst []T, src []byte, start, w int, base T) {
+	mask, bit := ^uint64(0)>>(64-w), uint(start*w)
+	for i := range dst {
 		idx, off := int(bit>>3), bit&7
-		if idx+8 > len(src) {
-			dst[i] = T(bitGet(src, start+i, bitw)) + base
-			i, bit = i+1, bit+w
-			continue
+		var v uint64
+		if idx+8 <= len(src) {
+			v = binary.LittleEndian.Uint64(src[idx:])
+		} else {
+			for k, b := range src[idx:] {
+				v |= uint64(b) << (8 * k)
+			}
 		}
-		v := binary.LittleEndian.Uint64(src[idx:]) >> off
-		if off+w > 64 { // the value's top bits sit in a ninth byte
-			dst[i] = T((v|uint64(src[idx+8])<<(64-off))&mask) + base
-			i, bit = i+1, bit+w
-			continue
+		if v >>= off; off+uint(w) > 64 {
+			v |= uint64(src[idx+8]) << (64 - off)
 		}
-		run := dst[i:min(len(dst), i+whole[off])]
-		for k := range run {
-			run[k] = T(v&mask) + base
-			v >>= w
-		}
-		i, bit = i+len(run), bit+uint(len(run))*w
+		dst[i], bit = T(v&mask)+base, bit+uint(w)
 	}
 }
 
-// bitGet reads the bitw-bit value at index i of the packed stream src.
-func bitGet(src []byte, i int, bitw uint8) uint64 {
-	bit := i * int(bitw)
-	var v uint64
-	for got := 0; got < int(bitw); {
-		idx := (bit + got) / 8
-		off := (bit + got) % 8
-		take := min(8-off, int(bitw)-got)
-		v |= uint64(src[idx]>>off&byte(1<<take-1)) << got
-		got += take
+// packedWidth is the type set of unpack8's width: [w]byte unpacks w bits.
+type packedWidth interface {
+	[0]byte | [1]byte | [2]byte | [3]byte | [4]byte | [5]byte | [6]byte | [7]byte | [8]byte | [9]byte | [10]byte |
+		[11]byte | [12]byte | [13]byte | [14]byte | [15]byte | [16]byte | [17]byte | [18]byte | [19]byte | [20]byte | [21]byte |
+		[22]byte | [23]byte | [24]byte | [25]byte | [26]byte | [27]byte | [28]byte | [29]byte | [30]byte | [31]byte | [32]byte
+}
+
+// unpackW unpacks dst's values 8 at a time from src, which starts at a value
+// whose index is a multiple of 8, with the kernel of width w (0…32), and
+// returns how many it unpacked. Each case names its width as a type, so each
+// kernel is compiled for its own constant width.
+func unpackW[T int64 | uint64 | uint32](dst []T, src []byte, w int, base T) int {
+	switch w / 4 {
+	case 0:
+		return unpack4[[0]byte, [1]byte, [2]byte, [3]byte](dst, src, w, base)
+	case 1:
+		return unpack4[[4]byte, [5]byte, [6]byte, [7]byte](dst, src, w, base)
+	case 2:
+		return unpack4[[8]byte, [9]byte, [10]byte, [11]byte](dst, src, w, base)
+	case 3:
+		return unpack4[[12]byte, [13]byte, [14]byte, [15]byte](dst, src, w, base)
+	case 4:
+		return unpack4[[16]byte, [17]byte, [18]byte, [19]byte](dst, src, w, base)
+	case 5:
+		return unpack4[[20]byte, [21]byte, [22]byte, [23]byte](dst, src, w, base)
+	case 6:
+		return unpack4[[24]byte, [25]byte, [26]byte, [27]byte](dst, src, w, base)
+	case 7:
+		return unpack4[[28]byte, [29]byte, [30]byte, [31]byte](dst, src, w, base)
 	}
-	return v
+	return unpack8[[32]byte](dst, src, base)
+}
+
+// unpack4 calls the kernel of A0, A1, A2 or A3 by w%4.
+func unpack4[A0, A1, A2, A3 packedWidth, T int64 | uint64 | uint32](dst []T, src []byte, w int, base T) int {
+	switch w % 4 {
+	case 0:
+		return unpack8[A0](dst, src, base)
+	case 1:
+		return unpack8[A1](dst, src, base)
+	case 2:
+		return unpack8[A2](dst, src, base)
+	}
+	return unpack8[A3](dst, src, base)
+}
+
+// unpack8 is the kernel of width w = len(A): each step unpacks 8 values from
+// the next w bytes of src, value j from the 64-bit load at byte j·w/8
+// shifted by j·w%8, while the step's last load fits in src.
+func unpack8[A packedWidth, T int64 | uint64 | uint32](dst []T, src []byte, base T) int {
+	le, w := binary.LittleEndian, uint(len(*new(A)))
+	mask, n := uint64(1)<<w-1, 0
+	for ; n+8 <= len(dst) && len(src) >= int(w)+8; n, src = n+8, src[w:] {
+		d, g := dst[n:n+8], src[:w+8]
+		d[0] = T(le.Uint64(g)&mask) + base
+		d[1] = T(le.Uint64(g[w/8:])>>(w%8)&mask) + base
+		d[2] = T(le.Uint64(g[2*w/8:])>>(2*w%8)&mask) + base
+		d[3] = T(le.Uint64(g[3*w/8:])>>(3*w%8)&mask) + base
+		d[4] = T(le.Uint64(g[4*w/8:])>>(4*w%8)&mask) + base
+		d[5] = T(le.Uint64(g[5*w/8:])>>(5*w%8)&mask) + base
+		d[6] = T(le.Uint64(g[6*w/8:])>>(6*w%8)&mask) + base
+		d[7] = T(le.Uint64(g[7*w/8:])>>(7*w%8)&mask) + base
+	}
+	return n
 }

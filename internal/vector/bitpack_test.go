@@ -2,6 +2,7 @@ package vector
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -48,6 +49,21 @@ func TestBitPackBulkMatchesPerValue(t *testing.T) {
 	}
 }
 
+// bitGet reads the bitw-bit value at index i of the packed stream src: the
+// layout, value by value.
+func bitGet(src []byte, i int, bitw uint8) uint64 {
+	bit := i * int(bitw)
+	var v uint64
+	for got := 0; got < int(bitw); {
+		idx := (bit + got) / 8
+		off := (bit + got) % 8
+		take := min(8-off, int(bitw)-got)
+		v |= uint64(src[idx]>>off&byte(1<<take-1)) << got
+		got += take
+	}
+	return v
+}
+
 // bitPut writes value v (truncated to bitw bits) at index i of the packed
 // stream dst, whose target bits must be zero: the layout, value by value.
 func bitPut(dst []byte, i int, bitw uint8, v uint64) {
@@ -62,4 +78,69 @@ func bitPut(dst []byte, i int, bitw uint8, v uint64) {
 		dst[idx] |= byte(v>>put&(uint64(1)<<take-1)) << off
 		put += take
 	}
+}
+
+// FuzzBitUnpack holds BitUnpack to bitGet, value by value: a stream of n
+// values of width bitw (0…64, taken modulo 65) drawn from seed, read from
+// index start (modulo n+1) to back values before the stream's end (modulo
+// what is left), into uint64, into int64 plus base and, at widths up to 32,
+// into uint32. back 0 reads to the end of the stream, past the point where
+// the kernel's loads stop fitting.
+func FuzzBitUnpack(f *testing.F) {
+	for _, w := range []uint8{0, 1, 3, 8, 13, 17, 31, 32, 33, 59, 64} {
+		f.Add(w, uint16(4000), uint16(3), uint16(0), int64(-77), uint64(w))
+		f.Add(w, uint16(1027), uint16(8), uint16(5), int64(1)<<62, uint64(w)+1)
+	}
+	f.Fuzz(func(t *testing.T, bitw uint8, n, start, back uint16, base int64, seed uint64) {
+		w, lo := bitw%65, int(start)%(int(n)+1)
+		hi := int(n) - int(back)%(int(n)-lo+1)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		src := make([]byte, BitPackLen(int(n), w))
+		for i := range int(n) {
+			bitPut(src, i, w, rng.Uint64())
+		}
+		u, s, c := make([]uint64, hi-lo), make([]int64, hi-lo), make([]uint32, hi-lo)
+		BitUnpack(u, src, lo, w, 0)
+		BitUnpack(s, src, lo, w, base)
+		if w <= 32 {
+			BitUnpack(c, src, lo, w, 0)
+		}
+		for i := range u {
+			ref := bitGet(src, lo+i, w)
+			if u[i] != ref || uint64(s[i]-base) != ref || w <= 32 && uint64(c[i]) != ref {
+				t.Fatalf("bitw=%d n=%d [%d,%d): value %d = %d / %d / %d, bitGet reads %d", w, n, lo, hi, lo+i, u[i], s[i], c[i], ref)
+			}
+		}
+	})
+}
+
+// BenchmarkBitUnpack times BitUnpack at every width 1…32 from an aligned
+// (0) and an unaligned (3) start, unpacking 1 024 values through 256-value
+// blocks into int64 with a base (a FOR chunk) and into uint64 (dictionary
+// codes), as Chunk.AppendRange does. It reports ns a value.
+func BenchmarkBitUnpack(b *testing.B) {
+	const n = 1024
+	rng := rand.New(rand.NewSource(32))
+	for bitw := uint8(1); bitw <= 32; bitw++ {
+		src := make([]byte, BitPackLen(n+3, bitw))
+		BitPack(src, n+3, bitw, func(int) uint64 { return rng.Uint64() })
+		for _, start := range []int{0, 3} {
+			b.Run(fmt.Sprintf("w=%02d/start=%d/int64", bitw, start), func(b *testing.B) {
+				benchUnpack(b, src, start, bitw, int64(-5))
+			})
+			b.Run(fmt.Sprintf("w=%02d/start=%d/uint64", bitw, start), func(b *testing.B) {
+				benchUnpack(b, src, start, bitw, uint64(0))
+			})
+		}
+	}
+}
+
+func benchUnpack[T int64 | uint64](b *testing.B, src []byte, start int, bitw uint8, base T) {
+	var blk [256]T
+	for range b.N {
+		for at := 0; at < 1024; at += len(blk) {
+			BitUnpack(blk[:], src, start+at, bitw, base)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1024, "ns/value")
 }

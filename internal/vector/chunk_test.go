@@ -246,3 +246,35 @@ func TestEncodeStrCodesMatchValues(t *testing.T) {
 		t.Fatalf("the spans must fall on every side of the race: saw %v", saw)
 	}
 }
+
+// TestDecodeAllocatesNothing holds decoding into a presized destination to
+// no allocation: AppendRange over frame-of-reference chunks and dictionary
+// chunks (whose codes unpack through a block on the stack) and AppendCodes
+// over the dictionary chunks, from an aligned and an unaligned row. An
+// unpack dispatch that moved the block or the destination to the heap would
+// allocate on every call.
+func TestDecodeAllocatesNothing(t *testing.T) {
+	const rows = 1500
+	codes := make([]uint32, 0, rows)
+	for _, c := range appendRangeCases(rand.New(rand.NewSource(57)), rows) {
+		if c.ch.Enc != EncFOR && c.ch.Enc != EncDict {
+			continue
+		}
+		dst := &Vector{Kind: c.want.Kind}
+		c.ch.AppendRange(c.dict, 0, rows, dst)
+		for _, lo := range []int{0, 3} {
+			if n := testing.AllocsPerRun(20, func() {
+				dst.I64, dst.Str = dst.I64[:0], dst.Str[:0]
+				c.ch.AppendRange(c.dict, lo, rows, dst)
+			}); n != 0 {
+				t.Errorf("%s: AppendRange from row %d allocates %.1f times a call", c.name, lo, n)
+			}
+			if c.ch.Enc != EncDict {
+				continue
+			}
+			if n := testing.AllocsPerRun(20, func() { codes = c.ch.AppendCodes(lo, rows, codes[:0], nil) }); n != 0 {
+				t.Errorf("%s: AppendCodes from row %d allocates %.1f times a call", c.name, lo, n)
+			}
+		}
+	}
+}

@@ -35,19 +35,15 @@ func HashString(s string) uint64 {
 	return Mix64(h)
 }
 
-// normFloatBits returns the IEEE-754 bits of f with negative zero
+// FloatKeyBits returns the IEEE-754 bits of f with negative zero
 // normalized to positive zero, so that -0.0 and +0.0 hash (and compare)
 // identically as grouping keys.
-func normFloatBits(f float64) uint64 {
+func FloatKeyBits(f float64) uint64 {
 	if f == 0 {
 		f = 0
 	}
 	return math.Float64bits(f)
 }
-
-// FloatKeyBits exposes the normalized key bits of f for callers that encode
-// or compare float keys outside the batch hash path.
-func FloatKeyBits(f float64) uint64 { return normFloatBits(f) }
 
 // HashKeys hashes the selected key columns of b row-wise into dst, reusing
 // dst's capacity, and returns the (re)sized slice of b.Len() hashes. The
@@ -79,7 +75,7 @@ func HashKeys(b *Batch, cols []int, dst []uint64) []uint64 {
 			}
 		case Float64:
 			for i, f := range col.F64 {
-				dst[i] = Mix64(dst[i] ^ normFloatBits(f))
+				dst[i] = Mix64(dst[i] ^ FloatKeyBits(f))
 			}
 		case String:
 			for i, s := range col.Str {

@@ -45,19 +45,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Width returns the modeled on-disk width in bytes of one value of this kind.
-// A string's width is its length, data-dependent: Width returns 0, and a
-// stored string column's modeled width is its heap's length over its rows
-// (storage.Column.Width).
-func (k Kind) Width() int {
-	switch k {
-	case Int64, Float64:
-		return 8
-	default:
-		return 0
-	}
-}
-
 // Vector is a typed column of values. Exactly one of the slices matching
 // Kind is in use; the others are nil.
 type Vector struct {

@@ -92,9 +92,6 @@ func TestKindString(t *testing.T) {
 	if Int64.String() != "int64" || Float64.String() != "float64" || String.String() != "string" {
 		t.Error("kind names")
 	}
-	if Int64.Width() != 8 || String.Width() != 0 {
-		t.Error("widths")
-	}
 }
 
 // TestBatchAppendBatchAndSelected covers the bulk and gather copies the
