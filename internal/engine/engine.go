@@ -485,8 +485,8 @@ func (r *Result) Rows() int {
 	return r.Cols[0].Len()
 }
 
-// Row renders row i as display strings (stable across schemes, used by the
-// cross-scheme equivalence tests).
+// Row renders row i as display strings, floats to the cent (for printing,
+// and for the benchmark's result check, which compares at that precision).
 func (r *Result) Row(i int) []string {
 	out := make([]string, len(r.Cols))
 	for c, col := range r.Cols {

@@ -31,7 +31,7 @@ func allocated(f func()) int64 {
 }
 
 // TestJoinPresizeKeepsDoublingGeometry builds seeded join build sides of
-// 100 to 2^18 rows — 1, 2, 4 and 15 rows per key, one hot key, 25 keys;
+// 100 to 10 000 rows — 1, 2, 4 and 15 rows per key, one hot key, 25 keys;
 // Int64 and String keys; 1 and 2 partitions — twice: once through index,
 // which presizes the slots from keyFloor's count of the drained keys, and
 // once inserted into a table that doubles from oaMinSlots. Every presized
@@ -57,7 +57,7 @@ func TestJoinPresizeKeepsDoublingGeometry(t *testing.T) {
 		if err := frag.Prepare(); err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range []int{100, 1000, 2500, 4096, 10_000, 65_536, 1 << 18} {
+		for _, n := range []int{100, 1000, 2500, 4096, 10_000} {
 			perm := rng.Perm(n)
 			for _, f := range forms {
 				buf, keys := NewBuffer(schema), map[int]bool{}

@@ -36,57 +36,6 @@ func compressedFixture(t *testing.T) *Benchmark {
 	return ctb
 }
 
-// TestCompressionEquivalence is the compression oracle: every TPC-H query
-// must return byte-identical results (same rows, same order, same float
-// bits) on the compressed database as on the raw one, under every scheme —
-// serially and, under BDCC, with the compressed group units shipped through
-// the sharded transport so the tagged wire codec is on the comparison path
-// too. No float tolerance, no row sorting.
-func TestCompressionEquivalence(t *testing.T) {
-	raw := benchmarkFixture(t)
-	comp := compressedFixture(t)
-	for _, q := range Queries {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				want, _, _, err := RunQueryOpts(raw.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
-				if err != nil {
-					t.Fatalf("%s raw under %s: %v", q.Name, scheme, err)
-				}
-				cells := []struct{ workers, shards int }{{1, 1}, {4, 1}}
-				if scheme == plan.BDCC {
-					cells = append(cells, struct{ workers, shards int }{2, 2})
-				}
-				for _, cell := range cells {
-					label := fmt.Sprintf("workers=%d shards=%d", cell.workers, cell.shards)
-					got, _, _, err := RunQueryOpts(comp.DBs[scheme], q, RunOptions{Workers: cell.workers, Shards: cell.shards})
-					if err != nil {
-						t.Fatalf("%s compressed under %s %s: %v", q.Name, scheme, label, err)
-					}
-					if got.Rows() != want.Rows() {
-						t.Fatalf("%s under %s %s: compressed returns %d rows, raw returns %d",
-							q.Name, scheme, label, got.Rows(), want.Rows())
-					}
-					for i := 0; i < want.Rows(); i++ {
-						if g, w := fmt.Sprint(got.Row(i)), fmt.Sprint(want.Row(i)); g != w {
-							t.Fatalf("%s under %s %s: row %d = %s compressed, %s raw",
-								q.Name, scheme, label, i, g, w)
-						}
-					}
-					for c := range want.Cols {
-						for i, v := range want.Cols[c].F64 {
-							if gv := got.Cols[c].F64[i]; gv != v {
-								t.Fatalf("%s under %s %s: col %d row %d = %v compressed, %v raw — floats must be bit-identical",
-									q.Name, scheme, label, c, i, gv, v)
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestCompressionWinsOnClustered checks the paper-motivated payoff: BDCC
 // co-clustering makes columns locally homogeneous, so the chunk encoder must
 // beat the raw representation on the clustered layout (encoded bytes

@@ -40,94 +40,6 @@ func startDaemon(t *testing.T, b *Benchmark, cfg serve.Config) (*serve.Server, s
 	return s, l.Addr().String(), svc
 }
 
-// assertIdentical compares a daemon result to the serial single-box
-// baseline exactly: same rows in the same order, float columns bit for bit
-// (the wire codec round-trips exact IEEE-754 bits, so no tolerance).
-func assertIdentical(t *testing.T, label string, got, want *engine.Result) {
-	t.Helper()
-	if got.Rows() != want.Rows() {
-		t.Fatalf("%s: %d rows, baseline has %d", label, got.Rows(), want.Rows())
-	}
-	for i := 0; i < want.Rows(); i++ {
-		if g, w := fmt.Sprint(got.Row(i)), fmt.Sprint(want.Row(i)); g != w {
-			t.Fatalf("%s: row %d = %s, baseline %s", label, i, g, w)
-		}
-	}
-	for c := range want.Cols {
-		for i, v := range want.Cols[c].F64 {
-			if gv := got.Cols[c].F64[i]; gv != v {
-				t.Fatalf("%s: col %d row %d = %v, baseline %v — floats must be bit-identical",
-					label, c, i, gv, v)
-			}
-		}
-	}
-}
-
-// TestDaemonOracle is the concurrency acceptance oracle: all 22 queries
-// under all three schemes, issued by 4 concurrent client sessions through
-// the daemon, must come back byte-identical to serial single-box runs —
-// across admission scheduling, pool reuse, and plan-cache replay (the
-// repeated keys hit the cache, so replayed plans are in the comparison by
-// construction).
-func TestDaemonOracle(t *testing.T) {
-	b := benchmarkFixture(t)
-	schemes := []plan.Scheme{plan.Plain, plan.PK, plan.BDCC}
-
-	// Serial single-box baselines, one per (scheme, query).
-	baseline := make(map[string]*engine.Result)
-	for _, scheme := range schemes {
-		for _, q := range Queries {
-			res, _, _, err := RunQuery(b.DBs[scheme], q)
-			if err != nil {
-				t.Fatalf("%s under %s baseline: %v", q.Name, scheme, err)
-			}
-			baseline[scheme.String()+"/"+q.Name] = res
-		}
-	}
-
-	_, addr, svc := startDaemon(t, b, serve.Config{
-		Pools: 2, Workers: 2, QueueCap: 64, QueueWait: time.Minute,
-	})
-	const clients = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := serve.Dial(addr, "")
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for _, scheme := range schemes {
-				for _, q := range Queries {
-					res, err := c.Query(scheme.String(), q.Name)
-					if err != nil {
-						errs <- fmt.Errorf("%s under %s through daemon: %w", q.Name, scheme, err)
-						return
-					}
-					key := scheme.String() + "/" + q.Name
-					assertIdentical(t, key, res, baseline[key])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	hits, misses := svc.CacheStats()
-	if want := int64(len(schemes) * len(Queries)); misses != want {
-		t.Errorf("plan cache recorded %d misses, want exactly one per (scheme, query) = %d", misses, want)
-	}
-	if want := int64((clients - 1) * len(schemes) * len(Queries)); hits != want {
-		t.Errorf("plan cache recorded %d hits, want %d — repeated keys are not replaying", hits, want)
-	}
-}
-
 // TestDaemonMemoryGovernanceQueues pins the governed path under pressure: a
 // process budget sized for about one and a half heavy queries makes
 // concurrent queries wait for each other's releases (or, when they
@@ -193,7 +105,10 @@ func TestDaemonMemoryGovernanceQueues(t *testing.T) {
 					// same interlock immediately.
 					time.Sleep(time.Duration(attempt+1) * 50 * time.Millisecond)
 				}
-				assertIdentical(t, "governed Q13", res, want)
+				if diff := identical(res, want); diff != "" {
+					errs <- fmt.Errorf("governed %s: %s", heavy.Name, diff)
+					return
+				}
 			}
 		}()
 	}

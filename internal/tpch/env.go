@@ -250,7 +250,7 @@ type Stats struct {
 	// coordinator's failover path appear in IO instead — the coordinator's
 	// device did that work. The headline shared-nothing claim is that each
 	// entry's byte volume is ~1/N of the single-box scan volume
-	// (TestPartitionedEquivalence).
+	// (TestPartitionedScansDivide).
 	WorkerIO []iosim.Stats
 }
 

@@ -12,29 +12,15 @@ import (
 	"time"
 
 	"bdcc/internal/core"
-	"bdcc/internal/engine"
 	"bdcc/internal/plan"
 	"bdcc/internal/storage"
 	"bdcc/internal/vector"
 )
 
-// The ingest oracle: a database that grew by appends — snapshot views first,
-// then an incremental merge — must be indistinguishable, bit for bit, from
-// one rebuilt from scratch over the same rows. The reference rebuild keeps
-// the frozen design (RebuildWithDesign) but re-sorts and re-aggregates from
-// zero, a genuinely different code path from the splice-and-sum merge, so
-// agreement is evidence rather than tautology.
-
-// freshIngestBenchmark materializes a private benchmark the test may mutate
-// (the shared fixture must stay append-free).
-func freshIngestBenchmark(t testing.TB, sf float64, compress bool) *Benchmark {
-	t.Helper()
-	b, err := NewBenchmarkCompressed(sf, compress)
-	if err != nil {
-		t.Fatalf("NewBenchmarkCompressed: %v", err)
-	}
-	return b
-}
+// The ingest rows of TestEngineMatchesReference hold a database that grew
+// by appends to one rebuilt from scratch over the same rows (referenceDBs):
+// the rebuild keeps the frozen design but re-sorts and re-aggregates from
+// zero, a different code path from the splice-and-sum merge.
 
 // combinedWith concatenates the arrival batches onto the base tables in
 // insertion order — the ground truth every scheme's ingest path must serve.
@@ -80,115 +66,6 @@ func referenceDBs(t testing.TB, b *Benchmark, combined map[string]*storage.Table
 		}
 	}
 	return refs
-}
-
-// TestIngestQueryEquivalence appends three arrival batches, then checks every
-// query under every scheme against the from-scratch rebuild — first over the
-// un-merged delta views, then again after the merge consolidated them — in
-// the serial, parallel (4 workers), and sharded (2×2) cells. Serial results
-// must match the rebuild bit for bit; the parallel and sharded cells must
-// match their own serial run bit for bit (the engine's standing guarantee,
-// now over snapshot views).
-func TestIngestQueryEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ingest oracle skipped in -short")
-	}
-	b := freshIngestBenchmark(t, 0.02, false)
-	if err := b.EnableIngest(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	gen := NewDeltaGen(b.Data, 777)
-	var batches []*DeltaBatch
-	var deltaRows int64
-	for i := 0; i < 3; i++ {
-		batch := gen.Next(250)
-		batches = append(batches, batch)
-		deltaRows += int64(batch.Orders.Rows() + batch.Lineitem.Rows())
-		if err := b.AppendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	combined := combinedWith(t, b.Data, batches)
-	refs := referenceDBs(t, b, combined)
-
-	check := func(label string) {
-		t.Helper()
-		for scheme, db := range b.DBs {
-			sdb := db.Snapshot()
-			for _, q := range Queries {
-				cell := fmt.Sprintf("%s under %s %s", q.Name, scheme, label)
-				got, _, _, err := RunQuery(sdb, q)
-				if err != nil {
-					t.Fatalf("%s: %v", cell, err)
-				}
-				want, _, _, err := RunQuery(refs[scheme], q)
-				if err != nil {
-					t.Fatalf("%s (rebuild): %v", cell, err)
-				}
-				assertSameResult(t, cell+" vs from-scratch rebuild", got, want)
-				par, _, _, err := RunQueryOpts(sdb, q, RunOptions{Workers: 4})
-				if err != nil {
-					t.Fatalf("%s (parallel): %v", cell, err)
-				}
-				assertSameResult(t, cell+" parallel vs serial", par, got)
-				sh, _, _, err := RunQueryOpts(sdb, q, RunOptions{Workers: 2, Shards: 2})
-				if err != nil {
-					t.Fatalf("%s (sharded): %v", cell, err)
-				}
-				assertSameResult(t, cell+" sharded vs serial", sh, got)
-			}
-		}
-	}
-
-	for scheme, db := range b.DBs {
-		if got := db.PendingDeltaRows(); got != deltaRows {
-			t.Fatalf("%s sees %d pending delta rows, appended %d", scheme, got, deltaRows)
-		}
-		if db.Epoch() == 0 {
-			t.Fatalf("%s still at epoch 0 after appends", scheme)
-		}
-	}
-	check("with un-merged delta")
-
-	preEpoch := b.DBs[plan.BDCC].Epoch()
-	if err := b.MergeAll(); err != nil {
-		t.Fatal(err)
-	}
-	for scheme, db := range b.DBs {
-		st := db.Ingest().Stats()
-		if st.Merges != 1 || st.MergedRows != deltaRows || st.DeltaRows != 0 {
-			t.Fatalf("%s merge counters: %+v, want 1 merge of %d rows and an empty delta", scheme, st, deltaRows)
-		}
-		if db.PendingDeltaRows() != 0 {
-			t.Fatalf("%s still reports pending delta after the merge", scheme)
-		}
-	}
-	if got := b.DBs[plan.BDCC].Epoch(); got <= preEpoch {
-		t.Fatalf("merge did not advance the epoch: %d -> %d", preEpoch, got)
-	}
-	check("after the merge")
-
-	// The incremental splice must also reproduce the rebuild's physical
-	// clustering: same count table (cells, counts, offsets, relocation flags)
-	// and same stored row count per designed fact table.
-	mdb := b.DBs[plan.BDCC].Snapshot()
-	for _, name := range []string{"orders", "lineitem"} {
-		got, want := mdb.BDCCTable(name), refs[plan.BDCC].BDCCTable(name)
-		if got == nil || want == nil {
-			t.Fatalf("%s missing from a clustered database", name)
-		}
-		if got.Data.Rows() != want.Data.Rows() {
-			t.Fatalf("%s stores %d rows after the merge, rebuild stores %d", name, got.Data.Rows(), want.Data.Rows())
-		}
-		if len(got.Count) != len(want.Count) {
-			t.Fatalf("%s count table has %d cells, rebuild has %d", name, len(got.Count), len(want.Count))
-		}
-		for i := range got.Count {
-			if got.Count[i] != want.Count[i] {
-				t.Fatalf("%s count entry %d = %+v, rebuild has %+v", name, i, got.Count[i], want.Count[i])
-			}
-		}
-	}
 }
 
 // TestIngestFreshDesignAgrees cross-checks the merged database against a
@@ -241,100 +118,12 @@ func TestIngestFreshDesignAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gr, wr := resultRows(got, got.Row), resultRows(want, want.Row)
-		if len(gr) != len(wr) {
-			t.Fatalf("%s: %d rows vs %d under a fresh design", q.Name, len(gr), len(wr))
-		}
-		for i := range gr {
-			if !rowsEqual(gr[i], wr[i]) {
-				t.Fatalf("%s row %d: %s vs %s under a fresh design", q.Name, i, gr[i], wr[i])
-			}
+		if diff := sameMultiset(resultValues(got), resultValues(want)); diff != "" {
+			t.Fatalf("%s: %s under a fresh design", q.Name, diff)
 		}
 		if float64(freshSt.IO.Bytes) < 0.95*float64(frozenSt.IO.Bytes) {
 			t.Errorf("%s reads %d bytes under a fresh design, %d under the frozen one: fresh bins pay",
 				q.Name, freshSt.IO.Bytes, frozenSt.IO.Bytes)
-		}
-	}
-}
-
-// TestIngestCompressedMerge checks the freshness tax and its repayment: over
-// a compressed base the delta views scan uncompressed (appends must not stall
-// on re-encoding), and the merge re-compresses the consolidated layout. All
-// 22 queries under every scheme match the uncompressed from-scratch rebuild
-// bit for bit after two appends — so the BDCC views read are run lists
-// composed over the base and both batches — and again after the merge.
-func TestIngestCompressedMerge(t *testing.T) {
-	b := freshIngestBenchmark(t, 0.01, true)
-	if err := b.EnableIngest(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	gen := NewDeltaGen(b.Data, 31)
-	batches := []*DeltaBatch{gen.Next(120), gen.Next(80)}
-	for _, batch := range batches {
-		if err := b.AppendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	combined := combinedWith(t, b.Data, batches)
-	refs := referenceDBs(t, b, combined)
-	queries := Queries
-	wants := make(map[plan.Scheme][]*engine.Result)
-	for scheme, ref := range refs {
-		for _, q := range queries {
-			want, _, _, err := RunQuery(ref, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wants[scheme] = append(wants[scheme], want)
-		}
-	}
-
-	// checkState returns the bytes BDCC read per query.
-	checkState := func(label string, wantCompressed bool) map[string]int64 {
-		t.Helper()
-		read := make(map[string]int64)
-		for scheme, db := range b.DBs {
-			sdb := db.Snapshot()
-			st, err := sdb.StoredTable("lineitem")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Compressed() != wantCompressed {
-				t.Fatalf("%s lineitem view %s: compressed=%v, want %v", scheme, label, st.Compressed(), wantCompressed)
-			}
-			for i, q := range queries {
-				got, st, _, err := RunQuery(sdb, q)
-				if err != nil {
-					t.Fatalf("%s under %s %s: %v", q.Name, scheme, label, err)
-				}
-				assertSameResult(t, fmt.Sprintf("%s under %s %s", q.Name, scheme, label), got, wants[scheme][i])
-				if scheme == plan.BDCC {
-					read[q.Name] = st.IO.Bytes
-				}
-			}
-		}
-		return read
-	}
-
-	before := checkState("with un-merged delta", false)
-	if err := b.MergeAll(); err != nil {
-		t.Fatal(err)
-	}
-	after := checkState("after the merge", true)
-	for scheme, db := range b.DBs {
-		if cs := db.Snapshot().CompressionStats(); cs.EncodedBytes == 0 {
-			t.Fatalf("%s reports no encoded bytes after the merge re-compression", scheme)
-		}
-		if n := db.PendingDeltaRows(); n != 0 {
-			t.Fatalf("%s still sees %d delta rows after the merge", scheme, n)
-		}
-	}
-	// The merge repays the freshness tax: BDCC reads its re-compressed cells,
-	// not the uncompressed delta views.
-	for _, q := range []QueryDef{Query(1), Query(6)} {
-		if after[q.Name] >= before[q.Name] {
-			t.Fatalf("%s under bdcc reads %d bytes after the merge, not below the %d before it",
-				q.Name, after[q.Name], before[q.Name])
 		}
 	}
 }
@@ -377,7 +166,10 @@ func TestIngestSoak(t *testing.T) {
 		t.Skip("ingest soak skipped in -short")
 	}
 	baseGoroutines := runtime.NumGoroutine()
-	b := freshIngestBenchmark(t, 0.01, false)
+	b, err := NewBenchmark(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := b.EnableIngest(1500, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -478,7 +270,7 @@ func TestIngestSoak(t *testing.T) {
 	}
 
 	const soakMerges = 5
-	var final []string
+	var final [][][]any
 	for scheme, db := range b.DBs {
 		st := db.Ingest().Stats()
 		if st.Merges != soakMerges {
@@ -497,7 +289,7 @@ func TestIngestSoak(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s post-soak Q06: %v", scheme, err)
 		}
-		final = append(final, resultRows(res, res.Row)...)
+		final = append(final, resultValues(res))
 		if err := env.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -506,8 +298,8 @@ func TestIngestSoak(t *testing.T) {
 		}
 	}
 	for i := 1; i < len(final); i++ {
-		if !rowsEqual(final[0], final[i]) {
-			t.Fatalf("schemes disagree after the soak: %s vs %s", final[0], final[i])
+		if diff := sameMultiset(final[i], final[0]); diff != "" {
+			t.Fatalf("schemes disagree on Q06 after the soak: %s", diff)
 		}
 	}
 
@@ -862,7 +654,7 @@ func TestSharedTablesUnderConcurrentSchemes(t *testing.T) {
 	type run struct {
 		snap *plan.DB
 		q    QueryDef
-		rows []string
+		rows [][]any
 	}
 	schemes := []plan.Scheme{plan.Plain, plan.PK}
 	runs := make([][]run, len(schemes))
@@ -880,7 +672,7 @@ func TestSharedTablesUnderConcurrentSchemes(t *testing.T) {
 					if err != nil {
 						return fmt.Errorf("%s %s: %w", s, q.Name, err)
 					}
-					runs[i] = append(runs[i], run{snap, q, resultRows(res, res.Row)})
+					runs[i] = append(runs[i], run{snap, q, resultValues(res)})
 				}
 				return nil
 			}
@@ -907,14 +699,8 @@ func TestSharedTablesUnderConcurrentSchemes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows := resultRows(res, res.Row)
-			if len(rows) != len(r.rows) {
-				t.Fatalf("%s %s (read %d): %d rows concurrently, %d serially", s, r.q.Name, k, len(r.rows), len(rows))
-			}
-			for j := range rows {
-				if !rowsEqual(r.rows[j], rows[j]) {
-					t.Fatalf("%s %s (read %d): row %d = %s concurrently, %s serially", s, r.q.Name, k, j, r.rows[j], rows[j])
-				}
+			if diff := sameMultiset(r.rows, resultValues(res)); diff != "" {
+				t.Fatalf("%s %s (read %d) concurrently, against serially: %s", s, r.q.Name, k, diff)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package tpch
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,17 +10,12 @@ import (
 	"bdcc/internal/shard"
 )
 
-// TestPartitionedEquivalence is the shared-nothing leg of the scale-out
-// oracle: every TPC-H query under every scheme with the Partition knob set,
-// over two real bdccworker servers dialed over TCP — base-table partitions
-// shipped at query setup, scatter scans running as shipped row-range units
-// against worker-local storage — must return byte-identical results to the
-// serial single-box baseline, including exact float bits. Under BDCC the
-// run must additionally prove the shared-nothing claim: scan device reads
-// land on the workers (reported per slot in Stats.WorkerIO), each worker
-// reading strictly less than the single-box scan volume, within slack of its
-// 1/N share per query, and well under the single box over the suite.
-func TestPartitionedEquivalence(t *testing.T) {
+// TestPartitionedScansDivide holds BDCC's shared-nothing claim over two TCP
+// bdccworker servers at SF 0.05 (TestEngineMatchesReference's partitioned
+// rows check the answers): each worker reads strictly less than the single
+// box, within slack of its 1/N share per query and well under the single box
+// over the suite, and the coordinator does not charge shipped scans again.
+func TestPartitionedScansDivide(t *testing.T) {
 	// Placement balances cumulative rows to within one z-order cell of
 	// total/N, and a worker's reads are charged at page granularity over
 	// its own partition: hence a slack and a floor per query rather than
@@ -35,73 +29,48 @@ func TestPartitionedEquivalence(t *testing.T) {
 		partFloor   = 1 << 20
 		partAggFrac = 0.95
 	)
-	b := benchmarkFixture(t)
+	db := benchmarkFixture(t).DBs[plan.BDCC]
 	srvs, addrs := startWorkers(t, 2, 2)
 	var partBytes [2]int64
 	var baseBytes int64 // single-box bytes of the queries that partitioned
 	for _, q := range Queries {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				serial, sst, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
-				if err != nil {
-					t.Fatalf("%s under %s serial: %v", q.Name, scheme, err)
-				}
-				part, st, _, err := RunQueryOpts(b.DBs[scheme], q,
-					RunOptions{Workers: 2, Remotes: addrs, Partition: true})
-				if err != nil {
-					t.Fatalf("%s under %s partitioned: %v", q.Name, scheme, err)
-				}
-				label := fmt.Sprintf("%s under %s partitioned", q.Name, scheme)
-				assertSameResult(t, label, part, serial)
-				for c := range serial.Cols {
-					for i, v := range serial.Cols[c].F64 {
-						if pv := part.Cols[c].F64[i]; pv != v {
-							t.Fatalf("%s: col %d row %d = %v, %v at baseline — floats must be bit-identical",
-								label, c, i, pv, v)
-						}
-					}
-				}
-				if scheme != plan.BDCC {
-					// Only BDCC has scatter scans to partition; the knob must
-					// be a no-op elsewhere.
-					if st.WorkerIO != nil {
-						t.Fatalf("%s under %s reports worker scan IO without a partitionable scan", q.Name, scheme)
-					}
-					continue
-				}
-				if st.WorkerIO == nil {
-					// Queries whose plans have no scatter scan stay local.
-					continue
-				}
-				if len(st.WorkerIO) != len(addrs) {
-					t.Fatalf("%s: %d worker IO slots for %d workers", q.Name, len(st.WorkerIO), len(addrs))
-				}
-				var sum int64
-				share := float64(sst.IO.Bytes) / float64(len(addrs))
-				for w, wio := range st.WorkerIO {
-					if wio.Bytes >= sst.IO.Bytes && sst.IO.Bytes > 0 {
-						t.Fatalf("%s: worker %d read %d bytes, not less than the single-box %d — nothing was partitioned",
-							q.Name, w, wio.Bytes, sst.IO.Bytes)
-					}
-					if limit := share*partSlack + partFloor; float64(wio.Bytes) > limit {
-						t.Fatalf("%s: worker %d read %d bytes, above its 1/N bound %.0f (single-box %d over %d workers)",
-							q.Name, w, wio.Bytes, limit, sst.IO.Bytes, len(addrs))
-					}
-					partBytes[w] += wio.Bytes
-					sum += wio.Bytes
-				}
-				if sum == 0 {
-					t.Fatalf("%s: partitioned plan lowered but no worker read any bytes", q.Name)
-				}
-				baseBytes += sst.IO.Bytes
-				// The coordinator must not double-charge shipped scans.
-				if st.IO.Bytes >= sst.IO.Bytes+sst.IO.Bytes/10 {
-					t.Fatalf("%s: coordinator read %d bytes on the partitioned run vs %d single-box — shipped scans double-charged",
-						q.Name, st.IO.Bytes, sst.IO.Bytes)
-				}
+		_, sst, _, err := RunQueryOpts(db, q, RunOptions{Workers: 1, Shards: 1})
+		if err != nil {
+			t.Fatalf("%s serial: %v", q.Name, err)
+		}
+		_, st, _, err := RunQueryOpts(db, q, RunOptions{Workers: 2, Remotes: addrs, Partition: true})
+		if err != nil {
+			t.Fatalf("%s partitioned: %v", q.Name, err)
+		}
+		if st.WorkerIO == nil {
+			// Queries whose plans have no scatter scan stay local.
+			continue
+		}
+		if len(st.WorkerIO) != len(addrs) {
+			t.Fatalf("%s: %d worker IO slots for %d workers", q.Name, len(st.WorkerIO), len(addrs))
+		}
+		var sum int64
+		share := float64(sst.IO.Bytes) / float64(len(addrs))
+		for w, wio := range st.WorkerIO {
+			if wio.Bytes >= sst.IO.Bytes && sst.IO.Bytes > 0 {
+				t.Fatalf("%s: worker %d read %d bytes, not less than the single-box %d — nothing was partitioned",
+					q.Name, w, wio.Bytes, sst.IO.Bytes)
 			}
-		})
+			if limit := share*partSlack + partFloor; float64(wio.Bytes) > limit {
+				t.Fatalf("%s: worker %d read %d bytes, above its 1/N bound %.0f (single-box %d over %d workers)",
+					q.Name, w, wio.Bytes, limit, sst.IO.Bytes, len(addrs))
+			}
+			partBytes[w] += wio.Bytes
+			sum += wio.Bytes
+		}
+		if sum == 0 {
+			t.Fatalf("%s: partitioned plan lowered but no worker read any bytes", q.Name)
+		}
+		baseBytes += sst.IO.Bytes
+		if st.IO.Bytes >= sst.IO.Bytes+sst.IO.Bytes/10 {
+			t.Fatalf("%s: coordinator read %d bytes on the partitioned run vs %d single-box — shipped scans double-charged",
+				q.Name, st.IO.Bytes, sst.IO.Bytes)
+		}
 	}
 	for w, bts := range partBytes {
 		if bts == 0 {
@@ -118,36 +87,6 @@ func TestPartitionedEquivalence(t *testing.T) {
 	}
 	if units == 0 {
 		t.Fatal("no unit ever reached a TCP worker — the partitioned path went unexercised")
-	}
-}
-
-// TestPartitionedSimEquivalence is the simulated-backend leg of the
-// shared-nothing oracle (tpchbench -shards 2 -partition): the same
-// partition shipping and shipped scan units run over in-process simulated
-// remotes instead of TCP daemons, and must match the serial baseline with
-// scan reads landing on the workers.
-func TestPartitionedSimEquivalence(t *testing.T) {
-	b := benchmarkFixture(t)
-	for _, qn := range []int{3, 9, 19} {
-		q := Query(qn)
-		serial, _, _, err := RunQueryOpts(b.DBs[plan.BDCC], q, RunOptions{Workers: 1, Shards: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		part, st, _, err := RunQueryOpts(b.DBs[plan.BDCC], q,
-			RunOptions{Workers: 2, Shards: 2, Partition: true})
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
-		}
-		assertSameResult(t, q.Name+" partitioned over simulated backends", part, serial)
-		if st.WorkerIO == nil {
-			t.Fatalf("%s: no per-worker scan IO over simulated backends", q.Name)
-		}
-		for w, wio := range st.WorkerIO {
-			if wio.Bytes == 0 {
-				t.Fatalf("%s: simulated worker %d read no bytes", q.Name, w)
-			}
-		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"bdcc/internal/engine"
 	"bdcc/internal/expr"
 	"bdcc/internal/plan"
+	"bdcc/internal/serve"
 	"bdcc/internal/storage"
 	"bdcc/internal/vector"
 )
@@ -530,7 +531,7 @@ func refLike(p string) *regexp.Regexp {
 	return re
 }
 
-// refRows returns the result's rows as values, in result order.
+// resultValues returns the result's rows as values, in result order.
 func resultValues(res *engine.Result) [][]any {
 	out := make([][]any, res.Rows())
 	for i := range out {
@@ -619,94 +620,382 @@ func (e declinedEnv) Materialize(n plan.Node) (*plan.Materialized, *engine.Resul
 	return &plan.Materialized{Res: res}, res, err
 }
 
-// TestEngineMatchesReference holds the engine to the reference interpreter
-// on all 22 queries at SF 0.01, as multisets of rows, under every scheme and
-// knob: uncompressed; compressed with 1 and 2 workers; partitioned over two
-// simulated workers; with pre-execution declined everywhere; after three
-// appends not yet merged, and after the merge. Plain and PK of one benchmark
-// share the tables PK's sort moves no row of (orders and lineitem among
-// them), so a last row gives each its own arrival stream: a row of one
-// scheme's batches showing up in the other's answers is a leak between them.
-func TestEngineMatchesReference(t *testing.T) {
-	raw, err := NewBenchmarkCompressed(0.01, false)
-	if err != nil {
-		t.Fatal(err)
+// identical reports how got differs from its baseline ("" when it does not):
+// the same columns, the same rows in the same order, floats bit for bit.
+func identical(got, want *engine.Result) string {
+	if g, w := got.Schema.Names(), want.Schema.Names(); !slices.Equal(g, w) {
+		return fmt.Sprintf("columns %v, baseline %v", g, w)
 	}
-	comp, err := NewBenchmarkCompressed(0.01, true)
-	if err != nil {
-		t.Fatal(err)
+	g, w := resultValues(got), resultValues(want)
+	if len(g) != len(w) {
+		return fmt.Sprintf("%d rows, baseline %d", len(g), len(w))
 	}
-	answers := func(db refDB) []*refRel {
-		out := make([]*refRel, len(Queries))
-		for i, q := range Queries {
-			node, err := q.Build(db)
-			if err != nil {
-				t.Fatalf("reference %s build: %v", q.Name, err)
+	for i := range w {
+		for j, y := range w[i] {
+			same := g[i][j] == y
+			if x, ok := g[i][j].(float64); ok {
+				yf, isFloat := y.(float64)
+				same = isFloat && math.Float64bits(x) == math.Float64bits(yf)
 			}
-			out[i] = db.eval(node)
-		}
-		return out
-	}
-	compare := func(label string, q QueryDef, res *engine.Result, want *refRel) {
-		t.Helper()
-		if names := res.Schema.Names(); !slices.Equal(names, want.names) {
-			t.Errorf("%s %s: columns %v, reference %v", label, q.Name, names, want.names)
-		} else if diff := sameMultiset(resultValues(res), want.rows); diff != "" {
-			t.Errorf("%s %s: %s", label, q.Name, diff)
-		}
-	}
-	check := func(label string, db *plan.DB, opt RunOptions, want []*refRel) {
-		t.Helper()
-		for i, q := range Queries {
-			res, _, _, err := RunQueryOpts(db, q, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+			if !same {
+				return fmt.Sprintf("row %d = %v, baseline %v", i, g[i], w[i])
 			}
-			compare(label, q, res, want[i])
 		}
 	}
-	want := answers(refTables(raw.Data, nil))
-	schemes := []plan.Scheme{plan.Plain, plan.PK, plan.BDCC}
-	for _, s := range schemes {
-		check(fmt.Sprintf("%s raw", s), raw.DBs[s], RunOptions{}, want)
-		check(fmt.Sprintf("%s compressed", s), comp.DBs[s], RunOptions{}, want)
-		check(fmt.Sprintf("%s compressed, 2 workers", s), comp.DBs[s], RunOptions{Workers: 2}, want)
-		check(fmt.Sprintf("%s partitioned", s), comp.DBs[s], RunOptions{Workers: 2, Shards: 2, Partition: true}, want)
-	}
-	for i, q := range Queries {
-		env := declinedEnv{NewEnvOpts(comp.DBs[plan.BDCC], RunOptions{})}
-		node, err := q.Build(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := env.run(node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compare("BDCC pre-execution declined", q, res, want[i])
-	}
+	return ""
+}
 
-	if err := comp.EnableIngest(0, 0); err != nil {
-		t.Fatal(err)
+// refAnswers evaluates the 22 queries on the reference.
+func refAnswers(t testing.TB, db refDB) []*refRel {
+	out := make([]*refRel, len(Queries))
+	for i, q := range Queries {
+		node, err := q.Build(db)
+		if err != nil {
+			t.Fatalf("reference %s build: %v", q.Name, err)
+		}
+		out[i] = db.eval(node)
 	}
-	g := NewDeltaGen(comp.Data, 7)
+	return out
+}
+
+// serialCells runs the 22 queries serially under every scheme: the
+// baselines of the oracle's rows.
+func serialCells(t testing.TB, dbs map[plan.Scheme]*plan.DB) map[plan.Scheme][]*engine.Result {
+	out := map[plan.Scheme][]*engine.Result{}
+	for s, db := range dbs {
+		for _, q := range Queries {
+			res, _, _, err := RunQuery(db, q)
+			if err != nil {
+				t.Fatalf("%s %s: %v", s, q.Name, err)
+			}
+			out[s] = append(out[s], res)
+		}
+	}
+	return out
+}
+
+// checkCell holds one cell to the reference's answer as a multiset of rows
+// and to its baseline byte for byte.
+func checkCell(t *testing.T, s plan.Scheme, q QueryDef, res, base *engine.Result, want *refRel) {
+	t.Helper()
+	if names := res.Schema.Names(); !slices.Equal(names, want.names) {
+		t.Errorf("%s %s: columns %v, reference %v", s, q.Name, names, want.names)
+	} else if diff := sameMultiset(resultValues(res), want.rows); diff != "" {
+		t.Errorf("%s %s: %s", s, q.Name, diff)
+	} else if diff := identical(res, base); diff != "" {
+		t.Errorf("%s %s: %s", s, q.Name, diff)
+	}
+}
+
+// cellStats checks what one cell's run did beside its answer.
+type cellStats func(t *testing.T, s plan.Scheme, q QueryDef, st *Stats)
+
+// runCells runs the 22 queries on db with opt and checks every cell.
+func runCells(t *testing.T, s plan.Scheme, db *plan.DB, opt RunOptions, base []*engine.Result, want []*refRel, extra cellStats) {
+	t.Helper()
+	for i, q := range Queries {
+		res, st, _, err := RunQueryOpts(db, q, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+		checkCell(t, s, q, res, base[i], want[i])
+		if extra != nil {
+			extra(t, s, q, st)
+		}
+	}
+}
+
+var oracleSchemes = []plan.Scheme{plan.Plain, plan.PK, plan.BDCC}
+
+// oracle is the read-only fixture of the oracle's knob rows: the raw and
+// the compressed benchmark at SF 0.01, the reference's answers over them,
+// and each scheme's serial cells on the compressed benchmark, the baseline
+// of every row.
+type oracle struct {
+	raw, comp *Benchmark
+	want      []*refRel
+	base      map[plan.Scheme][]*engine.Result
+}
+
+var (
+	oracleOnce sync.Once
+	oracleFix  *oracle
+)
+
+func oracleFixture(t *testing.T) *oracle {
+	t.Helper()
+	oracleOnce.Do(func() {
+		raw, comp := referenceBenchmarks(t)
+		oracleFix = &oracle{raw, comp, refAnswers(t, refTables(raw.Data, nil)), serialCells(t, comp.DBs)}
+	})
+	if oracleFix == nil {
+		t.Fatal("the oracle's fixture did not load")
+	}
+	return oracleFix
+}
+
+// referenceBenchmarks loads the oracle's raw and compressed benchmarks.
+func referenceBenchmarks(t testing.TB) (raw, comp *Benchmark) {
+	b := make([]*Benchmark, 2)
+	for i := range b {
+		var err error
+		if b[i], err = NewBenchmarkCompressed(0.01, i == 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b[0], b[1]
+}
+
+// serialRow is a serial row of the oracle on one benchmark, one subtest per
+// query: each scheme's cell against the reference and the baseline.
+func serialRow(t *testing.T, b *Benchmark) {
+	o := oracleFixture(t)
+	for i, q := range Queries {
+		t.Run(q.Name, func(t *testing.T) {
+			for _, s := range oracleSchemes {
+				res, _, _, err := RunQuery(b.DBs[s], q)
+				if err != nil {
+					t.Fatalf("%s: %v", s, err)
+				}
+				checkCell(t, s, q, res, o.base[s][i], o.want[i])
+			}
+		})
+	}
+}
+
+// TestCrossSchemeEquivalence is the oracle's baseline row: Plain, PK and
+// BDCC each answer the 22 queries as the reference does on the compressed
+// benchmark, and a second serial run repeats the baseline byte for byte.
+func TestCrossSchemeEquivalence(t *testing.T) { serialRow(t, oracleFixture(t).comp) }
+
+// TestCompressionEquivalence is the oracle's raw row: on the uncompressed
+// benchmark every scheme's serial answers are byte-identical to the
+// compressed baseline.
+func TestCompressionEquivalence(t *testing.T) { serialRow(t, oracleFixture(t).raw) }
+
+// TestEngineMatchesReference is the query oracle: the 22 queries at SF 0.01
+// under Plain, PK and BDCC, one subtest per knob. Each cell must equal the
+// reference interpreter's answer as a multiset of rows, and its baseline byte
+// for byte — the same rows in the same order, floats bit for bit. The
+// baseline is the scheme's serial run on the compressed benchmark, whose
+// serial rows are TestCrossSchemeEquivalence (compressed) and
+// TestCompressionEquivalence (raw), one subtest per query; for the ingest
+// rows, which append one arrival stream to a raw and a compressed benchmark
+// of their own, it is the serial run of a from-scratch rebuild with the
+// frozen design (referenceDBs). Beside a row sit the checks of the mechanism
+// it exercises: only BDCC ships groups, a partitioned scan reads on the
+// workers, a merge re-compresses and reproduces the rebuild's count tables.
+// Plain and PK of one benchmark share the tables PK's sort moves no row of
+// (orders and lineitem among them), so a last row gives each its own arrival
+// stream: a row of one scheme's batches showing up in the other's answers is
+// a leak between them.
+func TestEngineMatchesReference(t *testing.T) {
+	o := oracleFixture(t)
+	comp, want, base, schemes := o.comp, o.want, o.base, oracleSchemes
+	srvs, addrs := startWorkers(t, 2, 2)
+	units := func() (n int64) {
+		for _, s := range srvs {
+			n += s.UnitsDone()
+		}
+		return n
+	}
+	// Plain and PK have no group streams to ship; a BDCC run that shipped
+	// groups loaded every backend.
+	ships := func(backends int) cellStats {
+		return func(t *testing.T, s plan.Scheme, q QueryDef, st *Stats) {
+			if s != plan.BDCC && st.Net.Runs != 0 {
+				t.Errorf("%s %s has no group streams but shipped %+v", s, q.Name, st.Net)
+			}
+			if s == plan.BDCC && st.Net.Runs > 0 && len(st.Shard) != backends {
+				t.Errorf("%s: %d backend loads for %d backends", q.Name, len(st.Shard), backends)
+			}
+		}
+	}
+	// Only BDCC has scatter scans to partition; Q03, Q09 and Q19 read them on
+	// both workers.
+	readsOnWorkers := func(t *testing.T, s plan.Scheme, q QueryDef, st *Stats) {
+		if s != plan.BDCC && st.WorkerIO != nil {
+			t.Errorf("%s %s reports worker scan IO without a partitionable scan", s, q.Name)
+		}
+		if s == plan.BDCC && slices.Contains([]int{3, 9, 19}, q.Num) &&
+			(len(st.WorkerIO) != 2 || st.WorkerIO[0].Bytes == 0 || st.WorkerIO[1].Bytes == 0) {
+			t.Errorf("%s: partitioned scans read %+v on the workers", q.Name, st.WorkerIO)
+		}
+	}
+	rows := []struct {
+		name  string
+		b     *Benchmark
+		opt   RunOptions
+		extra cellStats
+	}{
+		{"workers=2", comp, RunOptions{Workers: 2}, nil},
+		{"workers=4", comp, RunOptions{Workers: 4}, nil},
+		{"workers=1 shards=2", comp, RunOptions{Workers: 1, Shards: 2}, ships(2)},
+		{"workers=4 shards=2", comp, RunOptions{Workers: 4, Shards: 2}, ships(2)},
+		{"workers=1 shards=4", comp, RunOptions{Workers: 1, Shards: 4}, ships(4)},
+		{"workers=4 shards=4", comp, RunOptions{Workers: 4, Shards: 4}, ships(4)},
+		{"partitioned", comp, RunOptions{Workers: 2, Shards: 2, Partition: true}, readsOnWorkers},
+		{"TCP", comp, RunOptions{Workers: 2, Remotes: addrs}, ships(2)},
+		{"TCP partitioned", comp, RunOptions{Workers: 2, Remotes: addrs, Partition: true}, readsOnWorkers},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			before := units()
+			for _, s := range schemes {
+				runCells(t, s, r.b.DBs[s], r.opt, base[s], want, r.extra)
+			}
+			if r.opt.Remotes != nil && units() == before {
+				t.Error("no unit reached a TCP worker")
+			}
+		})
+	}
+	t.Run("pre-execution declined", func(t *testing.T) {
+		for i, q := range Queries {
+			env := declinedEnv{NewEnvOpts(comp.DBs[plan.BDCC], RunOptions{})}
+			node, err := q.Build(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := env.run(node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkCell(t, plan.BDCC, q, res, base[plan.BDCC][i], want[i])
+		}
+	})
+	// Four sessions through one bdccd: admission, pool reuse and the plan
+	// cache, whose replayed plans every session after the first runs.
+	t.Run("daemon", func(t *testing.T) {
+		_, addr, svc := startDaemon(t, comp, serve.Config{Pools: 2, Workers: 2, QueueCap: 64, QueueWait: time.Minute})
+		const clients = 4
+		var wg sync.WaitGroup
+		for range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := serve.Dial(addr, "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer c.Close()
+				for _, s := range schemes {
+					for i, q := range Queries {
+						res, err := c.Query(s.String(), q.Name)
+						if err != nil {
+							t.Errorf("%s %s through the daemon: %v", s, q.Name, err)
+							return
+						}
+						checkCell(t, s, q, res, base[s][i], want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		hits, misses := svc.CacheStats()
+		if n := int64(len(schemes) * len(Queries)); misses != n || hits != (clients-1)*n {
+			t.Errorf("plan cache: %d hits, %d misses; want %d, one miss per scheme and query (%d)", hits, misses, (clients-1)*n, n)
+		}
+	})
+
+	// The ingest rows append to a raw and a compressed benchmark of their
+	// own: the fixture above stays read-only.
+	raw, comp := referenceBenchmarks(t)
+	benches := []*Benchmark{raw, comp}
+	g := NewDeltaGen(raw.Data, 7)
 	var batches []*DeltaBatch
+	var deltaRows int64
 	for range 3 {
 		batches = append(batches, g.Next(40))
-		if err := comp.AppendBatch(batches[len(batches)-1]); err != nil {
+		deltaRows += int64(batches[len(batches)-1].Orders.Rows() + batches[len(batches)-1].Lineitem.Rows())
+	}
+	for _, b := range benches {
+		if err := b.EnableIngest(0, 0); err != nil {
 			t.Fatal(err)
 		}
+		for _, batch := range batches {
+			if err := b.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	want = answers(refTables(raw.Data, batches))
-	for _, s := range schemes {
-		check(fmt.Sprintf("%s after 3 appends", s), comp.DBs[s], RunOptions{}, want)
+	want = refAnswers(t, refTables(raw.Data, batches))
+	rebuild := referenceDBs(t, raw, combinedWith(t, raw.Data, batches))
+	base = serialCells(t, rebuild)
+	ingestRows := func(phase string) {
+		for _, b := range benches {
+			for _, opt := range []RunOptions{{Workers: 1}, {Workers: 4}, {Workers: 2, Shards: 2}} {
+				t.Run(fmt.Sprintf("%s %s workers=%d shards=%d", phase, map[bool]string{false: "raw", true: "compressed"}[b.Compressed],
+					opt.Workers, max(opt.Shards, 1)), func(t *testing.T) {
+					for _, s := range schemes {
+						runCells(t, s, b.DBs[s], opt, base[s], want, nil)
+					}
+				})
+			}
+		}
 	}
-	if err := comp.MergeAll(); err != nil {
-		t.Fatal(err)
+	// lineitem returns whether the compressed benchmark's lineitem view is
+	// compressed under each scheme, and the bytes BDCC reads on Q01 and Q06.
+	lineitem := func(compressed bool) (read [2]int64) {
+		for s, db := range comp.DBs {
+			li, err := db.Snapshot().StoredTable("lineitem")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if li.Compressed() != compressed {
+				t.Fatalf("%s lineitem view: compressed=%v, want %v", s, li.Compressed(), compressed)
+			}
+		}
+		for i, n := range []int{1, 6} {
+			_, st, _, err := RunQuery(comp.DBs[plan.BDCC], Query(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			read[i] = st.IO.Bytes
+		}
+		return read
 	}
-	for _, s := range schemes {
-		check(fmt.Sprintf("%s after the merge", s), comp.DBs[s], RunOptions{Workers: 2}, want)
+	for _, b := range benches {
+		for s, db := range b.DBs {
+			if db.PendingDeltaRows() != deltaRows || db.Epoch() == 0 {
+				t.Fatalf("%s: %d pending delta rows at epoch %d after appending %d", s, db.PendingDeltaRows(), db.Epoch(), deltaRows)
+			}
+		}
 	}
+	// Over a compressed base the views scan uncompressed; the merge
+	// re-compresses, and BDCC reads fewer bytes after it.
+	unmerged := lineitem(false)
+	ingestRows("un-merged")
+	for _, b := range benches {
+		epoch := b.DBs[plan.BDCC].Epoch()
+		if err := b.MergeAll(); err != nil {
+			t.Fatal(err)
+		}
+		for s, db := range b.DBs {
+			if st := db.Ingest().Stats(); st.Merges != 1 || st.MergedRows != deltaRows || st.DeltaRows != 0 || db.PendingDeltaRows() != 0 {
+				t.Fatalf("%s merge counters: %+v, want 1 merge of %d rows and an empty delta", s, st, deltaRows)
+			}
+			if b.Compressed && db.Snapshot().CompressionStats().EncodedBytes == 0 {
+				t.Fatalf("%s reports no encoded bytes after the merge", s)
+			}
+		}
+		if b.DBs[plan.BDCC].Epoch() <= epoch {
+			t.Fatalf("the merge did not advance the epoch past %d", epoch)
+		}
+		// The splice reproduces the rebuild's clustering: the same count
+		// table and stored rows per fact table.
+		for _, name := range []string{"orders", "lineitem"} {
+			got, want := b.DBs[plan.BDCC].Snapshot().BDCCTable(name), rebuild[plan.BDCC].BDCCTable(name)
+			if got.Data.Rows() != want.Data.Rows() || !slices.Equal(got.Count, want.Count) {
+				t.Fatalf("merged %s: %d rows and %d count entries, rebuild %d and %d (or the entries differ)",
+					name, got.Data.Rows(), len(got.Count), want.Data.Rows(), len(want.Count))
+			}
+		}
+	}
+	if merged := lineitem(true); merged[0] >= unmerged[0] || merged[1] >= unmerged[1] {
+		t.Errorf("BDCC reads %v bytes on Q01 and Q06 after the merge, not below the %v before it", merged, unmerged)
+	}
+	ingestRows("merged")
 
 	shared, err := NewBenchmarkCompressed(0.01, true, plan.Plain, plan.PK)
 	if err != nil {
@@ -728,14 +1017,17 @@ func TestEngineMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wants := map[plan.Scheme][]*refRel{plan.Plain: want, plan.PK: answers(refTables(raw.Data, pkBatches))}
-	for s, w := range wants {
-		check(fmt.Sprintf("%s on its own stream after 3 appends", s), shared.DBs[s], RunOptions{}, w)
+	wants := map[plan.Scheme][]*refRel{plan.Plain: want, plan.PK: refAnswers(t, refTables(raw.Data, pkBatches))}
+	bases := map[plan.Scheme][]*engine.Result{plan.Plain: base[plan.Plain],
+		plan.PK: serialCells(t, referenceDBs(t, shared, combinedWith(t, shared.Data, pkBatches)))[plan.PK]}
+	ownStreams := func(t *testing.T) {
+		for s, db := range shared.DBs {
+			runCells(t, s, db, RunOptions{}, bases[s], wants[s], nil)
+		}
 	}
+	t.Run("un-merged on own streams", ownStreams)
 	if err := shared.MergeAll(); err != nil {
 		t.Fatal(err)
 	}
-	for s, w := range wants {
-		check(fmt.Sprintf("%s on its own stream after the merge", s), shared.DBs[s], RunOptions{}, w)
-	}
+	t.Run("merged on own streams", ownStreams)
 }

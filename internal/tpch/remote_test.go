@@ -31,72 +31,12 @@ func startWorkers(t *testing.T, n, workers int) ([]*shard.Server, []string) {
 	return srvs, addrs
 }
 
-// assertSameResult compares two results byte for byte: rows, order, and
-// exact float bits.
-func assertSameResult(t *testing.T, label string, got, want interface {
-	Rows() int
-	Row(int) []string
-}) {
+// assertSameResult requires got to be byte-identical to want: the same
+// columns, the same rows in the same order, floats bit for bit.
+func assertSameResult(t *testing.T, label string, got, want *engine.Result) {
 	t.Helper()
-	if got.Rows() != want.Rows() {
-		t.Fatalf("%s returns %d rows, baseline returns %d", label, got.Rows(), want.Rows())
-	}
-	for i := 0; i < want.Rows(); i++ {
-		if g, w := fmt.Sprint(got.Row(i)), fmt.Sprint(want.Row(i)); g != w {
-			t.Fatalf("%s: row %d = %s, baseline has %s", label, i, g, w)
-		}
-	}
-}
-
-// TestRemoteEquivalence is the loopback-TCP leg of the scale-out oracle:
-// every TPC-H query under every scheme, sharded over two real bdccworker
-// servers dialed over TCP (plan fragments shipped at setup, every group and
-// result batch crossing real sockets), must return byte-identical results
-// to the serial single-box baseline — including exact float bits.
-func TestRemoteEquivalence(t *testing.T) {
-	b := benchmarkFixture(t)
-	srvs, addrs := startWorkers(t, 2, 2)
-	for _, q := range Queries {
-		q := q
-		t.Run(q.Name, func(t *testing.T) {
-			for _, scheme := range []plan.Scheme{plan.Plain, plan.PK, plan.BDCC} {
-				serial, _, _, err := RunQueryOpts(b.DBs[scheme], q, RunOptions{Workers: 1, Shards: 1})
-				if err != nil {
-					t.Fatalf("%s under %s serial: %v", q.Name, scheme, err)
-				}
-				remote, st, _, err := RunQueryOpts(b.DBs[scheme], q,
-					RunOptions{Workers: 2, Remotes: addrs})
-				if err != nil {
-					t.Fatalf("%s under %s remotes: %v", q.Name, scheme, err)
-				}
-				label := fmt.Sprintf("%s under %s via TCP workers", q.Name, scheme)
-				assertSameResult(t, label, remote, serial)
-				for c := range serial.Cols {
-					for i, v := range serial.Cols[c].F64 {
-						if pv := remote.Cols[c].F64[i]; pv != v {
-							t.Fatalf("%s: col %d row %d = %v, %v at baseline — floats must be bit-identical",
-								label, c, i, pv, v)
-						}
-					}
-				}
-				if scheme != plan.BDCC && st.Net.Runs != 0 {
-					t.Fatalf("%s under %s dialed workers but has no group streams to ship: %+v",
-						q.Name, scheme, st.Net)
-				}
-				if scheme == plan.BDCC && st.Net.Runs > 0 {
-					if len(st.Shard) != len(addrs) {
-						t.Fatalf("%s: %d shard loads recorded for %d workers", q.Name, len(st.Shard), len(addrs))
-					}
-				}
-			}
-		})
-	}
-	var total int64
-	for _, s := range srvs {
-		total += s.UnitsDone()
-	}
-	if total == 0 {
-		t.Fatal("no group unit ever reached a TCP worker — the remote path went unexercised")
+	if diff := identical(got, want); diff != "" {
+		t.Fatalf("%s: %s", label, diff)
 	}
 }
 
