@@ -2,7 +2,6 @@ package storage
 
 import (
 	"slices"
-	"sort"
 
 	"bdcc/internal/vector"
 )
@@ -202,123 +201,5 @@ func (e *ColumnEncoding) rows() int {
 	return last.Start + last.Rows
 }
 
-// chunkIndex returns the chunk covering row r: the dearest step of reading a
-// short span, so the first chunk skips the division and the rest use 32 bits.
-func (e *ColumnEncoding) chunkIndex(r int) int {
-	if r < e.ChunkRows {
-		return 0
-	}
-	return int(uint32(r) / uint32(e.ChunkRows))
-}
-
-// appendSpan appends [lo,hi) to dst, merging with an adjacent predecessor.
-func appendSpan(dst []RowRange, lo, hi int) []RowRange {
-	if n := len(dst); n > 0 && dst[n-1].End == lo {
-		dst[n-1].End = hi
-		return dst
-	}
-	return append(dst, RowRange{lo, hi})
-}
-
-// pruneSpan appends to dst the sub-spans of rows [lo,hi) that can possibly
-// satisfy iv, consulting the column's encoded chunks without materializing
-// values: RLE runs wholly outside the interval are dropped (the selection
-// indexes into runs, not rows), and dictionary chunks drop rows whose codes
-// fall outside the interval's code range in the sorted dictionary. Chunks
-// without a cheap path (raw, frame-of-reference) survive whole. The result
-// is conservative — no row satisfying iv is ever dropped — so scans that
-// re-apply the full predicate stay exact.
-func (c *Column) pruneSpan(iv Interval, lo, hi int, dst []RowRange) []RowRange {
-	if c.Enc == nil || c.Kind == vector.Float64 {
-		return appendSpan(dst, lo, hi)
-	}
-	for lo < hi {
-		ci := c.Enc.chunkIndex(lo)
-		ch := &c.Enc.Chunks[ci]
-		segEnd := min(hi, ch.Start+ch.Rows)
-		switch {
-		case ch.Enc == EncRLE:
-			dst = pruneRuns(ch, c.Kind, iv, lo, segEnd, dst)
-		case ch.Enc == EncDict:
-			dst = pruneCodes(ch, c.Enc.Dict, iv, lo, segEnd, dst)
-		default:
-			dst = appendSpan(dst, lo, segEnd)
-		}
-		lo = segEnd
-	}
-	return dst
-}
-
-// passI64 reports whether an int64 value can satisfy the interval.
-func (iv Interval) passI64(x int64) bool {
-	return (!iv.Lo.Set || x >= iv.Lo.I) && (!iv.Hi.Set || x <= iv.Hi.I)
-}
-
-// passStr reports whether a string value can satisfy the interval.
-func (iv Interval) passStr(s string) bool {
-	return (!iv.Lo.Set || s >= iv.Lo.S) && (!iv.Hi.Set || s <= iv.Hi.S)
-}
-
-// pruneRuns keeps the sub-spans of [lo,hi) whose RLE run value passes iv.
-func pruneRuns(ch *Chunk, kind vector.Kind, iv Interval, lo, hi int, dst []RowRange) []RowRange {
-	pos := ch.Start
-	for r, n := range ch.RunN {
-		runEnd := pos + int(n)
-		if runEnd > lo && pos < hi {
-			ok := false
-			switch kind {
-			case vector.Int64:
-				ok = iv.passI64(ch.RunI[r])
-			case vector.String:
-				ok = iv.passStr(ch.RunS[r])
-			}
-			if ok {
-				dst = appendSpan(dst, max(pos, lo), min(runEnd, hi))
-			}
-		}
-		pos = runEnd
-		if pos >= hi {
-			break
-		}
-	}
-	return dst
-}
-
-// pruneCodes keeps the rows of [lo,hi) whose dictionary code lies inside
-// the interval's code range — an equality or range check on codes, before
-// any string gather. An interval with no matching dictionary entry drops
-// the whole span.
-func pruneCodes(ch *Chunk, dict []string, iv Interval, lo, hi int, dst []RowRange) []RowRange {
-	from, to := 0, len(dict) // the codes [from, to) lie inside the interval
-	if iv.Lo.Set {
-		from = sort.SearchStrings(dict, iv.Lo.S)
-	}
-	if iv.Hi.Set {
-		to = sort.Search(len(dict), func(k int) bool { return dict[k] > iv.Hi.S })
-	}
-	if from >= to {
-		return dst
-	}
-	loCode, hiCode := uint64(from), uint64(to-1)
-	spanLo := -1
-	var blk [256]uint64
-	for base := lo; base < hi; base += len(blk) {
-		codes := blk[:min(len(blk), hi-base)]
-		vector.BitUnpack(codes, ch.Packed, base-ch.Start, ch.BitW, 0)
-		for k, code := range codes {
-			i := base + k
-			if code >= loCode && code <= hiCode {
-				if spanLo < 0 {
-					spanLo = i
-				}
-			} else if spanLo >= 0 {
-				dst = appendSpan(dst, spanLo, i)
-				spanLo = -1
-			}
-		}
-	}
-	if spanLo >= 0 {
-		dst = appendSpan(dst, spanLo, hi)
-	}
-	return dst
-}
+// chunkIndex returns the chunk covering row r.
+func (e *ColumnEncoding) chunkIndex(r int) int { return r / e.ChunkRows }

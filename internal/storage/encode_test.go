@@ -236,7 +236,7 @@ func TestEncodedBytesAndWidth(t *testing.T) {
 		t.Errorf("string pages = %d, not below raw %d", got, rawPagesS)
 	}
 	st := tab.CompressionStats()
-	if st.EncodedBytes >= st.RawBytes || st.RLEChunks+st.DictChunks+st.FORChunks == 0 {
+	if st.EncodedBytes >= st.RawBytes || st.Chunks[EncRLE]+st.Chunks[EncDict]+st.Chunks[EncFOR] == 0 {
 		t.Errorf("compression stats show no win: %+v", st)
 	}
 }
@@ -375,39 +375,60 @@ func TestReaderPushdownSound(t *testing.T) {
 	}
 }
 
-// FuzzPushedWindows: pushdown never moves a batch cut. Over a compressed
-// table whose int and string columns come in runs (so RLE and dictionary
-// chunks occur), a reader with a pushed interval and one without, over the
-// same two ranges, must yield the same rows inside the interval batch for
-// batch once batches holding no such row are skipped; and every pushed
-// batch lies inside one BatchSize window of a range, cut from the range's
-// start, in window order. Seeded with TestReaderPushdownSound's cases.
+// FuzzPushedWindows: pushdown never moves a batch cut and never changes a
+// value. Over a compressed table whose columns come in runs (so RLE chunks
+// occur) or not (dictionary, frame-of-reference and raw chunks; the int
+// column's second half has no runs, so one column mixes them), a reader
+// with pushed intervals on an int column and up to two string columns and one
+// without, over the same two ranges, must yield the same rows inside the
+// intervals batch for batch, every column's values equal, once batches
+// holding no such row are skipped; and every pushed batch lies inside one
+// BatchSize window of a range, cut from the range's start, in window order.
+// Seeded with TestReaderPushdownSound's cases, with runs of one row on every
+// pushed column (windows of many spans, kept in place), with string runs long
+// enough to run-length encode, and with a page at which int chunks of 1 000
+// rows straddle windows.
 func FuzzPushedWindows(f *testing.F) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 60; trial++ {
 		lo := rng.Int63n(40)
 		span := uint8(rng.Int63n(10))
-		word := uint8(rng.Intn(5))
+		word, word2 := uint8(rng.Intn(5)), uint8(5+rng.Intn(8))
 		s0, e0 := uint16(rng.Intn(1000)), uint16(5000+rng.Intn(5000))
-		f.Add(uint16(10_000), uint8(49), uint8(29), lo, span, word, s0, e0, uint16(0), uint16(0))
+		f.Add(uint16(10_000), uint16(2048), uint8(49), uint8(29), uint8(0), lo, span, word, word2, s0, e0, uint16(0), uint16(0))
+		if trial%4 == 0 {
+			f.Add(uint16(10_000), uint16(2048), uint8(0), uint8(0), uint8(0), lo, span, word, uint8(rng.Intn(7)), s0, e0, uint16(0), uint16(0))
+			f.Add(uint16(10_000), uint16(2048), uint8(0), uint8(99), uint8(0), lo, span, word, uint8(rng.Intn(7)), s0, e0, uint16(0), uint16(0))
+			f.Add(uint16(6000), uint16(8000), uint8(0), uint8(0), uint8(2), lo, span, uint8(1+rng.Intn(3)), uint8(2+rng.Intn(4)), uint16(0), e0, s0, uint16(rng.Intn(3000)))
+		}
 	}
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
-	f.Fuzz(func(t *testing.T, n uint16, intRun, strRun uint8, lo int64, span, word uint8, s0, e0, s1, e1 uint16) {
+	modes := []string{"AIR", "AIR REG", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP"}
+	f.Fuzz(func(t *testing.T, n, page uint16, intRun, strRun, modeRun uint8, lo int64, span, word, mode uint8, s0, e0, s1, e1 uint16) {
 		rows := 1 + int(n)%12_000
-		ints, strs, ids := make([]int64, rows), make([]string, rows), make([]int64, rows)
+		ints, strs, ms, fs, ids := make([]int64, rows), make([]string, rows), make([]string, rows), make([]float64, rows), make([]int64, rows)
 		for i := range ints {
-			ints[i] = int64(i/(1+int(intRun))) % 40
+			if ints[i] = int64(i/(1+int(intRun))) % 40; i >= rows/2 { // frame of reference after the runs
+				ints[i] = int64(i) % 40
+			}
 			strs[i] = words[(i/(1+int(strRun)))%len(words)]
+			ms[i] = modes[(i/(1+int(modeRun))+i/7)%len(modes)]
+			fs[i] = float64(i/(1+int(intRun))%13) / 4
 			ids[i] = int64(i)
 		}
-		tab := MustNewTable("t", 2048, NewInt64Column("i", ints), NewStringColumn("s", strs), NewInt64Column("id", ids))
+		tab := MustNewTable("t", 512+int64(page)%8192, NewInt64Column("i", ints), NewStringColumn("s", strs),
+			NewStringColumn("m", ms), NewFloat64Column("f", fs), NewInt64Column("id", ids))
 		tab.Compress()
 		iv := Interval{Lo: Bound{Set: true, I: lo}, Hi: Bound{Set: true, I: lo + int64(span)}}
 		push := []PushPred{{Col: 0, Iv: iv}}
-		var siv Interval
+		var siv, miv Interval
 		if int(word) < len(words) {
 			siv = Interval{Lo: Bound{Set: true, S: words[word]}}
 			push = append(push, PushPred{Col: 1, Iv: siv})
+		}
+		if int(mode) < len(modes) {
+			miv = Interval{Lo: Bound{Set: true, S: modes[mode/2]}, Hi: Bound{Set: true, S: modes[mode]}}
+			push = append(push, PushPred{Col: 2, Iv: miv})
 		}
 		var rs RowRanges
 		for _, se := range [][2]uint16{{s0, e0}, {s1, e1}} {
@@ -420,28 +441,28 @@ func FuzzPushedWindows(f *testing.F) {
 				windows = append(windows, RowRange{Start: w, End: min(r.End, w+vector.BatchSize)})
 			}
 		}
-		// read returns, per batch holding a row inside the interval, those
-		// rows' ids.
-		read := func(push []PushPred) [][]int64 {
-			r := NewReaderPush(tab, []int{0, 1, 2}, rs, nil, push)
-			var out [][]int64
+		// read returns, per batch holding a row inside the intervals, those
+		// rows, every column's value.
+		read := func(push []PushPred) [][]string {
+			r := NewReaderPush(tab, []int{0, 1, 2, 3, 4}, rs, nil, push)
+			var out [][]string
 			wi := 0
 			for b := vector.NewBatch(r.Kinds()); r.Next(b); {
-				id := b.Cols[2].I64
+				id := b.Cols[4].I64
 				for wi < len(windows) && (id[0] < int64(windows[wi].Start) || id[0] >= int64(windows[wi].End)) {
 					wi++
 				}
 				if wi == len(windows) {
 					t.Fatalf("push=%v: batch from row %d lies in no window after the last batch's", push != nil, id[0])
 				}
-				var in []int64
+				var in []string
 				for k, x := range id {
 					if x < int64(windows[wi].Start) || x >= int64(windows[wi].End) || (k > 0 && x <= id[k-1]) {
 						t.Fatalf("push=%v: batch holds row %d outside its window [%d,%d) or out of order",
 							push != nil, x, windows[wi].Start, windows[wi].End)
 					}
-					if iv.passI64(b.Cols[0].I64[k]) && siv.passStr(b.Cols[1].Str[k]) {
-						in = append(in, x)
+					if v, s, m := b.Cols[0].I64[k], b.Cols[1].Str[k], b.Cols[2].Str[k]; iv.overlapsI64(v, v) && siv.overlapsStr(s, s) && miv.overlapsStr(m, m) {
+						in = append(in, fmt.Sprint(v, s, m, b.Cols[3].F64[k], x))
 					}
 				}
 				wi++

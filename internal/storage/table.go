@@ -187,20 +187,16 @@ func (t *Table) Derived(key any, build func() any) any {
 type CompressionStats struct {
 	RawBytes     int64
 	EncodedBytes int64
-	RawChunks    int64
-	RLEChunks    int64
-	DictChunks   int64
-	FORChunks    int64
+	Chunks       [vector.NumEncodings]int64 // per encoding, indexed by Encoding
 }
 
 // Add accumulates o into s (for per-scheme totals across tables).
 func (s *CompressionStats) Add(o CompressionStats) {
 	s.RawBytes += o.RawBytes
 	s.EncodedBytes += o.EncodedBytes
-	s.RawChunks += o.RawChunks
-	s.RLEChunks += o.RLEChunks
-	s.DictChunks += o.DictChunks
-	s.FORChunks += o.FORChunks
+	for e, n := range o.Chunks {
+		s.Chunks[e] += n
+	}
 }
 
 // CompressionStats sums the encoded state of every column.
@@ -210,12 +206,7 @@ func (t *Table) CompressionStats() CompressionStats {
 		return s
 	}
 	for _, c := range t.Cols {
-		s.RawBytes += c.Enc.RawBytes
-		s.EncodedBytes += c.Enc.EncodedBytes
-		s.RawChunks += c.Enc.Counts[EncRaw]
-		s.RLEChunks += c.Enc.Counts[EncRLE]
-		s.DictChunks += c.Enc.Counts[EncDict]
-		s.FORChunks += c.Enc.Counts[EncFOR]
+		s.Add(CompressionStats{c.Enc.RawBytes, c.Enc.EncodedBytes, c.Enc.Counts})
 	}
 	return s
 }

@@ -215,6 +215,16 @@ type Interval struct {
 	Hi Bound
 }
 
+// overlapsI64 reports whether values in [mn,mx] can lie in the interval.
+func (iv Interval) overlapsI64(mn, mx int64) bool {
+	return (!iv.Lo.Set || mx >= iv.Lo.I) && (!iv.Hi.Set || mn <= iv.Hi.I)
+}
+
+// overlapsStr reports whether values in [mn,mx] can lie in the interval.
+func (iv Interval) overlapsStr(mn, mx string) bool {
+	return (!iv.Lo.Set || mx >= iv.Lo.S) && (!iv.Hi.Set || mn <= iv.Hi.S)
+}
+
 // PruneZonemap intersects the given row ranges with the pages of column name
 // whose [min,max] overlaps the interval, returning the refined row ranges.
 // Pages (encoded chunks on a compressed column) are the pruning granularity;
@@ -238,18 +248,9 @@ func (t *Table) PruneZonemap(name string, iv Interval, in RowRanges) RowRanges {
 	}
 	z := t.zonemap(ci)
 	var keep RowRanges
-	rpp := z.rowsPerPage
-	pages := z.pages()
-	for p := 0; p < pages; p++ {
-		ok := true
-		switch c.Kind {
-		case vector.Int64:
-			ok = (!iv.Lo.Set || z.maxI[p] >= iv.Lo.I) && (!iv.Hi.Set || z.minI[p] <= iv.Hi.I)
-		case vector.String:
-			ok = (!iv.Lo.Set || z.maxS[p] >= iv.Lo.S) && (!iv.Hi.Set || z.minS[p] <= iv.Hi.S)
-		}
-		if ok {
-			keep = append(keep, RowRange{p * rpp, min((p+1)*rpp, t.rows)})
+	for p := range z.pages() {
+		if c.Kind == vector.Int64 && iv.overlapsI64(z.minI[p], z.maxI[p]) || c.Kind == vector.String && iv.overlapsStr(z.minS[p], z.maxS[p]) {
+			keep = append(keep, RowRange{p * z.rowsPerPage, min((p+1)*z.rowsPerPage, t.rows)})
 		}
 	}
 	return in.Intersect(keep.Normalize())

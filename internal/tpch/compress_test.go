@@ -53,7 +53,7 @@ func TestCompressionWinsOnClustered(t *testing.T) {
 		if cs.EncodedBytes >= cs.RawBytes {
 			t.Errorf("%s: encoded %d bytes not below raw %d — compression stopped winning", scheme, cs.EncodedBytes, cs.RawBytes)
 		}
-		if cs.RLEChunks+cs.DictChunks+cs.FORChunks == 0 {
+		if cs.Chunks[storage.EncRLE]+cs.Chunks[storage.EncDict]+cs.Chunks[storage.EncFOR] == 0 {
 			t.Errorf("%s: every chunk fell back to raw: %+v", scheme, cs)
 		}
 		if rs := raw.DBs[scheme].CompressionStats(); rs != (storage.CompressionStats{}) {

@@ -358,7 +358,7 @@ func (r *Report) WriteComp(w io.Writer) {
 		}
 		fmt.Fprintf(w, "%-6s %12.1f %12.1f %7.3f %8d %8d %8d %8d %14.1f\n",
 			s, float64(c.RawBytes)/(1<<20), float64(c.EncodedBytes)/(1<<20), ratio,
-			c.RawChunks, c.RLEChunks, c.DictChunks, c.FORChunks,
+			c.Chunks[storage.EncRaw], c.Chunks[storage.EncRLE], c.Chunks[storage.EncDict], c.Chunks[storage.EncFOR],
 			float64(c.WireSaved)/(1<<20))
 	}
 }

@@ -173,6 +173,28 @@ func (v *Vector) AppendSelected(src *Vector, sel []int32) {
 	}
 }
 
+// Compact keeps, of v's values from index at on, those at the increasing
+// offsets sel lists from at, in place: no offset is below its index in sel.
+func (v *Vector) Compact(at int, sel []int32) {
+	switch v.Kind {
+	case Int64:
+		v.I64 = compact(v.I64, at, sel)
+	case Float64:
+		v.F64 = compact(v.F64, at, sel)
+	case String:
+		v.Str = compact(v.Str, at, sel)
+	}
+}
+
+// compact is Compact over one kind's values.
+func compact[T any](s []T, at int, sel []int32) []T {
+	tail := s[at:]
+	for k, o := range sel {
+		tail[k] = tail[o]
+	}
+	return s[:at+len(sel)]
+}
+
 // GetString renders value i as a display string (used by result formatting).
 func (v *Vector) GetString(i int) string {
 	switch v.Kind {

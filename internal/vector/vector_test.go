@@ -176,7 +176,8 @@ func TestBatchCloneDetached(t *testing.T) {
 
 // TestVectorAppendVectorAndSelected covers the column-level appends the
 // engine's batches and gathers are built from: AppendVector keeps every value
-// across its capacity doublings, and AppendSelected gathers by row id.
+// across its capacity doublings, AppendSelected gathers by row id, and
+// Compact gathers in place.
 func TestVectorAppendVectorAndSelected(t *testing.T) {
 	src := NewVector(Int64, 0)
 	for i := int64(0); i < 300; i++ {
@@ -200,5 +201,14 @@ func TestVectorAppendVectorAndSelected(t *testing.T) {
 	out.AppendSelected(strs, []int32{1, 0, 1})
 	if got := fmt.Sprint(out.Str); got != "[b a b]" {
 		t.Fatalf("gathered %s", got)
+	}
+	// Compact is the gather of the values from at on, in place.
+	sel := []int32{0, 3, 4, 150, 199}
+	want := &Vector{Kind: Int64, I64: append([]int64(nil), src.I64[:100]...)}
+	want.AppendSelected(&Vector{Kind: Int64, I64: src.I64[100:]}, sel)
+	got := NewVector(Int64, 0)
+	got.AppendVector(src)
+	if got.Compact(100, sel); fmt.Sprint(got.I64) != fmt.Sprint(want.I64) {
+		t.Fatalf("compacted %v, want %v", got.I64[95:], want.I64[95:])
 	}
 }
