@@ -110,7 +110,9 @@ func main() {
 	for _, name := range []string{"a", "b", "c"} {
 		bt := db.Tables[name]
 		u := bt.Uses[slices.IndexFunc(bt.Uses, func(u *core.DimensionUse) bool { return u.Dim.Name == "d_cont" })]
-		entries := bt.SelectBins(u, asia, asia)
+		set := core.NewBinSet(u.Dim.NumBins())
+		set.Add(asia)
+		entries := bt.SelectBinSet(u, set)
 		fmt.Printf("Asia restriction on %s: %d of %d rows\n",
 			name, core.TotalRows(entries), bt.Rows())
 	}

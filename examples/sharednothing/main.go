@@ -19,7 +19,7 @@ import (
 
 func main() {
 	const workers = 2
-	b, err := tpch.NewBenchmark(0.02, plan.BDCC)
+	b, err := tpch.NewBenchmarkCompressed(0.02, false, plan.BDCC)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,10 +14,12 @@ import (
 	"bdcc/internal/vector"
 )
 
-// Column is a named, typed column of a table definition.
+// Column is a named, typed column of a table definition. A DECIMAL column
+// is Int64 at its declared scale.
 type Column struct {
-	Name string
-	Kind vector.Kind
+	Name  string
+	Kind  vector.Kind
+	Scale uint8
 }
 
 // ForeignKey is a declared foreign key edge of the schema graph. Name is the

@@ -36,8 +36,8 @@ func TestParseDDL(t *testing.T) {
 	if nation.Column("n_name").Kind != vector.String {
 		t.Error("CHAR should map to string")
 	}
-	if nation.Column("n_weight").Kind != vector.Float64 {
-		t.Error("DECIMAL should map to float64")
+	if c := nation.Column("n_weight"); c.Kind != vector.Int64 || c.Scale != 2 {
+		t.Errorf("DECIMAL(12,2) maps to %s at scale %d, want int64 at scale 2", c.Kind, c.Scale)
 	}
 	if nation.Column("n_nationkey").Kind != vector.Int64 {
 		t.Error("INT should map to int64")
@@ -57,6 +57,7 @@ func TestParseDDL(t *testing.T) {
 func TestParseDDLErrors(t *testing.T) {
 	cases := []string{
 		"CREATE TABLE t (a NOSUCHTYPE)",
+		"CREATE TABLE t (a DECIMAL(40,19))",
 		"CREATE TABLE t (a INT, a INT)",
 		"CREATE INDEX i ON missing (a)",
 		"CREATE TABLE t (a INT, PRIMARY KEY (b))",

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -18,8 +19,9 @@ import (
 //	ALTER TABLE t ADD [CONSTRAINT name] FOREIGN KEY (c, ...) REFERENCES t2 [(c, ...)]
 //	CREATE INDEX name ON t (c, ...)
 //
-// Types map as: INT/INTEGER/BIGINT/SMALLINT/DATE → int64;
-// DECIMAL/NUMERIC/FLOAT/DOUBLE/REAL → float64; CHAR/VARCHAR/TEXT → string.
+// Types map as: INT/INTEGER/BIGINT/SMALLINT/DATE → int64; DECIMAL(p,s) and
+// NUMERIC(p,s) → int64 at scale s (0 when omitted); FLOAT/DOUBLE/REAL →
+// float64; CHAR/VARCHAR/TEXT → string.
 // Omitted REFERENCES columns default to the referenced table's primary key.
 func ParseDDL(src string) (*Schema, error) {
 	toks, err := tokenize(src)
@@ -208,7 +210,7 @@ func (p *parser) createTable() error {
 			if err != nil {
 				return err
 			}
-			kind, err := p.columnType()
+			kind, scale, err := p.columnType()
 			if err != nil {
 				return fmt.Errorf("catalog: table %q column %q: %w", name, col, err)
 			}
@@ -218,7 +220,7 @@ func (p *parser) createTable() error {
 					return err
 				}
 			}
-			t.Columns = append(t.Columns, Column{Name: col, Kind: kind})
+			t.Columns = append(t.Columns, Column{Name: col, Kind: kind, Scale: scale})
 		}
 		if p.accept(",") {
 			continue
@@ -240,29 +242,38 @@ func (p *parser) createTable() error {
 	return nil
 }
 
-func (p *parser) columnType() (vector.Kind, error) {
+func (p *parser) columnType() (vector.Kind, uint8, error) {
 	tname, err := p.ident()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	// Optional length/precision arguments: VARCHAR(25), DECIMAL(15,2).
+	var args []string
 	if p.accept("(") {
 		for p.peek() != ")" && !p.done() {
-			p.next()
+			args = append(args, p.next())
 		}
 		if err := p.expect(")"); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 	}
 	switch tname {
 	case "int", "integer", "bigint", "smallint", "date":
-		return vector.Int64, nil
-	case "decimal", "numeric", "float", "double", "real":
-		return vector.Float64, nil
+		return vector.Int64, 0, nil
+	case "decimal", "numeric":
+		if len(args) < 3 {
+			return vector.Int64, 0, nil
+		}
+		if s, err := strconv.Atoi(args[2]); err == nil && s >= 0 && s <= vector.MaxScale {
+			return vector.Int64, uint8(s), nil
+		}
+		return 0, 0, fmt.Errorf("%s scale %q is not 0…%d", tname, args[2], vector.MaxScale)
+	case "float", "double", "real":
+		return vector.Float64, 0, nil
 	case "char", "varchar", "text", "string":
-		return vector.String, nil
+		return vector.String, 0, nil
 	default:
-		return 0, fmt.Errorf("unknown type %q", tname)
+		return 0, 0, fmt.Errorf("unknown type %q", tname)
 	}
 }
 

@@ -174,7 +174,9 @@ func TestFigure1Build(t *testing.T) {
 	// A-side D1 use must return exactly the B rows whose A parent points at
 	// Asia (continent bins are unique, so the rewrite is exact here).
 	asiaBin := dCont.BinOf(StrKey("Asia"))
-	entries := bt.SelectBins(bt.Uses[0], asiaBin, asiaBin)
+	asia := NewBinSet(dCont.NumBins())
+	asia.Add(asiaBin)
+	entries := bt.SelectBinSet(bt.Uses[0], asia)
 	got := make(map[int64]bool)
 	baCol := bt.Data.MustColumn("b_a").Values()
 	for _, r := range EntriesRanges(entries) {

@@ -160,7 +160,9 @@ func TestSelectBinsMatchesFilter(t *testing.T) {
 		hi := lo + 10
 		lk, hk := IntKey(lo), IntKey(hi)
 		bLo, bHi := dim.BinRange(&lk, &hk)
-		entries := bt.SelectBins(bt.Uses[0], bLo, bHi)
+		set := NewBinSet(dim.NumBins())
+		set.AddRange(bLo, bHi)
+		entries := bt.SelectBinSet(bt.Uses[0], set)
 		got := make(map[int]bool)
 		for _, r := range EntriesRanges(entries) {
 			for i := r.Start; i < r.End; i++ {

@@ -32,6 +32,11 @@ type Builder struct {
 	// ForceBitsPerTable pins count-table granularities per table (ablation
 	// experiments); absent tables self-tune.
 	ForceBitsPerTable map[string]int
+	// Frozen, when set, is a build of the same design whose dimensions (so
+	// bin boundaries do not move under the data) and count-table
+	// granularities Build keeps: a rebuild from scratch under a frozen
+	// design, the reference the ingest tests hold a merge to.
+	Frozen *Database
 }
 
 // Build materializes the design.
@@ -44,6 +49,10 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 	ub := newUseBins(b.Schema, b.Tables, db)
 	res := ub.res
 	for _, spec := range design.Dimensions {
+		if b.Frozen != nil {
+			db.Dimensions[spec.Name] = b.Frozen.Dimensions[spec.Name]
+			continue
+		}
 		dim, err := b.createDimension(design, spec, res)
 		if err != nil {
 			return nil, err
@@ -65,6 +74,9 @@ func (b *Builder) Build(design *Design) (*Database, error) {
 		opt := b.Options
 		if fb, ok := b.ForceBitsPerTable[td.Table]; ok {
 			opt.ForceBits = fb
+		}
+		if b.Frozen != nil {
+			opt.ForceBits = b.Frozen.Tables[td.Table].Bits
 		}
 		bt, err := BuildBDCCTable(td.Table, data, uses, opt)
 		if err != nil {

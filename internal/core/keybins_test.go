@@ -411,7 +411,7 @@ func TestBatchBindsOverCompositeKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reb, err := RebuildWithDesign(db, schema, combined, opt)
+		reb, err := (&Builder{Schema: schema, Tables: combined, Options: opt, Frozen: db}).Build(db.Design)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // pure function of the row. Re-clustering after an append is therefore a
 // local merge (splice sorted delta runs into the retained key order, add the
 // per-cell counts), not a rebuild. The from-scratch rebuild with the same
-// frozen design (RebuildWithDesign) exists as the independent reference the
+// frozen design (Builder.Frozen) exists as the independent reference the
 // ingest oracle compares against bit-for-bit.
 
 // BindUses recomputes, with the database's frozen dimensions, the per-row use
@@ -192,53 +192,4 @@ func mergeCounts(base, delta []CountEntry) []CountEntry {
 		off += out[i].Count
 	}
 	return out
-}
-
-// RebuildWithDesign rebuilds every designed table from scratch over the given
-// stored tables while keeping the frozen design: existing dimensions (so bin
-// boundaries don't move under the data), interleaving order, and each table's
-// count-table granularity. This is the reference path for the ingest oracle:
-// it shares no code with the incremental merge beyond the binning itself.
-func RebuildWithDesign(old *Database, schema *catalog.Schema, tables map[string]*storage.Table, opt BuildOptions) (*Database, error) {
-	db := &Database{
-		Design:     old.Design,
-		Dimensions: old.Dimensions,
-		Tables:     make(map[string]*BDCCTable),
-	}
-	ub := newUseBins(schema, tables, db)
-	res := ub.res
-	for _, td := range old.Design.Tables {
-		base := old.Tables[td.Table]
-		if base == nil {
-			return nil, fmt.Errorf("core: rebuild: table %s designed but not materialized", td.Table)
-		}
-		data, err := res.Table(td.Table)
-		if err != nil {
-			return nil, err
-		}
-		uses, err := ub.bind(td.Table)
-		if err != nil {
-			return nil, err
-		}
-		o := opt
-		o.ForceBits = base.Bits
-		bt, err := BuildBDCCTable(td.Table, data, uses, o)
-		if err != nil {
-			return nil, err
-		}
-		for i, u := range bt.Uses {
-			if u.FullMask != base.Uses[i].FullMask || u.Mask != base.Uses[i].Mask {
-				return nil, fmt.Errorf("core: rebuild of %s moved use %d masks", td.Table, i)
-			}
-		}
-		if err := bt.Validate(); err != nil {
-			return nil, err
-		}
-		db.Tables[td.Table] = bt
-	}
-	var err error
-	if db.keyBins, err = ub.keyBins(""); err != nil {
-		return nil, err
-	}
-	return db, nil
 }

@@ -72,28 +72,11 @@ func (t *BDCCTable) ScatterPlan(useOrder []int, groupBits []int, restrict []Coun
 	return out, nil
 }
 
-// SelectBins restricts the count table to groups whose bits of use u fall in
-// the inclusive bin-number range [lo, hi] (expressed at the dimension's full
-// granularity bits(D)). Boundary bins are included conservatively — the scan
-// re-applies the tuple-level predicate. This is the _bdcc_ rewrite behind
-// the paper's selection pushdown and selection propagation.
-func (t *BDCCTable) SelectBins(u *DimensionUse, lo, hi uint64) []CountEntry {
-	avail := Ones(u.Mask)
-	shift := uint(u.Dim.Bits() - avail)
-	loG, hiG := lo>>shift, hi>>shift
-	var out []CountEntry
-	for _, e := range t.Count {
-		g := GatherBits(e.Key, u.Mask, t.Bits)
-		if g >= loG && g <= hiG {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // SelectBinSet restricts the count table to groups whose bits of use u match
 // the (reduced) bin prefix of any bin number in the set. The set members are
-// at the dimension's full granularity.
+// at the dimension's full granularity; a boundary bin's group is included
+// whole, so the scan re-applies the tuple-level predicate. This is the _bdcc_
+// rewrite behind the paper's selection pushdown and selection propagation.
 func (t *BDCCTable) SelectBinSet(u *DimensionUse, bins BinSet) []CountEntry {
 	reduced := bins.reduce(uint(u.Dim.Bits() - Ones(u.Mask)))
 	var out []CountEntry

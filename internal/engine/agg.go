@@ -3,6 +3,8 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"bdcc/internal/expr"
@@ -13,7 +15,7 @@ import (
 type AggFunc uint8
 
 const (
-	// AggSum sums the argument (int64 or float64).
+	// AggSum sums the argument, an Int64 one exactly (an error past int64).
 	AggSum AggFunc = iota
 	// AggMin tracks the minimum argument.
 	AggMin
@@ -26,7 +28,7 @@ const (
 	// aggregate: the planner lowers it into two groupings, and the
 	// aggregation operators reject it.
 	AggCountDistinct
-	// AggAvg computes the mean of the argument as float64.
+	// AggAvg computes the mean of the argument as float64, dividing once.
 	AggAvg
 )
 
@@ -38,19 +40,21 @@ type AggSpec struct {
 	Arg expr.Expr
 }
 
-// resultKind returns the output kind of the aggregate.
-func (a AggSpec) resultKind() vector.Kind {
+// result returns the aggregate's output column: a SUM, MIN or MAX has its
+// argument's kind and scale.
+func (a AggSpec) result() expr.ColMeta {
 	switch a.Func {
 	case AggCount:
-		return vector.Int64
+		return expr.ColMeta{Name: a.Name, Kind: vector.Int64}
 	case AggAvg:
-		return vector.Float64
+		return expr.ColMeta{Name: a.Name, Kind: vector.Float64}
 	default:
-		return a.Arg.Kind()
+		return expr.ColMeta{Name: a.Name, Kind: a.Arg.Kind(), Scale: expr.Scale(a.Arg)}
 	}
 }
 
-// aggState is the running state of one aggregate in one group.
+// aggState is the running state of one aggregate in one group (i64 an Int64
+// argument's, f64 a Float64 one's).
 type aggState struct {
 	i64   int64
 	f64   float64
@@ -64,20 +68,17 @@ type aggState struct {
 const aggStateBytes = 40
 
 // update folds row r of the aggregate's evaluated argument vector (nil for
-// COUNT(*)) into the state.
-func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) {
+// COUNT(*)) into the state, returning add's overflow word (else 0).
+func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) int64 {
 	switch f {
 	case AggCount:
 		st.count++
 	case AggSum, AggAvg:
-		switch arg.Kind {
-		case vector.Int64:
-			st.i64 += arg.I64[r]
-			st.f64 += float64(arg.I64[r])
-		case vector.Float64:
-			st.f64 += arg.F64[r]
-		}
 		st.count++
+		if arg.Kind == vector.Int64 {
+			return st.add(arg.I64[r])
+		}
+		st.f64 += arg.F64[r]
 	case AggMin, AggMax:
 		first, isMin := st.count == 0, f == AggMin
 		switch arg.Kind {
@@ -90,6 +91,21 @@ func (st *aggState) update(f AggFunc, arg *vector.Vector, r int) {
 		}
 		st.count++
 	}
+	return 0
+}
+
+// add adds x to the exact sum and returns a word that is negative where the
+// sum left int64, for a loop to OR its rows' words and test the sign once.
+func (st *aggState) add(x int64) int64 {
+	s := st.i64 + x
+	ovf := (s ^ st.i64) & (s ^ x)
+	st.i64 = s
+	return ovf
+}
+
+// errSum is the error of an aggregate whose exact sum left int64.
+func errSum(a AggSpec) error {
+	return fmt.Errorf("engine: aggregate %s: the sum of %s overflows int64", a.Name, a.Arg)
 }
 
 // keepMinMax replaces *cur by x when x is a group's first value or beats
@@ -100,15 +116,18 @@ func keepMinMax[T cmp.Ordered](cur *T, x T, first, isMin bool) {
 	}
 }
 
-// render appends the aggregate's result to its output column.
-func (st *aggState) render(f AggFunc, col *vector.Vector) {
-	switch f {
+// render appends the result of aggregate a to its output column.
+func (st *aggState) render(a AggSpec, col *vector.Vector) {
+	switch a.Func {
 	case AggCount:
 		col.AppendInt64(st.count)
 	case AggAvg:
-		if st.count == 0 {
+		switch {
+		case st.count == 0:
 			col.AppendFloat64(0)
-		} else {
+		case a.Arg.Kind() == vector.Int64:
+			col.AppendFloat64(float64(st.i64) / (float64(st.count) * math.Pow10(int(expr.Scale(a.Arg)))))
+		default:
 			col.AppendFloat64(st.f64 / float64(st.count))
 		}
 	case AggSum:
@@ -155,6 +174,9 @@ type aggTable struct {
 	memBytes  int64        // bytes charged to the memory tracker
 	hashes    []uint64     // key hash scratch: per batch, or the stripe's gathered rows'
 	gids      []int32      // per batch: each row's group id
+	err       error        // the first overflow a fold met, failing the query
+	rows      int64        // rows accumulated, and the bit length of the largest
+	maxBits   int          // Int64 SUM or AVG magnitude: they bound every sum (fold)
 
 	// foldStripe's scratch: the window rows of the table's stripe, their
 	// global row indexes, and the rows gathered into one batch.
@@ -186,7 +208,7 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 		t.hashes = vector.HashKeys(b, t.keyIdx, t.hashes)
 		hashes = t.hashes
 	}
-	t.gids = sized(t.gids, len(hashes))
+	t.gids, t.rows = sized(t.gids, len(hashes)), t.rows+int64(len(hashes))
 	bindKeyCols(t.eq.sought, b.Cols, t.keyIdx)
 	if t.table.keyed {
 		for r, key := range t.eq.sought[0].I64 {
@@ -211,6 +233,7 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 		var arg *vector.Vector
 		if a.Arg != nil {
 			arg = expr.Values(a.Arg, b)
+			t.err = cmp.Or(t.err, expr.Err(a.Arg))
 		}
 		t.fold(i, a.Func, arg)
 	}
@@ -298,12 +321,31 @@ func (t *aggTable) fold(i int, f AggFunc, arg *vector.Vector) {
 		}
 	case f == AggMin || f == AggMax:
 		t.foldMinMax(i, arg, f == AggMin)
-	case arg.Kind == vector.Int64: // SUM, AVG
+	case arg.Kind == vector.Int64: // SUM, AVG: exact, an overflow fails the query
+		// Rows add unchecked while the rows so far and the largest magnitude
+		// (of v, v^v>>63 is |v| or |v|−1) bound every sum below 2^62; past
+		// that, the batch is subtracted again (wrapping undoes it exactly)
+		// and re-added checked.
+		var m uint64
+		states, n, v := t.states, len(t.aggs), arg.I64[:len(t.gids)]
 		for r, g := range t.gids {
-			st, x := t.state(g, i), arg.I64[r]
-			st.i64 += x
-			st.f64 += float64(x)
+			st := &states[g>>segShift][int(g&segMask)*n+i]
+			st.i64 += v[r]
 			st.count++
+			m |= uint64(v[r] ^ v[r]>>63)
+		}
+		if t.maxBits = max(t.maxBits, bits.Len64(m)); t.maxBits+bits.Len64(uint64(t.rows)) <= 62 {
+			return
+		}
+		var ovf int64
+		for r, g := range t.gids {
+			t.state(g, i).i64 -= v[r]
+		}
+		for r, g := range t.gids {
+			ovf |= t.state(g, i).add(v[r])
+		}
+		if ovf < 0 && t.err == nil {
+			t.err = errSum(t.aggs[i])
 		}
 	case arg.Kind == vector.Float64:
 		for r, g := range t.gids {
@@ -385,7 +427,7 @@ func bindAggs(op string, cs expr.Schema, groupBy []string, aggs []AggSpec) (keyI
 		} else if a.Func != AggCount {
 			return nil, nil, nil, fmt.Errorf("engine: %s %s requires an argument", op, a.Name)
 		}
-		out = append(out, expr.ColMeta{Name: a.Name, Kind: a.resultKind()})
+		out = append(out, a.result())
 	}
 	return keyIdx, keySchema, out, nil
 }
@@ -499,7 +541,7 @@ func (h *HashAggregate) emitBatch(refs []groupRef) {
 	}
 	for i, a := range h.Aggs {
 		for _, ref := range refs {
-			h.tables[ref.table].state(int32(ref.group), i).render(a.Func, out.Cols[nk+i])
+			h.tables[ref.table].state(int32(ref.group), i).render(a, out.Cols[nk+i])
 		}
 	}
 	if h.FlushOnGroup && h.haveGID {
@@ -605,6 +647,9 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 		if b == nil {
 			h.done = true
 			h.foldWindow()
+			if err := h.err(); err != nil {
+				return nil, err
+			}
 			h.flush()
 			continue
 		}
@@ -619,7 +664,20 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 			h.curGID = b.GroupID
 		}
 		h.fold(b)
+		if err := h.err(); err != nil {
+			return nil, err
+		}
 	}
+}
+
+// err returns the first error a table latched.
+func (h *HashAggregate) err() error {
+	for _, t := range h.tables {
+		if t.err != nil {
+			return t.err
+		}
+	}
+	return nil
 }
 
 // Close implements Operator.
@@ -684,7 +742,7 @@ func (s *StreamAggregate) Open(ctx *Context) error {
 func (s *StreamAggregate) emitGroup() {
 	s.keyRow.Gather(s.out.Cols, []int32{0})
 	for i, a := range s.Aggs {
-		s.states[i].render(a.Func, s.out.Cols[len(s.keyIdx)+i])
+		s.states[i].render(a, s.out.Cols[len(s.keyIdx)+i])
 		s.states[i] = aggState{}
 	}
 	s.keyRow.Reset()
@@ -714,8 +772,11 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 				continue
 			}
 			for i, a := range s.Aggs {
-				if a.Arg != nil {
-					s.argVecs[i] = expr.Values(a.Arg, b)
+				if a.Arg == nil {
+					continue
+				}
+				if s.argVecs[i] = expr.Values(a.Arg, b); expr.Err(a.Arg) != nil {
+					return nil, expr.Err(a.Arg)
 				}
 			}
 			bindKeyCols(s.eq.sought, b.Cols, s.keyIdx)
@@ -733,7 +794,9 @@ func (s *StreamAggregate) Next() (*vector.Batch, error) {
 				s.haveKey = true
 			}
 			for i, a := range s.Aggs {
-				s.states[i].update(a.Func, s.argVecs[i], s.row)
+				if s.states[i].update(a.Func, s.argVecs[i], s.row) < 0 {
+					return nil, errSum(a)
+				}
 			}
 		}
 		s.cur = nil

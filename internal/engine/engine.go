@@ -158,6 +158,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -495,8 +496,30 @@ func (r *Result) Row(i int) []string {
 	return out
 }
 
-// Run executes an operator tree to completion and materializes the result.
+// Run executes an operator tree to completion and materializes the result,
+// every decimal column rendered as the Float64 nearest its values
+// (expr.Unscale): what a client, a checksum or a scalar subquery reads.
 func Run(ctx *Context, op Operator) (*Result, error) {
+	res, err := Collect(ctx, op)
+	if err != nil {
+		return nil, err
+	}
+	res.Schema = slices.Clone(res.Schema)
+	for c, m := range res.Schema {
+		if m.Scale > 0 {
+			f := vector.NewVector(vector.Float64, res.Rows())
+			for _, v := range res.Cols[c].I64 {
+				f.F64 = append(f.F64, expr.Unscale(v, m.Scale))
+			}
+			res.Schema[c], res.Cols[c] = expr.ColMeta{Name: m.Name, Kind: vector.Float64}, f
+		}
+	}
+	return res, nil
+}
+
+// Collect is Run keeping decimal columns as they are, for a result that is
+// fed back into a plan (Values).
+func Collect(ctx *Context, op Operator) (*Result, error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}

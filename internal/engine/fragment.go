@@ -215,7 +215,7 @@ func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	for _, b := range g.Probe {
 		p.emitAll(b, emit)
 	}
-	return nil
+	return expr.Err(p.residual)
 }
 
 // ScanStats returns the modeled device-read stats — runs, pages, bytes —
@@ -272,8 +272,11 @@ func (f *Fragment) runScan(g *GroupUnit, emit func(*vector.Batch)) error {
 	if c.filter != nil {
 		out = vector.NewBatch(kinds)
 	}
-	for b := c.next(out); b != nil; b = c.next(out) {
+	for {
+		b, err := c.next(out)
+		if b == nil || err != nil {
+			return err
+		}
 		emit(b)
 	}
-	return nil
 }

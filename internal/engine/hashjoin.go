@@ -504,6 +504,9 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 		if j.probes[0].fill(j.out) {
 			j.cur = nil
 		}
+		if err := expr.Err(j.probes[0].residual); err != nil {
+			return nil, err
+		}
 		if j.out.Len() >= vector.BatchSize {
 			return j.out, nil
 		}
@@ -517,7 +520,7 @@ func (j *HashJoin) startParallelProbe() {
 	j.ex = newExchange(j.ctx.Mem, j.Sched, 2*len(j.probes))
 	j.ex.runStream(j.Left.Next, func(in *vector.Batch, w int, emit func(*vector.Batch)) error {
 		j.probes[w].emitAll(in, func(b *vector.Batch) { emit(b.Clone()) })
-		return nil
+		return expr.Err(j.probes[w].residual)
 	})
 }
 

@@ -39,9 +39,8 @@ func (f *Filter) Next() (*vector.Batch, error) {
 			return nil, err
 		}
 		f.out.Reset()
-		filterInto(f.Pred, b, f.out)
-		if f.out.Len() > 0 {
-			return f.out, nil
+		if err := filterInto(f.Pred, b, f.out); err != nil || f.out.Len() > 0 {
+			return f.out, err
 		}
 	}
 }
@@ -78,7 +77,7 @@ func (p *Project) Open(ctx *Context) error {
 		if err := expr.Bind(c.Expr, in); err != nil {
 			return errOp(fmt.Sprintf("project %s", c.Name), err)
 		}
-		p.schema = append(p.schema, expr.ColMeta{Name: c.Name, Kind: c.Expr.Kind()})
+		p.schema = append(p.schema, expr.ColMeta{Name: c.Name, Kind: c.Expr.Kind(), Scale: expr.Scale(c.Expr)})
 	}
 	p.out = vector.NewBatch(p.schema.Kinds())
 	return nil
@@ -93,6 +92,9 @@ func (p *Project) Next() (*vector.Batch, error) {
 	p.out.Reset()
 	for i, c := range p.Cols {
 		c.Expr.Eval(b, p.out.Cols[i])
+		if err := expr.Err(c.Expr); err != nil {
+			return nil, err
+		}
 	}
 	p.out.GroupID = b.GroupID
 	p.out.Grouped = b.Grouped

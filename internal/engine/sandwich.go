@@ -333,6 +333,9 @@ func (j *SandwichHashJoin) Next() (*vector.Batch, error) {
 		if j.probe.fill(j.out) {
 			j.cur = nil
 		}
+		if err := expr.Err(j.probe.residual); err != nil {
+			return nil, err
+		}
 		if j.out.Len() > 0 {
 			return j.out, nil
 		}

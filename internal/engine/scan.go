@@ -88,19 +88,18 @@ type scanCursor struct {
 // end (or when the cursor has no reader). Without a filter that is the
 // cursor's raw batch, which the following call overwrites; with one, the
 // surviving rows are written into out and out is returned.
-func (c *scanCursor) next(out *vector.Batch) *vector.Batch {
+func (c *scanCursor) next(out *vector.Batch) (*vector.Batch, error) {
 	for c.r != nil && c.r.Next(c.raw) {
 		c.raw.GroupID, c.raw.Grouped = c.gid, c.grouped
 		if c.filter == nil {
-			return c.raw
+			return c.raw, nil
 		}
 		out.Reset()
-		filterInto(c.filter, c.raw, out)
-		if out.Len() > 0 {
-			return out
+		if err := filterInto(c.filter, c.raw, out); err != nil || out.Len() > 0 {
+			return out, err
 		}
 	}
-	return nil
+	return nil, nil
 }
 
 // scanMorsel is one parallel unit of a morsel scan: a batch-aligned slice of
@@ -209,14 +208,14 @@ type scanBinding struct {
 // bindScan binds cols and filter (nil for none) to t.
 func bindScan(t *storage.Table, cols []string, filter expr.Expr) (*scanBinding, error) {
 	b := &scanBinding{tab: t, idx: make([]int, len(cols)), schema: make(expr.Schema, len(cols)), filter: filter}
-	ivs := FilterIntervals(filter)
+	ivs := FilterIntervals(filter, t.Scale)
 	for i, name := range cols {
 		ci := t.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: table %q has no column %q", t.Name, name)
 		}
 		b.idx[i] = ci
-		b.schema[i] = expr.ColMeta{Name: name, Kind: t.Cols[ci].Kind}
+		b.schema[i] = expr.ColMeta{Name: name, Kind: t.Cols[ci].Kind, Scale: t.Cols[ci].Scale}
 		if iv, ok := ivs[name]; ok && t.Compressed() {
 			b.push = append(b.push, storage.PushPred{Col: i, Iv: iv})
 		}
@@ -239,13 +238,14 @@ func (b *scanBinding) cursor(ranges storage.RowRanges, acct *iosim.Accountant, r
 
 // FilterIntervals converts the value ranges a filter implies for its columns
 // (expr.ImpliedRanges) into storage intervals keyed by column name — the one
-// form zonemap pruning and reader pushdown both consume. nil for no filter.
-func FilterIntervals(filter expr.Expr) map[string]storage.Interval {
+// form zonemap pruning and reader pushdown both consume — in the stored units
+// of the columns' decimal scales (Table.Scale). nil for no filter.
+func FilterIntervals(filter expr.Expr, scale func(col string) uint8) map[string]storage.Interval {
 	if filter == nil {
 		return nil
 	}
 	out := make(map[string]storage.Interval)
-	for col, r := range expr.ImpliedRanges(filter) {
+	for col, r := range expr.ImpliedRanges(filter, scale) {
 		var iv storage.Interval
 		if r.HasLo {
 			iv.Lo = storage.Bound{Set: true, I: r.LoI, S: r.LoS}
@@ -343,8 +343,8 @@ func (s *Scan) Next() (*vector.Batch, error) {
 		return s.ex.nextBatch()
 	}
 	for {
-		if b := s.cur.next(s.out); b != nil {
-			return b, nil
+		if b, err := s.cur.next(s.out); b != nil || err != nil {
+			return b, err
 		}
 		if s.gi++; s.gi >= len(s.groups) {
 			return nil, nil
@@ -377,14 +377,15 @@ func (s *Scan) startMorselScan() *exchange {
 		m := s.morsels[job]
 		s.io.release(m.unit)
 		ex.submitJob(job, func(w int, emit func(*vector.Batch)) error {
+			var err error
 			if !ex.isClosed() {
 				c := s.bind.cursor(m.ranges, nil, raws[w], filters[w], m.gid, grouped)
 				for {
 					if outs[w] == nil {
 						outs[w] = vector.NewBatch(kinds)
 					}
-					b := c.next(outs[w])
-					if b == nil {
+					var b *vector.Batch
+					if b, err = c.next(outs[w]); b == nil || err != nil {
 						break
 					}
 					emit(b)
@@ -392,7 +393,7 @@ func (s *Scan) startMorselScan() *exchange {
 				}
 			}
 			s.io.finish(m.unit)
-			return nil
+			return err
 		})
 	})
 	return ex
@@ -450,13 +451,19 @@ func (s *Scan) Close() error {
 }
 
 // filterInto appends the rows of in that pass pred to out: the predicate
-// narrows a selection and the survivors are gathered column-at-a-time.
-func filterInto(pred expr.Expr, in *vector.Batch, out *vector.Batch) {
-	if sel := expr.Select(pred, in, nil); len(sel) == in.Len() {
+// narrows a selection and the survivors are gathered column-at-a-time. It
+// fails where the predicate's arithmetic overflowed (expr.Err).
+func filterInto(pred expr.Expr, in *vector.Batch, out *vector.Batch) error {
+	sel := expr.Select(pred, in, nil)
+	if err := expr.Err(pred); err != nil {
+		return err
+	}
+	if len(sel) == in.Len() {
 		out.AppendBatch(in)
 	} else {
 		out.AppendSelected(in, sel)
 	}
 	out.GroupID = in.GroupID
 	out.Grouped = in.Grouped
+	return nil
 }

@@ -4,11 +4,11 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -277,7 +277,7 @@ func TestFlushOnGroupStatesAcrossSegments(t *testing.T) {
 // rise. It also checks addState's copy of append's growth rule, and that
 // aggStateBytes, the size every state is charged at, is aggState's size.
 func TestAggStatesNeverExceedFlat(t *testing.T) {
-	if size := unsafe.Sizeof(aggState{}); size != aggStateBytes {
+	if size := reflect.TypeOf(aggState{}).Size(); size != aggStateBytes {
 		t.Fatalf("aggState is %d bytes, charged as aggStateBytes = %d", size, aggStateBytes)
 	}
 	schema := intSchema("k")

@@ -2,14 +2,15 @@ package expr
 
 import (
 	"fmt"
+	"math"
 
 	"bdcc/internal/vector"
 )
 
 // Bind resolves column references in e against schema, computes result kinds
-// and picks each node's kernel, mutating the tree in place. Expressions must
-// be bound before Eval and must not be re-bound against a different schema
-// (plan builders construct fresh trees per execution).
+// and decimal scales and picks each node's kernel, mutating the tree in place.
+// Expressions must be bound before Eval and must not be re-bound against a
+// different schema (plan builders construct fresh trees per execution).
 func Bind(e Expr, schema Schema) error {
 	switch n := e.(type) {
 	case *Col:
@@ -17,8 +18,7 @@ func Bind(e Expr, schema Schema) error {
 		if i < 0 {
 			return fmt.Errorf("expr: unknown column %q (schema %v)", n.Name, schema.Names())
 		}
-		n.Index = i
-		n.kind = schema[i].Kind
+		n.Index, n.kind, n.scale = i, schema[i].Kind, schema[i].Scale
 		return nil
 	case *Const:
 		return nil
@@ -26,7 +26,7 @@ func Bind(e Expr, schema Schema) error {
 		if err := bindAll(schema, n.L, n.R); err != nil {
 			return err
 		}
-		if n.L.Kind() != n.R.Kind() {
+		if (n.L.Kind() == vector.String) != (n.R.Kind() == vector.String) {
 			return fmt.Errorf("expr: comparison kind mismatch %s %s %s (%s vs %s)",
 				n.L, n.Op, n.R, n.L.Kind(), n.R.Kind())
 		}
@@ -51,20 +51,16 @@ func Bind(e Expr, schema Schema) error {
 		if n.Op > Div {
 			return fmt.Errorf("expr: unknown arithmetic operator %d", n.Op)
 		}
-		if n.L.Kind() == vector.Float64 || n.R.Kind() == vector.Float64 {
-			n.kind = vector.Float64
-		} else {
-			n.kind = vector.Int64
-		}
 		n.prepare()
 		return nil
 	case *Case:
 		if err := bindAll(schema, n.When, n.Then, n.Else); err != nil {
 			return err
 		}
-		if n.Then.Kind() != n.Else.Kind() {
+		if (n.Then.Kind() == vector.String) != (n.Else.Kind() == vector.String) {
 			return fmt.Errorf("expr: CASE branches disagree on kind in %s", n)
 		}
+		n.prepare()
 		return nil
 	case *Year:
 		return Bind(n.Arg, schema)
@@ -81,8 +77,8 @@ func Bind(e Expr, schema Schema) error {
 			return err
 		}
 		for _, c := range n.Values {
-			if c.K != n.Arg.Kind() {
-				return fmt.Errorf("expr: IN list kind mismatch in %s", n)
+			if _, ok := member(c, n.Arg); !ok {
+				return fmt.Errorf("expr: IN list value %s does not fit %s in %s", c, n.Arg.Kind(), n)
 			}
 		}
 		n.prepare()
@@ -109,13 +105,133 @@ func bindAll(schema Schema, es ...Expr) error {
 	return nil
 }
 
-// prepare derives the comparison's bound form from its bound operands: a
-// constant goes to the right (flipping the operator), and a vector⊕vector
-// > or <= swaps its operands, so the kernels need only <, = and, against a
-// constant, >.
+// Scale returns the decimal scale of a bound expression's values: an Int64
+// value v of scale s stands for v/10^s. It is 0 for any other value.
+func Scale(e Expr) uint8 {
+	switch n := e.(type) {
+	case *Col:
+		return n.scale
+	case *Const:
+		return n.scale
+	case *Arith:
+		return n.scale
+	case *Case:
+		return n.scale
+	}
+	return 0
+}
+
+// Unscale returns the float64 nearest to v/10^s where |v| ≤ 2^53: v
+// converted exactly, then one correctly rounded division.
+func Unscale(v int64, s uint8) float64 { return float64(v) / math.Pow10(int(s)) }
+
+// Exact returns the literal number c as an Int64 constant at scale s — in
+// the stored units of a decimal column of that scale — if it is one there: an integer times 10^s inside int64, or a float nearest to some
+// n/10^s with |n| ≤ 2^53 (what decimal text such as 0.05 parses to).
+func Exact(c *Const, s uint8) (*Const, bool) {
+	p, m := math.Pow10(int(s)), int64(math.Pow10(int(s)))
+	if c.K == vector.Int64 && c.I <= math.MaxInt64/m && c.I >= math.MinInt64/m {
+		return &Const{K: vector.Int64, I: c.I * m, scale: s}, true
+	}
+	if n := math.Round(c.F * p); c.K == vector.Float64 && math.Abs(n) <= 1<<53 && n/p == c.F {
+		return &Const{K: vector.Int64, I: int64(n), scale: s}, true
+	}
+	return nil, false
+}
+
+// joins returns the constant e as an Int64 constant at the scale of the
+// Int64 operand x, where it is exact there: an integer always, a float only
+// beside a decimal (scale > 0), so that integers and floats mix as floats.
+func joins(e, x Expr) (*Const, bool) {
+	c, ok := e.(*Const)
+	if !ok || x.Kind() != vector.Int64 || (c.K == vector.Float64 && Scale(x) == 0) {
+		return nil, false
+	}
+	return Exact(c, Scale(x))
+}
+
+// toF returns the number e as a Float64 operand: a constant converted once,
+// an Int64 operand through toFloat.
+func toF(e Expr) Expr {
+	switch k, _ := e.(*Const); {
+	case e.Kind() == vector.Float64:
+		return e
+	case k != nil:
+		return Float(Unscale(k.I, k.scale))
+	}
+	return &toFloat{arg: e, scale: Scale(e)}
+}
+
+// unify returns the numbers l and r in one type, and that type: Int64 at
+// the larger scale when both are Int64 or a constant joins the other — a
+// constant scaled here, once, another operand by a multiply — else Float64.
+func unify(l, r Expr) (Expr, Expr, vector.Kind, uint8) {
+	if k, ok := joins(r, l); ok {
+		return l, k, vector.Int64, Scale(l)
+	}
+	if k, ok := joins(l, r); ok {
+		return k, r, vector.Int64, Scale(r)
+	}
+	if l.Kind() == vector.Int64 && r.Kind() == vector.Int64 && !isConst(l) && !isConst(r) {
+		s := max(Scale(l), Scale(r))
+		return rescale(l, s), rescale(r, s), vector.Int64, s
+	}
+	return toF(l), toF(r), vector.Float64, 0
+}
+
+// rescale returns the Int64 operand e at scale s ≥ its own: the product of e
+// and 1 at scale s − Scale(e), checked as any decimal product.
+func rescale(e Expr, s uint8) Expr {
+	if d := s - Scale(e); d > 0 {
+		e = &Arith{Op: Mul, L: e, R: &Const{K: vector.Int64, I: int64(math.Pow10(int(d))), scale: d}}
+		e.(*Arith).prepare()
+	}
+	return e
+}
+
+// product returns the operands of l × r and its type: Int64 at the sum of
+// the scales, at most vector.MaxScale, when both are Int64 — a float
+// constant beside a decimal at the least scale it is exact at — else Float64.
+func product(l, r Expr) (Expr, Expr, vector.Kind, uint8) {
+	least := func(e, x Expr) Expr {
+		for t := range Scale(x) + 1 {
+			if c, ok := e.(*Const); ok && c.K == vector.Float64 && Scale(x) > 0 {
+				if k, ok := Exact(c, t); ok {
+					return k
+				}
+			}
+		}
+		return e
+	}
+	l, r = least(l, r), least(r, l)
+	if s := Scale(l) + Scale(r); l.Kind() == vector.Int64 && r.Kind() == vector.Int64 && s <= vector.MaxScale {
+		return l, r, vector.Int64, s
+	}
+	return toF(l), toF(r), vector.Float64, 0
+}
+
+// member returns the IN value c in the type of arg, if it has one: a string
+// for a string, any number for a float, one that joins an Int64.
+func member(c *Const, arg Expr) (*Const, bool) {
+	if arg.Kind() == vector.Float64 && c.K != vector.String {
+		return toF(c).(*Const), true
+	}
+	if k, ok := joins(c, arg); ok {
+		return k, true
+	}
+	return c, c.K == vector.String && arg.Kind() == vector.String
+}
+
+// prepare derives the comparison's bound form from its bound operands: the
+// numbers in one type (unify), a constant on the right (flipping the
+// operator), and a vector⊕vector > or <= with its operands swapped, so the
+// kernels need only <, = and, against a constant, >.
 func (c *Cmp) prepare() {
 	op := c.Op
 	c.l, c.r = c.L, c.R
+	if c.l.Kind() != vector.String {
+		c.l, c.r, _, _ = unify(c.l, c.r)
+	}
 	if isConst(c.l) && !isConst(c.r) {
 		c.l, c.r, op = c.r, c.l, flip(op)
 	}
@@ -133,10 +249,21 @@ func (c *Cmp) prepare() {
 	}
 }
 
-// prepare derives the arithmetic node's bound form: operands of the result
-// kind, the constant of + and * on the right, and the kernel.
+// prepare derives the arithmetic node's bound form: its type and operands
+// (unify for + and −, product for ×; ÷ stays integer division only between
+// two Int64 operands of scale 0 and is Float64 otherwise), the constant of +
+// and × on the right, and the kernel.
 func (a *Arith) prepare() {
-	a.l, a.r = a.promote(a.L), a.promote(a.R)
+	switch {
+	case a.Op == Add || a.Op == Sub:
+		a.l, a.r, a.kind, a.scale = unify(a.L, a.R)
+	case a.Op == Mul:
+		a.l, a.r, a.kind, a.scale = product(a.L, a.R)
+	case a.L.Kind() == vector.Int64 && a.R.Kind() == vector.Int64 && Scale(a.L)+Scale(a.R) == 0:
+		a.l, a.r, a.kind, a.scale = a.L, a.R, vector.Int64, 0
+	default:
+		a.l, a.r, a.kind, a.scale = toF(a.L), toF(a.R), vector.Float64, 0
+	}
 	if isConst(a.l) && !isConst(a.r) && (a.Op == Add || a.Op == Mul) {
 		a.l, a.r = a.r, a.l
 	}
@@ -145,23 +272,21 @@ func (a *Arith) prepare() {
 	if rc != nil {
 		lc = nil // constant ⊕ constant: the left one is evaluated as a vector
 	}
-	if a.kind == vector.Int64 {
+	if a.kind == vector.Int64 && a.Op == Mul && a.scale > 0 {
+		a.kern = a.checkedMul
+	} else if a.kind == vector.Int64 {
 		a.kern = bindArith(a.Op, i64s, constI, lc, rc)
 	} else {
 		a.kern = bindArith(a.Op, f64s, constF, lc, rc)
 	}
 }
 
-// promote returns operand e in the node's kind: an Int64 operand of a
-// Float64 node becomes a Float64 constant or a toFloat over e.
-func (a *Arith) promote(e Expr) Expr {
-	if e.Kind() == a.kind {
-		return e
+// prepare brings a numeric CASE's branches to one type, as + does.
+func (c *Case) prepare() {
+	c.then, c.els, c.kind, c.scale = c.Then, c.Else, vector.String, 0
+	if c.Then.Kind() != vector.String {
+		c.then, c.els, c.kind, c.scale = unify(c.Then, c.Else)
 	}
-	if k, ok := e.(*Const); ok {
-		return Float(float64(k.I))
-	}
-	return &toFloat{arg: e}
 }
 
 func (in *InList) prepare() {
@@ -181,9 +306,9 @@ func (in *InList) prepare() {
 func Clone(e Expr) Expr {
 	switch n := e.(type) {
 	case *Col:
-		return &Col{Name: n.Name, Index: n.Index, kind: n.kind}
+		return &Col{Name: n.Name, Index: n.Index, kind: n.kind, scale: n.scale}
 	case *Const:
-		return &Const{K: n.K, I: n.I, F: n.F, S: n.S}
+		return &Const{K: n.K, I: n.I, F: n.F, S: n.S, scale: n.scale}
 	case *Cmp:
 		c := &Cmp{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
 		c.prepare()
@@ -195,11 +320,13 @@ func Clone(e Expr) Expr {
 	case *Not:
 		return &Not{Arg: Clone(n.Arg)}
 	case *Arith:
-		c := &Arith{Op: n.Op, L: Clone(n.L), R: Clone(n.R), kind: n.kind}
+		c := &Arith{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
 		c.prepare()
 		return c
 	case *Case:
-		return &Case{When: Clone(n.When), Then: Clone(n.Then), Else: Clone(n.Else)}
+		c := &Case{When: Clone(n.When), Then: Clone(n.Then), Else: Clone(n.Else)}
+		c.prepare()
+		return c
 	case *Year:
 		return &Year{Arg: Clone(n.Arg)}
 	case *Substr:
@@ -256,11 +383,15 @@ type ColRange struct {
 // implied by the conjuncts of e. Only directly analyzable conjuncts
 // contribute: comparisons between a bare column and a constant, and
 // single-element IN lists. The BDCC rewriter maps these intervals onto
-// dimension bin ranges; the scan also uses them for MinMax pruning.
-func ImpliedRanges(e Expr) map[string]*ColRange {
+// dimension bin ranges; the scan also uses them for MinMax pruning, so they
+// are in stored units: scale gives each column's decimal scale (nil: 0 for
+// every column), and a number bounds a column only where it is exact at that
+// scale (12 at scale 2 is 1200). Intervals on Float64 columns are ignored by
+// both consumers.
+func ImpliedRanges(e Expr, scale func(col string) uint8) map[string]*ColRange {
 	out := make(map[string]*ColRange)
 	for _, c := range Conjuncts(e) {
-		col, op, k, iv, sv, ok := analyzeCmp(c)
+		col, op, k, iv, sv, ok := analyzeCmp(c, scale)
 		if !ok {
 			continue
 		}
@@ -321,32 +452,35 @@ func (r *ColRange) tightenHi(k vector.Kind, iv int64, sv string) {
 }
 
 // analyzeCmp recognizes `col op const` and `const op col` (flipping the
-// operator) over Int64 and String columns, plus single-constant IN lists.
-func analyzeCmp(e Expr) (col string, op CmpOp, k vector.Kind, iv int64, sv string, ok bool) {
+// operator) over Int64 and String columns, plus single-constant IN lists; a
+// number counts at the column's scale, and only where it is exact there.
+func analyzeCmp(e Expr, scale func(string) uint8) (col string, op CmpOp, k vector.Kind, iv int64, sv string, ok bool) {
+	var c *Col
+	var v *Const
 	if in, isIn := e.(*InList); isIn && !in.Negate && len(in.Values) == 1 {
-		c, isCol := in.Arg.(*Col)
-		if !isCol {
-			return "", 0, 0, 0, "", false
+		c, _ = in.Arg.(*Col)
+		v, op = in.Values[0], EQ
+	} else if cmp, isCmp := e.(*Cmp); isCmp {
+		if c, _ = cmp.L.(*Col); c != nil {
+			v, _ = cmp.R.(*Const)
+			op = cmp.Op
+		} else if c, _ = cmp.R.(*Col); c != nil {
+			v, _ = cmp.L.(*Const)
+			op = flip(cmp.Op)
 		}
-		v := in.Values[0]
-		if v.K == vector.Float64 {
-			return "", 0, 0, 0, "", false
-		}
-		return c.Name, EQ, v.K, v.I, v.S, true
 	}
-	cmp, isCmp := e.(*Cmp)
-	if !isCmp {
+	if c == nil || v == nil {
 		return "", 0, 0, 0, "", false
 	}
-	if c, isCol := cmp.L.(*Col); isCol {
-		if v, isConst := cmp.R.(*Const); isConst && v.K != vector.Float64 {
-			return c.Name, cmp.Op, v.K, v.I, v.S, true
-		}
+	if v.K == vector.String {
+		return c.Name, op, v.K, 0, v.S, true
 	}
-	if c, isCol := cmp.R.(*Col); isCol {
-		if v, isConst := cmp.L.(*Const); isConst && v.K != vector.Float64 {
-			return c.Name, flip(cmp.Op), v.K, v.I, v.S, true
-		}
+	s := uint8(0)
+	if scale != nil {
+		s = scale(c.Name)
+	}
+	if x, ok := Exact(v, s); ok {
+		return c.Name, op, vector.Int64, x.I, "", true
 	}
 	return "", 0, 0, 0, "", false
 }

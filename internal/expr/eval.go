@@ -1,6 +1,9 @@
 package expr
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"bdcc/internal/vector"
@@ -15,6 +18,7 @@ type scratch struct {
 	aux vector.Vector // an operand gathered through the selection (align)
 	ids []int32       // surviving row ids: Select's result, a filter's value form
 	pos []int32       // surviving positions of a kernel that ran over dense operands
+	err error         // the overflow an evaluation from this node latched (Err)
 }
 
 func (s *scratch) scr() *scratch { return s }
@@ -92,8 +96,13 @@ func (s *scratch) align(lv *vector.Vector, lidx []int32, rv *vector.Vector, ridx
 // in sel's order. The result is e's own storage, valid until e is evaluated
 // again. This is the entry filters use, and the one an evaluator over encoded
 // data would feed: kernels take a selection over typed slices.
-func Select(e Expr, b *vector.Batch, sel []int32) []int32 {
+func Select(e Expr, b *vector.Batch, sel []int32) (ids []int32) {
 	s := e.scr()
+	defer func() {
+		if s.caught(recover()) {
+			ids = s.ids[:0]
+		}
+	}()
 	s.ids = grow(s.ids, rows(b, sel))
 	return filter(e, b, sel, s.ids)
 }
@@ -102,9 +111,42 @@ func Select(e Expr, b *vector.Batch, sel []int32) []int32 {
 // per row: the batch's own column when e is a bare column reference,
 // otherwise e's own storage, valid until e is evaluated again. Callers must
 // not modify it.
-func Values(e Expr, b *vector.Batch) *vector.Vector {
-	v, _ := e.eval(b, nil)
+func Values(e Expr, b *vector.Batch) (v *vector.Vector) {
+	s := e.scr()
+	defer func() {
+		if s.caught(recover()) {
+			v = sized(&s.vec, e.Kind(), b.Len())
+		}
+	}()
+	v, _ = e.eval(b, nil)
 	return v
+}
+
+// overflow is the panic of a decimal product that left int64. The entry
+// points (Select, Values) recover it into the evaluated tree's scratch and
+// return a result of the right length, for the caller to ask Err.
+type overflow struct{ a *Arith }
+
+// caught reports whether r, a recovered panic value, was an overflow, and
+// latches it in s; any other panic goes on.
+func (s *scratch) caught(r any) bool {
+	o, ok := r.(overflow)
+	if !ok && r != nil {
+		panic(r)
+	}
+	if ok && s.err == nil {
+		s.err = fmt.Errorf("expr: %s overflows int64 at scale %d", o.a, o.a.scale)
+	}
+	return ok
+}
+
+// Err returns the error an evaluation of the bound tree e latched: a decimal
+// product that left int64, which fails the query. nil for no tree.
+func Err(e Expr) error {
+	if e == nil {
+		return nil
+	}
+	return e.scr().err
 }
 
 // appendValues is Expr.Eval: the nil-selection evaluation, copied out.
@@ -317,15 +359,54 @@ func (a *Arith) eval(b *vector.Batch, sel []int32) (*vector.Vector, []int32) {
 	return out, nil
 }
 
+// checkedMul is a decimal product's kernel: the products, and the operands'
+// ORs, whose bit lengths bound them where no operand is negative. Only past
+// 2^62 are the rows multiplied in 128 bits; a product that leaves int64
+// panics with overflow.
+func (a *Arith) checkedMul(lv, rv *vector.Vector, idx []int32, out *vector.Vector) {
+	pair := func(i int) (int64, int64) {
+		if idx != nil {
+			i = int(idx[i])
+		}
+		if rv == nil {
+			return lv.I64[i], a.r.(*Const).I
+		}
+		return lv.I64[i], rv.I64[i]
+	}
+	o := out.I64
+	var lm, rm uint64
+	if l := lv.I64; idx == nil && rv != nil {
+		d, r := o[:len(l)], rv.I64[:len(l)]
+		for i, x := range l {
+			d[i] = x * r[i]
+			lm, rm = lm|uint64(x), rm|uint64(r[i])
+		}
+	} else {
+		for i := range o {
+			x, y := pair(i)
+			o[i] = x * y
+			lm, rm = lm|uint64(x), rm|uint64(y)
+		}
+	}
+	for i := 0; i < len(o) && bits.Len64(lm)+bits.Len64(rm) > 62; i++ {
+		x, y := pair(i)
+		if hi, lo := bits.Mul64(uint64(max(x, -x)), uint64(max(y, -y))); hi != 0 || lo > math.MaxInt64 { // |MinInt64| is 2^63
+			panic(overflow{a})
+		}
+	}
+}
+
 func isConst(e Expr) bool {
 	_, ok := e.(*Const)
 	return ok
 }
 
-// toFloat promotes an Int64 operand of a Float64 arithmetic node. Arith's
-// prepare inserts it, so it never appears in a caller's tree or on the wire.
+// toFloat promotes an Int64 operand of scale s to Float64: the float64
+// nearest to v/10^s (Unscale). Bind inserts it, so it never appears in a
+// caller's tree or on the wire.
 type toFloat struct {
-	arg Expr
+	arg   Expr
+	scale uint8
 	scratch
 }
 
@@ -345,13 +426,16 @@ func (t *toFloat) eval(b *vector.Batch, sel []int32) (*vector.Vector, []int32) {
 			out[i] = float64(x)
 		}
 	}
+	for i, p := 0, math.Pow10(int(t.scale)); t.scale > 0 && i < len(out); i++ {
+		out[i] /= p
+	}
 	return &t.vec, nil
 }
 
 func (c *Case) eval(b *vector.Batch, sel []int32) (*vector.Vector, []int32) {
 	cond := c.dense(c.When.eval(b, sel)).I64
-	tv, tidx := c.Then.eval(b, sel)
-	ev, eidx := c.Else.eval(b, sel)
+	tv, tidx := c.then.eval(b, sel)
+	ev, eidx := c.els.eval(b, sel)
 	out := sized(&c.vec, tv.Kind, rows(b, sel))
 	switch out.Kind {
 	case vector.Int64:

@@ -33,10 +33,12 @@ import (
 	"bdcc/internal/vector"
 )
 
-// ColMeta describes one column of a row schema.
+// ColMeta describes one column of a row schema. Scale is an Int64 column's
+// decimal scale: value v stands for v/10^Scale.
 type ColMeta struct {
-	Name string
-	Kind vector.Kind
+	Name  string
+	Kind  vector.Kind
+	Scale uint8
 }
 
 // Schema is an ordered list of columns an expression can be bound against.
@@ -149,11 +151,12 @@ func (o ArithOp) String() string {
 	return "?"
 }
 
-// Col references a column by name; Bind resolves Index and Kind.
+// Col references a column by name; Bind resolves Index, Kind and scale.
 type Col struct {
 	Name  string
 	Index int
 	kind  vector.Kind
+	scale uint8
 	scratch
 }
 
@@ -169,12 +172,14 @@ func (c *Col) String() string { return c.Name }
 // Eval implements Expr.
 func (c *Col) Eval(b *vector.Batch, out *vector.Vector) { appendValues(c, b, out) }
 
-// Const is a literal value.
+// Const is a literal value. Bind writes a number it aligns with a decimal
+// operand as a new Int64 constant at that operand's scale.
 type Const struct {
-	K vector.Kind
-	I int64
-	F float64
-	S string
+	K     vector.Kind
+	I     int64
+	F     float64
+	S     string
+	scale uint8
 	scratch
 }
 
@@ -292,17 +297,20 @@ func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Arg) }
 // Eval implements Expr.
 func (n *Not) Eval(b *vector.Batch, out *vector.Vector) { appendValues(n, b, out) }
 
-// Arith is a binary arithmetic expression. Mixed int/float operands promote
-// to float.
+// Arith is a binary arithmetic expression. Int64 operands are decimals of
+// their scales (0 for integers): + and − align the scales, × adds them, and ÷
+// of decimals yields Float64, as does any other mix with a Float64 operand
+// (see unify and product).
 type Arith struct {
-	Op   ArithOp
-	L, R Expr
-	kind vector.Kind
+	Op    ArithOp
+	L, R  Expr
+	kind  vector.Kind
+	scale uint8
 
-	// Bound form (prepare): operands of the result kind (an Int64 operand of
-	// a Float64 node is wrapped in toFloat, a constant promoted), a constant
-	// of a commutative operator moved to the right, and the kernel for the
-	// kind, operator and operand shape.
+	// Bound form (prepare): operands of the result type (an Int64 operand of
+	// a Float64 node is wrapped in toFloat, a constant converted once), a
+	// constant of a commutative operator moved to the right, and the kernel
+	// for the kind, operator and operand shape.
 	l, r Expr
 	kern arithKernel
 	scratch
@@ -320,11 +328,17 @@ func (a *Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.
 // Eval implements Expr.
 func (a *Arith) Eval(b *vector.Batch, out *vector.Vector) { appendValues(a, b, out) }
 
-// Case is CASE WHEN cond THEN a ELSE b END. Then and Else must share a kind.
+// Case is CASE WHEN cond THEN a ELSE b END. Then and Else are both strings
+// or both numbers, brought to one type as + brings its operands.
 type Case struct {
 	When Expr
 	Then Expr
 	Else Expr
+
+	// Bound form (prepare): the branches in the result type.
+	then, els Expr
+	kind      vector.Kind
+	scale     uint8
 	scratch
 }
 
@@ -332,7 +346,7 @@ type Case struct {
 func NewCase(when, then, els Expr) *Case { return &Case{When: when, Then: then, Else: els} }
 
 // Kind implements Expr.
-func (c *Case) Kind() vector.Kind { return c.Then.Kind() }
+func (c *Case) Kind() vector.Kind { return c.kind }
 
 // String implements Expr.
 func (c *Case) String() string {

@@ -180,7 +180,7 @@ func TestImpliedRanges(t *testing.T) {
 		NewCmp(GT, Int(50), C("q")), // flipped: q < 50
 		NewLike(C("s"), "B%"),       // not analyzable
 	)
-	rs := ImpliedRanges(e)
+	rs := ImpliedRanges(e, nil)
 	d := rs["d"]
 	if d == nil || !d.HasLo || !d.HasHi || d.LoI != 100 || d.HiI != 199 {
 		t.Errorf("d range = %+v", d)
@@ -210,7 +210,7 @@ func TestImpliedRangesSound(t *testing.T) {
 		}
 		out := NewScratch(vector.Int64)
 		e.Eval(b, out)
-		r := ImpliedRanges(e)["x"]
+		r := ImpliedRanges(e, nil)["x"]
 		for i, v := range b.Cols[0].I64 {
 			if out.I64[i] == 1 {
 				if (r.HasLo && v < r.LoI) || (r.HasHi && v > r.HiI) {

@@ -196,7 +196,8 @@ func inC[T comparable](l []T, idx []int32, vals []T, want bool, out []int32) (n 
 func bindIn[T comparable](in *InList, get func(*vector.Vector) []T, val func(*Const) T) filterKernel {
 	vals := make([]T, len(in.Values))
 	for i, c := range in.Values {
-		vals[i] = val(c)
+		k, _ := member(c, in.Arg)
+		vals[i] = val(k)
 	}
 	want := !in.Negate
 	return func(l, _ *vector.Vector, idx, out []int32) int { return inC(get(l), idx, vals, want, out) }

@@ -387,7 +387,7 @@ func aliasSuffix(alias string) string {
 // zonemapPrune intersects row ranges with the MinMax-qualified pages for
 // every analyzable conjunct of the filter.
 func (p *Planner) zonemapPrune(t *storage.Table, filter expr.Expr, in storage.RowRanges) storage.RowRanges {
-	for col, iv := range engine.FilterIntervals(filter) {
+	for col, iv := range engine.FilterIntervals(filter, t.Scale) {
 		in = t.PruneZonemap(col, iv, in)
 	}
 	return in
@@ -558,7 +558,7 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 	rec, said := &preExecMemo{}, "not pre-executed"
 	if !sandwich {
 		said = "materialized, keys not binned"
-		if res, err = engine.Run(p.Ctx, buildOp); err != nil {
+		if res, err = engine.Collect(p.Ctx, buildOp); err != nil {
 			return buildOp, err
 		}
 		rec.res, buildOp = res, &engine.Values{Rows: res}
@@ -573,7 +573,7 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 		if err != nil {
 			return buildOp, err
 		}
-		if res, err = engine.Run(scratch.Ctx, &engine.Limit{Child: op, N: preExecRowCap + 1}); err != nil {
+		if res, err = engine.Collect(scratch.Ctx, &engine.Limit{Child: op, N: preExecRowCap + 1}); err != nil {
 			return buildOp, err
 		}
 		if res.Rows() > preExecRowCap {

@@ -87,7 +87,7 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 		return restrictions{}
 	}
 	out := restrictions{}
-	implied := expr.ImpliedRanges(filter)
+	implied := expr.ImpliedRanges(filter, bt.Data.Scale)
 	for _, u := range bt.Uses {
 		if len(u.Path) != 0 {
 			continue
@@ -107,7 +107,9 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 			out[useKey(u)] = bins
 		}
 		// IN lists with several constants escape ImpliedRanges; handle them
-		// directly.
+		// directly, each number in the column's stored units (a list with a
+		// number not exact at its decimal scale restricts nothing).
+	conjuncts:
 		for _, c := range expr.Conjuncts(filter) {
 			in, ok := c.(*expr.InList)
 			if !ok || in.Negate || len(in.Values) < 2 {
@@ -119,11 +121,12 @@ func localScanRestrictions(bt *core.BDCCTable, filter expr.Expr) restrictions {
 			}
 			bins := core.NewBinSet(u.Dim.NumBins())
 			for _, v := range in.Values {
-				switch v.K {
-				case vector.Int64:
-					addLeadingRange(bins, u.Dim, vector.Int64, &v.I, &v.I, nil, nil)
-				case vector.String:
+				if v.K == vector.String {
 					addLeadingRange(bins, u.Dim, vector.String, nil, nil, &v.S, &v.S)
+				} else if x, ok := expr.Exact(v, bt.Data.Scale(lead)); ok {
+					addLeadingRange(bins, u.Dim, vector.Int64, &x.I, &x.I, nil, nil)
+				} else {
+					continue conjuncts
 				}
 			}
 			out.and(useKey(u), bins)

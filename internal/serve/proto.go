@@ -26,7 +26,7 @@ import (
 // its pool count as the hello's capacity.
 const (
 	ProtoMagic   = "BDCQ"
-	ProtoVersion = 4
+	ProtoVersion = 5
 )
 
 // Client-protocol frame types (wire.TypeHello, 1, opens the session),

@@ -128,17 +128,17 @@ func readRanges(r *wire.Reader) storage.RowRanges {
 func appendSchema(buf []byte, s expr.Schema) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
 	for _, c := range s {
-		buf = append(wire.AppendString(buf, c.Name), byte(c.Kind))
+		buf = append(wire.AppendString(buf, c.Name), byte(c.Kind), c.Scale)
 	}
 	return buf
 }
 
 func readSchema(r *wire.Reader) expr.Schema {
-	s := make(expr.Schema, r.Count("columns", uint32(r.U16()), 5))
+	s := make(expr.Schema, r.Count("columns", uint32(r.U16()), 6))
 	for i := range s {
-		s[i] = expr.ColMeta{Name: r.Str(), Kind: vector.Kind(r.U8())}
-		if s[i].Kind > vector.String {
-			r.Fail("column %q has unknown kind %d", s[i].Name, s[i].Kind)
+		s[i] = expr.ColMeta{Name: r.Str(), Kind: vector.Kind(r.U8()), Scale: r.U8()}
+		if s[i].Kind > vector.String || s[i].Scale > vector.MaxScale || (s[i].Scale > 0 && s[i].Kind != vector.Int64) {
+			r.Fail("column %q has kind %d at scale %d", s[i].Name, s[i].Kind, s[i].Scale)
 		}
 	}
 	return s

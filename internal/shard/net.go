@@ -31,7 +31,7 @@ import (
 // peer could misparse (docs/WIRE.md describes the protocol as it stands).
 const (
 	ProtoMagic   = "BDCW"
-	ProtoVersion = 8
+	ProtoVersion = 9
 )
 
 // Transport frame types; wire.TypeHello (1) opens the session. Every frame

@@ -72,7 +72,7 @@ func encodePartManifest(tab *storage.Table, segs storage.RowRanges, buf []byte) 
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(rows))
 	cols := make(expr.Schema, len(tab.Cols))
 	for i, c := range tab.Cols {
-		cols[i] = expr.ColMeta{Name: c.Name, Kind: c.Kind}
+		cols[i] = expr.ColMeta{Name: c.Name, Kind: c.Kind, Scale: c.Scale}
 	}
 	return appendRanges(appendSchema(buf, cols), segs)
 }

@@ -51,7 +51,7 @@ func rebuiltPartition(t testing.TB, tab *storage.Table, segs storage.RowRanges) 
 	for i, c := range tab.Cols {
 		switch v := vals[i]; c.Kind {
 		case vector.Int64:
-			cols[i] = storage.NewInt64Column(c.Name, v.I64)
+			cols[i] = storage.NewDecimalColumn(c.Name, v.I64, c.Scale)
 		case vector.Float64:
 			cols[i] = storage.NewFloat64Column(c.Name, v.F64)
 		case vector.String:
@@ -99,7 +99,7 @@ func samePartition(t *testing.T, got, want *storage.Table) {
 	for i, w := range want.Cols {
 		all[i] = i
 		g := got.Cols[i]
-		if g.Name != w.Name || g.Kind != w.Kind || g.Width() != w.Width() || got.Pages(g) != want.Pages(w) {
+		if g.Name != w.Name || g.Kind != w.Kind || g.Scale != w.Scale || g.Width() != w.Width() || got.Pages(g) != want.Pages(w) {
 			t.Fatalf("column %s: width %v in %d pages, want %v in %d", w.Name, g.Width(), got.Pages(g), w.Width(), want.Pages(w))
 		}
 		if !want.Compressed() {
@@ -116,12 +116,10 @@ func samePartition(t *testing.T, got, want *storage.Table) {
 			if gc.Enc != wc.Enc || gc.Start != wc.Start || gc.Rows != wc.Rows || gc.Bytes != wc.Bytes ||
 				gc.Base != wc.Base || gc.BitW != wc.BitW || !bytes.Equal(gc.Packed, wc.Packed) ||
 				!slices.Equal(gc.RunN, wc.RunN) || !slices.Equal(gc.RunI, wc.RunI) ||
-				!slices.Equal(gc.RunF, wc.RunF) || !slices.Equal(gc.RunS, wc.RunS) ||
+				!slices.Equal(gc.RunS, wc.RunS) ||
 				!slices.Equal(gc.ValI, wc.ValI) || !slices.Equal(bitsOf(gc.ValF), bitsOf(wc.ValF)) ||
 				!slices.Equal(heapValues(gc.ValS), heapValues(wc.ValS)) ||
-				gc.MinI != wc.MinI || gc.MaxI != wc.MaxI || gc.MinS != wc.MinS || gc.MaxS != wc.MaxS ||
-				math.Float64bits(gc.MinF) != math.Float64bits(wc.MinF) ||
-				math.Float64bits(gc.MaxF) != math.Float64bits(wc.MaxF) {
+				gc.MinI != wc.MinI || gc.MaxI != wc.MaxI || gc.MinS != wc.MinS || gc.MaxS != wc.MaxS {
 				t.Fatalf("column %s chunk %d (%s): differs from the rebuilt chunk (%s)", w.Name, k, gc.Enc, wc.Enc)
 			}
 		}
@@ -223,7 +221,8 @@ func TestShippedUnitPushesDown(t *testing.T) {
 	cols := []string{"l_orderkey", "l_linenumber", "l_quantity", "l_shipinstruct"}
 	probe := make(expr.Schema, len(cols))
 	for i, c := range cols {
-		probe[i] = expr.ColMeta{Name: c, Kind: li.Cols[li.ColumnIndex(c)].Kind}
+		lc := li.Cols[li.ColumnIndex(c)]
+		probe[i] = expr.ColMeta{Name: c, Kind: lc.Kind, Scale: lc.Scale}
 	}
 	prepare := func(st engine.ScanTable) *engine.Fragment {
 		f := &engine.Fragment{Kind: engine.FragScan, Table: "lineitem", Probe: probe,

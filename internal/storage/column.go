@@ -17,6 +17,9 @@ import "bdcc/internal/vector"
 type Column struct {
 	Name string
 	Kind vector.Kind
+	// Scale is an Int64 column's decimal scale: value v stands for v/10^Scale
+	// (a DECIMAL(p,2) column stores cents). 0 for every other column.
+	Scale uint8
 	// Enc is the modeled on-disk form on a compressed table: the modeled
 	// width (hence page charges) follows its encoded bytes.
 	Enc *ColumnEncoding
@@ -32,6 +35,14 @@ type Column struct {
 // NewInt64Column returns an int64 column over vals (not copied).
 func NewInt64Column(name string, vals []int64) *Column {
 	return rawColumn(name, vector.Int64, Chunk{ValI: vals})
+}
+
+// NewDecimalColumn returns an Int64 column of decimal scale scale over vals
+// (not copied), each the value times 10^scale.
+func NewDecimalColumn(name string, vals []int64, scale uint8) *Column {
+	c := NewInt64Column(name, vals)
+	c.Scale = scale
+	return c
 }
 
 // NewFloat64Column returns a float64 column over vals (not copied).
@@ -134,7 +145,9 @@ func (c *Column) permute(perm []int32) *Column {
 	vals, out := c.Values(), vector.NewVector(c.Kind, len(perm))
 	if c.Kind != vector.String {
 		out.AppendSelected(vals, perm)
-		return rawColumn(c.Name, c.Kind, Chunk{ValI: out.I64, ValF: out.F64})
+		p := rawColumn(c.Name, c.Kind, Chunk{ValI: out.I64, ValF: out.F64})
+		p.Scale = c.Scale
+		return p
 	}
 	h := vector.MakeHeap(len(perm), int(c.Enc.RawBytes)) // the same bytes, in perm order
 	for _, p := range perm {

@@ -74,14 +74,15 @@ func checkConcat(a *Table, aRows int, b *Table) error {
 	return nil
 }
 
-// sameSchema rejects a b whose columns differ from a's by name, kind or order.
+// sameSchema rejects a b whose columns differ from a's by name, kind, scale
+// or order.
 func sameSchema(a, b *Table) error {
 	if len(a.Cols) != len(b.Cols) {
 		return fmt.Errorf("%d vs %d columns", len(a.Cols), len(b.Cols))
 	}
 	for i, c := range a.Cols {
-		if o := b.Cols[i]; c.Name != o.Name || c.Kind != o.Kind {
-			return fmt.Errorf("column %d is %s %s vs %s %s", i, c.Kind, c.Name, o.Kind, o.Name)
+		if o := b.Cols[i]; c.Name != o.Name || c.Kind != o.Kind || c.Scale != o.Scale {
+			return fmt.Errorf("column %d is %s(%d) %s vs %s(%d) %s", i, c.Kind, c.Scale, c.Name, o.Kind, o.Scale, o.Name)
 		}
 	}
 	return nil

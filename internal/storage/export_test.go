@@ -96,7 +96,9 @@ func rawCopy(c *Column, ranges RowRanges) *Column {
 	for _, r := range ranges {
 		c.AppendRange(r.Start, r.End, v)
 	}
-	return columnOf(c.Name, v)
+	out := columnOf(c.Name, v)
+	out.Scale = c.Scale
+	return out
 }
 
 // columnOf returns the uncompressed column named name of v's values.

@@ -1,6 +1,6 @@
 package storage
 
-import "sort"
+import "slices"
 
 // RowRange is a half-open interval [Start, End) of row positions.
 type RowRange struct {
@@ -32,7 +32,7 @@ func (rs RowRanges) Normalize() RowRanges {
 			out = append(out, r)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	slices.SortFunc(out, func(a, b RowRange) int { return a.Start - b.Start })
 	merged := out[:0]
 	for _, r := range out {
 		if n := len(merged); n > 0 && r.Start <= merged[n-1].End {

@@ -31,8 +31,13 @@ type PushPred struct {
 // with or without pushdown, on any encoding of the same rows, and wherever a
 // reader over a window-aligned slice of the ranges starts.
 type Reader struct {
-	t      *Table
-	v      *view // t's runs (runsOf)
+	t   *Table
+	v   *view // t's runs: a view's own, or one over t held in one
+	one struct {
+		v    view
+		srcs [1]*Table
+		runs [1]Run
+	}
 	cols   []int
 	ranges RowRanges
 	push   []pushed
@@ -67,7 +72,11 @@ func NewReaderPush(t *Table, cols []int, ranges RowRanges, acct *iosim.Accountan
 		ranges = FullRange(t.Rows())
 	}
 	t.ChargeIO(acct, cols, ranges)
-	r := &Reader{t: t, v: t.runsOf(), cols: cols, ranges: ranges}
+	r := &Reader{t: t, v: t.view, cols: cols, ranges: ranges}
+	if r.v == nil { // t as one run over itself, as runsOf would build it, without its three allocations
+		r.one.srcs[0], r.one.runs[0] = t, Run{0, 0, int32(t.rows), 0}
+		r.one.v.srcs, r.one.v.runs, r.v = r.one.srcs[:], r.one.runs[:], &r.one.v
+	}
 	if len(ranges) > 0 {
 		r.pos = ranges[0].Start
 	}

@@ -154,7 +154,7 @@ func (t *Table) Encoded() *Table {
 	out := &Table{Name: t.Name, PageSize: t.PageSize, rows: t.rows, byName: t.byName, Cols: make([]*Column, len(t.Cols)),
 		zones: make([]zonemap, len(t.Cols)), lazy: &lazyZones{memo: make([]atomic.Pointer[zonemap], len(t.Cols))}}
 	for i, c := range t.Cols {
-		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, Enc: c.Enc}
+		out.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, Scale: c.Scale, Enc: c.Enc}
 		if z := t.known(i); z != nil {
 			out.zones[i] = *z
 			out.lazy.memo[i].Store(&out.zones[i])
@@ -239,6 +239,15 @@ func (t *Table) Column(name string) (*Column, error) {
 		return nil, fmt.Errorf("storage: table %q has no column %q", t.Name, name)
 	}
 	return t.Cols[i], nil
+}
+
+// Scale returns the decimal scale of the named column, 0 for a column t
+// lacks.
+func (t *Table) Scale(name string) uint8 {
+	if i := t.ColumnIndex(name); i >= 0 {
+		return t.Cols[i].Scale
+	}
+	return 0
 }
 
 // MustColumn is Column panicking on unknown names.

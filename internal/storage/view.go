@@ -157,7 +157,7 @@ func (v *view) table(a *Table, n int, step []Run) *Table {
 	t := &Table{Name: a.Name, PageSize: a.PageSize, rows: n, byName: a.byName, Cols: make([]*Column, len(a.Cols)),
 		lazy: lazyOver(a, step), view: v}
 	for i, c := range a.Cols {
-		t.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, width: 8}
+		t.Cols[i] = &Column{Name: c.Name, Kind: c.Kind, Scale: c.Scale, width: 8}
 		if c.Kind == vector.String {
 			t.Cols[i].width = strWidth(v.strBytes(i, n), n)
 		}
@@ -310,6 +310,7 @@ func (v *view) gather(t *Table, lz *lazyZones) *Table {
 		}
 		ch := v.column(i, t.Cols[i].Kind, t.rows, bytes)
 		c := rawColumn(t.Cols[i].Name, t.Cols[i].Kind, ch)
+		c.Scale = t.Cols[i].Scale
 		c.finish()
 		if out.Cols[i] = c; t.known(i) != nil {
 			z := *t.known(i)

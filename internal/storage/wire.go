@@ -32,7 +32,7 @@ var columnFrameMagic = [4]byte{'B', 'D', 'C', '1'}
 
 const (
 	frameEncoded = 1 << 0 // the column has a chunk encoding; clear: raw chunks of a plain column
-	frameFirst   = 1 << 1 // the column's first frame: ChunkRows, RawBytes and the dictionary lead
+	frameFirst   = 1 << 1 // the column's first frame: ChunkRows, RawBytes, scale and dictionary lead
 
 	frameOverhead = len(columnFrameMagic) + 2 + 4 + 4 // magic, kind, flags, heap length, checksum
 	plainSpanRows = 4096                              // rows per raw chunk a plain column is written as
@@ -81,6 +81,7 @@ func (t *Table) Frames(frameBytes int) [][]byte {
 		w.begin(c.Kind, flags|frameFirst)
 		w.Uvar(uint64(e.ChunkRows))
 		w.Uvar(uint64(e.RawBytes))
+		w.Body = append(w.Body, c.Scale)
 		w.Dict(e.Dict)
 		for i := range e.Chunks {
 			if i > 0 && len(w.Body)+len(w.Heap) >= frameBytes {
@@ -174,7 +175,7 @@ func (a *TableAdopter) Add(frame []byte) (resident int64, done bool, err error) 
 	var e ColumnEncoding
 	if err == nil {
 		resident = int64(len(frame) + r.HeapLeft())
-		n, e = a.readChunks(r, *c.Enc, c.Kind)
+		n, e = a.readChunks(r, *c.Enc, c)
 		err = r.Err()
 	}
 	if err != nil {
@@ -190,12 +191,14 @@ func (a *TableAdopter) Add(frame []byte) (resident int64, done bool, err error) 
 }
 
 // readChunks reads a whole frame body — the column header, when the frame is
-// the column's first, then chunks — into e, a copy of the column's encoding
-// so far, and returns the rows read with the extended copy; r.Err says
-// whether the frame held up. New chunks land past the column's published
-// length (in its own backing array when there is room) and stay invisible
-// until Add assigns the copy back.
-func (a *TableAdopter) readChunks(r *vector.ChunkReader, e ColumnEncoding, kind vector.Kind) (int, ColumnEncoding) {
+// the column's first, then chunks — into e, a copy of column c's encoding so
+// far, and returns the rows read with the extended copy; r.Err says whether
+// the frame held up. New chunks land past the column's published length (in
+// its own backing array when there is room) and stay invisible until Add
+// assigns the copy back. The header's scale is set on c, where the next first
+// frame overwrites it if this one fails.
+func (a *TableAdopter) readChunks(r *vector.ChunkReader, e ColumnEncoding, c *Column) (int, ColumnEncoding) {
+	kind := c.Kind
 	if !a.started {
 		limit := plainSpanRows
 		if a.compressed { // no granularity exceeds a page of one-byte values
@@ -205,6 +208,9 @@ func (a *TableAdopter) readChunks(r *vector.ChunkReader, e ColumnEncoding, kind 
 		e.RawBytes = int64(r.Uvarint("raw bytes", math.MaxInt))
 		if r.Err() == nil && e.ChunkRows == 0 {
 			r.Fail("chunk granularity 0")
+		}
+		if c.Scale = r.U8(); c.Scale > vector.MaxScale || (c.Scale > 0 && kind != vector.Int64) {
+			r.Fail("scale %d in a %s column", c.Scale, kind)
 		}
 		e.Dict, e.DictBits, e.DictBytes = r.Dict()
 	}

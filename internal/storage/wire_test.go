@@ -49,7 +49,7 @@ func wireFixture(t testing.TB, n int, compress bool) *Table {
 		mode[i] = modes[rng.Intn(len(modes))]
 	}
 	tab, err := NewTable("wire", 1<<10,
-		NewInt64Column("wide", wide), NewInt64Column("mixed", mixed), NewInt64Column("narrow", narrow),
+		NewInt64Column("wide", wide), NewInt64Column("mixed", mixed), NewDecimalColumn("narrow", narrow, 2),
 		NewFloat64Column("price", price), NewFloat64Column("flag", flag),
 		NewStringColumn("note", note), NewStringColumn("status", status), NewStringColumn("mode", mode))
 	if err != nil {
@@ -111,9 +111,9 @@ func sameStored(t *testing.T, got, want *Table) {
 	for i, w := range want.Cols {
 		all[i] = i
 		g := got.Cols[i]
-		if g.Name != w.Name || g.Kind != w.Kind || g.Len() != w.Len() || g.width != w.width || got.Pages(g) != want.Pages(w) {
-			t.Fatalf("column %d: %s %s, %d values, width %v, %d pages; want %s %s, %d, %v, %d", i, g.Kind, g.Name,
-				g.Len(), g.width, got.Pages(g), w.Kind, w.Name, w.Len(), w.width, want.Pages(w))
+		if g.Name != w.Name || g.Kind != w.Kind || g.Scale != w.Scale || g.Len() != w.Len() || g.width != w.width || got.Pages(g) != want.Pages(w) {
+			t.Fatalf("column %d: %s(%d) %s, %d values, width %v, %d pages; want %s(%d) %s, %d, %v, %d", i, g.Kind, g.Scale, g.Name,
+				g.Len(), g.width, got.Pages(g), w.Kind, w.Scale, w.Name, w.Len(), w.width, want.Pages(w))
 		}
 		if !want.Compressed() {
 			continue // raw chunks of any length: the reader below holds the values
@@ -129,12 +129,10 @@ func sameStored(t *testing.T, got, want *Table) {
 			if gc.Enc != wc.Enc || gc.Start != wc.Start || gc.Rows != wc.Rows || gc.Bytes != wc.Bytes ||
 				gc.Base != wc.Base || gc.BitW != wc.BitW || !bytes.Equal(gc.Packed, wc.Packed) ||
 				!slices.Equal(gc.RunN, wc.RunN) || !slices.Equal(gc.RunI, wc.RunI) ||
-				!slices.Equal(gc.RunF, wc.RunF) || !slices.Equal(gc.RunS, wc.RunS) ||
+				!slices.Equal(gc.RunS, wc.RunS) ||
 				!slices.Equal(gc.ValI, wc.ValI) || !slices.Equal(bitsOf(gc.ValF), bitsOf(wc.ValF)) ||
 				!slices.Equal(strs(gc.ValS), strs(wc.ValS)) ||
-				gc.MinI != wc.MinI || gc.MaxI != wc.MaxI || gc.MinS != wc.MinS || gc.MaxS != wc.MaxS ||
-				math.Float64bits(gc.MinF) != math.Float64bits(wc.MinF) ||
-				math.Float64bits(gc.MaxF) != math.Float64bits(wc.MaxF) {
+				gc.MinI != wc.MinI || gc.MaxI != wc.MaxI || gc.MinS != wc.MinS || gc.MaxS != wc.MaxS {
 				t.Fatalf("column %s chunk %d: %+v, want %+v", w.Name, k, *gc, *wc)
 			}
 		}
@@ -214,7 +212,7 @@ func TestColumnWireRoundTrip(t *testing.T) {
 		}
 	}
 	for kind, want := range map[vector.Kind][]Encoding{
-		vector.Int64: {EncRaw, EncRLE, EncFOR}, vector.Float64: {EncRaw, EncRLE}, vector.String: {EncRaw, EncRLE, EncDict}} {
+		vector.Int64: {EncRaw, EncRLE, EncFOR}, vector.Float64: {EncRaw}, vector.String: {EncRaw, EncRLE, EncDict}} {
 		for _, e := range want {
 			if !sawEnc[kind][e] {
 				t.Fatalf("the fixture never produced a %s chunk of kind %s", e, kind)
@@ -319,6 +317,7 @@ func TestColumnWireStructure(t *testing.T) {
 		w.begin(kind, frameEncoded|frameFirst)
 		w.Uvar(uint64(chunkRows))
 		w.Uvar(0)
+		w.Body = append(w.Body, 0) // scale
 		w.Dict(dict)
 		for i := range chunks {
 			w.Chunk(kind, &chunks[i])
@@ -359,8 +358,11 @@ func TestColumnWireStructure(t *testing.T) {
 	refuse("an empty chunk", vector.Int64, 100, frame(vector.Int64, 128, nil, rle(100, 100), rle(0)))
 
 	pack := func(rows int, bitw uint8, code func(int) uint64) []byte {
-		p := make([]byte, vector.BitPackLen(rows, bitw))
-		vector.BitPack(p, rows, bitw, code)
+		p, vals := make([]byte, vector.BitPackLen(rows, bitw)), make([]uint64, rows)
+		for i := range vals {
+			vals[i] = code(i)
+		}
+		vector.BitPack(p, vals, bitw, 0)
 		return p
 	}
 	forc := func(bitw uint8, packed []byte) Chunk {
@@ -373,6 +375,16 @@ func TestColumnWireStructure(t *testing.T) {
 	refuse("packed bytes long", vector.Int64, 12, frame(vector.Int64, 128, nil, forc(3, append(pack(12, 3, low), 0))))
 	refuse("frame of reference over floats", vector.Float64, 12, frame(vector.Float64, 128, nil, forc(3, pack(12, 3, low))))
 	refuse("unknown encoding", vector.Int64, 12, frame(vector.Int64, 128, nil, Chunk{Enc: 9, Rows: 12}))
+	refuse("run-length floats", vector.Float64, 100, frame(vector.Float64, 128, nil, Chunk{Enc: EncRLE, Rows: 100, RunN: []int32{100}}))
+	scaled := func(kind vector.Kind, scale byte) []byte {
+		f := frame(kind, 100, nil, Chunk{Enc: EncRLE, Rows: 100, RunN: []int32{100}, RunI: []int64{7}, RunS: []string{"a"}})
+		f[len(columnFrameMagic)+2+2] = scale // past the kind, the flags and the two one-byte uvarints
+		return reseal(f)
+	}
+	accept("scale 2", vector.Int64, 100, scaled(vector.Int64, 2))
+	accept("an unscaled string column", vector.String, 100, scaled(vector.String, 0))
+	refuse("scale 19", vector.Int64, 100, scaled(vector.Int64, vector.MaxScale+1))
+	refuse("a scaled string column", vector.String, 100, scaled(vector.String, 2))
 
 	abc := []string{"a", "bb", "cc"}
 	dictc := func(bitw uint8, code func(int) uint64) Chunk {
@@ -390,6 +402,7 @@ func TestColumnWireStructure(t *testing.T) {
 	w.begin(vector.String, frameEncoded|frameFirst)
 	w.Uvar(256)
 	w.Uvar(0)
+	w.Body = append(w.Body, 0)
 	w.Uvar(maxDictEntries + 1)
 	refuse("dictionary past the cap", vector.String, 200, w.finish())
 	f := frame(vector.String, 256, abc, dictc(2, low))

@@ -29,7 +29,7 @@ var (
 func smallFixture(t *testing.T) *Benchmark {
 	t.Helper()
 	sbOnce.Do(func() {
-		sb, sbErr = NewBenchmark(0.01, plan.BDCC)
+		sb, sbErr = NewBenchmarkCompressed(0.01, false, plan.BDCC)
 	})
 	if sbErr != nil {
 		t.Fatalf("NewBenchmark: %v", sbErr)

@@ -122,7 +122,7 @@ func TestPushdownKeepsBatchCuts(t *testing.T) {
 			// The pushed intervals must prune rows, or the case is vacuous.
 			var push []storage.PushPred
 			for i, c := range cols {
-				if iv, ok := engine.FilterIntervals(fl.mk())[c]; ok {
+				if iv, ok := engine.FilterIntervals(fl.mk(), comp.Scale)[c]; ok {
 					push = append(push, storage.PushPred{Col: i, Iv: iv})
 				}
 			}

@@ -33,17 +33,12 @@ type Benchmark struct {
 	RunOptions
 }
 
-// NewBenchmark generates data at the scale factor and materializes the
-// requested schemes (all three when none are named), uncompressed.
-func NewBenchmark(sf float64, schemes ...plan.Scheme) (*Benchmark, error) {
-	return NewBenchmarkCompressed(sf, false, schemes...)
-}
-
-// NewBenchmarkCompressed is NewBenchmark with the storage-compression knob:
-// with compress set, every base table is chunk-encoded before the schemes
-// materialize, and the PK/BDCC permutations that move rows re-encode in their
-// order (where BDCC's locally homogeneous values pay off). Query results are
-// byte-identical across the knob.
+// NewBenchmarkCompressed generates data at the scale factor and materializes
+// the requested schemes (all three when none are named). With compress set,
+// every base table is chunk-encoded before the schemes materialize, and the
+// PK/BDCC permutations that move rows re-encode in their order (where BDCC's
+// locally homogeneous values pay off). Query results are byte-identical
+// across the knob.
 func NewBenchmarkCompressed(sf float64, compress bool, schemes ...plan.Scheme) (*Benchmark, error) {
 	if len(schemes) == 0 {
 		schemes = []plan.Scheme{plan.Plain, plan.PK, plan.BDCC}

@@ -165,7 +165,7 @@ func TestOrderingComparison(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ordering comparison builds a second BDCC database")
 	}
-	b, err := NewBenchmark(0.01, plan.BDCC)
+	b, err := NewBenchmarkCompressed(0.01, false, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,7 +219,7 @@ func genSupplier(pageSize int64, n int) *storage.Table {
 	addr := vector.MakeHeap(n, 20*n)
 	nation := make([]int64, n)
 	phone := vector.MakeHeap(n, 15*n)
-	bal := make([]float64, n)
+	bal := make([]int64, n)
 	com := commentHeap(n, 10)
 	for i := 0; i < n; i++ {
 		k := int64(i + 1)
@@ -230,7 +230,7 @@ func genSupplier(pageSize int64, n int) *storage.Table {
 		nk := rng.Int63n(25)
 		nation[i] = nk
 		genPhone(&phone, rng, nk)
-		bal[i] = float64(rng.Intn(1100000)-100000) / 100
+		bal[i] = int64(rng.Intn(1100000) - 100000)
 		// The spec plants "Customer ... Complaints" in 5 of 10000 suppliers.
 		comment(&com, rng, 10, 0.0005, "Customer", "Complaints")
 	}
@@ -240,7 +240,7 @@ func genSupplier(pageSize int64, n int) *storage.Table {
 		storage.NewHeapColumn("s_address", addr),
 		storage.NewInt64Column("s_nationkey", nation),
 		storage.NewHeapColumn("s_phone", phone),
-		storage.NewFloat64Column("s_acctbal", bal),
+		storage.NewDecimalColumn("s_acctbal", bal, 2),
 		storage.NewHeapColumn("s_comment", com))
 }
 
@@ -253,9 +253,9 @@ func genPhone(h *vector.Heap, rng *rand.Rand, nationkey int64) {
 	h.End()
 }
 
-// genPart returns the part table and p_retailprice by part index (needed to
-// derive l_extendedprice).
-func genPart(pageSize int64, n int) (*storage.Table, []float64) {
+// genPart returns the part table and p_retailprice in cents by part index
+// (needed to derive l_extendedprice).
+func genPart(pageSize int64, n int) (*storage.Table, []int64) {
 	rng := rand.New(rand.NewSource(104))
 	key := make([]int64, n)
 	name := vector.MakeHeap(n, 36*n)
@@ -264,7 +264,7 @@ func genPart(pageSize int64, n int) (*storage.Table, []float64) {
 	ptype := vector.MakeHeap(n, 22*n)
 	size := make([]int64, n)
 	container := vector.MakeHeap(n, 8*n)
-	retail := make([]float64, n)
+	retail := make([]int64, n)
 	com := commentHeap(n, 4)
 	for i := 0; i < n; i++ {
 		k := int64(i + 1)
@@ -280,7 +280,7 @@ func genPart(pageSize int64, n int) (*storage.Table, []float64) {
 		joined(&ptype, typeSyl1[rng.Intn(6)], typeSyl2[rng.Intn(5)], typeSyl3[rng.Intn(5)])
 		size[i] = int64(1 + rng.Intn(50))
 		joined(&container, containerSyl1[rng.Intn(5)], containerSyl2[rng.Intn(8)])
-		retail[i] = float64(90000+((k/10)%20001)+100*(k%1000)) / 100
+		retail[i] = 90000 + ((k / 10) % 20001) + 100*(k%1000)
 		comment(&com, rng, 4, 0, "", "")
 	}
 	t := storage.MustNewTable("part", pageSize,
@@ -291,7 +291,7 @@ func genPart(pageSize int64, n int) (*storage.Table, []float64) {
 		storage.NewHeapColumn("p_type", ptype),
 		storage.NewInt64Column("p_size", size),
 		storage.NewHeapColumn("p_container", container),
-		storage.NewFloat64Column("p_retailprice", retail),
+		storage.NewDecimalColumn("p_retailprice", retail, 2),
 		storage.NewHeapColumn("p_comment", com))
 	return t, retail
 }
@@ -308,14 +308,14 @@ func genPartsupp(pageSize int64, nPart, nSupp int) *storage.Table {
 	pk := make([]int64, 0, n)
 	sk := make([]int64, 0, n)
 	avail := make([]int64, 0, n)
-	cost := make([]float64, 0, n)
+	cost := make([]int64, 0, n)
 	com := commentHeap(n, 12)
 	for p := int64(1); p <= int64(nPart); p++ {
 		for i := 0; i < 4; i++ {
 			pk = append(pk, p)
 			sk = append(sk, psSupplierFor(p, i, int64(nSupp)))
 			avail = append(avail, int64(1+rng.Intn(9999)))
-			cost = append(cost, float64(100+rng.Intn(99901))/100)
+			cost = append(cost, int64(100+rng.Intn(99901)))
 			comment(&com, rng, 12, 0, "", "")
 		}
 	}
@@ -323,7 +323,7 @@ func genPartsupp(pageSize int64, nPart, nSupp int) *storage.Table {
 		storage.NewInt64Column("ps_partkey", pk),
 		storage.NewInt64Column("ps_suppkey", sk),
 		storage.NewInt64Column("ps_availqty", avail),
-		storage.NewFloat64Column("ps_supplycost", cost),
+		storage.NewDecimalColumn("ps_supplycost", cost, 2),
 		storage.NewHeapColumn("ps_comment", com))
 }
 
@@ -334,7 +334,7 @@ func genCustomer(pageSize int64, n int) *storage.Table {
 	addr := vector.MakeHeap(n, 12*n)
 	nation := make([]int64, n)
 	phone := vector.MakeHeap(n, 15*n)
-	bal := make([]float64, n)
+	bal := make([]int64, n)
 	seg := vector.MakeHeap(n, 10*n)
 	com := commentHeap(n, 10)
 	for i := 0; i < n; i++ {
@@ -345,7 +345,7 @@ func genCustomer(pageSize int64, n int) *storage.Table {
 		nk := rng.Int63n(25)
 		nation[i] = nk
 		genPhone(&phone, rng, nk)
-		bal[i] = float64(rng.Intn(1100000)-100000) / 100
+		bal[i] = int64(rng.Intn(1100000) - 100000)
 		seg.Append(segments[rng.Intn(len(segments))])
 		comment(&com, rng, 10, 0, "", "")
 	}
@@ -355,12 +355,12 @@ func genCustomer(pageSize int64, n int) *storage.Table {
 		storage.NewHeapColumn("c_address", addr),
 		storage.NewInt64Column("c_nationkey", nation),
 		storage.NewHeapColumn("c_phone", phone),
-		storage.NewFloat64Column("c_acctbal", bal),
+		storage.NewDecimalColumn("c_acctbal", bal, 2),
 		storage.NewHeapColumn("c_mktsegment", seg),
 		storage.NewHeapColumn("c_comment", com))
 }
 
-func genOrdersLineitem(pageSize int64, nOrd, nCust, nPart, nSupp int, retail []float64) (*storage.Table, *storage.Table) {
+func genOrdersLineitem(pageSize int64, nOrd, nCust, nPart, nSupp int, retail []int64) (*storage.Table, *storage.Table) {
 	rng := rand.New(rand.NewSource(107))
 	g := &orderGen{rng: rng, nCust: nCust, nPart: nPart, nSupp: nSupp, retail: retail}
 	g.date = func() int64 { return dateLo + rng.Int63n(dateHi-dateLo+1) }
@@ -373,18 +373,18 @@ func genOrdersLineitem(pageSize int64, nOrd, nCust, nPart, nSupp int, retail []f
 
 // orderGen writes orders, and the lineitems of each, straight into the
 // columns of the two tables. The base generator and DeltaGen share it, so an
-// arrival is drawn exactly as a loaded order is, but for its date.
+// arrival is drawn exactly as a loaded order is, but for its date. Money,
+// quantities and rates are decimals of scale 2, generated in cents.
 type orderGen struct {
 	rng                 *rand.Rand
 	nCust, nPart, nSupp int
-	retail              []float64
+	retail              []int64      // p_retailprice in cents, by part index
 	date                func() int64 // draws an o_orderdate
 
-	oKey, oCust, oDate, oShipPrio                   []int64
-	oTotal                                          []float64
+	oKey, oCust, oDate, oShipPrio, oTotal           []int64
 	oStatus, oPrio, oClerk, oCom                    vector.Heap
 	lOrd, lPart, lSupp, lNum, lShip, lCommit, lRcpt []int64
-	lQty, lExt, lDisc, lTax                         []float64
+	lQty, lExt, lDisc, lTax                         []int64
 	lRet, lStat, lInstr, lMode, lCom                vector.Heap
 }
 
@@ -393,12 +393,11 @@ type orderGen struct {
 func (g *orderGen) reserve(nOrd int) {
 	n := 4*nOrd + nOrd/16 + 16
 	i64 := func(n int) []int64 { return make([]int64, 0, n) }
-	f64 := func(n int) []float64 { return make([]float64, 0, n) }
-	g.oKey, g.oCust, g.oDate, g.oShipPrio, g.oTotal = i64(nOrd), i64(nOrd), i64(nOrd), i64(nOrd), f64(nOrd)
+	g.oKey, g.oCust, g.oDate, g.oShipPrio, g.oTotal = i64(nOrd), i64(nOrd), i64(nOrd), i64(nOrd), i64(nOrd)
 	g.oStatus, g.oPrio = vector.MakeHeap(nOrd, nOrd), vector.MakeHeap(nOrd, 9*nOrd)
 	g.oClerk, g.oCom = vector.MakeHeap(nOrd, 15*nOrd), commentHeap(nOrd, 8)
 	g.lOrd, g.lPart, g.lSupp, g.lNum, g.lShip, g.lCommit, g.lRcpt = i64(n), i64(n), i64(n), i64(n), i64(n), i64(n), i64(n)
-	g.lQty, g.lExt, g.lDisc, g.lTax = f64(n), f64(n), f64(n), f64(n)
+	g.lQty, g.lExt, g.lDisc, g.lTax = i64(n), i64(n), i64(n), i64(n)
 	g.lRet, g.lStat, g.lInstr = vector.MakeHeap(n, n), vector.MakeHeap(n, n), vector.MakeHeap(n, 12*n)
 	g.lMode, g.lCom = vector.MakeHeap(n, 5*n), commentHeap(n, 5)
 }
@@ -426,16 +425,16 @@ func (g *orderGen) order(ok int64) {
 	comment(&g.oCom, rng, 8, 0.02, "special", "requests")
 
 	items := 1 + rng.Intn(7)
-	var total float64
+	var total int64 // the charges at scale 6: price × (1 + tax) × (1 − discount)
 	allF, allO := true, true
 	for ln := 1; ln <= items; ln++ {
 		pk := 1 + rng.Int63n(int64(g.nPart))
 		si := rng.Intn(4)
 		sk := psSupplierFor(pk, si, int64(g.nSupp))
-		qty := float64(1 + rng.Intn(50))
+		qty := int64(1 + rng.Intn(50))
 		ext := qty * g.retail[pk-1]
-		disc := float64(rng.Intn(11)) / 100
-		tax := float64(rng.Intn(9)) / 100
+		disc := int64(rng.Intn(11))
+		tax := int64(rng.Intn(9))
 		ship := od + 1 + rng.Int63n(121)
 		commit := od + 30 + rng.Int63n(61)
 		rcpt := ship + 1 + rng.Int63n(30)
@@ -460,7 +459,7 @@ func (g *orderGen) order(ok int64) {
 		g.lPart = append(g.lPart, pk)
 		g.lSupp = append(g.lSupp, sk)
 		g.lNum = append(g.lNum, int64(ln))
-		g.lQty = append(g.lQty, qty)
+		g.lQty = append(g.lQty, 100*qty)
 		g.lExt = append(g.lExt, ext)
 		g.lDisc = append(g.lDisc, disc)
 		g.lTax = append(g.lTax, tax)
@@ -472,7 +471,7 @@ func (g *orderGen) order(ok int64) {
 		g.lInstr.Append(instructs[rng.Intn(4)])
 		g.lMode.Append(shipModes[rng.Intn(7)])
 		comment(&g.lCom, rng, 5, 0, "", "")
-		total += ext * (1 + tax) * (1 - disc)
+		total += ext * (100 + tax) * (100 - disc)
 	}
 	switch {
 	case allF:
@@ -482,7 +481,7 @@ func (g *orderGen) order(ok int64) {
 	default:
 		g.oStatus.Append("P")
 	}
-	g.oTotal = append(g.oTotal, total)
+	g.oTotal = append(g.oTotal, (total+5000)/10000) // rounded to cents once
 }
 
 // tables returns the orders and lineitem tables generated so far.
@@ -491,7 +490,7 @@ func (g *orderGen) tables(pageSize int64) (orders, lineitem *storage.Table) {
 		storage.NewInt64Column("o_orderkey", g.oKey),
 		storage.NewInt64Column("o_custkey", g.oCust),
 		storage.NewHeapColumn("o_orderstatus", g.oStatus),
-		storage.NewFloat64Column("o_totalprice", g.oTotal),
+		storage.NewDecimalColumn("o_totalprice", g.oTotal, 2),
 		storage.NewInt64Column("o_orderdate", g.oDate),
 		storage.NewHeapColumn("o_orderpriority", g.oPrio),
 		storage.NewHeapColumn("o_clerk", g.oClerk),
@@ -502,10 +501,10 @@ func (g *orderGen) tables(pageSize int64) (orders, lineitem *storage.Table) {
 		storage.NewInt64Column("l_partkey", g.lPart),
 		storage.NewInt64Column("l_suppkey", g.lSupp),
 		storage.NewInt64Column("l_linenumber", g.lNum),
-		storage.NewFloat64Column("l_quantity", g.lQty),
-		storage.NewFloat64Column("l_extendedprice", g.lExt),
-		storage.NewFloat64Column("l_discount", g.lDisc),
-		storage.NewFloat64Column("l_tax", g.lTax),
+		storage.NewDecimalColumn("l_quantity", g.lQty, 2),
+		storage.NewDecimalColumn("l_extendedprice", g.lExt, 2),
+		storage.NewDecimalColumn("l_discount", g.lDisc, 2),
+		storage.NewDecimalColumn("l_tax", g.lTax, 2),
 		storage.NewHeapColumn("l_returnflag", g.lRet),
 		storage.NewHeapColumn("l_linestatus", g.lStat),
 		storage.NewInt64Column("l_shipdate", g.lShip),

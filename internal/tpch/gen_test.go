@@ -18,9 +18,9 @@ import (
 	"bdcc/internal/vector"
 )
 
-// hashTable folds a table's name, schema and every value, in row order, into
-// h: numbers as 8 little-endian bytes (floats by bit pattern), strings as a
-// length and their bytes. It reads through storage.Reader, so the digest does
+// hashTable folds a table's name, schema (with each column's decimal scale)
+// and every value, in row order, into h: numbers as 8 little-endian bytes
+// (floats by bit pattern), strings as a length and their bytes. It reads through storage.Reader, so the digest does
 // not depend on how a column holds its values.
 func hashTable(h hash.Hash, t *storage.Table) {
 	var buf [8]byte
@@ -33,7 +33,7 @@ func hashTable(h hash.Hash, t *storage.Table) {
 	for i, c := range t.Cols {
 		cols[i] = i
 		h.Write([]byte(c.Name))
-		h.Write([]byte{byte(c.Kind)})
+		h.Write([]byte{byte(c.Kind), c.Scale})
 	}
 	putU64(uint64(t.Rows()))
 	r := storage.NewReader(t, cols, nil, nil)
@@ -60,8 +60,8 @@ func hashTable(h hash.Hash, t *storage.Table) {
 // and one over the first five 30-order batches of NewDeltaGen(d, 1).
 func TestGeneratePinned(t *testing.T) {
 	const (
-		wantBase  = "4e9982efbb5692367432237628fdbef3368b00795df43b50d19c07739b576360"
-		wantDelta = "b7d90a8c8c789ee1aaf4b67803ec38d0ea452c617ef03bdfdbc02dda11522f03"
+		wantBase  = "5f237e8e4eb28f58c5f07d1714d2ebbc5546f8ad8d694c82001620ecf8151ba1"
+		wantDelta = "697585e7a4ed9ed5229ed181f9e09f4a77b4e3a0c5e9029e6604d2feafef7157"
 	)
 	d := Generate(0.01)
 	h := sha256.New()
@@ -336,11 +336,11 @@ func dbDigest(t *testing.T, db *plan.DB) string {
 // over goroutines; a table must not depend on how its columns were scheduled.
 func TestBuildPinned(t *testing.T) {
 	want := map[plan.Scheme]string{
-		plan.Plain: "edd1eb586184f21c63c13dc1d67b870e8e9caf79151cbcc569bc6fa324c7e350",
-		plan.PK:    "f429cb0f9e43119501f4144c8c4b0263b3a663d53c1c14fcf37c6633bcf42e4b",
-		plan.BDCC:  "5d8ba7a2dd3f803c23cdd0cdf7abf0ee25e919c2612473d135705480389a1ea9",
+		plan.Plain: "3c1a853f093a6cb01e43997dbcf0fd26ab62beecfd5d6dfcac45e917d339adc0",
+		plan.PK:    "388a2e8c2288550bbae9abc2e29d42f0e070b4dd2b27cd30d59295f62e95a3db",
+		plan.BDCC:  "b5232dcd0f85a076943fbf7a0267a407a5611fac59fc4eca895c60dcfb1e8f39",
 	}
-	const wantIngest = "8125b0e5391f831f7b811d63bb893d3b18f10cd039a16873afaf71a760dd277c"
+	const wantIngest = "d771d1d764d20e92d9c8edf6bee3c482cb5ec0c75936a442a2ba90373feb6b0f"
 	b, err := NewBenchmarkCompressed(0.01, true)
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,7 @@ func NewDeltaGen(d *Dataset, seed int64) *DeltaGen {
 		nCust:  d.Tables["customer"].Rows(),
 		nPart:  d.Tables["part"].Rows(),
 		nSupp:  d.Tables["supplier"].Rows(),
-		retail: d.Tables["part"].MustColumn("p_retailprice").Values().F64,
+		retail: d.Tables["part"].MustColumn("p_retailprice").Values().I64,
 	}}
 }
 
@@ -105,16 +105,4 @@ func (b *Benchmark) AppendBatch(batch *DeltaBatch) error {
 		}
 	}
 	return nil
-}
-
-// IngestStats sums the per-scheme ingest counters. Appends go to every
-// scheme, so rates are per scheme (the summary divides where needed).
-func (b *Benchmark) IngestStats() map[plan.Scheme]plan.IngestStats {
-	out := make(map[plan.Scheme]plan.IngestStats, len(b.DBs))
-	for s, db := range b.DBs {
-		if ing := db.Ingest(); ing != nil {
-			out[s] = ing.Stats()
-		}
-	}
-	return out
 }

@@ -58,7 +58,7 @@ func referenceDBs(t testing.TB, b *Benchmark, combined map[string]*storage.Table
 			}
 			refs[scheme] = ref
 		case plan.BDCC:
-			reb, err := core.RebuildWithDesign(db.Snapshot().Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
+			reb, err := (&core.Builder{Schema: b.Schema, Tables: combined, Options: core.BuildOptions{Device: db.Device}, Frozen: db.Snapshot().Clustered}).Build(db.Snapshot().Clustered.Design)
 			if err != nil {
 				t.Fatalf("bdcc rebuild: %v", err)
 			}
@@ -83,7 +83,7 @@ func TestIngestFreshDesignAgrees(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipped in -short")
 	}
-	b, err := NewBenchmark(0.02, plan.BDCC)
+	b, err := NewBenchmarkCompressed(0.02, false, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +142,15 @@ func q6Revenue(sdb *plan.DB) (float64, error) {
 		return v
 	}
 	lo, hi := vector.ParseDate("1994-01-01"), vector.ParseDate("1994-12-31")
-	sd, disc, qty, ext := col("l_shipdate").I64, col("l_discount").F64, col("l_quantity").F64, col("l_extendedprice").F64
-	var sum float64
+	// Money, quantity and discount are decimals of scale 2: cents.
+	sd, disc, qty, ext := col("l_shipdate").I64, col("l_discount").I64, col("l_quantity").I64, col("l_extendedprice").I64
+	var sum int64
 	for i := range sdb.Rows("lineitem") {
-		if sd[i] >= lo && sd[i] <= hi && disc[i] >= 0.05 && disc[i] <= 0.07 && qty[i] < 24 {
+		if sd[i] >= lo && sd[i] <= hi && disc[i] >= 5 && disc[i] <= 7 && qty[i] < 2400 {
 			sum += ext[i] * disc[i]
 		}
 	}
-	return sum, nil
+	return float64(sum) / 1e4, nil
 }
 
 // TestIngestSoak hammers the snapshot machinery under -race: one writer
@@ -166,7 +167,7 @@ func TestIngestSoak(t *testing.T) {
 		t.Skip("ingest soak skipped in -short")
 	}
 	baseGoroutines := runtime.NumGoroutine()
-	b, err := NewBenchmark(0.01)
+	b, err := NewBenchmarkCompressed(0.01, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func sameBindings(t *testing.T, label string, got, want []core.UseBinding) {
 // of the same batch. A child bound before its parents arrived is the
 // dangling reference, reported as the resolver reports it.
 func TestIndexBinningMatchesResolver(t *testing.T) {
-	b, err := NewBenchmark(0.01, plan.BDCC)
+	b, err := NewBenchmarkCompressed(0.01, false, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestIndexBinningMatchesResolver(t *testing.T) {
 func TestIngestTriggersRepeat(t *testing.T) {
 	const limit = 500
 	feed := func() []plan.IngestStats {
-		b, err := NewBenchmark(0.01, plan.BDCC)
+		b, err := NewBenchmarkCompressed(0.01, false, plan.BDCC)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +504,7 @@ func TestIngestTriggersRepeat(t *testing.T) {
 // under BDCC, the key→bin index lineitems are binned through grows in place
 // — and Plain's view holds exactly the accepted rows.
 func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
-	b, err := NewBenchmark(0.01, plan.Plain, plan.BDCC)
+	b, err := NewBenchmarkCompressed(0.01, false, plan.Plain, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,7 +573,7 @@ func TestIngestRejectedAppendLeavesNoTrace(t *testing.T) {
 		t.Helper()
 		combined := combinedWith(t, b.Data, batches)
 		snap := db.Snapshot()
-		reb, err := core.RebuildWithDesign(snap.Clustered, b.Schema, combined, core.BuildOptions{Device: db.Device})
+		reb, err := (&core.Builder{Schema: b.Schema, Tables: combined, Options: core.BuildOptions{Device: db.Device}, Frozen: snap.Clustered}).Build(snap.Clustered.Design)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func eachHop(db *core.Database, fn func(label string, dim *core.Dimension, path 
 // TestKeyBinIndexMatchesReference: for every (table, use, hop) of the TPC-H
 // design the materialized index holds exactly the reference map.
 func TestKeyBinIndexMatchesReference(t *testing.T) {
-	b, err := NewBenchmark(0.01, plan.BDCC)
+	b, err := NewBenchmarkCompressed(0.01, false, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func sameKeyBins(t *testing.T, label string, got, want *core.Database) {
 // a from-scratch rebuild over the same rows would — after each append and
 // after the merge — and a snapshot pinned earlier keeps its own.
 func TestKeyBinIndexAcrossIngest(t *testing.T) {
-	b, err := NewBenchmark(0.01, plan.BDCC)
+	b, err := NewBenchmarkCompressed(0.01, false, plan.BDCC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestKeyBinIndexAcrossIngest(t *testing.T) {
 	db := b.DBs[plan.BDCC]
 	loaded := db.Snapshot().Clustered
 	rebuilt := func(batches []*DeltaBatch) *core.Database {
-		reb, err := core.RebuildWithDesign(loaded, b.Schema, combinedWith(t, b.Data, batches), core.BuildOptions{Device: db.Device})
+		reb, err := (&core.Builder{Schema: b.Schema, Tables: combinedWith(t, b.Data, batches), Options: core.BuildOptions{Device: db.Device}, Frozen: loaded}).Build(loaded.Design)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,12 +75,14 @@ func refTables(d *Dataset, batches []*DeltaBatch) refDB {
 					}
 					for i := range ch.Rows {
 						row := r.rows[first+ch.Start+i]
-						switch c.Kind {
-						case vector.Int64:
+						switch {
+						case c.Scale > 0: // a decimal, read as the reference's float64
+							row[j] = float64(ch.ValI[i]) / math.Pow10(int(c.Scale))
+						case c.Kind == vector.Int64:
 							row[j] = ch.ValI[i]
-						case vector.Float64:
+						case c.Kind == vector.Float64:
 							row[j] = ch.ValF[i]
-						case vector.String:
+						default:
 							row[j] = ch.ValS.At(i)
 						}
 					}

@@ -20,7 +20,7 @@ var (
 func benchmarkFixture(t *testing.T) *Benchmark {
 	t.Helper()
 	tbOnce.Do(func() {
-		tb, tbErr = NewBenchmark(0.05)
+		tb, tbErr = NewBenchmarkCompressed(0.05, false)
 	})
 	if tbErr != nil {
 		t.Fatalf("NewBenchmark: %v", tbErr)

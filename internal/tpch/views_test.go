@@ -85,14 +85,14 @@ func splitCols(cols []int) [][]int {
 // must not show in what a scan reads, is charged, or prunes.
 func TestUnmergedViewsPinned(t *testing.T) {
 	want := []string{
-		"323e6c7c9b42b30d7630122bc98d91085e871494d4f1c6f61bbe684404d3f71f",
-		"9e579cc68488a5056bc34269a4509f6abd1a3d3633e85159e968afc30ade7c62",
-		"74d5f6fdd400c99464bc50dc47fd84eee6367d6c3093f9411f2b170c8129778a",
-		"0e70d374394a3032186e8a73806a55f72d61568180d74c2b1d4fcb44fd09475f",
-		"fb76ff51b0e42d587853fa9eab13413d13cc6ee5d394d835cecf4f1588e60209",
-		"b635258f90128a2d1ae3cbf1c0949fb3c43fa95998e04fe9ac7b9e8bab84a3f0",
-		"3582f060a42c22f4bf0abed696976415a42a5c1c4ad7ea2732648881cbbb4c36",
-		"d081732a5190165f3f4e076217f5a33e568a7b0db0db86ddae5460ad233c89e9",
+		"0cf47e6feb6984de110b4c802dca2a471101818bad4e4422f5faccbdf8308c66",
+		"0c05492adb17e5c4945871ae507ed713b6c002273b250ada60c5272f45ed0b04",
+		"109639fc9eef2125930429acc14f89371400aa2e216fda8eb0f27e33e2e67465",
+		"38ddcdd8b0b845a8b129e9f1052213461937da505a93831343b6328bc6158a38",
+		"0e537c724cd11134a78fe3a54863145ae7ea83f2b1271bd3c0763c3da250aa7e",
+		"8195c43070eb08d36a0f6d34d928b60fcfb723423adc264a9dd8cae722120c5d",
+		"b7dc0e8193c594730c493ec5cbd384a728bfac328c9a521abce5b02861d97d87",
+		"859b6f2914e01f1c97f0bb9577729d849c6a4ecc3978d3114969a4654c0595ac",
 	}
 	b, err := NewBenchmarkCompressed(0.01, true, plan.BDCC)
 	if err != nil {

@@ -18,11 +18,12 @@ func BitPackLen(n int, bitw uint8) int {
 	return (n*int(bitw) + 7) / 8
 }
 
-// BitPack writes the n values val(0), …, val(n-1), each truncated to bitw
-// bits, as the packed stream dst, which must be BitPackLen(n, bitw) bytes
-// long. Values collect in a 64-bit word that is stored whole once full; the
-// last one's bytes end the stream.
-func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
+// BitPack writes the values of vals minus base (a frame of reference; 0 for
+// dictionary codes), each truncated to bitw bits, as the packed stream dst,
+// which must be BitPackLen(len(vals), bitw) bytes long. Values collect in a
+// 64-bit word that is stored whole once full; the last one's bytes end the
+// stream.
+func BitPack[T int64 | uint64 | uint32](dst []byte, vals []T, bitw uint8, base T) {
 	if bitw == 0 {
 		return
 	}
@@ -30,8 +31,8 @@ func BitPack(dst []byte, n int, bitw uint8, val func(i int) uint64) {
 	mask := ^uint64(0) >> (64 - w)
 	var word uint64
 	fill, at := uint(0), 0 // bits of word in use; where it is stored
-	for i := 0; i < n; i++ {
-		v := val(i) & mask
+	for _, x := range vals {
+		v := uint64(x-base) & mask
 		if word |= v << fill; fill+w < 64 {
 			fill += w
 			continue

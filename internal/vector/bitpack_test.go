@@ -26,7 +26,7 @@ func TestBitPackBulkMatchesPerValue(t *testing.T) {
 				bitPut(want, i, w, v)
 			}
 			got := make([]byte, len(want))
-			BitPack(got, n, w, func(i int) uint64 { return vals[i] })
+			BitPack(got, vals, w, 0)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("bitw=%d n=%d: BitPack differs from bitPut", bitw, n)
 			}
@@ -123,7 +123,11 @@ func BenchmarkBitUnpack(b *testing.B) {
 	rng := rand.New(rand.NewSource(32))
 	for bitw := uint8(1); bitw <= 32; bitw++ {
 		src := make([]byte, BitPackLen(n+3, bitw))
-		BitPack(src, n+3, bitw, func(int) uint64 { return rng.Uint64() })
+		vals := make([]uint64, n+3)
+		for i := range vals {
+			vals[i] = rng.Uint64()
+		}
+		BitPack(src, vals, bitw, 0)
 		for _, start := range []int{0, 3} {
 			b.Run(fmt.Sprintf("w=%02d/start=%d/int64", bitw, start), func(b *testing.B) {
 				benchUnpack(b, src, start, bitw, int64(-5))

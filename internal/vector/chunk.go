@@ -2,7 +2,6 @@ package vector
 
 import (
 	"hash/maphash"
-	"math"
 	"math/bits"
 	"slices"
 	"strings"
@@ -16,8 +15,8 @@ import (
 // locally homogeneous, which is exactly the condition under which run-length,
 // dictionary and frame-of-reference encodings pay off — the compression style
 // of the paper's VectorWise host system. Encodings are exact: a decoded chunk
-// reproduces the values bit for bit (floats run-length-encode on their
-// IEEE-754 bit patterns). docs/STORAGE.md has the cost model.
+// reproduces the values bit for bit. Floats are stored raw. docs/STORAGE.md
+// has the cost model.
 
 // Encoding identifies the compression scheme of one chunk.
 type Encoding uint8
@@ -67,10 +66,9 @@ type Chunk struct {
 	Rows  int   // rows in the span
 	Bytes int64 // modeled encoded size
 
-	// EncRLE: run values (RunF holds IEEE-754 bits for exactness) and run
-	// lengths, parallel slices.
+	// EncRLE (Int64 and String): run values and run lengths, parallel
+	// slices.
 	RunI []int64
-	RunF []uint64
 	RunS []string
 	RunN []int32
 
@@ -86,10 +84,9 @@ type Chunk struct {
 	BitW   uint8
 	Packed []byte
 
-	// Per-chunk value bounds (for floats, NaNs neither raise nor lower the
-	// bounds).
+	// Per-chunk value bounds of Int64 and String chunks (a Float64 column
+	// has no zones).
 	MinI, MaxI int64
-	MinF, MaxF float64
 	MinS, MaxS string
 }
 
@@ -98,14 +95,15 @@ type Chunk struct {
 // batch codec) allocates for the largest, a caller that keeps each Chunk (a
 // stored column) starts from a zero Chunk and gets slices sized to fit.
 func (ch *Chunk) reset() {
-	*ch = Chunk{RunI: ch.RunI[:0], RunF: ch.RunF[:0], RunS: ch.RunS[:0], RunN: ch.RunN[:0], Packed: ch.Packed[:0]}
+	*ch = Chunk{RunI: ch.RunI[:0], RunS: ch.RunS[:0], RunN: ch.RunN[:0], Packed: ch.Packed[:0]}
 }
 
-// pack fills ch.Packed with rows values of bitw bits.
-func (ch *Chunk) pack(rows int, bitw uint8, val func(i int) uint64) {
+// packed sets ch.BitW and returns ch.Packed sized for rows values of bitw
+// bits, keeping its memory.
+func (ch *Chunk) packed(rows int, bitw uint8) []byte {
 	ch.BitW = bitw
 	ch.Packed = append(ch.Packed, make([]byte, BitPackLen(rows, bitw))...)
-	BitPack(ch.Packed, rows, bitw, val)
+	return ch.Packed
 }
 
 // appendRuns appends the runs of the rows values at(0), …, at(rows-1) to
@@ -151,42 +149,17 @@ func (ch *Chunk) EncodeI64(v []int64) {
 		ch.RunI, ch.RunN = appendRuns(ch.RunI, ch.RunN, runs, rows, func(i int) int64 { return v[i] })
 	case EncFOR:
 		ch.Base = mn
-		ch.pack(rows, bitw, func(i int) uint64 { return uint64(v[i]) - uint64(mn) })
+		BitPack(ch.packed(rows, bitw), v, bitw, mn)
 	default:
 		ch.ValI = v
 	}
 }
 
-// EncodeF64 makes ch the cheapest encoding of the non-empty span v: raw, or
-// RLE over the IEEE-754 bit patterns (bit equality, so -0.0 and NaN payloads
-// survive exactly).
+// EncodeF64 makes ch the raw chunk of the non-empty span v: a float keeps
+// its 8 bytes (a decimal column is an Int64 one, and packs).
 func (ch *Chunk) EncodeF64(v []float64) {
 	ch.reset()
-	rows := len(v)
-	runs := 1
-	mn, mx := v[0], v[0]
-	prev := math.Float64bits(v[0])
-	for i := 1; i < rows; i++ {
-		b := math.Float64bits(v[i])
-		if b != prev {
-			runs++
-			prev = b
-		}
-		if v[i] < mn {
-			mn = v[i]
-		}
-		if v[i] > mx {
-			mx = v[i]
-		}
-	}
-	ch.Enc, ch.Rows, ch.Bytes, ch.MinF, ch.MaxF = EncRaw, rows, 8*int64(rows), mn, mx
-	rleB := 12 * int64(runs)
-	if rleB >= ch.Bytes {
-		ch.ValF = v
-		return
-	}
-	ch.Enc, ch.Bytes = EncRLE, rleB
-	ch.RunF, ch.RunN = appendRuns(ch.RunF, ch.RunN, runs, rows, func(i int) uint64 { return math.Float64bits(v[i]) })
+	ch.Enc, ch.Rows, ch.Bytes, ch.ValF = EncRaw, len(v), 8*int64(len(v)), v
 }
 
 // EncodeStr makes ch the cheapest encoding of the non-empty span v, costing
@@ -240,7 +213,7 @@ func (ch *Chunk) EncodeStr(v Heap, codes []uint32, dict []string, dictBits uint8
 	case EncRLE:
 		ch.RunS, ch.RunN = appendRuns(ch.RunS, ch.RunN, runs, rows, at)
 	case EncDict:
-		ch.pack(rows, dictBits, func(i int) uint64 { return uint64(codes[i]) })
+		BitPack(ch.packed(rows, dictBits), codes, dictBits, 0)
 	default:
 		ch.ValS = v
 	}
@@ -403,12 +376,7 @@ func (ch *Chunk) AppendRange(dict []string, lo, hi int, dst *Vector) {
 	case Float64:
 		var tail []float64
 		dst.F64, tail = grow(dst.F64, hi-lo)
-		switch ch.Enc {
-		case EncRaw:
-			copy(tail, ch.ValF[lo:])
-		case EncRLE:
-			fillRuns(tail, ch.RunF, ch.RunN, lo, math.Float64frombits)
-		}
+		copy(tail, ch.ValF[lo:])
 	case String:
 		var tail []string
 		dst.Str, tail = grow(dst.Str, hi-lo)

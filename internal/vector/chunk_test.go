@@ -26,7 +26,7 @@ func forCase(vals []int64, bitw int) rangeCase {
 		base = min(base, v)
 	}
 	ch := Chunk{Enc: EncFOR, Rows: len(vals), Base: base}
-	ch.pack(len(vals), uint8(bitw), func(i int) uint64 { return uint64(vals[i]) - uint64(base) })
+	BitPack(ch.packed(len(vals), uint8(bitw)), vals, uint8(bitw), base)
 	return rangeCase{name: fmt.Sprintf("for/w%d", bitw), ch: ch, want: &Vector{Kind: Int64, I64: vals}}
 }
 
@@ -91,27 +91,21 @@ func appendRangeCases(rng *rand.Rand, rows int) []rangeCase {
 			vals[i] = dict[c]
 		}
 		ch := Chunk{Enc: EncDict, Rows: rows}
-		ch.pack(rows, uint8(bits.Len(uint(entries-1))), func(i int) uint64 { return uint64(codes[i]) })
+		bitw := uint8(bits.Len(uint(entries - 1)))
+		BitPack(ch.packed(rows, bitw), codes, bitw, 0)
 		cases = append(cases, rangeCase{name: fmt.Sprintf("dict/%d", entries), ch: ch, dict: dict, want: &Vector{Kind: String, Str: vals}})
 	}
 	for _, maxRun := range []int{1, 40} {
 		lens := runLens(rng, rows, maxRun)
 		runI := make([]int64, len(lens))
-		runF := make([]uint64, len(lens))
 		runS := make([]string, len(lens))
 		for r := range lens {
 			runI[r] = rng.Int63() - rng.Int63()
-			runF[r] = math.Float64bits([]float64{math.NaN(), math.Copysign(0, -1), 0, rng.NormFloat64()}[rng.Intn(4)])
 			runS[r] = fmt.Sprint("run", rng.Intn(10))
-		}
-		floats := make([]float64, len(runF))
-		for r, b := range runF {
-			floats[r] = math.Float64frombits(b)
 		}
 		name := fmt.Sprintf("rle/max%d/", maxRun)
 		cases = append(cases,
 			rangeCase{name: name + "i64", ch: Chunk{Enc: EncRLE, Rows: rows, RunI: runI, RunN: lens}, want: &Vector{Kind: Int64, I64: expand(runI, lens)}},
-			rangeCase{name: name + "f64", ch: Chunk{Enc: EncRLE, Rows: rows, RunF: runF, RunN: lens}, want: &Vector{Kind: Float64, F64: expand(floats, lens)}},
 			rangeCase{name: name + "str", ch: Chunk{Enc: EncRLE, Rows: rows, RunS: runS, RunN: lens}, want: &Vector{Kind: String, Str: expand(runS, lens)}})
 	}
 	i64, f64, str := make([]int64, rows), make([]float64, rows), make([]string, rows)

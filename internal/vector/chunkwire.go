@@ -79,7 +79,7 @@ func (w *ChunkWriter) Chunk(kind Kind, ch *Chunk) {
 	w.Body = append(w.Body, byte(ch.Enc))
 	w.Uvar(uint64(ch.Rows))
 	w.Uvar(uint64(ch.Bytes))
-	w.Vals(kind, []int64{ch.MinI, ch.MaxI}, []float64{ch.MinF, ch.MaxF}, []string{ch.MinS, ch.MaxS})
+	w.Vals(kind, []int64{ch.MinI, ch.MaxI}, nil, []string{ch.MinS, ch.MaxS}) // a float chunk has none
 	switch ch.Enc {
 	case EncRaw:
 		if kind == String {
@@ -93,9 +93,6 @@ func (w *ChunkWriter) Chunk(kind Kind, ch *Chunk) {
 			w.Uvar(uint64(n))
 		}
 		w.Vals(kind, ch.RunI, nil, ch.RunS)
-		for _, b := range ch.RunF {
-			w.u64(b)
-		}
 	case EncFOR:
 		w.u64(uint64(ch.Base))
 		w.Body = append(append(w.Body, ch.BitW), ch.Packed...)
@@ -203,8 +200,6 @@ func (r *ChunkReader) Chunk(kind Kind, maxRows int, dict []string) Chunk {
 	switch kind {
 	case Int64:
 		ch.MinI, ch.MaxI = int64(r.U64()), int64(r.U64())
-	case Float64:
-		ch.MinF, ch.MaxF = math.Float64frombits(r.U64()), math.Float64frombits(r.U64())
 	case String:
 		ch.MinS, ch.MaxS = r.heapStr(), r.heapStr()
 	}
@@ -213,7 +208,7 @@ func (r *ChunkReader) Chunk(kind Kind, maxRows int, dict []string) Chunk {
 		ch.ValS = r.Strs(ch.Rows)
 	case ch.Enc == EncRaw:
 		ch.ValI, ch.ValF, _ = r.Vals(kind, ch.Rows)
-	case ch.Enc == EncRLE:
+	case ch.Enc == EncRLE && kind != Float64:
 		ch.RunN = make([]int32, r.Uvarint("run count", r.Len()))
 		left := ch.Rows
 		for i := range ch.RunN {
@@ -226,14 +221,7 @@ func (r *ChunkReader) Chunk(kind Kind, maxRows int, dict []string) Chunk {
 		if r.Err() == nil && (left != 0 || len(ch.RunN) == 0 || ch.RunN[len(ch.RunN)-1] == 0) {
 			r.Fail("run lengths do not tile the chunk's %d rows", ch.Rows)
 		}
-		if kind != Float64 {
-			ch.RunI, _, ch.RunS = r.Vals(kind, len(ch.RunN))
-		} else if b := r.Take(8 * len(ch.RunN)); b != nil {
-			ch.RunF = make([]uint64, len(ch.RunN)) // bit patterns, never through a float
-			for i := range ch.RunF {
-				ch.RunF[i] = binary.LittleEndian.Uint64(b[8*i:])
-			}
-		}
+		ch.RunI, _, ch.RunS = r.Vals(kind, len(ch.RunN))
 	case ch.Enc == EncFOR && kind == Int64, ch.Enc == EncDict && kind == String && len(dict) > 0:
 		width := uint8(64) // at most, for deltas; exactly the dictionary's, for codes
 		if ch.Enc == EncFOR {

@@ -301,7 +301,11 @@ func refStrChunk(v []string) ([]string, Chunk) {
 			distinct[s] = uint32(c)
 		}
 		ch.Packed = make([]byte, BitPackLen(len(v), ch.BitW))
-		BitPack(ch.Packed, len(v), ch.BitW, func(i int) uint64 { return uint64(distinct[v[i]]) })
+		codes := make([]uint32, len(v))
+		for i, s := range v {
+			codes[i] = distinct[s]
+		}
+		BitPack(ch.Packed, codes, ch.BitW, 0)
 		return dict, ch
 	}
 	return nil, ch

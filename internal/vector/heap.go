@@ -70,18 +70,3 @@ func (h *Heap) Append(s string) {
 	h.Bytes = append(h.Bytes, s...)
 	h.End()
 }
-
-// AppendRange appends values [lo,hi) of src: their bytes as one block, their
-// offsets rebased.
-func (h *Heap) AppendRange(src Heap, lo, hi int) {
-	if len(h.Offs) == 0 {
-		h.Offs = append(h.Offs, uint32(len(h.Bytes)))
-	}
-	base := uint32(len(h.Bytes)) - src.Offs[lo] // modular: each sum below is in range
-	h.Bytes = append(h.Bytes, src.Bytes[src.Offs[lo]:src.Offs[hi]]...)
-	n := len(h.Offs)
-	h.Offs = append(h.Offs, src.Offs[lo+1:hi+1]...)
-	for i := n; i < len(h.Offs); i++ {
-		h.Offs[i] += base
-	}
-}

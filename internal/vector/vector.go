@@ -18,14 +18,20 @@ const BatchSize = 1024
 // Kind enumerates the physical column types of the engine.
 //
 // Dates are stored as Int64 days since 1970-01-01 (see ParseDate); decimals
-// are stored as Float64. TPC-H has no NULLs, and the engine does not model
-// them.
+// as Int64 values at a decimal scale s, value v standing for v/10^s, the
+// scale kept with the column (storage.Column, expr.ColMeta). TPC-H has no
+// NULLs, and the engine does not model them.
 type Kind uint8
 
+// MaxScale is the largest decimal scale: 10^18 is the largest power of ten
+// an int64 holds.
+const MaxScale = 18
+
 const (
-	// Int64 is a 64-bit signed integer column (also used for dates).
+	// Int64 is a 64-bit signed integer column (also used for dates and
+	// decimals).
 	Int64 Kind = iota
-	// Float64 is a 64-bit IEEE-754 column (used for TPC-H decimals).
+	// Float64 is a 64-bit IEEE-754 column.
 	Float64
 	// String is a variable-length UTF-8 column.
 	String
