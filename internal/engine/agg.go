@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -150,64 +149,46 @@ func (st *aggState) render(a AggSpec, col *vector.Vector) {
 
 // aggTable is one hash-aggregation state: the open-addressing group index,
 // the segmented state array, the materialized group keys, and per-batch
-// scratch.
-// The serial operator owns one; a striped one owns one per key-hash stripe
-// (stripes fold disjoint keys, so tables never share mutable state — which
-// includes the aggregate arguments: every table evaluates its own clones of
-// the bound trees). A batch is folded in two passes: find-or-insert
-// resolves every row to its group id in one loop picked by the key shape,
-// then each aggregate runs one typed loop over (group ids, argument values).
+// scratch. A batch is folded in two passes: find-or-insert resolves every
+// row to its group id in one loop picked by the key shape, then each
+// aggregate runs one typed loop over (group ids, argument values).
 // The states live in segments of BatchSize groups, addressed like a
 // Buffer's rows, and copied only while their segment grows (addState): at
 // any group count they hold at most the states one flat array grown by
-// appends would. states and firstRows are charged by capacity — the
-// geometry TestHashTableFootprintPinned pins.
+// appends would. states are charged by capacity — the geometry
+// TestHashTableFootprintPinned pins.
 type aggTable struct {
-	aggs      []AggSpec
-	keyIdx    []int
-	table     oaTable      // key -> group id
-	eq        keyEq        // batch rows against keyBuf rows
-	states    [][]aggState // group g's states: segment g>>segShift, from (g&segMask)*len(aggs)
-	stateCap  int          // the capacity of one flat state array after the same appends
-	keyBuf    *Buffer      // one row per group, in first-seen (emission) order
-	firstRows []int64      // per group: global row index of the first-seen row
-	memBytes  int64        // bytes charged to the memory tracker
-	hashes    []uint64     // key hash scratch: per batch, or the stripe's gathered rows'
-	gids      []int32      // per batch: each row's group id
-	err       error        // the first overflow a fold met, failing the query
-	rows      int64        // rows accumulated, and the bit length of the largest
-	maxBits   int          // Int64 SUM or AVG magnitude: they bound every sum (fold)
-
-	// foldStripe's scratch: the window rows of the table's stripe, their
-	// global row indexes, and the rows gathered into one batch.
-	sel    []int32
-	rowIdx []int64
-	stripe *vector.Batch
+	aggs     []AggSpec
+	keyIdx   []int
+	table    oaTable      // key -> group id
+	eq       keyEq        // batch rows against keyBuf rows
+	states   [][]aggState // group g's states: segment g>>segShift, from (g&segMask)*len(aggs)
+	stateCap int          // the capacity of one flat state array after the same appends
+	keyBuf   *Buffer      // one row per group, in first-seen (emission) order
+	memBytes int64        // bytes charged to the memory tracker
+	hashes   []uint64     // per batch: each row's key hash
+	gids     []int32      // per batch: each row's group id
+	err      error        // the first overflow a fold met, failing the query
+	rows     int64        // rows accumulated, and the bit length of the largest
+	maxBits  int          // Int64 SUM or AVG magnitude: they bound every sum (fold)
 }
 
 func newAggTable(aggs []AggSpec, keyIdx []int, keySchema expr.Schema) *aggTable {
-	t := &aggTable{aggs: slices.Clone(aggs), keyIdx: keyIdx, keyBuf: NewBuffer(keySchema)}
-	for i := range t.aggs {
-		t.aggs[i].Arg = expr.Clone(t.aggs[i].Arg)
-	}
+	t := &aggTable{aggs: aggs, keyIdx: keyIdx, keyBuf: NewBuffer(keySchema)}
 	t.eq = newKeyEq(len(keyIdx), t.keyBuf, nil)
 	t.table.keyed = keyedShape(keySchema.Kinds())
 	return t
 }
 
 // accumulate folds one batch into the table: the key columns are hashed
-// vector-at-a-time (or taken pre-hashed from foldStripe), every row
-// resolves (or claims) its group id, and then each aggregate folds its
-// evaluated argument into the groups' states in one loop whose (function,
-// kind) dispatch sits outside it. Rows reach a group's state in input order
-// whatever the loop structure, so float sums keep their bits. rowIdx, when
-// non-nil, carries each row's global input row index so striped tables can
-// reconstruct the serial first-seen emission order.
-func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) {
-	if hashes == nil {
-		t.hashes = vector.HashKeys(b, t.keyIdx, t.hashes)
-		hashes = t.hashes
-	}
+// vector-at-a-time, every row resolves (or claims) its group id, and then
+// each aggregate folds its evaluated argument into the groups' states in
+// one loop whose (function, kind) dispatch sits outside it. Rows reach a
+// group's state in input order whatever the loop structure, so float sums
+// keep their bits.
+func (t *aggTable) accumulate(b *vector.Batch) {
+	hashes := vector.HashKeys(b, t.keyIdx, t.hashes)
+	t.hashes = hashes
 	t.gids, t.rows = sized(t.gids, len(hashes)), t.rows+int64(len(hashes))
 	bindKeyCols(t.eq.sought, b.Cols, t.keyIdx)
 	if t.table.keyed {
@@ -215,7 +196,7 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 			t.table.Reserve()
 			slot, found := t.table.FindKey(hashes[r], key)
 			if !found {
-				t.table.Insert(slot, uint64(key), t.newGroup(b, r, rowIdx))
+				t.table.Insert(slot, uint64(key), t.newGroup(b, r))
 			}
 			t.gids[r] = t.table.vals[slot]
 		}
@@ -224,7 +205,7 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 			t.table.Reserve()
 			slot, found := t.table.FindSlot(h, &t.eq, r)
 			if !found {
-				t.table.Insert(slot, h, t.newGroup(b, r, rowIdx))
+				t.table.Insert(slot, h, t.newGroup(b, r))
 			}
 			t.gids[r] = t.table.vals[slot]
 		}
@@ -239,38 +220,10 @@ func (t *aggTable) accumulate(b *vector.Batch, hashes []uint64, rowIdx []int64) 
 	}
 }
 
-// foldStripe accumulates the rows of the staged window win whose key hash
-// falls in stripe w of n, in window order: one pass over the window's
-// hashes selects them, one gather copies them into the table's own scratch
-// batch. base is the global row index of win's first row. The stripe is
-// taken from the high hash bits; the group index uses the low ones.
-func (t *aggTable) foldStripe(win *vector.Batch, hashes []uint64, base int64, w, n int) {
-	t.sel, t.hashes, t.rowIdx = t.sel[:0], t.hashes[:0], t.rowIdx[:0]
-	for r, hv := range hashes {
-		if int((hv>>32)%uint64(n)) == w {
-			t.sel = append(t.sel, int32(r))
-			t.hashes = append(t.hashes, hv)
-			t.rowIdx = append(t.rowIdx, base+int64(r))
-		}
-	}
-	if len(t.sel) == 0 {
-		return
-	}
-	if t.stripe == nil {
-		t.stripe = vector.NewBatch(win.Kinds())
-	}
-	t.stripe.Reset()
-	t.stripe.AppendSelected(win, t.sel)
-	t.accumulate(t.stripe, t.hashes, t.rowIdx)
-}
-
 // newGroup opens a group for row r of the batch b being accumulated and
 // returns its id.
-func (t *aggTable) newGroup(b *vector.Batch, r int, rowIdx []int64) int32 {
+func (t *aggTable) newGroup(b *vector.Batch, r int) int32 {
 	t.keyBuf.appendRows(b.Cols, t.keyIdx, r, r+1)
-	if rowIdx != nil {
-		t.firstRows = append(t.firstRows, rowIdx[r])
-	}
 	g := t.keyBuf.Len() - 1
 	if g>>segShift == len(t.states) {
 		t.states = append(t.states, nil)
@@ -382,7 +335,7 @@ func (t *aggTable) foldMinMax(i int, arg *vector.Vector, isMin bool) {
 
 // bytes returns the exact footprint of the table's flat allocations.
 func (t *aggTable) bytes() int64 {
-	n := t.keyBuf.Bytes() + t.table.Bytes() + int64(cap(t.firstRows))*8
+	n := t.keyBuf.Bytes() + t.table.Bytes()
 	for _, seg := range t.states {
 		n += int64(cap(seg)) * aggStateBytes
 	}
@@ -399,7 +352,6 @@ func (t *aggTable) release(mem *MemTracker) {
 	for s := range t.states {
 		t.states[s] = t.states[s][:0]
 	}
-	t.firstRows = t.firstRows[:0]
 	t.keyBuf.Reset()
 }
 
@@ -433,61 +385,32 @@ func bindAggs(op string, cs expr.Schema, groupBy []string, aggs []AggSpec) (keyI
 }
 
 // HashAggregate groups its input by the GroupBy columns and computes the
-// aggregates. With FlushOnGroup set the operator becomes the sandwich
-// aggregation of the paper's reference [3]: the input stream must be
-// grouped (tagged batches from a scatter scan or a group-preserving
+// aggregates, folding every batch as it arrives into one aggTable on the
+// goroutine that drives Next, whatever the query's worker count: parallel
+// children (a morsel scan, a pooled join) merge their output in input order
+// before it, so groups are emitted in first-seen order and float sums keep
+// the serial run's bits. With FlushOnGroup set the operator becomes the
+// sandwich aggregation of the paper's reference [3]: the input stream must
+// be grouped (tagged batches from a scatter scan or a group-preserving
 // pipeline), and because the grouping key functionally determines the
 // stream's group identifier, the hash table can be emitted and cleared at
 // every group boundary — peak memory is one co-clustering group instead of
 // the whole input (the paper's Q13/Q16/Q18 memory effect).
-//
-// With a scheduler handle injected (and FlushOnGroup unset), the key-hash
-// space is split into one stripe per pool worker, each with its own table.
-// The consumer stages a window of input rows with their key hashes, then
-// one task per stripe folds, in window order, the window's rows of its
-// stripe, and the consumer waits for all of them before staging the next
-// window — the join build's barrier. Every group is folded by one stripe in
-// global row order, so even float sums are bit-identical to the serial run,
-// and the tables merge by first-seen row into the serial emission order.
-// The serial and sandwich forms are the one-stripe case of the same loop:
-// each batch is folded as it arrives, with nothing staged.
 type HashAggregate struct {
 	Child        Operator
 	GroupBy      []string
 	Aggs         []AggSpec
 	FlushOnGroup bool
-	// Sched is the planner-injected handle of the query's shared worker
-	// pool; it takes effect when FlushOnGroup is unset (the sandwich
-	// aggregation is already bounded by one co-clustering group and flushes
-	// on a serial group cursor). nil means serial aggregation.
-	Sched *Sched
 
-	schema expr.Schema
-	ctx    *Context
-	keyIdx []int
-	tables []*aggTable // one per key-hash stripe
-
-	// The staged window of the striped form (win is nil with one stripe):
-	// input rows in input order, their key hashes, the global row index of
-	// the first, and the bytes charged for rows and hashes.
-	win       *vector.Batch
-	winHashes []uint64
-	winBase   int64
-	winBytes  int64
-
+	schema  expr.Schema
+	ctx     *Context
+	table   *aggTable
 	pending []*vector.Batch // flushed output waiting to be returned
-	refs    []groupRef      // flush's emission scratch
-	next    []int           // flush's merge cursor, per table
 	sel     []int32         // emitBatch's gather scratch
 	done    bool
 	haveGID bool
 	curGID  uint64
 }
-
-// aggStripeRows is the rows a stripe folds per window on average: a window
-// stages stripes × aggStripeRows rows, so one barrier amortizes over several
-// batches of table work per stripe.
-const aggStripeRows = 4 * vector.BatchSize
 
 // Schema implements Operator.
 func (h *HashAggregate) Schema() expr.Schema { return h.schema }
@@ -498,50 +421,32 @@ func (h *HashAggregate) Open(ctx *Context) error {
 	if err := h.Child.Open(ctx); err != nil {
 		return err
 	}
-	cs := h.Child.Schema()
-	var keySchema expr.Schema
-	var err error
-	h.keyIdx, keySchema, h.schema, err = bindAggs("aggregate", cs, h.GroupBy, h.Aggs)
+	keyIdx, keySchema, schema, err := bindAggs("aggregate", h.Child.Schema(), h.GroupBy, h.Aggs)
 	if err != nil {
 		return err
 	}
-	stripes := 1
-	if !h.FlushOnGroup {
-		stripes = h.Sched.Workers()
-	}
-	h.tables = make([]*aggTable, stripes)
-	for w := range h.tables {
-		h.tables[w] = newAggTable(h.Aggs, h.keyIdx, keySchema)
-	}
-	h.next = make([]int, len(h.tables))
-	if len(h.tables) > 1 {
-		h.win = vector.NewBatch(cs.Kinds())
-	}
+	h.schema, h.table = schema, newAggTable(h.Aggs, keyIdx, keySchema)
 	return nil
 }
 
-// emitBatch renders the groups refs (at most BatchSize) into one pending
-// batch, column by column: each key column is one gather per run of groups
-// from one table (a one-stripe flush is one run, a striped flush interleaves
-// the stripes' tables), each aggregate one loop over the groups' states.
-// Flushed batches of a FlushOnGroup aggregation keep the group tag, so a
-// sandwich aggregation's output remains a group stream and enclosing sandwich
-// operators can align on it.
-func (h *HashAggregate) emitBatch(refs []groupRef) {
-	nk := len(h.keyIdx)
+// emitBatch renders groups [lo, hi) (at most BatchSize) into one pending
+// batch, column by column: the key columns are one gather, each aggregate
+// one loop over the groups' states. Flushed batches of a FlushOnGroup
+// aggregation keep the group tag, so a sandwich aggregation's output
+// remains a group stream and enclosing sandwich operators can align on it.
+func (h *HashAggregate) emitBatch(lo, hi int) {
+	nk := len(h.table.keyIdx)
 	out := vector.NewBatch(h.schema.Kinds())
-	for lo := 0; lo < len(refs) && nk > 0; {
-		h.sel = h.sel[:0]
-		hi := lo
-		for ; hi < len(refs) && refs[hi].table == refs[lo].table; hi++ {
-			h.sel = append(h.sel, int32(refs[hi].group))
-		}
-		h.tables[refs[lo].table].keyBuf.Gather(out.Cols, h.sel)
-		lo = hi
+	h.sel = h.sel[:0]
+	for g := lo; g < hi; g++ {
+		h.sel = append(h.sel, int32(g))
+	}
+	if nk > 0 {
+		h.table.keyBuf.Gather(out.Cols, h.sel)
 	}
 	for i, a := range h.Aggs {
-		for _, ref := range refs {
-			h.tables[ref.table].state(int32(ref.group), i).render(a, out.Cols[nk+i])
+		for _, g := range h.sel {
+			h.table.state(g, i).render(a, out.Cols[nk+i])
 		}
 	}
 	if h.FlushOnGroup && h.haveGID {
@@ -550,82 +455,13 @@ func (h *HashAggregate) emitBatch(refs []groupRef) {
 	h.pending = append(h.pending, out)
 }
 
-// groupRef addresses one group of one aggTable during emission.
-type groupRef struct {
-	table int
-	group int
-}
-
-// flush converts the tables into pending output batches and clears them.
-// Each table holds its groups in first-seen order, so emission merges the
-// tables' group lists by first-seen row, BatchSize groups a batch; with one
-// table the merge is that table's own order and compares no rows (a
-// one-stripe table records none).
+// flush converts the table into pending output batches, BatchSize groups
+// a batch in first-seen order, and clears it.
 func (h *HashAggregate) flush() {
-	clear(h.next)
-	for {
-		h.refs = h.refs[:0]
-		for len(h.refs) < vector.BatchSize {
-			best := -1
-			for w, t := range h.tables {
-				if h.next[w] < t.keyBuf.Len() && (best < 0 ||
-					t.firstRows[h.next[w]] < h.tables[best].firstRows[h.next[best]]) {
-					best = w
-				}
-			}
-			if best < 0 {
-				break
-			}
-			h.refs = append(h.refs, groupRef{table: best, group: h.next[best]})
-			h.next[best]++
-		}
-		if len(h.refs) == 0 {
-			break
-		}
-		h.emitBatch(h.refs)
+	for lo, n := 0, h.table.keyBuf.Len(); lo < n; lo += vector.BatchSize {
+		h.emitBatch(lo, min(lo+vector.BatchSize, n))
 	}
-	for _, t := range h.tables {
-		t.release(h.ctx.Mem)
-	}
-}
-
-// fold folds one input batch. With one stripe the batch is accumulated as
-// it arrives; striped, it is staged (copied: the child reuses its batch) and
-// the window is folded once it holds stripes × aggStripeRows rows.
-func (h *HashAggregate) fold(b *vector.Batch) {
-	if h.win == nil {
-		h.tables[0].accumulate(b, nil, nil)
-		h.ctx.Mem.settle(&h.tables[0].memBytes, h.tables[0].bytes())
-		return
-	}
-	h.win.AppendBatch(b)
-	bytes := b.Bytes() + 8*int64(b.Len()) // the rows and their key hashes
-	h.ctx.Mem.Grow(bytes)
-	h.winBytes += bytes
-	if h.win.Len() >= len(h.tables)*aggStripeRows {
-		h.foldWindow()
-	}
-}
-
-// foldWindow hashes the staged window once and folds it with one task per
-// stripe, each into its own table, then releases the window. It returns
-// only after every task has finished, so the tables are never touched
-// between two calls of Next.
-func (h *HashAggregate) foldWindow() {
-	if h.win == nil || h.win.Len() == 0 {
-		return
-	}
-	h.winHashes = vector.HashKeys(h.win, h.keyIdx, h.winHashes)
-	n := len(h.tables)
-	h.Sched.stripes(n, func(w int) {
-		t := h.tables[w]
-		t.foldStripe(h.win, h.winHashes, h.winBase, w, n)
-		h.ctx.Mem.settle(&t.memBytes, t.bytes()) // the tracker is mutex-protected
-	})
-	h.winBase += int64(h.win.Len())
-	h.win.Reset()
-	h.ctx.Mem.Shrink(h.winBytes)
-	h.winBytes = 0
+	h.table.release(h.ctx.Mem)
 }
 
 // Next implements Operator.
@@ -646,10 +482,6 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 		}
 		if b == nil {
 			h.done = true
-			h.foldWindow()
-			if err := h.err(); err != nil {
-				return nil, err
-			}
 			h.flush()
 			continue
 		}
@@ -663,32 +495,19 @@ func (h *HashAggregate) Next() (*vector.Batch, error) {
 			h.haveGID = true
 			h.curGID = b.GroupID
 		}
-		h.fold(b)
-		if err := h.err(); err != nil {
-			return nil, err
+		h.table.accumulate(b)
+		h.ctx.Mem.settle(&h.table.memBytes, h.table.bytes())
+		if h.table.err != nil {
+			return nil, h.table.err
 		}
 	}
-}
-
-// err returns the first error a table latched.
-func (h *HashAggregate) err() error {
-	for _, t := range h.tables {
-		if t.err != nil {
-			return t.err
-		}
-	}
-	return nil
 }
 
 // Close implements Operator.
 func (h *HashAggregate) Close() error {
-	for _, t := range h.tables {
-		h.ctx.Mem.Shrink(t.memBytes)
-		t.memBytes = 0
-	}
-	if h.winBytes > 0 {
-		h.ctx.Mem.Shrink(h.winBytes)
-		h.winBytes = 0
+	if h.table != nil {
+		h.ctx.Mem.Shrink(h.table.memBytes)
+		h.table.memBytes = 0
 	}
 	return h.Child.Close()
 }

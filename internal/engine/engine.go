@@ -65,11 +65,11 @@
 // Context.Scheduler when the Workers knob exceeds one) with per-worker
 // deques and task stealing. The planner injects the scheduler handle into
 // the operators it permits to parallelize; operators submit tasks — scan
-// morsels, join build stripes and probe jobs, aggregation stripe folds,
-// sandwich per-group joins — instead of spawning goroutines, so a
-// scan→join→agg pipeline keeps total busy goroutines at Workers plus a
-// small constant of coordinators (stream feeders) rather than one pool per
-// operator. The threading contract is strict:
+// morsels, join build stripes and probe jobs, sandwich per-group joins —
+// instead of spawning goroutines, so a scan→join→agg pipeline keeps total
+// busy goroutines at Workers plus a small constant of coordinators (stream
+// feeders) rather than one pool per operator. A hash aggregation folds on
+// the goroutine that drives it. The threading contract is strict:
 //
 //   - Scheduler tasks never block on exchange or operator state. The
 //     order-preserving exchange applies backpressure by releasing jobs only
@@ -79,14 +79,10 @@
 //   - Build state is frozen before fan-out: a hash join's buffered rows and
 //     slot/chain arrays are written only during build and are read-only
 //     while probe tasks run. Partition-parallel work takes one form,
-//     Sched.stripes: the consumer holds its input (the join its drained
-//     build rows, which each stripe hashes itself, the aggregation a staged
-//     window of input rows with their key hashes), runs one task per hash
-//     stripe — each writing only its own stripe's state, so no locks — and
-//     waits on the barrier before it goes on. An
-//     aggregation stripe folds the window's rows of its stripe in window
-//     order, so every group folds on one task in global row order. Sandwich
-//     group tasks own their hash state exclusively.
+//     Sched.stripes: the join holds its drained build rows, runs one task
+//     per hash stripe — each hashing every row and inserting only its own
+//     stripe's, so no locks — and waits on the barrier before it goes on.
+//     Sandwich group tasks own their hash state exclusively.
 //   - Each pool worker owns its per-worker scratch (for a join, its own
 //     joinProbe over the shared build side), indexed by the worker id the
 //     scheduler passes to every task. That includes expressions: a bound
@@ -94,13 +90,11 @@
 //     state, and whoever fans an operator out gives every concurrent
 //     evaluator an expr.Clone of the operator's bound tree — the morsel
 //     scan one filter per pool worker, Fragment.newProbe one residual per
-//     joinProbe, Fragment.runScan one filter per call, newAggTable the
-//     aggregate arguments per stripe table. The operator's own tree is
-//     evaluated only by the goroutine that drives its Next.
+//     joinProbe, Fragment.runScan one filter per call. The operator's own
+//     tree is evaluated only by the goroutine that drives its Next.
 //   - Every parallel operator merges task output order-preservingly —
 //     through the exchange in morsel order for scans, input-batch order for
-//     joins and group order for sandwich pipelines; an aggregation merges its
-//     stripe tables in global first-seen group order — so workers=1 and
+//     joins and group order for sandwich pipelines — so workers=1 and
 //     workers=N produce byte-identical results.
 //   - Task-held batches and per-task state are charged to the shared
 //     MemTracker (which is mutex-protected) with exact Grow/Shrink pairs;

@@ -408,20 +408,16 @@ func TestHashKernelsMatchReference(t *testing.T) {
 			if emptyBuild {
 				continue
 			}
-			want := refAgg(in)
-			for _, workers := range []int{1, 2} {
-				ctx := parCtx(workers)
-				requireSameRows(t, fmt.Sprintf("HashAggregate/%s/workers=%d", shape.name, workers), drainBits(t, ctx, &HashAggregate{
-					Child: cloneSource(in.ps, in.probe), GroupBy: shape.keyNames("l"), Sched: ctx.Scheduler(),
-					Aggs: []AggSpec{
-						{Name: "n", Func: AggCount},
-						{Name: "si", Func: AggSum, Arg: expr.C("lpay")},
-						{Name: "sf", Func: AggSum, Arg: expr.C("lf")},
-						{Name: "mn", Func: AggMin, Arg: expr.C("lpay")},
-						{Name: "mx", Func: AggMax, Arg: expr.C("lf")},
-						{Name: "av", Func: AggAvg, Arg: expr.C("lf")},
-					}}), want)
-			}
+			requireSameRows(t, "HashAggregate/"+shape.name, drainBits(t, testCtx(), &HashAggregate{
+				Child: cloneSource(in.ps, in.probe), GroupBy: shape.keyNames("l"),
+				Aggs: []AggSpec{
+					{Name: "n", Func: AggCount},
+					{Name: "si", Func: AggSum, Arg: expr.C("lpay")},
+					{Name: "sf", Func: AggSum, Arg: expr.C("lf")},
+					{Name: "mn", Func: AggMin, Arg: expr.C("lpay")},
+					{Name: "mx", Func: AggMax, Arg: expr.C("lf")},
+					{Name: "av", Func: AggAvg, Arg: expr.C("lf")},
+				}}), refAgg(in))
 		}
 	}
 }
@@ -475,10 +471,11 @@ func TestJoinProbeSteadyStateAllocs(t *testing.T) {
 // and the aggTable.bytes() after each batch (re-pinned when the states moved
 // into BatchSize-group segments, which hold at most the states of the flat
 // array they replaced, and again when a state lost its COUNT(DISTINCT) set
-// and shrank from 48 to 40 bytes: no value rose either time). A change of slot width, load factor,
-// of the presize of a join's slots, or of how a capacity-charged array
-// (next, states, firstRows) grows moves peak_mb — Figure 3 — and fails here
-// first.
+// and shrank from 48 to 40 bytes, and again when the striped aggregation's
+// per-group first-seen row indexes, 8 bytes a group, went: no value rose any
+// time). A change of slot width, load factor, of the presize of a join's
+// slots, or of how a capacity-charged array (next, states) grows moves
+// peak_mb — Figure 3 — and fails here first.
 func TestHashTableFootprintPinned(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -488,22 +485,22 @@ func TestHashTableFootprintPinned(t *testing.T) {
 	}{
 		{"distinct", func(i int64) int64 { return i }, false,
 			[]int64{28672, 57344, 110592, 114688, 118784, 221184, 225280, 229376, 233472, 237568, 241664, 442368},
-			[]int64{124928, 249856, 395904, 499712, 589824, 794624, 884736, 991232, 1081344, 1196032, 1286144, 1572864}},
+			[]int64{114688, 229376, 368640, 458752, 548864, 737280, 827392, 917504, 1007616, 1097728, 1187840, 1474560}},
 		{"four", func(i int64) int64 { return i / 4 }, false,
 			[]int64{10240, 20480, 36864, 40960, 45056, 73728, 77824, 81920, 86016, 90112, 94208, 147456},
-			[]int64{34800, 61440, 103024, 124928, 167936, 198656, 241664, 249856, 301024, 303072, 344704, 395904}},
+			[]int64{32752, 57344, 96240, 114688, 157696, 184320, 227328, 229376, 280544, 282592, 317440, 368640}},
 		{"hot", func(i int64) int64 { return 7 }, false,
 			[]int64{4864, 8960, 13056, 17152, 21248, 25344, 29440, 33536, 37632, 41728, 45824, 49920},
-			[]int64{864, 864, 864, 864, 864, 864, 864, 864, 864, 864, 864, 864}},
+			[]int64{856, 856, 856, 856, 856, 856, 856, 856, 856, 856, 856, 856}},
 		{"distinct", func(i int64) int64 { return i }, true,
 			[]int64{28672, 57344, 110592, 114688, 118784, 221184, 225280, 229376, 233472, 237568, 241664, 442368},
-			[]int64{139178, 279466, 440874, 560042, 665514, 885674, 991146, 1113002, 1218474, 1348762, 1455258, 1758362}},
+			[]int64{128938, 258986, 413610, 519082, 624554, 828330, 933802, 1039274, 1144746, 1250458, 1356954, 1660058}},
 		{"four", func(i int64) int64 { return i / 4 }, true,
 			[]int64{10240, 20480, 36864, 40960, 45056, 73728, 77824, 81920, 86016, 90112, 94208, 147456},
-			[]int64{38274, 68498, 113666, 139178, 186026, 220586, 267434, 279466, 334474, 340362, 385834, 440874}},
+			[]int64{36226, 64402, 106882, 128938, 175786, 206250, 253098, 258986, 313994, 319882, 358570, 413610}},
 		{"hot", func(i int64) int64 { return 7 }, true,
 			[]int64{4864, 8960, 13056, 17152, 21248, 25344, 29440, 33536, 37632, 41728, 45824, 49920},
-			[]int64{876, 876, 876, 876, 876, 876, 876, 876, 876, 876, 876, 876}},
+			[]int64{868, 868, 868, 868, 868, 868, 868, 868, 868, 868, 868, 868}},
 	}
 	for _, c := range cases {
 		schema := intSchema("k", "v")
@@ -523,16 +520,14 @@ func TestHashTableFootprintPinned(t *testing.T) {
 		var join, agg []int64
 		for b := int64(0); b < int64(len(c.join)); b++ {
 			batch := vector.NewBatch(schema.Kinds())
-			rowIdx := make([]int64, vector.BatchSize)
-			for i := range rowIdx {
-				row := b*vector.BatchSize + int64(i)
+			for i := range int64(vector.BatchSize) {
+				row := b*vector.BatchSize + i
 				if c.strKey {
 					batch.Cols[0].AppendString(fmt.Sprint("key", c.key(row)))
 				} else {
 					batch.Cols[0].AppendInt64(c.key(row))
 				}
 				batch.Cols[1].AppendInt64(row)
-				rowIdx[i] = row
 			}
 			batches = append(batches, batch)
 			p := frag.newProbe(NewBuffer(schema), newPartJoinTable(1, frag.keyed))
@@ -541,7 +536,7 @@ func TestHashTableFootprintPinned(t *testing.T) {
 			}
 			p.index(nil, nil)
 			join = append(join, p.table.Bytes())
-			at.accumulate(batch, nil, rowIdx)
+			at.accumulate(batch)
 			agg = append(agg, at.bytes())
 		}
 		if fmt.Sprint(join) != fmt.Sprint(c.join) {

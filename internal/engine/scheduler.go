@@ -114,8 +114,7 @@ func (s *Sched) Submit(from int, t Task) {
 
 // stripes runs task once for every stripe in [0, n) as tasks on the pool
 // and returns when all of them have finished: the engine's one
-// partition-parallel step (the hash join's build, the striped aggregation's
-// window fold). Each stripe owns a disjoint slice of a hash space, so the
+// partition-parallel step (the hash join's build). Each stripe owns a disjoint slice of a hash space, so the
 // tasks write disjoint state and take no locks. The caller waits on the
 // barrier off the pool, on the consumer goroutine, and the tasks never
 // block, so the wait cannot starve them.

@@ -152,8 +152,8 @@ func TestMergeJoinRunAcrossSegments(t *testing.T) {
 }
 
 // TestHashAggregateStringKeysAcrossSegments groups 3000 string keys, each
-// twice, so the group-key Buffer holds three segments — serial and in two
-// stripes, groups in first-seen order.
+// twice, so the group-key Buffer holds three segments, groups in
+// first-seen order.
 func TestHashAggregateStringKeysAcrossSegments(t *testing.T) {
 	const groups = 3000
 	var keys, vals []string
@@ -164,20 +164,17 @@ func TestHashAggregateStringKeysAcrossSegments(t *testing.T) {
 		}
 	}
 	data := mkResult([]string{"k", "v", "p"}, strVec(keys...), strVec(vals...), i64Vec(pay...))
-	for _, workers := range []int{1, 2} {
-		ctx := parCtx(workers)
-		res, err := Run(ctx, &HashAggregate{Child: &Values{Rows: data}, GroupBy: []string{"k"}, Sched: ctx.Scheduler(),
-			Aggs: []AggSpec{{Name: "n", Func: AggCount}, {Name: "s", Func: AggSum, Arg: expr.C("p")}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Rows() != groups {
-			t.Fatalf("workers=%d: %d groups, want %d", workers, res.Rows(), groups)
-		}
-		for g := range groups {
-			if k, want := res.Cols[0].Str[g], fmt.Sprint("key", (g*7)%groups); k != want || res.Cols[1].I64[g] != 2 || res.Cols[2].I64[g] != int64(2*g+1) {
-				t.Fatalf("workers=%d: group %d = (%s, %d, %d), want (%s, 2, %d)", workers, g, k, res.Cols[1].I64[g], res.Cols[2].I64[g], want, 2*g+1)
-			}
+	res, err := Run(testCtx(), &HashAggregate{Child: &Values{Rows: data}, GroupBy: []string{"k"},
+		Aggs: []AggSpec{{Name: "n", Func: AggCount}, {Name: "s", Func: AggSum, Arg: expr.C("p")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows() != groups {
+		t.Fatalf("%d groups, want %d", res.Rows(), groups)
+	}
+	for g := range groups {
+		if k, want := res.Cols[0].Str[g], fmt.Sprint("key", (g*7)%groups); k != want || res.Cols[1].I64[g] != 2 || res.Cols[2].I64[g] != int64(2*g+1) {
+			t.Fatalf("group %d = (%s, %d, %d), want (%s, 2, %d)", g, k, res.Cols[1].I64[g], res.Cols[2].I64[g], want, 2*g+1)
 		}
 	}
 }
@@ -299,7 +296,7 @@ func TestAggStatesNeverExceedFlat(t *testing.T) {
 						b.Cols[0].AppendInt64(int64(k))
 					}
 				}
-				at.newGroup(b, g%vector.BatchSize, nil)
+				at.newGroup(b, g%vector.BatchSize)
 				for range n {
 					flat = append(flat, aggState{})
 				}

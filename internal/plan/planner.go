@@ -775,10 +775,7 @@ func (p *Planner) lowerAgg(a *Agg, inherited restrictions) (engine.Operator, *st
 		op := &engine.StreamAggregate{Child: childOp, GroupBy: a.GroupBy, Aggs: a.Aggs}
 		return op, &streamInfo{order: a.GroupBy, restr: info.restr, base: info.base}, nil
 	}
-	if p.sched() != nil {
-		p.logf("agg: hash aggregation on %v partition-parallel (%d workers)", a.GroupBy, p.Ctx.Workers)
-	}
-	op := &engine.HashAggregate{Child: childOp, GroupBy: a.GroupBy, Aggs: a.Aggs, Sched: p.sched()}
+	op := &engine.HashAggregate{Child: childOp, GroupBy: a.GroupBy, Aggs: a.Aggs}
 	return op, &streamInfo{restr: info.restr, base: info.base}, nil
 }
 

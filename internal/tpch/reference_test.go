@@ -786,7 +786,9 @@ func TestCompressionEquivalence(t *testing.T) { serialRow(t, oracleFixture(t).ra
 // of their own, it is the serial run of a from-scratch rebuild with the
 // frozen design (referenceDBs). Beside a row sit the checks of the mechanism
 // it exercises: only BDCC ships groups, a partitioned scan reads on the
-// workers, a merge re-compresses and reproduces the rebuild's count tables.
+// workers (over the un-merged views too, whose partitions are extracted
+// from views), a merge re-compresses and reproduces the rebuild's count
+// tables.
 // Plain and PK of one benchmark share the tables PK's sort moves no row of
 // (orders and lineitem among them), so a last row gives each its own arrival
 // stream: a row of one scheme's batches showing up in the other's answers is
@@ -924,13 +926,20 @@ func TestEngineMatchesReference(t *testing.T) {
 	want = refAnswers(t, refTables(raw.Data, batches))
 	rebuild := referenceDBs(t, raw, combinedWith(t, raw.Data, batches))
 	base = serialCells(t, rebuild)
+	// The partitioned row ships BDCC's partitions extracted from the
+	// un-merged views, then from the merged tables.
 	ingestRows := func(phase string) {
 		for _, b := range benches {
-			for _, opt := range []RunOptions{{Workers: 1}, {Workers: 4}, {Workers: 2, Shards: 2}} {
-				t.Run(fmt.Sprintf("%s %s workers=%d shards=%d", phase, map[bool]string{false: "raw", true: "compressed"}[b.Compressed],
-					opt.Workers, max(opt.Shards, 1)), func(t *testing.T) {
+			for _, opt := range []RunOptions{{Workers: 1}, {Workers: 4}, {Workers: 2, Shards: 2}, {Workers: 2, Shards: 2, Partition: true}} {
+				name := fmt.Sprintf("%s %s workers=%d shards=%d", phase, map[bool]string{false: "raw", true: "compressed"}[b.Compressed],
+					opt.Workers, max(opt.Shards, 1))
+				extra := cellStats(nil)
+				if opt.Partition {
+					name, extra = name+" partitioned", readsOnWorkers
+				}
+				t.Run(name, func(t *testing.T) {
 					for _, s := range schemes {
-						runCells(t, s, b.DBs[s], opt, base[s], want, nil)
+						runCells(t, s, b.DBs[s], opt, base[s], want, extra)
 					}
 				})
 			}
