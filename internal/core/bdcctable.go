@@ -107,7 +107,8 @@ type UseBinding struct {
 //	(ii)  compute _bdcc_ at granularity B and sort the table on it, a radix
 //	      sort (storage.SortPerm; step (iii) reads the group sizes through
 //	      TuplesInLargeGroups, so no histogram is kept);
-//	(iii) find the densest (widest) column and choose the largest b ≤ B such
+//	(iii) find the widest column at raw width (storage.ClusterWidth, the
+//	      model merges use too) and choose the largest b ≤ B such
 //	      that most tuples live in groups of at least the efficient random
 //	      access size AR (see DESIGN.md on the AR/2 rounding that reproduces
 //	      the paper's ⌈log₂ 550000⌉ = 20 example);
@@ -168,8 +169,8 @@ func BuildBDCCTable(name string, data *storage.Table, uses []UseBinding, opt Bui
 	if err != nil {
 		return nil, err
 	}
-	// (iii) choose the count-table granularity against the densest column.
-	minRows := efficientRows(sorted.DensestColumn().Width(), opt.Device)
+	// (iii) choose the count-table granularity against the widest column.
+	minRows := efficientRows(storage.ClusterWidth(sorted, 0, sorted), opt.Device)
 	b := opt.ForceBits
 	if b == 0 {
 		b = chooseGranularity(sortedKeys, fullBits, minRows, n)
@@ -218,7 +219,7 @@ func cellCounts(keys []uint64, shift uint) []CountEntry {
 }
 
 // efficientRows converts the device's efficient random access size into a
-// minimum group row count against the densest column, of modeled width w: a
+// minimum group row count against the widest column, of modeled width w: a
 // group qualifies when it rounds to at least one AR unit (≥ AR/2 bytes) in
 // that column.
 func efficientRows(w float64, dev iosim.Device) int64 {

@@ -139,7 +139,7 @@ func MergeBDCCTable(base *BDCCTable, delta *storage.Table, uses []UseBinding, op
 	// group's rows go once more behind the table, as the step's runs hold them.
 	var small storage.RowRanges
 	if !opt.DisableRelocation {
-		small = t.relocateSmallGroups(efficientRows(storage.ConcatWidth(base.Data, n, delta), opt.Device))
+		small = t.relocateSmallGroups(efficientRows(storage.ClusterWidth(base.Data, n, delta), opt.Device))
 	}
 	for _, g := range small {
 		step = storage.AppendPieces(step, step, int32(g.Start), int32(g.Len()))

@@ -126,19 +126,34 @@ func sameBDCCTable(t *testing.T, got, want *BDCCTable) {
 // as re-running Algorithm 1 from scratch over base-then-delta insertion order
 // with the design frozen (same dimension, same granularity). Covered with
 // relocation on (fresh decisions over the merged table) and off, and with the
-// delta split across multiple merge calls.
+// delta split across multiple merge calls. A compressed base, whose columns
+// its encodings narrow well below their raw 8 bytes, is merged into and
+// rebuilt compressed under an efficient access size that relocates some of
+// its groups: both size groups by one width model, so they relocate the same
+// ones.
 func TestMergeMatchesFrozenRebuild(t *testing.T) {
+	// Six bits cut the base's 6 000 rows into groups of about 94, and an
+	// efficient size of 96 rows at 8 bytes a value relocates about half.
+	small := iosim.Device{PageSize: 4 << 10, SeqBandwidth: 1 << 30, AR: 1536, RandEfficiency: 0.8}
 	for _, tc := range []struct {
-		name    string
-		opt     BuildOptions
-		batches int
+		name     string
+		opt      BuildOptions
+		batches  int
+		compress bool
 	}{
-		{"one-batch-relocation", BuildOptions{}, 1},
-		{"three-batches", BuildOptions{DisableRelocation: true}, 3},
+		{"one-batch-relocation", BuildOptions{}, 1, false},
+		{"three-batches", BuildOptions{DisableRelocation: true}, 3, false},
+		{"compressed", BuildOptions{Device: small, ForceBits: 6}, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nBase, nDelta := 6000, 900
 			dim, baseTab, deltaTab := mergeFixture(t, nBase, nDelta, 7)
+			if tc.compress {
+				baseTab.Compress()
+				if w := baseTab.DensestColumn().Width(); w > 4 {
+					t.Fatalf("the compressed base's widest column is %v bytes wide, want an encoding that narrows it", w)
+				}
+			}
 			base, err := BuildBDCCTable("t", baseTab,
 				[]UseBinding{{Dim: dim, BinNos: binsOf(dim, baseTab, 0)}}, tc.opt)
 			if err != nil {
@@ -160,6 +175,12 @@ func TestMergeMatchesFrozenRebuild(t *testing.T) {
 			concat, err := storage.Concat(baseTab, baseTab.Rows(), deltaTab)
 			if err != nil {
 				t.Fatalf("concat: %v", err)
+			}
+			if tc.compress {
+				concat.Compress()
+				if cur.RelocatedRows == 0 || cur.RelocatedRows == int64(cur.Rows()) {
+					t.Fatalf("%d of %d rows relocated, want some groups relocated and some not", cur.RelocatedRows, cur.Rows())
+				}
 			}
 			refOpt := tc.opt
 			refOpt.ForceBits = base.Bits
@@ -349,7 +370,7 @@ func refMergeConcatPermute(t *testing.T, base *BDCCTable, delta *storage.Table, 
 		if dev.PageSize == 0 {
 			dev = iosim.PaperSSD()
 		}
-		if small := out.relocateSmallGroups(efficientRows(merged.DensestColumn().Width(), dev)); small != nil {
+		if small := out.relocateSmallGroups(efficientRows(storage.ClusterWidth(merged, 0, merged), dev)); small != nil {
 			if out.Data, err = out.Data.AppendRows(small); err != nil {
 				t.Fatal(err)
 			}

@@ -100,18 +100,18 @@ func FuzzDecimal(f *testing.F) {
 			for i := 1; i < rows; i += 2 {
 				ab.Cols[0].I64[i], ab.Cols[1].I64[i] = y, x
 			}
-			res, err := Collect(testCtx(), &Project{Child: &Values{Rows: ab},
-				Cols: []ProjCol{{Name: "p", Expr: expr.NewArith(expr.Mul, expr.C("a"), expr.C("b"))}}})
+			v, err := Collect(testCtx(), &Project{Child: &Values{Rows: ab},
+				Cols: []ProjCol{{Name: "p", Expr: expr.NewArith(expr.Mul, expr.C("a"), expr.C("b"))}}}, -1)
 			switch {
 			case !prod.IsInt64() || prod.Int64() == math.MinInt64:
 				if err == nil {
-					t.Fatalf("%s × %s at scale %d: %v, want an overflow error", xs, ys, s, res.Cols[0].I64)
+					t.Fatalf("%s × %s at scale %d: %v, want an overflow error", xs, ys, s, v.Rows.Cols[0].I64)
 				}
 			case err != nil:
 				t.Fatalf("%s × %s at scale %d: %v", xs, ys, s, err)
-			case res.Schema[0].Scale != 2*s || res.Cols[0].I64[rows-1] != prod.Int64():
+			case v.Rows.Schema[0].Scale != 2*s || v.Rows.Cols[0].I64[rows-1] != prod.Int64():
 				t.Fatalf("%s × %s at scale %d: %d at scale %d, want %s at %d", xs, ys, s,
-					res.Cols[0].I64[0], res.Schema[0].Scale, prod, 2*s)
+					v.Rows.Cols[0].I64[0], v.Rows.Schema[0].Scale, prod, 2*s)
 			}
 		}
 		// SUM over rows alternating x and y, in row order: exact, or an error

@@ -466,10 +466,19 @@ type Operator interface {
 	Close() error
 }
 
-// Result is a fully materialized query result.
+// Result is a fully materialized query result; Runs are a group stream's
+// group runs, in stream order (none for an ungrouped stream).
 type Result struct {
 	Schema expr.Schema
 	Cols   []*vector.Vector
+	Runs   []GroupRun
+}
+
+// GroupRun is one group of a collected group stream: the rows from the
+// previous run's End up to End carry group identifier GID.
+type GroupRun struct {
+	GID uint64
+	End int
 }
 
 // Rows returns the number of result rows.
@@ -494,10 +503,11 @@ func (r *Result) Row(i int) []string {
 // every decimal column rendered as the Float64 nearest its values
 // (expr.Unscale): what a client, a checksum or a scalar subquery reads.
 func Run(ctx *Context, op Operator) (*Result, error) {
-	res, err := Collect(ctx, op)
+	v, err := Collect(ctx, op, -1)
 	if err != nil {
 		return nil, err
 	}
+	res := v.Rows
 	res.Schema = slices.Clone(res.Schema)
 	for c, m := range res.Schema {
 		if m.Scale > 0 {
@@ -511,18 +521,25 @@ func Run(ctx *Context, op Operator) (*Result, error) {
 	return res, nil
 }
 
-// Collect is Run keeping decimal columns as they are, for a result that is
-// fed back into a plan (Values).
-func Collect(ctx *Context, op Operator) (*Result, error) {
+// Collect opens op and pulls its batches into a Values that replays them,
+// group runs and all, decimal columns as they are (Run renders them). With
+// limit not negative it stops once it holds more than limit rows, and the
+// Values goes on with the rest of op, left open until the Values is closed.
+func Collect(ctx *Context, op Operator, limit int) (v *Values, err error) {
 	if err := op.Open(ctx); err != nil {
 		return nil, err
 	}
-	defer op.Close()
-	res := &Result{Schema: op.Schema()}
-	for _, c := range op.Schema() {
+	v = &Values{Rows: &Result{Schema: op.Schema()}, Rest: op}
+	defer func() {
+		if err != nil || v.Rest == nil {
+			op.Close()
+		}
+	}()
+	res := v.Rows
+	for _, c := range res.Schema {
 		res.Cols = append(res.Cols, vector.NewVector(c.Kind, vector.BatchSize))
 	}
-	for {
+	for limit < 0 || res.Rows() <= limit {
 		// A tracker governed by a process budget latches rejection instead
 		// of erroring inside Grow (which has no error path and runs on pool
 		// goroutines); surface it here so an over-budget query aborts
@@ -535,12 +552,19 @@ func Collect(ctx *Context, op Operator) (*Result, error) {
 			return nil, err
 		}
 		if b == nil {
-			return res, nil
+			v.Rest = nil
+			return v, nil
 		}
 		for c, col := range res.Cols {
 			col.AppendVector(b.Cols[c]) // doubling
 		}
+		if k := len(res.Runs) - 1; b.Grouped && k >= 0 && res.Runs[k].GID == b.GroupID {
+			res.Runs[k].End = res.Rows()
+		} else if b.Grouped && b.Len() > 0 {
+			res.Runs = append(res.Runs, GroupRun{GID: b.GroupID, End: res.Rows()})
+		}
 	}
+	return v, nil
 }
 
 func errOp(op string, err error) error { return fmt.Errorf("engine: %s: %w", op, err) }

@@ -5,17 +5,18 @@ import (
 	"bdcc/internal/vector"
 )
 
-// Values replays a materialized result as an operator. The BDCC planner
-// pre-executes small dimension-side subtrees to turn their selections into
-// bin restrictions (the paper's query-rewriter step that detects e.g. a
-// consecutive D_NATION bin range from a region selection); the materialized
-// rows are then fed back into the plan through this operator so the subtree
-// never runs twice.
+// Values replays a materialized result as an operator, in batches of at most
+// BatchSize rows that keep to its group runs, tagged with their groups. The
+// BDCC planner feeds a pre-executed build subtree's rows back to its join
+// through it (the paper's query-rewriter step learns a selection's key set
+// from those rows), so the subtree runs once. Rest, when set, is an open
+// operator whose batches follow the rows; Close closes it.
 type Values struct {
 	Rows *Result
+	Rest Operator
 
-	pos int
-	out *vector.Batch
+	pos, run int
+	out      *vector.Batch
 }
 
 // Schema implements Operator.
@@ -31,11 +32,21 @@ func (v *Values) Open(ctx *Context) error {
 func (v *Values) Next() (*vector.Batch, error) {
 	n := v.Rows.Rows()
 	if v.pos >= n {
+		if v.Rest != nil {
+			return v.Rest.Next()
+		}
 		return nil, nil
 	}
-	hi := v.pos + vector.BatchSize
-	hi = min(hi, n)
+	hi := min(v.pos+vector.BatchSize, n)
 	v.out.Reset()
+	if v.run < len(v.Rows.Runs) {
+		r := v.Rows.Runs[v.run]
+		hi = min(hi, r.End)
+		v.out.Grouped, v.out.GroupID = true, r.GID
+		if hi == r.End {
+			v.run++
+		}
+	}
 	for c, col := range v.Rows.Cols {
 		dst := v.out.Cols[c]
 		switch col.Kind {
@@ -52,4 +63,9 @@ func (v *Values) Next() (*vector.Batch, error) {
 }
 
 // Close implements Operator.
-func (v *Values) Close() error { return nil }
+func (v *Values) Close() error {
+	if v.Rest != nil {
+		return v.Rest.Close()
+	}
+	return nil
+}

@@ -1,6 +1,9 @@
 package plan
 
 import (
+	"slices"
+	"strings"
+
 	"bdcc/internal/catalog"
 	"bdcc/internal/core"
 )
@@ -56,15 +59,12 @@ func keyPairs(aCols, bCols, aKeys, bKeys []string) bool {
 	if len(aCols) != len(bCols) || len(aCols) == 0 {
 		return false
 	}
-	for i := range aCols {
-		found := false
-		for j := range aKeys {
-			if aKeys[j] == aCols[i] && bKeys[j] == bCols[i] {
-				found = true
-				break
-			}
+	for i, a := range aCols {
+		paired := false
+		for j, k := range aKeys {
+			paired = paired || k == a && bKeys[j] == bCols[i]
 		}
-		if !found {
+		if !paired {
 			return false
 		}
 	}
@@ -74,33 +74,19 @@ func keyPairs(aCols, bCols, aKeys, bKeys []string) bool {
 // stripAlias removes the "<alias>_" rename prefix from key names so they
 // match catalog column names again.
 func stripAlias(alias string, keys []string) []string {
-	prefix := alias + "_"
 	out := make([]string, len(keys))
 	for i, k := range keys {
-		if len(k) > len(prefix) && k[:len(prefix)] == prefix {
-			out[i] = k[len(prefix):]
-		} else {
-			out[i] = k
+		if rest, ok := strings.CutPrefix(k, alias+"_"); ok && rest != "" {
+			k = rest
 		}
+		out[i] = k
 	}
 	return out
 }
 
-func pathsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func matchForward(schema *catalog.Schema, uP, uR *core.DimensionUse, buildTable string, leftKeys, rightKeys []string) bool {
 	k := len(uP.Path) - len(uR.Path)
-	if k < 1 || !pathsEqual(uP.Path[k:], uR.Path) {
+	if k < 1 || !slices.Equal(uP.Path[k:], uR.Path) {
 		return false
 	}
 	fk := schema.FK(uP.Path[k-1])
@@ -116,17 +102,17 @@ func matchCommon(schema *catalog.Schema, uP, uR *core.DimensionUse, buildTable s
 		return false
 	}
 	k := len(uP.Path) - (len(uR.Path) - 1)
-	if k < 1 || !pathsEqual(uP.Path[k:], uR.Path[1:]) {
+	if k < 1 || !slices.Equal(uP.Path[k:], uR.Path[1:]) {
 		return false
 	}
 	fkP := schema.FK(uP.Path[k-1])
-	return fkP != nil && fkP.RefTable == fkR.RefTable && pathsEqual(fkP.RefCols, fkR.RefCols) &&
+	return fkP != nil && fkP.RefTable == fkR.RefTable && slices.Equal(fkP.RefCols, fkR.RefCols) &&
 		keyPairs(fkP.Cols, fkR.Cols, leftKeys, rightKeys)
 }
 
 func matchReverse(schema *catalog.Schema, uP, uR *core.DimensionUse, probeTable string, leftKeys, rightKeys []string) bool {
 	k := len(uR.Path) - len(uP.Path)
-	if k < 1 || !pathsEqual(uR.Path[k:], uP.Path) {
+	if k < 1 || !slices.Equal(uR.Path[k:], uP.Path) {
 		return false
 	}
 	fk := schema.FK(uR.Path[k-1])

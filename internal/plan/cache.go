@@ -16,8 +16,8 @@ import (
 // Those decisions are what a Memo captures, keyed off node *positions*
 // (deterministic pre-order sites) instead of node pointers, so they replay
 // onto the structurally identical fresh tree of a later execution — which
-// then skips preanalysis and, above all, skips re-running pre-execution
-// subqueries at plan time.
+// then skips preanalysis and, above all, reads no pre-executed build again:
+// its bin sets replay, and so do its rows, sandwich group runs included.
 //
 // The Cache is the daemon-side container: one completed Memo per
 // (query, schema, knobs) key, with a per-entry record lock so exactly one
@@ -40,8 +40,8 @@ type Memo struct {
 // preExecMemo is the recorded outcome of one join's key-set propagation:
 // the raw bin sets it derived per dimension use (merged into the probe
 // side's transferred restrictions on replay exactly as on record), and the
-// materialized build result when the original run replaced the build
-// operator with its rows (nil when the build operator was kept). Both are
+// build's rows, with their group runs, for a hash join or a sandwich join
+// alike (nil where the build stopped at the row cap and streams). Both are
 // immutable after recording: bin sets are never mutated after construction
 // (restrict.go's sharing contract) and each replay wraps res in its own
 // read-only engine.Values.

@@ -37,7 +37,9 @@ func logLine(log []string, substr string) string {
 // TestMemoReplayIdentical records one BDCC planning run and replays it onto
 // a freshly built tree: the replay must skip re-running the pre-execution
 // subquery yet land the identical scan restriction and produce identical
-// rows.
+// rows. The sandwich build's rows replay from the memo too, so the replay
+// reads none of its pages: it reads what the recording read less what the
+// build reads on its own.
 func TestMemoReplayIdentical(t *testing.T) {
 	f := newFixture(t)
 	db := f.dbs[BDCC]
@@ -76,6 +78,15 @@ func TestMemoReplayIdentical(t *testing.T) {
 	}
 	if res1.Rows() != res2.Rows() {
 		t.Fatalf("replayed result differs: %d rows vs %d rows", res2.Rows(), res1.Rows())
+	}
+	alone := NewPlanner(db, engine.NewContext(db.Device))
+	if _, err := alone.Run(twoHopBuild().(*Agg).Child.(*Join).Right); err != nil {
+		t.Fatal(err)
+	}
+	rec, rep, build := p1.Ctx.Acct.Stats(), p2.Ctx.Acct.Stats(), alone.Ctx.Acct.Stats()
+	if build.Pages == 0 || rep.Pages != rec.Pages-build.Pages || rep.Bytes != rec.Bytes-build.Bytes {
+		t.Errorf("the replay reads %d pages (%d bytes), the recording %d (%d) and the build alone %d (%d)",
+			rep.Pages, rep.Bytes, rec.Pages, rec.Bytes, build.Pages, build.Bytes)
 	}
 	for i := 0; i < res1.Rows(); i++ {
 		if fmt.Sprint(res1.Row(i)) != fmt.Sprint(res2.Row(i)) {

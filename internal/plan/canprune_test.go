@@ -1,11 +1,14 @@
 package plan
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"bdcc/internal/catalog"
 	"bdcc/internal/core"
@@ -96,8 +99,13 @@ func TestDeclinedSitesKeepResults(t *testing.T) {
 }
 
 // TestPreExecutionStopsAtRowCap: a sandwich-side build over the row cap is
-// not pulled to its end at plan time (the scratch run stops one row past the
-// cap), says so, and the join returns what Plain returns.
+// not pulled to its end at plan time (it stops one batch past the cap and is
+// left open), says so, and the join returns what Plain returns, at one worker
+// and at two. The rows pulled at plan time replay and the rest streams from
+// the same operator, so the f2 build's pages are charged once: the query
+// reads what it reads with pre-execution declined. No goroutine outlives the
+// query, nor a plan whose probe side fails to lower after the build was left
+// open.
 func TestPreExecutionStopsAtRowCap(t *testing.T) {
 	schema := catalog.MustParseDDL(starDDL)
 	tables := starData(preExecRowCap + 5000)
@@ -106,23 +114,79 @@ func TestPreExecutionStopsAtRowCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func() Node {
-		j := &Join{Left: &Scan{Table: "fact", Cols: []string{"f_id", "f_store"}},
+	build := func(probe Node) Node {
+		j := &Join{Left: probe,
 			Right: &Scan{Table: "fact", Alias: "f2", Cols: []string{"f_store", "f_amount"},
 				Filter: expr.NewCmp(expr.GE, expr.C("f_amount"), expr.Float(0))},
 			LeftKeys: []string{"f_store"}, RightKeys: []string{"f2_f_store"}, Type: engine.SemiJoin}
 		return &Agg{Child: j, Aggs: []engine.AggSpec{{Name: "c", Func: engine.AggCount}}}
 	}
-	want, _ := runRows(t, NewPlainDB(schema, tables, dev), build())
-	got, p := runRows(t, bd, build())
-	if !slices.Equal(got, want) {
-		t.Errorf("BDCC returns %v, Plain %v", got, want)
-	}
-	log := strings.Join(p.Log, "\n")
-	for _, line := range []string{"sandwich hash join", "build on fact not pre-executed (stopped at 65536 rows)"} {
-		if !strings.Contains(log, line) {
-			t.Errorf("the log does not say %q:\n%s", line, log)
+	facts := func() Node { return &Scan{Table: "fact", Cols: []string{"f_id", "f_store"}} }
+	want, _ := runRows(t, NewPlainDB(schema, tables, dev), build(facts()))
+	for _, workers := range []int{1, 2} {
+		base := runtime.NumGoroutine()
+		run := func(declined bool) ([]string, *Planner, iosim.Stats) {
+			ctx := engine.NewContext(dev)
+			ctx.Workers = workers
+			p := NewPlanner(bd, ctx)
+			if declined {
+				p.AuditCanPrune(func(string) string { return "declined" }, nil)
+			}
+			op, err := p.Plan(build(facts()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if open := len(p.open); open != 1 && !declined {
+				t.Fatalf("workers %d: %d builds left open at plan time, want the f2 build", workers, open)
+			}
+			res, err := engine.Run(ctx, op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []string{fmt.Sprint(res.Row(0))}, p, ctx.Acct.Stats()
 		}
+		got, p, st := run(false)
+		if !slices.Equal(got, want) {
+			t.Errorf("workers %d: BDCC returns %v, Plain %v", workers, got, want)
+		}
+		log := strings.Join(p.Log, "\n")
+		for _, line := range []string{"sandwich hash join", "build on fact not pre-executed (stopped at 65536 rows)"} {
+			if !strings.Contains(log, line) {
+				t.Errorf("workers %d: the log does not say %q:\n%s", workers, line, log)
+			}
+		}
+		if _, _, ref := run(true); st.Pages != ref.Pages || st.Bytes != ref.Bytes {
+			t.Errorf("workers %d: the query reads %d pages (%d bytes), %d (%d) with the build not pre-executed",
+				workers, st.Pages, st.Bytes, ref.Pages, ref.Bytes)
+		}
+		// The probe side fails to lower (COUNT(DISTINCT) beside another
+		// aggregate) after the build was pulled to the cap and left open.
+		ctx := engine.NewContext(dev)
+		ctx.Workers = workers
+		p = NewPlanner(bd, ctx)
+		refused := &Agg{Child: facts(), GroupBy: []string{"f_store"}, Aggs: []engine.AggSpec{
+			{Name: "ids", Func: engine.AggCountDistinct, Arg: expr.C("f_id")}, {Name: "n", Func: engine.AggCount}}}
+		if _, err := p.Plan(build(refused)); err == nil || !strings.Contains(err.Error(), "COUNT(DISTINCT)") {
+			t.Fatalf("workers %d: Plan = %v, want the probe side's COUNT(DISTINCT) refusal", workers, err)
+		}
+		if !strings.Contains(strings.Join(p.Log, "\n"), "stopped at 65536 rows") {
+			t.Fatalf("workers %d: the failed plan did not leave the build open:\n%s", workers, strings.Join(p.Log, "\n"))
+		}
+		waitGoroutines(t, base)
+	}
+}
+
+// waitGoroutines waits up to five seconds for the goroutine count to fall
+// to want.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still alive, want ≤ %d\n%s", runtime.NumGoroutine(), want, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

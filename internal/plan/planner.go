@@ -34,6 +34,9 @@ type Planner struct {
 	// memo records this planner's decisions, a completed one replays them.
 	memo  *Memo
 	sites *siteIndex
+	// open are the pre-executed builds left open past the row cap; Plan
+	// closes them when it fails, the plan's Close when it runs.
+	open []engine.Operator
 	// audit and yields are set by tests of canPrune only (AuditCanPrune).
 	audit  func(why string) string
 	yields func(bt *core.BDCCTable, u *core.DimensionUse, bins core.BinSet)
@@ -105,10 +108,16 @@ func (p *Planner) Plan(n Node) (engine.Operator, error) {
 		p.preanalyze(n, nil)
 	}
 	op, _, err := p.lower(n, restrictions{})
-	if err == nil && p.memo != nil && !p.memo.Completed() {
+	if err != nil {
+		for _, o := range p.open {
+			o.Close()
+		}
+		return nil, err
+	}
+	if p.memo != nil && !p.memo.Completed() {
 		p.recordAnalysis()
 	}
-	return op, err
+	return op, nil
 }
 
 // Run lowers and executes a logical plan.
@@ -514,18 +523,18 @@ func hasOrderPrefix(order []string, col string) bool {
 	return len(order) > 0 && order[0] == col
 }
 
-// preExecPropagate executes a small build subtree to convert its join-key
-// set into probe-side bin restrictions, where canPrune says the set can
-// restrict anything. For sandwich joins the subtree runs once more in
-// grouped form, so the planning run is charged to neither the I/O nor the
-// memory meter (the rewriter-style lookup), stops at the row cap, and is
-// skipped where canPrune declines. For plain hash joins the materialized
-// rows feed the real join (and the memo's replays) and the run is charged
-// normally, so canPrune gates only the binning of their keys.
+// preExecPropagate runs a small build subtree's operator — the one the join
+// reads, grouped for a sandwich — on the query's context, to convert its
+// join-key set into probe-side bin restrictions where canPrune says the set
+// can restrict anything, and hands the join its rows through engine.Values:
+// the build runs once, its reads and memory charged like any operator's. A
+// sandwich build canPrune declines is not run ahead (it streams one group at
+// a time), and one over the row cap is pulled no further at plan time: the
+// rows pulled so far replay and the rest streams from the open operator.
 //
 // Under a completed memo the subtree does not run at all: the recorded raw
-// bin sets replay through the same merge as recording used, and a recorded
-// materialized build result substitutes for re-executing the build.
+// bin sets replay through the same merge as recording used, and the
+// recorded rows, where the build ran to its end, replace the build.
 func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operator, transferred restrictions) (engine.Operator, error) {
 	if p.memo.Completed() {
 		pe := p.memo.preExec[p.sites.joinOf[j]]
@@ -553,35 +562,24 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 	if p.audit != nil {
 		why = p.audit(why)
 	}
-	var res *engine.Result
-	var err error
-	rec, said := &preExecMemo{}, "not pre-executed"
-	if !sandwich {
-		said = "materialized, keys not binned"
-		if res, err = engine.Collect(p.Ctx, buildOp); err != nil {
-			return buildOp, err
+	rec, said, limit := &preExecMemo{}, "materialized, keys not binned", -1
+	if sandwich {
+		said, limit = "not pre-executed", preExecRowCap
+	}
+	if !sandwich || why == "" {
+		v, err := engine.Collect(p.Ctx, buildOp, limit)
+		if err != nil {
+			return nil, err
 		}
-		rec.res, buildOp = res, &engine.Values{Rows: res}
-		if why == "" && res.Rows() > preExecRowCap {
+		if rec.res, buildOp = v.Rows, v; v.Rest != nil {
+			rec.res, why = nil, fmt.Sprintf("stopped at %d rows", preExecRowCap)
+			p.open = append(p.open, v)
+		} else if why == "" && v.Rows.Rows() > preExecRowCap {
 			why = fmt.Sprintf("over %d rows", preExecRowCap)
 		}
-	} else if why == "" {
-		// Plan-time lookup: re-lower ungrouped with free meters, and stop
-		// pulling one row past the cap — a larger key set is not binned.
-		scratch := NewPlanner(p.DB, &engine.Context{})
-		op, _, err := scratch.lower(j.Right, restrictions{})
-		if err != nil {
-			return buildOp, err
+		if p.memo != nil && p.sites != nil {
+			p.memo.preExec[p.sites.joinOf[j]] = rec
 		}
-		if res, err = engine.Collect(scratch.Ctx, &engine.Limit{Child: op, N: preExecRowCap + 1}); err != nil {
-			return buildOp, err
-		}
-		if res.Rows() > preExecRowCap {
-			why = fmt.Sprintf("stopped at %d rows", preExecRowCap)
-		}
-	}
-	if res != nil && p.memo != nil && p.sites != nil {
-		p.memo.preExec[p.sites.joinOf[j]] = rec
 	}
 	if why != "" {
 		name := "a subquery"
@@ -591,8 +589,8 @@ func (p *Planner) preExecPropagate(j *Join, sandwich bool, buildOp engine.Operat
 		p.logf("join: build on %s %s (%s)", name, said, why)
 		return buildOp, nil
 	}
-	if ci := res.Schema.IndexOf(j.RightKeys[0]); ci >= 0 && res.Schema[ci].Kind == vector.Int64 {
-		rec.raw = p.binKeys(uses, res.Cols[ci].I64, bt, transferred)
+	if ci := rec.res.Schema.IndexOf(j.RightKeys[0]); ci >= 0 && rec.res.Schema[ci].Kind == vector.Int64 {
+		rec.raw = p.binKeys(uses, rec.res.Cols[ci].I64, bt, transferred)
 	}
 	return buildOp, nil
 }
@@ -783,28 +781,16 @@ func (p *Planner) lowerAgg(a *Agg, inherited restrictions) (engine.Operator, *st
 // the group dimension: a local dimension's key columns, or the columns of
 // the first foreign-key hop of the use's path, are all grouping keys.
 func (p *Planner) keysDetermineUse(groupBy []string, u *core.DimensionUse) bool {
-	contains := func(col string) bool {
-		for _, g := range groupBy {
-			if g == col {
-				return true
-			}
+	cols := u.Dim.Key
+	if len(u.Path) > 0 {
+		fk := p.DB.Schema.FK(u.Path[0])
+		if fk == nil {
+			return false
 		}
-		return false
+		cols = fk.Cols
 	}
-	if len(u.Path) == 0 {
-		for _, k := range u.Dim.Key {
-			if !contains(k) {
-				return false
-			}
-		}
-		return true
-	}
-	fk := p.DB.Schema.FK(u.Path[0])
-	if fk == nil {
-		return false
-	}
-	for _, c := range fk.Cols {
-		if !contains(c) {
+	for _, c := range cols {
+		if !slices.Contains(groupBy, c) {
 			return false
 		}
 	}
@@ -817,12 +803,8 @@ func orderCovers(order []string, groupBy []string) bool {
 	if len(groupBy) == 0 || len(order) < len(groupBy) {
 		return false
 	}
-	prefix := make(map[string]bool, len(groupBy))
-	for _, o := range order[:len(groupBy)] {
-		prefix[o] = true
-	}
 	for _, g := range groupBy {
-		if !prefix[g] {
+		if !slices.Contains(order[:len(groupBy)], g) {
 			return false
 		}
 	}

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"maps"
+
 	"bdcc/internal/catalog"
 	"bdcc/internal/core"
 	"bdcc/internal/expr"
@@ -40,41 +42,28 @@ func (r restrictions) intersectInto(other restrictions) {
 
 // clone returns a shallow copy (bin sets shared; they are never mutated
 // after construction).
-func (r restrictions) clone() restrictions {
-	out := make(restrictions, len(r))
-	for k, v := range r {
-		out[k] = v
-	}
-	return out
-}
+func (r restrictions) clone() restrictions { return maps.Clone(r) }
 
 // addLeadingRange adds to set the bins covering a closed interval on the
 // leading key column of a dimension. Either bound may be nil.
 func addLeadingRange(set core.BinSet, dim *core.Dimension, kind vector.Kind, loI, hiI *int64, loS, hiS *string) {
-	var lo, hi *core.KeyVal
 	mk := func(i *int64, s *string, closeHi bool) *core.KeyVal {
-		if i == nil && s == nil {
+		part := core.KeyPart{IsStr: kind == vector.String}
+		switch {
+		case part.IsStr && s != nil:
+			part.S = *s
+		case !part.IsStr && i != nil:
+			part.I = *i
+		default:
 			return nil
-		}
-		var part core.KeyPart
-		if kind == vector.String {
-			part = core.KeyPart{IsStr: true, S: *s}
-		} else {
-			part = core.KeyPart{I: *i}
 		}
 		parts := []core.KeyPart{part}
 		if closeHi && len(dim.Key) > 1 {
 			parts = append(parts, core.InfPart())
 		}
-		kv := core.KeyVal{Parts: parts}
-		return &kv
+		return &core.KeyVal{Parts: parts}
 	}
-	if kind == vector.String {
-		lo, hi = mk(nil, loS, false), mk(nil, hiS, true)
-	} else {
-		lo, hi = mk(loI, nil, false), mk(hiI, nil, true)
-	}
-	set.AddRange(dim.BinRange(lo, hi))
+	set.AddRange(dim.BinRange(mk(loI, loS, false), mk(hiI, hiS, true)))
 }
 
 // localScanRestrictions derives static restrictions from a scan filter: for

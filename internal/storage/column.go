@@ -109,8 +109,8 @@ func (c *Column) raw() Chunk {
 // Len returns the number of values.
 func (c *Column) Len() int { return c.Enc.rows() }
 
-// Width returns the modeled bytes per value. The densest (widest) column of a
-// table drives Algorithm 1's granularity choice.
+// Width returns the modeled bytes per value, encoded where the column is:
+// what its pages hold.
 func (c *Column) Width() float64 { return c.width }
 
 // finish computes the modeled raw width.

@@ -48,10 +48,12 @@ func Concat(a *Table, aRows int, b *Table) (*Table, error) {
 	return t.Materialized(), nil
 }
 
-// ConcatWidth returns the modeled width of the densest column of the table
-// Concat(a, aRows, b) would build, without building it: a string column's
-// bytes are those of a's first aRows rows plus b's.
-func ConcatWidth(a *Table, aRows int, b *Table) float64 {
+// ClusterWidth is Algorithm 1's width model, by which a load and a merge
+// both size groups: the raw bytes per value of the widest column of a's
+// first aRows rows followed by b's rows — 8 for a number, the average length
+// for a string — whatever encoding either table has. A load, which has only
+// its own rows, passes aRows 0. b must not be a view.
+func ClusterWidth(a *Table, aRows int, b *Table) float64 {
 	var widest float64
 	for i, c := range a.Cols {
 		w := 8.0

@@ -287,8 +287,8 @@ func TestSpliceGathers(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameZones(t, "permutation", got, want)
-		if ConcatWidth(a, keep, b) != concat.DensestColumn().Width() {
-			t.Fatalf("ConcatWidth = %v, the concatenation's densest column is %v wide", ConcatWidth(a, keep, b), concat.DensestColumn().Width())
+		if ClusterWidth(a, keep, b) != concat.DensestColumn().Width() {
+			t.Fatalf("ClusterWidth = %v, the concatenation's densest column is %v wide", ClusterWidth(a, keep, b), concat.DensestColumn().Width())
 		}
 		ranges := RowRanges{{100, 130}, {1700, 1730}}
 		want, err = want.AppendRows(ranges)

@@ -274,8 +274,7 @@ func (t *Table) Pages(c *Column) int {
 	return (t.rows + rpp - 1) / rpp
 }
 
-// DensestColumn returns the column with the most pages (the widest). This is
-// the column Algorithm 1 sizes groups against.
+// DensestColumn returns the column with the most pages (the widest).
 func (t *Table) DensestColumn() *Column {
 	best := t.Cols[0]
 	for _, c := range t.Cols[1:] {

@@ -362,8 +362,8 @@ func FuzzComposedSplice(f *testing.F) {
 				all[i] = int32(i)
 			}
 			label := fmt.Sprintf("step %d", step)
-			if w, g := gatheredTable(t, want, keep, b, all).DensestColumn().width, ConcatWidth(cur, keep, b); w != g {
-				t.Fatalf("%s: ConcatWidth of %d rows is %v, the concatenation's %v", label, keep, g, w)
+			if w, g := gatheredTable(t, want, keep, b, all).DensestColumn().width, ClusterWidth(cur, keep, b); w != g {
+				t.Fatalf("%s: ClusterWidth of %d rows is %v, the concatenation's %v", label, keep, g, w)
 			}
 			want = gatheredTable(t, want, keep, b, src)
 			for i, c := range want.Cols {
