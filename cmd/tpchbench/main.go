@@ -87,7 +87,7 @@ import (
 
 func main() {
 	sf := flag.Float64("sf", 0.05, "TPC-H scale factor")
-	workers := flag.Int("workers", engine.DefaultWorkers(), "morsel-parallel workers per query (1 = serial)")
+	workers := flag.Int("workers", engine.DefaultWorkers(), "workers per query that morsel scans run on; every other operator runs on the goroutine that drives it (1 = serial)")
 	shards := flag.Int("shards", 1, "backends to shard BDCC group streams across (1 = single-box)")
 	remotes := flag.String("remotes", "", "comma-separated bdccworker addresses (host:port); replaces simulated backends")
 	partition := flag.Bool("partition", false, "partition base tables across the workers and ship scatter scans (shared-nothing; needs -shards ≥ 2 or -remotes)")

@@ -387,7 +387,7 @@ func bindAggs(op string, cs expr.Schema, groupBy []string, aggs []AggSpec) (keyI
 // HashAggregate groups its input by the GroupBy columns and computes the
 // aggregates, folding every batch as it arrives into one aggTable on the
 // goroutine that drives Next, whatever the query's worker count: parallel
-// children (a morsel scan, a pooled join) merge their output in input order
+// children (a morsel scan, a join over one) merge their output in input order
 // before it, so groups are emitted in first-seen order and float sums keep
 // the serial run's bits. With FlushOnGroup set the operator becomes the
 // sandwich aggregation of the paper's reference [3]: the input stream must

@@ -13,18 +13,17 @@
 //
 // # One join kernel
 //
-// Every hash join in the engine — serial and pooled HashJoin, the serial
-// SandwichHashJoin, and Fragment.Run (the pooled and remote sandwich group
-// join) — builds and probes through one kernel, joinProbe (hashjoin.go): it
-// is the only code that walks a match chain, evaluates a join residual, or
-// null-extends an outer miss, and it stops whenever the batch it is filling
-// reaches BatchSize, resuming mid-probe-row on the next call. The callers
-// differ only in who owns that batch: the serial operators fill one reused
-// batch (HashJoin across probe batches, flushing on full, group change and
-// end of input; the sandwich per probe batch), the pool and fragment forms
-// fill a fresh batch per emit and cut at every probe-batch end. So every
-// form returns the same rows in the same order, and the serial sandwich and
-// Fragment.Run return the same batch sequence.
+// Every hash join in the engine — HashJoin, SandwichHashJoin, and
+// Fragment.Run (the shipped sandwich group join) — builds and probes through
+// one kernel, joinProbe (hashjoin.go): it is the only code that walks a
+// match chain, evaluates a join residual, or null-extends an outer miss, and
+// it stops whenever the batch it is filling reaches BatchSize, resuming
+// mid-probe-row on the next call. The callers differ only in who owns that
+// batch: the operators fill one reused batch (HashJoin across probe batches,
+// flushing on full, group change and end of input; the sandwich per probe
+// batch), Fragment.Run refills one it lends to emit and cuts at every
+// probe-batch end. So every form returns the same rows in the same order,
+// and the sandwich and Fragment.Run return the same batch sequence.
 //
 // The kernel and the aggregation table (aggTable, agg.go) work a batch at a
 // time. The key shape is picked once, at Fragment.Prepare and
@@ -63,39 +62,34 @@
 // Parallel execution runs on one scheduler per query: the Context owns a
 // single pool of exactly Workers goroutines (Sched, created lazily by
 // Context.Scheduler when the Workers knob exceeds one) with per-worker
-// deques and task stealing. The planner injects the scheduler handle into
-// the operators it permits to parallelize; operators submit tasks — scan
-// morsels, join build stripes and probe jobs, sandwich per-group joins —
-// instead of spawning goroutines, so a scan→join→agg pipeline keeps total
-// busy goroutines at Workers plus a small constant of coordinators (stream
-// feeders) rather than one pool per operator. A hash aggregation folds on
-// the goroutine that drives it. The threading contract is strict:
+// deques and task stealing. The scan is the one operator that runs on it:
+// the planner injects the scheduler handle into every scan, and a filtered
+// scan of more than one morsel submits one task per morsel instead of
+// spawning goroutines, so a plan keeps total busy goroutines at Workers plus
+// a small constant of coordinators (exchange feeders). Every other operator
+// — joins, sandwich joins, aggregations, sorts — builds, probes and folds on
+// the goroutine that drives its Next, at every worker count, and reads its
+// parallel children's batches in input order. The threading contract is
+// strict:
 //
 //   - Scheduler tasks never block on exchange or operator state. The
 //     order-preserving exchange applies backpressure by releasing jobs only
 //     while its consumption window and buffer cap allow; coordinator
 //     goroutines (feeders) may block, pool workers may not. This is what
-//     makes sharing one pool across pipeline stages deadlock-free.
-//   - Build state is frozen before fan-out: a hash join's buffered rows and
-//     slot/chain arrays are written only during build and are read-only
-//     while probe tasks run. Partition-parallel work takes one form,
-//     Sched.stripes: the join holds its drained build rows, runs one task
-//     per hash stripe — each hashing every row and inserting only its own
-//     stripe's, so no locks — and waits on the barrier before it goes on.
-//     Sandwich group tasks own their hash state exclusively.
-//   - Each pool worker owns its per-worker scratch (for a join, its own
-//     joinProbe over the shared build side), indexed by the worker id the
-//     scheduler passes to every task. That includes expressions: a bound
-//     tree owns the scratch its kernels write into, so it is single-goroutine
-//     state, and whoever fans an operator out gives every concurrent
-//     evaluator an expr.Clone of the operator's bound tree — the morsel
-//     scan one filter per pool worker, Fragment.newProbe one residual per
-//     joinProbe, Fragment.runScan one filter per call. The operator's own
-//     tree is evaluated only by the goroutine that drives its Next.
-//   - Every parallel operator merges task output order-preservingly —
-//     through the exchange in morsel order for scans, input-batch order for
-//     joins and group order for sandwich pipelines — so workers=1 and
-//     workers=N produce byte-identical results.
+//     makes sharing one pool across the scans of a plan deadlock-free.
+//   - Each pool worker owns its per-worker scratch (a morsel scan's raw
+//     batch and filter), indexed by the worker id the scheduler passes to
+//     every task. That includes expressions: a bound tree owns the scratch
+//     its kernels write into, so it is single-goroutine state, and whoever
+//     fans work out gives every concurrent evaluator an expr.Clone of the
+//     bound tree — the morsel scan one filter per pool worker,
+//     Fragment.newProbe one residual per joinProbe, Fragment.runScan one
+//     filter per call. An operator's own tree is evaluated only by the
+//     goroutine that drives its Next.
+//   - Every exchange merges its output order-preservingly — in morsel order
+//     for scans, in group order for shipped sandwich groups, in unit order
+//     for partitioned scans — so workers=1 and workers=N produce
+//     byte-identical results.
 //   - Task-held batches and per-task state are charged to the shared
 //     MemTracker (which is mutex-protected) with exact Grow/Shrink pairs;
 //     closing an exchange joins every in-flight task and feeder before
@@ -110,13 +104,13 @@
 //
 // # Backends and sharding
 //
-// The scheduler handle is also the scale-out seam, and the Backend
-// interface (backend.go) carries its tasks across a transport: BDCC groups
-// are self-contained work units, so a sandwich join with an injected backend
+// The exchange is also the scale-out seam, and the Backend interface
+// (backend.go) carries its jobs across a transport: BDCC groups are
+// self-contained work units, so a sandwich join with an injected backend
 // set ships its plan Fragment once at setup and each aligned group — a
 // GroupUnit of cloned batches, serialized to vector.Batch bytes by the
-// transport — to the backend its route places it on, instead of running it
-// on the local pool. The contract extends as follows:
+// transport — to the backend its route places it on, instead of joining it
+// on the coordinator. The contract extends as follows:
 //
 //   - A Fragment (fragment.go) is the complete per-operator configuration:
 //     for the group join, input schemas, join keys, join type, and
@@ -124,13 +118,13 @@
 //     schema, and filter. Fragment.Run touches only its unit, per-call
 //     state (its own clone of the bound residual or filter included), and
 //     the fragment's frozen bound state (read-only after Prepare, never
-//     evaluated directly), so it runs identically on a local pool task, an
-//     in-process simulated remote, or a bdccworker daemon that received the
-//     fragment over the wire. Hash-table memory is metered on the box that builds it
-//     (the fragment's Mem hook): the query's tracker locally, the worker's
-//     tracker remotely; scan device reads likewise charge the box that
-//     performs them (the fragment's Acct locally, per-unit ScanStats
-//     reported in done frames remotely).
+//     evaluated directly), so it runs identically on an in-process
+//     simulated remote, a bdccworker daemon that received the fragment over
+//     the wire, or the coordinator's failover. Hash-table memory is metered
+//     on the box that builds it (the fragment's Mem hook): the query's
+//     tracker locally, the worker's tracker remotely; scan device reads
+//     likewise charge the box that performs them (the fragment's Acct
+//     locally, per-unit ScanStats reported in done frames remotely).
 //   - Units come in two shapes (backend.go): join units carry a group's
 //     cloned batches to whichever backend the route picks; scan units
 //     carry only row ranges, pinned to the worker holding the table
@@ -142,12 +136,13 @@
 //     goroutines, or accounted bytes behind — on either side of the
 //     transport.
 //   - The exchange merges backend results in group order exactly as it
-//     merges local task output, so results are byte-identical across shard
-//     counts, group placement, transports, and data placement (the Shards
-//     knob's 0/1 single-box setting preserves the paper's measurement setup
-//     outright), and a unit rerouted after a worker failure — to a
-//     survivor for joins, to the coordinator's full table copy for scans —
-//     reproduces the same bytes the failed backend would have.
+//     merges a morsel scan's task output, so results are byte-identical
+//     across shard counts, group placement, transports, and data placement
+//     (the Shards knob's 0/1 single-box setting preserves the paper's
+//     measurement setup outright), and a unit rerouted after a worker
+//     failure — to a survivor for joins, to the coordinator's full table
+//     copy for scans — reproduces the same bytes the failed backend would
+//     have.
 package engine
 
 import (
@@ -280,7 +275,7 @@ func (c *Context) CloseBackends() error {
 
 // Scheduler returns the context's shared worker pool, creating it on first
 // use, or nil when the Workers knob keeps execution serial. The planner
-// injects this one handle into every operator it permits to parallelize.
+// injects this one handle into every scan.
 func (c *Context) Scheduler() *Sched {
 	if c == nil || c.Workers < 2 {
 		return nil
@@ -315,10 +310,11 @@ func NewContext(dev iosim.Device) *Context {
 // exactly one place.
 type Options struct {
 	// Workers is the morsel-parallelism knob: the per-query scheduler runs
-	// this many pool goroutines, shared by every parallel operator of the
-	// plan. Values below 2 (including the zero value) mean serial execution,
-	// preserving the paper's single-threaded measurement setup;
-	// DefaultWorkers() uses all cores.
+	// this many pool goroutines, shared by every morsel scan of the plan;
+	// every other operator runs on the goroutine that drives it. Values
+	// below 2 (including the zero value) mean serial execution, preserving
+	// the paper's single-threaded measurement setup; DefaultWorkers() uses
+	// all cores.
 	Workers int
 	// Shards is the scale-out knob: how many backends the query's BDCC
 	// group streams are sharded across. Values below 2 (including the zero

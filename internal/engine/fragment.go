@@ -195,8 +195,8 @@ func (f *Fragment) OutSchema() expr.Schema { return f.out }
 // Run touches only the unit, per-call state (the kernel evaluates its own
 // clone of the bound residual), and the fragment's frozen configuration
 // (read-only after Prepare), so concurrent Runs of one fragment are safe —
-// on a local pool task, a simulated remote, or a worker daemon's scheduler
-// alike.
+// on a simulated remote, a worker daemon's scheduler, or the coordinator's
+// failover alike.
 func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if !f.prepared {
 		return fmt.Errorf("engine: fragment run before Prepare")
@@ -204,11 +204,11 @@ func (f *Fragment) Run(g *GroupUnit, emit func(*vector.Batch)) error {
 	if f.Kind == FragScan {
 		return f.runScan(g, emit)
 	}
-	p := f.newProbe(NewBuffer(f.Build), newPartJoinTable(1, f.keyed))
+	p := f.newProbe(NewBuffer(f.Build), newJoinTable(f.keyed))
 	for _, b := range g.Build {
 		p.insertBatch(b)
 	}
-	p.index(nil, nil)
+	p.index()
 	tableBytes := p.buf.Bytes() + p.table.Bytes()
 	f.Mem.Grow(tableBytes)
 	defer f.Mem.Shrink(tableBytes)

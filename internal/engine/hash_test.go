@@ -301,9 +301,9 @@ func TestOATableGrowth(t *testing.T) {
 
 // TestJoinTableCollisionChains forces every key onto one hash value so
 // distinct keys must be separated by the bound comparator alone, and
-// duplicate keys must chain in insertion order (single-partition build).
+// duplicate keys must chain in insertion order.
 func TestJoinTableCollisionChains(t *testing.T) {
-	jt := newPartJoinTable(1, false)
+	jt := newJoinTable(false)
 	const h = uint64(0xDEADBEEF)
 	// Row r holds key r/3: three duplicate rows per key, 100 distinct keys.
 	build := vector.NewVector(vector.Int64, 300)
@@ -314,7 +314,7 @@ func TestJoinTableCollisionChains(t *testing.T) {
 	}
 	eq := int64KeyEq(build)
 	jt.GrowChains(300)
-	jt.insertRows(hashes, 0, &eq, 0, 1)
+	jt.insertRows(hashes, 0, &eq)
 	// Probe every key and, last, an absent one.
 	probe := vector.NewVector(vector.Int64, 101)
 	for k := int64(0); k < 100; k++ {

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
@@ -30,14 +29,15 @@ const (
 const MatchedColName = "__matched"
 
 // joinProbe is the engine's one hash-join kernel: every join operator —
-// serial and pooled HashJoin, serial SandwichHashJoin, Fragment.Run — builds
-// through insertBatch and index and probes through begin/fill, so row order,
-// residual evaluation and the BatchSize cut are the same code whoever runs
-// the join. It holds a prepared Fragment's frozen join configuration, a
-// build side (buf, table) that may be shared read-only between the kernels
-// of one pooled join, and its own scratch and cursor, so one joinProbe
-// serves one goroutine at a time. Callers differ only in who owns the output
-// batch and when it is flushed: fill appends to whatever batch it is handed.
+// HashJoin, SandwichHashJoin, Fragment.Run — builds through insertBatch and
+// index and probes through begin/fill, so row order, residual evaluation and
+// the BatchSize cut are the same code whoever runs the join. It holds a
+// prepared Fragment's frozen join configuration, its build side (buf,
+// table), its own clone of the residual, its scratch and its cursor, so one
+// joinProbe serves one goroutine: the one that drives its operator's Next,
+// or the one running a Fragment.Run. Callers differ only in who owns the
+// output batch and when it is flushed: fill appends to whatever batch it is
+// handed.
 //
 // Per-row work is typed straight-line code and the rest happens once per
 // batch: index and begin hash the key columns of a build segment or probe
@@ -53,7 +53,7 @@ type joinProbe struct {
 	outKinds           []vector.Kind
 
 	buf   *Buffer
-	table *partJoinTable
+	table *joinTable
 
 	hashes   []uint64      // key hashes of the build segment or probe batch last hashed
 	eq       keyEq         // that segment's or batch's rows against build rows
@@ -82,7 +82,7 @@ type joinProbe struct {
 
 // newProbe returns a kernel over the prepared join fragment's configuration
 // and the given build side.
-func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
+func (f *Fragment) newProbe(buf *Buffer, table *joinTable) *joinProbe {
 	p := &joinProbe{
 		typ: f.Type, probeIdx: f.probeIdx, buildIdx: f.buildIdx, residual: expr.Clone(f.Residual),
 		outKinds: f.out.Kinds(), buf: buf, table: table,
@@ -99,81 +99,70 @@ func (f *Fragment) newProbe(buf *Buffer, table *partJoinTable) *joinProbe {
 func (p *joinProbe) insertBatch(b *vector.Batch) { p.buf.AppendBatch(b) }
 
 // index sizes the chain array for the drained rows and the slot arrays for
-// their keys once, then inserts them: through p, or as one Sched.stripes
-// task per kernel of ks (a pooled join's, all over p's build side), each
-// hashing the segments itself. An indexed build side is left as it is;
-// begin calls index too.
-func (p *joinProbe) index(s *Sched, ks []*joinProbe) {
+// their keys once, then inserts them. An indexed build side is left as it
+// is; begin calls index too.
+func (p *joinProbe) index() {
 	if p.table.Len() == p.buf.Len() {
 		return
 	}
 	p.table.GrowChains(p.buf.Len())
 	p.presize()
-	if len(ks) <= 1 {
-		p.insertStripe(0, 1)
-		return
-	}
-	s.stripes(len(ks), func(w int) { ks[w].insertStripe(w, len(ks)) })
+	p.insert()
 }
 
-// presize sizes every partition's slots for the distinct keys keyFloor
-// proves it holds. That is never more keys than the insert adds, so the
-// slot count it ends at is the one doubling from oaMinSlots would reach,
-// with the doubling's copies gone. Rows that fit every partition's slots (a
-// sandwich join's group after a larger one, or a build of a few rows) are
-// not counted.
-func (p *joinProbe) presize() {
-	n := p.buf.Len()
-	if slices.ContainsFunc(p.table.parts, func(oa oaTable) bool { return n*10 > max(len(oa.vals), oaMinSlots)*7 }) {
-		for i, keys := range p.keyFloor() {
-			p.table.parts[i].presize(keys)
-		}
-	}
-}
-
-// keyFloor returns, per table partition, a lower bound of the distinct keys
-// of the drained rows: the bits set in a linear-counting bitmap (Whang,
-// Vander-Zanden and Taylor, TODS 1990). Every row's key hash sets bit h mod
-// m of its partition's m ≥ 8·rows/partitions bits; equal keys set one bit,
-// so the bits set never exceed the distinct keys; at m ≥ 8 bits per row
-// the collisions among d keys, about d²/2m, leave them on average at most
-// a sixteenth short.
-func (p *joinProbe) keyFloor() []int {
-	parts := len(p.table.parts)
-	m := 64
-	for m*parts < 8*p.buf.Len() {
-		m <<= 1
-	}
-	set, keys := make([]uint64, m/64*parts), make([]int, parts)
-	for s := range p.buf.segments() {
-		p.buf.segment(s, p.view)
-		p.hashes = vector.HashKeys(p.view, p.buildIdx, p.hashes)
-		for _, h := range p.hashes {
-			bit := int(h>>p.table.shift)*m + int(h&uint64(m-1))
-			set[bit/64] |= 1 << (bit % 64)
-		}
-	}
-	for i, w := range set {
-		keys[i*64/m] += bits.OnesCount64(w)
-	}
-	return keys
-}
-
-// insertStripe inserts the build rows of stripe w of n, segment by segment.
-func (p *joinProbe) insertStripe(w, n int) {
+// insert inserts the drained rows into the sized table, segment by segment.
+func (p *joinProbe) insert() {
 	for s := range p.buf.segments() {
 		p.buf.segment(s, p.view)
 		p.hashes = vector.HashKeys(p.view, p.buildIdx, p.hashes)
 		bindKeyCols(p.eq.sought, p.view.Cols, p.buildIdx)
-		p.table.insertRows(p.hashes, int32(s<<segShift), &p.eq, w, n)
+		p.table.insertRows(p.hashes, int32(s<<segShift), &p.eq)
 	}
+}
+
+// presize sizes the slots for the distinct keys keyFloor proves the drained
+// rows hold. That is never more keys than the insert adds, so the slot count
+// it ends at is the one doubling from oaMinSlots would reach, with the
+// doubling's copies gone. Rows that fit the slots (a sandwich join's group
+// after a larger one, or a build of a few rows) are not counted.
+func (p *joinProbe) presize() {
+	if p.buf.Len()*10 > max(len(p.table.slots.vals), oaMinSlots)*7 {
+		p.table.slots.presize(p.keyFloor())
+	}
+}
+
+// keyFloor returns a lower bound of the distinct keys of the drained rows:
+// the bits set in a linear-counting bitmap (Whang, Vander-Zanden and Taylor,
+// TODS 1990). Every row's key hash sets bit h mod m of m ≥ 8·rows bits;
+// equal keys set one bit, so the bits set never exceed the distinct keys; at
+// m ≥ 8 bits per row the collisions among d keys, about d²/2m, leave them on
+// average at most a sixteenth short.
+func (p *joinProbe) keyFloor() int {
+	m := 64
+	for m < 8*p.buf.Len() {
+		m <<= 1
+	}
+	set := make([]uint64, m/64)
+	for s := range p.buf.segments() {
+		p.buf.segment(s, p.view)
+		p.hashes = vector.HashKeys(p.view, p.buildIdx, p.hashes)
+		for _, h := range p.hashes {
+			bit := h & uint64(m-1)
+			set[bit/64] |= 1 << (bit % 64)
+		}
+	}
+	keys := 0
+	for _, w := range set {
+		keys += bits.OnesCount64(w)
+	}
+	return keys
 }
 
 // begin positions the cursor at the first row of probe batch in, which must
 // stay valid until fill reports it done, and resolves every row of in to its
 // chain head.
 func (p *joinProbe) begin(in *vector.Batch) {
-	p.index(nil, nil)
+	p.index()
 	p.in, p.row, p.looked = in, 0, false
 	p.hashes = vector.HashKeys(in, p.probeIdx, p.hashes)
 	bindKeyCols(p.eq.sought, in.Cols, p.probeIdx)
@@ -363,38 +352,29 @@ func (p *joinProbe) emitAll(in *vector.Batch, emit func(*vector.Batch)) {
 // filters matches (used for decorrelated EXISTS subqueries with extra
 // conditions, e.g. TPC-H Q21).
 //
-// Serially the operator owns one output batch and lets the join kernel fill
-// it across probe batches, returning it when it reaches BatchSize, when the
+// The operator builds and probes on the goroutine that drives its Next, at
+// every worker count; a parallel child (a morsel scan) hands it its batches
+// in input order. It owns one output batch and lets the join kernel fill it
+// across probe batches, returning it when it reaches BatchSize, when the
 // probe stream's group tag changes (output stays group-pure), or at end of
-// input. With a scheduler handle injected, the build side is inserted
-// partition-parallel (each worker's kernel inserts a slice of the hash space)
-// and probe batches fan out as tasks on the query's shared worker pool, where
-// each pool worker runs its kernel over the shared build side (read-only
-// during probe) into fresh batches cut at every probe-batch end; output
-// merges in probe-batch order, so both forms return the same rows in the
-// same order and differ only in where batches are cut.
+// input.
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []string
 	Type                JoinType
 	Residual            expr.Expr
-	// Sched is the planner-injected handle of the query's shared worker
-	// pool; nil means serial build and probe.
-	Sched *Sched
 
 	schema   expr.Schema
 	ctx      *Context
 	frag     *Fragment // the join's prepared configuration
 	memBytes int64     // bytes charged to ctx.Mem for the build side and its table
 
-	// One kernel per pool worker over the shared build side, set once it is
-	// built (the serial path runs probes[0]), the reused output batch, and the
-	// probe batch the serial kernel is positioned in (nil: fetch the next one).
-	probes []*joinProbe
-	out    *vector.Batch
-	cur    *vector.Batch
-
-	ex *exchange // parallel probe, nil on the serial path
+	// The kernel over the build side, set once it is built, the reused
+	// output batch, and the probe batch the kernel is positioned in (nil:
+	// fetch the next one).
+	probe *joinProbe
+	out   *vector.Batch
+	cur   *vector.Batch
 }
 
 // Schema implements Operator.
@@ -434,16 +414,11 @@ func keyIndexes(s expr.Schema, names []string) ([]int, error) {
 	return idx, nil
 }
 
-// build drains the right child into the build side and indexes it, stripe w
-// (partitions p ≡ w mod workers) by kernel w. The charged footprint is
-// exact: the buffered rows plus the table's flat slot and chain arrays.
+// build drains the right child into the build side and indexes it. The
+// charged footprint is exact: the buffered rows plus the table's flat slot
+// and chain arrays.
 func (j *HashJoin) build() error {
-	workers := j.Sched.Workers()
-	buf, table := NewBuffer(j.Right.Schema()), newPartJoinTable(workers, j.frag.keyed)
-	probes := make([]*joinProbe, workers)
-	for w := range probes {
-		probes[w] = j.frag.newProbe(buf, table)
-	}
+	p := j.frag.newProbe(NewBuffer(j.Right.Schema()), newJoinTable(j.frag.keyed))
 	for {
 		b, err := j.Right.Next()
 		if err != nil {
@@ -452,27 +427,21 @@ func (j *HashJoin) build() error {
 		if b == nil {
 			break
 		}
-		probes[0].insertBatch(b)
-		j.ctx.Mem.settle(&j.memBytes, buf.Bytes())
+		p.insertBatch(b)
+		j.ctx.Mem.settle(&j.memBytes, p.buf.Bytes())
 	}
-	probes[0].index(j.Sched, probes)
-	j.ctx.Mem.settle(&j.memBytes, buf.Bytes()+table.Bytes())
-	j.probes = probes
+	p.index()
+	j.ctx.Mem.settle(&j.memBytes, p.buf.Bytes()+p.table.Bytes())
+	j.probe = p
 	return nil
 }
 
 // Next implements Operator.
 func (j *HashJoin) Next() (*vector.Batch, error) {
-	if j.probes == nil {
+	if j.probe == nil {
 		if err := j.build(); err != nil {
 			return nil, err
 		}
-	}
-	if j.Sched.Workers() > 1 {
-		if j.ex == nil {
-			j.startParallelProbe()
-		}
-		return j.ex.nextBatch()
 	}
 	j.out.Reset()
 	if j.cur != nil {
@@ -494,17 +463,17 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 				continue
 			}
 			j.cur = b
-			j.probes[0].begin(b)
+			j.probe.begin(b)
 			// Group boundary: flush so output batches stay group-pure.
 			if j.out.Len() > 0 && (b.Grouped != j.out.Grouped || b.GroupID != j.out.GroupID) {
 				return j.out, nil
 			}
 			j.out.Grouped, j.out.GroupID = b.Grouped, b.GroupID
 		}
-		if j.probes[0].fill(j.out) {
+		if j.probe.fill(j.out) {
 			j.cur = nil
 		}
-		if err := expr.Err(j.probes[0].residual); err != nil {
+		if err := expr.Err(j.probe.residual); err != nil {
 			return nil, err
 		}
 		if j.out.Len() >= vector.BatchSize {
@@ -513,26 +482,11 @@ func (j *HashJoin) Next() (*vector.Batch, error) {
 	}
 }
 
-// startParallelProbe fans probe batches out as tasks on the shared
-// scheduler through the order-preserving exchange; pool worker w probes with
-// its own kernel over the shared, now read-only build side.
-func (j *HashJoin) startParallelProbe() {
-	j.ex = newExchange(j.ctx.Mem, j.Sched, 2*len(j.probes))
-	j.ex.runStream(j.Left.Next, func(in *vector.Batch, w int, emit func(*vector.Batch)) error {
-		j.probes[w].emitAll(in, func(b *vector.Batch) { emit(b.Clone()) })
-		return expr.Err(j.probes[w].residual)
-	})
-}
-
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	if j.ex != nil {
-		j.ex.close()
-		j.ex = nil
-	}
 	j.ctx.Mem.Shrink(j.memBytes)
 	j.memBytes = 0
-	j.probes = nil
+	j.probe = nil
 	err1 := j.Left.Close()
 	err2 := j.Right.Close()
 	if err1 != nil {

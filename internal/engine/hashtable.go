@@ -205,67 +205,38 @@ func (t *oaTable) Insert(slot int, tag uint64, v int32) {
 	t.used++
 }
 
-// partJoinTable indexes the build side of a hash join: keys map to chains of
-// build row numbers (duplicates linked through a flat next array), with the
-// hash space split by the top hash bits into a power-of-two number of
-// partitions, each an independent open-addressing table over one shared chain
-// array. Partitioning makes the build phase parallel (each partition is owned
-// by exactly one worker, and chain slots next[r] are written only by the owner
-// of row r's partition) while probes stay lock-free single lookups. Serial
-// users (SandwichHashJoin's per-group builds) run it with a single partition.
-// Both directions work a batch at a time — insertRows, lookupRows — with the
-// key shape's branch outside the row loop. A build drains its rows first, so
-// the chain array is sized once, for exactly the rows it links (GrowChains),
-// and charged by its capacity, and the slots once, from a count of the keys
-// (joinProbe.presize).
-type partJoinTable struct {
-	parts []oaTable
+// joinTable indexes the build side of a hash join: keys map to chains of
+// build row numbers, duplicates linked through a flat next array, over one
+// open-addressing table. Both directions work a batch at a time —
+// insertRows, lookupRows — with the key shape's branch outside the row loop.
+// A build drains its rows first, so the chain array is sized once, for
+// exactly the rows it links (GrowChains), and charged by its capacity, and
+// the slots once, from a count of the keys (joinProbe.presize). A sandwich
+// join resets and rebuilds one table per co-clustering group.
+type joinTable struct {
+	slots oaTable
 	next  []int32
-	shift uint // partition index of hash h is h >> shift
-	keyed bool // every partition's key shape
 }
 
-// newPartJoinTable returns an empty table with the smallest power-of-two
-// partition count ≥ workers; keyed selects the slots' key shape.
-func newPartJoinTable(workers int, keyed bool) *partJoinTable {
-	p := 1
-	bits := uint(0)
-	for p < workers {
-		p <<= 1
-		bits++
-	}
-	t := &partJoinTable{parts: make([]oaTable, p), shift: 64 - bits, keyed: keyed}
-	for i := range t.parts {
-		t.parts[i].keyed = keyed
-	}
-	return t
-}
+// newJoinTable returns an empty table; keyed selects the slots' key shape.
+func newJoinTable(keyed bool) *joinTable { return &joinTable{slots: oaTable{keyed: keyed}} }
 
 // Reset empties the table, keeping slot capacity (sandwich joins rebuild it
 // once per co-clustering group).
-func (t *partJoinTable) Reset() {
-	for i := range t.parts {
-		t.parts[i].Reset()
-	}
+func (t *joinTable) Reset() {
+	t.slots.Reset()
 	t.next = t.next[:0]
 }
 
-// Bytes returns the exact footprint of all slot arrays plus the chain array.
-func (t *partJoinTable) Bytes() int64 {
-	n := int64(cap(t.next)) * 4
-	for i := range t.parts {
-		n += t.parts[i].Bytes()
-	}
-	return n
-}
+// Bytes returns the exact footprint of the slot arrays plus the chain array.
+func (t *joinTable) Bytes() int64 { return int64(cap(t.next))*4 + t.slots.Bytes() }
 
 // Len returns the number of indexed build rows.
-func (t *partJoinTable) Len() int { return len(t.next) }
+func (t *joinTable) Len() int { return len(t.next) }
 
 // GrowChains sizes the chain array for n build rows, reusing its capacity
-// (a sandwich join rebuilds per group), so that partition owners insert
-// without appends (disjoint writes only).
-func (t *partJoinTable) GrowChains(n int) {
+// (a sandwich join rebuilds per group).
+func (t *joinTable) GrowChains(n int) {
 	if cap(t.next) < n {
 		t.next = make([]int32, n)
 	}
@@ -274,53 +245,46 @@ func (t *partJoinTable) GrowChains(n int) {
 
 // insertRows indexes build rows base, base+1, … — the sought rows of eq, one
 // build segment, hashed into hashes — under their keys: row r heads the
-// chain of its key, linking to the previous head. Only rows whose partition
-// p has p%of == stripe are touched (0, 1: all of them), so the stripes of a
-// parallel build write disjoint slots and chain entries.
-func (t *partJoinTable) insertRows(hashes []uint64, base int32, eq *keyEq, stripe, of int) {
-	if t.keyed {
+// chain of its key, linking to the previous head.
+func (t *joinTable) insertRows(hashes []uint64, base int32, eq *keyEq) {
+	oa := &t.slots
+	if oa.keyed {
 		keys := eq.sought[0].I64
 		for i, h := range hashes {
-			if part := int(h >> t.shift); of == 1 || part%of == stripe {
-				oa := &t.parts[part]
-				oa.Reserve()
-				slot, found := oa.FindKey(h, keys[i])
-				t.link(oa, slot, found, uint64(keys[i]), base+int32(i))
-			}
+			oa.Reserve()
+			slot, found := oa.FindKey(h, keys[i])
+			t.link(slot, found, uint64(keys[i]), base+int32(i))
 		}
 		return
 	}
 	for i, h := range hashes {
-		if part := int(h >> t.shift); of == 1 || part%of == stripe {
-			oa := &t.parts[part]
-			oa.Reserve()
-			slot, found := oa.FindSlot(h, eq, i)
-			t.link(oa, slot, found, h, base+int32(i))
-		}
+		oa.Reserve()
+		slot, found := oa.FindSlot(h, eq, i)
+		t.link(slot, found, h, base+int32(i))
 	}
 }
 
-// link makes build row r the head of its key's chain in oa, given the slot
-// its find returned.
-func (t *partJoinTable) link(oa *oaTable, slot int, found bool, tag uint64, r int32) {
+// link makes build row r the head of its key's chain, given the slot its
+// find returned.
+func (t *joinTable) link(slot int, found bool, tag uint64, r int32) {
 	if found {
-		t.next[r] = oa.vals[slot]
-		oa.vals[slot] = r
+		t.next[r] = t.slots.vals[slot]
+		t.slots.vals[slot] = r
 	} else {
 		t.next[r] = -1
-		oa.Insert(slot, tag, r)
+		t.slots.Insert(slot, tag, r)
 	}
 }
 
 // lookupRows resolves every row of the sought side of eq, hashed into hashes,
-// to the head of its key's chain, or -1: heads[i] for row i. Lookups are
-// read-only and safe to run concurrently once the build is complete.
-func (t *partJoinTable) lookupRows(hashes []uint64, eq *keyEq, heads []int32) {
-	if t.keyed {
+// to the head of its key's chain, or -1: heads[i] for row i.
+func (t *joinTable) lookupRows(hashes []uint64, eq *keyEq, heads []int32) {
+	oa := &t.slots
+	if oa.keyed {
 		keys := eq.sought[0].I64
 		for i, h := range hashes {
 			heads[i] = -1
-			if oa := &t.parts[h>>t.shift]; oa.used > 0 {
+			if oa.used > 0 {
 				if slot, found := oa.FindKey(h, keys[i]); found {
 					heads[i] = oa.vals[slot]
 				}
@@ -330,7 +294,7 @@ func (t *partJoinTable) lookupRows(hashes []uint64, eq *keyEq, heads []int32) {
 	}
 	for i, h := range hashes {
 		heads[i] = -1
-		if oa := &t.parts[h>>t.shift]; oa.used > 0 {
+		if oa.used > 0 {
 			if slot, found := oa.FindSlot(h, eq, i); found {
 				heads[i] = oa.vals[slot]
 			}
@@ -340,7 +304,7 @@ func (t *partJoinTable) lookupRows(hashes []uint64, eq *keyEq, heads []int32) {
 
 // Matches appends the chain of head to dst (callers pass scratch[:0]) in
 // build insertion order and returns it.
-func (t *partJoinTable) Matches(head int32, dst []int32) []int32 {
+func (t *joinTable) Matches(head int32, dst []int32) []int32 {
 	for r := head; r >= 0; r = t.next[r] {
 		dst = append(dst, r)
 	}

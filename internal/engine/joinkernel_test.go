@@ -157,14 +157,14 @@ func kernelStreams() (probe, build func() *source, units func() []*GroupUnit) {
 }
 
 // TestJoinKernelContract pins what every caller of the join kernel must
-// agree on: serial HashJoin, pooled HashJoin, serial sandwich, pooled
-// sandwich and a direct Fragment.Run over hand-built units return the same
-// rows in the same order for every join type, without a residual, with a
-// comparison and with a LIKE/IN residual (the window evaluation path — one
-// Select over a window's gathered candidate pairs — of every node kind a
-// residual carries), including a probe row whose match list overflows one
-// output batch; the two residuals select the same rows; and
-// the serial sandwich and Fragment.Run cut their output into the same
+// agree on: HashJoin, the streaming sandwich and a direct Fragment.Run over
+// hand-built units return the same rows in the same order for every join
+// type, without a residual, with a comparison and with a LIKE/IN residual
+// (the window evaluation path — one Select over a window's gathered
+// candidate pairs — of every node kind a residual carries), including a
+// probe row whose match list overflows one output batch; the two residuals
+// select the same rows; and the streaming sandwich and Fragment.Run cut
+// their output into the same
 // (rows, group) batch sequence — the property the failover layer's
 // delivered-prefix replay relies on when it re-runs a half-delivered unit.
 func TestJoinKernelContract(t *testing.T) {
@@ -183,18 +183,9 @@ func TestJoinKernelContract(t *testing.T) {
 					}
 					return nil
 				}
-				hash := func(ctx *Context) Operator {
-					return &HashJoin{Left: probe(), Right: build(),
-						LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-						Type: typ, Residual: mkRes(), Sched: ctx.Scheduler()}
-				}
-				sandwich := func(ctx *Context) Operator {
-					return &SandwichHashJoin{Left: probe(), Right: build(),
-						LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-						Type: typ, Residual: mkRes(), Sched: ctx.Scheduler()}
-				}
-				ctx := parCtx(1)
-				want, wantShapes := drain(t, ctx, sandwich(ctx))
+				want, wantShapes := drain(t, testCtx(), &SandwichHashJoin{Left: probe(), Right: build(),
+					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
+					Type: typ, Residual: mkRes()})
 				switch residual {
 				case "true":
 					cmpRows = want
@@ -209,22 +200,18 @@ func TestJoinKernelContract(t *testing.T) {
 				check := func(label string, got []string) {
 					t.Helper()
 					if len(got) != len(want) {
-						t.Fatalf("%s: %d rows, serial sandwich has %d", label, len(got), len(want))
+						t.Fatalf("%s: %d rows, streaming sandwich has %d", label, len(got), len(want))
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("%s: row %d = %s, serial sandwich has %s", label, i, got[i], want[i])
+							t.Fatalf("%s: row %d = %s, streaming sandwich has %s", label, i, got[i], want[i])
 						}
 					}
 				}
-				for _, workers := range []int{1, 2, 4} {
-					ctx := parCtx(workers)
-					got, _ := drain(t, ctx, hash(ctx))
-					check(fmt.Sprintf("hash join workers=%d", workers), got)
-				}
-				ctx = parCtx(2)
-				got, _ := drain(t, ctx, sandwich(ctx))
-				check("pooled sandwich", got)
+				got, _ := drain(t, testCtx(), &HashJoin{Left: probe(), Right: build(),
+					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
+					Type: typ, Residual: mkRes()})
+				check("hash join", got)
 
 				frag := &Fragment{Probe: probe().schema, Build: build().schema,
 					ProbeKeys: []string{"lkey"}, BuildKeys: []string{"rkey"},
@@ -244,7 +231,7 @@ func TestJoinKernelContract(t *testing.T) {
 				}
 				check("Fragment.Run", fragRows)
 				if fmt.Sprint(fragShapes) != fmt.Sprint(wantShapes) {
-					t.Fatalf("Fragment.Run batch sequence %v, serial sandwich has %v", fragShapes, wantShapes)
+					t.Fatalf("Fragment.Run batch sequence %v, streaming sandwich has %v", fragShapes, wantShapes)
 				}
 			})
 		}
@@ -257,7 +244,8 @@ func TestJoinKernelContract(t *testing.T) {
 // of every four keys, so an output batch that is only checked between probe
 // batches (or not at all, as serial semi/anti/outer-miss once were) overruns;
 // the stream aggregation closes 1024/3 groups per input batch, so a check
-// made only between input batches overruns on the fourth.
+// made only between input batches overruns on the fourth. The joins run at 1
+// and 2 workers: they take one path at every worker count.
 func TestOperatorsRespectBatchSize(t *testing.T) {
 	ls, rs := intSchema("lkey", "lid"), intSchema("rkey", "rpay")
 	const nBatches = 6
@@ -303,12 +291,12 @@ func TestOperatorsRespectBatchSize(t *testing.T) {
 			t.Run(fmt.Sprintf("hashjoin/type=%d/workers=%d", typ, workers), func(t *testing.T) {
 				ctx := parCtx(workers)
 				requireBounded(t, ctx, &HashJoin{Left: mkProbe(), Right: mkBuild(),
-					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"}, Type: typ, Sched: ctx.Scheduler()})
+					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"}, Type: typ})
 			})
 			t.Run(fmt.Sprintf("sandwich/type=%d/workers=%d", typ, workers), func(t *testing.T) {
 				ctx := parCtx(workers)
 				requireBounded(t, ctx, &SandwichHashJoin{Left: mkProbe(), Right: mkBuild(),
-					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"}, Type: typ, Sched: ctx.Scheduler()})
+					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"}, Type: typ})
 			})
 		}
 	}

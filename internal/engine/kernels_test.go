@@ -379,8 +379,8 @@ var kernelResiduals = []struct {
 // share nothing with them — a nested-loop join and a map-based aggregation —
 // on seeded random group streams over every key shape, with duplicate chains
 // longer than BatchSize and with an empty build side, for all four join
-// types, without a residual and with a comparison and a LIKE residual,
-// serially and on two workers: same rows, in the same order, floats by bits.
+// types, without a residual and with a comparison and a LIKE residual: same
+// rows, in the same order, floats by bits.
 func TestHashKernelsMatchReference(t *testing.T) {
 	for si, shape := range keyShapes {
 		for _, emptyBuild := range []bool{false, true} {
@@ -390,19 +390,15 @@ func TestHashKernelsMatchReference(t *testing.T) {
 			for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
 				for _, res := range kernelResiduals {
 					want := refJoin(in, probe, build, matches, typ, res.ref(nk))
-					for _, workers := range []int{1, 2} {
-						label := fmt.Sprintf("%s/emptyBuild=%v/type=%d/residual=%s/workers=%d", shape.name, emptyBuild, typ, res.name, workers)
-						ctx := parCtx(workers)
-						requireSameRows(t, "HashJoin/"+label, drainBits(t, ctx, &HashJoin{
-							Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
-							LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
-							Type: typ, Residual: res.mk(), Sched: ctx.Scheduler()}), want)
-						ctx = parCtx(workers)
-						requireSameRows(t, "SandwichHashJoin/"+label, drainBits(t, ctx, &SandwichHashJoin{
-							Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
-							LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
-							Type: typ, Residual: res.mk(), Sched: ctx.Scheduler()}), want)
-					}
+					label := fmt.Sprintf("%s/emptyBuild=%v/type=%d/residual=%s", shape.name, emptyBuild, typ, res.name)
+					requireSameRows(t, "HashJoin/"+label, drainBits(t, testCtx(), &HashJoin{
+						Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
+						LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
+						Type: typ, Residual: res.mk()}), want)
+					requireSameRows(t, "SandwichHashJoin/"+label, drainBits(t, testCtx(), &SandwichHashJoin{
+						Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
+						LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
+						Type: typ, Residual: res.mk()}), want)
 				}
 			}
 			if emptyBuild {
@@ -436,7 +432,7 @@ func TestJoinProbeSteadyStateAllocs(t *testing.T) {
 				if err := frag.Prepare(); err != nil {
 					t.Fatal(err)
 				}
-				p := frag.newProbe(NewBuffer(in.bs), newPartJoinTable(1, frag.keyed))
+				p := frag.newProbe(NewBuffer(in.bs), newJoinTable(frag.keyed))
 				for _, b := range in.build {
 					p.insertBatch(b)
 				}
@@ -466,7 +462,7 @@ func TestJoinProbeSteadyStateAllocs(t *testing.T) {
 // TestHashTableFootprintPinned pins what the hash tables charge the memory
 // tracker: for fixed insert sequences — all keys distinct, four rows per key,
 // one hot key; twelve full batches each; an Int64 and a String key — the
-// partJoinTable.Bytes() of a fresh build of the first 1…12 batches (slots as
+// joinTable.Bytes() of a fresh build of the first 1…12 batches (slots as
 // the incremental build grew them, and a chain array of exactly the rows)
 // and the aggTable.bytes() after each batch (re-pinned when the states moved
 // into BatchSize-group segments, which hold at most the states of the flat
@@ -530,17 +526,17 @@ func TestHashTableFootprintPinned(t *testing.T) {
 				batch.Cols[1].AppendInt64(row)
 			}
 			batches = append(batches, batch)
-			p := frag.newProbe(NewBuffer(schema), newPartJoinTable(1, frag.keyed))
+			p := frag.newProbe(NewBuffer(schema), newJoinTable(frag.keyed))
 			for _, bb := range batches {
 				p.insertBatch(bb)
 			}
-			p.index(nil, nil)
+			p.index()
 			join = append(join, p.table.Bytes())
 			at.accumulate(batch)
 			agg = append(agg, at.bytes())
 		}
 		if fmt.Sprint(join) != fmt.Sprint(c.join) {
-			t.Errorf("%s/strKey=%v: partJoinTable.Bytes() per batch = %v, pinned %v", c.name, c.strKey, join, c.join)
+			t.Errorf("%s/strKey=%v: joinTable.Bytes() per batch = %v, pinned %v", c.name, c.strKey, join, c.join)
 		}
 		if fmt.Sprint(agg) != fmt.Sprint(c.agg) {
 			t.Errorf("%s/strKey=%v: aggTable.bytes() per batch = %v, pinned %v", c.name, c.strKey, agg, c.agg)

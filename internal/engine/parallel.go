@@ -8,15 +8,14 @@ import (
 )
 
 // This file is the engine's morsel-driven parallel execution core: an
-// order-preserving exchange that fans work out to the query's shared
-// scheduler (see scheduler.go) and merges worker output batches back in job
-// order. Every parallel operator drives it the same way: one feeder
-// goroutine claims job indexes as the consumption window allows and submits
-// one task per job — a scan's morsels (a job list known up front, fed by
-// feed), a join's coalesced probe batches (runStream), a sandwich's groups.
-// Because delivery order equals job order, a parallel plan produces
-// byte-identical results to its serial counterpart; see the package comment
-// for the full threading contract.
+// order-preserving exchange that fans work out — a scan's morsels to the
+// query's shared scheduler (see scheduler.go), scan units and sandwich
+// groups to a backend set — and merges the output batches back in job order.
+// Every user drives it the same way: one feeder goroutine claims job indexes
+// as the consumption window allows and starts one job per index. Because
+// delivery order equals job order, a parallel plan produces byte-identical
+// results to its serial counterpart; see the package comment for the full
+// threading contract.
 //
 // Tasks submitted to the shared scheduler never block: backpressure is
 // applied at claim time (the feeder waits while the window is full or the
@@ -34,8 +33,8 @@ const morselRows = 16 * vector.BatchSize
 
 // exchangeBufferCap bounds the bytes of produced-but-unconsumed output
 // batches an exchange will buffer before it stops releasing further jobs —
-// the backpressure that keeps a high-fanout join's parallel peak memory
-// within a constant of its serial peak. Jobs already in flight keep posting
+// the backpressure that keeps a parallel scan's peak memory within a
+// constant of its serial peak. Jobs already in flight keep posting
 // without blocking (their output is bounded by their input), so the cap can
 // overshoot by the in-flight window's output; the memory tracker accounts
 // the exact buffered bytes either way.
@@ -112,8 +111,8 @@ func (e *exchange) claim() (job int, ok bool) {
 // submitJob schedules fn as the body of a claimed job: the task posts its
 // emitted batches under the job index and marks the job finished. fn always
 // runs, even on a closed exchange (so it can release in-flight accounting);
-// it should check isClosed before doing real work. Used by every feeder
-// (scan morsels, join probes, sandwich group pipelines).
+// it should check isClosed before doing real work. Used by the morsel scan's
+// feeder.
 func (e *exchange) submitJob(job int, fn func(worker int, emit func(*vector.Batch)) error) {
 	e.mu.Lock()
 	e.tasksOut++
@@ -265,85 +264,6 @@ func (e *exchange) feed(jobs int, start func(job int)) {
 				return
 			}
 			start(job)
-		}
-	}()
-}
-
-// streamJobRows is the target row count of one streaming job: the feeder
-// coalesces consecutive same-group input batches up to this size, so the
-// per-job synchronization (claim, task submission, merge) amortizes over
-// several batches of probe work.
-const streamJobRows = 4 * vector.BatchSize
-
-// runStream starts a feeder goroutine that serially pulls input batches
-// (cloning them, since producers reuse their output batch, and coalescing
-// same-group neighbors into jobs of up to streamJobRows rows) and submits
-// one scheduler task per job running work. Input clones are charged to the
-// memory tracker while in flight. pull must not be called concurrently —
-// only the feeder calls it.
-func (e *exchange) runStream(pull func() (*vector.Batch, error), work func(in *vector.Batch, worker int, emit func(*vector.Batch)) error) {
-	e.wg.Add(1)
-	go func() { // feeder
-		defer e.wg.Done()
-		var pending *vector.Batch // cloned lookahead that broke coalescing
-		for {
-			job, ok := e.claim()
-			if !ok {
-				return
-			}
-			cur := pending
-			pending = nil
-			for cur == nil {
-				b, err := pull()
-				if err != nil {
-					e.setErr(err)
-					return
-				}
-				if b == nil {
-					e.seal(job)
-					return
-				}
-				if b.Len() > 0 {
-					cur = b.Clone()
-				}
-			}
-			eof := false
-			for cur.Len() < streamJobRows {
-				b, err := pull()
-				if err != nil {
-					e.setErr(err)
-					return
-				}
-				if b == nil {
-					eof = true
-					break
-				}
-				if b.Len() == 0 {
-					continue
-				}
-				// Jobs stay group-pure so probe output batches keep exact
-				// group tags.
-				if b.Grouped != cur.Grouped || b.GroupID != cur.GroupID {
-					pending = b.Clone()
-					break
-				}
-				cur.AppendBatch(b)
-			}
-			in := cur
-			n := in.Bytes()
-			e.mem.Grow(n)
-			e.submitJob(job, func(w int, emit func(*vector.Batch)) error {
-				var err error
-				if !e.isClosed() {
-					err = work(in, w, emit)
-				}
-				e.mem.Shrink(n)
-				return err
-			})
-			if eof {
-				e.seal(job + 1)
-				return
-			}
 		}
 	}()
 }

@@ -136,16 +136,18 @@ func TestParallelTableScanEarlyClose(t *testing.T) {
 }
 
 // TestParallelHashJoinMatchesSerial checks every join type, with and
-// without a residual, across worker counts: the parallel build + probe must
+// without a residual, over a morsel-parallel probe scan: the join builds and
+// probes on the goroutine that drives it, so at 2, 4 and 5 workers it must
 // reproduce the serial rows in order with a balanced memory tracker.
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	left, right := parTestTables()
 	mkJoin := func(typ JoinType, residual bool, ctx *Context) *HashJoin {
 		j := &HashJoin{
-			Left:     &Scan{Table: left, Cols: []string{"lkey", "lpay", "lstr"}},
+			Left: &Scan{Table: left, Cols: []string{"lkey", "lpay", "lstr"},
+				Filter: expr.NewCmp(expr.GE, expr.C("lkey"), expr.Int(0)), Sched: ctx.Scheduler()},
 			Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 			LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-			Type: typ, Sched: ctx.Scheduler(),
+			Type: typ,
 		}
 		if residual {
 			j.Residual = expr.NewCmp(expr.GT,
@@ -168,7 +170,7 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 				if serial.Rows() == 0 && typ != AntiJoin {
 					t.Fatal("serial join returned no rows — vacuous test")
 				}
-				for _, workers := range []int{3, 4} {
+				for _, workers := range []int{2, 4, 5} {
 					ctx := parCtx(workers)
 					par, err := Run(ctx, mkJoin(typ, residual, ctx))
 					if err != nil {
@@ -267,17 +269,19 @@ func TestParallelGlobalAggregate(t *testing.T) {
 }
 
 // TestHashJoinMemAccountingBalanced locks in the Grow/Shrink symmetry of
-// the hash join: after Run and Close the tracker must be exactly balanced,
-// with a positive peak recorded for the build.
+// the hash join, serially and over a morsel-parallel probe scan: after Run
+// and Close the tracker must be exactly balanced, with a positive peak
+// recorded for the build.
 func TestHashJoinMemAccountingBalanced(t *testing.T) {
 	left, right := parTestTables()
 	for _, workers := range []int{1, 4} {
 		ctx := parCtx(workers)
 		j := &HashJoin{
-			Left:     &Scan{Table: left, Cols: []string{"lkey", "lpay"}},
+			Left: &Scan{Table: left, Cols: []string{"lkey", "lpay"},
+				Filter: expr.NewCmp(expr.GE, expr.C("lkey"), expr.Int(0)), Sched: ctx.Scheduler()},
 			Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 			LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-			Type: InnerJoin, Sched: ctx.Scheduler(),
+			Type: InnerJoin,
 		}
 		if _, err := Run(ctx, j); err != nil {
 			t.Fatal(err)
@@ -291,10 +295,9 @@ func TestHashJoinMemAccountingBalanced(t *testing.T) {
 	}
 }
 
-// TestPartJoinTable exercises the partitioned join table directly: chains
-// stay in insertion order per key under the presized, striped insert, across
-// partition and stripe counts and in both key shapes.
-func TestPartJoinTable(t *testing.T) {
+// TestJoinTable exercises the join table directly: chains stay in insertion
+// order per key under the presized insert, in both key shapes.
+func TestJoinTable(t *testing.T) {
 	const n = 3000
 	keys := vector.NewVector(vector.Int64, n)
 	for r := int64(0); r < n; r++ {
@@ -307,39 +310,34 @@ func TestPartJoinTable(t *testing.T) {
 				hashes[r] = vector.Mix64(uint64(k)) // a hash-storing table works under any hash
 			}
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, stripes := range []int{1, workers} {
-				label := fmt.Sprintf("keyed=%v workers=%d stripes=%d", keyed, workers, stripes)
-				pt := newPartJoinTable(workers, keyed)
-				eq := int64KeyEq(keys)
-				pt.GrowChains(n)
-				for w := 0; w < stripes; w++ {
-					pt.insertRows(hashes, 0, &eq, w, stripes)
-				}
-				if pt.Len() != n {
-					t.Fatalf("%s: table indexes %d rows, want %d", label, pt.Len(), n)
-				}
-				heads := make([]int32, 500)
-				pt.lookupRows(hashes[:500], &eq, heads) // rows 0..499 hold keys 0..499
-				var scratch []int32
-				for k, head := range heads {
-					if head < 0 {
-						t.Fatalf("%s: key %d not found", label, k)
-					}
-					scratch = pt.Matches(head, scratch[:0])
-					if len(scratch) != n/500 {
-						t.Fatalf("%s: key %d: %d matches, want %d", label, k, len(scratch), n/500)
-					}
-					for i, r := range scratch {
-						if keys.I64[r] != int64(k) || (i > 0 && r <= scratch[i-1]) {
-							t.Fatalf("%s: key %d: matches not its rows in insertion order: %v", label, k, scratch)
-						}
-					}
-				}
-				if pt.Bytes() <= 0 {
-					t.Fatal("partitioned table reports non-positive footprint")
+		label := fmt.Sprintf("keyed=%v", keyed)
+		jt := newJoinTable(keyed)
+		eq := int64KeyEq(keys)
+		jt.GrowChains(n)
+		jt.slots.presize(500)
+		jt.insertRows(hashes, 0, &eq)
+		if jt.Len() != n {
+			t.Fatalf("%s: table indexes %d rows, want %d", label, jt.Len(), n)
+		}
+		heads := make([]int32, 500)
+		jt.lookupRows(hashes[:500], &eq, heads) // rows 0..499 hold keys 0..499
+		var scratch []int32
+		for k, head := range heads {
+			if head < 0 {
+				t.Fatalf("%s: key %d not found", label, k)
+			}
+			scratch = jt.Matches(head, scratch[:0])
+			if len(scratch) != n/500 {
+				t.Fatalf("%s: key %d: %d matches, want %d", label, k, len(scratch), n/500)
+			}
+			for i, r := range scratch {
+				if keys.I64[r] != int64(k) || (i > 0 && r <= scratch[i-1]) {
+					t.Fatalf("%s: key %d: matches not its rows in insertion order: %v", label, k, scratch)
 				}
 			}
+		}
+		if jt.Bytes() <= 0 {
+			t.Fatal("join table reports non-positive footprint")
 		}
 	}
 }

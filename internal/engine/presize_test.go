@@ -4,22 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
-
-// slotCounts returns the slot count of every partition of t.
-func slotCounts(t *partJoinTable) []int {
-	out := make([]int, len(t.parts))
-	for i := range t.parts {
-		out[i] = len(t.parts[i].vals)
-	}
-	return out
-}
 
 // allocated returns the heap bytes f allocates.
 func allocated(f func()) int64 {
@@ -32,7 +22,7 @@ func allocated(f func()) int64 {
 
 // TestJoinPresizeKeepsDoublingGeometry builds seeded join build sides of
 // 100 to 10 000 rows — 1, 2, 4 and 15 rows per key, one hot key, 25 keys;
-// Int64 and String keys; 1 and 2 partitions — twice: once through index,
+// Int64 and String keys — twice: once through index,
 // which presizes the slots from keyFloor's count of the drained keys, and
 // once inserted into a table that doubles from oaMinSlots. Every presized
 // build must end at exactly the slots of the doubled one (Figure 3 charges
@@ -78,35 +68,28 @@ func TestJoinPresizeKeepsDoublingGeometry(t *testing.T) {
 					}
 					buf.AppendBatch(b)
 				}
-				for _, parts := range []int{1, 2} {
-					label := fmt.Sprintf("kind=%d/rows=%d/%s/parts=%d", kind, n, f.name, parts)
-					grown := frag.newProbe(buf, newPartJoinTable(parts, frag.keyed))
-					grown.table.GrowChains(n)
-					grown.insertStripe(0, 1)
-					p := frag.newProbe(buf, newPartJoinTable(parts, frag.keyed))
-					q := frag.newProbe(buf, newPartJoinTable(parts, frag.keyed))
-					count := allocated(func() { q.keyFloor() })
-					index := allocated(func() { p.index(nil, nil) })
-					got, want := slotCounts(p.table), slotCounts(grown.table)
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s: presized build ends at slots %v, doubling reaches %v", label, got, want)
-					}
-					if p.table.Bytes() != grown.table.Bytes() {
-						t.Fatalf("%s: presized build charges %d bytes, doubling %d", label, p.table.Bytes(), grown.table.Bytes())
-					}
-					// Beside the count and the chain array, a build that doubled
-					// once after its presize allocates 1.5× its final slot arrays.
-					slots := p.table.Bytes() - 4*int64(n)
-					if extra := index - count - 4*int64(n); f.perKey == 1 && n > vector.BatchSize && 4*extra > 5*slots {
-						t.Errorf("%s: allocated %d bytes of slot arrays for %d final: the build resized after its presize", label, extra, slots)
-					}
-					est := 0
-					for _, k := range p.keyFloor() {
-						est += k
-					}
-					if est > len(keys) || len(keys) >= 4096 && est*100 < len(keys)*92 {
-						t.Errorf("%s: key floor %d, %d distinct keys", label, est, len(keys))
-					}
+				label := fmt.Sprintf("kind=%d/rows=%d/%s", kind, n, f.name)
+				grown := frag.newProbe(buf, newJoinTable(frag.keyed))
+				grown.table.GrowChains(n)
+				grown.insert()
+				p := frag.newProbe(buf, newJoinTable(frag.keyed))
+				q := frag.newProbe(buf, newJoinTable(frag.keyed))
+				count := allocated(func() { q.keyFloor() })
+				index := allocated(func() { p.index() })
+				if got, want := len(p.table.slots.vals), len(grown.table.slots.vals); got != want {
+					t.Fatalf("%s: presized build ends at %d slots, doubling reaches %d", label, got, want)
+				}
+				if p.table.Bytes() != grown.table.Bytes() {
+					t.Fatalf("%s: presized build charges %d bytes, doubling %d", label, p.table.Bytes(), grown.table.Bytes())
+				}
+				// Beside the count and the chain array, a build that doubled
+				// once after its presize allocates 1.5× its final slot arrays.
+				slots := p.table.Bytes() - 4*int64(n)
+				if extra := index - count - 4*int64(n); f.perKey == 1 && n > vector.BatchSize && 4*extra > 5*slots {
+					t.Errorf("%s: allocated %d bytes of slot arrays for %d final: the build resized after its presize", label, extra, slots)
+				}
+				if est := p.keyFloor(); est > len(keys) || len(keys) >= 4096 && est*100 < len(keys)*92 {
+					t.Errorf("%s: key floor %d, %d distinct keys", label, est, len(keys))
 				}
 			}
 		}
@@ -123,7 +106,7 @@ func TestSandwichPresizeReusesSlots(t *testing.T) {
 	if err := frag.Prepare(); err != nil {
 		t.Fatal(err)
 	}
-	p := frag.newProbe(NewBuffer(schema), newPartJoinTable(1, frag.keyed))
+	p := frag.newProbe(NewBuffer(schema), newJoinTable(frag.keyed))
 	var slots int
 	for g, n := range []int{5000, 300, 2000} {
 		p.buf.Reset()
@@ -137,15 +120,15 @@ func TestSandwichPresizeReusesSlots(t *testing.T) {
 				b.Reset()
 			}
 		}
-		if bytes := allocated(func() { p.index(nil, nil) }); g > 0 && bytes != 0 {
+		if bytes := allocated(func() { p.index() }); g > 0 && bytes != 0 {
 			t.Fatalf("group %d: index allocated %d bytes, want none (no count, no resize)", g, bytes)
 		}
-		if got := len(p.table.parts[0].vals); g == 0 {
+		if got := len(p.table.slots.vals); g == 0 {
 			slots = got
 		} else if got != slots {
 			t.Fatalf("group %d: %d slots, want the %d the first group sized", g, got, slots)
 		}
-		if keys := p.table.parts[0].Len(); keys != (n+1)/2 {
+		if keys := p.table.slots.Len(); keys != (n+1)/2 {
 			t.Fatalf("group %d: %d keys indexed, want %d", g, keys, (n+1)/2)
 		}
 		probe := vector.NewBatch(schema.Kinds())
@@ -162,8 +145,8 @@ func TestSandwichPresizeReusesSlots(t *testing.T) {
 
 // TestJoinPresizeBelowThresholds builds, for 400 seeds, sides of 44, 89,
 // 179 and 358 distinct keys — each just under the 70% load of 64, 128, 256
-// and 512 slots — over 1.1 to 3 rows per key, Int64 and String keys, 1 and
-// 2 partitions. A key count that overshot the distinct keys would presize
+// and 512 slots — over 1.1 to 3 rows per key, Int64 and String keys. A key
+// count that overshot the distinct keys would presize
 // such a build to twice the slots doubling reaches; every build must end at
 // exactly those of the doubled one.
 func TestJoinPresizeBelowThresholds(t *testing.T) {
@@ -195,16 +178,14 @@ func TestJoinPresizeBelowThresholds(t *testing.T) {
 					b.Cols[1].AppendInt64(int64(i))
 				}
 				buf.AppendBatch(b)
-				for _, parts := range []int{1, 2} {
-					grown := frag.newProbe(buf, newPartJoinTable(parts, frag.keyed))
-					grown.table.GrowChains(buf.Len())
-					grown.insertStripe(0, 1)
-					p := frag.newProbe(buf, newPartJoinTable(parts, frag.keyed))
-					p.index(nil, nil)
-					if got, want := slotCounts(p.table), slotCounts(grown.table); !slices.Equal(got, want) {
-						t.Fatalf("kind=%d/seed=%d/keys=%d/rows=%d/parts=%d: presized build ends at slots %v, doubling reaches %v",
-							kind, seed, keys, buf.Len(), parts, got, want)
-					}
+				grown := frag.newProbe(buf, newJoinTable(frag.keyed))
+				grown.table.GrowChains(buf.Len())
+				grown.insert()
+				p := frag.newProbe(buf, newJoinTable(frag.keyed))
+				p.index()
+				if got, want := len(p.table.slots.vals), len(grown.table.slots.vals); got != want {
+					t.Fatalf("kind=%d/seed=%d/keys=%d/rows=%d: presized build ends at %d slots, doubling reaches %d",
+						kind, seed, keys, buf.Len(), got, want)
 				}
 			}
 		}

@@ -20,18 +20,18 @@ import (
 // the condition the BDCC planner establishes before placing this operator;
 // rows can then never match across different groups.
 //
-// Serially the operator streams: one group cursor aligns the two inputs, the
+// On a single box the operator streams on the goroutine that drives its
+// Next, at every worker count: one group cursor aligns the two inputs, the
 // join kernel builds the current group's table and fills the operator's one
 // reused output batch per probe batch, returned at BatchSize and at every
-// probe-batch end. With a scheduler handle (or a backend set) injected, the
-// join pipelines across group boundaries instead: a feeder goroutine drives
-// the same group cursor and hands each aligned group — cloned probe and build
-// batches — to a task on the query's shared worker pool (or to a backend)
-// that runs Fragment.Run, the same kernel into fresh batches with the same
-// cuts, with the exchange window bounding the cross-group lookahead. Groups
-// merge in stream order, so both forms return identical batch sequences;
-// pipelined peak memory is bounded by the lookahead window's groups instead
-// of a single group.
+// probe-batch end. With a backend set injected, the join ships groups
+// instead: a feeder goroutine drives the same group cursor and hands each
+// aligned group — cloned probe and build batches — to the backend its route
+// names, which runs Fragment.Run, the same kernel into fresh batches with the
+// same cuts, with the exchange window bounding the cross-group lookahead.
+// Groups merge in stream order, so both forms return identical batch
+// sequences; shipped peak memory is bounded by the lookahead window's groups
+// instead of a single group.
 type SandwichHashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []string
@@ -44,18 +44,13 @@ type SandwichHashJoin struct {
 	// shifts the surplus away.
 	ProbeShift uint
 	BuildShift uint
-	// Sched is the planner-injected handle of the query's shared worker
-	// pool; nil means the serial one-group-at-a-time execution (unless a
-	// backend set is injected below).
-	Sched *Sched
 	// Backends and Route shard the aligned group stream across a backend
-	// set: each group unit is shipped to Backends[Route(gid, bytes)] instead
-	// of the local pool (the route records the unit's batch bytes as the
-	// backend's load). The exchange merges returned batches in group order,
-	// so results stay byte-identical across shard counts and placements. A
-	// non-empty backend set activates the group pipeline even when Sched is
-	// nil (local serial execution, remote group joins). Both are
-	// planner-injected.
+	// set: each group unit is shipped to Backends[Route(gid, bytes)] (the
+	// route records the unit's batch bytes as the backend's load). The
+	// exchange merges returned batches in group order, so results stay
+	// byte-identical across shard counts and placements. Both are
+	// planner-injected; no backend set means the one-group-at-a-time
+	// streaming join.
 	Backends []Backend
 	Route    func(gid uint64, bytes int64) int
 
@@ -63,7 +58,7 @@ type SandwichHashJoin struct {
 	ctx    *Context
 	frag   *Fragment
 
-	// Serial path: the kernel over the current group's build side, the
+	// Streaming join: the kernel over the current group's build side, the
 	// reused output batch, and the probe batch the kernel is positioned in
 	// (nil: fetch the next one).
 	probe    *joinProbe
@@ -71,7 +66,7 @@ type SandwichHashJoin struct {
 	out      *vector.Batch
 	cur      *vector.Batch
 
-	// Group cursor, shared by the serial path and the feeder: the build
+	// Group cursor, shared by the streaming join and the feeder: the build
 	// lookahead and the aligned group of the last probe batch pulled.
 	rb     *vector.Batch // buffered copy of the lookahead batch
 	rbOK   bool
@@ -79,7 +74,7 @@ type SandwichHashJoin struct {
 	curGID uint64
 	haveG  bool
 
-	ex *exchange // parallel group pipeline, nil on the serial path
+	ex *exchange // shipped group stream, nil for the streaming join
 }
 
 // Schema implements Operator.
@@ -96,9 +91,9 @@ func (j *SandwichHashJoin) Open(ctx *Context) error {
 	}
 	ls, rs := j.Left.Schema(), j.Right.Schema()
 	// The fragment is the join's frozen group-join configuration — the plan
-	// piece a backend set ships to remote workers at query setup. The serial
-	// path's kernel is made from the same prepared fragment, so both forms
-	// execute one configuration.
+	// piece a backend set ships to remote workers at query setup. The
+	// streaming join's kernel is made from the same prepared fragment, so
+	// both forms execute one configuration.
 	j.frag = &Fragment{
 		Probe: ls, Build: rs,
 		ProbeKeys: j.LeftKeys, BuildKeys: j.RightKeys,
@@ -111,7 +106,7 @@ func (j *SandwichHashJoin) Open(ctx *Context) error {
 		return err
 	}
 	j.schema = j.frag.OutSchema()
-	j.probe = j.frag.newProbe(NewBuffer(rs), newPartJoinTable(1, j.frag.keyed))
+	j.probe = j.frag.newProbe(NewBuffer(rs), newJoinTable(j.frag.keyed))
 	j.rb = vector.NewBatch(rs.Kinds())
 	j.out = vector.NewBatch(j.schema.Kinds())
 	return nil
@@ -206,32 +201,27 @@ func (j *SandwichHashJoin) buildGroup(gid uint64) error {
 	if err := j.eachBuildBatch(gid, p.insertBatch); err != nil {
 		return err
 	}
-	p.index(nil, nil)
+	p.index()
 	j.ctx.Mem.settle(&j.memBytes, p.buf.Bytes()+p.table.Bytes())
 	return nil
 }
 
-// startParallelGroups starts the cross-group pipeline: a feeder goroutine
-// drives the group cursor (so it discards build groups without probe rows and
-// errors on non-grouped or descending input exactly like the serial path) and
-// hands each aligned group — a self-contained GroupUnit of cloned batches —
-// either to a group-join task on the local pool or, when a backend set is
-// injected, to the backend its group hash routes to. The exchange window is
-// the bounded lookahead in both forms.
-func (j *SandwichHashJoin) startParallelGroups() {
-	// Lookahead is deliberately tighter than the scan/probe window: each
-	// in-flight group holds cloned probe and build batches plus a private
-	// hash table, so the window directly scales peak memory. Sharded, the
-	// window covers the backend set's total parallelism.
+// shipGroups starts the shipped group stream: a feeder goroutine drives the
+// group cursor (so it discards build groups without probe rows and errors on
+// non-grouped or descending input exactly like the streaming join) and hands
+// each aligned group — a self-contained GroupUnit of cloned batches — to the
+// backend its route names. The exchange is merge-only, and its window is the
+// bounded lookahead.
+func (j *SandwichHashJoin) shipGroups() {
+	// Lookahead is deliberately tighter than the scan window: each in-flight
+	// group holds cloned probe and build batches plus a private hash table,
+	// so the window directly scales peak memory. It covers the backend set's
+	// total parallelism.
 	look := 0
-	if len(j.Backends) > 0 {
-		for _, b := range j.Backends {
-			look += b.Workers()
-		}
-	} else {
-		look = j.Sched.Workers()
+	for _, b := range j.Backends {
+		look += b.Workers()
 	}
-	j.ex = newExchange(j.ctx.Mem, j.Sched, look+1)
+	j.ex = newExchange(j.ctx.Mem, nil, look+1)
 	e := j.ex
 	e.wg.Add(1)
 	go func() { // feeder: the only puller of both children
@@ -273,32 +263,20 @@ func (j *SandwichHashJoin) startParallelGroups() {
 				e.setErr(err)
 				return
 			}
+			// Ship the unit to the backend the route places it on; the
+			// backend posts result batches back and the exchange merges them
+			// under this job's index, so delivery order — and therefore the
+			// result — is independent of which backend ran the group.
 			grpBytes := grp.Bytes()
 			j.ctx.Mem.Grow(grpBytes)
-			if len(j.Backends) > 0 {
-				// Sharded form: ship the unit to the backend the route
-				// places it on; the backend posts result
-				// batches back and the exchange merges them under this
-				// job's index, so delivery order — and therefore the
-				// result — is independent of which backend ran the group.
-				bk := j.Backends[j.Route(grp.GID, grpBytes)]
-				e.beginJob()
-				bk.RunGroup(grp, j.frag,
-					func(b *vector.Batch) { e.post(job, b) },
-					func(err error) {
-						j.ctx.Mem.Shrink(grpBytes)
-						e.finish(job, err)
-					})
-				continue
-			}
-			e.submitJob(job, func(_ int, emit func(*vector.Batch)) error {
-				var err error
-				if !e.isClosed() {
-					err = j.frag.Run(grp, func(b *vector.Batch) { emit(b.Clone()) })
-				}
-				j.ctx.Mem.Shrink(grpBytes)
-				return err
-			})
+			bk := j.Backends[j.Route(grp.GID, grpBytes)]
+			e.beginJob()
+			bk.RunGroup(grp, j.frag,
+				func(b *vector.Batch) { e.post(job, b) },
+				func(err error) {
+					j.ctx.Mem.Shrink(grpBytes)
+					e.finish(job, err)
+				})
 		}
 	}()
 }
@@ -308,9 +286,9 @@ func (j *SandwichHashJoin) startParallelGroups() {
 // resumes there on the following call — and stay group-pure (each derives
 // from a single probe batch).
 func (j *SandwichHashJoin) Next() (*vector.Batch, error) {
-	if j.Sched != nil || len(j.Backends) > 0 {
+	if len(j.Backends) > 0 {
 		if j.ex == nil {
-			j.startParallelGroups()
+			j.shipGroups()
 		}
 		return j.ex.nextBatch()
 	}

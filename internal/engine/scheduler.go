@@ -6,17 +6,17 @@ import (
 )
 
 // Sched is the per-query (per-Context) worker pool of the morsel paper's
-// design: one pool of exactly Workers goroutines shared by every parallel
-// operator of a plan, with per-worker FIFO deques and task stealing. The
-// planner injects one handle per query into the operators it permits to
-// parallelize; a nil handle means serial execution.
+// design: one pool of exactly Workers goroutines shared by every morsel scan
+// of a plan, with per-worker FIFO deques and task stealing. The planner
+// injects one handle per query into the scans; a nil handle means serial
+// execution. A worker daemon runs its units on a pool of its own.
 //
 // Tasks must never block on exchange or operator state — the pool is shared
 // across pipeline stages, so a blocked worker could starve the very stage
 // that would unblock it. The order-preserving exchange therefore releases
 // tasks only while its consumption window and buffer cap allow, instead of
 // letting running tasks block (see parallel.go). Coordinator goroutines
-// (stream feeders) may block; they never occupy a pool worker.
+// (exchange feeders) may block; they never occupy a pool worker.
 //
 // Worker goroutines are spawned on demand and exit once the pool is idle and
 // unreferenced (no operator holds a retain), so a finished query leaves no
@@ -110,26 +110,6 @@ func (s *Sched) Submit(from int, t Task) {
 	// parked instead of thundering on a 1-task submission.
 	s.cond.Signal()
 	s.mu.Unlock()
-}
-
-// stripes runs task once for every stripe in [0, n) as tasks on the pool
-// and returns when all of them have finished: the engine's one
-// partition-parallel step (the hash join's build). Each stripe owns a disjoint slice of a hash space, so the
-// tasks write disjoint state and take no locks. The caller waits on the
-// barrier off the pool, on the consumer goroutine, and the tasks never
-// block, so the wait cannot starve them.
-func (s *Sched) stripes(n int, task func(stripe int)) {
-	s.Retain()
-	defer s.Release()
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for w := 0; w < n; w++ {
-		s.Submit(-1, func(int) {
-			defer wg.Done()
-			task(w)
-		})
-	}
-	wg.Wait()
 }
 
 // Stats returns a snapshot of scheduler activity.

@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"bdcc/internal/core"
 	"bdcc/internal/expr"
 	"bdcc/internal/vector"
 )
 
-// pipelineQuery builds a scan→join→agg pipeline with every stage submitting
-// to the context's shared scheduler — the shape the per-query pool exists
-// for.
+// pipelineQuery builds a scan→join→agg pipeline over a morsel-parallel
+// probe scan: the scan submits to the context's shared scheduler, and the
+// join and the aggregation run on the goroutine that drives them.
 func pipelineQuery(ctx *Context) Operator {
 	left, right := parTestTables()
 	scan := &Scan{
@@ -26,8 +27,7 @@ func pipelineQuery(ctx *Context) Operator {
 		Left:     scan,
 		Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 		LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-		Type:  InnerJoin,
-		Sched: ctx.Scheduler(),
+		Type: InnerJoin,
 	}
 	return &HashAggregate{
 		Child:   join,
@@ -39,14 +39,14 @@ func pipelineQuery(ctx *Context) Operator {
 	}
 }
 
-// TestPipelineGoroutineBudget asserts the tentpole invariant: a
-// scan→join→agg pipeline runs on one shared pool, so total goroutines stay
-// within Workers plus a small constant of coordinators (scan and join
-// feeders, sampler) — no per-stage oversubscription (the old design peaked
-// near 3×Workers).
+// TestPipelineGoroutineBudget asserts the pool's invariant: a
+// scan→join→agg pipeline runs its one parallel operator, the scan, on the
+// query's shared pool and the rest on the goroutine that drives it, so total
+// goroutines stay within Workers plus a small constant of coordinators (the
+// scan's feeder, the sampler) — no per-stage oversubscription.
 func TestPipelineGoroutineBudget(t *testing.T) {
 	const workers = 8
-	const slack = 5 // scan feeder + join feeder + sampler + runtime jitter
+	const slack = 4 // scan feeder + sampler + runtime jitter
 	base := runtime.NumGoroutine()
 	ctx := parCtx(workers)
 
@@ -126,9 +126,10 @@ func (e *errAfter) Next() (*vector.Batch, error) {
 }
 
 // TestErrorMidStreamJoinsProducers locks in the goroutine-leak fix: when
-// the consumer of an exchange errors mid-stream, Close must drain and join
-// every producer (pool tasks, feeders, pool workers) and leave the memory
-// tracker balanced.
+// the consumer of an exchange errors mid-stream — directly, above a join of
+// the parallel scan, or below an aggregation of it — Close must drain and
+// join every producer (pool tasks, feeders, pool workers) and leave the
+// memory tracker balanced.
 func TestErrorMidStreamJoinsProducers(t *testing.T) {
 	base := runtime.NumGoroutine()
 	boom := errors.New("boom")
@@ -152,8 +153,7 @@ func TestErrorMidStreamJoinsProducers(t *testing.T) {
 					Left:     scan,
 					Right:    &Scan{Table: right, Cols: []string{"rkey", "rpay"}},
 					LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-					Type:  InnerJoin,
-					Sched: ctx.Scheduler(),
+					Type: InnerJoin,
 				}, n: 2, err: boom}
 			case "agg":
 				op = &HashAggregate{
@@ -207,10 +207,22 @@ func TestSchedulerWorkerReuse(t *testing.T) {
 	}
 }
 
-// TestSandwichJoinParallelMatchesSerial checks the cross-group pipeline of
-// the sandwich join against its serial execution for every join type, with
-// and without residuals and shifts: identical rows in identical order with
-// identical group tags, and a balanced tracker.
+// parallelGroupedScan is groupedScan as a morsel-parallel filtered scan at
+// the context's worker count (its filter keeps every row).
+func parallelGroupedScan(t *testing.T, ctx *Context, bt *core.BDCCTable, cols []string) *Scan {
+	t.Helper()
+	s := groupedScan(t, bt, cols)
+	s.Filter = expr.NewCmp(expr.GE, expr.C(cols[0]), expr.Int(0))
+	s.Sched = ctx.Scheduler()
+	return s
+}
+
+// TestSandwichJoinParallelMatchesSerial checks the sandwich join over
+// morsel-parallel grouped scans on both sides against its serial run for
+// every join type, with and without residuals: the join streams on the
+// goroutine that drives it, so at 2, 4 and 5 workers it must return
+// identical rows in identical order with identical group tags, and leave a
+// balanced tracker.
 func TestSandwichJoinParallelMatchesSerial(t *testing.T) {
 	left, right, _ := coClusteredPair(t, 30000, 700)
 	for _, typ := range []JoinType{InnerJoin, LeftOuterJoin, SemiJoin, AntiJoin} {
@@ -220,11 +232,10 @@ func TestSandwichJoinParallelMatchesSerial(t *testing.T) {
 			t.Run(fmt.Sprintf("type=%d/residual=%v", typ, residual), func(t *testing.T) {
 				mk := func(ctx *Context) *SandwichHashJoin {
 					sj := &SandwichHashJoin{
-						Left:     groupedScan(t, left, []string{"lkey", "lid"}),
-						Right:    groupedScan(t, right, []string{"rkey", "rpay"}),
+						Left:     parallelGroupedScan(t, ctx, left, []string{"lkey", "lid"}),
+						Right:    parallelGroupedScan(t, ctx, right, []string{"rkey", "rpay"}),
 						LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-						Type:  typ,
-						Sched: ctx.Scheduler(),
+						Type: typ,
 					}
 					if residual {
 						sj.Residual = expr.NewCmp(expr.GT, expr.C("rpay"), expr.Int(40))
@@ -242,7 +253,7 @@ func TestSandwichJoinParallelMatchesSerial(t *testing.T) {
 				if serial.Rows() == 0 && typ != AntiJoin {
 					t.Fatal("serial sandwich join returned no rows — vacuous test")
 				}
-				for _, workers := range []int{2, 4} {
+				for _, workers := range []int{2, 4, 5} {
 					ctx := parCtx(workers)
 					par, err := Run(ctx, mk(ctx))
 					if err != nil {
@@ -258,18 +269,18 @@ func TestSandwichJoinParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSandwichJoinParallelEarlyClose checks the group pipeline shuts down
-// cleanly when the consumer stops early.
+// TestSandwichJoinParallelEarlyClose checks a sandwich join over
+// morsel-parallel grouped scans shuts both scans down cleanly when the
+// consumer stops early.
 func TestSandwichJoinParallelEarlyClose(t *testing.T) {
 	base := runtime.NumGoroutine()
 	left, right, _ := coClusteredPair(t, 30000, 700)
 	ctx := parCtx(4)
 	sj := &SandwichHashJoin{
-		Left:     groupedScan(t, left, []string{"lkey", "lid"}),
-		Right:    groupedScan(t, right, []string{"rkey", "rpay"}),
+		Left:     parallelGroupedScan(t, ctx, left, []string{"lkey", "lid"}),
+		Right:    parallelGroupedScan(t, ctx, right, []string{"rkey", "rpay"}),
 		LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
-		Type:  InnerJoin,
-		Sched: ctx.Scheduler(),
+		Type: InnerJoin,
 	}
 	res, err := Run(ctx, &Limit{Child: sj, N: 5})
 	if err != nil {

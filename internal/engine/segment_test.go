@@ -52,10 +52,9 @@ func recutBuild(in *kernelInput, rows func(n int) int, sizes []int) *kernelInput
 // rows cross Buffer segments every way they can: batches of 0, 1, 1023, 1024
 // and 1025 rows in turn over groups three times their natural size, and
 // groups of exactly 1024·k rows in whole batches — for every key shape, a
-// HashJoin built in 1 and 4 stripes and a serial and a pooled
-// SandwichHashJoin (whose group 1 holds over a segment of rows), as an inner
-// join (gathers build rows), a left outer join with a residual over both
-// sides, and an anti join with a build-side residual.
+// HashJoin and a SandwichHashJoin (whose group 1 holds over a segment of
+// rows), as an inner join (gathers build rows), a left outer join with a
+// residual over both sides, and an anti join with a build-side residual.
 func TestSegmentBoundaryJoins(t *testing.T) {
 	cuts := []struct {
 		name  string
@@ -77,20 +76,14 @@ func TestSegmentBoundaryJoins(t *testing.T) {
 				res := kernelResiduals[i] // none, cmp, like
 				want := refJoin(in, probe, build, matches, typ, res.ref(len(shape.kinds)))
 				label := fmt.Sprintf("%s/%s/type=%d/residual=%s", shape.name, cut.name, typ, res.name)
-				for _, workers := range []int{1, 4} {
-					ctx := parCtx(workers)
-					requireSameRows(t, fmt.Sprintf("HashJoin/%s/workers=%d", label, workers), drainBits(t, ctx, &HashJoin{
-						Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
-						LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
-						Type: typ, Residual: res.mk(), Sched: ctx.Scheduler()}), want)
-				}
-				for _, workers := range []int{1, 2} {
-					ctx := parCtx(workers)
-					requireSameRows(t, fmt.Sprintf("SandwichHashJoin/%s/workers=%d", label, workers), drainBits(t, ctx, &SandwichHashJoin{
-						Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
-						LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
-						Type: typ, Residual: res.mk(), Sched: ctx.Scheduler()}), want)
-				}
+				requireSameRows(t, "HashJoin/"+label, drainBits(t, testCtx(), &HashJoin{
+					Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
+					LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
+					Type: typ, Residual: res.mk()}), want)
+				requireSameRows(t, "SandwichHashJoin/"+label, drainBits(t, testCtx(), &SandwichHashJoin{
+					Left: cloneSource(in.ps, in.probe), Right: cloneSource(in.bs, in.build),
+					LeftKeys: shape.keyNames("l"), RightKeys: shape.keyNames("r"),
+					Type: typ, Residual: res.mk()}), want)
 			}
 		}
 	}
@@ -210,12 +203,7 @@ func TestJoinBuildAllocatesRowsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := j.probes[0].table
-	var slots int64
-	for i := range table.parts {
-		slots += table.parts[i].Bytes()
-	}
-	want := 16*rows + 4*rows + slots
+	want := 16*rows + 4*rows + j.probe.table.slots.Bytes()
 	if charged := ctx.Mem.Current(); charged != want {
 		t.Fatalf("build charges %d bytes, want %d (rows, chains, slots)", charged, want)
 	}

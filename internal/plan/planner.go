@@ -296,10 +296,9 @@ func (p *Planner) lowerScan(s *Scan, inherited restrictions) (engine.Operator, *
 }
 
 // sched returns the one scheduler handle of this query — the shared
-// worker pool owned by the execution context — injected into every operator
-// the planner permits to parallelize. nil (Workers below 2) keeps every
-// operator on its serial path, preserving the paper's single-threaded
-// measurement setup.
+// worker pool owned by the execution context — injected into every scan,
+// the plan's one parallel operator. nil (Workers below 2) keeps every scan
+// serial, preserving the paper's single-threaded measurement setup.
 func (p *Planner) sched() *engine.Sched {
 	if p.Ctx == nil {
 		return nil
@@ -473,7 +472,6 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 			Type: j.Type, Residual: j.Residual,
 			ProbeShift: uint(probeInfo.groupBits - g),
 			BuildShift: uint(buildInfo.groupBits - g),
-			Sched:      p.sched(),
 		}
 		bks, err := p.backends()
 		if err != nil {
@@ -490,9 +488,6 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 			op.Route = p.Ctx.Cluster.Route
 			p.logf("join: sandwich hash join on %s (%d group bits, groups sharded over %d backends, %d workers each)",
 				al.uP.Dim.Name, g, len(bks), bks[0].Workers())
-		} else if p.sched() != nil {
-			p.logf("join: sandwich hash join on %s (%d group bits, group-pipelined over %d workers)",
-				al.uP.Dim.Name, g, p.Ctx.Workers)
 		} else {
 			p.logf("join: sandwich hash join on %s (%d group bits)", al.uP.Dim.Name, g)
 		}
@@ -508,14 +503,10 @@ func (p *Planner) lowerJoin(j *Join, inherited restrictions) (engine.Operator, *
 			LeftKey: j.LeftKeys[0], RightKey: j.RightKeys[0],
 		}, outInfo, nil
 	}
-	if p.sched() != nil {
-		p.logf("join: hash join on %v morsel-parallel (%d workers)", j.LeftKeys, p.Ctx.Workers)
-	}
 	return &engine.HashJoin{
 		Left: probeOp, Right: buildOp,
 		LeftKeys: j.LeftKeys, RightKeys: j.RightKeys,
 		Type: j.Type, Residual: j.Residual,
-		Sched: p.sched(),
 	}, outInfo, nil
 }
 

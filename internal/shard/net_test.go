@@ -158,7 +158,7 @@ func FuzzDecodeFragment(f *testing.F) {
 func TestTCPBackendMatchesSerial(t *testing.T) {
 	base := runtime.NumGoroutine()
 	serialCtx := &engine.Context{Mem: &engine.MemTracker{}}
-	serial, err := engine.Run(serialCtx, sandwich(serialCtx, nil, nil))
+	serial, err := engine.Run(serialCtx, sandwich(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestTCPBackendMatchesSerial(t *testing.T) {
 		ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
 		ctx.Backends = set.Backends()
 		ctx.Cluster = set
-		res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
+		res, err := engine.Run(ctx, sandwich(set.Backends(), set.Route))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func TestTCPBackendMatchesSerial(t *testing.T) {
 func TestFailoverReroutesKilledWorker(t *testing.T) {
 	base := runtime.NumGoroutine()
 	serialCtx := &engine.Context{Mem: &engine.MemTracker{}}
-	serial, err := engine.Run(serialCtx, sandwich(serialCtx, nil, nil))
+	serial, err := engine.Run(serialCtx, sandwich(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestFailoverReroutesKilledWorker(t *testing.T) {
 			ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: workers}}
 			ctx.Backends = set.Backends()
 			ctx.Cluster = set
-			res, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route))
+			res, err := engine.Run(ctx, sandwich(set.Backends(), set.Route))
 			if err != nil {
 				t.Fatalf("run with a killed worker failed instead of failing over: %v", err)
 			}
@@ -457,7 +457,7 @@ func TestSimWorkerMeters(t *testing.T) {
 	ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
 	sim := NewSim(2, iosim.NewAccountant(PaperNet()))
 	ctx.Backends = []engine.Backend{sim}
-	res, err := engine.Run(ctx, sandwich(ctx, ctx.Backends, func(uint64, int64) int { return 0 }))
+	res, err := engine.Run(ctx, sandwich(ctx.Backends, func(uint64, int64) int { return 0 }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,13 +94,12 @@ func testStreams(groups, probePerGroup int) (probe, build *groupStream) {
 	return probe, build
 }
 
-func sandwich(ctx *engine.Context, bks []engine.Backend, route func(uint64, int64) int) *engine.SandwichHashJoin {
+func sandwich(bks []engine.Backend, route func(uint64, int64) int) *engine.SandwichHashJoin {
 	probe, build := testStreams(32, 400)
 	return &engine.SandwichHashJoin{
 		Left: probe, Right: build,
 		LeftKeys: []string{"lkey"}, RightKeys: []string{"rkey"},
 		Type:     engine.InnerJoin,
-		Sched:    ctx.Scheduler(),
 		Backends: bks,
 		Route:    route,
 	}
@@ -212,14 +211,13 @@ func TestRouter(t *testing.T) {
 }
 
 // TestShardedSandwichMatchesSerial is the package's equivalence oracle: the
-// sandwich join over Sim backend sets — across shard counts and local worker
-// counts, including the serial-local shards>1 shape — must reproduce the
-// serial join byte-identically, with a balanced memory tracker and no leaked
-// goroutines.
+// sandwich join over Sim backend sets — across shard counts and backend
+// worker counts — must reproduce the single-box join byte-identically, with
+// a balanced memory tracker and no leaked goroutines.
 func TestShardedSandwichMatchesSerial(t *testing.T) {
 	base := runtime.NumGoroutine()
 	serialCtx := &engine.Context{Mem: &engine.MemTracker{}}
-	serial, err := engine.Run(serialCtx, sandwich(serialCtx, nil, nil))
+	serial, err := engine.Run(serialCtx, sandwich(nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +228,7 @@ func TestShardedSandwichMatchesSerial(t *testing.T) {
 
 	check := func(t *testing.T, ctx *engine.Context, bks []engine.Backend, route func(uint64, int64) int) {
 		t.Helper()
-		res, err := engine.Run(ctx, sandwich(ctx, bks, route))
+		res, err := engine.Run(ctx, sandwich(bks, route))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,7 +292,7 @@ func TestShardedSandwichEarlyClose(t *testing.T) {
 			set := NewSet(3, workers, PaperNet())
 			ctx.Backends = set.Backends()
 			ctx.Cluster = set
-			lim := &engine.Limit{Child: sandwich(ctx, set.Backends(), set.Route), N: 7}
+			lim := &engine.Limit{Child: sandwich(set.Backends(), set.Route), N: 7}
 			res, err := engine.Run(ctx, lim)
 			if err != nil {
 				t.Fatal(err)
@@ -353,7 +351,7 @@ func TestBackendErrorMidGroupPropagates(t *testing.T) {
 				&errBackend{inner: set.Backends()[1], ok: 1, err: boom},
 			}
 			ctx.Backends = bks
-			_, err := engine.Run(ctx, sandwich(ctx, bks, set.Route))
+			_, err := engine.Run(ctx, sandwich(bks, set.Route))
 			if err == nil || !errors.Is(err, boom) {
 				t.Fatalf("Run returned %v, want the injected backend error", err)
 			}
@@ -530,7 +528,7 @@ func TestSimNetAccounting(t *testing.T) {
 	ctx := &engine.Context{Mem: &engine.MemTracker{}, Options: engine.Options{Workers: 1}}
 	ctx.Backends = set.Backends()
 	ctx.Cluster = set
-	if _, err := engine.Run(ctx, sandwich(ctx, set.Backends(), set.Route)); err != nil {
+	if _, err := engine.Run(ctx, sandwich(set.Backends(), set.Route)); err != nil {
 		t.Fatal(err)
 	}
 	st := set.Net().Stats()

@@ -1,6 +1,8 @@
 package tpch
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,6 +27,40 @@ func TestQ13ParallelMemoryEffect(t *testing.T) {
 		if stB.PeakMem >= stP.PeakMem {
 			t.Errorf("workers=%d: sandwiched Q13 peak %d not below plain %d", workers, stB.PeakMem, stP.PeakMem)
 		}
+	}
+}
+
+// TestWorkersChangeNoPlan holds the planner to one plan per query whatever
+// the worker count: on a single box, the planner log of each of the 22
+// queries at Workers 2 equals its log at Workers 1, under Plain, PK and BDCC.
+// Scans are the one parallel operator, and their log lines do not depend on
+// the pool they run on.
+func TestWorkersChangeNoPlan(t *testing.T) {
+	b := oracleFixture(t).comp
+	joins := 0
+	for _, s := range oracleSchemes {
+		for _, q := range Queries {
+			_, _, serial, err := RunQueryOpts(b.DBs[s], q, RunOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range serial {
+				if strings.HasPrefix(line, "join: ") {
+					joins++
+				}
+			}
+			_, _, par, err := RunQueryOpts(b.DBs[s], q, RunOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(par, serial) {
+				t.Errorf("%s %s: the log at 2 workers differs from the serial log\n2 workers:\n%s\nserial:\n%s",
+					s, q.Name, strings.Join(par, "\n"), strings.Join(serial, "\n"))
+			}
+		}
+	}
+	if joins == 0 {
+		t.Fatal("no query logged a join — vacuous test")
 	}
 }
 
